@@ -1,12 +1,11 @@
-//! Posterior-predictive throughput (in-tree harness): the predictive
-//! engine's target workload. One trained-ish regression MLP, S posterior
-//! samples per call, S ∈ {8, 32, 128}.
+//! Posterior-predictive latency (in-tree harness), a hand-run
+//! micro-case: one trained-ish regression MLP, S posterior samples per
+//! call, S ∈ {8, 32, 128}, the *same* input tensor every call.
 //!
-//! `scripts/bench.sh` runs this binary in a 2×2 sweep — TYXE_PREDICT=0/1
-//! × TYXE_NUM_THREADS=1/4 — and writes the cross-run comparison to
-//! results/BENCH_PREDICT.json. The engine (DESIGN.md §15) is bit-identical
-//! to the legacy path (tests/determinism.rs), so every ratio in that
-//! record measures scheduling, caching and replay only, never numerics.
+//! Every call after the first is served from the posterior-sample cache
+//! (DESIGN.md §15), so this times S grad-free forwards plus aggregation
+//! and nothing else. End-to-end predictive throughput on the paper
+//! workloads is `predict_sample_points_per_s` in `benchmark/`.
 
 use std::hint::black_box;
 use tyxe::guides::AutoNormal;
@@ -23,10 +22,9 @@ type RegressionBnn =
     VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, AutoNormal>;
 
 /// An interactive-serving workload: a 16-point test batch through a
-/// 1-64-64-1 MLP. Per-call forward math is small, so the costs the
-/// engine removes — per-sample guide re-sampling, trace walking, tape
-/// construction, graph re-dispatch — dominate the legacy path. (Bulk
-/// batch-256 predictive throughput is covered by `inference.rs`.)
+/// 1-64-64-1 MLP, so per-call forward math is small and per-sample
+/// overhead shows. (Bulk batch-256 predictive throughput is covered by
+/// `inference.rs`.)
 fn make_bnn() -> (RegressionBnn, tyxe_datasets::Regression1d) {
     tyxe_prob::rng::set_seed(0);
     let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);

@@ -2,20 +2,19 @@
 //! [`McmcBnn`] and the low-level, likelihood-free [`PytorchBnn`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use tyxe_nn::{Forward, Module, Param, ParamInfo};
 use tyxe_prob::dist::{kl_divergence, DynDistribution};
 use tyxe_prob::mcmc::{Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
-use tyxe_prob::poutine::{condition, replay, sample, trace};
+use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{negative_elbo, ElboEstimator};
 use tyxe_tensor::{DType, RawData, Tensor};
 
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
-use crate::predictive::{self, PredictPlanSlot, PredictiveState};
+use crate::predictive::{self, SampleCache};
 use crate::priors::Prior;
 
 /// One Bayesian-treated parameter: a sample site named after the parameter
@@ -160,7 +159,7 @@ impl<M: Module> BayesianModule<M> {
     }
 
     /// Evaluates the network with explicit per-site weight values
-    /// (predictive-engine path): no poutine walk, no sampling —
+    /// (the predictive path): no poutine walk, no sampling —
     /// `values[i]` is injected into `sites()[i]`.
     pub(crate) fn forward_with_values<I>(&self, input: &I, values: &[Tensor]) -> M::Output
     where
@@ -181,7 +180,7 @@ fn raw_draw_to_tensors(sites: &[BnnSite], draw: &[RawData]) -> Vec<Tensor> {
     sites
         .iter()
         .zip(draw)
-        .map(|(site, raw)| Tensor::from_raw(raw.clone(), &site.param.shape()))
+        .map(|(site, raw)| Tensor::from_raw(raw, &site.param.shape()))
         .collect()
 }
 
@@ -201,153 +200,24 @@ fn evaluation_from_samples<L: Likelihood>(
     }
 }
 
-/// The engine's shared forward driver: runs one prediction per cached
-/// weight draw — through the compiled forward plan when possible, else
-/// eagerly under inference mode — handing outputs to `sink` in
-/// ascending sample order.
-fn engine_forward_each<M, I>(
+/// The one predictive loop every weight-sampling front-end shares: one
+/// grad-free forward per cached weight draw, with the draw injected
+/// straight into the parameter slots (no poutine walk, no tape), handed
+/// to `sink` in ascending sample order.
+fn forward_each<M, I>(
     module: &BayesianModule<M>,
-    state: &PredictiveState,
     input: &I,
-    samples: &[Vec<RawData>],
+    draws: &[Vec<RawData>],
     sink: &mut dyn FnMut(Tensor),
 ) where
     M: Module + Forward<I, Output = Tensor>,
-    I: std::any::Any,
 {
-    if predictive::plan_enabled() {
-        if let Some(x) = (input as &dyn std::any::Any).downcast_ref::<Tensor>() {
-            if predict_via_plan(module, state, input, x, samples, sink) {
-                return;
-            }
-        }
-    }
-    // Eager grad-free fallback: sequential forwards with injected
-    // cached weights (no tracing, no tape, no graph).
+    predictive::note_samples(draws.len() as u64);
     let _guard = tyxe_tensor::inference::inference_mode();
-    for draw in samples {
+    for draw in draws {
         let values = raw_draw_to_tensors(module.sites(), draw);
         sink(module.forward_with_values(input, &values));
     }
-}
-
-/// The predictive plan driver: replay on signature match, record on an
-/// empty slot. `false` means the plan path cannot serve this call
-/// (unreplayable forward or signature thrash) and the caller must run
-/// the eager fallback.
-fn predict_via_plan<M, I>(
-    module: &BayesianModule<M>,
-    state: &PredictiveState,
-    input: &I,
-    x: &Tensor,
-    samples: &[Vec<RawData>],
-    sink: &mut dyn FnMut(Tensor),
-) -> bool
-where
-    M: Module + Forward<I, Output = Tensor>,
-{
-    use tyxe_tensor::plan;
-
-    if samples.is_empty() {
-        return false;
-    }
-
-    // Fast path: replay a still-valid plan for every draw.
-    {
-        let slot = state.plan.borrow();
-        if let Some(PredictPlanSlot::Ready {
-            plan: p,
-            input_id,
-            input_shape,
-        }) = slot.as_ref()
-        {
-            if p.generation() == plan::generation()
-                && *input_id == x.id()
-                && input_shape == x.shape()
-            {
-                let exec = p.exec();
-                let bound = p.snapshot_bound();
-                drop(slot);
-                state.plan_streak.set(0);
-                replay_predict_plan(&exec, &bound, x, samples, sink);
-                predictive::note_plan_hit();
-                return true;
-            }
-        }
-    }
-
-    // Slow path: discard a stale/mismatched plan; pin to eager after a
-    // streak of signature changes (recording is not free).
-    {
-        let mut slot = state.plan.borrow_mut();
-        match slot.take() {
-            Some(PredictPlanSlot::Ready { plan: p, .. }) => {
-                if p.generation() == plan::generation() {
-                    let streak = state.plan_streak.get() + 1;
-                    state.plan_streak.set(streak);
-                    if streak >= predictive::PREDICT_REPLAN_STREAK_LIMIT {
-                        *slot = Some(PredictPlanSlot::Unsupported(
-                            "input signature keeps changing".to_string(),
-                        ));
-                    }
-                }
-            }
-            other => *slot = other,
-        }
-        if matches!(*slot, Some(PredictPlanSlot::Unsupported(_))) {
-            return false;
-        }
-    }
-
-    // Record: one eager forward with the recorder attached, binding the
-    // first draw's weights as the per-sample parameter slots.
-    let values = raw_draw_to_tensors(module.sites(), &samples[0]);
-    let _guard = tyxe_tensor::inference::inference_mode();
-    let _span = tyxe_obs::span!("predict.plan.record");
-    plan::fwd_begin_record();
-    plan::fwd_bind_input(x);
-    for (i, v) in values.iter().enumerate() {
-        plan::fwd_bind_param(v, i);
-    }
-    let out = module.forward_with_values(input, &values);
-    match plan::fwd_end_record(&out) {
-        Ok(p) => {
-            let exec = p.exec();
-            let bound = p.snapshot_bound();
-            *state.plan.borrow_mut() = Some(PredictPlanSlot::Ready {
-                plan: p,
-                input_id: x.id(),
-                input_shape: x.shape().to_vec(),
-            });
-            // The recording forward already produced draw 0's output,
-            // but replaying every draw uniformly keeps the fold order
-            // trivial — and is bit-identical anyway.
-            replay_predict_plan(&exec, &bound, x, samples, sink);
-            true
-        }
-        Err(reason) => {
-            *state.plan.borrow_mut() = Some(PredictPlanSlot::Unsupported(reason));
-            false
-        }
-    }
-}
-
-/// Replays a compiled predictive plan across the `tyxe-par` pool,
-/// wrapping each output buffer back into a [`Tensor`] on the calling
-/// thread in ascending sample order.
-fn replay_predict_plan(
-    exec: &std::sync::Arc<tyxe_tensor::plan::FwdExec>,
-    bound: &[RawData],
-    x: &Tensor,
-    samples: &[Vec<RawData>],
-    sink: &mut dyn FnMut(Tensor),
-) {
-    let _guard = tyxe_tensor::inference::inference_mode();
-    let input_raw = x.raw_data();
-    let shape = exec.output_shape().to_vec();
-    predictive::run_plan_parallel(exec, &input_raw, bound, samples, |_, raw| {
-        sink(Tensor::from_raw(raw, &shape));
-    });
 }
 
 /// Result of [`VariationalBnn::evaluate`]/[`McmcBnn::evaluate`].
@@ -484,11 +354,12 @@ pub struct VariationalBnn<M, L, G> {
     plan_streak: Cell<u32>,
     /// Numeric policy for training and prediction (DESIGN.md §12).
     precision: Cell<Precision>,
-    /// Predictive-engine state (DESIGN.md §15): the posterior-sample
-    /// cache and the compiled forward plan, both kill-switchable.
-    predictive: PredictiveState,
-    /// Bumped on anything that changes guide parameters (SVI steps,
-    /// precision switches, prior updates); orphans the sample cache.
+    /// Posterior weight draws reused across predict calls (DESIGN.md
+    /// §15).
+    predictive: SampleCache,
+    /// Bumped on anything that changes what the guide would draw (SVI
+    /// steps, precision switches, prior updates); orphans the sample
+    /// cache.
     guide_epoch: Cell<u64>,
 }
 
@@ -506,7 +377,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             plan: RefCell::new(None),
             plan_streak: Cell::new(0),
             precision: Cell::new(Precision::F64),
-            predictive: PredictiveState::default(),
+            predictive: SampleCache::default(),
             guide_epoch: Cell::new(0),
         }
     }
@@ -557,9 +428,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         tyxe_tensor::plan::invalidate_all();
         *self.plan.borrow_mut() = None;
         self.plan_streak.set(0);
-        // New storage dtype ⇒ cached weight draws and the predictive
-        // plan are both wrong now.
-        self.predictive.invalidate();
+        // New storage dtype ⇒ cached weight draws are wrong now.
         self.bump_guide_epoch();
     }
 
@@ -603,27 +472,19 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     }
 
     /// Orphans the posterior-sample cache (and counts a new guide
-    /// "epoch"). The compiled forward plan survives: it re-binds weight
-    /// values on every replay.
+    /// "epoch").
     fn bump_guide_epoch(&self) {
         self.guide_epoch.set(self.guide_epoch.get().wrapping_add(1));
     }
 
-    /// Manually drops the predictive engine's posterior-sample cache and
-    /// compiled forward plan. Needed only after out-of-band parameter
-    /// surgery (e.g. writing checkpoint bits straight into guide
-    /// parameters); SVI steps, precision switches and prior updates
-    /// invalidate automatically.
+    /// Manually orphans the posterior-sample cache, so the next predict
+    /// call redraws. Needed only after writing guide-parameter bits by
+    /// hand without telling anyone; SVI steps, precision switches, prior
+    /// updates and everything that calls
+    /// [`tyxe_tensor::plan::invalidate_all`] (supervisor resume and
+    /// rollback, dtype conversion) invalidate automatically.
     pub fn invalidate_predictive_cache(&self) {
-        self.predictive.invalidate();
         self.bump_guide_epoch();
-    }
-
-    /// Redraws cached posterior samples after this many predict calls
-    /// served from one fill; `0` (the default) keeps them until a guide
-    /// update invalidates the cache.
-    pub fn set_predict_refresh(&self, calls: usize) {
-        self.predictive.refresh_every.set(calls);
     }
 
     pub(crate) fn register_params(&self, optim: &mut dyn Optimizer) {
@@ -650,14 +511,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         }
     }
 
-    /// Why the *predictive* forward plan is disabled for this BNN, if it
-    /// is (mirror of [`VariationalBnn::plan_unsupported_reason`] for the
-    /// prediction path).
+    /// Prediction has no compiled plan: every predictive forward runs
+    /// eagerly. Kept, with its fixed answer, for the callers that report
+    /// it.
     pub fn predict_plan_unsupported_reason(&self) -> Option<String> {
-        match &*self.predictive.plan.borrow() {
-            Some(PredictPlanSlot::Unsupported(r)) => Some(r.clone()),
-            _ => None,
-        }
+        Some("prediction runs eager grad-free forwards; there is no predictive plan".to_string())
     }
 
     /// One SVI step on a single batch; returns the negative ELBO.
@@ -891,134 +749,68 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// Draws `num_predictions` posterior predictive samples (detached),
     /// one network output per weight sample.
     ///
-    /// With the predictive engine active (`TYXE_PREDICT`, the default)
-    /// the weight draws come from the posterior-sample cache and the
-    /// forwards run grad-free — through a compiled, sample-parallel
-    /// forward plan when the network supports it. Bit-identical to the
-    /// engine-off path in either dtype at any thread count (for
-    /// networks whose forward does not itself consume RNG; see
-    /// DESIGN.md §15).
+    /// The weight draws come from the posterior-sample cache (filled by
+    /// `num_predictions` guide draws on a miss) and the forwards run
+    /// grad-free; see DESIGN.md §15.
     pub fn predict_samples<I>(&self, input: &I, num_predictions: usize) -> Vec<Tensor>
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
-        if predictive::enabled() {
-            let mut out = Vec::with_capacity(num_predictions);
-            if self.predict_each_engine(input, num_predictions, &mut |t| out.push(t)) {
-                return out;
-            }
-        }
-        self.predict_samples_legacy(input, num_predictions)
+        let mut out = Vec::with_capacity(num_predictions);
+        self.predict_each(input, num_predictions, &mut |t| out.push(t));
+        out
     }
 
-    /// The pre-engine path: one poutine trace + graph-building replay
-    /// per sample, detached at the end.
-    fn predict_samples_legacy<I>(&self, input: &I, num_predictions: usize) -> Vec<Tensor>
+    /// Reuses (or fills) the posterior-sample cache and streams one
+    /// prediction per draw to `sink`, in ascending sample order.
+    fn predict_each<I>(&self, input: &I, num_predictions: usize, sink: &mut dyn FnMut(Tensor))
     where
         M: Forward<I, Output = Tensor>,
     {
-        predictive::note_samples(num_predictions as u64);
-        // Prediction runs under the same precision policy as training so
-        // evaluation sees the numerics that were optimized.
+        // Prediction runs under the same precision policy as training —
+        // guide draws and forwards both — so evaluation sees the
+        // numerics that were optimized.
         let _amp = self.precision.get().autocast_guard();
-        (0..num_predictions)
-            .map(|_| {
-                let (gtr, ()) = trace(|| self.guide.sample_guide());
-                replay(&gtr, || self.module.sampled_forward(input)).detach()
-            })
-            .collect()
-    }
-
-    /// Engine predictive driver: reuses (or fills) the posterior-sample
-    /// cache and streams one prediction per draw to `sink`, in ascending
-    /// sample order. `false` when the engine cannot serve this call
-    /// (guide without per-site trace values) and the legacy path must
-    /// run instead.
-    fn predict_each_engine<I>(
-        &self,
-        input: &I,
-        num_predictions: usize,
-        sink: &mut dyn FnMut(Tensor),
-    ) -> bool
-    where
-        M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
-    {
-        // Same precision scope as training: covers both the guide draws
-        // (cache fill) and the forwards, exactly like the legacy path.
-        let _amp = self.precision.get().autocast_guard();
-        let Some(samples) = self.posterior_samples(num_predictions) else {
-            return false;
-        };
-        predictive::note_samples(num_predictions as u64);
-        engine_forward_each(&self.module, &self.predictive, input, &samples, sink);
-        true
-    }
-
-    /// Cached posterior weight draws for the current guide epoch; `None`
-    /// when the guide's trace does not expose every site by name (e.g. a
-    /// joint-site guide), in which case the engine cannot run.
-    fn posterior_samples(&self, s: usize) -> Option<Rc<Vec<Vec<RawData>>>> {
-        if !predictive::cache_enabled() {
-            return self.draw_posterior_raw(s).map(Rc::new);
-        }
-        let epoch = self.guide_epoch.get();
-        if let Some(cached) = self.predictive.lookup(epoch, s) {
-            return Some(cached);
-        }
-        let drawn = Rc::new(self.draw_posterior_raw(s)?);
-        self.predictive.fill(epoch, Rc::clone(&drawn));
-        Some(drawn)
+        let draws = self.predictive.get_or_fill(self.guide_epoch.get(), num_predictions, || {
+            self.draw_posterior_raw(num_predictions)
+        });
+        forward_each(&self.module, input, &draws, sink);
     }
 
     /// Draws `s` posterior weight samples into flat per-site buffers (in
-    /// `module.sites()` order), consuming the global RNG exactly like
-    /// `s` legacy `trace(sample_guide)` walks would.
-    fn draw_posterior_raw(&self, s: usize) -> Option<Vec<Vec<RawData>>> {
+    /// `module.sites()` order): one `trace(sample_guide)` walk per
+    /// sample, and a prior draw for any site the guide's trace does not
+    /// name (what replaying that trace through the model would do).
+    fn draw_posterior_raw(&self, s: usize) -> Vec<Vec<RawData>> {
         let _guard = tyxe_tensor::inference::inference_mode();
-        let sites = self.module.sites();
-        let mut out = Vec::with_capacity(s);
-        for _ in 0..s {
-            let (gtr, ()) = trace(|| self.guide.sample_guide());
-            let mut per_site = Vec::with_capacity(sites.len());
-            for site in sites {
-                per_site.push(gtr.site(&site.name)?.value.raw_data());
-            }
-            out.push(per_site);
-        }
-        Some(out)
+        (0..s)
+            .map(|_| {
+                let (gtr, ()) = trace(|| self.guide.sample_guide());
+                self.module
+                    .sites()
+                    .iter()
+                    .map(|site| match gtr.site(&site.name) {
+                        Some(drawn) => drawn.value.raw_data(),
+                        None => site.prior().sample().raw_data(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Aggregated posterior predictive (likelihood-specific: mean class
     /// probabilities, or stacked mean/sd for Gaussians).
     ///
-    /// Under the predictive engine, likelihoods with a streaming fold
-    /// ([`Likelihood::fold_begin`]) aggregate sample-by-sample, so the
-    /// S per-sample outputs are never all materialized at once.
+    /// Likelihoods with a streaming fold ([`Likelihood::fold_begin`])
+    /// aggregate sample-by-sample, so the S per-sample outputs are never
+    /// all materialized at once.
     pub fn predict<I>(&self, input: &I, num_predictions: usize) -> Tensor
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
-        if predictive::enabled() {
-            if let Some(mut fold) = self.likelihood.fold_begin() {
-                let mut count = 0usize;
-                if self.predict_each_engine(input, num_predictions, &mut |t| {
-                    fold.accumulate(&t);
-                    count += 1;
-                }) {
-                    return fold.finish(count);
-                }
-            } else {
-                let mut out = Vec::with_capacity(num_predictions);
-                if self.predict_each_engine(input, num_predictions, &mut |t| out.push(t)) {
-                    return self.likelihood.aggregate_predictions(&out);
-                }
-            }
-        }
-        let samples = self.predict_samples_legacy(input, num_predictions);
-        self.likelihood.aggregate_predictions(&samples)
+        predictive::aggregate_streamed(&self.likelihood, num_predictions, |sink| {
+            self.predict_each(input, num_predictions, sink)
+        })
     }
 
     /// Predictive log likelihood and error on held-out data.
@@ -1030,7 +822,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     pub fn evaluate<I>(&self, input: &I, targets: &Tensor, num_predictions: usize) -> Evaluation
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         let samples = self.predict_samples(input, num_predictions);
         evaluation_from_samples(&self.likelihood, &samples, targets)
@@ -1045,9 +836,9 @@ pub struct McmcBnn<M, L, K> {
     likelihood: L,
     kernel: Option<K>,
     samples: Option<Samples>,
-    /// Predictive-engine state; the chain is immutable after `fit`, so
-    /// the weight cache is keyed on the sample count alone.
-    predictive: PredictiveState,
+    /// Flat copies of the chain draws `predict` uses; the chain is
+    /// immutable after `fit`, so the guide epoch is always 0.
+    predictive: SampleCache,
 }
 
 impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
@@ -1058,7 +849,7 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
             likelihood,
             kernel: Some(kernel),
             samples: None,
-            predictive: PredictiveState::default(),
+            predictive: SampleCache::default(),
         }
     }
 
@@ -1097,113 +888,56 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
     }
 
     /// Posterior predictive samples using `num_predictions` draws spread
-    /// evenly over the chain. Routed through the same predictive engine
-    /// as [`VariationalBnn::predict_samples`] (grad-free forwards,
-    /// chain-draw cache, compiled sample-parallel plan).
+    /// evenly over the chain, through the same grad-free loop as
+    /// [`VariationalBnn::predict_samples`].
     pub fn predict_samples<I>(&self, input: &I, num_predictions: usize) -> Vec<Tensor>
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
-        if predictive::enabled() {
-            let mut out = Vec::with_capacity(num_predictions);
-            if self.predict_each_engine(input, num_predictions, &mut |t| out.push(t)) {
-                return out;
-            }
-        }
-        self.predict_samples_legacy(input, num_predictions)
+        let mut out = Vec::with_capacity(num_predictions);
+        self.predict_each(input, num_predictions, &mut |t| out.push(t));
+        out
     }
 
-    /// The pre-engine path: one poutine `condition` walk per draw.
-    fn predict_samples_legacy<I>(&self, input: &I, num_predictions: usize) -> Vec<Tensor>
+    /// Streams one prediction per selected chain draw to `sink`.
+    fn predict_each<I>(&self, input: &I, num_predictions: usize, sink: &mut dyn FnMut(Tensor))
     where
         M: Forward<I, Output = Tensor>,
     {
-        predictive::note_samples(num_predictions as u64);
-        let samples = self.samples();
-        let total = samples.num_samples();
-        assert!(total > 0, "no posterior samples retained");
-        let stride = (total / num_predictions.max(1)).max(1);
-        (0..total)
-            .step_by(stride)
-            .take(num_predictions)
-            .map(|i| {
-                let draw: HashMap<String, Tensor> = samples.draw(i);
-                condition(draw, || self.module.sampled_forward(input)).detach()
-            })
-            .collect()
+        let draws = self
+            .predictive
+            .get_or_fill(0, num_predictions, || self.chain_raw_samples(num_predictions));
+        forward_each(&self.module, input, &draws, sink);
     }
 
-    /// Engine predictive driver over cached chain draws; `false` when a
-    /// retained draw is missing a site value (fall back to legacy).
-    fn predict_each_engine<I>(
-        &self,
-        input: &I,
-        num_predictions: usize,
-        sink: &mut dyn FnMut(Tensor),
-    ) -> bool
-    where
-        M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
-    {
-        let Some(samples) = self.chain_raw_samples(num_predictions) else {
-            return false;
-        };
-        predictive::note_samples(samples.len() as u64);
-        engine_forward_each(&self.module, &self.predictive, input, &samples, sink);
-        true
-    }
-
-    /// Flat per-site buffers for `s` draws spread evenly over the chain,
-    /// cached across calls (the chain never changes after `fit`).
-    fn chain_raw_samples(&self, s: usize) -> Option<Rc<Vec<Vec<RawData>>>> {
-        if predictive::cache_enabled() {
-            if let Some(cached) = self.predictive.lookup(0, s) {
-                return Some(cached);
-            }
-        }
+    /// Flat per-site buffers for `s` draws spread evenly over the chain
+    /// (fewer when the chain retained fewer than `s`).
+    fn chain_raw_samples(&self, s: usize) -> Vec<Vec<RawData>> {
         let samples = self.samples();
         let total = samples.num_samples();
         assert!(total > 0, "no posterior samples retained");
         let stride = (total / s.max(1)).max(1);
-        let sites = self.module.sites();
-        let mut out = Vec::with_capacity(s);
-        for i in (0..total).step_by(stride).take(s) {
-            let draw: HashMap<String, Tensor> = samples.draw(i);
-            let mut per_site = Vec::with_capacity(sites.len());
-            for site in sites {
-                per_site.push(draw.get(&site.name)?.raw_data());
-            }
-            out.push(per_site);
-        }
-        let rc = Rc::new(out);
-        // A short chain can retain fewer than `s` draws; such a fill can
-        // never be looked up (keys mismatch), so don't store it.
-        if predictive::cache_enabled() && rc.len() == s {
-            self.predictive.fill(0, Rc::clone(&rc));
-        }
-        Some(rc)
+        let chains: Vec<&[Tensor]> = self
+            .module
+            .sites()
+            .iter()
+            .map(|site| samples.get(&site.name).expect("the chain samples every model site"))
+            .collect();
+        (0..total)
+            .step_by(stride)
+            .take(s)
+            .map(|i| chains.iter().map(|chain| chain[i].raw_data()).collect())
+            .collect()
     }
 
     /// Aggregated posterior predictive.
     pub fn predict<I>(&self, input: &I, num_predictions: usize) -> Tensor
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
-        if predictive::enabled() {
-            if let Some(mut fold) = self.likelihood.fold_begin() {
-                let mut count = 0usize;
-                if self.predict_each_engine(input, num_predictions, &mut |t| {
-                    fold.accumulate(&t);
-                    count += 1;
-                }) {
-                    return fold.finish(count);
-                }
-            }
-        }
-        let preds = self.predict_samples(input, num_predictions);
-        self.likelihood.aggregate_predictions(&preds)
+        predictive::aggregate_streamed(&self.likelihood, num_predictions, |sink| {
+            self.predict_each(input, num_predictions, sink)
+        })
     }
 
     /// Predictive log likelihood (per-sample definition, see
@@ -1211,7 +945,6 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
     pub fn evaluate<I>(&self, input: &I, targets: &Tensor, num_predictions: usize) -> Evaluation
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         let preds = self.predict_samples(input, num_predictions);
         evaluation_from_samples(&self.likelihood, &preds, targets)
@@ -1403,6 +1136,58 @@ mod tests {
         assert_ne!(samples[0].to_vec(), samples[1].to_vec());
         let agg = bnn.predict(&x, 4);
         assert_eq!(agg.shape(), &[32, 1, 2]); // mean/sd stacked
+    }
+
+    /// A guide whose trace names only the weight sites: the biases must
+    /// come from their priors, exactly as replaying that trace through
+    /// the model would draw them.
+    #[test]
+    fn sites_the_guide_omits_are_drawn_from_the_prior() {
+        use tyxe_prob::dist::Normal;
+
+        #[derive(Default)]
+        struct WeightsOnly(Vec<(String, DynDistribution)>);
+        impl Guide for WeightsOnly {
+            fn setup(&mut self, sites: &[BnnSite]) {
+                for site in sites.iter().filter(|s| s.name.ends_with("weight")) {
+                    let shape = site.param.shape();
+                    let dist = Normal::new(Tensor::zeros(&shape), Tensor::full(&shape, 0.3));
+                    self.0.push((site.name.clone(), Rc::new(dist)));
+                }
+            }
+            fn sample_guide(&self) {
+                for (name, dist) in &self.0 {
+                    sample(name, Rc::clone(dist));
+                }
+            }
+            fn parameters(&self) -> Vec<Tensor> {
+                Vec::new()
+            }
+            fn detached_distributions(&self) -> std::collections::HashMap<String, DynDistribution> {
+                self.0.iter().cloned().collect()
+            }
+        }
+
+        let (x, _) = toy_data();
+        let bnn = VariationalBnn::new(
+            toy_net(),
+            &IIDPrior::standard_normal(),
+            HomoskedasticGaussian::new(32, 0.1),
+            WeightsOnly::default(),
+        );
+        assert!(bnn.module().sites().len() > bnn.guide().0.len(), "some site must be omitted");
+
+        tyxe_prob::rng::set_seed(5);
+        let reference: Vec<Vec<f64>> = (0..4)
+            .map(|_| {
+                let (gtr, ()) = trace(|| bnn.guide().sample_guide());
+                replay(&gtr, || bnn.module().sampled_forward(&x)).to_vec()
+            })
+            .collect();
+        tyxe_prob::rng::set_seed(5);
+        let library: Vec<Vec<f64>> =
+            bnn.predict_samples(&x, 4).iter().map(Tensor::to_vec).collect();
+        assert_eq!(reference, library);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod guides_ktied;
 pub mod likelihoods;
 pub mod mc_dropout;
 pub mod poutine;
-pub mod predictive;
+mod predictive;
 pub mod priors;
 pub mod vcl;
 

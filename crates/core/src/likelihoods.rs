@@ -90,7 +90,7 @@ pub trait Likelihood {
         acc.iter().map(|a| a - ln_s).sum::<f64>() / acc.len() as f64
     }
 
-    /// Streaming aggregation state for the predictive engine, if this
+    /// Streaming aggregation state for `predict`, if this
     /// likelihood's [`Likelihood::aggregate_predictions`] is a pure
     /// per-sample fold. `None` (the default) means aggregation needs all
     /// samples at once (e.g. the Gaussian spread terms).
@@ -108,8 +108,8 @@ fn logaddexp(a: f64, b: f64) -> f64 {
     hi + (lo - hi).exp().ln_1p()
 }
 
-/// Streaming one-sample-at-a-time aggregation for the predictive
-/// engine. Fed in ascending sample order, `finish` must reproduce
+/// Streaming one-sample-at-a-time aggregation for `predict`. Fed in
+/// ascending sample order, `finish` must reproduce
 /// [`Likelihood::aggregate_predictions`] bit for bit.
 pub trait PredictiveFold {
     /// Folds in the next per-sample prediction.

@@ -99,13 +99,10 @@ impl<M: Module, L: Likelihood> McDropout<M, L> {
 
     /// Draws `num_predictions` stochastic forward passes (dropout active).
     ///
-    /// Routed through the predictive engine's grad-free layer
-    /// (`TYXE_PREDICT`): no tape is built for the detached outputs. The
-    /// passes stay sequential — each forward consumes RNG for its
-    /// dropout masks, so sample s must draw after sample s-1 to match
-    /// the engine-off stream — and the sample cache / compiled plan do
-    /// not apply (there are no posterior weight draws to cache, and the
-    /// masks make every forward a different program).
+    /// The passes run grad-free (no tape is built for the detached
+    /// outputs) and strictly in sequence: each forward consumes RNG for
+    /// its dropout masks. There are no posterior weight draws, so the
+    /// sample cache does not apply.
     pub fn predict_samples<I>(&self, input: &I, num_predictions: usize) -> Vec<Tensor>
     where
         M: Forward<I, Output = Tensor>,
@@ -121,14 +118,12 @@ impl<M: Module, L: Likelihood> McDropout<M, L> {
         M: Forward<I, Output = Tensor>,
     {
         crate::predictive::note_samples(num_predictions as u64);
-        let guard = crate::predictive::enabled()
-            .then(tyxe_tensor::inference::inference_mode);
+        let _guard = tyxe_tensor::inference::inference_mode();
         self.net.set_training(true);
         for _ in 0..num_predictions {
             sink(self.net.forward(input).detach());
         }
         self.net.set_training(false);
-        drop(guard);
     }
 
     /// Aggregated MC-dropout predictive (likelihood-specific); streams
@@ -138,18 +133,9 @@ impl<M: Module, L: Likelihood> McDropout<M, L> {
     where
         M: Forward<I, Output = Tensor>,
     {
-        if crate::predictive::enabled() {
-            if let Some(mut fold) = self.likelihood.fold_begin() {
-                let mut count = 0usize;
-                self.predict_each(input, num_predictions, &mut |t| {
-                    fold.accumulate(&t);
-                    count += 1;
-                });
-                return fold.finish(count);
-            }
-        }
-        let samples = self.predict_samples(input, num_predictions);
-        self.likelihood.aggregate_predictions(&samples)
+        crate::predictive::aggregate_streamed(&self.likelihood, num_predictions, |sink| {
+            self.predict_each(input, num_predictions, sink)
+        })
     }
 
     /// Predictive log likelihood (per-sample definition, as in

@@ -1,40 +1,25 @@
-//! The predictive engine (DESIGN.md §15): shared machinery that makes
-//! `predict`/`predict_samples`/`evaluate` fast for every predictive
-//! front-end ([`crate::VariationalBnn`], [`crate::McmcBnn`],
-//! [`crate::mc_dropout::McDropout`]).
+//! Shared machinery behind `predict`/`predict_samples`/`evaluate`
+//! (DESIGN.md §15) for every predictive front-end
+//! ([`crate::VariationalBnn`], [`crate::McmcBnn`],
+//! [`crate::mc_dropout::McDropout`]):
 //!
-//! Four coordinated layers:
-//!
-//! 1. **Grad-free forwards** — every engine forward runs inside
+//! 1. **Grad-free forwards** — every predictive forward runs inside
 //!    [`tyxe_tensor::inference::inference_mode`], so no autodiff tape is
 //!    built for predictions that were going to be detached anyway.
-//! 2. **Posterior-sample cache** — S guide samples are drawn once into
-//!    flat per-site buffers ([`tyxe_tensor::RawData`]) and reused across
-//!    calls until a guide-parameter update bumps the owner's epoch, the
-//!    requested S changes, or a configured refresh count expires.
-//! 3. **Sample-parallel replay** — with a compiled forward plan the S
-//!    forwards run concurrently on `tyxe-par` workers, in bounded waves,
-//!    with results consumed in ascending sample order so every fold is
-//!    bit-identical to the sequential path at any thread count.
-//! 4. **Plan compilation** — the first engine call on a tensor input
-//!    records the forward into a [`tyxe_tensor::plan::ForwardPlan`];
-//!    later calls with the same input signature replay the flat op
-//!    program with zero graph construction.
-//!
-//! Everything is kill-switchable: `TYXE_PREDICT=0` disables the engine
-//! wholesale (the legacy trace-per-sample path runs), and
-//! `TYXE_PREDICT_CACHE=0` / `TYXE_PREDICT_PLAN=0` disable individual
-//! layers. The bit-identity contract — engine on ≡ engine off at every
-//! (threads × dtype × cache × plan) combination — is pinned by
-//! `tests/determinism.rs` and stated in full in DESIGN.md §15.
+//! 2. **Posterior-sample cache** ([`SampleCache`]) — S weight samples
+//!    are drawn once into flat per-site buffers and reused across calls
+//!    until the owner's guide epoch, the global plan generation or the
+//!    requested S changes.
+//! 3. **Streaming aggregation** ([`aggregate_streamed`]) — likelihoods
+//!    with a [`crate::likelihoods::PredictiveFold`] fold predictions one
+//!    at a time instead of materializing all S.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use tyxe_tensor::plan::{ForwardPlan, FwdExec};
-use tyxe_tensor::RawData;
+use tyxe_tensor::{RawData, Tensor};
+
+use crate::likelihoods::Likelihood;
 
 /// Cached tyxe-obs handles. Ungated like the plan counters: predictive
 /// hit accounting backs an acceptance gate and must stay exact.
@@ -43,7 +28,7 @@ mod probe {
 
     use tyxe_obs::metrics::Counter;
 
-    /// Posterior predictive samples drawn (engine and legacy paths).
+    /// Posterior predictive samples drawn.
     pub fn samples() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| tyxe_obs::metrics::counter("predict.samples"))
@@ -54,12 +39,6 @@ mod probe {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| tyxe_obs::metrics::counter("predict.cache_hit"))
     }
-
-    /// Predict calls served by replaying a compiled forward plan.
-    pub fn plan_hit() -> &'static Counter {
-        static C: OnceLock<Counter> = OnceLock::new();
-        C.get_or_init(|| tyxe_obs::metrics::counter("predict.plan_hit"))
-    }
 }
 
 /// Records `n` posterior predictive samples drawn.
@@ -67,212 +46,72 @@ pub(crate) fn note_samples(n: u64) {
     probe::samples().add(n);
 }
 
-/// Records one predict call served from the posterior-sample cache.
-pub(crate) fn note_cache_hit() {
-    probe::cache_hit().inc();
-}
-
-/// Records one predict call served by forward-plan replay.
-pub(crate) fn note_plan_hit() {
-    probe::plan_hit().inc();
-}
-
-// ---------------------------------------------------------------------------
-// Kill switches
-// ---------------------------------------------------------------------------
-
-/// 0 = off, 1 = on, 2 = not yet read from the environment.
-static ENABLED: AtomicUsize = AtomicUsize::new(2);
-static CACHE_ENABLED: AtomicUsize = AtomicUsize::new(2);
-static PLAN_ENABLED: AtomicUsize = AtomicUsize::new(2);
-
-fn gate(state: &AtomicUsize, env: &str) -> bool {
-    match state.load(Ordering::Relaxed) {
-        1 => true,
-        0 => false,
-        _ => {
-            let on = !matches!(std::env::var(env).as_deref(), Ok(v) if v.trim() == "0");
-            state.store(on as usize, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Whether the predictive engine is active (`TYXE_PREDICT` env gate,
-/// overridable via [`set_enabled`]). Off, every predictive front-end
-/// runs its legacy trace-per-sample path.
-#[inline]
-pub fn enabled() -> bool {
-    gate(&ENABLED, "TYXE_PREDICT")
-}
-
-/// Runtime override of the `TYXE_PREDICT` gate (determinism tests).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as usize, Ordering::Relaxed);
-}
-
-/// Whether the posterior-sample cache is active (`TYXE_PREDICT_CACHE`).
-/// Off, every engine call re-draws its guide samples (still grad-free,
-/// still one trace walk per sample per call — just never reused).
-#[inline]
-pub fn cache_enabled() -> bool {
-    gate(&CACHE_ENABLED, "TYXE_PREDICT_CACHE")
-}
-
-/// Runtime override of the `TYXE_PREDICT_CACHE` gate.
-pub fn set_cache_enabled(on: bool) {
-    CACHE_ENABLED.store(on as usize, Ordering::Relaxed);
-}
-
-/// Whether forward-plan compilation is active (`TYXE_PREDICT_PLAN`).
-/// Off, engine forwards run eagerly (grad-free, sequential).
-#[inline]
-pub fn plan_enabled() -> bool {
-    gate(&PLAN_ENABLED, "TYXE_PREDICT_PLAN")
-}
-
-/// Runtime override of the `TYXE_PREDICT_PLAN` gate.
-pub fn set_plan_enabled(on: bool) {
-    PLAN_ENABLED.store(on as usize, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// Per-BNN predictive state
-// ---------------------------------------------------------------------------
-
-/// Pre-drawn posterior weight samples: `samples[s][site]` holds the s-th
+/// Pre-drawn posterior weight samples: `draws[s][site]` holds the s-th
 /// draw of the site-th Bayesian parameter (in `module.sites()` order) as
-/// a flat buffer. Validity is keyed on the owner's guide epoch and the
-/// sample count; see [`PredictiveState`].
-#[derive(Debug)]
-pub(crate) struct SampleCache {
-    /// The owner's guide epoch at fill time; any guide-parameter update
-    /// bumps the live epoch and orphans this cache.
-    pub epoch: u64,
-    /// `[sample][site]` flat weight buffers, shared with in-flight
-    /// predict calls via the `Rc`.
-    pub samples: Rc<Vec<Vec<RawData>>>,
-}
+/// a flat buffer.
+pub(crate) type WeightDraws = Rc<Vec<Vec<RawData>>>;
 
-/// Compiled forward-plan state for one predictive front-end. One slot,
-/// keyed by input signature, mirroring the SVI step driver.
-#[derive(Debug)]
-pub(crate) enum PredictPlanSlot {
-    /// A compiled plan plus the exact input tensor (by node id and
-    /// shape) it was recorded against.
-    Ready {
-        plan: ForwardPlan,
-        input_id: u64,
-        input_shape: Vec<usize>,
-    },
-    /// The forward traced to something unreplayable (or thrashed on
-    /// input signatures): predictions stay on the eager grad-free path.
-    Unsupported(String),
-}
+/// What a cache fill is valid for: the owner's guide epoch (bumped on
+/// every guide-parameter update it can see), the global plan generation
+/// (bumped by out-of-band parameter surgery it cannot see — checkpoint
+/// restore, fault rollback, dtype conversion) and the requested sample
+/// count.
+type CacheKey = (u64, u64, usize);
 
-/// How many consecutive signature-mismatch re-records the predictive
-/// plan driver tolerates before pinning the front-end to the eager path
-/// (same rationale as the SVI step driver's limit).
-pub(crate) const PREDICT_REPLAN_STREAK_LIMIT: u32 = 3;
-
-/// Per-front-end predictive engine state: the posterior-sample cache,
-/// the compiled forward plan, and the cache-refresh policy.
+/// One-slot cache of posterior weight draws for one predictive
+/// front-end.
 #[derive(Debug, Default)]
-pub(crate) struct PredictiveState {
-    pub cache: RefCell<Option<SampleCache>>,
-    pub plan: RefCell<Option<PredictPlanSlot>>,
-    /// Consecutive signature-mismatch re-records.
-    pub plan_streak: Cell<u32>,
-    /// Redraw the cache after this many predict calls served from one
-    /// fill; `0` (the default) means "only on invalidation".
-    pub refresh_every: Cell<usize>,
-    /// Predict calls served since the last cache fill.
-    pub calls_since_fill: Cell<usize>,
+pub(crate) struct SampleCache {
+    slot: RefCell<Option<(CacheKey, WeightDraws)>>,
 }
 
-impl PredictiveState {
-    /// Returns the cached samples if they are valid for `epoch` and
-    /// sample count `s` under the refresh policy, bumping hit
-    /// accounting; `None` means the caller must redraw (and then call
-    /// [`PredictiveState::fill`]).
-    pub fn lookup(&self, epoch: u64, s: usize) -> Option<Rc<Vec<Vec<RawData>>>> {
-        let cache = self.cache.borrow();
-        let c = cache.as_ref()?;
-        if c.epoch != epoch || c.samples.len() != s {
-            return None;
+impl SampleCache {
+    /// The draws cached for `(epoch, s)` under the current plan
+    /// generation (counting a `predict.cache_hit`), or else the result
+    /// of `draw`, which replaces whatever the slot held.
+    pub fn get_or_fill(
+        &self,
+        epoch: u64,
+        s: usize,
+        draw: impl FnOnce() -> Vec<Vec<RawData>>,
+    ) -> WeightDraws {
+        let key = (epoch, tyxe_tensor::plan::generation(), s);
+        if let Some((k, draws)) = &*self.slot.borrow() {
+            if *k == key {
+                probe::cache_hit().inc();
+                return Rc::clone(draws);
+            }
         }
-        let limit = self.refresh_every.get();
-        if limit != 0 && self.calls_since_fill.get() >= limit {
-            return None;
-        }
-        self.calls_since_fill.set(self.calls_since_fill.get() + 1);
-        note_cache_hit();
-        Some(Rc::clone(&c.samples))
-    }
-
-    /// Installs a fresh cache fill (the filling call counts as the first
-    /// serving toward the refresh limit).
-    pub fn fill(&self, epoch: u64, samples: Rc<Vec<Vec<RawData>>>) {
-        *self.cache.borrow_mut() = Some(SampleCache { epoch, samples });
-        self.calls_since_fill.set(1);
-    }
-
-    /// Drops the cache and any compiled plan (out-of-band state
-    /// surgery: checkpoint restore, manual parameter edits).
-    pub fn invalidate(&self) {
-        *self.cache.borrow_mut() = None;
-        *self.plan.borrow_mut() = None;
-        self.plan_streak.set(0);
+        let draws = Rc::new(draw());
+        *self.slot.borrow_mut() = Some((key, Rc::clone(&draws)));
+        draws
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sample-parallel plan replay
-// ---------------------------------------------------------------------------
-
-/// Replays a compiled forward plan for every posterior sample,
-/// partitioned across the `tyxe-par` pool in bounded waves, and hands
-/// each output to `sink` **in ascending sample order** — so any fold the
-/// caller builds on top is independent of thread count and wave size.
-/// Waves keep at most `2 × num_threads` full outputs materialized at
-/// once rather than all S.
-///
-/// Parallelism lives at the *sample* level only: each replay runs its
-/// kernels inside [`tyxe_par::sequential_scope`], so S whole forwards
-/// spread across the workers instead of every inner kernel grinding the
-/// shared task queue from all of them at once. Kernels are bit-identical
-/// at every thread count, so this is purely a scheduling choice.
-pub(crate) fn run_plan_parallel(
-    exec: &Arc<FwdExec>,
-    input: &RawData,
-    bound: &[RawData],
-    samples: &[Vec<RawData>],
-    mut sink: impl FnMut(usize, RawData),
-) {
-    // Clamp the fan-out to real hardware: with one core (or a thread
-    // count raised past the machine), queueing whole-sample tasks is
-    // pure scheduling tax, so replay degrades to a plain inline loop.
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let fanout = tyxe_par::configured_threads().min(hw).max(1);
-    if fanout == 1 {
-        for (s, draw) in samples.iter().enumerate() {
-            sink(s, tyxe_par::sequential_scope(|| exec.run(input, draw, bound)));
+/// Runs `each` — a front-end's predictive loop, which hands one
+/// prediction per sample to the sink it is given, in ascending sample
+/// order — and aggregates what it streams: through the likelihood's
+/// [`Likelihood::fold_begin`] fold when it has one (the `capacity`
+/// per-sample outputs are then never all alive at once), else by
+/// collecting them for [`Likelihood::aggregate_predictions`].
+pub(crate) fn aggregate_streamed<L: Likelihood>(
+    likelihood: &L,
+    capacity: usize,
+    each: impl FnOnce(&mut dyn FnMut(Tensor)),
+) -> Tensor {
+    match likelihood.fold_begin() {
+        Some(mut fold) => {
+            let mut count = 0usize;
+            each(&mut |t| {
+                fold.accumulate(&t);
+                count += 1;
+            });
+            fold.finish(count)
         }
-        return;
-    }
-    let wave = fanout * 2;
-    let mut start = 0;
-    while start < samples.len() {
-        let end = (start + wave).min(samples.len());
-        let batch = &samples[start..end];
-        let mut out: Vec<Option<RawData>> = vec![None; end - start];
-        tyxe_par::parallel_for_chunks(&mut out, 1, |s, slot| {
-            slot[0] =
-                Some(tyxe_par::sequential_scope(|| exec.run(input, &batch[s], bound)));
-        });
-        for (off, o) in out.into_iter().enumerate() {
-            sink(start + off, o.expect("forward-plan replay produced no output"));
+        None => {
+            let mut out = Vec::with_capacity(capacity);
+            each(&mut |t| out.push(t));
+            likelihood.aggregate_predictions(&out)
         }
-        start = end;
     }
 }

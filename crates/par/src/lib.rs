@@ -126,21 +126,8 @@ fn available() -> usize {
 /// Number of threads parallel primitives will use (callers included).
 ///
 /// Resolved once from `TYXE_NUM_THREADS` (default: available hardware
-/// parallelism); later calls to [`set_num_threads`] override it. Inside
-/// a [`sequential_scope`] this reports 1 on the scoped thread, which is
-/// what makes every primitive below run inline there.
+/// parallelism); later calls to [`set_num_threads`] override it.
 pub fn num_threads() -> usize {
-    if FORCE_SEQUENTIAL.with(|c| c.get()) > 0 {
-        return 1;
-    }
-    configured_threads()
-}
-
-/// The process-wide configured count, ignoring any [`sequential_scope`]
-/// on the calling thread. Coarse-grained schedulers (e.g. the predictive
-/// engine's sample fan-out) size their waves with this even when they
-/// themselves run inside a scope.
-pub fn configured_threads() -> usize {
     let n = THREADS.load(Ordering::Relaxed);
     if n != 0 {
         return n;
@@ -149,36 +136,6 @@ pub fn configured_threads() -> usize {
     // Racing initialisers compute the same value; either store wins.
     THREADS.store(resolved, Ordering::Relaxed);
     resolved
-}
-
-thread_local! {
-    /// Depth of nested [`sequential_scope`]s on this thread.
-    static FORCE_SEQUENTIAL: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Runs `f` with this thread's view of the pool forced to one thread:
-/// every parallel primitive called from inside `f` (on this thread)
-/// executes inline instead of spawning pool tasks.
-///
-/// This is for coarse-grained schedulers that already own the
-/// parallelism: when N independent tasks each run a whole kernel graph,
-/// letting every inner kernel also fan out just grinds the shared queue
-/// — each task should run its kernels sequentially while the tasks
-/// themselves spread across workers. Kernel results are bit-identical
-/// at every thread count, so forcing 1 here never changes answers.
-///
-/// Scopes nest; the flag is per-thread, so tasks the caller spawned
-/// *before* entering the scope are unaffected.
-pub fn sequential_scope<R>(f: impl FnOnce() -> R) -> R {
-    struct Guard;
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            FORCE_SEQUENTIAL.with(|c| c.set(c.get() - 1));
-        }
-    }
-    FORCE_SEQUENTIAL.with(|c| c.set(c.get() + 1));
-    let _guard = Guard;
-    f()
 }
 
 /// Overrides the thread count at runtime (clamped to `1..=256`).

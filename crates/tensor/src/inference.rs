@@ -17,10 +17,9 @@
 //! detached tensor — deliberate, since inference mode *is* an eager
 //! whole-scope detach.
 //!
-//! This is the substrate under the predictive engine
-//! (`tyxe::predictive`, DESIGN.md §15): posterior-predictive sampling
-//! evaluates the same network S times and previously paid for S
-//! autodiff graphs that were immediately detached.
+//! This is the substrate under posterior prediction (DESIGN.md §15),
+//! which evaluates the same network S times and would otherwise pay for
+//! S autodiff graphs that are immediately detached.
 
 use std::cell::Cell;
 

@@ -157,45 +157,6 @@ impl ScaleMap {
     }
 }
 
-/// Slice-level body of the fused affine layer: `out = act(x·Wᵀ + b)`.
-/// The GEMM runs in overwrite mode and the bias/activation pass
-/// rewrites every element, so a dirty (recycled or replay) output
-/// buffer is fully refreshed. The biased pre-activation is rounded to
-/// storage precision before the activation reads it — the unfused
-/// chain rounds between `add` and the activation op, and fusing must
-/// not change bits. Shared verbatim by the eager op, the step-plan
-/// replay, and the forward-plan replay, which is what makes the
-/// predictive engine's compiled path bit-identical by construction.
-#[allow(clippy::too_many_arguments)]
-fn linear_kernel<E: Element>(
-    xs: &[E],
-    ws: &[E],
-    bs: Option<&[E]>,
-    act: Activation,
-    m: usize,
-    k: usize,
-    n: usize,
-    out: &mut [E],
-) {
-    gemm_bt_ow(xs, ws, out, m, k, n);
-    match (bs, act) {
-        (Some(bd), _) => {
-            for row in out.chunks_mut(n.max(1)) {
-                for (v, &bv) in row.iter_mut().zip(bd.iter()) {
-                    let pre = E::from_f64(v.to_f64() + bv.to_f64());
-                    *v = act.apply_e(pre);
-                }
-            }
-        }
-        (None, Activation::Identity) => {}
-        (None, _) => {
-            for v in out.iter_mut() {
-                *v = act.apply_e(*v);
-            }
-        }
-    }
-}
-
 fn linear_t<E: Element>(
     x: &Tensor,
     w: &Tensor,
@@ -205,15 +166,39 @@ fn linear_t<E: Element>(
     k: usize,
     n: usize,
 ) -> Tensor {
+    // Shared forward kernel (initial build + plan replay): the GEMM
+    // runs in overwrite mode and the bias/activation pass rewrites
+    // every element, so a dirty replay buffer is fully refreshed. The
+    // biased pre-activation is rounded to storage precision before the
+    // activation reads it — the unfused chain rounds between `add` and
+    // the activation op, and fusing must not change bits.
     let compute = {
         let x = x.clone();
         let w = w.clone();
         let b = b.cloned();
         move |out: &mut [E]| {
-            let xd = x.data_of::<E>();
-            let wd = w.data_of::<E>();
-            let bd = b.as_ref().map(|b| b.data_of::<E>());
-            linear_kernel(&xd, &wd, bd.as_deref(), act, m, k, n, out);
+            {
+                let xd = x.data_of::<E>();
+                let wd = w.data_of::<E>();
+                gemm_bt_ow(&xd, &wd, out, m, k, n);
+            }
+            match (&b, act) {
+                (Some(b), _) => {
+                    let bd = b.data_of::<E>();
+                    for row in out.chunks_mut(n.max(1)) {
+                        for (v, &bv) in row.iter_mut().zip(bd.iter()) {
+                            let pre = E::from_f64(v.to_f64() + bv.to_f64());
+                            *v = act.apply_e(pre);
+                        }
+                    }
+                }
+                (None, Activation::Identity) => {}
+                (None, _) => {
+                    for v in out.iter_mut() {
+                        *v = act.apply_e(*v);
+                    }
+                }
+            }
         }
     };
     let mut data = pool::alloc_uninit::<E>(m * n);
@@ -273,13 +258,6 @@ fn linear_t<E: Element>(
         reads.push(b);
     }
     crate::plan::record_op_t::<E>(&out, &reads, compute);
-    if crate::plan::fwd_is_recording() {
-        let has_bias = b.is_some();
-        crate::plan::fwd_record_op_t::<E>(&out, &reads, move |ins, out| {
-            let bs = if has_bias { Some(ins[2]) } else { None };
-            linear_kernel(ins[0], ins[1], bs, act, m, k, n, out);
-        });
-    }
     out
 }
 

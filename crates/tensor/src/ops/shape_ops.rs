@@ -30,15 +30,12 @@ impl Tensor {
             self.shape(),
             shape
         );
-        let t = dispatch_dtype!(self.dtype(), E => Tensor::make_op_t::<E>(
+        dispatch_dtype!(self.dtype(), E => Tensor::make_op_t::<E>(
             pool::alloc_copy::<E>(&self.data_of::<E>()),
             shape.to_vec(),
             vec![self.clone()],
             move |_, grad| vec![Some(pool::alloc_copy(grad))],
-        ));
-        // The eager op is a bit-copy, so a forward-plan replay can be too.
-        crate::plan::fwd_record_view(&t, self);
-        t
+        ))
     }
 
     /// Inserts a size-1 dimension at `axis`.

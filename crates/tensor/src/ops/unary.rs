@@ -18,27 +18,11 @@ use crate::tensor::Tensor;
 /// directly on storage elements so per-dtype recipes (the fast `f32`
 /// transcendentals of [`crate::element`]) plug in without a widening
 /// round-trip; the backward keeps the shared `f64` recipe.
-/// Slice-level body of the elementwise map: fully overwrites `out`
-/// from `xs`, chunked across the pool. Shared verbatim by the eager
-/// op, the step-plan replay, and the forward-plan replay, so every
-/// path computes identical bits.
-fn unary_kernel<E: Element, F: Fn(E) -> E + Sync>(xs: &[E], out: &mut [E], f: &F) {
-    let chunk = tyxe_par::chunk_len(xs.len(), 1, PAR_MIN_ELEMS);
-    tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
-        for (off, slot) in piece.iter_mut().enumerate() {
-            *slot = f(xs[start + off]);
-        }
-    });
-}
-
 fn map_unary_t<E: Element, F, DF>(src_t: &Tensor, f: F, df: DF) -> Tensor
 where
-    F: Fn(E) -> E + Send + Sync + Clone + 'static,
+    F: Fn(E) -> E + Sync + 'static,
     DF: Fn(f64, f64, f64) -> f64 + Sync + 'static,
 {
-    // Forward-plan hook first (the recipe `f` is cloned into the
-    // thread-portable closure; everything else it captures is Copy).
-    let fwd_f = crate::plan::fwd_is_recording().then(|| f.clone());
     // Shared forward kernel: fully overwrites `out` from the source
     // tensor's *current* buffer. Runs once to build the node and
     // again on every plan replay — same chunking, same arithmetic,
@@ -47,7 +31,13 @@ where
         let src = src_t.clone();
         move |out: &mut [E]| {
             let xd = src.data_of::<E>();
-            unary_kernel(&xd, out, &f);
+            let xs: &[E] = &xd;
+            let chunk = tyxe_par::chunk_len(xs.len(), 1, PAR_MIN_ELEMS);
+            tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
+                for (off, slot) in piece.iter_mut().enumerate() {
+                    *slot = f(xs[start + off]);
+                }
+            });
         }
     };
     // Every element is written by `compute`, so recycled buffers
@@ -77,11 +67,6 @@ where
         },
     );
     crate::plan::record_op_t::<E>(&t, &[src_t], compute);
-    if let Some(f) = fwd_f {
-        crate::plan::fwd_record_op_t::<E>(&t, &[src_t], move |ins, out| {
-            unary_kernel(ins[0], out, &f);
-        });
-    }
     t
 }
 
@@ -91,7 +76,7 @@ impl Tensor {
     /// (input, output, grad_out) to grad_in.
     pub(crate) fn map_unary(
         &self,
-        f: impl Fn(f64) -> f64 + Send + Sync + Clone + 'static,
+        f: impl Fn(f64) -> f64 + Sync + Clone + 'static,
         df: impl Fn(f64, f64, f64) -> f64 + Sync + 'static,
     ) -> Tensor {
         dispatch_dtype!(self.dtype(), E => {

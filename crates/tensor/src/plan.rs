@@ -51,15 +51,12 @@
 //! `plan.invalidate` spans make the hit ratio observable; DESIGN.md §11
 //! states the full contract.
 
-use std::cell::{Cell, Ref, RefCell, RefMut};
-use std::collections::{HashMap, HashSet};
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
-use crate::element::DType;
-use crate::pool;
-use crate::tensor::{Buf, RawData, Tensor};
+use crate::tensor::Tensor;
 
 /// Cached tyxe-obs handles. Ungated like the pool counters: plan-hit
 /// accounting backs an acceptance gate and must stay exact.
@@ -385,511 +382,6 @@ impl fmt::Debug for StepPlan {
     }
 }
 
-// ===========================================================================
-// Forward-only plans (the predictive engine's replay substrate)
-// ===========================================================================
-//
-// A [`StepPlan`] replays *into the retained graph* — its closures capture
-// `Tensor`s and therefore can only run on the recording thread. Posterior
-// prediction has the opposite shape: the same forward function evaluated S
-// times with S different weight settings, embarrassingly parallel — except
-// that `Tensor` is `Rc`-based and no part of the graph can cross a thread
-// boundary. A [`ForwardPlan`] solves this by compiling the trace down to
-// *slot programs*: every tensor the forward touches becomes an index into a
-// flat slot table, and every op becomes a `Send + Sync` closure over slot
-// indices plus its scalar recipe. Workers replay the program against their
-// own [`FwdArena`] (private pooled buffers built in-thread), so S samples
-// run concurrently with zero shared mutable state.
-//
-// Slot kinds:
-// * **Input** — the data batch; bound by the driver via [`fwd_bind_input`],
-//   filled per call from a [`RawData`] snapshot.
-// * **Param(i)** — the i-th posterior-sampled weight buffer; bound via
-//   [`fwd_bind_param`], filled per *sample* from the weight cache.
-// * **Bound(i)** — any other pre-existing tensor the trace reads (a frozen
-//   deterministic parameter, a constant): snapshotted from the live tensor
-//   on the recording thread at each call ([`ForwardPlan::snapshot_bound`]),
-//   so out-of-band updates are picked up without re-recording.
-// * **Computed** — an op output, allocated fresh (pooled) in each arena.
-//
-// Anything the trace reads that was created *during* recording by an op
-// without a forward hook — dropout masks, unregistered RNG draws, exotic
-// ops — poisons the recording, and the driver falls back to the sequential
-// path: never wrong answers, exactly the [`StepPlan`] philosophy. The op
-// closures invoke the *same slice-level kernels* as the eager ops, so a
-// replayed forward is bit-identical to the dynamic one at any thread count.
-
-/// What fills a [`ForwardPlan`] slot at replay time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FwdSlotKind {
-    /// The per-call input batch.
-    Input,
-    /// The i-th per-sample weight buffer.
-    Param(usize),
-    /// The i-th per-call snapshot of a pre-existing tensor.
-    Bound(usize),
-    /// An op output computed inside the arena.
-    Computed,
-}
-
-#[derive(Debug, Clone)]
-struct FwdSlotSpec {
-    kind: FwdSlotKind,
-    len: usize,
-    dtype: DType,
-}
-
-/// A worker-private slot table for one [`FwdExec::run`] call: external
-/// (borrowed) buffers for input/param/bound slots and freshly pooled
-/// buffers for computed slots. Never crosses a thread boundary.
-pub(crate) struct FwdArena<'a> {
-    ext: Vec<Option<&'a RawData>>,
-    computed: Vec<Option<RefCell<Buf>>>,
-}
-
-/// A read view of one arena slot.
-enum SlotRead<'r> {
-    Ext(&'r RawData),
-    Comp(Ref<'r, Buf>),
-}
-
-impl SlotRead<'_> {
-    fn as_slice<E: crate::element::Element>(&self) -> &[E] {
-        match self {
-            SlotRead::Ext(r) => r.as_slice::<E>(),
-            SlotRead::Comp(b) => b.as_slice::<E>(),
-        }
-    }
-}
-
-impl<'a> FwdArena<'a> {
-    fn read(&self, i: usize) -> SlotRead<'_> {
-        match &self.ext[i] {
-            Some(r) => SlotRead::Ext(r),
-            None => SlotRead::Comp(
-                self.computed[i].as_ref().expect("computed slot allocated").borrow(),
-            ),
-        }
-    }
-
-    fn write(&self, i: usize) -> RefMut<'_, Buf> {
-        self.computed[i].as_ref().expect("write target must be a computed slot").borrow_mut()
-    }
-}
-
-type FwdOp = Box<dyn Fn(&FwdArena<'_>) + Send + Sync>;
-
-/// The `Send + Sync` executable core of a [`ForwardPlan`]: slot specs plus
-/// the flat op program. Workers share it behind an [`Arc`] and call
-/// [`FwdExec::run`] concurrently, once per posterior sample.
-pub struct FwdExec {
-    slots: Vec<FwdSlotSpec>,
-    ops: Vec<FwdOp>,
-    output: usize,
-    output_shape: Vec<usize>,
-    num_params: usize,
-    num_bound: usize,
-}
-
-impl FwdExec {
-    /// Number of per-sample weight buffers the program expects.
-    pub fn num_params(&self) -> usize {
-        self.num_params
-    }
-
-    /// The recorded output shape.
-    pub fn output_shape(&self) -> &[usize] {
-        &self.output_shape
-    }
-
-    /// Replays the compiled forward for one sample on the calling thread:
-    /// builds a private arena, fills input/param/bound slots from the
-    /// given buffers, runs the op program and copies the output out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a buffer's length or dtype disagrees with the recorded
-    /// slot spec — drivers key plans on input signature and re-record
-    /// first.
-    pub fn run(&self, input: &RawData, params: &[RawData], bound: &[RawData]) -> RawData {
-        assert_eq!(params.len(), self.num_params, "fwd replay: param count mismatch");
-        assert_eq!(bound.len(), self.num_bound, "fwd replay: bound count mismatch");
-        let mut ext: Vec<Option<&RawData>> = Vec::with_capacity(self.slots.len());
-        let mut computed: Vec<Option<RefCell<Buf>>> = Vec::with_capacity(self.slots.len());
-        for spec in &self.slots {
-            let src = match spec.kind {
-                FwdSlotKind::Input => Some(input),
-                FwdSlotKind::Param(i) => Some(&params[i]),
-                FwdSlotKind::Bound(i) => Some(&bound[i]),
-                FwdSlotKind::Computed => None,
-            };
-            match src {
-                Some(r) => {
-                    assert_eq!(r.len(), spec.len, "fwd replay: slot length mismatch");
-                    assert_eq!(r.dtype(), spec.dtype, "fwd replay: slot dtype mismatch");
-                    ext.push(Some(r));
-                    computed.push(None);
-                }
-                None => {
-                    let buf = match spec.dtype {
-                        DType::F64 => Buf::F64(pool::alloc_uninit::<f64>(spec.len)),
-                        DType::F32 => Buf::F32(pool::alloc_uninit::<f32>(spec.len)),
-                    };
-                    ext.push(None);
-                    computed.push(Some(RefCell::new(buf)));
-                }
-            }
-        }
-        let arena = FwdArena { ext, computed };
-        for op in &self.ops {
-            op(&arena);
-        }
-        let out = match &*arena.computed[self.output]
-            .as_ref()
-            .expect("output is a computed slot")
-            .borrow()
-        {
-            Buf::F64(v) => RawData::F64(v.to_vec()),
-            Buf::F32(v) => RawData::F32(v.to_vec()),
-        };
-        out
-    }
-}
-
-impl fmt::Debug for FwdExec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FwdExec")
-            .field("slots", &self.slots.len())
-            .field("ops", &self.ops.len())
-            .field("params", &self.num_params)
-            .field("bound", &self.num_bound)
-            .finish()
-    }
-}
-
-/// A compiled forward-only plan: the shareable [`FwdExec`] program plus
-/// the recording thread's handles to the live tensors behind `Bound`
-/// slots (snapshotted per call, so the plan tracks out-of-band updates
-/// to deterministic parameters without re-recording).
-pub struct ForwardPlan {
-    exec: Arc<FwdExec>,
-    bound: Vec<Tensor>,
-    generation: u64,
-}
-
-impl ForwardPlan {
-    /// The `Send + Sync` executable program, for handing to workers.
-    pub fn exec(&self) -> Arc<FwdExec> {
-        Arc::clone(&self.exec)
-    }
-
-    /// Snapshots the current values of all `Bound` tensors (recording
-    /// thread only; the result is `Send`).
-    pub fn snapshot_bound(&self) -> Vec<RawData> {
-        self.bound.iter().map(Tensor::raw_data).collect()
-    }
-
-    /// The generation this plan was recorded under; stale once it
-    /// differs from [`generation`].
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of compiled op closures.
-    pub fn len(&self) -> usize {
-        self.exec.ops.len()
-    }
-
-    /// Whether the program is empty (an input-is-output degenerate trace
-    /// never compiles, so this is false for every recorded plan).
-    pub fn is_empty(&self) -> bool {
-        self.exec.ops.is_empty()
-    }
-}
-
-impl fmt::Debug for ForwardPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ForwardPlan")
-            .field("exec", &*self.exec)
-            .field("generation", &self.generation)
-            .finish()
-    }
-}
-
-struct FwdRecorder {
-    /// Node-id watermark at `fwd_begin_record`: ids at or above it were
-    /// created during the recording and must map to computed slots.
-    watermark: u64,
-    /// Tensor id → slot index for every tensor the program knows.
-    slot_of: HashMap<u64, usize>,
-    specs: Vec<FwdSlotSpec>,
-    /// Live tensors behind `Bound` slots, in `Bound(i)` order.
-    bound: Vec<Tensor>,
-    ops: Vec<FwdOp>,
-    num_params: usize,
-    unsupported: Option<String>,
-}
-
-impl FwdRecorder {
-    /// Resolves a tensor an op reads to its slot, auto-binding
-    /// pre-existing tensors as `Bound` snapshots. `None` (+ poison) for
-    /// tensors created during recording by un-hooked ops.
-    fn resolve_read(&mut self, t: &Tensor) -> Option<usize> {
-        if let Some(&i) = self.slot_of.get(&t.id()) {
-            return Some(i);
-        }
-        if t.id() < self.watermark {
-            let idx = self.specs.len();
-            self.specs.push(FwdSlotSpec {
-                kind: FwdSlotKind::Bound(self.bound.len()),
-                len: t.numel(),
-                dtype: t.dtype(),
-            });
-            self.bound.push(t.clone());
-            self.slot_of.insert(t.id(), idx);
-            return Some(idx);
-        }
-        if self.unsupported.is_none() {
-            self.unsupported = Some(format!(
-                "op reads node {} (shape {:?}), created during recording by an \
-                 op without a forward-replay hook",
-                t.id(),
-                t.shape()
-            ));
-        }
-        None
-    }
-
-    fn add_computed(&mut self, out: &Tensor) -> usize {
-        let idx = self.specs.len();
-        self.specs.push(FwdSlotSpec {
-            kind: FwdSlotKind::Computed,
-            len: out.numel(),
-            dtype: out.dtype(),
-        });
-        self.slot_of.insert(out.id(), idx);
-        idx
-    }
-}
-
-thread_local! {
-    /// Fast-path forward-recording flag, checked by every hooked op.
-    static FWD_ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static FWD_RECORDER: RefCell<Option<FwdRecorder>> = const { RefCell::new(None) };
-}
-
-/// Whether a forward-plan recording is active on this thread.
-#[inline]
-pub fn fwd_is_recording() -> bool {
-    FWD_ACTIVE.with(Cell::get)
-}
-
-/// Starts a forward-plan recording on this thread, replacing any stale
-/// recorder (same clean-slate contract as [`begin_record`]). Bind the
-/// input and every per-sample parameter **before** running the forward.
-pub fn fwd_begin_record() {
-    FWD_RECORDER.with(|r| {
-        *r.borrow_mut() = Some(FwdRecorder {
-            watermark: crate::tensor::id_watermark(),
-            slot_of: HashMap::new(),
-            specs: Vec::new(),
-            bound: Vec::new(),
-            ops: Vec::new(),
-            num_params: 0,
-            unsupported: None,
-        });
-    });
-    FWD_ACTIVE.with(|a| a.set(true));
-}
-
-fn with_fwd_recorder(f: impl FnOnce(&mut FwdRecorder)) {
-    if !fwd_is_recording() {
-        return;
-    }
-    FWD_RECORDER.with(|r| {
-        if let Some(rec) = r.borrow_mut().as_mut() {
-            f(rec);
-        }
-    });
-}
-
-/// Declares `t` as the per-call input batch (slot `Input`).
-pub fn fwd_bind_input(t: &Tensor) {
-    with_fwd_recorder(|rec| {
-        let idx = rec.specs.len();
-        rec.specs.push(FwdSlotSpec {
-            kind: FwdSlotKind::Input,
-            len: t.numel(),
-            dtype: t.dtype(),
-        });
-        rec.slot_of.insert(t.id(), idx);
-    });
-}
-
-/// Declares `t` as the `param_idx`-th per-sample weight buffer (slot
-/// `Param(param_idx)`). Call once per site, in cache order.
-pub fn fwd_bind_param(t: &Tensor, param_idx: usize) {
-    with_fwd_recorder(|rec| {
-        let idx = rec.specs.len();
-        rec.specs.push(FwdSlotSpec {
-            kind: FwdSlotKind::Param(param_idx),
-            len: t.numel(),
-            dtype: t.dtype(),
-        });
-        rec.slot_of.insert(t.id(), idx);
-        rec.num_params = rec.num_params.max(param_idx + 1);
-    });
-}
-
-/// Poisons the active forward recording (if any), mirroring
-/// [`mark_unsupported`]: [`fwd_end_record`] will report `reason` and the
-/// driver falls back to the sequential path.
-pub fn fwd_mark_unsupported(reason: &str) {
-    with_fwd_recorder(|rec| {
-        if rec.unsupported.is_none() {
-            rec.unsupported = Some(reason.to_string());
-        }
-    });
-}
-
-/// Registers an op output with its thread-portable replay closure.
-/// `compute` must fully overwrite the output from the read slices (given
-/// in `reads` order) using the **same slice-level kernel** as the eager
-/// op, so replay is bit-identical. Reads resolve to slots here, at record
-/// time; unknown mid-recording tensors poison the trace.
-pub(crate) fn fwd_record_op_t<E: crate::element::Element>(
-    out: &Tensor,
-    reads: &[&Tensor],
-    compute: impl Fn(&[&[E]], &mut [E]) + Send + Sync + 'static,
-) {
-    with_fwd_recorder(|rec| {
-        let mut srcs = Vec::with_capacity(reads.len());
-        for t in reads {
-            match rec.resolve_read(t) {
-                Some(i) => srcs.push(i),
-                None => return,
-            }
-        }
-        let dst = rec.add_computed(out);
-        rec.ops.push(Box::new(move |arena: &FwdArena<'_>| {
-            let views: Vec<SlotRead<'_>> = srcs.iter().map(|&i| arena.read(i)).collect();
-            let slices: Vec<&[E]> = views.iter().map(SlotRead::as_slice::<E>).collect();
-            compute(&slices, arena.write(dst).as_mut_slice::<E>());
-        }));
-    });
-}
-
-/// Registers a dtype-cast output: replay converts the source slot into
-/// the destination dtype with the exact per-element recipe of
-/// [`Tensor::cast`]'s replay closure.
-pub(crate) fn fwd_record_cast(out: &Tensor, src: &Tensor) {
-    with_fwd_recorder(|rec| {
-        let Some(s) = rec.resolve_read(src) else { return };
-        let dst = rec.add_computed(out);
-        let dt = out.dtype();
-        rec.ops.push(Box::new(move |arena: &FwdArena<'_>| {
-            let view = arena.read(s);
-            let mut d = arena.write(dst);
-            match dt {
-                DType::F32 => {
-                    let o = d.as_mut_slice::<f32>();
-                    match &view {
-                        SlotRead::Ext(RawData::F64(v)) => {
-                            for (o, &x) in o.iter_mut().zip(v.iter()) {
-                                *o = x as f32;
-                            }
-                        }
-                        SlotRead::Ext(RawData::F32(v)) => o.copy_from_slice(v),
-                        SlotRead::Comp(b) => match &**b {
-                            Buf::F64(v) => {
-                                for (o, &x) in o.iter_mut().zip(v.iter()) {
-                                    *o = x as f32;
-                                }
-                            }
-                            Buf::F32(v) => o.copy_from_slice(v),
-                        },
-                    }
-                }
-                DType::F64 => {
-                    let o = d.as_mut_slice::<f64>();
-                    match &view {
-                        SlotRead::Ext(RawData::F64(v)) => o.copy_from_slice(v),
-                        SlotRead::Ext(RawData::F32(v)) => {
-                            for (o, &x) in o.iter_mut().zip(v.iter()) {
-                                *o = f64::from(x);
-                            }
-                        }
-                        SlotRead::Comp(b) => match &**b {
-                            Buf::F64(v) => o.copy_from_slice(v),
-                            Buf::F32(v) => {
-                                for (o, &x) in o.iter_mut().zip(v.iter()) {
-                                    *o = f64::from(x);
-                                }
-                            }
-                        },
-                    }
-                }
-            }
-        }));
-    });
-}
-
-/// Registers a shape-preserving view (reshape/flatten/squeeze): replay
-/// copies the source slot's bits into the destination. The eager op also
-/// just copies, so this is bit-identical by construction.
-pub(crate) fn fwd_record_view(out: &Tensor, src: &Tensor) {
-    with_fwd_recorder(|rec| {
-        let Some(s) = rec.resolve_read(src) else { return };
-        let dst = rec.add_computed(out);
-        let dt = out.dtype();
-        rec.ops.push(Box::new(move |arena: &FwdArena<'_>| {
-            let view = arena.read(s);
-            let mut d = arena.write(dst);
-            match dt {
-                DType::F64 => d.as_mut_slice::<f64>().copy_from_slice(view.as_slice::<f64>()),
-                DType::F32 => d.as_mut_slice::<f32>().copy_from_slice(view.as_slice::<f32>()),
-            }
-        }));
-    });
-}
-
-/// Finishes the recording started by [`fwd_begin_record`] and compiles a
-/// forward plan replaying `output`, or explains why the trace cannot be
-/// replayed (→ sequential fallback). Always clears the recording state.
-pub fn fwd_end_record(output: &Tensor) -> Result<ForwardPlan, String> {
-    FWD_ACTIVE.with(|a| a.set(false));
-    let rec = FWD_RECORDER.with(|r| r.borrow_mut().take());
-    let Some(rec) = rec else {
-        return Err("fwd_end_record without fwd_begin_record".to_string());
-    };
-    if let Some(reason) = rec.unsupported {
-        return Err(reason);
-    }
-    let Some(&out_slot) = rec.slot_of.get(&output.id()) else {
-        return Err(format!(
-            "forward output (shape {:?}) was produced by an op without a \
-             forward-replay hook",
-            output.shape()
-        ));
-    };
-    if rec.specs[out_slot].kind != FwdSlotKind::Computed {
-        return Err("forward output is not a computed value".to_string());
-    }
-    let num_bound = rec.bound.len();
-    Ok(ForwardPlan {
-        exec: Arc::new(FwdExec {
-            slots: rec.specs,
-            ops: rec.ops,
-            output: out_slot,
-            output_shape: output.shape().to_vec(),
-            num_params: rec.num_params,
-            num_bound,
-        }),
-        bound: rec.bound,
-        generation: generation(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1040,152 +532,6 @@ mod tests {
             assert!(!is_recording());
             plan.replay();
             assert_eq!(plan.loss().item(), 1.0);
-        });
-    }
-
-    // -- forward-only plans ------------------------------------------------
-
-    use crate::ops::Activation;
-
-    /// Records `tanh(linear(x, w, b))` with `w`/`b` as per-sample params.
-    fn record_mlp_fwd(x: &Tensor, w: &Tensor, b: &Tensor) -> ForwardPlan {
-        fwd_begin_record();
-        fwd_bind_input(x);
-        fwd_bind_param(w, 0);
-        fwd_bind_param(b, 1);
-        let y = x.linear(w, Some(b), Activation::Tanh);
-        fwd_end_record(&y).expect("linear is fwd-replayable")
-    }
-
-    #[test]
-    fn fwd_plan_replays_bitwise_from_worker_threads() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![0.3, -1.2, 0.7, 2.0, -0.1, 0.4], &[2, 3]);
-            let w0 = Tensor::from_vec(vec![0.5; 12], &[4, 3]);
-            let b0 = Tensor::from_vec(vec![0.1; 4], &[4]);
-            let plan = record_mlp_fwd(&x, &w0, &b0);
-            assert_eq!(plan.exec().num_params(), 2);
-
-            // Per-sample weights, eager references computed on the main
-            // thread.
-            let samples: Vec<(Tensor, Tensor)> = (0..6)
-                .map(|s| {
-                    let scale = 0.25 * (s as f64 + 1.0);
-                    (
-                        Tensor::from_vec(vec![scale; 12], &[4, 3]),
-                        Tensor::from_vec(vec![-scale; 4], &[4]),
-                    )
-                })
-                .collect();
-            let want: Vec<Vec<f64>> = samples
-                .iter()
-                .map(|(w, b)| x.linear(w, Some(b), Activation::Tanh).to_vec())
-                .collect();
-
-            let exec = plan.exec();
-            let input = x.raw_data();
-            let bound = plan.snapshot_bound();
-            let params: Vec<Vec<RawData>> = samples
-                .iter()
-                .map(|(w, b)| vec![w.raw_data(), b.raw_data()])
-                .collect();
-            let mut got: Vec<Option<RawData>> = vec![None; samples.len()];
-            tyxe_par::parallel_for_chunks(&mut got, 1, |s, slot| {
-                slot[0] = Some(exec.run(&input, &params[s], &bound));
-            });
-            for (s, (g, w)) in got.iter().zip(&want).enumerate() {
-                let RawData::F64(g) = g.as_ref().unwrap() else {
-                    panic!("expected f64 output")
-                };
-                assert_eq!(g.len(), w.len());
-                for (a, b) in g.iter().zip(w) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "sample {s}");
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn fwd_plan_binds_non_param_tensors_per_call() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
-            let w = Tensor::from_vec(vec![0.5, -0.5], &[1, 2]);
-            // A pre-existing tensor the trace reads that is neither the
-            // input nor a param: it must become a Bound slot.
-            let shift = Tensor::from_vec(vec![10.0], &[1]);
-            fwd_begin_record();
-            fwd_bind_input(&x);
-            fwd_bind_param(&w, 0);
-            let y = x.linear(&w, Some(&shift), Activation::Identity);
-            let plan = fwd_end_record(&y).unwrap();
-            let bound = plan.snapshot_bound();
-            assert_eq!(bound.len(), 1, "shift must be a bound slot");
-            let out = plan.exec().run(&x.raw_data(), &[w.raw_data()], &bound);
-            let RawData::F64(v) = out else { panic!("f64") };
-            assert_eq!(v, vec![10.0 + 0.5 - 1.0]);
-
-            // An updated bound tensor is picked up by the next snapshot
-            // without re-recording.
-            shift.set_data(vec![20.0]);
-            let bound = plan.snapshot_bound();
-            let out = plan.exec().run(&x.raw_data(), &[w.raw_data()], &bound);
-            let RawData::F64(v) = out else { panic!("f64") };
-            assert_eq!(v, vec![20.0 + 0.5 - 1.0]);
-        });
-    }
-
-    #[test]
-    fn fwd_plan_poisons_on_unhooked_final_op() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-            let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-            fwd_begin_record();
-            fwd_bind_input(&x);
-            fwd_bind_param(&w, 0);
-            // matmul has no forward-replay hook, so an output produced by
-            // it cannot compile.
-            let y = x.matmul(&w);
-            assert!(fwd_end_record(&y).is_err());
-            assert!(!fwd_is_recording(), "end_record must clear state");
-        });
-    }
-
-    #[test]
-    fn fwd_plan_poisons_on_unhooked_intermediate_op() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
-            let w = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]);
-            fwd_begin_record();
-            fwd_bind_input(&x);
-            fwd_bind_param(&w, 0);
-            // The hooked tanh reads the unhooked matmul's output: the
-            // read of a mid-recording unknown node must poison.
-            let y = x.matmul(&w).tanh();
-            assert!(fwd_end_record(&y).is_err());
-        });
-    }
-
-    #[test]
-    fn fwd_plan_replays_cast_and_reshape() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], &[2, 2]);
-            let w = Tensor::from_vec(vec![0.5, -0.25], &[1, 2]);
-            fwd_begin_record();
-            fwd_bind_input(&x);
-            fwd_bind_param(&w, 0);
-            let y = x
-                .cast(DType::F32)
-                .linear(&w.cast(DType::F32), None, Activation::Sigmoid)
-                .reshape(&[2]);
-            let plan = fwd_end_record(&y).expect("cast/linear/reshape are hooked");
-            // w.cast(F32) happened inside the recording reading the bound
-            // param; x.cast likewise reads the input slot.
-            let out = plan.exec().run(&x.raw_data(), &[w.raw_data()], &plan.snapshot_bound());
-            let RawData::F32(v) = out else { panic!("expected f32 output") };
-            let want = y.to_vec();
-            for (a, b) in v.iter().zip(&want) {
-                assert_eq!(f64::from(*a).to_bits(), b.to_bits());
-            }
         });
     }
 }

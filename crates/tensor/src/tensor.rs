@@ -165,11 +165,8 @@ impl From<Vec<f64>> for Buf {
     }
 }
 
-/// Plain, `Send + Sync` tensor data detached from the graph: a dtype-tagged
-/// flat buffer. This is the hand-off format between the single-threaded
-/// tensor world and worker threads (forward-plan replay, the posterior
-/// weight-sample cache in `tyxe`): [`Tensor`] is `Rc`-based and cannot
-/// cross threads, but its bits can.
+/// Plain tensor data detached from the graph: a dtype-tagged flat buffer
+/// (the storage format of the posterior weight-sample cache in `tyxe`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum RawData {
     /// `f32` storage, bit-exact.
@@ -199,20 +196,11 @@ impl RawData {
             RawData::F64(_) => DType::F64,
         }
     }
-
-    /// The typed element view (panics on dtype mismatch, like
-    /// [`Buf::as_slice`]).
-    pub(crate) fn as_slice<E: Element>(&self) -> &[E] {
-        match self {
-            RawData::F64(v) => crate::element::same_slice::<f64, E>(v),
-            RawData::F32(v) => crate::element::same_slice::<f32, E>(v),
-        }
-    }
 }
 
 impl Tensor {
-    /// Copies this tensor's storage out as dtype-preserving, `Send`-able
-    /// [`RawData`] — bit-exact at either dtype.
+    /// Copies this tensor's storage out as dtype-preserving [`RawData`] —
+    /// bit-exact at either dtype.
     pub fn raw_data(&self) -> RawData {
         match &*self.inner.data.borrow() {
             Buf::F64(v) => RawData::F64(v.to_vec()),
@@ -226,11 +214,11 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match `shape`.
-    pub fn from_raw(data: RawData, shape: &[usize]) -> Tensor {
+    pub fn from_raw(data: &RawData, shape: &[usize]) -> Tensor {
         assert_eq!(data.len(), numel(shape), "from_raw: data length mismatch");
         let buf = match data {
-            RawData::F64(v) => Buf::F64(pool::alloc_copy(&v)),
-            RawData::F32(v) => Buf::F32(pool::alloc_copy(&v)),
+            RawData::F64(v) => Buf::F64(pool::alloc_copy(v)),
+            RawData::F32(v) => Buf::F32(pool::alloc_copy(v)),
         };
         Tensor::leaf_from_buf(buf, shape)
     }
@@ -662,7 +650,6 @@ impl Tensor {
                 }
             });
         });
-        crate::plan::fwd_record_cast(&t, self);
         t
     }
 

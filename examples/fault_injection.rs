@@ -144,9 +144,8 @@ fn main() {
     println!("final fit error:         {:.4}", eval.error);
 
     // A second predictive pass at the same sample count reuses the
-    // engine's posterior-sample cache and compiled forward plan, so the
-    // metrics snapshot below carries predict.cache_hit / predict.plan_hit
-    // alongside predict.samples (DESIGN.md §15).
+    // posterior-sample cache, so the metrics snapshot below carries
+    // predict.cache_hit alongside predict.samples (DESIGN.md §15).
     let samples = bnn.predict_samples(&x, 8);
     println!("predictive samples:      {}", samples.len());
 

@@ -335,99 +335,6 @@ svi_speedups() {
 echo "bench: wrote $svi_out"
 
 # ---------------------------------------------------------------------------
-# Predictive-engine comparison: the predict bench (S ∈ {8,32,128}
-# posterior-predictive samples through a small regression MLP) in a 2×2
-# sweep — engine off/on (TYXE_PREDICT) × 1/4 kernel threads — written to
-# results/BENCH_PREDICT.json:
-#
-#   { "date": …, "nproc": …,
-#     "engine_off": { "1": { "<case>": {"min_ns":…, …}, … }, "4": { … } },
-#     "engine_on":  { "1": { … }, "4": { … } },
-#     "speedup_vs_sequential": { "<case>": <off@1 min / on@4 min>, … },
-#     "engine_speedup_same_threads": { "1": {…}, "4": {…} } }
-#
-# "speedup_vs_sequential" is the headline number: the full engine
-# (sample cache + compiled forward replay + sample-parallel execution on
-# 4 threads) against the sequential legacy path — min-of-samples on both
-# sides, same reasoning as the pool comparison above.
-# "engine_speedup_same_threads" isolates the engine from thread scaling:
-# off/on at equal thread count. The engine is bit-identical to the
-# legacy path at every point of this sweep (tests/determinism.rs).
-
-pred_out="results/BENCH_PREDICT.json"
-pred_threads=(1 4)
-for eng in 0 1; do
-    for t in "${pred_threads[@]}"; do
-        echo "== predict @ TYXE_PREDICT=$eng TYXE_NUM_THREADS=$t =="
-        TYXE_PREDICT="$eng" TYXE_NUM_THREADS="$t" \
-            TYXE_BENCH_JSON="$tmp/pred-e$eng-t$t.jsonl" CARGO_NET_OFFLINE=true \
-            cargo bench --offline -p tyxe-bench --bench predict
-    done
-done
-
-# Per-case min_ns ratio between two harness JSONL files.
-pred_speedups() {
-    awk -v indent="$3" '
-        /"min_ns":/ {
-            match($0, /"name":"[^"]*"/)
-            name = substr($0, RSTART + 8, RLENGTH - 9)
-            match($0, /"min_ns":[0-9]+/)
-            min = substr($0, RSTART + 9, RLENGTH - 9) + 0
-            if (FILENAME == ARGV[1]) base[name] = min
-            else cur[name] = min
-        }
-        END {
-            sep = ""
-            for (name in cur) {
-                if (!(name in base) || cur[name] == 0) continue
-                printf "%s%s\"%s\": %.3f", sep, indent, name, base[name] / cur[name]
-                sep = ",\n"
-            }
-            printf "\n"
-        }
-    ' "$1" "$2"
-}
-
-{
-    echo '{'
-    echo "  \"date\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\","
-    echo "  \"nproc\": $(nproc),"
-    for eng in 0 1; do
-        [[ "$eng" == 0 ]] && key="engine_off" || key="engine_on"
-        echo "  \"$key\": {"
-        sep=''
-        for t in "${pred_threads[@]}"; do
-            printf '%s' "$sep"
-            sep=',
-'
-            echo "    \"$t\": {"
-            jsonl_to_members "$tmp/pred-e$eng-t$t.jsonl"
-            printf '    }'
-        done
-        echo
-        echo '  },'
-    done
-    echo '  "speedup_vs_sequential": {'
-    pred_speedups "$tmp/pred-e0-t1.jsonl" "$tmp/pred-e1-t4.jsonl" '    '
-    echo '  },'
-    echo '  "engine_speedup_same_threads": {'
-    sep=''
-    for t in "${pred_threads[@]}"; do
-        printf '%s' "$sep"
-        sep=',
-'
-        echo "    \"$t\": {"
-        pred_speedups "$tmp/pred-e0-t$t.jsonl" "$tmp/pred-e1-t$t.jsonl" '      '
-        printf '    }'
-    done
-    echo
-    echo '  }'
-    echo '}'
-} > "$pred_out"
-
-echo "bench: wrote $pred_out"
-
-# ---------------------------------------------------------------------------
 # Distributed-SVI scaling: the elastic data-parallel runtime's steps/sec
 # at 0 (in-process reference), 1, 2 and 4 worker processes, at a fixed
 # logical shard count. The fit is bit-identical across the whole row

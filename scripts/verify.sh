@@ -42,14 +42,6 @@ echo "verify: per-dtype determinism + kernel identity suites"
 TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe-tensor --test parallel_identity
 TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism
 
-# The predictive engine's kill switch (DESIGN.md §15): the determinism
-# suite — including the engine-vs-legacy bitwise matrix — must pass with
-# the engine forced off (pure legacy paths everywhere outside the tests'
-# own explicit toggles) and forced on (the default).
-echo "verify: predictive determinism @ TYXE_PREDICT=0 and TYXE_PREDICT=1"
-TYXE_PREDICT=0 TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism predictive_
-TYXE_PREDICT=1 TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism predictive_
-
 # Fault-injection + observability smoke run: a short supervised fit with
 # 5% NaN-gradient injection (and pool panics, on a forced 4-thread pool)
 # must complete all its steps and report the recoveries it performed —
@@ -161,7 +153,7 @@ CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
     --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.jsonl" \
     --require-span-names core.supervisor.step,prob.svi.guide,prob.svi.model,core.svi.backward,prob.optim.step,tensor.gemm.block,par.task \
     --require-threads 2 --require-depth 3 \
-    --require-metrics par.pool.tasks_queued,par.worker.tasks,par.fault.injected_panics,prob.mcmc.divergences,core.supervisor.steps,core.site.sample_ns,tensor.gemm.flops,tensor.alloc.pool_hit,tensor.alloc.pool_miss,tensor.alloc.bytes_recycled,tensor.alloc.pool_size,plan.hit,plan.invalidated,predict.samples,predict.cache_hit,predict.plan_hit
+    --require-metrics par.pool.tasks_queued,par.worker.tasks,par.fault.injected_panics,prob.mcmc.divergences,core.supervisor.steps,core.site.sample_ns,tensor.gemm.flops,tensor.alloc.pool_hit,tensor.alloc.pool_miss,tensor.alloc.bytes_recycled,tensor.alloc.pool_size,plan.hit,plan.invalidated,predict.samples,predict.cache_hit
 
 # The mixed-precision run's artifacts must additionally carry the
 # per-dtype pool accounting (free lists are byte-denominated, so f32
@@ -196,6 +188,14 @@ fi
 # carries a `version = "…"` key; path-only crates have neither.
 if grep -En '^[a-z0-9_-]+ *= *"[0-9]|version *= *"' crates/*/Cargo.toml; then
     echo "verify: versioned (registry) dependency found — only path deps are allowed" >&2
+    exit 1
+fi
+
+# Prediction has one path and no switches (DESIGN.md §15): fail if the
+# deleted forward-plan layer, legacy bodies or their options grow back.
+# The filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+    echo "verify: a deleted predictive layer or option reappeared" >&2
     exit 1
 fi
 

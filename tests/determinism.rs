@@ -713,19 +713,36 @@ fn global_rng_draws_are_bit_reproducible() {
 }
 
 // ---------------------------------------------------------------------------
-// Predictive engine (DESIGN.md §15)
+// Prediction (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
+/// Every output element's f64 bit pattern, in sample order. `to_vec`
+/// widens exactly, so the comparison is faithful at f32 storage too.
+fn sample_bits(samples: &[tyxe_tensor::Tensor]) -> Vec<u64> {
+    samples
+        .iter()
+        .flat_map(|t| t.to_vec().into_iter().map(f64::to_bits))
+        .collect()
+}
+
+/// The autocast scope a caller outside the library opens to get a
+/// precision policy's compute dtype.
+fn autocast_for(precision: tyxe::Precision) -> Option<tyxe_tensor::autocast::Guard> {
+    (precision != tyxe::Precision::F64)
+        .then(|| tyxe_tensor::autocast::autocast(precision.compute_dtype()))
+}
+
 /// Trains the small regression BNN for two steps under a fixed seed,
-/// then draws `s` posterior-predictive samples on a held-out batch and
-/// returns every output element's f64 bit pattern in sample order.
-///
-/// Exactly one predict call per fresh model: the engine draws its guide
-/// samples up front (cache fill) where the legacy path interleaves them
-/// with the forwards, and those consume the identical RNG stream only
-/// from a cold cache. `to_vec` widens exactly, so the bit comparison is
-/// faithful at f32 storage too.
-fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision) -> Vec<u64> {
+/// then draws `s` posterior-predictive samples on a held-out batch:
+/// through `predict_samples`, or (`library == false`) through the
+/// per-sample reference written here from public primitives — trace the
+/// guide, replay the trace through the tape-building probabilistic
+/// forward, detach. One predict call per fresh model, so the library
+/// starts from a cold cache and both sides consume the same RNG stream.
+fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision, library: bool) -> Vec<u64> {
+    use tyxe::guides::Guide;
+    use tyxe_prob::poutine::{replay, trace};
+
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let data = foong_regression(64, 0.1, 0);
@@ -742,72 +759,147 @@ fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision) -> Vec<u64> {
         bnn.svi_step(&data.x, &data.y, &mut optim);
     }
     let test = foong_regression(16, 0.1, 1);
-    bnn.predict_samples(&test.x, s)
-        .iter()
-        .flat_map(|t| t.to_vec().into_iter().map(f64::to_bits))
-        .collect()
+    if library {
+        return sample_bits(&bnn.predict_samples(&test.x, s));
+    }
+    let _amp = autocast_for(precision);
+    let reference: Vec<_> = (0..s)
+        .map(|_| {
+            let (gtr, ()) = trace(|| bnn.guide().sample_guide());
+            replay(&gtr, || bnn.module().sampled_forward(&test.x)).detach()
+        })
+        .collect();
+    sample_bits(&reference)
 }
 
-/// The predictive-engine bit-identity contract (DESIGN.md §15): engine
-/// on must equal engine off bit for bit at every execution configuration
-/// — 1 vs 4 kernel threads × sample cache off/on × compiled forward plan
-/// off/on — at f64 and f32 storage, all against the sequential
-/// engine-off reference.
+/// `VariationalBnn::predict_samples` (cached flat draws injected into
+/// grad-free forwards) must equal the per-sample trace/replay reference
+/// bit for bit, at f64 and f32 storage, at 1 and 4 kernel threads.
 #[test]
 fn predictive_engine_is_bit_identical_to_legacy_path() {
     let prev_threads = tyxe_par::num_threads();
-    let prev_engine = tyxe::predictive::enabled();
-    let prev_cache = tyxe::predictive::cache_enabled();
-    let prev_plan = tyxe::predictive::plan_enabled();
     for (seed, precision, label) in [
         (61u64, tyxe::Precision::F64, "f64"),
         (67u64, tyxe::Precision::F32, "f32"),
     ] {
         tyxe_par::set_num_threads(1);
-        tyxe::predictive::set_enabled(false);
-        let reference = run_predict_at(seed, 8, precision);
-
-        // The legacy path itself must not care about the thread count.
-        tyxe_par::set_num_threads(4);
-        let legacy_par = run_predict_at(seed, 8, precision);
-        assert_eq!(reference, legacy_par, "{label}: legacy path drifted with threads");
-
+        let reference = run_predict_at(seed, 8, precision, false);
         for threads in [1usize, 4] {
-            for cache in [false, true] {
-                for plan in [false, true] {
-                    tyxe_par::set_num_threads(threads);
-                    tyxe::predictive::set_enabled(true);
-                    tyxe::predictive::set_cache_enabled(cache);
-                    tyxe::predictive::set_plan_enabled(plan);
-                    let engine = run_predict_at(seed, 8, precision);
-                    assert_eq!(
-                        reference, engine,
-                        "{label}: engine drifted from legacy ({threads} threads, \
-                         cache {cache}, plan {plan})"
-                    );
-                }
+            tyxe_par::set_num_threads(threads);
+            assert_eq!(
+                reference,
+                run_predict_at(seed, 8, precision, false),
+                "{label}: reference drifted at {threads} threads"
+            );
+            assert_eq!(
+                reference,
+                run_predict_at(seed, 8, precision, true),
+                "{label}: predict_samples drifted from the reference ({threads} threads)"
+            );
+        }
+    }
+    tyxe_par::set_num_threads(prev_threads);
+}
+
+/// The same contract for `McmcBnn`: predictions over the chain equal a
+/// `condition`-per-draw reference, at f64 and under an f32 autocast
+/// scope, at 1 and 4 threads.
+#[test]
+fn mcmc_predictions_match_per_draw_condition_reference() {
+    use tyxe_prob::mcmc::Hmc;
+    use tyxe_prob::poutine::condition;
+
+    let prev_threads = tyxe_par::num_threads();
+    tyxe_prob::rng::set_seed(79);
+    let mut rng = StdRng::seed_from_u64(79);
+    let data = foong_regression(16, 0.1, 0);
+    let net = tyxe_nn::layers::mlp(&[1, 8, 1], false, &mut rng);
+    let mut bnn = tyxe::McmcBnn::new(
+        net,
+        &IIDPrior::standard_normal(),
+        HomoskedasticGaussian::new(data.len(), 0.1),
+        Hmc::new(1e-3, 5),
+    );
+    bnn.fit(&data.x, &data.y, 12, 8);
+    let test = foong_regression(16, 0.1, 1);
+
+    // 5 of 12 draws: stride 2, the first five strided draws.
+    let s = 5;
+    for amp in [tyxe::Precision::F64, tyxe::Precision::Mixed] {
+        for threads in [1usize, 4] {
+            tyxe_par::set_num_threads(threads);
+            let _amp = autocast_for(amp);
+            let reference: Vec<_> = (0..12)
+                .step_by(2)
+                .take(s)
+                .map(|i| {
+                    condition(bnn.samples().draw(i), || bnn.module().sampled_forward(&test.x))
+                        .detach()
+                })
+                .collect();
+            // The second pass is always served from the chain-draw cache.
+            for pass in 0..2 {
+                assert_eq!(
+                    sample_bits(&reference),
+                    sample_bits(&bnn.predict_samples(&test.x, s)),
+                    "{amp:?}, {threads} threads, pass {pass}"
+                );
             }
         }
     }
     tyxe_par::set_num_threads(prev_threads);
-    tyxe::predictive::set_enabled(prev_engine);
-    tyxe::predictive::set_cache_enabled(prev_cache);
-    tyxe::predictive::set_plan_enabled(prev_plan);
 }
 
-/// The streaming aggregation half of the engine contract: for
-/// likelihoods with a [`tyxe::likelihoods::PredictiveFold`] (Categorical
-/// here), `predict` folds samples one at a time instead of materializing
-/// them all, and the fold must associate exactly like the legacy
-/// `aggregate_predictions` — same bits out.
+/// And for `McDropout`: `predict_samples` equals plain training-mode
+/// forwards, detached, in sequence from the same RNG state.
+#[test]
+fn mc_dropout_predictions_match_training_mode_forwards() {
+    use tyxe::likelihoods::Categorical;
+    use tyxe::mc_dropout::McDropout;
+    use tyxe_nn::layers::{Dropout, Linear, Relu, Sequential};
+    use tyxe_nn::{Forward, Module};
+
+    let prev_threads = tyxe_par::num_threads();
+    let mut rng = StdRng::seed_from_u64(83);
+    let net = Sequential::new()
+        .add(Linear::new(4, 16, &mut rng))
+        .add(Relu::new())
+        .add(Dropout::new(0.5))
+        .add(Linear::new(16, 3, &mut rng));
+    let mc = McDropout::new(net, Categorical::new(10));
+    let x = tyxe_tensor::Tensor::ones(&[5, 4]);
+    for amp in [tyxe::Precision::F64, tyxe::Precision::Mixed] {
+        for threads in [1usize, 4] {
+            tyxe_par::set_num_threads(threads);
+            let _amp = autocast_for(amp);
+            tyxe_prob::rng::set_seed(83);
+            mc.net().set_training(true);
+            let reference: Vec<_> = (0..6).map(|_| mc.net().forward(&x).detach()).collect();
+            mc.net().set_training(false);
+            tyxe_prob::rng::set_seed(83);
+            let library = mc.predict_samples(&x, 6);
+            assert_ne!(sample_bits(&library[..1]), sample_bits(&library[1..2]), "masks must differ");
+            assert_eq!(
+                sample_bits(&reference),
+                sample_bits(&library),
+                "{amp:?}, {threads} threads"
+            );
+        }
+    }
+    tyxe_par::set_num_threads(prev_threads);
+}
+
+/// The streaming aggregation half of the contract: for likelihoods with
+/// a [`tyxe::likelihoods::PredictiveFold`] (Categorical here), `predict`
+/// folds samples one at a time instead of materializing them all, and
+/// the fold must associate exactly like `aggregate_predictions` over the
+/// materialized `predict_samples` — same bits out.
 #[test]
 fn predictive_fold_matches_legacy_aggregate_bitwise() {
-    use tyxe::likelihoods::Categorical;
+    use tyxe::likelihoods::{Categorical, Likelihood};
     use tyxe_tensor::Tensor;
 
-    let prev_engine = tyxe::predictive::enabled();
-    let run = |engine: bool| -> Vec<u64> {
-        tyxe::predictive::set_enabled(engine);
+    let run = |folded: bool| -> Vec<u64> {
         tyxe_prob::rng::set_seed(71);
         let mut rng = StdRng::seed_from_u64(71);
         let net = tyxe_nn::layers::mlp(&[4, 16, 3], false, &mut rng);
@@ -819,25 +911,22 @@ fn predictive_fold_matches_legacy_aggregate_bitwise() {
                 AutoNormal::new().init_scale(1e-2),
             );
         let x = Tensor::ones(&[5, 4]);
-        bnn.predict(&x, 16).to_vec().iter().map(|v| v.to_bits()).collect()
+        let agg = if folded {
+            bnn.predict(&x, 16)
+        } else {
+            bnn.likelihood().aggregate_predictions(&bnn.predict_samples(&x, 16))
+        };
+        agg.to_vec().iter().map(|v| v.to_bits()).collect()
     };
-    let legacy = run(false);
-    let folded = run(true);
-    tyxe::predictive::set_enabled(prev_engine);
-    assert_eq!(legacy, folded, "streamed fold drifted from legacy aggregate");
+    assert_eq!(run(false), run(true), "streamed fold drifted from the batch aggregate");
 }
 
 /// Cache semantics: a second predict at the same sample count replays
 /// the cached posterior draws (bit-identical outputs, `predict.cache_hit`
 /// advances), one SVI step invalidates the cache (subsequent predictions
-/// change), and `set_predict_refresh(1)` forces a redraw on every call.
+/// change), and so does `invalidate_predictive_cache()`.
 #[test]
 fn predictive_cache_hits_and_invalidates_on_svi_step() {
-    let prev_engine = tyxe::predictive::enabled();
-    let prev_cache = tyxe::predictive::cache_enabled();
-    tyxe::predictive::set_enabled(true);
-    tyxe::predictive::set_cache_enabled(true);
-
     tyxe_prob::rng::set_seed(73);
     let mut rng = StdRng::seed_from_u64(73);
     let data = foong_regression(32, 0.1, 0);
@@ -851,15 +940,9 @@ fn predictive_cache_hits_and_invalidates_on_svi_step() {
     let mut optim = Adam::new(vec![], 1e-2);
     bnn.svi_step(&data.x, &data.y, &mut optim);
 
-    let bits = |samples: Vec<tyxe_tensor::Tensor>| -> Vec<u64> {
-        samples
-            .iter()
-            .flat_map(|t| t.to_vec().into_iter().map(f64::to_bits))
-            .collect()
-    };
     let hits_before = tyxe_obs::metrics::counter("predict.cache_hit").get();
-    let first = bits(bnn.predict_samples(&data.x, 6)); // cold: fills the cache
-    let second = bits(bnn.predict_samples(&data.x, 6)); // warm: replays cached draws
+    let first = sample_bits(&bnn.predict_samples(&data.x, 6)); // cold: fills the cache
+    let second = sample_bits(&bnn.predict_samples(&data.x, 6)); // warm: replays cached draws
     assert_eq!(first, second, "cached posterior draws must replay bit-identically");
     let hits_after = tyxe_obs::metrics::counter("predict.cache_hit").get();
     assert!(
@@ -870,22 +953,15 @@ fn predictive_cache_hits_and_invalidates_on_svi_step() {
     // One SVI step updates the guide parameters; the stale draws must
     // not survive it.
     bnn.svi_step(&data.x, &data.y, &mut optim);
-    let after_step = bits(bnn.predict_samples(&data.x, 6));
+    let after_step = sample_bits(&bnn.predict_samples(&data.x, 6));
     assert_ne!(
         first, after_step,
         "an SVI step must invalidate cached predictions"
     );
 
-    // Manual invalidation and per-call refresh both force fresh draws
-    // (the thread RNG has advanced, so fresh draws give fresh outputs).
+    // Manual invalidation forces fresh draws (the thread RNG has
+    // advanced, so fresh draws give fresh outputs).
     bnn.invalidate_predictive_cache();
-    let refilled = bits(bnn.predict_samples(&data.x, 6));
+    let refilled = sample_bits(&bnn.predict_samples(&data.x, 6));
     assert_ne!(after_step, refilled, "invalidate_predictive_cache kept stale draws");
-    bnn.set_predict_refresh(1);
-    let r1 = bits(bnn.predict_samples(&data.x, 6));
-    let r2 = bits(bnn.predict_samples(&data.x, 6));
-    assert_ne!(r1, r2, "refresh limit 1 must redraw on every call");
-
-    tyxe::predictive::set_enabled(prev_engine);
-    tyxe::predictive::set_cache_enabled(prev_cache);
 }

@@ -447,3 +447,45 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
 }
+
+/// `Supervisor::resume` writes checkpoint bits straight into the guide
+/// parameters, where the BNN cannot see it happen; a `predict` after it
+/// must draw from the restored posterior, not replay the weight draws
+/// cached before it.
+#[test]
+fn predict_after_resume_redraws_from_the_restored_posterior() {
+    let _scope = FaultScope::acquire();
+    fault::set_nan_prob(0.0);
+    fault::set_panic_prob(0.0);
+    let (n, hidden) = (32, 8);
+    let (x, y) = toy_data(n);
+    let data = vec![(x.clone(), y.clone())];
+    let path = tmp_ckpt("predict-resume");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_of(&path));
+
+    // Checkpoint at step 20, then train ten steps past it.
+    tyxe_prob::rng::set_seed(17);
+    let bnn = build_bnn(17, hidden, n);
+    let mut optim = Adam::new(vec![], 1e-2);
+    let mut sup = Supervisor::new(
+        bnn.trainable_parameters(),
+        SupervisorConfig::default().with_checkpoint(&path, 20),
+    );
+    bnn.fit_supervised(&data, &mut optim, 30, &mut sup);
+
+    let bits = |t: Tensor| -> Vec<u64> { t.to_vec().into_iter().map(f64::to_bits).collect() };
+    let before = bits(bnn.predict(&x, 8));
+    assert_eq!(before, bits(bnn.predict(&x, 8)), "second predict must hit the cache");
+
+    sup.resume(&path, &mut optim).unwrap();
+    assert_eq!(sup.steps_completed(), 20);
+    assert_ne!(
+        before,
+        bits(bnn.predict(&x, 8)),
+        "predict after resume replayed the pre-resume weight draws"
+    );
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_of(&path));
+}
