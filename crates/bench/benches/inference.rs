@@ -3,7 +3,7 @@
 //! computational cost" of a training step (which is why `predict` is run
 //! outside the handler context).
 
-use tyxe_bench::harness::{bench_with_pool_stats, Criterion};
+use tyxe_bench::harness::Criterion;
 use tyxe_bench::{criterion_group, criterion_main};
 use tyxe_rand::SeedableRng;
 use std::hint::black_box;
@@ -70,22 +70,17 @@ fn bench_elbo_step(c: &mut Criterion) {
 fn bench_svi_step_end_to_end(c: &mut Criterion) {
     let (bnn, data) = make_bnn();
     let mut optim = Adam::new(vec![], 1e-3);
-    bench_with_pool_stats(c, "svi_step_full", |b| {
+    c.bench_function("svi_step_full", |b| {
         b.iter(|| black_box(bnn.svi_step(&data.x, &data.y, &mut optim)))
     });
     // Reduced-precision variants of the same step (DESIGN.md §12);
     // storage converts in place so the optimizer and compiled plan
     // machinery see the same tensor identities.
-    for (tag, suffix, precision) in [
-        ("f32", "_f32", tyxe::Precision::F32),
-        ("mixed", "_mixed", tyxe::Precision::Mixed),
-    ] {
+    for (suffix, precision) in [("_f32", tyxe::Precision::F32), ("_mixed", tyxe::Precision::Mixed)] {
         bnn.set_precision(precision);
-        std::env::set_var("TYXE_BENCH_DTYPE", tag);
-        bench_with_pool_stats(c, &format!("svi_step_full{suffix}"), |b| {
+        c.bench_function(format!("svi_step_full{suffix}"), |b| {
             b.iter(|| black_box(bnn.svi_step(&data.x, &data.y, &mut optim)))
         });
-        std::env::remove_var("TYXE_BENCH_DTYPE");
     }
     bnn.set_precision(tyxe::Precision::F64);
 }

@@ -1,16 +1,16 @@
 //! Wall-clock microbenchmarks (in-tree harness) for the tensor/autodiff substrate: the op
 //! throughput every experiment in the paper rests on.
 
-use tyxe_bench::harness::{bench_with_pool_stats, Criterion};
+use tyxe_bench::harness::Criterion;
 use tyxe_bench::{criterion_group, criterion_main};
 use tyxe_rand::SeedableRng;
 use std::hint::black_box;
 use tyxe_tensor::Tensor;
 
 /// Square-GEMM size sweep over the blocked kernel plus the retained naive
-/// reference at 256³ (the PR 1 matmul kernel), so `results/BENCH_TENSOR.json`
-/// records the blocked/parallel speedup against a baseline measured on the
-/// same machine in the same run.
+/// reference at 256³ (the PR 1 matmul kernel), so one run prints the
+/// blocked/parallel speedup against a baseline measured on the same
+/// machine.
 fn bench_gemm_sweep(c: &mut Criterion) {
     use tyxe_tensor::ops::gemm_kernels as gk;
     let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(7);
@@ -22,20 +22,17 @@ fn bench_gemm_sweep(c: &mut Criterion) {
         });
     }
     // The same 256-cube in f32 storage: half the memory traffic and the
-    // widened AVX-512 f32 microkernel tiles. `scripts/bench.sh` derives
-    // `f32_speedup_vs_f64` in `results/BENCH_TENSOR.json` from this case
-    // against `gemm_256x256x256` above.
+    // widened AVX-512 f32 microkernel tiles; compare against
+    // `gemm_256x256x256` above.
     {
         let n = 256;
         let a64 = Tensor::randn(&[n, n], &mut rng);
         let b64 = Tensor::randn(&[n, n], &mut rng);
         let a32 = a64.cast(tyxe_tensor::DType::F32).detach();
         let b32 = b64.cast(tyxe_tensor::DType::F32).detach();
-        std::env::set_var("TYXE_BENCH_DTYPE", "f32");
         c.bench_function(format!("gemm_{n}x{n}x{n}_f32"), |bch| {
             bch.iter(|| black_box(a32.matmul(&b32)))
         });
-        std::env::remove_var("TYXE_BENCH_DTYPE");
     }
 
     // Two baselines for the speedup denominator, both on raw slices:
@@ -131,8 +128,7 @@ fn bench_elementwise(c: &mut Criterion) {
 /// One full SVI step — prior + guide sampling, forward pass, ELBO,
 /// backward pass, Adam update — on a 1→128→128→1 MLP with batch 256,
 /// large enough that the hidden-layer matmuls take the blocked kernel
-/// path. This is the end-to-end training-step number recorded in
-/// `results/BENCH_TENSOR.json`.
+/// path.
 fn bench_svi_step(c: &mut Criterion) {
     use tyxe::guides::AutoNormal;
     use tyxe::likelihoods::HomoskedasticGaussian;
@@ -152,25 +148,18 @@ fn bench_svi_step(c: &mut Criterion) {
             AutoNormal::new().init_scale(1e-2),
         );
     let mut optim = Adam::new(vec![], 1e-2);
-    bench_with_pool_stats(c, "svi_step_mlp_1x128x128x1_n256", |bch| {
+    c.bench_function("svi_step_mlp_1x128x128x1_n256", |bch| {
         bch.iter(|| black_box(bnn.svi_step(&data.x, &data.y, &mut optim)))
     });
 
     // The same end-to-end step under the two reduced-precision policies
     // (DESIGN.md §12). Parameter storage converts in place, so the
-    // optimizer keeps tracking the same leaves across variants; the
-    // `TYXE_BENCH_DTYPE` tag routes each case into its per-dtype section
-    // of `results/BENCH_SVI.json`.
-    for (tag, suffix, precision) in [
-        ("f32", "_f32", tyxe::Precision::F32),
-        ("mixed", "_mixed", tyxe::Precision::Mixed),
-    ] {
+    // optimizer keeps tracking the same leaves across variants.
+    for (suffix, precision) in [("_f32", tyxe::Precision::F32), ("_mixed", tyxe::Precision::Mixed)] {
         bnn.set_precision(precision);
-        std::env::set_var("TYXE_BENCH_DTYPE", tag);
-        bench_with_pool_stats(c, &format!("svi_step_mlp_1x128x128x1_n256{suffix}"), |bch| {
+        c.bench_function(format!("svi_step_mlp_1x128x128x1_n256{suffix}"), |bch| {
             bch.iter(|| black_box(bnn.svi_step(&data.x, &data.y, &mut optim)))
         });
-        std::env::remove_var("TYXE_BENCH_DTYPE");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Phase-level wall-clock breakdown of one SVI training step, for
 //! deciding where step-time optimization effort should go. Prints the
-//! full step with plans off/on plus the raw cost of its dominant
-//! kernels (GEMMs, normal draws, log-prob chains, Adam update).
+//! full step plus the raw cost of its dominant kernels (GEMMs, normal
+//! draws, log-prob chains, Adam update).
 //!
 //! Usage: cargo run --release -p tyxe-bench --bin profile_svi
 //!
@@ -145,11 +145,6 @@ fn main() {
         );
     let mut optim = Adam::new(vec![], 1e-2);
 
-    tyxe_tensor::plan::set_enabled(false);
-    time("svi_step (dynamic)", 1, || {
-        bnn.svi_step(&data.x, &data.y, &mut optim)
-    });
-    tyxe_tensor::plan::set_enabled(true);
     time("svi_step (plan replay)", 1, || {
         bnn.svi_step(&data.x, &data.y, &mut optim)
     });
@@ -256,17 +251,15 @@ fn main() {
         println!("{:<36} {hit:>12} hits / {miss} misses", format!("pool events ({dt})"));
     }
 
-    // Span-level breakdown via tyxe-obs: run a few steps each way and
-    // aggregate total duration per span name.
-    for (label, plan_on, precision) in [
-        ("dynamic", false, tyxe::Precision::F64),
-        ("plan replay", true, tyxe::Precision::F64),
-        ("plan replay f32", true, tyxe::Precision::F32),
-        ("plan replay mixed", true, tyxe::Precision::Mixed),
+    // Span-level breakdown via tyxe-obs: run a few steps per precision
+    // and aggregate total duration per span name.
+    for (label, precision) in [
+        ("f64", tyxe::Precision::F64),
+        ("f32", tyxe::Precision::F32),
+        ("mixed", tyxe::Precision::Mixed),
     ] {
         bnn.set_precision(precision);
-        tyxe_tensor::plan::set_enabled(plan_on);
-        bnn.svi_step(&data.x, &data.y, &mut optim); // settle (record if planning)
+        bnn.svi_step(&data.x, &data.y, &mut optim); // settle (records the plan)
         tyxe_obs::set_enabled(true);
         tyxe_obs::trace::clear();
         let t0 = Instant::now();

@@ -16,99 +16,15 @@
 //! benchmark, which is how the bench binaries are smoke-tested in CI.
 //!
 //! `TYXE_BENCH_FILTER=<substring>` skips every benchmark whose full name
-//! does not contain the substring (skipped cases report all-zero stats
-//! and emit nothing). `scripts/bench.sh` uses it to re-run just the
-//! full-SVI-step cases under `TYXE_POOL=0` / `=1`.
+//! does not contain the substring.
 //!
-//! `TYXE_BENCH_JSON=<path>` additionally appends one JSON object per
-//! benchmark to `<path>` (JSON-lines). Each line carries the legacy keys
-//! `{"name":…,"min_ns":…,"median_ns":…,"mean_ns":…}` first — which
-//! `scripts/bench.sh` and existing `results/BENCH_TENSOR.json` readers key
-//! on — followed by the `tyxe-obs` metric-record keys `"value"` (the
-//! median), `"unit":"ns"` and `"tags"` (stat/source, the `dtype` the
-//! case ran at — `TYXE_BENCH_DTYPE`, default `"f64"` — plus the active
-//! `TYXE_NUM_THREADS`, when set), so bench output and
-//! [`tyxe_obs::metrics::snapshot_jsonl`] share one schema.
+//! These are hand-run micro-cases that print to stdout. The repo's
+//! recorded, gated numbers come from `benchmark/` (see its README).
 
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Target duration for a single measured sample during calibration.
 const TARGET_SAMPLE: Duration = Duration::from_millis(2);
-
-/// The dtype tag stamped on every JSON line: `TYXE_BENCH_DTYPE` when the
-/// running benchmark set it (`"f32"`, `"mixed"`), `"f64"` otherwise —
-/// the substrate's default storage dtype. `scripts/bench.sh` groups the
-/// per-dtype sections of `results/BENCH_SVI.json` by this tag.
-fn dtype_tag() -> String {
-    std::env::var("TYXE_BENCH_DTYPE").unwrap_or_else(|_| "f64".to_string())
-}
-
-/// Per-iteration timing summary returned by
-/// [`Criterion::bench_function_stats`].
-#[derive(Debug, Clone, Copy)]
-pub struct BenchStats {
-    /// Fastest sample, nanoseconds per iteration.
-    pub min_ns: u128,
-    /// Median sample, nanoseconds per iteration.
-    pub median_ns: u128,
-    /// Mean across samples, nanoseconds per iteration.
-    pub mean_ns: u128,
-}
-
-fn append_json_line(path: &std::ffi::OsStr, line: &str) {
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(line.as_bytes()))
-        .unwrap_or_else(|e| eprintln!("bench: cannot append to {}: {e}", path.to_string_lossy()));
-}
-
-/// Runs a full-training-step benchmark and reports, alongside the usual
-/// timing columns, `steps/sec` and the buffer-pool allocation counters
-/// (`tensor.alloc.pool_hit` / `pool_miss` deltas across the whole run,
-/// calibration included — calibration doubles as pool warmup). When
-/// `TYXE_BENCH_JSON` is set, appends a second JSON line named
-/// `<name>/pool` carrying `steps_per_sec`, `pool_hit`, `pool_miss`,
-/// `hit_ratio` and `pool_enabled`; `scripts/bench.sh` reshapes those
-/// lines into `results/BENCH_SVI.json`.
-pub fn bench_with_pool_stats(
-    c: &mut Criterion,
-    name: &str,
-    f: impl FnMut(&mut Bencher),
-) -> BenchStats {
-    let hit = tyxe_obs::metrics::counter("tensor.alloc.pool_hit");
-    let miss = tyxe_obs::metrics::counter("tensor.alloc.pool_miss");
-    let (h0, m0) = (hit.get(), miss.get());
-    let stats = c.bench_function_stats(name, f);
-    if stats.median_ns == 0 {
-        // Filtered out (TYXE_BENCH_FILTER) — nothing ran, nothing to report.
-        return stats;
-    }
-    let (dh, dm) = (hit.get() - h0, miss.get() - m0);
-    let steps_per_sec = 1e9 / stats.median_ns.max(1) as f64;
-    let hit_ratio = if dh + dm > 0 {
-        dh as f64 / (dh + dm) as f64
-    } else {
-        0.0
-    };
-    let pool_on = std::env::var("TYXE_POOL").as_deref().map_or(true, |v| v.trim() != "0");
-    println!(
-        "bench {name:<40} steps/sec {steps_per_sec:>10.2}  pool_hit {dh:>9}  pool_miss {dm:>9}  hit_ratio {hit_ratio:.3}  (pool {})",
-        if pool_on { "on" } else { "off" },
-    );
-    if let Some(path) = std::env::var_os("TYXE_BENCH_JSON") {
-        let line = format!(
-            "{{\"name\":\"{}/pool\",\"steps_per_sec\":{steps_per_sec:.3},\"median_ns\":{},\"pool_hit\":{dh},\"pool_miss\":{dm},\"hit_ratio\":{hit_ratio:.4},\"pool_enabled\":{pool_on},\"value\":{steps_per_sec:.3},\"unit\":\"steps_per_sec\",\"tags\":{{\"source\":\"bench\",\"dtype\":\"{}\"}}}}\n",
-            tyxe_obs::json::escape(name),
-            stats.median_ns,
-            tyxe_obs::json::escape(&dtype_tag()),
-        );
-        append_json_line(&path, &line);
-    }
-    stats
-}
 
 /// Drives iteration timing inside a benchmark closure.
 pub struct Bencher {
@@ -173,28 +89,12 @@ impl Criterion {
     pub fn bench_function(
         &mut self,
         name: impl Into<String>,
-        f: impl FnMut(&mut Bencher),
-    ) -> &mut Criterion {
-        self.bench_function_stats(name, f);
-        self
-    }
-
-    /// Runs one named benchmark and returns its timing summary, for
-    /// callers that derive additional columns (e.g. the SVI steps/sec +
-    /// pool-counter report in [`bench_with_pool_stats`]).
-    pub fn bench_function_stats(
-        &mut self,
-        name: impl Into<String>,
         mut f: impl FnMut(&mut Bencher),
-    ) -> BenchStats {
+    ) -> &mut Criterion {
         let name = name.into();
         let filter = std::env::var("TYXE_BENCH_FILTER").unwrap_or_default();
         if !name_passes_filter(&name, &filter) {
-            return BenchStats {
-                min_ns: 0,
-                median_ns: 0,
-                mean_ns: 0,
-            };
+            return self;
         }
         let (iters, samples) = if fast_mode() {
             (1, 1)
@@ -220,32 +120,7 @@ impl Criterion {
             format_duration(median),
             format_duration(mean),
         );
-        if let Some(path) = std::env::var_os("TYXE_BENCH_JSON") {
-            let mut tags = format!(
-                "\"stat\":\"median\",\"source\":\"bench\",\"dtype\":\"{}\"",
-                tyxe_obs::json::escape(&dtype_tag())
-            );
-            if let Ok(threads) = std::env::var("TYXE_NUM_THREADS") {
-                tags.push_str(&format!(
-                    ",\"threads\":\"{}\"",
-                    tyxe_obs::json::escape(&threads)
-                ));
-            }
-            let line = format!(
-                "{{\"name\":\"{}\",\"min_ns\":{},\"median_ns\":{},\"mean_ns\":{},\"value\":{},\"unit\":\"ns\",\"tags\":{{{tags}}}}}\n",
-                tyxe_obs::json::escape(&name),
-                min.as_nanos(),
-                median.as_nanos(),
-                mean.as_nanos(),
-                median.as_nanos(),
-            );
-            append_json_line(&path, &line);
-        }
-        BenchStats {
-            min_ns: min.as_nanos(),
-            median_ns: median.as_nanos(),
-            mean_ns: mean.as_nanos(),
-        }
+        self
     }
 
     /// Opens a named group; member benchmarks are reported as
@@ -365,47 +240,6 @@ mod tests {
         group.bench_function("member", |b| b.iter(|| 1 + 1));
         group.finish();
         std::env::remove_var("TYXE_BENCH_FAST");
-    }
-
-    #[test]
-    fn json_lines_are_appended_when_requested() {
-        std::env::set_var("TYXE_BENCH_FAST", "1");
-        let path = std::env::temp_dir().join(format!("tyxe_bench_json_{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        std::env::set_var("TYXE_BENCH_JSON", &path);
-        Criterion::default()
-            .sample_size(1)
-            .bench_function("json_probe", |b| b.iter(|| 2 + 2));
-        std::env::remove_var("TYXE_BENCH_JSON");
-        std::env::remove_var("TYXE_BENCH_FAST");
-        let text = std::fs::read_to_string(&path).expect("json file written");
-        let _ = std::fs::remove_file(&path);
-        // Other tests may interleave lines if they run while the env var is
-        // set; only our own record's shape matters.
-        let line = text
-            .lines()
-            .find(|l| l.contains("\"name\":\"json_probe\""))
-            .expect("json_probe line present");
-        assert!(line.starts_with("{\"name\":\"json_probe\",\"min_ns\":"), "{line}");
-        assert!(line.ends_with('}'), "{line}");
-        // The same line must parse as a tyxe-obs metric record: a median
-        // "value" in "ns" with a tags object identifying the source.
-        let parsed = tyxe_obs::json::parse(line).expect("line is valid JSON");
-        let median = parsed.get("median_ns").and_then(|v| v.as_num()).unwrap();
-        assert_eq!(parsed.get("value").and_then(|v| v.as_num()), Some(median));
-        assert_eq!(
-            parsed.get("unit").and_then(|v| v.as_str()),
-            Some("ns"),
-            "{line}"
-        );
-        let tags = parsed.get("tags").and_then(|v| v.as_obj()).expect("tags object");
-        assert!(tags.iter().any(|(k, v)| k == "source" && v.as_str() == Some("bench")));
-        // Without TYXE_BENCH_DTYPE the line is tagged with the default
-        // storage dtype.
-        assert!(
-            tags.iter().any(|(k, v)| k == "dtype" && v.as_str() == Some("f64")),
-            "{line}"
-        );
     }
 
     #[test]

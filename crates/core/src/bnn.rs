@@ -345,7 +345,7 @@ pub struct VariationalBnn<M, L, G> {
     likelihood: L,
     guide: G,
     estimator: ElboEstimator,
-    /// Compiled step plan (`TYXE_PLAN`): recorded on the first
+    /// Compiled step plan: recorded on the first
     /// tensor-input SVI step, replayed while input/target identity,
     /// shapes and the global plan generation hold.
     plan: RefCell<Option<PlanSlot>>,
@@ -534,11 +534,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// update. A training supervisor can inspect the loss and gradients
     /// (NaN sentinels, clipping) before calling `optim.step()` itself.
     ///
-    /// When `TYXE_PLAN` is enabled (the default) and `input` is a plain
-    /// [`Tensor`], the step runs through a compiled plan: the first call
-    /// records the op sequence while executing it dynamically, and later
-    /// calls with the same input/target tensors replay it without
-    /// rebuilding the graph or walking the poutine stack. Any divergence
+    /// When `input` is a plain [`Tensor`], the step runs through a
+    /// compiled plan: the first call records the op sequence while
+    /// executing it dynamically, and later calls with the same
+    /// input/target tensors replay it without rebuilding the graph or
+    /// walking the poutine stack. Any divergence
     /// (shapes, site structure, control flow, RNG use the recorder cannot
     /// see) falls back to the dynamic path — same bits, just slower.
     pub fn svi_forward_backward<I>(
@@ -554,12 +554,10 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         // Guide parameters are about to accumulate gradients and be
         // stepped; any cached posterior draws are stale from here on.
         self.bump_guide_epoch();
-        if tyxe_tensor::plan::enabled() {
-            if let Some(x) = (input as &dyn std::any::Any).downcast_ref::<Tensor>() {
-                return self.svi_forward_backward_planned(input, x, targets, optim);
-            }
+        match (input as &dyn std::any::Any).downcast_ref::<Tensor>() {
+            Some(x) => self.svi_forward_backward_planned(input, x, targets, optim),
+            None => self.svi_forward_backward_dynamic(input, targets, optim),
         }
-        self.svi_forward_backward_dynamic(input, targets, optim)
     }
 
     /// Builds the negative-ELBO loss graph for one step (no backward).
@@ -1099,6 +1097,61 @@ mod tests {
         assert!(history.last().unwrap() < &(history[0] * 0.5), "{history:?}");
         let eval = bnn.evaluate(&x, &y, 8);
         assert!(eval.error < 0.05, "error {}", eval.error);
+    }
+
+    /// The never-replaying reference `tests/determinism.rs` compares
+    /// plan replay against: a fresh input handle every step re-records
+    /// (a dynamic step) and then pins to the dynamic path, but never
+    /// replays. Observed per BNN — a replay is the only tensor-input
+    /// step that leaves the slot's recorded input id alone — because the
+    /// process-wide `plan.hit` counter moves under concurrent tests; it
+    /// is checked in `tests/pool.rs`, where nothing runs beside it.
+    #[test]
+    fn fresh_input_handles_never_replay() {
+        let (x, y) = toy_data();
+        let bnn = VariationalBnn::new(
+            toy_net(),
+            &IIDPrior::standard_normal(),
+            HomoskedasticGaussian::new(32, 0.1),
+            AutoNormal::new(),
+        );
+        let mut optim = Adam::new(vec![], 1e-2);
+        let generation = tyxe_tensor::plan::generation();
+        let mut steps = 0;
+        while bnn.plan_unsupported_reason().is_none() {
+            let fresh = Tensor::from_vec(x.to_vec(), x.shape());
+            bnn.svi_step(&fresh, &y, &mut optim);
+            steps += 1;
+            match &*bnn.plan.borrow() {
+                Some(PlanSlot::Ready { input_id, .. }) => {
+                    assert_eq!(*input_id, fresh.id(), "step {steps} did not re-record");
+                }
+                Some(PlanSlot::Unsupported(reason)) => {
+                    assert_eq!(reason, "input signature keeps changing");
+                }
+                None => panic!("step {steps} left the slot empty"),
+            }
+            assert!(steps < 64, "never pinned to the dynamic path");
+        }
+        // One recording plus REPLAN_STREAK_LIMIT mismatches pin the BNN.
+        // A concurrent test's `invalidate_all` turns a mismatch into a
+        // stale-generation re-record the streak does not count, so the
+        // exact count holds only if the generation stood still.
+        if tyxe_tensor::plan::generation() == generation {
+            assert_eq!(steps, REPLAN_STREAK_LIMIT + 1);
+        }
+        // Pinned BNNs stay dynamic.
+        bnn.svi_step(&x, &y, &mut optim);
+        assert!(bnn.plan_unsupported_reason().is_some());
+
+        // A precision switch clears the pin; a stable handle records again.
+        bnn.set_precision(Precision::Mixed);
+        assert_eq!(bnn.plan_unsupported_reason(), None);
+        assert_eq!(bnn.plan_streak.get(), 0);
+        bnn.svi_step(&x, &y, &mut optim);
+        assert!(
+            matches!(&*bnn.plan.borrow(), Some(PlanSlot::Ready { input_id, .. }) if *input_id == x.id())
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! Names follow the `layer.component.event` scheme (DESIGN.md §9) and
 //! may carry sorted `(key, value)` tag pairs; `(name, tags)` is the
 //! registry key. [`snapshot`] flattens everything into
-//! [`MetricRecord`]s — the same `{name, value, unit, tags}` shape the
-//! bench harness emits under `TYXE_BENCH_JSON` — and
+//! [`MetricRecord`]s (`{name, value, unit, tags}`) and
 //! [`write_snapshot_jsonl`] serializes one record per line.
 
 use std::collections::BTreeMap;

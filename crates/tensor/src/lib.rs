@@ -59,14 +59,14 @@
 //! # Memory reuse
 //!
 //! Tensor data and gradient buffers are recycled through a thread-local,
-//! size-bucketed buffer pool ([`pool`]; `TYXE_POOL=0` disables it).
+//! size-bucketed buffer pool ([`pool`]; buffers up to 64 KiB).
 //! Recycled buffers may be handed back with stale contents where the
 //! consumer provably overwrites every element — no result ever depends
-//! on a buffer's prior life, so numerics are **bit-identical with the
-//! pool on or off**, an invariant the determinism contract above extends
-//! to and `tests/pool_stress.rs` pins. See DESIGN.md §10 for the full
-//! memory-reuse contract and the fused hot-path kernels that accompany
-//! it.
+//! on a buffer's prior life, so numerics are **bit-identical on cold
+//! and warm free-lists**, an invariant the determinism contract above
+//! extends to and `tests/pool_stress.rs` pins. See DESIGN.md §10 for
+//! the full memory-reuse contract and the fused hot-path kernels that
+//! accompany it.
 //!
 //! # Compiled step plans
 //!
@@ -74,9 +74,9 @@
 //! construction entirely: a recording pass traces one SVI step into a
 //! [`plan::StepPlan`] whose replay recomputes every op in place over
 //! the retained graph — zero allocation, bit-identical to the dynamic
-//! path, gated by `TYXE_PLAN` (default on, `0` disables). Traces that
-//! cannot be replayed (unsupported ops, unregistered RNG draws) fall
-//! back to the dynamic path; see DESIGN.md §11 for the contract.
+//! path. Traces that cannot be replayed (unsupported ops, unregistered
+//! RNG draws) fall back to the dynamic path; see DESIGN.md §11 for the
+//! contract.
 
 pub mod autocast;
 pub mod element;

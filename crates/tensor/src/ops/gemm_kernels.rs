@@ -90,7 +90,6 @@ const NC: usize = 256;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Isa {
     Base,
-    Avx2,
     Avx2Fma,
     Avx512Fma,
 }
@@ -103,12 +102,9 @@ fn isa() -> Isa {
             if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
                 return Isa::Avx512Fma;
             }
-            if is_x86_feature_detected!("avx2") {
-                return if is_x86_feature_detected!("fma") {
-                    Isa::Avx2Fma
-                } else {
-                    Isa::Avx2
-                };
+            // AVX2 without FMA gets the portable kernels.
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                return Isa::Avx2Fma;
             }
         }
         Isa::Base
@@ -124,7 +120,6 @@ pub fn uses_fma() -> bool {
 pub fn simd_label() -> &'static str {
     match isa() {
         Isa::Base => "baseline",
-        Isa::Avx2 => "avx2",
         Isa::Avx2Fma => "avx2+fma",
         Isa::Avx512Fma => "avx512+fma",
     }
@@ -622,19 +617,13 @@ fn narrow_outer_body<E: Element, const FMA: bool>(
 }
 
 /// ISA-dispatched monomorphic wrappers for one narrow body at one dtype:
-/// plain scalar on Base, AVX2-vectorized without FMA on `Isa::Avx2`, and
-/// AVX2+FMA otherwise (the AVX-512 machines run the 256-bit build of the
-/// same recipe — these kernels are load-bound, not ALU-bound). The
-/// generic dispatchers below route to them by `E::DTYPE`.
+/// plain scalar on Base and AVX2+FMA otherwise (the AVX-512 machines run
+/// the 256-bit build of the same recipe — these kernels are load-bound,
+/// not ALU-bound). The generic dispatchers below route to them by
+/// `E::DTYPE`.
 macro_rules! def_narrow {
-    ($name:ident, $e:ty, $body:ident, $avx2:ident, $fma:ident,
+    ($name:ident, $e:ty, $body:ident, $fma:ident,
      ($($arg:ident : $ty:ty),*)) => {
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
-            $body::<$e, false>($($arg),*);
-        }
-
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2", enable = "fma")]
         unsafe fn $fma($($arg: $ty),*) {
@@ -646,7 +635,6 @@ macro_rules! def_narrow {
             match isa() {
                 // SAFETY: `isa()` verified the matching target features.
                 Isa::Avx2Fma | Isa::Avx512Fma => return unsafe { $fma($($arg),*) },
-                Isa::Avx2 => return unsafe { $avx2($($arg),*) },
                 Isa::Base => {}
             }
             $body::<$e, false>($($arg),*);
@@ -654,17 +642,17 @@ macro_rules! def_narrow {
     };
 }
 
-def_narrow!(narrow_dots_f64, f64, narrow_dots_body, narrow_dots_avx2_f64, narrow_dots_fma_f64,
+def_narrow!(narrow_dots_f64, f64, narrow_dots_body, narrow_dots_fma_f64,
     (rows: &[f64], coeff: &[f64], c: &mut [f64], m: usize, k: usize, mode: Acc));
-def_narrow!(narrow_dots_f32, f32, narrow_dots_body, narrow_dots_avx2_f32, narrow_dots_fma_f32,
+def_narrow!(narrow_dots_f32, f32, narrow_dots_body, narrow_dots_fma_f32,
     (rows: &[f32], coeff: &[f32], c: &mut [f32], m: usize, k: usize, mode: Acc));
-def_narrow!(narrow_axpy_f64, f64, narrow_axpy_body, narrow_axpy_avx2_f64, narrow_axpy_fma_f64,
+def_narrow!(narrow_axpy_f64, f64, narrow_axpy_body, narrow_axpy_fma_f64,
     (coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, stride: usize, k: usize, overwrite: bool));
-def_narrow!(narrow_axpy_f32, f32, narrow_axpy_body, narrow_axpy_avx2_f32, narrow_axpy_fma_f32,
+def_narrow!(narrow_axpy_f32, f32, narrow_axpy_body, narrow_axpy_fma_f32,
     (coeff: &[f32], rows: &[f32], c: &mut [f32], l: usize, stride: usize, k: usize, overwrite: bool));
-def_narrow!(narrow_outer_f64, f64, narrow_outer_body, narrow_outer_avx2_f64, narrow_outer_fma_f64,
+def_narrow!(narrow_outer_f64, f64, narrow_outer_body, narrow_outer_fma_f64,
     (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, mode: Acc));
-def_narrow!(narrow_outer_f32, f32, narrow_outer_body, narrow_outer_avx2_f32, narrow_outer_fma_f32,
+def_narrow!(narrow_outer_f32, f32, narrow_outer_body, narrow_outer_fma_f32,
     (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, mode: Acc));
 
 fn narrow_dots<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k: usize, mode: Acc) {
@@ -911,7 +899,7 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
 type MicroFn<E> = unsafe fn(usize, &[E], &[E], &mut [E], usize, usize, usize, Acc);
 
 /// Microkernel instantiations. Tile shapes were tuned on the dense 256³
-/// bench (see `results/BENCH_TENSOR.json`): wider tiles starve the
+/// case of `crates/bench/benches/tensor_ops.rs`: wider tiles starve the
 /// narrow ISAs of registers, narrower ones starve the wide ISAs of
 /// independent accumulator chains. f32 tiles double NR relative to f64
 /// on the AVX ISAs — same register count, twice the lanes per register.
@@ -929,22 +917,6 @@ unsafe fn micro_base_f32(
     k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize, mode: Acc,
 ) {
     micro_body::<f32, 2, 8, false>(k, ap, bp, c, ldc, rows, cols, mode);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn micro_avx2_f64(
-    k: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, rows: usize, cols: usize, mode: Acc,
-) {
-    micro_body::<f64, 4, 8, false>(k, ap, bp, c, ldc, rows, cols, mode);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn micro_avx2_f32(
-    k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize, mode: Acc,
-) {
-    micro_body::<f32, 4, 16, false>(k, ap, bp, c, ldc, rows, cols, mode);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -1178,7 +1150,7 @@ fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut 
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512Fma => probe::panels(DType::F64, 8, 16),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma | Isa::Avx2 => probe::panels(DType::F64, 4, 8),
+            Isa::Avx2Fma => probe::panels(DType::F64, 4, 8),
             _ => probe::panels(DType::F64, 2, 8),
         }
     }
@@ -1187,8 +1159,6 @@ fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut 
         Isa::Avx512Fma => gemm_blocked_driver::<f64, 8, 16>(a, b, c, m, k, n, mode, micro_avx512_fma_f64),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2Fma => gemm_blocked_driver::<f64, 4, 8>(a, b, c, m, k, n, mode, micro_avx2_fma_f64),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => gemm_blocked_driver::<f64, 4, 8>(a, b, c, m, k, n, mode, micro_avx2_f64),
         _ => gemm_blocked_driver::<f64, 2, 8>(a, b, c, m, k, n, mode, micro_base_f64),
     }
 }
@@ -1199,7 +1169,7 @@ fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut 
             #[cfg(target_arch = "x86_64")]
             Isa::Avx512Fma => probe::panels(DType::F32, 8, 32),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma | Isa::Avx2 => probe::panels(DType::F32, 4, 16),
+            Isa::Avx2Fma => probe::panels(DType::F32, 4, 16),
             _ => probe::panels(DType::F32, 2, 8),
         }
     }
@@ -1208,8 +1178,6 @@ fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut 
         Isa::Avx512Fma => gemm_blocked_driver::<f32, 8, 32>(a, b, c, m, k, n, mode, micro_avx512_fma_f32),
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2Fma => gemm_blocked_driver::<f32, 4, 16>(a, b, c, m, k, n, mode, micro_avx2_fma_f32),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => gemm_blocked_driver::<f32, 4, 16>(a, b, c, m, k, n, mode, micro_avx2_f32),
         _ => gemm_blocked_driver::<f32, 2, 8>(a, b, c, m, k, n, mode, micro_base_f32),
     }
 }

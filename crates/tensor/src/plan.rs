@@ -1,5 +1,4 @@
-//! Compiled step plans: trace one SVI step, replay it many times
-//! (`TYXE_PLAN`; default on, `0` disables).
+//! Compiled step plans: trace one SVI step, replay it many times.
 //!
 //! SVI training rebuilds an identical autodiff graph every step. The
 //! buffer pool ([`crate::pool`]) recycles the *storage*, but graph
@@ -54,7 +53,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::tensor::Tensor;
 
@@ -77,35 +76,6 @@ mod probe {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| tyxe_obs::metrics::counter("plan.invalidated"))
     }
-}
-
-/// 0 = off, 1 = on, 2 = not yet read from the environment.
-static ENABLED: AtomicUsize = AtomicUsize::new(2);
-
-fn default_enabled() -> bool {
-    !matches!(std::env::var("TYXE_PLAN").as_deref(), Ok(v) if v.trim() == "0")
-}
-
-/// Whether plan compilation is active (`TYXE_PLAN` env gate, overridable
-/// via [`set_enabled`]). One relaxed atomic load on the fast path.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        0 => false,
-        _ => {
-            let on = default_enabled();
-            ENABLED.store(on as usize, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Runtime override of the `TYXE_PLAN` gate (used by the plan-parity
-/// determinism tests). Disabling does not drop already-compiled plans;
-/// drivers simply stop consulting them.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as usize, Ordering::Relaxed);
 }
 
 /// Global plan generation. Bumped by [`invalidate_all`]; every compiled

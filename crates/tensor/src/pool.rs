@@ -16,12 +16,12 @@
 //! so an `f32` buffer and an `f64` buffer of the same byte footprint
 //! recycle through the *same* bucket — freeing an `f32` activation can
 //! serve the next `f64` gradient and vice versa, with no per-dtype
-//! fragmentation. Requests above [`MAX_POOL_WORDS`] words (32 MiB) and
+//! fragmentation. Requests above [`MAX_POOL_WORDS`] words (64 KiB) and
 //! zero-length requests bypass the pool. Each bucket retains at most
-//! [`bucket_cap`] buffers — generous for small buckets (a live autodiff
-//! graph holds hundreds of small tensors at once), tight for multi-MiB
-//! ones — and excess returns are simply freed, so pool growth plateaus
-//! (the leak guard in `tests/pool.rs` pins this).
+//! [`bucket_cap`] buffers (a live autodiff graph holds hundreds of
+//! small tensors at once) and excess returns are simply freed, so a
+//! thread's retention is bounded by `BUCKETS` × 2 MiB (the guards in
+//! `tests/pool.rs` pin this).
 //!
 //! # Uninit-overwrite safety
 //!
@@ -34,15 +34,14 @@
 //! targets, RNG fills. Kernels that *accumulate* into their output
 //! (`col2im`, scatter-adds, broadcast reductions) use [`alloc_zeroed`].
 //! Because results never depend on a buffer's prior contents, numerics
-//! are bit-identical with the pool on or off — pinned end to end by
-//! `tests/determinism.rs`, per dtype.
+//! are bit-identical whether a buffer arrives zeroed from the system
+//! allocator or stale from a free-list — pinned end to end by
+//! `tests/determinism.rs`, per dtype, against a run on a freshly
+//! spawned thread whose free-lists start empty.
 //!
-//! # `TYXE_POOL` semantics
+//! # Counters
 //!
-//! `TYXE_POOL=0` disables recycling at process start: every allocation
-//! falls back to a plain zeroed vector and every return is freed. Any
-//! other value (or unset) enables the pool. [`set_enabled`] toggles at
-//! runtime (used by the parity tests). Obs counters
+//! The pool has no switch. Obs counters
 //! `tensor.alloc.pool_hit`/`pool_miss`/`bytes_recycled`, their
 //! per-dtype variants (`tensor.alloc.pool_hit.f32`, …) and the
 //! `tensor.alloc.pool_size` gauge are updated unconditionally so
@@ -53,7 +52,7 @@
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
 
 use crate::element::Element;
 
@@ -72,8 +71,8 @@ mod probe {
         C.get_or_init(|| tyxe_obs::metrics::counter("tensor.alloc.pool_hit"))
     }
 
-    /// Allocations that fell through to the system allocator (pool
-    /// disabled, empty bucket, or out-of-range size).
+    /// Allocations that fell through to the system allocator (empty
+    /// bucket or out-of-range size).
     pub fn pool_miss() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| tyxe_obs::metrics::counter("tensor.alloc.pool_miss"))
@@ -123,25 +122,26 @@ mod probe {
 
 /// Number of size buckets: bucket `b` holds buffers of capacity `2^b`
 /// words (= `2^(b+3)` bytes).
-const BUCKETS: usize = 23;
+const BUCKETS: usize = 14;
 
-/// Largest pooled buffer, in 8-byte words (`2^22` words = 32 MiB, the
-/// same byte ceiling the f64-only pool had). Bigger allocations go
-/// straight to the system allocator.
+/// Largest pooled buffer, in 8-byte words (`2^13` words = 64 KiB).
+/// Bigger allocations go straight to the system allocator: the
+/// benchmark workloads the pool speeds up (`fig1_hmc`,
+/// `fig1_svi_shared`) never allocate above 40 KB, and on the one that
+/// does (`tab1_resnet_mf`) retaining conv-sized buffers cost 40 MiB of
+/// peak RSS for no time (DESIGN.md §10).
 const MAX_POOL_WORDS: usize = 1 << (BUCKETS - 1);
 
 /// Retained-bytes target per bucket, used to derive [`bucket_cap`].
 const BUCKET_TARGET_BYTES: usize = 2 << 20;
 
 /// Free-list length cap for bucket `b`; returns beyond it are freed.
-/// Sized so each bucket retains ~[`BUCKET_TARGET_BYTES`], clamped to
-/// [4, 256]: small buckets must hold enough buffers for a whole live
-/// graph (steady-state hit rate depends on it), while the clamp floor
-/// keeps a few large buffers warm without letting one bucket pin
-/// hundreds of MiB. Bounds worst-case retention per thread and makes
-/// pool size plateau.
+/// Sized so each bucket retains at most [`BUCKET_TARGET_BYTES`], and at
+/// most 256 buffers: small buckets must hold enough buffers for a whole
+/// live graph (steady-state hit rate depends on it). Bounds worst-case
+/// retention per thread and makes pool size plateau.
 fn bucket_cap(b: usize) -> usize {
-    (BUCKET_TARGET_BYTES / ((1usize << b) * 8)).clamp(4, 256)
+    (BUCKET_TARGET_BYTES / ((1usize << b) * 8)).min(256)
 }
 
 /// Words needed to back `n` elements of `E`.
@@ -177,35 +177,6 @@ thread_local! {
 /// `tensor.alloc.pool_size` gauge). Signed so concurrent add/sub races
 /// can transiently dip without wrapping.
 static HELD_BYTES: AtomicI64 = AtomicI64::new(0);
-
-/// 0 = off, 1 = on, 2 = not yet read from the environment.
-static ENABLED: AtomicUsize = AtomicUsize::new(2);
-
-fn default_enabled() -> bool {
-    !matches!(std::env::var("TYXE_POOL").as_deref(), Ok(v) if v.trim() == "0")
-}
-
-/// Whether buffer recycling is active (`TYXE_POOL` env gate, overridable
-/// via [`set_enabled`]). One relaxed atomic load on the fast path.
-#[inline]
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 => true,
-        0 => false,
-        _ => {
-            let on = default_enabled();
-            ENABLED.store(on as usize, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Runtime override of the `TYXE_POOL` gate (used by the pool-parity
-/// determinism tests). Disabling does not drop already-retained buffers;
-/// they are reused again once re-enabled.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on as usize, Ordering::Relaxed);
-}
 
 /// (buffer count, total bytes) currently retained by **this** thread's
 /// free-lists. Byte-denominated: an `f32` and an `f64` buffer of equal
@@ -254,8 +225,7 @@ fn sub_held(words: usize) {
 /// to its previously stored length; the gap to `words` (if it grew
 /// within its bucket) is zero-filled.
 fn take(words: usize, zero: bool) -> (Vec<u64>, bool) {
-    let bucket = if enabled() { bucket_index(words) } else { None };
-    let Some(b) = bucket else {
+    let Some(b) = bucket_index(words) else {
         return (vec![0u64; words], false);
     };
     match FREE_LISTS.with(|fl| fl.0.borrow_mut()[b].pop()) {
@@ -328,9 +298,6 @@ pub(crate) fn alloc_filled<E: Element>(n: usize, value: E) -> PoolBuf<E> {
 /// (pool-allocated buffers qualify); everything else — and everything
 /// beyond the per-bucket cap — is freed normally.
 fn recycle_words(v: Vec<u64>) {
-    if !enabled() {
-        return;
-    }
     let cap = v.capacity();
     if cap == 0 || !cap.is_power_of_two() || cap > MAX_POOL_WORDS {
         return;
@@ -455,17 +422,9 @@ pub(crate) fn recycle_raw(v: Vec<u64>) {
 mod tests {
     use super::*;
 
-    /// Serializes tests that toggle the global enable flag or assert on
-    /// this thread's free-list state.
-    fn with_pool_lock<R>(f: impl FnOnce() -> R) -> R {
-        use std::sync::Mutex;
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let prev = enabled();
-        let r = f();
-        set_enabled(prev);
-        r
-    }
+    // Free-lists are thread-local and libtest runs each test on its own
+    // thread (or all on one under `--test-threads=1`), so every test
+    // that asserts on list state trims first.
 
     #[test]
     fn bucket_index_is_ceil_log2() {
@@ -490,213 +449,183 @@ mod tests {
 
     #[test]
     fn recycled_buffer_is_reused_with_stale_contents() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            let mut v = alloc_uninit::<f64>(100);
-            assert_eq!(v.len(), 100);
-            assert_eq!(v.word_capacity(), 128);
-            v.fill(7.25);
-            drop(v);
-            assert_eq!(thread_stats().0, 1);
-            // Same bucket, smaller request: stale contents visible.
-            let v2 = alloc_uninit::<f64>(65);
-            assert_eq!(v2.len(), 65);
-            assert!(v2.iter().all(|&x| x == 7.25));
-            // Zeroed requests scrub.
-            drop(v2);
-            let v3 = alloc_zeroed::<f64>(80);
-            assert!(v3.iter().all(|&x| x == 0.0));
-            trim_thread();
-        });
+        trim_thread();
+        let mut v = alloc_uninit::<f64>(100);
+        assert_eq!(v.len(), 100);
+        assert_eq!(v.word_capacity(), 128);
+        v.fill(7.25);
+        drop(v);
+        assert_eq!(thread_stats().0, 1);
+        // Same bucket, smaller request: stale contents visible.
+        let v2 = alloc_uninit::<f64>(65);
+        assert_eq!(v2.len(), 65);
+        assert!(v2.iter().all(|&x| x == 7.25));
+        // Zeroed requests scrub.
+        drop(v2);
+        let v3 = alloc_zeroed::<f64>(80);
+        assert!(v3.iter().all(|&x| x == 0.0));
+        drop(v3);
+        trim_thread();
     }
 
     #[test]
     fn f32_and_f64_share_byte_buckets() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            // 100 f64s = 800 bytes = 100 words -> bucket 7 (128 words).
-            let mut v = alloc_uninit::<f64>(100);
-            v.fill(-1.5);
-            drop(v);
-            assert_eq!(thread_stats(), (1, 128 * 8));
-            // 200 f32s = 800 bytes = the same bucket: the f64 buffer is
-            // reused, stale bits and all.
-            let v2 = alloc_uninit::<f32>(200);
-            assert_eq!(v2.len(), 200);
-            assert_eq!(v2.word_capacity(), 128);
-            assert_eq!(thread_stats().0, 0, "served from the shared bucket");
-            // And back: recycling the f32 buffer serves f64 again.
-            drop(v2);
-            let v3 = alloc_zeroed::<f64>(128);
-            assert_eq!(thread_stats().0, 0);
-            assert!(v3.iter().all(|&x| x == 0.0));
-            trim_thread();
-        });
+        trim_thread();
+        // 100 f64s = 800 bytes = 100 words -> bucket 7 (128 words).
+        let mut v = alloc_uninit::<f64>(100);
+        v.fill(-1.5);
+        drop(v);
+        assert_eq!(thread_stats(), (1, 128 * 8));
+        // 200 f32s = 800 bytes = the same bucket: the f64 buffer is
+        // reused, stale bits and all.
+        let v2 = alloc_uninit::<f32>(200);
+        assert_eq!(v2.len(), 200);
+        assert_eq!(v2.word_capacity(), 128);
+        assert_eq!(thread_stats().0, 0, "served from the shared bucket");
+        // And back: recycling the f32 buffer serves f64 again.
+        drop(v2);
+        let v3 = alloc_zeroed::<f64>(128);
+        assert_eq!(thread_stats().0, 0);
+        assert!(v3.iter().all(|&x| x == 0.0));
+        drop(v3);
+        trim_thread();
     }
 
     #[test]
     fn growing_within_bucket_zero_fills_the_gap() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            let mut v = alloc_uninit::<f64>(60);
-            v.fill(3.0);
-            drop(v);
-            let v2 = alloc_uninit::<f64>(64); // same bucket, longer than stored len
-            assert_eq!(v2.len(), 64);
-            assert!(v2[..60].iter().all(|&x| x == 3.0));
-            assert!(v2[60..].iter().all(|&x| x == 0.0));
-            trim_thread();
-        });
-    }
-
-    #[test]
-    fn disabled_pool_neither_stores_nor_serves() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            set_enabled(false);
-            let v = alloc_uninit::<f64>(50);
-            assert!(v.iter().all(|&x| x == 0.0), "disabled alloc must be plain");
-            drop(v);
-            assert_eq!(thread_stats().0, 0, "disabled recycle must drop");
-        });
+        trim_thread();
+        let mut v = alloc_uninit::<f64>(60);
+        v.fill(3.0);
+        drop(v);
+        let v2 = alloc_uninit::<f64>(64); // same bucket, longer than stored len
+        assert_eq!(v2.len(), 64);
+        assert!(v2[..60].iter().all(|&x| x == 3.0));
+        assert!(v2[60..].iter().all(|&x| x == 0.0));
+        drop(v2);
+        trim_thread();
     }
 
     #[test]
     fn per_bucket_cap_bounds_retention() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            let cap = bucket_cap(4);
-            for _ in 0..(cap + 10) {
-                recycle_raw(vec![0u64; 16]);
-            }
-            let (count, bytes) = thread_stats();
-            assert_eq!(count, cap);
-            assert_eq!(bytes, cap * 16 * 8);
-            trim_thread();
-            assert_eq!(thread_stats(), (0, 0));
-        });
+        trim_thread();
+        let cap = bucket_cap(4);
+        for _ in 0..(cap + 10) {
+            recycle_raw(vec![0u64; 16]);
+        }
+        let (count, bytes) = thread_stats();
+        assert_eq!(count, cap);
+        assert_eq!(bytes, cap * 16 * 8);
+        trim_thread();
+        assert_eq!(thread_stats(), (0, 0));
     }
 
     #[test]
     fn bucket_cap_scales_inversely_with_size() {
-        // Small buckets hit the 256 ceiling, the largest hit the 4
-        // floor, and no bucket may retain more than ~max(target, 4
-        // buffers) worth of bytes.
+        // Small buckets hit the 256-buffer ceiling; from there up every
+        // bucket retains exactly the byte target.
         assert_eq!(bucket_cap(0), 256);
-        assert_eq!(bucket_cap(BUCKETS - 1), 4);
+        assert_eq!(bucket_cap(BUCKETS - 1), BUCKET_TARGET_BYTES / (MAX_POOL_WORDS * 8));
         for b in 0..BUCKETS {
-            let bytes = bucket_cap(b) * (1 << b) * 8;
-            assert!(bytes <= BUCKET_TARGET_BYTES.max(4 * (1 << b) * 8));
-            assert!(bucket_cap(b) >= 4);
+            assert!(bucket_cap(b) >= 1);
+            assert!(bucket_cap(b) * (1 << b) * 8 <= BUCKET_TARGET_BYTES);
         }
     }
 
     #[test]
     fn odd_capacity_and_oversized_buffers_are_not_pooled() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            let odd = vec![0u64; 24];
-            recycle_raw(odd);
-            recycle_raw(Vec::new());
-            assert_eq!(thread_stats().0, 0);
-        });
+        trim_thread();
+        recycle_raw(vec![0u64; 24]);
+        recycle_raw(Vec::new());
+        recycle_raw(vec![0u64; MAX_POOL_WORDS * 2]);
+        assert_eq!(thread_stats().0, 0);
+        // A request above the ceiling is served by the system allocator
+        // at its exact size and never comes back.
+        let big = alloc_uninit::<f64>(MAX_POOL_WORDS + 1);
+        assert_eq!(big.word_capacity(), MAX_POOL_WORDS + 1);
+        drop(big);
+        assert_eq!(thread_stats(), (0, 0));
     }
 
     #[test]
     fn interleaved_sizes_and_dtypes_stress() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            let mut live64: Vec<PoolBuf<f64>> = Vec::new();
-            let mut live32: Vec<PoolBuf<f32>> = Vec::new();
-            let sizes = [1usize, 3, 17, 64, 100, 257, 1024, 4000, 5000, 33];
-            for round in 0..50 {
-                for (i, &n) in sizes.iter().enumerate() {
-                    if (round + i) % 3 == 0 {
-                        let mut v = alloc_uninit::<f32>(n);
-                        assert_eq!(v.len(), n);
-                        v.fill(round as f32);
-                        live32.push(v);
+        trim_thread();
+        let mut live64: Vec<PoolBuf<f64>> = Vec::new();
+        let mut live32: Vec<PoolBuf<f32>> = Vec::new();
+        let sizes = [1usize, 3, 17, 64, 100, 257, 1024, 4000, 5000, 33];
+        for round in 0..50 {
+            for (i, &n) in sizes.iter().enumerate() {
+                if (round + i) % 3 == 0 {
+                    let mut v = alloc_uninit::<f32>(n);
+                    assert_eq!(v.len(), n);
+                    v.fill(round as f32);
+                    live32.push(v);
+                } else {
+                    let mut v = if (round + i) % 2 == 0 {
+                        alloc_uninit::<f64>(n)
                     } else {
-                        let mut v = if (round + i) % 2 == 0 {
-                            alloc_uninit::<f64>(n)
-                        } else {
-                            alloc_zeroed::<f64>(n)
-                        };
-                        assert_eq!(v.len(), n);
-                        v.fill(round as f64);
-                        live64.push(v);
-                    }
+                        alloc_zeroed::<f64>(n)
+                    };
+                    assert_eq!(v.len(), n);
+                    v.fill(round as f64);
+                    live64.push(v);
                 }
-                // Return half, keep half across "steps".
-                let k64 = (live64.len() / 2).min(sizes.len() / 2);
-                drop(live64.drain(..k64).collect::<Vec<_>>());
-                let k32 = live32.len() / 2;
-                drop(live32.drain(..k32).collect::<Vec<_>>());
             }
-            live64.clear();
-            live32.clear();
-            let (count, _) = thread_stats();
-            assert!(count <= (0..BUCKETS).map(bucket_cap).sum());
-            trim_thread();
-        });
+            // Return half, keep half across "steps".
+            let k64 = (live64.len() / 2).min(sizes.len() / 2);
+            drop(live64.drain(..k64).collect::<Vec<_>>());
+            let k32 = live32.len() / 2;
+            drop(live32.drain(..k32).collect::<Vec<_>>());
+        }
+        live64.clear();
+        live32.clear();
+        let (count, _) = thread_stats();
+        assert!(count <= (0..BUCKETS).map(bucket_cap).sum());
+        trim_thread();
     }
 
     #[test]
     fn dead_threads_release_their_gauge_bytes() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            // Each worker retains bucket_cap(19) × 4 MiB buffers, then
-            // exits; the TLS Drop must hand those bytes back. Without it
-            // HELD_BYTES climbs by ~16 MiB per dead thread. Other tests
-            // churn the gauge concurrently, so assert a plateau (less
-            // than one thread's worth of growth) rather than equality.
-            let words = 1usize << 19;
-            let cap = bucket_cap(19);
-            let per_thread = (cap * words * 8) as i64;
-            let before = HELD_BYTES.load(Ordering::Relaxed);
-            for _ in 0..8 {
-                std::thread::spawn(move || {
-                    for _ in 0..cap + 2 {
-                        recycle_raw(vec![0u64; words]);
-                    }
-                    let (count, held) = thread_stats();
-                    assert_eq!(count, cap);
-                    assert_eq!(held, cap * words * 8);
-                })
-                .join()
-                .unwrap();
-            }
-            let after = HELD_BYTES.load(Ordering::Relaxed);
-            assert!(
-                after - before < per_thread,
-                "dead threads stranded pool_size bytes: before={before} after={after}"
-            );
-        });
+        // Each worker fills the largest bucket (2 MiB), then exits; the
+        // TLS Drop must hand those bytes back. Without it HELD_BYTES
+        // climbs by 2 MiB per dead thread. Other tests churn the gauge
+        // concurrently, so assert a plateau (less than half the growth
+        // a leak would show) rather than equality.
+        const THREADS: usize = 16;
+        let cap = bucket_cap(BUCKETS - 1);
+        let per_thread = (cap * MAX_POOL_WORDS * 8) as i64;
+        let before = HELD_BYTES.load(Ordering::Relaxed);
+        for _ in 0..THREADS {
+            std::thread::spawn(move || {
+                for _ in 0..cap + 2 {
+                    recycle_raw(vec![0u64; MAX_POOL_WORDS]);
+                }
+                let (count, held) = thread_stats();
+                assert_eq!(count, cap);
+                assert_eq!(held, cap * MAX_POOL_WORDS * 8);
+            })
+            .join()
+            .unwrap();
+        }
+        let after = HELD_BYTES.load(Ordering::Relaxed);
+        assert!(
+            after - before < per_thread * THREADS as i64 / 2,
+            "dead threads stranded pool_size bytes: before={before} after={after}"
+        );
     }
 
     #[test]
     fn poolbuf_drop_recycles() {
-        with_pool_lock(|| {
-            set_enabled(true);
-            trim_thread();
-            {
-                let _b = alloc_uninit::<f64>(512);
-            }
-            assert_eq!(thread_stats(), (1, 512 * 8));
-            // The f32 twin of the same byte footprint lands in the same
-            // bucket.
-            {
-                let _b = alloc_uninit::<f32>(1024);
-            }
-            assert_eq!(thread_stats(), (1, 512 * 8));
-            trim_thread();
-        });
+        trim_thread();
+        {
+            let _b = alloc_uninit::<f64>(512);
+        }
+        assert_eq!(thread_stats(), (1, 512 * 8));
+        // The f32 twin of the same byte footprint lands in the same
+        // bucket.
+        {
+            let _b = alloc_uninit::<f32>(1024);
+        }
+        assert_eq!(thread_stats(), (1, 512 * 8));
+        trim_thread();
     }
 }

@@ -1,12 +1,13 @@
 //! Disabled-probe overhead: with observability off, the instrumented
 //! public GEMM entry point must stay within noise of the bare blocked
 //! kernel it wraps (the PR 2 baseline path, still exported unprobed as
-//! `gemm_blocked`). Own process so `set_enabled(false)` is stable.
+//! `gemm_blocked`). Own process so `tyxe_obs::set_enabled(false)` is
+//! stable.
 //!
 //! Bounds are deliberately generous — this is a smoke test that the
 //! probe is one predicted branch + one relaxed load, not a benchmark;
-//! `scripts/bench.sh` against `results/BENCH_TENSOR.json` remains the
-//! precise regression check.
+//! the gated numbers are `benchmark/`'s, whose traced and untraced runs
+//! bracket the enabled-probe cost (`obs.trace_overhead_share`).
 
 use std::time::Instant;
 

@@ -1,26 +1,17 @@
 //! Buffer-pool stress tests from outside the crate: interleaved buffer
 //! sizes, cross-step reuse of recycled buffers, and bitwise parity
-//! between pool-on and pool-off execution (the `TYXE_POOL=0` kill-switch
-//! contract). The pool's uninit-reuse fast path hands out buffers still
-//! holding stale values, so any op that reads an output element it never
-//! wrote shows up here as a pool-on/pool-off divergence.
+//! between a run on cold free-lists and a run on warm ones. The pool's
+//! uninit-reuse fast path hands out buffers still holding stale values,
+//! so any op that reads an output element it never wrote shows up here
+//! as a divergence between the two.
 //!
-//! `tyxe_tensor::pool::set_enabled` is process-global, so the tests that
-//! toggle it serialize on a local mutex (the harness runs tests in this
-//! binary concurrently).
-
-use std::sync::{Mutex, MutexGuard, OnceLock};
+//! Free-lists are thread-local, so a freshly spawned thread is a pool
+//! that has never recycled anything: its first use of every buffer is a
+//! zeroed miss.
 
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
 use tyxe_tensor::{pool, Tensor};
-
-fn pool_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// A training-step-shaped workload mixing many buffer sizes: matmuls
 /// (overwrite-mode GEMM), elementwise maps, broadcasts, reductions,
@@ -76,41 +67,40 @@ fn mixed_workload(seed: u64) -> Vec<u64> {
     bits
 }
 
-/// Interleaved sizes + cross-step reuse: with the pool on, repeated runs
-/// recycle each other's buffers (step 2 onward runs almost entirely on
-/// stale uninit-reuse buffers) and must stay bit-identical to the first.
+/// Runs `f` on a new thread, i.e. on empty free-lists.
+fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    std::thread::spawn(f).join().expect("workload thread panicked")
+}
+
+/// Interleaved sizes + cross-step reuse: repeated runs recycle each
+/// other's buffers (step 2 onward runs almost entirely on stale
+/// uninit-reuse buffers) and must stay bit-identical to the first.
 #[test]
 fn repeated_workloads_reuse_buffers_bitwise_stable() {
-    let _guard = pool_lock();
-    let prev = pool::enabled();
-    pool::set_enabled(true);
     let first = mixed_workload(11);
     for _ in 0..4 {
         assert_eq!(first, mixed_workload(11), "recycled buffers leaked state");
     }
-    pool::set_enabled(prev);
 }
 
-/// `TYXE_POOL=0` parity: the same workload with recycling disabled must
-/// produce the same bits as with it enabled — including when the enabled
-/// run starts from free-lists already warmed by a different-shaped
-/// workload (worst case for stale contents).
+/// Cold/warm parity: the workload on a thread whose free-lists start
+/// empty must produce the same bits as on free-lists already warmed by a
+/// different seed (different values in every recycled buffer — the
+/// worst case for stale contents), sequentially and on 4 kernel threads.
 #[test]
-fn pool_on_off_parity_is_bitwise() {
-    let _guard = pool_lock();
-    let prev = pool::enabled();
-
-    pool::set_enabled(false);
-    let reference = mixed_workload(23);
-
-    pool::set_enabled(true);
-    // Warm the free-lists with a different seed (different values in the
-    // recycled buffers) before the measured run.
-    let _ = mixed_workload(99);
-    let pooled = mixed_workload(23);
-    assert_eq!(reference, pooled, "pool-on run diverged from pool-off run");
-
-    pool::set_enabled(prev);
+fn cold_and_warm_free_lists_are_bitwise_identical() {
+    let prev = tyxe_par::num_threads();
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        let reference = on_fresh_thread(|| mixed_workload(23));
+        let warm = on_fresh_thread(|| {
+            let _ = mixed_workload(99);
+            assert!(pool::thread_stats().0 > 0, "warm-up retained nothing");
+            mixed_workload(23)
+        });
+        assert_eq!(reference, warm, "warm free-lists changed the bits at {threads} threads");
+    }
+    tyxe_par::set_num_threads(prev);
 }
 
 /// Retention is bounded and reclaimable: after many runs the per-thread
@@ -118,29 +108,22 @@ fn pool_on_off_parity_is_bitwise() {
 /// this thread's share to zero.
 #[test]
 fn retention_plateaus_and_trim_releases() {
-    let _guard = pool_lock();
-    let prev = pool::enabled();
-    pool::set_enabled(true);
-
     for _ in 0..3 {
         let _ = mixed_workload(5);
     }
-    let (count_mid, elems_mid) = pool::thread_stats();
+    let (count_mid, bytes_mid) = pool::thread_stats();
     assert!(count_mid > 0, "pool retained nothing on this thread");
     for _ in 0..10 {
         let _ = mixed_workload(5);
     }
     // Buffer count may still creep as small buckets fill toward their
-    // caps, but retained elements (≈ bytes) must plateau.
-    let (count_after, elems_after) = pool::thread_stats();
+    // caps, but retained bytes must plateau.
+    let (count_after, bytes_after) = pool::thread_stats();
     assert!(
-        count_after <= count_mid * 2 + 32 && elems_after <= elems_mid * 2,
-        "retention grew: {count_mid}/{elems_mid} -> {count_after}/{elems_after}"
+        count_after <= count_mid * 2 + 32 && bytes_after <= bytes_mid * 2,
+        "retention grew: {count_mid}/{bytes_mid} -> {count_after}/{bytes_after}"
     );
 
     pool::trim_thread();
-    let (count_trimmed, elems_trimmed) = pool::thread_stats();
-    assert_eq!((count_trimmed, elems_trimmed), (0, 0), "trim left buffers behind");
-
-    pool::set_enabled(prev);
+    assert_eq!(pool::thread_stats(), (0, 0), "trim left buffers behind");
 }

@@ -29,9 +29,6 @@
 //!   percentile stats.
 //! * `--telemetry-dir <dir>` — session directory for worker flight
 //!   dumps (defaults to `<trace path>.telemetry` when tracing).
-//! * `--bench` — print one JSON timing line (steps/sec) and skip the
-//!   evaluation pass; `scripts/bench.sh` collects these into
-//!   `results/BENCH_DIST.json`.
 //! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` /
 //!   `TYXE_FAULT_KILL_PROB` — process-kill injection: the selected
 //!   worker's first incarnation calls `exit(113)` mid-step and the
@@ -60,7 +57,6 @@ struct Args {
     trace: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
     telemetry_dir: Option<std::path::PathBuf>,
-    bench: bool,
 }
 
 fn parse_args() -> Args {
@@ -72,7 +68,6 @@ fn parse_args() -> Args {
         trace: None,
         metrics: None,
         telemetry_dir: None,
-        bench: false,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -85,7 +80,6 @@ fn parse_args() -> Args {
             "--workers" => args.workers = num("--workers") as usize,
             "--shards" => args.shards = num("--shards") as usize,
             "--steps" => args.steps = num("--steps"),
-            "--bench" => args.bench = true,
             "--trace" => {
                 args.trace = Some(argv.next().expect("--trace requires a path").into());
             }
@@ -113,7 +107,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: distributed_svi [--workers N] [--shards S] [--steps K] \
                      [--precision f64|f32|mixed] [--trace out.json] [--metrics out.jsonl] \
-                     [--telemetry-dir dir] [--bench]"
+                     [--telemetry-dir dir]"
                 );
                 std::process::exit(2);
             }
@@ -179,35 +173,21 @@ fn main() {
     let elapsed = t0.elapsed();
 
     let steps_per_sec = args.steps as f64 / elapsed.as_secs_f64();
-    if args.bench {
-        println!(
-            "{{\"name\":\"dist_svi_step\",\"workers\":{},\"shards\":{},\"steps\":{},\
-             \"steps_per_sec\":{:.3},\"elapsed_ns\":{}}}",
-            args.workers,
-            args.shards,
-            args.steps,
-            steps_per_sec,
-            elapsed.as_nanos(),
-        );
-    } else {
-        println!(
-            "trained {} steps ({:?} precision) at {} workers x {} shards: {:.1} steps/sec",
-            args.steps, args.precision, args.workers, args.shards, steps_per_sec,
-        );
-        let first = fit.history.first().copied().unwrap_or(f64::NAN);
-        let last = fit.history.last().copied().unwrap_or(f64::NAN);
-        println!("first loss: {first:.4}  last loss: {last:.4}");
-    }
+    println!(
+        "trained {} steps ({:?} precision) at {} workers x {} shards: {:.1} steps/sec",
+        args.steps, args.precision, args.workers, args.shards, steps_per_sec,
+    );
+    let first = fit.history.first().copied().unwrap_or(f64::NAN);
+    let last = fit.history.last().copied().unwrap_or(f64::NAN);
+    println!("first loss: {first:.4}  last loss: {last:.4}");
     match &fit.dist {
         Some(report) => println!("{}", report.summary()),
         None => println!("in-process reference run (workers = 0): no dist report"),
     }
     println!("{}", sup.report().summary());
 
-    if !args.bench {
-        let eval = bnn.evaluate(&x, &y, 8);
-        println!("final fit error:         {:.4}", eval.error);
-    }
+    let eval = bnn.evaluate(&x, &y, 8);
+    println!("final fit error:         {:.4}", eval.error);
 
     // With a multi-process run the dist report carries the cross-process
     // telemetry: write ONE merged trace (coordinator + every rank and

@@ -20,27 +20,13 @@ fi
 # agree with the manifests, so resolution is fully deterministic.
 CARGO_NET_OFFLINE=true cargo build --release --frozen
 
-# The kernels promise bit-identical results at every thread count, with
-# the tensor buffer pool on or off (crates/tensor docs, DESIGN.md §10),
-# AND with compiled step plans on or off (DESIGN.md §11), so the whole
-# suite must pass across all three axes: single-threaded with recycling
-# and plans disabled (every allocation fresh, every graph rebuilt) and
-# 4 worker threads with both enabled (the defaults). The suite itself
-# covers both storage dtypes — the f32/mixed determinism, kernel
-# identity and grad-check tests (DESIGN.md §12) run in both
-# configurations here alongside the historical f64 ones.
-echo "verify: test suite @ TYXE_NUM_THREADS=1 TYXE_POOL=0 TYXE_PLAN=0"
-TYXE_NUM_THREADS=1 TYXE_POOL=0 TYXE_PLAN=0 CARGO_NET_OFFLINE=true cargo test -q --frozen
-echo "verify: test suite @ TYXE_NUM_THREADS=4 TYXE_POOL=1 TYXE_PLAN=1"
-TYXE_NUM_THREADS=4 TYXE_POOL=1 TYXE_PLAN=1 CARGO_NET_OFFLINE=true cargo test -q --frozen
-
-# Per-dtype determinism, explicitly: the suites that pin f32 and mixed
-# results bit-for-bit (across threads x pool x fusion x plan, at fixed
-# dtype) re-run as a dedicated step so a dtype regression is named in
-# the verify log, not buried in the workspace run above.
-echo "verify: per-dtype determinism + kernel identity suites"
-TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe-tensor --test parallel_identity
-TYXE_NUM_THREADS=4 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism
+# One run of the suite, at the defaults users get (the library has no
+# behaviour switches to sweep: the thread-count, cold/warm-pool,
+# replay/no-replay and per-dtype bit-identity pins build their own
+# references inside the tests — DESIGN.md §10–§12). --no-fail-fast so
+# one red binary cannot hide the ones after it.
+echo "verify: test suite"
+CARGO_NET_OFFLINE=true cargo test -q --frozen --no-fail-fast
 
 # Fault-injection + observability smoke run: a short supervised fit with
 # 5% NaN-gradient injection (and pool panics, on a forced 4-thread pool)
@@ -191,11 +177,12 @@ if grep -En '^[a-z0-9_-]+ *= *"[0-9]|version *= *"' crates/*/Cargo.toml; then
     exit 1
 fi
 
-# Prediction has one path and no switches (DESIGN.md §15): fail if the
-# deleted forward-plan layer, legacy bodies or their options grow back.
-# The filter drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
-    echo "verify: a deleted predictive layer or option reappeared" >&2
+# Prediction has one path and no switches (DESIGN.md §15), and neither
+# the pool nor step plans have one (§10, §11): fail if the deleted
+# forward-plan layer, legacy bodies, options or the bench-JSON plumbing
+# that swept them grow back. The filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|TYXE_BENCH_JSON" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+    echo "verify: a deleted layer, option or bench hook reappeared" >&2
     exit 1
 fi
 

@@ -74,18 +74,41 @@ fn different_seeds_give_different_trajectories() {
     assert_ne!(losses_a, losses_b);
 }
 
+/// How a run hands its batch to `svi_step`.
+#[derive(Clone, Copy)]
+enum Feed {
+    /// The same input `Tensor` every step, as users do: step 1 records
+    /// a plan and every later step replays it.
+    Same,
+    /// A fresh copy of the input every step. The plan's input signature
+    /// (keyed on tensor identity) never matches, so no step ever replays:
+    /// each one builds its graph dynamically (`bnn.rs`'s
+    /// `fresh_input_handles_never_replay` pins this).
+    Fresh,
+}
+
+impl Feed {
+    /// The handle this step passes for the batch input `x`.
+    fn input(self, x: &tyxe_tensor::Tensor) -> tyxe_tensor::Tensor {
+        match self {
+            Feed::Same => x.clone(),
+            Feed::Fresh => tyxe_tensor::Tensor::from_vec(x.to_vec(), x.shape()),
+        }
+    }
+}
+
 /// Like [`run_svi`] but with a network and batch large enough to push
 /// every matmul over the blocked-GEMM threshold, so the parallel kernel
 /// paths (not just the sequential references) are exercised end to end.
 fn run_svi_wide(seed: u64, steps: usize) -> SviTrace {
-    run_svi_wide_at(seed, steps, tyxe::Precision::F64)
+    run_svi_wide_at(seed, steps, tyxe::Precision::F64, Feed::Same)
 }
 
-/// [`run_svi_wide`] under an explicit precision policy. Site parameters
-/// are read back through the (exact) widening `to_vec`, so comparing
-/// their `f64` bit patterns is a faithful bitwise check at any storage
-/// dtype.
-fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTrace {
+/// [`run_svi_wide`] under an explicit precision policy and [`Feed`].
+/// Site parameters are read back through the (exact) widening `to_vec`,
+/// so comparing their `f64` bit patterns is a faithful bitwise check at
+/// any storage dtype.
+fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision, feed: Feed) -> SviTrace {
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let data = foong_regression(256, 0.1, 0);
@@ -99,7 +122,7 @@ fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTr
     .with_precision(precision);
     let mut optim = Adam::new(vec![], 1e-2);
     let losses: Vec<f64> = (0..steps)
-        .map(|_| bnn.svi_step(&data.x, &data.y, &mut optim))
+        .map(|_| bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim))
         .collect();
     let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
         .module()
@@ -114,6 +137,52 @@ fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTr
     (losses, sites)
 }
 
+/// Runs `f` on a new thread. The buffer pool's free-lists are
+/// thread-local, so `f` starts on a pool that has recycled nothing:
+/// its first use of every buffer is a zeroed miss.
+fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    std::thread::spawn(f).join().expect("run panicked")
+}
+
+/// [`run_svi_wide_at`] as users get it: plan replay, on free-lists
+/// warmed by a different seed (stale values in every recycled buffer).
+fn run_svi_wide_warm(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTrace {
+    on_fresh_thread(move || {
+        run_svi_wide_at(seed + 1000, 1, precision, Feed::Same);
+        assert!(tyxe_tensor::pool::thread_stats().0 > 0, "warm-up retained nothing");
+        run_svi_wide_at(seed, steps, precision, Feed::Same)
+    })
+}
+
+/// Bitwise comparison of two trajectories.
+fn assert_same_bits(reference: &SviTrace, subject: &SviTrace, what: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&reference.0), bits(&subject.0), "losses drifted: {what}");
+    assert_eq!(reference.1.len(), subject.1.len());
+    for ((name_r, loc_r, scale_r), (name_s, loc_s, scale_s)) in reference.1.iter().zip(&subject.1) {
+        assert_eq!(name_r, name_s);
+        assert_eq!(bits(loc_r), bits(loc_s), "loc drifted at {name_r}: {what}");
+        assert_eq!(bits(scale_r), bits(scale_s), "scale drifted at {name_r}: {what}");
+    }
+}
+
+/// The execution-strategy contract at one dtype (DESIGN.md §10–§12):
+/// the library at its one configuration — plan replay on warm
+/// free-lists, at 1 and 4 kernel threads — must match, bit for bit, a
+/// reference that uses none of it: one kernel thread, free-lists that
+/// start empty, and a fresh input handle every step so nothing replays.
+fn assert_matches_cold_dynamic_reference(seed: u64, steps: usize, precision: tyxe::Precision) {
+    let prev_threads = tyxe_par::num_threads();
+    tyxe_par::set_num_threads(1);
+    let reference = on_fresh_thread(move || run_svi_wide_at(seed, steps, precision, Feed::Fresh));
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        let subject = run_svi_wide_warm(seed, steps, precision);
+        assert_same_bits(&reference, &subject, &format!("{precision:?}, {threads} threads"));
+    }
+    tyxe_par::set_num_threads(prev_threads);
+}
+
 /// The tensor kernels' determinism contract, checked at the very top of
 /// the stack: a full SVI step — priors, guide sampling, forward pass,
 /// ELBO, backward pass, Adam update — must be bit-identical whether the
@@ -122,18 +191,11 @@ fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTr
 fn svi_step_is_bit_identical_across_thread_counts() {
     let prev = tyxe_par::num_threads();
     tyxe_par::set_num_threads(1);
-    let (losses_seq, sites_seq) = run_svi_wide(13, 2);
+    let sequential = run_svi_wide(13, 2);
     tyxe_par::set_num_threads(4);
-    let (losses_par, sites_par) = run_svi_wide(13, 2);
+    let parallel = run_svi_wide(13, 2);
     tyxe_par::set_num_threads(prev);
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&losses_seq), bits(&losses_par), "losses drifted with threads");
-    assert_eq!(sites_seq.len(), sites_par.len());
-    for ((name_s, loc_s, scale_s), (name_p, loc_p, scale_p)) in sites_seq.iter().zip(&sites_par) {
-        assert_eq!(name_s, name_p);
-        assert_eq!(bits(loc_s), bits(loc_p), "loc drifted with threads at {name_s}");
-        assert_eq!(bits(scale_s), bits(scale_p), "scale drifted with threads at {name_s}");
-    }
+    assert_same_bits(&sequential, &parallel, "4 kernel threads");
 }
 
 /// Observability must be a pure observer: enabling `tyxe-obs` (spans,
@@ -148,33 +210,12 @@ fn svi_step_is_bit_identical_with_observability_enabled() {
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
         tyxe_obs::set_enabled(false);
-        let (losses_off, sites_off) = run_svi_wide(29, 2);
+        let off = run_svi_wide(29, 2);
         tyxe_obs::set_enabled(true);
-        let (losses_on, sites_on) = run_svi_wide(29, 2);
+        let on = run_svi_wide(29, 2);
         tyxe_obs::set_enabled(false);
         tyxe_obs::trace::clear();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&losses_off),
-            bits(&losses_on),
-            "losses drifted with observability at {threads} threads"
-        );
-        assert_eq!(sites_off.len(), sites_on.len());
-        for ((name_off, loc_off, scale_off), (name_on, loc_on, scale_on)) in
-            sites_off.iter().zip(&sites_on)
-        {
-            assert_eq!(name_off, name_on);
-            assert_eq!(
-                bits(loc_off),
-                bits(loc_on),
-                "loc drifted with observability at {name_off} ({threads} threads)"
-            );
-            assert_eq!(
-                bits(scale_off),
-                bits(scale_on),
-                "scale drifted with observability at {name_off} ({threads} threads)"
-            );
-        }
+        assert_same_bits(&off, &on, &format!("observability on, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev);
 }
@@ -184,188 +225,56 @@ fn svi_step_is_bit_identical_with_observability_enabled() {
 /// thread-local pool must not perturb a single bit of a full SVI step —
 /// priors, guide sampling, fused forward, ELBO, backward, fused Adam
 /// update — sequentially or on a 4-thread kernel pool. Uninit-reuse is
-/// only allowed where every element is overwritten, so pool on/off can
-/// differ only if that classification is wrong somewhere; this test is
-/// the end-to-end pin.
+/// only allowed where every element is overwritten, so a run on empty
+/// free-lists ("off": every buffer first arrives zeroed) and one on
+/// lists full of another seed's values ("on") can differ only if that
+/// classification is wrong somewhere; this test is the end-to-end pin.
 #[test]
 fn svi_step_is_bit_identical_with_pool_on_and_off() {
     let prev_threads = tyxe_par::num_threads();
-    let prev_pool = tyxe_tensor::pool::enabled();
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
-        tyxe_tensor::pool::set_enabled(false);
-        let (losses_off, sites_off) = run_svi_wide(31, 2);
-        tyxe_tensor::pool::set_enabled(true);
-        let (losses_on, sites_on) = run_svi_wide(31, 2);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&losses_off),
-            bits(&losses_on),
-            "losses drifted with the buffer pool at {threads} threads"
-        );
-        assert_eq!(sites_off.len(), sites_on.len());
-        for ((name_off, loc_off, scale_off), (name_on, loc_on, scale_on)) in
-            sites_off.iter().zip(&sites_on)
-        {
-            assert_eq!(name_off, name_on);
-            assert_eq!(
-                bits(loc_off),
-                bits(loc_on),
-                "loc drifted with the buffer pool at {name_off} ({threads} threads)"
-            );
-            assert_eq!(
-                bits(scale_off),
-                bits(scale_on),
-                "scale drifted with the buffer pool at {name_off} ({threads} threads)"
-            );
-        }
+        let cold = on_fresh_thread(|| run_svi_wide(31, 2));
+        let warm = run_svi_wide_warm(31, 2, tyxe::Precision::F64);
+        assert_same_bits(&cold, &warm, &format!("warm free-lists, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev_threads);
-    tyxe_tensor::pool::set_enabled(prev_pool);
 }
 
 /// The compiled-step-plan contract (DESIGN.md §11), checked at the very
 /// top of the stack: replaying a recorded plan must be bit-identical to
-/// rebuilding the graph dynamically — across thread counts and with the
-/// buffer pool off or on, since replay reuses retained buffers where the
+/// rebuilding the graph dynamically — across thread counts and on cold
+/// or warm free-lists, since replay reuses retained buffers where the
 /// dynamic path allocates fresh ones. Four steps, so replay (not just
 /// the recording step, which *is* a dynamic step) dominates the run.
 #[test]
 fn svi_step_is_bit_identical_with_plan_on_and_off() {
-    let prev_threads = tyxe_par::num_threads();
-    let prev_pool = tyxe_tensor::pool::enabled();
-    let prev_plan = tyxe_tensor::plan::enabled();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    for threads in [1usize, 4] {
-        for pool in [false, true] {
-            tyxe_par::set_num_threads(threads);
-            tyxe_tensor::pool::set_enabled(pool);
-            tyxe_tensor::plan::set_enabled(false);
-            let (losses_dyn, sites_dyn) = run_svi_wide(37, 4);
-            tyxe_tensor::plan::set_enabled(true);
-            let (losses_plan, sites_plan) = run_svi_wide(37, 4);
-            assert_eq!(
-                bits(&losses_dyn),
-                bits(&losses_plan),
-                "losses drifted with plan replay ({threads} threads, pool {pool})"
-            );
-            assert_eq!(sites_dyn.len(), sites_plan.len());
-            for ((name_d, loc_d, scale_d), (name_p, loc_p, scale_p)) in
-                sites_dyn.iter().zip(&sites_plan)
-            {
-                assert_eq!(name_d, name_p);
-                assert_eq!(
-                    bits(loc_d),
-                    bits(loc_p),
-                    "loc drifted with plan replay at {name_d} ({threads} threads, pool {pool})"
-                );
-                assert_eq!(
-                    bits(scale_d),
-                    bits(scale_p),
-                    "scale drifted with plan replay at {name_d} ({threads} threads, pool {pool})"
-                );
-            }
-        }
-    }
-    tyxe_par::set_num_threads(prev_threads);
-    tyxe_tensor::pool::set_enabled(prev_pool);
-    tyxe_tensor::plan::set_enabled(prev_plan);
+    assert_matches_cold_dynamic_reference(37, 4, tyxe::Precision::F64);
 }
 
 /// The per-dtype determinism contract (DESIGN.md §12): determinism is
 /// pinned *at fixed dtype*. A full `f32`-storage SVI step — guide
 /// sampling, fused forward, ELBO, backward, Adam update — must be
-/// bit-identical across every execution-strategy axis: 1 vs 4 kernel
-/// threads × buffer pool off/on × compiled plan off/on, all compared
-/// against the sequential/no-pool/no-plan reference trajectory.
+/// bit-identical to the sequential/cold/never-replaying reference
+/// trajectory at 1 and 4 kernel threads.
 #[test]
 fn f32_svi_step_is_bit_identical_across_threads_pool_and_plan() {
-    let prev_threads = tyxe_par::num_threads();
-    let prev_pool = tyxe_tensor::pool::enabled();
-    let prev_plan = tyxe_tensor::plan::enabled();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-    tyxe_par::set_num_threads(1);
-    tyxe_tensor::pool::set_enabled(false);
-    tyxe_tensor::plan::set_enabled(false);
-    let (losses_ref, sites_ref) = run_svi_wide_at(53, 2, tyxe::Precision::F32);
-
-    for threads in [1usize, 4] {
-        for pool in [false, true] {
-            for plan in [false, true] {
-                tyxe_par::set_num_threads(threads);
-                tyxe_tensor::pool::set_enabled(pool);
-                tyxe_tensor::plan::set_enabled(plan);
-                let (losses, sites) = run_svi_wide_at(53, 2, tyxe::Precision::F32);
-                assert_eq!(
-                    bits(&losses_ref),
-                    bits(&losses),
-                    "f32 losses drifted ({threads} threads, pool {pool}, plan {plan})"
-                );
-                assert_eq!(sites_ref.len(), sites.len());
-                for ((name_r, loc_r, scale_r), (name_c, loc_c, scale_c)) in
-                    sites_ref.iter().zip(&sites)
-                {
-                    assert_eq!(name_r, name_c);
-                    assert_eq!(
-                        bits(loc_r),
-                        bits(loc_c),
-                        "f32 loc drifted at {name_r} ({threads} threads, pool {pool}, plan {plan})"
-                    );
-                    assert_eq!(
-                        bits(scale_r),
-                        bits(scale_c),
-                        "f32 scale drifted at {name_r} ({threads} threads, pool {pool}, plan {plan})"
-                    );
-                }
-            }
-        }
-    }
-    tyxe_par::set_num_threads(prev_threads);
-    tyxe_tensor::pool::set_enabled(prev_pool);
-    tyxe_tensor::plan::set_enabled(prev_plan);
+    assert_matches_cold_dynamic_reference(53, 2, tyxe::Precision::F32);
 }
 
-/// Mixed precision is deterministic too: same sweep as the f32 pin,
-/// shortened to the diagonal configurations (all-off vs all-on), since
-/// the axes are already covered independently above.
+/// Mixed precision is deterministic too: the same pin as f32.
 #[test]
 fn mixed_precision_svi_step_is_bit_reproducible() {
-    let prev_threads = tyxe_par::num_threads();
-    let prev_pool = tyxe_tensor::pool::enabled();
-    let prev_plan = tyxe_tensor::plan::enabled();
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-
-    tyxe_par::set_num_threads(1);
-    tyxe_tensor::pool::set_enabled(false);
-    tyxe_tensor::plan::set_enabled(false);
-    let (losses_ref, sites_ref) = run_svi_wide_at(59, 2, tyxe::Precision::Mixed);
-
-    tyxe_par::set_num_threads(4);
-    tyxe_tensor::pool::set_enabled(true);
-    tyxe_tensor::plan::set_enabled(true);
-    let (losses, sites) = run_svi_wide_at(59, 2, tyxe::Precision::Mixed);
-
-    tyxe_par::set_num_threads(prev_threads);
-    tyxe_tensor::pool::set_enabled(prev_pool);
-    tyxe_tensor::plan::set_enabled(prev_plan);
-
-    assert_eq!(bits(&losses_ref), bits(&losses), "mixed-precision losses drifted");
-    for ((name_r, loc_r, scale_r), (name_c, loc_c, scale_c)) in sites_ref.iter().zip(&sites) {
-        assert_eq!(name_r, name_c);
-        assert_eq!(bits(loc_r), bits(loc_c), "mixed loc drifted at {name_r}");
-        assert_eq!(bits(scale_r), bits(scale_c), "mixed scale drifted at {name_r}");
-    }
+    assert_matches_cold_dynamic_reference(59, 2, tyxe::Precision::Mixed);
 }
 
 /// Plan invalidation must never change answers: switching to a batch of
 /// a different shape mid-run forces a signature mismatch and a
 /// re-record, and the whole trajectory must still match the dynamic
-/// path bit for bit.
+/// path (fresh input handles, so nothing ever replays) bit for bit.
 #[test]
 fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
-    let run = |plan_on: bool| -> Vec<u64> {
-        tyxe_tensor::plan::set_enabled(plan_on);
+    let run = |feed: Feed| -> Vec<u64> {
         tyxe_prob::rng::set_seed(43);
         let mut rng = StdRng::seed_from_u64(43);
         let big = foong_regression(64, 0.1, 0);
@@ -382,19 +291,14 @@ fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
         // Three steps on the big batch (record + replays), then the
         // batch shape changes: the plan must invalidate and re-record,
         // then replay the new shape.
-        for _ in 0..3 {
-            losses.push(bnn.svi_step(&big.x, &big.y, &mut optim));
-        }
-        for _ in 0..3 {
-            losses.push(bnn.svi_step(&small.x, &small.y, &mut optim));
+        for data in [&big, &small] {
+            for _ in 0..3 {
+                losses.push(bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim));
+            }
         }
         losses.iter().map(|l| l.to_bits()).collect()
     };
-    let prev_plan = tyxe_tensor::plan::enabled();
-    let dynamic = run(false);
-    let planned = run(true);
-    tyxe_tensor::plan::set_enabled(prev_plan);
-    assert_eq!(dynamic, planned, "re-recorded plan drifted from the dynamic path");
+    assert_eq!(run(Feed::Fresh), run(Feed::Same), "re-recorded plan drifted from the dynamic path");
 }
 
 /// The acceptance gate on plan efficacy: over a 100-step single-batch
@@ -403,8 +307,6 @@ fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
 /// re-record).
 #[test]
 fn plan_hit_ratio_is_at_least_95_percent_over_100_step_fit() {
-    let prev_plan = tyxe_tensor::plan::enabled();
-    tyxe_tensor::plan::set_enabled(true);
     tyxe_prob::rng::set_seed(47);
     let mut rng = StdRng::seed_from_u64(47);
     let data = foong_regression(32, 0.1, 0);
@@ -420,7 +322,6 @@ fn plan_hit_ratio_is_at_least_95_percent_over_100_step_fit() {
     let batches = vec![(data.x.clone(), data.y.clone())];
     bnn.fit(&batches, &mut optim, 100, None);
     let hits = tyxe_obs::metrics::counter("plan.hit").get() - hits_before;
-    tyxe_tensor::plan::set_enabled(prev_plan);
     assert!(
         bnn.plan_unsupported_reason().is_none(),
         "plan unexpectedly unsupported: {:?}",
