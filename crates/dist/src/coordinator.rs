@@ -32,6 +32,7 @@ use std::io::{self, Read};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use tyxe_obs::metrics::{counter, counter_tagged, gauge, gauge_tagged, histogram_tagged, Counter};
@@ -131,7 +132,7 @@ fn proto_err(msg: String) -> io::Error {
 }
 
 impl Coordinator {
-    /// Binds the session socket, spawns `cfg.workers` workers and
+    /// Binds this launch's socket, spawns `cfg.workers` workers and
     /// completes their handshakes.
     pub fn launch(
         cfg: &DistConfig,
@@ -141,8 +142,15 @@ impl Coordinator {
     ) -> io::Result<Coordinator> {
         assert!(cfg.workers >= 1, "Coordinator::launch: at least one worker");
         assert!(cfg.num_shards >= 1, "Coordinator::launch: at least one shard");
-        let sock_path = std::env::temp_dir()
-            .join(format!("tyxe-dist-{}-{}.sock", std::process::id(), session));
+        // Unique per launch, not per session: two coordinators of one
+        // process (two `#[test]`s on two libtest threads) may carry the
+        // same session key and must not unlink each other's socket.
+        static LAUNCHES: AtomicU64 = AtomicU64::new(0);
+        let sock_path = std::env::temp_dir().join(format!(
+            "tyxe-dist-{}-{}.sock",
+            std::process::id(),
+            LAUNCHES.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_file(&sock_path);
         let listener = UnixListener::bind(&sock_path)?;
         listener.set_nonblocking(true)?;
