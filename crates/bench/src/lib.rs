@@ -2,10 +2,8 @@
 //! figure of the TyXe paper at laptop scale.
 //!
 //! Each experiment lives in its own module and is driven by a binary (see
-//! `src/bin/`); the in-tree wall-clock microbenchmarks in `benches/`
-//! (driven by [`harness`], no criterion dependency) measure the
-//! system-level costs (ELBO step latency with and without
-//! reparameterization tricks, HMC transitions, prediction throughput).
+//! `src/bin/`). Nothing here times code: wall-clock numbers come from
+//! the repo benchmark (`benchmark/`, DESIGN.md §6).
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
@@ -19,7 +17,6 @@
 
 pub mod gnn_exp;
 pub mod gradvar;
-pub mod harness;
 pub mod nerf_exp;
 pub mod regression_exp;
 pub mod report;

@@ -24,8 +24,8 @@
 //! so a resumed run re-enters the exact sharded numerics it left.
 
 use tyxe_dist::{
-    claim_session, reduce_results, run_worker, worker_env, Coordinator, DistConfig, DistReport,
-    ShardCompute, ShardResult,
+    reduce_results, run_worker, worker_env, Coordinator, DistConfig, DistReport, ShardCompute,
+    ShardResult,
 };
 use tyxe_nn::{Forward, Module};
 use tyxe_prob::optim::Optimizer;
@@ -222,14 +222,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// per step, reduced in fixed shard order so the result is
     /// bit-identical at any worker count and across worker deaths.
     ///
-    /// In a spawned worker process (see [`tyxe_dist::worker_env`]) this
-    /// call never returns when `session` matches the coordinator that
-    /// spawned it — the process serves shard work and exits. It returns
-    /// `None` in a worker whose session does not match (so a program
-    /// with several `fit_distributed` calls routes each child to the
-    /// right one); pass `session: None` to have one claimed in call
-    /// order, which both sides replay identically under
-    /// [`tyxe_dist::SpawnMode::SameArgs`].
+    /// `session` names this call among the program's `fit_distributed`
+    /// calls; the coordinator hands it to the workers it spawns. In a
+    /// spawned worker process (see [`tyxe_dist::worker_env`]) the call
+    /// made with the worker's key never returns — the process serves
+    /// shard work and exits — and every other call returns `None`.
     #[allow(clippy::too_many_arguments)] // mirrors fit_supervised + (cfg, session)
     pub fn fit_distributed(
         &self,
@@ -239,12 +236,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         num_steps: u64,
         supervisor: &mut Supervisor,
         cfg: &DistConfig,
-        session: Option<u64>,
+        session: u64,
     ) -> Option<DistFit>
     where
         M: Forward<Tensor, Output = Tensor>,
     {
-        let session = session.unwrap_or_else(claim_session);
         if let Some(env) = worker_env() {
             if env.session == session {
                 let mut compute = SviShardCompute::new(self, input, targets);

@@ -251,17 +251,21 @@ impl Coordinator {
     }
 
     /// Accepts connections until every pending worker has completed the
-    /// `Hello` → `Init` handshake.
+    /// `Hello` → `Init` handshake. Gives up at the deadline, or as soon
+    /// as every pending child has exited with nothing left to accept.
     fn accept_pending(&mut self) -> io::Result<()> {
+        let mut rejected: Vec<String> = Vec::new();
         let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         while !self.pending.is_empty() {
             if Instant::now() > deadline {
-                let waiting: Vec<u32> = self.pending.iter().map(|p| p.0).collect();
-                return Err(proto_err(format!("dist handshake timed out for ranks {waiting:?}")));
+                return Err(self.handshake_failure("timed out", rejected));
             }
             let stream = match self.listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if self.pending.iter_mut().all(|p| !matches!(p.2.try_wait(), Ok(None))) {
+                        return Err(self.handshake_failure("failed", rejected));
+                    }
                     std::thread::sleep(Duration::from_millis(2));
                     continue;
                 }
@@ -270,10 +274,31 @@ impl Coordinator {
             if let Err(e) = self.handshake(stream, deadline) {
                 // A garbled or stray connection is dropped, not fatal:
                 // its worker (if any) will be declared dead later.
-                self.report.events.push(format!("handshake rejected: {e}"));
+                let event = format!("handshake rejected: {e}");
+                self.report.events.push(event.clone());
+                rejected.push(event);
             }
         }
         Ok(())
+    }
+
+    /// Kills and reaps the still-pending children and says, per rank,
+    /// what became of each, followed by the connections `rejected`
+    /// during this wait — the caller gets an error, never the report
+    /// those events also sit in.
+    fn handshake_failure(&mut self, verdict: &str, rejected: Vec<String>) -> io::Error {
+        let mut why: Vec<String> = Vec::new();
+        for (rank, _, mut child) in std::mem::take(&mut self.pending) {
+            why.push(match child.try_wait() {
+                Ok(Some(status)) => format!("rank {rank} exited ({status}) before Hello"),
+                Ok(None) => format!("rank {rank} still running, never said Hello"),
+                Err(e) => format!("rank {rank} could not be waited on ({e})"),
+            });
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        why.extend(rejected);
+        proto_err(format!("dist handshake {verdict}: {}", why.join("; ")))
     }
 
     fn handshake(&mut self, mut stream: UnixStream, deadline: Instant) -> io::Result<()> {
@@ -693,5 +718,30 @@ impl Drop for Coordinator {
             let _ = child.wait();
         }
         let _ = std::fs::remove_file(&self.sock_path);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn handshake_failure_names_each_rank_exit_status_without_waiting_out_the_timeout() {
+        // The children re-run this test binary filtered to a test that
+        // does not exist: libtest runs nothing and exits 0, no Hello.
+        let cfg = DistConfig {
+            workers: 2,
+            spawn: SpawnMode::TestFunction("no_such_test".into()),
+            ..DistConfig::default()
+        };
+        let t0 = Instant::now();
+        let err = Coordinator::launch(&cfg, 0, vec![1], 0).err().expect("nobody says Hello");
+        assert!(t0.elapsed() < HANDSHAKE_TIMEOUT / 2, "waited out the timeout: {err}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("dist handshake failed: "), "{msg}");
+        for rank in 0..2 {
+            let needle = format!("rank {rank} exited (exit status: 0) before Hello");
+            assert!(msg.contains(&needle), "{msg}");
+        }
     }
 }

@@ -53,8 +53,9 @@ pub const ENV_ROLE: &str = "TYXE_DIST_ROLE";
 pub const ENV_RANK: &str = "TYXE_DIST_RANK";
 /// Environment variable carrying the coordinator's Unix socket path.
 pub const ENV_ADDR: &str = "TYXE_DIST_ADDR";
-/// Environment variable carrying the distributed session number this
-/// worker serves (see [`claim_session`]).
+/// Environment variable carrying the session key of the coordinator
+/// that spawned this worker: the re-executed program serves the
+/// distributed call made with the same key and skips the others.
 pub const ENV_SESSION: &str = "TYXE_DIST_SESSION";
 /// Environment variable carrying the worker incarnation (0 = first
 /// spawn, bumped on every respawn of the same rank).
@@ -131,8 +132,8 @@ pub struct WorkerEnv {
     pub rank: u32,
     /// Unix socket path of the coordinator.
     pub addr: std::path::PathBuf,
-    /// Distributed session this process serves (earlier sessions are
-    /// skipped, see [`claim_session`]).
+    /// Session key this process serves ([`ENV_SESSION`]); calls made
+    /// with any other key are skipped.
     pub session: u64,
     /// Spawn incarnation of this rank (0 = first).
     pub incarnation: u64,
@@ -160,18 +161,6 @@ pub fn worker_env() -> Option<WorkerEnv> {
         incarnation: get(ENV_INCARNATION)?.parse().ok()?,
         flight_dir: get(ENV_FLIGHT_DIR).map(Into::into),
     })
-}
-
-/// Claims the next distributed session number in this process.
-///
-/// Coordinator and worker processes run the *same program*, so counting
-/// `fit_distributed` entries from process start enumerates sessions
-/// identically on both sides: a worker spawned for session `k` skips
-/// its first `k` sessions (they already ran to completion in the
-/// coordinator) and serves the `k`-th.
-pub fn claim_session() -> u64 {
-    static SESSION: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    SESSION.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Loss and per-parameter gradients of one logical shard.

@@ -146,9 +146,43 @@ fn worker_counts_are_bit_identical() {
     assert_eq!(reference2.unwrap().0, idle.unwrap().0, "idle workers changed bits");
 }
 
+/// Two coordinators of one process, launched at the same time under the
+/// same session key (what two `#[test]`s on two libtest threads do):
+/// each must get its own socket and its own workers.
+#[test]
+fn concurrent_launches_sharing_a_session_key_do_not_collide() {
+    const NAME: &str = "concurrent_launches_sharing_a_session_key_do_not_collide";
+    let reference = toy_run(NAME, 0, 0, 4, 6);
+    let run = || toy_run(NAME, 1, 2, 4, 6);
+    if tyxe_dist::worker_role() {
+        run(); // a child serves its one coordinator here, then exits
+        unreachable!("worker escaped its session");
+    }
+    // Both threads enter `launch` together, so the two bind → handshake
+    // windows (a process spawn each, milliseconds) overlap.
+    let gate = std::sync::Barrier::new(2);
+    let gated = || {
+        gate.wait();
+        run()
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let (a, b) = (s.spawn(gated), s.spawn(gated));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    let reference = reference.unwrap();
+    assert_eq!(reference.0, a.unwrap().0, "first concurrent run != in-process reference");
+    assert_eq!(reference.0, b.unwrap().0, "second concurrent run != in-process reference");
+}
+
+/// The `tyxe_par::fault` knobs are process-global and a launch forwards
+/// them as they read at spawn time: the two tests that arm a kill and
+/// count its consequences take turns.
+static KILL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn killed_worker_respawns_and_bits_do_not_change() {
     const NAME: &str = "killed_worker_respawns_and_bits_do_not_change";
+    let _knobs = KILL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let reference = toy_run(NAME, 0, 0, 4, 6);
     // Schedule rank 1's first incarnation to die when it sees step 2.
     tyxe_par::fault::set_kill_step(Some(2));
@@ -165,6 +199,7 @@ fn killed_worker_respawns_and_bits_do_not_change() {
 #[test]
 fn exhausted_restart_budget_re_shards_over_survivors() {
     const NAME: &str = "exhausted_restart_budget_re_shards_over_survivors";
+    let _knobs = KILL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let reference = toy_run(NAME, 0, 0, 4, 6);
     tyxe_par::fault::set_kill_step(Some(1));
     tyxe_par::fault::set_kill_rank(1);

@@ -14,8 +14,8 @@
 //!    and export as JSONL or a `chrome://tracing`-compatible file.
 //! 2. **Metrics** ([`metrics`]): named counters, gauges and fixed
 //!    power-of-two-bucket histograms built purely on atomics, with a
-//!    [`metrics::snapshot`] API and a JSONL sink sharing the bench
-//!    harness record shape `{name, value, unit, tags}`.
+//!    [`metrics::snapshot`] API and a JSONL sink of
+//!    `{name, value, unit, tags}` records.
 //! 3. **Profiling probes**: every instrumentation point in the
 //!    workspace is gated on [`enabled`], a single relaxed atomic load
 //!    (~1 ns), so the disabled cost is unmeasurable. Rare-event

@@ -77,29 +77,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
     Ok(stats)
 }
 
-/// Extract `(span name, duration_ns)` pairs from a `chrome://tracing`
-/// document (single-process or merged multi-rank — every "X" event
-/// counts regardless of pid). Chrome `dur` is fractional microseconds;
-/// durations come back in integer nanoseconds. Used by
-/// `profile_svi --percentiles --input <trace>`.
-pub fn span_durations_from_chrome_trace(text: &str) -> Result<Vec<(String, u64)>, String> {
-    let doc = parse(text).map_err(|e| format!("trace is not valid JSON: {e}"))?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(|v| v.as_arr())
-        .ok_or("trace has no `traceEvents` array")?;
-    let mut out = Vec::new();
-    for ev in events {
-        if ev.get("ph").and_then(|v| v.as_str()) != Some("X") {
-            continue;
-        }
-        let name = ev.get("name").and_then(|v| v.as_str()).unwrap_or_default();
-        let dur_us = ev.get("dur").and_then(|v| v.as_num()).unwrap_or(0.0);
-        out.push((name.to_string(), (dur_us * 1e3).round().max(0.0) as u64));
-    }
-    Ok(out)
-}
-
 /// What a valid metrics JSONL file contained.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsStats {
@@ -111,8 +88,7 @@ pub struct MetricsStats {
 
 /// Validate metrics JSONL: every non-empty line is an object with
 /// string `name`, numeric `value`, string `unit` and an object `tags`
-/// whose values are all strings. Extra keys (the bench harness's
-/// legacy `min_ns`/`median_ns`/`mean_ns`) are allowed.
+/// whose values are all strings. Extra keys are allowed.
 pub fn validate_metrics_jsonl(text: &str) -> Result<MetricsStats, String> {
     let mut stats = MetricsStats::default();
     for (lineno, line) in text.lines().enumerate() {
@@ -166,7 +142,7 @@ mod tests {
     }
 
     #[test]
-    fn accepts_bench_harness_legacy_line() {
+    fn accepts_extra_keys() {
         let line = "{\"name\":\"gemm/256\",\"min_ns\":1,\"median_ns\":2,\"mean_ns\":3,\
                     \"value\":2.0,\"unit\":\"ns\",\"tags\":{\"stat\":\"median_ns\",\"source\":\"bench\"}}\n";
         let stats = validate_metrics_jsonl(line).unwrap();

@@ -346,8 +346,15 @@ impl Default for FaultStream {
 mod tests {
     use super::*;
 
+    /// The knobs are process-global and libtest runs tests on several
+    /// threads: hold the crate's test lock while setting and reading them.
+    fn knobs() -> std::sync::MutexGuard<'static, ()> {
+        crate::tests::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn decisions_are_pure_functions_of_coordinates() {
+        let _knobs = knobs();
         set_fault_seed(3);
         set_panic_prob(0.25);
         let a: Vec<bool> = (0..64).map(|i| task_panics(9, i)).collect();
@@ -361,6 +368,7 @@ mod tests {
 
     #[test]
     fn scheduled_kill_fires_once_at_its_exact_coordinate() {
+        let _knobs = knobs();
         set_fault_seed(0);
         set_kill_prob(0.0);
         set_kill_step(Some(7));
@@ -377,6 +385,7 @@ mod tests {
 
     #[test]
     fn probabilistic_kill_is_a_pure_function_of_coordinates() {
+        let _knobs = knobs();
         set_fault_seed(3);
         set_kill_step(None);
         set_kill_prob(0.25);

@@ -562,8 +562,9 @@ mod tests {
     use super::*;
     use tyxe_rand::{Rng, SeedableRng};
 
-    /// Serialises tests that mutate the global thread count.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// Serialises tests that mutate process-global state: the thread
+    /// count here, the fault knobs here and in `fault::tests`.
+    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     thread_local! {
         /// Nesting depth of `with_threads` on this thread; only the

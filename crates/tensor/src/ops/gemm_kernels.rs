@@ -898,10 +898,9 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
 
 type MicroFn<E> = unsafe fn(usize, &[E], &[E], &mut [E], usize, usize, usize, Acc);
 
-/// Microkernel instantiations. Tile shapes were tuned on the dense 256³
-/// case of `crates/bench/benches/tensor_ops.rs`: wider tiles starve the
-/// narrow ISAs of registers, narrower ones starve the wide ISAs of
-/// independent accumulator chains. f32 tiles double NR relative to f64
+/// Microkernel instantiations. Tile shapes were tuned on a dense 256³
+/// product: wider tiles starve the narrow ISAs of registers, narrower
+/// ones starve the wide ISAs of independent accumulator chains. f32 tiles double NR relative to f64
 /// on the AVX ISAs — same register count, twice the lanes per register.
 /// The autovectorized bodies cap out around 32 accumulator *registers*
 /// (LLVM's SROA promotion limit; bigger tiles spill to the stack), so

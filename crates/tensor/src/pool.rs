@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicI64, Ordering};
 use crate::element::Element;
 
 /// Cached tyxe-obs handles. Ungated: pool accounting must stay exact
-/// (the bench harness and the hit-ratio acceptance gate read these).
+/// (the benchmark and the hit-ratio acceptance gate read these).
 mod probe {
     use std::sync::OnceLock;
 

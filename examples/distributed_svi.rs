@@ -168,7 +168,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     // In a spawned worker this call serves shard work and exits.
     let fit = bnn
-        .fit_distributed(&x, &y, &mut optim, args.steps, &mut sup, &cfg, None)
+        .fit_distributed(&x, &y, &mut optim, args.steps, &mut sup, &cfg, 0)
         .expect("not in a worker process past fit_distributed");
     let elapsed = t0.elapsed();
 

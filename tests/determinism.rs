@@ -412,6 +412,7 @@ fn supervised_resume_is_bit_identical() {
 /// binary filtered to `test_name` and are routed to their session by
 /// number (assigned locally, in call order, identical in parent and
 /// child); they return `None` for the sessions that are not theirs.
+/// `telemetry_dir` arms the flight recorders of every process.
 fn run_dist_svi(
     test_name: &str,
     session: u64,
@@ -419,6 +420,7 @@ fn run_dist_svi(
     shards: u32,
     steps: u64,
     precision: tyxe::Precision,
+    telemetry_dir: Option<std::path::PathBuf>,
 ) -> Option<SviTrace> {
     tyxe_prob::rng::set_seed(7);
     let mut rng = StdRng::seed_from_u64(7);
@@ -440,17 +442,10 @@ fn run_dist_svi(
         workers,
         num_shards: shards as usize,
         spawn: tyxe::SpawnMode::TestFunction(test_name.to_string()),
+        telemetry_dir,
         ..tyxe::DistConfig::default()
     };
-    let fit = bnn.fit_distributed(
-        &data.x,
-        &data.y,
-        &mut optim,
-        steps,
-        &mut sup,
-        &cfg,
-        Some(session),
-    )?;
+    let fit = bnn.fit_distributed(&data.x, &data.y, &mut optim, steps, &mut sup, &cfg, session)?;
     let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
         .module()
         .sites()
@@ -481,10 +476,10 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
     // Every session runs unconditionally and in this order so a spawned
     // child replays the same numbering; children exit inside their own
     // session and never reach the assertions.
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F64);
-    let one = run_dist_svi(NAME, 1, 1, 4, 5, tyxe::Precision::F64);
-    let two = run_dist_svi(NAME, 2, 2, 4, 5, tyxe::Precision::F64);
-    let four = run_dist_svi(NAME, 3, 4, 4, 5, tyxe::Precision::F64);
+    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F64, None);
+    let one = run_dist_svi(NAME, 1, 1, 4, 5, tyxe::Precision::F64, None);
+    let two = run_dist_svi(NAME, 2, 2, 4, 5, tyxe::Precision::F64, None);
+    let four = run_dist_svi(NAME, 3, 4, 4, 5, tyxe::Precision::F64, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let reference = reference.unwrap();
     assert_traces_bit_equal(&reference, &one.unwrap(), "1 worker vs in-process");
@@ -495,58 +490,13 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
 #[test]
 fn f32_distributed_svi_is_bit_identical_across_worker_counts() {
     const NAME: &str = "f32_distributed_svi_is_bit_identical_across_worker_counts";
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F32);
-    let two = run_dist_svi(NAME, 1, 2, 4, 5, tyxe::Precision::F32);
-    let four = run_dist_svi(NAME, 2, 4, 4, 5, tyxe::Precision::F32);
+    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F32, None);
+    let two = run_dist_svi(NAME, 1, 2, 4, 5, tyxe::Precision::F32, None);
+    let four = run_dist_svi(NAME, 2, 4, 4, 5, tyxe::Precision::F32, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let reference = reference.unwrap();
     assert_traces_bit_equal(&reference, &two.unwrap(), "f32, 2 workers vs in-process");
     assert_traces_bit_equal(&reference, &four.unwrap(), "f32, 4 workers vs in-process");
-}
-
-/// [`run_dist_svi`] with a telemetry session directory, for the
-/// observability half of the distributed determinism contract.
-fn run_dist_svi_traced(
-    test_name: &str,
-    session: u64,
-    workers: usize,
-    telemetry_dir: Option<std::path::PathBuf>,
-) -> Option<SviTrace> {
-    tyxe_prob::rng::set_seed(7);
-    let mut rng = StdRng::seed_from_u64(7);
-    let data = foong_regression(32, 0.1, 0);
-    let net = tyxe_nn::layers::mlp(&[1, 16, 1], false, &mut rng);
-    let bnn: Bnn = VariationalBnn::new(
-        net,
-        &IIDPrior::standard_normal(),
-        HomoskedasticGaussian::new(data.len(), 0.1),
-        AutoNormal::new().init_scale(1e-2),
-    );
-    let mut optim = Adam::new(vec![], 1e-2);
-    let mut sup = tyxe::Supervisor::new(
-        bnn.trainable_parameters(),
-        tyxe::SupervisorConfig::default(),
-    );
-    let cfg = tyxe::DistConfig {
-        workers,
-        num_shards: 4,
-        spawn: tyxe::SpawnMode::TestFunction(test_name.to_string()),
-        telemetry_dir,
-        ..tyxe::DistConfig::default()
-    };
-    let fit =
-        bnn.fit_distributed(&data.x, &data.y, &mut optim, 5, &mut sup, &cfg, Some(session))?;
-    let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
-        .module()
-        .sites()
-        .iter()
-        .map(|site| {
-            let d = bnn.guide().distribution(&site.name).expect("site in guide");
-            (site.name.clone(), d.loc().to_vec(), d.scale().to_vec())
-        })
-        .collect();
-    sites.sort_by(|a, b| a.0.cmp(&b.0));
-    Some((fit.history, sites))
 }
 
 /// The distributed half of the observability determinism contract
@@ -565,8 +515,9 @@ fn distributed_svi_bits_are_unchanged_by_telemetry() {
     // sessions inherit the resolved TYXE_OBS=1 from the coordinator).
     let run = |session: u64, workers: usize, telemetry: bool| -> Option<SviTrace> {
         tyxe_obs::set_enabled(telemetry);
+        let telemetry_dir = telemetry.then(|| dir.clone());
         let result =
-            run_dist_svi_traced(NAME, session, workers, telemetry.then(|| dir.clone()));
+            run_dist_svi(NAME, session, workers, 4, 5, tyxe::Precision::F64, telemetry_dir);
         tyxe_obs::set_enabled(false);
         tyxe_obs::flight::deconfigure();
         tyxe_obs::trace::clear();
@@ -595,7 +546,7 @@ fn single_shard_distributed_svi_matches_plain_svi_bitwise() {
     // At one logical shard, shard 0 *is* the whole batch and the sharded
     // estimator reduces to the plain SVI loss — so the distributed path
     // must reproduce `run_svi` (which uses raw `svi_step`) bit for bit.
-    let dist = run_dist_svi(NAME, 0, 1, 1, 5, tyxe::Precision::F64);
+    let dist = run_dist_svi(NAME, 0, 1, 1, 5, tyxe::Precision::F64, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let plain = run_svi(7, 5);
     assert_traces_bit_equal(&dist.unwrap(), &plain, "1-shard dist vs plain SVI");

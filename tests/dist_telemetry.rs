@@ -100,7 +100,7 @@ fn run_dist_traced(
         telemetry_dir,
         ..tyxe::DistConfig::default()
     };
-    bnn.fit_distributed(&x, &y, &mut optim, steps, &mut sup, &cfg, Some(session))
+    bnn.fit_distributed(&x, &y, &mut optim, steps, &mut sup, &cfg, session)
 }
 
 /// Every "X" event in the merged document, in emission order:

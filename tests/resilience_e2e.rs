@@ -250,7 +250,7 @@ fn run_dist(
         spawn: tyxe::SpawnMode::TestFunction(test_name.to_string()),
         ..tyxe::DistConfig::default()
     };
-    let fit = bnn.fit_distributed(&x, &y, &mut optim, steps, &mut sup, &cfg, Some(session))?;
+    let fit = bnn.fit_distributed(&x, &y, &mut optim, steps, &mut sup, &cfg, session)?;
     Some((site_params(&bnn), fit.dist.map_or(0, |r| r.worker_restarts)))
 }
 
@@ -361,7 +361,7 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let a = build_bnn(9, hidden, n);
     let mut optim_a = Adam::new(vec![], 1e-2);
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    a.fit_distributed(&x, &y, &mut optim_a, 30, &mut sup_a, &cfg(4), Some(0)).unwrap();
+    a.fit_distributed(&x, &y, &mut optim_a, 30, &mut sup_a, &cfg(4), 0).unwrap();
     let reference = site_params(&a);
 
     // Interrupted at 20, then resumed under a *2-shard* config.
@@ -371,7 +371,7 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let b1 = build_bnn(9, hidden, n);
     let mut optim_b1 = Adam::new(vec![], 1e-2);
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    b1.fit_distributed(&x, &y, &mut optim_b1, 20, &mut sup_b1, &cfg(4), Some(1)).unwrap();
+    b1.fit_distributed(&x, &y, &mut optim_b1, 20, &mut sup_b1, &cfg(4), 1).unwrap();
     drop((b1, optim_b1, sup_b1));
 
     tyxe_prob::rng::set_seed(9);
@@ -380,7 +380,7 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 20);
-    b2.fit_distributed(&x, &y, &mut optim_b2, 30, &mut sup_b2, &cfg(2), Some(2)).unwrap();
+    b2.fit_distributed(&x, &y, &mut optim_b2, 30, &mut sup_b2, &cfg(2), 2).unwrap();
     assert_eq!(reference, site_params(&b2), "shard-count override broke the trajectory");
 
     let _ = std::fs::remove_file(&path);
