@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use tyxe_nn::{Forward, Module, Param, ParamInfo};
 use tyxe_prob::dist::{kl_divergence, DynDistribution};
-use tyxe_prob::mcmc::{Kernel, Mcmc, Samples};
+use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{negative_elbo, ElboEstimator};
@@ -834,6 +834,7 @@ pub struct McmcBnn<M, L, K> {
     likelihood: L,
     kernel: Option<K>,
     samples: Option<Samples>,
+    chain_stats: Option<ChainStats>,
     /// Flat copies of the chain draws `predict` uses; the chain is
     /// immutable after `fit`, so the guide epoch is always 0.
     predictive: SampleCache,
@@ -847,6 +848,7 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
             likelihood,
             kernel: Some(kernel),
             samples: None,
+            chain_stats: None,
             predictive: SampleCache::default(),
         }
     }
@@ -873,7 +875,9 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
             self.likelihood.observe_data(&pred, targets);
         };
         let mut mcmc = Mcmc::new(kernel, num_samples, warmup);
-        self.samples = Some(mcmc.run(&model));
+        let samples = mcmc.run(&model);
+        self.chain_stats = mcmc.stats().cloned();
+        self.samples = Some(samples);
     }
 
     /// The retained posterior samples.
@@ -883,6 +887,26 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
     /// Panics if `fit` has not been called.
     pub fn samples(&self) -> &Samples {
         self.samples.as_ref().expect("call McmcBnn::fit first")
+    }
+
+    /// The chain's mean acceptance statistics (warm-up and retained
+    /// phase) and divergence count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fit` has not been called.
+    pub fn chain_stats(&self) -> &ChainStats {
+        self.chain_stats.as_ref().expect("call McmcBnn::fit first")
+    }
+
+    /// Why the chain did not replay a compiled potential, if it did not:
+    /// `Some(reason)` once `fit` traced the potential to something
+    /// unreplayable (a `matmul`/`conv2d`/`update_all` net, a
+    /// `Categorical` likelihood, an unregistered RNG draw) and sampled
+    /// on the dynamic graph — same bits, slower; `None` when it replayed
+    /// or before `fit`.
+    pub fn plan_unsupported_reason(&self) -> Option<String> {
+        self.chain_stats.as_ref()?.plan_unsupported_reason.clone()
     }
 
     /// Posterior predictive samples using `num_predictions` draws spread

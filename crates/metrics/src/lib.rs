@@ -1,7 +1,8 @@
 //! `tyxe-metrics`: the uncertainty-quantification metrics used by the TyXe
 //! paper's evaluation — negative log likelihood, accuracy, expected
 //! calibration error, calibration curves, AUROC for OOD detection, and
-//! predictive-entropy ECDFs.
+//! predictive-entropy ECDFs — and the two chain diagnostics an MCMC run is
+//! judged by, split-R-hat and effective sample size.
 
 use tyxe_tensor::Tensor;
 
@@ -237,6 +238,118 @@ pub fn mean_and_2se(values: &[f64]) -> (f64, f64) {
     (mean, 2.0 * (var / n).sqrt())
 }
 
+/// Each chain cut into its first and second half (the middle draw of an
+/// odd-length chain is dropped), so a chain that drifts disagrees with
+/// itself.
+///
+/// # Panics
+///
+/// Panics unless there is at least one chain, all chains have the same
+/// length and that length is at least 4.
+fn split_halves(chains: &[Vec<f64>]) -> Vec<&[f64]> {
+    assert!(!chains.is_empty(), "chain diagnostics: need at least one chain");
+    let len = chains[0].len();
+    assert!(len >= 4, "chain diagnostics: need at least 4 draws per chain, got {len}");
+    assert!(
+        chains.iter().all(|c| c.len() == len),
+        "chain diagnostics: chains differ in length"
+    );
+    let half = len / 2;
+    chains.iter().flat_map(|c| [&c[..half], &c[len - half..]]).collect()
+}
+
+/// Per-chain means, within-chain variance `W` and the pooled estimate
+/// `var⁺` of the posterior variance (Gelman et al., BDA3 §11.4) over
+/// equal-length chains.
+fn chain_moments(chains: &[&[f64]]) -> (Vec<f64>, f64, f64) {
+    let n = chains[0].len() as f64;
+    let m = chains.len() as f64;
+    let means: Vec<f64> = chains.iter().map(|c| c.iter().sum::<f64>() / n).collect();
+    let within = chains
+        .iter()
+        .zip(&means)
+        .map(|(c, mu)| c.iter().map(|x| (x - mu) * (x - mu)).sum::<f64>() / (n - 1.0))
+        .sum::<f64>()
+        / m;
+    let grand = means.iter().sum::<f64>() / m;
+    let between_over_n = means.iter().map(|mu| (mu - grand) * (mu - grand)).sum::<f64>() / (m - 1.0);
+    (means, within, (n - 1.0) / n * within + between_over_n)
+}
+
+/// Split-R-hat of one scalar quantity over one or more equal-length
+/// chains (Gelman et al., BDA3 §11.4; no rank normalisation): the square
+/// root of the pooled over the within-chain variance of the half-chains.
+/// Near 1 when the chains, and the halves of each, agree; values above
+/// 1.01 say they have not mixed.
+///
+/// Chains that never move and all sit on one value return 1 (nothing
+/// disagrees); chains that never move but sit on different values return
+/// infinity.
+///
+/// # Panics
+///
+/// Panics unless there is at least one chain, all chains have the same
+/// length and that length is at least 4.
+pub fn split_rhat(chains: &[Vec<f64>]) -> f64 {
+    let (_, within, pooled) = chain_moments(&split_halves(chains));
+    if pooled == 0.0 {
+        return 1.0;
+    }
+    (pooled / within).sqrt()
+}
+
+/// Effective sample size of one scalar quantity over one or more
+/// equal-length chains: the number of independent draws that would
+/// estimate its mean as well as these autocorrelated ones do. Chains are
+/// split in halves as for [`split_rhat`]; the autocorrelation at each lag
+/// combines the within-chain autocovariances with the pooled variance
+/// (BDA3 eq. 11.7), and the sum over lags stops at the first adjacent
+/// pair whose sum is not positive (Geyer's initial positive sequence). No
+/// rank normalisation, so this is the bulk-ESS of a roughly Gaussian
+/// quantity only.
+///
+/// A quantity that is constant over all draws returns the number of draws
+/// (its mean is known exactly).
+///
+/// # Panics
+///
+/// Panics unless there is at least one chain, all chains have the same
+/// length and that length is at least 4.
+pub fn ess(chains: &[Vec<f64>]) -> f64 {
+    let halves = split_halves(chains);
+    let n = halves[0].len();
+    let draws = (halves.len() * n) as f64;
+    let (means, within, pooled) = chain_moments(&halves);
+    if pooled == 0.0 {
+        return draws;
+    }
+    // Mean over chains of the lag-`t` autocovariance (1/n normalisation).
+    let autocov = |t: usize| {
+        halves
+            .iter()
+            .zip(&means)
+            .map(|(c, mu)| (0..n - t).map(|i| (c[i] - mu) * (c[i + t] - mu)).sum::<f64>() / n as f64)
+            .sum::<f64>()
+            / halves.len() as f64
+    };
+    let rho = |t: usize| 1.0 - (within - autocov(t)) / pooled;
+    // rho(0) + rho(1), then further pairs while they stay positive.
+    let mut pair_sum = 0.0;
+    let mut t = 0;
+    while t + 1 < n {
+        let pair = if t == 0 { 1.0 + rho(1) } else { rho(t) + rho(t + 1) };
+        if pair <= 0.0 {
+            break;
+        }
+        pair_sum += pair;
+        t += 2;
+    }
+    let tau = 2.0 * pair_sum - 1.0;
+    // Antithetic chains can push tau towards 0; cap the estimate the way
+    // Stan does rather than report an unbounded ESS.
+    draws / tau.max(1.0 / draws.log10())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,5 +470,80 @@ mod tests {
     fn max_probability_extracts_confidence() {
         let p = probs(&[&[0.2, 0.8], &[0.6, 0.4]]);
         assert_eq!(max_probability(&p), vec![0.8, 0.6]);
+    }
+    fn normal_draws(n: usize, seed: u64) -> Vec<f64> {
+        use tyxe_rand::SeedableRng;
+        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(seed);
+        Tensor::randn(&[n], &mut rng).to_vec()
+    }
+
+    /// `x_t = rho * x_{t-1} + sqrt(1 - rho^2) * e_t`, stationary from the
+    /// first draw: unit variance, lag-`k` autocorrelation `rho^k`.
+    fn ar1(n: usize, rho: f64, seed: u64) -> Vec<f64> {
+        let e = normal_draws(n, seed);
+        let mut x = vec![e[0]];
+        for t in 1..n {
+            x.push(rho * x[t - 1] + (1.0 - rho * rho).sqrt() * e[t]);
+        }
+        x
+    }
+
+    #[test]
+    fn iid_normal_chains_have_unit_rhat_and_full_ess() {
+        let chains: Vec<Vec<f64>> = (0..4).map(|c| normal_draws(5000, 100 + c)).collect();
+        let rhat = split_rhat(&chains);
+        assert!((rhat - 1.0).abs() < 0.01, "R-hat {rhat}");
+        let n = 20_000.0;
+        let e = ess(&chains);
+        assert!((e - n).abs() < 0.2 * n, "ESS {e} of {n} i.i.d. draws");
+        // One chain alone is split too.
+        let e1 = ess(&chains[..1]);
+        assert!((e1 - 5000.0).abs() < 0.2 * 5000.0, "ESS {e1} of 5000 i.i.d. draws");
+        assert!((split_rhat(&chains[..1]) - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn ar1_ess_matches_the_analytic_value() {
+        let rho = 0.9;
+        let chains: Vec<Vec<f64>> = (0..4).map(|c| ar1(20_000, rho, 200 + c)).collect();
+        let n = 80_000.0;
+        let want = n * (1.0 - rho) / (1.0 + rho);
+        let e = ess(&chains);
+        assert!((e - want).abs() < 0.25 * want, "ESS {e}, analytic {want}");
+        assert!((split_rhat(&chains) - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn chains_with_different_means_fail_rhat() {
+        let a = normal_draws(1000, 300);
+        let b: Vec<f64> = normal_draws(1000, 301).iter().map(|x| x + 3.0).collect();
+        let chains = [a, b];
+        let rhat = split_rhat(&chains);
+        assert!(rhat > 1.1, "R-hat {rhat}");
+        // Disagreeing chains are worth few draws, not 2000.
+        assert!(ess(&chains) < 100.0, "ESS {}", ess(&chains));
+        // So does one chain that drifts: its halves disagree.
+        let drift: Vec<f64> = normal_draws(1000, 302)
+            .iter()
+            .enumerate()
+            .map(|(i, x)| x + 6.0 * i as f64 / 1000.0)
+            .collect();
+        assert!(split_rhat(&[drift]) > 1.1);
+    }
+
+    #[test]
+    fn constant_chains_have_defined_diagnostics() {
+        let stuck = vec![vec![2.5; 100], vec![2.5; 100]];
+        assert_eq!(split_rhat(&stuck), 1.0);
+        assert_eq!(ess(&stuck), 200.0);
+        let apart = vec![vec![1.0; 100], vec![2.0; 100]];
+        assert_eq!(split_rhat(&apart), f64::INFINITY);
+        assert!(ess(&apart).is_finite() && ess(&apart) > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "chains differ in length")]
+    fn ragged_chains_are_rejected() {
+        let _ = split_rhat(&[vec![0.0; 10], vec![0.0; 12]]);
     }
 }

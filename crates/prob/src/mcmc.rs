@@ -4,10 +4,20 @@
 //! Kernels operate on a flattened vector of all latent sites. The potential
 //! energy is the negative log joint of the conditioned model, differentiated
 //! with the tensor crate's reverse-mode engine.
+//!
+//! The potential's graph never changes shape along a chain, so [`Mcmc::run`]
+//! compiles it: the chain's first evaluation is recorded as a
+//! `tyxe_tensor::plan::StepPlan` and every later `U(q)`, `∇U(q)` replays it
+//! (DESIGN.md §11, "a second driver"). A [`LatentLayout`] that `Mcmc::run`
+//! did not bind — anything [`LatentLayout::discover`] returns — rebuilds
+//! trace, handler stack and graph on every call: the dynamic oracle.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::OnceLock;
 
+use tyxe_tensor::plan::{self, StepPlan};
 use tyxe_tensor::Tensor;
 
 use crate::poutine::{condition, trace};
@@ -24,20 +34,88 @@ pub fn divergence_counter() -> &'static tyxe_obs::metrics::Counter {
     C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.divergences"))
 }
 
-/// Cached counter of leapfrog integration steps (`prob.mcmc.leapfrog_steps`);
-/// updates are gated on `tyxe_obs::enabled()` — it is a hot-path probe.
-fn leapfrog_counter() -> &'static tyxe_obs::metrics::Counter {
-    static C: OnceLock<tyxe_obs::metrics::Counter> = OnceLock::new();
-    C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.leapfrog_steps"))
+/// Cached hot-path counters; every update is gated on
+/// `tyxe_obs::enabled()` at the call site.
+mod probe {
+    use std::sync::OnceLock;
+
+    use tyxe_obs::metrics::Counter;
+
+    /// Leapfrog integration steps.
+    pub fn leapfrog_steps() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.leapfrog_steps"))
+    }
+
+    /// Evaluations of `U(q)`, `∇U(q)`, by whichever path served them.
+    pub fn potential_evals() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.potential_evals"))
+    }
+
+    /// Evaluations served by replaying the chain's recorded plan.
+    pub fn potential_replays() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.potential_replays"))
+    }
+
+    /// Evaluations that ran under the plan recorder: one per chain, plus
+    /// one per plan-generation bump the chain lived through.
+    pub fn potential_records() -> &'static Counter {
+        static C: OnceLock<Counter> = OnceLock::new();
+        C.get_or_init(|| tyxe_obs::metrics::counter("prob.mcmc.potential_records"))
+    }
 }
 
 /// Latent-site layout: names, shapes and flat offsets.
+///
+/// Not `Send`: the layout [`Mcmc::run`] threads through its kernel also
+/// carries the chain's compiled potential (an `Rc` graph).
 #[derive(Debug, Clone)]
 pub struct LatentLayout {
     names: Vec<String>,
     shapes: Vec<Vec<usize>>,
     offsets: Vec<usize>,
     total: usize,
+    compiled: Binding,
+}
+
+/// The compiled potential of the one layout [`Mcmc::run`] bound; `None`
+/// on every other layout, clones of a bound one included, so a replay can
+/// only ever serve the chain that recorded it.
+struct Binding(Option<RefCell<Compiled>>);
+
+impl Clone for Binding {
+    fn clone(&self) -> Binding {
+        Binding(None)
+    }
+}
+
+impl fmt::Debug for Binding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            None => f.write_str("Unbound"),
+            Some(c) => c.borrow().slot.fmt(f),
+        }
+    }
+}
+
+struct Compiled {
+    /// The latent leaves, in layout order. Created at bind, so they
+    /// pre-exist every recording and `end_record` takes them as plan
+    /// inputs; each evaluation writes `q` into them.
+    leaves: Vec<Tensor>,
+    slot: PlanSlot,
+}
+
+#[derive(Debug)]
+enum PlanSlot {
+    /// Nothing recorded yet, or a plan-generation bump discarded the
+    /// recording: the next evaluation records.
+    Empty,
+    Ready(StepPlan),
+    /// `end_record` refused the trace; the chain stays dynamic for good.
+    Unsupported(String),
 }
 
 impl LatentLayout {
@@ -59,6 +137,7 @@ impl LatentLayout {
             shapes,
             offsets,
             total,
+            compiled: Binding(None),
         }
     }
 
@@ -77,16 +156,26 @@ impl LatentLayout {
         &self.names
     }
 
+    /// Site `i`'s slice of a flat vector.
+    fn site<'a>(&self, flat: &'a [f64], i: usize) -> &'a [f64] {
+        &flat[self.offsets[i]..self.offsets[i] + tyxe_tensor::shape::numel(&self.shapes[i])]
+    }
+
+    /// Splits a flat vector into leaf tensors, in layout order.
+    fn leaves(&self, flat: &[f64], requires_grad: bool) -> Vec<Tensor> {
+        (0..self.names.len())
+            .map(|i| Tensor::from_vec(self.site(flat, i).to_vec(), &self.shapes[i]).requires_grad(requires_grad))
+            .collect()
+    }
+
+    /// Pairs layout-ordered leaves with their site names.
+    fn named(&self, leaves: &[Tensor]) -> HashMap<String, Tensor> {
+        self.names.iter().cloned().zip(leaves.iter().cloned()).collect()
+    }
+
     /// Splits a flat vector into named leaf tensors.
     pub fn unflatten(&self, flat: &[f64], requires_grad: bool) -> HashMap<String, Tensor> {
-        let mut map = HashMap::new();
-        for i in 0..self.names.len() {
-            let n = tyxe_tensor::shape::numel(&self.shapes[i]);
-            let t = Tensor::from_vec(flat[self.offsets[i]..self.offsets[i] + n].to_vec(), &self.shapes[i])
-                .requires_grad(requires_grad);
-            map.insert(self.names[i].clone(), t);
-        }
-        map
+        self.named(&self.leaves(flat, requires_grad))
     }
 
     /// Packs an initial value vector by tracing the model once.
@@ -100,27 +189,110 @@ impl LatentLayout {
         }
         flat
     }
+
+    /// Gives this layout a compiled-potential slot. Only [`Mcmc::run`]
+    /// calls it, on the layout it owns for the length of one chain.
+    fn bind(&mut self) {
+        self.compiled = Binding(Some(RefCell::new(Compiled {
+            leaves: self.leaves(&vec![0.0; self.total], true),
+            slot: PlanSlot::Empty,
+        })));
+    }
+
+    /// Why a bound layout's chain fell back to the dynamic potential;
+    /// `None` while it replays (or on a bare layout).
+    fn plan_unsupported_reason(&self) -> Option<String> {
+        match &self.compiled.0.as_ref()?.borrow().slot {
+            PlanSlot::Unsupported(reason) => Some(reason.clone()),
+            _ => None,
+        }
+    }
+
+    /// Builds the graph of `U = -log p(x, leaves)`: the model's trace
+    /// with its latent sites conditioned on `leaves`.
+    fn potential(&self, model: &dyn Fn(), leaves: &[Tensor]) -> Tensor {
+        let (tr, ()) = trace(|| condition(self.named(leaves), model));
+        tr.log_prob_sum().neg()
+    }
+
+    /// Packs the leaves' accumulated gradients into a flat vector.
+    fn gradient(&self, leaves: &[Tensor]) -> Vec<f64> {
+        let mut grad = vec![0.0; self.total];
+        for (leaf, &offset) in leaves.iter().zip(&self.offsets) {
+            if let Some(g) = leaf.grad() {
+                grad[offset..offset + g.len()].copy_from_slice(&g);
+            }
+        }
+        grad
+    }
+
+    /// The dynamic potential: fresh leaves, a fresh trace and a fresh
+    /// autodiff graph per call.
+    fn potential_and_grad_dynamic(&self, model: &dyn Fn(), q: &[f64]) -> (f64, Vec<f64>) {
+        let leaves = self.leaves(q, true);
+        let u = self.potential(model, &leaves);
+        u.backward();
+        (u.item(), self.gradient(&leaves))
+    }
+}
+
+impl Compiled {
+    /// `U(q)`, `∇U(q)` through the chain's plan: replay it when it is
+    /// live, record it when there is none (that evaluation *is* the
+    /// recording — the model runs once either way, so a model that draws
+    /// from the global RNG sees the stream it would see dynamically),
+    /// stay dynamic once a trace was refused.
+    fn potential_and_grad(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: &[f64]) -> (f64, Vec<f64>) {
+        // Supervisor rollback, checkpoint restore and dtype conversion
+        // bump the generation: the retained graph may no longer be the
+        // model's, so record again.
+        if matches!(&self.slot, PlanSlot::Ready(p) if p.generation() != plan::generation()) {
+            self.slot = PlanSlot::Empty;
+        }
+        if matches!(self.slot, PlanSlot::Unsupported(_)) {
+            return layout.potential_and_grad_dynamic(model, q);
+        }
+        for (i, leaf) in self.leaves.iter().enumerate() {
+            leaf.set_data(layout.site(q, i).to_vec());
+            leaf.zero_grad();
+        }
+        let u = if let PlanSlot::Ready(p) = &self.slot {
+            if tyxe_obs::enabled() {
+                probe::potential_replays().inc();
+            }
+            p.replay();
+            p.backward();
+            p.loss().item()
+        } else {
+            if tyxe_obs::enabled() {
+                probe::potential_records().inc();
+            }
+            plan::begin_record();
+            let u = layout.potential(model, &self.leaves);
+            self.slot = match plan::end_record(&u) {
+                Ok(p) => PlanSlot::Ready(p),
+                Err(reason) => PlanSlot::Unsupported(reason),
+            };
+            u.backward();
+            u.item()
+        };
+        (u, layout.gradient(&self.leaves))
+    }
 }
 
 /// Potential energy `U(q) = -log p(x, q)` and its gradient.
+///
+/// On the layout [`Mcmc::run`] bound this replays the chain's compiled
+/// potential; on any other layout it is the dynamic evaluation, bit for
+/// bit the same numbers.
 pub fn potential_and_grad(model: &dyn Fn(), layout: &LatentLayout, q: &[f64]) -> (f64, Vec<f64>) {
-    let params = layout.unflatten(q, true);
-    let handles: Vec<(usize, Tensor)> = layout
-        .names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (i, params[n].clone()))
-        .collect();
-    let (tr, ()) = trace(|| condition(params, model));
-    let u = tr.log_prob_sum().neg();
-    let u_val = u.item();
-    u.backward();
-    let mut grad = vec![0.0; layout.total];
-    for (i, t) in handles {
-        let g = t.grad().unwrap_or_else(|| vec![0.0; t.numel()]);
-        grad[layout.offsets[i]..layout.offsets[i] + g.len()].copy_from_slice(&g);
+    if tyxe_obs::enabled() {
+        probe::potential_evals().inc();
     }
-    (u_val, grad)
+    match &layout.compiled.0 {
+        Some(compiled) => compiled.borrow_mut().potential_and_grad(model, layout, q),
+        None => layout.potential_and_grad_dynamic(model, q),
+    }
 }
 
 fn leapfrog(
@@ -132,7 +304,7 @@ fn leapfrog(
     step_size: f64,
 ) -> f64 {
     if tyxe_obs::enabled() {
-        leapfrog_counter().inc();
+        probe::leapfrog_steps().inc();
     }
     for (pi, gi) in p.iter_mut().zip(grad.iter()) {
         *pi -= 0.5 * step_size * gi;
@@ -229,6 +401,19 @@ pub struct Hmc {
     num_steps: usize,
     adapter: Option<DualAveraging>,
     num_divergent: u64,
+    /// The state the last transition returned, with its `U` and `∇U`:
+    /// the accepted endpoint's (the last leapfrog evaluated them) or the
+    /// rejected start's. The next transition starts there, so it reuses
+    /// them instead of evaluating the potential a 26th time. One kernel
+    /// serves one model, as under [`Mcmc::run`].
+    held: Option<Held>,
+}
+
+#[derive(Debug)]
+struct Held {
+    q: Vec<f64>,
+    u: f64,
+    grad: Vec<f64>,
 }
 
 impl Hmc {
@@ -240,6 +425,7 @@ impl Hmc {
             num_steps,
             adapter: Some(DualAveraging::new(step_size, 0.8)),
             num_divergent: 0,
+            held: None,
         }
     }
 
@@ -251,11 +437,18 @@ impl Hmc {
 
 impl Kernel for Hmc {
     fn transition(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: Vec<f64>) -> (Vec<f64>, f64) {
-        let (u0, mut grad) = potential_and_grad(model, layout, &q);
+        // Reuse only for the very `q` this kernel returned, bit for bit:
+        // a first transition or a caller that moved `q` evaluates.
+        let same_bits = |held: &[f64]| held.len() == q.len() && held.iter().zip(&q).all(|(a, b)| a.to_bits() == b.to_bits());
+        let (u0, grad0) = match self.held.take() {
+            Some(held) if same_bits(&held.q) => (held.u, held.grad),
+            _ => potential_and_grad(model, layout, &q),
+        };
         let p0: Vec<f64> = rng::randn(&[layout.len()]).to_vec();
         let h0 = u0 + kinetic(&p0);
 
         let mut qn = q.clone();
+        let mut grad = grad0.clone();
         let mut pn = p0;
         let mut u = u0;
         for _ in 0..self.num_steps {
@@ -271,7 +464,14 @@ impl Kernel for Hmc {
         }
         let accept_prob = if h1.is_finite() { (h0 - h1).exp().min(1.0) } else { 0.0 };
         let accept = rng::with_rng(tyxe_rand::Rng::gen::<f64>) < accept_prob;
-        (if accept { qn } else { q }, accept_prob)
+        let held = if accept {
+            Held { q: qn, u, grad }
+        } else {
+            Held { q, u: u0, grad: grad0 }
+        };
+        let q_next = held.q.clone();
+        self.held = Some(held);
+        (q_next, accept_prob)
     }
 
     fn adapt(&mut self, accept_prob: f64) {
@@ -537,11 +737,29 @@ impl Samples {
     }
 }
 
+/// What [`Mcmc::run`] observed about the chain it ran.
+#[derive(Debug, Clone)]
+pub struct ChainStats {
+    /// Mean acceptance statistic over the warm-up transitions (NaN if
+    /// there were none).
+    pub warmup_accept: f64,
+    /// Mean acceptance statistic over the retained transitions (NaN if
+    /// there were none).
+    pub sample_accept: f64,
+    /// The kernel's [`Kernel::num_divergent`] when the chain ended.
+    pub num_divergent: u64,
+    /// Why the chain evaluated its potential dynamically — what
+    /// `tyxe_tensor::plan::end_record` said of its first evaluation — or
+    /// `None` if it replayed the compiled potential.
+    pub plan_unsupported_reason: Option<String>,
+}
+
 /// MCMC driver: warms up (with adaptation), then collects samples.
 pub struct Mcmc<K> {
     kernel: K,
     num_samples: usize,
     warmup: usize,
+    stats: Option<ChainStats>,
 }
 
 impl<K: Kernel> Mcmc<K> {
@@ -552,33 +770,54 @@ impl<K: Kernel> Mcmc<K> {
             kernel,
             num_samples,
             warmup,
+            stats: None,
         }
     }
 
     /// Runs the chain on `model`, initializing from one prior draw.
+    ///
+    /// The chain's first potential evaluation is recorded and the rest
+    /// replay it; a model the recorder cannot replay runs dynamically,
+    /// to the same bits ([`ChainStats::plan_unsupported_reason`]).
     pub fn run(&mut self, model: &dyn Fn()) -> Samples {
-        let layout = LatentLayout::discover(model);
+        let mut layout = LatentLayout::discover(model);
+        layout.bind();
         let mut q = layout.initial_values(model);
+        let mut warmup_accept = 0.0;
         for _ in 0..self.warmup {
             let (qn, accept) = self.kernel.transition(model, &layout, q);
             q = qn;
+            warmup_accept += accept;
             self.kernel.adapt(accept);
         }
         self.kernel.finish_warmup();
         let mut out: HashMap<String, Vec<Tensor>> = HashMap::new();
+        let mut sample_accept = 0.0;
         for _ in 0..self.num_samples {
-            let (qn, _) = self.kernel.transition(model, &layout, q);
+            let (qn, accept) = self.kernel.transition(model, &layout, q);
             q = qn;
+            sample_accept += accept;
             for (name, tensor) in layout.unflatten(&q, false) {
                 out.entry(name).or_default().push(tensor);
             }
         }
+        self.stats = Some(ChainStats {
+            warmup_accept: warmup_accept / self.warmup as f64,
+            sample_accept: sample_accept / self.num_samples as f64,
+            num_divergent: self.kernel.num_divergent(),
+            plan_unsupported_reason: layout.plan_unsupported_reason(),
+        });
         Samples { map: out }
     }
 
     /// Access the kernel (e.g. to inspect the adapted step size).
     pub fn kernel(&self) -> &K {
         &self.kernel
+    }
+
+    /// The last [`Mcmc::run`]'s chain statistics; `None` before a run.
+    pub fn stats(&self) -> Option<&ChainStats> {
+        self.stats.as_ref()
     }
 }
 
@@ -588,6 +827,7 @@ impl<K: std::fmt::Debug> std::fmt::Debug for Mcmc<K> {
             .field("kernel", &self.kernel)
             .field("num_samples", &self.num_samples)
             .field("warmup", &self.warmup)
+            .field("stats", &self.stats)
             .finish()
     }
 }

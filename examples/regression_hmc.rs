@@ -27,6 +27,33 @@ fn main() {
     println!("running HMC (300 warmup + 300 samples) ...");
     bnn.fit(&data.x, &data.y, 300, 300);
 
+    // Is the chain to be trusted? Split-R-hat and effective sample size
+    // of every weight (one chain, so R-hat compares its two halves), the
+    // acceptance rate, divergences, and whether the potential was
+    // compiled or had to be re-traced on every leapfrog.
+    let (mut worst_rhat, mut least_ess) = (0.0f64, f64::INFINITY);
+    for site in bnn.samples().sites() {
+        let draws: Vec<Vec<f64>> = bnn.samples().get(site).unwrap().iter().map(|t| t.to_vec()).collect();
+        for k in 0..draws[0].len() {
+            let chain = [draws.iter().map(|d| d[k]).collect::<Vec<f64>>()];
+            worst_rhat = worst_rhat.max(tyxe_metrics::split_rhat(&chain));
+            least_ess = least_ess.min(tyxe_metrics::ess(&chain));
+        }
+    }
+    let stats = bnn.chain_stats();
+    println!("worst split-R-hat over the weights {worst_rhat:.3}, least ESS {least_ess:.1} of 300 draws");
+    if worst_rhat > 1.01 {
+        println!("  (R-hat above 1.01: a chain this short has not mixed in weight space; run it longer)");
+    }
+    println!(
+        "acceptance rate {:.3} (warm-up {:.3}), {} divergent transitions",
+        stats.sample_accept, stats.warmup_accept, stats.num_divergent
+    );
+    match bnn.plan_unsupported_reason() {
+        None => println!("potential: compiled once, replayed on every leapfrog"),
+        Some(reason) => println!("potential: dynamic graph per leapfrog ({reason})"),
+    }
+
     let grid = regression_grid(-2.0, 2.0, 41);
     let agg = bnn.predict(&grid, 32);
 

@@ -39,6 +39,18 @@ CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism --test 
     -- dist --test-threads=8
 CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test dist_telemetry -- --test-threads=8
 
+# benchmark/ is a workspace of its own (path deps on crates/*), so
+# nothing above notices a library change that stops it compiling — and
+# it implements `tyxe_prob::mcmc::Kernel` and calls `potential_and_grad`,
+# `LatentLayout::{discover, initial_values}` and `divergence_counter`
+# from outside. Build it against this checkout, run its contract test
+# (a smoke run emits exactly the metrics BENCHMARK.json declares) and
+# the five workloads at CI size with their output checks.
+echo "verify: benchmark package builds, keeps its contract and passes --smoke"
+CARGO_NET_OFFLINE=true cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_NET_OFFLINE=true cargo test -q --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke | tail -n 8 | sed 's/^/  /'
+
 # Fault-injection + observability smoke run: a short supervised fit with
 # 5% NaN-gradient injection (and pool panics, on a forced 4-thread pool)
 # must complete all its steps and report the recoveries it performed —
