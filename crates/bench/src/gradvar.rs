@@ -38,10 +38,26 @@ impl Strategy {
     }
 }
 
-/// Mean per-coordinate gradient variance of the first-layer weight means
-/// under repeated single-sample ELBO estimates.
-pub fn gradient_variance(strategy: Strategy, batch: usize, trials: usize) -> f64 {
-    tyxe_prob::rng::set_seed(0);
+/// Per-coordinate sample mean and (biased) sample variance of one
+/// parameter tensor's gradient over the trials of [`gradient_moments`].
+#[derive(Debug, Clone)]
+pub struct GradientMoments {
+    /// `mean[i]` of coordinate `i`.
+    pub mean: Vec<f64>,
+    /// `var[i]` of coordinate `i`.
+    pub var: Vec<f64>,
+}
+
+/// Moments of the single-sample negative-ELBO gradient with respect to
+/// the first layer's guide parameters — `[means, log-scales]` — over
+/// `trials` independent draws under `strategy`, from global seed `seed`.
+pub fn gradient_moments(
+    strategy: Strategy,
+    batch: usize,
+    trials: usize,
+    seed: u64,
+) -> [GradientMoments; 2] {
+    tyxe_prob::rng::set_seed(seed);
     let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
     let data = foong_regression(batch / 2, 0.1, 0);
     let net = tyxe_nn::layers::mlp(&[1, 50, 1], false, &mut rng);
@@ -54,7 +70,7 @@ pub fn gradient_variance(strategy: Strategy, batch: usize, trials: usize) -> f64
     );
 
     let params = bnn.guide().parameters();
-    let target: Tensor = params[0].clone(); // first-layer loc
+    let targets: [Tensor; 2] = [params[0].clone(), params[1].clone()]; // first-layer loc, log-scale
 
     let model = || {
         let pred = bnn.module().sampled_forward(&data.x);
@@ -62,10 +78,11 @@ pub fn gradient_variance(strategy: Strategy, batch: usize, trials: usize) -> f64
     };
     let guide = || bnn.guide().sample_guide();
 
-    let mut sum = vec![0.0; target.numel()];
-    let mut sumsq = vec![0.0; target.numel()];
+    let mut sums = targets.each_ref().map(|t| (vec![0.0; t.numel()], vec![0.0; t.numel()]));
     for _ in 0..trials {
-        target.zero_grad();
+        for target in &targets {
+            target.zero_grad();
+        }
         let (loss, _, _) = match strategy {
             Strategy::Vanilla => negative_elbo(&model, &guide, ElboEstimator::MeanField),
             Strategy::LocalReparam => {
@@ -78,18 +95,26 @@ pub fn gradient_variance(strategy: Strategy, batch: usize, trials: usize) -> f64
             }
         };
         loss.backward();
-        let g = target.grad().expect("gradient reaches the guide mean");
-        for (i, gi) in g.iter().enumerate() {
-            sum[i] += gi;
-            sumsq[i] += gi * gi;
+        for (target, (sum, sumsq)) in targets.iter().zip(&mut sums) {
+            let g = target.grad().expect("gradient reaches the guide parameter");
+            for (i, gi) in g.iter().enumerate() {
+                sum[i] += gi;
+                sumsq[i] += gi * gi;
+            }
         }
     }
     let n = trials as f64;
-    sum.iter()
-        .zip(&sumsq)
-        .map(|(s, sq)| (sq / n - (s / n) * (s / n)).max(0.0))
-        .sum::<f64>()
-        / sum.len() as f64
+    sums.map(|(sum, sumsq)| GradientMoments {
+        var: sum.iter().zip(&sumsq).map(|(s, sq)| (sq / n - (s / n) * (s / n)).max(0.0)).collect(),
+        mean: sum.into_iter().map(|s| s / n).collect(),
+    })
+}
+
+/// Mean per-coordinate gradient variance of the first-layer weight means
+/// under repeated single-sample ELBO estimates.
+pub fn gradient_variance(strategy: Strategy, batch: usize, trials: usize) -> f64 {
+    let [loc, _] = gradient_moments(strategy, batch, trials, 0);
+    loc.var.iter().sum::<f64>() / loc.var.len() as f64
 }
 
 #[cfg(test)]

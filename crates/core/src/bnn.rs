@@ -311,8 +311,9 @@ impl Precision {
 
 /// How many consecutive signature-mismatch re-records the step driver
 /// tolerates before pinning the BNN to the dynamic path: a loop that
-/// alternates batch tensors every step would otherwise pay full
-/// recording overhead on every one of them.
+/// alternates batch tensors, or re-installs an effect handler, every
+/// step would otherwise pay full recording overhead on every one of
+/// them.
 const REPLAN_STREAK_LIMIT: u32 = 3;
 
 /// Compiled-plan state for the SVI hot loop (see `tyxe_tensor::plan`
@@ -320,14 +321,18 @@ const REPLAN_STREAK_LIMIT: u32 = 3;
 /// change rather than caching per shape.
 #[derive(Debug)]
 enum PlanSlot {
-    /// A compiled plan plus the exact input/target tensors (by node id
-    /// and shape) it was recorded against.
+    /// A compiled plan plus what it was recorded against: the exact
+    /// input/target tensors (by node id and shape) and the effect
+    /// handlers installed around the step
+    /// ([`tyxe_prob::poutine::stack_signature`]) — a handler rewrites
+    /// what the step computes, so the trace is only that stack's.
     Ready {
         plan: tyxe_tensor::plan::StepPlan,
         input_id: u64,
         input_shape: Vec<usize>,
         targets_id: u64,
         targets_shape: Vec<usize>,
+        handlers: Vec<u64>,
     },
     /// The model traced to something unreplayable, or thrashed on
     /// signatures: stay dynamic for this BNN's lifetime.
@@ -347,7 +352,7 @@ pub struct VariationalBnn<M, L, G> {
     estimator: ElboEstimator,
     /// Compiled step plan: recorded on the first
     /// tensor-input SVI step, replayed while input/target identity,
-    /// shapes and the global plan generation hold.
+    /// shapes, the handler stack and the global plan generation hold.
     plan: RefCell<Option<PlanSlot>>,
     /// Consecutive signature-mismatch re-records; at
     /// [`REPLAN_STREAK_LIMIT`] the slot turns `Unsupported`.
@@ -502,8 +507,8 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
 
     /// Why the compiled-plan path is disabled for this BNN, if it is:
     /// `Some(reason)` once a step traced to something unreplayable (or
-    /// kept thrashing input signatures), `None` while plans are live or
-    /// not yet attempted.
+    /// kept thrashing input or handler-stack signatures), `None` while
+    /// plans are live or not yet attempted.
     pub fn plan_unsupported_reason(&self) -> Option<String> {
         match &*self.plan.borrow() {
             Some(PlanSlot::Unsupported(r)) => Some(r.clone()),
@@ -537,10 +542,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// When `input` is a plain [`Tensor`], the step runs through a
     /// compiled plan: the first call records the op sequence while
     /// executing it dynamically, and later calls with the same
-    /// input/target tensors replay it without rebuilding the graph or
-    /// walking the poutine stack. Any divergence
-    /// (shapes, site structure, control flow, RNG use the recorder cannot
-    /// see) falls back to the dynamic path — same bits, just slower.
+    /// input/target tensors under the same installed effect handlers
+    /// replay it without rebuilding the graph or walking the poutine
+    /// stack. Any divergence (shapes, a handler installed or dropped,
+    /// site structure, control flow, RNG use the recorder cannot see)
+    /// falls back to the dynamic path — same bits, just slower.
     pub fn svi_forward_backward<I>(
         &self,
         input: &I,
@@ -616,6 +622,10 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     {
         use tyxe_tensor::plan;
 
+        // The caller's handlers, read before this driver installs its own
+        // (observational) one.
+        let handlers = tyxe_prob::poutine::stack_signature();
+
         // Fast path: replay a still-valid plan.
         {
             let slot = self.plan.borrow();
@@ -625,13 +635,15 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                 input_shape,
                 targets_id,
                 targets_shape,
+                handlers: recorded_handlers,
             }) = slot.as_ref()
             {
                 let fresh = p.generation() == plan::generation();
                 let matches = *input_id == x.id()
                     && input_shape == x.shape()
                     && *targets_id == targets.id()
-                    && targets_shape == targets.shape();
+                    && targets_shape == targets.shape()
+                    && *recorded_handlers == handlers;
                 if fresh && matches {
                     // Params can have been dropped from the optimizer by a
                     // checkpoint restore; cheap no-op otherwise.
@@ -657,9 +669,9 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         {
             let mut slot = self.plan.borrow_mut();
             match slot.take() {
-                Some(PlanSlot::Ready { plan: p, .. }) => {
+                Some(PlanSlot::Ready { plan: p, handlers: recorded_handlers, .. }) => {
                     if p.generation() == plan::generation() {
-                        // Input-signature mismatch (generation bumps are
+                        // Signature mismatch (generation bumps are
                         // counted by `invalidate_all` itself). Thrashing
                         // signatures means recording overhead every step,
                         // so after a streak pin this BNN to dynamic.
@@ -667,9 +679,13 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                         let streak = self.plan_streak.get() + 1;
                         self.plan_streak.set(streak);
                         if streak >= REPLAN_STREAK_LIMIT {
-                            *slot = Some(PlanSlot::Unsupported(
-                                "input signature keeps changing".to_string(),
-                            ));
+                            let what = if recorded_handlers == handlers {
+                                "input signature keeps changing"
+                            } else {
+                                "handler stack keeps changing: an effect handler is \
+                                 (re-)installed around every step"
+                            };
+                            *slot = Some(PlanSlot::Unsupported(what.to_string()));
                         }
                     }
                 }
@@ -695,6 +711,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                     input_shape: x.shape().to_vec(),
                     targets_id: targets.id(),
                     targets_shape: targets.shape().to_vec(),
+                    handlers,
                 });
             }
             Err(reason) => {

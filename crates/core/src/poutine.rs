@@ -8,6 +8,27 @@
 //! how every dense/convolutional mapping in the model is computed — the
 //! paper's separation of model specification from gradient-estimation
 //! strategy.
+//!
+//! # Which handlers keep a step on the compiled path
+//!
+//! A messenger is a program transformation, so what it emits is recorded
+//! like any other op, and `VariationalBnn`'s step driver keys its plan on
+//! the handler stack ([`tyxe_prob::poutine::stack_signature`]): a plan
+//! replays only under the installs it was recorded under (DESIGN.md §11).
+//!
+//! * **Record and replay:** [`local_reparameterization`] and [`flipout`]
+//!   on `Linear` layers — both emit only the fused `Tensor::linear`,
+//!   same-shape elementwise ops and registered RNG leaves.
+//! * **Do not record yet** (the step falls back to the dynamic graph,
+//!   same bits, and `plan_unsupported_reason()` says why): the `conv2d`
+//!   paths of both handlers, and any handler or model that goes through
+//!   `matmul`, `from_vec` or another op `tyxe_tensor::plan` has no replay
+//!   closure for.
+//! * Handlers that only edit sample-site messages ([`selective_mask`],
+//!   `tyxe_prob::poutine::{scale, mask, block}`) add no ops; whether the
+//!   step records depends on the model alone. Installed *per step* they
+//!   change the stack signature every step: each mismatch discards the
+//!   plan, and the third in a row pins the BNN to the dynamic path.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -16,13 +37,30 @@ use std::rc::Rc;
 use tyxe_prob::dist::Normal;
 use tyxe_prob::poutine::{install, HandlerGuard, Messenger, SampleMsg};
 use tyxe_prob::rng;
+use tyxe_tensor::ops::Activation;
 use tyxe_tensor::Tensor;
+
+/// How many entries one generation of a [`GaussianSampleRegistry`] holds
+/// before it is rotated out. Also the most Gaussian sites one forward
+/// pass may sample and still find them all.
+const REGISTRY_GENERATION_CAP: usize = 2048;
 
 /// Tracks which tensors were sampled from factorized Gaussians, mapping the
 /// sample's node id to the distribution's `(loc, scale)`.
+///
+/// An entry is wanted for one forward pass only (each sampled tensor id
+/// is fresh per step), and without eviction the map would grow by #sites
+/// per SVI step for the lifetime of the handler guard, keeping the
+/// per-step parameter graphs alive. So entries live in two generations:
+/// inserts go to the current one; when it is full it becomes the previous
+/// one, and what was the previous one is dropped. Any
+/// [`REGISTRY_GENERATION_CAP`] entries recorded in a row therefore survive
+/// until after the last of them — a forward pass never loses a site it
+/// has just sampled — and the registry never holds more than twice the cap.
 #[derive(Default)]
 struct GaussianSampleRegistry {
-    dists: RefCell<HashMap<u64, (Tensor, Tensor)>>,
+    /// `[current, previous]`.
+    generations: RefCell<[HashMap<u64, (Tensor, Tensor)>; 2]>,
 }
 
 impl GaussianSampleRegistry {
@@ -37,22 +75,22 @@ impl GaussianSampleRegistry {
         }
         if let Some(n) = msg.dist.as_any().downcast_ref::<Normal>() {
             let value = msg.value.as_ref().expect("after_sample value");
-            let mut dists = self.dists.borrow_mut();
-            // Entries outlive their usefulness after one forward pass (each
-            // sampled tensor id is fresh per step); without eviction the map
-            // would grow by #sites per SVI step for the lifetime of the
-            // handler guard, keeping the per-step parameter graphs alive.
-            // Stale entries are never looked up again, so wholesale clearing
-            // at a generous high-water mark is safe.
-            if dists.len() > 4096 {
-                dists.clear();
-            }
-            dists.insert(value.id(), (n.loc().clone(), n.scale().clone()));
+            self.insert(value.id(), n.loc().clone(), n.scale().clone());
         }
     }
 
+    fn insert(&self, id: u64, loc: Tensor, scale: Tensor) {
+        let mut generations = self.generations.borrow_mut();
+        if generations[0].len() >= REGISTRY_GENERATION_CAP {
+            generations.swap(0, 1);
+            generations[0].clear();
+        }
+        generations[0].insert(id, (loc, scale));
+    }
+
     fn lookup(&self, t: &Tensor) -> Option<(Tensor, Tensor)> {
-        self.dists.borrow().get(&t.id()).cloned()
+        let generations = self.generations.borrow();
+        generations.iter().find_map(|g| g.get(&t.id())).cloned()
     }
 }
 
@@ -86,19 +124,24 @@ impl Messenger for LocalReparameterizationMessenger {
         self.registry.record(msg);
     }
 
+    /// Mean and variance of the pre-activations come from the kernel the
+    /// unhandled layer runs, [`Tensor::linear`]: in `f64` and `f32` that
+    /// is bit for bit the `t → matmul → add` chain it fuses, with no
+    /// broadcast op and nothing a step plan cannot record. Under
+    /// [`crate::Precision::Mixed`] the bias joins the sum in the autocast
+    /// dtype, as it does for the unhandled layer (the unfused chain added
+    /// it after widening back).
     fn intercept_linear(&self, x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Option<Tensor> {
         let (wloc, wscale) = self.registry.lookup(w)?;
-        let mut mean = x.matmul(&wloc.t());
-        let mut var = x.square().matmul(&wscale.square().t());
-        if let Some(b) = b {
-            match self.registry.lookup(b) {
-                Some((bloc, bscale)) => {
-                    mean = mean.add(&bloc);
-                    var = var.add(&bscale.square());
-                }
-                None => mean = mean.add(b),
-            }
-        }
+        let (bmean, bvar) = match b {
+            Some(b) => match self.registry.lookup(b) {
+                Some((bloc, bscale)) => (Some(bloc), Some(bscale.square())),
+                None => (Some(b.clone()), None),
+            },
+            None => (None, None),
+        };
+        let mean = x.linear(&wloc, bmean.as_ref(), Activation::Identity);
+        let var = x.square().linear(&wscale.square(), bvar.as_ref(), Activation::Identity);
         let eps = rng::randn(mean.shape());
         Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
     }
@@ -161,10 +204,10 @@ impl FlipoutMessenger {
     }
 }
 
+/// Flipout's per-example sign matrices: a registered RNG leaf, so a step
+/// plan redraws them on replay.
 fn random_signs(shape: &[usize]) -> Tensor {
-    let u = rng::rand_uniform(shape, 0.0, 1.0);
-    let data = u.data().iter().map(|&v| if v < 0.5 { -1.0 } else { 1.0 }).collect();
-    Tensor::from_vec(data, shape)
+    rng::rand_signs(shape)
 }
 
 impl Messenger for FlipoutMessenger {
@@ -181,11 +224,9 @@ impl Messenger for FlipoutMessenger {
         let out_f = wloc.shape()[0];
         let r = random_signs(&[n, in_f]);
         let s = random_signs(&[n, out_f]);
-        let mut out = x.matmul(&wloc.t()).add(&x.mul(&r).matmul(&delta.t()).mul(&s));
-        if let Some(b) = b {
-            out = out.add(b);
-        }
-        Some(out)
+        let mean_path = x.linear(&wloc, b, Activation::Identity);
+        let perturb = x.mul(&r).linear(&delta, None, Activation::Identity).mul(&s);
+        Some(mean_path.add(&perturb))
     }
 
     fn intercept_conv2d(
@@ -443,6 +484,145 @@ mod tests {
         assert!((masked.log_prob().item() - full[0]).abs() < 1e-9);
         // Unexposed sites are untouched.
         assert!(tr.site("other").unwrap().mask.is_none());
+    }
+
+    /// Bug 2 of ISSUE 20: the registry used to clear itself the moment it
+    /// passed its high-water mark, mid-forward, forgetting the sites the
+    /// current step had already sampled. Whatever was recorded before, a
+    /// forward pass's sites — up to the cap of them — are all still there
+    /// when its layers ask, and the registry stays bounded.
+    #[test]
+    fn registry_keeps_the_sites_of_the_forward_pass_in_flight() {
+        let cap = REGISTRY_GENERATION_CAP;
+        let check = |history: usize, sites: usize| {
+            let registry = GaussianSampleRegistry::default();
+            let held = || registry.generations.borrow().iter().map(HashMap::len).sum::<usize>();
+            let param = Tensor::scalar(0.0);
+            for _ in 0..history {
+                registry.insert(Tensor::scalar(0.0).id(), param.clone(), param.clone());
+                assert!(held() <= 2 * cap);
+            }
+            let sampled: Vec<Tensor> = (0..sites).map(|i| Tensor::scalar(i as f64)).collect();
+            for t in &sampled {
+                registry.insert(t.id(), t.clone(), param.clone());
+                assert!(held() <= 2 * cap);
+            }
+            for t in &sampled {
+                let (loc, _) = registry
+                    .lookup(t)
+                    .unwrap_or_else(|| panic!("site lost: history {history}, {sites} sites"));
+                assert_eq!(loc.id(), t.id());
+            }
+        };
+        // Around every rotation point, at a 4-site net's stride and at
+        // the cap itself.
+        for history in [0, 1, cap - 4, cap - 1, cap, cap + 1, 2 * cap - 2, 2 * cap, 3 * cap + 7] {
+            for sites in [1, 4, cap / 2, cap] {
+                check(history, sites);
+            }
+        }
+        tyxe_rand::prop_check!(16, |g| {
+            check(g.usize_in(0, 5 * cap), g.usize_in(1, cap));
+        });
+    }
+
+    /// The handler as it was before it moved onto the fused kernel: the
+    /// `t → matmul → add` chain, bias added by broadcast. Kept as the
+    /// oracle for [`fused_lr_linear_is_the_unfused_handler`].
+    #[derive(Default)]
+    struct UnfusedLocalReparameterization {
+        registry: GaussianSampleRegistry,
+    }
+
+    impl Messenger for UnfusedLocalReparameterization {
+        fn after_sample(&self, msg: &mut SampleMsg) {
+            self.registry.record(msg);
+        }
+
+        fn intercept_linear(&self, x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Option<Tensor> {
+            let (wloc, wscale) = self.registry.lookup(w)?;
+            let mut mean = x.matmul(&wloc.t());
+            let mut var = x.square().matmul(&wscale.square().t());
+            if let Some(b) = b {
+                match self.registry.lookup(b) {
+                    Some((bloc, bscale)) => {
+                        mean = mean.add(&bloc);
+                        var = var.add(&bscale.square());
+                    }
+                    None => mean = mean.add(b),
+                }
+            }
+            let eps = rng::randn(mean.shape());
+            Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
+        }
+    }
+
+    /// The fused handler is the old handler: output and every gradient —
+    /// to the guide's `loc` and raw scale of weight and bias, to a
+    /// deterministic bias, and to the input — bit for bit, at `f64` and at
+    /// `f32` storage, with a Gaussian, a deterministic and no bias.
+    #[test]
+    fn fused_lr_linear_is_the_unfused_handler() {
+        use tyxe_tensor::ops::ScaleMap;
+        use tyxe_tensor::DType;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Bias {
+            Gaussian,
+            Deterministic,
+            Absent,
+        }
+
+        let run = |fused: bool, dtype: DType, bias: Bias| -> Vec<Vec<u64>> {
+            rng::set_seed(11);
+            let leaf = |shape: &[usize], scale: f64| {
+                rng::randn(shape).mul_scalar(scale).cast(dtype).detach().requires_grad(true)
+            };
+            let x = leaf(&[7, 5], 1.0);
+            let (wloc, wraw) = (leaf(&[3, 5], 1.0), leaf(&[3, 5], 0.3));
+            let (bloc, braw) = (leaf(&[3], 1.0), leaf(&[3], 0.3));
+            let _g = if fused {
+                local_reparameterization()
+            } else {
+                install(Rc::new(UnfusedLocalReparameterization::default()))
+            };
+            let w = sample("w", boxed(Normal::from_raw_scale(wloc.clone(), wraw.clone(), ScaleMap::Exp)));
+            let b = match bias {
+                Bias::Gaussian => Some(sample(
+                    "b",
+                    boxed(Normal::from_raw_scale(bloc.clone(), braw.clone(), ScaleMap::Exp)),
+                )),
+                Bias::Deterministic => Some(bloc.clone()),
+                Bias::Absent => None,
+            };
+            let out = effectful::linear(&x, &w, b.as_ref());
+            // Distinct weights per output element, so no gradient entry
+            // is a plain column sum.
+            let weights = rng::randn(out.shape());
+            out.mul(&weights).square().sum().backward();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            let mut all = vec![bits(out.to_vec())];
+            for (leaf, reached) in [
+                (&x, true),
+                (&wloc, true),
+                (&wraw, true),
+                (&bloc, !matches!(bias, Bias::Absent)),
+                (&braw, matches!(bias, Bias::Gaussian)),
+            ] {
+                assert_eq!(leaf.grad().is_some(), reached, "{bias:?}: gradient reach");
+                all.push(bits(leaf.grad().unwrap_or_default()));
+            }
+            all
+        };
+        for dtype in [DType::F64, DType::F32] {
+            for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
+                assert_eq!(
+                    run(true, dtype, bias),
+                    run(false, dtype, bias),
+                    "{dtype:?}, {bias:?} bias: fused handler left the unfused chain"
+                );
+            }
+        }
     }
 
     #[test]

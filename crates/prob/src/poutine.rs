@@ -89,8 +89,18 @@ pub trait Messenger {
     }
 }
 
+/// The installed handlers, outermost first, each with the serial its
+/// [`install`] call drew from this thread's counter.
+struct HandlerStack {
+    handlers: Vec<Rc<dyn Messenger>>,
+    serials: Vec<u64>,
+    next_serial: u64,
+}
+
 thread_local! {
-    static HANDLER_STACK: RefCell<Vec<Rc<dyn Messenger>>> = const { RefCell::new(Vec::new()) };
+    static HANDLER_STACK: RefCell<HandlerStack> = const {
+        RefCell::new(HandlerStack { handlers: Vec::new(), serials: Vec::new(), next_serial: 0 })
+    };
 }
 
 /// RAII guard returned by [`install`]; pops the handler when dropped.
@@ -109,8 +119,9 @@ impl Drop for HandlerGuard {
     fn drop(&mut self) {
         HANDLER_STACK.with(|s| {
             let mut s = s.borrow_mut();
-            debug_assert_eq!(s.len(), self.index + 1, "handler guards dropped out of order");
-            s.pop();
+            debug_assert_eq!(s.handlers.len(), self.index + 1, "handler guards dropped out of order");
+            s.handlers.pop();
+            s.serials.pop();
         });
     }
 }
@@ -123,13 +134,28 @@ impl Drop for HandlerGuard {
 pub fn install(handler: Rc<dyn Messenger>) -> HandlerGuard {
     HANDLER_STACK.with(|s| {
         let mut s = s.borrow_mut();
-        s.push(handler);
-        HandlerGuard { index: s.len() - 1 }
+        let serial = s.next_serial;
+        s.next_serial += 1;
+        s.handlers.push(handler);
+        s.serials.push(serial);
+        HandlerGuard { index: s.handlers.len() - 1 }
     })
 }
 
+/// The identity of the current handler stack: the install serials of the
+/// handlers on it, outermost first. Every [`install`] draws a fresh serial
+/// (per thread, never reused), so two equal signatures mean the very same
+/// installs are active — the same messengers, with whatever state they
+/// were built with — and an empty one means no handler at all (and costs
+/// no allocation). A computation traced under one signature may only be
+/// replayed under an equal one; `tyxe`'s step driver keys its compiled
+/// plan on it.
+pub fn stack_signature() -> Vec<u64> {
+    HANDLER_STACK.with(|s| s.borrow().serials.clone())
+}
+
 fn snapshot_stack() -> Vec<Rc<dyn Messenger>> {
-    HANDLER_STACK.with(|s| s.borrow().clone())
+    HANDLER_STACK.with(|s| s.borrow().handlers.clone())
 }
 
 /// The `sample` statement: names a random variable, consults the handler
@@ -642,12 +668,35 @@ mod tests {
 
     #[test]
     fn guards_restore_stack() {
-        let depth_before = HANDLER_STACK.with(|s| s.borrow().len());
+        let depth = || HANDLER_STACK.with(|s| s.borrow().handlers.len());
+        let depth_before = depth();
         {
             let _g = install(Rc::new(ScaleMessenger { factor: 2.0 }));
-            assert_eq!(HANDLER_STACK.with(|s| s.borrow().len()), depth_before + 1);
+            assert_eq!(depth(), depth_before + 1);
         }
-        assert_eq!(HANDLER_STACK.with(|s| s.borrow().len()), depth_before);
+        assert_eq!(depth(), depth_before);
+    }
+
+    #[test]
+    fn stack_signature_names_installs_not_handler_kinds() {
+        assert!(stack_signature().is_empty());
+        let outer = install(Rc::new(ScaleMessenger { factor: 2.0 }));
+        let under_outer = stack_signature();
+        assert_eq!(under_outer.len(), 1);
+        {
+            let _inner = install(Rc::new(ScaleMessenger { factor: 3.0 }));
+            let nested = stack_signature();
+            assert_eq!(nested.len(), 2);
+            assert_eq!(nested[0], under_outer[0], "outermost first");
+            assert_ne!(nested[1], nested[0]);
+        }
+        assert_eq!(stack_signature(), under_outer, "same installs, same signature");
+        drop(outer);
+        assert!(stack_signature().is_empty());
+        // The same handler kind with the same state, installed again, is a
+        // new install: its serial has never been handed out before.
+        let _again = install(Rc::new(ScaleMessenger { factor: 2.0 }));
+        assert_ne!(stack_signature(), under_outer);
     }
 
     #[test]

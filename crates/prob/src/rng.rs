@@ -43,10 +43,10 @@ pub fn set_state(state: [u64; 4]) {
 /// Under plan recording (`tyxe_tensor::plan`), a raw draw poisons the
 /// trace: a replay could not reproduce it, and every later sample on
 /// the global stream would desync. The tensor-producing wrappers in
-/// this module ([`randn`], [`rand_uniform`]) register refresh closures
-/// and are exempt; any other draw marks the plan unsupported, which
-/// falls the step driver back to the dynamic path (never wrong
-/// answers).
+/// this module ([`randn`], [`rand_uniform`], [`rand_signs`]) register
+/// refresh closures and are exempt; any other draw marks the plan
+/// unsupported, which falls the step driver back to the dynamic path
+/// (never wrong answers).
 ///
 /// # Panics
 ///
@@ -100,6 +100,34 @@ pub fn rand_uniform(shape: &[usize], lo: f64, hi: f64) -> tyxe_tensor::Tensor {
     t
 }
 
+/// `len` i.i.d. signs, `-1` or `+1` with equal probability: one
+/// `[0, 1)` uniform per element off the global stream, `-1` below one half.
+fn draw_signs(len: usize) -> Vec<f64> {
+    let mut signs = vec![0.0; len];
+    registered_draw(|| {
+        with_rng(|rng| tyxe_rand::fill::fill_uniform(&mut signs, 0.0, 1.0, rng));
+    });
+    for s in &mut signs {
+        *s = if *s < 0.5 { -1.0 } else { 1.0 };
+    }
+    signs
+}
+
+/// Draws a tensor of i.i.d. random signs (`±1`, equal probability) of the
+/// given shape from the global RNG, consuming it exactly as
+/// [`rand_uniform`] of that shape does.
+///
+/// Plan-recording aware, like [`randn`]: the refresh closure redraws the
+/// signs into the same buffer.
+pub fn rand_signs(shape: &[usize]) -> tyxe_tensor::Tensor {
+    let t = tyxe_tensor::Tensor::from_vec(draw_signs(shape.iter().product()), shape);
+    if tyxe_tensor::plan::is_recording() {
+        let dst = t.clone();
+        tyxe_tensor::plan::record_leaf(&t, move || dst.set_data(draw_signs(dst.numel())));
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,6 +153,27 @@ mod tests {
         set_state(snap);
         let b = randn(&[16]).to_vec();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn signs_threshold_the_uniform_stream_and_refresh_in_place() {
+        set_seed(5);
+        let u = rand_uniform(&[64], 0.0, 1.0).to_vec();
+        let u_next = rand_uniform(&[64], 0.0, 1.0).to_vec();
+        let sign = |u: &[f64]| u.iter().map(|&v| if v < 0.5 { -1.0 } else { 1.0 }).collect::<Vec<_>>();
+
+        set_seed(5);
+        let x = tyxe_tensor::Tensor::ones(&[64]).requires_grad(true);
+        tyxe_tensor::plan::begin_record();
+        let s = rand_signs(&[64]);
+        let loss = x.mul(&s).sum();
+        let plan = tyxe_tensor::plan::end_record(&loss).expect("rand_signs is a registered leaf");
+        assert_eq!(s.to_vec(), sign(&u));
+        assert!(s.to_vec().contains(&-1.0) && s.to_vec().contains(&1.0));
+        // Replay redraws into the same tensor, one uniform per element.
+        plan.replay();
+        assert_eq!(s.to_vec(), sign(&u_next));
+        assert_eq!(plan.loss().item(), sign(&u_next).iter().sum::<f64>());
     }
 
     #[test]

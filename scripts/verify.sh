@@ -50,6 +50,18 @@ echo "verify: benchmark package builds, keeps its contract and passes --smoke"
 CARGO_NET_OFFLINE=true cargo build --release --offline --manifest-path benchmark/Cargo.toml
 CARGO_NET_OFFLINE=true cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke | tail -n 8 | sed 's/^/  /'
+# The two Fig. 1 SVI workloads train on the compiled path — shared
+# samples since PR 5, local reparameterization since PR 20. The smoke run
+# just wrote why each BNN's step plan fell back, if it did: anything but
+# the empty string means a change knocked one of them off the fast path.
+for w in fig1_svi_shared fig1_svi_lr; do
+    if ! grep -q '"step_plan_unsupported_reason": ""' "benchmark/out/$w.json"; then
+        echo "verify: $w does not replay a step plan:" >&2
+        grep -o '"step_plan_unsupported_reason": "[^"]*"' "benchmark/out/$w.json" >&2 \
+            || echo "  benchmark/out/$w.json has no step_plan_unsupported_reason" >&2
+        exit 1
+    fi
+done
 
 # Fault-injection + observability smoke run: a short supervised fit with
 # 5% NaN-gradient injection (and pool panics, on a forced 4-thread pool)

@@ -97,18 +97,44 @@ impl Feed {
     }
 }
 
+/// The gradient estimator a run trains with: the effect handler, if any,
+/// installed once around all of its steps (TyXe §2.4).
+#[derive(Clone, Copy, Debug)]
+enum Estimator {
+    SharedSample,
+    LocalReparam,
+    Flipout,
+}
+
+impl Estimator {
+    fn install(self) -> Option<tyxe_prob::poutine::HandlerGuard> {
+        match self {
+            Estimator::SharedSample => None,
+            Estimator::LocalReparam => Some(tyxe::poutine::local_reparameterization()),
+            Estimator::Flipout => Some(tyxe::poutine::flipout()),
+        }
+    }
+}
+
 /// Like [`run_svi`] but with a network and batch large enough to push
 /// every matmul over the blocked-GEMM threshold, so the parallel kernel
 /// paths (not just the sequential references) are exercised end to end.
 fn run_svi_wide(seed: u64, steps: usize) -> SviTrace {
-    run_svi_wide_at(seed, steps, tyxe::Precision::F64, Feed::Same)
+    run_svi_wide_at(seed, steps, tyxe::Precision::F64, Estimator::SharedSample, Feed::Same)
 }
 
-/// [`run_svi_wide`] under an explicit precision policy and [`Feed`].
-/// Site parameters are read back through the (exact) widening `to_vec`,
-/// so comparing their `f64` bit patterns is a faithful bitwise check at
-/// any storage dtype.
-fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision, feed: Feed) -> SviTrace {
+/// [`run_svi_wide`] under an explicit precision policy, [`Estimator`] and
+/// [`Feed`]. Site parameters are read back through the (exact) widening
+/// `to_vec`, so comparing their `f64` bit patterns is a faithful bitwise
+/// check at any storage dtype.
+fn run_svi_wide_at(
+    seed: u64,
+    steps: usize,
+    precision: tyxe::Precision,
+    estimator: Estimator,
+    feed: Feed,
+) -> SviTrace {
+    let _handler = estimator.install();
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let data = foong_regression(256, 0.1, 0);
@@ -124,6 +150,14 @@ fn run_svi_wide_at(seed: u64, steps: usize, precision: tyxe::Precision, feed: Fe
     let losses: Vec<f64> = (0..steps)
         .map(|_| bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim))
         .collect();
+    if matches!(feed, Feed::Same) {
+        // Otherwise "replay ≡ dynamic" below would compare dynamic with dynamic.
+        assert_eq!(
+            bnn.plan_unsupported_reason(),
+            None,
+            "{precision:?}, {estimator:?}: the step did not compile"
+        );
+    }
     let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
         .module()
         .sites()
@@ -146,11 +180,16 @@ fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) ->
 
 /// [`run_svi_wide_at`] as users get it: plan replay, on free-lists
 /// warmed by a different seed (stale values in every recycled buffer).
-fn run_svi_wide_warm(seed: u64, steps: usize, precision: tyxe::Precision) -> SviTrace {
+fn run_svi_wide_warm(
+    seed: u64,
+    steps: usize,
+    precision: tyxe::Precision,
+    estimator: Estimator,
+) -> SviTrace {
     on_fresh_thread(move || {
-        run_svi_wide_at(seed + 1000, 1, precision, Feed::Same);
+        run_svi_wide_at(seed + 1000, 1, precision, estimator, Feed::Same);
         assert!(tyxe_tensor::pool::thread_stats().0 > 0, "warm-up retained nothing");
-        run_svi_wide_at(seed, steps, precision, Feed::Same)
+        run_svi_wide_at(seed, steps, precision, estimator, Feed::Same)
     })
 }
 
@@ -166,19 +205,30 @@ fn assert_same_bits(reference: &SviTrace, subject: &SviTrace, what: &str) {
     }
 }
 
-/// The execution-strategy contract at one dtype (DESIGN.md §10–§12):
-/// the library at its one configuration — plan replay on warm
-/// free-lists, at 1 and 4 kernel threads — must match, bit for bit, a
-/// reference that uses none of it: one kernel thread, free-lists that
-/// start empty, and a fresh input handle every step so nothing replays.
-fn assert_matches_cold_dynamic_reference(seed: u64, steps: usize, precision: tyxe::Precision) {
+/// The execution-strategy contract at one dtype and one gradient
+/// estimator (DESIGN.md §10–§12): the library at its one configuration —
+/// plan replay on warm free-lists, at 1 and 4 kernel threads — must
+/// match, bit for bit, a reference that uses none of it: one kernel
+/// thread, free-lists that start empty, and a fresh input handle every
+/// step so nothing replays.
+fn assert_matches_cold_dynamic_reference(
+    seed: u64,
+    steps: usize,
+    precision: tyxe::Precision,
+    estimator: Estimator,
+) {
     let prev_threads = tyxe_par::num_threads();
     tyxe_par::set_num_threads(1);
-    let reference = on_fresh_thread(move || run_svi_wide_at(seed, steps, precision, Feed::Fresh));
+    let reference =
+        on_fresh_thread(move || run_svi_wide_at(seed, steps, precision, estimator, Feed::Fresh));
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
-        let subject = run_svi_wide_warm(seed, steps, precision);
-        assert_same_bits(&reference, &subject, &format!("{precision:?}, {threads} threads"));
+        let subject = run_svi_wide_warm(seed, steps, precision, estimator);
+        assert_same_bits(
+            &reference,
+            &subject,
+            &format!("{precision:?}, {estimator:?}, {threads} threads"),
+        );
     }
     tyxe_par::set_num_threads(prev_threads);
 }
@@ -235,7 +285,7 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
         let cold = on_fresh_thread(|| run_svi_wide(31, 2));
-        let warm = run_svi_wide_warm(31, 2, tyxe::Precision::F64);
+        let warm = run_svi_wide_warm(31, 2, tyxe::Precision::F64, Estimator::SharedSample);
         assert_same_bits(&cold, &warm, &format!("warm free-lists, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev_threads);
@@ -249,7 +299,7 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
 /// the recording step, which *is* a dynamic step) dominates the run.
 #[test]
 fn svi_step_is_bit_identical_with_plan_on_and_off() {
-    assert_matches_cold_dynamic_reference(37, 4, tyxe::Precision::F64);
+    assert_matches_cold_dynamic_reference(37, 4, tyxe::Precision::F64, Estimator::SharedSample);
 }
 
 /// The per-dtype determinism contract (DESIGN.md §12): determinism is
@@ -259,13 +309,27 @@ fn svi_step_is_bit_identical_with_plan_on_and_off() {
 /// trajectory at 1 and 4 kernel threads.
 #[test]
 fn f32_svi_step_is_bit_identical_across_threads_pool_and_plan() {
-    assert_matches_cold_dynamic_reference(53, 2, tyxe::Precision::F32);
+    assert_matches_cold_dynamic_reference(53, 2, tyxe::Precision::F32, Estimator::SharedSample);
 }
 
 /// Mixed precision is deterministic too: the same pin as f32.
 #[test]
 fn mixed_precision_svi_step_is_bit_reproducible() {
-    assert_matches_cold_dynamic_reference(59, 2, tyxe::Precision::Mixed);
+    assert_matches_cold_dynamic_reference(59, 2, tyxe::Precision::Mixed, Estimator::SharedSample);
+}
+
+/// Local reparameterization and flipout are program transformations, so
+/// the step they rewrite compiles like any other: on this dense net both
+/// record (ISSUE 20), and the same pin holds per dtype — replay on warm
+/// free-lists at 1 and 4 kernel threads against the cold, never-replaying
+/// reference. Four steps at f64 so replay dominates, two at the others.
+#[test]
+fn lr_and_flipout_steps_are_bit_identical_across_threads_pool_and_plan() {
+    for estimator in [Estimator::LocalReparam, Estimator::Flipout] {
+        assert_matches_cold_dynamic_reference(61, 4, tyxe::Precision::F64, estimator);
+        assert_matches_cold_dynamic_reference(67, 2, tyxe::Precision::F32, estimator);
+        assert_matches_cold_dynamic_reference(71, 2, tyxe::Precision::Mixed, estimator);
+    }
 }
 
 /// Plan invalidation must never change answers: switching to a batch of
