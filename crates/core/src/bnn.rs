@@ -10,7 +10,7 @@ use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{negative_elbo, ElboEstimator};
-use tyxe_tensor::{DType, RawData, Tensor};
+use tyxe_tensor::{plan, DType, RawData, Tensor};
 
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
@@ -309,34 +309,46 @@ impl Precision {
     }
 }
 
-/// How many consecutive signature-mismatch re-records the step driver
-/// tolerates before pinning the BNN to the dynamic path: a loop that
-/// alternates batch tensors, or re-installs an effect handler, every
-/// step would otherwise pay full recording overhead on every one of
-/// them.
-const REPLAN_STREAK_LIMIT: u32 = 3;
+/// Why a non-[`Tensor`] input runs the dynamic step: the recorder is
+/// refused with this sentence, so `plan_unsupported_reason()` names it.
+const NOT_A_TENSOR: &str = "input is not a Tensor; the step driver keys plans on a Tensor input";
 
-/// Compiled-plan state for the SVI hot loop (see `tyxe_tensor::plan`
-/// and DESIGN.md §11). One slot: the driver re-records on signature
-/// change rather than caching per shape.
+/// What a step plan was recorded against (see `tyxe_tensor::plan` and
+/// DESIGN.md §11): the exact input and target tensors, by node id and
+/// shape, and the effect handlers installed around the step
+/// ([`tyxe_prob::poutine::stack_signature`]) — a handler rewrites what
+/// the step computes, so the trace is only that stack's.
 #[derive(Debug)]
-enum PlanSlot {
-    /// A compiled plan plus what it was recorded against: the exact
-    /// input/target tensors (by node id and shape) and the effect
-    /// handlers installed around the step
-    /// ([`tyxe_prob::poutine::stack_signature`]) — a handler rewrites
-    /// what the step computes, so the trace is only that stack's.
-    Ready {
-        plan: tyxe_tensor::plan::StepPlan,
-        input_id: u64,
-        input_shape: Vec<usize>,
-        targets_id: u64,
-        targets_shape: Vec<usize>,
-        handlers: Vec<u64>,
-    },
-    /// The model traced to something unreplayable, or thrashed on
-    /// signatures: stay dynamic for this BNN's lifetime.
-    Unsupported(String),
+struct StepKey {
+    input: (u64, Vec<usize>),
+    targets: (u64, Vec<usize>),
+    handlers: Vec<u64>,
+}
+
+impl StepKey {
+    fn new(x: &Tensor, targets: &Tensor, handlers: &[u64]) -> StepKey {
+        StepKey {
+            input: (x.id(), x.shape().to_vec()),
+            targets: (targets.id(), targets.shape().to_vec()),
+            handlers: handlers.to_vec(),
+        }
+    }
+
+    /// Whether this step may replay the plan, compared by borrowing; a
+    /// mismatch carries the pin reason should mismatches keep coming,
+    /// naming a changed handler stack first.
+    fn check(&self, x: Option<&Tensor>, targets: &Tensor, handlers: &[u64]) -> Result<(), &'static str> {
+        let same = |(id, shape): &(u64, Vec<usize>), t: &Tensor| *id == t.id() && shape == t.shape();
+        if self.handlers != handlers {
+            return Err("handler stack keeps changing: an effect handler is \
+                        (re-)installed around every step");
+        }
+        match x {
+            None => Err(NOT_A_TENSOR),
+            Some(x) if same(&self.input, x) && same(&self.targets, targets) => Ok(()),
+            Some(_) => Err("input signature keeps changing"),
+        }
+    }
 }
 
 /// Variational Bayesian neural network for supervised learning
@@ -350,13 +362,9 @@ pub struct VariationalBnn<M, L, G> {
     likelihood: L,
     guide: G,
     estimator: ElboEstimator,
-    /// Compiled step plan: recorded on the first
-    /// tensor-input SVI step, replayed while input/target identity,
-    /// shapes, the handler stack and the global plan generation hold.
-    plan: RefCell<Option<PlanSlot>>,
-    /// Consecutive signature-mismatch re-records; at
-    /// [`REPLAN_STREAK_LIMIT`] the slot turns `Unsupported`.
-    plan_streak: Cell<u32>,
+    /// Compiled step plan: recorded on the first tensor-input SVI step,
+    /// replayed while the [`StepKey`] and the global plan generation hold.
+    plan: RefCell<plan::Compiled<StepKey>>,
     /// Numeric policy for training and prediction (DESIGN.md §12).
     precision: Cell<Precision>,
     /// Posterior weight draws reused across predict calls (DESIGN.md
@@ -379,8 +387,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             likelihood,
             guide,
             estimator: ElboEstimator::MeanField,
-            plan: RefCell::new(None),
-            plan_streak: Cell::new(0),
+            plan: RefCell::new(plan::Compiled::observed()),
             precision: Cell::new(Precision::F64),
             predictive: SampleCache::default(),
             guide_epoch: Cell::new(0),
@@ -430,9 +437,8 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         // the *compute* dtype (cast structure of the traced graph) with
         // identical storage, so invalidate explicitly and let the slot
         // re-record (or re-pin) under the new policy.
-        tyxe_tensor::plan::invalidate_all();
-        *self.plan.borrow_mut() = None;
-        self.plan_streak.set(0);
+        plan::invalidate_all();
+        self.plan.borrow_mut().reset();
         // New storage dtype ⇒ cached weight draws are wrong now.
         self.bump_guide_epoch();
     }
@@ -506,14 +512,12 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     }
 
     /// Why the compiled-plan path is disabled for this BNN, if it is:
-    /// `Some(reason)` once a step traced to something unreplayable (or
-    /// kept thrashing input or handler-stack signatures), `None` while
-    /// plans are live or not yet attempted.
+    /// `Some(reason)` once a step traced to something unreplayable, kept
+    /// thrashing input or handler-stack signatures, or took an input that
+    /// is not a [`Tensor`]; `None` while plans are live or not yet
+    /// attempted.
     pub fn plan_unsupported_reason(&self) -> Option<String> {
-        match &*self.plan.borrow() {
-            Some(PlanSlot::Unsupported(r)) => Some(r.clone()),
-            _ => None,
-        }
+        self.plan.borrow().unsupported_reason().map(str::to_string)
     }
 
     /// Prediction has no compiled plan: every predictive forward runs
@@ -546,7 +550,9 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// replay it without rebuilding the graph or walking the poutine
     /// stack. Any divergence (shapes, a handler installed or dropped,
     /// site structure, control flow, RNG use the recorder cannot see)
-    /// falls back to the dynamic path — same bits, just slower.
+    /// falls back to the dynamic path — same bits, just slower. So does
+    /// an input of any other type, and
+    /// [`VariationalBnn::plan_unsupported_reason`] says so.
     pub fn svi_forward_backward<I>(
         &self,
         input: &I,
@@ -560,10 +566,34 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         // Guide parameters are about to accumulate gradients and be
         // stepped; any cached posterior draws are stale from here on.
         self.bump_guide_epoch();
-        match (input as &dyn std::any::Any).downcast_ref::<Tensor>() {
-            Some(x) => self.svi_forward_backward_planned(input, x, targets, optim),
-            None => self.svi_forward_backward_dynamic(input, targets, optim),
+        // Params can have been dropped from the optimizer by a checkpoint
+        // restore; cheap no-op otherwise.
+        self.register_params(optim);
+        // The caller's handlers, read before this step installs its own
+        // (observational) one.
+        let handlers = tyxe_prob::poutine::stack_signature();
+        let x = (input as &dyn std::any::Any).downcast_ref::<Tensor>();
+        let mut compiled = self.plan.borrow_mut();
+        let pass = compiled.run(
+            |key| key.check(x, targets, &handlers),
+            || StepKey::new(x.expect("only a Tensor input records a plan"), targets, &handlers),
+            || {
+                // Purely observational per-site timing handler; a no-op
+                // unless observability is enabled (and bit-identical
+                // either way).
+                let _obs = crate::poutine::obs_trace_if_enabled();
+                if x.is_none() {
+                    plan::mark_unsupported(NOT_A_TENSOR);
+                }
+                self.svi_loss(input, targets)
+            },
+        );
+        optim.zero_grad();
+        {
+            let _span = tyxe_obs::span!("core.svi.backward");
+            pass.backward();
         }
+        pass.loss().item()
     }
 
     /// Builds the negative-ELBO loss graph for one step (no backward).
@@ -582,148 +612,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         let guide = || self.guide.sample_guide();
         let (loss, _, _) = negative_elbo(&model, &guide, self.estimator);
         loss
-    }
-
-    /// The uncompiled step: rebuilds the graph every call.
-    fn svi_forward_backward_dynamic<I>(
-        &self,
-        input: &I,
-        targets: &Tensor,
-        optim: &mut dyn Optimizer,
-    ) -> f64
-    where
-        M: Forward<I, Output = Tensor>,
-    {
-        self.register_params(optim);
-        // Purely observational per-site timing handler; a no-op unless
-        // observability is enabled (and bit-identical either way).
-        let _obs = crate::poutine::obs_trace_if_enabled();
-        let loss = self.svi_loss(input, targets);
-        optim.zero_grad();
-        {
-            let _span = tyxe_obs::span!("core.svi.backward");
-            loss.backward();
-        }
-        loss.item()
-    }
-
-    /// The compiled step driver: replay on signature match, record on an
-    /// empty slot, dynamic otherwise. `x` is `input` downcast to a
-    /// [`Tensor`].
-    fn svi_forward_backward_planned<I>(
-        &self,
-        input: &I,
-        x: &Tensor,
-        targets: &Tensor,
-        optim: &mut dyn Optimizer,
-    ) -> f64
-    where
-        M: Forward<I, Output = Tensor>,
-    {
-        use tyxe_tensor::plan;
-
-        // The caller's handlers, read before this driver installs its own
-        // (observational) one.
-        let handlers = tyxe_prob::poutine::stack_signature();
-
-        // Fast path: replay a still-valid plan.
-        {
-            let slot = self.plan.borrow();
-            if let Some(PlanSlot::Ready {
-                plan: p,
-                input_id,
-                input_shape,
-                targets_id,
-                targets_shape,
-                handlers: recorded_handlers,
-            }) = slot.as_ref()
-            {
-                let fresh = p.generation() == plan::generation();
-                let matches = *input_id == x.id()
-                    && input_shape == x.shape()
-                    && *targets_id == targets.id()
-                    && targets_shape == targets.shape()
-                    && *recorded_handlers == handlers;
-                if fresh && matches {
-                    // Params can have been dropped from the optimizer by a
-                    // checkpoint restore; cheap no-op otherwise.
-                    self.register_params(optim);
-                    {
-                        let _span = tyxe_obs::span!("plan.replay");
-                        p.replay();
-                    }
-                    optim.zero_grad();
-                    {
-                        let _span = tyxe_obs::span!("core.svi.backward");
-                        p.backward();
-                    }
-                    plan::note_replay_hit();
-                    self.plan_streak.set(0);
-                    return p.loss().item();
-                }
-            }
-        }
-
-        // Slow path: discard a stale/mismatched plan, then re-record or
-        // stay dynamic.
-        {
-            let mut slot = self.plan.borrow_mut();
-            match slot.take() {
-                Some(PlanSlot::Ready { plan: p, handlers: recorded_handlers, .. }) => {
-                    if p.generation() == plan::generation() {
-                        // Signature mismatch (generation bumps are
-                        // counted by `invalidate_all` itself). Thrashing
-                        // signatures means recording overhead every step,
-                        // so after a streak pin this BNN to dynamic.
-                        plan::note_invalidated();
-                        let streak = self.plan_streak.get() + 1;
-                        self.plan_streak.set(streak);
-                        if streak >= REPLAN_STREAK_LIMIT {
-                            let what = if recorded_handlers == handlers {
-                                "input signature keeps changing"
-                            } else {
-                                "handler stack keeps changing: an effect handler is \
-                                 (re-)installed around every step"
-                            };
-                            *slot = Some(PlanSlot::Unsupported(what.to_string()));
-                        }
-                    }
-                }
-                other => *slot = other,
-            }
-            if matches!(*slot, Some(PlanSlot::Unsupported(_))) {
-                drop(slot);
-                return self.svi_forward_backward_dynamic(input, targets, optim);
-            }
-        }
-
-        // Record: one dynamic step with the recorder attached.
-        let _record_span = tyxe_obs::span!("plan.record");
-        self.register_params(optim);
-        let _obs = crate::poutine::obs_trace_if_enabled();
-        plan::begin_record();
-        let loss = self.svi_loss(input, targets);
-        match plan::end_record(&loss) {
-            Ok(p) => {
-                *self.plan.borrow_mut() = Some(PlanSlot::Ready {
-                    plan: p,
-                    input_id: x.id(),
-                    input_shape: x.shape().to_vec(),
-                    targets_id: targets.id(),
-                    targets_shape: targets.shape().to_vec(),
-                    handlers,
-                });
-            }
-            Err(reason) => {
-                *self.plan.borrow_mut() = Some(PlanSlot::Unsupported(reason));
-            }
-        }
-        optim.zero_grad();
-        {
-            let _span = tyxe_obs::span!("core.svi.backward");
-            loss.backward();
-        }
-        loss.item()
     }
 
     /// Runs stochastic variational inference for `num_epochs` passes over
@@ -1140,59 +1028,134 @@ mod tests {
         assert!(eval.error < 0.05, "error {}", eval.error);
     }
 
+    /// The toy net, logging for each forward it runs whether the plan
+    /// recorder was on. A replayed step runs no forward at all, so the
+    /// log is the BNN's step history as its plan driver ran it.
+    struct Logged {
+        net: tyxe_nn::layers::Sequential,
+        recording: RefCell<Vec<bool>>,
+    }
+
+    impl Module for Logged {
+        fn kind(&self) -> &'static str {
+            "Logged"
+        }
+
+        fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(ParamInfo)) {
+            self.net.visit_params(prefix, f);
+        }
+    }
+
+    impl Forward<Tensor> for Logged {
+        type Output = Tensor;
+
+        fn forward(&self, x: &Tensor) -> Tensor {
+            self.recording.borrow_mut().push(plan::is_recording());
+            self.net.forward(x)
+        }
+    }
+
+    /// An input type the step driver does not know.
+    struct Wrapped(Tensor);
+
+    impl Forward<Wrapped> for Logged {
+        type Output = Tensor;
+
+        fn forward(&self, x: &Wrapped) -> Tensor {
+            self.forward(&x.0)
+        }
+    }
+
+    fn logged_bnn() -> VariationalBnn<Logged, HomoskedasticGaussian, AutoNormal> {
+        VariationalBnn::new(
+            Logged { net: toy_net(), recording: RefCell::default() },
+            &IIDPrior::standard_normal(),
+            HomoskedasticGaussian::new(32, 0.1),
+            AutoNormal::new(),
+        )
+    }
+
     /// The never-replaying reference `tests/determinism.rs` compares
     /// plan replay against: a fresh input handle every step re-records
     /// (a dynamic step) and then pins to the dynamic path, but never
-    /// replays. Observed per BNN — a replay is the only tensor-input
-    /// step that leaves the slot's recorded input id alone — because the
+    /// replays. Observed per BNN through the forward log, because the
     /// process-wide `plan.hit` counter moves under concurrent tests; it
     /// is checked in `tests/pool.rs`, where nothing runs beside it.
     #[test]
     fn fresh_input_handles_never_replay() {
         let (x, y) = toy_data();
-        let bnn = VariationalBnn::new(
-            toy_net(),
-            &IIDPrior::standard_normal(),
-            HomoskedasticGaussian::new(32, 0.1),
-            AutoNormal::new(),
-        );
+        let bnn = logged_bnn();
         let mut optim = Adam::new(vec![], 1e-2);
-        let generation = tyxe_tensor::plan::generation();
+        let generation = plan::generation();
         let mut steps = 0;
         while bnn.plan_unsupported_reason().is_none() {
-            let fresh = Tensor::from_vec(x.to_vec(), x.shape());
-            bnn.svi_step(&fresh, &y, &mut optim);
+            bnn.svi_step(&Tensor::from_vec(x.to_vec(), x.shape()), &y, &mut optim);
             steps += 1;
-            match &*bnn.plan.borrow() {
-                Some(PlanSlot::Ready { input_id, .. }) => {
-                    assert_eq!(*input_id, fresh.id(), "step {steps} did not re-record");
-                }
-                Some(PlanSlot::Unsupported(reason)) => {
-                    assert_eq!(reason, "input signature keeps changing");
-                }
-                None => panic!("step {steps} left the slot empty"),
-            }
             assert!(steps < 64, "never pinned to the dynamic path");
         }
+        assert_eq!(bnn.plan_unsupported_reason().as_deref(), Some("input signature keeps changing"));
+        // Every step ran its forward — none replayed: each recorded, and
+        // the one that pinned the BNN ran dynamically.
+        let mut expected = vec![true; steps - 1];
+        expected.push(false);
+        assert_eq!(bnn.net().recording.take(), expected);
         // One recording plus REPLAN_STREAK_LIMIT mismatches pin the BNN.
         // A concurrent test's `invalidate_all` turns a mismatch into a
         // stale-generation re-record the streak does not count, so the
         // exact count holds only if the generation stood still.
-        if tyxe_tensor::plan::generation() == generation {
-            assert_eq!(steps, REPLAN_STREAK_LIMIT + 1);
+        if plan::generation() == generation {
+            assert_eq!(steps, plan::REPLAN_STREAK_LIMIT as usize + 1);
         }
-        // Pinned BNNs stay dynamic.
+        // Pinned BNNs stay dynamic, even on a stable handle.
         bnn.svi_step(&x, &y, &mut optim);
-        assert!(bnn.plan_unsupported_reason().is_some());
+        bnn.svi_step(&x, &y, &mut optim);
+        assert_eq!(bnn.net().recording.take(), vec![false, false]);
 
-        // A precision switch clears the pin; a stable handle records again.
+        // A precision switch clears the pin; a stable handle records
+        // again, then replays without running the forward.
         bnn.set_precision(Precision::Mixed);
         assert_eq!(bnn.plan_unsupported_reason(), None);
-        assert_eq!(bnn.plan_streak.get(), 0);
-        bnn.svi_step(&x, &y, &mut optim);
-        assert!(
-            matches!(&*bnn.plan.borrow(), Some(PlanSlot::Ready { input_id, .. }) if *input_id == x.id())
-        );
+        let generation = plan::generation();
+        for _ in 0..3 {
+            bnn.svi_step(&x, &y, &mut optim);
+        }
+        let log = bnn.net().recording.take();
+        assert!(!log.is_empty() && log.iter().all(|&recorded| recorded), "{log:?}");
+        if plan::generation() == generation {
+            assert_eq!(log, vec![true]);
+        }
+    }
+
+    /// An input the driver does not know — the route `(Graph, Tensor)`
+    /// takes — is refused by the recorder on its first step, with a
+    /// reason, and runs the dynamic body from then on, to the bits of the
+    /// compiled Tensor-input step.
+    #[test]
+    fn a_non_tensor_input_says_why_it_does_not_compile() {
+        let (x, y) = toy_data();
+        let run = |wrapped: bool| {
+            tyxe_prob::rng::set_seed(3);
+            let bnn = logged_bnn();
+            let mut optim = Adam::new(vec![], 1e-2);
+            let input = Wrapped(x.clone());
+            let losses: Vec<u64> = (0..4)
+                .map(|_| {
+                    let loss = if wrapped {
+                        bnn.svi_step(&input, &y, &mut optim)
+                    } else {
+                        bnn.svi_step(&x, &y, &mut optim)
+                    };
+                    loss.to_bits()
+                })
+                .collect();
+            (losses, bnn.plan_unsupported_reason(), bnn.net().recording.take())
+        };
+        let (compiled, compiled_reason, _) = run(false);
+        let (dynamic, reason, log) = run(true);
+        assert_eq!(compiled_reason, None);
+        assert_eq!(reason.as_deref(), Some(NOT_A_TENSOR));
+        assert_eq!(log, vec![true, false, false, false], "refused once, then dynamic");
+        assert_eq!(dynamic, compiled);
     }
 
     #[test]

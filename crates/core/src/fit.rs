@@ -7,16 +7,17 @@
 //! [`Supervisor::step`] runs the caller's forward/backward closure, then:
 //!
 //! 1. **Sentinels** — a non-finite loss or gradient, a loss spike beyond
-//!    `spike_factor` robust deviations above the rolling median, or a
+//!    [`SPIKE_FACTOR`] robust deviations above the rolling median, or a
 //!    (recoverable) worker panic marks the attempt as faulty.
 //! 2. **Retry with backoff** — faulty attempts restore the last *good*
 //!    parameter/optimizer snapshot (the state validated by the previous
-//!    step's sane loss), multiply the learning rate by `lr_backoff`, and
-//!    re-run, up to `max_retries` times. The learning rate returns to its
+//!    step's sane loss), multiply the learning rate by [`LR_BACKOFF`], and
+//!    re-run, up to [`MAX_RETRIES`] times. The learning rate returns to its
 //!    base value on success, so recovery does not permanently slow training.
 //! 3. **Graceful degradation** — when retries are exhausted: a spiking step
 //!    with finite gradients is applied anyway under a hard gradient-norm
-//!    clip; a step whose gradients are still non-finite is skipped.
+//!    clip ([`GRAD_CLIP`]); a step whose gradients are still non-finite is
+//!    skipped.
 //! 4. **Checkpoints** — every `checkpoint_every` accepted steps the full
 //!    training state (parameters, optimizer buffers, global RNG state,
 //!    step counter, loss window, fault stream) is written atomically, with
@@ -224,41 +225,28 @@ fn obs_count(name: &str) {
     }
 }
 
-/// Tuning knobs for the supervisor.
-#[derive(Debug, Clone)]
+/// Maximum rollback-and-retry attempts per step before degrading.
+pub const MAX_RETRIES: u32 = 3;
+/// Learning-rate multiplier per retry (restored on success).
+pub const LR_BACKOFF: f64 = 0.5;
+/// Number of recent accepted losses forming the divergence baseline.
+pub const SPIKE_WINDOW: usize = 16;
+/// Minimum accepted losses before spike detection arms.
+pub const MIN_WINDOW: usize = 8;
+/// A loss more than this many robust deviations (median absolute
+/// deviation) above the rolling median counts as divergence.
+pub const SPIKE_FACTOR: f64 = 20.0;
+/// Gradient-norm bound for the graceful-degradation path.
+pub const GRAD_CLIP: f64 = 10.0;
+
+/// Where and how often the supervisor checkpoints: the deployment
+/// settings. The recovery policy is the constants above.
+#[derive(Debug, Clone, Default)]
 pub struct SupervisorConfig {
-    /// Maximum rollback-and-retry attempts per step before degrading.
-    pub max_retries: u32,
-    /// Learning-rate multiplier per retry (restored on success).
-    pub lr_backoff: f64,
-    /// Number of recent accepted losses forming the divergence baseline.
-    pub spike_window: usize,
-    /// Minimum accepted losses before spike detection arms.
-    pub min_window: usize,
-    /// A loss more than `spike_factor` robust deviations (median absolute
-    /// deviation) above the rolling median counts as divergence.
-    pub spike_factor: f64,
-    /// Gradient-norm bound for the graceful-degradation path.
-    pub grad_clip: f64,
     /// Write a checkpoint every this many accepted steps (0 = disabled).
     pub checkpoint_every: u64,
     /// Checkpoint destination (required when `checkpoint_every > 0`).
     pub checkpoint_path: Option<PathBuf>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            max_retries: 3,
-            lr_backoff: 0.5,
-            spike_window: 16,
-            min_window: 8,
-            spike_factor: 20.0,
-            grad_clip: 10.0,
-            checkpoint_every: 0,
-            checkpoint_path: None,
-        }
-    }
 }
 
 impl SupervisorConfig {
@@ -321,8 +309,6 @@ impl Supervisor {
             config.checkpoint_every == 0 || config.checkpoint_path.is_some(),
             "Supervisor: checkpoint_every > 0 requires checkpoint_path"
         );
-        assert!(config.lr_backoff > 0.0 && config.lr_backoff < 1.0,
-            "Supervisor: lr_backoff must be in (0, 1)");
         Supervisor {
             config,
             params,
@@ -406,7 +392,7 @@ impl Supervisor {
                 }
                 Err((cause, loss)) => {
                     attempt += 1;
-                    if attempt > self.config.max_retries {
+                    if attempt > MAX_RETRIES {
                         return self.degrade(optim, base_lr, cause, loss);
                     }
                     self.report.retried += 1;
@@ -417,7 +403,7 @@ impl Supervisor {
                     }
                     self.report.record(FitEvent::Retried { step: self.steps, attempt, cause });
                     self.rollback(optim);
-                    let lr = base_lr * self.config.lr_backoff.powi(attempt as i32);
+                    let lr = base_lr * LR_BACKOFF.powi(attempt as i32);
                     optim.set_learning_rate(lr);
                     self.report.backed_off += 1;
                     obs_count("core.supervisor.backoffs");
@@ -478,10 +464,10 @@ impl Supervisor {
         with_grads[pi].set_grad(Some(g));
     }
 
-    /// Robust spike test: `loss` beyond `spike_factor` median-absolute-
+    /// Robust spike test: `loss` beyond [`SPIKE_FACTOR`] median-absolute-
     /// deviations above the rolling median of accepted losses.
     fn is_spike(&self, loss: f64) -> bool {
-        if self.window.len() < self.config.min_window.max(2) {
+        if self.window.len() < MIN_WINDOW {
             return false;
         }
         let median = median_of(&self.window);
@@ -490,7 +476,7 @@ impl Supervisor {
         // Floor the scale so a fully converged (near-constant-loss) window
         // does not flag ordinary Monte Carlo noise as divergence.
         let scale = mad.max(1e-3 * median.abs()).max(1e-9);
-        loss - median > self.config.spike_factor * scale
+        loss - median > SPIKE_FACTOR * scale
     }
 
     /// Accepts an attempt: snapshots the now-validated pre-update state,
@@ -500,7 +486,7 @@ impl Supervisor {
         self.good = Some(self.capture(optim));
         optim.step();
         self.window.push(loss);
-        let excess = self.window.len().saturating_sub(self.config.spike_window);
+        let excess = self.window.len().saturating_sub(SPIKE_WINDOW);
         if excess > 0 {
             self.window.drain(..excess);
         }
@@ -511,7 +497,7 @@ impl Supervisor {
     /// are usable, otherwise skip the update entirely.
     fn degrade(&mut self, optim: &mut dyn Optimizer, base_lr: f64, cause: FaultCause, loss: f64) -> f64 {
         if cause == FaultCause::LossSpike && grads_are_finite(&self.params) {
-            let norm = clip_grad_norm(&self.params, self.config.grad_clip);
+            let norm = clip_grad_norm(&self.params, GRAD_CLIP);
             self.report.grad_clipped += 1;
             obs_count("core.supervisor.grad_clipped");
             self.report.record(FitEvent::GradClipped { step: self.steps, norm });
@@ -866,7 +852,7 @@ mod tests {
         let _ = sup.step(&mut opt, &mut fb);
         assert_eq!(p.to_vec(), vec![0.0, 0.0], "poisoned step must not touch params");
         assert_eq!(sup.report().nan_skipped, 1);
-        assert_eq!(sup.report().retried, SupervisorConfig::default().max_retries as u64);
+        assert_eq!(sup.report().retried, u64::from(MAX_RETRIES));
         assert_eq!(sup.report().steps_completed, 1, "skipped steps still advance the schedule");
         assert_eq!(opt.learning_rate(), 0.1);
     }
@@ -875,36 +861,32 @@ mod tests {
     fn loss_spike_rolls_back_the_bad_update() {
         let p = Tensor::zeros(&[1]).requires_grad(true);
         let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        let config = SupervisorConfig { min_window: 4, ..SupervisorConfig::default() };
-        let mut sup = Supervisor::new(vec![p.clone()], config);
+        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
+        let warm_up = MIN_WINDOW as u32 + 2;
         let mut calls = 0u32;
-        // Steps 1..=8 are calm (grad 0.01); the 9th attempt reports a huge
-        // loss once (as if the 8th update corrupted the params); the retry
-        // sees a different gradient (0.02), so the final parameter
-        // distinguishes "rolled back then re-stepped" from "stepped on top
-        // of the bad update".
+        // The first `warm_up` steps are calm (grad 0.01) and arm the
+        // detector; the next attempt reports a huge loss once (as if the
+        // last update corrupted the params); the retry sees a different
+        // gradient (0.02), so the final parameter distinguishes "rolled
+        // back then re-stepped" from "stepped on top of the bad update".
         let mut fb = |optim: &mut dyn Optimizer| {
             optim.zero_grad();
             calls += 1;
-            match calls {
-                9 => {
-                    p.set_grad(Some(vec![0.01]));
-                    1e9
-                }
-                10 => {
-                    p.set_grad(Some(vec![0.02]));
-                    1.010
-                }
-                _ => {
-                    p.set_grad(Some(vec![0.01]));
-                    1.0 + 0.001 * calls as f64
-                }
+            if calls == warm_up + 1 {
+                p.set_grad(Some(vec![0.01]));
+                1e9
+            } else if calls == warm_up + 2 {
+                p.set_grad(Some(vec![0.02]));
+                1.0 + 0.001 * f64::from(warm_up)
+            } else {
+                p.set_grad(Some(vec![0.01]));
+                1.0 + 0.001 * f64::from(calls)
             }
         };
-        for _ in 0..8 {
+        for _ in 0..warm_up {
             sup.step(&mut opt, &mut fb);
         }
-        let param_after_8 = p.to_vec()[0];
+        let param_after_warm_up = p.to_vec()[0];
         let loss = sup.step(&mut opt, &mut fb);
         assert!(loss < 1e6, "retry must replace the spiking loss, got {loss}");
         assert!(sup.report().retried >= 1);
@@ -914,12 +896,12 @@ mod tests {
             .iter()
             .any(|e| matches!(e, FitEvent::Retried { cause: FaultCause::LossSpike, .. }));
         assert!(retried_spike, "events: {:?}", sup.report().events);
-        // Plain SGD, lr 0.1: rollback undoes step 8's -0.001, then the
-        // retry applies -0.002 — landing at `param_after_8 - 0.001`.
-        // Without the rollback the retry would land at
-        // `param_after_8 - 0.002`.
-        let expected = param_after_8 + 0.001 - 0.002;
-        let without_rollback = param_after_8 - 0.002;
+        // Plain SGD, lr 0.1: rollback undoes the last warm-up step's
+        // -0.001, then the retry applies -0.002 — landing at
+        // `param_after_warm_up - 0.001`. Without the rollback the retry
+        // would land at `param_after_warm_up - 0.002`.
+        let expected = param_after_warm_up + 0.001 - 0.002;
+        let without_rollback = param_after_warm_up - 0.002;
         let got = p.to_vec()[0];
         assert!(
             (got - expected).abs() < 1e-12,
@@ -932,33 +914,33 @@ mod tests {
     fn persistent_spike_degrades_to_clipped_update() {
         let p = Tensor::zeros(&[1]).requires_grad(true);
         let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        let config = SupervisorConfig {
-            min_window: 4,
-            grad_clip: 0.5,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::new(vec![p.clone()], config);
+        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
+        let warm_up = MIN_WINDOW as u32;
         let mut calls = 0u32;
         let mut fb = |optim: &mut dyn Optimizer| {
             optim.zero_grad();
             calls += 1;
-            if calls <= 8 {
+            if calls <= warm_up {
                 p.set_grad(Some(vec![0.01]));
                 1.0
             } else {
-                p.set_grad(Some(vec![100.0])); // every retry keeps spiking
+                // Every retry keeps spiking, with a gradient norm ten times
+                // the clip.
+                p.set_grad(Some(vec![10.0 * GRAD_CLIP]));
                 1e9
             }
         };
-        for _ in 0..8 {
+        for _ in 0..warm_up {
             sup.step(&mut opt, &mut fb);
         }
         let before = p.to_vec()[0];
         let _ = sup.step(&mut opt, &mut fb);
         assert_eq!(sup.report().grad_clipped, 1);
         let moved = (p.to_vec()[0] - before).abs();
-        // Clipped to norm 0.5 at backed-off lr: a bounded, non-zero nudge.
-        assert!(moved > 0.0 && moved <= 0.5 * 0.1 + 1e-12, "moved {moved}");
+        // Clipped to norm GRAD_CLIP at the backed-off lr: a bounded,
+        // non-zero nudge (unclipped, it would be ten times larger).
+        let backed_off_lr = 0.1 * LR_BACKOFF.powi(MAX_RETRIES as i32);
+        assert!(moved > 0.0 && moved <= GRAD_CLIP * backed_off_lr + 1e-12, "moved {moved}");
         assert_eq!(opt.learning_rate(), 0.1);
     }
 

@@ -6,7 +6,6 @@ mod dropout;
 mod extra;
 mod linear;
 mod norm;
-mod recurrent;
 mod sequential;
 
 pub use activation::{Flatten, GlobalAvgPool2d, MaxPool2d, Relu, Sigmoid, Softplus, Tanh};
@@ -15,5 +14,4 @@ pub use dropout::Dropout;
 pub use extra::{AvgPool2d, LayerNorm};
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
-pub use recurrent::{GruCell, Rnn, RnnCell};
 pub use sequential::{mlp, Sequential};

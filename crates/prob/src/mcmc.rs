@@ -6,18 +6,18 @@
 //! with the tensor crate's reverse-mode engine.
 //!
 //! The potential's graph never changes shape along a chain, so [`Mcmc::run`]
-//! compiles it: the chain's first evaluation is recorded as a
-//! `tyxe_tensor::plan::StepPlan` and every later `U(q)`, `∇U(q)` replays it
-//! (DESIGN.md §11, "a second driver"). A [`LatentLayout`] that `Mcmc::run`
-//! did not bind — anything [`LatentLayout::discover`] returns — rebuilds
-//! trace, handler stack and graph on every call: the dynamic oracle.
+//! compiles it through `tyxe_tensor::plan::Compiled`, the driver the SVI
+//! step uses too (DESIGN.md §11): the chain's first evaluation is recorded
+//! and every later `U(q)`, `∇U(q)` replays it. A [`LatentLayout`] that
+//! `Mcmc::run` did not bind — anything [`LatentLayout::discover`] returns —
+//! rebuilds trace, handler stack and graph on every call: the dynamic oracle.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
-use tyxe_tensor::plan::{self, StepPlan};
+use tyxe_tensor::plan;
 use tyxe_tensor::Tensor;
 
 use crate::poutine::{condition, trace};
@@ -83,7 +83,7 @@ pub struct LatentLayout {
 /// The compiled potential of the one layout [`Mcmc::run`] bound; `None`
 /// on every other layout, clones of a bound one included, so a replay can
 /// only ever serve the chain that recorded it.
-struct Binding(Option<RefCell<Compiled>>);
+struct Binding(Option<RefCell<Bound>>);
 
 impl Clone for Binding {
     fn clone(&self) -> Binding {
@@ -95,27 +95,18 @@ impl fmt::Debug for Binding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
             None => f.write_str("Unbound"),
-            Some(c) => c.borrow().slot.fmt(f),
+            Some(c) => c.borrow().plan.fmt(f),
         }
     }
 }
 
-struct Compiled {
+struct Bound {
     /// The latent leaves, in layout order. Created at bind, so they
-    /// pre-exist every recording and `end_record` takes them as plan
-    /// inputs; each evaluation writes `q` into them.
+    /// pre-exist every recording and the plan takes them as inputs; each
+    /// evaluation writes `q` into them.
     leaves: Vec<Tensor>,
-    slot: PlanSlot,
-}
-
-#[derive(Debug)]
-enum PlanSlot {
-    /// Nothing recorded yet, or a plan-generation bump discarded the
-    /// recording: the next evaluation records.
-    Empty,
-    Ready(StepPlan),
-    /// `end_record` refused the trace; the chain stays dynamic for good.
-    Unsupported(String),
+    /// Keyed on `()`: the leaves are the potential's only inputs.
+    plan: plan::Compiled<()>,
 }
 
 impl LatentLayout {
@@ -193,19 +184,16 @@ impl LatentLayout {
     /// Gives this layout a compiled-potential slot. Only [`Mcmc::run`]
     /// calls it, on the layout it owns for the length of one chain.
     fn bind(&mut self) {
-        self.compiled = Binding(Some(RefCell::new(Compiled {
+        self.compiled = Binding(Some(RefCell::new(Bound {
             leaves: self.leaves(&vec![0.0; self.total], true),
-            slot: PlanSlot::Empty,
+            plan: plan::Compiled::unobserved(),
         })));
     }
 
     /// Why a bound layout's chain fell back to the dynamic potential;
     /// `None` while it replays (or on a bare layout).
     fn plan_unsupported_reason(&self) -> Option<String> {
-        match &self.compiled.0.as_ref()?.borrow().slot {
-            PlanSlot::Unsupported(reason) => Some(reason.clone()),
-            _ => None,
-        }
+        self.compiled.0.as_ref()?.borrow().plan.unsupported_reason().map(str::to_string)
     }
 
     /// Builds the graph of `U = -log p(x, leaves)`: the model's trace
@@ -236,47 +224,30 @@ impl LatentLayout {
     }
 }
 
-impl Compiled {
-    /// `U(q)`, `∇U(q)` through the chain's plan: replay it when it is
-    /// live, record it when there is none (that evaluation *is* the
-    /// recording — the model runs once either way, so a model that draws
+impl Bound {
+    /// `U(q)`, `∇U(q)` through the chain's driver: the first evaluation
+    /// records (the model runs once either way, so a model that draws
     /// from the global RNG sees the stream it would see dynamically),
-    /// stay dynamic once a trace was refused.
+    /// later ones replay, and a trace the recorder refuses leaves the
+    /// chain on the dynamic body. Supervisor rollback, checkpoint
+    /// restore and dtype conversion bump the plan generation, and the
+    /// driver records again.
     fn potential_and_grad(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: &[f64]) -> (f64, Vec<f64>) {
-        // Supervisor rollback, checkpoint restore and dtype conversion
-        // bump the generation: the retained graph may no longer be the
-        // model's, so record again.
-        if matches!(&self.slot, PlanSlot::Ready(p) if p.generation() != plan::generation()) {
-            self.slot = PlanSlot::Empty;
-        }
-        if matches!(self.slot, PlanSlot::Unsupported(_)) {
-            return layout.potential_and_grad_dynamic(model, q);
-        }
         for (i, leaf) in self.leaves.iter().enumerate() {
             leaf.set_data(layout.site(q, i).to_vec());
             leaf.zero_grad();
         }
-        let u = if let PlanSlot::Ready(p) = &self.slot {
-            if tyxe_obs::enabled() {
+        let leaves = &self.leaves;
+        let pass = self.plan.run(|()| Ok(()), || (), || layout.potential(model, leaves));
+        if tyxe_obs::enabled() {
+            if pass.replayed() {
                 probe::potential_replays().inc();
-            }
-            p.replay();
-            p.backward();
-            p.loss().item()
-        } else {
-            if tyxe_obs::enabled() {
+            } else if pass.recorded() {
                 probe::potential_records().inc();
             }
-            plan::begin_record();
-            let u = layout.potential(model, &self.leaves);
-            self.slot = match plan::end_record(&u) {
-                Ok(p) => PlanSlot::Ready(p),
-                Err(reason) => PlanSlot::Unsupported(reason),
-            };
-            u.backward();
-            u.item()
-        };
-        (u, layout.gradient(&self.leaves))
+        }
+        pass.backward();
+        (pass.loss().item(), layout.gradient(leaves))
     }
 }
 
@@ -748,9 +719,9 @@ pub struct ChainStats {
     pub sample_accept: f64,
     /// The kernel's [`Kernel::num_divergent`] when the chain ended.
     pub num_divergent: u64,
-    /// Why the chain evaluated its potential dynamically — what
-    /// `tyxe_tensor::plan::end_record` said of its first evaluation — or
-    /// `None` if it replayed the compiled potential.
+    /// Why the chain evaluated its potential dynamically — what the plan
+    /// recorder said of its first evaluation — or `None` if it replayed
+    /// the compiled potential.
     pub plan_unsupported_reason: Option<String>,
 }
 

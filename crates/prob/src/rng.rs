@@ -164,16 +164,19 @@ mod tests {
 
         set_seed(5);
         let x = tyxe_tensor::Tensor::ones(&[64]).requires_grad(true);
-        tyxe_tensor::plan::begin_record();
-        let s = rand_signs(&[64]);
-        let loss = x.mul(&s).sum();
-        let plan = tyxe_tensor::plan::end_record(&loss).expect("rand_signs is a registered leaf");
+        let mut driver = tyxe_tensor::plan::Compiled::unobserved();
+        let mut signs = None;
+        let recorded = driver.run(|()| Ok(()), || (), || x.mul(signs.insert(rand_signs(&[64]))).sum());
+        assert!(recorded.recorded());
+        let s = signs.expect("the first step records");
+        assert_eq!(driver.unsupported_reason(), None, "rand_signs is a registered leaf");
         assert_eq!(s.to_vec(), sign(&u));
         assert!(s.to_vec().contains(&-1.0) && s.to_vec().contains(&1.0));
         // Replay redraws into the same tensor, one uniform per element.
-        plan.replay();
+        let replayed = driver.run(|()| Ok(()), || (), || unreachable!("the plan replays"));
+        assert!(replayed.replayed());
         assert_eq!(s.to_vec(), sign(&u_next));
-        assert_eq!(plan.loss().item(), sign(&u_next).iter().sum::<f64>());
+        assert_eq!(replayed.loss().item(), sign(&u_next).iter().sum::<f64>());
     }
 
     #[test]

@@ -71,12 +71,12 @@
 //! # Compiled step plans
 //!
 //! On top of buffer recycling, [`plan`] removes per-step graph
-//! construction entirely: a recording pass traces one SVI step into a
-//! [`plan::StepPlan`] whose replay recomputes every op in place over
-//! the retained graph — zero allocation, bit-identical to the dynamic
-//! path. Traces that cannot be replayed (unsupported ops, unregistered
-//! RNG draws) fall back to the dynamic path; see DESIGN.md §11 for the
-//! contract.
+//! construction entirely: its driver, [`plan::Compiled`], records one
+//! step (an SVI step, an MCMC potential) into a plan whose replay
+//! recomputes every op in place over the retained graph — zero
+//! allocation, bit-identical to the dynamic path. Traces that cannot be
+//! replayed (unsupported ops, unregistered RNG draws) fall back to the
+//! dynamic path; see DESIGN.md §11 for the contract.
 
 pub mod autocast;
 pub mod element;

@@ -1,19 +1,28 @@
-//! Compiled step plans: trace one SVI step, replay it many times.
+//! Compiled step plans: record one step, replay it many times.
 //!
-//! SVI training rebuilds an identical autodiff graph every step. The
-//! buffer pool ([`crate::pool`]) recycles the *storage*, but graph
+//! SVI training rebuilds an identical autodiff graph every step, and an
+//! MCMC chain rebuilds an identical potential every leapfrog. The buffer
+//! pool ([`crate::pool`]) recycles the *storage*, but graph
 //! construction, effect-handler dispatch and per-op closure allocation
 //! are still paid per step. This module removes them: a **recording**
 //! pass runs one ordinary dynamic step while every supported op also
 //! registers a *replay closure* — a `Fn` that recomputes the op's
 //! forward values in place, into the same output buffer, from the same
-//! (retained) input tensors. The resulting [`StepPlan`] owns the flat
-//! closure list, the retained graph, and a cached topological order;
-//! [`StepPlan::replay`] re-executes the forward pass with **zero graph
-//! or buffer allocation**, and [`StepPlan::backward`] walks the cached
-//! topological order — byte for byte the same arithmetic as the dynamic
-//! path, so replay is bit-identical to rebuilding the graph (pinned by
+//! (retained) input tensors. The resulting plan owns the flat closure
+//! list, the retained graph, and a cached topological order; a replay
+//! re-executes the forward pass with **zero graph or buffer
+//! allocation**, and its backward walks the cached topological order —
+//! byte for byte the same arithmetic as the dynamic path, so replay is
+//! bit-identical to rebuilding the graph (pinned by
 //! `tests/determinism.rs`).
+//!
+//! # The driver
+//!
+//! [`Compiled`] is the one place that decides when a plan may run; its
+//! callers supply a key and a step body. `tyxe::VariationalBnn` keys its
+//! SVI step on the input and target tensors and the effect-handler
+//! stack; `tyxe_prob::mcmc` keys a chain's potential on `()`, because
+//! the latent leaves it writes `q` into are the plan's own inputs.
 //!
 //! # Trace semantics and the coverage check
 //!
@@ -21,8 +30,8 @@
 //! ([`Tensor::scalar`], [`Tensor::full`], …) are baked at their recorded
 //! values, and data-dependent control flow is frozen the way a JAX trace
 //! freezes Python control flow. A plan is only returned when the trace
-//! is provably replayable; [`end_record`] rejects it (→ permanent
-//! dynamic fallback, never wrong answers) if:
+//! is provably replayable; `end_record` rejects it (→ the driver pins
+//! itself to the dynamic path, never wrong answers) if:
 //!
 //! * any node reachable from the loss was produced during recording by
 //!   an op without a replay closure (e.g. `matmul`, `custom_op`,
@@ -40,15 +49,14 @@
 //!
 //! # Invalidation
 //!
-//! Replay is only valid for the exact input/target tensors (by node id
-//! and shape) the plan was recorded against — the step driver in
-//! `tyxe::VariationalBnn` checks this signature and re-records on
-//! mismatch. Out-of-band state surgery (checkpoint restore, fault
-//! rollback) calls [`invalidate_all`], which bumps a global generation
-//! every live plan is compared against. Counters `plan.hit` /
-//! `plan.invalidated` and the `plan.record`/`plan.replay`/
-//! `plan.invalidate` spans make the hit ratio observable; DESIGN.md §11
-//! states the full contract.
+//! Replay is only valid for what the plan was recorded against: the
+//! driver re-records when the caller's key no longer matches, and pins
+//! itself after [`REPLAN_STREAK_LIMIT`] mismatches in a row. Out-of-band
+//! state surgery (checkpoint restore, fault rollback) calls
+//! [`invalidate_all`], which bumps a global generation every live plan
+//! is compared against. Counters `plan.hit` / `plan.invalidated` and the
+//! `plan.record`/`plan.replay`/`plan.invalidate` spans make the SVI hit
+//! ratio observable; DESIGN.md §11 states the full contract.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -83,7 +91,8 @@ mod probe {
 /// by its driver once the two disagree.
 static GENERATION: AtomicU64 = AtomicU64::new(0);
 
-/// The current plan generation (compare against [`StepPlan::generation`]).
+/// The current plan generation; a plan recorded under another one is
+/// stale.
 pub fn generation() -> u64 {
     GENERATION.load(Ordering::Relaxed)
 }
@@ -97,15 +106,159 @@ pub fn invalidate_all() {
     probe::plan_invalidated().inc();
 }
 
-/// Records a replay served from a compiled plan (`plan.hit`).
-pub fn note_replay_hit() {
-    probe::plan_hit().inc();
+/// Key mismatches in a row after which a [`Compiled`] driver pins itself
+/// to the dynamic path: a loop that alternates batch tensors, or
+/// re-installs an effect handler, every step would otherwise pay full
+/// recording overhead on every one of them.
+pub const REPLAN_STREAK_LIMIT: u32 = 3;
+
+/// The compiled-step driver: one plan slot and the rules for when it
+/// may run (see [`Compiled::run`]). A trace `end_record` refuses pins
+/// it to the dynamic body, with the refusal's sentence as the reason.
+#[derive(Debug)]
+pub struct Compiled<K> {
+    slot: Slot<K>,
+    /// Key mismatches in a row; reset by a replay.
+    streak: u32,
+    /// Whether replays count as `plan.hit` and passes trace as
+    /// `plan.record` / `plan.replay` spans (the SVI step), or the caller
+    /// keeps its own accounting (the MCMC potential's `prob.mcmc.*`).
+    observed: bool,
 }
 
-/// Records a driver-side plan discard — signature mismatch, not a
-/// [`invalidate_all`] bump (those count themselves).
-pub fn note_invalidated() {
-    probe::plan_invalidated().inc();
+#[derive(Debug)]
+enum Slot<K> {
+    Empty,
+    Ready { plan: StepPlan, key: K },
+    /// Refused or thrashing: the dynamic body until [`Compiled::reset`].
+    Pinned(String),
+}
+
+/// One step through a [`Compiled`] driver: its loss, and the backward
+/// pass that matches how the loss was produced.
+pub struct Pass<'a>(PassKind<'a>);
+
+enum PassKind<'a> {
+    Replayed(&'a StepPlan),
+    Recorded(Tensor),
+    Dynamic(Tensor),
+}
+
+impl<K> Compiled<K> {
+    /// The SVI step's driver: replays count as `plan.hit`.
+    pub fn observed() -> Compiled<K> {
+        Compiled { slot: Slot::Empty, streak: 0, observed: true }
+    }
+
+    /// A driver whose caller keeps its own replay accounting.
+    pub fn unobserved() -> Compiled<K> {
+        Compiled { slot: Slot::Empty, streak: 0, observed: false }
+    }
+
+    /// Runs one step. An empty slot records: `forward`, which builds the
+    /// step's scalar loss, runs once under the recorder, and that run
+    /// *is* the step; `key` builds the key only if the recording
+    /// succeeds. A plan of the current [`generation`] replays while
+    /// `check` — comparing its key with the caller's by borrowing —
+    /// returns `Ok(())`. `Err(why)` discards it, counts
+    /// `plan.invalidated` and records again; the
+    /// [`REPLAN_STREAK_LIMIT`]-th in a row pins the driver with `why`.
+    pub fn run(
+        &mut self,
+        check: impl FnOnce(&K) -> Result<(), &'static str>,
+        key: impl FnOnce() -> K,
+        forward: impl FnOnce() -> Tensor,
+    ) -> Pass<'_> {
+        match &self.slot {
+            // Out-of-band state surgery, counted by `invalidate_all`
+            // itself: record again, and neither grow nor reset the streak.
+            Slot::Ready { plan, .. } if plan.generation != generation() => self.slot = Slot::Empty,
+            Slot::Ready { key: recorded, .. } => match check(recorded) {
+                Ok(()) => {
+                    self.streak = 0;
+                    return self.replay();
+                }
+                Err(why) => {
+                    probe::plan_invalidated().inc();
+                    self.streak += 1;
+                    self.slot = if self.streak >= REPLAN_STREAK_LIMIT {
+                        Slot::Pinned(why.to_string())
+                    } else {
+                        Slot::Empty
+                    };
+                }
+            },
+            Slot::Empty | Slot::Pinned(_) => {}
+        }
+        if matches!(self.slot, Slot::Pinned(_)) {
+            return Pass(PassKind::Dynamic(forward()));
+        }
+        let _span = self.observed.then(|| tyxe_obs::span!("plan.record"));
+        begin_record();
+        let loss = forward();
+        self.slot = match end_record(&loss) {
+            Ok(plan) => Slot::Ready { plan, key: key() },
+            Err(reason) => Slot::Pinned(reason),
+        };
+        Pass(PassKind::Recorded(loss))
+    }
+
+    fn replay(&self) -> Pass<'_> {
+        let Slot::Ready { plan, .. } = &self.slot else {
+            unreachable!("replay without a plan")
+        };
+        let _span = self.observed.then(|| tyxe_obs::span!("plan.replay"));
+        plan.replay();
+        if self.observed {
+            probe::plan_hit().inc();
+        }
+        Pass(PassKind::Replayed(plan))
+    }
+
+    /// Why the driver runs the dynamic body: `end_record`'s sentence,
+    /// or the caller's for a key that kept changing. `None` while plans
+    /// are live or not yet attempted.
+    pub fn unsupported_reason(&self) -> Option<&str> {
+        match &self.slot {
+            Slot::Pinned(reason) => Some(reason),
+            _ => None,
+        }
+    }
+
+    /// Forgets the plan, the pin and the streak: the next step records.
+    pub fn reset(&mut self) {
+        self.slot = Slot::Empty;
+        self.streak = 0;
+    }
+}
+
+impl Pass<'_> {
+    /// The step's scalar loss.
+    pub fn loss(&self) -> &Tensor {
+        match &self.0 {
+            PassKind::Replayed(plan) => &plan.loss,
+            PassKind::Recorded(loss) | PassKind::Dynamic(loss) => loss,
+        }
+    }
+
+    /// Backpropagates the loss: over the plan's cached order after a
+    /// replay, through the freshly built graph otherwise.
+    pub fn backward(&self) {
+        match &self.0 {
+            PassKind::Replayed(plan) => plan.backward(),
+            PassKind::Recorded(loss) | PassKind::Dynamic(loss) => loss.backward(),
+        }
+    }
+
+    /// Whether the loss came from replaying a plan.
+    pub fn replayed(&self) -> bool {
+        matches!(self.0, PassKind::Replayed(_))
+    }
+
+    /// Whether the step ran under the recorder.
+    pub fn recorded(&self) -> bool {
+        matches!(self.0, PassKind::Recorded(_))
+    }
 }
 
 thread_local! {
@@ -138,7 +291,7 @@ pub fn is_recording() -> bool {
 /// Starts recording on this thread. Unconditionally replaces any stale
 /// recorder (e.g. left behind by a panic mid-step) so a supervised
 /// retry always records from a clean slate.
-pub fn begin_record() {
+fn begin_record() {
     RECORDER.with(|r| {
         *r.borrow_mut() = Some(Recorder {
             watermark: crate::tensor::id_watermark(),
@@ -156,7 +309,7 @@ pub fn begin_record() {
 }
 
 /// Poisons the active recording (if any): `end_record` will report
-/// `reason` and the driver falls back to the dynamic path permanently.
+/// `reason` and the driver pins itself to the dynamic path.
 /// Called by anything a trace cannot reproduce — unregistered global
 /// RNG draws above all.
 pub fn mark_unsupported(reason: &str) {
@@ -232,7 +385,7 @@ pub(crate) fn record_const(out: &Tensor) {
 /// Finishes the recording started by [`begin_record`] and compiles a
 /// plan that replays `loss` (the step's scalar output), or explains why
 /// the trace cannot be replayed. Always clears the recording state.
-pub fn end_record(loss: &Tensor) -> Result<StepPlan, String> {
+fn end_record(loss: &Tensor) -> Result<StepPlan, String> {
     ACTIVE.with(|a| a.set(false));
     let rec = RECORDER.with(|r| r.borrow_mut().take());
     let Some(rec) = rec else {
@@ -277,47 +430,28 @@ pub fn end_record(loss: &Tensor) -> Result<StepPlan, String> {
     Ok(StepPlan { ops: rec.ops, topo, loss: loss.clone(), generation: generation() })
 }
 
-/// A compiled SVI step: the retained graph of one recorded execution,
-/// the flat list of replay closures that recompute it in place, and the
+/// A compiled step: the retained graph of one recorded execution, the
+/// flat list of replay closures that recompute it in place, and the
 /// cached topological order its backward pass walks.
-pub struct StepPlan {
+struct StepPlan {
     ops: Vec<Box<dyn Fn()>>,
     /// `loss.topo_order()` at record time. The retained graph never
     /// changes shape, so the cached order stays exact — and because the
     /// dynamic path recomputes the identical order each step, walking
     /// the cache is bit-identical to a dynamic backward.
     topo: Vec<Tensor>,
+    /// The retained scalar loss node; holds the freshly replayed value
+    /// after [`StepPlan::replay`].
     loss: Tensor,
+    /// The generation this plan was recorded under.
     generation: u64,
 }
 
 impl StepPlan {
-    /// The generation this plan was recorded under; stale once it
-    /// differs from [`generation`].
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The retained scalar loss node; holds the freshly replayed value
-    /// after [`StepPlan::replay`].
-    pub fn loss(&self) -> &Tensor {
-        &self.loss
-    }
-
-    /// Number of replay closures (op recomputes + RNG refreshes).
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether the plan contains no replay closures.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
     /// Re-executes the recorded forward pass in place: every closure
     /// overwrites its output buffer inside the retained graph. No graph
     /// nodes and no buffers are allocated.
-    pub fn replay(&self) {
+    fn replay(&self) {
         for op in &self.ops {
             op();
         }
@@ -329,7 +463,7 @@ impl StepPlan {
     /// previously interrupted walk (e.g. an injected panic) is cleared
     /// first; a completed walk leaves none, so this is normally a no-op
     /// sweep.
-    pub fn backward(&self) {
+    fn backward(&self) {
         if !self.loss.requires_grad_enabled() {
             return;
         }
@@ -353,17 +487,156 @@ impl fmt::Debug for StepPlan {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Serializes tests that toggle recording state on this thread (the
-    /// test harness runs tests concurrently, but TLS isolates them; the
-    /// lock guards the process-global generation assertions).
-    fn with_plan_lock<R>(f: impl FnOnce() -> R) -> R {
+    /// Serializes this crate's tests that read or bump the process-global
+    /// generation and plan counters (the harness runs tests concurrently;
+    /// recording state itself is thread-local).
+    pub(crate) fn with_plan_lock<R>(f: impl FnOnce() -> R) -> R {
         use std::sync::Mutex;
         static LOCK: Mutex<()> = Mutex::new(());
         let _g = LOCK.lock().unwrap_or_else(|p| p.into_inner());
         f()
+    }
+
+    /// One step of `driver` keyed on `key`, backward included: how the
+    /// pass ran, and its loss.
+    fn step(driver: &mut Compiled<u32>, key: u32, forward: impl FnOnce() -> Tensor) -> (&'static str, f64) {
+        let pass = driver.run(
+            |recorded| if *recorded == key { Ok(()) } else { Err("key keeps changing") },
+            || key,
+            forward,
+        );
+        pass.backward();
+        let how = match (pass.recorded(), pass.replayed()) {
+            (true, _) => "record",
+            (_, true) => "replay",
+            _ => "dynamic",
+        };
+        (how, pass.loss().item())
+    }
+
+    fn counts() -> (u64, u64) {
+        (probe::plan_hit().get(), probe::plan_invalidated().get())
+    }
+
+    #[test]
+    fn driver_records_first_then_replays_the_same_key() {
+        with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).requires_grad(true);
+            let square = || x.mul(&x).sum();
+            let mut driver = Compiled::observed();
+            let before = counts();
+            assert_eq!(step(&mut driver, 7, square), ("record", 5.0));
+            // A new batch written into the same tensor replays.
+            x.set_data(vec![3.0, 4.0]);
+            x.zero_grad();
+            assert_eq!(step(&mut driver, 7, square), ("replay", 25.0));
+            assert_eq!(x.grad().unwrap(), vec![6.0, 8.0]);
+            assert_eq!(counts(), (before.0 + 1, before.1), "one hit, no discard");
+            assert_eq!(driver.unsupported_reason(), None);
+
+            // An unobserved driver replays without counting.
+            let mut quiet = Compiled::unobserved();
+            let before = counts();
+            assert_eq!(step(&mut quiet, 0, square).0, "record");
+            assert_eq!(step(&mut quiet, 0, square).0, "replay");
+            assert_eq!(counts(), before);
+        });
+    }
+
+    #[test]
+    fn stale_generation_records_again_outside_the_streak() {
+        with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![2.0], &[1]).requires_grad(true);
+            let square = || x.mul(&x).sum();
+            let mut driver = Compiled::observed();
+            assert_eq!(step(&mut driver, 0, square).0, "record");
+            for key in 1..REPLAN_STREAK_LIMIT {
+                assert_eq!(step(&mut driver, key, square).0, "record");
+            }
+            // One mismatch short of the limit. A generation bump discards
+            // the plan without a mismatch: the key changes too, yet the
+            // driver records instead of pinning ...
+            invalidate_all();
+            assert_eq!(step(&mut driver, 100, square).0, "record");
+            assert_eq!(driver.unsupported_reason(), None);
+            // ... and the same key replays the re-recorded plan.
+            assert_eq!(step(&mut driver, 100, square).0, "replay");
+            // A bump alone records again under the same key.
+            invalidate_all();
+            assert_eq!(step(&mut driver, 100, square).0, "record");
+            assert_eq!(step(&mut driver, 100, square).0, "replay");
+        });
+    }
+
+    #[test]
+    fn key_thrash_pins_with_the_callers_reason() {
+        with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![2.0], &[1]).requires_grad(true);
+            let square = || x.mul(&x).sum();
+            let mut driver = Compiled::observed();
+            let before = counts();
+            let mut steps = 0;
+            while driver.unsupported_reason().is_none() {
+                let pinning = steps == REPLAN_STREAK_LIMIT;
+                assert_eq!(step(&mut driver, steps, square), (if pinning { "dynamic" } else { "record" }, 4.0));
+                steps += 1;
+                assert!(steps < 64, "never pinned");
+            }
+            // One recording, then REPLAN_STREAK_LIMIT mismatches in a row.
+            assert_eq!(steps, REPLAN_STREAK_LIMIT + 1);
+            assert_eq!(driver.unsupported_reason(), Some("key keeps changing"));
+            assert_eq!(counts(), (before.0, before.1 + u64::from(REPLAN_STREAK_LIMIT)));
+            // Pinned: even the last key runs the dynamic body.
+            assert_eq!(step(&mut driver, steps - 1, square).0, "dynamic");
+        });
+    }
+
+    #[test]
+    fn a_refused_trace_pins_with_its_sentence_and_never_records_again() {
+        with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]).requires_grad(true);
+            let w = Tensor::from_vec(vec![3.0, 4.0], &[2, 1]).requires_grad(true);
+            let mut driver = Compiled::observed();
+            // matmul records no replay closure.
+            assert_eq!(step(&mut driver, 0, || x.matmul(&w).sum()), ("record", 11.0));
+            let reason = driver.unsupported_reason().expect("refused").to_string();
+            assert!(reason.contains("cannot replay"), "{reason}");
+            for _ in 0..3 {
+                let forward = || {
+                    assert!(!is_recording(), "a pinned driver recorded");
+                    x.matmul(&w).sum()
+                };
+                assert_eq!(step(&mut driver, 0, forward), ("dynamic", 11.0));
+            }
+            assert_eq!(driver.unsupported_reason(), Some(reason.as_str()));
+        });
+    }
+
+    #[test]
+    fn reset_clears_the_pin_and_the_streak() {
+        with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![2.0], &[1]).requires_grad(true);
+            let square = || x.mul(&x).sum();
+            let mut driver = Compiled::observed();
+            for key in 0..=REPLAN_STREAK_LIMIT {
+                step(&mut driver, key, square);
+            }
+            assert!(driver.unsupported_reason().is_some());
+            driver.reset();
+            assert_eq!(driver.unsupported_reason(), None);
+            assert_eq!(step(&mut driver, 0, square).0, "record");
+            // A fresh streak: LIMIT - 1 mismatches do not pin.
+            for key in 1..REPLAN_STREAK_LIMIT {
+                assert_eq!(step(&mut driver, key, square).0, "record");
+            }
+            assert_eq!(driver.unsupported_reason(), None);
+            driver.reset();
+            assert_eq!(step(&mut driver, 0, square).0, "record");
+            assert_eq!(step(&mut driver, 0, square).0, "replay");
+        });
     }
 
     #[test]
@@ -381,7 +654,7 @@ mod tests {
             // must match a fresh dynamic evaluation.
             x.set_data(vec![4.0, 5.0, 6.0]);
             plan.replay();
-            assert_eq!(plan.loss().item(), 16.0 + 25.0 + 36.0);
+            assert_eq!(plan.loss.item(), 16.0 + 25.0 + 36.0);
             x.zero_grad();
             plan.backward();
             assert_eq!(x.grad().unwrap(), vec![8.0, 10.0, 12.0]);
@@ -409,7 +682,7 @@ mod tests {
                 plan.backward();
                 let g = x.grad().unwrap();
                 x.zero_grad();
-                assert_eq!(plan.loss().item().to_bits(), want_loss.to_bits());
+                assert_eq!(plan.loss.item().to_bits(), want_loss.to_bits());
                 assert_eq!(g.len(), want_grad.len());
                 for (a, b) in g.iter().zip(&want_grad) {
                     assert_eq!(a.to_bits(), b.to_bits());
@@ -458,7 +731,7 @@ mod tests {
             let loss = x.mul(&scale).sum();
             let plan = end_record(&loss).expect("consts are baked, not rejected");
             plan.replay();
-            assert_eq!(plan.loss().item(), 1.5);
+            assert_eq!(plan.loss.item(), 1.5);
         });
     }
 
@@ -481,9 +754,9 @@ mod tests {
             begin_record();
             let loss = x.mul(&x).sum();
             let plan = end_record(&loss).unwrap();
-            assert_eq!(plan.generation(), generation());
+            assert_eq!(plan.generation, generation());
             invalidate_all();
-            assert_ne!(plan.generation(), generation());
+            assert_ne!(plan.generation, generation());
         });
     }
 
@@ -501,7 +774,7 @@ mod tests {
             let plan = end_record(&loss).expect("stale recorder must not leak");
             assert!(!is_recording());
             plan.replay();
-            assert_eq!(plan.loss().item(), 1.0);
+            assert_eq!(plan.loss.item(), 1.0);
         });
     }
 }

@@ -248,7 +248,7 @@ fn next_id() -> u64 {
 }
 
 /// The next id this thread will assign: nodes with `id >=` this value at
-/// `plan::begin_record` time were created during the recording. Used by
+/// the start of a plan recording were created during it. Used by
 /// the plan coverage check ([`crate::plan`]).
 pub(crate) fn id_watermark() -> u64 {
     ID_COUNTER.with(Cell::get)
@@ -909,7 +909,7 @@ impl Tensor {
 
     /// The reverse-mode walk over an explicit topological order — the
     /// shared tail of [`Tensor::backward_with_grad`] and the plan replay
-    /// path ([`crate::plan::StepPlan::backward`]), which caches the
+    /// path (`plan::StepPlan::backward`), which caches the
     /// order instead of recomputing it. `topo_order` is deterministic
     /// for a fixed graph, so both callers walk the identical sequence
     /// and produce bit-identical gradients.
@@ -1119,14 +1119,17 @@ mod tests {
 
     #[test]
     fn convert_dtype_inplace_keeps_id() {
-        let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).requires_grad(true);
-        let id = x.id();
-        x.convert_dtype_inplace(DType::F32);
-        assert_eq!(x.id(), id);
-        assert_eq!(x.dtype(), DType::F32);
-        assert_eq!(x.to_vec(), vec![1.0, 2.0]);
-        x.convert_dtype_inplace(DType::F64);
-        assert_eq!(x.dtype(), DType::F64);
+        // Each conversion bumps the plan generation under the plan tests.
+        crate::plan::tests::with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).requires_grad(true);
+            let id = x.id();
+            x.convert_dtype_inplace(DType::F32);
+            assert_eq!(x.id(), id);
+            assert_eq!(x.dtype(), DType::F32);
+            assert_eq!(x.to_vec(), vec![1.0, 2.0]);
+            x.convert_dtype_inplace(DType::F64);
+            assert_eq!(x.dtype(), DType::F64);
+        });
     }
 
     #[test]

@@ -203,12 +203,20 @@ fi
 
 # Prediction has one path and no switches (DESIGN.md §15), neither the
 # pool nor step plans have one (§10, §11), benchmark/ is the only thing
-# that times code (§6) and a dist session is named one way (§13): fail
-# if the deleted forward-plan layer, legacy bodies, options, the timing
-# harness or the session counter grow back. The filter drops this
-# guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# that times code (§6), a dist session is named one way (§13), the
+# supervisor's recovery policy is constants (§8) and library surface no
+# caller reached is gone: fail if the deleted forward-plan layer, legacy
+# bodies, options, the timing harness, the session counter, the tuning
+# knobs or the recurrent layers grow back. The filter drops this guard's
+# own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
+    exit 1
+fi
+# One compiled-step driver (§11): only `plan::Compiled` starts and ends a
+# recording and holds a plan slot.
+if grep -rnE "begin_record\(|end_record\(|enum PlanSlot" crates tests examples | grep -v "^crates/tensor/src/plan.rs:"; then
+    echo "verify: a plan driver outside crates/tensor/src/plan.rs" >&2
     exit 1
 fi
 
