@@ -267,28 +267,11 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         assert!(num_shards > 0, "fit_distributed: num_shards must be > 0");
 
         let mut compute = SviShardCompute::new(self, input, targets);
-        let mut co = if cfg.workers > 0 {
-            let mut cfg = cfg.clone();
-            cfg.num_shards = num_shards as usize;
-            Some(
-                Coordinator::launch(&cfg, session, compute.param_lens(), compute.precision_code())
-                    .expect("fit_distributed: coordinator launch failed"),
-            )
-        } else {
-            // The in-process reference path has no coordinator to arm
-            // the flight recorder; arm it here so `workers == 0` runs
-            // leave the same post-mortem artifacts.
-            if let Some(dir) = &cfg.telemetry_dir {
-                std::fs::create_dir_all(dir)
-                    .expect("fit_distributed: cannot create telemetry dir");
-                tyxe_obs::flight::configure(
-                    dir.join("flight-coordinator.jsonl"),
-                    tyxe_obs::merge::COORD_PID,
-                    0,
-                );
-            }
-            None
-        };
+        let mut co = (cfg.workers > 0).then(|| {
+            let cfg = DistConfig { num_shards: num_shards as usize, ..cfg.clone() };
+            Coordinator::launch(&cfg, session, compute.param_lens(), compute.precision_code())
+                .expect("fit_distributed: coordinator launch failed")
+        });
 
         let params = self.trainable_parameters();
         let all_shards: Vec<u32> = (0..num_shards).collect();

@@ -370,9 +370,6 @@ impl Supervisor {
         let loss = self.step_inner(optim, forward_backward);
         self.report.timing.record(t0.elapsed().as_nanos() as u64);
         obs_count("core.supervisor.steps");
-        // Keep the crash flight recorder's on-disk dump at most one
-        // interval old; a no-op unless armed (distributed telemetry).
-        tyxe_obs::flight::flush_if_stale();
         loss
     }
 

@@ -26,6 +26,10 @@
 //! Either repair path replays the interrupted step from the retained
 //! step inputs; parameters advance only on a complete collection, so
 //! the run's bits never depend on which deaths occurred.
+//!
+//! Burying a worker — after a death, or at shutdown — reaps it, drains
+//! its socket (its last words outlive the process) and writes the
+//! incarnation's post-mortem; the coordinator is its only writer.
 
 use std::collections::BTreeMap;
 use std::io::{self, Read};
@@ -35,12 +39,13 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use tyxe_obs::flight::LastWords;
 use tyxe_obs::metrics::{counter, counter_tagged, gauge, gauge_tagged, histogram_tagged, Counter};
 
 use crate::telemetry::{DistTelemetry, RankTelemetry};
 use crate::wire::{encode_frame_parts, write_frame_vectored, FrameParts, FrameReader, Msg};
 use crate::{assign_shards, DistConfig, ShardResult, SpawnMode};
-use crate::{ENV_ADDR, ENV_FLIGHT_DIR, ENV_INCARNATION, ENV_RANK, ENV_ROLE, ENV_SESSION};
+use crate::{ENV_ADDR, ENV_INCARNATION, ENV_RANK, ENV_ROLE, ENV_SESSION};
 
 /// Read timeout during the `Hello` handshake (the one phase where the
 /// stream is still in blocking mode).
@@ -97,11 +102,38 @@ impl DistReport {
 }
 
 struct WorkerSlot {
+    incarnation: u64,
     child: Child,
     conn: UnixStream,
     reader: FrameReader,
     last_seen: Instant,
     frames: Counter,
+}
+
+impl WorkerSlot {
+    /// Moves everything the worker has written so far into the frame
+    /// reader; the stream is nonblocking, so an empty socket costs one
+    /// syscall. `Ok(None)`: the worker closed its end.
+    fn pull(&mut self, buf: &mut [u8]) -> io::Result<Option<usize>> {
+        let mut total = 0;
+        loop {
+            match self.conn.read(buf) {
+                Ok(0) => return Ok(None),
+                Ok(n) => {
+                    total += n;
+                    self.last_seen = Instant::now();
+                    self.reader.push(&buf[..n]);
+                }
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(Some(total))
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// Drives N worker processes through lockstep SVI steps.
@@ -123,7 +155,8 @@ pub struct Coordinator {
     /// UNIX ns of this process's trace epoch (the reference clock all
     /// worker timestamps are normalized to).
     coord_epoch_unix_ns: u64,
-    /// Telemetry accumulated per `(rank, incarnation)`.
+    /// Telemetry accumulated per `(rank, incarnation)` — obs on or off:
+    /// last words arrive either way and feed the post-mortems.
     telemetry: BTreeMap<(u32, u64), RankTelemetry>,
 }
 
@@ -156,11 +189,6 @@ impl Coordinator {
         listener.set_nonblocking(true)?;
         if let Some(dir) = &cfg.telemetry_dir {
             std::fs::create_dir_all(dir)?;
-            tyxe_obs::flight::configure(
-                dir.join("flight-coordinator.jsonl"),
-                tyxe_obs::merge::COORD_PID,
-                0,
-            );
         }
         // One trace id per session, derived from the wall clock and
         // session number: nonzero whenever tracing is on, never fed
@@ -193,11 +221,6 @@ impl Coordinator {
         co.accept_pending()?;
         gauge("dist.workers_live").set(co.workers.len() as f64);
         Ok(co)
-    }
-
-    /// The report so far (final after [`Coordinator::shutdown`]).
-    pub fn report(&self) -> &DistReport {
-        &self.report
     }
 
     /// Ranks currently live (connected and heartbeating), ascending.
@@ -235,10 +258,6 @@ impl Coordinator {
         // tests and `--trace` flags arm it via `set_enabled`, which
         // children would otherwise not inherit.
         cmd.env("TYXE_OBS", if tyxe_obs::enabled() { "1" } else { "0" });
-        match &self.cfg.telemetry_dir {
-            Some(dir) => cmd.env(ENV_FLIGHT_DIR, dir),
-            None => cmd.env_remove(ENV_FLIGHT_DIR),
-        };
         cmd.stdin(Stdio::null());
         // Worker stdout/stderr would interleave with the coordinator's
         // (breaking script output parsing); silence unless debugging.
@@ -349,6 +368,7 @@ impl Coordinator {
         self.workers.insert(
             rank,
             WorkerSlot {
+                incarnation,
                 child,
                 conn: stream,
                 reader,
@@ -356,17 +376,14 @@ impl Coordinator {
                 frames: counter_tagged("dist.frames", &[("rank", rank_tag.as_str())], "count"),
             },
         );
-        if tyxe_obs::enabled() {
-            let entry = self.telemetry.entry((rank, incarnation)).or_default();
-            entry.rank = rank;
-            entry.incarnation = incarnation;
-            // 0 = the worker didn't report an epoch (legacy frame):
-            // leave its clock unshifted rather than warping to 1970.
-            if worker_epoch != 0 {
-                entry.clock_offset_ns =
-                    worker_epoch as i64 - self.coord_epoch_unix_ns as i64;
-            }
-        }
+        // 0 = the worker didn't report an epoch (legacy frame): leave
+        // its clock unshifted rather than warping to 1970.
+        let clock_offset_ns = match worker_epoch {
+            0 => 0,
+            epoch => epoch as i64 - self.coord_epoch_unix_ns as i64,
+        };
+        let rt = RankTelemetry { rank, incarnation, clock_offset_ns, ..RankTelemetry::default() };
+        self.telemetry.insert((rank, incarnation), rt);
         self.report.events.push(format!("rank {rank} joined (incarnation {incarnation})"));
         Ok(())
     }
@@ -393,7 +410,7 @@ impl Coordinator {
             }
             let assignment = assign_shards(self.cfg.num_shards as u32, &live);
             let t_broadcast = Instant::now();
-            let mut dead: Vec<u32> = Vec::new();
+            let mut dead: Vec<(u32, String)> = Vec::new();
             for (rank, shards) in &assignment {
                 let msg = Msg::Step {
                     step,
@@ -404,8 +421,8 @@ impl Coordinator {
                     span_id,
                 };
                 let slot = self.workers.get_mut(rank).expect("assigned rank is live");
-                if write_frame(&mut slot.conn, &encode_frame_parts(&msg)).is_err() {
-                    dead.push(*rank);
+                if let Err(e) = write_frame(&mut slot.conn, &encode_frame_parts(&msg)) {
+                    dead.push((*rank, format!("broadcast failed: {e}")));
                 }
             }
             if dead.is_empty() {
@@ -420,52 +437,34 @@ impl Coordinator {
                             .record(t_step.elapsed().as_millis() as u64);
                         self.report.steps += 1;
                         self.publish_liveness();
-                        tyxe_obs::flight::flush_if_stale();
                         return Ok(results);
                     }
                     Err(d) => dead = d,
                 }
             }
-            self.repair(&dead)?;
+            self.repair(dead)?;
         }
     }
 
-    /// Collects one `Grad` per shard, or the ranks that died trying.
+    /// Collects one `Grad` per shard, or the ranks that died trying
+    /// (each with how it died).
     #[allow(clippy::type_complexity)]
-    fn collect(&mut self, step: u64) -> io::Result<Result<Vec<ShardResult>, Vec<u32>>> {
+    fn collect(&mut self, step: u64) -> io::Result<Result<Vec<ShardResult>, Vec<(u32, String)>>> {
         let mut got: BTreeMap<u32, ShardResult> = BTreeMap::new();
         let timeout = Duration::from_millis(self.cfg.heartbeat_timeout_ms.max(1));
         let mut buf = vec![0u8; 256 * 1024];
         loop {
-            let mut dead: Vec<u32> = Vec::new();
+            let mut dead: Vec<(u32, String)> = Vec::new();
             let mut progress = false;
             for (&rank, slot) in self.workers.iter_mut() {
-                let mut slot_dead = false;
-                // Drain whatever the worker has written; the stream is
-                // nonblocking, so an empty socket costs one syscall.
-                loop {
-                    match slot.conn.read(&mut buf) {
-                        Ok(0) => {
-                            slot_dead = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progress = true;
-                            slot.last_seen = Instant::now();
-                            slot.reader.push(&buf[..n]);
-                        }
-                        Err(e)
-                            if e.kind() == io::ErrorKind::WouldBlock
-                                || e.kind() == io::ErrorKind::TimedOut =>
-                        {
-                            break
-                        }
-                        Err(_) => {
-                            slot_dead = true;
-                            break;
-                        }
+                let mut death = match slot.pull(&mut buf) {
+                    Ok(Some(n)) => {
+                        progress |= n > 0;
+                        None
                     }
-                }
+                    Ok(None) => Some("connection closed".to_string()),
+                    Err(e) => Some(format!("read failed: {e}")),
+                };
                 // Decode complete frames; a corrupt one is death.
                 loop {
                     match slot.reader.next_msg() {
@@ -475,29 +474,13 @@ impl Coordinator {
                                 Msg::Grad { step: s, shard, loss, grads } if s == step => {
                                     got.insert(shard, ShardResult { shard, loss, grads });
                                 }
-                                Msg::Telemetry {
-                                    rank: r,
-                                    incarnation,
-                                    step: _,
-                                    dropped,
-                                    spans_jsonl,
-                                    metrics_jsonl,
-                                } if tyxe_obs::enabled() => {
-                                    // Sent before the step's Grad frames,
-                                    // so per-stream FIFO guarantees it
-                                    // lands before collection completes.
-                                    record_rank_telemetry(
-                                        &mut self.telemetry,
-                                        r,
-                                        incarnation,
-                                        dropped,
-                                        &spans_jsonl,
-                                        metrics_jsonl,
-                                    );
+                                // Telemetry is recorded; stale grads
+                                // (pre-repair broadcast) and heartbeats
+                                // only refresh liveness.
+                                msg => {
+                                    let key = (rank, slot.incarnation);
+                                    self.telemetry.entry(key).or_default().absorb(msg);
                                 }
-                                // Stale grads (pre-repair broadcast) and
-                                // heartbeats only refresh liveness.
-                                _ => {}
                             }
                         }
                         Ok(None) => break,
@@ -505,25 +488,25 @@ impl Coordinator {
                             counter("dist.frames_rejected").inc();
                             self.report.frames_rejected += 1;
                             self.report.events.push(format!("rank {rank}: {e}"));
-                            slot_dead = true;
+                            death = Some(e.to_string());
                             break;
                         }
                     }
                 }
-                if !slot_dead && slot.last_seen.elapsed() > timeout {
+                if death.is_none() && slot.last_seen.elapsed() > timeout {
                     self.report.events.push(format!("rank {rank}: heartbeat silence"));
-                    slot_dead = true;
+                    death = Some("heartbeat silence".to_string());
                 }
-                if !slot_dead {
+                if death.is_none() {
                     if let Ok(Some(status)) = slot.child.try_wait() {
                         // Already-drained socket + exited process: dead
                         // (scheduled kills land here with code 113).
                         self.report.events.push(format!("rank {rank}: exited ({status})"));
-                        slot_dead = true;
+                        death = Some("exited".to_string());
                     }
                 }
-                if slot_dead {
-                    dead.push(rank);
+                if let Some(cause) = death {
+                    dead.push((rank, cause));
                 }
             }
             if !dead.is_empty() {
@@ -540,11 +523,10 @@ impl Coordinator {
 
     /// Buries dead workers, then respawns (incarnation + 1) while the
     /// rank's budget lasts, or drops the rank for re-sharding.
-    fn repair(&mut self, dead: &[u32]) -> io::Result<()> {
-        for &rank in dead {
-            let Some(mut slot) = self.workers.remove(&rank) else { continue };
-            let _ = slot.child.kill();
-            let _ = slot.child.wait();
+    fn repair(&mut self, dead: Vec<(u32, String)>) -> io::Result<()> {
+        for (rank, cause) in dead {
+            let Some(slot) = self.workers.remove(&rank) else { continue };
+            self.bury(rank, slot, &cause);
             let used = self.restarts.get(&rank).copied().unwrap_or(0);
             if used < self.cfg.max_restarts {
                 self.restarts.insert(rank, used + 1);
@@ -581,127 +563,52 @@ impl Coordinator {
         for slot in self.workers.values_mut() {
             let _ = write_frame(&mut slot.conn, &shutdown);
         }
+        // Each worker answers with its last words and exits; read while
+        // waiting, so a full socket buffer cannot stall them.
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut buf = vec![0u8; 256 * 1024];
-        for (_, mut slot) in std::mem::take(&mut self.workers) {
-            loop {
-                match slot.child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(2))
-                    }
-                    _ => {
-                        let _ = slot.child.kill();
-                        let _ = slot.child.wait();
-                        break;
-                    }
-                }
+        for (rank, mut slot) in std::mem::take(&mut self.workers) {
+            while matches!(slot.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                let _ = slot.pull(&mut buf);
+                std::thread::sleep(Duration::from_millis(2));
             }
-            // The worker's goodbye — its remaining spans plus the
-            // authoritative final metrics snapshot — was written just
-            // before it exited; the socket buffer outlives the process,
-            // so drain it here. Anything unreadable is simply skipped:
-            // shutdown telemetry is best-effort by design.
-            loop {
-                match slot.conn.read(&mut buf) {
-                    Ok(0) | Err(_) => break,
-                    Ok(n) => slot.reader.push(&buf[..n]),
-                }
-            }
-            while let Ok(Some(msg)) = slot.reader.next_msg() {
-                if let Msg::Telemetry {
-                    rank: r,
-                    incarnation,
-                    step: _,
-                    dropped,
-                    spans_jsonl,
-                    metrics_jsonl,
-                } = msg
-                {
-                    if tyxe_obs::enabled() {
-                        record_rank_telemetry(
-                            &mut self.telemetry,
-                            r,
-                            incarnation,
-                            dropped,
-                            &spans_jsonl,
-                            metrics_jsonl,
-                        );
-                    }
-                }
-            }
+            self.bury(rank, slot, "shutdown");
         }
         let _ = std::fs::remove_file(&self.sock_path);
-        self.collect_flight_dumps();
         if tyxe_obs::enabled() {
-            self.report.telemetry = Some(DistTelemetry {
-                coord_epoch_unix_ns: self.coord_epoch_unix_ns,
-                ranks: std::mem::take(&mut self.telemetry).into_values().collect(),
-                flight_dir: self.cfg.telemetry_dir.clone(),
-            });
+            let ranks = std::mem::take(&mut self.telemetry).into_values().collect();
+            self.report.telemetry = Some(DistTelemetry { ranks });
         }
         std::mem::take(&mut self.report)
     }
 
-    /// Scans the flight directory for worker dumps (including those left
-    /// by incarnations that died mid-run) and attaches each to its
-    /// `(rank, incarnation)` telemetry entry. Runs after every worker
-    /// has exited, so live workers' shutdown flushes are on disk.
-    fn collect_flight_dumps(&mut self) {
-        let _ = tyxe_obs::flight::flush("shutdown");
-        let Some(dir) = &self.cfg.telemetry_dir else { return };
-        let Ok(entries) = std::fs::read_dir(dir) else { return };
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.starts_with("flight-")
-                || !name.ends_with(".jsonl")
-                || name == "flight-coordinator.jsonl"
-            {
-                continue;
-            }
-            let Ok(text) = std::fs::read_to_string(entry.path()) else { continue };
-            let dump = match tyxe_obs::flight::parse_flight(&text) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.report.events.push(format!("flight dump `{name}` unparseable: {e}"));
-                    continue;
-                }
-            };
-            let e = self.telemetry.entry((dump.rank as u32, dump.incarnation)).or_default();
-            e.rank = dump.rank as u32;
-            e.incarnation = dump.incarnation;
-            // An incarnation known only from its dump (killed before
-            // shipping telemetry) still gets clock normalization, from
-            // the epoch recorded in the dump header.
-            if e.clock_offset_ns == 0 && dump.epoch_unix_ns != 0 {
-                e.clock_offset_ns =
-                    dump.epoch_unix_ns as i64 - self.coord_epoch_unix_ns as i64;
-            }
-            e.flight_jsonl = Some(text);
+    /// Buries one worker incarnation: reaps the process, reads what is
+    /// left on its socket (best-effort) and, when a telemetry directory
+    /// is set, writes `flight-<rank>-<incarnation>.jsonl`. Without last
+    /// words, `cause` and the exit status explain the ending.
+    fn bury(&mut self, rank: u32, mut slot: WorkerSlot, cause: &str) {
+        let _ = slot.child.kill();
+        let status = match slot.child.wait() {
+            Ok(status) => status.to_string(),
+            Err(e) => format!("unknown ({e})"),
+        };
+        let _ = slot.pull(&mut vec![0u8; 256 * 1024]);
+        let rt = self.telemetry.entry((rank, slot.incarnation)).or_default();
+        while let Ok(Some(msg)) = slot.reader.next_msg() {
+            rt.absorb(msg);
         }
-    }
-}
-
-/// Folds one `Telemetry` frame into the per-(rank, incarnation)
-/// accumulation. Spans are appended (they arrive as drained
-/// increments); drop totals and the metrics snapshot are cumulative,
-/// so the latest one wins — but a frame that rode without a snapshot
-/// (the worker throttles them) must not clobber a real one.
-fn record_rank_telemetry(
-    telemetry: &mut BTreeMap<(u32, u64), RankTelemetry>,
-    rank: u32,
-    incarnation: u64,
-    dropped: Vec<(u64, u64)>,
-    spans_jsonl: &str,
-    metrics_jsonl: String,
-) {
-    let e = telemetry.entry((rank, incarnation)).or_default();
-    e.rank = rank;
-    e.incarnation = incarnation;
-    e.append_spans(spans_jsonl);
-    e.dropped = dropped;
-    if !metrics_jsonl.is_empty() {
-        e.metrics_jsonl = metrics_jsonl;
+        let Some(dir) = &self.cfg.telemetry_dir else { return };
+        let path = dir.join(format!("flight-{rank}-{}.jsonl", slot.incarnation));
+        let silence = LastWords {
+            reason: "no last words".to_string(),
+            notes: vec![(cause.to_string(), status)],
+        };
+        let written = rt
+            .flight_dump(self.coord_epoch_unix_ns, silence)
+            .and_then(|dump| std::fs::write(&path, dump.to_jsonl()).map_err(|e| e.to_string()));
+        if let Err(e) = written {
+            self.report.events.push(format!("post-mortem `{}` not written: {e}", path.display()));
+        }
     }
 }
 

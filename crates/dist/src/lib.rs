@@ -60,10 +60,6 @@ pub const ENV_SESSION: &str = "TYXE_DIST_SESSION";
 /// Environment variable carrying the worker incarnation (0 = first
 /// spawn, bumped on every respawn of the same rank).
 pub const ENV_INCARNATION: &str = "TYXE_DIST_INCARNATION";
-/// Environment variable carrying the flight-recorder directory; when
-/// set, a worker arms `tyxe_obs::flight` writing to
-/// `<dir>/flight-<rank>-<incarnation>.jsonl`.
-pub const ENV_FLIGHT_DIR: &str = "TYXE_DIST_FLIGHT_DIR";
 
 /// Exit code used by injected worker kills (`TYXE_FAULT_KILL_*`), so a
 /// scheduled kill is distinguishable from a crash in process tables.
@@ -102,12 +98,11 @@ pub struct DistConfig {
     pub max_restarts: u64,
     /// How replacement workers re-enter the program.
     pub spawn: SpawnMode,
-    /// Directory for crash flight-recorder dumps. When set, every
-    /// process in the session (coordinator and workers, forwarded via
-    /// [`ENV_FLIGHT_DIR`]) arms `tyxe_obs::flight` writing
-    /// `flight-<rank>-<incarnation>.jsonl` there; the coordinator
-    /// collects the dumps at shutdown and folds them into the merged
-    /// telemetry ([`DistTelemetry`]).
+    /// Where the coordinator writes one post-mortem dump per worker
+    /// incarnation, `flight-<rank>-<incarnation>.jsonl`
+    /// ([`tyxe_obs::flight`]), as it buries the incarnation or shuts
+    /// the session down — whether or not tracing is on. Workers write
+    /// nothing; a `workers == 0` run has no incarnations to dump.
     pub telemetry_dir: Option<std::path::PathBuf>,
 }
 
@@ -137,9 +132,6 @@ pub struct WorkerEnv {
     pub session: u64,
     /// Spawn incarnation of this rank (0 = first).
     pub incarnation: u64,
-    /// Flight-recorder directory forwarded by the coordinator
-    /// ([`ENV_FLIGHT_DIR`]; `None` = flight recording off).
-    pub flight_dir: Option<std::path::PathBuf>,
 }
 
 /// Whether this process was spawned as a distributed worker.
@@ -159,7 +151,6 @@ pub fn worker_env() -> Option<WorkerEnv> {
         addr: get(ENV_ADDR)?.into(),
         session: get(ENV_SESSION)?.parse().ok()?,
         incarnation: get(ENV_INCARNATION)?.parse().ok()?,
-        flight_dir: get(ENV_FLIGHT_DIR).map(Into::into),
     })
 }
 

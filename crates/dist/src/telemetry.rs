@@ -1,27 +1,16 @@
 //! Cross-process telemetry plane: what the coordinator accumulates
-//! from worker `Telemetry` frames and flight-recorder dumps, and how
-//! it folds into one merged trace + one aggregated metrics set.
-//!
-//! The plane is *collection-side passive*: workers drain their span
-//! buffers each step and ship them raw (JSONL text) alongside a
-//! metrics snapshot, ordered before the step's `Grad` frames so
-//! per-stream FIFO makes collection complete by construction. The
-//! coordinator just concatenates the raw text per `(rank,
-//! incarnation)` — all parsing is deferred to merge time, keeping the
-//! steady-state overhead of telemetry shipping to a string append.
-//!
-//! A process that died without a goodbye contributes through its
-//! flight-recorder dump instead ([`tyxe_obs::flight`]): the
-//! coordinator scans the session's flight directory at shutdown and
-//! attaches each dump to its `(rank, incarnation)`; merged output
-//! folds those spans in, deduplicated by span id against what the
-//! process had already shipped.
+//! from worker `Telemetry` frames — a worker's only channel — and how
+//! it folds into one merged trace, one aggregated metrics set and one
+//! [`FlightDump`] per incarnation. Span text is kept raw per `(rank,
+//! incarnation)` and parsed only at merge or burial time, so shipping
+//! costs the coordinator a string append.
 
-use std::path::PathBuf;
-
+use tyxe_obs::flight::{FlightDump, LastWords};
 use tyxe_obs::merge::{self, ProcTelemetry};
 use tyxe_obs::metrics::MetricRecord;
 use tyxe_obs::trace;
+
+use crate::wire::Msg;
 
 /// Cap on accumulated raw span JSONL per `(rank, incarnation)` — a
 /// runaway worker cannot balloon coordinator memory. Overflow is
@@ -47,13 +36,32 @@ pub struct RankTelemetry {
     /// Latest metrics snapshot JSONL (snapshots are cumulative, so
     /// last-wins is the correct aggregation).
     pub metrics_jsonl: String,
-    /// Raw flight-recorder dump collected from disk, if one existed.
-    pub flight_jsonl: Option<String>,
+    /// Why the incarnation exited, in its own words (`None` while it
+    /// lives, or when it died without any).
+    pub last_words: Option<LastWords>,
     /// Span JSONL bytes discarded past [`RANK_SPANS_CAP_BYTES`].
     pub spans_overflow_bytes: u64,
 }
 
 impl RankTelemetry {
+    /// Folds in a `Telemetry` frame (any other message is ignored).
+    /// Spans are appended (they arrive as drained increments) after
+    /// splitting off any last words; drop totals and the metrics snapshot
+    /// are cumulative, so the latest wins — but an empty snapshot never
+    /// clobbers a real one.
+    pub(crate) fn absorb(&mut self, msg: Msg) {
+        let Msg::Telemetry { dropped, spans_jsonl, metrics_jsonl, .. } = msg else { return };
+        let (last_words, spans) = LastWords::split(&spans_jsonl);
+        if last_words.is_some() {
+            self.last_words = last_words;
+        }
+        self.append_spans(spans);
+        self.dropped = dropped;
+        if !metrics_jsonl.is_empty() {
+            self.metrics_jsonl = metrics_jsonl;
+        }
+    }
+
     /// Append one shipment of raw span JSONL, enforcing the byte cap.
     pub(crate) fn append_spans(&mut self, jsonl: &str) {
         if self.spans_jsonl.len() + jsonl.len() > RANK_SPANS_CAP_BYTES {
@@ -62,39 +70,49 @@ impl RankTelemetry {
             self.spans_jsonl.push_str(jsonl);
         }
     }
+
+    /// This incarnation's post-mortem: every span and the last metrics
+    /// snapshot it shipped, explained by its last words — or by
+    /// `silence` when it left none.
+    pub(crate) fn flight_dump(
+        &self,
+        coord_epoch_unix_ns: u64,
+        silence: LastWords,
+    ) -> Result<FlightDump, String> {
+        let words = self.last_words.clone().unwrap_or(silence);
+        Ok(FlightDump {
+            rank: u64::from(self.rank),
+            incarnation: self.incarnation,
+            epoch_unix_ns: coord_epoch_unix_ns.saturating_add_signed(self.clock_offset_ns),
+            reason: words.reason,
+            spans: trace::spans_from_jsonl(&self.spans_jsonl)?.0,
+            notes: words.notes,
+            metrics: tyxe_obs::metrics::records_from_jsonl(&self.metrics_jsonl)?,
+        })
+    }
 }
 
 /// Everything the coordinator collected, ready to merge. Available on
 /// `DistReport::telemetry` after shutdown when observability was on.
 #[derive(Debug, Clone, Default)]
 pub struct DistTelemetry {
-    /// UNIX ns of the coordinator's trace epoch (the reference clock).
-    pub coord_epoch_unix_ns: u64,
     /// Per-`(rank, incarnation)` accumulations, ascending.
     pub ranks: Vec<RankTelemetry>,
-    /// Flight directory of the session, when flight recording was on.
-    pub flight_dir: Option<PathBuf>,
 }
 
 impl DistTelemetry {
     /// Build the single merged `chrome://tracing` document: the
     /// coordinator process's spans (drained from the live buffers
     /// **now** — call once, at the end of the run) plus every rank's
-    /// shipped spans and flight-recovered spans (deduplicated by span
-    /// id), identities and clocks normalized per [`merge`].
+    /// shipped spans, identities and clocks normalized per [`merge`].
     pub fn merged_chrome_trace(&self) -> Result<String, String> {
         let coord_spans = trace::drain();
         let coord_drops = trace::dropped_by_thread();
         let mut procs = vec![ProcTelemetry::for_coordinator(coord_spans, coord_drops)];
         for rt in &self.ranks {
-            let (mut spans, wire_drops) = trace::spans_from_jsonl(&rt.spans_jsonl)
+            // Authoritative drop totals ride in rt.dropped.
+            let (spans, _) = trace::spans_from_jsonl(&rt.spans_jsonl)
                 .map_err(|e| format!("rank {} inc {}: {e}", rt.rank, rt.incarnation))?;
-            let _ = wire_drops; // authoritative totals ride in rt.dropped
-            if let Some(flight) = &rt.flight_jsonl {
-                let dump = tyxe_obs::flight::parse_flight(flight)
-                    .map_err(|e| format!("rank {} flight: {e}", rt.rank))?;
-                merge::extend_dedup_by_span_id(&mut spans, dump.spans);
-            }
             let mut drops = rt.dropped.clone();
             if rt.spans_overflow_bytes > 0 {
                 // Surface coordinator-side truncation the same way a
@@ -175,14 +193,10 @@ mod tests {
             metrics_jsonl: "{\"name\":\"w.metric\",\"value\":4.0,\"unit\":\"count\",\
                             \"tags\":{}}\n"
                 .to_string(),
-            flight_jsonl: None,
+            last_words: None,
             spans_overflow_bytes: 0,
         };
-        let tel = DistTelemetry {
-            coord_epoch_unix_ns: 1,
-            ranks: vec![rt],
-            flight_dir: None,
-        };
+        let tel = DistTelemetry { ranks: vec![rt] };
         let doc = tel.merged_chrome_trace().unwrap();
         let stats = tyxe_obs::validate::validate_chrome_trace(&doc).unwrap();
         assert!(stats.process_names.contains("coordinator"));

@@ -133,9 +133,10 @@ pub enum Msg {
     },
     /// Coordinator → worker: exit cleanly.
     Shutdown,
-    /// Worker → coordinator: this step's telemetry, sent *before* the
-    /// step's `Grad` frames so per-stream FIFO guarantees it has
-    /// arrived once the grads have.
+    /// Worker → coordinator: spans and metrics, shipped on an interval
+    /// after a step's `Grad` frames, and once more as the worker's
+    /// final frame — its last words, whose `spans_jsonl` opens with
+    /// `tyxe_obs::flight::LastWords` event lines.
     Telemetry {
         /// Sending worker's rank.
         rank: u32,
@@ -147,7 +148,8 @@ pub enum Msg {
         dropped: Vec<(u64, u64)>,
         /// Spans drained since the last shipment, in
         /// `tyxe_obs::trace::spans_to_jsonl` format (the coordinator
-        /// defers parsing to merge time).
+        /// defers parsing to merge time); span parsers skip the
+        /// last-words event lines.
         spans_jsonl: String,
         /// Current metrics snapshot, in
         /// `tyxe_obs::metrics::snapshot_jsonl` format.

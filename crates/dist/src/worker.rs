@@ -9,6 +9,11 @@
 //! returns into the surrounding program, whose remaining code already
 //! ran in the coordinator).
 //!
+//! The socket is the worker's only way out: it writes no file, and
+//! every exit it controls — `Shutdown`, an injected kill, a panic in
+//! `run_step`, a protocol error — ends with its [`LastWords`] in one
+//! last `Telemetry` frame (DESIGN.md §14).
+//!
 //! Injected process faults live here: on receiving a `Step`, the worker
 //! consults `tyxe_par::fault::worker_killed(rank, step, incarnation)`
 //! and exits with [`crate::KILL_EXIT_CODE`] when the deterministic kill
@@ -16,22 +21,26 @@
 
 use std::io::Read;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use tyxe_obs::flight::LastWords;
+use tyxe_obs::trace::SpanRecord;
 
 use crate::wire::{encode_frame_parts, write_frame_vectored, FrameReader, Msg};
 use crate::{ShardCompute, WorkerEnv, KILL_EXIT_CODE};
 
 /// How often a worker ships its accumulated telemetry (drained spans
-/// plus a cumulative metrics snapshot) back to the coordinator. Spans
-/// are drained into a local pending buffer every step (a lock and a
-/// swap); formatting them to JSONL, serializing the whole metrics
-/// registry (~100µs) and the send syscall happen only on this cadence —
-/// per-step they would tax every millisecond-scale step. The first step
-/// always ships (so even an incarnation killed moments later is
-/// represented in the merged trace), and the authoritative final
-/// shipment happens at shutdown.
-const TELEMETRY_SHIP_INTERVAL: std::time::Duration = std::time::Duration::from_millis(200);
+/// plus a cumulative metrics snapshot). Spans are drained locally every
+/// step (a lock and a swap); JSONL formatting, the ~100µs metrics
+/// snapshot and the send happen only on this cadence. The first step
+/// always ships, and the last words carry whatever is left pending.
+const TELEMETRY_SHIP_INTERVAL: Duration = Duration::from_millis(200);
+
+/// Exit code of a worker whose `run_step` panicked — Rust's own.
+const PANIC_EXIT_CODE: i32 = 101;
 
 /// Sends one frame under the shared write lock (heartbeats and grads
 /// come from different threads; whole-frame writes under the lock keep
@@ -45,38 +54,81 @@ fn send(stream: &Mutex<UnixStream>, msg: &Msg) -> std::io::Result<()> {
     write_frame_vectored(&mut *s, &parts, || {})
 }
 
+/// The worker's write half and the telemetry it has not shipped yet.
+struct Outbox {
+    rank: u32,
+    incarnation: u64,
+    writer: Arc<Mutex<UnixStream>>,
+    /// Last step seen, shared with the heartbeat thread.
+    last_step: Arc<AtomicU64>,
+    pending: Vec<SpanRecord>,
+    last_ship: Option<Instant>,
+}
+
+impl Outbox {
+    /// Ships every pending span and a metrics snapshot, opened by
+    /// `last_words` when this is the final frame.
+    fn ship(&mut self, last_words: Option<&LastWords>) -> std::io::Result<()> {
+        self.pending.extend(tyxe_obs::trace::drain());
+        let mut spans_jsonl = last_words.map(LastWords::to_jsonl).unwrap_or_default();
+        spans_jsonl.push_str(&tyxe_obs::trace::spans_to_jsonl(&self.pending));
+        self.pending.clear();
+        self.last_ship = Some(Instant::now());
+        send(
+            &self.writer,
+            &Msg::Telemetry {
+                rank: self.rank,
+                incarnation: self.incarnation,
+                step: self.last_step.load(Ordering::Relaxed),
+                dropped: tyxe_obs::trace::dropped_by_thread(),
+                spans_jsonl,
+                metrics_jsonl: tyxe_obs::metrics::snapshot_jsonl(),
+            },
+        )
+    }
+}
+
+/// How the serving loop ends: the process exit code and the last words
+/// that precede it, `detail` noted under the reason.
+fn ending(code: i32, reason: &str, detail: Option<String>) -> (i32, LastWords) {
+    let notes = detail.map(|d| (reason.to_string(), d)).into_iter().collect();
+    (code, LastWords { reason: reason.to_string(), notes })
+}
+
 /// Runs the worker loop to process exit; never returns.
 ///
 /// Protocol errors and a vanished coordinator also exit (non-zero): an
 /// orphaned worker must die rather than linger as a zombie process.
+/// Last words are best-effort — a coordinator that has gone hears
+/// nothing, and nothing else is left behind.
 pub fn run_worker(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> ! {
-    let code = match serve(compute, env) {
-        Ok(()) => 0,
-        Err(e) => {
-            // A fatal frame error or vanished coordinator still leaves a
-            // post-mortem: exit() runs no hooks, flush explicitly.
-            tyxe_obs::flight::note("fatal", &e.to_string());
-            let _ = tyxe_obs::flight::flush("fatal");
-            1
-        }
+    let Ok((conn, writer)) =
+        UnixStream::connect(&env.addr).and_then(|c| Ok((c.try_clone()?, c)))
+    else {
+        std::process::exit(1);
     };
+    let mut out = Outbox {
+        rank: env.rank,
+        incarnation: env.incarnation,
+        writer: Arc::new(Mutex::new(writer)),
+        last_step: Arc::new(AtomicU64::new(0)),
+        pending: Vec::new(),
+        last_ship: None,
+    };
+    let (code, words) = serve(compute, env, conn, &mut out)
+        .unwrap_or_else(|e| ending(1, "fatal", Some(e.to_string())));
+    let _ = out.ship(Some(&words));
     std::process::exit(code);
 }
 
-fn serve(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> std::io::Result<()> {
-    if let Some(dir) = &env.flight_dir {
-        // Incarnation in the filename so a respawn can never clobber the
-        // dump its predecessor died leaving behind.
-        tyxe_obs::flight::configure(
-            dir.join(format!("flight-{}-{}.jsonl", env.rank, env.incarnation)),
-            env.rank as u64,
-            env.incarnation,
-        );
-    }
-    let stream = UnixStream::connect(&env.addr)?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+fn serve(
+    compute: &mut dyn ShardCompute,
+    env: &WorkerEnv,
+    mut conn: UnixStream,
+    out: &mut Outbox,
+) -> std::io::Result<(i32, LastWords)> {
     send(
-        &writer,
+        &out.writer,
         &Msg::Hello {
             rank: env.rank,
             incarnation: env.incarnation,
@@ -85,16 +137,12 @@ fn serve(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> std::io::Result<()>
     )?;
 
     let mut reader = FrameReader::new();
-    let mut conn = stream;
     let init = loop {
         match next_msg(&mut conn, &mut reader)? {
             Msg::Init { num_shards, precision, heartbeat_interval_ms, param_lens } => {
                 break (num_shards, precision, heartbeat_interval_ms, param_lens)
             }
-            Msg::Shutdown => {
-                let _ = tyxe_obs::flight::flush("shutdown");
-                std::process::exit(0);
-            }
+            Msg::Shutdown => return Ok(ending(0, "shutdown", None)),
             _ => {}
         }
     };
@@ -109,12 +157,11 @@ fn serve(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> std::io::Result<()>
 
     // Heartbeat thread: liveness between collections. Tracks the last
     // step seen so the coordinator's logs can localise a stall.
-    let last_step = Arc::new(AtomicU64::new(0));
     {
-        let writer = Arc::clone(&writer);
-        let last_step = Arc::clone(&last_step);
+        let writer = Arc::clone(&out.writer);
+        let last_step = Arc::clone(&out.last_step);
         std::thread::spawn(move || loop {
-            std::thread::sleep(std::time::Duration::from_millis(heartbeat_interval_ms.max(1)));
+            std::thread::sleep(Duration::from_millis(heartbeat_interval_ms.max(1)));
             let msg = Msg::Heartbeat { step: last_step.load(Ordering::Relaxed) };
             if send(&writer, &msg).is_err() {
                 return; // coordinator gone; main loop will exit too
@@ -122,20 +169,15 @@ fn serve(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> std::io::Result<()>
         });
     }
 
-    let mut telemetry_last_ship: Option<std::time::Instant> = None;
-    let mut pending_spans: Vec<tyxe_obs::trace::SpanRecord> = Vec::new();
     loop {
         match next_msg(&mut conn, &mut reader)? {
             Msg::Step { step, rng_state, shards, params, trace_id, span_id } => {
                 if tyxe_par::fault::worker_killed(env.rank as u64, step, env.incarnation) {
-                    // Injected process fault: die exactly like a crash
-                    // would, mid-protocol, without a goodbye — except the
-                    // flight ring, which exit() would otherwise discard.
-                    tyxe_obs::flight::note("fault.kill", &format!("step={step}"));
-                    let _ = tyxe_obs::flight::flush("fault.kill");
-                    std::process::exit(KILL_EXIT_CODE);
+                    // Injected process fault: die mid-protocol, without
+                    // a Grad, like a crash would — but naming the kill.
+                    return Ok(ending(KILL_EXIT_CODE, "fault.kill", Some(format!("step={step}"))));
                 }
-                last_step.store(step, Ordering::Relaxed);
+                out.last_step.store(step, Ordering::Relaxed);
                 let results = {
                     // Parent this span under the coordinator's step span
                     // so the merged trace stitches across processes.
@@ -145,67 +187,36 @@ fn serve(compute: &mut dyn ShardCompute, env: &WorkerEnv) -> std::io::Result<()>
                         span_id,
                         format!("step={step}"),
                     );
-                    compute.run_step(step, rng_state, &params, &shards, num_shards)
+                    catch_unwind(AssertUnwindSafe(|| {
+                        compute.run_step(step, rng_state, &params, &shards, num_shards)
+                    }))
+                };
+                let results = match results {
+                    Ok(results) => results,
+                    Err(payload) => {
+                        let msg = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                        let msg = msg.or_else(|| payload.downcast_ref::<String>().cloned());
+                        return Ok(ending(PANIC_EXIT_CODE, "panic", msg));
+                    }
                 };
                 for r in results {
                     send(
-                        &writer,
+                        &out.writer,
                         &Msg::Grad { step, shard: r.shard, loss: r.loss, grads: r.grads },
                     )?;
                 }
+                // Drain this step's spans locally (cheap) and ship on the
+                // interval — always *after* the step's Grad frames: they
+                // sit on the coordinator's collection barrier, so nothing
+                // may delay them.
                 if tyxe_obs::enabled() {
-                    // Drain this step's spans locally (cheap), but only
-                    // format and ship them on the interval — and always
-                    // *after* the step's Grad frames: the grads sit on
-                    // the coordinator's collection barrier, so nothing
-                    // may delay them; telemetry is read on a later sweep
-                    // (per-stream FIFO still orders it before the next
-                    // step's grads), and the shutdown drain picks up
-                    // whatever the final interval left in flight.
-                    pending_spans.extend(tyxe_obs::trace::drain());
-                    if telemetry_last_ship
-                        .is_none_or(|t| t.elapsed() >= TELEMETRY_SHIP_INTERVAL)
-                    {
-                        telemetry_last_ship = Some(std::time::Instant::now());
-                        send(
-                            &writer,
-                            &Msg::Telemetry {
-                                rank: env.rank,
-                                incarnation: env.incarnation,
-                                step,
-                                dropped: tyxe_obs::trace::dropped_by_thread(),
-                                spans_jsonl: tyxe_obs::trace::spans_to_jsonl(&pending_spans),
-                                metrics_jsonl: tyxe_obs::metrics::snapshot_jsonl(),
-                            },
-                        )?;
-                        pending_spans.clear();
+                    out.pending.extend(tyxe_obs::trace::drain());
+                    if out.last_ship.is_none_or(|t| t.elapsed() >= TELEMETRY_SHIP_INTERVAL) {
+                        out.ship(None)?;
                     }
-                    tyxe_obs::flight::flush_if_stale();
                 }
             }
-            Msg::Shutdown => {
-                if tyxe_obs::enabled() {
-                    // The authoritative final telemetry: everything still
-                    // pending from the ship interval plus any spans since,
-                    // and the complete metrics snapshot. The coordinator
-                    // drains it from the socket buffer after this process
-                    // exits.
-                    pending_spans.extend(tyxe_obs::trace::drain());
-                    let _ = send(
-                        &writer,
-                        &Msg::Telemetry {
-                            rank: env.rank,
-                            incarnation: env.incarnation,
-                            step: last_step.load(Ordering::Relaxed),
-                            dropped: tyxe_obs::trace::dropped_by_thread(),
-                            spans_jsonl: tyxe_obs::trace::spans_to_jsonl(&pending_spans),
-                            metrics_jsonl: tyxe_obs::metrics::snapshot_jsonl(),
-                        },
-                    );
-                }
-                let _ = tyxe_obs::flight::flush("shutdown");
-                std::process::exit(0);
-            }
+            Msg::Shutdown => return Ok(ending(0, "shutdown", None)),
             _ => {}
         }
     }

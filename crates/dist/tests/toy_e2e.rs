@@ -7,10 +7,13 @@
 //! launching coordinators. Session numbers are assigned locally per
 //! test, in call order, which is identical in parent and child.
 
+use std::path::Path;
+
 use tyxe_dist::{
     reduce_results, run_worker, worker_env, Coordinator, DistConfig, ShardCompute, ShardResult,
     SpawnMode,
 };
+use tyxe_obs::flight::read_flight_file;
 
 /// Pure toy "model": loss and gradients are deterministic functions of
 /// `(step, rng_state, params, shard)`, so any layout of shards onto
@@ -241,4 +244,89 @@ fn exhausted_restart_budget_re_shards_over_survivors() {
     tyxe_par::fault::set_kill_rank(0);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     assert_eq!(reference.unwrap().0, killed.unwrap(), "re-sharding changed bits");
+}
+
+/// `ToyCompute` whose rank 1, first incarnation, calls the wrapped
+/// function inside `run_step` at step 2.
+struct DyingCompute(fn());
+
+impl ShardCompute for DyingCompute {
+    fn num_params(&self) -> usize {
+        ToyCompute.num_params()
+    }
+
+    fn param_lens(&self) -> Vec<u64> {
+        ToyCompute.param_lens()
+    }
+
+    fn run_step(
+        &mut self,
+        step: u64,
+        rng_state: [u64; 4],
+        params: &[Vec<f64>],
+        shards: &[u32],
+        num_shards: u32,
+    ) -> Vec<ShardResult> {
+        if step == 2 && worker_env().is_some_and(|e| e.rank == 1 && e.incarnation == 0) {
+            (self.0)();
+        }
+        ToyCompute.run_step(step, rng_state, params, shards, num_shards)
+    }
+}
+
+/// A 2-worker session over `DyingCompute(die)` whose coordinator writes
+/// post-mortems into `dir`: the step bits and the respawn count.
+fn dying_run(test_name: &str, session: u64, die: fn(), dir: &Path) -> Option<(StepBits, u64)> {
+    let mut compute = DyingCompute(die);
+    if let Some(env) = worker_env() {
+        if env.session == session {
+            run_worker(&mut compute, &env); // exits the process
+        }
+        return None;
+    }
+    let cfg = DistConfig {
+        workers: 2,
+        num_shards: 4,
+        spawn: SpawnMode::TestFunction(test_name.to_string()),
+        telemetry_dir: Some(dir.to_path_buf()),
+        ..DistConfig::default()
+    };
+    let mut co = Coordinator::launch(&cfg, session, compute.param_lens(), 0).expect("launch");
+    let mut params = vec![vec![0.5, -0.25, 1.0], vec![2.0, -1.0]];
+    let mut trace = Vec::new();
+    for step in 0..6u64 {
+        let results = co.step(step, [step * 7 + 1, 3, 5, 9], &params).expect("step");
+        let (loss, grads) = reduce_results(&results, 4);
+        apply(&mut params, &grads);
+        trace.push((loss.to_bits(), params.iter().flatten().map(|v| v.to_bits()).collect()));
+    }
+    Some((trace, co.shutdown().worker_restarts))
+}
+
+/// A worker that panics inside `run_step` says so in its last words; one
+/// that aborts says nothing, and the coordinator's post-mortem carries
+/// its exit status. Either way the rank respawns and the bits hold.
+#[test]
+fn worker_deaths_leave_post_mortems_and_bits_do_not_change() {
+    const NAME: &str = "worker_deaths_leave_post_mortems_and_bits_do_not_change";
+    let _knobs = KILL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = std::env::temp_dir().join(format!("tyxe-toy-post-mortems-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let reference = toy_run(NAME, 0, 0, 4, 6);
+    let panicked = dying_run(NAME, 1, || panic!("injected panic in run_step"), &dir.join("panic"));
+    let aborted = dying_run(NAME, 2, || std::process::abort(), &dir.join("abort"));
+    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
+    let reference = reference.unwrap().0;
+    assert_eq!(panicked.unwrap(), (reference.clone(), 1), "panic: one respawn, same bits");
+    assert_eq!(aborted.unwrap(), (reference, 1), "abort: one respawn, same bits");
+
+    let dump = |run: &str| read_flight_file(&dir.join(run).join("flight-1-0.jsonl")).unwrap();
+    let panic = dump("panic");
+    assert_eq!((panic.rank, panic.incarnation, panic.reason.as_str()), (1, 0, "panic"));
+    let message = ("panic".to_string(), "injected panic in run_step".to_string());
+    assert!(panic.notes.contains(&message), "{:?}", panic.notes);
+    let abort = dump("abort");
+    assert_eq!(abort.reason, "no last words");
+    assert!(abort.notes.iter().any(|(_, status)| status.contains("signal: 6")), "{:?}", abort.notes);
+    let _ = std::fs::remove_dir_all(&dir);
 }

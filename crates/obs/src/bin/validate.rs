@@ -13,8 +13,8 @@
 //! `--require-pids` asserts ≥1 span per listed pid (in merged traces
 //! the pid is the rank); `--require-process-names` asserts the listed
 //! `process_name` metadata entries exist (e.g. a killed worker's
-//! pre-respawn incarnation); `--flight` validates a flight-recorder
-//! dump parses and is non-empty. A trace carrying `dropped_spans`
+//! pre-respawn incarnation); `--flight` validates a post-mortem
+//! (flight) dump parses and is non-empty. A trace carrying `dropped_spans`
 //! events prints a warning (the data is truncated) but still passes.
 //!
 //! Exits non-zero with a diagnostic on the first violated requirement.

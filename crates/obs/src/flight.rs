@@ -1,219 +1,121 @@
-//! Crash flight recorder: a bounded in-memory ring of the most recent
-//! spans, persisted atomically to disk so a dying process leaves a
-//! post-mortem behind.
+//! Post-mortem dumps, `flight-<rank>-<incarnation>.jsonl`, which the
+//! `tyxe-dist` coordinator writes as it buries a worker incarnation
+//! (DESIGN.md §14). A format, a writer and a reader: nothing here runs
+//! inside the process being described.
 //!
-//! Unlike the trace buffers (which keep the *first* `SPAN_CAP` spans
-//! per thread and are exported cooperatively at shutdown), the flight
-//! ring keeps the *last* [`FLIGHT_RING_CAP`] significant spans
-//! process-wide — roots always, nested spans only when they ran at
-//! least [`FLIGHT_MIN_SPAN_NS`] — and is written out on the paths
-//! where cooperative export never happens:
-//!
-//! - a **panic** (hook installed by [`configure`], chained before the
-//!   default hook so backtraces still print),
-//! - an **explicit flush** at a fatal error or an injected
-//!   `TYXE_FAULT_KILL_*` death (`std::process::exit` runs no hooks, so
-//!   the kill path must call [`flush`] itself), and
-//! - **periodically** via [`flush_if_stale`], called from step loops,
-//!   so even a SIGKILL leaves a dump at most one flush interval old.
-//!
-//! The dump is JSONL: a `{"event":"flight",…}` header line with
-//! identity (`rank`, `incarnation`, `epoch_unix_ns`, `reason`), then
-//! the ringed span lines (same shape as [`crate::trace::spans_to_jsonl`]),
-//! then a full metrics snapshot ([`crate::metrics::snapshot_jsonl`]) —
-//! the "metric deltas" of the ring are recovered by diffing successive
-//! periodic dumps. Writes go to `<path>.tmp` then rename, so a dump is
-//! always either absent or complete.
+//! A worker explains its own exit in its [`LastWords`], sent as event
+//! lines at the head of its final span shipment (span parsers skip
+//! event lines). The dump is JSONL: a `{"event":"flight",…}` header
+//! (`rank`, `incarnation`, `epoch_unix_ns`, `reason`), span lines, note
+//! lines, then a metrics snapshot.
 
-use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::path::Path;
 
+use crate::json::{escape, Json};
 use crate::trace::{self, SpanRecord};
 
-/// Maximum spans held in the flight ring (process-wide, oldest evicted).
-pub const FLIGHT_RING_CAP: usize = 4096;
-
-/// Default staleness threshold for [`flush_if_stale`], in nanoseconds.
-pub const FLIGHT_FLUSH_INTERVAL_NS: u64 = 250_000_000;
-
-/// Minimum duration for a *nested* span to enter the ring. Root spans
-/// (steps, phases on their own threads) always ring; leaf spans below
-/// this threshold are the storm — hundreds of µs-scale `prob.sample` /
-/// `tensor.gemm.block` spans per step — and ringing every one both
-/// evicts the structural spans a post-mortem actually needs and taxes
-/// the hot path with a clone per span. A slow leaf is kept: slowness
-/// right before death is exactly what the dump is for.
-pub const FLIGHT_MIN_SPAN_NS: u64 = 50_000;
-
-/// One ringed entry: spans are held as cheap record clones (static
-/// names are borrowed `Cow`s) and only rendered to JSON at flush time —
-/// [`on_span`] sits on the span-recording hot path, where a per-span
-/// `format!` would tax every traced step the recorder is armed for.
-enum RingEntry {
-    Span(SpanRecord),
-    Line(String),
+/// How a process ended, in its own words.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LastWords {
+    /// Why it exited (`shutdown`, `fault.kill`, `panic`, `fatal`).
+    pub reason: String,
+    /// `(what, detail)` notes, e.g. `("fault.kill", "step=3")`.
+    pub notes: Vec<(String, String)>,
 }
 
-struct FlightState {
-    path: PathBuf,
-    rank: u64,
-    incarnation: u64,
-    ring: VecDeque<RingEntry>,
+const LAST_WORDS_EVENT: &str = "{\"event\":\"last_words\"";
+
+fn note_json(what: &str, detail: &str) -> String {
+    format!("{{\"event\":\"note\",\"what\":\"{}\",\"detail\":\"{}\"}}", escape(what), escape(detail))
 }
 
-static STATE: OnceLock<Mutex<Option<FlightState>>> = OnceLock::new();
-/// Fast-path gate mirroring `STATE.is_some()` so [`on_span`] costs one
-/// relaxed load when the recorder is off.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static LAST_FLUSH_NS: AtomicU64 = AtomicU64::new(0);
-static HOOK_INSTALLED: AtomicBool = AtomicBool::new(false);
-
-fn state() -> &'static Mutex<Option<FlightState>> {
-    STATE.get_or_init(|| Mutex::new(None))
+fn note_of(rec: &Json) -> (String, String) {
+    let field = |k: &str| rec.get(k).and_then(Json::as_str).unwrap_or("").to_string();
+    (field("what"), field("detail"))
 }
 
-/// Arm the flight recorder: record spans into the ring and persist
-/// dumps to `path`. Installs a panic hook (once per process) that
-/// flushes with reason `panic` before the previous hook runs.
-pub fn configure(path: PathBuf, rank: u64, incarnation: u64) {
-    *state().lock().unwrap() = Some(FlightState {
-        path,
-        rank,
-        incarnation,
-        ring: VecDeque::with_capacity(256),
-    });
-    ACTIVE.store(true, Ordering::Relaxed);
-    if !HOOK_INSTALLED.swap(true, Ordering::Relaxed) {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let _ = flush("panic");
-            prev(info);
-        }));
-    }
-}
-
-/// Disarm the recorder and drop the ring (the panic hook stays
-/// installed but becomes a no-op). Mainly for tests.
-pub fn deconfigure() {
-    ACTIVE.store(false, Ordering::Relaxed);
-    *state().lock().unwrap() = None;
-}
-
-/// Is the recorder armed? One relaxed atomic load.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Ring a finished span. Called from the span-recording path; a no-op
-/// unless [`configure`]d.
-#[inline]
-pub fn on_span(rec: &SpanRecord) {
-    if !active() {
-        return;
-    }
-    if rec.depth > 0 && rec.dur_ns < FLIGHT_MIN_SPAN_NS {
-        return;
-    }
-    push_entry(RingEntry::Span(rec.clone()));
-}
-
-/// Ring a free-form marker event (e.g. `fault.kill`, `frame.corrupt`)
-/// so the dump records *why* the process was about to die.
-pub fn note(event: &str, detail: &str) {
-    if !active() {
-        return;
-    }
-    push_entry(RingEntry::Line(format!(
-        "{{\"event\":\"note\",\"what\":\"{}\",\"detail\":\"{}\",\"at_ns\":{}}}",
-        crate::json::escape(event),
-        crate::json::escape(detail),
-        trace::now_ns(),
-    )));
-}
-
-fn push_entry(entry: RingEntry) {
-    let mut guard = state().lock().unwrap();
-    if let Some(st) = guard.as_mut() {
-        if st.ring.len() >= FLIGHT_RING_CAP {
-            st.ring.pop_front();
+impl LastWords {
+    /// The event lines that open a final span shipment: a `last_words`
+    /// line with the reason, then a `note` line per note.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = format!("{LAST_WORDS_EVENT},\"reason\":\"{}\"}}\n", escape(&self.reason));
+        for (what, detail) in &self.notes {
+            out.push_str(&note_json(what, detail));
+            out.push('\n');
         }
-        st.ring.push_back(entry);
+        out
     }
-}
 
-/// Persist the ring (plus a metrics snapshot) to the configured path,
-/// atomically. Returns the number of ringed lines written, or 0 when
-/// the recorder is off.
-pub fn flush(reason: &str) -> std::io::Result<usize> {
-    // Serialize the metrics snapshot *outside* the state lock: snapshot
-    // takes the metrics registry lock, and a panicking metric path
-    // could otherwise deadlock the hook.
-    let metrics = crate::metrics::snapshot_jsonl();
-    let guard = state().lock().unwrap();
-    let Some(st) = guard.as_ref() else { return Ok(0) };
-    let mut text = format!(
-        "{{\"event\":\"flight\",\"rank\":{},\"incarnation\":{},\"epoch_unix_ns\":{},\
-         \"flushed_at_ns\":{},\"reason\":\"{}\"}}\n",
-        st.rank,
-        st.incarnation,
-        trace::epoch_unix_ns(),
-        trace::now_ns(),
-        crate::json::escape(reason),
-    );
-    for entry in &st.ring {
-        match entry {
-            RingEntry::Span(rec) => text.push_str(&trace::span_json(rec)),
-            RingEntry::Line(line) => text.push_str(line),
+    /// Splits a span shipment into the last words it opens with, if
+    /// any, and the span lines after them.
+    pub fn split(jsonl: &str) -> (Option<LastWords>, &str) {
+        if !jsonl.starts_with(LAST_WORDS_EVENT) {
+            return (None, jsonl);
         }
-        text.push('\n');
-    }
-    text.push_str(&metrics);
-    let tmp = st.path.with_extension("jsonl.tmp");
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, &st.path)?;
-    LAST_FLUSH_NS.store(trace::now_ns(), Ordering::Relaxed);
-    Ok(st.ring.len())
-}
-
-/// [`flush`] with reason `periodic` if more than
-/// [`FLIGHT_FLUSH_INTERVAL_NS`] has passed since the last flush.
-/// Cheap when recently flushed (one load + compare); called from step
-/// loops.
-pub fn flush_if_stale() {
-    if !active() {
-        return;
-    }
-    let now = trace::now_ns();
-    let last = LAST_FLUSH_NS.load(Ordering::Relaxed);
-    if now.saturating_sub(last) >= FLIGHT_FLUSH_INTERVAL_NS {
-        let _ = flush("periodic");
+        let mut words = LastWords { reason: String::new(), notes: Vec::new() };
+        let mut rest = jsonl;
+        while let Some((line, tail)) = rest.split_once('\n') {
+            let Ok(rec) = crate::json::parse(line) else { break };
+            match rec.get("event").and_then(Json::as_str) {
+                Some("last_words") => {
+                    words.reason = rec.get("reason").and_then(Json::as_str).unwrap_or("").into();
+                }
+                Some("note") => words.notes.push(note_of(&rec)),
+                _ => break,
+            }
+            rest = tail;
+        }
+        (Some(words), rest)
     }
 }
 
-/// A parsed flight-recorder dump.
-#[derive(Debug, Clone)]
+/// A post-mortem dump.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightDump {
-    /// Rank of the process that wrote the dump.
+    /// Rank of the process the dump describes.
     pub rank: u64,
     /// Worker incarnation (0 = original spawn).
     pub incarnation: u64,
-    /// UNIX ns of the writer's trace epoch (for clock normalization).
+    /// UNIX ns of the process's trace epoch (for clock normalization).
     pub epoch_unix_ns: u64,
-    /// Why the dump was written (`periodic`, `panic`, `fault.kill`, …).
+    /// Why the process ended (its last words' reason, or the
+    /// coordinator's `no last words`).
     pub reason: String,
-    /// Ringed spans, oldest first.
+    /// Every span the process shipped, oldest first.
     pub spans: Vec<SpanRecord>,
-    /// `(what, detail)` marker events in ring order.
+    /// `(what, detail)` notes, in order.
     pub notes: Vec<(String, String)>,
-    /// Metrics snapshot taken at flush time.
+    /// The last metrics snapshot the process shipped.
     pub metrics: Vec<crate::metrics::MetricRecord>,
 }
 
-/// Parse a flight dump written by [`flush`]. The header must be the
-/// first line; span, note and metric lines are distinguished by shape.
+impl FlightDump {
+    /// Render the dump in the format [`parse_flight`] reads.
+    pub fn to_jsonl(&self) -> String {
+        let mut out = format!(
+            "{{\"event\":\"flight\",\"rank\":{},\"incarnation\":{},\"epoch_unix_ns\":{},\
+             \"reason\":\"{}\"}}\n",
+            self.rank,
+            self.incarnation,
+            self.epoch_unix_ns,
+            escape(&self.reason),
+        );
+        out.push_str(&trace::spans_to_jsonl(&self.spans));
+        for (what, detail) in &self.notes {
+            out.push_str(&note_json(what, detail));
+            out.push('\n');
+        }
+        for rec in &self.metrics {
+            out.push_str(&rec.to_json());
+            out.push('\n');
+        }
+        out
+    }
+}
+
+/// Parse a flight dump written by [`FlightDump::to_jsonl`]. The header
+/// must be the first line; span, note and metric lines are
+/// distinguished by shape.
 pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
     let mut lines = text.lines();
     let header_line = lines.next().ok_or("flight dump is empty")?;
@@ -249,10 +151,7 @@ pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
         }
         let rec = crate::json::parse(line).map_err(|e| format!("flight line: {e}"))?;
         if rec.get("event").and_then(|v| v.as_str()) == Some("note") {
-            dump.notes.push((
-                rec.get("what").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-                rec.get("detail").and_then(|v| v.as_str()).unwrap_or("").to_string(),
-            ));
+            dump.notes.push(note_of(&rec));
         } else if rec.get("unit").is_some() {
             metric_text.push_str(line);
             metric_text.push('\n');
@@ -277,61 +176,50 @@ pub fn read_flight_file(path: &Path) -> Result<FlightDump, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricRecord;
 
-    #[test]
-    fn ring_flush_parse_roundtrip() {
-        let _g = crate::test_guard();
-        let dir = std::env::temp_dir().join(format!("tyxe-flight-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("flight-3-1.jsonl");
-        configure(path.clone(), 3, 1);
-        crate::set_enabled(true);
-        {
-            let _s = crate::span!("flight.test.span", "hello");
-        }
-        note("fault.kill", "step=5");
-        crate::metrics::counter("test.flight.steps").inc();
-        crate::set_enabled(false);
-        let n = flush("fault.kill").unwrap();
-        assert!(n >= 2);
-        deconfigure();
-
-        let dump = read_flight_file(&path).unwrap();
-        assert_eq!(dump.rank, 3);
-        assert_eq!(dump.incarnation, 1);
-        assert_eq!(dump.reason, "fault.kill");
-        assert!(dump.epoch_unix_ns > 0);
-        assert!(dump.spans.iter().any(|s| s.name == "flight.test.span"));
-        assert!(dump.notes.iter().any(|(w, d)| w == "fault.kill" && d == "step=5"));
-        assert!(!dump.metrics.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
+    fn span(name: &str, span_id: u64) -> SpanRecord {
+        let line = format!(
+            "{{\"name\":\"{name}\",\"tid\":2,\"depth\":1,\"start_ns\":9,\"dur_ns\":250,\
+             \"span_id\":{span_id},\"trace_id\":7,\"parent_span\":3,\"arg\":\"step=\\\"5\\\"\"}}\n"
+        );
+        trace::spans_from_jsonl(&line).unwrap().0.remove(0)
     }
 
     #[test]
-    fn ring_is_bounded() {
-        let _g = crate::test_guard();
-        let dir = std::env::temp_dir()
-            .join(format!("tyxe-flight-bound-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        configure(dir.join("flight-0-0.jsonl"), 0, 0);
-        for i in 0..FLIGHT_RING_CAP + 50 {
-            note("n", &i.to_string());
-        }
-        {
-            let st = state().lock().unwrap();
-            assert_eq!(st.as_ref().unwrap().ring.len(), FLIGHT_RING_CAP);
-        }
-        deconfigure();
-        std::fs::remove_dir_all(&dir).ok();
+    fn dump_writer_round_trips_through_parse_flight() {
+        let dump = FlightDump {
+            rank: 3,
+            incarnation: 1,
+            epoch_unix_ns: 1_700_000_000_000_000_000,
+            reason: "fault.kill".into(),
+            spans: vec![span("dist.worker.step", 10), span("core.dist.backward", 11)],
+            notes: vec![
+                ("fault.kill".into(), "step=5".into()),
+                ("panic".into(), "a \"quoted\" \\ message".into()),
+            ],
+            metrics: vec![MetricRecord {
+                name: "dist.frames".into(),
+                value: 4.0,
+                unit: "count".into(),
+                tags: vec![("rank".into(), "3".into())],
+            }],
+        };
+        assert_eq!(parse_flight(&dump.to_jsonl()).unwrap(), dump);
     }
 
     #[test]
-    fn inactive_recorder_is_inert() {
-        let _g = crate::test_guard();
-        deconfigure();
-        assert!(!active());
-        note("ignored", "x");
-        assert_eq!(flush("noop").unwrap(), 0);
-        flush_if_stale();
+    fn last_words_open_a_shipment_and_split_back_off() {
+        let words = LastWords {
+            reason: "panic".into(),
+            notes: vec![("panic".into(), "boom \"x\"\nline two".into())],
+        };
+        let spans = trace::spans_to_jsonl(&[span("dist.worker.step", 4)]);
+        let shipment = words.to_jsonl() + &spans;
+        assert_eq!(LastWords::split(&shipment), (Some(words), spans.as_str()));
+        assert_eq!(LastWords::split(&spans), (None, spans.as_str()));
+        // The shipment stays a valid span export: span parsers skip it.
+        let (parsed, _) = trace::spans_from_jsonl(&shipment).unwrap();
+        assert_eq!(parsed, vec![span("dist.worker.step", 4)]);
     }
 }

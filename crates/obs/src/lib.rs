@@ -11,7 +11,9 @@
 //!
 //! 1. **Structured tracing** ([`trace`]): RAII spans via the [`span!`]
 //!    macro record `name/thread/start/duration` into per-thread buffers
-//!    and export as JSONL or a `chrome://tracing`-compatible file.
+//!    and export as JSONL or a `chrome://tracing`-compatible file
+//!    ([`merge`] is the one chrome writer; [`flight`] is the post-mortem
+//!    dump format the `tyxe-dist` coordinator writes).
 //! 2. **Metrics** ([`metrics`]): named counters, gauges and fixed
 //!    power-of-two-bucket histograms built purely on atomics, with a
 //!    [`metrics::snapshot`] API and a JSONL sink of
@@ -91,8 +93,8 @@ macro_rules! span {
     };
 }
 
-/// Crate-wide test serializer: the enable gate, trace buffers and
-/// flight state are process globals, so every test that toggles them
+/// Crate-wide test serializer: the enable gate and the trace buffers
+/// are process globals, so every test that toggles them
 /// must hold this guard (a module-local lock would still race across
 /// modules).
 #[cfg(test)]

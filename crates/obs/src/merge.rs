@@ -1,7 +1,8 @@
-//! Multi-process trace merging: fold span sets collected from the
-//! dist coordinator and every worker rank (shipped over the wire
-//! and/or recovered from flight-recorder dumps) into a single
-//! `chrome://tracing` / Perfetto file.
+//! Trace merging: fold span sets collected from the dist coordinator
+//! and every worker rank (shipped over the wire) into a single
+//! `chrome://tracing` / Perfetto file. This is the repository's one
+//! chrome-trace writer: a single-process export
+//! ([`crate::trace::spans_to_chrome_trace`]) is the one-process merge.
 //!
 //! # Identity mapping
 //!
@@ -26,7 +27,7 @@
 //! Span ids (`args.id`/`args.parent`) carry the precise causal links.
 
 use crate::metrics::MetricRecord;
-use crate::trace::{self, SpanRecord};
+use crate::trace::SpanRecord;
 
 /// Reserved chrome-trace pid for the coordinator process — above any
 /// plausible rank, so rank pids never collide with it.
@@ -35,7 +36,8 @@ pub const COORD_PID: u64 = 1000;
 /// One process's contribution to a merged trace.
 #[derive(Debug, Clone)]
 pub struct ProcTelemetry {
-    /// Chrome pid: [`COORD_PID`] or the worker rank.
+    /// Chrome pid: [`COORD_PID`], the worker rank, or 1 for a
+    /// single-process export.
     pub pid: u64,
     /// Process display name (`coordinator`, `rank{r}-inc{i}`).
     pub name: String,
@@ -140,7 +142,7 @@ pub fn merged_chrome_trace(procs: &[ProcTelemetry]) -> String {
         spans.sort_by_key(|s| (s.tid, s.start_ns, s.depth));
         for s in spans {
             let ts = s.start_ns as i64 + p.clock_offset_ns;
-            push(&mut out, trace::chrome_span_event(s, p.pid, p.tid_base + s.tid, ts));
+            push(&mut out, chrome_span_event(s, p.pid, p.tid_base + s.tid, ts));
         }
         for &(tid, count) in &p.drops {
             let end = p
@@ -151,21 +153,49 @@ pub fn merged_chrome_trace(procs: &[ProcTelemetry]) -> String {
                 .max()
                 .unwrap_or(0);
             let ts = end as i64 + p.clock_offset_ns;
-            push(&mut out, trace::chrome_dropped_event(p.pid, p.tid_base + tid, ts, count));
+            push(&mut out, chrome_dropped_event(p.pid, p.tid_base + tid, ts, count));
         }
     }
     out.push_str("]}");
     out
 }
 
-/// Append spans to `into`, skipping any whose `span_id` is already
-/// present — used to fold a flight-recorder dump into spans the same
-/// process already shipped over the wire without double-counting.
-/// Spans with `span_id == 0` (pre-telemetry imports) are always kept.
-pub fn extend_dedup_by_span_id(into: &mut Vec<SpanRecord>, extra: Vec<SpanRecord>) {
-    let seen: std::collections::BTreeSet<u64> =
-        into.iter().map(|s| s.span_id).filter(|&id| id != 0).collect();
-    into.extend(extra.into_iter().filter(|s| s.span_id == 0 || !seen.contains(&s.span_id)));
+fn chrome_span_event(s: &SpanRecord, pid: u64, tid: u64, ts_ns: i64) -> String {
+    let sign = if ts_ns < 0 { "-" } else { "" };
+    let abs = ts_ns.unsigned_abs();
+    let mut ev = format!(
+        "{{\"name\":\"{}\",\"cat\":\"tyxe\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
+         \"ts\":{sign}{}.{:03},\"dur\":{}.{:03},\"args\":{{\"depth\":{},\"id\":{}",
+        crate::json::escape(&s.name),
+        abs / 1_000,
+        abs % 1_000,
+        s.dur_ns / 1_000,
+        s.dur_ns % 1_000,
+        s.depth,
+        s.span_id,
+    );
+    if s.trace_id != 0 {
+        ev.push_str(&format!(",\"trace\":{}", s.trace_id));
+    }
+    if s.parent_span != 0 {
+        ev.push_str(&format!(",\"parent\":{}", s.parent_span));
+    }
+    if let Some(arg) = &s.arg {
+        ev.push_str(&format!(",\"arg\":\"{}\"", crate::json::escape(arg)));
+    }
+    ev.push_str("}}");
+    ev
+}
+
+fn chrome_dropped_event(pid: u64, tid: u64, ts_ns: i64, count: u64) -> String {
+    let sign = if ts_ns < 0 { "-" } else { "" };
+    let abs = ts_ns.unsigned_abs();
+    format!(
+        "{{\"name\":\"dropped_spans\",\"cat\":\"tyxe\",\"ph\":\"i\",\"s\":\"t\",\
+         \"pid\":{pid},\"tid\":{tid},\"ts\":{sign}{}.{:03},\"args\":{{\"count\":{count}}}}}",
+        abs / 1_000,
+        abs % 1_000,
+    )
 }
 
 /// Return `records` with `extra` tag pairs added to each (tags kept
@@ -247,17 +277,6 @@ mod tests {
         let doc = merged_chrome_trace(&[w]);
         assert!(doc.contains("\"ts\":-"), "{doc}");
         crate::validate::validate_chrome_trace(&doc).unwrap();
-    }
-
-    #[test]
-    fn dedup_keeps_unseen_and_zero_ids() {
-        let mut base = vec![span("a", 0, 0, 1, 5)];
-        extend_dedup_by_span_id(
-            &mut base,
-            vec![span("a", 0, 0, 1, 5), span("b", 0, 1, 1, 6), span("c", 0, 2, 1, 0)],
-        );
-        let names: Vec<&str> = base.iter().map(|s| s.name.as_ref()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
     }
 
     #[test]

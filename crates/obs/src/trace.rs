@@ -178,7 +178,10 @@ impl SpanGuard {
     /// Open a span with a static name.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
-        Self::open(Cow::Borrowed(name), None)
+        if !crate::enabled() {
+            return SpanGuard { live: None };
+        }
+        Self::open_live(Cow::Borrowed(name), None, 0, 0)
     }
 
     /// Open a span with a static name and a free-form argument. The
@@ -189,11 +192,6 @@ impl SpanGuard {
             return SpanGuard { live: None };
         }
         Self::open_live(Cow::Borrowed(name), Some(arg.into()), 0, 0)
-    }
-
-    /// Open a span with an owned name (for dynamic span names).
-    pub fn enter_owned(name: String) -> SpanGuard {
-        Self::open(Cow::Owned(name), None)
     }
 
     /// Open a span whose *parent lives in another process*: `trace_id`
@@ -218,14 +216,6 @@ impl SpanGuard {
     /// this for its step spans so workers can parent under them.
     pub fn span_id(&self) -> u64 {
         self.live.as_ref().map_or(0, |l| l.span_id)
-    }
-
-    #[inline]
-    fn open(name: Cow<'static, str>, arg: Option<String>) -> SpanGuard {
-        if !crate::enabled() {
-            return SpanGuard { live: None };
-        }
-        Self::open_live(name, arg, 0, 0)
     }
 
     fn open_live(
@@ -270,10 +260,6 @@ impl Drop for SpanGuard {
                 trace_id: live.trace_id,
                 parent_span: live.parent_span,
             };
-            // The flight recorder sees every finished span, including
-            // those the capped buffer discards — its ring is the
-            // post-mortem record of the *most recent* activity.
-            crate::flight::on_span(&rec);
             let mut spans = buf.spans.lock().unwrap();
             if spans.len() >= SPAN_CAP_PER_THREAD {
                 buf.dropped.fetch_add(1, Ordering::Relaxed);
@@ -403,84 +389,21 @@ pub fn spans_from_jsonl(text: &str) -> Result<ParsedSpans, String> {
     Ok((spans, drops))
 }
 
-pub(crate) fn chrome_span_event(s: &SpanRecord, pid: u64, tid: u64, ts_ns: i64) -> String {
-    let sign = if ts_ns < 0 { "-" } else { "" };
-    let abs = ts_ns.unsigned_abs();
-    let mut ev = format!(
-        "{{\"name\":\"{}\",\"cat\":\"tyxe\",\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\
-         \"ts\":{sign}{}.{:03},\"dur\":{}.{:03},\"args\":{{\"depth\":{},\"id\":{}",
-        crate::json::escape(&s.name),
-        abs / 1_000,
-        abs % 1_000,
-        s.dur_ns / 1_000,
-        s.dur_ns % 1_000,
-        s.depth,
-        s.span_id,
-    );
-    if s.trace_id != 0 {
-        ev.push_str(&format!(",\"trace\":{}", s.trace_id));
-    }
-    if s.parent_span != 0 {
-        ev.push_str(&format!(",\"parent\":{}", s.parent_span));
-    }
-    if let Some(arg) = &s.arg {
-        ev.push_str(&format!(",\"arg\":\"{}\"", crate::json::escape(arg)));
-    }
-    ev.push_str("}}");
-    ev
-}
-
-pub(crate) fn chrome_dropped_event(pid: u64, tid: u64, ts_ns: i64, count: u64) -> String {
-    let sign = if ts_ns < 0 { "-" } else { "" };
-    let abs = ts_ns.unsigned_abs();
-    format!(
-        "{{\"name\":\"dropped_spans\",\"cat\":\"tyxe\",\"ph\":\"i\",\"s\":\"t\",\
-         \"pid\":{pid},\"tid\":{tid},\"ts\":{sign}{}.{:03},\"args\":{{\"count\":{count}}}}}",
-        abs / 1_000,
-        abs % 1_000,
-    )
-}
-
 /// Serialize spans as a `chrome://tracing` / Perfetto-compatible JSON
-/// trace: one "X" (complete) event per span, `ts`/`dur` in µs, nesting
-/// inferred by the viewer from time containment per `tid`. Truncated
-/// threads get an explicit `dropped_spans` instant event.
+/// trace: the one-process case of [`crate::merge::merged_chrome_trace`]
+/// (pid 1, process `tyxe`) — one "X" (complete) event per span, `ts`/
+/// `dur` in µs, nesting inferred by the viewer from time containment
+/// per `tid`. Truncated threads get an explicit `dropped_spans` instant
+/// event.
 pub fn spans_to_chrome_trace_with_drops(spans: &[SpanRecord], drops: &[(u64, u64)]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&ev);
-    };
-    let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"tyxe-{tid}\"}}}}"
-            ),
-        );
-    }
-    for s in spans {
-        push(&mut out, chrome_span_event(s, 1, s.tid, s.start_ns as i64));
-    }
-    for &(tid, count) in drops {
-        let ts = spans
-            .iter()
-            .filter(|s| s.tid == tid)
-            .map(|s| s.start_ns + s.dur_ns)
-            .max()
-            .unwrap_or(0);
-        push(&mut out, chrome_dropped_event(1, tid, ts as i64, count));
-    }
-    out.push_str("]}");
-    out
+    crate::merge::merged_chrome_trace(&[crate::merge::ProcTelemetry {
+        pid: 1,
+        name: "tyxe".to_string(),
+        tid_base: 0,
+        clock_offset_ns: 0,
+        spans: spans.to_vec(),
+        drops: drops.to_vec(),
+    }])
 }
 
 /// [`spans_to_chrome_trace_with_drops`] without drop events.
@@ -492,19 +415,7 @@ pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
 /// (including `dropped_spans` markers for truncated threads).
 pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<usize> {
     let spans = drain();
-    let drops = dropped_by_thread();
-    std::fs::write(path, spans_to_chrome_trace_with_drops(&spans, &drops))?;
-    Ok(spans.len())
-}
-
-/// Drain all spans and write them to `path` as JSONL (including
-/// `dropped_spans` event lines for truncated threads).
-pub fn write_spans_jsonl(path: &std::path::Path) -> std::io::Result<usize> {
-    let spans = drain();
-    let drops = dropped_by_thread();
-    let mut text = spans_to_jsonl(&spans);
-    text.push_str(&dropped_events_jsonl(&drops));
-    std::fs::write(path, text)?;
+    std::fs::write(path, spans_to_chrome_trace_with_drops(&spans, &dropped_by_thread()))?;
     Ok(spans.len())
 }
 

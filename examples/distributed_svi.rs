@@ -27,8 +27,9 @@
 //!   clock, and one metrics snapshot with per-rank tags plus the
 //!   `dist.*` counters and `dist.step_latency_ms`/`dist.phase_us`
 //!   percentile stats.
-//! * `--telemetry-dir <dir>` — session directory for worker flight
-//!   dumps (defaults to `<trace path>.telemetry` when tracing).
+//! * `--telemetry-dir <dir>` — where the coordinator writes one
+//!   post-mortem per worker incarnation, `flight-<rank>-<inc>.jsonl`
+//!   (defaults to `<trace path>.telemetry` when tracing).
 //! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` /
 //!   `TYXE_FAULT_KILL_PROB` — process-kill injection: the selected
 //!   worker's first incarnation calls `exit(113)` mid-step and the
@@ -148,9 +149,9 @@ fn main() {
 
     let mut optim = Adam::new(vec![], 1e-2);
     let mut sup = Supervisor::new(bnn.trainable_parameters(), SupervisorConfig::default());
-    // Tracing a multi-process run needs a session directory for worker
-    // telemetry + flight dumps; derive one from the trace path unless
-    // the caller picked it (so verify.sh can inspect the dumps).
+    // A traced multi-process run gets a directory for the coordinator's
+    // post-mortem dumps, derived from the trace path unless the caller
+    // picked it (so verify.sh can inspect the dumps).
     let telemetry_dir = args.telemetry_dir.clone().or_else(|| {
         args.trace
             .as_ref()
@@ -165,17 +166,14 @@ fn main() {
         ..DistConfig::default()
     };
 
-    let t0 = std::time::Instant::now();
     // In a spawned worker this call serves shard work and exits.
     let fit = bnn
         .fit_distributed(&x, &y, &mut optim, args.steps, &mut sup, &cfg, 0)
         .expect("not in a worker process past fit_distributed");
-    let elapsed = t0.elapsed();
 
-    let steps_per_sec = args.steps as f64 / elapsed.as_secs_f64();
     println!(
-        "trained {} steps ({:?} precision) at {} workers x {} shards: {:.1} steps/sec",
-        args.steps, args.precision, args.workers, args.shards, steps_per_sec,
+        "trained {} steps ({:?} precision) at {} workers x {} shards",
+        args.steps, args.precision, args.workers, args.shards,
     );
     let first = fit.history.first().copied().unwrap_or(f64::NAN);
     let last = fit.history.last().copied().unwrap_or(f64::NAN);
@@ -192,53 +190,36 @@ fn main() {
     // With a multi-process run the dist report carries the cross-process
     // telemetry: write ONE merged trace (coordinator + every rank and
     // incarnation, clock-normalized) and rank-tagged merged metrics.
-    // Without it (workers = 0, or obs off at launch) fall back to the
-    // single-process export.
+    // Without it (workers = 0, or obs off at launch) write the
+    // single-process exports.
     let telemetry = fit.dist.as_ref().and_then(|r| r.telemetry.as_ref());
     if let Some(path) = &args.trace {
-        let result = match telemetry {
-            Some(tel) => tel.merged_chrome_trace().map_err(std::io::Error::other).and_then(
-                |doc| {
-                    std::fs::write(path, &doc)?;
-                    let stats = tyxe_obs::validate::validate_chrome_trace(&doc)
-                        .map_err(std::io::Error::other)?;
-                    println!(
-                        "merged trace written:    {} ({} spans over {} processes)",
-                        path.display(),
-                        stats.spans,
-                        stats.spans_by_pid.len(),
-                    );
-                    Ok(())
-                },
-            ),
-            None => tyxe_obs::trace::write_chrome_trace(path).map(|spans| {
-                println!("trace written:           {} ({spans} spans)", path.display());
-            }),
-        };
-        if let Err(e) = result {
-            eprintln!("failed to write trace to {}: {e}", path.display());
-            std::process::exit(1);
-        }
+        let doc = write_export(path, match telemetry {
+            Some(tel) => tel.merged_chrome_trace(),
+            None => Ok(tyxe_obs::trace::spans_to_chrome_trace_with_drops(
+                &tyxe_obs::trace::drain(),
+                &tyxe_obs::trace::dropped_by_thread(),
+            )),
+        });
+        let stats = tyxe_obs::validate::validate_chrome_trace(&doc).expect("written trace");
+        let (spans, procs) = (stats.spans, stats.spans_by_pid.len());
+        println!("trace written:           {} ({spans} spans over {procs} processes)", path.display());
     }
     if let Some(path) = &args.metrics {
-        let result = match telemetry {
-            Some(tel) => tel.merged_metrics_jsonl().map_err(std::io::Error::other).and_then(
-                |jsonl| {
-                    std::fs::write(path, &jsonl)?;
-                    println!(
-                        "merged metrics written:  {} ({} records)",
-                        path.display(),
-                        jsonl.lines().count(),
-                    );
-                    Ok(())
-                },
-            ),
-            None => tyxe_obs::metrics::write_snapshot_jsonl(path).map(|records| {
-                println!("metrics written:         {} ({records} records)", path.display());
-            }),
-        };
-        if let Err(e) = result {
-            eprintln!("failed to write metrics to {}: {e}", path.display());
+        let jsonl = write_export(path, match telemetry {
+            Some(tel) => tel.merged_metrics_jsonl(),
+            None => Ok(tyxe_obs::metrics::snapshot_jsonl()),
+        });
+        println!("metrics written:         {} ({} records)", path.display(), jsonl.lines().count());
+    }
+}
+
+/// Writes one export to `path` and returns it, or exits saying why not.
+fn write_export(path: &std::path::Path, text: Result<String, String>) -> String {
+    match text.and_then(|t| std::fs::write(path, &t).map(|()| t).map_err(|e| e.to_string())) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("failed to write {}: {e}", path.display());
             std::process::exit(1);
         }
     }

@@ -109,7 +109,7 @@ fi
 # injected restart — while exporting the dist.* counters the validation
 # below requires (DESIGN.md §13) and the merged cross-process telemetry
 # artifacts (DESIGN.md §14): one chrome trace covering the coordinator
-# and every rank, and the killed incarnation's flight-recorder dump.
+# and every rank, and the killed incarnation's post-mortem dump.
 echo "verify: distributed SVI smoke run (4 workers, injected worker kill)"
 dist_smoke=$(TYXE_FAULT_KILL_STEP=5 TYXE_FAULT_KILL_RANK=1 \
         TYXE_NUM_THREADS=1 TYXE_OBS=1 CARGO_NET_OFFLINE=true \
@@ -140,8 +140,8 @@ fi
 # the new step-latency/phase histograms; the merged chrome trace must
 # hold ≥1 span from the coordinator (pid 1000) and every live rank
 # (pids 0-3), with process entries for rank 1's pre-kill incarnation
-# AND its respawn; and the killed incarnation's flight dump must exist
-# and parse.
+# AND its respawn; and the post-mortem the coordinator wrote for the
+# killed incarnation must exist and parse.
 CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
     --bin tyxe-obs-validate -- \
     --trace "$obs_dir/trace-dist.json" \
@@ -204,13 +204,20 @@ fi
 # Prediction has one path and no switches (DESIGN.md §15), neither the
 # pool nor step plans have one (§10, §11), benchmark/ is the only thing
 # that times code (§6), a dist session is named one way (§13), the
-# supervisor's recovery policy is constants (§8) and library surface no
-# caller reached is gone: fail if the deleted forward-plan layer, legacy
-# bodies, options, the timing harness, the session counter, the tuning
-# knobs or the recurrent layers grow back. The filter drops this guard's
-# own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# supervisor's recovery policy is constants (§8), a worker's telemetry
+# has one channel (§14) and library surface no caller reached is gone:
+# fail if the deleted forward-plan layer, legacy bodies, options, the
+# timing harness, the session counter, the tuning knobs, the recurrent
+# layers, the in-process flight recorder (its ring, periodic flush, env
+# var and span-id de-dup) or the dead span exports grow back. The filter
+# drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
+    exit 1
+fi
+# A worker's socket is its only way out (§14): it opens no file.
+if grep -n "std::fs" crates/dist/src/worker.rs; then
+    echo "verify: crates/dist/src/worker.rs touches the filesystem" >&2
     exit 1
 fi
 # One compiled-step driver (§11): only `plan::Compiled` starts and ends a

@@ -583,7 +583,6 @@ fn distributed_svi_bits_are_unchanged_by_telemetry() {
         let result =
             run_dist_svi(NAME, session, workers, 4, 5, tyxe::Precision::F64, telemetry_dir);
         tyxe_obs::set_enabled(false);
-        tyxe_obs::flight::deconfigure();
         tyxe_obs::trace::clear();
         result
     };

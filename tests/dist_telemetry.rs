@@ -50,7 +50,6 @@ impl Drop for TelemetryScope {
         fault::set_kill_step(None);
         fault::set_kill_rank(0);
         tyxe_obs::set_enabled(false);
-        tyxe_obs::flight::deconfigure();
         tyxe_obs::trace::clear();
     }
 }
