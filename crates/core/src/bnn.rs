@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use tyxe_nn::{Forward, Module, Param, ParamInfo};
+use tyxe_nn::{Forward, Module, Param, ParamInfo, StepInput};
 use tyxe_prob::dist::{kl_divergence, DynDistribution};
 use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
@@ -309,43 +309,36 @@ impl Precision {
     }
 }
 
-/// Why a non-[`Tensor`] input runs the dynamic step: the recorder is
-/// refused with this sentence, so `plan_unsupported_reason()` names it.
-const NOT_A_TENSOR: &str = "input is not a Tensor; the step driver keys plans on a Tensor input";
+/// Why a step on an input that keeps [`StepInput`]'s default runs the
+/// dynamic graph: the recorder is refused with this sentence, so
+/// `plan_unsupported_reason()` names it.
+const UNKEYED_INPUT: &str = "the input type keeps StepInput's default plan_key: \
+                             a compiled step cannot tell one such input from another";
 
 /// What a step plan was recorded against (see `tyxe_tensor::plan` and
-/// DESIGN.md §11): the exact input and target tensors, by node id and
-/// shape, and the effect handlers installed around the step
+/// DESIGN.md §11): the input's and the targets' plan keys
+/// ([`StepInput::plan_key`]: node id and shape per tensor, plus any
+/// structural id), and the effect handlers installed around the step
 /// ([`tyxe_prob::poutine::stack_signature`]) — a handler rewrites what
 /// the step computes, so the trace is only that stack's.
 #[derive(Debug)]
 struct StepKey {
-    input: (u64, Vec<usize>),
-    targets: (u64, Vec<usize>),
+    input: Vec<u64>,
     handlers: Vec<u64>,
 }
 
 impl StepKey {
-    fn new(x: &Tensor, targets: &Tensor, handlers: &[u64]) -> StepKey {
-        StepKey {
-            input: (x.id(), x.shape().to_vec()),
-            targets: (targets.id(), targets.shape().to_vec()),
-            handlers: handlers.to_vec(),
-        }
-    }
-
-    /// Whether this step may replay the plan, compared by borrowing; a
-    /// mismatch carries the pin reason should mismatches keep coming,
-    /// naming a changed handler stack first.
-    fn check(&self, x: Option<&Tensor>, targets: &Tensor, handlers: &[u64]) -> Result<(), &'static str> {
-        let same = |(id, shape): &(u64, Vec<usize>), t: &Tensor| *id == t.id() && shape == t.shape();
+    /// Whether this step may replay the plan; `input` is `None` for an
+    /// input without a key. A mismatch carries the pin reason should
+    /// mismatches keep coming, naming a changed handler stack first.
+    fn check(&self, input: Option<&[u64]>, handlers: &[u64]) -> Result<(), &'static str> {
         if self.handlers != handlers {
             return Err("handler stack keeps changing: an effect handler is \
                         (re-)installed around every step");
         }
-        match x {
-            None => Err(NOT_A_TENSOR),
-            Some(x) if same(&self.input, x) && same(&self.targets, targets) => Ok(()),
+        match input {
+            None => Err(UNKEYED_INPUT),
+            Some(input) if input == self.input => Ok(()),
             Some(_) => Err("input signature keeps changing"),
         }
     }
@@ -362,8 +355,8 @@ pub struct VariationalBnn<M, L, G> {
     likelihood: L,
     guide: G,
     estimator: ElboEstimator,
-    /// Compiled step plan: recorded on the first tensor-input SVI step,
-    /// replayed while the [`StepKey`] and the global plan generation hold.
+    /// Compiled step plan: recorded on the first SVI step, replayed while
+    /// the [`StepKey`] and the global plan generation hold.
     plan: RefCell<plan::Compiled<StepKey>>,
     /// Numeric policy for training and prediction (DESIGN.md §12).
     precision: Cell<Precision>,
@@ -513,9 +506,9 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
 
     /// Why the compiled-plan path is disabled for this BNN, if it is:
     /// `Some(reason)` once a step traced to something unreplayable, kept
-    /// thrashing input or handler-stack signatures, or took an input that
-    /// is not a [`Tensor`]; `None` while plans are live or not yet
-    /// attempted.
+    /// thrashing input or handler-stack signatures, or took an input
+    /// whose [`StepInput::plan_key`] is the default; `None` while plans
+    /// are live or not yet attempted.
     pub fn plan_unsupported_reason(&self) -> Option<String> {
         self.plan.borrow().unsupported_reason().map(str::to_string)
     }
@@ -531,7 +524,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     pub fn svi_step<I>(&self, input: &I, targets: &Tensor, optim: &mut dyn Optimizer) -> f64
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         let loss = self.svi_forward_backward(input, targets, optim);
         optim.step();
@@ -543,15 +535,15 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// update. A training supervisor can inspect the loss and gradients
     /// (NaN sentinels, clipping) before calling `optim.step()` itself.
     ///
-    /// When `input` is a plain [`Tensor`], the step runs through a
-    /// compiled plan: the first call records the op sequence while
-    /// executing it dynamically, and later calls with the same
-    /// input/target tensors under the same installed effect handlers
-    /// replay it without rebuilding the graph or walking the poutine
-    /// stack. Any divergence (shapes, a handler installed or dropped,
-    /// site structure, control flow, RNG use the recorder cannot see)
-    /// falls back to the dynamic path — same bits, just slower. So does
-    /// an input of any other type, and
+    /// The step runs through a compiled plan: the first call records the
+    /// op sequence while executing it dynamically, and later calls with
+    /// the same input and targets ([`StepInput::plan_key`]) under the
+    /// same installed effect handlers replay it without rebuilding the
+    /// graph or walking the poutine stack. Any divergence (shapes, a
+    /// handler installed or dropped, site structure, control flow, RNG
+    /// use the recorder cannot see) falls back to the dynamic path —
+    /// same bits, just slower. So does an input type that keeps
+    /// `plan_key`'s default, and
     /// [`VariationalBnn::plan_unsupported_reason`] says so.
     pub fn svi_forward_backward<I>(
         &self,
@@ -561,7 +553,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     ) -> f64
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         // Guide parameters are about to accumulate gradients and be
         // stepped; any cached posterior draws are stale from here on.
@@ -572,18 +563,23 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         // The caller's handlers, read before this step installs its own
         // (observational) one.
         let handlers = tyxe_prob::poutine::stack_signature();
-        let x = (input as &dyn std::any::Any).downcast_ref::<Tensor>();
+        let mut signature = Vec::new();
+        let keyed = self.net().input_plan_key(input, &mut signature) && targets.plan_key(&mut signature);
+        let signature = keyed.then_some(signature);
         let mut compiled = self.plan.borrow_mut();
         let pass = compiled.run(
-            |key| key.check(x, targets, &handlers),
-            || StepKey::new(x.expect("only a Tensor input records a plan"), targets, &handlers),
+            |key| key.check(signature.as_deref(), &handlers),
+            || StepKey {
+                input: signature.clone().expect("an unkeyed input records no plan"),
+                handlers: handlers.clone(),
+            },
             || {
                 // Purely observational per-site timing handler; a no-op
                 // unless observability is enabled (and bit-identical
                 // either way).
                 let _obs = crate::poutine::obs_trace_if_enabled();
-                if x.is_none() {
-                    plan::mark_unsupported(NOT_A_TENSOR);
+                if signature.is_none() {
+                    plan::mark_unsupported(UNKEYED_INPUT);
                 }
                 self.svi_loss(input, targets)
             },
@@ -629,7 +625,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     ) -> Vec<f64>
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         assert!(!data.is_empty(), "fit: data must be non-empty");
         let mut history = Vec::with_capacity(num_epochs);
@@ -806,8 +801,8 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
 
     /// Why the chain did not replay a compiled potential, if it did not:
     /// `Some(reason)` once `fit` traced the potential to something
-    /// unreplayable (a `matmul`/`conv2d`/`update_all` net, a
-    /// `Categorical` likelihood, an unregistered RNG draw) and sampled
+    /// unreplayable (a `matmul`/`conv2d` net, a dropout mask, an
+    /// unregistered RNG draw) and sampled
     /// on the dynamic graph — same bits, slower; `None` when it replayed
     /// or before `fit`.
     pub fn plan_unsupported_reason(&self) -> Option<String> {
@@ -1055,8 +1050,11 @@ mod tests {
         }
     }
 
-    /// An input type the step driver does not know.
+    /// An input type the compiled step does not know: it keeps
+    /// [`StepInput::plan_key`]'s default.
     struct Wrapped(Tensor);
+
+    impl StepInput for Wrapped {}
 
     impl Forward<Wrapped> for Logged {
         type Output = Tensor;
@@ -1126,10 +1124,11 @@ mod tests {
         }
     }
 
-    /// An input the driver does not know — the route `(Graph, Tensor)`
-    /// takes — is refused by the recorder on its first step, with a
-    /// reason, and runs the dynamic body from then on, to the bits of the
-    /// compiled Tensor-input step.
+    /// An input whose type keeps `StepInput`'s default key is refused by
+    /// the recorder on its first step, with a reason, and runs the
+    /// dynamic body from then on, to the bits of the compiled
+    /// Tensor-input step. (`(Graph, Tensor)` lists its tensors and
+    /// compiles, `tests/poutine_compiled.rs`.)
     #[test]
     fn a_non_tensor_input_says_why_it_does_not_compile() {
         let (x, y) = toy_data();
@@ -1153,7 +1152,7 @@ mod tests {
         let (compiled, compiled_reason, _) = run(false);
         let (dynamic, reason, log) = run(true);
         assert_eq!(compiled_reason, None);
-        assert_eq!(reason.as_deref(), Some(NOT_A_TENSOR));
+        assert_eq!(reason.as_deref(), Some(UNKEYED_INPUT));
         assert_eq!(log, vec![true, false, false, false], "refused once, then dynamic");
         assert_eq!(dynamic, compiled);
     }

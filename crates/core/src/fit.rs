@@ -736,7 +736,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     ) -> Vec<f64>
     where
         M: Forward<I, Output = Tensor>,
-        I: std::any::Any,
     {
         assert!(!data.is_empty(), "fit_supervised: data must be non-empty");
         // A resumed checkpoint's precision policy wins over whatever the

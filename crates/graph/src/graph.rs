@@ -2,6 +2,7 @@
 
 use std::rc::Rc;
 
+use tyxe_nn::StepInput;
 use tyxe_tensor::Tensor;
 
 struct GraphInner {
@@ -104,7 +105,7 @@ impl Graph {
 
     /// Differentiable message passing: `Â x` for node features
     /// `x: [n, d]`. Since `Â` is symmetric, the backward pass is another
-    /// `Â`-product.
+    /// `Â`-product. Recorded steps replay it in place.
     ///
     /// # Panics
     ///
@@ -116,6 +117,7 @@ impl Graph {
         let d = x.shape()[1];
         let inner = Rc::clone(&self.inner);
 
+        // `out += Â vec`, row by row in CSR order.
         let spmv = move |vec: &[f64], out: &mut [f64]| {
             for u in 0..inner.num_nodes {
                 let row = &mut out[u * d..(u + 1) * d];
@@ -130,15 +132,26 @@ impl Graph {
             }
         };
 
-        let mut data = vec![0.0; n * d];
-        spmv(&x.data(), &mut data);
-
-        let spmv_bw = spmv.clone();
-        Tensor::custom_op(data, &[n, d], vec![x.clone()], move |_, grad| {
-            let mut g = vec![0.0; grad.len()];
-            spmv_bw(grad, &mut g);
-            vec![Some(g)]
+        let forward = {
+            let (spmv, x) = (spmv.clone(), x.clone());
+            move |out: &mut [f64]| {
+                out.fill(0.0);
+                spmv(&x.data(), out);
+            }
+        };
+        Tensor::custom_op(&[n, d], vec![x.clone()], forward, move |_, grad, grads| {
+            spmv(grad, grads[0])
         })
+    }
+}
+
+/// A graph is keyed on its identity, the address of its shared CSR. The
+/// address cannot be reused while a plan keyed on it lives: the
+/// aggregation closures the plan recorded hold the `Rc`.
+impl StepInput for Graph {
+    fn plan_key(&self, key: &mut Vec<u64>) -> bool {
+        key.push(Rc::as_ptr(&self.inner) as usize as u64);
+        true
     }
 }
 

@@ -37,7 +37,7 @@ pub mod resnet;
 pub mod serialize;
 pub mod state;
 
-pub use module::{Forward, Module, ParamInfo, TensorModule};
+pub use module::{Forward, Module, ParamInfo, StepInput, TensorModule};
 pub use param::Param;
 pub use state::StateDict;
 

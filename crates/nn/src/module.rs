@@ -98,13 +98,59 @@ pub trait Module {
     }
 }
 
-/// Computation over an input type `I`.
-pub trait Forward<I> {
+/// Computation over an input type `I`. Every input type is a
+/// [`StepInput`] (the [`KeysInput`] supertrait asks for it), so a
+/// compiled training step generic over the module can key its plan on
+/// the input.
+pub trait Forward<I>: KeysInput<I> {
     /// Output type of the forward pass.
     type Output;
 
     /// Runs the forward computation.
     fn forward(&self, input: &I) -> Self::Output;
+}
+
+/// An input a compiled training step can be keyed on (DESIGN.md §11): a
+/// step plan replays only for the input it was recorded with.
+pub trait StepInput {
+    /// Appends this input's plan key to `key` — the node id and shape of
+    /// every tensor it holds, and a structural id for anything else the
+    /// forward pass reads — and returns `true`. The default returns
+    /// `false`: the input cannot be told apart from another of its type,
+    /// so a step on it runs the dynamic graph and says so in
+    /// `plan_unsupported_reason()`.
+    fn plan_key(&self, _key: &mut Vec<u64>) -> bool {
+        false
+    }
+}
+
+impl StepInput for Tensor {
+    fn plan_key(&self, key: &mut Vec<u64>) -> bool {
+        key.push(self.id());
+        key.push(self.ndim() as u64);
+        key.extend(self.shape().iter().map(|&d| d as u64));
+        true
+    }
+}
+
+impl<A: StepInput, B: StepInput> StepInput for (A, B) {
+    fn plan_key(&self, key: &mut Vec<u64>) -> bool {
+        self.0.plan_key(key) && self.1.plan_key(key)
+    }
+}
+
+/// [`StepInput::plan_key`] reached through the module: the supertrait
+/// that makes `M: Forward<I>` alone enough to key a step on an `I`.
+/// Implemented for every module and every [`StepInput`].
+pub trait KeysInput<I> {
+    /// `input.plan_key(key)`.
+    fn input_plan_key(&self, input: &I, key: &mut Vec<u64>) -> bool;
+}
+
+impl<M: ?Sized, I: StepInput> KeysInput<I> for M {
+    fn input_plan_key(&self, input: &I, key: &mut Vec<u64>) -> bool {
+        input.plan_key(key)
+    }
 }
 
 /// Object-safe alias for the common tensor-to-tensor case, enabling

@@ -86,8 +86,9 @@ impl Distribution for Categorical {
             self.n,
             value.numel()
         );
-        let idx: Vec<usize> = value.data().iter().map(|&v| v as usize).collect();
-        self.logits.log_softmax(1).gather_rows(&idx)
+        // The classes are read from `value` by the gather itself, so a
+        // plan replay picks up labels written into the same tensor.
+        self.logits.log_softmax(1).gather_rows_by(value)
     }
 
     fn shape(&self) -> Vec<usize> {

@@ -21,7 +21,7 @@ use crate::tensor::Tensor;
 /// Decomposes a shape around `ax` into `(outer, axis_len, inner)` so that
 /// input flat index `(oi * axis_len + q) * inner + ii` maps to output
 /// flat index `oi * inner + ii`.
-fn axis_split(shape: &[usize], ax: usize) -> (usize, usize, usize) {
+pub(crate) fn axis_split(shape: &[usize], ax: usize) -> (usize, usize, usize) {
     let outer: usize = shape[..ax].iter().product();
     let inner: usize = shape[ax + 1..].iter().product();
     (outer, shape[ax], inner)

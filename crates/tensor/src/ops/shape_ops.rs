@@ -11,7 +11,7 @@ use crate::pool;
 use crate::shape::{
     broadcast_source_index, numel, strides_for, unravel_index,
 };
-use crate::tensor::Tensor;
+use crate::tensor::{Buf, Tensor};
 
 impl Tensor {
     /// Returns a tensor with the same data viewed under a new shape.
@@ -322,38 +322,70 @@ impl Tensor {
 
     /// For a 2-D tensor `[n, c]`, picks element `cols[i]` from row `i`,
     /// returning shape `[n]` (like `torch.gather(dim=1)` with one column).
+    /// Under plan recording `cols` is a constant of the trace, like
+    /// [`Tensor::full`]'s value; [`Tensor::gather_rows_by`] reads the
+    /// columns from a tensor instead.
     ///
     /// # Panics
     ///
     /// Panics on rank/length mismatch or out-of-bounds column indices.
     pub fn gather_rows(&self, cols: &[usize]) -> Tensor {
+        let index = Tensor::from_vec(cols.iter().map(|&c| c as f64).collect(), &[cols.len()]);
+        crate::plan::record_const(&index);
+        self.gather_rows_by(&index)
+    }
+
+    /// [`Tensor::gather_rows`] with the column of row `i` read from
+    /// `index[i]` (class indices stored as floats, any dtype). A plan
+    /// replay reads `index` afresh, so labels written into it with
+    /// [`Tensor::set_data`] between steps are the ones gathered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank/length mismatch or out-of-bounds column indices.
+    pub fn gather_rows_by(&self, index: &Tensor) -> Tensor {
         assert_eq!(self.ndim(), 2, "gather_rows: tensor must be 2-D");
         let (n, c) = (self.shape()[0], self.shape()[1]);
-        assert_eq!(cols.len(), n, "gather_rows: one column index per row");
+        assert_eq!(index.numel(), n, "gather_rows: one column index per row");
+        let column = move |idx: &Buf, i: usize| {
+            let col = idx.get_f64(i) as usize;
+            assert!(col < c, "gather_rows: column {col} out of bounds");
+            col
+        };
         dispatch_dtype!(self.dtype(), E => {
             // Every element of the gather output is written: uninit-safe.
-            let mut data = pool::alloc_uninit::<E>(n);
-            {
-                let d = self.data_of::<E>();
-                for (i, (&col, slot)) in cols.iter().zip(data.iter_mut()).enumerate() {
-                    assert!(col < c, "gather_rows: column {col} out of bounds");
-                    *slot = d[i * c + col];
+            let compute = {
+                let (src, index) = (self.clone(), index.clone());
+                move |out: &mut [E]| {
+                    let d = src.data_of::<E>();
+                    let idx = index.inner.data.borrow();
+                    for (i, slot) in out.iter_mut().enumerate() {
+                        *slot = d[i * c + column(&idx, i)];
+                    }
                 }
-            }
-            let cols_c = cols.to_vec();
-            Tensor::make_op_t::<E>(
+            };
+            let mut data = pool::alloc_uninit::<E>(n);
+            compute(data.as_mut_slice());
+            let index_bw = index.clone();
+            let t = Tensor::make_op_t::<E>(
                 data,
                 vec![n],
                 vec![self.clone()],
                 move |_, grad| {
                     // Sparse scatter (one entry per row): zeroed pool path.
+                    let idx = index_bw.inner.data.borrow();
                     let mut g = pool::alloc_zeroed::<E>(n * c);
-                    for (i, &col) in cols_c.iter().enumerate() {
-                        g[i * c + col] = grad[i];
+                    for (i, &gi) in grad.iter().enumerate() {
+                        g[i * c + column(&idx, i)] = gi;
                     }
                     vec![Some(g)]
                 },
-            )
+            );
+            // `index` is read but is not a graph parent: declared to the
+            // coverage check, so a per-step index the plan cannot
+            // refresh refuses the trace.
+            crate::plan::record_op_t::<E>(&t, &[self, index], compute);
+            t
         })
     }
 }

@@ -1,6 +1,90 @@
 //! Numerically stable softmax / log-softmax / logsumexp along an axis.
+//!
+//! [`Tensor::log_softmax`] is one fused op: a row kernel over the
+//! reduced axis that runs the scalar recipe of the op chain
+//! `x − (ln Σ exp(x − max) + max)` — native max, [`Element::exp_e`],
+//! native ascending sum, `ln`, `+ max`, `x − lse`, each rounded to
+//! storage precision where the chain would round — so it replaces the
+//! chain bit for bit in values and input gradients, per dtype, without
+//! its five intermediate tensors and three broadcasts. Every classifier
+//! loss, `softmax` and the predictive fold run through it, and it records
+//! a replay closure ([`crate::plan`]).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use crate::element::{Element, dispatch_dtype};
+use crate::ops::reduce::axis_split;
+use crate::pool;
+use crate::shape::normalize_axis;
 use crate::tensor::Tensor;
+
+fn log_softmax_t<E: Element>(src_t: &Tensor, ax: usize) -> Tensor {
+    let (outer, axn, inner) = axis_split(src_t.shape(), ax);
+    let n = src_t.numel();
+    // What the backward reads, rewritten by every forward pass (the
+    // build and each plan replay): `exp(x − max)` per element, then one
+    // sum per row.
+    let stash = Rc::new(RefCell::new(pool::alloc_uninit::<E>(n + outer * inner)));
+    let compute = {
+        let src = src_t.clone();
+        let stash = Rc::clone(&stash);
+        move |out: &mut [E]| {
+            let x = src.data_of::<E>();
+            let mut stash = stash.borrow_mut();
+            let (e, sums) = stash.split_at_mut(n);
+            for (row, sum) in sums.iter_mut().enumerate() {
+                let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
+                let mut m = E::from_f64(f64::NEG_INFINITY);
+                for q in 0..axn {
+                    if x[at(q)] > m {
+                        m = x[at(q)];
+                    }
+                }
+                let mut s = E::ZERO;
+                for q in 0..axn {
+                    let ev = E::from_f64(x[at(q)].to_f64() - m.to_f64()).exp_e();
+                    e[at(q)] = ev;
+                    s += ev;
+                }
+                *sum = s;
+                let lse = E::from_f64(E::from_f64(s.to_f64().ln()).to_f64() + m.to_f64());
+                for q in 0..axn {
+                    out[at(q)] = E::from_f64(x[at(q)].to_f64() - lse.to_f64());
+                }
+            }
+        }
+    };
+    let mut data = pool::alloc_uninit::<E>(n);
+    compute(data.as_mut_slice());
+    let t = Tensor::make_op_t::<E>(
+        data,
+        src_t.shape().to_vec(),
+        vec![src_t.clone()],
+        move |_, grad| {
+            // The chain's backward: `g` through `x − lse`, plus
+            // `(Σ −g / s) · e` through `exp(x − max)`, with the row sum of
+            // `−g` in ascending order from zero.
+            let stash = stash.borrow();
+            let (e, sums) = stash.split_at(n);
+            let mut g = pool::alloc_uninit::<E>(n);
+            for (row, &s) in sums.iter().enumerate() {
+                let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
+                let mut neg = E::ZERO;
+                for q in 0..axn {
+                    neg += -grad[at(q)];
+                }
+                let d = E::from_f64(neg.to_f64() / s.to_f64());
+                for q in 0..axn {
+                    g[at(q)] = grad[at(q)] + E::from_f64(d.to_f64() * e[at(q)].to_f64());
+                }
+            }
+            vec![Some(g)]
+        },
+    );
+    crate::plan::record_op_t::<E>(&t, &[src_t], compute);
+    t
+}
 
 impl Tensor {
     /// Log-sum-exp along `axis` (keepdim), computed stably by subtracting the
@@ -17,9 +101,10 @@ impl Tensor {
         }
     }
 
-    /// Log-softmax along `axis`: `x - logsumexp(x)`.
+    /// Log-softmax along `axis`: `x - logsumexp(x)`, as one fused op.
     pub fn log_softmax(&self, axis: isize) -> Tensor {
-        self.sub(&self.logsumexp_axis(axis, true))
+        let ax = normalize_axis(axis, self.ndim());
+        dispatch_dtype!(self.dtype(), E => log_softmax_t::<E>(self, ax))
     }
 
     /// Softmax along `axis`.
@@ -31,6 +116,7 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::DType;
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -78,5 +164,96 @@ mod tests {
         assert!((g[0] - (p[0] - 1.0)).abs() < 1e-9);
         assert!((g[1] - p[1]).abs() < 1e-9);
         assert!((g[2] - p[2]).abs() < 1e-9);
+    }
+
+    /// The op chain `log_softmax` was before it was fused, op for op.
+    fn composite_log_softmax(x: &Tensor, axis: isize) -> Tensor {
+        let m = x.max_axis(axis, true).detach();
+        let lse = x.sub(&m).exp().sum_axis(axis, true).ln().add(&m);
+        x.sub(&lse)
+    }
+
+    /// The fused kernel against the chain it replaced: values and input
+    /// gradients bit for bit, at both dtypes, along the last, the first
+    /// and an interior axis, on rows with ties, ±1e3 logits and `-inf`
+    /// entries (never a whole row of them).
+    #[test]
+    fn fused_log_softmax_matches_the_composite_bitwise() {
+        let inf = f64::NEG_INFINITY;
+        #[rustfmt::skip]
+        let logits = vec![
+            1.0, 1.0, 0.5, 1.0, 1.0,
+            1e3, -1e3, 999.5, 1e3, 0.0,
+            inf, 0.3, inf, 2.0, -1.0,
+            -0.7, 2.25, 0.1, -3.5, 0.9,
+        ];
+        let upstream: Vec<f64> = (0..20)
+            .map(|i| ((i * 7) % 11) as f64 * 0.37 - 1.6)
+            .collect();
+        for dt in [DType::F64, DType::F32] {
+            for (shape, axis) in [
+                (&[4, 5][..], 1),
+                (&[4, 5][..], 0),
+                (&[2, 2, 5][..], 1),
+                (&[4, 5][..], -1),
+            ] {
+                let run = |fused: bool| {
+                    let x = Tensor::from_vec(logits.clone(), shape)
+                        .cast(dt)
+                        .detach()
+                        .requires_grad(true);
+                    let w = Tensor::from_vec(upstream.clone(), shape).cast(dt);
+                    let y = if fused {
+                        x.log_softmax(axis)
+                    } else {
+                        composite_log_softmax(&x, axis)
+                    };
+                    assert_eq!(y.dtype(), dt);
+                    y.mul(&w).sum().backward();
+                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    (bits(y.to_vec()), bits(x.grad().unwrap()))
+                };
+                let (fused, composite) = (run(true), run(false));
+                assert_eq!(fused.0, composite.0, "{dt:?} {shape:?} axis {axis}: values");
+                assert_eq!(
+                    fused.1, composite.1,
+                    "{dt:?} {shape:?} axis {axis}: input gradients"
+                );
+            }
+        }
+    }
+
+    /// A recorded log-softmax and a label gather replay what a dynamic
+    /// step computes after new logits and new labels are written into the
+    /// captured tensors: the labels are read at replay, not frozen.
+    #[test]
+    fn log_softmax_and_gather_replay_new_logits_and_labels() {
+        crate::plan::tests::with_plan_lock(|| {
+            let x = Tensor::from_vec(vec![0.3, -1.2, 2.0, 0.5, 0.5, -0.25], &[2, 3])
+                .requires_grad(true);
+            let labels = Tensor::from_vec(vec![2.0, 0.0], &[2]);
+            let nll = || x.log_softmax(1).gather_rows_by(&labels).sum().neg();
+            let mut compiled = crate::plan::Compiled::unobserved();
+            let mut step = || {
+                let pass = compiled.run(|()| Ok(()), || (), nll);
+                x.zero_grad();
+                pass.backward();
+                (
+                    pass.replayed(),
+                    pass.loss().item().to_bits(),
+                    x.grad().unwrap(),
+                )
+            };
+            assert!(!step().0, "the first step records");
+            x.set_data(vec![1.5, 0.25, -0.5, -2.0, 0.75, 3.0]);
+            labels.set_data(vec![1.0, 2.0]);
+            let (replayed, loss, grad) = step();
+            assert!(replayed, "the step did not compile");
+            let want = nll();
+            x.zero_grad();
+            want.backward();
+            assert_eq!(loss, want.item().to_bits());
+            assert_eq!(grad, x.grad().unwrap());
+        });
     }
 }

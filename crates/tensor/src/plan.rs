@@ -34,8 +34,8 @@
 //! itself to the dynamic path, never wrong answers) if:
 //!
 //! * any node reachable from the loss was produced during recording by
-//!   an op without a replay closure (e.g. `matmul`, `custom_op`,
-//!   `from_vec` — including dropout masks);
+//!   an op without a replay closure (e.g. `matmul`, `conv2d`,
+//!   `broadcast_to`, `from_vec` — including dropout masks);
 //! * any *input* read by a recorded op was produced during recording
 //!   without being covered (catches non-gradient subgraphs whose
 //!   parent links the graph drops, and externally drawn noise);

@@ -379,33 +379,40 @@ impl Tensor {
     /// the graph crate). Always `f64` (the public extension surface is
     /// dtype-stable; cast inputs up if needed).
     ///
-    /// `backward` receives the output node and the gradient with respect to
-    /// it, and must return one gradient buffer per parent (in order;
-    /// `None` = no gradient). It is only invoked when some parent requires
-    /// gradients.
+    /// `forward` computes the op from the current data of `parents`, which
+    /// it captures itself and which are all it may read: it must
+    /// overwrite every element of the `shape`-sized buffer it is handed.
+    /// It runs once to build the node and, under plan recording, again on
+    /// every replay ([`crate::plan`]), so a custom op never keeps a step
+    /// off the compiled path.
+    ///
+    /// `backward` receives the output node, the gradient with respect to
+    /// it, and one zeroed pooled buffer per parent (in order) to
+    /// accumulate that parent's gradient into. It is only invoked when
+    /// some parent requires gradients.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len()` does not match `shape`, or if any parent is
-    /// not `f64` (cast first).
+    /// Panics if any parent is not `f64` (cast first).
     pub fn custom_op(
-        data: Vec<f64>,
         shape: &[usize],
         parents: Vec<Tensor>,
-        backward: impl Fn(&Tensor, &[f64]) -> Vec<Option<Vec<f64>>> + 'static,
+        forward: impl Fn(&mut [f64]) + 'static,
+        backward: impl Fn(&Tensor, &[f64], &mut [&mut [f64]]) + 'static,
     ) -> Tensor {
-        assert_eq!(data.len(), numel(shape), "custom_op: data length mismatch");
         for p in &parents {
             assert_eq!(p.dtype(), DType::F64, "custom_op: parents must be f64");
         }
-        Tensor::make_op_t::<f64>(
-            data,
-            shape.to_vec(),
-            parents,
-            move |out, grad| {
-                backward(out, grad).into_iter().map(|g| g.map(PoolBuf::from)).collect()
-            },
-        )
+        let mut data = pool::alloc_uninit::<f64>(numel(shape));
+        forward(&mut data);
+        let sizes: Vec<usize> = parents.iter().map(Tensor::numel).collect();
+        let t = Tensor::make_op_t::<f64>(data, shape.to_vec(), parents.clone(), move |out, grad| {
+            let mut grads: Vec<PoolBuf<f64>> = sizes.iter().map(|&n| pool::alloc_zeroed(n)).collect();
+            backward(out, grad, &mut grads.iter_mut().map(|g| g.as_mut_slice()).collect::<Vec<_>>());
+            grads.into_iter().map(Some).collect()
+        });
+        crate::plan::record_op_t::<f64>(&t, &parents.iter().collect::<Vec<_>>(), forward);
+        t
     }
 
     /// Creates an `f64` tensor from a flat row-major buffer.

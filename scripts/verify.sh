@@ -50,11 +50,12 @@ echo "verify: benchmark package builds, keeps its contract and passes --smoke"
 CARGO_NET_OFFLINE=true cargo build --release --offline --manifest-path benchmark/Cargo.toml
 CARGO_NET_OFFLINE=true cargo test -q --offline --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --smoke | tail -n 8 | sed 's/^/  /'
-# The two Fig. 1 SVI workloads train on the compiled path — shared
-# samples since PR 5, local reparameterization since PR 20. The smoke run
-# just wrote why each BNN's step plan fell back, if it did: anything but
-# the empty string means a change knocked one of them off the fast path.
-for w in fig1_svi_shared fig1_svi_lr; do
+# The SVI workloads train on the compiled path — Fig. 1 with shared
+# samples and under local reparameterization, and the Tab. 2 GCN on its
+# (Graph, Tensor) input. The smoke run just wrote why each BNN's step
+# plan fell back, if it did: anything but the empty string means a
+# change knocked one of them off the fast path.
+for w in fig1_svi_shared fig1_svi_lr tab2_gcn_mf; do
     if ! grep -q '"step_plan_unsupported_reason": ""' "benchmark/out/$w.json"; then
         echo "verify: $w does not replay a step plan:" >&2
         grep -o '"step_plan_unsupported_reason": "[^"]*"' "benchmark/out/$w.json" >&2 \
@@ -224,6 +225,12 @@ fi
 # recording and holds a plan slot.
 if grep -rnE "begin_record\(|end_record\(|enum PlanSlot" crates tests examples | grep -v "^crates/tensor/src/plan.rs:"; then
     echo "verify: a plan driver outside crates/tensor/src/plan.rs" >&2
+    exit 1
+fi
+# A step input keys its plan through `StepInput` (§11), not by being
+# downcast to a Tensor.
+if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then
+    echo "verify: the SVI step downcasts its input again" >&2
     exit 1
 fi
 

@@ -332,6 +332,103 @@ fn lr_and_flipout_steps_are_bit_identical_across_threads_pool_and_plan() {
     }
 }
 
+/// The Tab. 2 GCN, counting the forwards it runs: a replayed step runs
+/// none.
+struct CountedGnn {
+    gnn: tyxe_graph::Gnn,
+    forwards: std::cell::Cell<usize>,
+}
+
+impl tyxe_nn::Module for CountedGnn {
+    fn kind(&self) -> &'static str {
+        "CountedGnn"
+    }
+
+    fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(tyxe_nn::ParamInfo)) {
+        self.gnn.visit_params(prefix, f);
+    }
+}
+
+impl tyxe_nn::Forward<(tyxe_graph::Graph, tyxe_tensor::Tensor)> for CountedGnn {
+    type Output = tyxe_tensor::Tensor;
+
+    fn forward(&self, input: &(tyxe_graph::Graph, tyxe_tensor::Tensor)) -> tyxe_tensor::Tensor {
+        self.forwards.set(self.forwards.get() + 1);
+        self.gnn.forward(input)
+    }
+}
+
+/// Six Tab. 2 GCN steps on a `(Graph, Tensor)` input with a Categorical
+/// likelihood, under `selective_mask` dropped and re-installed after the
+/// third, as the benchmark's fit chunks do. A `Feed::Same` run must have
+/// replayed: one recording per install.
+fn run_gcn(seed: u64, feed: Feed) -> SviTrace {
+    use tyxe::guides::InitLoc;
+    use tyxe::likelihoods::Categorical;
+
+    tyxe_prob::rng::set_seed(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ds = tyxe_graph::citation_graph(80, 4, 16, 0.12, 0.02, 5, 10, 20, seed);
+    let net = CountedGnn { gnn: tyxe_graph::Gnn::new(16, 8, 4, &mut rng), forwards: Default::default() };
+    let bnn = VariationalBnn::new(
+        net,
+        &IIDPrior::standard_normal(),
+        Categorical::new(20),
+        AutoNormal::new().init_loc(InitLoc::Pretrained).init_scale(1e-4).max_scale(0.3),
+    );
+    let mut optim = Adam::new(vec![], 0.1);
+    let generation = tyxe_tensor::plan::generation();
+    let mut losses = Vec::new();
+    for _ in 0..2 {
+        let _mask = tyxe::poutine::selective_mask(ds.train_mask.clone(), &["likelihood.data"]);
+        for _ in 0..3 {
+            let input = (ds.graph.clone(), feed.input(&ds.features));
+            losses.push(bnn.svi_step(&input, &ds.labels, &mut optim));
+        }
+    }
+    if matches!(feed, Feed::Same) {
+        assert_eq!(bnn.plan_unsupported_reason(), None, "the GCN step did not compile");
+        let forwards = bnn.net().forwards.get();
+        assert!(forwards < losses.len(), "no GCN step replayed");
+        // A concurrent test's `invalidate_all` can force an extra record.
+        if tyxe_tensor::plan::generation() == generation {
+            assert_eq!(forwards, 2, "one recording per mask install");
+        }
+    }
+    let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
+        .module()
+        .sites()
+        .iter()
+        .map(|site| {
+            let d = bnn.guide().distribution(&site.name).expect("site in guide");
+            (site.name.clone(), d.loc().to_vec(), d.scale().to_vec())
+        })
+        .collect();
+    sites.sort_by(|a, b| a.0.cmp(&b.0));
+    (losses, sites)
+}
+
+/// The execution-strategy contract on the Tab. 2 GCN: a structured
+/// input, the fused `log_softmax`, the label gather and the recorded
+/// graph aggregation, across a mask drop and re-install — replay on warm
+/// free-lists at 1 and 4 kernel threads against the cold, never-replaying
+/// reference, bit for bit.
+#[test]
+fn gcn_step_is_bit_identical_across_threads_pool_and_plan() {
+    let prev_threads = tyxe_par::num_threads();
+    tyxe_par::set_num_threads(1);
+    let reference = on_fresh_thread(|| run_gcn(89, Feed::Fresh));
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        let subject = on_fresh_thread(|| {
+            run_gcn(1089, Feed::Same);
+            run_gcn(89, Feed::Same)
+        });
+        assert_same_bits(&reference, &subject, &format!("GCN, {threads} threads"));
+    }
+    tyxe_par::set_num_threads(prev_threads);
+}
+
 /// Plan invalidation must never change answers: switching to a batch of
 /// a different shape mid-run forces a signature mismatch and a
 /// re-record, and the whole trajectory must still match the dynamic

@@ -440,17 +440,28 @@ fn mcmc_bnn_reports_chain_stats_and_why_a_chain_fell_back() {
     assert!((0.0..=1.0).contains(&stats.warmup_accept) && (0.0..=1.0).contains(&stats.sample_accept));
     assert_eq!(stats.num_divergent, 0);
 
-    // `log_softmax` records nothing, so a Categorical likelihood cannot
-    // replay.
+    // A Categorical likelihood replays like a Gaussian one: the fused
+    // `log_softmax` and the label gather record.
     let labels = Tensor::from_vec((0..reg.len()).map(|i| (i % 2) as f64).collect(), &[reg.len()]);
-    let mut classifier = McmcBnn::new(
-        mlp(&[1, 4, 2], false, &mut rng_net),
-        &IIDPrior::standard_normal(),
-        Categorical::new(reg.len()),
-        Nuts::new(1e-2, 3),
+    let classifier = |net: Sequential| {
+        McmcBnn::new(net, &IIDPrior::standard_normal(), Categorical::new(reg.len()), Nuts::new(1e-2, 3))
+    };
+    let mut plain = classifier(mlp(&[1, 4, 2], false, &mut rng_net));
+    let ((), counts) = counting(|| plain.fit(&reg.x, &labels, 4, 4));
+    assert_eq!(plain.plan_unsupported_reason(), None);
+    assert_eq!((counts.records, counts.replays), (1, counts.evals - 1));
+
+    // Training-mode dropout draws its mask outside the recorder, so the
+    // same classifier with a dropout layer falls back, and says why.
+    let mut dropout = classifier(
+        Sequential::new()
+            .add(Linear::new(1, 4, &mut rng_net))
+            .add(Tanh::new())
+            .add(Dropout::new(0.2))
+            .add(Linear::new(4, 2, &mut rng_net)),
     );
-    let ((), counts) = counting(|| classifier.fit(&reg.x, &labels, 4, 4));
-    let reason = classifier.plan_unsupported_reason().expect("a Categorical chain falls back");
+    let ((), counts) = counting(|| dropout.fit(&reg.x, &labels, 4, 4));
+    let reason = dropout.plan_unsupported_reason().expect("a dropout chain falls back");
     assert!(reason.contains("cannot replay"), "{reason}");
     assert_eq!((counts.records, counts.replays), (1, 0));
 }

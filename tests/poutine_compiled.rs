@@ -1,8 +1,9 @@
-//! Effect handlers on the compiled path (DESIGN.md §11, ISSUE 20): a
-//! step plan is keyed on the handler stack it was recorded under, local
-//! reparameterization and flipout record on dense nets, and the dynamic
-//! graph — reached without a switch, by handing `svi_step` a fresh input
-//! handle every step — stays the oracle for all of it, bit for bit.
+//! Effect handlers on the compiled path (DESIGN.md §11): a step plan is
+//! keyed on the handler stack it was recorded under, local
+//! reparameterization and flipout record on dense nets, the Tab. 2 GCN
+//! step records on its `(Graph, Tensor)` input, and the dynamic graph —
+//! reached without a switch, by handing `svi_step` a fresh input handle
+//! every step — stays the oracle for all of it, bit for bit.
 //!
 //! Own test binary, one test at a time: the tests read process-wide
 //! `tyxe-obs` counters (`plan.hit`, `plan.invalidated`, GEMM flops) as
@@ -10,12 +11,13 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use tyxe::guides::AutoNormal;
-use tyxe::likelihoods::HomoskedasticGaussian;
-use tyxe::poutine::{flipout, local_reparameterization};
+use tyxe::guides::{AutoNormal, InitLoc};
+use tyxe::likelihoods::{Categorical, HomoskedasticGaussian};
+use tyxe::poutine::{flipout, local_reparameterization, selective_mask};
 use tyxe::priors::IIDPrior;
 use tyxe::VariationalBnn;
 use tyxe_datasets::{foong_regression, regression_grid};
+use tyxe_graph::{citation_graph, CitationDataset, Gnn, Graph};
 use tyxe_prob::optim::Adam;
 use tyxe_prob::poutine::HandlerGuard;
 use tyxe_rand::rngs::StdRng;
@@ -277,4 +279,97 @@ fn lr_fit_across_the_registry_rotation_matches_dynamic_bitwise() {
         assert_eq!(hits.get() - before, STEPS as u64 - 1, "one recording, then replay");
     }
     tyxe_par::set_num_threads(prev_threads);
+}
+
+// ---------------------------------------------------------------------------
+// The Tab. 2 GCN step: a structured input on the compiled path
+// ---------------------------------------------------------------------------
+
+/// A small Tab. 2 set-up built the way the benchmark builds it: the
+/// two-layer GCN under `AutoNormal`, a Categorical likelihood scaled to
+/// the training nodes, Adam at 0.1.
+struct Gcn {
+    bnn: VariationalBnn<Gnn, Categorical, AutoNormal>,
+    optim: Adam,
+    ds: CitationDataset,
+}
+
+fn gcn(seed: u64) -> Gcn {
+    tyxe_prob::rng::set_seed(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ds = citation_graph(60, 3, 12, 0.15, 0.02, 5, 10, 20, seed);
+    let bnn = VariationalBnn::new(
+        Gnn::new(12, 8, 3, &mut rng),
+        &IIDPrior::standard_normal(),
+        Categorical::new(15),
+        AutoNormal::new().init_loc(InitLoc::Pretrained).init_scale(1e-4).max_scale(0.3),
+    );
+    Gcn { bnn, optim: Adam::new(vec![], 0.1), ds }
+}
+
+impl Gcn {
+    /// One step on `graph` over the node features (handed over as `feed`
+    /// says), against the dataset's label tensor.
+    fn step(&mut self, graph: &Graph, feed: Feed) -> u64 {
+        let input = (graph.clone(), feed.input(&self.ds.features));
+        self.bnn.svi_step(&input, &self.ds.labels, &mut self.optim).to_bits()
+    }
+}
+
+/// Labels written into the captured target tensor between steps — the
+/// supported way to feed new values (DESIGN.md §11) — are the labels a
+/// replayed step gathers. A plan that froze the class indices it was
+/// recorded with would train on stale labels from the first rewrite on.
+#[test]
+fn new_labels_in_the_same_target_tensor_are_the_ones_a_replay_gathers() {
+    let _turn = exclusive();
+    let run = |feed: Feed| -> Vec<u64> {
+        let mut f = gcn(11);
+        let _mask = selective_mask(f.ds.train_mask.clone(), &["likelihood.data"]);
+        let graph = f.ds.graph.clone();
+        let labels = f.ds.labels.to_vec();
+        (0..8)
+            .map(|step| {
+                // Step k trains on every label shifted by k classes.
+                let shifted = labels.iter().map(|&l| ((l as usize + step) % f.ds.num_classes) as f64);
+                f.ds.labels.set_data(shifted.collect());
+                f.step(&graph, feed)
+            })
+            .collect()
+    };
+    let oracle = run(Feed::Fresh);
+    let hits = tyxe_obs::metrics::counter("plan.hit");
+    let before = hits.get();
+    let planned = run(Feed::Same);
+    assert_eq!(first_difference(&oracle, &planned), None, "first step that gathered stale labels");
+    assert_eq!(hits.get() - before, 7, "one recording, then replay");
+}
+
+/// A `(Graph, Tensor)` input is keyed on its graph as well as its
+/// feature tensor: three stretches of steps on one feature tensor, over
+/// the dataset's graph, a graph with half its edges, and the first graph
+/// again, re-record at each switch and never replay one graph's plan on
+/// the other — to the bits of the dynamic run.
+#[test]
+fn a_plan_never_replays_across_graphs() {
+    let _turn = exclusive();
+    let run = |feed: Feed| -> Vec<u64> {
+        let mut f = gcn(13);
+        let full = f.ds.graph.clone();
+        let half = Graph::from_edges(full.num_nodes(), &full.edges()[..full.num_edges() / 2]);
+        let _mask = selective_mask(f.ds.train_mask.clone(), &["likelihood.data"]);
+        let mut losses = Vec::new();
+        for graph in [&full, &half, &full] {
+            losses.extend((0..3).map(|_| f.step(graph, feed)));
+        }
+        losses
+    };
+    let oracle = run(Feed::Fresh);
+    let invalidated = tyxe_obs::metrics::counter("plan.invalidated");
+    let hits = tyxe_obs::metrics::counter("plan.hit");
+    let (invalidated_before, hits_before) = (invalidated.get(), hits.get());
+    let planned = run(Feed::Same);
+    assert_eq!(first_difference(&oracle, &planned), None, "first step that left the dynamic path");
+    assert_eq!(invalidated.get() - invalidated_before, 2, "one discard per change of graph");
+    assert_eq!(hits.get() - hits_before, 6, "each stretch records once and replays twice");
 }
