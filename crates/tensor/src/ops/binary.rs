@@ -14,25 +14,21 @@
 use crate::element::{Element, dispatch_dtype};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool::{self, PoolBuf};
-use crate::shape::{broadcast_shapes, broadcast_source_index, numel, unravel_index};
+use crate::shape::{StridedWalk, broadcast_shapes, numel};
 use crate::tensor::Tensor;
 
-/// Reduces a gradient computed in the broadcast output shape back down to the
-/// operand shape by summing (natively, in `E`) over broadcast dimensions.
-pub(crate) fn sum_to_shape<E: Element>(
-    grad: &[E],
-    out_shape: &[usize],
-    src_shape: &[usize],
-) -> PoolBuf<E> {
-    if out_shape == src_shape {
-        return pool::alloc_copy(grad);
-    }
+/// Reduces a gradient computed in the broadcast output shape back down to
+/// an operand of `src_numel` elements by summing (natively, in `E`) over
+/// broadcast dimensions. `walk` reads the operand broadcast to the output
+/// shape; the sum visits `grad` in flat ascending order.
+pub(crate) fn sum_to_shape<E: Element>(grad: &[E], walk: &StridedWalk<1>, src_numel: usize) -> PoolBuf<E> {
     // Genuine accumulator: stays zero-initialized.
-    let mut out = pool::alloc_zeroed::<E>(numel(src_shape));
-    for (flat, &g) in grad.iter().enumerate() {
-        let idx = unravel_index(flat, out_shape);
-        out[broadcast_source_index(&idx, src_shape)] += g;
-    }
+    let mut out = pool::alloc_zeroed::<E>(src_numel);
+    walk.for_each_run(0, grad.len(), |pos, n, [o], [s]| {
+        for (j, &g) in grad[pos..pos + n].iter().enumerate() {
+            out[o + j * s] += g;
+        }
+    });
     out
 }
 
@@ -62,43 +58,40 @@ where
         )
     });
     let n = numel(&out_shape);
+    // Both operands' strides in output coordinates, fixed here so that
+    // neither the forward kernel (which is also the replay closure) nor
+    // the backward allocates to index a broadcast.
+    let walk = StridedWalk::broadcast(&out_shape, [a.shape(), b.shape()]);
+    // The reductions back to an operand that was broadcast; `None` when
+    // it already has the output shape and its gradient is handed over.
+    let reduce_to = |src: &Tensor| {
+        (src.shape() != out_shape.as_slice())
+            .then(|| (StridedWalk::broadcast(&out_shape, [src.shape()]), src.numel()))
+    };
+    let (reduce_a, reduce_b) = (reduce_to(a), reduce_to(b));
     // Shared forward kernel: fully overwrites `out` from the operands'
     // *current* buffers. Runs once to build the node and again on every
     // plan replay — same chunking, same arithmetic, bit-identical.
     let compute = {
-        let (a, b) = (a.clone(), b.clone());
-        let out_shape = out_shape.clone();
+        let (a, b, walk) = (a.clone(), b.clone(), walk.clone());
         move |out: &mut [E]| {
             let ad = a.data_of::<E>();
             let bd = b.data_of::<E>();
             let (ad, bd): (&[E], &[E]) = (&ad, &bd);
             let chunk = tyxe_par::chunk_len(out.len(), 1, PAR_MIN_ELEMS);
-            let fast = a.shape() == out_shape.as_slice() && b.shape() == out_shape.as_slice();
-            if fast {
-                tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
-                    for (off, slot) in piece.iter_mut().enumerate() {
-                        let i = start + off;
-                        *slot = E::from_f64(f(ad[i].to_f64(), bd[i].to_f64()));
+            tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
+                walk.for_each_run(start, piece.len(), |pos, n, [oa, ob], [sa, sb]| {
+                    for (j, slot) in piece[pos..pos + n].iter_mut().enumerate() {
+                        *slot = E::from_f64(f(ad[oa + j * sa].to_f64(), bd[ob + j * sb].to_f64()));
                     }
                 });
-            } else {
-                let (ashape, bshape) = (a.shape(), b.shape());
-                tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
-                    for (off, slot) in piece.iter_mut().enumerate() {
-                        let idx = unravel_index(start + off, &out_shape);
-                        let av = ad[broadcast_source_index(&idx, ashape)];
-                        let bv = bd[broadcast_source_index(&idx, bshape)];
-                        *slot = E::from_f64(f(av.to_f64(), bv.to_f64()));
-                    }
-                });
-            }
+            });
         }
     };
     let mut data = pool::alloc_uninit::<E>(n);
     compute(data.as_mut_slice());
 
     let (ac, bc) = (a.clone(), b.clone());
-    let out_shape_c = out_shape.clone();
     let t = Tensor::make_op_t::<E>(
         data,
         out_shape,
@@ -112,43 +105,28 @@ where
             {
                 let (ad, bd): (&[E], &[E]) = (&ad, &bd);
                 let chunk = tyxe_par::chunk_len(n, 1, PAR_MIN_ELEMS);
-                let fast = ac.shape() == out_shape_c && bc.shape() == out_shape_c;
-                let (ashape, bshape) = (ac.shape(), bc.shape());
                 tyxe_par::parallel_for_chunks2(&mut ga, &mut gb, chunk, chunk, |ci, pa, pb| {
                     let start = ci * chunk;
-                    for (off, (sa, sb)) in pa.iter_mut().zip(pb.iter_mut()).enumerate() {
-                        let i = start + off;
-                        let (av, bv) = if fast {
-                            (ad[i], bd[i])
-                        } else {
-                            let idx = unravel_index(i, &out_shape_c);
-                            (
-                                ad[broadcast_source_index(&idx, ashape)],
-                                bd[broadcast_source_index(&idx, bshape)],
-                            )
-                        };
-                        let (da, db) = df(av.to_f64(), bv.to_f64(), grad[i].to_f64());
-                        *sa = E::from_f64(da);
-                        *sb = E::from_f64(db);
-                    }
+                    walk.for_each_run(start, pa.len(), |pos, n, [oa, ob], [sa, sb]| {
+                        let g = &grad[start + pos..start + pos + n];
+                        let slots = pa[pos..pos + n].iter_mut().zip(&mut pb[pos..pos + n]);
+                        for (j, ((da_slot, db_slot), gi)) in slots.zip(g).enumerate() {
+                            let (da, db) = df(ad[oa + j * sa].to_f64(), bd[ob + j * sb].to_f64(), gi.to_f64());
+                            *da_slot = E::from_f64(da);
+                            *db_slot = E::from_f64(db);
+                        }
+                    });
                 });
             }
             drop(ad);
             drop(bd);
-            // When an operand already has the output shape its gradient
-            // buffer is handed over as-is; only genuinely broadcast
-            // operands pay the reduction (and its fresh accumulator).
-            let ga = if ac.shape() == out_shape_c {
-                ga
-            } else {
-                sum_to_shape(&ga, &out_shape_c, ac.shape())
+            // Only genuinely broadcast operands pay the reduction (and
+            // its fresh accumulator).
+            let reduce = |g: PoolBuf<E>, to: &Option<(StridedWalk<1>, usize)>| match to {
+                Some((walk, numel)) => sum_to_shape(&g, walk, *numel),
+                None => g,
             };
-            let gb = if bc.shape() == out_shape_c {
-                gb
-            } else {
-                sum_to_shape(&gb, &out_shape_c, bc.shape())
-            };
-            vec![Some(ga), Some(gb)]
+            vec![Some(reduce(ga, &reduce_a)), Some(reduce(gb, &reduce_b))]
         },
     );
     crate::plan::record_op_t::<E>(&t, &[a, b], compute);

@@ -8,9 +8,7 @@
 
 use crate::element::{DType, dispatch_dtype};
 use crate::pool;
-use crate::shape::{
-    broadcast_source_index, numel, strides_for, unravel_index,
-};
+use crate::shape::{StridedWalk, numel, strides_for};
 use crate::tensor::{Buf, Tensor};
 
 impl Tensor {
@@ -70,37 +68,34 @@ impl Tensor {
             assert!(p < perm.len() && !seen[p], "permute: invalid permutation {perm:?}");
             seen[p] = true;
         }
-        let in_shape = self.shape().to_vec();
+        let in_shape = self.shape();
         let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
-        let in_strides = strides_for(&in_shape);
+        let in_strides = strides_for(in_shape);
+        // Output element -> input element: input strides, permuted.
+        let walk = StridedWalk::<1>::new(&out_shape, |_, d| in_strides[perm[d]]);
         let n = self.numel();
-        let mut flat_map = vec![0usize; n]; // out flat -> in flat
-        for (out_flat, slot) in flat_map.iter_mut().enumerate() {
-            let out_idx = unravel_index(out_flat, &out_shape);
-            let mut in_flat = 0;
-            for (i, &p) in perm.iter().enumerate() {
-                in_flat += out_idx[i] * in_strides[p];
-            }
-            *slot = in_flat;
-        }
         dispatch_dtype!(self.dtype(), E => {
             let mut data = pool::alloc_uninit::<E>(n);
             {
                 let d = self.data_of::<E>();
-                for (slot, &in_flat) in data.iter_mut().zip(&flat_map) {
-                    *slot = d[in_flat];
-                }
+                walk.for_each_run(0, n, |pos, len, [o], [s]| {
+                    for (j, slot) in data[pos..pos + len].iter_mut().enumerate() {
+                        *slot = d[o + j * s];
+                    }
+                });
             }
             Tensor::make_op_t::<E>(
                 data,
                 out_shape,
                 vec![self.clone()],
                 move |_, grad| {
-                    // Scatter-accumulate through the permutation map: zeroed.
+                    // Scatter-accumulate through the permutation: zeroed.
                     let mut g = pool::alloc_zeroed::<E>(n);
-                    for (out_flat, &in_flat) in flat_map.iter().enumerate() {
-                        g[in_flat] += grad[out_flat];
-                    }
+                    walk.for_each_run(0, n, |pos, len, [o], [s]| {
+                        for (j, &gj) in grad[pos..pos + len].iter().enumerate() {
+                            g[o + j * s] += gj;
+                        }
+                    });
                     vec![Some(g)]
                 },
             )
@@ -123,23 +118,30 @@ impl Tensor {
             shape
         );
         let n = numel(shape);
+        let walk = StridedWalk::broadcast(shape, [&src]);
+        let (src_numel, same) = (self.numel(), src == shape);
         dispatch_dtype!(self.dtype(), E => {
             let mut data = pool::alloc_uninit::<E>(n);
             {
                 let d = self.data_of::<E>();
-                for (flat, slot) in data.iter_mut().enumerate() {
-                    let idx = unravel_index(flat, shape);
-                    *slot = d[broadcast_source_index(&idx, &src)];
-                }
+                walk.for_each_run(0, n, |pos, len, [o], [s]| {
+                    for (j, slot) in data[pos..pos + len].iter_mut().enumerate() {
+                        *slot = d[o + j * s];
+                    }
+                });
             }
-            let out_shape = shape.to_vec();
-            let src_c = src.clone();
             Tensor::make_op_t::<E>(
                 data,
                 shape.to_vec(),
                 vec![self.clone()],
                 move |_, grad| {
-                    vec![Some(super::binary::sum_to_shape::<E>(grad, &out_shape, &src_c))]
+                    // Copied, not reduced: adding into zeros would turn a
+                    // -0.0 gradient into +0.0.
+                    vec![Some(if same {
+                        pool::alloc_copy(grad)
+                    } else {
+                        super::binary::sum_to_shape::<E>(grad, &walk, src_numel)
+                    })]
                 },
             )
         })

@@ -227,6 +227,13 @@ if grep -rnE "begin_record\(|end_record\(|enum PlanSlot" crates tests examples |
     echo "verify: a plan driver outside crates/tensor/src/plan.rs" >&2
     exit 1
 fi
+# Broadcasting and permuting index through one allocation-free walk
+# (`shape::StridedWalk`, §7): the per-element index helpers it replaced
+# stay gone.
+if grep -rnE "unravel_index|broadcast_source_index" crates tests examples; then
+    echo "verify: a per-element index helper reappeared beside StridedWalk" >&2
+    exit 1
+fi
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then
