@@ -9,8 +9,6 @@ use tyxe_tensor::Tensor;
 use super::Distribution;
 use crate::rng;
 
-const LOG_SQRT_2PI: f64 = 0.918_938_533_204_672_8; // ln(sqrt(2*pi))
-
 /// A fully factorized Gaussian over a tensor.
 ///
 /// `loc` and `scale` broadcast against each other; the sample shape is their
@@ -119,13 +117,7 @@ impl Distribution for Normal {
     }
 
     fn log_prob(&self, value: &Tensor) -> Tensor {
-        // -(v - mu)^2 / (2 sigma^2) - ln(sigma) - ln(sqrt(2 pi))
-        let scale = self.scale();
-        let z = value.sub(&self.loc).div(scale);
-        z.square()
-            .mul_scalar(-0.5)
-            .sub(&scale.ln())
-            .add_scalar(-LOG_SQRT_2PI)
+        Tensor::normal_log_prob(value, &self.loc, self.scale())
     }
 
     fn shape(&self) -> Vec<usize> {
@@ -213,17 +205,21 @@ mod tests {
     use super::super::test_util::assert_close;
     use super::*;
 
+    fn log_sqrt_2pi() -> f64 {
+        (2.0 * std::f64::consts::PI).sqrt().ln()
+    }
+
     #[test]
     fn log_prob_standard_normal_at_zero() {
         let d = Normal::standard(&[1]);
-        assert_close(d.log_prob(&Tensor::zeros(&[1])).item(), -LOG_SQRT_2PI, 1e-12);
+        assert_close(d.log_prob(&Tensor::zeros(&[1])).item(), -log_sqrt_2pi(), 1e-12);
     }
 
     #[test]
     fn log_prob_matches_closed_form() {
         let d = Normal::scalar(1.0, 2.0, &[1]);
         let v = Tensor::from_vec(vec![2.0], &[1]);
-        let expected = -0.5 * (0.5f64).powi(2) - (2.0f64).ln() - LOG_SQRT_2PI;
+        let expected = -0.5 * (0.5f64).powi(2) - (2.0f64).ln() - log_sqrt_2pi();
         assert_close(d.log_prob(&v).item(), expected, 1e-12);
     }
 
@@ -264,7 +260,7 @@ mod tests {
         // At v=1: ln v = 0, lp = N(0;0,1) - 0
         let d1 = LogNormal::new(Tensor::zeros(&[1]), Tensor::ones(&[1]));
         let lp = d1.log_prob(&Tensor::ones(&[1])).item();
-        assert_close(lp, -LOG_SQRT_2PI, 1e-9);
+        assert_close(lp, -log_sqrt_2pi(), 1e-9);
     }
 
     #[test]

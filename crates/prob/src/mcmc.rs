@@ -387,6 +387,17 @@ struct Held {
     grad: Vec<f64>,
 }
 
+/// `U(q)`, `∇U(q)` for a transition's start point: `held`'s if it is the
+/// very `q` the kernel returned, bit for bit — a first transition or a
+/// caller that moved `q` evaluates.
+fn start_point(held: Option<Held>, model: &dyn Fn(), layout: &LatentLayout, q: &[f64]) -> (f64, Vec<f64>) {
+    let same_bits = |held: &[f64]| held.len() == q.len() && held.iter().zip(q).all(|(a, b)| a.to_bits() == b.to_bits());
+    match held {
+        Some(held) if same_bits(&held.q) => (held.u, held.grad),
+        _ => potential_and_grad(model, layout, q),
+    }
+}
+
 impl Hmc {
     /// Creates an HMC kernel with dual-averaging step-size adaptation
     /// toward an acceptance rate of 0.8.
@@ -408,13 +419,7 @@ impl Hmc {
 
 impl Kernel for Hmc {
     fn transition(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: Vec<f64>) -> (Vec<f64>, f64) {
-        // Reuse only for the very `q` this kernel returned, bit for bit:
-        // a first transition or a caller that moved `q` evaluates.
-        let same_bits = |held: &[f64]| held.len() == q.len() && held.iter().zip(&q).all(|(a, b)| a.to_bits() == b.to_bits());
-        let (u0, grad0) = match self.held.take() {
-            Some(held) if same_bits(&held.q) => (held.u, held.grad),
-            _ => potential_and_grad(model, layout, &q),
-        };
+        let (u0, grad0) = start_point(self.held.take(), model, layout, &q);
         let p0: Vec<f64> = rng::randn(&[layout.len()]).to_vec();
         let h0 = u0 + kinetic(&p0);
 
@@ -471,6 +476,10 @@ pub struct Nuts {
     adapter: Option<DualAveraging>,
     delta_max: f64,
     num_divergent: u64,
+    /// The state the last transition returned, with its `U` and `∇U` —
+    /// the start point's, or a proposal's, which the leapfrog that reached
+    /// it evaluated. Reused as [`Hmc`] reuses its own.
+    held: Option<Held>,
 }
 
 impl Nuts {
@@ -482,6 +491,7 @@ impl Nuts {
             adapter: Some(DualAveraging::new(step_size, 0.8)),
             delta_max: 1000.0,
             num_divergent: 0,
+            held: None,
         }
     }
 
@@ -499,6 +509,9 @@ struct TreeState {
     p_plus: Vec<f64>,
     g_plus: Vec<f64>,
     q_prop: Vec<f64>,
+    /// `U(q_prop)` and `∇U(q_prop)`.
+    u_prop: f64,
+    g_prop: Vec<f64>,
     n: f64,
     stop: bool,
     /// True iff some leaf of this subtree hit a divergence (non-finite
@@ -552,6 +565,8 @@ impl Nuts {
                 p_plus: pn.clone(),
                 g_plus: gn.clone(),
                 q_prop: qn,
+                u_prop: u,
+                g_prop: gn,
                 n,
                 stop: divergent,
                 divergent,
@@ -586,6 +601,8 @@ impl Nuts {
             let take_right = rng::with_rng(tyxe_rand::Rng::gen::<f64>) < right.n / total;
             if take_right {
                 left.q_prop = right.q_prop;
+                left.u_prop = right.u_prop;
+                left.g_prop = right.g_prop;
             }
         }
         left.alpha += right.alpha;
@@ -599,27 +616,30 @@ impl Nuts {
 
 impl Kernel for Nuts {
     fn transition(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: Vec<f64>) -> (Vec<f64>, f64) {
-        let (u0, g0) = potential_and_grad(model, layout, &q);
+        let (u0, g0) = start_point(self.held.take(), model, layout, &q);
         let p0: Vec<f64> = rng::randn(&[layout.len()]).to_vec();
         let h0 = u0 + kinetic(&p0);
         // Slice variable: log u ~ log(Uniform(0, exp(-0))) relative to start.
         let log_u = rng::with_rng(|r| tyxe_rand::Rng::gen_range(r, f64::MIN_POSITIVE..1.0f64)).ln();
 
+        // The state this transition returns, with its potential.
+        let mut curr = Held { q, u: u0, grad: g0 };
         let mut state = TreeState {
-            q_minus: q.clone(),
+            q_minus: curr.q.clone(),
             p_minus: p0.clone(),
-            g_minus: g0.clone(),
-            q_plus: q.clone(),
+            g_minus: curr.grad.clone(),
+            q_plus: curr.q.clone(),
             p_plus: p0,
-            g_plus: g0,
-            q_prop: q.clone(),
+            g_plus: curr.grad.clone(),
+            q_prop: curr.q.clone(),
+            u_prop: u0,
+            g_prop: curr.grad.clone(),
             n: 1.0,
             stop: false,
             divergent: false,
             alpha: 0.0,
             n_alpha: 0.0,
         };
-        let mut q_curr = q;
         let mut alpha_stat = 0.0;
         let mut saw_divergence = false;
         for depth in 0..self.max_depth {
@@ -646,7 +666,7 @@ impl Kernel for Nuts {
             saw_divergence = saw_divergence || sub.divergent;
             if !sub.stop && rng::with_rng(tyxe_rand::Rng::gen::<f64>) < (sub.n / state.n).min(1.0)
             {
-                q_curr = sub.q_prop.clone();
+                curr = Held { q: sub.q_prop, u: sub.u_prop, grad: sub.g_prop };
             }
             state.n += sub.n;
             if sub.stop || u_turn(&state.q_minus, &state.q_plus, &state.p_minus, &state.p_plus) {
@@ -657,7 +677,9 @@ impl Kernel for Nuts {
             self.num_divergent += 1;
             divergence_counter().inc();
         }
-        (q_curr, alpha_stat)
+        let q_next = curr.q.clone();
+        self.held = Some(curr);
+        (q_next, alpha_stat)
     }
 
     fn adapt(&mut self, accept_prob: f64) {

@@ -32,6 +32,26 @@ pub(crate) fn sum_to_shape<E: Element>(grad: &[E], walk: &StridedWalk<1>, src_nu
     out
 }
 
+/// How a gradient in a broadcast output shape returns to one operand:
+/// `None` when the operand already has the output shape (its gradient is
+/// handed over as is), else the walk that reads the operand broadcast to
+/// the output and the operand's element count. Fixed when an op is built.
+pub(crate) type Reduction = Option<(StridedWalk<1>, usize)>;
+
+/// The [`Reduction`] from output shape `out` to an operand of shape `src`.
+pub(crate) fn reduction(out: &[usize], src: &[usize]) -> Reduction {
+    (src != out).then(|| (StridedWalk::broadcast(out, [src]), numel(src)))
+}
+
+/// Applies a [`Reduction`]: only a genuinely broadcast operand pays the
+/// sum (and its fresh accumulator).
+pub(crate) fn reduce<E: Element>(grad: PoolBuf<E>, to: &Reduction) -> PoolBuf<E> {
+    match to {
+        Some((walk, numel)) => sum_to_shape(&grad, walk, *numel),
+        None => grad,
+    }
+}
+
 /// Applies `f` elementwise with broadcasting; `df` returns (dl/da, dl/db) per
 /// element given (a, b, grad_out). Promotes mixed dtypes first.
 fn broadcast_binary(
@@ -62,13 +82,7 @@ where
     // neither the forward kernel (which is also the replay closure) nor
     // the backward allocates to index a broadcast.
     let walk = StridedWalk::broadcast(&out_shape, [a.shape(), b.shape()]);
-    // The reductions back to an operand that was broadcast; `None` when
-    // it already has the output shape and its gradient is handed over.
-    let reduce_to = |src: &Tensor| {
-        (src.shape() != out_shape.as_slice())
-            .then(|| (StridedWalk::broadcast(&out_shape, [src.shape()]), src.numel()))
-    };
-    let (reduce_a, reduce_b) = (reduce_to(a), reduce_to(b));
+    let (reduce_a, reduce_b) = (reduction(&out_shape, a.shape()), reduction(&out_shape, b.shape()));
     // Shared forward kernel: fully overwrites `out` from the operands'
     // *current* buffers. Runs once to build the node and again on every
     // plan replay — same chunking, same arithmetic, bit-identical.
@@ -120,12 +134,6 @@ where
             }
             drop(ad);
             drop(bd);
-            // Only genuinely broadcast operands pay the reduction (and
-            // its fresh accumulator).
-            let reduce = |g: PoolBuf<E>, to: &Option<(StridedWalk<1>, usize)>| match to {
-                Some((walk, numel)) => sum_to_shape(&g, walk, *numel),
-                None => g,
-            };
             vec![Some(reduce(ga, &reduce_a)), Some(reduce(gb, &reduce_b))]
         },
     );

@@ -9,6 +9,7 @@ pub mod fused;
 pub mod gemm_kernels;
 pub(crate) mod linalg;
 pub(crate) mod matmul;
+pub(crate) mod normal;
 pub(crate) mod reduce;
 pub(crate) mod shape_ops;
 pub(crate) mod softmax;

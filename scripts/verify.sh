@@ -234,6 +234,14 @@ if grep -rnE "unravel_index|broadcast_source_index" crates tests examples; then
     echo "verify: a per-element index helper reappeared beside StridedWalk" >&2
     exit 1
 fi
+# One Normal log-density and one Normal‖Normal KL (§10): the fused kernels
+# of `ops/normal.rs`. The op chains they replaced live on only as the
+# oracle in `crates/tensor/tests/normal_kernels.rs`.
+if grep -rnE "var_ratio|const LOG_SQRT_2PI" crates | grep -vE "^crates/tensor/(src/ops/normal|tests/normal_kernels)\.rs:" \
+    || grep -rlPz "\.square\(\)\s*\.mul_scalar\(-0\.5\)" crates | grep -vx "crates/tensor/tests/normal_kernels.rs"; then
+    echo "verify: a second Normal log-density or KL body reappeared beside the fused kernels" >&2
+    exit 1
+fi
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then

@@ -284,8 +284,10 @@ fn nuts_chains_equal_the_dynamic_reference() {
     let replays = |model: &dyn Fn(), step: f64| {
         let verdict = assert_run_equals_reference(model, 12, || Nuts::new(step, 5), Nuts::step_size);
         assert_replayed(&verdict);
-        // One start-point evaluation per transition plus one per leapfrog.
-        assert_eq!(verdict.counts.evals, verdict.counts.leapfrogs + (SAMPLES + WARMUP) as u64);
+        // One evaluation per leapfrog, and one for the first transition's
+        // start point: every later start point is the state the kernel
+        // returned, whose potential the leapfrog that reached it evaluated.
+        assert_eq!(verdict.counts.evals, verdict.counts.leapfrogs + 1);
     };
     replays(&conjugate(&data), 0.1);
     replays(&bnn_model(&module, &likelihood, &reg.x, &reg.y), 5e-4);
@@ -411,6 +413,29 @@ fn hmc_reuses_the_start_point_only_for_the_q_it_returned() {
     assert_eq!(third.evals, 7, "a q the kernel did not return is evaluated");
     rng::set_state(state);
     let from_fresh = Hmc::new(0.1, 6).transition(&model, &layout, moved);
+    assert_eq!(bits(&from_used.0), bits(&from_fresh.0));
+    assert_eq!(from_used.1.to_bits(), from_fresh.1.to_bits());
+}
+
+#[test]
+fn nuts_reuses_the_start_point_only_for_the_q_it_returned() {
+    let _serial = serial();
+    let data = conjugate_data();
+    let model = conjugate(&data);
+    let layout = LatentLayout::discover(&model);
+    let mut kernel = Nuts::new(0.1, 5);
+    rng::set_seed(18);
+    let ((q1, _), first) = counting(|| kernel.transition(&model, &layout, vec![0.3]));
+    assert_eq!(first.evals, first.leapfrogs + 1, "a first transition evaluates its start point");
+    let ((q2, _), second) = counting(|| kernel.transition(&model, &layout, q1));
+    assert_eq!(second.evals, second.leapfrogs, "the returned q is reused");
+
+    let moved = vec![f64::from_bits(q2[0].to_bits() + 1)];
+    let state = rng::get_state();
+    let (from_used, third) = counting(|| kernel.transition(&model, &layout, moved.clone()));
+    assert_eq!(third.evals, third.leapfrogs + 1, "a q the kernel did not return is evaluated");
+    rng::set_state(state);
+    let from_fresh = Nuts::new(0.1, 5).transition(&model, &layout, moved);
     assert_eq!(bits(&from_used.0), bits(&from_fresh.0));
     assert_eq!(from_used.1.to_bits(), from_fresh.1.to_bits());
 }

@@ -64,6 +64,33 @@ fn kl_nonnegative() {
     // check it explicitly.
     let q = Normal::scalar(0.7, 1.3, &[1]);
     assert!(kl_normal_normal(&q, &q).item().abs() < 1e-12);
+
+    // Broadcast pairs: parameters of shapes drawn from `[n, m]`, `[n, 1]`,
+    // `[1, m]`, `[m]` and `[]`. Every element is ≥ 0, and KL(q‖q) is 0 for
+    // a broadcast `q`, including against its own expansion to full shape.
+    prop_check!(24, |g| {
+        let (n, m) = (g.usize_in(1, 4), g.usize_in(1, 4));
+        let shapes: [&[usize]; 5] = [&[n, m], &[n, 1], &[1, m], &[m], &[]];
+        let mut param = |lo: f64, hi: f64| {
+            let shape = shapes[g.usize_in(0, shapes.len())];
+            let v = (0..shape.iter().product()).map(|_| g.f64_in(lo, hi)).collect();
+            Tensor::from_vec(v, shape)
+        };
+        let q = Normal::new(param(-3.0, 3.0), param(0.05, 3.0));
+        let p = Normal::new(param(-3.0, 3.0), param(0.05, 3.0));
+        let kl = kl_normal_normal(&q, &p);
+        assert_eq!(kl.shape(), tyxe_tensor::shape::broadcast_shapes(&q.shape(), &p.shape()).unwrap().as_slice());
+        for v in kl.to_vec() {
+            assert!(v >= -1e-12, "negative KL {v}");
+        }
+        for v in kl_normal_normal(&q, &q).to_vec() {
+            assert!(v.abs() < 1e-12, "KL(q‖q) = {v}");
+        }
+        let full = Normal::new(q.mean(), q.variance().sqrt());
+        for v in kl_normal_normal(&q, &full).to_vec() {
+            assert!(v.abs() < 1e-12, "KL(q‖expanded q) = {v}");
+        }
+    });
 }
 
 /// Normal log density integrates sampling: the empirical mean of the
