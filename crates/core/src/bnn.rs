@@ -10,7 +10,7 @@ use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{negative_elbo, ElboEstimator};
-use tyxe_tensor::{plan, DType, RawData, Tensor};
+use tyxe_tensor::{plan, RawData, Tensor};
 
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
@@ -232,83 +232,6 @@ pub struct Evaluation {
 /// Per-epoch progress passed to fit callbacks.
 pub type FitCallback<'a> = &'a mut dyn FnMut(usize, f64) -> bool;
 
-/// Numeric precision policy for SVI training and prediction
-/// (DESIGN.md §12). Selectable per fit via
-/// [`VariationalBnn::set_precision`]; switching converts parameter
-/// storage in place (tensor identities survive, so optimizers stay
-/// registered) and invalidates any compiled step plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    /// Everything in `f64` — storage, compute, optimizer. The default
-    /// and the reference numerics for all parity checks.
-    #[default]
-    F64,
-    /// Parameters stored in `f32`; forward/backward compute demoted to
-    /// `f32` through an autocast scope (so `f64` data batches demote at
-    /// the GEMM-bound ops instead of widening the weights). Optimizer
-    /// arithmetic still runs in `f64` through the staged
-    /// [`Tensor::with_data_and_grad`] view, rounding back to `f32`
-    /// storage once per step.
-    F32,
-    /// Mixed precision: `f64` master weights and optimizer moments,
-    /// `f32` forward/backward compute. The differentiable cast nodes
-    /// inserted by the autocast scope are the precision boundary —
-    /// gradients widen back through them, so accumulation into the
-    /// masters and the optimizer update are both full `f64`.
-    Mixed,
-}
-
-impl Precision {
-    /// Stable numeric code for checkpoints and the distributed wire
-    /// protocol (`0 = F64`, `1 = F32`, `2 = Mixed`).
-    pub fn code(self) -> u32 {
-        match self {
-            Precision::F64 => 0,
-            Precision::F32 => 1,
-            Precision::Mixed => 2,
-        }
-    }
-
-    /// Inverse of [`Precision::code`]; `None` for unknown codes (from a
-    /// checkpoint written by a newer version).
-    pub fn from_code(code: u32) -> Option<Precision> {
-        match code {
-            0 => Some(Precision::F64),
-            1 => Some(Precision::F32),
-            2 => Some(Precision::Mixed),
-            _ => None,
-        }
-    }
-
-    /// Storage dtype of the trainable parameters under this policy.
-    pub fn storage_dtype(self) -> DType {
-        match self {
-            Precision::F32 => DType::F32,
-            Precision::F64 | Precision::Mixed => DType::F64,
-        }
-    }
-
-    /// Compute dtype of the GEMM-bound ops under this policy.
-    pub fn compute_dtype(self) -> DType {
-        match self {
-            Precision::F64 => DType::F64,
-            Precision::F32 | Precision::Mixed => DType::F32,
-        }
-    }
-
-    /// The autocast scope a forward pass under this policy runs in, if
-    /// any. Held as an RAII guard across graph construction; replayed
-    /// cast nodes keep the demotion alive under compiled step plans.
-    pub(crate) fn autocast_guard(self) -> Option<tyxe_tensor::autocast::Guard> {
-        match self {
-            Precision::F64 => None,
-            Precision::F32 | Precision::Mixed => {
-                Some(tyxe_tensor::autocast::autocast(DType::F32))
-            }
-        }
-    }
-}
-
 /// Why a step on an input that keeps [`StepInput`]'s default runs the
 /// dynamic graph: the recorder is refused with this sentence, so
 /// `plan_unsupported_reason()` names it.
@@ -356,16 +279,14 @@ pub struct VariationalBnn<M, L, G> {
     guide: G,
     estimator: ElboEstimator,
     /// Compiled step plan: recorded on the first SVI step, replayed while
-    /// the [`StepKey`] and the global plan generation hold.
+    /// the [`StepKey`], the autocast mode and the global plan generation
+    /// hold.
     plan: RefCell<plan::Compiled<StepKey>>,
-    /// Numeric policy for training and prediction (DESIGN.md §12).
-    precision: Cell<Precision>,
     /// Posterior weight draws reused across predict calls (DESIGN.md
     /// §15).
     predictive: SampleCache,
     /// Bumped on anything that changes what the guide would draw (SVI
-    /// steps, precision switches, prior updates); orphans the sample
-    /// cache.
+    /// steps, prior updates); orphans the sample cache.
     guide_epoch: Cell<u64>,
 }
 
@@ -381,7 +302,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             guide,
             estimator: ElboEstimator::MeanField,
             plan: RefCell::new(plan::Compiled::observed()),
-            precision: Cell::new(Precision::F64),
             predictive: SampleCache::default(),
             guide_epoch: Cell::new(0),
         }
@@ -394,46 +314,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     pub fn with_estimator(mut self, estimator: ElboEstimator) -> VariationalBnn<M, L, G> {
         self.estimator = estimator;
         self
-    }
-
-    /// Selects the numeric precision policy at construction time
-    /// (see [`VariationalBnn::set_precision`]).
-    #[must_use]
-    pub fn with_precision(self, precision: Precision) -> VariationalBnn<M, L, G> {
-        self.set_precision(precision);
-        self
-    }
-
-    /// The active precision policy.
-    pub fn precision(&self) -> Precision {
-        self.precision.get()
-    }
-
-    /// Switches the numeric precision policy; callable between fits
-    /// (e.g. train in [`Precision::Mixed`], then fine-tune in
-    /// [`Precision::F64`]). Parameter storage is converted **in place**
-    /// — tensor identities survive, so a registered optimizer keeps
-    /// tracking the same leaves — and pending gradients plus any
-    /// compiled step plan are discarded, since both were produced under
-    /// the old numerics.
-    pub fn set_precision(&self, precision: Precision) {
-        if self.precision.get() == precision {
-            return;
-        }
-        let storage = precision.storage_dtype();
-        for p in self.trainable_parameters() {
-            p.convert_dtype_inplace(storage);
-        }
-        self.precision.set(precision);
-        // `convert_dtype_inplace` bumps the plan generation only when the
-        // storage dtype actually changes; an F64 <-> Mixed switch changes
-        // the *compute* dtype (cast structure of the traced graph) with
-        // identical storage, so invalidate explicitly and let the slot
-        // re-record (or re-pin) under the new policy.
-        plan::invalidate_all();
-        self.plan.borrow_mut().reset();
-        // New storage dtype ⇒ cached weight draws are wrong now.
-        self.bump_guide_epoch();
     }
 
     /// The underlying Bayesian module.
@@ -483,10 +363,9 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
 
     /// Manually orphans the posterior-sample cache, so the next predict
     /// call redraws. Needed only after writing guide-parameter bits by
-    /// hand without telling anyone; SVI steps, precision switches, prior
-    /// updates and everything that calls
-    /// [`tyxe_tensor::plan::invalidate_all`] (supervisor resume and
-    /// rollback, dtype conversion) invalidate automatically.
+    /// hand without telling anyone; SVI steps, prior updates and
+    /// everything that calls [`tyxe_tensor::plan::invalidate_all`]
+    /// (supervisor resume and rollback) invalidate automatically.
     pub fn invalidate_predictive_cache(&self) {
         self.bump_guide_epoch();
     }
@@ -593,14 +472,13 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     }
 
     /// Builds the negative-ELBO loss graph for one step (no backward).
-    /// Runs inside the precision policy's autocast scope, so under
-    /// [`Precision::Mixed`]/[`Precision::F32`] the GEMM-bound ops demote
-    /// their operands to `f32` through differentiable cast nodes.
+    /// Under a caller's [`tyxe_tensor::autocast`] scope the GEMM-bound
+    /// ops demote their operands to `f32` through differentiable cast
+    /// nodes (DESIGN.md §12).
     fn svi_loss<I>(&self, input: &I, targets: &Tensor) -> Tensor
     where
         M: Forward<I, Output = Tensor>,
     {
-        let _amp = self.precision.get().autocast_guard();
         let model = || {
             let pred = self.module.sampled_forward(input);
             self.likelihood.observe_data(&pred, targets);
@@ -665,10 +543,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     where
         M: Forward<I, Output = Tensor>,
     {
-        // Prediction runs under the same precision policy as training —
-        // guide draws and forwards both — so evaluation sees the
-        // numerics that were optimized.
-        let _amp = self.precision.get().autocast_guard();
         let draws = self.predictive.get_or_fill(self.guide_epoch.get(), num_predictions, || {
             self.draw_posterior_raw(num_predictions)
         });
@@ -1108,20 +982,6 @@ mod tests {
         bnn.svi_step(&x, &y, &mut optim);
         bnn.svi_step(&x, &y, &mut optim);
         assert_eq!(bnn.net().recording.take(), vec![false, false]);
-
-        // A precision switch clears the pin; a stable handle records
-        // again, then replays without running the forward.
-        bnn.set_precision(Precision::Mixed);
-        assert_eq!(bnn.plan_unsupported_reason(), None);
-        let generation = plan::generation();
-        for _ in 0..3 {
-            bnn.svi_step(&x, &y, &mut optim);
-        }
-        let log = bnn.net().recording.take();
-        assert!(!log.is_empty() && log.iter().all(|&recorded| recorded), "{log:?}");
-        if plan::generation() == generation {
-            assert_eq!(log, vec![true]);
-        }
     }
 
     /// An input whose type keeps `StepInput`'s default key is refused by
@@ -1264,27 +1124,28 @@ mod tests {
         assert!(bnn.evaluate(&x, &y, 1).error < 0.05);
     }
 
-    /// Mixed precision must keep `f64` parameter storage, train to the
-    /// same quality as the f64 reference on the toy regression, and
-    /// leave gradients on the f64 masters (cast-boundary backward).
+    /// Mixed precision — an `f32` autocast scope around `fit` and
+    /// `evaluate` — keeps `f64` parameter storage, trains to the same
+    /// quality as the f64 reference on the toy regression, and leaves
+    /// gradients on the f64 masters (cast-boundary backward).
     #[test]
     fn mixed_precision_fit_matches_f64_convergence() {
-        let run = |precision: Precision| {
+        let run = |mixed: bool| {
+            let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
             let (x, y) = toy_data();
             let bnn = VariationalBnn::new(
                 toy_net(),
                 &IIDPrior::standard_normal(),
                 HomoskedasticGaussian::new(32, 0.1),
                 AutoNormal::new().init_loc(InitLoc::Pretrained).init_scale(1e-3),
-            )
-            .with_precision(precision);
+            );
             let mut optim = Adam::new(vec![], 1e-2);
             let history = bnn.fit(&[(x.clone(), y.clone())], &mut optim, 150, None);
             let eval = bnn.evaluate(&x, &y, 8);
             (history, eval, bnn.trainable_parameters())
         };
-        let (h64, e64, _) = run(Precision::F64);
-        let (hmix, emix, params) = run(Precision::Mixed);
+        let (h64, e64, _) = run(false);
+        let (hmix, emix, params) = run(true);
         for p in &params {
             assert_eq!(p.dtype(), tyxe_tensor::DType::F64, "mixed keeps f64 masters");
         }
@@ -1297,37 +1158,6 @@ mod tests {
             "mixed final loss {lmix} vs f64 {l64}"
         );
         assert!((emix.error - e64.error).abs() < 0.02, "{} vs {}", emix.error, e64.error);
-    }
-
-    /// Full-f32 mode converts parameter storage in place, trains, and
-    /// switches back to f64 cleanly between fits.
-    #[test]
-    fn f32_precision_converts_parameters_and_trains() {
-        let (x, y) = toy_data();
-        let bnn = VariationalBnn::new(
-            toy_net(),
-            &IIDPrior::standard_normal(),
-            HomoskedasticGaussian::new(32, 0.1),
-            AutoNormal::new().init_loc(InitLoc::Pretrained).init_scale(1e-3),
-        );
-        assert_eq!(bnn.precision(), Precision::F64);
-        bnn.set_precision(Precision::F32);
-        let params = bnn.trainable_parameters();
-        let ids: Vec<u64> = params.iter().map(Tensor::id).collect();
-        for p in &params {
-            assert_eq!(p.dtype(), tyxe_tensor::DType::F32);
-        }
-        let mut optim = Adam::new(vec![], 1e-2);
-        let history = bnn.fit(&[(x.clone(), y.clone())], &mut optim, 150, None);
-        assert!(history.last().unwrap() < &(history[0] * 0.5), "{history:?}");
-        assert!(bnn.evaluate(&x, &y, 8).error < 0.05);
-        // Per-fit switch back: same tensor identities, f64 storage again.
-        bnn.set_precision(Precision::F64);
-        let back = bnn.trainable_parameters();
-        assert_eq!(ids, back.iter().map(Tensor::id).collect::<Vec<u64>>());
-        for p in &back {
-            assert_eq!(p.dtype(), tyxe_tensor::DType::F64);
-        }
     }
 
     #[test]

@@ -32,10 +32,10 @@ use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, trace};
 use tyxe_prob::rng;
 use tyxe_prob::svi::negative_elbo_with_guide_trace;
-use tyxe_tensor::{DType, Tensor};
+use tyxe_tensor::{autocast, Tensor};
 
-use crate::bnn::{Precision, VariationalBnn};
-use crate::fit::{Supervisor, PAYLOAD_PRECISION};
+use crate::bnn::VariationalBnn;
+use crate::fit::{enter_checkpointed_autocast, Supervisor};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
@@ -58,11 +58,7 @@ fn slice_rows(t: &Tensor, range: std::ops::Range<usize>) -> Tensor {
     let data = t.to_vec()[range.start * row..range.end * row].to_vec();
     let mut out_shape = shape.to_vec();
     out_shape[0] = range.len();
-    let out = Tensor::from_vec(data, &out_shape);
-    if t.dtype() != DType::F64 {
-        out.convert_dtype_inplace(t.dtype());
-    }
-    out
+    Tensor::from_vec(data, &out_shape).cast(t.dtype())
 }
 
 /// [`ShardCompute`] over a [`VariationalBnn`] and one full data batch:
@@ -79,6 +75,9 @@ pub struct SviShardCompute<'a, M, L, G> {
     /// first step so the shard count can come from the coordinator's
     /// `Init` (which may itself come from a resumed checkpoint).
     shards: Vec<(Tensor, Tensor)>,
+    /// The [`autocast::code`] every step runs under: the caller's mode
+    /// when built, or the coordinator's `Init` in a worker.
+    autocast: u32,
 }
 
 impl<'a, M, L, G> SviShardCompute<'a, M, L, G>
@@ -104,6 +103,7 @@ where
             targets: targets.clone(),
             factor,
             shards: Vec::new(),
+            autocast: autocast::code(),
         }
     }
 
@@ -142,15 +142,13 @@ where
             .collect()
     }
 
-    fn precision_code(&self) -> u32 {
-        self.bnn.precision().code()
+    fn autocast_code(&self) -> u32 {
+        self.autocast
     }
 
-    fn set_precision_code(&mut self, code: u32) {
-        match Precision::from_code(code) {
-            Some(p) => self.bnn.set_precision(p),
-            None => panic!("SviShardCompute: unknown precision code {code}"),
-        }
+    fn set_autocast_code(&mut self, code: u32) {
+        assert!(autocast::enter_code(code).is_some(), "SviShardCompute: unknown autocast code {code}");
+        self.autocast = code;
     }
 
     fn run_step(
@@ -167,7 +165,7 @@ where
             p.set_data(data.clone());
         }
         rng::set_state(rng_state);
-        let _amp = self.bnn.precision().autocast_guard();
+        let _amp = autocast::enter_code(self.autocast);
         let _obs = crate::poutine::obs_trace_if_enabled();
         let (guide_trace, ()) = {
             let _span = tyxe_obs::span!("core.dist.guide");
@@ -249,17 +247,10 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             return None;
         }
 
-        // The checkpointed precision policy and shard count win over the
+        // The checkpointed autocast mode and shard count win over the
         // current configuration: both are part of the numerics, and the
         // continuation must re-enter them exactly.
-        if let Some(buf) = supervisor.payload(PAYLOAD_PRECISION) {
-            if buf.len() == 1 {
-                if let Some(p) = Precision::from_code(buf[0] as u32) {
-                    self.set_precision(p);
-                }
-            }
-        }
-        supervisor.set_payload(PAYLOAD_PRECISION, vec![f64::from(self.precision().code())]);
+        let _amp = enter_checkpointed_autocast(supervisor);
         let num_shards = supervisor
             .payload(PAYLOAD_NUM_SHARDS)
             .filter(|b| b.len() == 1)
@@ -269,7 +260,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         let mut compute = SviShardCompute::new(self, input, targets);
         let mut co = (cfg.workers > 0).then(|| {
             let cfg = DistConfig { num_shards: num_shards as usize, ..cfg.clone() };
-            Coordinator::launch(&cfg, session, compute.param_lens(), compute.precision_code())
+            Coordinator::launch(&cfg, session, compute.param_lens(), compute.autocast_code())
                 .expect("fit_distributed: coordinator launch failed")
         });
 
@@ -306,7 +297,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                         // in-process path does: one guide draw.
                         rng::set_state(s0);
                         {
-                            let _amp = self.precision().autocast_guard();
                             let _span = tyxe_obs::span!("core.dist.guide");
                             let _ = trace(|| self.guide().sample_guide());
                         }

@@ -39,15 +39,36 @@ use tyxe_nn::{Forward, Module, StateDict};
 use tyxe_par::fault::{self, FaultStream, INJECTED_PANIC_PAYLOAD};
 use tyxe_prob::optim::{clip_grad_norm, grads_are_finite, Optimizer};
 use tyxe_prob::rng;
-use tyxe_tensor::Tensor;
+use tyxe_tensor::{autocast, Tensor};
 
-use crate::bnn::{Precision, VariationalBnn};
+use crate::bnn::VariationalBnn;
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
 /// Payload key under which [`VariationalBnn::fit_supervised`] (and the
-/// distributed driver) checkpoint the active [`Precision`] policy code.
+/// distributed driver) checkpoint the [`autocast::code`] its steps ran
+/// under.
 pub const PAYLOAD_PRECISION: &str = "precision";
+
+/// Enters the autocast mode a resumed checkpoint ran under — its
+/// continuation must re-enter those numerics to stay bit-exact — and
+/// records the mode the steps run under in the payload. Without a
+/// checkpointed mode the caller's scope stands. Panics, naming the
+/// payload, if it holds anything but one known code: training on under
+/// other numerics than the checkpoint's would be silent drift.
+pub(crate) fn enter_checkpointed_autocast(supervisor: &mut Supervisor) -> Option<autocast::Guard> {
+    let guard = supervisor.payload(PAYLOAD_PRECISION).map(|buf| {
+        match buf {
+            [c] if *c == f64::from(*c as u32) => autocast::enter_code(*c as u32),
+            _ => None,
+        }
+        .unwrap_or_else(|| {
+            panic!("checkpoint payload `{PAYLOAD_PRECISION}` = {buf:?} names no autocast mode")
+        })
+    });
+    supervisor.set_payload(PAYLOAD_PRECISION, vec![f64::from(autocast::code())]);
+    guard
+}
 
 /// What went wrong with one training-step attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,7 +344,7 @@ impl Supervisor {
 
     /// Attaches an extra named state buffer to every future checkpoint
     /// (and keeps it across [`Supervisor::resume`]). Carries state the
-    /// supervisor itself doesn't know about — the `Precision` policy,
+    /// supervisor itself doesn't know about — the autocast mode,
     /// distributed membership, the shard cursor — under the
     /// `supervisor.payload.<key>` buffer namespace.
     pub fn set_payload(&mut self, key: &str, data: Vec<f64>) {
@@ -738,17 +759,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         M: Forward<I, Output = Tensor>,
     {
         assert!(!data.is_empty(), "fit_supervised: data must be non-empty");
-        // A resumed checkpoint's precision policy wins over whatever the
-        // Bnn currently carries: the run must re-enter the numerics it
-        // checkpointed under for the continuation to stay bit-exact.
-        if let Some(buf) = supervisor.payload(PAYLOAD_PRECISION) {
-            if buf.len() == 1 {
-                if let Some(p) = Precision::from_code(buf[0] as u32) {
-                    self.set_precision(p);
-                }
-            }
-        }
-        supervisor.set_payload(PAYLOAD_PRECISION, vec![f64::from(self.precision().code())]);
+        let _amp = enter_checkpointed_autocast(supervisor);
         let done = supervisor.steps_completed();
         let mut idx: u64 = 0;
         let mut history = Vec::new();
@@ -1086,6 +1097,36 @@ mod tests {
         };
         assert_eq!(schedule(9), schedule(9));
         assert_ne!(schedule(9), schedule(10));
+    }
+
+    /// A checkpointed autocast code is re-entered, and one that names no
+    /// mode — `1` (the retired f32 parameter storage), `7`, a fraction
+    /// or a malformed buffer — stops the resume instead of training on
+    /// under other numerics.
+    #[test]
+    fn checkpointed_autocast_codes_are_entered_or_refused() {
+        let _outer = autocast::autocast(tyxe_tensor::DType::F32);
+        let mut sup = Supervisor::new(vec![], SupervisorConfig::default());
+        // No payload keeps the caller's scope; a checkpointed one wins.
+        for (payload, mode) in [(None, 2), (Some(0.0), 0), (Some(2.0), 2)] {
+            if let Some(code) = payload {
+                sup.set_payload(PAYLOAD_PRECISION, vec![code]);
+            }
+            let guard = enter_checkpointed_autocast(&mut sup);
+            assert_eq!(autocast::code(), mode);
+            assert_eq!(sup.payload(PAYLOAD_PRECISION), Some(&[f64::from(mode)][..]));
+            drop(guard);
+            assert_eq!(autocast::code(), 2, "the caller's scope is restored");
+        }
+        for bad in [vec![1.0], vec![7.0], vec![2.5], vec![], vec![0.0, 2.0]] {
+            sup.set_payload(PAYLOAD_PRECISION, bad.clone());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                enter_checkpointed_autocast(&mut sup);
+            }))
+            .expect_err("an unknown code must be refused");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+        }
     }
 
     #[test]

@@ -44,7 +44,10 @@
 //!
 //! followed by `bnn.fit(&batches, &mut optim, epochs, None)` and
 //! `bnn.predict(&x_test, num_samples)` — optionally inside a
-//! `let _g = tyxe::poutine::local_reparameterization();` scope.
+//! `let _g = tyxe::poutine::local_reparameterization();` scope. Mixed
+//! precision is a scope too, as `torch.autocast` is in TyXe:
+//! `let _amp = tyxe_tensor::autocast::autocast(DType::F32);` computes the
+//! GEMM-bound ops in `f32` while parameters stay `f64`.
 
 pub mod bnn;
 pub mod distributed;
@@ -58,7 +61,7 @@ mod predictive;
 pub mod priors;
 pub mod vcl;
 
-pub use bnn::{BayesianModule, BnnSite, Evaluation, McmcBnn, Precision, PytorchBnn, VariationalBnn};
+pub use bnn::{BayesianModule, BnnSite, Evaluation, McmcBnn, PytorchBnn, VariationalBnn};
 pub use distributed::{DistFit, SviShardCompute};
 pub use fit::{FitEvent, FitReport, Supervisor, SupervisorConfig};
 pub use tyxe_dist::{DistConfig, DistReport, SpawnMode};
@@ -66,7 +69,7 @@ pub use tyxe_dist::{DistConfig, DistReport, SpawnMode};
 /// Re-exports of the probabilistic substrate most users need alongside the
 /// BNN classes.
 pub mod prelude {
-    pub use crate::bnn::{Evaluation, McmcBnn, Precision, PytorchBnn, VariationalBnn};
+    pub use crate::bnn::{Evaluation, McmcBnn, PytorchBnn, VariationalBnn};
     pub use crate::guides::{AutoDelta, AutoLowRankNormal, AutoNormal, Guide, InitLoc};
     pub use crate::guides_ktied::AutoKTiedNormal;
     pub use crate::mc_dropout::McDropout;

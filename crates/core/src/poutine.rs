@@ -127,9 +127,9 @@ impl Messenger for LocalReparameterizationMessenger {
     /// Mean and variance of the pre-activations come from the kernel the
     /// unhandled layer runs, [`Tensor::linear`]: in `f64` and `f32` that
     /// is bit for bit the `t → matmul → add` chain it fuses, with no
-    /// broadcast op and nothing a step plan cannot record. Under
-    /// [`crate::Precision::Mixed`] the bias joins the sum in the autocast
-    /// dtype, as it does for the unhandled layer (the unfused chain added
+    /// broadcast op and nothing a step plan cannot record. Under an
+    /// [`tyxe_tensor::autocast`] scope the bias joins the sum in the
+    /// autocast dtype, as it does for the unhandled layer (the unfused chain added
     /// it after widening back).
     fn intercept_linear(&self, x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Option<Tensor> {
         let (wloc, wscale) = self.registry.lookup(w)?;

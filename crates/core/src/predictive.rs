@@ -8,8 +8,8 @@
 //!    built for predictions that were going to be detached anyway.
 //! 2. **Posterior-sample cache** ([`SampleCache`]) — S weight samples
 //!    are drawn once into flat per-site buffers and reused across calls
-//!    until the owner's guide epoch, the global plan generation or the
-//!    requested S changes.
+//!    until the owner's guide epoch, the global plan generation, the
+//!    autocast mode or the requested S changes.
 //! 3. **Streaming aggregation** ([`aggregate_streamed`]) — likelihoods
 //!    with a [`crate::likelihoods::PredictiveFold`] fold predictions one
 //!    at a time instead of materializing all S.
@@ -54,9 +54,10 @@ pub(crate) type WeightDraws = Rc<Vec<Vec<RawData>>>;
 /// What a cache fill is valid for: the owner's guide epoch (bumped on
 /// every guide-parameter update it can see), the global plan generation
 /// (bumped by out-of-band parameter surgery it cannot see — checkpoint
-/// restore, fault rollback, dtype conversion) and the requested sample
-/// count.
-type CacheKey = (u64, u64, usize);
+/// restore, fault rollback), the [`tyxe_tensor::autocast::code`] the
+/// draws were computed under (a guide may draw through a GEMM) and the
+/// requested sample count.
+type CacheKey = (u64, u64, u32, usize);
 
 /// One-slot cache of posterior weight draws for one predictive
 /// front-end.
@@ -67,7 +68,8 @@ pub(crate) struct SampleCache {
 
 impl SampleCache {
     /// The draws cached for `(epoch, s)` under the current plan
-    /// generation (counting a `predict.cache_hit`), or else the result
+    /// generation and autocast mode (counting a `predict.cache_hit`), or
+    /// else the result
     /// of `draw`, which replaces whatever the slot held.
     pub fn get_or_fill(
         &self,
@@ -75,7 +77,7 @@ impl SampleCache {
         s: usize,
         draw: impl FnOnce() -> Vec<Vec<RawData>>,
     ) -> WeightDraws {
-        let key = (epoch, tyxe_tensor::plan::generation(), s);
+        let key = (epoch, tyxe_tensor::plan::generation(), tyxe_tensor::autocast::code(), s);
         if let Some((k, draws)) = &*self.slot.borrow() {
             if *k == key {
                 probe::cache_hit().inc();

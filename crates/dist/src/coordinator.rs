@@ -141,7 +141,7 @@ pub struct Coordinator {
     cfg: DistConfig,
     session: u64,
     param_lens: Vec<u64>,
-    precision: u32,
+    autocast: u32,
     sock_path: PathBuf,
     listener: UnixListener,
     workers: BTreeMap<u32, WorkerSlot>,
@@ -171,7 +171,7 @@ impl Coordinator {
         cfg: &DistConfig,
         session: u64,
         param_lens: Vec<u64>,
-        precision: u32,
+        autocast: u32,
     ) -> io::Result<Coordinator> {
         assert!(cfg.workers >= 1, "Coordinator::launch: at least one worker");
         assert!(cfg.num_shards >= 1, "Coordinator::launch: at least one shard");
@@ -203,7 +203,7 @@ impl Coordinator {
             cfg: cfg.clone(),
             session,
             param_lens,
-            precision,
+            autocast,
             sock_path,
             listener,
             workers: BTreeMap::new(),
@@ -354,7 +354,7 @@ impl Coordinator {
         let (_, _, child) = self.pending.swap_remove(idx);
         let init = Msg::Init {
             num_shards: self.cfg.num_shards as u32,
-            precision: self.precision,
+            autocast: self.autocast,
             heartbeat_interval_ms: self.cfg.heartbeat_interval_ms,
             param_lens: self.param_lens.clone(),
         };

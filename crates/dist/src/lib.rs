@@ -165,8 +165,7 @@ pub struct ShardResult {
     pub shard: u32,
     /// Shard loss term (full estimator on shard 0, data-only elsewhere).
     pub loss: f64,
-    /// Per-parameter gradient vectors (f64, widened exactly for f32
-    /// parameters).
+    /// Per-parameter gradient vectors (f64, like the parameters).
     pub grads: Vec<Option<Vec<f64>>>,
 }
 
@@ -179,12 +178,12 @@ pub trait ShardCompute {
     fn num_params(&self) -> usize;
     /// Flat element count of each parameter, in canonical order.
     fn param_lens(&self) -> Vec<u64>;
-    /// Precision policy code to broadcast (0 when unused).
-    fn precision_code(&self) -> u32 {
+    /// Autocast mode code to broadcast in `Init` (0 = off).
+    fn autocast_code(&self) -> u32 {
         0
     }
-    /// Applies a broadcast precision policy code (worker side).
-    fn set_precision_code(&mut self, _code: u32) {}
+    /// Adopts the coordinator's autocast mode code (worker side).
+    fn set_autocast_code(&mut self, _code: u32) {}
     /// Runs one step over `shards` (a subset of `0..num_shards`): load
     /// `params`, restore `rng_state`, and return one [`ShardResult`]
     /// per assigned shard, in ascending shard order.

@@ -66,12 +66,6 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Version of the optional telemetry extension appended to `Hello`
-/// and `Step` payloads. Decoders accept payloads without the section
-/// (fields default to 0) and reject versions they don't know, so the
-/// section can grow without breaking older frames.
-pub const TELEMETRY_EXT_VERSION: u32 = 1;
-
 /// Coordinator↔worker messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
@@ -81,17 +75,17 @@ pub enum Msg {
         rank: u32,
         /// Its spawn incarnation.
         incarnation: u64,
-        /// UNIX ns of the worker's trace epoch (telemetry ext; 0 = not
-        /// reported). The coordinator derives this worker's clock
-        /// offset from it for merged-trace normalization.
+        /// UNIX ns of the worker's trace epoch (0 = not reported). The
+        /// coordinator derives this worker's clock offset from it for
+        /// merged-trace normalization.
         epoch_unix_ns: u64,
     },
     /// Coordinator → worker, accepted-membership reply to `Hello`.
     Init {
         /// Logical shard count of the session.
         num_shards: u32,
-        /// Precision policy code to apply before computing.
-        precision: u32,
+        /// The `tyxe_tensor::autocast::code` every shard runs under.
+        autocast: u32,
         /// Heartbeat emission interval.
         heartbeat_interval_ms: u64,
         /// Flat element count of each parameter, canonical order.
@@ -107,12 +101,11 @@ pub enum Msg {
         shards: Vec<u32>,
         /// Current parameter values, canonical order, exact f64.
         params: Vec<Vec<f64>>,
-        /// Distributed trace id of the fit this step belongs to
-        /// (telemetry ext; 0 = tracing off).
+        /// Distributed trace id of the fit this step belongs to (0 =
+        /// tracing off).
         trace_id: u64,
-        /// Span id of the coordinator's `dist.step` span (telemetry
-        /// ext; 0 = tracing off) — workers parent their step spans
-        /// under it.
+        /// Span id of the coordinator's `dist.step` span (0 = tracing
+        /// off) — workers parent their step spans under it.
         span_id: u64,
     },
     /// Worker → coordinator: one shard's contribution.
@@ -194,20 +187,6 @@ fn get_opt_grads(r: &mut ByteReader<'_>) -> Result<Vec<Option<Vec<f64>>>, WireEr
     Ok(out)
 }
 
-/// Reads the optional telemetry extension header: `None` when the
-/// payload ends (legacy frame), the version otherwise. Unknown
-/// versions are an error — the frame was written by a newer protocol.
-fn get_ext_version(r: &mut ByteReader<'_>) -> Result<Option<u32>, WireError> {
-    if r.is_exhausted() {
-        return Ok(None);
-    }
-    let v = r.get_u32().map_err(|_| WireError::Malformed("telemetry ext version"))?;
-    if v == 0 || v > TELEMETRY_EXT_VERSION {
-        return Err(WireError::Malformed("unknown telemetry ext version"));
-    }
-    Ok(Some(v))
-}
-
 impl Msg {
     /// Encodes the message body (no framing).
     pub fn encode(&self) -> Vec<u8> {
@@ -217,13 +196,12 @@ impl Msg {
                 w.put_u32(TAG_HELLO);
                 w.put_u32(*rank);
                 w.put_u64(*incarnation);
-                w.put_u32(TELEMETRY_EXT_VERSION);
                 w.put_u64(*epoch_unix_ns);
             }
-            Msg::Init { num_shards, precision, heartbeat_interval_ms, param_lens } => {
+            Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens } => {
                 w.put_u32(TAG_INIT);
                 w.put_u32(*num_shards);
-                w.put_u32(*precision);
+                w.put_u32(*autocast);
                 w.put_u64(*heartbeat_interval_ms);
                 w.put_u64(param_lens.len() as u64);
                 for &l in param_lens {
@@ -244,7 +222,6 @@ impl Msg {
                 for p in params {
                     w.put_f64_slice(p);
                 }
-                w.put_u32(TELEMETRY_EXT_VERSION);
                 w.put_u64(*trace_id);
                 w.put_u64(*span_id);
             }
@@ -283,25 +260,21 @@ impl Msg {
         let err = |what| move |_| WireError::Malformed(what);
         let tag = r.get_u32().map_err(err("tag"))?;
         let msg = match tag {
-            TAG_HELLO => {
-                let rank = r.get_u32().map_err(err("rank"))?;
-                let incarnation = r.get_u64().map_err(err("incarnation"))?;
-                let epoch_unix_ns = match get_ext_version(&mut r)? {
-                    Some(_) => r.get_u64().map_err(err("epoch_unix_ns"))?,
-                    None => 0,
-                };
-                Msg::Hello { rank, incarnation, epoch_unix_ns }
-            }
+            TAG_HELLO => Msg::Hello {
+                rank: r.get_u32().map_err(err("rank"))?,
+                incarnation: r.get_u64().map_err(err("incarnation"))?,
+                epoch_unix_ns: r.get_u64().map_err(err("epoch_unix_ns"))?,
+            },
             TAG_INIT => {
                 let num_shards = r.get_u32().map_err(err("num_shards"))?;
-                let precision = r.get_u32().map_err(err("precision"))?;
+                let autocast = r.get_u32().map_err(err("autocast"))?;
                 let heartbeat_interval_ms = r.get_u64().map_err(err("heartbeat interval"))?;
                 let n = r.get_u64().map_err(err("param count"))? as usize;
                 let mut param_lens = Vec::with_capacity(n.min(65_536));
                 for _ in 0..n {
                     param_lens.push(r.get_u64().map_err(err("param len"))?);
                 }
-                Msg::Init { num_shards, precision, heartbeat_interval_ms, param_lens }
+                Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens }
             }
             TAG_STEP => {
                 let step = r.get_u64().map_err(err("step"))?;
@@ -319,13 +292,8 @@ impl Msg {
                 for _ in 0..np {
                     params.push(r.get_f64_slice().map_err(err("param values"))?);
                 }
-                let (trace_id, span_id) = match get_ext_version(&mut r)? {
-                    Some(_) => (
-                        r.get_u64().map_err(err("trace_id"))?,
-                        r.get_u64().map_err(err("span_id"))?,
-                    ),
-                    None => (0, 0),
-                };
+                let trace_id = r.get_u64().map_err(err("trace_id"))?;
+                let span_id = r.get_u64().map_err(err("span_id"))?;
                 Msg::Step { step, rng_state, shards, params, trace_id, span_id }
             }
             TAG_GRAD => Msg::Grad {
@@ -522,7 +490,7 @@ mod tests {
             Msg::Hello { rank: 3, incarnation: 2, epoch_unix_ns: 1_700_000_000_000_000_000 },
             Msg::Init {
                 num_shards: 4,
-                precision: 2,
+                autocast: 2,
                 heartbeat_interval_ms: 25,
                 param_lens: vec![16, 1, 0],
             },
@@ -618,52 +586,6 @@ mod tests {
                 Ok(Some(msg)) => panic!("flip at byte {i} delivered {msg:?}"),
             }
         }
-    }
-
-    #[test]
-    fn legacy_frames_without_telemetry_ext_decode_to_zeroed_fields() {
-        // Hand-encode a pre-telemetry Hello: tag + rank + incarnation,
-        // no extension section.
-        let mut w = ByteWriter::new();
-        w.put_u32(TAG_HELLO);
-        w.put_u32(5);
-        w.put_u64(1);
-        assert_eq!(
-            Msg::decode(&w.into_bytes()).unwrap(),
-            Msg::Hello { rank: 5, incarnation: 1, epoch_unix_ns: 0 }
-        );
-
-        // Pre-telemetry Step: no trailing (trace_id, span_id).
-        let mut w = ByteWriter::new();
-        w.put_u32(TAG_STEP);
-        w.put_u64(3);
-        for s in [9u64, 8, 7, 6] {
-            w.put_u64(s);
-        }
-        w.put_u64(1); // one shard
-        w.put_u32(2);
-        w.put_u64(0); // zero params
-        assert_eq!(
-            Msg::decode(&w.into_bytes()).unwrap(),
-            Msg::Step {
-                step: 3,
-                rng_state: [9, 8, 7, 6],
-                shards: vec![2],
-                params: vec![],
-                trace_id: 0,
-                span_id: 0,
-            }
-        );
-
-        // An unknown (future) extension version is rejected, not
-        // misread as field data.
-        let mut w = ByteWriter::new();
-        w.put_u32(TAG_HELLO);
-        w.put_u32(5);
-        w.put_u64(1);
-        w.put_u32(TELEMETRY_EXT_VERSION + 1);
-        w.put_u64(42);
-        assert!(matches!(Msg::decode(&w.into_bytes()), Err(WireError::Malformed(_))));
     }
 
     /// `Write` impl that accepts at most `cap` bytes per call — worst-case

@@ -139,21 +139,21 @@ fn serve(
     let mut reader = FrameReader::new();
     let init = loop {
         match next_msg(&mut conn, &mut reader)? {
-            Msg::Init { num_shards, precision, heartbeat_interval_ms, param_lens } => {
-                break (num_shards, precision, heartbeat_interval_ms, param_lens)
+            Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens } => {
+                break (num_shards, autocast, heartbeat_interval_ms, param_lens)
             }
             Msg::Shutdown => return Ok(ending(0, "shutdown", None)),
             _ => {}
         }
     };
-    let (num_shards, precision, heartbeat_interval_ms, param_lens) = init;
+    let (num_shards, autocast, heartbeat_interval_ms, param_lens) = init;
     assert_eq!(
         param_lens,
         compute.param_lens(),
         "dist worker rank {}: parameter layout disagrees with coordinator",
         env.rank
     );
-    compute.set_precision_code(precision);
+    compute.set_autocast_code(autocast);
 
     // Heartbeat thread: liveness between collections. Tracks the last
     // step seen so the coordinator's logs can localise a stall.

@@ -1,12 +1,14 @@
 //! Autocast: thread-local compute-dtype override for the GEMM-bound ops.
 //!
-//! Mixed-precision SVI runs the expensive, numerically robust ops —
-//! `matmul`, fused `linear`, `conv2d` — in `f32` while keeping `f64`
-//! master weights. Following the PyTorch AMP design, the cast happens at
-//! the *entry of those ops only*: while a [`Guard`] is live, their `f64`
-//! operands are demoted through [`crate::Tensor::cast`] nodes (so
-//! gradients flow back to the `f64` masters through the cast's backward
-//! — that edge **is** the mixed-precision cast boundary), and everything
+//! This scope *is* mixed precision, for every BNN class: opened by the
+//! caller around `fit`/`svi_step`/`predict`, it runs the expensive,
+//! numerically robust ops — `matmul`, fused `linear`, `conv2d` — in
+//! `f32` while the parameters stay `f64` masters. Following the PyTorch
+//! AMP design, the cast happens at the *entry of those ops only*: while
+//! a [`Guard`] is live, their `f64` operands are demoted through
+//! [`crate::Tensor::cast`] nodes (so gradients flow back to the `f64`
+//! masters through the cast's backward — that edge **is** the
+//! mixed-precision cast boundary), and everything
 //! downstream — elementwise ops, reductions, the loss — follows the
 //! operand dtype it receives. Precision-sensitive composites
 //! (reductions feeding the ELBO, `exp`/`ln` in the likelihoods) are
@@ -16,7 +18,8 @@
 //! The mode is thread-local and scope-bound (RAII), mirroring
 //! `torch.autocast`. It composes with step plans: the cast nodes record
 //! replayable closures, so a plan traced under autocast re-demotes the
-//! refreshed master weights on every replay.
+//! refreshed master weights on every replay, and a plan replays only
+//! under the mode it was traced in ([`crate::plan`]).
 
 use std::cell::Cell;
 
@@ -54,8 +57,32 @@ pub struct Guard {
 /// Nests: the innermost guard wins, and dropping it restores the outer
 /// mode.
 pub fn autocast(dt: DType) -> Guard {
-    let prev = MODE.with(|m| m.replace(Some(dt)));
+    enter(Some(dt))
+}
+
+fn enter(mode: Option<DType>) -> Guard {
+    let prev = MODE.with(|m| m.replace(mode));
     Guard { prev, _not_send: std::marker::PhantomData }
+}
+
+/// The active mode as the stable code checkpoints and the `tyxe-dist`
+/// `Init` frame carry: `0` computes in the operands' dtype, `2` demotes
+/// to `f32`. (`1` named `f32` parameter storage, which is gone.)
+pub fn code() -> u32 {
+    match current() {
+        Some(DType::F32) => 2,
+        _ => 0,
+    }
+}
+
+/// Enters the mode [`code`] names — `0` switches autocast off — until
+/// the guard drops; `None` for a code that names no mode.
+pub fn enter_code(code: u32) -> Option<Guard> {
+    match code {
+        0 => Some(enter(None)),
+        2 => Some(enter(Some(DType::F32))),
+        _ => None,
+    }
 }
 
 impl Drop for Guard {

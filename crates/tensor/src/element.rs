@@ -34,9 +34,10 @@
 //! that evaluates these maps (the standalone unary ops, the fused
 //! linear/conv activation pass, the fused reparameterized draw's scale
 //! transform) calls the *same* per-dtype function, so fusing a call
-//! site still never changes bits. Accuracy for the `f32` approximants
-//! is a few ulps of the correctly rounded result — tighter than any
-//! downstream f32 tolerance (DESIGN.md §12).
+//! site still never changes bits. Over all 2³² inputs the `f32`
+//! approximants stay within 8 ulps (`tanh`) and 1 ulp (`exp`) of the
+//! correctly rounded result (`tests/f32_approximants.rs`, DESIGN.md
+//! §12).
 
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -223,8 +224,9 @@ impl Element for f32 {
 
 /// Fast `f32` tanh: the rational approximant P₁₃(x)/Q₆(x) on
 /// `|x| ≤ 7.905` (the float saturation point, where `tanh` rounds to
-/// ±1), odd in `x`, accurate to a few ulps. Plain mul/add/div so LLVM
-/// vectorizes the surrounding elementwise loops; `clamp` propagates
+/// ±1), odd in `x`, within 8 ulps; below `2⁻¹⁰⁰` it returns
+/// `x`, which is `tanh(x)` correctly rounded there. Plain mul/add/div so
+/// LLVM vectorizes the surrounding elementwise loops; `clamp` propagates
 /// NaN, so NaN in → NaN out.
 // The coefficient literals below are the canonical decimal expansions
 // of the intended bit patterns; shortening them (as clippy suggests)
@@ -233,6 +235,9 @@ impl Element for f32 {
 #[inline(always)]
 pub fn tanh_f32(x: f32) -> f32 {
     const CLAMP: f32 = 7.905_311;
+    // Below this the numerator's leading term A1·x would go subnormal
+    // and lose up to ~100 ulps.
+    const TINY: f32 = 7.888_609_052e-31; // 2^-100
     const A1: f32 = 4.893_525e-3;
     const A3: f32 = 6.372_619e-4;
     const A5: f32 = 1.485_722_4e-5;
@@ -250,11 +255,13 @@ pub fn tanh_f32(x: f32) -> f32 {
     let q = ((B6 * x2 + B4) * x2 + B2) * x2 + B0;
     let t = p / q;
     // Saturate exactly past the clamp point (the rational form tops out
-    // one ulp shy of ±1); NaN fails both compares and falls through.
+    // one ulp shy of ±1); NaN fails every compare and falls through.
     if x >= CLAMP {
         1.0
     } else if x <= -CLAMP {
         -1.0
+    } else if x.abs() < TINY {
+        x
     } else {
         t
     }
@@ -263,7 +270,7 @@ pub fn tanh_f32(x: f32) -> f32 {
 /// Fast `f32` exp via base-2 range reduction: `e^x = 2^n · e^r` with
 /// `n = round(x / ln 2)` and `|r| ≤ ln2/2`, a degree-5 polynomial for
 /// `e^r`, and the `2^n` scale built by exponent-field arithmetic.
-/// Accurate to a few ulps; underflows to `0` below the normal range
+/// Within 1 ulp; underflows to `0` below the normal range
 /// and overflows to `+∞`, matching libm at the extremes. Branch-free
 /// apart from NaN, so elementwise loops over it vectorize.
 // Canonical constants again — in particular LN2_HI must read as the

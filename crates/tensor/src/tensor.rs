@@ -660,21 +660,6 @@ impl Tensor {
         t
     }
 
-    /// Converts this tensor's storage (and clears any gradient) to `dt`,
-    /// **in place**, preserving the node id — so optimizer registrations
-    /// and guide site maps keyed by [`Tensor::id`] survive a precision
-    /// switch. Out of band; invalidates all compiled step plans (a traced
-    /// graph bakes in slot dtypes, cf. `plan` slot signatures).
-    pub fn convert_dtype_inplace(&self, dt: DType) {
-        if self.dtype() == dt {
-            return;
-        }
-        let converted = self.inner.data.borrow().cast_to(dt);
-        *self.inner.data.borrow_mut() = converted;
-        *self.inner.grad.borrow_mut() = None;
-        crate::plan::invalidate_all();
-    }
-
     // ------------------------------------------------------------------
     // Accessors
     // ------------------------------------------------------------------
@@ -771,32 +756,17 @@ impl Tensor {
     /// loop with no intermediate allocation. Out-of-band like
     /// [`Tensor::set_data`]: no graph node is created.
     ///
-    /// The view is always `f64`. For `f32` tensors the data and gradient
-    /// are staged through pooled `f64` buffers and the updated data is
-    /// rounded back once — i.e. optimizer arithmetic runs in `f64`
-    /// regardless of storage dtype, a deliberate master-weights-style
-    /// choice (DESIGN.md §12).
+    /// # Panics
+    ///
+    /// Panics unless data and gradient are both `f64`: parameters are
+    /// stored in `f64` (DESIGN.md §12).
     pub fn with_data_and_grad(&self, f: impl FnOnce(&mut [f64], &[f64])) -> bool {
         let grad = self.inner.grad.borrow();
         let Some(g) = grad.as_ref() else { return false };
         let mut data = self.inner.data.borrow_mut();
         match (&mut *data, g) {
             (Buf::F64(d), Buf::F64(g)) => f(d, g),
-            (d @ Buf::F32(_), Buf::F32(gs)) => {
-                let mut dstage = pool::alloc_uninit::<f64>(d.len());
-                for (o, &x) in dstage.iter_mut().zip(d.as_slice::<f32>()) {
-                    *o = f64::from(x);
-                }
-                let mut gstage = pool::alloc_uninit::<f64>(gs.len());
-                for (o, &x) in gstage.iter_mut().zip(gs.iter()) {
-                    *o = f64::from(x);
-                }
-                f(&mut dstage, &gstage);
-                for (o, &x) in d.as_mut_slice::<f32>().iter_mut().zip(dstage.iter()) {
-                    *o = x as f32;
-                }
-            }
-            _ => panic!("with_data_and_grad: gradient dtype differs from data"),
+            _ => panic!("with_data_and_grad: parameters and their gradients are f64"),
         }
         true
     }
@@ -1122,21 +1092,6 @@ mod tests {
         // Same-dtype cast is the identity node.
         let z = x.cast(DType::F64);
         assert_eq!(z.id(), x.id());
-    }
-
-    #[test]
-    fn convert_dtype_inplace_keeps_id() {
-        // Each conversion bumps the plan generation under the plan tests.
-        crate::plan::tests::with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![1.0, 2.0], &[2]).requires_grad(true);
-            let id = x.id();
-            x.convert_dtype_inplace(DType::F32);
-            assert_eq!(x.id(), id);
-            assert_eq!(x.dtype(), DType::F32);
-            assert_eq!(x.to_vec(), vec![1.0, 2.0]);
-            x.convert_dtype_inplace(DType::F64);
-            assert_eq!(x.dtype(), DType::F64);
-        });
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * `--shards S` — logical shards per step (default 4). Part of the
 //!   numerics: the same `S` gives the same bits at any worker count.
 //! * `--steps K` — supervised SVI steps (default 40).
-//! * `--precision <f64|f32|mixed>` — the `Precision` policy, which also
-//!   rides to every worker in the `Init` handshake.
+//! * `--precision <f64|mixed>` — `mixed` fits inside an `f32` autocast
+//!   scope, whose mode rides to every worker in the `Init` handshake.
 //! * `--trace/--metrics <path>` — `tyxe-obs` export. On a multi-process
 //!   run these are the *merged* cross-process artifacts: one
 //!   `chrome://tracing` file with the coordinator plus every rank (and
@@ -45,7 +45,7 @@ use tyxe::fit::{Supervisor, SupervisorConfig};
 use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
-use tyxe::{DistConfig, Precision, SpawnMode, VariationalBnn};
+use tyxe::{DistConfig, SpawnMode, VariationalBnn};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -54,7 +54,8 @@ struct Args {
     workers: usize,
     shards: usize,
     steps: u64,
-    precision: Precision,
+    /// Fit under the `f32` autocast scope.
+    mixed: bool,
     trace: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
     telemetry_dir: Option<std::path::PathBuf>,
@@ -65,7 +66,7 @@ fn parse_args() -> Args {
         workers: 2,
         shards: 4,
         steps: 40,
-        precision: Precision::F64,
+        mixed: false,
         trace: None,
         metrics: None,
         telemetry_dir: None,
@@ -92,13 +93,11 @@ fn parse_args() -> Args {
                     Some(argv.next().expect("--telemetry-dir requires a path").into());
             }
             "--precision" => {
-                let p = argv.next().expect("--precision requires f64, f32 or mixed");
-                args.precision = match p.as_str() {
-                    "f64" => Precision::F64,
-                    "f32" => Precision::F32,
-                    "mixed" => Precision::Mixed,
+                args.mixed = match argv.next().as_deref() {
+                    Some("f64") => false,
+                    Some("mixed") => true,
                     other => {
-                        eprintln!("unknown precision: {other} (expected f64, f32 or mixed)");
+                        eprintln!("unknown precision: {other:?} (expected f64 or mixed)");
                         std::process::exit(2);
                     }
                 };
@@ -107,7 +106,7 @@ fn parse_args() -> Args {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: distributed_svi [--workers N] [--shards S] [--steps K] \
-                     [--precision f64|f32|mixed] [--trace out.json] [--metrics out.jsonl] \
+                     [--precision f64|mixed] [--trace out.json] [--metrics out.jsonl] \
                      [--telemetry-dir dir]"
                 );
                 std::process::exit(2);
@@ -145,7 +144,7 @@ fn main() {
         HomoskedasticGaussian::new(n, 0.1),
         AutoNormal::new().init_scale(1e-3),
     );
-    bnn.set_precision(args.precision);
+    let _amp = args.mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
 
     let mut optim = Adam::new(vec![], 1e-2);
     let mut sup = Supervisor::new(bnn.trainable_parameters(), SupervisorConfig::default());
@@ -172,8 +171,8 @@ fn main() {
         .expect("not in a worker process past fit_distributed");
 
     println!(
-        "trained {} steps ({:?} precision) at {} workers x {} shards",
-        args.steps, args.precision, args.workers, args.shards,
+        "trained {} steps ({} precision) at {} workers x {} shards",
+        args.steps, if args.mixed { "mixed" } else { "f64" }, args.workers, args.shards,
     );
     let first = fit.history.first().copied().unwrap_or(f64::NAN);
     let last = fit.history.last().copied().unwrap_or(f64::NAN);

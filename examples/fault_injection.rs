@@ -20,9 +20,9 @@
 //!   JSON file of every span recorded during the fit.
 //! * `--metrics <path>` — enable `tyxe-obs` and write the final metrics
 //!   snapshot as JSON lines.
-//! * `--precision <f64|f32|mixed>` — the [`Precision`] policy to fit
-//!   under (default `f64`), so recovery and observability can be smoked
-//!   in every storage dtype (DESIGN.md §12).
+//! * `--precision <f64|mixed>` — `mixed` fits inside an `f32` autocast
+//!   scope (default `f64`), so recovery and observability can be smoked
+//!   under mixed precision too (DESIGN.md §12).
 //!
 //! The supervisor detects each fault, rolls back to the last good state,
 //! retries with a backed-off learning rate, checkpoints periodically, and
@@ -34,7 +34,7 @@ use tyxe::fit::{Supervisor, SupervisorConfig};
 use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
-use tyxe::{Precision, VariationalBnn};
+use tyxe::VariationalBnn;
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -43,11 +43,12 @@ use tyxe_rand::SeedableRng;
 struct Args {
     trace: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
-    precision: Precision,
+    /// Fit under the `f32` autocast scope.
+    mixed: bool,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { trace: None, metrics: None, precision: Precision::F64 };
+    let mut args = Args { trace: None, metrics: None, mixed: false };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -60,13 +61,11 @@ fn parse_args() -> Args {
                 args.metrics = Some(path.into());
             }
             "--precision" => {
-                let p = argv.next().expect("--precision requires f64, f32 or mixed");
-                args.precision = match p.as_str() {
-                    "f64" => Precision::F64,
-                    "f32" => Precision::F32,
-                    "mixed" => Precision::Mixed,
+                args.mixed = match argv.next().as_deref() {
+                    Some("f64") => false,
+                    Some("mixed") => true,
                     other => {
-                        eprintln!("unknown precision: {other} (expected f64, f32 or mixed)");
+                        eprintln!("unknown precision: {other:?} (expected f64 or mixed)");
                         std::process::exit(2);
                     }
                 };
@@ -75,7 +74,7 @@ fn parse_args() -> Args {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
                     "usage: fault_injection [--trace out.json] [--metrics out.jsonl] \
-                     [--precision f64|f32|mixed]"
+                     [--precision f64|mixed]"
                 );
                 std::process::exit(2);
             }
@@ -113,7 +112,7 @@ fn main() {
         HomoskedasticGaussian::new(n, 0.1),
         AutoNormal::new().init_scale(1e-3),
     );
-    bnn.set_precision(args.precision);
+    let _amp = args.mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
 
     let ckpt = std::env::temp_dir().join("tyxe-fault-injection-example.ckpt");
     let mut optim = Adam::new(vec![], 1e-2);
@@ -123,9 +122,9 @@ fn main() {
     );
 
     println!(
-        "training {} epochs ({:?} precision) with nan_prob={} panic_prob={} seed={}",
+        "training {} epochs ({} precision) with nan_prob={} panic_prob={} seed={}",
         epochs,
-        args.precision,
+        if args.mixed { "mixed" } else { "f64" },
         tyxe_par::fault::nan_prob(),
         tyxe_par::fault::panic_prob(),
         tyxe_par::fault::fault_seed(),

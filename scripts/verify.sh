@@ -85,9 +85,9 @@ if [[ -z "$recovered" || "$recovered" -eq 0 ]]; then
     exit 1
 fi
 
-# Same smoke fit under the mixed-precision policy (f64 masters, f32
-# compute under autocast — DESIGN.md §12): recovery must work across
-# the precision boundary, and this run's metrics snapshot must carry
+# Same smoke fit inside the f32 autocast scope (f64 masters, f32
+# compute — DESIGN.md §12): recovery must work across the precision
+# boundary, and this run's metrics snapshot must carry
 # the per-dtype pool counters for BOTH dtypes, which the validation
 # below requires.
 echo "verify: mixed-precision fault-injection smoke run"
@@ -240,6 +240,12 @@ fi
 if grep -rnE "var_ratio|const LOG_SQRT_2PI" crates | grep -vE "^crates/tensor/(src/ops/normal|tests/normal_kernels)\.rs:" \
     || grep -rlPz "\.square\(\)\s*\.mul_scalar\(-0\.5\)" crates | grep -vx "crates/tensor/tests/normal_kernels.rs"; then
     echo "verify: a second Normal log-density or KL body reappeared beside the fused kernels" >&2
+    exit 1
+fi
+# Mixed precision is the caller's autocast scope (§12): no per-BNN
+# precision policy and no in-place parameter dtype conversion.
+if grep -rnE "Precision::|set_precision|with_precision|convert_dtype_inplace" crates tests examples; then
+    echo "verify: a precision policy or parameter dtype conversion reappeared beside the autocast scope" >&2
     exit 1
 fi
 # A step input keys its plan through `StepInput` (§11), not by being

@@ -120,20 +120,19 @@ impl Estimator {
 /// every matmul over the blocked-GEMM threshold, so the parallel kernel
 /// paths (not just the sequential references) are exercised end to end.
 fn run_svi_wide(seed: u64, steps: usize) -> SviTrace {
-    run_svi_wide_at(seed, steps, tyxe::Precision::F64, Estimator::SharedSample, Feed::Same)
+    run_svi_wide_at(seed, steps, false, Estimator::SharedSample, Feed::Same)
 }
 
-/// [`run_svi_wide`] under an explicit precision policy, [`Estimator`] and
-/// [`Feed`]. Site parameters are read back through the (exact) widening
-/// `to_vec`, so comparing their `f64` bit patterns is a faithful bitwise
-/// check at any storage dtype.
-fn run_svi_wide_at(
-    seed: u64,
-    steps: usize,
-    precision: tyxe::Precision,
-    estimator: Estimator,
-    feed: Feed,
-) -> SviTrace {
+/// The `f32` autocast scope — mixed precision: `f64` parameters, `f32`
+/// GEMM-bound compute (DESIGN.md §12) — when `mixed`.
+fn autocast_if(mixed: bool) -> Option<tyxe_tensor::autocast::Guard> {
+    mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32))
+}
+
+/// [`run_svi_wide`] in or out of mixed precision, under an [`Estimator`]
+/// and a [`Feed`].
+fn run_svi_wide_at(seed: u64, steps: usize, mixed: bool, estimator: Estimator, feed: Feed) -> SviTrace {
+    let _amp = autocast_if(mixed);
     let _handler = estimator.install();
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -144,8 +143,7 @@ fn run_svi_wide_at(
         &IIDPrior::standard_normal(),
         HomoskedasticGaussian::new(data.len(), 0.1),
         AutoNormal::new().init_scale(1e-2),
-    )
-    .with_precision(precision);
+    );
     let mut optim = Adam::new(vec![], 1e-2);
     let losses: Vec<f64> = (0..steps)
         .map(|_| bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim))
@@ -155,7 +153,7 @@ fn run_svi_wide_at(
         assert_eq!(
             bnn.plan_unsupported_reason(),
             None,
-            "{precision:?}, {estimator:?}: the step did not compile"
+            "mixed {mixed}, {estimator:?}: the step did not compile"
         );
     }
     let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
@@ -180,16 +178,11 @@ fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) ->
 
 /// [`run_svi_wide_at`] as users get it: plan replay, on free-lists
 /// warmed by a different seed (stale values in every recycled buffer).
-fn run_svi_wide_warm(
-    seed: u64,
-    steps: usize,
-    precision: tyxe::Precision,
-    estimator: Estimator,
-) -> SviTrace {
+fn run_svi_wide_warm(seed: u64, steps: usize, mixed: bool, estimator: Estimator) -> SviTrace {
     on_fresh_thread(move || {
-        run_svi_wide_at(seed + 1000, 1, precision, estimator, Feed::Same);
+        run_svi_wide_at(seed + 1000, 1, mixed, estimator, Feed::Same);
         assert!(tyxe_tensor::pool::thread_stats().0 > 0, "warm-up retained nothing");
-        run_svi_wide_at(seed, steps, precision, estimator, Feed::Same)
+        run_svi_wide_at(seed, steps, mixed, estimator, Feed::Same)
     })
 }
 
@@ -205,29 +198,24 @@ fn assert_same_bits(reference: &SviTrace, subject: &SviTrace, what: &str) {
     }
 }
 
-/// The execution-strategy contract at one dtype and one gradient
-/// estimator (DESIGN.md §10–§12): the library at its one configuration —
-/// plan replay on warm free-lists, at 1 and 4 kernel threads — must
-/// match, bit for bit, a reference that uses none of it: one kernel
-/// thread, free-lists that start empty, and a fresh input handle every
-/// step so nothing replays.
-fn assert_matches_cold_dynamic_reference(
-    seed: u64,
-    steps: usize,
-    precision: tyxe::Precision,
-    estimator: Estimator,
-) {
+/// The execution-strategy contract in or out of mixed precision, at one
+/// gradient estimator (DESIGN.md §10–§12): the library at its one
+/// configuration — plan replay on warm free-lists, at 1 and 4 kernel
+/// threads — must match, bit for bit, a reference that uses none of it:
+/// one kernel thread, free-lists that start empty, and a fresh input
+/// handle every step so nothing replays.
+fn assert_matches_cold_dynamic_reference(seed: u64, steps: usize, mixed: bool, estimator: Estimator) {
     let prev_threads = tyxe_par::num_threads();
     tyxe_par::set_num_threads(1);
     let reference =
-        on_fresh_thread(move || run_svi_wide_at(seed, steps, precision, estimator, Feed::Fresh));
+        on_fresh_thread(move || run_svi_wide_at(seed, steps, mixed, estimator, Feed::Fresh));
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
-        let subject = run_svi_wide_warm(seed, steps, precision, estimator);
+        let subject = run_svi_wide_warm(seed, steps, mixed, estimator);
         assert_same_bits(
             &reference,
             &subject,
-            &format!("{precision:?}, {estimator:?}, {threads} threads"),
+            &format!("mixed {mixed}, {estimator:?}, {threads} threads"),
         );
     }
     tyxe_par::set_num_threads(prev_threads);
@@ -285,7 +273,7 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
         let cold = on_fresh_thread(|| run_svi_wide(31, 2));
-        let warm = run_svi_wide_warm(31, 2, tyxe::Precision::F64, Estimator::SharedSample);
+        let warm = run_svi_wide_warm(31, 2, false, Estimator::SharedSample);
         assert_same_bits(&cold, &warm, &format!("warm free-lists, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev_threads);
@@ -299,36 +287,30 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
 /// the recording step, which *is* a dynamic step) dominates the run.
 #[test]
 fn svi_step_is_bit_identical_with_plan_on_and_off() {
-    assert_matches_cold_dynamic_reference(37, 4, tyxe::Precision::F64, Estimator::SharedSample);
+    assert_matches_cold_dynamic_reference(37, 4, false, Estimator::SharedSample);
 }
 
 /// The per-dtype determinism contract (DESIGN.md §12): determinism is
-/// pinned *at fixed dtype*. A full `f32`-storage SVI step — guide
-/// sampling, fused forward, ELBO, backward, Adam update — must be
-/// bit-identical to the sequential/cold/never-replaying reference
-/// trajectory at 1 and 4 kernel threads.
-#[test]
-fn f32_svi_step_is_bit_identical_across_threads_pool_and_plan() {
-    assert_matches_cold_dynamic_reference(53, 2, tyxe::Precision::F32, Estimator::SharedSample);
-}
-
-/// Mixed precision is deterministic too: the same pin as f32.
+/// pinned *at fixed numerics*. A full SVI step under the `f32` autocast
+/// scope — guide sampling, demoted fused forward, ELBO, backward
+/// through the cast nodes, Adam update — must be bit-identical to the
+/// sequential/cold/never-replaying reference at 1 and 4 kernel threads.
 #[test]
 fn mixed_precision_svi_step_is_bit_reproducible() {
-    assert_matches_cold_dynamic_reference(59, 2, tyxe::Precision::Mixed, Estimator::SharedSample);
+    assert_matches_cold_dynamic_reference(59, 2, true, Estimator::SharedSample);
 }
 
 /// Local reparameterization and flipout are program transformations, so
 /// the step they rewrite compiles like any other: on this dense net both
-/// record (ISSUE 20), and the same pin holds per dtype — replay on warm
-/// free-lists at 1 and 4 kernel threads against the cold, never-replaying
-/// reference. Four steps at f64 so replay dominates, two at the others.
+/// record, and the same pin holds in and out of mixed precision —
+/// replay on warm free-lists at 1 and 4 kernel threads against the cold,
+/// never-replaying reference. Four steps at f64 so replay dominates, two
+/// under the autocast scope.
 #[test]
 fn lr_and_flipout_steps_are_bit_identical_across_threads_pool_and_plan() {
     for estimator in [Estimator::LocalReparam, Estimator::Flipout] {
-        assert_matches_cold_dynamic_reference(61, 4, tyxe::Precision::F64, estimator);
-        assert_matches_cold_dynamic_reference(67, 2, tyxe::Precision::F32, estimator);
-        assert_matches_cold_dynamic_reference(71, 2, tyxe::Precision::Mixed, estimator);
+        assert_matches_cold_dynamic_reference(61, 4, false, estimator);
+        assert_matches_cold_dynamic_reference(71, 2, true, estimator);
     }
 }
 
@@ -431,8 +413,10 @@ fn gcn_step_is_bit_identical_across_threads_pool_and_plan() {
 
 /// Plan invalidation must never change answers: switching to a batch of
 /// a different shape mid-run forces a signature mismatch and a
-/// re-record, and the whole trajectory must still match the dynamic
-/// path (fresh input handles, so nothing ever replays) bit for bit.
+/// re-record, and so does entering or leaving the autocast scope (a plan
+/// replays only under the mode it was recorded in). The whole trajectory
+/// must still match the dynamic path (fresh input handles, so nothing
+/// ever replays) bit for bit.
 #[test]
 fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
     let run = |feed: Feed| -> Vec<u64> {
@@ -450,9 +434,10 @@ fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
         let mut optim = Adam::new(vec![], 1e-2);
         let mut losses = Vec::new();
         // Three steps on the big batch (record + replays), then the
-        // batch shape changes: the plan must invalidate and re-record,
-        // then replay the new shape.
-        for data in [&big, &small] {
+        // batch shape changes, then the scope is entered and left: each
+        // time the plan must invalidate, re-record, then replay.
+        for (data, mixed) in [(&big, false), (&small, false), (&small, true), (&small, false)] {
+            let _amp = autocast_if(mixed);
             for _ in 0..3 {
                 losses.push(bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim));
             }
@@ -580,9 +565,11 @@ fn run_dist_svi(
     workers: usize,
     shards: u32,
     steps: u64,
-    precision: tyxe::Precision,
+    mixed: bool,
     telemetry_dir: Option<std::path::PathBuf>,
 ) -> Option<SviTrace> {
+    // A worker takes its mode from the coordinator's `Init`, not its own scope.
+    let _amp = autocast_if(mixed && !tyxe_dist::worker_role());
     tyxe_prob::rng::set_seed(7);
     let mut rng = StdRng::seed_from_u64(7);
     let data = foong_regression(32, 0.1, 0);
@@ -593,7 +580,6 @@ fn run_dist_svi(
         HomoskedasticGaussian::new(data.len(), 0.1),
         AutoNormal::new().init_scale(1e-2),
     );
-    bnn.set_precision(precision);
     let mut optim = Adam::new(vec![], 1e-2);
     let mut sup = tyxe::Supervisor::new(
         bnn.trainable_parameters(),
@@ -637,10 +623,10 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
     // Every session runs unconditionally and in this order so a spawned
     // child replays the same numbering; children exit inside their own
     // session and never reach the assertions.
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F64, None);
-    let one = run_dist_svi(NAME, 1, 1, 4, 5, tyxe::Precision::F64, None);
-    let two = run_dist_svi(NAME, 2, 2, 4, 5, tyxe::Precision::F64, None);
-    let four = run_dist_svi(NAME, 3, 4, 4, 5, tyxe::Precision::F64, None);
+    let reference = run_dist_svi(NAME, 0, 0, 4, 5, false, None);
+    let one = run_dist_svi(NAME, 1, 1, 4, 5, false, None);
+    let two = run_dist_svi(NAME, 2, 2, 4, 5, false, None);
+    let four = run_dist_svi(NAME, 3, 4, 4, 5, false, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let reference = reference.unwrap();
     assert_traces_bit_equal(&reference, &one.unwrap(), "1 worker vs in-process");
@@ -648,12 +634,14 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
     assert_traces_bit_equal(&reference, &four.unwrap(), "4 workers vs in-process");
 }
 
+/// Under the `f32` autocast scope the workers compute in the mode the
+/// coordinator's `Init` names — same bits at any worker count.
 #[test]
 fn f32_distributed_svi_is_bit_identical_across_worker_counts() {
     const NAME: &str = "f32_distributed_svi_is_bit_identical_across_worker_counts";
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, tyxe::Precision::F32, None);
-    let two = run_dist_svi(NAME, 1, 2, 4, 5, tyxe::Precision::F32, None);
-    let four = run_dist_svi(NAME, 2, 4, 4, 5, tyxe::Precision::F32, None);
+    let reference = run_dist_svi(NAME, 0, 0, 4, 5, true, None);
+    let two = run_dist_svi(NAME, 1, 2, 4, 5, true, None);
+    let four = run_dist_svi(NAME, 2, 4, 4, 5, true, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let reference = reference.unwrap();
     assert_traces_bit_equal(&reference, &two.unwrap(), "f32, 2 workers vs in-process");
@@ -678,7 +666,7 @@ fn distributed_svi_bits_are_unchanged_by_telemetry() {
         tyxe_obs::set_enabled(telemetry);
         let telemetry_dir = telemetry.then(|| dir.clone());
         let result =
-            run_dist_svi(NAME, session, workers, 4, 5, tyxe::Precision::F64, telemetry_dir);
+            run_dist_svi(NAME, session, workers, 4, 5, false, telemetry_dir);
         tyxe_obs::set_enabled(false);
         tyxe_obs::trace::clear();
         result
@@ -706,7 +694,7 @@ fn single_shard_distributed_svi_matches_plain_svi_bitwise() {
     // At one logical shard, shard 0 *is* the whole batch and the sharded
     // estimator reduces to the plain SVI loss — so the distributed path
     // must reproduce `run_svi` (which uses raw `svi_step`) bit for bit.
-    let dist = run_dist_svi(NAME, 0, 1, 1, 5, tyxe::Precision::F64, None);
+    let dist = run_dist_svi(NAME, 0, 1, 1, 5, false, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let plain = run_svi(7, 5);
     assert_traces_bit_equal(&dist.unwrap(), &plain, "1-shard dist vs plain SVI");
@@ -729,19 +717,12 @@ fn global_rng_draws_are_bit_reproducible() {
 // ---------------------------------------------------------------------------
 
 /// Every output element's f64 bit pattern, in sample order. `to_vec`
-/// widens exactly, so the comparison is faithful at f32 storage too.
+/// widens exactly, so the comparison is faithful for f32 outputs too.
 fn sample_bits(samples: &[tyxe_tensor::Tensor]) -> Vec<u64> {
     samples
         .iter()
         .flat_map(|t| t.to_vec().into_iter().map(f64::to_bits))
         .collect()
-}
-
-/// The autocast scope a caller outside the library opens to get a
-/// precision policy's compute dtype.
-fn autocast_for(precision: tyxe::Precision) -> Option<tyxe_tensor::autocast::Guard> {
-    (precision != tyxe::Precision::F64)
-        .then(|| tyxe_tensor::autocast::autocast(precision.compute_dtype()))
 }
 
 /// Trains the small regression BNN for two steps under a fixed seed,
@@ -751,10 +732,11 @@ fn autocast_for(precision: tyxe::Precision) -> Option<tyxe_tensor::autocast::Gua
 /// guide, replay the trace through the tape-building probabilistic
 /// forward, detach. One predict call per fresh model, so the library
 /// starts from a cold cache and both sides consume the same RNG stream.
-fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision, library: bool) -> Vec<u64> {
+fn run_predict_at(seed: u64, s: usize, mixed: bool, library: bool) -> Vec<u64> {
     use tyxe::guides::Guide;
     use tyxe_prob::poutine::{replay, trace};
 
+    let _amp = autocast_if(mixed);
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let data = foong_regression(64, 0.1, 0);
@@ -764,8 +746,7 @@ fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision, library: bool
         &IIDPrior::standard_normal(),
         HomoskedasticGaussian::new(data.len(), 0.1),
         AutoNormal::new().init_scale(1e-2),
-    )
-    .with_precision(precision);
+    );
     let mut optim = Adam::new(vec![], 1e-2);
     for _ in 0..2 {
         bnn.svi_step(&data.x, &data.y, &mut optim);
@@ -774,7 +755,6 @@ fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision, library: bool
     if library {
         return sample_bits(&bnn.predict_samples(&test.x, s));
     }
-    let _amp = autocast_for(precision);
     let reference: Vec<_> = (0..s)
         .map(|_| {
             let (gtr, ()) = trace(|| bnn.guide().sample_guide());
@@ -786,26 +766,23 @@ fn run_predict_at(seed: u64, s: usize, precision: tyxe::Precision, library: bool
 
 /// `VariationalBnn::predict_samples` (cached flat draws injected into
 /// grad-free forwards) must equal the per-sample trace/replay reference
-/// bit for bit, at f64 and f32 storage, at 1 and 4 kernel threads.
+/// bit for bit, in and out of mixed precision, at 1 and 4 kernel threads.
 #[test]
 fn predictive_engine_is_bit_identical_to_legacy_path() {
     let prev_threads = tyxe_par::num_threads();
-    for (seed, precision, label) in [
-        (61u64, tyxe::Precision::F64, "f64"),
-        (67u64, tyxe::Precision::F32, "f32"),
-    ] {
+    for (seed, mixed, label) in [(61u64, false, "f64"), (67u64, true, "mixed")] {
         tyxe_par::set_num_threads(1);
-        let reference = run_predict_at(seed, 8, precision, false);
+        let reference = run_predict_at(seed, 8, mixed, false);
         for threads in [1usize, 4] {
             tyxe_par::set_num_threads(threads);
             assert_eq!(
                 reference,
-                run_predict_at(seed, 8, precision, false),
+                run_predict_at(seed, 8, mixed, false),
                 "{label}: reference drifted at {threads} threads"
             );
             assert_eq!(
                 reference,
-                run_predict_at(seed, 8, precision, true),
+                run_predict_at(seed, 8, mixed, true),
                 "{label}: predict_samples drifted from the reference ({threads} threads)"
             );
         }
@@ -837,10 +814,10 @@ fn mcmc_predictions_match_per_draw_condition_reference() {
 
     // 5 of 12 draws: stride 2, the first five strided draws.
     let s = 5;
-    for amp in [tyxe::Precision::F64, tyxe::Precision::Mixed] {
+    for mixed in [false, true] {
         for threads in [1usize, 4] {
             tyxe_par::set_num_threads(threads);
-            let _amp = autocast_for(amp);
+            let _amp = autocast_if(mixed);
             let reference: Vec<_> = (0..12)
                 .step_by(2)
                 .take(s)
@@ -854,7 +831,7 @@ fn mcmc_predictions_match_per_draw_condition_reference() {
                 assert_eq!(
                     sample_bits(&reference),
                     sample_bits(&bnn.predict_samples(&test.x, s)),
-                    "{amp:?}, {threads} threads, pass {pass}"
+                    "mixed {mixed}, {threads} threads, pass {pass}"
                 );
             }
         }
@@ -880,10 +857,10 @@ fn mc_dropout_predictions_match_training_mode_forwards() {
         .add(Linear::new(16, 3, &mut rng));
     let mc = McDropout::new(net, Categorical::new(10));
     let x = tyxe_tensor::Tensor::ones(&[5, 4]);
-    for amp in [tyxe::Precision::F64, tyxe::Precision::Mixed] {
+    for mixed in [false, true] {
         for threads in [1usize, 4] {
             tyxe_par::set_num_threads(threads);
-            let _amp = autocast_for(amp);
+            let _amp = autocast_if(mixed);
             tyxe_prob::rng::set_seed(83);
             mc.net().set_training(true);
             let reference: Vec<_> = (0..6).map(|_| mc.net().forward(&x).detach()).collect();
@@ -894,7 +871,7 @@ fn mc_dropout_predictions_match_training_mode_forwards() {
             assert_eq!(
                 sample_bits(&reference),
                 sample_bits(&library),
-                "{amp:?}, {threads} threads"
+                "mixed {mixed}, {threads} threads"
             );
         }
     }
@@ -936,7 +913,8 @@ fn predictive_fold_matches_legacy_aggregate_bitwise() {
 /// Cache semantics: a second predict at the same sample count replays
 /// the cached posterior draws (bit-identical outputs, `predict.cache_hit`
 /// advances), one SVI step invalidates the cache (subsequent predictions
-/// change), and so does `invalidate_predictive_cache()`.
+/// change), and so do `invalidate_predictive_cache()` and a change of
+/// autocast mode.
 #[test]
 fn predictive_cache_hits_and_invalidates_on_svi_step() {
     tyxe_prob::rng::set_seed(73);
@@ -976,4 +954,14 @@ fn predictive_cache_hits_and_invalidates_on_svi_step() {
     bnn.invalidate_predictive_cache();
     let refilled = sample_bits(&bnn.predict_samples(&data.x, 6));
     assert_ne!(after_step, refilled, "invalidate_predictive_cache kept stale draws");
+
+    // Draws are the mode's (a guide may draw through a GEMM): inside the
+    // scope they refill and then hit, and leaving it refills again.
+    {
+        let _amp = autocast_if(true);
+        let mixed = sample_bits(&bnn.predict_samples(&data.x, 6));
+        assert_eq!(mixed, sample_bits(&bnn.predict_samples(&data.x, 6)));
+    }
+    let back = sample_bits(&bnn.predict_samples(&data.x, 6));
+    assert_ne!(refilled, back, "leaving the autocast scope kept its draws");
 }

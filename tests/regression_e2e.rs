@@ -12,7 +12,7 @@ use tyxe_prob::mcmc::Hmc;
 use tyxe_prob::optim::Adam;
 
 fn fit_variational_at(
-    precision: tyxe::Precision,
+    mixed: bool,
     local_reparam: bool,
     epochs: usize,
 ) -> (
@@ -28,10 +28,10 @@ fn fit_variational_at(
         &IIDPrior::standard_normal(),
         HomoskedasticGaussian::new(data.len(), 0.1),
         AutoNormal::new().init_scale(1e-2),
-    )
-    .with_precision(precision);
+    );
     let mut optim = Adam::new(vec![], 1e-2);
     let batches = [(data.x.clone(), data.y.clone())];
+    let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
     if local_reparam {
         let _g = tyxe::poutine::local_reparameterization();
         bnn.fit(&batches, &mut optim, epochs, None);
@@ -48,7 +48,7 @@ fn fit_variational(
     VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, AutoNormal>,
     tyxe_datasets::Regression1d,
 ) {
-    fit_variational_at(tyxe::Precision::F64, local_reparam, epochs)
+    fit_variational_at(false, local_reparam, epochs)
 }
 
 #[test]
@@ -77,15 +77,17 @@ fn uncertainty_grows_away_from_the_data() {
     );
 }
 
-/// Mixed precision (f64 masters, f32 compute — DESIGN.md §12) must
-/// reproduce the Figure 1 regression next to the f64 run: same train
-/// MSE within 0.02 absolute, and the qualitative Fig. 1 content —
-/// predictive sd growing outside the data range — intact.
+/// Mixed precision (f64 masters, f32 compute under the autocast scope —
+/// DESIGN.md §12) must reproduce the Figure 1 regression next to the
+/// f64 run: same train MSE within 0.02 absolute, and the qualitative
+/// Fig. 1 content — predictive sd growing outside the data range —
+/// intact.
 #[test]
 fn mixed_precision_reproduces_fig1_regression() {
     let (f64_bnn, data) = fit_variational(true, 800);
-    let (mix_bnn, _) = fit_variational_at(tyxe::Precision::Mixed, true, 800);
+    let (mix_bnn, _) = fit_variational_at(true, true, 800);
     let e64 = f64_bnn.evaluate(&data.x, &data.y, 16).error;
+    let _amp = tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32);
     let emix = mix_bnn.evaluate(&data.x, &data.y, 16).error;
     assert!(emix < 0.05, "mixed train MSE {emix}");
     assert!(

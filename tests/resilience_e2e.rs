@@ -19,7 +19,7 @@ use tyxe_par::fault;
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
-use tyxe_tensor::Tensor;
+use tyxe_tensor::{autocast, DType, Tensor};
 
 type Bnn = VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, AutoNormal>;
 
@@ -278,10 +278,9 @@ fn killed_dist_worker_mid_fit_is_bit_identical() {
     assert_eq!(reference_sites, killed_sites, "worker kill/respawn changed the bits");
 }
 
-/// Satellite: the `Precision` policy rides in the checkpoint payload.
-/// A resumed run whose BNN still carries the default `F64` policy must
-/// re-enter the checkpointed `Mixed` numerics and replay the remaining
-/// steps bit-identically.
+/// The autocast mode rides in the checkpoint payload. A resumed run
+/// outside any autocast scope must re-enter the checkpointed mixed
+/// precision and replay the remaining steps bit-identically.
 #[test]
 fn mixed_precision_resume_reenters_checkpointed_policy() {
     let _scope = FaultScope::acquire();
@@ -298,10 +297,12 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     // Uninterrupted mixed-precision reference: 60 steps.
     tyxe_prob::rng::set_seed(13);
     let a = build_bnn(13, hidden, n);
-    a.set_precision(tyxe::Precision::Mixed);
     let mut optim_a = Adam::new(vec![], 1e-2);
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    a.fit_supervised(&data, &mut optim_a, 60, &mut sup_a);
+    {
+        let _amp = autocast::autocast(DType::F32);
+        a.fit_supervised(&data, &mut optim_a, 60, &mut sup_a);
+    }
     let reference = site_params(&a);
 
     // Interrupted mixed-precision run: dies after 40 steps.
@@ -309,26 +310,29 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     let _ = std::fs::remove_file(prev_of(&path));
     tyxe_prob::rng::set_seed(13);
     let b1 = build_bnn(13, hidden, n);
-    b1.set_precision(tyxe::Precision::Mixed);
     let mut optim_b1 = Adam::new(vec![], 1e-2);
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    b1.fit_supervised(&data, &mut optim_b1, 40, &mut sup_b1);
+    {
+        let _amp = autocast::autocast(DType::F32);
+        b1.fit_supervised(&data, &mut optim_b1, 40, &mut sup_b1);
+    }
     drop((b1, optim_b1, sup_b1));
 
-    // Fresh state at the *default* F64 policy; the checkpoint must win.
+    // Fresh state outside any scope; the checkpoint must win.
     tyxe_prob::rng::set_seed(13);
     let b2 = build_bnn(13, hidden, n);
-    assert_eq!(b2.precision(), tyxe::Precision::F64);
+    assert_eq!(autocast::current(), None);
     let mut optim_b2 = Adam::new(vec![], 1e-2);
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 40);
     b2.fit_supervised(&data, &mut optim_b2, 60, &mut sup_b2);
     assert_eq!(
-        b2.precision(),
-        tyxe::Precision::Mixed,
-        "resume must re-enter the checkpointed precision policy"
+        sup_b2.payload(tyxe::fit::PAYLOAD_PRECISION),
+        Some(&[2.0][..]),
+        "resume must re-enter the checkpointed autocast mode"
     );
+    assert_eq!(autocast::current(), None, "the mode ends with the fit");
     assert_eq!(reference, site_params(&b2), "mixed-precision resume drifted");
 
     let _ = std::fs::remove_file(&path);

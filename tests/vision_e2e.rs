@@ -107,15 +107,15 @@ fn mean_field_bnn_preserves_accuracy_and_separates_ood() {
 /// tolerances for the Tab. 1 reproduction.
 #[test]
 fn mixed_precision_reproduces_tab1_mean_field_metrics() {
-    let fit_mf = |precision: tyxe::Precision| {
+    let fit_mf = |mixed: bool| {
         let s = pretrained_resnet();
+        let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
         let guide = AutoNormal::new()
             .init_loc(InitLoc::Pretrained)
             .init_scale(1e-4)
             .max_scale(0.1);
         let bnn =
-            VariationalBnn::new(s.net, &batchnorm_hidden_prior(), Categorical::new(300), guide)
-                .with_precision(precision);
+            VariationalBnn::new(s.net, &batchnorm_hidden_prior(), Categorical::new(300), guide);
         let mut optim = Adam::new(vec![], 1e-3);
         {
             let _lr = tyxe::poutine::local_reparameterization();
@@ -133,8 +133,8 @@ fn mixed_precision_reproduces_tab1_mean_field_metrics() {
         let h_ood: f64 = metrics::predictive_entropy(&probs_ood).iter().sum::<f64>() / 150.0;
         (acc, ece, auroc, h_test, h_ood)
     };
-    let (acc64, ece64, auroc64, _, _) = fit_mf(tyxe::Precision::F64);
-    let (accm, ecem, aurocm, h_test, h_ood) = fit_mf(tyxe::Precision::Mixed);
+    let (acc64, ece64, auroc64, _, _) = fit_mf(false);
+    let (accm, ecem, aurocm, h_test, h_ood) = fit_mf(true);
     assert!((accm - acc64).abs() < 0.1, "accuracy: mixed {accm} vs f64 {acc64}");
     assert!((ecem - ece64).abs() < 0.05, "ECE: mixed {ecem} vs f64 {ece64}");
     assert!((aurocm - auroc64).abs() < 0.05, "AUROC: mixed {aurocm} vs f64 {auroc64}");
