@@ -16,7 +16,7 @@
 
 use crate::element::{Element, dispatch_dtype};
 use crate::ops::fused::Activation;
-use crate::ops::matmul::{gemm_at_ow, gemm_bt, gemm_bt_ow, gemm_ow};
+use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -229,57 +229,42 @@ fn conv2d_act_t<E: Element>(
         // genuinely needs the zeroed pool path.
         let mut gx = pool::alloc_zeroed::<E>(n * sample_in);
         let mut gw = pool::alloc_zeroed::<E>(wlen);
-        // Per-sample body: dW_s = G_s * cols^T (`overwrite` picks
-        // whether `gws` is a fresh per-sample partial or the
-        // sequential accumulator), dX_s = col2im(W^T * G_s).
-        let do_sample = |s: usize, gxs: &mut [E], gws: &mut [E], overwrite: bool, cols: &mut [E], gcols: &mut [E]| {
-            let gout = &grad[s * sample_out..(s + 1) * sample_out];
-            if tyxe_obs::enabled() {
-                im2col_counter().inc();
-            }
-            im2col(&x[s * sample_in..(s + 1) * sample_in], cin, h, w, kh, kw, stride, pad, cols);
-            if overwrite {
-                gemm_bt_ow(gout, cols, gws, cout, ncols, krows);
-            } else {
-                gemm_bt(gout, cols, gws, cout, ncols, krows);
-            }
-            gemm_at_ow(wd, gout, gcols, krows, cout, ncols);
-            col2im(gcols, cin, h, w, kh, kw, stride, pad, gxs);
-        };
-        if n > 0 && sample_in > 0 && wlen > 0 {
-            // Disjoint per-sample partials for dW; samples
-            // partitioned across the pool in lock-step with dX.
-            // Each partial is written exactly once (overwrite
-            // GEMM), so the scratch comes from the pool uninit.
-            let mut gw_part = pool::alloc_uninit::<E>(n * wlen);
-            let spl = tyxe_par::chunk_len(n, 1, 1);
-            tyxe_par::parallel_for_chunks2(
-                &mut gx,
-                &mut gw_part,
-                spl * sample_in,
-                spl * wlen,
-                |ci, gxc, gwc| {
-                    let mut cols = pool::alloc_uninit::<E>(krows * ncols);
-                    let mut gcols = pool::alloc_uninit::<E>(krows * ncols);
-                    for (si, (gxs, gws)) in
-                        gxc.chunks_mut(sample_in).zip(gwc.chunks_mut(wlen)).enumerate()
-                    {
-                        do_sample(ci * spl + si, gxs, gws, true, &mut cols, &mut gcols);
-                    }
-                },
-            );
-            // Ascending-s reduction: the same per-element addition
-            // chain as the sequential accumulation it replaces.
-            for part in gw_part.chunks(wlen) {
-                for (g, p) in gw.iter_mut().zip(part) {
-                    *g += *p;
-                }
-            }
-        } else {
+        // One dW partial per sample, each written exactly once (overwrite
+        // GEMM), so the scratch comes from the pool uninit.
+        let mut gw_part = pool::alloc_uninit::<E>(n * wlen);
+        // `count` samples from `s0`, with private scratch: dW_s = G_s ·
+        // cols_sᵀ into the sample's partial, dX_s = col2im(Wᵀ · G_s).
+        let samples = |s0: usize, count: usize, gxc: &mut [E], gwc: &mut [E]| {
             let mut cols = pool::alloc_uninit::<E>(krows * ncols);
             let mut gcols = pool::alloc_uninit::<E>(krows * ncols);
-            for s in 0..n {
-                do_sample(s, &mut gx[s * sample_in..(s + 1) * sample_in], &mut gw, false, &mut cols, &mut gcols);
+            for si in 0..count {
+                let s = s0 + si;
+                let gout = &grad[s * sample_out..(s + 1) * sample_out];
+                if tyxe_obs::enabled() {
+                    im2col_counter().inc();
+                }
+                im2col(&x[s * sample_in..(s + 1) * sample_in], cin, h, w, kh, kw, stride, pad, &mut cols);
+                gemm_bt_ow(gout, &cols, &mut gwc[si * wlen..(si + 1) * wlen], cout, ncols, krows);
+                gemm_at_ow(wd, gout, &mut gcols, krows, cout, ncols);
+                col2im(&gcols, cin, h, w, kh, kw, stride, pad, &mut gxc[si * sample_in..(si + 1) * sample_in]);
+            }
+        };
+        if sample_in > 0 && wlen > 0 {
+            // Samples partitioned across the pool, dX and dW in lock-step.
+            let spl = tyxe_par::chunk_len(n, 1, 1);
+            tyxe_par::parallel_for_chunks2(&mut gx, &mut gw_part, spl * sample_in, spl * wlen, |ci, gxc, gwc| {
+                samples(ci * spl, gwc.len() / wlen, gxc, gwc);
+            });
+        } else {
+            // An empty image or weight leaves one buffer with no chunks
+            // to pair with the other's: run the samples inline.
+            samples(0, n, &mut gx, &mut gw_part);
+        }
+        // Ascending-s reduction: the same per-element addition chain as
+        // accumulating the samples in order.
+        for part in gw_part.chunks(wlen.max(1)) {
+            for (g, p) in gw.iter_mut().zip(part) {
+                *g += *p;
             }
         }
         let mut grads = vec![Some(gx), Some(gw)];
@@ -463,6 +448,7 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::element::DType;
+    use crate::ops::gemm_kernels::tests::{THREADS, at_threads};
 
     #[test]
     fn conv_identity_kernel() {
@@ -636,6 +622,62 @@ mod tests {
         let x = Tensor::zeros(&[1, 1, 4, 4]);
         let w = Tensor::zeros(&[1, 1, 5, 5]);
         let _ = x.conv2d(&w, None, 1, 0);
+    }
+
+    /// Empty batches, zero-area images and zero input channels: the
+    /// output keeps its shape, `gb` is `Σ g` per channel, `gx` is empty
+    /// and `gw` is all `+0.0` — unless a channel's upstream gradient holds
+    /// a NaN, which its row of `gw` must carry. Same at 1 and 4 threads.
+    #[test]
+    fn degenerate_shapes_backward_zero_weight_grads_and_carry_nan() {
+        type Shape = [usize; 4];
+        // (x shape, weight shape, pad, output shape)
+        let cases: [(Shape, Shape, usize, Shape); 3] = [
+            ([0, 2, 4, 4], [3, 2, 3, 3], 1, [0, 3, 4, 4]),
+            ([2, 2, 0, 3], [3, 2, 1, 1], 1, [2, 3, 2, 5]),
+            ([2, 0, 4, 4], [3, 0, 3, 3], 1, [2, 3, 4, 4]),
+        ];
+        let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 4] {
+            at_threads(threads, || {
+                for (xs, ws, pad, ys) in cases {
+                    let (cout, ncols) = (ys[1], ys[2] * ys[3]);
+                    let g: Vec<f64> = (0..ys.iter().product::<usize>()).map(|i| (i % 7) as f64 - 3.0).collect();
+                    let run = |g: &[f64]| {
+                        let x = Tensor::zeros(&xs).requires_grad(true);
+                        let w = Tensor::ones(&ws).requires_grad(true);
+                        let b = Tensor::from_vec(vec![0.5, -1.5, 2.0], &[3]).requires_grad(true);
+                        let y = x.conv2d(&w, Some(&b), 1, pad);
+                        assert_eq!(y.shape(), &ys, "{xs:?} at {threads} threads");
+                        y.backward_with_grad(g);
+                        (x.grad().unwrap(), w.grad().unwrap(), b.grad().unwrap())
+                    };
+                    let (gx, gw, gb) = run(&g);
+                    assert!(gx.is_empty(), "{xs:?}: gx has {} elements", gx.len());
+                    assert!(gw.iter().all(|v| v.to_bits() == 0), "{xs:?}: gw {gw:?}");
+                    let mut sums = vec![0.0; cout];
+                    for (i, v) in g.iter().enumerate() {
+                        sums[(i / ncols) % cout] += v;
+                    }
+                    assert_eq!(gb, sums, "{xs:?}");
+                    if gw.is_empty() || g.is_empty() {
+                        continue;
+                    }
+                    // A NaN in channel 1 of the last sample's gradient.
+                    let mut g_nan = g.clone();
+                    g_nan[((xs[0] - 1) * cout + 1) * ncols] = f64::NAN;
+                    let (_, gw, _) = run(&g_nan);
+                    let wrow = gw.len() / cout;
+                    for (co, row) in gw.chunks(wrow).enumerate() {
+                        if co == 1 {
+                            assert!(row.iter().all(|v| v.is_nan()), "{xs:?}: row 1 {row:?}");
+                        } else {
+                            assert!(row.iter().all(|v| v.to_bits() == 0), "{xs:?}: row {co} {row:?}");
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

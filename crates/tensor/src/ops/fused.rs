@@ -361,7 +361,7 @@ impl Tensor {
     /// optional `b: [n]`.
     ///
     /// One graph node replaces the `t` → `matmul` → `add` → activation
-    /// chain: the transpose folds into a `gemm_bt`, bias and activation
+    /// chain: the transpose folds into a `gemm_bt_ow`, bias and activation
     /// are applied in the same pass over each fresh output row, and the
     /// backward reads the activation derivative off the stored output.
     ///

@@ -1,21 +1,20 @@
 //! Cache-blocked, SIMD-dispatched, multi-threaded GEMM kernels with a
 //! bit-exact determinism contract, generic over the element type.
 //!
-//! Three accumulation variants back every matrix product in the crate
-//! (see [`crate::Tensor::matmul`] and `conv2d`'s im2col formulation):
+//! Three product shapes back every matrix product in the crate (see
+//! [`crate::Tensor::matmul`], the fused linear layer and `conv2d`'s
+//! im2col formulation):
 //!
-//! * [`gemm`]    — `C += A·B`,   `A: [m×k]`, `B: [k×n]`
-//! * [`gemm_at`] — `C += Aᵀ·B`,  `A: [k×m]`, `B: [k×n]`
-//! * [`gemm_bt`] — `C += A·Bᵀ`,  `A: [m×k]`, `B: [n×k]`
+//! * [`gemm_ow`]    — `C = A·B`,   `A: [m×k]`, `B: [k×n]`
+//! * [`gemm_at_ow`] — `C = Aᵀ·B`,  `A: [k×m]`, `B: [k×n]`
+//! * [`gemm_bt_ow`] — `C = A·Bᵀ`,  `A: [m×k]`, `B: [n×k]`
 //!
-//! Each has an overwrite twin ([`gemm_ow`]/[`gemm_at_ow`]/[`gemm_bt_ow`],
-//! `C = A·B` etc.) that writes every element of `C` without reading it,
-//! so callers can hand over *uninitialized* (pool-recycled) output
-//! buffers and skip the zero-fill. The overwrite twins perform, per
-//! element, the exact floating-point sequence of "zero-fill `C`, then
-//! run the accumulating variant" — including the `0.0 + (-0.0) = +0.0`
-//! signed-zero normalization of `gemm_bt`'s final add — so switching a
-//! call site between the two formulations can never change a bit.
+//! Every entry point *overwrites* `C`: each element is written without
+//! being read, so callers can hand over uninitialized (pool-recycled)
+//! output buffers and skip the zero-fill. A caller that needs a sum of
+//! products writes each into its own buffer and adds them in a fixed
+//! order (`conv2d`'s weight gradient reduces per-sample partials in
+//! ascending sample order).
 //!
 //! # Dtype
 //!
@@ -32,21 +31,25 @@
 //!
 //! Every entry point computes, for each output element, the *same
 //! sequence of floating-point operations* regardless of thread count or
-//! matrix size:
+//! matrix size — the one "zero-fill `C`, then accumulate" would run:
 //!
-//! * `gemm`/`gemm_at` update `c[i,j]` with one fused/plain multiply-add
-//!   per `p`, `p` ascending, starting from the incoming `c[i,j]`;
-//! * `gemm_bt` accumulates a fresh dot product (`p` ascending from `0.0`)
-//!   and adds it to `c[i,j]` once.
+//! * `gemm_ow`/`gemm_at_ow` store one fused/plain multiply-add chain per
+//!   element, `p` ascending, seeded from `0.0`;
+//! * `gemm_bt_ow` runs the same dot chain and stores `0.0 + dot`. The
+//!   explicit add is `C += dot` into a zeroed `C`: it turns a `-0.0` dot
+//!   into `+0.0`. It is not a no-op: under FMA, a chain seeded from `+0.0`
+//!   rounds an underflowing negative product (`-1e-200 · 1e-200`) to
+//!   `-0.0`, which `gemm_ow` keeps and `gemm_bt_ow` normalizes.
 //!
 //! The blocked path tiles over rows and columns only — `k` is never
 //! split, and each output element's accumulator lives in one register
 //! for the whole `k` loop — so blocking cannot reorder any element's
 //! reduction. Threads partition disjoint, MR-aligned row blocks of `C`,
 //! so partitioning cannot either. The retained reference kernels
-//! ([`gemm_ref`] and friends) follow the identical per-element recipe,
-//! which the property tests in `tests/parallel_identity.rs` pin down
-//! bitwise.
+//! ([`gemm_ow_ref`] and friends) follow the identical per-element
+//! recipe; the unit tests below pin all nine entry points bitwise to an
+//! in-test zero-fill-then-accumulate loop, and
+//! `tests/parallel_identity.rs` pins blocked against reference.
 //!
 //! # SIMD dispatch and the `madd` recipe
 //!
@@ -235,22 +238,26 @@ mod probe {
     }
 }
 
-/// How a kernel combines its finished register accumulators with `C`.
+/// How a kernel stores its finished register accumulators into `C`.
 ///
-/// The two overwrite modes never *read* `C`, so they are safe on
-/// uninitialized buffers, and each mirrors one accumulating mode's
-/// floating-point recipe exactly (see the module docs).
+/// Accumulators always start from `0.0` and `C` is never read, so both
+/// modes are safe on uninitialized buffers. They stay apart because
+/// they differ on a `-0.0` accumulator (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Acc {
-    /// Seed accumulators from `C`, store `acc` (`gemm`/`gemm_at`: `C += A·B`).
-    FromC,
-    /// Seed from zero, store `C + acc` (`gemm_bt`: fresh dot added once).
-    AddDot,
-    /// Seed from zero, store `acc` — bit-identical to zero-filled [`Acc::FromC`].
+    /// Store `acc` (`gemm_ow`/`gemm_at_ow`).
     Overwrite,
-    /// Seed from zero, store `0.0 + acc` — bit-identical to zero-filled
-    /// [`Acc::AddDot`] (the explicit add keeps `-0.0` dots normalizing to `+0.0`).
+    /// Store `0.0 + acc` (`gemm_bt_ow`: a `-0.0` dot becomes `+0.0`).
     OverwriteDot,
+}
+
+/// `acc` as `mode` stores it into `C`.
+#[inline(always)]
+fn store<E: Element>(acc: E, mode: Acc) -> E {
+    match mode {
+        Acc::Overwrite => acc,
+        Acc::OverwriteDot => E::ZERO + acc,
+    }
 }
 
 /// The single multiply-add recipe all kernels share, native in `E`.
@@ -295,55 +302,11 @@ pub fn madd_runtime_f32(acc: f32, a: f32, b: f32) -> f32 {
 // and NaN propagation, which would break the bitwise contract between
 // these references and the branch-free blocked kernels.
 
-#[inline(always)]
-fn gemm_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        for p in 0..k {
-            let av = a[i * k + p];
-            let brow = &b[p * n..(p + 1) * n];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for j in 0..n {
-                crow[j] = madd::<E, FMA>(crow[j], av, brow[j]);
-            }
-        }
-    }
-}
-
-#[inline(always)]
-fn gemm_at_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    for p in 0..k {
-        for i in 0..m {
-            let av = a[p * m + i];
-            let brow = &b[p * n..(p + 1) * n];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for j in 0..n {
-                crow[j] = madd::<E, FMA>(crow[j], av, brow[j]);
-            }
-        }
-    }
-}
-
-#[inline(always)]
-fn gemm_bt_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        for j in 0..n {
-            let arow = &a[i * k..(i + 1) * k];
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = E::ZERO;
-            for p in 0..k {
-                acc = madd::<E, FMA>(acc, arow[p], brow[p]);
-            }
-            c[i * n + j] += acc;
-        }
-    }
-}
-
-// Overwrite twins of the reference bodies. The `p == 0` pass *writes*
-// `madd(0.0, a, b)` where the accumulating body would have read a
-// zero-filled `C` — the identical floating-point operation — and later
-// `p` passes accumulate as usual, so no element is ever read before it
-// is written and no zero-fill is needed. `k == 0` degenerates to the
-// zero-fill itself.
+// Each reference writes, per element, the chain that zero-filling `C`
+// and accumulating into it would run: the `p == 0` pass *writes*
+// `madd(0.0, a, b)`, later `p` passes accumulate, so no element is read
+// before it is written and no zero-fill is needed. `k == 0` degenerates
+// to the zero-fill itself.
 
 #[inline(always)]
 fn gemm_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
@@ -404,8 +367,8 @@ fn gemm_bt_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E
             for p in 0..k {
                 acc = madd::<E, FMA>(acc, arow[p], brow[p]);
             }
-            // `0.0 + acc` mirrors the accumulating variant's add into a
-            // zeroed C (normalizes a `-0.0` dot product to `+0.0`).
+            // `0.0 + acc`: the add into a zeroed C (a `-0.0` dot
+            // becomes `+0.0`).
             c[i * n + j] = E::ZERO + acc;
         }
     }
@@ -451,9 +414,6 @@ macro_rules! def_ref {
     };
 }
 
-def_ref!(gemm_ref, gemm_ref_body, gemm_ref_fma_f64, gemm_ref_fma_f32, "Reference `C += A·B` (`A: [m×k]`, `B: [k×n]`).");
-def_ref!(gemm_at_ref, gemm_at_ref_body, gemm_at_ref_fma_f64, gemm_at_ref_fma_f32, "Reference `C += Aᵀ·B` (`A: [k×m]`, `B: [k×n]`).");
-def_ref!(gemm_bt_ref, gemm_bt_ref_body, gemm_bt_ref_fma_f64, gemm_bt_ref_fma_f32, "Reference `C += A·Bᵀ` (`A: [m×k]`, `B: [n×k]`).");
 def_ref!(gemm_ow_ref, gemm_ow_ref_body, gemm_ow_ref_fma_f64, gemm_ow_ref_fma_f32, "Reference overwrite `C = A·B` (`A: [m×k]`, `B: [k×n]`); `C` may be uninitialized.");
 def_ref!(gemm_at_ow_ref, gemm_at_ow_ref_body, gemm_at_ow_ref_fma_f64, gemm_at_ow_ref_fma_f32, "Reference overwrite `C = Aᵀ·B` (`A: [k×m]`, `B: [k×n]`); `C` may be uninitialized.");
 def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma_f64, gemm_bt_ow_ref_fma_f32, "Reference overwrite `C = A·Bᵀ` (`A: [m×k]`, `B: [n×k]`); `C` may be uninitialized.");
@@ -469,8 +429,8 @@ def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma_f64, gemm_bt_ow
 // fit for the scalar references, which leave lanes and FMA ports idle.
 //
 // The kernels below keep the exact per-element recipe (each output is
-// one p-ascending madd chain; `bt` dots start from 0.0 and are added
-// once) but restructure the *loops* so the work vectorizes: dot-shaped
+// one p-ascending madd chain from 0.0; `bt` dots are stored as
+// `0.0 + dot`) but restructure the *loops* so the work vectorizes: dot-shaped
 // products run four independent rows per pass (independent chains hide
 // FMA latency), axpy-shaped products make the contiguous operand row
 // the inner loop, and outer products stream the contiguous side.
@@ -480,7 +440,7 @@ def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma_f64, gemm_bt_ow
 // the references — which the `narrow_matches_reference_bitwise` test
 // pins down.
 
-/// `c[i] ⊕= chain_p(rows[i·k + p] · coeff[p])` for `m` contiguous rows:
+/// `c[i] = chain_p(rows[i·k + p] · coeff[p])` for `m` contiguous rows:
 /// the dot-shaped narrow case (`nn`/`bt` with `n == 1`, `bt` with
 /// `m == 1` after swapping roles). Four independent chains per pass.
 #[inline(always)]
@@ -492,27 +452,13 @@ fn narrow_dots_body<E: Element, const FMA: bool>(
     k: usize,
     mode: Acc,
 ) {
-    #[inline(always)]
-    fn store<E: Element>(dst: &mut E, acc: E, mode: Acc) {
-        *dst = match mode {
-            Acc::FromC | Acc::Overwrite => acc,
-            Acc::AddDot => *dst + acc,
-            Acc::OverwriteDot => E::ZERO + acc,
-        };
-    }
     let mut i = 0;
     while i + 4 <= m {
         let r0 = &rows[i * k..i * k + k];
         let r1 = &rows[(i + 1) * k..(i + 1) * k + k];
         let r2 = &rows[(i + 2) * k..(i + 2) * k + k];
         let r3 = &rows[(i + 3) * k..(i + 3) * k + k];
-        // Only FromC seeds from C; the other modes must not read it
-        // (Overwrite/OverwriteDot accept uninitialized output).
-        let (mut s0, mut s1, mut s2, mut s3) = if mode == Acc::FromC {
-            (c[i], c[i + 1], c[i + 2], c[i + 3])
-        } else {
-            (E::ZERO, E::ZERO, E::ZERO, E::ZERO)
-        };
+        let (mut s0, mut s1, mut s2, mut s3) = (E::ZERO, E::ZERO, E::ZERO, E::ZERO);
         for p in 0..k {
             let bv = coeff[p];
             s0 = madd::<E, FMA>(s0, r0[p], bv);
@@ -520,30 +466,31 @@ fn narrow_dots_body<E: Element, const FMA: bool>(
             s2 = madd::<E, FMA>(s2, r2[p], bv);
             s3 = madd::<E, FMA>(s3, r3[p], bv);
         }
-        store(&mut c[i], s0, mode);
-        store(&mut c[i + 1], s1, mode);
-        store(&mut c[i + 2], s2, mode);
-        store(&mut c[i + 3], s3, mode);
+        c[i] = store(s0, mode);
+        c[i + 1] = store(s1, mode);
+        c[i + 2] = store(s2, mode);
+        c[i + 3] = store(s3, mode);
         i += 4;
     }
     while i < m {
         let row = &rows[i * k..i * k + k];
-        let mut s = if mode == Acc::FromC { c[i] } else { E::ZERO };
+        let mut s = E::ZERO;
         for p in 0..k {
             s = madd::<E, FMA>(s, row[p], coeff[p]);
         }
-        store(&mut c[i], s, mode);
+        c[i] = store(s, mode);
         i += 1;
     }
 }
 
-/// `c[j] ⊕= chain_p(coeff[p] · rows[p·stride + j])` for `l` outputs:
+/// `c[j] = chain_p(coeff[p] · rows[p·stride + j])` for `l` outputs:
 /// the axpy-shaped narrow case (`at` with `n == 1`, `nn`/`at` with
 /// `m == 1`), `p` outermost so the contiguous operand row is the vector
 /// inner loop. `stride` is the full row length of `rows`; callers
 /// working a column window pass a pre-offset `rows` slice and keep the
-/// original stride. `overwrite` replays the ow-reference recipe: the
-/// `p == 0` pass writes `madd(0.0, …)` instead of reading `C`.
+/// original stride. Same recipe as the references: the `p == 0` pass
+/// writes `madd(0.0, …)` instead of reading `C` (`k ≥ 1`: narrow shapes
+/// have no empty dimension).
 #[inline(always)]
 fn narrow_axpy_body<E: Element, const FMA: bool>(
     coeff: &[E],
@@ -552,22 +499,13 @@ fn narrow_axpy_body<E: Element, const FMA: bool>(
     l: usize,
     stride: usize,
     k: usize,
-    overwrite: bool,
 ) {
-    let mut p0 = 0;
-    if overwrite {
-        if k == 0 {
-            c[..l].fill(E::ZERO);
-            return;
-        }
-        let av = coeff[0];
-        let row = &rows[..l];
-        for j in 0..l {
-            c[j] = madd::<E, FMA>(E::ZERO, av, row[j]);
-        }
-        p0 = 1;
+    let av = coeff[0];
+    let row = &rows[..l];
+    for j in 0..l {
+        c[j] = madd::<E, FMA>(E::ZERO, av, row[j]);
     }
-    for p in p0..k {
+    for p in 1..k {
         let av = coeff[p];
         let row = &rows[p * stride..p * stride + l];
         let crow = &mut c[..l];
@@ -577,7 +515,7 @@ fn narrow_axpy_body<E: Element, const FMA: bool>(
     }
 }
 
-/// `c[i,j] ⊕= a[i] · b[j]`: the `k == 1` outer-product case for all
+/// `c[i,j] = a[i] · b[j]`: the `k == 1` outer-product case for all
 /// three variants (the length-1 "chain" is a single madd).
 #[inline(always)]
 fn narrow_outer_body<E: Element, const FMA: bool>(
@@ -592,19 +530,9 @@ fn narrow_outer_body<E: Element, const FMA: bool>(
         let av = a[i];
         let crow = &mut c[i * n..(i + 1) * n];
         match mode {
-            Acc::FromC => {
-                for j in 0..n {
-                    crow[j] = madd::<E, FMA>(crow[j], av, b[j]);
-                }
-            }
             Acc::Overwrite => {
                 for j in 0..n {
                     crow[j] = madd::<E, FMA>(E::ZERO, av, b[j]);
-                }
-            }
-            Acc::AddDot => {
-                for j in 0..n {
-                    crow[j] += madd::<E, FMA>(E::ZERO, av, b[j]);
                 }
             }
             Acc::OverwriteDot => {
@@ -647,9 +575,9 @@ def_narrow!(narrow_dots_f64, f64, narrow_dots_body, narrow_dots_fma_f64,
 def_narrow!(narrow_dots_f32, f32, narrow_dots_body, narrow_dots_fma_f32,
     (rows: &[f32], coeff: &[f32], c: &mut [f32], m: usize, k: usize, mode: Acc));
 def_narrow!(narrow_axpy_f64, f64, narrow_axpy_body, narrow_axpy_fma_f64,
-    (coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, stride: usize, k: usize, overwrite: bool));
+    (coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, stride: usize, k: usize));
 def_narrow!(narrow_axpy_f32, f32, narrow_axpy_body, narrow_axpy_fma_f32,
-    (coeff: &[f32], rows: &[f32], c: &mut [f32], l: usize, stride: usize, k: usize, overwrite: bool));
+    (coeff: &[f32], rows: &[f32], c: &mut [f32], l: usize, stride: usize, k: usize));
 def_narrow!(narrow_outer_f64, f64, narrow_outer_body, narrow_outer_fma_f64,
     (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, mode: Acc));
 def_narrow!(narrow_outer_f32, f32, narrow_outer_body, narrow_outer_fma_f32,
@@ -662,10 +590,10 @@ fn narrow_dots<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k: us
     }
 }
 
-fn narrow_axpy<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, stride: usize, k: usize, overwrite: bool) {
+fn narrow_axpy<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, stride: usize, k: usize) {
     match E::DTYPE {
-        DType::F64 => narrow_axpy_f64(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k, overwrite),
-        DType::F32 => narrow_axpy_f32(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k, overwrite),
+        DType::F64 => narrow_axpy_f64(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k),
+        DType::F32 => narrow_axpy_f32(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k),
     }
 }
 
@@ -697,16 +625,16 @@ fn narrow_dots_par<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k
     });
 }
 
-fn narrow_axpy_par<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, k: usize, overwrite: bool) {
+fn narrow_axpy_par<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, k: usize) {
     if l * k < BLOCK_MIN_MADDS {
-        return narrow_axpy(coeff, rows, c, l, l, k, overwrite);
+        return narrow_axpy(coeff, rows, c, l, l, k);
     }
     let chunk = tyxe_par::chunk_len(l, 8, 8);
     tyxe_par::parallel_for_chunks(c, chunk, |start, c_chunk| {
         let _span = tyxe_obs::span!("tensor.gemm.block");
         // Column window [start, start+len): offset the rows base, keep
         // the full row stride.
-        narrow_axpy(coeff, &rows[start..], c_chunk, c_chunk.len(), l, k, overwrite);
+        narrow_axpy(coeff, &rows[start..], c_chunk, c_chunk.len(), l, k);
     });
 }
 
@@ -730,44 +658,44 @@ fn narrow_dims(m: usize, k: usize, n: usize) -> bool {
     m.min(k).min(n) == 1
 }
 
-/// Narrow `nn` dispatch (`mode` is `FromC` or `Overwrite`).
-fn narrow_nn<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, mode: Acc) {
+/// Narrow `nn` dispatch.
+fn narrow_nn<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if k == 1 {
-        narrow_outer_par(&a[..m], &b[..n], c, m, n, mode);
+        narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::Overwrite);
     } else if m == 1 {
-        narrow_axpy_par(&a[..k], b, c, n, k, mode == Acc::Overwrite);
+        narrow_axpy_par(&a[..k], b, c, n, k);
     } else {
         // n == 1: B is [k×1], i.e. a contiguous coefficient column.
-        narrow_dots_par(a, &b[..k], c, m, k, mode);
+        narrow_dots_par(a, &b[..k], c, m, k, Acc::Overwrite);
     }
 }
 
-/// Narrow `at` dispatch (`A: [k×m]`; `mode` is `FromC` or `Overwrite`).
-fn narrow_at<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, mode: Acc) {
+/// Narrow `at` dispatch (`A: [k×m]`).
+fn narrow_at<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if k == 1 {
         // A is [1×m]: an outer product, same as nn.
-        narrow_outer_par(&a[..m], &b[..n], c, m, n, mode);
+        narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::Overwrite);
     } else if m == 1 {
         // A is [k×1]: the coefficient column of an axpy over B's rows.
-        narrow_axpy_par(&a[..k], b, c, n, k, mode == Acc::Overwrite);
+        narrow_axpy_par(&a[..k], b, c, n, k);
     } else {
         // n == 1: p-major A rows are contiguous — axpy over A's rows
         // with B ([k×1]) as the coefficients.
-        narrow_axpy_par(&b[..k], a, c, m, k, mode == Acc::Overwrite);
+        narrow_axpy_par(&b[..k], a, c, m, k);
     }
 }
 
-/// Narrow `bt` dispatch (`B: [n×k]`; `mode` is `AddDot` or `OverwriteDot`).
-fn narrow_bt<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, mode: Acc) {
+/// Narrow `bt` dispatch (`B: [n×k]`): every store is a dot-mode store.
+fn narrow_bt<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if k == 1 {
-        // B is [n×1], contiguous: an outer product with dot-mode stores.
-        narrow_outer_par(&a[..m], &b[..n], c, m, n, mode);
+        // B is [n×1], contiguous: an outer product.
+        narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::OverwriteDot);
     } else if m == 1 {
         // One A row dotted against every B row.
-        narrow_dots_par(b, &a[..k], c, n, k, mode);
+        narrow_dots_par(b, &a[..k], c, n, k, Acc::OverwriteDot);
     } else {
         // n == 1: one B row dotted against every A row.
-        narrow_dots_par(a, &b[..k], c, m, k, mode);
+        narrow_dots_par(a, &b[..k], c, m, k, Acc::OverwriteDot);
     }
 }
 
@@ -821,10 +749,9 @@ fn pack_b<E: Element, const NR: usize>(
 // ---------------------------------------------------------------------------
 
 /// An MR×NR register tile over packed panels. `mode` selects how the
-/// accumulators meet `C` (see [`Acc`]); only [`Acc::FromC`] reads `C`
-/// before the store, so both overwrite modes accept uninitialized
-/// output. The full-tile fast path has compile-time bounds so LLVM
-/// keeps `acc` entirely in vector registers.
+/// accumulators are stored (see [`Acc`]); `C` is never read, so the
+/// output may be uninitialized. The full-tile fast path has
+/// compile-time bounds so LLVM keeps `acc` entirely in vector registers.
 #[inline(always)]
 fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
     k: usize,
@@ -836,23 +763,8 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
     cols: usize,
     mode: Acc,
 ) {
-    #[inline(always)]
-    fn store<E: Element>(dst: &mut E, acc: E, mode: Acc) {
-        *dst = match mode {
-            Acc::FromC | Acc::Overwrite => acc,
-            Acc::AddDot => *dst + acc,
-            Acc::OverwriteDot => E::ZERO + acc,
-        };
-    }
     let mut acc = [[E::ZERO; NR]; MR];
     if rows == MR && cols == NR {
-        if mode == Acc::FromC {
-            for ii in 0..MR {
-                for jj in 0..NR {
-                    acc[ii][jj] = c[ii * ldc + jj];
-                }
-            }
-        }
         for p in 0..k {
             let av: &[E; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
             let bv: &[E; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
@@ -865,20 +777,13 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
         }
         for ii in 0..MR {
             for jj in 0..NR {
-                store(&mut c[ii * ldc + jj], acc[ii][jj], mode);
+                c[ii * ldc + jj] = store(acc[ii][jj], mode);
             }
         }
         return;
     }
     // Edge tile: dynamic bounds on the C side, padded panels on the
     // packed side; the extra lanes are discarded below.
-    if mode == Acc::FromC {
-        for ii in 0..rows {
-            for jj in 0..cols {
-                acc[ii][jj] = c[ii * ldc + jj];
-            }
-        }
-    }
     for p in 0..k {
         let av: &[E; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
         let bv: &[E; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
@@ -891,7 +796,7 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
     }
     for ii in 0..rows {
         for jj in 0..cols {
-            store(&mut c[ii * ldc + jj], acc[ii][jj], mode);
+            c[ii * ldc + jj] = store(acc[ii][jj], mode);
         }
     }
 }
@@ -957,13 +862,6 @@ unsafe fn micro_avx512_fma_f64(
     debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
     debug_assert!(c.len() >= (MR - 1) * ldc + NR);
     let mut acc = [[_mm512_setzero_pd(); 2]; MR];
-    if mode == Acc::FromC {
-        for (ii, a) in acc.iter_mut().enumerate() {
-            let row = c.as_ptr().add(ii * ldc);
-            a[0] = _mm512_loadu_pd(row);
-            a[1] = _mm512_loadu_pd(row.add(8));
-        }
-    }
     let mut a_ptr = ap.as_ptr();
     let mut b_ptr = bp.as_ptr();
     for _ in 0..k {
@@ -980,17 +878,13 @@ unsafe fn micro_avx512_fma_f64(
     for (ii, a) in acc.iter().enumerate() {
         let dst = c.as_mut_ptr().add(ii * ldc);
         match mode {
-            Acc::FromC | Acc::Overwrite => {
+            Acc::Overwrite => {
                 _mm512_storeu_pd(dst, a[0]);
                 _mm512_storeu_pd(dst.add(8), a[1]);
             }
-            Acc::AddDot => {
-                _mm512_storeu_pd(dst, _mm512_add_pd(_mm512_loadu_pd(dst), a[0]));
-                _mm512_storeu_pd(dst.add(8), _mm512_add_pd(_mm512_loadu_pd(dst.add(8)), a[1]));
-            }
             Acc::OverwriteDot => {
-                // `0.0 + acc` mirrors the reference's signed-zero
-                // normalization of a `-0.0` dot product.
+                // `0.0 + acc`, as in the references: a `-0.0` dot
+                // becomes `+0.0`.
                 _mm512_storeu_pd(dst, _mm512_add_pd(_mm512_setzero_pd(), a[0]));
                 _mm512_storeu_pd(dst.add(8), _mm512_add_pd(_mm512_setzero_pd(), a[1]));
             }
@@ -1017,13 +911,6 @@ unsafe fn micro_avx512_fma_f32(
     debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
     debug_assert!(c.len() >= (MR - 1) * ldc + NR);
     let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-    if mode == Acc::FromC {
-        for (ii, a) in acc.iter_mut().enumerate() {
-            let row = c.as_ptr().add(ii * ldc);
-            a[0] = _mm512_loadu_ps(row);
-            a[1] = _mm512_loadu_ps(row.add(16));
-        }
-    }
     let mut a_ptr = ap.as_ptr();
     let mut b_ptr = bp.as_ptr();
     for _ in 0..k {
@@ -1040,17 +927,13 @@ unsafe fn micro_avx512_fma_f32(
     for (ii, a) in acc.iter().enumerate() {
         let dst = c.as_mut_ptr().add(ii * ldc);
         match mode {
-            Acc::FromC | Acc::Overwrite => {
+            Acc::Overwrite => {
                 _mm512_storeu_ps(dst, a[0]);
                 _mm512_storeu_ps(dst.add(16), a[1]);
             }
-            Acc::AddDot => {
-                _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_loadu_ps(dst), a[0]));
-                _mm512_storeu_ps(dst.add(16), _mm512_add_ps(_mm512_loadu_ps(dst.add(16)), a[1]));
-            }
             Acc::OverwriteDot => {
-                // `0.0 + acc` mirrors the reference's signed-zero
-                // normalization of a `-0.0` dot product.
+                // `0.0 + acc`, as in the references: a `-0.0` dot
+                // becomes `+0.0`.
                 _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_setzero_ps(), a[0]));
                 _mm512_storeu_ps(dst.add(16), _mm512_add_ps(_mm512_setzero_ps(), a[1]));
             }
@@ -1192,33 +1075,6 @@ fn blocked_dispatch<E: Element>(a: StridedMat<'_, E>, b: StridedMat<'_, E>, c: &
 // Forced-blocked entry points (exercised directly by the property tests)
 // ---------------------------------------------------------------------------
 
-/// Blocked `C += A·B`, bypassing the small-size cutoff.
-pub fn gemm_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    blocked_dispatch(
-        StridedMat { data: a, rs: k, cs: 1 },
-        StridedMat { data: b, rs: n, cs: 1 },
-        c, m, k, n, Acc::FromC,
-    );
-}
-
-/// Blocked `C += Aᵀ·B` (`A: [k×m]`), bypassing the small-size cutoff.
-pub fn gemm_at_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    blocked_dispatch(
-        StridedMat { data: a, rs: 1, cs: m },
-        StridedMat { data: b, rs: n, cs: 1 },
-        c, m, k, n, Acc::FromC,
-    );
-}
-
-/// Blocked `C += A·Bᵀ` (`B: [n×k]`), bypassing the small-size cutoff.
-pub fn gemm_bt_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    blocked_dispatch(
-        StridedMat { data: a, rs: k, cs: 1 },
-        StridedMat { data: b, rs: 1, cs: k },
-        c, m, k, n, Acc::AddDot,
-    );
-}
-
 /// Blocked overwrite `C = A·B`, bypassing the small-size cutoff.
 pub fn gemm_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     blocked_dispatch(
@@ -1247,62 +1103,17 @@ pub fn gemm_bt_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
 }
 
 // ---------------------------------------------------------------------------
-// Public dispatching entry points (used by matmul / conv / linalg)
+// Public dispatching entry points (used by matmul / fused / conv / linalg)
 // ---------------------------------------------------------------------------
 
-/// `C += A·B` — narrow kernels on degenerate shapes, blocked + parallel
-/// above the size cutoff, reference below. Bit-identical every way.
-pub fn gemm<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 0, false, m, k, n);
-        return narrow_nn(a, b, c, m, k, n, Acc::FromC);
-    }
-    let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 0, blocked, m, k, n);
-    if blocked {
-        gemm_blocked(a, b, c, m, k, n);
-    } else {
-        gemm_ref(a, b, c, m, k, n);
-    }
-}
-
-/// `C += Aᵀ·B` where `A` is `[k×m]`.
-pub fn gemm_at<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 1, false, m, k, n);
-        return narrow_at(a, b, c, m, k, n, Acc::FromC);
-    }
-    let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 1, blocked, m, k, n);
-    if blocked {
-        gemm_at_blocked(a, b, c, m, k, n);
-    } else {
-        gemm_at_ref(a, b, c, m, k, n);
-    }
-}
-
-/// `C += A·Bᵀ` where `B` is `[n×k]`.
-pub fn gemm_bt<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
-    if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 2, false, m, k, n);
-        return narrow_bt(a, b, c, m, k, n, Acc::AddDot);
-    }
-    let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 2, blocked, m, k, n);
-    if blocked {
-        gemm_bt_blocked(a, b, c, m, k, n);
-    } else {
-        gemm_bt_ref(a, b, c, m, k, n);
-    }
-}
-
-/// Overwrite `C = A·B`: every element of `C` is written without being
-/// read, so `C` may hold arbitrary (pool-recycled) garbage on entry.
-/// Bit-identical to zero-filling `C` and calling [`gemm`].
+/// Overwrite `C = A·B` — narrow kernels on degenerate shapes, blocked +
+/// parallel above the size cutoff, reference below; bit-identical every
+/// way. Every element of `C` is written without being read, so `C` may
+/// hold arbitrary (pool-recycled) garbage on entry.
 pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
         let _span = probe::gemm(E::DTYPE, 0, false, m, k, n);
-        return narrow_nn(a, b, c, m, k, n, Acc::Overwrite);
+        return narrow_nn(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
     let _span = probe::gemm(E::DTYPE, 0, blocked, m, k, n);
@@ -1314,11 +1125,10 @@ pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n:
 }
 
 /// Overwrite `C = Aᵀ·B` (`A: [k×m]`); `C` may be uninitialized.
-/// Bit-identical to zero-filling `C` and calling [`gemm_at`].
 pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
         let _span = probe::gemm(E::DTYPE, 1, false, m, k, n);
-        return narrow_at(a, b, c, m, k, n, Acc::Overwrite);
+        return narrow_at(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
     let _span = probe::gemm(E::DTYPE, 1, blocked, m, k, n);
@@ -1329,12 +1139,12 @@ pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
     }
 }
 
-/// Overwrite `C = A·Bᵀ` (`B: [n×k]`); `C` may be uninitialized.
-/// Bit-identical to zero-filling `C` and calling [`gemm_bt`].
+/// Overwrite `C = A·Bᵀ` (`B: [n×k]`); `C` may be uninitialized. Stores
+/// `0.0 + dot`, so a `-0.0` dot comes out `+0.0` (see the module docs).
 pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
         let _span = probe::gemm(E::DTYPE, 2, false, m, k, n);
-        return narrow_bt(a, b, c, m, k, n, Acc::OverwriteDot);
+        return narrow_bt(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
     let _span = probe::gemm(E::DTYPE, 2, blocked, m, k, n);
@@ -1346,16 +1156,22 @@ pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::Mutex;
     use tyxe_rand::{Rng, SeedableRng};
 
-    fn rand_vec(rng: &mut tyxe_rand::rngs::StdRng, len: usize) -> Vec<f64> {
-        (0..len).map(|_| rng.gen_range(-1.0..1.0f64)).collect()
-    }
+    /// Serialises the crate's tests that flip the global thread count.
+    pub(crate) static THREADS: Mutex<()> = Mutex::new(());
 
     fn rand_vec_e<E: Element>(rng: &mut tyxe_rand::rngs::StdRng, len: usize) -> Vec<E> {
         (0..len).map(|_| E::from_f64(rng.gen_range(-1.0..1.0f64))).collect()
+    }
+
+    /// NaNs with distinct payloads: an output element a kernel reads
+    /// before writing, or never writes, shows up as a NaN.
+    fn nan_filled<E: Element>(len: usize) -> Vec<E> {
+        (0..len).map(|i| E::from_f64(f64::NAN * (i as f64 + 1.0))).collect()
     }
 
     fn assert_bits_eq<E: Element>(a: &[E], b: &[E], what: &str) {
@@ -1368,33 +1184,112 @@ mod tests {
         }
     }
 
-    fn blocked_matches_reference_bitwise_for<E: Element>() {
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(42);
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (2, 3, 5), (17, 33, 9), (40, 40, 40), (64, 1, 64), (1, 64, 1)] {
-            let a_mk = rand_vec_e::<E>(&mut rng, m * k);
-            let a_km = rand_vec_e::<E>(&mut rng, k * m);
-            let b_kn = rand_vec_e::<E>(&mut rng, k * n);
-            let b_nk = rand_vec_e::<E>(&mut rng, n * k);
-            let c0 = rand_vec_e::<E>(&mut rng, m * n);
+    /// Runs `f` at `threads` pool threads, restoring the previous count.
+    pub(crate) fn at_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+        let prev = tyxe_par::num_threads();
+        tyxe_par::set_num_threads(threads);
+        let r = f();
+        tyxe_par::set_num_threads(prev);
+        r
+    }
 
-            let mut c_ref = c0.clone();
-            let mut c_blk = c0.clone();
-            gemm_ref(&a_mk, &b_kn, &mut c_ref, m, k, n);
-            gemm_blocked(&a_mk, &b_kn, &mut c_blk, m, k, n);
-            assert_bits_eq(&c_ref, &c_blk, "gemm");
+    /// How the oracle indexes its operands: `nn` (`A: [m×k]`, `B: [k×n]`),
+    /// `at` (`A: [k×m]`) or `bt` (`B: [n×k]`).
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Layout {
+        Nn,
+        At,
+        Bt,
+    }
 
-            let mut c_ref = c0.clone();
-            let mut c_blk = c0.clone();
-            gemm_at_ref(&a_km, &b_kn, &mut c_ref, m, k, n);
-            gemm_at_blocked(&a_km, &b_kn, &mut c_blk, m, k, n);
-            assert_bits_eq(&c_ref, &c_blk, "gemm_at");
-
-            let mut c_ref = c0.clone();
-            let mut c_blk = c0.clone();
-            gemm_bt_ref(&a_mk, &b_nk, &mut c_ref, m, k, n);
-            gemm_bt_blocked(&a_mk, &b_nk, &mut c_blk, m, k, n);
-            assert_bits_eq(&c_ref, &c_blk, "gemm_bt");
+    /// The oracle every entry point must equal bit for bit: zero-fill
+    /// `C`, then accumulate into it with this machine's multiply-add,
+    /// `p` ascending — `nn`/`at` update `c[i,j]` in place, `bt` adds a
+    /// fresh dot once. Written from the contract, not from the kernels.
+    fn zero_fill_then_accumulate<E: Element>(layout: Layout, a: &[E], b: &[E], m: usize, k: usize, n: usize) -> Vec<E> {
+        let fma = uses_fma();
+        let madd = |acc: E, x: E, y: E| if fma { x.mul_add(y, acc) } else { acc + x * y };
+        let mut c = vec![E::ZERO; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let cij = &mut c[i * n + j];
+                match layout {
+                    Layout::Nn => (0..k).for_each(|p| *cij = madd(*cij, a[i * k + p], b[p * n + j])),
+                    Layout::At => (0..k).for_each(|p| *cij = madd(*cij, a[p * m + i], b[p * n + j])),
+                    Layout::Bt => {
+                        let dot = (0..k).fold(E::ZERO, |acc, p| madd(acc, a[i * k + p], b[j * k + p]));
+                        *cij += dot;
+                    }
+                }
+            }
         }
+        c
+    }
+
+    type GemmFn<E> = fn(&[E], &[E], &mut [E], usize, usize, usize);
+
+    /// The three references, the three forced-blocked entry points and
+    /// the three dispatchers, with the layout each computes.
+    fn references<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+        [("gemm_ow_ref", Layout::Nn, gemm_ow_ref), ("gemm_at_ow_ref", Layout::At, gemm_at_ow_ref), ("gemm_bt_ow_ref", Layout::Bt, gemm_bt_ow_ref)]
+    }
+
+    fn forced_blocked<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+        [("gemm_ow_blocked", Layout::Nn, gemm_ow_blocked), ("gemm_at_ow_blocked", Layout::At, gemm_at_ow_blocked), ("gemm_bt_ow_blocked", Layout::Bt, gemm_bt_ow_blocked)]
+    }
+
+    fn dispatchers<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+        [("gemm_ow", Layout::Nn, gemm_ow), ("gemm_at_ow", Layout::At, gemm_at_ow), ("gemm_bt_ow", Layout::Bt, gemm_bt_ow)]
+    }
+
+    /// Each entry point, on a NaN-filled `C`, against the oracle. One
+    /// pair of operands serves all three layouts: `A` has `m·k` elements
+    /// and `B` `k·n` whichever way they are read.
+    fn check_against_oracle<E: Element>(fns: &[(&'static str, Layout, GemmFn<E>)], a: &[E], b: &[E], m: usize, k: usize, n: usize) {
+        for &(name, layout, f) in fns {
+            let want = zero_fill_then_accumulate(layout, a, b, m, k, n);
+            let mut got = nan_filled::<E>(m * n);
+            f(a, b, &mut got, m, k, n);
+            assert_bits_eq(&want, &got, &format!("{name} {m}x{k}x{n} {} at {} threads", E::DTYPE, tyxe_par::num_threads()));
+        }
+    }
+
+    /// Dense shapes on both sides of `BLOCK_MIN_MADDS` (32³ is the first
+    /// blocked one), edge tiles and more than one `NC` column block.
+    const DENSE: &[(usize, usize, usize)] = &[(2, 3, 5), (17, 33, 9), (31, 32, 33), (32, 32, 32), (40, 40, 40), (65, 47, 70), (9, 40, 300)];
+    /// `m`, `k` or `n` = 1, each inline and above the narrow kernels'
+    /// parallel cutoff.
+    const NARROW: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (1, 7, 9),
+        (1, 128, 40),
+        (1, 300, 200),
+        (7, 9, 1),
+        (9, 128, 1),
+        (513, 128, 1),
+        (7, 1, 9),
+        (130, 1, 70),
+        (300, 1, 200),
+        (1, 5, 1),
+        (5, 1, 1),
+        (1, 1, 5),
+    ];
+    /// Empty products: `k = 0` writes zeros, an empty `C` writes nothing.
+    const EMPTY: &[(usize, usize, usize)] = &[(2, 0, 2), (40, 0, 40), (0, 5, 3), (3, 5, 0)];
+
+    fn sweep<E: Element>(fns: &[(&'static str, Layout, GemmFn<E>)], shapes: &[(usize, usize, usize)], seed: u64) {
+        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(seed);
+        for &(m, k, n) in shapes {
+            let a = rand_vec_e::<E>(&mut rng, m * k);
+            let b = rand_vec_e::<E>(&mut rng, k * n);
+            check_against_oracle(fns, &a, &b, m, k, n);
+        }
+    }
+
+    fn blocked_matches_reference_bitwise_for<E: Element>() {
+        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).collect();
+        sweep(&fns, DENSE, 42);
+        sweep(&fns, NARROW, 43);
     }
 
     #[test]
@@ -1407,37 +1302,16 @@ mod tests {
         blocked_matches_reference_bitwise_for::<f32>();
     }
 
-    /// The overwrite twins must equal "zero-fill C, then accumulate"
-    /// bitwise, on garbage-filled output, for both the reference and the
-    /// forced-blocked paths — this is the uninit-reuse safety contract.
-    #[allow(clippy::type_complexity)]
+    /// All nine entry points, every shape class, at 1 and 4 threads.
     fn overwrite_matches_zerofill_accumulate_for<E: Element>() {
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(99);
-        type Fns<E> = (
-            fn(&[E], &[E], &mut [E], usize, usize, usize),
-            fn(&[E], &[E], &mut [E], usize, usize, usize),
-        );
-        for &(m, k, n) in &[(1usize, 1usize, 1usize), (2, 3, 5), (17, 33, 9), (40, 40, 40), (64, 1, 64), (1, 64, 1), (2, 0, 2)] {
-            let a_mk = rand_vec_e::<E>(&mut rng, m * k);
-            let a_km = rand_vec_e::<E>(&mut rng, k * m);
-            let b_kn = rand_vec_e::<E>(&mut rng, k * n);
-            let b_nk = rand_vec_e::<E>(&mut rng, n * k);
-            let garbage: Vec<E> = (0..m * n).map(|i| E::from_f64(f64::NAN * (i as f64 + 1.0))).collect();
-
-            let cases: [(&str, &[E], &[E], Fns<E>, Fns<E>); 3] = [
-                ("gemm", &a_mk, &b_kn, (gemm_ref, gemm_ow_ref), (gemm_blocked, gemm_ow_blocked)),
-                ("gemm_at", &a_km, &b_kn, (gemm_at_ref, gemm_at_ow_ref), (gemm_at_blocked, gemm_at_ow_blocked)),
-                ("gemm_bt", &a_mk, &b_nk, (gemm_bt_ref, gemm_bt_ow_ref), (gemm_bt_blocked, gemm_bt_ow_blocked)),
-            ];
-            for (name, a, b, refs, blks) in cases {
-                for (path, (acc_fn, ow_fn)) in [("reference", refs), ("blocked", blks)] {
-                    let mut c_acc = vec![E::ZERO; m * n];
-                    acc_fn(a, b, &mut c_acc, m, k, n);
-                    let mut c_ow = garbage.clone();
-                    ow_fn(a, b, &mut c_ow, m, k, n);
-                    assert_bits_eq(&c_acc, &c_ow, &format!("{name}/{path} {m}x{k}x{n}"));
+        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).chain(dispatchers::<E>()).collect();
+        let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 4] {
+            at_threads(threads, || {
+                for (shapes, seed) in [(DENSE, 99), (NARROW, 100), (EMPTY, 101)] {
+                    sweep(&fns, shapes, seed);
                 }
-            }
+            });
         }
     }
 
@@ -1451,64 +1325,12 @@ mod tests {
         overwrite_matches_zerofill_accumulate_for::<f32>();
     }
 
-    /// The public dispatchers route degenerate shapes to the narrow
-    /// kernels; every routed shape must stay bit-identical to the naive
-    /// references, for both the accumulating and the overwrite (garbage
-    /// C) entry points.
-    #[allow(clippy::type_complexity)]
+    /// The dispatchers route degenerate shapes to the narrow kernels.
     fn narrow_matches_reference_for<E: Element>() {
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(1234);
-        let shapes: &[(usize, usize, usize)] = &[
-            (1, 1, 1),
-            (1, 7, 9),
-            (1, 128, 40),
-            (7, 9, 1),
-            (9, 128, 1),
-            (513, 128, 1),
-            (7, 1, 9),
-            (130, 1, 70),
-            (1, 5, 1),
-            (5, 1, 1),
-            (1, 1, 5),
-        ];
-        for &(m, k, n) in shapes {
+        for &(m, k, n) in NARROW {
             assert!(narrow_dims(m, k, n), "test shape {m}x{k}x{n} must be narrow");
-            let a_mk = rand_vec_e::<E>(&mut rng, m * k);
-            let a_km = rand_vec_e::<E>(&mut rng, k * m);
-            let b_kn = rand_vec_e::<E>(&mut rng, k * n);
-            let b_nk = rand_vec_e::<E>(&mut rng, n * k);
-            let c0 = rand_vec_e::<E>(&mut rng, m * n);
-            let garbage: Vec<E> = (0..m * n).map(|i| E::from_f64(f64::NAN * (i as f64 + 1.0))).collect();
-
-            type Fns<E> = (
-                fn(&[E], &[E], &mut [E], usize, usize, usize),
-                fn(&[E], &[E], &mut [E], usize, usize, usize),
-            );
-            let acc_cases: [(&str, &[E], &[E], Fns<E>); 3] = [
-                ("gemm", &a_mk, &b_kn, (gemm, gemm_ref)),
-                ("gemm_at", &a_km, &b_kn, (gemm_at, gemm_at_ref)),
-                ("gemm_bt", &a_mk, &b_nk, (gemm_bt, gemm_bt_ref)),
-            ];
-            for (name, a, b, (pub_fn, ref_fn)) in acc_cases {
-                let mut c_pub = c0.clone();
-                let mut c_ref = c0.clone();
-                pub_fn(a, b, &mut c_pub, m, k, n);
-                ref_fn(a, b, &mut c_ref, m, k, n);
-                assert_bits_eq(&c_ref, &c_pub, &format!("{name} {m}x{k}x{n}"));
-            }
-            let ow_cases: [(&str, &[E], &[E], Fns<E>); 3] = [
-                ("gemm_ow", &a_mk, &b_kn, (gemm_ow, gemm_ow_ref)),
-                ("gemm_at_ow", &a_km, &b_kn, (gemm_at_ow, gemm_at_ow_ref)),
-                ("gemm_bt_ow", &a_mk, &b_nk, (gemm_bt_ow, gemm_bt_ow_ref)),
-            ];
-            for (name, a, b, (pub_fn, ref_fn)) in ow_cases {
-                let mut c_pub = garbage.clone();
-                let mut c_ref = garbage.clone();
-                pub_fn(a, b, &mut c_pub, m, k, n);
-                ref_fn(a, b, &mut c_ref, m, k, n);
-                assert_bits_eq(&c_ref, &c_pub, &format!("{name} {m}x{k}x{n}"));
-            }
         }
+        sweep(&dispatchers::<E>(), NARROW, 1234);
     }
 
     #[test]
@@ -1521,39 +1343,47 @@ mod tests {
         narrow_matches_reference_for::<f32>();
     }
 
+    /// Every product underflows: under FMA each dot is `-0.0`. `gemm_ow`
+    /// and `gemm_at_ow` keep it, as accumulating into a zeroed `C` does;
+    /// `gemm_bt_ow` stores `0.0 + dot = +0.0`, as adding the dot into a
+    /// zeroed `C` does. This is why `Acc` keeps two modes.
+    fn bt_underflow_for<E: Element>(tiny: f64) {
+        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).chain(dispatchers::<E>()).collect();
+        for &(m, k, n) in &[(1usize, 1usize, 1usize), (1, 3, 1), (5, 2, 3), (40, 40, 40)] {
+            let a = vec![E::from_f64(-tiny); m * k];
+            let b = vec![E::from_f64(tiny); k * n];
+            check_against_oracle(&fns, &a, &b, m, k, n);
+            for (name, layout, f) in &fns {
+                let mut c = nan_filled::<E>(m * n);
+                f(&a, &b, &mut c, m, k, n);
+                let negative = uses_fma() && *layout != Layout::Bt;
+                assert!(c.iter().all(|v| v.to_f64() == 0.0 && v.to_f64().is_sign_negative() == negative), "{name} {m}x{k}x{n}: {c:?}");
+            }
+        }
+    }
+
     #[test]
-    fn k_zero_is_identity_for_accumulation() {
-        let mut c = vec![1.5, -2.5, 0.0, -0.0];
-        gemm_blocked::<f64>(&[], &[], &mut c, 2, 0, 2);
-        assert_eq!(c, vec![1.5, -2.5, 0.0, -0.0]);
-        let before: Vec<u64> = c.iter().map(|v| v.to_bits()).collect();
-        let mut c_bt = c.clone();
-        gemm_bt_ref::<f64>(&[], &[], &mut c_bt, 2, 0, 2);
-        let mut c_bt_blk = c.clone();
-        gemm_bt_blocked::<f64>(&[], &[], &mut c_bt_blk, 2, 0, 2);
-        let bt_bits: Vec<u64> = c_bt.iter().map(|v| v.to_bits()).collect();
-        let blk_bits: Vec<u64> = c_bt_blk.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(bt_bits, blk_bits);
-        // gemm (from-C) leaves bits untouched even for the signed zero.
-        assert_eq!(before, c.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+    fn bt_dot_underflowing_to_negative_zero_stores_positive_zero() {
+        bt_underflow_for::<f64>(1e-200);
+        bt_underflow_for::<f32>(1e-30);
     }
 
     #[test]
     fn thread_counts_agree_bitwise() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(7);
         let (m, k, n) = (65, 47, 70);
-        let a = rand_vec(&mut rng, m * k);
-        let b = rand_vec(&mut rng, k * n);
+        let a = rand_vec_e::<f64>(&mut rng, m * k);
+        let b = rand_vec_e::<f64>(&mut rng, k * n);
         let run = |threads: usize| {
-            tyxe_par::set_num_threads(threads);
-            let mut c = vec![0.0; m * n];
-            gemm_blocked(&a, &b, &mut c, m, k, n);
-            c
+            at_threads(threads, || {
+                let mut c = nan_filled(m * n);
+                gemm_ow_blocked(&a, &b, &mut c, m, k, n);
+                c
+            })
         };
-        let prev = tyxe_par::num_threads();
+        let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         let c1 = run(1);
         let c4 = run(4);
-        tyxe_par::set_num_threads(prev);
         assert_bits_eq(&c1, &c4, "threads 1 vs 4");
     }
 
@@ -1566,16 +1396,16 @@ mod tests {
     fn f32_accumulates_natively_not_via_f64() {
         let a = [1.0e8f32, 1.0, -1.0e8];
         let b = [1.0f32, 1.0, 1.0];
-        let mut c = [0.0f32];
-        gemm_ref(&a, &b, &mut c, 1, 3, 1);
+        let mut c = [f32::NAN];
+        gemm_ow_ref(&a, &b, &mut c, 1, 3, 1);
         // Every product is exact, so FMA's single rounding changes
         // nothing: each partial sum still rounds to f32, and 1e8 + 1
         // rounds back to 1e8 before the -1e8 cancels it.
         assert_eq!(c[0], 0.0f32);
         // The f64 chain keeps the 1 — proof the f32 arithmetic above
         // ran in f32 registers rather than "f64 then round once".
-        let mut c64 = [0.0f64];
-        gemm_ref(&[1.0e8f64, 1.0, -1.0e8], &[1.0, 1.0, 1.0], &mut c64, 1, 3, 1);
+        let mut c64 = [f64::NAN];
+        gemm_ow_ref(&[1.0e8f64, 1.0, -1.0e8], &[1.0, 1.0, 1.0], &mut c64, 1, 3, 1);
         assert_eq!(c64[0], 1.0);
     }
 

@@ -6,7 +6,7 @@
 //! matrix.
 
 use crate::element::DType;
-use crate::ops::matmul::gemm;
+use crate::ops::gemm_kernels::gemm_ow;
 use crate::tensor::Tensor;
 
 /// Plain (non-differentiable) Gauss-Jordan inverse of a square matrix given
@@ -116,7 +116,7 @@ impl Tensor {
             return self.cast(DType::F64).inverse().cast(dt);
         }
         let inv = invert_raw(&self.data(), n).expect("inverse: singular matrix");
-        Tensor::make_op(inv, vec![n, n], vec![self.clone()], move |out, grad| {
+        Tensor::make_op_t::<f64>(inv, vec![n, n], vec![self.clone()], move |out, grad| {
             // dA = -B^T * G * B^T
             let b = out.data();
             let mut bt = vec![0.0; n * n];
@@ -126,9 +126,9 @@ impl Tensor {
                 }
             }
             let mut tmp = vec![0.0; n * n];
-            gemm(&bt, grad, &mut tmp, n, n, n);
+            gemm_ow(&bt, grad, &mut tmp, n, n, n);
             let mut ga = vec![0.0; n * n];
-            gemm(&tmp, &bt, &mut ga, n, n, n);
+            gemm_ow(&tmp, &bt, &mut ga, n, n, n);
             ga.iter_mut().for_each(|v| *v = -*v);
             vec![Some(ga.into())]
         })
@@ -155,7 +155,7 @@ impl Tensor {
         let (ld, sign) = logdet_raw(&self.data(), n);
         assert!(sign > 0.0, "logdet: determinant must be positive");
         let src = self.clone();
-        Tensor::make_op(vec![ld], vec![], vec![self.clone()], move |_, grad| {
+        Tensor::make_op_t::<f64>(vec![ld], vec![], vec![self.clone()], move |_, grad| {
             let inv = invert_raw(&src.data(), n).expect("logdet backward: singular");
             let mut ga = vec![0.0; n * n];
             for i in 0..n {

@@ -1,8 +1,5 @@
-//! Matrix multiplication and 2-D transpose.
-//!
-//! The GEMM implementations live in [`crate::ops::gemm_kernels`]; the
-//! re-exports below keep the historical `crate::ops::matmul::gemm*`
-//! paths working for `conv` and `linalg`.
+//! Matrix multiplication and 2-D transpose, over the GEMM kernels of
+//! [`crate::ops::gemm_kernels`].
 //!
 //! Dtype: mixed operands promote to the wider type; under an active
 //! [`crate::autocast`] guard the product instead computes in the
@@ -11,10 +8,9 @@
 //! full-precision masters.
 
 use crate::element::{Element, dispatch_dtype};
+use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow};
 use crate::pool;
 use crate::tensor::Tensor;
-
-pub(crate) use crate::ops::gemm_kernels::{gemm, gemm_at_ow, gemm_bt, gemm_bt_ow, gemm_ow};
 
 use crate::ops::PAR_MIN_ELEMS;
 

@@ -131,7 +131,7 @@ pub struct Compiled<K> {
 enum Slot<K> {
     Empty,
     Ready { plan: StepPlan, key: K },
-    /// Refused or thrashing: the dynamic body until [`Compiled::reset`].
+    /// Refused or thrashing: the dynamic body for the driver's lifetime.
     Pinned(String),
 }
 
@@ -225,12 +225,6 @@ impl<K> Compiled<K> {
             Slot::Pinned(reason) => Some(reason),
             _ => None,
         }
-    }
-
-    /// Forgets the plan, the pin and the streak: the next step records.
-    pub fn reset(&mut self) {
-        self.slot = Slot::Empty;
-        self.streak = 0;
     }
 }
 
@@ -662,30 +656,6 @@ pub(crate) mod tests {
                 assert_eq!(step(&mut driver, 0, forward), ("dynamic", 11.0));
             }
             assert_eq!(driver.unsupported_reason(), Some(reason.as_str()));
-        });
-    }
-
-    #[test]
-    fn reset_clears_the_pin_and_the_streak() {
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![2.0], &[1]).requires_grad(true);
-            let square = || x.mul(&x).sum();
-            let mut driver = Compiled::observed();
-            for key in 0..=REPLAN_STREAK_LIMIT {
-                step(&mut driver, key, square);
-            }
-            assert!(driver.unsupported_reason().is_some());
-            driver.reset();
-            assert_eq!(driver.unsupported_reason(), None);
-            assert_eq!(step(&mut driver, 0, square).0, "record");
-            // A fresh streak: LIMIT - 1 mismatches do not pin.
-            for key in 1..REPLAN_STREAK_LIMIT {
-                assert_eq!(step(&mut driver, key, square).0, "record");
-            }
-            assert_eq!(driver.unsupported_reason(), None);
-            driver.reset();
-            assert_eq!(step(&mut driver, 0, square).0, "record");
-            assert_eq!(step(&mut driver, 0, square).0, "replay");
         });
     }
 

@@ -362,18 +362,6 @@ impl Tensor {
         }
     }
 
-    /// The `f64` [`Tensor::make_op_t`] — the op-constructor surface from
-    /// before storage went dtype-generic, kept for the ops that are
-    /// defined to compute in `f64` (e.g. `linalg`).
-    pub(crate) fn make_op(
-        data: impl Into<PoolBuf<f64>>,
-        shape: Vec<usize>,
-        parents: Vec<Tensor>,
-        backward: impl Fn(&Tensor, &[f64]) -> Vec<Option<PoolBuf<f64>>> + 'static,
-    ) -> Tensor {
-        Tensor::make_op_t::<f64>(data, shape, parents, backward)
-    }
-
     /// Builds a custom differentiable operation node — the extension point
     /// for ops this crate does not provide (e.g. sparse matrix products in
     /// the graph crate). Always `f64` (the public extension surface is

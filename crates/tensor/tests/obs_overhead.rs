@@ -1,8 +1,7 @@
 //! Disabled-probe overhead: with observability off, the instrumented
 //! public GEMM entry point must stay within noise of the bare blocked
-//! kernel it wraps (the PR 2 baseline path, still exported unprobed as
-//! `gemm_blocked`). Own process so `tyxe_obs::set_enabled(false)` is
-//! stable.
+//! kernel it wraps (exported unprobed as `gemm_ow_blocked`). Own
+//! process so `tyxe_obs::set_enabled(false)` is stable.
 //!
 //! Bounds are deliberately generous — this is a smoke test that the
 //! probe is one predicted branch + one relaxed load, not a benchmark;
@@ -11,7 +10,7 @@
 
 use std::time::Instant;
 
-use tyxe_tensor::ops::gemm_kernels::{gemm, gemm_blocked};
+use tyxe_tensor::ops::gemm_kernels::{gemm_ow, gemm_ow_blocked};
 
 fn fill(n: usize, seed: u64) -> Vec<f64> {
     // Cheap deterministic values; the kernels don't care what they multiply.
@@ -51,20 +50,20 @@ fn disabled_probe_gemm_within_noise_of_bare_kernel() {
     let mut c = vec![0.0; M * M];
 
     // Same blocked path on both sides (128^3 is above the cutoff); the
-    // only difference is the disabled probe in `gemm`. Interleave the
+    // only difference is the disabled probe in `gemm_ow`. Interleave the
     // measurements so CPU frequency drift hits both equally.
     let reps = 9;
     let mut probed = Vec::with_capacity(reps);
     let mut bare = Vec::with_capacity(reps);
     // Warm up pool + ISA dispatch once.
-    gemm(&a, &b, &mut c, M, M, M);
-    gemm_blocked(&a, &b, &mut c, M, M, M);
+    gemm_ow(&a, &b, &mut c, M, M, M);
+    gemm_ow_blocked(&a, &b, &mut c, M, M, M);
     for _ in 0..reps {
         let t0 = Instant::now();
-        gemm(&a, &b, &mut c, M, M, M);
+        gemm_ow(&a, &b, &mut c, M, M, M);
         probed.push(t0.elapsed().as_nanos() as u64);
         let t1 = Instant::now();
-        gemm_blocked(&a, &b, &mut c, M, M, M);
+        gemm_ow_blocked(&a, &b, &mut c, M, M, M);
         bare.push(t1.elapsed().as_nanos() as u64);
     }
     probed.sort_unstable();

@@ -50,18 +50,19 @@ fn blocked_gemm_variants_match_reference_bitwise() {
         let a_km = rand_vec(&mut rng, k * m);
         let b_kn = rand_vec(&mut rng, k * n);
         let b_nk = rand_vec(&mut rng, n * k);
-        // Random initial C exercises the accumulate-into semantics.
+        // Different garbage on each side: the overwrite contract never
+        // reads C.
         let c0 = rand_vec(&mut rng, m * n);
 
         type Kernel = (&'static str, fn(&[f64], &[f64], &mut [f64], usize, usize, usize));
         let pairs: [(Kernel, Kernel, &[f64], &[f64]); 3] = [
-            (("gemm_ref", gk::gemm_ref), ("gemm_blocked", gk::gemm_blocked), &a_mk, &b_kn),
-            (("gemm_at_ref", gk::gemm_at_ref), ("gemm_at_blocked", gk::gemm_at_blocked), &a_km, &b_kn),
-            (("gemm_bt_ref", gk::gemm_bt_ref), ("gemm_bt_blocked", gk::gemm_bt_blocked), &a_mk, &b_nk),
+            (("gemm_ow_ref", gk::gemm_ow_ref), ("gemm_ow_blocked", gk::gemm_ow_blocked), &a_mk, &b_kn),
+            (("gemm_at_ow_ref", gk::gemm_at_ow_ref), ("gemm_at_ow_blocked", gk::gemm_at_ow_blocked), &a_km, &b_kn),
+            (("gemm_bt_ow_ref", gk::gemm_bt_ow_ref), ("gemm_bt_ow_blocked", gk::gemm_bt_ow_blocked), &a_mk, &b_nk),
         ];
         for ((rname, rker), (bname, bker), a, b) in pairs {
             let mut c_ref = c0.clone();
-            let mut c_blk = c0.clone();
+            let mut c_blk = vec![f64::NAN; m * n];
             rker(a, b, &mut c_ref, m, k, n);
             bker(a, b, &mut c_blk, m, k, n);
             assert_eq!(
@@ -84,11 +85,10 @@ fn dispatching_gemm_matches_reference_across_the_size_cutoff() {
         let mut rng = StdRng::seed_from_u64(g.u64());
         let a = rand_vec(&mut rng, m * k);
         let b = rand_vec(&mut rng, k * n);
-        let c0 = rand_vec(&mut rng, m * n);
-        let mut c_ref = c0.clone();
-        let mut c_disp = c0;
-        gk::gemm_ref(&a, &b, &mut c_ref, m, k, n);
-        gk::gemm(&a, &b, &mut c_disp, m, k, n);
+        let mut c_ref = rand_vec(&mut rng, m * n);
+        let mut c_disp = vec![f64::NAN; m * n];
+        gk::gemm_ow_ref(&a, &b, &mut c_ref, m, k, n);
+        gk::gemm_ow(&a, &b, &mut c_disp, m, k, n);
         assert_eq!(bits(&c_ref), bits(&c_disp), "m={m} k={k} n={n}");
     });
 }
@@ -244,13 +244,13 @@ fn f32_blocked_gemm_variants_match_reference_bitwise() {
 
         type Kernel32 = (&'static str, fn(&[f32], &[f32], &mut [f32], usize, usize, usize));
         let pairs: [(Kernel32, Kernel32, &[f32], &[f32]); 3] = [
-            (("gemm_ref", gk::gemm_ref::<f32>), ("gemm_blocked", gk::gemm_blocked::<f32>), &a_mk, &b_kn),
-            (("gemm_at_ref", gk::gemm_at_ref::<f32>), ("gemm_at_blocked", gk::gemm_at_blocked::<f32>), &a_km, &b_kn),
-            (("gemm_bt_ref", gk::gemm_bt_ref::<f32>), ("gemm_bt_blocked", gk::gemm_bt_blocked::<f32>), &a_mk, &b_nk),
+            (("gemm_ow_ref", gk::gemm_ow_ref::<f32>), ("gemm_ow_blocked", gk::gemm_ow_blocked::<f32>), &a_mk, &b_kn),
+            (("gemm_at_ow_ref", gk::gemm_at_ow_ref::<f32>), ("gemm_at_ow_blocked", gk::gemm_at_ow_blocked::<f32>), &a_km, &b_kn),
+            (("gemm_bt_ow_ref", gk::gemm_bt_ow_ref::<f32>), ("gemm_bt_ow_blocked", gk::gemm_bt_ow_blocked::<f32>), &a_mk, &b_nk),
         ];
         for ((rname, rker), (bname, bker), a, b) in pairs {
             let mut c_ref = c0.clone();
-            let mut c_blk = c0.clone();
+            let mut c_blk = vec![f32::NAN; m * n];
             rker(a, b, &mut c_ref, m, k, n);
             bker(a, b, &mut c_blk, m, k, n);
             assert_eq!(

@@ -242,6 +242,13 @@ if grep -rnE "var_ratio|const LOG_SQRT_2PI" crates | grep -vE "^crates/tensor/(s
     echo "verify: a second Normal log-density or KL body reappeared beside the fused kernels" >&2
     exit 1
 fi
+# GEMM has one output contract, overwrite (§10): the accumulating entry
+# points (`C += A·B`), their forced-blocked twins and references, and
+# their store modes stay gone. Definitions only: `probe::gemm(` is a call.
+if grep -rnE "Acc::(FromC|AddDot)|fn gemm(_at|_bt)?(_blocked|_ref)?<|def_ref!\(gemm(_at|_bt)?_ref," crates tests examples; then
+    echo "verify: an accumulating GEMM entry point reappeared beside the overwrite contract" >&2
+    exit 1
+fi
 # Mixed precision is the caller's autocast scope (§12): no per-BNN
 # precision policy and no in-place parameter dtype conversion.
 if grep -rnE "Precision::|set_precision|with_precision|convert_dtype_inplace" crates tests examples; then
