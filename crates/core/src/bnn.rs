@@ -188,7 +188,7 @@ fn raw_draw_to_tensors(sites: &[BnnSite], draw: &[RawData]) -> Vec<Tensor> {
 /// predictive log likelihood (`log (1/S) Σ_s p(y | θ_s)`, averaged over
 /// data points) plus the likelihood-specific error on the aggregated
 /// predictive. Grad-free — nothing here is ever differentiated.
-fn evaluation_from_samples<L: Likelihood>(
+pub(crate) fn evaluation_from_samples<L: Likelihood>(
     likelihood: &L,
     samples: &[Tensor],
     targets: &Tensor,

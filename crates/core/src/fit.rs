@@ -20,25 +20,27 @@
 //!    skipped.
 //! 4. **Checkpoints** — every `checkpoint_every` accepted steps the full
 //!    training state (parameters, optimizer buffers, global RNG state,
-//!    step counter, loss window, fault stream) is written atomically, with
+//!    step counter, loss window) is written atomically, with
 //!    the previous checkpoint rotated to `<path>.prev`. [`Supervisor::resume`]
 //!    restores all of it — bit-identically — and falls back to the rotated
 //!    file when the primary is corrupt.
 //!
-//! Fault injection for testing is driven by [`tyxe_par::fault`]: the
-//! `TYXE_FAULT_NAN_PROB` knob corrupts one gradient slot per fired step
-//! through a deterministic, checkpointable [`FaultStream`], and
-//! `TYXE_FAULT_PANIC_PROB` makes pool tasks panic with a recognizable
-//! payload that the supervisor treats as a recoverable worker crash.
+//! Fault injection for testing is driven by the [`tyxe_par::fault`] plan:
+//! its `nan_prob` corrupts one gradient slot of an attempt the plan
+//! decides from `(seed, step, attempt)` alone — so a resumed run replays
+//! the fault schedule from its checkpointed step counter — and its
+//! `panic_prob` makes pool tasks panic with a recognizable payload that
+//! the supervisor treats as a recoverable worker crash.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use tyxe_nn::serialize::LoadError;
 use tyxe_nn::{Forward, Module, StateDict};
-use tyxe_par::fault::{self, FaultStream, INJECTED_PANIC_PAYLOAD};
+use tyxe_par::fault::{self, INJECTED_PANIC_PAYLOAD};
 use tyxe_prob::optim::{clip_grad_norm, grads_are_finite, Optimizer};
 use tyxe_prob::rng;
+use tyxe_rand::Rng;
 use tyxe_tensor::{autocast, Tensor};
 
 use crate::bnn::VariationalBnn;
@@ -227,11 +229,11 @@ impl FitReport {
         }
         s.push_str(&format!(
             "injected pool panics:    {}\n",
-            tyxe_par::fault::injected_panics()
+            fault::injected_panics_counter().get()
         ));
         s.push_str(&format!(
             "injected fault draws:    {}\n",
-            tyxe_par::fault::fault_stream_fired()
+            fault::fault_fired_counter().get()
         ));
         s
     }
@@ -289,8 +291,7 @@ struct Snapshot {
 }
 
 /// The fault-tolerant step driver. Owns the canonical ordered parameter
-/// list (checkpoint layout follows it), the rolling loss window and the
-/// deterministic NaN-injection stream.
+/// list (checkpoint layout follows it) and the rolling loss window.
 #[derive(Debug)]
 pub struct Supervisor {
     config: SupervisorConfig,
@@ -298,7 +299,6 @@ pub struct Supervisor {
     steps: u64,
     window: Vec<f64>,
     good: Option<Snapshot>,
-    fault_stream: FaultStream,
     report: FitReport,
     payload: std::collections::BTreeMap<String, Vec<f64>>,
 }
@@ -307,7 +307,6 @@ pub struct Supervisor {
 /// buffer names carry the supervisor/optimizer state alongside parameters.
 const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
-const KEY_FAULT: &str = "supervisor.fault_stream";
 const KEY_WINDOW: &str = "supervisor.loss_window";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
@@ -336,7 +335,6 @@ impl Supervisor {
             steps: 0,
             window: Vec::new(),
             good: None,
-            fault_stream: FaultStream::new(),
             report: FitReport::default(),
             payload: std::collections::BTreeMap::new(),
         }
@@ -402,7 +400,7 @@ impl Supervisor {
         let base_lr = optim.learning_rate();
         let mut attempt: u32 = 0;
         loop {
-            match self.attempt(optim, forward_backward) {
+            match self.attempt(optim, forward_backward, attempt) {
                 Ok(loss) => {
                     optim.set_learning_rate(base_lr);
                     self.accept(optim, loss);
@@ -438,6 +436,7 @@ impl Supervisor {
         &mut self,
         optim: &mut dyn Optimizer,
         forward_backward: &mut dyn FnMut(&mut dyn Optimizer) -> f64,
+        attempt: u32,
     ) -> Result<f64, (FaultCause, f64)> {
         let loss = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             forward_backward(optim)
@@ -451,7 +450,7 @@ impl Supervisor {
                 std::panic::resume_unwind(payload);
             }
         };
-        self.maybe_inject_nan();
+        self.maybe_inject_nan(attempt);
         if !loss.is_finite() {
             return Err((FaultCause::NonFiniteLoss, loss));
         }
@@ -464,20 +463,20 @@ impl Supervisor {
         Ok(loss)
     }
 
-    /// Corrupts one gradient slot with NaN, with probability
-    /// `TYXE_FAULT_NAN_PROB`, through the checkpointable fault stream.
-    fn maybe_inject_nan(&mut self) {
-        let p = fault::nan_prob();
-        if p <= 0.0 || !self.fault_stream.fire(p) {
+    /// Corrupts one gradient slot with NaN when the fault plan fires for
+    /// this `(step, attempt)`.
+    fn maybe_inject_nan(&self, attempt: u32) {
+        let Some(mut pick) = fault::faults().nan_fault(self.steps, attempt) else {
             return;
-        }
+        };
+        fault::fault_fired_counter().inc();
         let with_grads: Vec<&Tensor> = self.params.iter().filter(|t| t.grad().is_some()).collect();
         if with_grads.is_empty() {
             return;
         }
-        let pi = self.fault_stream.pick(with_grads.len());
+        let pi = pick.gen_range(0..with_grads.len());
         let mut g = with_grads[pi].grad().expect("filtered on grad presence");
-        let gi = self.fault_stream.pick(g.len());
+        let gi = pick.gen_range(0..g.len());
         g[gi] = f64::NAN;
         with_grads[pi].set_grad(Some(g));
     }
@@ -590,8 +589,8 @@ impl Supervisor {
         self.to_state_dict(optim).save(path)
     }
 
-    /// Encodes parameters, optimizer buffers, global RNG state, fault
-    /// stream, step counter and loss window into one [`StateDict`].
+    /// Encodes parameters, optimizer buffers, global RNG state, step
+    /// counter and loss window into one [`StateDict`].
     /// Integer state is stored as raw `f64` bit patterns, which the
     /// bitwise-exact container format round-trips losslessly.
     pub fn to_state_dict(&self, optim: &dyn Optimizer) -> StateDict {
@@ -604,7 +603,6 @@ impl Supervisor {
         }
         sd.insert_buffer(KEY_STEP, vec![f64::from_bits(self.steps)]);
         sd.insert_buffer(KEY_RNG, bits_to_f64(&rng::get_state()));
-        sd.insert_buffer(KEY_FAULT, bits_to_f64(&self.fault_stream.state()));
         sd.insert_buffer(KEY_WINDOW, self.window.clone());
         sd.insert_buffer(KEY_LR, vec![optim.learning_rate()]);
         for (key, data) in &self.payload {
@@ -687,10 +685,6 @@ impl Supervisor {
         let rng_state =
             f64_to_bits(sd.buffer(KEY_RNG).ok_or(LoadError::Malformed("missing rng state"))?)?;
         rng::set_state(rng_state);
-        let fault_state = f64_to_bits(
-            sd.buffer(KEY_FAULT).ok_or(LoadError::Malformed("missing fault stream state"))?,
-        )?;
-        self.fault_stream = FaultStream::from_state(fault_state);
         self.window = sd
             .buffer(KEY_WINDOW)
             .ok_or(LoadError::Malformed("missing loss window"))?
@@ -1089,11 +1083,33 @@ mod tests {
         let _ = std::fs::remove_file(prev_path(&path));
     }
 
+    /// Checkpoints from before the NaN schedule became a pure function of
+    /// the step carry a `supervisor.fault_stream` buffer: it loads, and is
+    /// ignored.
+    #[test]
+    fn retired_fault_stream_buffer_is_ignored_on_load() {
+        let p = Tensor::zeros(&[2]).requires_grad(true);
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
+        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
+        let mut fb = quadratic_fb(&p);
+        for _ in 0..3 {
+            sup.step(&mut opt, &mut fb);
+        }
+        let mut sd = sup.to_state_dict(&opt);
+        sd.insert_buffer("supervisor.fault_stream", vec![f64::from_bits(7); 4]);
+        let q = Tensor::zeros(&[2]).requires_grad(true);
+        let mut opt2 = Adam::new(vec![], 0.1);
+        let mut sup2 = Supervisor::new(vec![q.clone()], SupervisorConfig::default());
+        sup2.apply_state_dict(&sd, &mut opt2).unwrap();
+        assert_eq!(sup2.steps_completed(), 3);
+        assert_eq!(q.to_vec(), p.to_vec());
+    }
+
     #[test]
     fn deterministic_nan_injection_is_reproducible() {
         let schedule = |seed: u64| -> Vec<bool> {
-            let mut fs = FaultStream::from_seed(seed);
-            (0..50).map(|_| fs.fire(0.2)).collect()
+            let plan = fault::Faults { seed, nan_prob: 0.2, ..fault::Faults::default() };
+            (0..50).map(|step| plan.nan_fault(step, 0).is_some()).collect()
         };
         assert_eq!(schedule(9), schedule(9));
         assert_ne!(schedule(9), schedule(10));

@@ -145,12 +145,7 @@ impl<M: Module, L: Likelihood> McDropout<M, L> {
         M: Forward<I, Output = Tensor>,
     {
         let samples = self.predict_samples(input, num_predictions);
-        crate::bnn::Evaluation {
-            log_likelihood: self.likelihood.log_likelihood_samples(&samples, targets),
-            error: self
-                .likelihood
-                .error(&self.likelihood.aggregate_predictions(&samples), targets),
-        }
+        crate::bnn::evaluation_from_samples(&self.likelihood, &samples, targets)
     }
 
     /// Predictions with one **fixed** dropout mask shared across the batch
@@ -230,6 +225,25 @@ mod tests {
         let a = tyxe_nn::Forward::forward(&net, &x).to_vec();
         let b = tyxe_nn::Forward::forward(&net, &x).to_vec();
         assert_ne!(a, b);
+    }
+
+    /// `evaluate` is the shared evaluation of the passes `predict_samples`
+    /// draws from the same seed, bit for bit.
+    #[test]
+    fn evaluate_matches_the_evaluation_of_its_samples_bitwise() {
+        let mc = McDropout::new(dropout_net(), Categorical::new(10));
+        tyxe_prob::rng::set_seed(4);
+        let x = tyxe_prob::rng::randn(&[6, 4]);
+        let y = Tensor::from_vec(vec![0.0, 1.0, 2.0, 2.0, 1.0, 0.0], &[6]);
+        tyxe_prob::rng::set_seed(5);
+        let eval = mc.evaluate(&x, &y, 7);
+        tyxe_prob::rng::set_seed(5);
+        let samples = mc.predict_samples(&x, 7);
+        let lik = Categorical::new(10);
+        let log_likelihood = lik.log_likelihood_samples(&samples, &y);
+        let error = lik.error(&lik.aggregate_predictions(&samples), &y);
+        assert_eq!(eval.log_likelihood.to_bits(), log_likelihood.to_bits());
+        assert_eq!(eval.error.to_bits(), error.to_bits());
     }
 
     #[test]

@@ -245,15 +245,14 @@ impl Coordinator {
             .env(ENV_ADDR, &self.sock_path)
             .env(ENV_SESSION, self.session.to_string())
             .env(ENV_INCARNATION, incarnation.to_string());
-        // Forward the *resolved* fault knobs: tests arm them through the
-        // in-process `set_*` overrides, which children do not inherit.
-        match tyxe_par::fault::kill_step() {
-            Some(s) => cmd.env("TYXE_FAULT_KILL_STEP", s.to_string()),
-            None => cmd.env_remove("TYXE_FAULT_KILL_STEP"),
-        };
-        cmd.env("TYXE_FAULT_KILL_RANK", tyxe_par::fault::kill_rank().to_string())
-            .env("TYXE_FAULT_KILL_PROB", tyxe_par::fault::kill_prob().to_string())
-            .env("TYXE_FAULT_SEED", tyxe_par::fault::fault_seed().to_string());
+        // Forward the *resolved* fault plan, every field: tests arm it
+        // in-process with `set_faults`, which children do not inherit.
+        for (name, value) in tyxe_par::fault::faults().to_env() {
+            match value {
+                Some(v) => cmd.env(name, v),
+                None => cmd.env_remove(name),
+            };
+        }
         // Forward the *resolved* observability state the same way:
         // tests and `--trace` flags arm it via `set_enabled`, which
         // children would otherwise not inherit.

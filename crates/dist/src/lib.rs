@@ -34,7 +34,7 @@
 //! parameters are only updated after a complete collection, so recovery
 //! is bit-identical to a run without the death. Deterministic
 //! process-kill schedules come from `TYXE_FAULT_KILL_*`
-//! (`tyxe_par::fault::worker_killed`).
+//! (`tyxe_par::fault::Faults::worker_killed`).
 
 pub mod coordinator;
 pub mod telemetry;

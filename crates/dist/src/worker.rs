@@ -15,8 +15,8 @@
 //! last `Telemetry` frame (DESIGN.md §14).
 //!
 //! Injected process faults live here: on receiving a `Step`, the worker
-//! consults `tyxe_par::fault::worker_killed(rank, step, incarnation)`
-//! and exits with [`crate::KILL_EXIT_CODE`] when the deterministic kill
+//! consults its fault plan's `worker_killed(rank, step, incarnation)`
+//! (`tyxe_par::fault::Faults`) and exits with [`crate::KILL_EXIT_CODE`] when the deterministic kill
 //! schedule says so.
 
 use std::io::Read;
@@ -172,7 +172,7 @@ fn serve(
     loop {
         match next_msg(&mut conn, &mut reader)? {
             Msg::Step { step, rng_state, shards, params, trace_id, span_id } => {
-                if tyxe_par::fault::worker_killed(env.rank as u64, step, env.incarnation) {
+                if tyxe_par::fault::faults().worker_killed(env.rank as u64, step, env.incarnation) {
                     // Injected process fault: die mid-protocol, without
                     // a Grad, like a crash would — but naming the kill.
                     return Ok(ending(KILL_EXIT_CODE, "fault.kill", Some(format!("step={step}"))));

@@ -14,6 +14,7 @@ use tyxe_dist::{
     SpawnMode,
 };
 use tyxe_obs::flight::read_flight_file;
+use tyxe_par::fault::{set_faults, Faults};
 
 /// Pure toy "model": loss and gradients are deterministic functions of
 /// `(step, rng_state, params, shard)`, so any layout of shards onto
@@ -177,8 +178,8 @@ fn concurrent_launches_sharing_a_session_key_do_not_collide() {
     assert_eq!(reference.0, b.unwrap().0, "second concurrent run != in-process reference");
 }
 
-/// The `tyxe_par::fault` knobs are process-global and a launch forwards
-/// them as they read at spawn time: the two tests that arm a kill and
+/// The `tyxe_par::fault` plan is process-global and a launch forwards
+/// it as it reads at spawn time: the two tests that arm a kill and
 /// count its consequences take turns.
 static KILL_KNOBS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -188,11 +189,9 @@ fn killed_worker_respawns_and_bits_do_not_change() {
     let _knobs = KILL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let reference = toy_run(NAME, 0, 0, 4, 6);
     // Schedule rank 1's first incarnation to die when it sees step 2.
-    tyxe_par::fault::set_kill_step(Some(2));
-    tyxe_par::fault::set_kill_rank(1);
+    set_faults(Faults { kill: Some((1, 2)), ..Faults::default() });
     let killed = toy_run(NAME, 1, 2, 4, 6);
-    tyxe_par::fault::set_kill_step(None);
-    tyxe_par::fault::set_kill_rank(0);
+    set_faults(Faults::default());
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let (killed_trace, restarts) = killed.unwrap();
     assert_eq!(restarts, 1, "expected exactly one respawn");
@@ -204,8 +203,7 @@ fn exhausted_restart_budget_re_shards_over_survivors() {
     const NAME: &str = "exhausted_restart_budget_re_shards_over_survivors";
     let _knobs = KILL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let reference = toy_run(NAME, 0, 0, 4, 6);
-    tyxe_par::fault::set_kill_step(Some(1));
-    tyxe_par::fault::set_kill_rank(1);
+    set_faults(Faults { kill: Some((1, 1)), ..Faults::default() });
     // Zero respawn budget: rank 1 dies once and its shards move to the
     // survivor for the rest of the run.
     let mut compute = ToyCompute;
@@ -240,8 +238,7 @@ fn exhausted_restart_budget_re_shards_over_survivors() {
         assert_eq!(report.worker_restarts, 0);
         Some(trace)
     };
-    tyxe_par::fault::set_kill_step(None);
-    tyxe_par::fault::set_kill_rank(0);
+    set_faults(Faults::default());
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     assert_eq!(reference.unwrap().0, killed.unwrap(), "re-sharding changed bits");
 }

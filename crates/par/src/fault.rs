@@ -3,39 +3,38 @@
 //! Production training runs hit numerical blow-ups and worker crashes;
 //! the supervisor layer in `tyxe` promises to recover from both. This
 //! module makes those faults *injectable and bit-reproducible* so the
-//! recovery path can be proven by tests rather than waited for:
+//! recovery path can be proven by tests rather than waited for.
+//!
+//! A process has one fault plan, a [`Faults`] value. It is resolved once
+//! from the environment ([`Faults::from_env`]), read with [`faults`] and
+//! replaced whole with [`set_faults`]. Every injected fault is a pure
+//! function of the plan and the fault's coordinates, never of thread
+//! scheduling or of earlier draws:
 //!
 //! * `TYXE_FAULT_PANIC_PROB` — probability that a pool task panics at the
-//!   start of its execution (a simulated worker crash). The decision for
-//!   a task is a pure function of `(fault seed, scope sequence number,
-//!   task index)` evaluated through a [`tyxe_rand::rngs::StdRng`] stream,
-//!   so *which* task dies never depends on thread scheduling: runs are
+//!   start of its execution (a simulated worker crash), decided by
+//!   `(seed, scope sequence number, task index)`. Runs are
 //!   bit-reproducible at any thread count as long as scopes are launched
 //!   in a deterministic order (true for the training loop, which issues
 //!   kernels sequentially from one thread).
-//! * `TYXE_FAULT_NAN_PROB` — probability, consumed by the training
-//!   supervisor via [`FaultStream`], that a step's gradients are
-//!   corrupted with a NaN after the backward pass.
-//! * `TYXE_FAULT_SEED` — base seed for both streams (default 0).
+//! * `TYXE_FAULT_NAN_PROB` — probability that one attempt of a training
+//!   step gets a NaN in one gradient slot after the backward pass,
+//!   decided by `(seed, step, attempt)` ([`Faults::nan_fault`]).
+//! * `TYXE_FAULT_SEED` — base seed of both decisions (default 0).
 //! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` — one-shot
 //!   process-level fault: the distributed worker with rank
 //!   `TYXE_FAULT_KILL_RANK` (default 0) calls `std::process::exit` when
 //!   it receives the step numbered `TYXE_FAULT_KILL_STEP`. The kill only
 //!   fires in a worker's first incarnation, so the respawned replacement
 //!   recovers instead of dying in a loop.
-//! * `TYXE_FAULT_KILL_PROB` — probabilistic process-level fault: each
-//!   `(rank, step, incarnation)` coordinate kills its worker with this
-//!   probability, decided by the same pure rank-hashed scheme as the
-//!   panic injection ([`worker_killed`]), so the kill schedule is
-//!   bit-reproducible and independent of timing.
 //!
-//! Injection is disabled (probabilities 0, kill step unset) unless the
-//! environment sets it or a test calls the `set_*` overrides. Injected panics carry
-//! the payload [`INJECTED_PANIC_PAYLOAD`] so supervisors can tell a
+//! Injection is disabled (probabilities 0, no kill) unless the
+//! environment arms it or a test calls [`set_faults`]. Injected panics
+//! carry the payload [`INJECTED_PANIC_PAYLOAD`] so supervisors can tell a
 //! simulated crash from a genuine bug when reporting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use tyxe_obs::metrics::Counter;
 use tyxe_rand::rngs::StdRng;
@@ -44,21 +43,169 @@ use tyxe_rand::{Rng, SeedableRng};
 /// Panic payload used by injected worker panics.
 pub const INJECTED_PANIC_PAYLOAD: &str = "tyxe-fault: injected worker panic";
 
-/// Probabilities are stored as `f64::to_bits` in atomics; `u64::MAX`
-/// means "not yet initialised from the environment".
-const UNSET: u64 = u64::MAX;
+const ENV_SEED: &str = "TYXE_FAULT_SEED";
+const ENV_PANIC_PROB: &str = "TYXE_FAULT_PANIC_PROB";
+const ENV_NAN_PROB: &str = "TYXE_FAULT_NAN_PROB";
+const ENV_KILL_STEP: &str = "TYXE_FAULT_KILL_STEP";
+const ENV_KILL_RANK: &str = "TYXE_FAULT_KILL_RANK";
 
-static PANIC_PROB: AtomicU64 = AtomicU64::new(UNSET);
-static NAN_PROB: AtomicU64 = AtomicU64::new(UNSET);
-static FAULT_SEED: AtomicU64 = AtomicU64::new(UNSET);
-static KILL_PROB: AtomicU64 = AtomicU64::new(UNSET);
-/// Stored as `step + 1` so 0 can mean "no scheduled kill" while `UNSET`
-/// still means "not yet initialised from the environment".
-static KILL_STEP: AtomicU64 = AtomicU64::new(UNSET);
-static KILL_RANK: AtomicU64 = AtomicU64::new(UNSET);
-/// Sequence number assigned to each parallel scope, the deterministic
-/// "time" coordinate of panic injection.
-static SCOPE_SEQ: AtomicU64 = AtomicU64::new(0);
+/// Added to the NaN decision's key so it never correlates with the panic
+/// decision drawn at the same seed and coordinates.
+const NAN_DOMAIN: u64 = 0xA076_1D64_78BD_642F;
+
+/// A process's fault plan. The default plan injects nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Faults {
+    /// Base seed of the panic and NaN decisions.
+    pub seed: u64,
+    /// Probability that a pool task panics, in `[0, 1]`.
+    pub panic_prob: f64,
+    /// Probability that a training-step attempt gets a NaN gradient, in
+    /// `[0, 1]`.
+    pub nan_prob: f64,
+    /// `(rank, step)`: the distributed worker of that rank exits when it
+    /// receives that step, in its first incarnation only.
+    pub kill: Option<(u64, u64)>,
+}
+
+impl Faults {
+    /// Parses a plan from the `TYXE_FAULT_*` variables, read through `var`
+    /// (`|name| std::env::var(name).ok()` for the process environment).
+    /// Never fails: a missing, garbled or out-of-range probability means
+    /// 0, a garbled seed or rank means 0, a garbled or missing kill step
+    /// means no kill, and a kill step without a rank targets rank 0.
+    pub fn from_env(var: impl Fn(&str) -> Option<String>) -> Faults {
+        let uint = |name: &str| var(name).and_then(|v| v.trim().parse::<u64>().ok());
+        let prob = |name: &str| {
+            var(name)
+                .and_then(|v| v.trim().parse::<f64>().ok())
+                .filter(|p| (0.0..=1.0).contains(p))
+                .unwrap_or(0.0)
+        };
+        Faults {
+            seed: uint(ENV_SEED).unwrap_or(0),
+            panic_prob: prob(ENV_PANIC_PROB),
+            nan_prob: prob(ENV_NAN_PROB),
+            kill: uint(ENV_KILL_STEP).map(|step| (uint(ENV_KILL_RANK).unwrap_or(0), step)),
+        }
+    }
+
+    /// The `TYXE_FAULT_*` assignments [`Faults::from_env`] parses back to
+    /// this plan; `None` means the variable must be unset.
+    pub fn to_env(&self) -> [(&'static str, Option<String>); 5] {
+        [
+            (ENV_SEED, Some(self.seed.to_string())),
+            (ENV_PANIC_PROB, Some(self.panic_prob.to_string())),
+            (ENV_NAN_PROB, Some(self.nan_prob.to_string())),
+            (ENV_KILL_STEP, self.kill.map(|(_, step)| step.to_string())),
+            (ENV_KILL_RANK, self.kill.map(|(rank, _)| rank.to_string())),
+        ]
+    }
+
+    /// The uniform draw stream keyed by `(seed, a, b)` in decision domain
+    /// `domain`. Routing the mixed key through `StdRng::seed_from_u64` (a
+    /// splitmix64 expansion) makes the stream independent of which
+    /// thread, process or resumed run evaluates it.
+    fn stream(&self, a: u64, b: u64, domain: u64) -> StdRng {
+        let key = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(a.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            .wrapping_add(b.wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
+            .wrapping_add(domain);
+        StdRng::seed_from_u64(key)
+    }
+
+    /// Does task `task` of the parallel scope numbered `scope` panic?
+    pub(crate) fn task_panics(&self, scope: u64, task: usize) -> bool {
+        self.panic_prob > 0.0 && self.stream(scope, task as u64, 0).gen::<f64>() < self.panic_prob
+    }
+
+    /// Does attempt `attempt` (0 first, then each retry) of training step
+    /// `step` get a NaN gradient? When it does, the returned stream picks
+    /// the slot to corrupt; which slot does not depend on `nan_prob`.
+    /// Draws nothing when `nan_prob` is 0.
+    pub fn nan_fault(&self, step: u64, attempt: u32) -> Option<StdRng> {
+        if self.nan_prob <= 0.0 {
+            return None;
+        }
+        let mut rng = self.stream(step, u64::from(attempt), NAN_DOMAIN);
+        (rng.gen::<f64>() < self.nan_prob).then_some(rng)
+    }
+
+    /// Is the distributed worker at `(rank, step, incarnation)` killed?
+    /// Only the scheduled coordinate of a first incarnation is, so a
+    /// respawned replacement survives the step that killed its
+    /// predecessor.
+    pub fn worker_killed(&self, rank: u64, step: u64, incarnation: u64) -> bool {
+        incarnation == 0 && self.kill == Some((rank, step))
+    }
+}
+
+/// The plan in force and the sequence number the next parallel scope
+/// claims (the deterministic "time" coordinate of panic injection).
+struct Plan {
+    faults: Faults,
+    next_scope: u64,
+}
+
+struct State {
+    plan: Mutex<Plan>,
+    /// `plan.faults.panic_prob > 0`, readable without the lock: the pool
+    /// asks once per scope, and a disarmed run must not lock for it.
+    /// Written under the lock; it publishes no other data.
+    panic_armed: AtomicBool,
+}
+
+fn state() -> &'static State {
+    static STATE: OnceLock<State> = OnceLock::new();
+    STATE.get_or_init(|| {
+        let faults = Faults::from_env(|name| std::env::var(name).ok());
+        State {
+            plan: Mutex::new(Plan { faults, next_scope: 0 }),
+            panic_armed: AtomicBool::new(faults.panic_prob > 0.0),
+        }
+    })
+}
+
+impl State {
+    fn lock(&self) -> MutexGuard<'_, Plan> {
+        // Every write is one whole-value assignment, so a poisoned plan is
+        // still a valid one.
+        self.plan.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The plan in force (resolved from the environment on first use).
+pub fn faults() -> Faults {
+    state().lock().faults
+}
+
+/// Replaces the plan in force and restarts the scope sequence at 0, so a
+/// test that sets the same plan twice replays the same panic schedule.
+pub fn set_faults(faults: Faults) {
+    for p in [faults.panic_prob, faults.nan_prob] {
+        assert!((0.0..=1.0).contains(&p), "set_faults: probability {p} outside [0, 1]");
+    }
+    let state = state();
+    let mut plan = state.lock();
+    *plan = Plan { faults, next_scope: 0 };
+    state.panic_armed.store(faults.panic_prob > 0.0, Ordering::Relaxed);
+}
+
+/// Claims the next scope sequence number together with the plan it is
+/// decided under, or `None` when panic injection is disarmed (decided
+/// without a lock). Called once per parallel scope by the pool.
+pub(crate) fn claim_scope() -> Option<(Faults, u64)> {
+    let state = state();
+    if !state.panic_armed.load(Ordering::Relaxed) {
+        return None;
+    }
+    let mut plan = state.lock();
+    let scope = plan.next_scope;
+    plan.next_scope += 1;
+    Some((plan.faults, scope))
+}
 
 /// Injected panics live in the tyxe-obs metrics registry (so fault
 /// counters show up in every metrics snapshot); the count must stay
@@ -70,208 +217,11 @@ pub fn injected_panics_counter() -> &'static Counter {
     C.get_or_init(|| tyxe_obs::metrics::counter("par.fault.injected_panics"))
 }
 
-/// Same contract for [`FaultStream`] draws that fired (NaN injections).
+/// Same contract for injected NaN gradients (counted by the supervisor
+/// that injects them).
 pub fn fault_fired_counter() -> &'static Counter {
     static C: OnceLock<Counter> = OnceLock::new();
     C.get_or_init(|| tyxe_obs::metrics::counter("par.fault.stream_fired"))
-}
-
-fn env_prob(name: &str) -> f64 {
-    match std::env::var(name) {
-        Ok(v) => v.trim().parse::<f64>().ok().filter(|p| (0.0..=1.0).contains(p)).unwrap_or(0.0),
-        Err(_) => 0.0,
-    }
-}
-
-fn load_prob(cell: &AtomicU64, env: &str) -> f64 {
-    let bits = cell.load(Ordering::Relaxed);
-    if bits != UNSET {
-        return f64::from_bits(bits);
-    }
-    let resolved = env_prob(env);
-    // Racing initialisers resolve the same env value; either store wins.
-    cell.store(resolved.to_bits(), Ordering::Relaxed);
-    resolved
-}
-
-/// Probability that a pool task panics (env `TYXE_FAULT_PANIC_PROB`,
-/// default 0 = disabled).
-pub fn panic_prob() -> f64 {
-    load_prob(&PANIC_PROB, "TYXE_FAULT_PANIC_PROB")
-}
-
-/// Probability that a training step's gradients are NaN-corrupted (env
-/// `TYXE_FAULT_NAN_PROB`, default 0 = disabled). Consumed by the
-/// supervisor layer, not by this crate.
-pub fn nan_prob() -> f64 {
-    load_prob(&NAN_PROB, "TYXE_FAULT_NAN_PROB")
-}
-
-/// Base seed for the fault streams (env `TYXE_FAULT_SEED`, default 0).
-pub fn fault_seed() -> u64 {
-    let v = FAULT_SEED.load(Ordering::Relaxed);
-    if v != UNSET {
-        return v;
-    }
-    let resolved = std::env::var("TYXE_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-        // Reserve the sentinel; seed u64::MAX is remapped rather than
-        // re-reading the environment forever.
-        .min(UNSET - 1);
-    FAULT_SEED.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Probability that a distributed worker is killed at a given
-/// `(rank, step, incarnation)` coordinate (env `TYXE_FAULT_KILL_PROB`,
-/// default 0 = disabled). Consumed via [`worker_killed`].
-pub fn kill_prob() -> f64 {
-    load_prob(&KILL_PROB, "TYXE_FAULT_KILL_PROB")
-}
-
-/// The step at which the scheduled one-shot worker kill fires (env
-/// `TYXE_FAULT_KILL_STEP`; `None` = no scheduled kill).
-pub fn kill_step() -> Option<u64> {
-    let v = KILL_STEP.load(Ordering::Relaxed);
-    if v != UNSET {
-        return v.checked_sub(1);
-    }
-    let resolved = std::env::var("TYXE_FAULT_KILL_STEP")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        // Reserve both sentinels: encoded as step + 1, capped below UNSET.
-        .map(|s| s.saturating_add(1).min(UNSET - 1))
-        .unwrap_or(0);
-    KILL_STEP.store(resolved, Ordering::Relaxed);
-    resolved.checked_sub(1)
-}
-
-/// The worker rank targeted by the scheduled kill (env
-/// `TYXE_FAULT_KILL_RANK`, default 0).
-pub fn kill_rank() -> u64 {
-    let v = KILL_RANK.load(Ordering::Relaxed);
-    if v != UNSET {
-        return v;
-    }
-    let resolved = std::env::var("TYXE_FAULT_KILL_RANK")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-        .min(UNSET - 1);
-    KILL_RANK.store(resolved, Ordering::Relaxed);
-    resolved
-}
-
-/// Overrides the panic-injection probability (tests; `0.0` disables).
-pub fn set_panic_prob(p: f64) {
-    assert!((0.0..=1.0).contains(&p), "set_panic_prob: p={p} outside [0,1]");
-    PANIC_PROB.store(p.to_bits(), Ordering::Relaxed);
-}
-
-/// Overrides the NaN-injection probability (tests; `0.0` disables).
-pub fn set_nan_prob(p: f64) {
-    assert!((0.0..=1.0).contains(&p), "set_nan_prob: p={p} outside [0,1]");
-    NAN_PROB.store(p.to_bits(), Ordering::Relaxed);
-}
-
-/// Overrides the fault seed (tests).
-pub fn set_fault_seed(seed: u64) {
-    FAULT_SEED.store(seed.min(UNSET - 1), Ordering::Relaxed);
-}
-
-/// Overrides the probabilistic worker-kill probability (tests; `0.0`
-/// disables).
-pub fn set_kill_prob(p: f64) {
-    assert!((0.0..=1.0).contains(&p), "set_kill_prob: p={p} outside [0,1]");
-    KILL_PROB.store(p.to_bits(), Ordering::Relaxed);
-}
-
-/// Overrides the scheduled kill step (tests; `None` disables).
-pub fn set_kill_step(step: Option<u64>) {
-    let encoded = match step {
-        Some(s) => s.saturating_add(1).min(UNSET - 1),
-        None => 0,
-    };
-    KILL_STEP.store(encoded, Ordering::Relaxed);
-}
-
-/// Overrides the rank targeted by the scheduled kill (tests).
-pub fn set_kill_rank(rank: u64) {
-    KILL_RANK.store(rank.min(UNSET - 1), Ordering::Relaxed);
-}
-
-/// Number of worker panics injected so far in this process. Thin
-/// wrapper over the `par.fault.injected_panics` tyxe-obs counter.
-pub fn injected_panics() -> u64 {
-    injected_panics_counter().get()
-}
-
-/// Number of [`FaultStream`] draws that fired (e.g. NaN-gradient
-/// injections) so far in this process. Thin wrapper over the
-/// `par.fault.stream_fired` tyxe-obs counter.
-pub fn fault_stream_fired() -> u64 {
-    fault_fired_counter().get()
-}
-
-/// Claims the next scope sequence number. Called once per parallel scope
-/// by the pool (only when panic injection is armed, so disabled runs pay
-/// a single atomic load).
-pub(crate) fn next_scope_seq() -> u64 {
-    SCOPE_SEQ.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Rewinds the scope sequence counter to zero. Panic-injection schedules
-/// are reproducible *per process run* (the counter starts at 0); tests
-/// that replay a schedule within one process call this between runs.
-pub fn reset_scope_seq() {
-    SCOPE_SEQ.store(0, Ordering::Relaxed);
-}
-
-/// Pure decision function: does task `task_idx` of scope `scope_seq`
-/// panic? Routing the mixed key through `StdRng::seed_from_u64` (a
-/// splitmix64 expansion) gives a uniform draw that is independent of
-/// which thread evaluates it.
-pub(crate) fn task_panics(scope_seq: u64, task_idx: usize) -> bool {
-    let p = panic_prob();
-    if p <= 0.0 {
-        return false;
-    }
-    let key = fault_seed()
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(scope_seq.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add((task_idx as u64).wrapping_mul(0x8CB9_2BA7_2F3D_8DD7));
-    StdRng::seed_from_u64(key).gen::<f64>() < p
-}
-
-/// Pure decision function for process-level faults: is the distributed
-/// worker at `(rank, step, incarnation)` killed? Combines the one-shot
-/// scheduled kill (`TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK`) with
-/// the probabilistic schedule (`TYXE_FAULT_KILL_PROB`), both gated to a
-/// worker's first incarnation so a respawned replacement always survives
-/// the coordinate that killed its predecessor. Rank-hashed exactly like
-/// [`task_panics`]: the decision is a pure function of
-/// `(fault seed, rank, step)`, independent of timing or worker count.
-pub fn worker_killed(rank: u64, step: u64, incarnation: u64) -> bool {
-    if incarnation != 0 {
-        return false;
-    }
-    if kill_step() == Some(step) && kill_rank() == rank {
-        return true;
-    }
-    let p = kill_prob();
-    if p <= 0.0 {
-        return false;
-    }
-    // Domain-separated from the panic-injection hash so arming both
-    // knobs never yields correlated schedules.
-    let key = fault_seed()
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(rank.wrapping_mul(0xD1B5_4A32_D192_ED03))
-        .wrapping_add(step.wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
-        .wrapping_add(0xA076_1D64_78BD_642F);
-    StdRng::seed_from_u64(key).gen::<f64>() < p
 }
 
 /// Fires an injected panic for the current task (records it first).
@@ -280,157 +230,178 @@ pub(crate) fn inject_panic() -> ! {
     std::panic::panic_any(INJECTED_PANIC_PAYLOAD);
 }
 
-/// A deterministic decision stream for faults injected *outside* the
-/// pool (the supervisor's NaN-gradient corruption). The stream is an
-/// ordinary seeded [`StdRng`], so consumers advancing it once per step
-/// get bit-reproducible fault schedules; its state can be captured and
-/// restored across checkpoint/resume via [`FaultStream::state`] /
-/// [`FaultStream::from_state`].
-#[derive(Debug, Clone)]
-pub struct FaultStream {
-    rng: StdRng,
-}
-
-impl FaultStream {
-    /// Creates the stream from the global fault seed (jumped once so it
-    /// never overlaps the panic-decision draws).
-    pub fn new() -> FaultStream {
-        FaultStream::from_seed(fault_seed())
-    }
-
-    /// Creates the stream from an explicit seed.
-    pub fn from_seed(seed: u64) -> FaultStream {
-        let mut root = StdRng::seed_from_u64(seed);
-        FaultStream { rng: root.jump() }
-    }
-
-    /// Draws one fault decision with probability `p`.
-    pub fn fire(&mut self, p: f64) -> bool {
-        // Always consume exactly one draw so the schedule does not depend
-        // on the probability (p = 0 advances the stream identically).
-        let u = self.rng.gen::<f64>();
-        let fired = u < p;
-        if fired {
-            fault_fired_counter().inc();
-        }
-        fired
-    }
-
-    /// Draws a uniform index in `[0, n)` (for picking the corrupted
-    /// gradient slot).
-    pub fn pick(&mut self, n: usize) -> usize {
-        assert!(n > 0, "FaultStream::pick: empty range");
-        self.rng.gen_range(0..n)
-    }
-
-    /// Raw stream state, for checkpointing.
-    pub fn state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Restores a stream captured by [`FaultStream::state`].
-    pub fn from_state(state: [u64; 4]) -> FaultStream {
-        FaultStream {
-            rng: StdRng::from_state(state),
-        }
-    }
-}
-
-impl Default for FaultStream {
-    fn default() -> FaultStream {
-        FaultStream::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
-    /// The knobs are process-global and libtest runs tests on several
-    /// threads: hold the crate's test lock while setting and reading them.
+    /// The plan is process-global and libtest runs tests on several
+    /// threads: hold the crate's test lock while setting and reading it.
     fn knobs() -> std::sync::MutexGuard<'static, ()> {
         crate::tests::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    fn plan(seed: u64, panic_prob: f64, nan_prob: f64) -> Faults {
+        Faults { seed, panic_prob, nan_prob, kill: None }
+    }
+
+    /// NaN decisions of attempt `attempt` over steps `0..n`.
+    fn nan_schedule(f: &Faults, attempt: u32, n: u64) -> Vec<bool> {
+        (0..n).map(|step| f.nan_fault(step, attempt).is_some()).collect()
+    }
+
+    fn parse(vars: &[(&str, &str)]) -> Faults {
+        let env: HashMap<&str, &str> = vars.iter().copied().collect();
+        Faults::from_env(|name| env.get(name).map(|v| v.to_string()))
+    }
+
     #[test]
     fn decisions_are_pure_functions_of_coordinates() {
-        let _knobs = knobs();
-        set_fault_seed(3);
-        set_panic_prob(0.25);
-        let a: Vec<bool> = (0..64).map(|i| task_panics(9, i)).collect();
-        let b: Vec<bool> = (0..64).map(|i| task_panics(9, i)).collect();
+        let f = plan(3, 0.25, 0.0);
+        let a: Vec<bool> = (0..64).map(|i| f.task_panics(9, i)).collect();
+        let b: Vec<bool> = (0..64).map(|i| f.task_panics(9, i)).collect();
         assert_eq!(a, b);
         assert!(a.iter().any(|&x| x), "p=0.25 over 64 tasks should fire");
         assert!(!a.iter().all(|&x| x));
-        set_panic_prob(0.0);
-        assert!((0..64).all(|i| !task_panics(9, i)));
+        let off = plan(3, 0.0, 0.0);
+        assert!((0..64).all(|i| !off.task_panics(9, i)));
     }
 
     #[test]
     fn scheduled_kill_fires_once_at_its_exact_coordinate() {
-        let _knobs = knobs();
-        set_fault_seed(0);
-        set_kill_prob(0.0);
-        set_kill_step(Some(7));
-        set_kill_rank(2);
-        assert!(worker_killed(2, 7, 0));
+        let mut f = Faults { kill: Some((2, 7)), ..Faults::default() };
+        assert!(f.worker_killed(2, 7, 0));
         // Wrong rank, wrong step, or a respawned incarnation: no kill.
-        assert!(!worker_killed(1, 7, 0));
-        assert!(!worker_killed(2, 6, 0));
-        assert!(!worker_killed(2, 8, 0));
-        assert!(!worker_killed(2, 7, 1));
-        set_kill_step(None);
-        assert!(!worker_killed(2, 7, 0));
+        assert!(!f.worker_killed(1, 7, 0));
+        assert!(!f.worker_killed(2, 6, 0));
+        assert!(!f.worker_killed(2, 8, 0));
+        assert!(!f.worker_killed(2, 7, 1));
+        f.kill = None;
+        assert!(!f.worker_killed(2, 7, 0));
     }
 
+    /// Domain separation: at the same seed, probability and coordinates
+    /// the NaN schedule is not the panic schedule.
     #[test]
-    fn probabilistic_kill_is_a_pure_function_of_coordinates() {
-        let _knobs = knobs();
-        set_fault_seed(3);
-        set_kill_step(None);
-        set_kill_prob(0.25);
-        let a: Vec<bool> =
-            (0..8).flat_map(|r| (0..16).map(move |s| worker_killed(r, s, 0))).collect();
-        let b: Vec<bool> =
-            (0..8).flat_map(|r| (0..16).map(move |s| worker_killed(r, s, 0))).collect();
-        assert_eq!(a, b);
-        assert!(a.iter().any(|&x| x), "p=0.25 over 128 coordinates should fire");
-        assert!(!a.iter().all(|&x| x));
-        // Respawned incarnations never re-fire.
-        assert!((0..8).all(|r| (0..16).all(|s| !worker_killed(r, s, 1))));
-        // Domain separation: the kill schedule differs from the panic
-        // schedule at the same seed and probability.
-        set_panic_prob(0.25);
-        let panics: Vec<bool> = (0..128).map(|i| task_panics(0, i)).collect();
-        assert_ne!(a, panics);
-        set_panic_prob(0.0);
-        set_kill_prob(0.0);
-        assert!((0..8).all(|r| (0..16).all(|s| !worker_killed(r, s, 0))));
+    fn nan_and_panic_decisions_are_domain_separated() {
+        let f = plan(3, 0.25, 0.25);
+        let nan = nan_schedule(&f, 0, 128);
+        let panics: Vec<bool> = (0..128).map(|i| f.task_panics(0, i)).collect();
+        assert!(nan.iter().any(|&x| x), "p=0.25 over 128 steps should fire");
+        assert_ne!(nan, panics);
     }
 
+    /// The NaN decision is a pure function of `(seed, step, attempt)`:
+    /// evaluating it again, in any order, from a fresh plan, gives the
+    /// same schedule, so a resumed run replays it from its step index.
     #[test]
     fn fault_stream_is_seed_deterministic_and_resumable() {
-        let mut a = FaultStream::from_seed(11);
-        let mut b = FaultStream::from_seed(11);
-        let fa: Vec<bool> = (0..100).map(|_| a.fire(0.3)).collect();
-        let fb: Vec<bool> = (0..100).map(|_| b.fire(0.3)).collect();
-        assert_eq!(fa, fb);
-        assert!(fa.iter().any(|&x| x) && fa.iter().any(|&x| !x));
+        let f = plan(11, 0.0, 0.3);
+        let forward = nan_schedule(&f, 0, 100);
+        assert!(forward.iter().any(|&x| x) && forward.iter().any(|&x| !x));
+        let backward: Vec<bool> =
+            (0..100).rev().map(|step| plan(11, 0.0, 0.3).nan_fault(step, 0).is_some()).collect();
+        assert_eq!(forward, backward.into_iter().rev().collect::<Vec<_>>());
+        // The slot stream of a fired step resumes identically too.
+        let step = forward.iter().position(|&x| x).unwrap() as u64;
+        let mut a = f.nan_fault(step, 0).unwrap();
+        let mut b = f.nan_fault(step, 0).unwrap();
+        let (ta, tb): (Vec<usize>, Vec<usize>) =
+            (0..20).map(|_| (a.gen_range(0..17usize), b.gen_range(0..17usize))).unzip();
+        assert_eq!(ta, tb);
+        assert_ne!(forward, nan_schedule(&plan(12, 0.0, 0.3), 0, 100));
+    }
 
-        let snap = a.state();
-        let tail: Vec<usize> = (0..20).map(|_| a.pick(17)).collect();
-        let mut c = FaultStream::from_state(snap);
-        let resumed: Vec<usize> = (0..20).map(|_| c.pick(17)).collect();
-        assert_eq!(tail, resumed);
+    /// Which slot a fired step corrupts does not depend on the
+    /// probability that made it fire, and probability 0 never fires.
+    #[test]
+    fn zero_probability_stream_still_advances() {
+        let (low, high) = (plan(5, 0.0, 0.2), plan(5, 0.0, 1.0));
+        let mut fired = 0;
+        for step in 0..200 {
+            if let Some(mut a) = low.nan_fault(step, 0) {
+                let mut b = high.nan_fault(step, 0).expect("p=1 always fires");
+                assert_eq!(a.gen_range(0..1000), b.gen_range(0..1000));
+                fired += 1;
+            }
+        }
+        assert!(fired > 0, "p=0.2 over 200 steps should fire");
+        assert!(nan_schedule(&plan(5, 0.0, 0.0), 0, 200).iter().all(|&x| !x));
+    }
+
+    /// A retry draws afresh: attempt 1's schedule is independent of
+    /// attempt 0's (at p = 1/2 the two agree on about half the steps).
+    #[test]
+    fn a_retry_draws_independently_of_the_first_attempt() {
+        let f = plan(7, 0.0, 0.5);
+        let first = nan_schedule(&f, 0, 512);
+        let retry = nan_schedule(&f, 1, 512);
+        let agree = first.iter().zip(&retry).filter(|(a, b)| a == b).count();
+        assert!((192..=320).contains(&agree), "attempts agree on {agree} of 512 steps");
     }
 
     #[test]
-    fn zero_probability_stream_still_advances() {
-        let mut a = FaultStream::from_seed(5);
-        let mut b = FaultStream::from_seed(5);
-        let _ = a.fire(0.0);
-        let _ = b.fire(1.0);
-        // Same consumption regardless of p: next draws agree.
-        assert_eq!(a.pick(1000), b.pick(1000));
+    fn codec_round_trips_every_plan() {
+        tyxe_rand::prop_check!(256, |g| {
+            let prob = |g: &mut tyxe_rand::prop::Gen| match g.usize_in(0, 4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => g.f64_in(0.0, 1.0),
+            };
+            let f = Faults {
+                seed: g.u64(),
+                panic_prob: prob(g),
+                nan_prob: prob(g),
+                kill: g.bool().then(|| (g.u64(), g.u64())),
+            };
+            let env = f.to_env();
+            let back = Faults::from_env(|name| {
+                env.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.clone())
+            });
+            assert_eq!(back, f);
+        });
+    }
+
+    /// Hostile values resolve to the defaults, never to an error.
+    #[test]
+    fn codec_maps_hostile_values_to_defaults() {
+        for bad in ["NaN", "inf", "-inf", "-0.1", "1.5", "abc", "", " ", "0x1", "1e400"] {
+            let f = parse(&[("TYXE_FAULT_PANIC_PROB", bad), ("TYXE_FAULT_NAN_PROB", bad)]);
+            assert_eq!(f, Faults::default(), "probability {bad:?}");
+            let f = parse(&[("TYXE_FAULT_SEED", bad), ("TYXE_FAULT_KILL_STEP", bad)]);
+            assert_eq!(f, Faults::default(), "seed and kill step {bad:?}");
+            let f = parse(&[("TYXE_FAULT_KILL_STEP", "4"), ("TYXE_FAULT_KILL_RANK", bad)]);
+            assert_eq!(f.kill, Some((0, 4)), "kill rank {bad:?}");
+        }
+        let over = "18446744073709551616";
+        let f = parse(&[("TYXE_FAULT_SEED", over), ("TYXE_FAULT_KILL_STEP", over)]);
+        assert_eq!(f, Faults::default(), "out-of-range integers");
+        let max = u64::MAX.to_string();
+        let f = parse(&[
+            ("TYXE_FAULT_SEED", &max),
+            ("TYXE_FAULT_KILL_STEP", &max),
+            ("TYXE_FAULT_KILL_RANK", &max),
+        ]);
+        assert_eq!((f.seed, f.kill), (u64::MAX, Some((u64::MAX, u64::MAX))));
+        // A rank with no step is no kill; a step with no rank targets 0.
+        assert_eq!(parse(&[("TYXE_FAULT_KILL_RANK", "3")]).kill, None);
+        assert_eq!(parse(&[("TYXE_FAULT_KILL_STEP", "3")]).kill, Some((0, 3)));
+        assert_eq!(parse(&[("TYXE_FAULT_PANIC_PROB", " 0.25 ")]).panic_prob, 0.25);
+    }
+
+    #[test]
+    fn setting_a_plan_restarts_the_scope_sequence() {
+        let _knobs = knobs();
+        let f = plan(1, 0.5, 0.0);
+        set_faults(f);
+        let first: Vec<u64> = (0..3).map(|_| claim_scope().unwrap().1).collect();
+        set_faults(f);
+        let again = claim_scope();
+        // Disarm before asserting: an armed plan would panic other tests.
+        set_faults(Faults::default());
+        assert_eq!(first, [0, 1, 2]);
+        assert_eq!(again, Some((f, 0)));
+        assert_eq!(claim_scope(), None, "a disarmed plan claims no scope");
+        assert_eq!(faults(), Faults::default());
     }
 }

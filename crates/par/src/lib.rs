@@ -341,20 +341,15 @@ pub fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
     if count == 0 {
         return;
     }
-    // Fault-injection harness: when armed (TYXE_FAULT_PANIC_PROB > 0),
-    // each scope claims a sequence number and every task's panic decision
-    // is a pure function of (seed, scope, index) — bit-reproducible and
-    // independent of the execution path below. Disabled runs pay one
-    // atomic load.
-    let scope_seq = if fault::panic_prob() > 0.0 {
-        Some(fault::next_scope_seq())
-    } else {
-        None
-    };
+    // Fault-injection harness: when the plan arms pool panics, each scope
+    // claims a sequence number and every task's panic decision is a pure
+    // function of (plan, scope, index) — bit-reproducible and independent
+    // of the execution path below. Disabled runs take no lock.
+    let scope = fault::claim_scope();
     let arm = |idx: usize, task: Box<dyn FnOnce() + Send + 'scope>| -> Box<dyn FnOnce() + Send + 'scope> {
-        match scope_seq {
-            Some(seq) => Box::new(move || {
-                if fault::task_panics(seq, idx) {
+        match scope {
+            Some((faults, seq)) => Box::new(move || {
+                if faults.task_panics(seq, idx) {
                     fault::inject_panic();
                 }
                 task();
@@ -563,7 +558,7 @@ mod tests {
     use tyxe_rand::{Rng, SeedableRng};
 
     /// Serialises tests that mutate process-global state: the thread
-    /// count here, the fault knobs here and in `fault::tests`.
+    /// count here, the fault plan here and in `fault::tests`.
     pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     thread_local! {
@@ -769,10 +764,9 @@ mod tests {
     #[test]
     fn injected_panics_are_deterministic_and_recoverable() {
         with_threads(4, || {
-            fault::set_fault_seed(17);
-            fault::set_panic_prob(0.35);
+            let plan = fault::Faults { seed: 17, panic_prob: 0.35, ..fault::Faults::default() };
             let run_once = || -> Vec<bool> {
-                fault::reset_scope_seq();
+                fault::set_faults(plan);
                 (0..8)
                     .map(|_| {
                         catch_unwind(AssertUnwindSafe(|| {
@@ -787,13 +781,13 @@ mod tests {
                     })
                     .collect()
             };
-            let before = fault::injected_panics();
+            let before = fault::injected_panics_counter().get();
             let a = run_once();
             let b = run_once();
-            fault::set_panic_prob(0.0);
+            fault::set_faults(fault::Faults::default());
             assert_eq!(a, b, "injection schedule must not depend on scheduling");
             assert!(a.iter().any(|&x| x), "p=0.35 over 8 scopes should fire");
-            assert!(fault::injected_panics() > before);
+            assert!(fault::injected_panics_counter().get() > before);
             // Pool still healthy with injection disarmed.
             let seq = fill_squares(1, 1024, 1024);
             let par = fill_squares(4, 1024, 64);

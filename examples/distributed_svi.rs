@@ -30,11 +30,12 @@
 //! * `--telemetry-dir <dir>` — where the coordinator writes one
 //!   post-mortem per worker incarnation, `flight-<rank>-<inc>.jsonl`
 //!   (defaults to `<trace path>.telemetry` when tracing).
-//! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` /
-//!   `TYXE_FAULT_KILL_PROB` — process-kill injection: the selected
-//!   worker's first incarnation calls `exit(113)` mid-step and the
+//! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` — process-kill
+//!   injection: the worker of that rank (default 0) calls `exit(113)` on
+//!   receiving that step, in its first incarnation only, and the
 //!   coordinator respawns it, replays the step, and continues on the
-//!   same trajectory.
+//!   same trajectory. The coordinator forwards its whole fault plan to
+//!   every worker it spawns.
 //!
 //! This binary is its own worker image: the coordinator respawns
 //! `current_exe()` with the same argv, and the child is routed into the

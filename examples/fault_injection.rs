@@ -2,7 +2,8 @@
 //! optional observability export.
 //!
 //! Trains a small Bayesian regression net under the training supervisor
-//! while the `TYXE_FAULT_*` environment knobs corrupt it on purpose:
+//! while the fault plan, read from the `TYXE_FAULT_*` environment
+//! variables, corrupts it on purpose:
 //!
 //! ```text
 //! TYXE_FAULT_NAN_PROB=0.05 TYXE_FAULT_PANIC_PROB=0.01 TYXE_FAULT_SEED=17 \
@@ -10,12 +11,12 @@
 //!     --trace /tmp/trace.json --metrics /tmp/metrics.jsonl
 //! ```
 //!
-//! * `TYXE_FAULT_NAN_PROB` — probability per step that one gradient slot
-//!   is overwritten with NaN after the backward pass.
+//! * `TYXE_FAULT_NAN_PROB` — probability per step attempt that one
+//!   gradient slot is overwritten with NaN after the backward pass.
 //! * `TYXE_FAULT_PANIC_PROB` — probability per pool task of an injected
 //!   worker panic inside the parallel kernels.
-//! * `TYXE_FAULT_SEED` — base seed of both fault streams (default 0), so
-//!   a given configuration replays the exact same fault schedule.
+//! * `TYXE_FAULT_SEED` — base seed of both fault decisions (default 0),
+//!   so a given configuration replays the exact same fault schedule.
 //! * `--trace <path>` — enable `tyxe-obs` and write a chrome://tracing
 //!   JSON file of every span recorded during the fit.
 //! * `--metrics <path>` — enable `tyxe-obs` and write the final metrics
@@ -27,7 +28,7 @@
 //! The supervisor detects each fault, rolls back to the last good state,
 //! retries with a backed-off learning rate, checkpoints periodically, and
 //! reports every recovery action via [`FitReport::summary`]. With all
-//! knobs unset this is just a plain supervised fit that reports zero
+//! variables unset this is just a plain supervised fit that reports zero
 //! faults.
 
 use tyxe::fit::{Supervisor, SupervisorConfig};
@@ -121,13 +122,14 @@ fn main() {
         SupervisorConfig::default().with_checkpoint(&ckpt, 20),
     );
 
+    let plan = tyxe_par::fault::faults();
     println!(
         "training {} epochs ({} precision) with nan_prob={} panic_prob={} seed={}",
         epochs,
         if args.mixed { "mixed" } else { "f64" },
-        tyxe_par::fault::nan_prob(),
-        tyxe_par::fault::panic_prob(),
-        tyxe_par::fault::fault_seed(),
+        plan.nan_prob,
+        plan.panic_prob,
+        plan.seed,
     );
     let losses = bnn.fit_supervised(&data, &mut optim, epochs, &mut sup);
 
@@ -137,8 +139,7 @@ fn main() {
 
     // Recovery only wraps supervised training; disarm injection before the
     // (unsupervised) evaluation pass.
-    tyxe_par::fault::set_nan_prob(0.0);
-    tyxe_par::fault::set_panic_prob(0.0);
+    tyxe_par::fault::set_faults(tyxe_par::fault::Faults::default());
     let eval = bnn.evaluate(&x, &y, 8);
     println!("final fit error:         {:.4}", eval.error);
 

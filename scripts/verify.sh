@@ -255,6 +255,14 @@ if grep -rnE "Precision::|set_precision|with_precision|convert_dtype_inplace" cr
     echo "verify: a precision policy or parameter dtype conversion reappeared beside the autocast scope" >&2
     exit 1
 fi
+# One fault plan (§8, §13): `tyxe_par::fault::Faults`, replaced whole by
+# `set_faults`. The per-knob setters and their sentinel statics, the
+# scope-sequence reset, the checkpointed NaN stream and the probabilistic
+# worker kill stay gone.
+if grep -rnE "TYXE_FAULT_KILL_PROB|FaultStream|reset_scope_seq|fn set_(panic|nan|kill)_|fn set_fault_seed|const UNSET" crates tests examples; then
+    echo "verify: a per-knob fault setting reappeared beside the one fault plan" >&2
+    exit 1
+fi
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then

@@ -6,7 +6,7 @@
 //! and per-thread timestamps monotonic after clock normalization; and
 //! the killed incarnation must leave a parseable flight-recorder dump.
 //!
-//! Observability state, fault knobs and the flight recorder are all
+//! Observability state, the fault plan and the flight recorder are all
 //! process-global, so every test here serializes on one mutex and
 //! restores the globals on exit.
 
@@ -20,7 +20,7 @@ use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
 use tyxe::{DistFit, VariationalBnn};
 use tyxe_obs::json::Json;
-use tyxe_par::fault;
+use tyxe_par::fault::{self, Faults};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -46,9 +46,7 @@ impl TelemetryScope {
 
 impl Drop for TelemetryScope {
     fn drop(&mut self) {
-        fault::set_kill_prob(0.0);
-        fault::set_kill_step(None);
-        fault::set_kill_rank(0);
+        fault::set_faults(Faults::default());
         tyxe_obs::set_enabled(false);
         tyxe_obs::trace::clear();
     }
@@ -144,11 +142,9 @@ fn merged_trace_covers_all_processes_and_stitches_step_parents() {
     let _ = std::fs::remove_dir_all(&dir);
     tyxe_obs::set_enabled(true);
     tyxe_obs::trace::clear();
-    fault::set_kill_step(Some(3));
-    fault::set_kill_rank(1);
+    fault::set_faults(Faults { kill: Some((1, 3)), ..Faults::default() });
     let fit = run_dist_traced(NAME, 0, 2, 8, Some(dir.clone()));
-    fault::set_kill_step(None);
-    fault::set_kill_rank(0);
+    fault::set_faults(Faults::default());
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
 
     let report = fit.unwrap().dist.expect("multi-process run has a dist report");

@@ -1,11 +1,11 @@
 //! End-to-end fault tolerance: SVI training under deterministic fault
-//! injection (NaN gradients via `TYXE_FAULT_NAN_PROB`, worker panics via
-//! `TYXE_FAULT_PANIC_PROB`) must recover through the supervisor's
+//! injection (the fault plan's NaN gradients and worker panics) must
+//! recover through the supervisor's
 //! retry/backoff/checkpoint pipeline, and kill-and-resume from a
 //! checkpoint must be bit-identical to an uninterrupted run.
 //!
-//! Fault probabilities are process-wide, so every test here serializes on
-//! one mutex and resets the knobs on exit.
+//! The fault plan is process-wide, so every test here serializes on one
+//! mutex and disarms the plan on exit.
 
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
@@ -15,7 +15,7 @@ use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
 use tyxe::VariationalBnn;
-use tyxe_par::fault;
+use tyxe_par::fault::{self, Faults};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -25,8 +25,8 @@ type Bnn = VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, Au
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
-/// Serializes fault-knob usage across tests and guarantees the knobs (and
-/// the pool thread count) are restored even if the test panics.
+/// Serializes fault-plan usage across tests and guarantees the plan is
+/// disarmed (and the pool thread count restored) even if the test panics.
 struct FaultScope {
     #[allow(dead_code)]
     guard: MutexGuard<'static, ()>,
@@ -45,11 +45,7 @@ impl FaultScope {
 
 impl Drop for FaultScope {
     fn drop(&mut self) {
-        fault::set_nan_prob(0.0);
-        fault::set_panic_prob(0.0);
-        fault::set_kill_prob(0.0);
-        fault::set_kill_step(None);
-        fault::set_kill_rank(0);
+        fault::set_faults(Faults::default());
         tyxe_par::set_num_threads(self.prev_threads);
     }
 }
@@ -123,9 +119,8 @@ fn fault_injected_training_recovers_and_converges() {
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
 
-    // Clean reference run (fault knobs at zero).
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    // Clean reference run (fault plan disarmed).
+    fault::set_faults(Faults::default());
     tyxe_prob::rng::set_seed(5);
     let clean = build_bnn(5, hidden, n);
     let mut clean_optim = Adam::new(vec![], 1e-2);
@@ -138,9 +133,7 @@ fn fault_injected_training_recovers_and_converges() {
 
     // Fault-injected run: ~10% of steps get a NaN gradient, and each pool
     // task panics with probability 1%.
-    fault::set_fault_seed(17);
-    fault::set_nan_prob(0.10);
-    fault::set_panic_prob(0.01);
+    fault::set_faults(Faults { seed: 17, nan_prob: 0.10, panic_prob: 0.01, kill: None });
     tyxe_prob::rng::set_seed(5);
     let faulty = build_bnn(5, hidden, n);
     let mut optim = Adam::new(vec![], 1e-2);
@@ -155,8 +148,7 @@ fn fault_injected_training_recovers_and_converges() {
     );
     assert_eq!(report.steps_completed, epochs as u64);
 
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults::default());
     let eval = faulty.evaluate(&x, &y, 8);
     assert!(
         eval.error < 0.1,
@@ -176,7 +168,7 @@ fn fault_injected_training_recovers_and_converges() {
 
 /// Killing training between checkpoints and resuming must replay the
 /// remaining steps bit-identically — including the NaN-fault schedule,
-/// whose stream state rides in the checkpoint.
+/// a pure function of the checkpointed step counter.
 #[test]
 fn kill_and_resume_is_bit_identical_under_faults() {
     let _scope = FaultScope::acquire();
@@ -187,9 +179,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
 
-    fault::set_fault_seed(23);
-    fault::set_nan_prob(0.10);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults { seed: 23, nan_prob: 0.10, ..Faults::default() });
     let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
 
     // Uninterrupted reference: 60 steps.
@@ -262,15 +252,12 @@ fn run_dist(
 fn killed_dist_worker_mid_fit_is_bit_identical() {
     const NAME: &str = "killed_dist_worker_mid_fit_is_bit_identical";
     let _scope = FaultScope::acquire();
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults::default());
     let reference = run_dist(NAME, 0, 2, 4, 8);
     // Rank 1's first incarnation exits hard when it sees step 3.
-    fault::set_kill_step(Some(3));
-    fault::set_kill_rank(1);
+    fault::set_faults(Faults { kill: Some((1, 3)), ..Faults::default() });
     let killed = run_dist(NAME, 1, 2, 4, 8);
-    fault::set_kill_step(None);
-    fault::set_kill_rank(0);
+    fault::set_faults(Faults::default());
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let (killed_sites, restarts) = killed.unwrap();
     assert_eq!(restarts, 1, "expected exactly one worker respawn");
@@ -284,8 +271,7 @@ fn killed_dist_worker_mid_fit_is_bit_identical() {
 #[test]
 fn mixed_precision_resume_reenters_checkpointed_policy() {
     let _scope = FaultScope::acquire();
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
@@ -346,8 +332,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
 #[test]
 fn distributed_resume_restores_shard_count_from_payload() {
     let _scope = FaultScope::acquire();
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let path = tmp_ckpt("dist-resume");
@@ -405,9 +390,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
 
-    fault::set_fault_seed(29);
-    fault::set_nan_prob(0.05);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults { seed: 29, nan_prob: 0.05, ..Faults::default() });
     let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
 
     tyxe_prob::rng::set_seed(11);
@@ -459,8 +442,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
 #[test]
 fn predict_after_resume_redraws_from_the_restored_posterior() {
     let _scope = FaultScope::acquire();
-    fault::set_nan_prob(0.0);
-    fault::set_panic_prob(0.0);
+    fault::set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
