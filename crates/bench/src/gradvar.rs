@@ -83,7 +83,7 @@ pub fn gradient_moments(
         for target in &targets {
             target.zero_grad();
         }
-        let (loss, _, _) = match strategy {
+        let loss = match strategy {
             Strategy::Vanilla => negative_elbo(&model, &guide, ElboEstimator::MeanField),
             Strategy::LocalReparam => {
                 let _g = tyxe::poutine::local_reparameterization();

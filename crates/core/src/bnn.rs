@@ -484,8 +484,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             self.likelihood.observe_data(&pred, targets);
         };
         let guide = || self.guide.sample_guide();
-        let (loss, _, _) = negative_elbo(&model, &guide, self.estimator);
-        loss
+        negative_elbo(&model, &guide, self.estimator)
     }
 
     /// Runs stochastic variational inference for `num_epochs` passes over
@@ -1015,6 +1014,46 @@ mod tests {
         assert_eq!(reason.as_deref(), Some(UNKEYED_INPUT));
         assert_eq!(log, vec![true, false, false, false], "refused once, then dynamic");
         assert_eq!(dynamic, compiled);
+    }
+
+    /// `svi_step` is `svi_forward_backward` then `optim.step()`, the split
+    /// a training supervisor runs and the benchmark times phase by phase:
+    /// from one seed the two give the same losses and parameters, bit for
+    /// bit, on the record step and on every replay.
+    #[test]
+    fn split_step_matches_fused_step_bitwise() {
+        let (x, y) = toy_data();
+        let run = |split: bool| {
+            tyxe_prob::rng::set_seed(7);
+            let bnn = logged_bnn();
+            let mut optim = Adam::new(vec![], 1e-2);
+            let steps: Vec<(u64, Vec<u64>)> = (0..25)
+                .map(|_| {
+                    let loss = if split {
+                        let loss = bnn.svi_forward_backward(&x, &y, &mut optim);
+                        optim.step();
+                        loss
+                    } else {
+                        bnn.svi_step(&x, &y, &mut optim)
+                    };
+                    let params = bnn
+                        .trainable_parameters()
+                        .iter()
+                        .flat_map(Tensor::to_vec)
+                        .map(f64::to_bits)
+                        .collect();
+                    (loss.to_bits(), params)
+                })
+                .collect();
+            assert_eq!(bnn.plan_unsupported_reason(), None);
+            // The first step recorded; replays run no forward. (A
+            // concurrent `invalidate_all` can force a re-record, never
+            // one per step.)
+            let log = bnn.net().recording.take();
+            assert!(log[0] && log.len() < steps.len(), "record then replay: {log:?}");
+            steps
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

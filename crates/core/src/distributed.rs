@@ -180,7 +180,7 @@ where
                     self.bnn.likelihood().observe_data_with_factor(&pred, y, self.factor);
                 };
                 let loss = if s == 0 {
-                    negative_elbo_with_guide_trace(&guide_trace, &model, self.bnn.estimator()).0
+                    negative_elbo_with_guide_trace(&guide_trace, &model, self.bnn.estimator())
                 } else {
                     let _span = tyxe_obs::span!("core.dist.data_term");
                     let (model_trace, ()) = trace(|| replay(&guide_trace, model));

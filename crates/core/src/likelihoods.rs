@@ -119,9 +119,21 @@ pub trait PredictiveFold {
     fn finish(self: Box<Self>, count: usize) -> Tensor;
 }
 
-/// Shared fold for the "map each sample, sum, divide by S" aggregations
-/// (Categorical / Bernoulli / Poisson). Accumulates left-to-right in the
-/// exact association order of the batch implementations.
+/// Runs a likelihood's fold over a whole sample set, in ascending order:
+/// the batch [`Likelihood::aggregate_predictions`] of every likelihood
+/// that folds, so `predict`'s streamed aggregate and the batch one are
+/// one body.
+fn fold_all(fold: Option<Box<dyn PredictiveFold>>, sampled: &[Tensor]) -> Tensor {
+    assert!(!sampled.is_empty(), "aggregate_predictions: empty sample set");
+    let mut fold = fold.expect("fold_all: the likelihood folds");
+    for s in sampled {
+        fold.accumulate(s);
+    }
+    fold.finish(sampled.len())
+}
+
+/// The "map each sample, sum left to right, divide by S" aggregation of
+/// Categorical / Bernoulli / Poisson.
 struct ProbSumFold {
     acc: Option<Tensor>,
     map: fn(&Tensor) -> Tensor,
@@ -333,12 +345,7 @@ impl Likelihood for Categorical {
 
     /// Averages per-sample class probabilities: aggregated shape `[n, C]`.
     fn aggregate_predictions(&self, sampled: &[Tensor]) -> Tensor {
-        assert!(!sampled.is_empty(), "aggregate_predictions: empty sample set");
-        let mut probs = sampled[0].softmax(1);
-        for s in &sampled[1..] {
-            probs = probs.add(&s.softmax(1));
-        }
-        probs.div_scalar(sampled.len() as f64)
+        fold_all(self.fold_begin(), sampled)
     }
 
     fn error(&self, aggregated: &Tensor, targets: &Tensor) -> f64 {
@@ -396,12 +403,7 @@ impl Likelihood for Bernoulli {
 
     /// Averages success probabilities: aggregated shape `[n]`.
     fn aggregate_predictions(&self, sampled: &[Tensor]) -> Tensor {
-        assert!(!sampled.is_empty(), "aggregate_predictions: empty sample set");
-        let mut probs = sampled[0].sigmoid();
-        for s in &sampled[1..] {
-            probs = probs.add(&s.sigmoid());
-        }
-        probs.div_scalar(sampled.len() as f64)
+        fold_all(self.fold_begin(), sampled)
     }
 
     fn error(&self, aggregated: &Tensor, targets: &Tensor) -> f64 {
@@ -458,12 +460,7 @@ impl Likelihood for Poisson {
 
     /// Averages rates: aggregated shape `[n]`.
     fn aggregate_predictions(&self, sampled: &[Tensor]) -> Tensor {
-        assert!(!sampled.is_empty(), "aggregate_predictions: empty sample set");
-        let mut rate = sampled[0].exp();
-        for s in &sampled[1..] {
-            rate = rate.add(&s.exp());
-        }
-        rate.div_scalar(sampled.len() as f64)
+        fold_all(self.fold_begin(), sampled)
     }
 
     fn error(&self, aggregated: &Tensor, targets: &Tensor) -> f64 {

@@ -9,7 +9,6 @@
 mod bernoulli;
 mod categorical;
 mod delta;
-mod gamma;
 mod kl;
 mod lowrank;
 mod normal;
@@ -19,7 +18,6 @@ mod uniform;
 pub use bernoulli::Bernoulli;
 pub use categorical::Categorical;
 pub use delta::{Delta, Flat};
-pub use gamma::{Beta, Gamma, StudentT};
 pub use kl::{kl_divergence, kl_normal_normal};
 pub use lowrank::LowRankNormal;
 pub use normal::{LogNormal, Normal};

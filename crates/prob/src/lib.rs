@@ -13,9 +13,11 @@
 //!   operations* ([`poutine::effectful`]) — the mechanism TyXe uses for
 //!   local reparameterization and flipout without bespoke layer classes.
 //!
-//! On top of these sit [`svi`] (stochastic variational inference with
-//! pathwise and mean-field ELBO estimators), [`mcmc`] (HMC and NUTS with
-//! dual-averaging adaptation) and [`optim`] (SGD/Adam).
+//! On top of these sit [`svi`] (the negative-ELBO loss under the pathwise
+//! and mean-field estimators; the caller runs `backward` and the
+//! optimizer step), [`mcmc`] (HMC and NUTS with dual-averaging
+//! adaptation) and [`optim`] (SGD/Adam). [`dist`] holds the distributions
+//! TyXe's priors, guides and likelihoods construct.
 //!
 //! # Example: conjugate Gaussian
 //!

@@ -1,9 +1,11 @@
-//! Stochastic variational inference: ELBO estimators and the SVI driver.
+//! Stochastic variational inference: the ELBO estimators and the one
+//! function that builds their loss. The step around it (zero the
+//! gradients, `backward`, optimizer step) belongs to the caller;
+//! `tyxe::VariationalBnn::svi_step` is the library's.
 
 use tyxe_tensor::Tensor;
 
 use crate::dist::kl_divergence;
-use crate::optim::Optimizer;
 use crate::poutine::{replay, trace, Trace};
 
 /// How the ELBO's KL/entropy part is estimated.
@@ -22,20 +24,15 @@ pub enum ElboEstimator {
 /// Estimates the negative ELBO as a differentiable scalar tensor.
 ///
 /// `model` and `guide` are closures issuing `sample`/`observe` statements;
-/// the guide's latent sites must cover the model's latents (extra guide
-/// sites are allowed and contribute only their entropy... they do not —
-/// they are simply ignored by the model trace).
-pub fn negative_elbo(
-    model: &dyn Fn(),
-    guide: &dyn Fn(),
-    estimator: ElboEstimator,
-) -> (Tensor, Trace, Trace) {
+/// the guide's latent sites must cover the model's latents. A guide site
+/// the model does not sample (e.g. the joint latent behind a low-rank
+/// guide) still adds its log q, under either estimator.
+pub fn negative_elbo(model: &dyn Fn(), guide: &dyn Fn(), estimator: ElboEstimator) -> Tensor {
     let (guide_trace, ()) = {
         let _span = tyxe_obs::span!("prob.svi.guide");
         trace(guide)
     };
-    let (loss, model_trace) = negative_elbo_with_guide_trace(&guide_trace, model, estimator);
-    (loss, model_trace, guide_trace)
+    negative_elbo_with_guide_trace(&guide_trace, model, estimator)
 }
 
 /// [`negative_elbo`] against an already-drawn guide trace: replays the
@@ -48,14 +45,14 @@ pub fn negative_elbo_with_guide_trace(
     guide_trace: &Trace,
     model: &dyn Fn(),
     estimator: ElboEstimator,
-) -> (Tensor, Trace) {
+) -> Tensor {
     let (model_trace, ()) = {
         let _span = tyxe_obs::span!("prob.svi.model");
         trace(|| replay(guide_trace, model))
     };
 
     let _span = tyxe_obs::span!("prob.svi.loss");
-    let loss = match estimator {
+    match estimator {
         ElboEstimator::Trace => {
             // -ELBO = log q(z) - log p(x, z)
             guide_trace
@@ -88,71 +85,6 @@ pub fn negative_elbo_with_guide_trace(
             }
             loss
         }
-    };
-    (loss, model_trace)
-}
-
-/// The SVI driver: pairs a model/guide with an optimizer and an ELBO
-/// estimator, exposing a Pyro-style `step`.
-pub struct Svi<M, G, O> {
-    model: M,
-    guide: G,
-    optimizer: O,
-    estimator: ElboEstimator,
-}
-
-impl<M: Fn(), G: Fn(), O: Optimizer> Svi<M, G, O> {
-    /// Creates an SVI driver.
-    pub fn new(model: M, guide: G, optimizer: O, estimator: ElboEstimator) -> Svi<M, G, O> {
-        Svi {
-            model,
-            guide,
-            optimizer,
-            estimator,
-        }
-    }
-
-    /// Runs one gradient step and returns the (positive) loss, i.e. the
-    /// negative ELBO estimate.
-    pub fn step(&mut self) -> f64 {
-        let loss = self.forward_backward();
-        self.apply_step();
-        loss
-    }
-
-    /// First half of [`Svi::step`]: estimates the loss and accumulates
-    /// gradients, without touching the parameters. A supervisor can inspect
-    /// (and clip or reject) the gradients before [`Svi::apply_step`].
-    pub fn forward_backward(&mut self) -> f64 {
-        let (loss, _, _) = negative_elbo(&self.model, &self.guide, self.estimator);
-        self.optimizer.zero_grad();
-        loss.backward();
-        loss.item()
-    }
-
-    /// Second half of [`Svi::step`]: applies the optimizer update using the
-    /// gradients accumulated by [`Svi::forward_backward`].
-    pub fn apply_step(&mut self) {
-        self.optimizer.step();
-    }
-
-    /// Access to the optimizer (e.g. to adjust the learning rate).
-    pub fn optimizer_mut(&mut self) -> &mut O {
-        &mut self.optimizer
-    }
-
-    /// Read-only access to the optimizer.
-    pub fn optimizer(&self) -> &O {
-        &self.optimizer
-    }
-}
-
-impl<M, G, O: std::fmt::Debug> std::fmt::Debug for Svi<M, G, O> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Svi")
-            .field("optimizer", &self.optimizer)
-            .field("estimator", &self.estimator)
-            .finish()
     }
 }
 
@@ -160,7 +92,7 @@ impl<M, G, O: std::fmt::Debug> std::fmt::Debug for Svi<M, G, O> {
 mod tests {
     use super::*;
     use crate::dist::{boxed, Normal};
-    use crate::optim::Adam;
+    use crate::optim::{Adam, Optimizer};
     use crate::poutine::{observe, sample};
     use crate::rng;
 
@@ -187,10 +119,12 @@ mod tests {
             let _ = sample("z", boxed(Normal::new(loc_g.clone(), log_scale_g.exp())));
         };
 
-        let optim = Adam::new(vec![loc.clone(), log_scale.clone()], 0.05);
-        let mut svi = Svi::new(model, guide, optim, estimator);
+        let mut optim = Adam::new(vec![loc.clone(), log_scale.clone()], 0.05);
         for _ in 0..800 {
-            svi.step();
+            let loss = negative_elbo(&model, &guide, estimator);
+            optim.zero_grad();
+            loss.backward();
+            optim.step();
         }
         let fitted_mean = loc.to_vec()[0];
         let fitted_sd = log_scale.to_vec()[0].exp();
@@ -226,58 +160,11 @@ mod tests {
         let n = 3000;
         let (mut t_sum, mut mf_sum) = (0.0, 0.0);
         for _ in 0..n {
-            t_sum += negative_elbo(&model, &guide, ElboEstimator::Trace).0.item();
-            mf_sum += negative_elbo(&model, &guide, ElboEstimator::MeanField).0.item();
+            t_sum += negative_elbo(&model, &guide, ElboEstimator::Trace).item();
+            mf_sum += negative_elbo(&model, &guide, ElboEstimator::MeanField).item();
         }
         let diff = (t_sum - mf_sum).abs() / n as f64;
         assert!(diff < 0.05, "estimators disagree by {diff}");
-    }
-
-    /// `forward_backward` + `apply_step` must be bit-identical to `step`.
-    #[test]
-    fn split_step_matches_fused_step_bitwise() {
-        let build = || {
-            let data_t = Tensor::from_vec(vec![0.4, -0.2], &[2]);
-            let model = move || {
-                let z = sample("z", boxed(Normal::standard(&[1])));
-                let z_rep = z.broadcast_to(&[2]);
-                observe("obs", boxed(Normal::new(z_rep, Tensor::ones(&[2]))), &data_t);
-            };
-            let loc = Tensor::zeros(&[1]).requires_grad(true);
-            let log_scale = Tensor::zeros(&[1]).requires_grad(true);
-            let (loc_g, log_scale_g) = (loc.clone(), log_scale.clone());
-            let guide = move || {
-                let _ = sample("z", boxed(Normal::new(loc_g.clone(), log_scale_g.exp())));
-            };
-            let optim = Adam::new(vec![loc.clone(), log_scale.clone()], 0.05);
-            (Svi::new(model, guide, optim, ElboEstimator::Trace), loc, log_scale)
-        };
-
-        rng::set_seed(7);
-        let (mut svi_fused, loc_f, scale_f) = build();
-        let mut fused_losses = Vec::new();
-        for _ in 0..25 {
-            fused_losses.push(svi_fused.step().to_bits());
-        }
-
-        rng::set_seed(7);
-        let (mut svi_split, loc_s, scale_s) = build();
-        let mut split_losses = Vec::new();
-        for _ in 0..25 {
-            let loss = svi_split.forward_backward();
-            svi_split.apply_step();
-            split_losses.push(loss.to_bits());
-        }
-
-        assert_eq!(fused_losses, split_losses);
-        assert_eq!(
-            loc_f.to_vec()[0].to_bits(),
-            loc_s.to_vec()[0].to_bits()
-        );
-        assert_eq!(
-            scale_f.to_vec()[0].to_bits(),
-            scale_s.to_vec()[0].to_bits()
-        );
     }
 
     #[test]
@@ -290,8 +177,8 @@ mod tests {
             let _ = sample("z", boxed(Normal::scalar(1.0, 2.0, &[1])));
         };
         // No observations: -ELBO = KL(q||p) exactly (no MC noise in MF mode).
-        let (l1, _, _) = negative_elbo(&model, &guide, ElboEstimator::MeanField);
-        let (l2, _, _) = negative_elbo(&model, &guide, ElboEstimator::MeanField);
+        let l1 = negative_elbo(&model, &guide, ElboEstimator::MeanField);
+        let l2 = negative_elbo(&model, &guide, ElboEstimator::MeanField);
         assert!((l1.item() - l2.item()).abs() < 1e-12);
         assert!((l1.item() - (2.0 - (2.0f64).ln())).abs() < 1e-9);
     }

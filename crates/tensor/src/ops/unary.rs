@@ -189,17 +189,10 @@ impl Tensor {
     pub fn clamp_max(&self, hi: f64) -> Tensor {
         self.clamp(f64::NEG_INFINITY, hi)
     }
-
-    /// Element-wise Gauss error function (Abramowitz–Stegun 7.1.26
-    /// approximation, max absolute error 1.5e-7). Differentiable.
-    pub fn erf(&self) -> Tensor {
-        self.map_unary(erf_scalar, |x, _, g| {
-            g * 2.0 / std::f64::consts::PI.sqrt() * (-x * x).exp()
-        })
-    }
 }
 
-/// Scalar error function via the Abramowitz–Stegun rational approximation.
+/// Scalar error function via the Abramowitz–Stegun 7.1.26 rational
+/// approximation (max absolute error 1.5e-7).
 pub fn erf_scalar(x: f64) -> f64 {
     let sign = x.signum();
     let x = x.abs();

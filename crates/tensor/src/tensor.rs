@@ -470,11 +470,6 @@ impl Tensor {
         Tensor::full(shape, 0.0)
     }
 
-    /// Creates a tensor of zeros with the given dtype.
-    pub fn zeros_dtype(shape: &[usize], dt: DType) -> Tensor {
-        Tensor::full_dtype(shape, 0.0, dt)
-    }
-
     /// Creates a tensor of ones.
     pub fn ones(shape: &[usize]) -> Tensor {
         Tensor::full(shape, 1.0)
@@ -483,11 +478,6 @@ impl Tensor {
     /// Creates a tensor of zeros with the same shape and dtype as `self`.
     pub fn zeros_like(&self) -> Tensor {
         Tensor::full_dtype(self.shape(), 0.0, self.dtype())
-    }
-
-    /// Creates a tensor of ones with the same shape and dtype as `self`.
-    pub fn ones_like(&self) -> Tensor {
-        Tensor::full_dtype(self.shape(), 1.0, self.dtype())
     }
 
     /// Samples an `f64` tensor with i.i.d. standard normal entries.
@@ -570,13 +560,6 @@ impl Tensor {
         assert!(n >= 2, "linspace needs at least two points");
         let step = (hi - lo) / (n - 1) as f64;
         let t = Tensor::from_vec((0..n).map(|i| lo + step * i as f64).collect(), &[n]);
-        crate::plan::record_const(&t);
-        t
-    }
-
-    /// Creates a 1-D `f64` tensor `[0, 1, ..., n-1]`.
-    pub fn arange(n: usize) -> Tensor {
-        let t = Tensor::from_vec((0..n).map(|i| i as f64).collect(), &[n]);
         crate::plan::record_const(&t);
         t
     }
@@ -781,16 +764,6 @@ impl Tensor {
     /// storage), if a backward pass reached this node.
     pub fn grad(&self) -> Option<Vec<f64>> {
         self.inner.grad.borrow().as_ref().map(Buf::to_f64_vec)
-    }
-
-    /// Returns the gradient as a (non-tracking) tensor with this node's
-    /// dtype.
-    pub fn grad_tensor(&self) -> Option<Tensor> {
-        self.inner
-            .grad
-            .borrow()
-            .as_ref()
-            .map(|g| Tensor::leaf_from_buf(g.clone_pooled(), self.shape()))
     }
 
     /// Clears the accumulated gradient.

@@ -75,7 +75,7 @@ fn main() {
     );
     for _ in 0..800 {
         let m = || model(&data.x, &data.y);
-        let (loss, _, _) = negative_elbo(&m, &guide, ElboEstimator::MeanField);
+        let loss = negative_elbo(&m, &guide, ElboEstimator::MeanField);
         optim.zero_grad();
         loss.backward();
         optim.step();

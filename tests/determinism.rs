@@ -879,35 +879,62 @@ fn mc_dropout_predictions_match_training_mode_forwards() {
 }
 
 /// The streaming aggregation half of the contract: for likelihoods with
-/// a [`tyxe::likelihoods::PredictiveFold`] (Categorical here), `predict`
-/// folds samples one at a time instead of materializing them all, and
-/// the fold must associate exactly like `aggregate_predictions` over the
-/// materialized `predict_samples` — same bits out.
+/// a [`tyxe::likelihoods::PredictiveFold`] (Categorical, Bernoulli and
+/// Poisson), `predict` folds samples one at a time instead of
+/// materializing them all, and the fold must associate exactly like
+/// `aggregate_predictions` over the materialized `predict_samples`, and
+/// both like the map-sum-divide loop kept here as the oracle — same bits
+/// out.
 #[test]
 fn predictive_fold_matches_legacy_aggregate_bitwise() {
-    use tyxe::likelihoods::{Categorical, Likelihood};
+    use tyxe::likelihoods::{Bernoulli, Categorical, Likelihood, Poisson};
     use tyxe_tensor::Tensor;
 
-    let run = |folded: bool| -> Vec<u64> {
-        tyxe_prob::rng::set_seed(71);
-        let mut rng = StdRng::seed_from_u64(71);
-        let net = tyxe_nn::layers::mlp(&[4, 16, 3], false, &mut rng);
-        let bnn: VariationalBnn<tyxe_nn::layers::Sequential, Categorical, AutoNormal> =
-            VariationalBnn::new(
-                net,
-                &IIDPrior::standard_normal(),
-                Categorical::new(32),
-                AutoNormal::new().init_scale(1e-2),
-            );
-        let x = Tensor::ones(&[5, 4]);
-        let agg = if folded {
-            bnn.predict(&x, 16)
-        } else {
-            bnn.likelihood().aggregate_predictions(&bnn.predict_samples(&x, 16))
-        };
-        agg.to_vec().iter().map(|v| v.to_bits()).collect()
-    };
-    assert_eq!(run(false), run(true), "streamed fold drifted from the batch aggregate");
+    /// The batch loop the discrete likelihoods ran before their
+    /// aggregate became the fold: map each sample, sum left to right,
+    /// divide by the sample count.
+    fn oracle(sampled: &[Tensor], map: fn(&Tensor) -> Tensor) -> Tensor {
+        let mut acc = map(&sampled[0]);
+        for s in &sampled[1..] {
+            acc = acc.add(&map(s));
+        }
+        acc.div_scalar(sampled.len() as f64)
+    }
+
+    fn check<L: Likelihood + Clone>(likelihood: L, out: usize, map: fn(&Tensor) -> Tensor) {
+        let bits = |t: Tensor| -> Vec<u64> { t.to_vec().iter().map(|v| v.to_bits()).collect() };
+        // 12 samples as well as 16: `div_scalar` multiplies by the
+        // reciprocal, which at 16 equals a true division bit for bit and
+        // at 12 does not, so only 12 tells the two apart.
+        for samples in [16, 12] {
+            let run = |folded: bool| -> Vec<u64> {
+                tyxe_prob::rng::set_seed(71);
+                let mut rng = StdRng::seed_from_u64(71);
+                let net = tyxe_nn::layers::mlp(&[4, 16, out], false, &mut rng);
+                let bnn = VariationalBnn::new(
+                    net,
+                    &IIDPrior::standard_normal(),
+                    likelihood.clone(),
+                    AutoNormal::new().init_scale(1e-2),
+                );
+                let x = Tensor::ones(&[5, 4]);
+                if folded {
+                    bits(bnn.predict(&x, samples))
+                } else {
+                    let sampled = bnn.predict_samples(&x, samples);
+                    let batch = bits(bnn.likelihood().aggregate_predictions(&sampled));
+                    let legacy = bits(oracle(&sampled, map));
+                    assert_eq!(batch, legacy, "batch aggregate drifted from the oracle");
+                    batch
+                }
+            };
+            assert_eq!(run(false), run(true), "streamed fold drifted from the batch aggregate");
+        }
+    }
+
+    check(Categorical::new(32), 3, |t| t.softmax(1));
+    check(Bernoulli::new(32), 1, |t| t.sigmoid());
+    check(Poisson::new(32), 1, |t| t.exp());
 }
 
 /// Cache semantics: a second predict at the same sample count replays
