@@ -200,6 +200,17 @@ pub(crate) fn evaluation_from_samples<L: Likelihood>(
     }
 }
 
+/// Hands `optim` the tensors of `params` it does not hold yet, in the
+/// order given: the optimizer's state, and so a checkpoint's layout,
+/// follows it.
+pub(crate) fn add_missing_params(optim: &mut dyn Optimizer, params: Vec<Tensor>) {
+    let held: std::collections::HashSet<u64> = optim.params().iter().map(Tensor::id).collect();
+    let fresh: Vec<Tensor> = params.into_iter().filter(|p| !held.contains(&p.id())).collect();
+    if !fresh.is_empty() {
+        optim.add_params(fresh);
+    }
+}
+
 /// The one predictive loop every weight-sampling front-end shares: one
 /// grad-free forward per cached weight draw, with the draw injected
 /// straight into the parameter slots (no poutine walk, no tape), handed
@@ -370,19 +381,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         self.bump_guide_epoch();
     }
 
-    pub(crate) fn register_params(&self, optim: &mut dyn Optimizer) {
-        let existing: std::collections::HashSet<u64> =
-            optim.params().iter().map(Tensor::id).collect();
-        let fresh: Vec<Tensor> = self
-            .trainable_parameters()
-            .into_iter()
-            .filter(|p| !existing.contains(&p.id()))
-            .collect();
-        if !fresh.is_empty() {
-            optim.add_params(fresh);
-        }
-    }
-
     /// Why the compiled-plan path is disabled for this BNN, if it is:
     /// `Some(reason)` once a step traced to something unreplayable, kept
     /// thrashing input or handler-stack signatures, or took an input
@@ -438,7 +436,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         self.bump_guide_epoch();
         // Params can have been dropped from the optimizer by a checkpoint
         // restore; cheap no-op otherwise.
-        self.register_params(optim);
+        add_missing_params(optim, self.trainable_parameters());
         // The caller's handlers, read before this step installs its own
         // (observational) one.
         let handlers = tyxe_prob::poutine::stack_signature();

@@ -34,7 +34,7 @@ use tyxe_prob::rng;
 use tyxe_prob::svi::negative_elbo_with_guide_trace;
 use tyxe_tensor::{autocast, Tensor};
 
-use crate::bnn::VariationalBnn;
+use crate::bnn::{add_missing_params, VariationalBnn};
 use crate::fit::{enter_checkpointed_autocast, Supervisor};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
@@ -284,7 +284,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                 live.iter().map(|&r| f64::from(r)).collect(),
             );
             let loss = supervisor.step(optim, &mut |o| {
-                self.register_params(o);
+                add_missing_params(o, self.trainable_parameters());
                 invocation += 1;
                 let s0 = rng::get_state();
                 let (loss, grads) = match co.as_mut() {

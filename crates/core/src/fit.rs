@@ -32,7 +32,6 @@
 //! `panic_prob` makes pool tasks panic with a recognizable payload that
 //! the supervisor treats as a recoverable worker crash.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use tyxe_nn::serialize::LoadError;
@@ -43,7 +42,7 @@ use tyxe_prob::rng;
 use tyxe_rand::Rng;
 use tyxe_tensor::{autocast, Tensor};
 
-use crate::bnn::VariationalBnn;
+use crate::bnn::{add_missing_params, VariationalBnn};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
@@ -653,16 +652,7 @@ impl Supervisor {
 
         // Optimizer: register our params first (a fresh optimizer may be
         // empty — lazy registration normally happens on the first step).
-        let existing: HashSet<u64> = optim.params().iter().map(Tensor::id).collect();
-        let fresh: Vec<Tensor> = self
-            .params
-            .iter()
-            .filter(|p| !existing.contains(&p.id()))
-            .cloned()
-            .collect();
-        if !fresh.is_empty() {
-            optim.add_params(fresh);
-        }
+        add_missing_params(optim, self.params.clone());
         let optim_buffers: Vec<(String, Vec<f64>)> = optim
             .state_buffers()
             .into_iter()

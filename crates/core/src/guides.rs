@@ -35,6 +35,24 @@ pub enum InitLoc {
     FanIn(VarianceScheme),
 }
 
+impl InitLoc {
+    /// The initial mean of one site, detached. `PriorSample` and `FanIn`
+    /// draw from the global RNG once per call, so guides that resolve
+    /// their sites in order keep one draw per site, in site order.
+    pub(crate) fn resolve(self, site: &BnnSite) -> Tensor {
+        match self {
+            InitLoc::PriorSample => site.prior().sample().detach(),
+            InitLoc::PriorMean => site.prior().mean().detach(),
+            InitLoc::Pretrained => site.param.leaf().detach(),
+            InitLoc::FanIn(scheme) => {
+                let shape = site.param.shape();
+                let sd = scheme.variance(&shape).sqrt();
+                rng::randn(&shape).mul_scalar(sd)
+            }
+        }
+    }
+}
+
 /// A guide: the approximate posterior program over the Bayesian sites.
 pub trait Guide {
     /// Lazily creates variational parameters for the given sites. Called
@@ -160,19 +178,6 @@ impl AutoNormal {
         self
     }
 
-    fn init_loc_tensor(&self, site: &BnnSite) -> Tensor {
-        match self.init_loc {
-            InitLoc::PriorSample => site.prior().sample().detach(),
-            InitLoc::PriorMean => site.prior().mean().detach(),
-            InitLoc::Pretrained => site.param.leaf().detach(),
-            InitLoc::FanIn(scheme) => {
-                let shape = site.param.shape();
-                let sd = scheme.variance(&shape).sqrt();
-                rng::randn(&shape).mul_scalar(sd)
-            }
-        }
-    }
-
     /// The current variational distribution for one site (respecting the
     /// scale cap and freeze flags).
     fn site_distribution(&self, site: &NormalSite) -> Normal {
@@ -210,7 +215,7 @@ impl Guide for AutoNormal {
             .iter()
             .map(|site| NormalSite {
                 name: site.name.clone(),
-                loc: self.init_loc_tensor(site).requires_grad(true),
+                loc: self.init_loc.resolve(site).requires_grad(true),
                 log_scale: Tensor::full(&site.param.shape(), self.init_scale.ln())
                     .requires_grad(true),
             })
@@ -288,18 +293,7 @@ impl Guide for AutoDelta {
     fn setup(&mut self, sites: &[BnnSite]) {
         self.sites = sites
             .iter()
-            .map(|site| {
-                let init = match self.init_loc {
-                    InitLoc::PriorSample => site.prior().sample().detach(),
-                    InitLoc::PriorMean => site.prior().mean().detach(),
-                    InitLoc::Pretrained => site.param.leaf().detach(),
-                    InitLoc::FanIn(scheme) => {
-                        let shape = site.param.shape();
-                        rng::randn(&shape).mul_scalar(scheme.variance(&shape).sqrt())
-                    }
-                };
-                (site.name.clone(), init.requires_grad(true))
-            })
+            .map(|site| (site.name.clone(), self.init_loc.resolve(site).requires_grad(true)))
             .collect();
     }
 
@@ -575,5 +569,64 @@ mod tests {
         let d = g.distribution("w").unwrap();
         let emp_var = d.loc().square().mean().item();
         assert!((emp_var - 1e-4).abs() < 2e-5, "variance {emp_var}");
+    }
+
+    /// Every init strategy of every guide that takes one puts each site's
+    /// mean where an oracle written out here says, bit for bit, drawing
+    /// from the RNG once per site in site order.
+    #[test]
+    fn init_strategies_match_oracle_bitwise() {
+        use crate::guides_ktied::AutoKTiedNormal;
+
+        let shapes: [&[usize]; 2] = [&[3, 2], &[2]];
+        let values = [vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0], vec![7.0, -8.0]];
+        let sites: Vec<BnnSite> = ["net.w", "net.b"]
+            .iter()
+            .zip(shapes)
+            .zip(&values)
+            .map(|((name, shape), v)| {
+                BnnSite::new(
+                    (*name).into(),
+                    "Linear",
+                    Param::new(Tensor::from_vec(v.clone(), shape)),
+                    boxed(Normal::scalar(0.5, 2.0, shape)),
+                )
+            })
+            .collect();
+        rng::set_seed(11);
+        let prior_draws = sites.iter().map(|s| s.prior().sample().to_vec()).collect();
+        // Radford's variance is 1 / fan_in, and fan_in is 2 for both sites.
+        rng::set_seed(11);
+        let fan_in_draws = shapes
+            .iter()
+            .map(|shape| rng::randn(shape).mul_scalar(0.5f64.sqrt()).to_vec())
+            .collect();
+        let cases: [(InitLoc, Vec<Vec<f64>>); 4] = [
+            (InitLoc::PriorSample, prior_draws),
+            (InitLoc::PriorMean, values.iter().map(|v| vec![0.5; v.len()]).collect()),
+            (InitLoc::Pretrained, values.to_vec()),
+            (InitLoc::FanIn(VarianceScheme::Radford), fan_in_draws),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (strategy, expected) in cases {
+            let guides: [(&str, Box<dyn Guide>); 3] = [
+                ("AutoNormal", Box::new(AutoNormal::new().init_loc(strategy))),
+                ("AutoDelta", Box::new(AutoDelta::new().init_loc(strategy))),
+                ("AutoKTiedNormal", Box::new(AutoKTiedNormal::new(2, 0.1).init_loc(strategy))),
+            ];
+            for (label, mut guide) in guides {
+                rng::set_seed(11);
+                guide.setup(&sites);
+                let dists = guide.detached_distributions();
+                for (site, want) in sites.iter().zip(&expected) {
+                    assert_eq!(
+                        bits(&dists[&site.name].mean().to_vec()),
+                        bits(want),
+                        "{label} {strategy:?} {}",
+                        site.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,6 @@ struct KTiedSite {
     name: String,
     loc: Tensor,
     scale: TiedScale,
-    shape: Vec<usize>,
 }
 
 /// Mean-field guide with rank-k tied standard deviations on matrix-shaped
@@ -99,13 +98,6 @@ impl Guide for AutoKTiedNormal {
             .iter()
             .map(|site| {
                 let shape = site.param.shape();
-                let loc = match self.init_loc {
-                    InitLoc::PriorSample => site.prior().sample().detach(),
-                    InitLoc::PriorMean => site.prior().mean().detach(),
-                    InitLoc::Pretrained => site.param.leaf().detach(),
-                    InitLoc::FanIn(scheme) => tyxe_prob::rng::randn(&shape)
-                        .mul_scalar(scheme.variance(&shape).sqrt()),
-                };
                 let scale = if shape.len() == 2 {
                     TiedScale::Factored {
                         u: Tensor::full(&[shape[0], self.rank], raw).requires_grad(true),
@@ -118,9 +110,8 @@ impl Guide for AutoKTiedNormal {
                 };
                 KTiedSite {
                     name: site.name.clone(),
-                    loc: loc.requires_grad(true),
+                    loc: self.init_loc.resolve(site).requires_grad(true),
                     scale,
-                    shape,
                 }
             })
             .collect();
@@ -154,7 +145,6 @@ impl Guide for AutoKTiedNormal {
                 let d = self.site_distribution(s);
                 let det: DynDistribution =
                     boxed(Normal::new(d.loc().detach(), d.scale().detach()));
-                let _ = &s.shape;
                 (s.name.clone(), det)
             })
             .collect()

@@ -1,7 +1,8 @@
-//! Dropout, including the fixed-mask variant the paper's Appendix D
-//! discusses for Monte Carlo dropout visualization.
+//! Dropout. The fixed mask the paper's Appendix D asks for when
+//! visualizing Monte Carlo dropout is an effect handler,
+//! `tyxe::mc_dropout::fixed_dropout`, not a mode of this layer.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 use tyxe_tensor::Tensor;
 
@@ -10,14 +11,13 @@ use crate::module::{Forward, Module, ParamInfo};
 /// Standard inverted dropout: during training each element is zeroed with
 /// probability `p` and survivors are scaled by `1/(1-p)`.
 ///
-/// [`Dropout::freeze_mask`] pins a single mask across forward passes — the
-/// effect-handler-style control the paper suggests for visualizing MC
-/// dropout with a shared weight sample per batch.
+/// The mask is drawn through the effect-handler stack, so
+/// `tyxe::mc_dropout::fixed_dropout` can pin one mask across forward
+/// passes.
 #[derive(Debug)]
 pub struct Dropout {
     p: f64,
     training: Cell<bool>,
-    frozen_mask: RefCell<Option<Tensor>>,
 }
 
 impl Dropout {
@@ -31,30 +31,7 @@ impl Dropout {
         Dropout {
             p,
             training: Cell::new(true),
-            frozen_mask: RefCell::new(None),
         }
-    }
-
-    fn sample_mask(&self, shape: &[usize]) -> Tensor {
-        let keep = 1.0 - self.p;
-        let u = tyxe_prob::rng::rand_uniform(shape, 0.0, 1.0);
-        let data = u
-            .data()
-            .iter()
-            .map(|&ui| if ui < keep { 1.0 / keep } else { 0.0 })
-            .collect();
-        Tensor::from_vec(data, shape)
-    }
-
-    /// Samples one mask for the given shape and reuses it for every
-    /// subsequent forward pass until [`Dropout::unfreeze_mask`].
-    pub fn freeze_mask(&self, shape: &[usize]) {
-        *self.frozen_mask.borrow_mut() = Some(self.sample_mask(shape));
-    }
-
-    /// Returns to per-call mask sampling.
-    pub fn unfreeze_mask(&self) {
-        *self.frozen_mask.borrow_mut() = None;
     }
 
     /// Drop probability.
@@ -80,11 +57,8 @@ impl Forward<Tensor> for Dropout {
         if !self.training.get() || self.p == 0.0 {
             return input.clone();
         }
-        if let Some(mask) = self.frozen_mask.borrow().as_ref() {
-            return input.mul(mask);
-        }
         // Route through the effect-handler stack so MC-dropout handlers
-        // (e.g. `tyxe::poutine::fixed_dropout`) can rewrite the sampling.
+        // (e.g. `tyxe::mc_dropout::fixed_dropout`) can rewrite the sampling.
         tyxe_prob::poutine::effectful::dropout(input, self.p)
     }
 }
@@ -108,20 +82,6 @@ mod tests {
         let x = Tensor::ones(&[20000]);
         let m = d.forward(&x).mean().item();
         assert!((m - 1.0).abs() < 0.03, "mean {m}");
-    }
-
-    #[test]
-    fn frozen_mask_is_reused() {
-        tyxe_prob::rng::set_seed(1);
-        let d = Dropout::new(0.5);
-        d.freeze_mask(&[100]);
-        let x = Tensor::ones(&[100]);
-        let a = d.forward(&x).to_vec();
-        let b = d.forward(&x).to_vec();
-        assert_eq!(a, b);
-        d.unfreeze_mask();
-        let c = d.forward(&x).to_vec();
-        assert_ne!(a, c);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 mod activation;
 mod conv;
 mod dropout;
-mod extra;
 mod linear;
 mod norm;
 mod sequential;
@@ -11,7 +10,6 @@ mod sequential;
 pub use activation::{Flatten, GlobalAvgPool2d, MaxPool2d, Relu, Sigmoid, Softplus, Tanh};
 pub use conv::Conv2d;
 pub use dropout::Dropout;
-pub use extra::{AvgPool2d, LayerNorm};
 pub use linear::Linear;
 pub use norm::BatchNorm2d;
 pub use sequential::{mlp, Sequential};

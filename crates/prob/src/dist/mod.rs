@@ -20,7 +20,7 @@ pub use categorical::Categorical;
 pub use delta::{Delta, Flat};
 pub use kl::{kl_divergence, kl_normal_normal};
 pub use lowrank::LowRankNormal;
-pub use normal::{LogNormal, Normal};
+pub use normal::Normal;
 pub use poisson::Poisson;
 pub use uniform::Uniform;
 

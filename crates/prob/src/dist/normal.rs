@@ -1,4 +1,4 @@
-//! Factorized (diagonal) Normal and LogNormal distributions.
+//! Factorized (diagonal) Normal.
 
 use std::any::Any;
 use std::cell::OnceCell;
@@ -141,65 +141,6 @@ impl Distribution for Normal {
     }
 }
 
-/// Log-normal distribution: `exp(Normal(loc, scale))`.
-///
-/// Useful as a positive-support prior, e.g. over an unknown likelihood
-/// scale. Sampling is reparameterized.
-#[derive(Debug, Clone)]
-pub struct LogNormal {
-    base: Normal,
-}
-
-impl LogNormal {
-    /// Creates a LogNormal whose logarithm has the given location/scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes do not broadcast.
-    pub fn new(loc: Tensor, scale: Tensor) -> LogNormal {
-        LogNormal {
-            base: Normal::new(loc, scale),
-        }
-    }
-}
-
-impl Distribution for LogNormal {
-    fn sample(&self) -> Tensor {
-        self.base.sample().exp()
-    }
-
-    fn log_prob(&self, value: &Tensor) -> Tensor {
-        // log N(ln v; mu, sigma) - ln v
-        self.base.log_prob(&value.ln()).sub(&value.ln())
-    }
-
-    fn shape(&self) -> Vec<usize> {
-        self.base.shape()
-    }
-
-    fn has_rsample(&self) -> bool {
-        true
-    }
-
-    fn mean(&self) -> Tensor {
-        // exp(mu + sigma^2/2)
-        self.base
-            .loc()
-            .add(&self.base.scale().square().mul_scalar(0.5))
-            .exp()
-    }
-
-    fn variance(&self) -> Tensor {
-        let s2 = self.base.scale().square();
-        let m2 = self.base.loc().mul_scalar(2.0).add(&s2).exp();
-        s2.exp().sub_scalar(1.0).mul(&m2)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::test_util::assert_close;
@@ -250,22 +191,5 @@ mod tests {
         let d = Normal::new(Tensor::zeros(&[2, 1]), Tensor::ones(&[1, 3]));
         assert_eq!(d.shape(), vec![2, 3]);
         assert_eq!(d.sample().shape(), &[2, 3]);
-    }
-
-    #[test]
-    fn lognormal_support_positive_and_logprob() {
-        crate::rng::set_seed(2);
-        let d = LogNormal::new(Tensor::zeros(&[100]), Tensor::ones(&[100]));
-        assert!(d.sample().to_vec().iter().all(|&v| v > 0.0));
-        // At v=1: ln v = 0, lp = N(0;0,1) - 0
-        let d1 = LogNormal::new(Tensor::zeros(&[1]), Tensor::ones(&[1]));
-        let lp = d1.log_prob(&Tensor::ones(&[1])).item();
-        assert_close(lp, -log_sqrt_2pi(), 1e-9);
-    }
-
-    #[test]
-    fn lognormal_mean() {
-        let d = LogNormal::new(Tensor::zeros(&[1]), Tensor::from_vec(vec![0.5], &[1]));
-        assert_close(d.mean().item(), (0.125f64).exp(), 1e-9);
     }
 }

@@ -172,42 +172,6 @@ impl Tensor {
     pub fn solve(&self, b: &Tensor) -> Tensor {
         self.inverse().matvec(b)
     }
-
-    /// Lower-triangular Cholesky factor of a symmetric positive-definite
-    /// matrix (non-differentiable; used to construct samplers, not losses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix is not 2-D square or not positive definite.
-    pub fn cholesky(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "cholesky: tensor must be 2-D");
-        let n = self.shape()[0];
-        assert_eq!(n, self.shape()[1], "cholesky: tensor must be square");
-        // Factorization is f64-only; narrower inputs upcast and the
-        // factor is cast back (non-differentiable either way).
-        if self.dtype() != DType::F64 {
-            let dt = self.dtype();
-            return self.cast(DType::F64).cholesky().cast(dt);
-        }
-        let a = self.data();
-        let mut l = vec![0.0; n * n];
-        for i in 0..n {
-            for j in 0..=i {
-                let mut s = a[i * n + j];
-                for k in 0..j {
-                    s -= l[i * n + k] * l[j * n + k];
-                }
-                if i == j {
-                    assert!(s > 0.0, "cholesky: matrix not positive definite");
-                    l[i * n + i] = s.sqrt();
-                } else {
-                    l[i * n + j] = s / l[j * n + j];
-                }
-            }
-        }
-        drop(a);
-        Tensor::from_vec(l, &[n, n])
-    }
 }
 
 #[cfg(test)]
@@ -266,25 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_reconstructs() {
-        let a = random_spd(4, 5);
-        let l = a.cholesky();
-        let rec = l.matmul(&l.t());
-        for (r, o) in rec.to_vec().iter().zip(a.to_vec()) {
-            assert!((r - o).abs() < 1e-9);
-        }
-        // Upper triangle is zero.
-        assert_eq!(l.at(&[0, 3]), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn cholesky_rejects_indefinite() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 2.0, 1.0], &[2, 2]);
-        let _ = a.cholesky();
-    }
-
-    #[test]
     #[should_panic]
     fn singular_inverse_panics() {
         let a = Tensor::zeros(&[2, 2]);
@@ -308,6 +253,5 @@ mod tests {
         assert_eq!(ld.dtype(), DType::F32);
         ld.backward();
         assert!(a.grad().is_some());
-        assert_eq!(a.cholesky().dtype(), DType::F32);
     }
 }
