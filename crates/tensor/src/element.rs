@@ -25,13 +25,16 @@
 //! chain is a fixed per-dtype sequence of correctly rounded ops.
 //!
 //! **Exception — hot transcendentals.** `tanh` and `exp` forward maps
-//! go through [`Element::tanh_e`] / [`Element::exp_e`] instead of the
-//! widen-compute-round recipe: `f64` storage keeps libm (historical
-//! bits), while `f32` storage uses dedicated polynomial/rational
-//! approximants that the compiler can vectorize — libm's `tanh` costs
-//! ~23 ns/element on this substrate's reference box and dominates the
-//! non-GEMM share of an SVI step, with `tanhf` no faster. Every kernel
-//! that evaluates these maps (the standalone unary ops, the fused
+//! go through [`Element::tanh_slice`] / [`Element::exp_e`] instead of the
+//! widen-compute-round recipe. On `f64` storage `tanh` is the slice
+//! kernel [`crate::ops::tanh_kernel`]: on FMA hardware a lane-wise port
+//! of glibc's `tanh` and the `__expm1_fma` it calls, bitwise equal to
+//! `f64::tanh` on every input (`tests/f64_tanh.rs`), and libm itself on
+//! CPUs without FMA; libm's scalar `tanh` costs ~20 ns/element and the
+//! port a quarter of that at AVX-512. `f64` `exp` stays libm. `f32`
+//! storage uses dedicated polynomial/rational approximants that the
+//! compiler can vectorize (`tanhf` is no faster than `tanh`). Every
+//! kernel that evaluates these maps (the standalone unary ops, the fused
 //! linear/conv activation pass, the fused reparameterized draw's scale
 //! transform) calls the *same* per-dtype function, so fusing a call
 //! site still never changes bits. Over all 2³² inputs the `f32`
@@ -133,11 +136,13 @@ pub trait Element:
     fn minimum(self, other: Self) -> Self;
     /// Raw bits, zero-extended to 64 — for bitwise determinism checks.
     fn to_bits_u64(self) -> u64;
-    /// Hyperbolic tangent in storage precision: libm for `f64`, the
-    /// vectorizable rational approximant [`tanh_f32`] for `f32`. The
-    /// single definition every tanh-evaluating kernel (unary op, fused
-    /// linear/conv activation) must share — see the module docs.
-    fn tanh_e(self) -> Self;
+    /// In-place hyperbolic tangent in storage precision: for `f64` the
+    /// SIMD port of glibc's `tanh` ([`crate::ops::tanh_kernel`], bitwise
+    /// `f64::tanh`), for `f32` the vectorizable rational approximant
+    /// [`tanh_f32`]. The single definition every tanh-evaluating kernel
+    /// (unary op, fused linear/conv activation) must share — see the
+    /// module docs.
+    fn tanh_slice(xs: &mut [Self]);
     /// Exponential in storage precision: libm for `f64`, the
     /// vectorizable base-2 approximant [`exp_f32`] for `f32`. Shared by
     /// the unary op and the fused reparam draw's `ScaleMap::Exp`.
@@ -173,9 +178,8 @@ impl Element for f64 {
     fn to_bits_u64(self) -> u64 {
         self.to_bits()
     }
-    #[inline(always)]
-    fn tanh_e(self) -> f64 {
-        self.tanh()
+    fn tanh_slice(xs: &mut [f64]) {
+        crate::ops::tanh_kernel::tanh_f64(xs);
     }
     #[inline(always)]
     fn exp_e(self) -> f64 {
@@ -212,9 +216,10 @@ impl Element for f32 {
     fn to_bits_u64(self) -> u64 {
         u64::from(self.to_bits())
     }
-    #[inline(always)]
-    fn tanh_e(self) -> f32 {
-        tanh_f32(self)
+    fn tanh_slice(xs: &mut [f32]) {
+        for v in xs.iter_mut() {
+            *v = tanh_f32(*v);
+        }
     }
     #[inline(always)]
     fn exp_e(self) -> f32 {

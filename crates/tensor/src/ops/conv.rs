@@ -171,26 +171,18 @@ fn conv2d_act_t<E: Element>(
                 }
                 im2col(&x[s * sample_in..(s + 1) * sample_in], cin, h, w, kh, kw, stride, pad, &mut cols);
                 gemm_ow(wd, &cols, o, cout, krows, ncols);
-                match (bd, act) {
-                    (Some(bd), _) => {
-                        for co in 0..cout {
-                            let b = bd[co];
-                            for v in &mut o[co * ncols..(co + 1) * ncols] {
-                                // Round the biased pre-activation to
-                                // storage before the activation, as the
-                                // unfused add → act chain would.
-                                let pre = E::from_f64(v.to_f64() + b.to_f64());
-                                *v = act.apply_e(pre);
-                            }
-                        }
-                    }
-                    (None, Activation::Identity) => {}
-                    (None, _) => {
-                        for v in o.iter_mut() {
-                            *v = act.apply_e(*v);
+                if let Some(bd) = bd {
+                    for co in 0..cout {
+                        let b = bd[co];
+                        for v in &mut o[co * ncols..(co + 1) * ncols] {
+                            // Round the biased pre-activation to storage
+                            // before the activation, as the unfused
+                            // add → act chain would.
+                            *v = E::from_f64(v.to_f64() + b.to_f64());
                         }
                     }
                 }
+                act.apply_slice(o);
             }
         });
     }

@@ -33,16 +33,16 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::element::{Element, dispatch_dtype};
-use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow};
+use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow, join_products};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::tensor::Tensor;
 
 /// Activation fused into [`Tensor::linear`] / [`Tensor::conv2d_act`].
 ///
-/// Each variant's `apply` is the exact scalar recipe of the
-/// corresponding standalone op in `unary.rs`, and its gradient is
-/// recoverable from the output value alone.
+/// Each variant's forward map is the exact recipe of the corresponding
+/// standalone op in `unary.rs`, and its gradient is recoverable from the
+/// output value alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Activation {
     /// No activation; the fused op is just `x·Wᵀ + b`.
@@ -57,27 +57,22 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// The forward scalar map (identical to the unfused op's).
-    #[inline(always)]
-    pub fn apply(self, x: f64) -> f64 {
-        match self {
-            Activation::Identity => x,
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
-    /// The forward map on a storage element: tanh routes through the
-    /// per-dtype recipe [`Element::tanh_e`] — the same function the
-    /// standalone [`Tensor::tanh`] kernel runs, so fusing never changes
+    /// The forward map, in place over storage elements. Tanh runs the
+    /// per-dtype slice recipe [`Element::tanh_slice`] — the same kernel
+    /// the standalone [`Tensor::tanh`] runs, so fusing never changes
     /// bits — and the other variants keep the widen-compute-round
-    /// contract (their recipes are single IEEE ops or already cheap).
-    #[inline(always)]
-    pub(crate) fn apply_e<E: Element>(self, x: E) -> E {
+    /// contract with the unfused op's scalar recipe.
+    pub(crate) fn apply_slice<E: Element>(self, xs: &mut [E]) {
+        let scalar = |f: fn(f64) -> f64, xs: &mut [E]| {
+            for v in xs.iter_mut() {
+                *v = E::from_f64(f(v.to_f64()));
+            }
+        };
         match self {
-            Activation::Tanh => x.tanh_e(),
-            _ => E::from_f64(self.apply(x.to_f64())),
+            Activation::Identity => {}
+            Activation::Relu => scalar(|x| x.max(0.0), xs),
+            Activation::Tanh => E::tanh_slice(xs),
+            Activation::Sigmoid => scalar(|x| 1.0 / (1.0 + (-x).exp()), xs),
         }
     }
 
@@ -182,23 +177,15 @@ fn linear_t<E: Element>(
                 let wd = w.data_of::<E>();
                 gemm_bt_ow(&xd, &wd, out, m, k, n);
             }
-            match (&b, act) {
-                (Some(b), _) => {
-                    let bd = b.data_of::<E>();
-                    for row in out.chunks_mut(n.max(1)) {
-                        for (v, &bv) in row.iter_mut().zip(bd.iter()) {
-                            let pre = E::from_f64(v.to_f64() + bv.to_f64());
-                            *v = act.apply_e(pre);
-                        }
-                    }
-                }
-                (None, Activation::Identity) => {}
-                (None, _) => {
-                    for v in out.iter_mut() {
-                        *v = act.apply_e(*v);
+            if let Some(b) = &b {
+                let bd = b.data_of::<E>();
+                for row in out.chunks_mut(n.max(1)) {
+                    for (v, &bv) in row.iter_mut().zip(bd.iter()) {
+                        *v = E::from_f64(v.to_f64() + bv.to_f64());
                     }
                 }
             }
+            act.apply_slice(out);
         }
     };
     let mut data = pool::alloc_uninit::<E>(m * n);
@@ -232,7 +219,8 @@ fn linear_t<E: Element>(
         let (xs, ws): (&[E], &[E]) = (&xd, &wd);
         let mut gx = pool::alloc_uninit::<E>(m * k);
         let mut gw = pool::alloc_uninit::<E>(n * k);
-        tyxe_par::join2(
+        join_products(
+            m * n * k,
             // dX = Gpre · W  ([m,n]·[n,k]).
             || gemm_ow(gpre, ws, &mut gx, m, n, k),
             // dW = Gpreᵀ · X  ([n,m]·[m,k]).

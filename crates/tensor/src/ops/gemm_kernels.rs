@@ -70,9 +70,9 @@
 // the field list without removing it.
 #![allow(clippy::too_many_arguments)]
 
-use std::sync::OnceLock;
-
 use crate::element::{DType, Element, same_slice, same_slice_mut};
+use crate::ops::isa::{isa, Isa};
+use crate::pool;
 
 /// Work (in multiply-adds, `m·k·n`) below which the blocked path is not
 /// worth its packing and dispatch overhead; small products use the
@@ -89,30 +89,6 @@ const NC: usize = 256;
 // ---------------------------------------------------------------------------
 // ISA selection
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Isa {
-    Base,
-    Avx2Fma,
-    Avx512Fma,
-}
-
-fn isa() -> Isa {
-    static ISA: OnceLock<Isa> = OnceLock::new();
-    *ISA.get_or_init(|| {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("fma") {
-                return Isa::Avx512Fma;
-            }
-            // AVX2 without FMA gets the portable kernels.
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-                return Isa::Avx2Fma;
-            }
-        }
-        Isa::Base
-    })
-}
 
 /// Whether this process's kernels fuse multiply-adds (hardware FMA).
 pub fn uses_fma() -> bool {
@@ -978,7 +954,15 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     if m == 0 || n == 0 {
         return;
     }
-    let mut bp = vec![E::ZERO; k.max(1) * NR * NC.div_ceil(NR)];
+    // Packed B holds this product's widest column block (`min(n, NC)`
+    // columns, whole NR panels) when that fits the pool. Beyond the
+    // pool's ceiling it is a fresh allocation per call, and the full `NC`
+    // block stays: on `tab2_gcn_mf`'s 16×350×49 weight gradient a
+    // product-sized one measured ~5 % slower end to end (DESIGN.md §7).
+    // `pack_b`/`pack_a` write every slot the microkernel reads, zero pads
+    // included, so both scratches come from the pool uninitialized.
+    let sized = k.max(1) * NC.min(n).next_multiple_of(NR);
+    let mut bp = pool::alloc_uninit::<E>(if pool::recycles::<E>(sized) { sized } else { k.max(1) * NC });
     let mut j0 = 0;
     while j0 < n {
         let ncb = NC.min(n - j0);
@@ -1005,7 +989,7 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
             let _span = tyxe_obs::span!("tensor.gemm.block");
             let i_base = start / n;
             let rows_here = c_chunk.len() / n;
-            let mut ap = vec![E::ZERO; k.max(1) * MR];
+            let mut ap = pool::alloc_uninit::<E>(k.max(1) * MR);
             let mut i = 0;
             while i < rows_here {
                 let rows = MR.min(rows_here - i);
@@ -1152,6 +1136,20 @@ pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
         gemm_bt_ow_blocked(a, b, c, m, k, n);
     } else {
         gemm_bt_ow_ref(a, b, c, m, k, n);
+    }
+}
+
+/// Runs the two independent products of a matrix-product backward (`dX`
+/// and `dW`, each `madds = m·k·n` multiply-adds) on two pool threads via
+/// [`tyxe_par::join2`] — or inline, one after the other, below
+/// `BLOCK_MIN_MADDS`, where the pool's wake-up costs more than either
+/// product. Each product computes the same bits wherever it runs.
+pub(crate) fn join_products(madds: usize, a: impl FnOnce() + Send, b: impl FnOnce() + Send) {
+    if madds < BLOCK_MIN_MADDS {
+        a();
+        b();
+    } else {
+        tyxe_par::join2(a, b);
     }
 }
 

@@ -8,7 +8,7 @@
 //! full-precision masters.
 
 use crate::element::{Element, dispatch_dtype};
-use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow};
+use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow, join_products};
 use crate::pool;
 use crate::tensor::Tensor;
 
@@ -48,13 +48,14 @@ fn matmul_t<E: Element>(a_t: &Tensor, b_t: &Tensor, m: usize, k: usize, n: usize
         vec![a_t.clone(), b_t.clone()],
         move |_, grad| {
             // dA = G * B^T ; dB = A^T * G — independent products, so
-            // they can run on separate threads; each is internally
+            // large ones run on separate threads; each is internally
             // deterministic regardless of thread count.
             let mut ga = pool::alloc_uninit::<E>(m * k);
             let mut gb = pool::alloc_uninit::<E>(k * n);
             let (bd, ad) = (bc.data_of::<E>(), ac.data_of::<E>());
             let (bd, ad): (&[E], &[E]) = (&bd, &ad);
-            tyxe_par::join2(
+            join_products(
+                m * n * k,
                 || gemm_bt_ow(grad, bd, &mut ga, m, n, k),
                 || gemm_at_ow(ad, grad, &mut gb, k, m, n),
             );

@@ -7,6 +7,7 @@ pub(crate) mod binary;
 pub(crate) mod conv;
 pub mod fused;
 pub mod gemm_kernels;
+pub(crate) mod isa;
 pub(crate) mod linalg;
 pub(crate) mod matmul;
 pub(crate) mod normal;
@@ -14,6 +15,7 @@ pub(crate) mod reduce;
 pub(crate) mod shape_ops;
 pub(crate) mod softmax;
 pub(crate) mod stats;
+pub mod tanh_kernel;
 pub(crate) mod unary;
 
 pub use fused::{Activation, ScaleMap};

@@ -14,13 +14,14 @@ use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::tensor::Tensor;
 
-/// Monomorphic body of [`Tensor::map_unary`]. The forward map runs
-/// directly on storage elements so per-dtype recipes (the fast `f32`
-/// transcendentals of [`crate::element`]) plug in without a widening
-/// round-trip; the backward keeps the shared `f64` recipe.
+/// Monomorphic body of [`Tensor::map_unary`]. The forward map `f`
+/// writes one output piece from the matching input piece, on storage
+/// elements, so per-dtype recipes (the slice `tanh` kernel, the fast
+/// `f32` transcendentals of [`crate::element`]) plug in without a
+/// widening round-trip; the backward keeps the shared `f64` recipe.
 fn map_unary_t<E: Element, F, DF>(src_t: &Tensor, f: F, df: DF) -> Tensor
 where
-    F: Fn(E) -> E + Sync + 'static,
+    F: Fn(&[E], &mut [E]) + Sync + 'static,
     DF: Fn(f64, f64, f64) -> f64 + Sync + 'static,
 {
     // Shared forward kernel: fully overwrites `out` from the source
@@ -34,9 +35,7 @@ where
             let xs: &[E] = &xd;
             let chunk = tyxe_par::chunk_len(xs.len(), 1, PAR_MIN_ELEMS);
             tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
-                for (off, slot) in piece.iter_mut().enumerate() {
-                    *slot = f(xs[start + off]);
-                }
+                f(&xs[start..start + piece.len()], piece);
             });
         }
     };
@@ -70,6 +69,15 @@ where
     t
 }
 
+/// A scalar forward map as the piece map [`map_unary_t`] takes.
+fn per_element<E: Element>(f: impl Fn(E) -> E + Sync + 'static) -> impl Fn(&[E], &mut [E]) + Sync + 'static {
+    move |xs, out| {
+        for (slot, &x) in out.iter_mut().zip(xs) {
+            *slot = f(x);
+        }
+    }
+}
+
 impl Tensor {
     /// Generic differentiable elementwise map. `f` computes the value
     /// under the widen-compute-round contract; `df` maps
@@ -81,7 +89,7 @@ impl Tensor {
     ) -> Tensor {
         dispatch_dtype!(self.dtype(), E => {
             let f = f.clone();
-            map_unary_t::<E, _, _>(self, move |x: E| E::from_f64(f(x.to_f64())), df)
+            map_unary_t::<E, _, _>(self, per_element(move |x: E| E::from_f64(f(x.to_f64()))), df)
         })
     }
 
@@ -95,7 +103,7 @@ impl Tensor {
     /// `f32`), shared with the fused reparam draw's exp scale map.
     pub fn exp(&self) -> Tensor {
         dispatch_dtype!(self.dtype(), E =>
-            map_unary_t::<E, _, _>(self, E::exp_e, |_, y, g| g * y))
+            map_unary_t::<E, _, _>(self, per_element(E::exp_e), |_, y, g| g * y))
     }
 
     /// Element-wise natural logarithm.
@@ -123,13 +131,17 @@ impl Tensor {
         self.map_unary(f64::abs, |x, _, g| g * x.signum() * f64::from(u8::from(x != 0.0)))
     }
 
-    /// Element-wise hyperbolic tangent. Forward runs the per-dtype
-    /// recipe [`Element::tanh_e`] (libm for `f64`, the fast rational
-    /// approximant for `f32`), shared with the fused linear/conv
-    /// activation pass.
+    /// Element-wise hyperbolic tangent. Forward runs the per-dtype slice
+    /// recipe [`Element::tanh_slice`], shared with the fused linear/conv
+    /// activation pass: for `f64` the SIMD port of glibc's `tanh`,
+    /// bitwise equal to `f64::tanh` on every input (libm itself on CPUs
+    /// without FMA); for `f32` the fast rational approximant.
     pub fn tanh(&self) -> Tensor {
         dispatch_dtype!(self.dtype(), E =>
-            map_unary_t::<E, _, _>(self, E::tanh_e, |_, y, g| g * (1.0 - y * y)))
+            map_unary_t::<E, _, _>(self, |xs: &[E], out: &mut [E]| {
+                out.copy_from_slice(xs);
+                E::tanh_slice(out);
+            }, |_, y, g| g * (1.0 - y * y)))
     }
 
     /// Element-wise sine.

@@ -266,6 +266,12 @@ fn take_counted<E: Element>(n: usize, zero: bool) -> Vec<u64> {
     v
 }
 
+/// Whether a length-`n` buffer of `E` recycles through the free-lists
+/// (larger ones bypass the pool: a fresh allocation every time).
+pub(crate) fn recycles<E: Element>(n: usize) -> bool {
+    words_for::<E>(n) <= MAX_POOL_WORDS
+}
+
 /// A length-`n` buffer whose contents are **unspecified** (stale values
 /// from a previous tensor, or zeros on a pool miss). The caller must
 /// overwrite every element before reading any.

@@ -297,3 +297,110 @@ fn f32_conv_and_matmul_training_pass_is_bit_identical_across_thread_counts() {
     tyxe_par::set_num_threads(prev);
     assert_eq!(seq, par, "thread count changed some f32 result bitwise");
 }
+
+// ---- the tanh MLP pass: fused `linear`(tanh) → `matmul` → `tanh`, plus a
+// `tanh` long enough to run on pool chunks ----
+
+/// `BLOCK_MIN_MADDS` (`ops::gemm_kernels`): the blocked-GEMM cutoff, and
+/// the size below which a backward runs its two products inline.
+const BLOCK_MIN_MADDS: usize = 32 * 32 * 32;
+/// Above `PAR_MIN_ELEMS` (32 Ki elements) an elementwise op splits
+/// across the pool; an odd length leaves a short last chunk.
+const LONG_TANH: usize = 3 * 32 * 1024 + 5;
+
+/// `Σ_p a(p)·b(p)` as one multiply-add chain from `0.0`, `p` ascending —
+/// the GEMM kernels' per-element recipe.
+fn chain(len: usize, mut term: impl FnMut(usize) -> (f64, f64)) -> f64 {
+    (0..len).fold(0.0, |acc, p| {
+        let (a, b) = term(p);
+        gk::madd_runtime(acc, a, b)
+    })
+}
+
+/// Forward values then gradients, as raw bits: `[h, y, z, t, loss, dx,
+/// dw, db, da, du]` for `h = tanh(x·wᵀ + b)` (`[m, n]`, fused), `y = h·a`
+/// (`[m, p]`), `z = tanh(y)`, `t = tanh(u)` and `loss = Σz + Σt`.
+fn tanh_mlp_pass(seed: u64, (m, k, n, p): (usize, usize, usize, usize)) -> Vec<Vec<u64>> {
+    use tyxe_tensor::ops::Activation;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x = Tensor::randn(&[m, k], &mut rng).requires_grad(true);
+    let w = Tensor::randn(&[n, k], &mut rng).mul_scalar(0.3).detach().requires_grad(true);
+    let b = Tensor::randn(&[n], &mut rng).requires_grad(true);
+    let a = Tensor::randn(&[n, p], &mut rng).mul_scalar(0.4).detach().requires_grad(true);
+    let u = Tensor::randn(&[LONG_TANH], &mut rng).mul_scalar(3.0).detach().requires_grad(true);
+    let h = x.linear(&w, Some(&b), Activation::Tanh);
+    let y = h.matmul(&a);
+    let z = y.tanh();
+    let t = u.tanh();
+    let loss = z.sum().add(&t.sum());
+    loss.backward();
+    vec![
+        bits(&h.to_vec()),
+        bits(&y.to_vec()),
+        bits(&z.to_vec()),
+        bits(&t.to_vec()),
+        bits(&[loss.item()]),
+        bits(&x.grad().unwrap()),
+        bits(&w.grad().unwrap()),
+        bits(&b.grad().unwrap()),
+        bits(&a.grad().unwrap()),
+        bits(&u.grad().unwrap()),
+    ]
+}
+
+/// [`tanh_mlp_pass`] recomputed element by element: `f64::tanh` for every
+/// tanh, [`chain`] for every product, the ops' scalar recipes for the
+/// rest (`0.0 + dot` for `x·wᵀ`, `g·(1 − y²)` for tanh's backward, the
+/// bias gradient summed over rows in order). The loss is left out: its
+/// reduction order is the sum kernel's business, not this pass's.
+fn tanh_mlp_oracle(seed: u64, (m, k, n, p): (usize, usize, usize, usize)) -> Vec<Vec<u64>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x = Tensor::randn(&[m, k], &mut rng).to_vec();
+    let w = Tensor::randn(&[n, k], &mut rng).mul_scalar(0.3).to_vec();
+    let b = Tensor::randn(&[n], &mut rng).to_vec();
+    let a = Tensor::randn(&[n, p], &mut rng).mul_scalar(0.4).to_vec();
+    let u = Tensor::randn(&[LONG_TANH], &mut rng).mul_scalar(3.0).to_vec();
+    let grid = |rows: usize, cols: usize, f: &dyn Fn(usize, usize) -> f64| -> Vec<f64> {
+        (0..rows * cols).map(|e| f(e / cols, e % cols)).collect()
+    };
+    let h = grid(m, n, &|i, j| ((0.0 + chain(k, |q| (x[i * k + q], w[j * k + q]))) + b[j]).tanh());
+    let y = grid(m, p, &|i, c| chain(n, |j| (h[i * n + j], a[j * p + c])));
+    let z: Vec<f64> = y.iter().map(|v| v.tanh()).collect();
+    let t: Vec<f64> = u.iter().map(|v| v.tanh()).collect();
+    let gy: Vec<f64> = z.iter().map(|z| 1.0 * (1.0 - z * z)).collect();
+    let da = grid(n, p, &|j, c| chain(m, |i| (h[i * n + j], gy[i * p + c])));
+    let gh = grid(m, n, &|i, j| 0.0 + chain(p, |c| (gy[i * p + c], a[j * p + c])));
+    let gpre: Vec<f64> = gh.iter().zip(&h).map(|(g, h)| g * (1.0 - h * h)).collect();
+    let dx = grid(m, k, &|i, q| chain(n, |j| (gpre[i * n + j], w[j * k + q])));
+    let dw = grid(n, k, &|j, q| chain(m, |i| (gpre[i * n + j], x[i * k + q])));
+    let db: Vec<f64> = (0..n).map(|j| (0..m).fold(0.0, |s, i| s + gpre[i * n + j])).collect();
+    let du: Vec<f64> = t.iter().map(|t| 1.0 * (1.0 - t * t)).collect();
+    [h, y, z, t, dx, dw, db, da, du].iter().map(|v| bits(v)).collect()
+}
+
+#[test]
+fn tanh_mlp_pass_is_bit_identical_across_threads_the_cutoff_and_the_oracle() {
+    const NAMES: [&str; 10] = ["h", "y", "z", "t", "loss", "dx", "dw", "db", "da", "du"];
+    let _g = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let prev = tyxe_par::num_threads();
+    // Every product (x·wᵀ, h·a and their backward pairs) is m·n·k or
+    // m·n·p madds: 32 736 just below the cutoff, 32 768 at it.
+    for dims in [(31, 32, 33, 32), (32, 32, 32, 32)] {
+        let (m, k, n, _) = dims;
+        assert!(m * k * n + 32 >= BLOCK_MIN_MADDS && m * k * n <= BLOCK_MIN_MADDS);
+        tyxe_par::set_num_threads(1);
+        let seq = tanh_mlp_pass(11, dims);
+        tyxe_par::set_num_threads(4);
+        let par = tanh_mlp_pass(11, dims);
+        tyxe_par::set_num_threads(prev);
+        for (i, name) in NAMES.iter().enumerate() {
+            assert!(seq[i] == par[i], "{name} at {dims:?}: 1 and 4 threads differ bitwise");
+        }
+        let oracle = tanh_mlp_oracle(11, dims);
+        let without_loss = NAMES.iter().zip(&seq).filter(|(name, _)| **name != "loss");
+        for ((name, got), want) in without_loss.zip(&oracle) {
+            let bad = got.iter().zip(want).filter(|(g, w)| g != w).count();
+            assert_eq!(bad, 0, "{name} at {dims:?}: {bad} of {} differ from the per-element oracle", got.len());
+        }
+    }
+}

@@ -214,9 +214,10 @@ fi
 # Gamma/Beta/Student-t family, the second SVI driver (`svi::Svi`), the
 # uncalled `Tensor` methods, the unreached `AvgPool2d`/`LayerNorm` layers
 # (`extra.rs`), `Tensor::cholesky`, `LogNormal` or `Dropout`'s own mask
-# freeze (the `fixed_dropout` handler is the one) grow back. The filter
-# drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# freeze (the `fixed_dropout` handler is the one) or the per-element
+# `Element::tanh_e` (the slice recipe `tanh_slice` is the one tanh
+# definition) grow back. The filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi
