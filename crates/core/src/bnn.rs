@@ -12,6 +12,7 @@ use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{negative_elbo, ElboEstimator};
 use tyxe_tensor::{plan, RawData, Tensor};
 
+use crate::fit::{Supervisor, SupervisorConfig};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 use crate::predictive::{self, SampleCache};
@@ -410,7 +411,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// First half of [`VariationalBnn::svi_step`]: estimates the negative
     /// ELBO and accumulates gradients without applying the optimizer
     /// update. A training supervisor can inspect the loss and gradients
-    /// (NaN sentinels, clipping) before calling `optim.step()` itself.
+    /// (NaN sentinels) before calling `optim.step()` itself.
     ///
     /// The step runs through a compiled plan: the first call records the
     /// op sequence while executing it dynamically, and later calls with
@@ -490,33 +491,22 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     ///
     /// The optional `callback` receives `(epoch, mean negative ELBO)` after
     /// every epoch and stops training early by returning `true`. Returns
-    /// the per-epoch mean negative ELBO history.
+    /// the per-epoch mean negative ELBO history. This is
+    /// [`Supervisor::fit`] under a default, checkpoint-free supervisor: a
+    /// step with a non-finite loss or gradient, or an injected worker
+    /// panic, is rolled back and retried, then skipped.
     pub fn fit<I>(
         &self,
         data: &[(I, Tensor)],
         optim: &mut dyn Optimizer,
         num_epochs: usize,
-        mut callback: Option<FitCallback<'_>>,
+        callback: Option<FitCallback<'_>>,
     ) -> Vec<f64>
     where
         M: Forward<I, Output = Tensor>,
     {
-        assert!(!data.is_empty(), "fit: data must be non-empty");
-        let mut history = Vec::with_capacity(num_epochs);
-        for epoch in 0..num_epochs {
-            let mut total = 0.0;
-            for (x, y) in data {
-                total += self.svi_step(x, y, optim);
-            }
-            let avg = total / data.len() as f64;
-            history.push(avg);
-            if let Some(cb) = callback.as_mut() {
-                if cb(epoch, avg) {
-                    break;
-                }
-            }
-        }
-        history
+        Supervisor::new(self.trainable_parameters(), SupervisorConfig::default())
+            .fit(self, data, optim, num_epochs, callback)
     }
 
     /// Draws `num_predictions` posterior predictive samples (detached),

@@ -206,7 +206,7 @@ where
 /// What [`VariationalBnn::fit_distributed`] returns on the coordinator.
 #[derive(Debug)]
 pub struct DistFit {
-    /// Per-step loss of the steps run here (as in `fit_supervised`).
+    /// Per-step loss of the steps run here.
     pub history: Vec<f64>,
     /// The runtime's robustness report; `None` when `workers == 0`
     /// (in-process reference, nothing to restart).
@@ -214,10 +214,10 @@ pub struct DistFit {
 }
 
 impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
-    /// [`VariationalBnn::fit_supervised`] over the elastic multi-process
-    /// runtime: `cfg.workers` processes (0 = run the same sharded
-    /// estimator in-process) computing `cfg.num_shards` logical shards
-    /// per step, reduced in fixed shard order so the result is
+    /// [`Supervisor::fit`]'s full-batch steps over the elastic
+    /// multi-process runtime: `cfg.workers` processes (0 = run the same
+    /// sharded estimator in-process) computing `cfg.num_shards` logical
+    /// shards per step, reduced in fixed shard order so the result is
     /// bit-identical at any worker count and across worker deaths.
     ///
     /// `session` names this call among the program's `fit_distributed`
@@ -225,7 +225,7 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// spawned worker process (see [`tyxe_dist::worker_env`]) the call
     /// made with the worker's key never returns — the process serves
     /// shard work and exits — and every other call returns `None`.
-    #[allow(clippy::too_many_arguments)] // mirrors fit_supervised + (cfg, session)
+    #[allow(clippy::too_many_arguments)] // the fit arguments + (supervisor, cfg, session)
     pub fn fit_distributed(
         &self,
         input: &Tensor,

@@ -1,29 +1,32 @@
-//! Fault-tolerant training supervisor: wraps SVI stepping with NaN/
-//! divergence sentinels, bounded retry with learning-rate backoff,
-//! periodic checkpointing with corrupt-file fallback, and a structured
-//! [`FitReport`] of every recovery action taken.
+//! The fit loop and its fault-tolerant step: NaN sentinels, bounded
+//! retry with learning-rate backoff, periodic checkpointing with
+//! corrupt-file fallback, and a structured [`FitReport`] of every
+//! recovery action taken.
 //!
-//! The supervisor sits between the training loop and the optimizer. Each
-//! [`Supervisor::step`] runs the caller's forward/backward closure, then:
+//! [`Supervisor::fit`] is the one SVI fit loop — [`VariationalBnn::fit`]
+//! runs it under a default, checkpoint-free supervisor — and every one of
+//! its steps is a [`Supervisor::step`], which runs the caller's
+//! forward/backward closure, then:
 //!
-//! 1. **Sentinels** — a non-finite loss or gradient, a loss spike beyond
-//!    [`SPIKE_FACTOR`] robust deviations above the rolling median, or a
-//!    (recoverable) worker panic marks the attempt as faulty.
+//! 1. **Sentinels** — a non-finite loss, a non-finite gradient or an
+//!    injected worker panic marks the attempt as faulty. There is no
+//!    loss-value rule: a single-sample ELBO draw far above its recent
+//!    trajectory is still a draw of the objective, and rejecting it would
+//!    bias the stochastic gradient SVI relies on.
 //! 2. **Retry with backoff** — faulty attempts restore the last *good*
 //!    parameter/optimizer snapshot (the state validated by the previous
-//!    step's sane loss), multiply the learning rate by [`LR_BACKOFF`], and
-//!    re-run, up to [`MAX_RETRIES`] times. The learning rate returns to its
-//!    base value on success, so recovery does not permanently slow training.
-//! 3. **Graceful degradation** — when retries are exhausted: a spiking step
-//!    with finite gradients is applied anyway under a hard gradient-norm
-//!    clip ([`GRAD_CLIP`]); a step whose gradients are still non-finite is
-//!    skipped.
+//!    step's finite loss), multiply the learning rate by [`LR_BACKOFF`],
+//!    and re-run, up to [`MAX_RETRIES`] times. The learning rate returns
+//!    to its base value on success, so recovery does not permanently slow
+//!    training.
+//! 3. **Skip** — when retries are exhausted, the step is dropped without a
+//!    parameter update; the step counter still advances.
 //! 4. **Checkpoints** — every `checkpoint_every` accepted steps the full
-//!    training state (parameters, optimizer buffers, global RNG state,
-//!    step counter, loss window) is written atomically, with
-//!    the previous checkpoint rotated to `<path>.prev`. [`Supervisor::resume`]
-//!    restores all of it — bit-identically — and falls back to the rotated
-//!    file when the primary is corrupt.
+//!    training state (parameters, optimizer buffers, global RNG state and
+//!    step counter) is written atomically, with the previous checkpoint
+//!    rotated to `<path>.prev`. [`Supervisor::resume`] restores all of it —
+//!    bit-identically — and falls back to the rotated file when the
+//!    primary is corrupt.
 //!
 //! Fault injection for testing is driven by the [`tyxe_par::fault`] plan:
 //! its `nan_prob` corrupts one gradient slot of an attempt the plan
@@ -37,18 +40,17 @@ use std::path::{Path, PathBuf};
 use tyxe_nn::serialize::LoadError;
 use tyxe_nn::{Forward, Module, StateDict};
 use tyxe_par::fault::{self, INJECTED_PANIC_PAYLOAD};
-use tyxe_prob::optim::{clip_grad_norm, grads_are_finite, Optimizer};
+use tyxe_prob::optim::{grads_are_finite, Optimizer};
 use tyxe_prob::rng;
 use tyxe_rand::Rng;
 use tyxe_tensor::{autocast, Tensor};
 
-use crate::bnn::{add_missing_params, VariationalBnn};
+use crate::bnn::{add_missing_params, FitCallback, VariationalBnn};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
-/// Payload key under which [`VariationalBnn::fit_supervised`] (and the
-/// distributed driver) checkpoint the [`autocast::code`] its steps ran
-/// under.
+/// Payload key under which [`Supervisor::fit`] (and the distributed
+/// driver) checkpoint the [`autocast::code`] its steps ran under.
 pub const PAYLOAD_PRECISION: &str = "precision";
 
 /// Enters the autocast mode a resumed checkpoint ran under — its
@@ -78,9 +80,6 @@ pub enum FaultCause {
     NonFiniteLoss,
     /// Some gradient entry is NaN or ±inf (includes injected NaNs).
     NonFiniteGrad,
-    /// The loss jumped beyond the divergence threshold over the rolling
-    /// median of recent accepted losses.
-    LossSpike,
     /// A worker panicked with the injected-fault payload and was recovered.
     WorkerPanic,
 }
@@ -90,7 +89,6 @@ impl std::fmt::Display for FaultCause {
         match self {
             FaultCause::NonFiniteLoss => write!(f, "non-finite loss"),
             FaultCause::NonFiniteGrad => write!(f, "non-finite gradient"),
-            FaultCause::LossSpike => write!(f, "loss spike"),
             FaultCause::WorkerPanic => write!(f, "worker panic"),
         }
     }
@@ -99,16 +97,13 @@ impl std::fmt::Display for FaultCause {
 /// One recovery action, stamped with the step it happened at.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FitEvent {
-    /// A step whose gradients stayed non-finite after all retries was
-    /// dropped without a parameter update.
+    /// A step that stayed faulty through all retries was dropped without
+    /// a parameter update.
     NanSkipped { step: u64 },
     /// A faulty attempt was rolled back and re-run.
     Retried { step: u64, attempt: u32, cause: FaultCause },
     /// The learning rate was reduced for a retry.
     BackedOff { step: u64, lr: f64 },
-    /// Retries were exhausted on a spike; the update was applied under a
-    /// hard gradient clip (pre-clip norm recorded).
-    GradClipped { step: u64, norm: f64 },
     /// A checkpoint was written.
     Checkpointed { step: u64 },
     /// Training state was restored from a checkpoint; `from_previous` is
@@ -160,16 +155,15 @@ fn fmt_ns(ns: u64) -> String {
 /// Structured account of a supervised training run.
 #[derive(Debug, Clone, Default)]
 pub struct FitReport {
-    /// Steps completed (accepted, degraded or skipped).
+    /// Steps completed (accepted or skipped).
     pub steps_completed: u64,
-    /// Steps dropped entirely because gradients stayed non-finite.
+    /// Steps dropped entirely because they stayed faulty through all
+    /// retries.
     pub nan_skipped: u64,
     /// Faulty attempts that were rolled back and re-run.
     pub retried: u64,
     /// Learning-rate reductions issued for retries.
     pub backed_off: u64,
-    /// Steps applied under the graceful-degradation gradient clip.
-    pub grad_clipped: u64,
     /// Checkpoints written.
     pub checkpointed: u64,
     /// Checkpoint writes that failed (training continues regardless).
@@ -217,7 +211,6 @@ impl FitReport {
         s.push_str(&format!("  retried:               {}\n", self.retried));
         s.push_str(&format!("  backed off:            {}\n", self.backed_off));
         s.push_str(&format!("  worker panics:         {}\n", self.worker_panics_recovered));
-        s.push_str(&format!("  grad-clipped steps:    {}\n", self.grad_clipped));
         s.push_str(&format!("  nan-skipped steps:     {}\n", self.nan_skipped));
         s.push_str(&format!("checkpoints written:     {}\n", self.checkpointed));
         if self.checkpoint_failed > 0 {
@@ -247,19 +240,10 @@ fn obs_count(name: &str) {
     }
 }
 
-/// Maximum rollback-and-retry attempts per step before degrading.
+/// Maximum rollback-and-retry attempts per step before it is skipped.
 pub const MAX_RETRIES: u32 = 3;
 /// Learning-rate multiplier per retry (restored on success).
 pub const LR_BACKOFF: f64 = 0.5;
-/// Number of recent accepted losses forming the divergence baseline.
-pub const SPIKE_WINDOW: usize = 16;
-/// Minimum accepted losses before spike detection arms.
-pub const MIN_WINDOW: usize = 8;
-/// A loss more than this many robust deviations (median absolute
-/// deviation) above the rolling median counts as divergence.
-pub const SPIKE_FACTOR: f64 = 20.0;
-/// Gradient-norm bound for the graceful-degradation path.
-pub const GRAD_CLIP: f64 = 10.0;
 
 /// Where and how often the supervisor checkpoints: the deployment
 /// settings. The recovery policy is the constants above.
@@ -289,14 +273,13 @@ struct Snapshot {
     optim_state: Vec<(String, Vec<f64>)>,
 }
 
-/// The fault-tolerant step driver. Owns the canonical ordered parameter
-/// list (checkpoint layout follows it) and the rolling loss window.
+/// The fit loop and its fault-tolerant step driver. Owns the canonical
+/// ordered parameter list (checkpoint layout follows it).
 #[derive(Debug)]
 pub struct Supervisor {
     config: SupervisorConfig,
     params: Vec<Tensor>,
     steps: u64,
-    window: Vec<f64>,
     good: Option<Snapshot>,
     report: FitReport,
     payload: std::collections::BTreeMap<String, Vec<f64>>,
@@ -306,7 +289,6 @@ pub struct Supervisor {
 /// buffer names carry the supervisor/optimizer state alongside parameters.
 const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
-const KEY_WINDOW: &str = "supervisor.loss_window";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
 /// Extra checkpoint payload entries ([`Supervisor::set_payload`]) ride
@@ -332,7 +314,6 @@ impl Supervisor {
             config,
             params,
             steps: 0,
-            window: Vec::new(),
             good: None,
             report: FitReport::default(),
             payload: std::collections::BTreeMap::new(),
@@ -364,9 +345,59 @@ impl Supervisor {
         &self.report
     }
 
-    /// Consumes the supervisor, yielding the final report.
-    pub fn into_report(self) -> FitReport {
-        self.report
+    // -----------------------------------------------------------------
+    // Fitting
+    // -----------------------------------------------------------------
+
+    /// The fit loop: `num_epochs` passes of SVI over `data` (an iterable
+    /// of `(input, targets)` batches), every step through
+    /// [`Supervisor::step`]. Steps this supervisor has already completed
+    /// (after a [`Supervisor::resume`]) are skipped, so re-running the
+    /// same call continues the schedule exactly where the checkpoint left
+    /// off.
+    ///
+    /// Returns the per-epoch mean negative ELBO over the steps run here:
+    /// an epoch wholly inside the checkpoint has no entry, a partly
+    /// resumed one is averaged over its remaining steps. The optional
+    /// `callback` receives `(epoch, mean)` after each such epoch — the
+    /// epoch index counts from the start of training, not of this call —
+    /// and stops training early by returning `true`.
+    pub fn fit<M, L, G, I>(
+        &mut self,
+        bnn: &VariationalBnn<M, L, G>,
+        data: &[(I, Tensor)],
+        optim: &mut dyn Optimizer,
+        num_epochs: usize,
+        mut callback: Option<FitCallback<'_>>,
+    ) -> Vec<f64>
+    where
+        M: Module + Forward<I, Output = Tensor>,
+        L: Likelihood,
+        G: Guide,
+    {
+        assert!(!data.is_empty(), "fit: data must be non-empty");
+        let _amp = enter_checkpointed_autocast(self);
+        let mut done = self.steps_completed();
+        let mut history = Vec::with_capacity(num_epochs);
+        for epoch in 0..num_epochs {
+            let skip = done.min(data.len() as u64) as usize;
+            done -= skip as u64;
+            if skip == data.len() {
+                continue;
+            }
+            let mut total = 0.0;
+            for (x, y) in &data[skip..] {
+                total += self.step(optim, &mut |o| bnn.svi_forward_backward(x, y, o));
+            }
+            let avg = total / (data.len() - skip) as f64;
+            history.push(avg);
+            if let Some(cb) = callback.as_mut() {
+                if cb(epoch, avg) {
+                    break;
+                }
+            }
+        }
+        history
     }
 
     // -----------------------------------------------------------------
@@ -376,7 +407,7 @@ impl Supervisor {
     /// Runs one supervised training step. `forward_backward` must compute
     /// the loss and leave gradients on the parameters *without* applying
     /// the optimizer update (e.g. [`VariationalBnn::svi_forward_backward`]);
-    /// the supervisor decides whether and how to apply it. Returns the loss
+    /// the supervisor decides whether to apply it. Returns the loss
     /// of the final attempt (possibly non-finite for a skipped step).
     pub fn step(
         &mut self,
@@ -398,18 +429,27 @@ impl Supervisor {
     ) -> f64 {
         let base_lr = optim.learning_rate();
         let mut attempt: u32 = 0;
-        loop {
+        let loss = loop {
             match self.attempt(optim, forward_backward, attempt) {
                 Ok(loss) => {
+                    // Snapshot the now-validated pre-update state, then
+                    // apply the update.
                     optim.set_learning_rate(base_lr);
-                    self.accept(optim, loss);
-                    return loss;
+                    self.good = Some(self.capture(optim));
+                    optim.step();
+                    break loss;
                 }
-                Err((cause, loss)) => {
+                Err((_, loss)) if attempt == MAX_RETRIES => {
+                    // Retries exhausted: drop the step without an update.
+                    optim.zero_grad();
+                    optim.set_learning_rate(base_lr);
+                    self.report.nan_skipped += 1;
+                    obs_count("core.supervisor.nan_skipped");
+                    self.report.record(FitEvent::NanSkipped { step: self.steps });
+                    break loss;
+                }
+                Err((cause, _)) => {
                     attempt += 1;
-                    if attempt > MAX_RETRIES {
-                        return self.degrade(optim, base_lr, cause, loss);
-                    }
                     self.report.retried += 1;
                     obs_count("core.supervisor.retries");
                     if cause == FaultCause::WorkerPanic {
@@ -425,7 +465,9 @@ impl Supervisor {
                     self.report.record(FitEvent::BackedOff { step: self.steps, lr });
                 }
             }
-        }
+        };
+        self.finish_step(optim);
+        loss
     }
 
     /// One attempt: forward/backward (catching recoverable worker panics),
@@ -456,9 +498,6 @@ impl Supervisor {
         if !grads_are_finite(&self.params) {
             return Err((FaultCause::NonFiniteGrad, loss));
         }
-        if self.is_spike(loss) {
-            return Err((FaultCause::LossSpike, loss));
-        }
         Ok(loss)
     }
 
@@ -480,58 +519,7 @@ impl Supervisor {
         with_grads[pi].set_grad(Some(g));
     }
 
-    /// Robust spike test: `loss` beyond [`SPIKE_FACTOR`] median-absolute-
-    /// deviations above the rolling median of accepted losses.
-    fn is_spike(&self, loss: f64) -> bool {
-        if self.window.len() < MIN_WINDOW {
-            return false;
-        }
-        let median = median_of(&self.window);
-        let deviations: Vec<f64> = self.window.iter().map(|l| (l - median).abs()).collect();
-        let mad = median_of(&deviations);
-        // Floor the scale so a fully converged (near-constant-loss) window
-        // does not flag ordinary Monte Carlo noise as divergence.
-        let scale = mad.max(1e-3 * median.abs()).max(1e-9);
-        loss - median > SPIKE_FACTOR * scale
-    }
-
-    /// Accepts an attempt: snapshots the now-validated pre-update state,
-    /// applies the optimizer update, advances the loss window and the step
-    /// counter, and checkpoints when due.
-    fn accept(&mut self, optim: &mut dyn Optimizer, loss: f64) {
-        self.good = Some(self.capture(optim));
-        optim.step();
-        self.window.push(loss);
-        let excess = self.window.len().saturating_sub(SPIKE_WINDOW);
-        if excess > 0 {
-            self.window.drain(..excess);
-        }
-        self.finish_step(optim);
-    }
-
-    /// Retries exhausted: apply under a hard gradient clip if the gradients
-    /// are usable, otherwise skip the update entirely.
-    fn degrade(&mut self, optim: &mut dyn Optimizer, base_lr: f64, cause: FaultCause, loss: f64) -> f64 {
-        if cause == FaultCause::LossSpike && grads_are_finite(&self.params) {
-            let norm = clip_grad_norm(&self.params, GRAD_CLIP);
-            self.report.grad_clipped += 1;
-            obs_count("core.supervisor.grad_clipped");
-            self.report.record(FitEvent::GradClipped { step: self.steps, norm });
-            self.good = Some(self.capture(optim));
-            optim.step();
-            // Deliberately keep the spiking loss out of the window: it
-            // would inflate the divergence baseline.
-        } else {
-            optim.zero_grad();
-            self.report.nan_skipped += 1;
-            obs_count("core.supervisor.nan_skipped");
-            self.report.record(FitEvent::NanSkipped { step: self.steps });
-        }
-        optim.set_learning_rate(base_lr);
-        self.finish_step(optim);
-        loss
-    }
-
+    /// Advances the step counter and checkpoints when due.
     fn finish_step(&mut self, optim: &mut dyn Optimizer) {
         self.steps += 1;
         self.report.steps_completed = self.steps;
@@ -588,8 +576,8 @@ impl Supervisor {
         self.to_state_dict(optim).save(path)
     }
 
-    /// Encodes parameters, optimizer buffers, global RNG state, step
-    /// counter and loss window into one [`StateDict`].
+    /// Encodes parameters, optimizer buffers, global RNG state and step
+    /// counter into one [`StateDict`].
     /// Integer state is stored as raw `f64` bit patterns, which the
     /// bitwise-exact container format round-trips losslessly.
     pub fn to_state_dict(&self, optim: &dyn Optimizer) -> StateDict {
@@ -602,7 +590,6 @@ impl Supervisor {
         }
         sd.insert_buffer(KEY_STEP, vec![f64::from_bits(self.steps)]);
         sd.insert_buffer(KEY_RNG, bits_to_f64(&rng::get_state()));
-        sd.insert_buffer(KEY_WINDOW, self.window.clone());
         sd.insert_buffer(KEY_LR, vec![optim.learning_rate()]);
         for (key, data) in &self.payload {
             sd.insert_buffer(format!("{PAYLOAD_PREFIX}{key}"), data.clone());
@@ -631,6 +618,8 @@ impl Supervisor {
     }
 
     /// Applies a checkpoint produced by [`Supervisor::to_state_dict`].
+    /// Buffers it does not name — the retired `supervisor.fault_stream`
+    /// and `supervisor.loss_window` of older checkpoints — are ignored.
     pub fn apply_state_dict(
         &mut self,
         sd: &StateDict,
@@ -675,10 +664,6 @@ impl Supervisor {
         let rng_state =
             f64_to_bits(sd.buffer(KEY_RNG).ok_or(LoadError::Malformed("missing rng state"))?)?;
         rng::set_state(rng_state);
-        self.window = sd
-            .buffer(KEY_WINDOW)
-            .ok_or(LoadError::Malformed("missing loss window"))?
-            .to_vec();
         let lr = sd
             .buffer(KEY_LR)
             .and_then(|b| b.first().copied())
@@ -711,55 +696,6 @@ fn f64_to_bits(buf: &[f64]) -> Result<[u64; 4], LoadError> {
         return Err(LoadError::Malformed("rng state must have 4 words"));
     }
     Ok([buf[0].to_bits(), buf[1].to_bits(), buf[2].to_bits(), buf[3].to_bits()])
-}
-
-fn median_of(values: &[f64]) -> f64 {
-    debug_assert!(!values.is_empty());
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len().is_multiple_of(2) {
-        0.5 * (sorted[mid - 1] + sorted[mid])
-    } else {
-        sorted[mid]
-    }
-}
-
-impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
-    /// [`VariationalBnn::fit`] under a fault-tolerant [`Supervisor`]:
-    /// every SVI step runs through the sentinel/retry/checkpoint pipeline.
-    /// Steps already completed by the supervisor (after a
-    /// [`Supervisor::resume`]) are skipped, so re-running the same loop
-    /// continues the schedule exactly where the checkpoint left off.
-    /// Returns the per-step loss history of the steps run here.
-    pub fn fit_supervised<I>(
-        &self,
-        data: &[(I, Tensor)],
-        optim: &mut dyn Optimizer,
-        num_epochs: usize,
-        supervisor: &mut Supervisor,
-    ) -> Vec<f64>
-    where
-        M: Forward<I, Output = Tensor>,
-    {
-        assert!(!data.is_empty(), "fit_supervised: data must be non-empty");
-        let _amp = enter_checkpointed_autocast(supervisor);
-        let done = supervisor.steps_completed();
-        let mut idx: u64 = 0;
-        let mut history = Vec::new();
-        for _ in 0..num_epochs {
-            for (x, y) in data {
-                idx += 1;
-                if idx <= done {
-                    continue;
-                }
-                let loss =
-                    supervisor.step(optim, &mut |o| self.svi_forward_backward(x, y, o));
-                history.push(loss);
-            }
-        }
-        history
-    }
 }
 
 #[cfg(test)]
@@ -845,93 +781,6 @@ mod tests {
         assert_eq!(sup.report().nan_skipped, 1);
         assert_eq!(sup.report().retried, u64::from(MAX_RETRIES));
         assert_eq!(sup.report().steps_completed, 1, "skipped steps still advance the schedule");
-        assert_eq!(opt.learning_rate(), 0.1);
-    }
-
-    #[test]
-    fn loss_spike_rolls_back_the_bad_update() {
-        let p = Tensor::zeros(&[1]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
-        let warm_up = MIN_WINDOW as u32 + 2;
-        let mut calls = 0u32;
-        // The first `warm_up` steps are calm (grad 0.01) and arm the
-        // detector; the next attempt reports a huge loss once (as if the
-        // last update corrupted the params); the retry sees a different
-        // gradient (0.02), so the final parameter distinguishes "rolled
-        // back then re-stepped" from "stepped on top of the bad update".
-        let mut fb = |optim: &mut dyn Optimizer| {
-            optim.zero_grad();
-            calls += 1;
-            if calls == warm_up + 1 {
-                p.set_grad(Some(vec![0.01]));
-                1e9
-            } else if calls == warm_up + 2 {
-                p.set_grad(Some(vec![0.02]));
-                1.0 + 0.001 * f64::from(warm_up)
-            } else {
-                p.set_grad(Some(vec![0.01]));
-                1.0 + 0.001 * f64::from(calls)
-            }
-        };
-        for _ in 0..warm_up {
-            sup.step(&mut opt, &mut fb);
-        }
-        let param_after_warm_up = p.to_vec()[0];
-        let loss = sup.step(&mut opt, &mut fb);
-        assert!(loss < 1e6, "retry must replace the spiking loss, got {loss}");
-        assert!(sup.report().retried >= 1);
-        let retried_spike = sup
-            .report()
-            .events
-            .iter()
-            .any(|e| matches!(e, FitEvent::Retried { cause: FaultCause::LossSpike, .. }));
-        assert!(retried_spike, "events: {:?}", sup.report().events);
-        // Plain SGD, lr 0.1: rollback undoes the last warm-up step's
-        // -0.001, then the retry applies -0.002 — landing at
-        // `param_after_warm_up - 0.001`. Without the rollback the retry
-        // would land at `param_after_warm_up - 0.002`.
-        let expected = param_after_warm_up + 0.001 - 0.002;
-        let without_rollback = param_after_warm_up - 0.002;
-        let got = p.to_vec()[0];
-        assert!(
-            (got - expected).abs() < 1e-12,
-            "param should have been rolled back and re-stepped: got {got}, \
-             expected {expected} (no-rollback would be {without_rollback})"
-        );
-    }
-
-    #[test]
-    fn persistent_spike_degrades_to_clipped_update() {
-        let p = Tensor::zeros(&[1]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
-        let warm_up = MIN_WINDOW as u32;
-        let mut calls = 0u32;
-        let mut fb = |optim: &mut dyn Optimizer| {
-            optim.zero_grad();
-            calls += 1;
-            if calls <= warm_up {
-                p.set_grad(Some(vec![0.01]));
-                1.0
-            } else {
-                // Every retry keeps spiking, with a gradient norm ten times
-                // the clip.
-                p.set_grad(Some(vec![10.0 * GRAD_CLIP]));
-                1e9
-            }
-        };
-        for _ in 0..warm_up {
-            sup.step(&mut opt, &mut fb);
-        }
-        let before = p.to_vec()[0];
-        let _ = sup.step(&mut opt, &mut fb);
-        assert_eq!(sup.report().grad_clipped, 1);
-        let moved = (p.to_vec()[0] - before).abs();
-        // Clipped to norm GRAD_CLIP at the backed-off lr: a bounded,
-        // non-zero nudge (unclipped, it would be ten times larger).
-        let backed_off_lr = 0.1 * LR_BACKOFF.powi(MAX_RETRIES as i32);
-        assert!(moved > 0.0 && moved <= GRAD_CLIP * backed_off_lr + 1e-12, "moved {moved}");
         assert_eq!(opt.learning_rate(), 0.1);
     }
 
@@ -1074,8 +923,9 @@ mod tests {
     }
 
     /// Checkpoints from before the NaN schedule became a pure function of
-    /// the step carry a `supervisor.fault_stream` buffer: it loads, and is
-    /// ignored.
+    /// the step carry a `supervisor.fault_stream` buffer, and ones from
+    /// before the loss-spike rule went a `supervisor.loss_window`: they
+    /// load, and both are ignored.
     #[test]
     fn retired_fault_stream_buffer_is_ignored_on_load() {
         let p = Tensor::zeros(&[2]).requires_grad(true);
@@ -1087,6 +937,7 @@ mod tests {
         }
         let mut sd = sup.to_state_dict(&opt);
         sd.insert_buffer("supervisor.fault_stream", vec![f64::from_bits(7); 4]);
+        sd.insert_buffer("supervisor.loss_window", vec![1.5, 1.25, 1.0]);
         let q = Tensor::zeros(&[2]).requires_grad(true);
         let mut opt2 = Adam::new(vec![], 0.1);
         let mut sup2 = Supervisor::new(vec![q.clone()], SupervisorConfig::default());
@@ -1133,11 +984,5 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains(&format!("{bad:?}")), "{msg}");
         }
-    }
-
-    #[test]
-    fn median_handles_even_and_odd() {
-        assert_eq!(median_of(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median_of(&[4.0, 1.0, 2.0, 3.0]), 2.5);
     }
 }

@@ -42,7 +42,8 @@
 //! # let _ = bnn;
 //! ```
 //!
-//! followed by `bnn.fit(&batches, &mut optim, epochs, None)` and
+//! followed by `bnn.fit(&batches, &mut optim, epochs, None)` (each step
+//! through the fault-tolerant [`Supervisor`]) and
 //! `bnn.predict(&x_test, num_samples)` — optionally inside a
 //! `let _g = tyxe::poutine::local_reparameterization();` scope. Mixed
 //! precision is a scope too, as `torch.autocast` is in TyXe:

@@ -31,34 +31,6 @@ pub trait Optimizer {
     fn load_state_buffers(&mut self, _buffers: &[(String, Vec<f64>)]) {}
 }
 
-/// Clips the gradients of `params` so their global L2 norm is at most
-/// `max_norm` (the analogue of `torch.nn.utils.clip_grad_norm_`).
-/// Returns the pre-clip norm. Tensors without gradients are skipped.
-pub fn clip_grad_norm(params: &[Tensor], max_norm: f64) -> f64 {
-    assert!(max_norm > 0.0, "clip_grad_norm: max_norm must be positive");
-    let mut sq = 0.0;
-    for p in params {
-        if let Some(g) = p.grad() {
-            for v in &g {
-                sq += v * v;
-            }
-        }
-    }
-    let norm = sq.sqrt();
-    if norm > max_norm && norm.is_finite() {
-        let scale = max_norm / norm;
-        for p in params {
-            if let Some(mut g) = p.grad() {
-                for v in &mut g {
-                    *v *= scale;
-                }
-                p.set_grad(Some(g));
-            }
-        }
-    }
-    norm
-}
-
 /// True iff every gradient currently stored on `params` is finite.
 /// Tensors without gradients are ignored (they contribute nothing to an
 /// update either way).
@@ -482,26 +454,6 @@ mod tests {
         let p = Tensor::zeros(&[4]).requires_grad(true);
         let mut opt = Sgd::with_options(vec![p], 0.1, 0.9, 0.0);
         opt.load_state_buffers(&[("velocity.0".to_string(), vec![0.0; 2])]);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_to_max() {
-        let p = Tensor::zeros(&[2]).requires_grad(true);
-        p.set_grad(Some(vec![3.0, 4.0])); // norm 5
-        let pre = clip_grad_norm(std::slice::from_ref(&p), 1.0);
-        assert!((pre - 5.0).abs() < 1e-12);
-        let g = p.grad().unwrap();
-        let post = (g[0] * g[0] + g[1] * g[1]).sqrt();
-        assert!((post - 1.0).abs() < 1e-12, "post-clip norm {post}");
-    }
-
-    #[test]
-    fn clip_grad_norm_leaves_small_grads_alone() {
-        let p = Tensor::zeros(&[2]).requires_grad(true);
-        p.set_grad(Some(vec![0.3, 0.4]));
-        let pre = clip_grad_norm(std::slice::from_ref(&p), 1.0);
-        assert!((pre - 0.5).abs() < 1e-12);
-        assert_eq!(p.grad().unwrap(), vec![0.3, 0.4]);
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn main() {
         plan.panic_prob,
         plan.seed,
     );
-    let losses = bnn.fit_supervised(&data, &mut optim, epochs, &mut sup);
+    let losses = sup.fit(&bnn, &data, &mut optim, epochs, None);
 
     let report = sup.report();
     println!("first loss: {:.4}  last loss: {:.4}", losses[0], losses[losses.len() - 1]);

@@ -479,11 +479,57 @@ fn plan_hit_ratio_is_at_least_95_percent_over_100_step_fit() {
     );
 }
 
+/// Fig. 1(b)'s fit — the shared-samples panel, 3 000 full-batch epochs —
+/// through the one fit loop is a hand-rolled `svi_step` loop bit for bit,
+/// with no fault raised: the supervisor has no rule that rejects an
+/// ordinary (finite) ELBO draw by its value.
+#[test]
+fn supervised_fit_is_the_svi_step_loop_on_fig1b_bitwise() {
+    use tyxe::fit::{Supervisor, SupervisorConfig};
+
+    let build = || -> (Bnn, (tyxe_tensor::Tensor, tyxe_tensor::Tensor)) {
+        tyxe_prob::rng::set_seed(0);
+        let mut rng = StdRng::seed_from_u64(0);
+        let data = foong_regression(50, 0.1, 0);
+        let net = tyxe_nn::layers::mlp(&[1, 50, 1], false, &mut rng);
+        let bnn: Bnn = VariationalBnn::new(
+            net,
+            &IIDPrior::standard_normal(),
+            HomoskedasticGaussian::new(data.len(), 0.1),
+            AutoNormal::new().init_scale(1e-2),
+        );
+        (bnn, (data.x, data.y))
+    };
+    let bits = |bnn: &Bnn| -> Vec<Vec<u64>> {
+        bnn.trainable_parameters()
+            .iter()
+            .map(|p| p.to_vec().into_iter().map(f64::to_bits).collect())
+            .collect()
+    };
+    const EPOCHS: usize = 3000;
+
+    let (reference, (x, y)) = build();
+    let mut optim = Adam::new(vec![], 1e-2);
+    let losses: Vec<u64> =
+        (0..EPOCHS).map(|_| reference.svi_step(&x, &y, &mut optim).to_bits()).collect();
+
+    let (bnn, batch) = build();
+    let mut optim = Adam::new(vec![], 1e-2);
+    let mut sup = Supervisor::new(bnn.trainable_parameters(), SupervisorConfig::default());
+    let history = sup.fit(&bnn, &[batch], &mut optim, EPOCHS, None);
+    assert_eq!(sup.report().total_faults(), 0, "{:?}", sup.report().events);
+    assert_eq!(history.into_iter().map(f64::to_bits).collect::<Vec<_>>(), losses);
+    assert_eq!(bits(&bnn), bits(&reference), "the supervised fit left the SVI trajectory");
+}
+
 /// Checkpoint/resume determinism, on top of the same contract: killing a
 /// supervised run between checkpoints and resuming from disk must land on
 /// bit-identical variational parameters, because the checkpoint carries
 /// the optimizer state, the global RNG state and the step counter along
-/// with the parameters.
+/// with the parameters. Three batches an epoch and a checkpoint every 10
+/// steps put the checkpoint the run resumes from inside an epoch: the
+/// resumed fit finishes that epoch, and its callback sees exactly the
+/// epochs it ran, numbered from the start of training.
 #[test]
 fn supervised_resume_is_bit_identical() {
     use tyxe::fit::{Supervisor, SupervisorConfig};
@@ -498,13 +544,16 @@ fn supervised_resume_is_bit_identical() {
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&prev);
     };
+    type Sites = Vec<(String, Vec<u64>, Vec<u64>)>;
 
-    // Builds the run_svi BNN and trains it under a supervisor that
-    // checkpoints every 10 steps; resumes from `ckpt` first when asked.
-    let run = |steps: usize, resume: bool| -> Vec<(String, Vec<u64>, Vec<u64>)> {
+    // Builds the run_svi BNN on three 20-point batches and trains it for
+    // `epochs` epochs under a supervisor that checkpoints every 10 steps;
+    // resumes from `ckpt` first when asked. Returns the final sites, the
+    // per-epoch history and the epochs the callback saw.
+    let run = |epochs: usize, resume: bool| -> (Sites, Vec<f64>, Vec<usize>) {
         tyxe_prob::rng::set_seed(7);
         let mut rng = StdRng::seed_from_u64(7);
-        let data = foong_regression(32, 0.1, 0);
+        let data = foong_regression(30, 0.1, 0);
         let net = tyxe_nn::layers::mlp(&[1, 16, 1], false, &mut rng);
         let bnn: Bnn = VariationalBnn::new(
             net,
@@ -521,10 +570,19 @@ fn supervised_resume_is_bit_identical() {
             sup.resume(&ckpt, &mut optim).expect("resume from checkpoint");
             assert_eq!(sup.steps_completed(), 20);
         }
-        let batches = vec![(data.x.clone(), data.y.clone())];
-        bnn.fit_supervised(&batches, &mut optim, steps, &mut sup);
-        assert_eq!(sup.steps_completed() as usize, steps);
-        let mut sites: Vec<(String, Vec<u64>, Vec<u64>)> = bnn
+        let (x, y) = (data.x.to_vec(), data.y.to_vec());
+        let batch = |v: &[f64], b: usize| {
+            tyxe_tensor::Tensor::from_vec(v[b * 20..(b + 1) * 20].to_vec(), &[20, 1])
+        };
+        let batches: Vec<_> = (0..3).map(|b| (batch(&x, b), batch(&y, b))).collect();
+        let mut seen = Vec::new();
+        let mut callback = |epoch: usize, _: f64| {
+            seen.push(epoch);
+            false
+        };
+        let history = sup.fit(&bnn, &batches, &mut optim, epochs, Some(&mut callback));
+        assert_eq!(sup.steps_completed() as usize, 3 * epochs);
+        let mut sites: Sites = bnn
             .module()
             .sites()
             .iter()
@@ -538,16 +596,23 @@ fn supervised_resume_is_bit_identical() {
             })
             .collect();
         sites.sort_by(|a, b| a.0.cmp(&b.0));
-        sites
+        (sites, history, seen)
     };
+    let bits = |v: &[f64]| v.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
 
     cleanup();
-    let reference = run(30, false);
+    let (reference, reference_history, reference_epochs) = run(10, false);
+    assert_eq!(reference_epochs, (0..10).collect::<Vec<_>>());
 
     cleanup();
-    let _interrupted = run(20, false); // leaves the step-20 checkpoint behind
-    let resumed = run(30, true);
+    // Dies after step 21, leaving the step-20 checkpoint behind: two of
+    // epoch 6's three steps in.
+    let _interrupted = run(7, false);
+    let (resumed, history, epochs) = run(10, true);
     assert_eq!(reference, resumed, "resumed run drifted from uninterrupted run");
+    assert_eq!(epochs, vec![6, 7, 8, 9], "the callback must see the remaining epochs only");
+    assert_eq!(history.len(), 4);
+    assert_eq!(bits(&history[1..]), bits(&reference_history[7..]), "whole epochs drifted");
 
     cleanup();
 }

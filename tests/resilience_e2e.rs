@@ -125,7 +125,7 @@ fn fault_injected_training_recovers_and_converges() {
     let clean = build_bnn(5, hidden, n);
     let mut clean_optim = Adam::new(vec![], 1e-2);
     let mut clean_sup = Supervisor::new(clean.trainable_parameters(), SupervisorConfig::default());
-    clean.fit_supervised(&data, &mut clean_optim, epochs, &mut clean_sup);
+    clean_sup.fit(&clean, &data, &mut clean_optim, epochs, None);
     assert_eq!(clean_sup.report().total_faults(), 0);
     let clean_eval = clean.evaluate(&x, &y, 8);
     assert!(clean_eval.error < 0.05, "clean run failed to fit: {}", clean_eval.error);
@@ -138,7 +138,7 @@ fn fault_injected_training_recovers_and_converges() {
     let faulty = build_bnn(5, hidden, n);
     let mut optim = Adam::new(vec![], 1e-2);
     let mut sup = Supervisor::new(faulty.trainable_parameters(), SupervisorConfig::default());
-    faulty.fit_supervised(&data, &mut optim, epochs, &mut sup);
+    sup.fit(&faulty, &data, &mut optim, epochs, None);
     let report = sup.report();
     assert!(report.total_faults() > 0, "injection produced no faults: {report:?}");
     assert!(report.retried > 0, "faults must be retried: {report:?}");
@@ -166,6 +166,34 @@ fn fault_injected_training_recovers_and_converges() {
     assert!(mae < 0.25, "fault-injected fit drifted from clean fit: MAE {mae}");
 }
 
+/// The paper's `fit` runs every step through the supervisor, so a pool
+/// task that panics with the injected payload mid-step is recovered there
+/// too: the fit completes on finite parameters instead of unwinding out.
+#[test]
+fn paper_fit_survives_injected_pool_panics() {
+    let _scope = FaultScope::acquire();
+    // Wide enough to schedule pool tasks, on a pool that has the threads
+    // to run them (see `fault_injected_training_recovers_and_converges`).
+    tyxe_par::set_num_threads(4);
+    let (n, hidden, epochs) = (256, 128, 60);
+    let (x, y) = toy_data(n);
+    fault::set_faults(Faults { seed: 17, panic_prob: 0.01, ..Faults::default() });
+    let panics_before = fault::injected_panics_counter().get();
+    tyxe_prob::rng::set_seed(5);
+    let bnn = build_bnn(5, hidden, n);
+    let mut optim = Adam::new(vec![], 1e-2);
+    let history = bnn.fit(&[(x, y)], &mut optim, epochs, None);
+    fault::set_faults(Faults::default());
+    assert!(
+        fault::injected_panics_counter().get() > panics_before,
+        "panic injection never fired through the pool"
+    );
+    assert_eq!(history.len(), epochs);
+    for p in bnn.trainable_parameters() {
+        assert!(p.to_vec().iter().all(|v| v.is_finite()), "fit left a non-finite parameter");
+    }
+}
+
 /// Killing training between checkpoints and resuming must replay the
 /// remaining steps bit-identically — including the NaN-fault schedule,
 /// a pure function of the checkpointed step counter.
@@ -187,7 +215,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let a = build_bnn(9, hidden, n);
     let mut optim_a = Adam::new(vec![], 1e-2);
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    a.fit_supervised(&data, &mut optim_a, 60, &mut sup_a);
+    sup_a.fit(&a, &data, &mut optim_a, 60, None);
     let reference = site_params(&a);
     assert!(sup_a.report().checkpointed >= 3);
 
@@ -198,7 +226,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let b1 = build_bnn(9, hidden, n);
     let mut optim_b1 = Adam::new(vec![], 1e-2);
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    b1.fit_supervised(&data, &mut optim_b1, 40, &mut sup_b1);
+    sup_b1.fit(&b1, &data, &mut optim_b1, 40, None);
     drop((b1, optim_b1, sup_b1));
 
     // Fresh state, resume from the step-40 checkpoint, run the rest.
@@ -208,7 +236,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 40);
-    b2.fit_supervised(&data, &mut optim_b2, 60, &mut sup_b2);
+    sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
     assert_eq!(sup_b2.steps_completed(), 60);
 
     assert_eq!(reference, site_params(&b2), "resumed run drifted from reference");
@@ -287,7 +315,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
     {
         let _amp = autocast::autocast(DType::F32);
-        a.fit_supervised(&data, &mut optim_a, 60, &mut sup_a);
+        sup_a.fit(&a, &data, &mut optim_a, 60, None);
     }
     let reference = site_params(&a);
 
@@ -300,7 +328,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
     {
         let _amp = autocast::autocast(DType::F32);
-        b1.fit_supervised(&data, &mut optim_b1, 40, &mut sup_b1);
+        sup_b1.fit(&b1, &data, &mut optim_b1, 40, None);
     }
     drop((b1, optim_b1, sup_b1));
 
@@ -312,7 +340,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 40);
-    b2.fit_supervised(&data, &mut optim_b2, 60, &mut sup_b2);
+    sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
     assert_eq!(
         sup_b2.payload(tyxe::fit::PAYLOAD_PRECISION),
         Some(&[2.0][..]),
@@ -397,7 +425,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
     let a = build_bnn(11, hidden, n);
     let mut optim_a = Adam::new(vec![], 1e-2);
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    a.fit_supervised(&data, &mut optim_a, 60, &mut sup_a);
+    sup_a.fit(&a, &data, &mut optim_a, 60, None);
     let reference = site_params(&a);
 
     // Second run to 40 steps: checkpoints at 20 (rotated to .prev) and 40.
@@ -407,7 +435,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
     let b1 = build_bnn(11, hidden, n);
     let mut optim_b1 = Adam::new(vec![], 1e-2);
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    b1.fit_supervised(&data, &mut optim_b1, 40, &mut sup_b1);
+    sup_b1.fit(&b1, &data, &mut optim_b1, 40, None);
     drop((b1, optim_b1, sup_b1));
 
     // Corrupt the step-40 checkpoint; resume must fall back to step 20.
@@ -427,7 +455,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
         .events
         .iter()
         .any(|e| matches!(e, FitEvent::Resumed { from_previous: true, .. })));
-    b2.fit_supervised(&data, &mut optim_b2, 60, &mut sup_b2);
+    sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
 
     assert_eq!(reference, site_params(&b2), "fallback-resumed run drifted");
 
@@ -458,7 +486,7 @@ fn predict_after_resume_redraws_from_the_restored_posterior() {
         bnn.trainable_parameters(),
         SupervisorConfig::default().with_checkpoint(&path, 20),
     );
-    bnn.fit_supervised(&data, &mut optim, 30, &mut sup);
+    sup.fit(&bnn, &data, &mut optim, 30, None);
 
     let bits = |t: Tensor| -> Vec<u64> { t.to_vec().into_iter().map(f64::to_bits).collect() };
     let before = bits(bnn.predict(&x, 8));
