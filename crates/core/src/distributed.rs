@@ -18,9 +18,12 @@
 //! function of the shard set: the same bits at any worker count,
 //! in-process or multi-process, across worker deaths and re-sharding.
 //!
-//! [`VariationalBnn::fit_distributed`] wires this through the
-//! fault-tolerant [`Supervisor`], whose checkpoints carry the dist
-//! membership, the shard count and the shard cursor as payload entries,
+//! Model-side draws (local reparameterization or flipout noise) run on
+//! one stream per shard (`shard_stream`), and every step ends one guide
+//! draw past its RNG state, so no draw depends on the worker count.
+//!
+//! [`VariationalBnn::fit_distributed`] runs these steps through
+//! [`Supervisor`]'s one step loop; its checkpoints carry the shard count,
 //! so a resumed run re-enters the exact sharded numerics it left.
 
 use tyxe_dist::{
@@ -29,13 +32,14 @@ use tyxe_dist::{
 };
 use tyxe_nn::{Forward, Module};
 use tyxe_prob::optim::Optimizer;
-use tyxe_prob::poutine::{replay, trace};
+use tyxe_prob::poutine::{replay, trace, Trace};
 use tyxe_prob::rng;
 use tyxe_prob::svi::negative_elbo_with_guide_trace;
+use tyxe_rand::{rngs::StdRng, RngCore, SeedableRng};
 use tyxe_tensor::{autocast, Tensor};
 
 use crate::bnn::{add_missing_params, VariationalBnn};
-use crate::fit::{enter_checkpointed_autocast, Supervisor};
+use crate::fit::Supervisor;
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
@@ -43,11 +47,16 @@ use crate::likelihoods::Likelihood;
 /// of a run depend on it, so on resume the checkpointed value overrides
 /// the configured one.
 pub const PAYLOAD_NUM_SHARDS: &str = "dist.num_shards";
-/// Supervisor payload key: ranks live at the last checkpoint.
-pub const PAYLOAD_LIVE_RANKS: &str = "dist.live_ranks";
-/// Supervisor payload key: index of the next step the distributed
-/// driver will run (the shard cursor of the outer step loop).
-pub const PAYLOAD_SHARD_CURSOR: &str = "dist.shard_cursor";
+
+/// Where shard `shard`'s model-side draws start in the step whose RNG
+/// state is `step_state`: both hashed through splitmix64 seeding, so the
+/// stream is the same in any process, whatever ran before it there.
+fn shard_stream(step_state: [u64; 4], shard: u32) -> [u64; 4] {
+    let key = step_state.iter().fold(u64::from(shard), |key, &word| {
+        StdRng::seed_from_u64(key ^ word).next_u64()
+    });
+    StdRng::seed_from_u64(key).state()
+}
 
 /// Rows `range` of a row-major batch tensor, preserving the trailing
 /// dimensions and the storage dtype (f32 rows survive the f64 round
@@ -107,6 +116,14 @@ where
         }
     }
 
+    /// The step's one guide draw, from `rng_state`; leaves the RNG where
+    /// every step ends.
+    fn guide_trace(&self, rng_state: [u64; 4]) -> Trace {
+        rng::set_state(rng_state);
+        let _span = tyxe_obs::span!("core.dist.guide");
+        trace(|| self.bnn.guide().sample_guide()).0
+    }
+
     fn ensure_shards(&mut self, num_shards: u32) {
         if self.shards.len() == num_shards as usize {
             return;
@@ -131,10 +148,6 @@ where
     L: Likelihood,
     G: Guide,
 {
-    fn num_params(&self) -> usize {
-        self.params.len()
-    }
-
     fn param_lens(&self) -> Vec<u64> {
         self.params
             .iter()
@@ -164,14 +177,11 @@ where
         for (p, data) in self.params.iter().zip(params) {
             p.set_data(data.clone());
         }
-        rng::set_state(rng_state);
         let _amp = autocast::enter_code(self.autocast);
         let _obs = crate::poutine::obs_trace_if_enabled();
-        let (guide_trace, ()) = {
-            let _span = tyxe_obs::span!("core.dist.guide");
-            trace(|| self.bnn.guide().sample_guide())
-        };
-        shards
+        let guide_trace = self.guide_trace(rng_state);
+        let step_end = rng::get_state();
+        let results = shards
             .iter()
             .map(|&s| {
                 let (x, y) = &self.shards[s as usize];
@@ -179,6 +189,7 @@ where
                     let pred = self.bnn.module().sampled_forward(x);
                     self.bnn.likelihood().observe_data_with_factor(&pred, y, self.factor);
                 };
+                rng::set_state(shard_stream(rng_state, s));
                 let loss = if s == 0 {
                     negative_elbo_with_guide_trace(&guide_trace, &model, self.bnn.estimator())
                 } else {
@@ -199,7 +210,9 @@ where
                     grads: self.params.iter().map(Tensor::grad).collect(),
                 }
             })
-            .collect()
+            .collect();
+        rng::set_state(step_end);
+        results
     }
 }
 
@@ -208,17 +221,18 @@ where
 pub struct DistFit {
     /// Per-step loss of the steps run here.
     pub history: Vec<f64>,
-    /// The runtime's robustness report; `None` when `workers == 0`
-    /// (in-process reference, nothing to restart).
+    /// The runtime's robustness report; `None` when no worker ran:
+    /// `workers == 0` (in-process reference) or no step was left to run.
     pub dist: Option<DistReport>,
 }
 
 impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
-    /// [`Supervisor::fit`]'s full-batch steps over the elastic
-    /// multi-process runtime: `cfg.workers` processes (0 = run the same
-    /// sharded estimator in-process) computing `cfg.num_shards` logical
-    /// shards per step, reduced in fixed shard order so the result is
-    /// bit-identical at any worker count and across worker deaths.
+    /// `num_steps` full-batch steps through [`Supervisor::fit`]'s loop
+    /// over the elastic multi-process runtime: `cfg.workers` processes
+    /// (0 = run the same sharded estimator in-process) computing
+    /// `cfg.num_shards` logical shards per step, reduced in fixed shard
+    /// order so the result is bit-identical at any worker count and
+    /// across worker deaths.
     ///
     /// `session` names this call among the program's `fit_distributed`
     /// calls; the coordinator hands it to the workers it spawns. In a
@@ -247,78 +261,62 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
             return None;
         }
 
-        // The checkpointed autocast mode and shard count win over the
-        // current configuration: both are part of the numerics, and the
-        // continuation must re-enter them exactly.
-        let _amp = enter_checkpointed_autocast(supervisor);
+        // The checkpointed shard count wins over the configured one: it
+        // is part of the numerics, and the continuation must re-enter it
+        // exactly.
         let num_shards = supervisor
             .payload(PAYLOAD_NUM_SHARDS)
             .filter(|b| b.len() == 1)
             .map_or(cfg.num_shards as u32, |b| b[0] as u32);
         assert!(num_shards > 0, "fit_distributed: num_shards must be > 0");
+        supervisor.set_payload(PAYLOAD_NUM_SHARDS, vec![f64::from(num_shards)]);
 
-        let mut compute = SviShardCompute::new(self, input, targets);
-        let mut co = (cfg.workers > 0).then(|| {
-            let cfg = DistConfig { num_shards: num_shards as usize, ..cfg.clone() };
-            Coordinator::launch(&cfg, session, compute.param_lens(), compute.autocast_code())
-                .expect("fit_distributed: coordinator launch failed")
-        });
-
-        let params = self.trainable_parameters();
         let all_shards: Vec<u32> = (0..num_shards).collect();
-        let done = supervisor.steps_completed();
-        let mut history = Vec::new();
+        // Built on the first step, inside the loop's autocast mode: the
+        // compute records it and the coordinator broadcasts it.
+        let mut runtime: Option<(SviShardCompute<'_, M, L, G>, Option<Coordinator>)> = None;
         // Counts forward/backward invocations, not accepted steps: a
         // supervisor retry re-broadcasts under a fresh number so stale
         // gradient frames can never alias a live collection.
         let mut invocation: u64 = 0;
-        for idx in 0..num_steps {
-            if idx < done {
-                continue; // already in the checkpoint, incl. its RNG advance
-            }
-            supervisor.set_payload(PAYLOAD_NUM_SHARDS, vec![f64::from(num_shards)]);
-            supervisor.set_payload(PAYLOAD_SHARD_CURSOR, vec![idx as f64]);
-            let live = co.as_ref().map_or_else(Vec::new, |c| c.live_ranks());
-            supervisor.set_payload(
-                PAYLOAD_LIVE_RANKS,
-                live.iter().map(|&r| f64::from(r)).collect(),
-            );
-            let loss = supervisor.step(optim, &mut |o| {
-                add_missing_params(o, self.trainable_parameters());
-                invocation += 1;
-                let s0 = rng::get_state();
-                let (loss, grads) = match co.as_mut() {
-                    Some(co) => {
-                        let data: Vec<Vec<f64>> = params.iter().map(Tensor::to_vec).collect();
-                        let results = co
-                            .step(invocation, s0, &data)
-                            .expect("fit_distributed: no live workers left");
-                        // Advance the coordinator's RNG exactly as the
-                        // in-process path does: one guide draw.
-                        rng::set_state(s0);
-                        {
-                            let _span = tyxe_obs::span!("core.dist.guide");
-                            let _ = trace(|| self.guide().sample_guide());
-                        }
-                        reduce_results(&results, num_shards)
-                    }
-                    None => {
-                        let data: Vec<Vec<f64>> = params.iter().map(Tensor::to_vec).collect();
-                        let results =
-                            compute.run_step(invocation, s0, &data, &all_shards, num_shards);
-                        reduce_results(&results, num_shards)
-                    }
-                };
-                for (p, g) in params.iter().zip(grads) {
-                    p.set_grad(g);
-                }
-                loss
+        let mut step = |_: &Tensor, _: &Tensor, o: &mut dyn Optimizer| {
+            invocation += 1;
+            let (compute, co) = runtime.get_or_insert_with(|| {
+                let compute = SviShardCompute::new(self, input, targets);
+                let co = (cfg.workers > 0).then(|| {
+                    let cfg = DistConfig { num_shards: num_shards as usize, ..cfg.clone() };
+                    let (lens, mode) = (compute.param_lens(), compute.autocast_code());
+                    Coordinator::launch(&cfg, session, lens, mode)
+                        .expect("fit_distributed: coordinator launch failed")
+                });
+                (compute, co)
             });
-            history.push(loss);
-        }
+            add_missing_params(o, compute.params.clone());
+            let s0 = rng::get_state();
+            let data: Vec<Vec<f64>> = compute.params.iter().map(Tensor::to_vec).collect();
+            let results = match co {
+                Some(co) => {
+                    let results = co
+                        .step(invocation, s0, &data)
+                        .expect("fit_distributed: no live workers left");
+                    // End the step where the in-process path does.
+                    compute.guide_trace(s0);
+                    results
+                }
+                None => compute.run_step(invocation, s0, &data, &all_shards, num_shards),
+            };
+            let (loss, grads) = reduce_results(&results, num_shards);
+            for (p, g) in compute.params.iter().zip(grads) {
+                p.set_grad(g);
+            }
+            loss
+        };
+        // One batch per epoch: each epoch is one step.
+        let data = [(input.clone(), targets.clone())];
+        let history = supervisor.run_epochs(&data, optim, num_steps as usize, None, &mut step);
         Some(DistFit {
             history,
-            dist: co.map(Coordinator::shutdown),
+            dist: runtime.and_then(|(_, co)| co).map(Coordinator::shutdown),
         })
     }
 }

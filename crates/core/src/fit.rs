@@ -4,9 +4,10 @@
 //! recovery action taken.
 //!
 //! [`Supervisor::fit`] is the one SVI fit loop — [`VariationalBnn::fit`]
-//! runs it under a default, checkpoint-free supervisor — and every one of
-//! its steps is a [`Supervisor::step`], which runs the caller's
-//! forward/backward closure, then:
+//! runs it under a default, checkpoint-free supervisor, and
+//! [`VariationalBnn::fit_distributed`] runs its sharded steps through the
+//! same loop — and every one of its steps is a [`Supervisor::step`],
+//! which runs the caller's forward/backward closure, then:
 //!
 //! 1. **Sentinels** — a non-finite loss, a non-finite gradient or an
 //!    injected worker panic marks the attempt as faulty. There is no
@@ -49,8 +50,8 @@ use crate::bnn::{add_missing_params, FitCallback, VariationalBnn};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
-/// Payload key under which [`Supervisor::fit`] (and the distributed
-/// driver) checkpoint the [`autocast::code`] its steps ran under.
+/// Payload key under which the fit loop checkpoints the
+/// [`autocast::code`] its steps ran under.
 pub const PAYLOAD_PRECISION: &str = "precision";
 
 /// Enters the autocast mode a resumed checkpoint ran under — its
@@ -59,7 +60,7 @@ pub const PAYLOAD_PRECISION: &str = "precision";
 /// checkpointed mode the caller's scope stands. Panics, naming the
 /// payload, if it holds anything but one known code: training on under
 /// other numerics than the checkpoint's would be silent drift.
-pub(crate) fn enter_checkpointed_autocast(supervisor: &mut Supervisor) -> Option<autocast::Guard> {
+fn enter_checkpointed_autocast(supervisor: &mut Supervisor) -> Option<autocast::Guard> {
     let guard = supervisor.payload(PAYLOAD_PRECISION).map(|buf| {
         match buf {
             [c] if *c == f64::from(*c as u32) => autocast::enter_code(*c as u32),
@@ -322,8 +323,8 @@ impl Supervisor {
 
     /// Attaches an extra named state buffer to every future checkpoint
     /// (and keeps it across [`Supervisor::resume`]). Carries state the
-    /// supervisor itself doesn't know about — the autocast mode,
-    /// distributed membership, the shard cursor — under the
+    /// supervisor itself doesn't know about — the autocast mode, the
+    /// distributed shard count — under the
     /// `supervisor.payload.<key>` buffer namespace.
     pub fn set_payload(&mut self, key: &str, data: Vec<f64>) {
         self.payload.insert(key.to_string(), data);
@@ -368,13 +369,28 @@ impl Supervisor {
         data: &[(I, Tensor)],
         optim: &mut dyn Optimizer,
         num_epochs: usize,
-        mut callback: Option<FitCallback<'_>>,
+        callback: Option<FitCallback<'_>>,
     ) -> Vec<f64>
     where
         M: Module + Forward<I, Output = Tensor>,
         L: Likelihood,
         G: Guide,
     {
+        let mut svi = |x: &I, y: &Tensor, o: &mut dyn Optimizer| bnn.svi_forward_backward(x, y, o);
+        self.run_epochs(data, optim, num_epochs, callback, &mut svi)
+    }
+
+    /// The one step loop, over any per-batch forward/backward: the SVI
+    /// step, or [`VariationalBnn::fit_distributed`]'s sharded step (one
+    /// batch per epoch). Runs in the checkpointed autocast mode.
+    pub(crate) fn run_epochs<I>(
+        &mut self,
+        data: &[(I, Tensor)],
+        optim: &mut dyn Optimizer,
+        num_epochs: usize,
+        mut callback: Option<FitCallback<'_>>,
+        forward_backward: &mut dyn FnMut(&I, &Tensor, &mut dyn Optimizer) -> f64,
+    ) -> Vec<f64> {
         assert!(!data.is_empty(), "fit: data must be non-empty");
         let _amp = enter_checkpointed_autocast(self);
         let mut done = self.steps_completed();
@@ -387,7 +403,7 @@ impl Supervisor {
             }
             let mut total = 0.0;
             for (x, y) in &data[skip..] {
-                total += self.step(optim, &mut |o| bnn.svi_forward_backward(x, y, o));
+                total += self.step(optim, &mut |o| forward_backward(x, y, o));
             }
             let avg = total / (data.len() - skip) as f64;
             history.push(avg);

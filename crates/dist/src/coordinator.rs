@@ -56,6 +56,9 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(30);
 /// streams are nonblocking so one sweep over N ranks costs microseconds,
 /// not N read timeouts; this bounds the spin while everyone computes.
 const IDLE_SLEEP: Duration = Duration::from_micros(500);
+/// Silence (no frame of any kind) after which a live worker is declared
+/// dead; workers heartbeat every 25 ms.
+const HEARTBEAT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Full-frame send against a nonblocking stream, one `writev` per
 /// attempt (header + payload + CRC gathered in a single syscall, no
@@ -223,12 +226,6 @@ impl Coordinator {
         Ok(co)
     }
 
-    /// Ranks currently live (connected and heartbeating), ascending.
-    /// A checkpointing caller can persist this membership snapshot.
-    pub fn live_ranks(&self) -> Vec<u32> {
-        self.workers.keys().copied().collect()
-    }
-
     fn spawn_worker(&mut self, rank: u32, incarnation: u64) -> io::Result<()> {
         let exe = std::env::current_exe()?;
         let mut cmd = Command::new(exe);
@@ -354,7 +351,6 @@ impl Coordinator {
         let init = Msg::Init {
             num_shards: self.cfg.num_shards as u32,
             autocast: self.autocast,
-            heartbeat_interval_ms: self.cfg.heartbeat_interval_ms,
             param_lens: self.param_lens.clone(),
         };
         // Still in blocking mode during the handshake: vectored write
@@ -450,7 +446,6 @@ impl Coordinator {
     #[allow(clippy::type_complexity)]
     fn collect(&mut self, step: u64) -> io::Result<Result<Vec<ShardResult>, Vec<(u32, String)>>> {
         let mut got: BTreeMap<u32, ShardResult> = BTreeMap::new();
-        let timeout = Duration::from_millis(self.cfg.heartbeat_timeout_ms.max(1));
         let mut buf = vec![0u8; 256 * 1024];
         loop {
             let mut dead: Vec<(u32, String)> = Vec::new();
@@ -492,7 +487,7 @@ impl Coordinator {
                         }
                     }
                 }
-                if death.is_none() && slot.last_seen.elapsed() > timeout {
+                if death.is_none() && slot.last_seen.elapsed() > HEARTBEAT_TIMEOUT {
                     self.report.events.push(format!("rank {rank}: heartbeat silence"));
                     death = Some("heartbeat silence".to_string());
                 }

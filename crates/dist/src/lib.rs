@@ -27,7 +27,7 @@
 //!
 //! Torn or corrupt frames are rejected by CRC ([`wire::FrameReader`])
 //! and treated as worker death, as are EOF, process exit and heartbeat
-//! silence beyond the configured timeout. On a death the coordinator
+//! silence beyond a fixed timeout. On a death the coordinator
 //! discards the partial step, repairs membership (respawn the rank with
 //! a bumped incarnation while restarts remain, otherwise re-shard over
 //! the survivors) and replays the step from its retained state —
@@ -88,11 +88,6 @@ pub struct DistConfig {
     /// order follows shard indices, so this — not the worker count —
     /// defines the numerics.
     pub num_shards: usize,
-    /// Interval at which workers emit heartbeat frames.
-    pub heartbeat_interval_ms: u64,
-    /// Silence (no frame of any kind) after which a worker is declared
-    /// dead.
-    pub heartbeat_timeout_ms: u64,
     /// Per-rank respawn budget; a rank exceeding it is dropped and its
     /// shards re-assigned to the survivors.
     pub max_restarts: u64,
@@ -111,8 +106,6 @@ impl Default for DistConfig {
         DistConfig {
             workers: 0,
             num_shards: 4,
-            heartbeat_interval_ms: 25,
-            heartbeat_timeout_ms: 10_000,
             max_restarts: 3,
             spawn: SpawnMode::SameArgs,
             telemetry_dir: None,
@@ -174,8 +167,6 @@ pub struct ShardResult {
 /// core crate; kept `dyn`-friendly and tensor-free so this crate stays
 /// model-agnostic (and trivially testable).
 pub trait ShardCompute {
-    /// Number of trainable parameters (gradient vector count per shard).
-    fn num_params(&self) -> usize;
     /// Flat element count of each parameter, in canonical order.
     fn param_lens(&self) -> Vec<u64>;
     /// Autocast mode code to broadcast in `Init` (0 = off).

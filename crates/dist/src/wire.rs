@@ -86,8 +86,6 @@ pub enum Msg {
         num_shards: u32,
         /// The `tyxe_tensor::autocast::code` every shard runs under.
         autocast: u32,
-        /// Heartbeat emission interval.
-        heartbeat_interval_ms: u64,
         /// Flat element count of each parameter, canonical order.
         param_lens: Vec<u64>,
     },
@@ -198,11 +196,10 @@ impl Msg {
                 w.put_u64(*incarnation);
                 w.put_u64(*epoch_unix_ns);
             }
-            Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens } => {
+            Msg::Init { num_shards, autocast, param_lens } => {
                 w.put_u32(TAG_INIT);
                 w.put_u32(*num_shards);
                 w.put_u32(*autocast);
-                w.put_u64(*heartbeat_interval_ms);
                 w.put_u64(param_lens.len() as u64);
                 for &l in param_lens {
                     w.put_u64(l);
@@ -268,13 +265,12 @@ impl Msg {
             TAG_INIT => {
                 let num_shards = r.get_u32().map_err(err("num_shards"))?;
                 let autocast = r.get_u32().map_err(err("autocast"))?;
-                let heartbeat_interval_ms = r.get_u64().map_err(err("heartbeat interval"))?;
                 let n = r.get_u64().map_err(err("param count"))? as usize;
                 let mut param_lens = Vec::with_capacity(n.min(65_536));
                 for _ in 0..n {
                     param_lens.push(r.get_u64().map_err(err("param len"))?);
                 }
-                Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens }
+                Msg::Init { num_shards, autocast, param_lens }
             }
             TAG_STEP => {
                 let step = r.get_u64().map_err(err("step"))?;
@@ -488,12 +484,7 @@ mod tests {
     fn sample_msgs() -> Vec<Msg> {
         vec![
             Msg::Hello { rank: 3, incarnation: 2, epoch_unix_ns: 1_700_000_000_000_000_000 },
-            Msg::Init {
-                num_shards: 4,
-                autocast: 2,
-                heartbeat_interval_ms: 25,
-                param_lens: vec![16, 1, 0],
-            },
+            Msg::Init { num_shards: 4, autocast: 2, param_lens: vec![16, 1, 0] },
             Msg::Step {
                 step: 7,
                 rng_state: [1, u64::MAX, 0, 42],

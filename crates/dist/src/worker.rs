@@ -39,6 +39,9 @@ use crate::{ShardCompute, WorkerEnv, KILL_EXIT_CODE};
 /// always ships, and the last words carry whatever is left pending.
 const TELEMETRY_SHIP_INTERVAL: Duration = Duration::from_millis(200);
 
+/// Interval at which a worker emits heartbeat frames between steps.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Exit code of a worker whose `run_step` panicked — Rust's own.
 const PANIC_EXIT_CODE: i32 = 101;
 
@@ -137,16 +140,15 @@ fn serve(
     )?;
 
     let mut reader = FrameReader::new();
-    let init = loop {
+    let (num_shards, autocast, param_lens) = loop {
         match next_msg(&mut conn, &mut reader)? {
-            Msg::Init { num_shards, autocast, heartbeat_interval_ms, param_lens } => {
-                break (num_shards, autocast, heartbeat_interval_ms, param_lens)
+            Msg::Init { num_shards, autocast, param_lens } => {
+                break (num_shards, autocast, param_lens)
             }
             Msg::Shutdown => return Ok(ending(0, "shutdown", None)),
             _ => {}
         }
     };
-    let (num_shards, autocast, heartbeat_interval_ms, param_lens) = init;
     assert_eq!(
         param_lens,
         compute.param_lens(),
@@ -161,7 +163,7 @@ fn serve(
         let writer = Arc::clone(&out.writer);
         let last_step = Arc::clone(&out.last_step);
         std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_millis(heartbeat_interval_ms.max(1)));
+            std::thread::sleep(HEARTBEAT_INTERVAL);
             let msg = Msg::Heartbeat { step: last_step.load(Ordering::Relaxed) };
             if send(&writer, &msg).is_err() {
                 return; // coordinator gone; main loop will exit too

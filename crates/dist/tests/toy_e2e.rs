@@ -22,10 +22,6 @@ use tyxe_par::fault::{set_faults, Faults};
 struct ToyCompute;
 
 impl ShardCompute for ToyCompute {
-    fn num_params(&self) -> usize {
-        2
-    }
-
     fn param_lens(&self) -> Vec<u64> {
         vec![3, 2]
     }
@@ -248,10 +244,6 @@ fn exhausted_restart_budget_re_shards_over_survivors() {
 struct DyingCompute(fn());
 
 impl ShardCompute for DyingCompute {
-    fn num_params(&self) -> usize {
-        ToyCompute.num_params()
-    }
-
     fn param_lens(&self) -> Vec<u64> {
         ToyCompute.param_lens()
     }

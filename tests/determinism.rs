@@ -623,7 +623,9 @@ fn supervised_resume_is_bit_identical() {
 /// binary filtered to `test_name` and are routed to their session by
 /// number (assigned locally, in call order, identical in parent and
 /// child); they return `None` for the sessions that are not theirs.
-/// `telemetry_dir` arms the flight recorders of every process.
+/// `telemetry_dir` arms the flight recorders of every process; the
+/// `estimator`'s handler is installed around the fit in every process.
+#[allow(clippy::too_many_arguments)]
 fn run_dist_svi(
     test_name: &str,
     session: u64,
@@ -631,10 +633,12 @@ fn run_dist_svi(
     shards: u32,
     steps: u64,
     mixed: bool,
+    estimator: Estimator,
     telemetry_dir: Option<std::path::PathBuf>,
 ) -> Option<SviTrace> {
     // A worker takes its mode from the coordinator's `Init`, not its own scope.
     let _amp = autocast_if(mixed && !tyxe_dist::worker_role());
+    let _handler = estimator.install();
     tyxe_prob::rng::set_seed(7);
     let mut rng = StdRng::seed_from_u64(7);
     let data = foong_regression(32, 0.1, 0);
@@ -687,16 +691,27 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
     const NAME: &str = "distributed_svi_is_bit_identical_across_worker_counts";
     // Every session runs unconditionally and in this order so a spawned
     // child replays the same numbering; children exit inside their own
-    // session and never reach the assertions.
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, false, None);
-    let one = run_dist_svi(NAME, 1, 1, 4, 5, false, None);
-    let two = run_dist_svi(NAME, 2, 2, 4, 5, false, None);
-    let four = run_dist_svi(NAME, 3, 4, 4, 5, false, None);
+    // session and never reach the assertions. Local reparameterization
+    // and flipout draw noise inside the model, so a shard's draws must
+    // not depend on which shards ran before it in its process.
+    let estimators = [Estimator::SharedSample, Estimator::LocalReparam, Estimator::Flipout];
+    let worker_counts = [0usize, 1, 2, 4];
+    let mut session = 0;
+    let mut runs = Vec::new();
+    for estimator in estimators {
+        for workers in worker_counts {
+            runs.push(run_dist_svi(NAME, session, workers, 4, 5, false, estimator, None));
+            session += 1;
+        }
+    }
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    let reference = reference.unwrap();
-    assert_traces_bit_equal(&reference, &one.unwrap(), "1 worker vs in-process");
-    assert_traces_bit_equal(&reference, &two.unwrap(), "2 workers vs in-process");
-    assert_traces_bit_equal(&reference, &four.unwrap(), "4 workers vs in-process");
+    for (estimator, runs) in estimators.iter().zip(runs.chunks(worker_counts.len())) {
+        let reference = runs[0].as_ref().unwrap();
+        for (workers, run) in worker_counts.iter().zip(runs).skip(1) {
+            let what = format!("{estimator:?}, {workers} worker(s) vs in-process");
+            assert_traces_bit_equal(reference, run.as_ref().unwrap(), &what);
+        }
+    }
 }
 
 /// Under the `f32` autocast scope the workers compute in the mode the
@@ -704,9 +719,9 @@ fn distributed_svi_is_bit_identical_across_worker_counts() {
 #[test]
 fn f32_distributed_svi_is_bit_identical_across_worker_counts() {
     const NAME: &str = "f32_distributed_svi_is_bit_identical_across_worker_counts";
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, true, None);
-    let two = run_dist_svi(NAME, 1, 2, 4, 5, true, None);
-    let four = run_dist_svi(NAME, 2, 4, 4, 5, true, None);
+    let reference = run_dist_svi(NAME, 0, 0, 4, 5, true, Estimator::SharedSample, None);
+    let two = run_dist_svi(NAME, 1, 2, 4, 5, true, Estimator::SharedSample, None);
+    let four = run_dist_svi(NAME, 2, 4, 4, 5, true, Estimator::SharedSample, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let reference = reference.unwrap();
     assert_traces_bit_equal(&reference, &two.unwrap(), "f32, 2 workers vs in-process");
@@ -730,8 +745,8 @@ fn distributed_svi_bits_are_unchanged_by_telemetry() {
     let run = |session: u64, workers: usize, telemetry: bool| -> Option<SviTrace> {
         tyxe_obs::set_enabled(telemetry);
         let telemetry_dir = telemetry.then(|| dir.clone());
-        let result =
-            run_dist_svi(NAME, session, workers, 4, 5, false, telemetry_dir);
+        let estimator = Estimator::SharedSample;
+        let result = run_dist_svi(NAME, session, workers, 4, 5, false, estimator, telemetry_dir);
         tyxe_obs::set_enabled(false);
         tyxe_obs::trace::clear();
         result
@@ -759,7 +774,7 @@ fn single_shard_distributed_svi_matches_plain_svi_bitwise() {
     // At one logical shard, shard 0 *is* the whole batch and the sharded
     // estimator reduces to the plain SVI loss — so the distributed path
     // must reproduce `run_svi` (which uses raw `svi_step`) bit for bit.
-    let dist = run_dist_svi(NAME, 0, 1, 1, 5, false, None);
+    let dist = run_dist_svi(NAME, 0, 1, 1, 5, false, Estimator::SharedSample, None);
     assert!(!tyxe_dist::worker_role(), "worker escaped its session");
     let plain = run_svi(7, 5);
     assert_traces_bit_equal(&dist.unwrap(), &plain, "1-shard dist vs plain SVI");

@@ -356,7 +356,10 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
 /// The canonical shard count is part of the numerics, so it rides in
 /// the checkpoint payload: resuming a 4-shard run under a config that
 /// says 2 shards must silently re-enter 4 and stay on the reference
-/// trajectory.
+/// trajectory. The checkpoint also carries the shard cursor and live
+/// ranks that distributed fits once wrote as `dist.*` payload entries;
+/// they are carried along but never read, so an old checkpoint resumes
+/// on the same bits.
 #[test]
 fn distributed_resume_restores_shard_count_from_payload() {
     let _scope = FaultScope::acquire();
@@ -390,6 +393,11 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
     b1.fit_distributed(&x, &y, &mut optim_b1, 20, &mut sup_b1, &cfg(4), 1).unwrap();
     drop((b1, optim_b1, sup_b1));
+    let mut sd = tyxe_nn::StateDict::load(&path).unwrap();
+    for (retired, data) in [("shard_cursor", vec![19.0]), ("live_ranks", vec![])] {
+        sd.insert_buffer(format!("supervisor.payload.dist.{retired}"), data);
+    }
+    sd.save(&path).unwrap();
 
     tyxe_prob::rng::set_seed(9);
     let b2 = build_bnn(9, hidden, n);
