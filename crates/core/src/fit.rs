@@ -295,6 +295,8 @@ const OPTIM_PREFIX: &str = "optim.";
 /// Extra checkpoint payload entries ([`Supervisor::set_payload`]) ride
 /// under this buffer-name prefix.
 const PAYLOAD_PREFIX: &str = "supervisor.payload.";
+/// The payload keys a resume restores: the ones something still reads.
+const LIVE_PAYLOAD_KEYS: [&str; 2] = [PAYLOAD_PRECISION, crate::distributed::PAYLOAD_NUM_SHARDS];
 
 fn prev_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -321,11 +323,12 @@ impl Supervisor {
         }
     }
 
-    /// Attaches an extra named state buffer to every future checkpoint
-    /// (and keeps it across [`Supervisor::resume`]). Carries state the
-    /// supervisor itself doesn't know about — the autocast mode, the
-    /// distributed shard count — under the
-    /// `supervisor.payload.<key>` buffer namespace.
+    /// Attaches an extra named state buffer to every future checkpoint.
+    /// Carries state the supervisor itself doesn't know about — the
+    /// autocast mode ([`PAYLOAD_PRECISION`]), the distributed shard count
+    /// ([`crate::distributed::PAYLOAD_NUM_SHARDS`]) — under the
+    /// `supervisor.payload.<key>` buffer namespace. [`Supervisor::resume`]
+    /// restores those two keys and drops any other.
     pub fn set_payload(&mut self, key: &str, data: Vec<f64>) {
         self.payload.insert(key.to_string(), data);
     }
@@ -687,11 +690,12 @@ impl Supervisor {
         optim.set_learning_rate(lr);
         // Payload entries are optional (older checkpoints have none);
         // what the checkpoint carries replaces what was set in memory.
+        // Only the live keys come back, so an entry an older version wrote
+        // is dropped here instead of riding along in every later checkpoint.
         self.payload.clear();
-        for name in sd.buffer_names() {
-            if let Some(key) = name.strip_prefix(PAYLOAD_PREFIX) {
-                let data = sd.buffer(name).expect("named buffer exists").to_vec();
-                self.payload.insert(key.to_string(), data);
+        for key in LIVE_PAYLOAD_KEYS {
+            if let Some(data) = sd.buffer(&format!("{PAYLOAD_PREFIX}{key}")) {
+                self.payload.insert(key.to_string(), data.to_vec());
             }
         }
         // The restored state is, by construction, the last trusted one.

@@ -179,12 +179,7 @@ impl ImageGenerator {
                     if flip {
                         src_x = w - 1 - src_x;
                     }
-                    let noise: f64 = {
-                        // Box-Muller light: two uniforms, one normal.
-                        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                        let u2: f64 = rng.gen();
-                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-                    };
+                    let noise = tyxe_rand::fill::box_muller(rng);
                     out[(ch * h + y) * w + x] = contrast * proto[(ch * h + src_y) * w + src_x]
                         + self.offset
                         + self.noise_sd * noise;

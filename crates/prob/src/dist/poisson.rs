@@ -63,10 +63,7 @@ impl Distribution for Poisson {
                         k as f64
                     } else {
                         // Normal approximation, clipped at zero.
-                        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                        let u2: f64 = rng.gen();
-                        let z = (-2.0 * u1.ln()).sqrt()
-                            * (2.0 * std::f64::consts::PI * u2).cos();
+                        let z = tyxe_rand::fill::box_muller(rng);
                         (lam + lam.sqrt() * z).round().max(0.0)
                     }
                 })

@@ -1,6 +1,15 @@
-//! Bulk buffer fills: the tensor substrate routes `Tensor::randn` /
-//! `Tensor::rand_uniform` through these so every crate shares one
-//! definition of "standard normal" and "uniform" draws.
+//! Bulk buffer fills: one definition of "standard normal" and "uniform"
+//! draws for every crate.
+//!
+//! [`fill_standard_normal`] is the reference: paired Box–Muller over libm's
+//! `ln`, `cos` and `sin`. `Tensor::randn` does not call it on FMA hardware:
+//! the tensor crate's SIMD kernel (`tyxe_tensor::ops::box_muller`) ports
+//! glibc 2.36's `__log_fma`, `__sin_fma` and `__cos_fma` and returns these
+//! exact bits from the same stream. So the normal stream's bits are glibc
+//! 2.36's `log`/`sin`/`cos` on FMA tiers and the host's libm elsewhere.
+//! Like f64 `tanh`, they depend on that libm: a host whose libm computes
+//! these functions differently (musl, another glibc) draws other normals
+//! here, while the kernel keeps glibc 2.36's.
 
 use crate::{Rng, RngCore};
 

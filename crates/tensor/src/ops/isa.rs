@@ -1,14 +1,15 @@
 //! The one CPU feature check of the crate: which instruction-set tier the
-//! SIMD kernels (`gemm_kernels`, `tanh_kernel`) run at. Detected once per
-//! process; every kernel that dispatches on a tier reads it from here, so
-//! the GEMM and the tanh kernel can never disagree about the machine.
+//! SIMD kernels (`gemm_kernels`, `tanh_kernel`, `box_muller`) run at.
+//! Detected once per process; every kernel that dispatches on a tier reads
+//! it from here, so the kernels can never disagree about the machine.
 
 use std::sync::OnceLock;
 
 /// A kernel tier, ordered: a CPU that runs a tier runs every lower one.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub(crate) enum Isa {
-    /// No FMA: portable scalar bodies (and libm for f64 `tanh`).
+    /// No FMA: portable scalar bodies (and libm for f64 `tanh` and the
+    /// standard-normal fill).
     Base,
     /// AVX2 + FMA, 256-bit vectors.
     Avx2Fma,

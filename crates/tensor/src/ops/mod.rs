@@ -4,6 +4,7 @@
 //! implementations.
 
 pub(crate) mod binary;
+pub mod box_muller;
 pub(crate) mod conv;
 pub mod fused;
 pub mod gemm_kernels;

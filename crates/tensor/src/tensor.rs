@@ -21,6 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::element::{DType, Element, dispatch_dtype};
+use crate::ops::box_muller;
 use crate::pool::{self, PoolBuf};
 use crate::shape::{numel, strides_for};
 
@@ -480,7 +481,10 @@ impl Tensor {
         Tensor::full_dtype(self.shape(), 0.0, self.dtype())
     }
 
-    /// Samples an `f64` tensor with i.i.d. standard normal entries.
+    /// Samples an `f64` tensor with i.i.d. standard normal entries: the
+    /// bits of `tyxe_rand::fill::fill_standard_normal` (paired Box–Muller)
+    /// from the same stream, drawn by [`crate::ops::box_muller`], whose
+    /// FMA tiers are SIMD ports of glibc 2.36's `log`/`sin`/`cos`.
     pub fn randn<R: tyxe_rand::Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Tensor {
         Tensor::randn_dtype(shape, DType::F64, rng)
     }
@@ -502,18 +506,19 @@ impl Tensor {
 
     /// Redraws this tensor's contents as i.i.d. standard normals, in
     /// place, consuming `rng` exactly as the [`Tensor::randn`]
-    /// constructor does (for either storage dtype). Out of band (no
-    /// graph node): this is the plan replay path's RNG-refresh
-    /// primitive.
+    /// constructor does (for either storage dtype) and through the same
+    /// kernel, so a fresh draw and a plan replay's refresh hold the same
+    /// bits. Out of band (no graph node): this is the plan replay path's
+    /// RNG-refresh primitive.
     pub fn refill_randn<R: tyxe_rand::Rng + ?Sized>(&self, rng: &mut R) {
         let mut b = self.inner.data.borrow_mut();
         match &mut *b {
-            Buf::F64(v) => tyxe_rand::fill::fill_standard_normal(v, rng),
+            Buf::F64(v) => box_muller::fill_standard_normal(v, rng),
             Buf::F32(v) => {
                 // Draw through a pooled f64 stage so the f32 path consumes
                 // the stream identically, then round per element.
                 let mut stage = pool::alloc_uninit::<f64>(v.len());
-                tyxe_rand::fill::fill_standard_normal(&mut stage, rng);
+                box_muller::fill_standard_normal(&mut stage, rng);
                 for (o, &x) in v.iter_mut().zip(stage.iter()) {
                     *o = x as f32;
                 }

@@ -189,6 +189,16 @@ else
     echo "verify: cargo-clippy unavailable, skipping lint step" >&2
 fi
 
+# Formatting, scoped: the tree as a whole is not rustfmt-clean, so the
+# check covers the files that are — the SIMD kernels with their CPU check
+# and oracle test, and the RNG fills with their golden test. A file joins
+# the list once it is clean.
+echo "verify: rustfmt on the fmt-clean files"
+rustfmt --check --edition 2021 \
+    crates/tensor/src/ops/isa.rs crates/tensor/src/ops/tanh_kernel.rs \
+    crates/tensor/src/ops/box_muller.rs crates/tensor/tests/f64_box_muller.rs \
+    crates/rand/src/fill.rs crates/rand/tests/golden.rs
+
 # Belt and braces: fail if any crate manifest regrew an external
 # registry dependency (path-only deps are the policy).
 if grep -rn "extern crate rand\|^rand =\|proptest\|criterion" crates/*/Cargo.toml; then

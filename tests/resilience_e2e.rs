@@ -405,8 +405,20 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 20);
+    let retired = ["shard_cursor", "live_ranks"].map(|name| format!("dist.{name}"));
+    for key in &retired {
+        assert_eq!(sup_b2.payload(key), None, "resume restored the retired payload `{key}`");
+    }
     b2.fit_distributed(&x, &y, &mut optim_b2, 30, &mut sup_b2, &cfg(2), 2).unwrap();
     assert_eq!(reference, site_params(&b2), "shard-count override broke the trajectory");
+    // The step-30 checkpoint written after the resume carries the live
+    // entries only.
+    let sd = tyxe_nn::StateDict::load(&path).unwrap();
+    assert!(sd.buffer("supervisor.payload.dist.num_shards").is_some());
+    for key in &retired {
+        let name = format!("supervisor.payload.{key}");
+        assert!(sd.buffer(&name).is_none(), "the next checkpoint re-wrote `{name}`");
+    }
 
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
