@@ -33,16 +33,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
 }
 
-/// Log of `n!` computed via [`ln_gamma`].
-pub fn ln_factorial(n: u64) -> f64 {
-    ln_gamma(n as f64 + 1.0)
-}
-
-/// Standard normal cumulative distribution function.
-pub fn std_normal_cdf(x: f64) -> f64 {
-    0.5 * (1.0 + tyxe_tensor::ops::erf_scalar(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -60,18 +50,5 @@ mod tests {
     fn ln_gamma_half() {
         // Gamma(1/2) = sqrt(pi)
         assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ln_factorial_small() {
-        assert!((ln_factorial(0)).abs() < 1e-10);
-        assert!((ln_factorial(3) - (6.0f64).ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn normal_cdf_symmetry() {
-        assert!((std_normal_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((std_normal_cdf(1.96) - 0.975).abs() < 1e-3);
-        assert!((std_normal_cdf(-1.96) - 0.025).abs() < 1e-3);
     }
 }

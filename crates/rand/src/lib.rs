@@ -21,6 +21,7 @@
 //! actually care about.
 
 pub mod fill;
+pub mod isa;
 pub mod prop;
 pub mod rngs;
 
@@ -183,8 +184,9 @@ impl<T, D: Distribution<T>> Distribution<T> for &D {
 
 /// The standard normal distribution N(0, 1), sampled by Box–Muller.
 ///
-/// Stateless: each draw consumes two uniforms and uses the cosine branch,
-/// matching the per-element transform in [`fill::fill_standard_normal`].
+/// Stateless: each draw is one [`fill::box_muller`], which consumes two
+/// uniforms and runs the cosine branch of [`fill::fill_standard_normal`]'s
+/// lane code, so its bits are glibc 2.36's `log`/`cos` on every host.
 pub struct StandardNormal;
 
 impl Distribution<f64> for StandardNormal {

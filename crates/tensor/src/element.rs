@@ -27,11 +27,11 @@
 //! **Exception — hot transcendentals.** `tanh` and `exp` forward maps
 //! go through [`Element::tanh_slice`] / [`Element::exp_e`] instead of the
 //! widen-compute-round recipe. On `f64` storage `tanh` is the slice
-//! kernel [`crate::ops::tanh_kernel`]: on FMA hardware a lane-wise port
-//! of glibc's `tanh` and the `__expm1_fma` it calls, bitwise equal to
-//! `f64::tanh` on every input (`tests/f64_tanh.rs`), and libm itself on
-//! CPUs without FMA; libm's scalar `tanh` costs ~20 ns/element and the
-//! port a quarter of that at AVX-512. `f64` `exp` stays libm. `f32`
+//! kernel [`crate::ops::tanh_kernel`]: on every tier a lane-wise port
+//! of glibc 2.36's `tanh` and the `__expm1_fma` it calls, bitwise equal to
+//! that libm's `f64::tanh` on every input (`tests/f64_tanh.rs`); libm's
+//! scalar `tanh` costs ~20 ns/element and the port a quarter of that at
+//! AVX-512. `f64` `exp` stays libm. `f32`
 //! storage uses dedicated polynomial/rational approximants that the
 //! compiler can vectorize (`tanhf` is no faster than `tanh`). Every
 //! kernel that evaluates these maps (the standalone unary ops, the fused
@@ -137,8 +137,8 @@ pub trait Element:
     /// Raw bits, zero-extended to 64 — for bitwise determinism checks.
     fn to_bits_u64(self) -> u64;
     /// In-place hyperbolic tangent in storage precision: for `f64` the
-    /// SIMD port of glibc's `tanh` ([`crate::ops::tanh_kernel`], bitwise
-    /// `f64::tanh`), for `f32` the vectorizable rational approximant
+    /// SIMD port of glibc 2.36's `tanh` ([`crate::ops::tanh_kernel`]), for
+    /// `f32` the vectorizable rational approximant
     /// [`tanh_f32`]. The single definition every tanh-evaluating kernel
     /// (unary op, fused linear/conv activation) must share — see the
     /// module docs.

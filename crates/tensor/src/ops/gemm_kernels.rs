@@ -71,8 +71,8 @@
 #![allow(clippy::too_many_arguments)]
 
 use crate::element::{DType, Element, same_slice, same_slice_mut};
-use crate::ops::isa::{isa, Isa};
 use crate::pool;
+use tyxe_rand::isa::{isa, Isa};
 
 /// Work (in multiply-adds, `m·k·n`) below which the blocked path is not
 /// worth its packing and dispatch overhead; small products use the

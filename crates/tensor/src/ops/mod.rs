@@ -4,11 +4,9 @@
 //! implementations.
 
 pub(crate) mod binary;
-pub mod box_muller;
 pub(crate) mod conv;
 pub mod fused;
 pub mod gemm_kernels;
-pub(crate) mod isa;
 pub(crate) mod linalg;
 pub(crate) mod matmul;
 pub(crate) mod normal;
@@ -20,7 +18,6 @@ pub mod tanh_kernel;
 pub(crate) mod unary;
 
 pub use fused::{Activation, ScaleMap};
-pub use unary::erf_scalar;
 
 /// Element count below which data-parallel kernels skip pool dispatch:
 /// passed to [`tyxe_par::chunk_len`] as the minimum chunk, it keeps small

@@ -2,21 +2,21 @@
 //!
 //! Every f64 tanh in the crate — [`crate::Tensor::tanh`] and the fused
 //! `linear` / `conv2d_act` activation passes — runs [`tanh_f64`] over a
-//! slice (through [`crate::Element::tanh_slice`]). On FMA hardware it is a
-//! branch-free port of glibc 2.36's x86-64 `tanh` (fdlibm `s_tanh.c`,
-//! plain SSE2) and the `__expm1_fma` variant of `expm1` it calls (fdlibm
-//! `s_expm1.c` as GCC contracts it under `-mfma`), so it returns the same
-//! bits as `f64::tanh` on every input while the compiler vectorizes the
-//! loop. `tests/f64_tanh.rs` pins each tier to libm bit for bit.
+//! slice (through [`crate::Element::tanh_slice`]). It is a branch-free
+//! port of glibc 2.36's x86-64 `tanh` (fdlibm `s_tanh.c`, plain SSE2) and
+//! the `__expm1_fma` variant of `expm1` it calls (fdlibm `s_expm1.c` as GCC
+//! contracts it under `-mfma`), so its bits are that `tanh`'s on every host,
+//! whatever its libm, while the compiler vectorizes the loop.
+//! `tests/f64_tanh.rs` pins each tier to libm bit for bit; libm is only
+//! that test's oracle.
 //!
 //! # Tiers
 //!
-//! The tier is the crate's one CPU check (`ops/isa.rs`): the lane
-//! body is compiled once under AVX-512F + FMA and once under AVX2 + FMA
-//! (`#[target_feature]` wrappers, like the GEMM microkernels). Without
-//! FMA (`Isa::Base`) the kernel is the libm loop itself — glibc picks its
-//! non-FMA `expm1` on such CPUs, whose bits the fused port would not
-//! reproduce.
+//! The tier is the workspace's one CPU check (`tyxe_rand::isa`): the lane
+//! body is compiled once under AVX-512F + FMA, once under AVX2 + FMA
+//! (`#[target_feature]` wrappers, like the GEMM microkernels) and once
+//! without target features (`Isa::Base`). `f64::mul_add` is correctly
+//! rounded on every target, so the three return the same bits.
 //!
 //! # The port
 //!
@@ -27,10 +27,10 @@
 //! index `k` lies in `{0, −1, −2, −3} ∪ [3, 63]`, and the branches
 //! `tanh` never reaches (`k = 1`, `|x| < 2⁻⁵⁴`, overflow, non-finite) are
 //! left out. Non-finite inputs pass through the vector loop unchanged and
-//! are then replaced with libm's result, which keeps NaN payloads.
+//! are then replaced with `s_tanh.c`'s own `1/x + 1` or `1/x − 1`, which
+//! keeps NaN payloads.
 
-// Off x86-64 only the libm tier exists.
-#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+use tyxe_rand::isa::{isa, Isa};
 
 /// `ln 2` split for the reduction: `ln2_hi` has 32 trailing zero bits, so
 /// `k·ln2_hi` is exact.
@@ -146,8 +146,9 @@ fn tanh_lane(x: f64) -> f64 {
     }
 }
 
-/// The vector tiers' body: the lane loop, then libm on the non-finite
-/// inputs it left in place (a finite input always yields a finite tanh).
+/// Every tier's body: the lane loop, then `s_tanh.c`'s return for ±∞ and
+/// NaN on the non-finite inputs it left in place (a finite input always
+/// yields a finite tanh).
 #[inline(always)]
 fn tanh_lanes(xs: &mut [f64]) {
     for v in xs.iter_mut() {
@@ -155,15 +156,12 @@ fn tanh_lanes(xs: &mut [f64]) {
     }
     if xs.iter().fold(false, |any, v| any | !v.is_finite()) {
         for v in xs.iter_mut().filter(|v| !v.is_finite()) {
-            *v = v.tanh();
+            *v = if v.is_sign_negative() {
+                1.0 / *v - 1.0
+            } else {
+                1.0 / *v + 1.0
+            };
         }
-    }
-}
-
-/// The `Isa::Base` tier: libm.
-fn tanh_base(xs: &mut [f64]) {
-    for v in xs.iter_mut() {
-        *v = v.tanh();
     }
 }
 
@@ -179,10 +177,9 @@ unsafe fn tanh_avx2_fma(xs: &mut [f64]) {
     tanh_lanes(xs);
 }
 
-/// In-place `tanh` over `xs` at the best tier this CPU runs: bitwise
-/// `f64::tanh` on every element.
+/// In-place `tanh` over `xs` at the best tier this CPU runs: glibc 2.36's
+/// `tanh` on every element.
 pub(crate) fn tanh_f64(xs: &mut [f64]) {
-    use crate::ops::isa::{isa, Isa};
     match isa() {
         // SAFETY: `isa()` verified the matching target features.
         #[cfg(target_arch = "x86_64")]
@@ -190,20 +187,19 @@ pub(crate) fn tanh_f64(xs: &mut [f64]) {
         // SAFETY: as above.
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2Fma => unsafe { tanh_avx2_fma(xs) },
-        _ => tanh_base(xs),
+        _ => tanh_lanes(xs),
     }
 }
 
 /// One tier's in-place kernel.
 pub type TanhKernel = fn(&mut [f64]);
 
-/// Every tier of the f64 tanh kernel this CPU runs, lowest first, by name — for
-/// tests that pin each tier to libm directly, as the `gemm_*_blocked`
-/// entry points pin the blocked GEMM.
+/// Every tier of the f64 tanh kernel this CPU runs, lowest (the portable
+/// build) first, by name — for tests that pin each tier to libm directly,
+/// as the `gemm_*_blocked` entry points pin the blocked GEMM.
 pub fn tanh_f64_tiers() -> Vec<(&'static str, TanhKernel)> {
-    use crate::ops::isa::{isa, Isa};
     #[allow(unused_mut)]
-    let mut tiers: Vec<(&'static str, TanhKernel)> = vec![("base", tanh_base)];
+    let mut tiers: Vec<(&'static str, TanhKernel)> = vec![("base", tanh_lanes)];
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (both): listed only when `isa()` found the features.

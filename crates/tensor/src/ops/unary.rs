@@ -203,20 +203,6 @@ impl Tensor {
     }
 }
 
-/// Scalar error function via the Abramowitz–Stegun 7.1.26 rational
-/// approximation (max absolute error 1.5e-7).
-pub fn erf_scalar(x: f64) -> f64 {
-    let sign = x.signum();
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,13 +256,6 @@ mod tests {
         let y = x.clamp(-1.0, 1.0).sum();
         y.backward();
         assert_eq!(x.grad().unwrap(), vec![0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        assert!(erf_scalar(0.0).abs() < 1e-6);
-        assert!((erf_scalar(1.0) - 0.8427007929).abs() < 1e-6);
-        assert!((erf_scalar(-1.0) + 0.8427007929).abs() < 1e-6);
     }
 
     #[test]

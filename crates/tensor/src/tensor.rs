@@ -21,7 +21,6 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::element::{DType, Element, dispatch_dtype};
-use crate::ops::box_muller;
 use crate::pool::{self, PoolBuf};
 use crate::shape::{numel, strides_for};
 
@@ -481,10 +480,9 @@ impl Tensor {
         Tensor::full_dtype(self.shape(), 0.0, self.dtype())
     }
 
-    /// Samples an `f64` tensor with i.i.d. standard normal entries: the
-    /// bits of `tyxe_rand::fill::fill_standard_normal` (paired Box–Muller)
-    /// from the same stream, drawn by [`crate::ops::box_muller`], whose
-    /// FMA tiers are SIMD ports of glibc 2.36's `log`/`sin`/`cos`.
+    /// Samples an `f64` tensor with i.i.d. standard normal entries, drawn
+    /// by `tyxe_rand::fill::fill_standard_normal` (paired Box–Muller over
+    /// SIMD ports of glibc 2.36's `log`/`sin`/`cos`).
     pub fn randn<R: tyxe_rand::Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Tensor {
         Tensor::randn_dtype(shape, DType::F64, rng)
     }
@@ -513,12 +511,12 @@ impl Tensor {
     pub fn refill_randn<R: tyxe_rand::Rng + ?Sized>(&self, rng: &mut R) {
         let mut b = self.inner.data.borrow_mut();
         match &mut *b {
-            Buf::F64(v) => box_muller::fill_standard_normal(v, rng),
+            Buf::F64(v) => tyxe_rand::fill::fill_standard_normal(v, rng),
             Buf::F32(v) => {
                 // Draw through a pooled f64 stage so the f32 path consumes
                 // the stream identically, then round per element.
                 let mut stage = pool::alloc_uninit::<f64>(v.len());
-                box_muller::fill_standard_normal(&mut stage, rng);
+                tyxe_rand::fill::fill_standard_normal(&mut stage, rng);
                 for (o, &x) in v.iter_mut().zip(stage.iter()) {
                     *o = x as f32;
                 }

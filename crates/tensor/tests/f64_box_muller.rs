@@ -1,18 +1,20 @@
-//! The standard-normal fill kernel (`ops::box_muller`) against libm, bit
-//! for bit.
+//! The standard-normal stream (`tyxe_rand::fill`) against libm, bit for
+//! bit.
 //!
-//! Every standard-normal tensor draw runs that kernel, and its contract is
-//! that it returns exactly the bits of `tyxe_rand::fill::fill_standard_normal`
-//! (the libm loop) and leaves the generator where that loop leaves it. On
-//! FMA hardware its `ln`, `sin` and `cos` are lane-wise ports of glibc's
-//! `__log_fma`, `__sin_fma` and `__cos_fma` on the domain the draw reaches:
-//! `u1 ∈ {2⁻¹⁰²²} ∪ [2⁻⁵³, 1)` and `θ ∈ [0, 2π)`. Each check here runs on
-//! every tier this CPU supports, called directly through
-//! `box_muller_f64_tiers`, so an AVX-512 box still pins the AVX2 build.
+//! Every standard-normal draw of the workspace runs that module's kernel:
+//! paired Box–Muller whose `ln`, `sin` and `cos` are lane-wise ports of
+//! glibc's `__log_fma`, `__sin_fma` and `__cos_fma` on the domain the draw
+//! reaches: `u1 ∈ {2⁻¹⁰²²} ∪ [2⁻⁵³, 1)` and `θ ∈ [0, 2π)`. Its contract is
+//! that every fill returns exactly the bits of the libm loop below and
+//! leaves the generator where that loop leaves it, and every single draw
+//! those of `(−2·ln u1).sqrt()·cos(2π·u2)`. Each check here runs on every
+//! tier this CPU supports, the portable build included, called directly
+//! through `box_muller_f64_tiers`, so an AVX-512 box still pins the AVX2
+//! and the portable builds. libm is only this test's oracle.
 //!
 //! The tier-1 tests take a few seconds in release. The `--ignored` test
-//! sweeps 2³² strided points of each of `u1` and `θ`, ~5 min on 2
-//! cores:
+//! sweeps 2³² strided points of each of `u1` and `θ`, ~10 min on 2 cores
+//! for the three tiers of an AVX-512 CPU:
 //!
 //! ```text
 //! cargo test --release -p tyxe-tensor --test f64_box_muller -- --ignored --nocapture
@@ -22,9 +24,9 @@
 
 use std::f64::consts::{FRAC_PI_2, PI};
 
+use tyxe_rand::fill::box_muller_f64_tiers;
 use tyxe_rand::rngs::StdRng;
-use tyxe_rand::{Rng, RngCore, SeedableRng};
-use tyxe_tensor::ops::box_muller::box_muller_f64_tiers;
+use tyxe_rand::{Distribution, Rng, RngCore, SeedableRng, StandardNormal};
 
 const TWO_PI: f64 = 2.0 * PI;
 /// The reachable `u1` are `2⁻¹⁰²²` and the multiples of `2⁻⁵³` in `(0, 1)`.
@@ -59,7 +61,7 @@ fn check_ln(what: &str, us: &[f64]) {
     let want: Vec<f64> = us.iter().map(|u| u.ln()).collect();
     for tier in box_muller_f64_tiers() {
         let mut got = us.to_vec();
-        (tier.ln)(&mut got);
+        tier.ln(&mut got);
         assert_bits(tier.name, &format!("ln, {what}"), us, &got, &want);
     }
 }
@@ -71,7 +73,7 @@ fn check_sin_cos(what: &str, thetas: &[f64]) {
     for tier in box_muller_f64_tiers() {
         let mut sin = thetas.to_vec();
         let mut cos = vec![0.0; thetas.len()];
-        (tier.sin_cos)(&mut sin, &mut cos);
+        tier.sin_cos(&mut sin, &mut cos);
         assert_bits(tier.name, &format!("sin, {what}"), thetas, &sin, &want_sin);
         assert_bits(tier.name, &format!("cos, {what}"), thetas, &cos, &want_cos);
     }
@@ -171,6 +173,49 @@ fn random_reachable_inputs_match_libm() {
     }
 }
 
+/// The reference fill: paired Box–Muller over libm. `cos` and `sin` run in
+/// separate loops: in one block the compiler may merge them into a
+/// `sincos` call, whose `0.855 ≤ |θ| < 2.426` sine differs from `sin`'s in
+/// rare last bits.
+fn libm_fill(buf: &mut [f64], rng: &mut StdRng) {
+    let (rs, thetas): (Vec<f64>, Vec<f64>) = (0..buf.len().div_ceil(2))
+        .map(|_| {
+            let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+            let u2: f64 = rng.gen();
+            ((-2.0 * u1.ln()).sqrt(), TWO_PI * u2)
+        })
+        .unzip();
+    for (pair, (r, theta)) in buf.chunks_mut(2).zip(rs.iter().zip(&thetas)) {
+        pair[0] = r * theta.cos();
+    }
+    for (pair, (r, theta)) in buf.chunks_mut(2).zip(rs.iter().zip(&thetas)) {
+        if let [_, sin] = pair {
+            *sin = r * theta.sin();
+        }
+    }
+}
+
+/// The reference single draw: `(−2·ln u1).sqrt()·cos(2π·u2)` over libm.
+fn libm_draw(rng: &mut StdRng) -> f64 {
+    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+    let u2: f64 = rng.gen();
+    (-2.0 * u1.ln()).sqrt() * (TWO_PI * u2).cos()
+}
+
+/// 64 draws of `draw` from `seed` against [`libm_draw`], then the stream.
+fn check_draws(tier: &str, what: &str, seed: u64, mut draw: impl FnMut(&mut StdRng) -> f64) {
+    let (mut want_rng, mut got_rng) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+    let want: Vec<f64> = (0..64).map(|_| libm_draw(&mut want_rng)).collect();
+    let got: Vec<f64> = (0..64).map(|_| draw(&mut got_rng)).collect();
+    let idx: Vec<f64> = (0..64).map(f64::from).collect();
+    assert_bits(tier, &format!("{what}, seed {seed:#x}"), &idx, &got, &want);
+    assert_eq!(
+        got_rng.state(),
+        want_rng.state(),
+        "{tier}: {what} left the stream elsewhere"
+    );
+}
+
 #[test]
 fn fills_match_the_libm_loop_and_leave_the_same_stream() {
     let mut seeds = StdRng::seed_from_u64(0xf111);
@@ -183,23 +228,43 @@ fn fills_match_the_libm_loop_and_leave_the_same_stream() {
                     (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
                 let mut want = vec![f64::NAN; len];
                 let mut got = vec![f64::NAN; len];
-                tyxe_rand::fill::fill_standard_normal(&mut want, &mut want_rng);
-                (tier.fill)(&mut got, &mut got_rng);
+                libm_fill(&mut want, &mut want_rng);
+                tier.fill(&mut got, &mut got_rng);
                 let idx: Vec<f64> = (0..len).map(|i| i as f64).collect();
-                assert_bits(
-                    tier.name,
-                    &format!("fill of {len}, seed {seed:#x}"),
-                    &idx,
-                    &got,
-                    &want,
-                );
+                let what = format!("fill of {len}, seed {seed:#x}");
+                assert_bits(tier.name, &what, &idx, &got, &want);
                 assert_eq!(
                     got_rng.state(),
                     want_rng.state(),
                     "{}: fill of {len} left the stream elsewhere",
                     tier.name
                 );
+                // An odd fill's last element is one draw of the pair
+                // after the others.
+                if len % 2 == 1 {
+                    let mut tail_rng = StdRng::seed_from_u64(seed);
+                    libm_fill(&mut vec![0.0; len - 1], &mut tail_rng);
+                    let tail = [libm_draw(&mut tail_rng)];
+                    assert_bits(
+                        tier.name,
+                        &format!("odd tail, {what}"),
+                        &[0.0],
+                        &got[len - 1..],
+                        &tail,
+                    );
+                }
             }
+        }
+        // The one-draw path: this tier's, and the dispatched callers.
+        for _ in 0..16 {
+            let seed = seeds.next_u64();
+            check_draws(tier.name, "one draw", seed, |rng| tier.draw(rng));
+            check_draws(tier.name, "fill::box_muller", seed, |rng| {
+                tyxe_rand::fill::box_muller(rng)
+            });
+            check_draws(tier.name, "StandardNormal", seed, |rng| {
+                StandardNormal.sample(rng)
+            });
         }
     }
 }
@@ -225,7 +290,7 @@ fn sweep(total: u64, f: impl Fn(std::ops::Range<u64>) + Sync) {
 }
 
 #[test]
-#[ignore = "2^32 strided u1 and theta: ~5 min in release"]
+#[ignore = "2^32 strided u1 and theta: ~10 min in release"]
 fn strided_sweep_matches_libm() {
     // u1 = j·2⁻³² + (odd offset)·2⁻⁵³ and θ = 2π·(j·2⁻³² + offset): every
     // 2⁻³² cell of each, at a varying point inside it.

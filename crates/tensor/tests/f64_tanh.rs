@@ -1,15 +1,15 @@
 //! The f64 `tanh` kernel (`ops::tanh_kernel`) against libm, bit for bit.
 //!
-//! Every f64 tanh in the crate runs that kernel, and its contract is that
-//! it returns exactly `f64::tanh`'s bits on every input: on FMA hardware
-//! it is a lane-wise port of glibc's `tanh`/`__expm1_fma`, on other CPUs
-//! it is libm. Each check here runs on every tier this CPU supports,
-//! called directly through `tanh_f64_tiers`, so an AVX-512 box still
-//! pins the AVX2 build.
+//! Every f64 tanh in the crate runs that kernel, a lane-wise port of
+//! glibc 2.36's `tanh`/`__expm1_fma`, and its contract is that it returns
+//! exactly that `f64::tanh`'s bits on every input. Each check here runs on
+//! every tier this CPU supports, the portable build included, called
+//! directly through `tanh_f64_tiers`, so an AVX-512 box still pins the
+//! AVX2 and the portable builds. libm is only this test's oracle.
 //!
 //! The tier-1 tests take a few seconds in release. The `--ignored` test
 //! sweeps every one of the 2³² high words (each with one fixed-seed low
-//! word), ~2 min on 2 cores:
+//! word), ~4 min on 2 cores for the three tiers of an AVX-512 CPU:
 //!
 //! ```text
 //! cargo test --release -p tyxe-tensor --test f64_tanh -- --ignored --nocapture
@@ -154,7 +154,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 #[test]
-#[ignore = "all 2^32 high words: ~2 min in release"]
+#[ignore = "all 2^32 high words: ~4 min in release"]
 fn every_high_word_matches_libm() {
     let threads = std::thread::available_parallelism().map_or(1, usize::from) as u64;
     let total = 1u64 << 32;

@@ -178,26 +178,25 @@ CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
     --require-threads 2 --require-depth 3 \
     --require-metrics tensor.alloc.pool_hit.f32,tensor.alloc.pool_miss.f32,tensor.alloc.pool_hit.f64,tensor.alloc.pool_miss.f64,tensor.alloc.pool_hit,tensor.alloc.pool_miss,plan.hit,plan.invalidated
 
-# Lint the resilience-critical crates at deny-warnings strictness: the
-# unsafe-heavy pool (scope lifetime erasure), the buffer-recycling tensor
-# substrate, the serialization substrate and the supervisor should stay
-# free of even stylistic lint debt.
+# Lint every crate at deny-warnings strictness: the unsafe-heavy pool
+# (scope lifetime erasure), the buffer-recycling tensor substrate, the
+# `#[target_feature]` kernels of tyxe-rand and tyxe-tensor, the
+# serialization substrate and the supervisor should stay free of even
+# stylistic lint debt.
 if command -v cargo-clippy >/dev/null 2>&1; then
-    CARGO_NET_OFFLINE=true cargo clippy -p tyxe-obs -p tyxe-par -p tyxe-tensor -p tyxe-nn -p tyxe-prob -p tyxe-dist -p tyxe -p tyxe-bench \
-        --frozen --all-targets -- -D warnings
+    CARGO_NET_OFFLINE=true cargo clippy --workspace --frozen --all-targets -- -D warnings
 else
     echo "verify: cargo-clippy unavailable, skipping lint step" >&2
 fi
 
 # Formatting, scoped: the tree as a whole is not rustfmt-clean, so the
-# check covers the files that are — the SIMD kernels with their CPU check
-# and oracle test, and the RNG fills with their golden test. A file joins
-# the list once it is clean.
+# check covers the files that are — the CPU check, the SIMD kernels (the
+# normal fill, f64 tanh) with the normal fill's oracle test, and the RNG
+# golden test. A file joins the list once it is clean.
 echo "verify: rustfmt on the fmt-clean files"
 rustfmt --check --edition 2021 \
-    crates/tensor/src/ops/isa.rs crates/tensor/src/ops/tanh_kernel.rs \
-    crates/tensor/src/ops/box_muller.rs crates/tensor/tests/f64_box_muller.rs \
-    crates/rand/src/fill.rs crates/rand/tests/golden.rs
+    crates/rand/src/isa.rs crates/rand/src/fill.rs crates/tensor/src/ops/tanh_kernel.rs \
+    crates/tensor/tests/f64_box_muller.rs crates/rand/tests/golden.rs
 
 # Belt and braces: fail if any crate manifest regrew an external
 # registry dependency (path-only deps are the policy).
@@ -228,9 +227,11 @@ fi
 # `Element::tanh_e` (the slice recipe `tanh_slice` is the one tanh
 # definition), the second fit loop beside `Supervisor::fit` with the
 # loss-spike rule and its gradient-clip fallback, or the write-only dist
-# checkpoint entries (shard cursor, live ranks) and the heartbeat knobs
-# grow back. The filter drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# checkpoint entries (shard cursor, live ranks) and the heartbeat knobs,
+# the libm tiers of f64 tanh and the normal fill, or the uncalled
+# log-factorial, normal CDF and scalar erf grow back. The filter drops
+# this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi
@@ -279,6 +280,21 @@ fi
 # worker kill stay gone.
 if grep -rnE "TYXE_FAULT_KILL_PROB|FaultStream|reset_scope_seq|fn set_(panic|nan|kill)_|fn set_fault_seed|const UNSET" crates tests examples; then
     echo "verify: a per-knob fault setting reappeared beside the one fault plan" >&2
+    exit 1
+fi
+# One definition per transcendental (§12): the normal stream and f64 tanh
+# are glibc's algorithms on every tier, so their production code calls no
+# libm `ln`/`sin`/`cos`/`tanh` (libm is the tests' oracle only), and the
+# normal fill is defined once.
+for f in crates/rand/src/fill.rs crates/tensor/src/ops/tanh_kernel.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "\.(ln|sin|cos|tanh)\(\)"; then
+        echo "verify: $f calls libm" >&2
+        exit 1
+    fi
+done
+defs=$(grep -rhE "fn fill_standard_normal\b" crates/*/src | wc -l)
+if [[ "$defs" -ne 1 ]]; then
+    echo "verify: fn fill_standard_normal is defined $defs times under crates/*/src, not once" >&2
     exit 1
 fi
 # A step input keys its plan through `StepInput` (§11), not by being
