@@ -5,11 +5,11 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use tyxe_nn::{Forward, Module, Param, ParamInfo, StepInput};
-use tyxe_prob::dist::{kl_divergence, DynDistribution};
+use tyxe_prob::dist::DynDistribution;
 use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, sample, trace};
-use tyxe_prob::svi::{negative_elbo, ElboEstimator};
+use tyxe_prob::svi::{add_mean_field_kl, negative_elbo, ElboEstimator};
 use tyxe_tensor::{plan, RawData, Tensor};
 
 use crate::fit::{Supervisor, SupervisorConfig};
@@ -771,25 +771,11 @@ impl<M: Module, G: Guide> PytorchBnn<M, G> {
         M: Forward<I>,
     {
         let (gtr, ()) = trace(|| self.guide.sample_guide());
-        // KL(q || p), analytic per site where possible, otherwise the
-        // single-sample estimate log q - log p.
-        let mut kl = Tensor::scalar(0.0);
-        for gsite in gtr.iter().filter(|s| !s.observed) {
-            match self.module.site_prior(&gsite.name) {
-                Some(prior) => match kl_divergence(gsite.dist.as_ref(), prior.as_ref()) {
-                    Some(site_kl) => kl = kl.add(&site_kl.sum()),
-                    None => {
-                        kl = kl
-                            .add(&gsite.log_prob())
-                            .sub(&prior.log_prob(&gsite.value).sum());
-                    }
-                },
-                // Auxiliary guide site (e.g. low-rank joint): log q only.
-                None => kl = kl.add(&gsite.log_prob()),
-            }
-        }
-        *self.cached_kl.borrow_mut() = Some(kl);
-        replay(&gtr, || self.module.sampled_forward(input))
+        let (mtr, out) = trace(|| replay(&gtr, || self.module.sampled_forward(input)));
+        // KL(q || p): the mean-field ELBO's per-site walk, with no
+        // likelihood term.
+        *self.cached_kl.borrow_mut() = Some(add_mean_field_kl(Tensor::scalar(0.0), &gtr, &mtr));
+        out
     }
 
     /// The KL divergence term from the most recent forward pass.

@@ -292,8 +292,9 @@ const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
-/// Extra checkpoint payload entries ([`Supervisor::set_payload`]) ride
-/// under this buffer-name prefix.
+/// The library's extra checkpoint payload entries (the autocast mode and
+/// the shard count, set through the crate-private
+/// `Supervisor::set_payload`) ride under this buffer-name prefix.
 const PAYLOAD_PREFIX: &str = "supervisor.payload.";
 /// The payload keys a resume restores: the ones something still reads.
 const LIVE_PAYLOAD_KEYS: [&str; 2] = [PAYLOAD_PRECISION, crate::distributed::PAYLOAD_NUM_SHARDS];
@@ -323,13 +324,15 @@ impl Supervisor {
         }
     }
 
-    /// Attaches an extra named state buffer to every future checkpoint.
-    /// Carries state the supervisor itself doesn't know about — the
-    /// autocast mode ([`PAYLOAD_PRECISION`]), the distributed shard count
-    /// ([`crate::distributed::PAYLOAD_NUM_SHARDS`]) — under the
-    /// `supervisor.payload.<key>` buffer namespace. [`Supervisor::resume`]
-    /// restores those two keys and drops any other.
-    pub fn set_payload(&mut self, key: &str, data: Vec<f64>) {
+    /// Attaches an extra named state buffer to every future checkpoint,
+    /// under the `supervisor.payload.<key>` buffer namespace. It carries
+    /// the two pieces of library state the supervisor itself doesn't
+    /// know about: the autocast mode ([`PAYLOAD_PRECISION`]) and the
+    /// distributed shard count ([`crate::distributed::PAYLOAD_NUM_SHARDS`]).
+    /// [`Supervisor::resume`] restores those two keys and drops any
+    /// other, so the setter is crate-private: a key of the caller's own
+    /// would not survive a resume.
+    pub(crate) fn set_payload(&mut self, key: &str, data: Vec<f64>) {
         self.payload.insert(key.to_string(), data);
     }
 

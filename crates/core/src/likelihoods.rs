@@ -186,11 +186,6 @@ impl HomoskedasticGaussian {
             scale,
         }
     }
-
-    /// Observation standard deviation.
-    pub fn obs_scale(&self) -> f64 {
-        self.scale
-    }
 }
 
 impl Likelihood for HomoskedasticGaussian {

@@ -159,11 +159,6 @@ impl ImageGenerator {
         self.prototypes.len()
     }
 
-    /// Image shape `[c, h, w]`.
-    pub fn image_shape(&self) -> [usize; 3] {
-        [self.channels, self.height, self.width]
-    }
-
     fn render_sample<R: Rng + ?Sized>(&self, class: usize, rng: &mut R, out: &mut [f64]) {
         let (c, h, w) = (self.channels, self.height, self.width);
         let proto = &self.prototypes[class];

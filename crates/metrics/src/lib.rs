@@ -166,66 +166,6 @@ pub fn ecdf(values: &[f64], points: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Multiclass Brier score: mean squared distance between the predicted
-/// probability vector and the one-hot label.
-pub fn brier_score(probs: &Tensor, labels: &Tensor) -> f64 {
-    let (n, c) = (probs.shape()[0], probs.shape()[1]);
-    let p = probs.to_vec();
-    let l = labels.to_vec();
-    let mut total = 0.0;
-    for i in 0..n {
-        for j in 0..c {
-            let target = f64::from(u8::from(l[i] as usize == j));
-            total += (p[i * c + j] - target).powi(2);
-        }
-    }
-    total / n as f64
-}
-
-/// Area under the precision-recall curve for separating two score samples
-/// (positives should score higher), computed by sweeping thresholds at
-/// every observed score.
-///
-/// # Panics
-///
-/// Panics if either side is empty.
-pub fn auprc(scores_negative: &[f64], scores_positive: &[f64]) -> f64 {
-    assert!(
-        !scores_negative.is_empty() && !scores_positive.is_empty(),
-        "auprc: both classes need scores"
-    );
-    let mut all: Vec<(f64, bool)> = scores_negative
-        .iter()
-        .map(|&s| (s, false))
-        .chain(scores_positive.iter().map(|&s| (s, true)))
-        .collect();
-    // Descending by score: iterate thresholds from most to least confident.
-    all.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("scores must not be NaN"));
-    let total_pos = scores_positive.len() as f64;
-    let (mut tp, mut fp) = (0.0, 0.0);
-    let mut auc = 0.0;
-    let mut prev_recall = 0.0;
-    let mut i = 0;
-    while i < all.len() {
-        // Advance over ties as one threshold step.
-        let mut j = i;
-        while j < all.len() && all[j].0 == all[i].0 {
-            if all[j].1 {
-                tp += 1.0;
-            } else {
-                fp += 1.0;
-            }
-            j += 1;
-        }
-        let recall = tp / total_pos;
-        let precision = tp / (tp + fp);
-        auc += (recall - prev_recall) * precision;
-        prev_recall = recall;
-        i = j;
-    }
-    auc
-}
-
 /// Mean and twice the standard error of a sample (the paper reports
 /// `mean ± 2 s.e.` over five runs).
 pub fn mean_and_2se(values: &[f64]) -> (f64, f64) {
@@ -442,28 +382,6 @@ mod tests {
         // var = 1, se = 1/sqrt(3), 2se = 2/sqrt(3)
         assert!((se2 - 2.0 / 3.0f64.sqrt()).abs() < 1e-12);
         assert_eq!(mean_and_2se(&[5.0]), (5.0, 0.0));
-    }
-
-    #[test]
-    fn brier_perfect_and_worst() {
-        let p = probs(&[&[1.0, 0.0]]);
-        assert!(brier_score(&p, &Tensor::zeros(&[1])).abs() < 1e-12);
-        assert!((brier_score(&p, &Tensor::from_vec(vec![1.0], &[1])) - 2.0).abs() < 1e-12);
-        // Uniform prediction over 2 classes: (0.5^2 + 0.5^2) = 0.5.
-        let u = probs(&[&[0.5, 0.5]]);
-        assert!((brier_score(&u, &Tensor::zeros(&[1])) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auprc_perfect_separation_is_one() {
-        assert!((auprc(&[0.1, 0.2], &[0.8, 0.9]) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auprc_random_equals_base_rate() {
-        // Identical scores: precision at full recall = prevalence.
-        let a = auprc(&[0.5; 3], &[0.5; 1]);
-        assert!((a - 0.25).abs() < 1e-12, "{a}");
     }
 
     #[test]

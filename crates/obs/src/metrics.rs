@@ -415,27 +415,6 @@ pub fn write_snapshot_jsonl(path: &std::path::Path) -> std::io::Result<usize> {
     Ok(snap.len())
 }
 
-/// Zero every metric **value** while keeping all registered handles
-/// attached — outstanding cached `Counter`/`Gauge`/`Histogram` clones
-/// keep feeding the same slots, so later snapshots stay complete.
-pub fn reset() {
-    let reg = registry().lock().unwrap();
-    for slot in reg.values() {
-        match &slot.entry {
-            Entry::Counter(c) => c.0.store(0, Ordering::Relaxed),
-            Entry::Gauge(g) => g.0.store(0f64.to_bits(), Ordering::Relaxed),
-            Entry::Histogram(h) => {
-                for b in &h.0.buckets {
-                    b.store(0, Ordering::Relaxed);
-                }
-                h.0.count.store(0, Ordering::Relaxed);
-                h.0.sum.store(0, Ordering::Relaxed);
-                h.0.max.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

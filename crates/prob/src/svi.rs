@@ -61,31 +61,36 @@ pub fn negative_elbo_with_guide_trace(
         }
         ElboEstimator::MeanField => {
             // -ELBO = sum_z KL(q_z || p_z) - E_q[log p(x | z)]
-            let mut loss = model_trace.observed_log_prob_sum().neg();
-            for gsite in guide_trace.iter().filter(|s| !s.observed) {
-                let Some(msite) = model_trace.site(&gsite.name) else {
-                    // Auxiliary guide site (e.g. the joint latent behind a
-                    // low-rank guide): contributes only its log q.
-                    loss = loss.add(&gsite.log_prob());
-                    continue;
-                };
-                match kl_divergence(gsite.dist.as_ref(), msite.dist.as_ref()) {
-                    Some(kl) => {
-                        let kl = match &msite.mask {
-                            Some(m) => kl.mul(m),
-                            None => kl,
-                        };
-                        loss = loss.add(&kl.sum().mul_scalar(msite.scale));
-                    }
-                    None => {
-                        // Pathwise fallback: log q - log p at the sample.
-                        loss = loss.add(&gsite.log_prob()).sub(&msite.log_prob());
-                    }
-                }
-            }
-            loss
+            add_mean_field_kl(model_trace.observed_log_prob_sum().neg(), guide_trace, &model_trace)
         }
     }
+}
+
+/// Adds `TraceMeanField_ELBO`'s per-site KL terms to `loss`, walking the
+/// guide's latent sites in program order: the closed-form `KL(q || p)`
+/// (masked, summed, scaled by the model site's scale) where one exists,
+/// otherwise the pathwise `log q − log p` at the sample. A guide site the
+/// model does not sample (e.g. the joint latent behind a low-rank guide)
+/// adds only its log q. `model_trace` is the model replayed under
+/// `guide_trace`.
+pub fn add_mean_field_kl(mut loss: Tensor, guide_trace: &Trace, model_trace: &Trace) -> Tensor {
+    for gsite in guide_trace.iter().filter(|s| !s.observed) {
+        let Some(msite) = model_trace.site(&gsite.name) else {
+            loss = loss.add(&gsite.log_prob());
+            continue;
+        };
+        match kl_divergence(gsite.dist.as_ref(), msite.dist.as_ref()) {
+            Some(kl) => {
+                let kl = match &msite.mask {
+                    Some(m) => kl.mul(m),
+                    None => kl,
+                };
+                loss = loss.add(&kl.sum().mul_scalar(msite.scale));
+            }
+            None => loss = loss.add(&gsite.log_prob()).sub(&msite.log_prob()),
+        }
+    }
+    loss
 }
 
 #[cfg(test)]

@@ -257,16 +257,6 @@ pub fn madd_runtime(acc: f64, a: f64, b: f64) -> f64 {
     }
 }
 
-/// `f32` counterpart of [`madd_runtime`]: a *native* f32 multiply-add
-/// (not an f64 madd rounded down), matching the f32 kernels.
-pub fn madd_runtime_f32(acc: f32, a: f32, b: f32) -> f32 {
-    if uses_fma() {
-        a.mul_add(b, acc)
-    } else {
-        acc + a * b
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Reference kernels (retained; also serve products below the size cutoff)
 // ---------------------------------------------------------------------------
@@ -1412,8 +1402,5 @@ pub(crate) mod tests {
         let (acc, a, b) = (0.1f64, 0.2f64, 0.3f64);
         let expected = if uses_fma() { a.mul_add(b, acc) } else { acc + a * b };
         assert_eq!(madd_runtime(acc, a, b).to_bits(), expected.to_bits());
-        let (acc, a, b) = (0.1f32, 0.2f32, 0.3f32);
-        let expected = if uses_fma() { a.mul_add(b, acc) } else { acc + a * b };
-        assert_eq!(madd_runtime_f32(acc, a, b).to_bits(), expected.to_bits());
     }
 }

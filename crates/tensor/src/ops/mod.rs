@@ -13,7 +13,6 @@ pub(crate) mod normal;
 pub(crate) mod reduce;
 pub(crate) mod shape_ops;
 pub(crate) mod softmax;
-pub(crate) mod stats;
 pub mod tanh_kernel;
 pub(crate) mod unary;
 

@@ -1,4 +1,4 @@
-//! Reduction operations: sum, mean, min/max, and axis-wise variants.
+//! Reduction operations: sum, mean, and axis-wise variants with max/argmax.
 //!
 //! Axis-wise reductions are organised *per output element*: each output
 //! accumulates its own slice of the input in ascending axis order, which
@@ -108,21 +108,20 @@ fn sum_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool) -> Tensor 
     )
 }
 
-fn extremum_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool, is_max: bool) -> Tensor {
+fn max_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool) -> Tensor {
     let ax = normalize_axis(axis, src_t.ndim());
     let in_shape = src_t.shape().to_vec();
     let mut out_shape = in_shape.clone();
     out_shape[ax] = 1;
     let out_n = numel(&out_shape);
     let (_, axn, inner) = axis_split(&in_shape, ax);
-    let sentinel = E::from_f64(if is_max { f64::NEG_INFINITY } else { f64::INFINITY });
-    let mut best = pool::alloc_filled::<E>(out_n, sentinel);
+    let mut best = pool::alloc_filled::<E>(out_n, E::from_f64(f64::NEG_INFINITY));
     let mut arg = vec![0usize; out_n];
     {
         let d = src_t.data_of::<E>();
         let d: &[E] = &d;
         // Each output scans its axis slice in ascending order, so ties
-        // keep the first extremum exactly as the flat scan did.
+        // keep the first maximum exactly as the flat scan did.
         let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
         tyxe_par::parallel_for_chunks2(&mut best, &mut arg, chunk, chunk, |ci, pb, pa| {
             let start = ci * chunk;
@@ -131,10 +130,8 @@ fn extremum_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool, is_ma
                 let (oi, ii) = (o / inner.max(1), o % inner.max(1));
                 for q in 0..axn {
                     let flat = (oi * axn + q) * inner + ii;
-                    let v = d[flat];
-                    let better = if is_max { v > *bv } else { v < *bv };
-                    if better {
-                        *bv = v;
+                    if d[flat] > *bv {
+                        *bv = d[flat];
                         *av = flat;
                     }
                 }
@@ -224,12 +221,7 @@ impl Tensor {
 
     /// Maximum along `axis`. Gradient flows only to the (first) argmax entry.
     pub fn max_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => extremum_axis_t::<E>(self, axis, keepdim, true))
-    }
-
-    /// Minimum along `axis`. Gradient flows only to the (first) argmin entry.
-    pub fn min_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => extremum_axis_t::<E>(self, axis, keepdim, false))
+        dispatch_dtype!(self.dtype(), E => max_axis_t::<E>(self, axis, keepdim))
     }
 
     /// Index of the maximum element along `axis` (not differentiable).
@@ -237,23 +229,6 @@ impl Tensor {
         dispatch_dtype!(self.dtype(), E => argmax_axis_t::<E>(self, axis))
     }
 
-    /// Largest element of the tensor, widened to `f64` (not
-    /// differentiable).
-    pub fn max_value(&self) -> f64 {
-        dispatch_dtype!(self.dtype(), E => self
-            .data_of::<E>()
-            .iter()
-            .fold(f64::NEG_INFINITY, |m, x| m.max(x.to_f64())))
-    }
-
-    /// Smallest element of the tensor, widened to `f64` (not
-    /// differentiable).
-    pub fn min_value(&self) -> f64 {
-        dispatch_dtype!(self.dtype(), E => self
-            .data_of::<E>()
-            .iter()
-            .fold(f64::INFINITY, |m, x| m.min(x.to_f64())))
-    }
 }
 
 #[cfg(test)]
@@ -313,14 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn min_and_extremes() {
-        let x = Tensor::from_vec(vec![3.0, -1.0, 2.0], &[3]);
-        assert_eq!(x.max_value(), 3.0);
-        assert_eq!(x.min_value(), -1.0);
-        assert_eq!(x.min_axis(0, false).item(), -1.0);
-    }
-
-    #[test]
     fn mean_axis_shapes() {
         let x = Tensor::ones(&[2, 3, 4]);
         assert_eq!(x.mean_axis(1, false).shape(), &[2, 4]);
@@ -343,8 +310,6 @@ mod tests {
     #[test]
     fn f32_extrema_match() {
         let t = Tensor::from_vec_f32(vec![3.0, -1.0, 2.0, 5.5], &[4]);
-        assert_eq!(t.max_value(), 5.5);
-        assert_eq!(t.min_value(), -1.0);
         assert_eq!(t.argmax_axis(0), vec![3]);
         assert_eq!(t.max_axis(0, false).item(), 5.5);
     }

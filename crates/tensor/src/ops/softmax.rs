@@ -1,4 +1,4 @@
-//! Numerically stable softmax / log-softmax / logsumexp along an axis.
+//! Numerically stable softmax / log-softmax along an axis.
 //!
 //! [`Tensor::log_softmax`] is one fused op: a row kernel over the
 //! reduced axis that runs the scalar recipe of the op chain
@@ -87,20 +87,6 @@ fn log_softmax_t<E: Element>(src_t: &Tensor, ax: usize) -> Tensor {
 }
 
 impl Tensor {
-    /// Log-sum-exp along `axis` (keepdim), computed stably by subtracting the
-    /// per-slice maximum.
-    pub fn logsumexp_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        let m = self.max_axis(axis, true).detach();
-        let shifted = self.sub(&m);
-        let lse = shifted.exp().sum_axis(axis, true).ln().add(&m);
-        if keepdim {
-            lse
-        } else {
-            let ax = crate::shape::normalize_axis(axis, self.ndim());
-            lse.squeeze(ax)
-        }
-    }
-
     /// Log-softmax along `axis`: `x - logsumexp(x)`, as one fused op.
     pub fn log_softmax(&self, axis: isize) -> Tensor {
         let ax = normalize_axis(axis, self.ndim());
@@ -144,13 +130,6 @@ mod tests {
         p.gather_rows(&[1]).sum().backward();
         let g = x.grad().unwrap();
         assert!(g.iter().sum::<f64>().abs() < 1e-10, "{g:?}");
-    }
-
-    #[test]
-    fn logsumexp_matches_manual() {
-        let x = Tensor::from_vec(vec![0.0, (2.0f64).ln()], &[1, 2]);
-        let lse = x.logsumexp_axis(1, false);
-        assert!((lse.item() - (3.0f64).ln()).abs() < 1e-12);
     }
 
     #[test]

@@ -20,6 +20,27 @@ fi
 # agree with the manifests, so resolution is fully deterministic.
 CARGO_NET_OFFLINE=true cargo build --release --frozen
 
+# The committed experiment outputs are what the release binaries print
+# (DESIGN.md §4): re-run the seven and fail on any byte of drift, naming
+# the file and its first differing line. A change that moves an output
+# commits the new file and names the shape checks that moved. The files
+# are an FMA host's output: on a CPU without FMA (`Isa::Base`) the GEMM's
+# multiply-adds are unfused, so the outputs differ there.
+echo "verify: results/*.txt match the experiment binaries byte for byte"
+drift_dir=$(mktemp -d)
+trap 'rm -rf "$drift_dir"' EXIT
+for b in fig1_regression tab1_resnet fig2_calibration tab2_gnn fig3_nerf fig4_vcl ablation_gradvar; do
+    "target/release/$b" > "$drift_dir/$b.txt"
+    if ! cmp -s "results/$b.txt" "$drift_dir/$b.txt"; then
+        line=$(cmp "results/$b.txt" "$drift_dir/$b.txt" 2>&1 | awk '{print $NF}' || true)
+        echo "verify: results/$b.txt drifted from target/release/$b's output at line $line:" >&2
+        echo "  committed: $(sed -n "${line}p" "results/$b.txt")" >&2
+        echo "  now:       $(sed -n "${line}p" "$drift_dir/$b.txt")" >&2
+        exit 1
+    fi
+done
+rm -rf "$drift_dir"
+
 # One run of the suite, at the defaults users get (the library has no
 # behaviour switches to sweep: the thread-count, cold/warm-pool,
 # replay/no-replay and per-dtype bit-identity pins build their own
@@ -229,9 +250,13 @@ fi
 # loss-spike rule and its gradient-clip fallback, or the write-only dist
 # checkpoint entries (shard cursor, live ranks) and the heartbeat knobs,
 # the libm tiers of f64 tanh and the normal fill, or the uncalled
-# log-factorial, normal CDF and scalar erf grow back. The filter drops
-# this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# log-factorial, normal CDF and scalar erf, or the unreached statistics
+# ops (`ops/stats.rs`: var/std, cumsum, outer, tril/triu, top-k), the
+# min reductions, `logsumexp_axis`, the Brier score and AUPRC metrics, the
+# f32 scalar madd and the uncalled metrics reset, image-shape and
+# observation-scale accessors grow back. The filter drops this guard's
+# own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis)\(|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi
