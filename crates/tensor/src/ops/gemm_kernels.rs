@@ -83,8 +83,9 @@ const BLOCK_MIN_MADDS: usize = 32 * 32 * 32;
 /// Column-block width in *elements*: `bp` holds `NC` packed columns
 /// (`k × NC` elements), sized to stay comfortably inside L2 for the `k`
 /// ranges seen here (f32 panels are half the bytes of f64 ones — also
-/// fine).
-const NC: usize = 256;
+/// fine). `conv2d` sizes its sample groups to about one block of output
+/// columns.
+pub(crate) const NC: usize = 256;
 
 // ---------------------------------------------------------------------------
 // ISA selection
@@ -184,13 +185,15 @@ mod probe {
         nr_g.set(nr as f64);
     }
 
-    /// One probe per public GEMM call. Returns the call's span guard
-    /// (`None` when observability is disabled: one atomic load).
+    /// One probe per public GEMM call, of `batch` products of one shape
+    /// (1 but for [`super::gemm_bt_ow_batched`]). Returns the call's span
+    /// guard (`None` when observability is disabled: one atomic load).
     #[inline]
     pub fn gemm(
         dt: DType,
         variant: usize,
         blocked: bool,
+        batch: usize,
         m: usize,
         k: usize,
         n: usize,
@@ -199,17 +202,13 @@ mod probe {
             return None;
         }
         let h = handles();
-        h.flops.add(2 * (m * k * n) as u64);
+        h.flops.add(2 * (batch * m * k * n) as u64);
         h.calls[variant * 2 + blocked as usize].inc();
         let path = if blocked { "blocked" } else { "reference" };
+        let shape = if batch == 1 { format!("{m}x{k}x{n}") } else { format!("{batch}*{m}x{k}x{n}") };
         Some(SpanGuard::enter_with_arg(
             "tensor.gemm",
-            format!(
-                "{}/{path} {m}x{k}x{n} {} {}",
-                VARIANTS[variant],
-                super::simd_label(),
-                dt
-            ),
+            format!("{}/{path} {shape} {} {}", VARIANTS[variant], super::simd_label(), dt),
         ))
     }
 }
@@ -692,7 +691,8 @@ fn pack_a<E: Element, const MR: usize>(
 /// Packs `cols ≤ NR` columns of the logical `B[p,j]` (element stride
 /// `b[p·pis + j·cis]`) into a `k × NR` p-major micropanel, zero-padding
 /// missing columns. The pad multiplies into accumulator lanes that are
-/// never stored.
+/// never stored. A full panel whose rows (`nn`, `at`) or columns (`bt`)
+/// are contiguous moves without a per-element test.
 fn pack_b<E: Element, const NR: usize>(
     b: &[E],
     pis: usize,
@@ -702,6 +702,20 @@ fn pack_b<E: Element, const NR: usize>(
     k: usize,
     bp: &mut [E],
 ) {
+    if cols == NR && cis == 1 {
+        for p in 0..k {
+            bp[p * NR..(p + 1) * NR].copy_from_slice(&b[p * pis + j0..][..NR]);
+        }
+        return;
+    }
+    if cols == NR && pis == 1 && k > 0 {
+        for jj in 0..NR {
+            for (p, &v) in b[(j0 + jj) * cis..][..k].iter().enumerate() {
+                bp[p * NR + jj] = v;
+            }
+        }
+        return;
+    }
     for p in 0..k {
         let dst = &mut bp[p * NR..(p + 1) * NR];
         for (jj, slot) in dst.iter_mut().enumerate() {
@@ -926,11 +940,37 @@ fn recast_mat<A: Element, B: Element>(m: StridedMat<'_, A>) -> StridedMat<'_, B>
     StridedMat { data: same_slice(m.data), rs: m.rs, cs: m.cs }
 }
 
+/// Where the blocked driver runs a product's row blocks, and where it
+/// packs `B`.
+pub(crate) enum Rows<'s, E> {
+    /// Across the thread pool, one scope per column block; `B` packs into
+    /// pool scratch.
+    Pool,
+    /// All on the calling thread, so no scope opens: for a caller that is
+    /// itself one task of a scope (`conv2d`'s sample groups). `B` packs
+    /// into the caller's scratch, grown on first use and reused by every
+    /// later product.
+    Here(&'s mut Vec<E>),
+}
+
+/// Same-type reinterpret of a [`Rows`] (TypeId-checked), as [`recast_mat`].
+fn recast_rows<A: Element, B: Element>(rows: Rows<'_, A>) -> Rows<'_, B> {
+    match rows {
+        Rows::Pool => Rows::Pool,
+        Rows::Here(v) => {
+            assert_eq!(std::any::TypeId::of::<A>(), std::any::TypeId::of::<B>(), "recast_rows: dtype mismatch");
+            // SAFETY: A and B are the identical type (checked above).
+            Rows::Here(unsafe { &mut *(v as *mut Vec<A>).cast::<Vec<B>>() })
+        }
+    }
+}
+
 /// Packed-panel blocked GEMM: columns are processed in `NC`-wide blocks
 /// (B packed once per block into NR-wide micropanels), rows in
-/// MR-aligned blocks partitioned across the thread pool (each task packs
-/// its own A micropanels). `k` is deliberately never tiled — see the
-/// module-level determinism contract.
+/// MR-aligned blocks, partitioned across the thread pool or all on the
+/// caller's thread as `rows` says (each row chunk packs its own A
+/// micropanels). `k` is deliberately never tiled — see the module-level
+/// determinism contract.
 fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     a: StridedMat<'_, E>,
     b: StridedMat<'_, E>,
@@ -940,6 +980,7 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     n: usize,
     mode: Acc,
     micro: MicroFn<E>,
+    rows: Rows<'_, E>,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -949,10 +990,24 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     // pool's ceiling it is a fresh allocation per call, and the full `NC`
     // block stays: on `tab2_gcn_mf`'s 16×350×49 weight gradient a
     // product-sized one measured ~5 % slower end to end (DESIGN.md §7).
-    // `pack_b`/`pack_a` write every slot the microkernel reads, zero pads
-    // included, so both scratches come from the pool uninitialized.
+    // A caller's scratch holds the product-sized block. `pack_b`/`pack_a`
+    // write every slot the microkernel reads, zero pads included, so no
+    // scratch needs zeroing.
     let sized = k.max(1) * NC.min(n).next_multiple_of(NR);
-    let mut bp = pool::alloc_uninit::<E>(if pool::recycles::<E>(sized) { sized } else { k.max(1) * NC });
+    let pooled = matches!(rows, Rows::Pool);
+    let mut pool_bp;
+    let bp: &mut [E] = match rows {
+        Rows::Pool => {
+            pool_bp = pool::alloc_uninit::<E>(if pool::recycles::<E>(sized) { sized } else { k.max(1) * NC });
+            &mut pool_bp
+        }
+        Rows::Here(v) => {
+            if v.len() < sized {
+                v.resize(sized, E::ZERO);
+            }
+            &mut v[..sized]
+        }
+    };
     let mut j0 = 0;
     while j0 < n {
         let ncb = NC.min(n - j0);
@@ -971,8 +1026,7 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
             );
         }
         let bp = &bp[..npanels * panel.max(1)];
-        let chunk_rows = tyxe_par::chunk_len(m, MR, MR);
-        tyxe_par::parallel_for_chunks(c, chunk_rows * n, |start, c_chunk| {
+        let row_chunk = |start: usize, c_chunk: &mut [E]| {
             // Recorded on whichever thread (worker or drain-assisting
             // caller) executes the chunk, so traces show the blocked
             // GEMM's actual parallel placement.
@@ -995,12 +1049,17 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
                 }
                 i += MR;
             }
-        });
+        };
+        if pooled {
+            tyxe_par::parallel_for_chunks(c, tyxe_par::chunk_len(m, MR, MR) * n, row_chunk);
+        } else {
+            row_chunk(0, c);
+        }
         j0 += ncb;
     }
 }
 
-fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut [f64], m: usize, k: usize, n: usize, mode: Acc) {
+fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut [f64], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, f64>) {
     if tyxe_obs::enabled() {
         match isa() {
             #[cfg(target_arch = "x86_64")]
@@ -1012,14 +1071,14 @@ fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut 
     }
     match isa() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Fma => gemm_blocked_driver::<f64, 8, 16>(a, b, c, m, k, n, mode, micro_avx512_fma_f64),
+        Isa::Avx512Fma => gemm_blocked_driver::<f64, 8, 16>(a, b, c, m, k, n, mode, micro_avx512_fma_f64, rows),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => gemm_blocked_driver::<f64, 4, 8>(a, b, c, m, k, n, mode, micro_avx2_fma_f64),
-        _ => gemm_blocked_driver::<f64, 2, 8>(a, b, c, m, k, n, mode, micro_base_f64),
+        Isa::Avx2Fma => gemm_blocked_driver::<f64, 4, 8>(a, b, c, m, k, n, mode, micro_avx2_fma_f64, rows),
+        _ => gemm_blocked_driver::<f64, 2, 8>(a, b, c, m, k, n, mode, micro_base_f64, rows),
     }
 }
 
-fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut [f32], m: usize, k: usize, n: usize, mode: Acc) {
+fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut [f32], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, f32>) {
     if tyxe_obs::enabled() {
         match isa() {
             #[cfg(target_arch = "x86_64")]
@@ -1031,17 +1090,17 @@ fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut 
     }
     match isa() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Fma => gemm_blocked_driver::<f32, 8, 32>(a, b, c, m, k, n, mode, micro_avx512_fma_f32),
+        Isa::Avx512Fma => gemm_blocked_driver::<f32, 8, 32>(a, b, c, m, k, n, mode, micro_avx512_fma_f32, rows),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => gemm_blocked_driver::<f32, 4, 16>(a, b, c, m, k, n, mode, micro_avx2_fma_f32),
-        _ => gemm_blocked_driver::<f32, 2, 8>(a, b, c, m, k, n, mode, micro_base_f32),
+        Isa::Avx2Fma => gemm_blocked_driver::<f32, 4, 16>(a, b, c, m, k, n, mode, micro_avx2_fma_f32, rows),
+        _ => gemm_blocked_driver::<f32, 2, 8>(a, b, c, m, k, n, mode, micro_base_f32, rows),
     }
 }
 
-fn blocked_dispatch<E: Element>(a: StridedMat<'_, E>, b: StridedMat<'_, E>, c: &mut [E], m: usize, k: usize, n: usize, mode: Acc) {
+fn blocked_dispatch<E: Element>(a: StridedMat<'_, E>, b: StridedMat<'_, E>, c: &mut [E], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, E>) {
     match E::DTYPE {
-        DType::F64 => blocked_dispatch_f64(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode),
-        DType::F32 => blocked_dispatch_f32(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode),
+        DType::F64 => blocked_dispatch_f64(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode, recast_rows(rows)),
+        DType::F32 => blocked_dispatch_f32(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode, recast_rows(rows)),
     }
 }
 
@@ -1054,7 +1113,7 @@ pub fn gemm_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: u
     blocked_dispatch(
         StridedMat { data: a, rs: k, cs: 1 },
         StridedMat { data: b, rs: n, cs: 1 },
-        c, m, k, n, Acc::Overwrite,
+        c, m, k, n, Acc::Overwrite, Rows::Pool,
     );
 }
 
@@ -1063,7 +1122,7 @@ pub fn gemm_at_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
     blocked_dispatch(
         StridedMat { data: a, rs: 1, cs: m },
         StridedMat { data: b, rs: n, cs: 1 },
-        c, m, k, n, Acc::Overwrite,
+        c, m, k, n, Acc::Overwrite, Rows::Pool,
     );
 }
 
@@ -1072,7 +1131,7 @@ pub fn gemm_bt_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
     blocked_dispatch(
         StridedMat { data: a, rs: k, cs: 1 },
         StridedMat { data: b, rs: 1, cs: k },
-        c, m, k, n, Acc::OverwriteDot,
+        c, m, k, n, Acc::OverwriteDot, Rows::Pool,
     );
 }
 
@@ -1086,11 +1145,11 @@ pub fn gemm_bt_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
 /// hold arbitrary (pool-recycled) garbage on entry.
 pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 0, false, m, k, n);
+        let _span = probe::gemm(E::DTYPE, 0, false, 1, m, k, n);
         return narrow_nn(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 0, blocked, m, k, n);
+    let _span = probe::gemm(E::DTYPE, 0, blocked, 1, m, k, n);
     if blocked {
         gemm_ow_blocked(a, b, c, m, k, n);
     } else {
@@ -1101,11 +1160,11 @@ pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n:
 /// Overwrite `C = Aᵀ·B` (`A: [k×m]`); `C` may be uninitialized.
 pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 1, false, m, k, n);
+        let _span = probe::gemm(E::DTYPE, 1, false, 1, m, k, n);
         return narrow_at(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 1, blocked, m, k, n);
+    let _span = probe::gemm(E::DTYPE, 1, blocked, 1, m, k, n);
     if blocked {
         gemm_at_ow_blocked(a, b, c, m, k, n);
     } else {
@@ -1117,15 +1176,81 @@ pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
 /// `0.0 + dot`, so a `-0.0` dot comes out `+0.0` (see the module docs).
 pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 2, false, m, k, n);
+        let _span = probe::gemm(E::DTYPE, 2, false, 1, m, k, n);
         return narrow_bt(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 2, blocked, m, k, n);
+    let _span = probe::gemm(E::DTYPE, 2, blocked, 1, m, k, n);
     if blocked {
         gemm_bt_ow_blocked(a, b, c, m, k, n);
     } else {
         gemm_bt_ow_ref(a, b, c, m, k, n);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Caller-thread entry points (`conv2d`'s sample groups)
+// ---------------------------------------------------------------------------
+//
+// A caller that is itself one task of a scope runs its products here: the
+// blocked driver on the calling thread ([`Rows::Here`]), whatever the
+// shape, packing `B` into the caller's scratch. The blocked path is
+// bit-identical to the references and the narrow kernels, so each output
+// element gets the bits [`gemm_ow`] and friends give it.
+
+/// Overwrite `C = A·B` (`A: [m×k]`, `B: [k×n]`) on the calling thread,
+/// `B` packed into `pack`; bit-identical to [`gemm_ow`].
+pub(crate) fn gemm_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, pack: &mut Vec<E>) {
+    let _span = probe::gemm(E::DTYPE, 0, true, 1, m, k, n);
+    blocked_dispatch(
+        StridedMat { data: a, rs: k, cs: 1 },
+        StridedMat { data: b, rs: n, cs: 1 },
+        c, m, k, n, Acc::Overwrite, Rows::Here(pack),
+    );
+}
+
+/// Overwrite `C = Aᵀ·B` (`A: [k×m]`, `B: [k×n]`) on the calling thread,
+/// `B` packed into `pack`; bit-identical to [`gemm_at_ow`].
+pub(crate) fn gemm_at_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, pack: &mut Vec<E>) {
+    let _span = probe::gemm(E::DTYPE, 1, true, 1, m, k, n);
+    blocked_dispatch(
+        StridedMat { data: a, rs: 1, cs: m },
+        StridedMat { data: b, rs: n, cs: 1 },
+        c, m, k, n, Acc::Overwrite, Rows::Here(pack),
+    );
+}
+
+/// Batched overwrite `C[s] = A[s]·B[s]ᵀ` for `s < batch` over a leading
+/// axis, on the calling thread: `A[s]` is the `[m×k]` matrix at
+/// `a[s·sa..]`, `B[s]` the `[n×k]` matrix at `b[s·sb..]` whose rows lie
+/// `ldb` apart, and `C` is `[batch, m, n]`. Every `B[s]` packs into the one
+/// scratch `pack`. `C[s]` is bit-identical to `gemm_bt_ow(A[s], B[s])`;
+/// `sa = m·k`, `sb = n·k`, `ldb = k` is the contiguous `[S, m, k] ×
+/// [S, n, k]` case.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_bt_ow_batched<E: Element>(
+    a: &[E],
+    sa: usize,
+    b: &[E],
+    sb: usize,
+    ldb: usize,
+    c: &mut [E],
+    batch: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    pack: &mut Vec<E>,
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    let _span = probe::gemm(E::DTYPE, 2, true, batch, m, k, n);
+    for (s, cs) in c[..batch * m * n].chunks_mut(m * n).enumerate() {
+        blocked_dispatch(
+            StridedMat { data: &a[s * sa..], rs: k, cs: 1 },
+            StridedMat { data: &b[s * sb..], rs: 1, cs: ldb },
+            cs, m, k, n, Acc::OverwriteDot, Rows::Here(pack),
+        );
     }
 }
 
@@ -1354,6 +1479,47 @@ pub(crate) mod tests {
     fn bt_dot_underflowing_to_negative_zero_stores_positive_zero() {
         bt_underflow_for::<f64>(1e-200);
         bt_underflow_for::<f32>(1e-30);
+    }
+
+    type HereFn<E> = fn(&[E], &[E], &mut [E], usize, usize, usize, &mut Vec<E>);
+
+    /// The caller-thread entry points and the batched `bt` against the
+    /// oracle on NaN-filled `C`, every shape class, with one pack scratch
+    /// carried across all of them (grown, then reused). The batched `B[s]`
+    /// are the column windows `s·k..` of one `[n × 3k]` matrix, as
+    /// `conv2d` passes its group block. The underflow case pins each
+    /// entry's store mode.
+    fn here_and_batched_match_oracle_for<E: Element>(tiny: f64) {
+        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(55);
+        let mut pack = Vec::new();
+        let batch = 3;
+        for &(m, k, n) in DENSE.iter().chain(NARROW).chain(EMPTY) {
+            let random = (rand_vec_e::<E>(&mut rng, batch * m * k), rand_vec_e::<E>(&mut rng, n * batch * k));
+            let underflow = (vec![E::from_f64(-tiny); batch * m * k], vec![E::from_f64(tiny); n * batch * k]);
+            for (a, b) in [random, underflow] {
+                let what = |name: &str| format!("{name} {m}x{k}x{n} {}", E::DTYPE);
+                let here: [(&str, Layout, HereFn<E>); 2] = [("gemm_ow_here", Layout::Nn, gemm_ow_here), ("gemm_at_ow_here", Layout::At, gemm_at_ow_here)];
+                for (name, layout, f) in here {
+                    let want = zero_fill_then_accumulate(layout, &a, &b, m, k, n);
+                    let mut got = nan_filled::<E>(m * n);
+                    f(&a, &b, &mut got, m, k, n, &mut pack);
+                    assert_bits_eq(&want, &got, &what(name));
+                }
+                let mut got = nan_filled::<E>(batch * m * n);
+                gemm_bt_ow_batched(&a, m * k, &b, k, batch * k, &mut got, batch, m, k, n, &mut pack);
+                for s in 0..batch {
+                    let bs: Vec<E> = (0..n).flat_map(|j| b[j * batch * k + s * k..][..k].to_vec()).collect();
+                    let want = zero_fill_then_accumulate(Layout::Bt, &a[s * m * k..(s + 1) * m * k], &bs, m, k, n);
+                    assert_bits_eq(&want, &got[s * m * n..(s + 1) * m * n], &what(&format!("gemm_bt_ow_batched[{s}]")));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn here_and_batched_match_oracle_bitwise() {
+        here_and_batched_match_oracle_for::<f64>(1e-200);
+        here_and_batched_match_oracle_for::<f32>(1e-30);
     }
 
     #[test]

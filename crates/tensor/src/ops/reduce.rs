@@ -108,59 +108,6 @@ fn sum_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool) -> Tensor 
     )
 }
 
-fn max_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool) -> Tensor {
-    let ax = normalize_axis(axis, src_t.ndim());
-    let in_shape = src_t.shape().to_vec();
-    let mut out_shape = in_shape.clone();
-    out_shape[ax] = 1;
-    let out_n = numel(&out_shape);
-    let (_, axn, inner) = axis_split(&in_shape, ax);
-    let mut best = pool::alloc_filled::<E>(out_n, E::from_f64(f64::NEG_INFINITY));
-    let mut arg = vec![0usize; out_n];
-    {
-        let d = src_t.data_of::<E>();
-        let d: &[E] = &d;
-        // Each output scans its axis slice in ascending order, so ties
-        // keep the first maximum exactly as the flat scan did.
-        let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
-        tyxe_par::parallel_for_chunks2(&mut best, &mut arg, chunk, chunk, |ci, pb, pa| {
-            let start = ci * chunk;
-            for (off, (bv, av)) in pb.iter_mut().zip(pa.iter_mut()).enumerate() {
-                let o = start + off;
-                let (oi, ii) = (o / inner.max(1), o % inner.max(1));
-                for q in 0..axn {
-                    let flat = (oi * axn + q) * inner + ii;
-                    if d[flat] > *bv {
-                        *bv = d[flat];
-                        *av = flat;
-                    }
-                }
-            }
-        });
-    }
-    let final_shape = if keepdim {
-        out_shape.clone()
-    } else {
-        let mut s = out_shape.clone();
-        s.remove(ax);
-        s
-    };
-    let in_n = numel(&in_shape);
-    Tensor::make_op_t::<E>(
-        best,
-        final_shape,
-        vec![src_t.clone()],
-        move |_, grad| {
-            // Scatter-accumulate: zeroed pool path required.
-            let mut g = pool::alloc_zeroed::<E>(in_n);
-            for (o, &src) in arg.iter().enumerate() {
-                g[src] += grad[o];
-            }
-            vec![Some(g)]
-        },
-    )
-}
-
 fn argmax_axis_t<E: Element>(src_t: &Tensor, axis: isize) -> Vec<usize> {
     let ax = normalize_axis(axis, src_t.ndim());
     let in_shape = src_t.shape().to_vec();
@@ -219,11 +166,6 @@ impl Tensor {
             .div_scalar(self.shape()[ax] as f64)
     }
 
-    /// Maximum along `axis`. Gradient flows only to the (first) argmax entry.
-    pub fn max_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => max_axis_t::<E>(self, axis, keepdim))
-    }
-
     /// Index of the maximum element along `axis` (not differentiable).
     pub fn argmax_axis(&self, axis: isize) -> Vec<usize> {
         dispatch_dtype!(self.dtype(), E => argmax_axis_t::<E>(self, axis))
@@ -272,15 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn max_axis_routes_grad_to_argmax() {
-        let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], &[2, 2]).requires_grad(true);
-        let y = x.max_axis(1, false);
-        assert_eq!(y.to_vec(), vec![5.0, 3.0]);
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![0.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
     fn argmax_axis_values() {
         let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0, 9.0, 0.0], &[2, 3]);
         assert_eq!(x.argmax_axis(1), vec![1, 1]);
@@ -311,6 +244,5 @@ mod tests {
     fn f32_extrema_match() {
         let t = Tensor::from_vec_f32(vec![3.0, -1.0, 2.0, 5.5], &[4]);
         assert_eq!(t.argmax_axis(0), vec![3]);
-        assert_eq!(t.max_axis(0, false).item(), 5.5);
     }
 }

@@ -145,9 +145,29 @@ mod tests {
         assert!((g[2] - p[2]).abs() < 1e-9);
     }
 
+    /// The maximum along `axis`, kept as a size-1 dimension, as a constant
+    /// in `x`'s dtype. A max is exact, so its bits are the detached
+    /// `max_axis` the fused kernel replaced.
+    fn row_max(x: &Tensor, axis: isize) -> Tensor {
+        let shape = x.shape().to_vec();
+        let ax = axis.rem_euclid(shape.len() as isize) as usize;
+        let (axn, inner) = (shape[ax], shape[ax + 1..].iter().product::<usize>());
+        let v = x.to_vec();
+        let mut m = vec![f64::NEG_INFINITY; v.len() / axn];
+        for (i, &e) in v.iter().enumerate() {
+            let o = &mut m[i / (axn * inner) * inner + i % inner];
+            if e > *o {
+                *o = e;
+            }
+        }
+        let mut kept = shape;
+        kept[ax] = 1;
+        Tensor::from_vec(m, &kept).cast(x.dtype())
+    }
+
     /// The op chain `log_softmax` was before it was fused, op for op.
     fn composite_log_softmax(x: &Tensor, axis: isize) -> Tensor {
-        let m = x.max_axis(axis, true).detach();
+        let m = row_max(x, axis);
         let lse = x.sub(&m).exp().sum_axis(axis, true).ln().add(&m);
         x.sub(&lse)
     }

@@ -252,11 +252,11 @@ fi
 # the libm tiers of f64 tanh and the normal fill, or the uncalled
 # log-factorial, normal CDF and scalar erf, or the unreached statistics
 # ops (`ops/stats.rs`: var/std, cumsum, outer, tril/triu, top-k), the
-# min reductions, `logsumexp_axis`, the Brier score and AUPRC metrics, the
-# f32 scalar madd and the uncalled metrics reset, image-shape and
-# observation-scale accessors grow back. The filter drops this guard's
-# own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis)\(|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# min reductions, `logsumexp_axis`, the test-only `max_axis`, the Brier
+# score and AUPRC metrics, the f32 scalar madd and the uncalled metrics
+# reset, image-shape and observation-scale accessors grow back. The
+# filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi
@@ -322,6 +322,15 @@ if [[ "$defs" -ne 1 ]]; then
     echo "verify: fn fill_standard_normal is defined $defs times under crates/*/src, not once" >&2
     exit 1
 fi
+# One unfold (§7): `conv2d`'s row-copy im2col and col2im are each defined
+# once; the per-element unfold lives on only as the tests' oracle.
+for f in im2col col2im; do
+    defs=$(grep -rhE "fn $f\b" crates/tensor/src | wc -l)
+    if [[ "$defs" -ne 1 ]]; then
+        echo "verify: fn $f is defined $defs times under crates/tensor/src, not once" >&2
+        exit 1
+    fi
+done
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then
