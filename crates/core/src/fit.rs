@@ -4,10 +4,9 @@
 //! recovery action taken.
 //!
 //! [`Supervisor::fit`] is the one SVI fit loop — [`VariationalBnn::fit`]
-//! runs it under a default, checkpoint-free supervisor, and
-//! [`VariationalBnn::fit_distributed`] runs its sharded steps through the
-//! same loop — and every one of its steps is a [`Supervisor::step`],
-//! which runs the caller's forward/backward closure, then:
+//! runs it under a default, checkpoint-free supervisor — and every one of
+//! its steps is a [`Supervisor::step`], which runs the caller's
+//! forward/backward closure, then:
 //!
 //! 1. **Sentinels** — a non-finite loss, a non-finite gradient or an
 //!    injected worker panic marks the attempt as faulty. There is no
@@ -292,12 +291,12 @@ const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
-/// The library's extra checkpoint payload entries (the autocast mode and
-/// the shard count, set through the crate-private
-/// `Supervisor::set_payload`) ride under this buffer-name prefix.
+/// The library's extra checkpoint payload entries (the autocast mode, set
+/// through the crate-private `Supervisor::set_payload`) ride under this
+/// buffer-name prefix.
 const PAYLOAD_PREFIX: &str = "supervisor.payload.";
 /// The payload keys a resume restores: the ones something still reads.
-const LIVE_PAYLOAD_KEYS: [&str; 2] = [PAYLOAD_PRECISION, crate::distributed::PAYLOAD_NUM_SHARDS];
+const LIVE_PAYLOAD_KEYS: [&str; 1] = [PAYLOAD_PRECISION];
 
 fn prev_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -326,12 +325,11 @@ impl Supervisor {
 
     /// Attaches an extra named state buffer to every future checkpoint,
     /// under the `supervisor.payload.<key>` buffer namespace. It carries
-    /// the two pieces of library state the supervisor itself doesn't
-    /// know about: the autocast mode ([`PAYLOAD_PRECISION`]) and the
-    /// distributed shard count ([`crate::distributed::PAYLOAD_NUM_SHARDS`]).
-    /// [`Supervisor::resume`] restores those two keys and drops any
-    /// other, so the setter is crate-private: a key of the caller's own
-    /// would not survive a resume.
+    /// the piece of library state the supervisor itself doesn't know
+    /// about: the autocast mode ([`PAYLOAD_PRECISION`]).
+    /// [`Supervisor::resume`] restores that key and drops any other, so
+    /// the setter is crate-private: a key of the caller's own would not
+    /// survive a resume.
     pub(crate) fn set_payload(&mut self, key: &str, data: Vec<f64>) {
         self.payload.insert(key.to_string(), data);
     }
@@ -368,35 +366,21 @@ impl Supervisor {
     /// resumed one is averaged over its remaining steps. The optional
     /// `callback` receives `(epoch, mean)` after each such epoch — the
     /// epoch index counts from the start of training, not of this call —
-    /// and stops training early by returning `true`.
+    /// and stops training early by returning `true`. Runs in the
+    /// checkpointed autocast mode.
     pub fn fit<M, L, G, I>(
         &mut self,
         bnn: &VariationalBnn<M, L, G>,
         data: &[(I, Tensor)],
         optim: &mut dyn Optimizer,
         num_epochs: usize,
-        callback: Option<FitCallback<'_>>,
+        mut callback: Option<FitCallback<'_>>,
     ) -> Vec<f64>
     where
         M: Module + Forward<I, Output = Tensor>,
         L: Likelihood,
         G: Guide,
     {
-        let mut svi = |x: &I, y: &Tensor, o: &mut dyn Optimizer| bnn.svi_forward_backward(x, y, o);
-        self.run_epochs(data, optim, num_epochs, callback, &mut svi)
-    }
-
-    /// The one step loop, over any per-batch forward/backward: the SVI
-    /// step, or [`VariationalBnn::fit_distributed`]'s sharded step (one
-    /// batch per epoch). Runs in the checkpointed autocast mode.
-    pub(crate) fn run_epochs<I>(
-        &mut self,
-        data: &[(I, Tensor)],
-        optim: &mut dyn Optimizer,
-        num_epochs: usize,
-        mut callback: Option<FitCallback<'_>>,
-        forward_backward: &mut dyn FnMut(&I, &Tensor, &mut dyn Optimizer) -> f64,
-    ) -> Vec<f64> {
         assert!(!data.is_empty(), "fit: data must be non-empty");
         let _amp = enter_checkpointed_autocast(self);
         let mut done = self.steps_completed();
@@ -409,7 +393,7 @@ impl Supervisor {
             }
             let mut total = 0.0;
             for (x, y) in &data[skip..] {
-                total += self.step(optim, &mut |o| forward_backward(x, y, o));
+                total += self.step(optim, &mut |o| bnn.svi_forward_backward(x, y, o));
             }
             let avg = total / (data.len() - skip) as f64;
             history.push(avg);

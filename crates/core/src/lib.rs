@@ -51,7 +51,6 @@
 //! GEMM-bound ops in `f32` while parameters stay `f64`.
 
 pub mod bnn;
-pub mod distributed;
 pub mod fit;
 pub mod guides;
 pub mod guides_ktied;
@@ -63,9 +62,7 @@ pub mod priors;
 pub mod vcl;
 
 pub use bnn::{BayesianModule, BnnSite, Evaluation, McmcBnn, PytorchBnn, VariationalBnn};
-pub use distributed::{DistFit, SviShardCompute};
 pub use fit::{FitEvent, FitReport, Supervisor, SupervisorConfig};
-pub use tyxe_dist::{DistConfig, DistReport, SpawnMode};
 
 /// Re-exports of the probabilistic substrate most users need alongside the
 /// BNN classes.

@@ -28,17 +28,6 @@ pub trait Likelihood {
     /// by `dataset_size / batch_size` so mini-batch ELBOs are unbiased.
     fn observe_data(&self, predictions: &Tensor, targets: &Tensor) {
         let factor = self.dataset_size() as f64 / self.batch_size(targets) as f64;
-        self.observe_data_with_factor(predictions, targets, factor);
-    }
-
-    /// [`Likelihood::observe_data`] with an explicit scale factor.
-    ///
-    /// Data-parallel SVI (tyxe-dist) observes each logical *shard* of a
-    /// batch separately but must scale every shard by the **full
-    /// batch's** factor — the shard losses sum to exactly the
-    /// whole-batch loss — so the factor cannot be derived from the
-    /// targets passed here.
-    fn observe_data_with_factor(&self, predictions: &Tensor, targets: &Tensor, factor: f64) {
         let dist = self.predictive_distribution(predictions);
         let targets = targets.clone();
         scale(factor, move || {

@@ -147,20 +147,6 @@ impl<M: Module, L: Likelihood> McDropout<M, L> {
         let samples = self.predict_samples(input, num_predictions);
         crate::bnn::evaluation_from_samples(&self.likelihood, &samples, targets)
     }
-
-    /// Predictions with one **fixed** dropout mask shared across the batch
-    /// and across all samples (the Appendix D visualization mode); the
-    /// returned samples are identical by construction.
-    pub fn predict_fixed_mask<I>(&self, input: &I) -> Tensor
-    where
-        M: Forward<I, Output = Tensor>,
-    {
-        let _guard = fixed_dropout();
-        self.net.set_training(true);
-        let out = self.net.forward(input).detach();
-        self.net.set_training(false);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -196,10 +182,12 @@ mod tests {
     #[test]
     fn fixed_mask_is_shared_across_batch_rows() {
         tyxe_prob::rng::set_seed(1);
-        let mc = McDropout::new(dropout_net(), Categorical::new(10));
+        let net = dropout_net();
+        net.set_training(true);
         // Identical rows + shared mask => identical outputs.
         let x = Tensor::ones(&[3, 4]);
-        let out = mc.predict_fixed_mask(&x);
+        let _guard = fixed_dropout();
+        let out = tyxe_nn::Forward::forward(&net, &x);
         assert_eq!(out.slice(0, 0, 1).to_vec(), out.slice(0, 1, 2).to_vec());
         assert_eq!(out.slice(0, 1, 2).to_vec(), out.slice(0, 2, 3).to_vec());
     }

@@ -97,12 +97,6 @@ impl Graph {
         &self.inner.edges
     }
 
-    /// Neighbours of `u` in the normalized adjacency (including `u`
-    /// itself).
-    pub fn neighbors(&self, u: usize) -> &[usize] {
-        &self.inner.col_idx[self.inner.row_ptr[u]..self.inner.row_ptr[u + 1]]
-    }
-
     /// Differentiable message passing: `Â x` for node features
     /// `x: [n, d]`. Since `Â` is symmetric, the backward pass is another
     /// `Â`-product. Recorded steps replay it in place. Computes in `f64`:
@@ -172,7 +166,6 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (1, 0), (1, 2), (2, 2)]);
         assert_eq!(g.num_nodes(), 3);
         assert_eq!(g.num_edges(), 2);
-        assert_eq!(g.neighbors(1), &[0, 1, 2]);
     }
 
     #[test]

@@ -60,16 +60,6 @@ impl VarianceScheme {
     }
 }
 
-/// Samples a weight tensor from `N(0, scheme.variance(shape))`.
-pub fn normal_init<R: tyxe_rand::Rng + ?Sized>(
-    shape: &[usize],
-    scheme: VarianceScheme,
-    rng: &mut R,
-) -> Tensor {
-    let sd = scheme.variance(shape).sqrt();
-    Tensor::randn(shape, rng).mul_scalar(sd)
-}
-
 /// Samples a weight tensor from the uniform Kaiming scheme Pytorch uses by
 /// default for linear/conv layers: `U(-1/sqrt(fan_in), 1/sqrt(fan_in))`.
 pub fn kaiming_uniform<R: tyxe_rand::Rng + ?Sized>(shape: &[usize], rng: &mut R) -> Tensor {
@@ -104,14 +94,6 @@ mod tests {
         assert_eq!(VarianceScheme::parse("xavier"), Ok(VarianceScheme::Xavier));
         assert_eq!(VarianceScheme::parse("kaiming"), Ok(VarianceScheme::Kaiming));
         assert!(VarianceScheme::parse("lecun").is_err());
-    }
-
-    #[test]
-    fn normal_init_empirical_variance() {
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
-        let t = normal_init(&[100, 100], VarianceScheme::Radford, &mut rng);
-        let var = t.square().mean().item();
-        assert!((var - 0.01).abs() < 0.001, "var {var}");
     }
 
     #[test]

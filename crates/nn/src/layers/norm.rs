@@ -60,11 +60,6 @@ impl BatchNorm2d {
     pub fn running_var(&self) -> Vec<f64> {
         self.running_var.borrow().clone()
     }
-
-    /// Whether the layer is in training mode.
-    pub fn is_training(&self) -> bool {
-        self.training.get()
-    }
 }
 
 impl Module for BatchNorm2d {
@@ -174,7 +169,6 @@ mod tests {
             let _ = bn.forward(&x);
         }
         bn.set_training(false);
-        assert!(!bn.is_training());
         let y = bn.forward(&x);
         // After enough updates, running mean ≈ 10 so output ≈ 0.
         assert!(y.to_vec().iter().all(|&v| v.abs() < 0.2), "{:?}", y.to_vec()[0]);

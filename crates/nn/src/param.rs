@@ -92,11 +92,6 @@ impl Param {
     pub fn numel(&self) -> usize {
         self.inner.value.borrow().numel()
     }
-
-    /// Whether two handles refer to the same slot.
-    pub fn same_slot(&self, other: &Param) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +127,6 @@ mod tests {
         let q = p.clone();
         q.set_value(Tensor::ones(&[1]));
         assert_eq!(p.value().to_vec(), vec![1.0]);
-        assert!(p.same_slot(&q));
     }
 
     #[test]

@@ -140,11 +140,6 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Appends a `u32` (LE).
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `u64` (LE).
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -167,13 +162,6 @@ impl ByteWriter {
         for &x in v {
             self.put_f64(x);
         }
-    }
-
-    /// Appends a length-prefixed raw byte string (nested payloads, e.g.
-    /// the tyxe-dist wire protocol's per-message bodies).
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
     }
 }
 
@@ -205,11 +193,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    /// Reads a `u32` (LE).
-    pub fn get_u32(&mut self) -> Result<u32, LoadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
     /// Reads a `u64` (LE).
     pub fn get_u64(&mut self) -> Result<u64, LoadError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
@@ -225,12 +208,6 @@ impl<'a> ByteReader<'a> {
         let len = self.get_u64()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| LoadError::Malformed("non-UTF-8 string"))
-    }
-
-    /// Reads a length-prefixed raw byte string.
-    pub fn get_bytes(&mut self) -> Result<Vec<u8>, LoadError> {
-        let len = self.get_u64()? as usize;
-        Ok(self.take(len)?.to_vec())
     }
 
     /// Reads a length-prefixed `f64` vector.
@@ -379,21 +356,6 @@ mod tests {
         assert_eq!(v[3], f64::MIN_POSITIVE);
         assert_eq!(r.get_u64().unwrap(), 42);
         assert!(r.is_exhausted());
-    }
-
-    #[test]
-    fn raw_bytes_roundtrip_and_truncation() {
-        let mut w = ByteWriter::new();
-        w.put_bytes(&[0xDE, 0xAD, 0xBE, 0xEF]);
-        w.put_bytes(b"");
-        let bytes = w.into_bytes();
-        let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.get_bytes().unwrap(), vec![0xDE, 0xAD, 0xBE, 0xEF]);
-        assert_eq!(r.get_bytes().unwrap(), Vec::<u8>::new());
-        assert!(r.is_exhausted());
-        let mut short = ByteReader::new(&bytes[..bytes.len() - 9]);
-        let _ = short.get_bytes();
-        assert!(short.get_bytes().is_err());
     }
 
     #[test]

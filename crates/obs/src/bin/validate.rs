@@ -5,17 +5,11 @@
 //! tyxe-obs-validate --trace out.json --metrics metrics.jsonl \
 //!     --require-span-names core.supervisor.step,prob.svi.model \
 //!     --require-threads 2 \
-//!     --require-metrics par.pool.tasks,par.fault.injected_panics \
-//!     --require-pids 1000,0,1 --require-process-names rank1-inc0 \
-//!     --flight flight-1-0.jsonl
+//!     --require-metrics par.pool.tasks,par.fault.injected_panics
 //! ```
 //!
-//! `--require-pids` asserts ≥1 span per listed pid (in merged traces
-//! the pid is the rank); `--require-process-names` asserts the listed
-//! `process_name` metadata entries exist (e.g. a killed worker's
-//! pre-respawn incarnation); `--flight` validates a post-mortem
-//! (flight) dump parses and is non-empty. A trace carrying `dropped_spans`
-//! events prints a warning (the data is truncated) but still passes.
+//! A trace carrying `dropped_spans` events prints a warning (the data is
+//! truncated) but still passes.
 //!
 //! Exits non-zero with a diagnostic on the first violated requirement.
 
@@ -37,11 +31,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut flight_paths: Vec<String> = Vec::new();
     let mut require_span_names: Vec<String> = Vec::new();
     let mut require_metrics: Vec<String> = Vec::new();
-    let mut require_pids: Vec<u64> = Vec::new();
-    let mut require_process_names: Vec<String> = Vec::new();
     let mut require_threads: usize = 0;
     let mut require_depth: u64 = 0;
 
@@ -52,21 +43,11 @@ fn main() {
         match arg.as_str() {
             "--trace" => trace_path = Some(value("--trace")),
             "--metrics" => metrics_path = Some(value("--metrics")),
-            "--flight" => flight_paths.push(value("--flight")),
             "--require-span-names" => require_span_names
                 .extend(value("--require-span-names").split(',').map(str::to_string)),
             "--require-metrics" => {
                 require_metrics.extend(value("--require-metrics").split(',').map(str::to_string))
             }
-            "--require-pids" => {
-                for p in value("--require-pids").split(',') {
-                    require_pids.push(
-                        p.parse().unwrap_or_else(|_| fail("--require-pids needs integers")),
-                    );
-                }
-            }
-            "--require-process-names" => require_process_names
-                .extend(value("--require-process-names").split(',').map(str::to_string)),
             "--require-threads" => {
                 require_threads = value("--require-threads")
                     .parse()
@@ -80,8 +61,8 @@ fn main() {
             other => fail(&format!("unknown argument `{other}`")),
         }
     }
-    if trace_path.is_none() && metrics_path.is_none() && flight_paths.is_empty() {
-        fail("nothing to do: pass --trace, --metrics and/or --flight");
+    if trace_path.is_none() && metrics_path.is_none() {
+        fail("nothing to do: pass --trace and/or --metrics");
     }
 
     if let Some(path) = &trace_path {
@@ -107,17 +88,6 @@ fn main() {
                 fail(&format!("`{path}`: required span name `{name}` not present"));
             }
         }
-        for pid in &require_pids {
-            match stats.spans_by_pid.get(pid) {
-                Some(n) if *n >= 1 => {}
-                _ => fail(&format!("`{path}`: no spans from required pid {pid}")),
-            }
-        }
-        for name in &require_process_names {
-            if !stats.process_names.contains(name) {
-                fail(&format!("`{path}`: required process name `{name}` not present"));
-            }
-        }
         if stats.threads.len() < require_threads {
             fail(&format!(
                 "`{path}`: trace covers {} thread(s), need >= {require_threads}",
@@ -141,22 +111,5 @@ fn main() {
                 fail(&format!("`{path}`: required metric `{name}` not present"));
             }
         }
-    }
-
-    for path in &flight_paths {
-        let dump = tyxe_obs::flight::read_flight_file(std::path::Path::new(path))
-            .unwrap_or_else(|e| fail(&format!("`{path}`: {e}")));
-        if dump.spans.is_empty() && dump.notes.is_empty() {
-            fail(&format!("`{path}`: flight dump has no spans or notes"));
-        }
-        println!(
-            "flight ok: rank {} incarnation {} reason `{}`: {} spans, {} notes, {} metrics",
-            dump.rank,
-            dump.incarnation,
-            dump.reason,
-            dump.spans.len(),
-            dump.notes.len(),
-            dump.metrics.len(),
-        );
     }
 }

@@ -11,9 +11,7 @@
 //!
 //! 1. **Structured tracing** ([`trace`]): RAII spans via the [`span!`]
 //!    macro record `name/thread/start/duration` into per-thread buffers
-//!    and export as JSONL or a `chrome://tracing`-compatible file
-//!    ([`merge`] is the one chrome writer; [`flight`] is the post-mortem
-//!    dump format the `tyxe-dist` coordinator writes).
+//!    and export as a `chrome://tracing`-compatible file.
 //! 2. **Metrics** ([`metrics`]): named counters, gauges and fixed
 //!    power-of-two-bucket histograms built purely on atomics, with a
 //!    [`metrics::snapshot`] API and a JSONL sink of
@@ -32,9 +30,7 @@
 //! [`set_enabled`]`(true)` programmatically. Numerical behaviour is
 //! identical either way: probes never touch RNG streams or values.
 
-pub mod flight;
 pub mod json;
-pub mod merge;
 pub mod metrics;
 pub mod trace;
 pub mod validate;

@@ -355,44 +355,6 @@ pub fn snapshot() -> Vec<MetricRecord> {
     out
 }
 
-/// Parse a metrics JSONL text (the [`snapshot_jsonl`] format) back
-/// into records. Blank lines are skipped; malformed lines are errors.
-pub fn records_from_jsonl(text: &str) -> Result<Vec<MetricRecord>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ctx = |what: &str| format!("metric line {}: {what}", lineno + 1);
-        let rec = crate::json::parse(line).map_err(|e| ctx(&format!("invalid JSON: {e}")))?;
-        let name = rec
-            .get("name")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| ctx("missing string `name`"))?
-            .to_string();
-        // `value` may be JSON null (non-finite f64); map it back to NaN.
-        let value = match rec.get("value") {
-            Some(v) => v.as_num().unwrap_or(f64::NAN),
-            None => return Err(ctx("missing `value`")),
-        };
-        let unit = rec
-            .get("unit")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| ctx("missing string `unit`"))?
-            .to_string();
-        let mut tags = Vec::new();
-        if let Some(obj) = rec.get("tags").and_then(|v| v.as_obj()) {
-            for (k, v) in obj {
-                let v = v.as_str().ok_or_else(|| ctx("non-string tag value"))?;
-                tags.push((k.clone(), v.to_string()));
-            }
-        }
-        tags.sort();
-        out.push(MetricRecord { name, value, unit, tags });
-    }
-    Ok(out)
-}
-
 /// Serialize [`snapshot`] as JSONL (one record per line).
 pub fn snapshot_jsonl() -> String {
     let mut s = String::new();
@@ -504,24 +466,6 @@ mod tests {
     fn empty_histogram_percentile_is_zero() {
         let h = histogram("test.metrics.pctl_empty");
         assert_eq!(h.percentile(0.5), 0);
-    }
-
-    #[test]
-    fn jsonl_roundtrips_records() {
-        let c = counter_tagged("test.metrics.rt", &[("rank", "2"), ("phase", "collect")], "count");
-        c.add(11);
-        let text = snapshot_jsonl();
-        let parsed = records_from_jsonl(&text).unwrap();
-        // One record per line. Not held against a second `snapshot()`:
-        // the registry is process-global and other tests grow it meanwhile.
-        assert_eq!(parsed.len(), text.lines().count());
-        let rec = parsed.iter().find(|r| r.name == "test.metrics.rt").unwrap();
-        assert_eq!(rec.tags, vec![
-            ("phase".to_string(), "collect".to_string()),
-            ("rank".to_string(), "2".to_string()),
-        ]);
-        assert!(rec.value >= 11.0);
-        assert!(records_from_jsonl("{\"nope\":1}\n").is_err());
     }
 
     #[test]

@@ -9,22 +9,10 @@
 //!
 //! Spans nest lexically via RAII: [`SpanGuard::enter`] stamps the
 //! start time and bumps a thread-local depth; dropping the guard
-//! records the finished span. Exporters reconstruct the hierarchy
-//! either from the recorded `depth` (JSONL) or from time containment
-//! per thread (`chrome://tracing` "X" complete events).
-//!
-//! # Cross-process correlation
-//!
-//! Every recorded span carries a process-unique `span_id`, and a span
-//! may additionally carry a *remote parent*: a `(trace_id,
-//! parent_span)` pair stamped by another process (see
-//! [`SpanGuard::enter_remote_child`]). The `tyxe-dist` coordinator
-//! puts its per-step span id on the wire; workers open their step
-//! spans as remote children, so a merged multi-process trace
-//! ([`crate::merge`]) can parent worker work under the coordinator's
-//! step. Timestamps are anchored to the wall clock via
-//! [`epoch_unix_ns`] — the UNIX time of this process's trace epoch —
-//! which merging uses to normalize clocks across processes.
+//! records the finished span. The chrome export lets the viewer
+//! reconstruct the hierarchy from time containment per thread
+//! (`chrome://tracing` "X" complete events). Every recorded
+//! span carries a process-unique `span_id`.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -52,14 +40,8 @@ pub struct SpanRecord {
     pub dur_ns: u64,
     /// Optional free-form argument (site name, shape, …).
     pub arg: Option<String>,
-    /// Process-unique span id (dense, from 1; 0 only in records parsed
-    /// from pre-telemetry exports).
+    /// Process-unique span id (dense, from 1).
     pub span_id: u64,
-    /// Distributed trace id this span belongs to (0 = none).
-    pub trace_id: u64,
-    /// Remote parent span id, stamped by another process (0 = none;
-    /// local parenting is positional via `depth`/time containment).
-    pub parent_span: u64,
 }
 
 struct ThreadBuf {
@@ -72,12 +54,7 @@ static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-struct Epoch {
-    instant: Instant,
-    unix_ns: u64,
-}
-
-static EPOCH: OnceLock<Epoch> = OnceLock::new();
+static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
     static LOCAL: OnceLock<Arc<ThreadBuf>> = const { OnceLock::new() };
@@ -103,27 +80,9 @@ fn local_buf<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
     })
 }
 
-fn epoch() -> &'static Epoch {
-    EPOCH.get_or_init(|| Epoch {
-        instant: Instant::now(),
-        unix_ns: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos() as u64),
-    })
-}
-
 /// Nanoseconds since the process-wide trace epoch (first call wins).
 pub fn now_ns() -> u64 {
-    epoch().instant.elapsed().as_nanos() as u64
-}
-
-/// UNIX wall-clock time (ns) of this process's trace epoch: the anchor
-/// that makes `start_ns` values comparable across processes. Captured
-/// together with the monotonic epoch, so
-/// `epoch_unix_ns() + span.start_ns` is the span's approximate
-/// wall-clock start.
-pub fn epoch_unix_ns() -> u64 {
-    epoch().unix_ns
+    EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 /// Dense integer id of the calling thread, allocating one on first use.
@@ -170,8 +129,6 @@ struct LiveSpan {
     start_ns: u64,
     arg: Option<String>,
     span_id: u64,
-    trace_id: u64,
-    parent_span: u64,
 }
 
 impl SpanGuard {
@@ -181,7 +138,7 @@ impl SpanGuard {
         if !crate::enabled() {
             return SpanGuard { live: None };
         }
-        Self::open_live(Cow::Borrowed(name), None, 0, 0)
+        Self::open_live(Cow::Borrowed(name), None)
     }
 
     /// Open a span with a static name and a free-form argument. The
@@ -191,39 +148,10 @@ impl SpanGuard {
         if !crate::enabled() {
             return SpanGuard { live: None };
         }
-        Self::open_live(Cow::Borrowed(name), Some(arg.into()), 0, 0)
+        Self::open_live(Cow::Borrowed(name), Some(arg.into()))
     }
 
-    /// Open a span whose *parent lives in another process*: `trace_id`
-    /// and `parent_span` were stamped by the remote side (e.g. the
-    /// dist coordinator's per-step span, carried in the wire
-    /// protocol's telemetry section) and are recorded verbatim so a
-    /// merged trace can re-link the hierarchy.
-    pub fn enter_remote_child<A: Into<String>>(
-        name: &'static str,
-        trace_id: u64,
-        parent_span: u64,
-        arg: A,
-    ) -> SpanGuard {
-        if !crate::enabled() {
-            return SpanGuard { live: None };
-        }
-        Self::open_live(Cow::Borrowed(name), Some(arg.into()), trace_id, parent_span)
-    }
-
-    /// The process-unique id this span will be recorded under
-    /// (0 when the guard is inert). The dist coordinator broadcasts
-    /// this for its step spans so workers can parent under them.
-    pub fn span_id(&self) -> u64 {
-        self.live.as_ref().map_or(0, |l| l.span_id)
-    }
-
-    fn open_live(
-        name: Cow<'static, str>,
-        arg: Option<String>,
-        trace_id: u64,
-        parent_span: u64,
-    ) -> SpanGuard {
+    fn open_live(name: Cow<'static, str>, arg: Option<String>) -> SpanGuard {
         let depth = DEPTH.with(|d| {
             let cur = d.get();
             d.set(cur + 1);
@@ -236,8 +164,6 @@ impl SpanGuard {
                 start_ns: now_ns(),
                 arg,
                 span_id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-                trace_id,
-                parent_span,
             }),
         }
     }
@@ -257,8 +183,6 @@ impl Drop for SpanGuard {
                 dur_ns: end.saturating_sub(live.start_ns),
                 arg: live.arg,
                 span_id: live.span_id,
-                trace_id: live.trace_id,
-                parent_span: live.parent_span,
             };
             let mut spans = buf.spans.lock().unwrap();
             if spans.len() >= SPAN_CAP_PER_THREAD {
@@ -291,131 +215,69 @@ pub fn clear() {
     }
 }
 
-pub(crate) fn span_json(s: &SpanRecord) -> String {
-    let mut line = format!(
-        "{{\"name\":\"{}\",\"tid\":{},\"depth\":{},\"start_ns\":{},\"dur_ns\":{},\"span_id\":{}",
-        crate::json::escape(&s.name),
-        s.tid,
-        s.depth,
-        s.start_ns,
-        s.dur_ns,
-        s.span_id,
-    );
-    if s.trace_id != 0 {
-        line.push_str(&format!(",\"trace_id\":{}", s.trace_id));
-    }
-    if s.parent_span != 0 {
-        line.push_str(&format!(",\"parent_span\":{}", s.parent_span));
-    }
-    if let Some(arg) = &s.arg {
-        line.push_str(&format!(",\"arg\":\"{}\"", crate::json::escape(arg)));
-    }
-    line.push('}');
-    line
-}
-
-/// Serialize spans as JSONL: one
-/// `{"name","tid","depth","start_ns","dur_ns","span_id",…}` object per
-/// line (`trace_id`/`parent_span`/`arg` only when set).
-pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&span_json(s));
-        out.push('\n');
-    }
-    out
-}
-
-/// One `dropped_spans` event line per truncated thread, the explicit
-/// marker that a buffer hit [`SPAN_CAP_PER_THREAD`] and data is missing.
-pub fn dropped_events_jsonl(drops: &[(u64, u64)]) -> String {
-    let mut out = String::new();
-    for &(tid, count) in drops {
-        out.push_str(&format!(
-            "{{\"event\":\"dropped_spans\",\"tid\":{tid},\"count\":{count}}}\n"
+/// Serialize spans as a `chrome://tracing` / Perfetto-compatible JSON
+/// trace: `process_name`/`process_sort_index`/`thread_name` metadata for
+/// process 1 (`tyxe`), then one "X" (complete) event per span sorted by
+/// `(tid, start)`, `ts`/`dur` in µs, nesting inferred by the viewer from
+/// time containment per `tid`. Each `(tid, count)` of `drops` (see
+/// [`dropped_by_thread`]) becomes an explicit `dropped_spans` instant
+/// event at the end of that thread's last span.
+pub fn spans_to_chrome_trace(spans: &[SpanRecord], drops: &[(u64, u64)]) -> String {
+    let mut events = vec![
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"tyxe\"}}"
+            .to_string(),
+        "{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"sort_index\":2}}"
+            .to_string(),
+    ];
+    let mut tids: Vec<u64> = spans.iter().map(|s| s.tid).collect();
+    tids.sort_unstable();
+    tids.dedup();
+    for tid in tids {
+        events.push(format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
+             \"args\":{{\"name\":\"tyxe/t{tid}\"}}}}"
         ));
     }
-    out
-}
-
-/// Parsed JSONL span export: the span records plus the per-thread
-/// `(tid, count)` drop markers that were interleaved with them.
-pub type ParsedSpans = (Vec<SpanRecord>, Vec<(u64, u64)>);
-
-/// Parse a JSONL span export (the [`spans_to_jsonl`] format, optionally
-/// interleaved with [`dropped_events_jsonl`] lines) back into records
-/// plus per-thread drop counts. Unknown `event` lines are skipped so
-/// the format can grow; malformed lines are errors.
-pub fn spans_from_jsonl(text: &str) -> Result<ParsedSpans, String> {
-    let mut spans = Vec::new();
-    let mut drops = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
+    sorted.sort_by_key(|s| (s.tid, s.start_ns, s.depth));
+    for s in sorted {
+        let mut ev = format!(
+            "{{\"name\":\"{}\",\"cat\":\"tyxe\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
+             \"ts\":{},\"dur\":{},\"args\":{{\"depth\":{},\"id\":{}",
+            crate::json::escape(&s.name),
+            s.tid,
+            micros(s.start_ns),
+            micros(s.dur_ns),
+            s.depth,
+            s.span_id,
+        );
+        if let Some(arg) = &s.arg {
+            ev.push_str(&format!(",\"arg\":\"{}\"", crate::json::escape(arg)));
         }
-        let ctx = |what: &str| format!("span line {}: {what}", lineno + 1);
-        let rec = crate::json::parse(line).map_err(|e| ctx(&format!("invalid JSON: {e}")))?;
-        if let Some(event) = rec.get("event").and_then(|v| v.as_str()) {
-            if event == "dropped_spans" {
-                let tid = rec.get("tid").and_then(|v| v.as_num()).ok_or_else(|| ctx("tid"))?;
-                let count =
-                    rec.get("count").and_then(|v| v.as_num()).ok_or_else(|| ctx("count"))?;
-                drops.push((tid as u64, count as u64));
-            }
-            continue;
-        }
-        let num = |field: &'static str| {
-            rec.get(field)
-                .and_then(|v| v.as_num())
-                .ok_or_else(|| ctx(&format!("missing numeric `{field}`")))
-        };
-        spans.push(SpanRecord {
-            name: Cow::Owned(
-                rec.get("name")
-                    .and_then(|v| v.as_str())
-                    .ok_or_else(|| ctx("missing string `name`"))?
-                    .to_string(),
-            ),
-            tid: num("tid")? as u64,
-            depth: num("depth")? as u32,
-            start_ns: num("start_ns")? as u64,
-            dur_ns: num("dur_ns")? as u64,
-            arg: rec.get("arg").and_then(|v| v.as_str()).map(str::to_string),
-            span_id: rec.get("span_id").and_then(|v| v.as_num()).unwrap_or(0.0) as u64,
-            trace_id: rec.get("trace_id").and_then(|v| v.as_num()).unwrap_or(0.0) as u64,
-            parent_span: rec.get("parent_span").and_then(|v| v.as_num()).unwrap_or(0.0) as u64,
-        });
+        ev.push_str("}}");
+        events.push(ev);
     }
-    Ok((spans, drops))
+    for &(tid, count) in drops {
+        let end = spans.iter().filter(|s| s.tid == tid).map(|s| s.start_ns + s.dur_ns).max();
+        events.push(format!(
+            "{{\"name\":\"dropped_spans\",\"cat\":\"tyxe\",\"ph\":\"i\",\"s\":\"t\",\
+             \"pid\":1,\"tid\":{tid},\"ts\":{},\"args\":{{\"count\":{count}}}}}",
+            micros(end.unwrap_or(0)),
+        ));
+    }
+    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", events.join(","))
 }
 
-/// Serialize spans as a `chrome://tracing` / Perfetto-compatible JSON
-/// trace: the one-process case of [`crate::merge::merged_chrome_trace`]
-/// (pid 1, process `tyxe`) — one "X" (complete) event per span, `ts`/
-/// `dur` in µs, nesting inferred by the viewer from time containment
-/// per `tid`. Truncated threads get an explicit `dropped_spans` instant
-/// event.
-pub fn spans_to_chrome_trace_with_drops(spans: &[SpanRecord], drops: &[(u64, u64)]) -> String {
-    crate::merge::merged_chrome_trace(&[crate::merge::ProcTelemetry {
-        pid: 1,
-        name: "tyxe".to_string(),
-        tid_base: 0,
-        clock_offset_ns: 0,
-        spans: spans.to_vec(),
-        drops: drops.to_vec(),
-    }])
-}
-
-/// [`spans_to_chrome_trace_with_drops`] without drop events.
-pub fn spans_to_chrome_trace(spans: &[SpanRecord]) -> String {
-    spans_to_chrome_trace_with_drops(spans, &[])
+/// `ns` as the chrome format's microseconds, with three decimals.
+fn micros(ns: u64) -> String {
+    format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 /// Drain all spans and write them to `path` in chrome-trace format
 /// (including `dropped_spans` markers for truncated threads).
 pub fn write_chrome_trace(path: &std::path::Path) -> std::io::Result<usize> {
     let spans = drain();
-    std::fs::write(path, spans_to_chrome_trace_with_drops(&spans, &dropped_by_thread()))?;
+    std::fs::write(path, spans_to_chrome_trace(&spans, &dropped_by_thread()))?;
     Ok(spans.len())
 }
 
@@ -475,56 +337,12 @@ mod tests {
         assert_eq!(n, SPAN_CAP_PER_THREAD);
         assert_eq!(dropped_spans(), 10);
         assert!(dropped_by_thread().contains(&(tid, 10)));
-        // The drop marker survives both export formats.
-        let drops = dropped_by_thread();
-        let chrome = spans_to_chrome_trace_with_drops(&spans, &drops);
+        // The drop marker survives the export.
+        let chrome = spans_to_chrome_trace(&spans, &dropped_by_thread());
         let stats = crate::validate::validate_chrome_trace(&chrome).unwrap();
         assert_eq!(stats.dropped_spans, 10);
-        let jsonl = dropped_events_jsonl(&drops);
-        let (_, parsed_drops) = spans_from_jsonl(&jsonl).unwrap();
-        assert_eq!(parsed_drops, drops);
         clear();
         assert_eq!(dropped_spans(), 0);
-    }
-
-    #[test]
-    fn remote_children_carry_the_stamped_context() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        clear();
-        let parent_id = {
-            let parent = crate::span!("remote.parent");
-            let id = parent.span_id();
-            assert_ne!(id, 0);
-            id
-        };
-        {
-            let _child = SpanGuard::enter_remote_child("remote.child", 77, parent_id, "step=3");
-        }
-        crate::set_enabled(false);
-        let spans = drain();
-        let child = spans.iter().find(|s| s.name == "remote.child").unwrap();
-        assert_eq!(child.trace_id, 77);
-        assert_eq!(child.parent_span, parent_id);
-    }
-
-    #[test]
-    fn jsonl_roundtrips_spans() {
-        let _g = crate::test_guard();
-        crate::set_enabled(true);
-        clear();
-        {
-            let _a = crate::span!("rt.outer");
-            let _b = SpanGuard::enter_remote_child("rt.child", 9, 4, "x\"y\\z");
-        }
-        crate::set_enabled(false);
-        let spans = drain();
-        let spans: Vec<SpanRecord> =
-            spans.into_iter().filter(|s| s.name.starts_with("rt.")).collect();
-        let text = spans_to_jsonl(&spans);
-        let (parsed, drops) = spans_from_jsonl(&text).unwrap();
-        assert_eq!(parsed, spans);
-        assert!(drops.is_empty());
     }
 
     #[test]
@@ -538,23 +356,48 @@ mod tests {
         }
         crate::set_enabled(false);
         let spans = drain();
-        let chrome = spans_to_chrome_trace(&spans);
+        let chrome = spans_to_chrome_trace(&spans, &[]);
         let stats = crate::validate::validate_chrome_trace(&chrome).unwrap();
         assert!(stats.span_names.contains("exp.outer"));
         assert!(stats.span_names.contains("exp.inner"));
-        let jsonl = spans_to_jsonl(&spans);
-        for line in jsonl.lines() {
-            crate::json::parse(line).unwrap();
-        }
     }
 
+    /// The one-process document, byte for byte: metadata, spans sorted
+    /// by `(tid, start)`, escaped args and a drop marker per truncated
+    /// thread (at its last span's end, or 0 for a thread with none).
     #[test]
-    fn epoch_anchor_is_stable_and_plausible() {
-        let _ = now_ns();
-        let a = epoch_unix_ns();
-        let b = epoch_unix_ns();
-        assert_eq!(a, b);
-        // After 2020-01-01 in ns — the anchor is real wall-clock time.
-        assert!(a > 1_577_836_800_000_000_000);
+    fn chrome_export_format_is_pinned() {
+        let span = |name, tid, depth, start_ns, dur_ns, arg: Option<&str>, span_id| SpanRecord {
+            name: Cow::Borrowed(name),
+            tid,
+            depth,
+            start_ns,
+            dur_ns,
+            arg: arg.map(str::to_string),
+            span_id,
+        };
+        let spans = [
+            span("b.inner", 3, 1, 2_500, 1_001, Some("x\"y\\z"), 2),
+            span("a.outer", 3, 0, 1_000, 12_345, None, 1),
+            span("c.other", 0, 0, 999, 7, None, 3),
+        ];
+        let expected = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"tyxe"}},"#,
+            r#"{"name":"process_sort_index","ph":"M","pid":1,"tid":0,"args":{"sort_index":2}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"tyxe/t0"}},"#,
+            r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"tyxe/t3"}},"#,
+            r#"{"name":"c.other","cat":"tyxe","ph":"X","pid":1,"tid":0,"ts":0.999,"dur":0.007,"#,
+            r#""args":{"depth":0,"id":3}},"#,
+            r#"{"name":"a.outer","cat":"tyxe","ph":"X","pid":1,"tid":3,"ts":1.000,"dur":12.345,"#,
+            r#""args":{"depth":0,"id":1}},"#,
+            r#"{"name":"b.inner","cat":"tyxe","ph":"X","pid":1,"tid":3,"ts":2.500,"dur":1.001,"#,
+            r#""args":{"depth":1,"id":2,"arg":"x\"y\\z"}},"#,
+            r#"{"name":"dropped_spans","cat":"tyxe","ph":"i","s":"t","pid":1,"tid":3,"ts":13.345,"#,
+            r#""args":{"count":5}},"#,
+            r#"{"name":"dropped_spans","cat":"tyxe","ph":"i","s":"t","pid":1,"tid":9,"ts":0.000,"#,
+            r#""args":{"count":2}}]}"#,
+        );
+        assert_eq!(spans_to_chrome_trace(&spans, &[(3, 5), (9, 2)]), expected);
     }
 }

@@ -2,7 +2,7 @@
 //! and by the `tyxe-obs-validate` binary that `scripts/verify.sh`
 //! runs after the trace-emitting smoke fit (jq-free by design).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::json::{parse, Json};
 
@@ -19,13 +19,6 @@ pub struct TraceStats {
     pub span_names: BTreeSet<String>,
     /// Maximum recorded nesting depth (from `args.depth`).
     pub max_depth: u64,
-    /// Span count per `pid` (in merged multi-process traces the pid is
-    /// the rank; the coordinator uses a reserved pid).
-    pub spans_by_pid: BTreeMap<u64, usize>,
-    /// Process names from `process_name` metadata (merged traces name
-    /// each rank `rank{r}-inc{i}`, so a respawned incarnation is
-    /// distinguishable from the one it replaced).
-    pub process_names: BTreeSet<String>,
     /// Total spans reported lost via `dropped_spans` instant events —
     /// nonzero means a thread hit its buffer cap and the trace is
     /// incomplete there.
@@ -46,7 +39,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
         let ctx = |field: &str| format!("traceEvents[{i}] missing/invalid `{field}`");
         let name = ev.get("name").and_then(|v| v.as_str()).ok_or_else(|| ctx("name"))?;
         let ph = ev.get("ph").and_then(|v| v.as_str()).ok_or_else(|| ctx("ph"))?;
-        let pid = ev.get("pid").and_then(|v| v.as_num()).ok_or_else(|| ctx("pid"))?;
+        ev.get("pid").and_then(|v| v.as_num()).ok_or_else(|| ctx("pid"))?;
         let tid = ev.get("tid").and_then(|v| v.as_num()).ok_or_else(|| ctx("tid"))?;
         if ph == "X" {
             ev.get("ts").and_then(|v| v.as_num()).ok_or_else(|| ctx("ts"))?;
@@ -54,16 +47,9 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
             stats.spans += 1;
             stats.threads.insert(tid as u64);
             stats.span_names.insert(name.to_string());
-            *stats.spans_by_pid.entry(pid as u64).or_default() += 1;
             if let Some(d) = ev.get("args").and_then(|a| a.get("depth")).and_then(|v| v.as_num())
             {
                 stats.max_depth = stats.max_depth.max(d as u64);
-            }
-        } else if ph == "M" && name == "process_name" {
-            if let Some(n) =
-                ev.get("args").and_then(|a| a.get("name")).and_then(|v| v.as_str())
-            {
-                stats.process_names.insert(n.to_string());
             }
         } else if ph == "i" && name == "dropped_spans" {
             let count = ev
@@ -202,22 +188,18 @@ mod tests {
     }
 
     #[test]
-    fn tracks_pids_process_names_and_drops() {
-        let merged = "{\"traceEvents\":[\
-            {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"rank0-inc0\"}},\
-            {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1000,\"tid\":0,\
-             \"args\":{\"name\":\"coordinator\"}},\
-            {\"name\":\"dist.step\",\"ph\":\"X\",\"pid\":1000,\"tid\":0,\"ts\":1,\"dur\":5},\
-            {\"name\":\"dist.worker.step\",\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":2,\"dur\":3},\
-            {\"name\":\"dropped_spans\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":0,\"ts\":6,\
-             \"args\":{\"count\":7}}]}";
-        let stats = validate_chrome_trace(merged).unwrap();
-        assert_eq!(stats.spans, 2);
-        assert_eq!(stats.spans_by_pid.get(&0), Some(&1));
-        assert_eq!(stats.spans_by_pid.get(&1000), Some(&1));
-        assert!(stats.process_names.contains("coordinator"));
-        assert!(stats.process_names.contains("rank0-inc0"));
-        assert_eq!(stats.dropped_spans, 7);
+    fn counts_dropped_span_events() {
+        let doc = "{\"traceEvents\":[\
+            {\"name\":\"a.step\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":1,\"dur\":5},\
+            {\"name\":\"dropped_spans\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":0,\"ts\":6,\
+             \"args\":{\"count\":7}},\
+            {\"name\":\"dropped_spans\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":2,\"ts\":0,\
+             \"args\":{\"count\":2}}]}";
+        let stats = validate_chrome_trace(doc).unwrap();
+        assert_eq!(stats.spans, 1);
+        assert_eq!(stats.dropped_spans, 9);
+        let no_count = "{\"traceEvents\":[\
+            {\"name\":\"dropped_spans\",\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":6}]}";
+        assert!(validate_chrome_trace(no_count).is_err());
     }
 }

@@ -65,7 +65,7 @@ fn per_thread_buffers_merge_without_loss() {
     // The merged stream sorts by start time and the chrome export of
     // the full multi-thread trace validates, covering all 4+1 threads.
     assert!(spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns));
-    let chrome = tyxe_obs::trace::spans_to_chrome_trace(&spans);
+    let chrome = tyxe_obs::trace::spans_to_chrome_trace(&spans, &[]);
     let stats = tyxe_obs::validate::validate_chrome_trace(&chrome).unwrap();
     assert_eq!(stats.spans, spans.len());
     assert!(stats.threads.len() >= THREADS);

@@ -21,14 +21,8 @@
 //!   step gets a NaN in one gradient slot after the backward pass,
 //!   decided by `(seed, step, attempt)` ([`Faults::nan_fault`]).
 //! * `TYXE_FAULT_SEED` — base seed of both decisions (default 0).
-//! * `TYXE_FAULT_KILL_STEP` / `TYXE_FAULT_KILL_RANK` — one-shot
-//!   process-level fault: the distributed worker with rank
-//!   `TYXE_FAULT_KILL_RANK` (default 0) calls `std::process::exit` when
-//!   it receives the step numbered `TYXE_FAULT_KILL_STEP`. The kill only
-//!   fires in a worker's first incarnation, so the respawned replacement
-//!   recovers instead of dying in a loop.
 //!
-//! Injection is disabled (probabilities 0, no kill) unless the
+//! Injection is disabled (probabilities 0) unless the
 //! environment arms it or a test calls [`set_faults`]. Injected panics
 //! carry the payload [`INJECTED_PANIC_PAYLOAD`] so supervisors can tell a
 //! simulated crash from a genuine bug when reporting.
@@ -46,8 +40,6 @@ pub const INJECTED_PANIC_PAYLOAD: &str = "tyxe-fault: injected worker panic";
 const ENV_SEED: &str = "TYXE_FAULT_SEED";
 const ENV_PANIC_PROB: &str = "TYXE_FAULT_PANIC_PROB";
 const ENV_NAN_PROB: &str = "TYXE_FAULT_NAN_PROB";
-const ENV_KILL_STEP: &str = "TYXE_FAULT_KILL_STEP";
-const ENV_KILL_RANK: &str = "TYXE_FAULT_KILL_RANK";
 
 /// Added to the NaN decision's key so it never correlates with the panic
 /// decision drawn at the same seed and coordinates.
@@ -63,19 +55,14 @@ pub struct Faults {
     /// Probability that a training-step attempt gets a NaN gradient, in
     /// `[0, 1]`.
     pub nan_prob: f64,
-    /// `(rank, step)`: the distributed worker of that rank exits when it
-    /// receives that step, in its first incarnation only.
-    pub kill: Option<(u64, u64)>,
 }
 
 impl Faults {
     /// Parses a plan from the `TYXE_FAULT_*` variables, read through `var`
     /// (`|name| std::env::var(name).ok()` for the process environment).
     /// Never fails: a missing, garbled or out-of-range probability means
-    /// 0, a garbled seed or rank means 0, a garbled or missing kill step
-    /// means no kill, and a kill step without a rank targets rank 0.
+    /// 0, and a missing or garbled seed means 0.
     pub fn from_env(var: impl Fn(&str) -> Option<String>) -> Faults {
-        let uint = |name: &str| var(name).and_then(|v| v.trim().parse::<u64>().ok());
         let prob = |name: &str| {
             var(name)
                 .and_then(|v| v.trim().parse::<f64>().ok())
@@ -83,29 +70,16 @@ impl Faults {
                 .unwrap_or(0.0)
         };
         Faults {
-            seed: uint(ENV_SEED).unwrap_or(0),
+            seed: var(ENV_SEED).and_then(|v| v.trim().parse().ok()).unwrap_or(0),
             panic_prob: prob(ENV_PANIC_PROB),
             nan_prob: prob(ENV_NAN_PROB),
-            kill: uint(ENV_KILL_STEP).map(|step| (uint(ENV_KILL_RANK).unwrap_or(0), step)),
         }
-    }
-
-    /// The `TYXE_FAULT_*` assignments [`Faults::from_env`] parses back to
-    /// this plan; `None` means the variable must be unset.
-    pub fn to_env(&self) -> [(&'static str, Option<String>); 5] {
-        [
-            (ENV_SEED, Some(self.seed.to_string())),
-            (ENV_PANIC_PROB, Some(self.panic_prob.to_string())),
-            (ENV_NAN_PROB, Some(self.nan_prob.to_string())),
-            (ENV_KILL_STEP, self.kill.map(|(_, step)| step.to_string())),
-            (ENV_KILL_RANK, self.kill.map(|(rank, _)| rank.to_string())),
-        ]
     }
 
     /// The uniform draw stream keyed by `(seed, a, b)` in decision domain
     /// `domain`. Routing the mixed key through `StdRng::seed_from_u64` (a
     /// splitmix64 expansion) makes the stream independent of which
-    /// thread, process or resumed run evaluates it.
+    /// thread or resumed run evaluates it.
     fn stream(&self, a: u64, b: u64, domain: u64) -> StdRng {
         let key = self
             .seed
@@ -131,14 +105,6 @@ impl Faults {
         }
         let mut rng = self.stream(step, u64::from(attempt), NAN_DOMAIN);
         (rng.gen::<f64>() < self.nan_prob).then_some(rng)
-    }
-
-    /// Is the distributed worker at `(rank, step, incarnation)` killed?
-    /// Only the scheduled coordinate of a first incarnation is, so a
-    /// respawned replacement survives the step that killed its
-    /// predecessor.
-    pub fn worker_killed(&self, rank: u64, step: u64, incarnation: u64) -> bool {
-        incarnation == 0 && self.kill == Some((rank, step))
     }
 }
 
@@ -242,7 +208,7 @@ mod tests {
     }
 
     fn plan(seed: u64, panic_prob: f64, nan_prob: f64) -> Faults {
-        Faults { seed, panic_prob, nan_prob, kill: None }
+        Faults { seed, panic_prob, nan_prob }
     }
 
     /// NaN decisions of attempt `attempt` over steps `0..n`.
@@ -265,19 +231,6 @@ mod tests {
         assert!(!a.iter().all(|&x| x));
         let off = plan(3, 0.0, 0.0);
         assert!((0..64).all(|i| !off.task_panics(9, i)));
-    }
-
-    #[test]
-    fn scheduled_kill_fires_once_at_its_exact_coordinate() {
-        let mut f = Faults { kill: Some((2, 7)), ..Faults::default() };
-        assert!(f.worker_killed(2, 7, 0));
-        // Wrong rank, wrong step, or a respawned incarnation: no kill.
-        assert!(!f.worker_killed(1, 7, 0));
-        assert!(!f.worker_killed(2, 6, 0));
-        assert!(!f.worker_killed(2, 8, 0));
-        assert!(!f.worker_killed(2, 7, 1));
-        f.kill = None;
-        assert!(!f.worker_killed(2, 7, 0));
     }
 
     /// Domain separation: at the same seed, probability and coordinates
@@ -348,16 +301,12 @@ mod tests {
                 1 => 1.0,
                 _ => g.f64_in(0.0, 1.0),
             };
-            let f = Faults {
-                seed: g.u64(),
-                panic_prob: prob(g),
-                nan_prob: prob(g),
-                kill: g.bool().then(|| (g.u64(), g.u64())),
-            };
-            let env = f.to_env();
-            let back = Faults::from_env(|name| {
-                env.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.clone())
-            });
+            let f = Faults { seed: g.u64(), panic_prob: prob(g), nan_prob: prob(g) };
+            let back = parse(&[
+                ("TYXE_FAULT_SEED", &f.seed.to_string()),
+                ("TYXE_FAULT_PANIC_PROB", &f.panic_prob.to_string()),
+                ("TYXE_FAULT_NAN_PROB", &f.nan_prob.to_string()),
+            ]);
             assert_eq!(back, f);
         });
     }
@@ -368,24 +317,13 @@ mod tests {
         for bad in ["NaN", "inf", "-inf", "-0.1", "1.5", "abc", "", " ", "0x1", "1e400"] {
             let f = parse(&[("TYXE_FAULT_PANIC_PROB", bad), ("TYXE_FAULT_NAN_PROB", bad)]);
             assert_eq!(f, Faults::default(), "probability {bad:?}");
-            let f = parse(&[("TYXE_FAULT_SEED", bad), ("TYXE_FAULT_KILL_STEP", bad)]);
-            assert_eq!(f, Faults::default(), "seed and kill step {bad:?}");
-            let f = parse(&[("TYXE_FAULT_KILL_STEP", "4"), ("TYXE_FAULT_KILL_RANK", bad)]);
-            assert_eq!(f.kill, Some((0, 4)), "kill rank {bad:?}");
+            let f = parse(&[("TYXE_FAULT_SEED", bad)]);
+            assert_eq!(f, Faults::default(), "seed {bad:?}");
         }
         let over = "18446744073709551616";
-        let f = parse(&[("TYXE_FAULT_SEED", over), ("TYXE_FAULT_KILL_STEP", over)]);
-        assert_eq!(f, Faults::default(), "out-of-range integers");
+        assert_eq!(parse(&[("TYXE_FAULT_SEED", over)]), Faults::default(), "out-of-range seed");
         let max = u64::MAX.to_string();
-        let f = parse(&[
-            ("TYXE_FAULT_SEED", &max),
-            ("TYXE_FAULT_KILL_STEP", &max),
-            ("TYXE_FAULT_KILL_RANK", &max),
-        ]);
-        assert_eq!((f.seed, f.kill), (u64::MAX, Some((u64::MAX, u64::MAX))));
-        // A rank with no step is no kill; a step with no rank targets 0.
-        assert_eq!(parse(&[("TYXE_FAULT_KILL_RANK", "3")]).kill, None);
-        assert_eq!(parse(&[("TYXE_FAULT_KILL_STEP", "3")]).kill, Some((0, 3)));
+        assert_eq!(parse(&[("TYXE_FAULT_SEED", &max)]).seed, u64::MAX);
         assert_eq!(parse(&[("TYXE_FAULT_PANIC_PROB", " 0.25 ")]).panic_prob, 0.25);
     }
 

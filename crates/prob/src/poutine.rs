@@ -293,15 +293,6 @@ impl Trace {
         total
     }
 
-    /// Sum over only the **latent** (non-observed) sites.
-    pub fn latent_log_prob_sum(&self) -> Tensor {
-        let mut total = Tensor::scalar(0.0);
-        for site in self.sites.iter().filter(|s| !s.observed) {
-            total = total.add(&site.log_prob());
-        }
-        total
-    }
-
     /// Sum over only the **observed** sites (the log likelihood).
     pub fn observed_log_prob_sum(&self) -> Tensor {
         let mut total = Tensor::scalar(0.0);
@@ -593,12 +584,8 @@ mod tests {
         let manual = prior.log_prob(&z).sum().item()
             + lik.log_prob(&Tensor::ones(&[2])).sum().item();
         assert!((tr.log_prob_sum().item() - manual).abs() < 1e-10);
-        assert!(
-            (tr.latent_log_prob_sum().item() + tr.observed_log_prob_sum().item()
-                - tr.log_prob_sum().item())
-            .abs()
-                < 1e-10
-        );
+        let observed = lik.log_prob(&Tensor::ones(&[2])).sum().item();
+        assert!((tr.observed_log_prob_sum().item() - observed).abs() < 1e-10);
     }
 
     #[test]

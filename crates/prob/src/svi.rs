@@ -32,23 +32,9 @@ pub fn negative_elbo(model: &dyn Fn(), guide: &dyn Fn(), estimator: ElboEstimato
         let _span = tyxe_obs::span!("prob.svi.guide");
         trace(guide)
     };
-    negative_elbo_with_guide_trace(&guide_trace, model, estimator)
-}
-
-/// [`negative_elbo`] against an already-drawn guide trace: replays the
-/// model under `guide_trace` and builds the estimator loss from the two
-/// traces. Splitting the guide draw out lets data-parallel SVI draw the
-/// guide *once* per step and replay it against every data shard
-/// (tyxe-dist) while keeping the single-trace path bit-identical — this
-/// is the exact code [`negative_elbo`] runs.
-pub fn negative_elbo_with_guide_trace(
-    guide_trace: &Trace,
-    model: &dyn Fn(),
-    estimator: ElboEstimator,
-) -> Tensor {
     let (model_trace, ()) = {
         let _span = tyxe_obs::span!("prob.svi.model");
-        trace(|| replay(guide_trace, model))
+        trace(|| replay(&guide_trace, model))
     };
 
     let _span = tyxe_obs::span!("prob.svi.loss");
@@ -61,7 +47,7 @@ pub fn negative_elbo_with_guide_trace(
         }
         ElboEstimator::MeanField => {
             // -ELBO = sum_z KL(q_z || p_z) - E_q[log p(x | z)]
-            add_mean_field_kl(model_trace.observed_log_prob_sum().neg(), guide_trace, &model_trace)
+            add_mean_field_kl(model_trace.observed_log_prob_sum().neg(), &guide_trace, &model_trace)
         }
     }
 }

@@ -76,33 +76,6 @@ impl StdRng {
         );
         StdRng { s }
     }
-
-    /// Equivalent of xoshiro's `jump()`: advances the stream by 2^128
-    /// steps, yielding a generator statistically independent of `self`.
-    /// Useful for carving per-worker streams out of one seed.
-    pub fn jump(&mut self) -> StdRng {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let stream = self.clone();
-        let mut s = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j >> b) & 1 == 1 {
-                    s[0] ^= self.s[0];
-                    s[1] ^= self.s[1];
-                    s[2] ^= self.s[2];
-                    s[3] ^= self.s[3];
-                }
-                self.next_u64();
-            }
-        }
-        self.s = s;
-        stream
-    }
 }
 
 pub mod mock {
@@ -172,15 +145,5 @@ mod tests {
     #[should_panic]
     fn all_zero_state_is_rejected() {
         let _ = StdRng::from_state([0; 4]);
-    }
-
-    #[test]
-    fn jump_streams_diverge() {
-        let mut root = StdRng::seed_from_u64(0);
-        let mut s1 = root.jump();
-        let mut s2 = root.jump();
-        let a: Vec<u64> = (0..8).map(|_| s1.next_u64()).collect();
-        let b: Vec<u64> = (0..8).map(|_| s2.next_u64()).collect();
-        assert_ne!(a, b);
     }
 }

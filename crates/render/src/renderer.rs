@@ -68,7 +68,7 @@ pub struct RenderOutput {
     pub silhouette: Tensor,
 }
 
-/// Stratified-sampling emission-absorption renderer.
+/// Emission-absorption renderer sampling each ray at its strata midpoints.
 #[derive(Debug, Clone, Copy)]
 pub struct VolumeRenderer {
     /// Samples per ray.
@@ -77,9 +77,6 @@ pub struct VolumeRenderer {
     pub near: f64,
     /// Far plane distance.
     pub far: f64,
-    /// Whether sample depths are jittered within each stratum (training)
-    /// or taken at stratum midpoints (evaluation).
-    pub stratified_jitter: bool,
 }
 
 impl VolumeRenderer {
@@ -87,19 +84,7 @@ impl VolumeRenderer {
     pub fn new(n_samples: usize, near: f64, far: f64) -> VolumeRenderer {
         assert!(n_samples >= 2, "VolumeRenderer: need at least two samples");
         assert!(near < far, "VolumeRenderer: near must be < far");
-        VolumeRenderer {
-            n_samples,
-            near,
-            far,
-            stratified_jitter: false,
-        }
-    }
-
-    /// Enables or disables per-stratum jitter.
-    #[must_use]
-    pub fn with_jitter(mut self, jitter: bool) -> VolumeRenderer {
-        self.stratified_jitter = jitter;
-        self
+        VolumeRenderer { n_samples, near, far }
     }
 
     /// Renders one camera view through `field`. Differentiable with
@@ -112,19 +97,9 @@ impl VolumeRenderer {
 
         // Depths per ray and sample: [r, s].
         let mut depths = vec![0.0; r * s];
-        if self.stratified_jitter {
-            let u = tyxe_prob::rng::rand_uniform(&[r * s], 0.0, 1.0);
-            let ud = u.to_vec();
-            for ray in 0..r {
-                for i in 0..s {
-                    depths[ray * s + i] = self.near + (i as f64 + ud[ray * s + i]) * width;
-                }
-            }
-        } else {
-            for ray in 0..r {
-                for i in 0..s {
-                    depths[ray * s + i] = self.near + (i as f64 + 0.5) * width;
-                }
+        for ray in 0..r {
+            for i in 0..s {
+                depths[ray * s + i] = self.near + (i as f64 + 0.5) * width;
             }
         }
 
@@ -252,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn jitter_changes_samples_midpoint_does_not() {
+    fn midpoint_samples_render_the_same_twice() {
         tyxe_prob::rng::set_seed(0);
         let cam = Camera::orbit(0.0, 3.0, 2, 2);
         let field = Fog { sigma: 0.5, color: [0.5; 3] };
@@ -260,10 +235,5 @@ mod tests {
         let a = det.render(&cam, &field).silhouette.to_vec();
         let b = det.render(&cam, &field).silhouette.to_vec();
         assert_eq!(a, b);
-        // With a spatially varying field, jitter changes the estimate; with
-        // uniform fog it does not — verify jitter at least runs distinctly.
-        let jit = det.with_jitter(true);
-        let c = jit.render(&cam, &field).silhouette.to_vec();
-        assert!((a[0] - c[0]).abs() < 0.05, "jittered estimate should stay close");
     }
 }

@@ -65,9 +65,9 @@ fn enter(mode: Option<DType>) -> Guard {
     Guard { prev, _not_send: std::marker::PhantomData }
 }
 
-/// The active mode as the stable code checkpoints and the `tyxe-dist`
-/// `Init` frame carry: `0` computes in the operands' dtype, `2` demotes
-/// to `f32`. (`1` named `f32` parameter storage, which is gone.)
+/// The active mode as the stable code checkpoints carry: `0` computes
+/// in the operands' dtype, `2` demotes to `f32`. (`1` named `f32`
+/// parameter storage, which is gone.)
 pub fn code() -> u32 {
     match current() {
         Some(DType::F32) => 2,

@@ -775,8 +775,8 @@ impl Tensor {
     }
 
     /// Overwrites the accumulated gradient, rounding into this node's
-    /// dtype (used by fault-injection harnesses and the distributed
-    /// gradient reduction; `None` clears it like [`Tensor::zero_grad`]).
+    /// dtype (used by fault-injection harnesses; `None` clears it like
+    /// [`Tensor::zero_grad`]).
     ///
     /// # Panics
     ///

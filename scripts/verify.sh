@@ -49,17 +49,6 @@ rm -rf "$drift_dir"
 echo "verify: test suite"
 CARGO_NET_OFFLINE=true cargo test -q --frozen --no-fail-fast
 
-# The test binaries that spawn worker processes, once more with more
-# test threads than any box here has cores: several coordinators of one
-# process launching at once is the collision class that kept tier-1 red
-# (two launches, one socket path), so it is exercised at any core count.
-# dist_telemetry's test names do not contain "dist"; it runs unfiltered.
-echo "verify: process-spawning tests under --test-threads=8"
-CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe-dist --test toy_e2e -- --test-threads=8
-CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test determinism --test resilience_e2e \
-    -- dist --test-threads=8
-CARGO_NET_OFFLINE=true cargo test -q --frozen -p tyxe --test dist_telemetry -- --test-threads=8
-
 # benchmark/ is a workspace of its own (path deps on crates/*), so
 # nothing above notices a library change that stops it compiling — and
 # it implements `tyxe_prob::mcmc::Kernel` and calls `potential_and_grad`,
@@ -124,56 +113,6 @@ if [[ -z "$recovered32" || "$recovered32" -eq 0 ]]; then
     exit 1
 fi
 
-# Distributed-SVI smoke run: 4 worker processes computing 4 logical
-# shards, with a scheduled process kill (rank 1's first incarnation
-# exits hard at step 5). The coordinator must respawn the rank, replay
-# the interrupted step, finish all steps, and report exactly the
-# injected restart — while exporting the dist.* counters the validation
-# below requires (DESIGN.md §13) and the merged cross-process telemetry
-# artifacts (DESIGN.md §14): one chrome trace covering the coordinator
-# and every rank, and the killed incarnation's post-mortem dump.
-echo "verify: distributed SVI smoke run (4 workers, injected worker kill)"
-dist_smoke=$(TYXE_FAULT_KILL_STEP=5 TYXE_FAULT_KILL_RANK=1 \
-        TYXE_NUM_THREADS=1 TYXE_OBS=1 CARGO_NET_OFFLINE=true \
-        cargo run --release --frozen --example distributed_svi -- \
-        --workers 4 --shards 4 --steps 12 \
-        --trace "$obs_dir/trace-dist.json" \
-        --metrics "$obs_dir/metrics-dist.jsonl")
-echo "$dist_smoke" | sed 's/^/  /'
-dist_steps=$(echo "$dist_smoke" | awk '/dist steps completed:/ {print $4}')
-dist_restarts=$(echo "$dist_smoke" | awk '/worker restarts:/ {print $3}')
-dist_lost=$(echo "$dist_smoke" | awk '/ranks lost:/ {print $3}')
-if [[ "$dist_steps" != "12" ]]; then
-    echo "verify: distributed smoke run did not complete its steps (got '$dist_steps')" >&2
-    exit 1
-fi
-if [[ -z "$dist_restarts" || "$dist_restarts" -eq 0 ]]; then
-    echo "verify: distributed smoke run recovered no worker kill" >&2
-    exit 1
-fi
-if [[ "$dist_lost" != "0" ]]; then
-    echo "verify: distributed smoke run lost a rank instead of respawning it" >&2
-    exit 1
-fi
-
-# The distributed run's artifacts: the merged metrics snapshot must
-# carry the wire/recovery counters (per-rank dist.frames, the
-# shard-ordered reductions, the respawn count), the liveness gauges and
-# the new step-latency/phase histograms; the merged chrome trace must
-# hold ≥1 span from the coordinator (pid 1000) and every live rank
-# (pids 0-3), with process entries for rank 1's pre-kill incarnation
-# AND its respawn; and the post-mortem the coordinator wrote for the
-# killed incarnation must exist and parse.
-CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
-    --bin tyxe-obs-validate -- \
-    --trace "$obs_dir/trace-dist.json" \
-    --metrics "$obs_dir/metrics-dist.jsonl" \
-    --require-metrics dist.frames,dist.reduce,dist.worker_restarts,dist.frames_rejected,dist.workers_live,dist.heartbeat_age_ms,dist.step_latency_ms,dist.phase_us,core.supervisor.steps \
-    --require-span-names dist.step,dist.worker.step \
-    --require-pids 0,1,2,3,1000 \
-    --require-process-names coordinator,rank1-inc0,rank1-inc1 \
-    --flight "$obs_dir/trace-dist.telemetry/flight-1-0.jsonl"
-
 # Structurally validate the emitted chrome trace and metrics snapshot
 # with the in-tree validator (no jq): the supervised fit must decompose
 # into nested step → svi-phase → kernel spans across at least two pool
@@ -234,9 +173,9 @@ fi
 
 # Prediction has one path and no switches (DESIGN.md §15), neither the
 # pool nor step plans have one (§10, §11), benchmark/ is the only thing
-# that times code (§6), a dist session is named one way (§13), the
-# supervisor's recovery policy is constants (§8), a worker's telemetry
-# has one channel (§14) and library surface no caller reached is gone:
+# that times code (§6), the supervisor's recovery policy is constants
+# (§8), every fit runs in one process (§13–§14) and library surface no
+# caller reached is gone:
 # fail if the deleted forward-plan layer, legacy bodies, options, the
 # timing harness, the session counter, the tuning knobs, the recurrent
 # layers, the in-process flight recorder (its ring, periodic flush, env
@@ -254,15 +193,16 @@ fi
 # ops (`ops/stats.rs`: var/std, cumsum, outer, tril/triu, top-k), the
 # min reductions, `logsumexp_axis`, the test-only `max_axis`, the Brier
 # score and AUPRC metrics, the f32 scalar madd and the uncalled metrics
-# reset, image-shape and observation-scale accessors grow back. The
-# filter drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# reset, image-shape and observation-scale accessors, the multi-process
+# runtime (its crate, the sharded fit and estimator, their config, spawn
+# modes, environment variables and process-kill faults, the remote span
+# parent, the post-mortem dumps, the rank-merged trace and the one-caller
+# epoch loop), or the test-only weight init, slot comparison, batch-norm
+# mode getter, graph neighbours, RNG jump, span JSONL codec, renderer
+# jitter, fixed-mask predict, latent log-prob sum, raw-bytes codec and
+# metrics JSONL parser grow back. The filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
-    exit 1
-fi
-# A worker's socket is its only way out (§14): it opens no file.
-if grep -n "std::fs" crates/dist/src/worker.rs; then
-    echo "verify: crates/dist/src/worker.rs touches the filesystem" >&2
     exit 1
 fi
 # One compiled-step driver (§11): only `plan::Compiled` starts and ends a
@@ -299,7 +239,7 @@ if grep -rnE "Precision::|set_precision|with_precision|convert_dtype_inplace" cr
     echo "verify: a precision policy or parameter dtype conversion reappeared beside the autocast scope" >&2
     exit 1
 fi
-# One fault plan (§8, §13): `tyxe_par::fault::Faults`, replaced whole by
+# One fault plan (§8): `tyxe_par::fault::Faults`, replaced whole by
 # `set_faults`. The per-knob setters and their sentinel statics, the
 # scope-sequence reset, the checkpointed NaN stream and the probabilistic
 # worker kill stay gone.

@@ -617,169 +617,6 @@ fn supervised_resume_is_bit_identical() {
     cleanup();
 }
 
-/// One data-parallel SVI run (see `tyxe::distributed`): `workers == 0`
-/// is the in-process reference over the same sharded estimator, other
-/// counts spawn real worker processes. Children re-enter this test
-/// binary filtered to `test_name` and are routed to their session by
-/// number (assigned locally, in call order, identical in parent and
-/// child); they return `None` for the sessions that are not theirs.
-/// `telemetry_dir` arms the flight recorders of every process; the
-/// `estimator`'s handler is installed around the fit in every process.
-#[allow(clippy::too_many_arguments)]
-fn run_dist_svi(
-    test_name: &str,
-    session: u64,
-    workers: usize,
-    shards: u32,
-    steps: u64,
-    mixed: bool,
-    estimator: Estimator,
-    telemetry_dir: Option<std::path::PathBuf>,
-) -> Option<SviTrace> {
-    // A worker takes its mode from the coordinator's `Init`, not its own scope.
-    let _amp = autocast_if(mixed && !tyxe_dist::worker_role());
-    let _handler = estimator.install();
-    tyxe_prob::rng::set_seed(7);
-    let mut rng = StdRng::seed_from_u64(7);
-    let data = foong_regression(32, 0.1, 0);
-    let net = tyxe_nn::layers::mlp(&[1, 16, 1], false, &mut rng);
-    let bnn: Bnn = VariationalBnn::new(
-        net,
-        &IIDPrior::standard_normal(),
-        HomoskedasticGaussian::new(data.len(), 0.1),
-        AutoNormal::new().init_scale(1e-2),
-    );
-    let mut optim = Adam::new(vec![], 1e-2);
-    let mut sup = tyxe::Supervisor::new(
-        bnn.trainable_parameters(),
-        tyxe::SupervisorConfig::default(),
-    );
-    let cfg = tyxe::DistConfig {
-        workers,
-        num_shards: shards as usize,
-        spawn: tyxe::SpawnMode::TestFunction(test_name.to_string()),
-        telemetry_dir,
-        ..tyxe::DistConfig::default()
-    };
-    let fit = bnn.fit_distributed(&data.x, &data.y, &mut optim, steps, &mut sup, &cfg, session)?;
-    let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
-        .module()
-        .sites()
-        .iter()
-        .map(|site| {
-            let d = bnn.guide().distribution(&site.name).expect("site in guide");
-            (site.name.clone(), d.loc().to_vec(), d.scale().to_vec())
-        })
-        .collect();
-    sites.sort_by(|a, b| a.0.cmp(&b.0));
-    Some((fit.history, sites))
-}
-
-fn assert_traces_bit_equal(a: &SviTrace, b: &SviTrace, what: &str) {
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&a.0), bits(&b.0), "{what}: losses drifted");
-    assert_eq!(a.1.len(), b.1.len(), "{what}: site count drifted");
-    for ((name_a, loc_a, scale_a), (name_b, loc_b, scale_b)) in a.1.iter().zip(&b.1) {
-        assert_eq!(name_a, name_b, "{what}: site order drifted");
-        assert_eq!(bits(loc_a), bits(loc_b), "{what}: loc drifted at {name_a}");
-        assert_eq!(bits(scale_a), bits(scale_b), "{what}: scale drifted at {name_a}");
-    }
-}
-
-#[test]
-fn distributed_svi_is_bit_identical_across_worker_counts() {
-    const NAME: &str = "distributed_svi_is_bit_identical_across_worker_counts";
-    // Every session runs unconditionally and in this order so a spawned
-    // child replays the same numbering; children exit inside their own
-    // session and never reach the assertions. Local reparameterization
-    // and flipout draw noise inside the model, so a shard's draws must
-    // not depend on which shards ran before it in its process.
-    let estimators = [Estimator::SharedSample, Estimator::LocalReparam, Estimator::Flipout];
-    let worker_counts = [0usize, 1, 2, 4];
-    let mut session = 0;
-    let mut runs = Vec::new();
-    for estimator in estimators {
-        for workers in worker_counts {
-            runs.push(run_dist_svi(NAME, session, workers, 4, 5, false, estimator, None));
-            session += 1;
-        }
-    }
-    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    for (estimator, runs) in estimators.iter().zip(runs.chunks(worker_counts.len())) {
-        let reference = runs[0].as_ref().unwrap();
-        for (workers, run) in worker_counts.iter().zip(runs).skip(1) {
-            let what = format!("{estimator:?}, {workers} worker(s) vs in-process");
-            assert_traces_bit_equal(reference, run.as_ref().unwrap(), &what);
-        }
-    }
-}
-
-/// Under the `f32` autocast scope the workers compute in the mode the
-/// coordinator's `Init` names — same bits at any worker count.
-#[test]
-fn f32_distributed_svi_is_bit_identical_across_worker_counts() {
-    const NAME: &str = "f32_distributed_svi_is_bit_identical_across_worker_counts";
-    let reference = run_dist_svi(NAME, 0, 0, 4, 5, true, Estimator::SharedSample, None);
-    let two = run_dist_svi(NAME, 1, 2, 4, 5, true, Estimator::SharedSample, None);
-    let four = run_dist_svi(NAME, 2, 4, 4, 5, true, Estimator::SharedSample, None);
-    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    let reference = reference.unwrap();
-    assert_traces_bit_equal(&reference, &two.unwrap(), "f32, 2 workers vs in-process");
-    assert_traces_bit_equal(&reference, &four.unwrap(), "f32, 4 workers vs in-process");
-}
-
-/// The distributed half of the observability determinism contract
-/// (DESIGN.md §14): full telemetry — spans on, per-step worker span
-/// shipping, flight recorders armed in every process — must not perturb
-/// a single bit of a distributed fit, at the in-process reference and
-/// at 2 and 4 workers.
-#[test]
-fn distributed_svi_bits_are_unchanged_by_telemetry() {
-    const NAME: &str = "distributed_svi_bits_are_unchanged_by_telemetry";
-    let dir = std::env::temp_dir()
-        .join(format!("tyxe-determinism-telemetry-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    // Every session runs unconditionally and in this order so a spawned
-    // child replays the same numbering (children of the telemetry
-    // sessions inherit the resolved TYXE_OBS=1 from the coordinator).
-    let run = |session: u64, workers: usize, telemetry: bool| -> Option<SviTrace> {
-        tyxe_obs::set_enabled(telemetry);
-        let telemetry_dir = telemetry.then(|| dir.clone());
-        let estimator = Estimator::SharedSample;
-        let result = run_dist_svi(NAME, session, workers, 4, 5, false, estimator, telemetry_dir);
-        tyxe_obs::set_enabled(false);
-        tyxe_obs::trace::clear();
-        result
-    };
-    let plain_0 = run(0, 0, false);
-    let plain_2 = run(1, 2, false);
-    let plain_4 = run(2, 4, false);
-    let traced_0 = run(3, 0, true);
-    let traced_2 = run(4, 2, true);
-    let traced_4 = run(5, 4, true);
-    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    assert_traces_bit_equal(
-        &plain_0.unwrap(),
-        &traced_0.unwrap(),
-        "telemetry on vs off, in-process",
-    );
-    assert_traces_bit_equal(&plain_2.unwrap(), &traced_2.unwrap(), "telemetry on vs off, 2 workers");
-    assert_traces_bit_equal(&plain_4.unwrap(), &traced_4.unwrap(), "telemetry on vs off, 4 workers");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn single_shard_distributed_svi_matches_plain_svi_bitwise() {
-    const NAME: &str = "single_shard_distributed_svi_matches_plain_svi_bitwise";
-    // At one logical shard, shard 0 *is* the whole batch and the sharded
-    // estimator reduces to the plain SVI loss — so the distributed path
-    // must reproduce `run_svi` (which uses raw `svi_step`) bit for bit.
-    let dist = run_dist_svi(NAME, 0, 1, 1, 5, false, Estimator::SharedSample, None);
-    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    let plain = run_svi(7, 5);
-    assert_traces_bit_equal(&dist.unwrap(), &plain, "1-shard dist vs plain SVI");
-}
-
 #[test]
 fn global_rng_draws_are_bit_reproducible() {
     tyxe_prob::rng::set_seed(21);

@@ -133,7 +133,7 @@ fn fault_injected_training_recovers_and_converges() {
 
     // Fault-injected run: ~10% of steps get a NaN gradient, and each pool
     // task panics with probability 1%.
-    fault::set_faults(Faults { seed: 17, nan_prob: 0.10, panic_prob: 0.01, kill: None });
+    fault::set_faults(Faults { seed: 17, nan_prob: 0.10, panic_prob: 0.01 });
     tyxe_prob::rng::set_seed(5);
     let faulty = build_bnn(5, hidden, n);
     let mut optim = Adam::new(vec![], 1e-2);
@@ -245,54 +245,6 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let _ = std::fs::remove_file(prev_of(&path));
 }
 
-/// One distributed SVI run over the toy regression problem. Children
-/// spawned by the coordinator re-enter this test binary filtered to
-/// `test_name` and are routed by session number (assigned in call
-/// order, identical in parent and child).
-fn run_dist(
-    test_name: &str,
-    session: u64,
-    workers: usize,
-    shards: usize,
-    steps: u64,
-) -> Option<(SiteBits, u64)> {
-    let (n, hidden) = (32, 8);
-    let (x, y) = toy_data(n);
-    tyxe_prob::rng::set_seed(9);
-    let bnn = build_bnn(9, hidden, n);
-    let mut optim = Adam::new(vec![], 1e-2);
-    let mut sup = Supervisor::new(bnn.trainable_parameters(), SupervisorConfig::default());
-    let cfg = tyxe::DistConfig {
-        workers,
-        num_shards: shards,
-        spawn: tyxe::SpawnMode::TestFunction(test_name.to_string()),
-        ..tyxe::DistConfig::default()
-    };
-    let fit = bnn.fit_distributed(&x, &y, &mut optim, steps, &mut sup, &cfg, session)?;
-    Some((site_params(&bnn), fit.dist.map_or(0, |r| r.worker_restarts)))
-}
-
-/// Killing one worker mid-fit must be invisible in the numbers: the
-/// coordinator respawns the rank, replays the interrupted step, and the
-/// final variational parameters are bit-identical to a run where nobody
-/// died.
-#[test]
-fn killed_dist_worker_mid_fit_is_bit_identical() {
-    const NAME: &str = "killed_dist_worker_mid_fit_is_bit_identical";
-    let _scope = FaultScope::acquire();
-    fault::set_faults(Faults::default());
-    let reference = run_dist(NAME, 0, 2, 4, 8);
-    // Rank 1's first incarnation exits hard when it sees step 3.
-    fault::set_faults(Faults { kill: Some((1, 3)), ..Faults::default() });
-    let killed = run_dist(NAME, 1, 2, 4, 8);
-    fault::set_faults(Faults::default());
-    assert!(!tyxe_dist::worker_role(), "worker escaped its session");
-    let (killed_sites, restarts) = killed.unwrap();
-    assert_eq!(restarts, 1, "expected exactly one worker respawn");
-    let (reference_sites, _) = reference.unwrap();
-    assert_eq!(reference_sites, killed_sites, "worker kill/respawn changed the bits");
-}
-
 /// The autocast mode rides in the checkpoint payload. A resumed run
 /// outside any autocast scope must re-enter the checkpointed mixed
 /// precision and replay the remaining steps bit-identically.
@@ -353,49 +305,44 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     let _ = std::fs::remove_file(prev_of(&path));
 }
 
-/// The canonical shard count is part of the numerics, so it rides in
-/// the checkpoint payload: resuming a 4-shard run under a config that
-/// says 2 shards must silently re-enter 4 and stay on the reference
-/// trajectory. The checkpoint also carries the shard cursor and live
-/// ranks that distributed fits once wrote as `dist.*` payload entries;
-/// they are carried along but never read, so an old checkpoint resumes
-/// on the same bits.
+/// Checkpoints written by the retired data-parallel fit carried
+/// `dist.*` payload entries: the shard count, the shard cursor and the
+/// live ranks. Nothing reads them now, so such a checkpoint resumes a
+/// plain fit on the uninterrupted run's bits, and the next checkpoint
+/// carries only the live `precision` entry.
 #[test]
-fn distributed_resume_restores_shard_count_from_payload() {
+fn retired_dist_payloads_resume_on_the_uninterrupted_bits() {
     let _scope = FaultScope::acquire();
     fault::set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
-    let path = tmp_ckpt("dist-resume");
+    let data = vec![(x.clone(), y.clone())];
+    let path = tmp_ckpt("retired-dist-resume");
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
     let config = || SupervisorConfig::default().with_checkpoint(&path, 10);
-    let cfg = |shards: usize| tyxe::DistConfig {
-        workers: 0, // in-process reference path; no processes needed here
-        num_shards: shards,
-        ..tyxe::DistConfig::default()
-    };
 
-    // Uninterrupted 4-shard reference: 30 steps.
+    // Uninterrupted reference: 30 steps.
     tyxe_prob::rng::set_seed(9);
     let a = build_bnn(9, hidden, n);
     let mut optim_a = Adam::new(vec![], 1e-2);
     let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    a.fit_distributed(&x, &y, &mut optim_a, 30, &mut sup_a, &cfg(4), 0).unwrap();
+    sup_a.fit(&a, &data, &mut optim_a, 30, None);
     let reference = site_params(&a);
 
-    // Interrupted at 20, then resumed under a *2-shard* config.
+    // Interrupted at 20; the step-20 checkpoint gains the retired entries.
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
     tyxe_prob::rng::set_seed(9);
     let b1 = build_bnn(9, hidden, n);
     let mut optim_b1 = Adam::new(vec![], 1e-2);
     let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    b1.fit_distributed(&x, &y, &mut optim_b1, 20, &mut sup_b1, &cfg(4), 1).unwrap();
+    sup_b1.fit(&b1, &data, &mut optim_b1, 20, None);
     drop((b1, optim_b1, sup_b1));
+    let retired = [("num_shards", vec![4.0]), ("shard_cursor", vec![19.0]), ("live_ranks", vec![])];
     let mut sd = tyxe_nn::StateDict::load(&path).unwrap();
-    for (retired, data) in [("shard_cursor", vec![19.0]), ("live_ranks", vec![])] {
-        sd.insert_buffer(format!("supervisor.payload.dist.{retired}"), data);
+    for (name, data) in &retired {
+        sd.insert_buffer(format!("supervisor.payload.dist.{name}"), data.clone());
     }
     sd.save(&path).unwrap();
 
@@ -405,19 +352,19 @@ fn distributed_resume_restores_shard_count_from_payload() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 20);
-    let retired = ["shard_cursor", "live_ranks"].map(|name| format!("dist.{name}"));
-    for key in &retired {
-        assert_eq!(sup_b2.payload(key), None, "resume restored the retired payload `{key}`");
+    for (name, _) in &retired {
+        let key = format!("dist.{name}");
+        assert_eq!(sup_b2.payload(&key), None, "resume restored the retired payload `{key}`");
     }
-    b2.fit_distributed(&x, &y, &mut optim_b2, 30, &mut sup_b2, &cfg(2), 2).unwrap();
-    assert_eq!(reference, site_params(&b2), "shard-count override broke the trajectory");
+    sup_b2.fit(&b2, &data, &mut optim_b2, 30, None);
+    assert_eq!(reference, site_params(&b2), "a retired payload entry moved the trajectory");
     // The step-30 checkpoint written after the resume carries the live
-    // entries only.
+    // entry only.
     let sd = tyxe_nn::StateDict::load(&path).unwrap();
-    assert!(sd.buffer("supervisor.payload.dist.num_shards").is_some());
-    for key in &retired {
-        let name = format!("supervisor.payload.{key}");
-        assert!(sd.buffer(&name).is_none(), "the next checkpoint re-wrote `{name}`");
+    assert_eq!(sd.buffer("supervisor.payload.precision"), Some(&[0.0][..]));
+    for (name, _) in &retired {
+        let key = format!("supervisor.payload.dist.{name}");
+        assert!(sd.buffer(&key).is_none(), "the next checkpoint re-wrote `{key}`");
     }
 
     let _ = std::fs::remove_file(&path);
