@@ -21,7 +21,9 @@
 //!   same-shape elementwise ops and registered RNG leaves.
 //! * **Do not record yet** (the step falls back to the dynamic graph,
 //!   same bits, and `plan_unsupported_reason()` says why): the `conv2d`
-//!   paths of both handlers, and any handler or model that goes through
+//!   paths of both handlers — local reparameterization's is the one fused
+//!   op `Tensor::conv2d_lr`, flipout's two `conv2d`s, and either names
+//!   itself in the reason — and any handler or model that goes through
 //!   `matmul`, `from_vec` or another op `tyxe_tensor::plan` has no replay
 //!   closure for.
 //! * Handlers that only edit sample-site messages ([`selective_mask`],
@@ -146,6 +148,13 @@ impl Messenger for LocalReparameterizationMessenger {
         Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
     }
 
+    /// One op, [`Tensor::conv2d_lr`]: per sample group one unfold feeds
+    /// the mean and the variance products, and the noise tail runs in the
+    /// same pass. Bit for bit the chain it replaced — `x.conv2d(w_loc,
+    /// b_loc)` plus `ε` times the floored square root of `x.square()`
+    /// convolved with `w_var`, plus `b_var`
+    /// (`fused_lr_conv_is_the_unfused_handler`). `ε` is drawn where the
+    /// chain drew it, after everything that consumes no randomness.
     fn intercept_conv2d(
         &self,
         x: &Tensor,
@@ -162,14 +171,8 @@ impl Messenger for LocalReparameterizationMessenger {
             },
             None => (None, None),
         };
-        let mean = x.conv2d(&wloc, bloc.as_ref(), stride, pad);
-        let mut var = x.square().conv2d(&wscale.square(), None, stride, pad);
-        if let Some(bv) = bvar {
-            let c = var.shape()[1];
-            var = var.add(&bv.reshape(&[1, c, 1, 1]));
-        }
-        let eps = rng::randn(mean.shape());
-        Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
+        let eps = rng::randn(&x.conv2d_out_shape(&wloc, stride, pad));
+        Some(x.conv2d_lr(&wloc, &wscale.square(), bloc.as_ref(), bvar.as_ref(), &eps, stride, pad))
     }
 }
 
@@ -526,9 +529,11 @@ mod tests {
         });
     }
 
-    /// The handler as it was before it moved onto the fused kernel: the
-    /// `t → matmul → add` chain, bias added by broadcast. Kept as the
-    /// oracle for [`fused_lr_linear_is_the_unfused_handler`].
+    /// The handler as it was before it moved onto the fused kernels: the
+    /// `t → matmul → add` chain, bias added by broadcast, and for a conv
+    /// two full `conv2d`s and a four-op noise tail. Kept as the oracle for
+    /// [`fused_lr_linear_is_the_unfused_handler`] and
+    /// [`fused_lr_conv_is_the_unfused_handler`].
     #[derive(Default)]
     struct UnfusedLocalReparameterization {
         registry: GaussianSampleRegistry,
@@ -551,6 +556,32 @@ mod tests {
                     }
                     None => mean = mean.add(b),
                 }
+            }
+            let eps = rng::randn(mean.shape());
+            Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
+        }
+
+        fn intercept_conv2d(
+            &self,
+            x: &Tensor,
+            w: &Tensor,
+            b: Option<&Tensor>,
+            stride: usize,
+            pad: usize,
+        ) -> Option<Tensor> {
+            let (wloc, wscale) = self.registry.lookup(w)?;
+            let (bloc, bvar) = match b {
+                Some(b) => match self.registry.lookup(b) {
+                    Some((bloc, bscale)) => (Some(bloc), Some(bscale.square())),
+                    None => (Some(b.clone()), None),
+                },
+                None => (None, None),
+            };
+            let mean = x.conv2d(&wloc, bloc.as_ref(), stride, pad);
+            let mut var = x.square().conv2d(&wscale.square(), None, stride, pad);
+            if let Some(bv) = bvar {
+                let c = var.shape()[1];
+                var = var.add(&bv.reshape(&[1, c, 1, 1]));
             }
             let eps = rng::randn(mean.shape());
             Some(mean.add(&var.clamp_min(1e-16).sqrt().mul(&eps)))
@@ -623,6 +654,126 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The fused conv is the old handler: output and every gradient — to
+    /// the input, to the guide's `loc` and raw scale of weights and
+    /// biases, and to a deterministic bias — bit for bit. At `f64` and
+    /// `f32` storage and under an `f32` autocast scope over `f64` storage
+    /// (the chain squared `x` before its cast); at 1, 2 and 4 threads; with
+    /// a Gaussian, a deterministic and no bias; 3×3 and 1×1 kernels at
+    /// strides 1 and 2 and batches of 1, 3 and 50; and a residual block
+    /// whose input feeds two LR convs and an identity shortcut, so five
+    /// gradient terms reach `x` and their order shows.
+    #[test]
+    fn fused_lr_conv_is_the_unfused_handler() {
+        use tyxe_tensor::autocast::autocast;
+        use tyxe_tensor::ops::ScaleMap;
+        use tyxe_tensor::DType;
+
+        #[derive(Clone, Copy, Debug)]
+        enum Bias {
+            Gaussian,
+            Deterministic,
+            Absent,
+        }
+
+        #[derive(Clone, Copy, Debug)]
+        enum Net {
+            /// One LR conv, 2 → 3 channels on a 7×5 image.
+            Conv { k: usize, stride: usize },
+            /// `conv₂(relu(conv₁(x))) + conv₃(x) + x` on 3 channels, 6×6:
+            /// 3×3 convs and a 1×1 one on the shortcut side.
+            Residual,
+        }
+
+        let run = |fused: bool, storage: DType, mixed: bool, bias: Bias, net: Net, n: usize| -> Vec<Vec<u64>> {
+            rng::set_seed(13);
+            let leaf = |shape: &[usize], scale: f64| {
+                rng::randn(shape).mul_scalar(scale).cast(storage).detach().requires_grad(true)
+            };
+            // (filter shape, stride, pad) per layer, and the input's shape.
+            type Layer = ([usize; 4], usize, usize);
+            let (layers, x_shape): (Vec<Layer>, [usize; 4]) = match net {
+                Net::Conv { k, stride } => (vec![([3, 2, k, k], stride, k / 2)], [n, 2, 7, 5]),
+                Net::Residual => (vec![([3, 3, 3, 3], 1, 1), ([3, 3, 3, 3], 1, 1), ([3, 3, 1, 1], 1, 0)], [n, 3, 6, 6]),
+            };
+            let x = leaf(&x_shape, 1.0);
+            let params: Vec<[Tensor; 4]> = layers
+                .iter()
+                .map(|(shape, ..)| [leaf(shape, 0.5), leaf(shape, 0.3), leaf(&[shape[0]], 0.5), leaf(&[shape[0]], 0.3)])
+                .collect();
+            let _g = if fused {
+                local_reparameterization()
+            } else {
+                install(Rc::new(UnfusedLocalReparameterization::default()))
+            };
+            let out = {
+                let _mixed = mixed.then(|| autocast(DType::F32));
+                let conv = |i: usize, input: &Tensor| {
+                    let [wloc, wraw, bloc, braw] = &params[i];
+                    let w = sample(&format!("w{i}"), boxed(Normal::from_raw_scale(wloc.clone(), wraw.clone(), ScaleMap::Exp)));
+                    let b = match bias {
+                        Bias::Gaussian => Some(sample(
+                            &format!("b{i}"),
+                            boxed(Normal::from_raw_scale(bloc.clone(), braw.clone(), ScaleMap::Exp)),
+                        )),
+                        Bias::Deterministic => Some(bloc.clone()),
+                        Bias::Absent => None,
+                    };
+                    let (_, stride, pad) = layers[i];
+                    effectful::conv2d(input, &w, b.as_ref(), stride, pad)
+                };
+                match net {
+                    Net::Conv { .. } => conv(0, &x),
+                    Net::Residual => conv(1, &conv(0, &x).relu()).add(&conv(2, &x)).add(&x),
+                }
+            };
+            // Distinct weights per output element, so no gradient entry
+            // is a plain sum of the upstream ones.
+            let weights = rng::randn(out.shape());
+            out.mul(&weights).square().sum().backward();
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            let mut all = vec![bits(out.to_vec()), bits(x.grad().expect("x gradient"))];
+            for [wloc, wraw, bloc, braw] in &params {
+                for (leaf, reached) in [
+                    (wloc, true),
+                    (wraw, true),
+                    (bloc, !matches!(bias, Bias::Absent)),
+                    (braw, matches!(bias, Bias::Gaussian)),
+                ] {
+                    assert_eq!(leaf.grad().is_some(), reached, "{bias:?}: gradient reach");
+                    all.push(bits(leaf.grad().unwrap_or_default()));
+                }
+            }
+            all
+        };
+        let prev_threads = tyxe_par::num_threads();
+        let nets = [
+            Net::Conv { k: 3, stride: 1 },
+            Net::Conv { k: 3, stride: 2 },
+            Net::Conv { k: 1, stride: 1 },
+            Net::Conv { k: 1, stride: 2 },
+            Net::Residual,
+        ];
+        for threads in [1, 2, 4] {
+            tyxe_par::set_num_threads(threads);
+            for (storage, mixed) in [(DType::F64, false), (DType::F32, false), (DType::F64, true)] {
+                for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
+                    for net in nets {
+                        for n in [1, 3, 50] {
+                            assert_eq!(
+                                run(true, storage, mixed, bias, net, n),
+                                run(false, storage, mixed, bias, net, n),
+                                "{storage:?} storage, autocast {mixed}, {bias:?} bias, {net:?}, n = {n}, \
+                                 {threads} threads: fused conv left the unfused chain"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        tyxe_par::set_num_threads(prev_threads);
     }
 
     #[test]

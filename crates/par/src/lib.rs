@@ -453,6 +453,41 @@ where
 // Chunked data-parallel loops
 // ---------------------------------------------------------------------------
 
+/// Runs `f(index, item)` over `items`, in parallel when the pool has
+/// more than one thread and there is more than one item; each item is
+/// one task. The items are usually disjoint pieces of the caller's
+/// output buffers (one run of whole samples of a convolution, say), so
+/// the same determinism rule holds as for [`parallel_for_chunks`].
+///
+/// # Panics
+///
+/// Panics if any invocation of `f` panics.
+pub fn parallel_for_each<I, F>(items: Vec<I>, f: F)
+where
+    I: Send,
+    F: Fn(usize, I) + Sync,
+{
+    if items.is_empty() {
+        return;
+    }
+    if num_threads() == 1 || items.len() == 1 {
+        for (idx, item) in items.into_iter().enumerate() {
+            f(idx, item);
+        }
+        return;
+    }
+    let fref = &f;
+    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = items
+        .into_iter()
+        .enumerate()
+        .map(|(idx, item)| {
+            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || fref(idx, item));
+            task
+        })
+        .collect();
+    run_scoped(tasks);
+}
+
 /// Splits `out` into contiguous chunks of (up to) `chunk` elements and
 /// runs `f(start_index, chunk_slice)` over them, in parallel when the
 /// pool has more than one thread and there is more than one chunk.
@@ -471,25 +506,14 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk > 0, "parallel_for_chunks: chunk must be positive");
-    if out.is_empty() {
-        return;
-    }
     if num_threads() == 1 || out.len() <= chunk {
+        // The sequential path allocates nothing (replayed ops rely on it).
         for (idx, piece) in out.chunks_mut(chunk).enumerate() {
             f(idx * chunk, piece);
         }
         return;
     }
-    let fref = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = out
-        .chunks_mut(chunk)
-        .enumerate()
-        .map(|(idx, piece)| {
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || fref(idx * chunk, piece));
-            task
-        })
-        .collect();
-    run_scoped(tasks);
+    parallel_for_each(out.chunks_mut(chunk).collect(), |idx, piece| f(idx * chunk, piece));
 }
 
 /// Like [`parallel_for_chunks`] but over two output buffers partitioned
@@ -508,32 +532,19 @@ where
     F: Fn(usize, &mut [A], &mut [B]) + Sync,
 {
     assert!(chunk_a > 0 && chunk_b > 0, "parallel_for_chunks2: chunks must be positive");
-    let n_chunks = a.len().div_ceil(chunk_a);
     assert_eq!(
-        n_chunks,
+        a.len().div_ceil(chunk_a),
         b.len().div_ceil(chunk_b),
         "parallel_for_chunks2: buffers disagree on chunk count"
     );
-    if n_chunks == 0 {
-        return;
-    }
-    if num_threads() == 1 || n_chunks == 1 {
-        for (idx, (pa, pb)) in a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b)).enumerate() {
+    let pairs = a.chunks_mut(chunk_a).zip(b.chunks_mut(chunk_b));
+    if num_threads() == 1 || pairs.len() <= 1 {
+        for (idx, (pa, pb)) in pairs.enumerate() {
             f(idx, pa, pb);
         }
         return;
     }
-    let fref = &f;
-    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = a
-        .chunks_mut(chunk_a)
-        .zip(b.chunks_mut(chunk_b))
-        .enumerate()
-        .map(|(idx, (pa, pb))| {
-            let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || fref(idx, pa, pb));
-            task
-        })
-        .collect();
-    run_scoped(tasks);
+    parallel_for_each(pairs.collect(), |idx, (pa, pb)| f(idx, pa, pb));
 }
 
 /// Picks a chunk length for a buffer of `len` elements: roughly

@@ -1,5 +1,12 @@
-//! 2-D convolution (via im2col + GEMM) and max pooling over `[N, C, H, W]`
-//! tensors.
+//! 2-D convolution (via im2col + GEMM), local reparameterization's
+//! convolution, and max pooling over `[N, C, H, W]` tensors.
+//!
+//! Both convolutions run through one sample-group loop (`Groups`): a plain
+//! convolution is its one-product case, `W · unfold(x)`; the local
+//! reparameterized one ([`Tensor::conv2d_lr`]) its two-product case, the
+//! mean's `W_loc · unfold(x)` and the variance's `W_var · unfold(x)²`
+//! over the same unfold, with the noise tail `mean + sqrt(max(var,
+//! 1e-16))·ε` written in the pass that reads the products.
 //!
 //! Samples are independent in both directions, so the work is cut into
 //! *groups* of `g` consecutive samples with about `NC` (the GEMM's column
@@ -20,16 +27,20 @@
 //!
 //! Everything is generic over the storage dtype: data movement
 //! (im2col/col2im, pooling argmax scatter) and all accumulations run
-//! natively in the element type, and the fused bias/activation pass
-//! rounds at the same boundaries as the standalone ops.
+//! natively in the element type, and the fused bias/activation pass and
+//! the noise tail round at the same boundaries as the standalone ops.
+//!
+//! Neither convolution has a replay closure: under a step-plan recording
+//! each marks it unsupported with its own name (`conv2d: …`,
+//! `conv2d_lr: …`), so a conv net's step stays dynamic and says why.
 
 use std::ops::Range;
 
-use crate::element::{Element, dispatch_dtype};
+use crate::element::{DType, Element, dispatch_dtype};
 use crate::ops::fused::Activation;
 use crate::ops::gemm_kernels::{NC, gemm_at_ow_here, gemm_bt_ow_batched, gemm_ow_here};
 use crate::pool;
-use crate::tensor::Tensor;
+use crate::tensor::{Buf, Tensor};
 
 /// Cached tyxe-obs counter for images unfolded by im2col (both
 /// directions); callers gate on `tyxe_obs::enabled()`.
@@ -178,6 +189,222 @@ fn col2im<E: Element>(cols: &[E], geo: &Geometry, ld: usize, off: usize, img: &m
     }
 }
 
+/// How a convolution cuts its `n` samples: runs of `run` consecutive
+/// samples, one pool task each, worked in groups of `g` with about `NC`
+/// output columns between them, never more than a run.
+fn batching(n: usize, ncols: usize) -> (usize, usize) {
+    let run = tyxe_par::chunk_len(n, 1, 1);
+    (run, NC.div_ceil(ncols).clamp(1, run))
+}
+
+/// `buf`, `per` elements a sample, cut at the run boundaries of
+/// [`batching`]: one slice per run of `run` of the `n` samples, empty
+/// slices included, so the pieces pair with the runs however small a
+/// sample is.
+fn runs_of<T>(mut buf: &mut [T], per: usize, n: usize, run: usize) -> Vec<&mut [T]> {
+    (0..n.div_ceil(run))
+        .map(|r| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(run.min(n - r * run) * per);
+            buf = tail;
+            head
+        })
+        .collect()
+}
+
+/// The one sample-group loop, for both convolution ops: a plain
+/// convolution runs one product, `W · unfold(x)`; the local
+/// reparameterized one runs two over one unfold, the mean's `W_loc ·
+/// unfold(x)` and the variance's `W_var · unfold(x)²`.
+struct Groups<'a, E> {
+    geo: Geometry,
+    n: usize,
+    cout: usize,
+    run: usize,
+    g: usize,
+    /// The input `[N, C, H, W]`.
+    x: &'a [E],
+    /// One filter bank `[Cout, C·Kh·Kw]` per product.
+    w: Vec<&'a [E]>,
+    /// The second product's input when it is not `x` squared in the
+    /// unfolded block: a dtype change sat between the square and the
+    /// product, so the square is its own tensor and is unfolded like `x`.
+    x2: Option<&'a [E]>,
+}
+
+impl<'a, E: Element> Groups<'a, E> {
+    fn new(geo: Geometry, n: usize, cout: usize, x: &'a [E], w: Vec<&'a [E]>, x2: Option<&'a [E]>) -> Self {
+        let (run, g) = batching(n, geo.ncols());
+        Groups { geo, n, cout, run, g, x, w, x2 }
+    }
+
+    fn sample_in(&self) -> usize {
+        self.geo.c * self.geo.h * self.geo.w
+    }
+
+    /// One `rows × g·Ho·Wo` scratch block per product, from the pool
+    /// uninitialized: a group writes every element it later reads.
+    fn blocks(&self, rows: usize) -> Vec<pool::PoolBuf<E>> {
+        self.w.iter().map(|_| pool::alloc_uninit::<E>(rows * self.g * self.geo.ncols())).collect()
+    }
+
+    /// Unfolds samples `first..first + gs` side by side into `cols[0]`,
+    /// and the second product's block into `cols[1]`: the first block
+    /// squared with `Tensor::square`'s recipe (unfolding commutes with an
+    /// elementwise map that keeps zero), or the unfolded `x2`.
+    fn unfold(&self, first: usize, gs: usize, cols: &mut [pool::PoolBuf<E>]) {
+        let (sample_in, ncols) = (self.sample_in(), self.geo.ncols());
+        let ld = gs * ncols;
+        let unfold_into = |src: &[E], block: &mut [E]| {
+            if tyxe_obs::enabled() {
+                im2col_counter().add(gs as u64);
+            }
+            for si in 0..gs {
+                let s = first + si;
+                im2col(&src[s * sample_in..(s + 1) * sample_in], &self.geo, block, ld, si * ncols);
+            }
+        };
+        let (c0, rest) = cols.split_first_mut().expect("a convolution runs at least one product");
+        unfold_into(self.x, c0);
+        if let Some(c1) = rest.first_mut() {
+            match self.x2 {
+                Some(x2) => unfold_into(x2, c1),
+                None => {
+                    let len = self.geo.krows() * ld;
+                    for (sq, &v) in c1[..len].iter_mut().zip(&c0[..len]) {
+                        *sq = E::from_f64(v.to_f64() * v.to_f64());
+                    }
+                }
+            }
+        }
+    }
+
+    /// The forward pass: per group one unfold and one `W_p · block_p`
+    /// per product (`[Cout, gs·Ho·Wo]` each), handed to `emit(part,
+    /// first, at, gs, products, ld)` to write samples `first..first + gs`
+    /// into the outputs `part` holds for their run, from its sample `at`.
+    /// `parts` has one entry per run ([`runs_of`]).
+    fn forward<R: Send>(&self, parts: Vec<R>, emit: impl Fn(&mut R, usize, usize, usize, &[pool::PoolBuf<E>], usize) + Sync) {
+        let (krows, ncols, cout) = (self.geo.krows(), self.geo.ncols(), self.cout);
+        tyxe_par::parallel_for_each(parts, |ri, mut part| {
+            // The run's scratch, allocated once.
+            let (mut cols, mut prods, mut pack) = (self.blocks(krows), self.blocks(cout), Vec::new());
+            let (r0, end) = (ri * self.run, self.n.min((ri + 1) * self.run));
+            for first in (r0..end).step_by(self.g) {
+                let gs = self.g.min(end - first);
+                let ld = gs * ncols;
+                self.unfold(first, gs, &mut cols);
+                for ((w, c), p) in self.w.iter().zip(&cols).zip(&mut prods) {
+                    gemm_ow_here(w, &c[..krows * ld], &mut p[..cout * ld], cout, krows, ld, &mut pack);
+                }
+                emit(&mut part, first, first - r0, gs, &prods, ld);
+            }
+        });
+    }
+
+    /// The backward pass, given each product's upstream gradient by
+    /// `gather(first, gs, gy)`, which writes samples `first..first + gs`
+    /// into `gy[p]` in the output's layout, `[gs, Cout, Ho·Wo]`. Per
+    /// group: one unfold; per product one batched `dW_s = G_s · cols_sᵀ`
+    /// into each sample's partial (each `G_s` contiguous) and `dX =
+    /// col2im(W_pᵀ · G_p)`, `G_p` laid out as `[Cout, gs·Ho·Wo]` for it. A
+    /// second block that is `x` squared then takes its dX through the
+    /// square's backward, `g·2·x`. Returns dX and dW per product, dW
+    /// summed over the per-sample partials in ascending sample order.
+    fn backward(&self, gather: impl Fn(usize, usize, &mut [pool::PoolBuf<E>]) + Sync) -> (Vec<pool::PoolBuf<E>>, Vec<pool::PoolBuf<E>>) {
+        let (krows, ncols, cout, n) = (self.geo.krows(), self.geo.ncols(), self.cout, self.n);
+        let (sample_in, wlen) = (self.sample_in(), cout * krows);
+        // col2im accumulates overlapping windows into dX, so it genuinely
+        // needs the zeroed pool path; each dW partial is written once.
+        let mut gx: Vec<_> = self.w.iter().map(|_| pool::alloc_zeroed::<E>(n * sample_in)).collect();
+        let mut gw_part: Vec<_> = self.w.iter().map(|_| pool::alloc_uninit::<E>(n * wlen)).collect();
+        // Per run, each product's dX pieces, then its dW partials'.
+        let mut parts: Vec<Vec<&mut [E]>> = (0..n.div_ceil(self.run)).map(|_| Vec::new()).collect();
+        let pieces = gx.iter_mut().map(|b| (b, sample_in)).chain(gw_part.iter_mut().map(|b| (b, wlen)));
+        for (buf, per) in pieces {
+            for (part, piece) in parts.iter_mut().zip(runs_of(buf, per, n, self.run)) {
+                part.push(piece);
+            }
+        }
+        let squared = self.w.len() == 2 && self.x2.is_none();
+        tyxe_par::parallel_for_each(parts, |ri, mut part| {
+            let (gxr, gwr) = part.split_at_mut(self.w.len());
+            let (mut cols, mut gy, mut pack) = (self.blocks(krows), self.blocks(cout), Vec::new());
+            let (mut gg, mut gcols) = (pool::alloc_uninit::<E>(cout * self.g * ncols), pool::alloc_uninit::<E>(krows * self.g * ncols));
+            let (r0, end) = (ri * self.run, n.min((ri + 1) * self.run));
+            for first in (r0..end).step_by(self.g) {
+                let (gs, at) = (self.g.min(end - first), first - r0);
+                let ld = gs * ncols;
+                self.unfold(first, gs, &mut cols);
+                gather(first, gs, &mut gy);
+                for p in 0..self.w.len() {
+                    gemm_bt_ow_batched(&gy[p], cout * ncols, &cols[p], ncols, ld, &mut gwr[p][at * wlen..], gs, cout, ncols, krows, &mut pack);
+                    for si in 0..gs {
+                        for co in 0..cout {
+                            let row = &gy[p][(si * cout + co) * ncols..][..ncols];
+                            gg[co * ld + si * ncols..][..ncols].copy_from_slice(row);
+                        }
+                    }
+                    gemm_at_ow_here(self.w[p], &gg[..cout * ld], &mut gcols[..krows * ld], krows, cout, ld, &mut pack);
+                    for si in 0..gs {
+                        col2im(&gcols, &self.geo, ld, si * ncols, &mut gxr[p][(at + si) * sample_in..][..sample_in]);
+                    }
+                }
+                if squared {
+                    let xs = &self.x[first * sample_in..(first + gs) * sample_in];
+                    for (g, &x) in gxr[1][at * sample_in..(at + gs) * sample_in].iter_mut().zip(xs) {
+                        *g = E::from_f64(g.to_f64() * 2.0 * x.to_f64());
+                    }
+                }
+            }
+        });
+        let gw = gw_part
+            .iter()
+            .map(|parts| {
+                let mut gw = pool::alloc_zeroed::<E>(wlen);
+                for part in parts.chunks(wlen.max(1)) {
+                    for (g, p) in gw.iter_mut().zip(part) {
+                        *g += *p;
+                    }
+                }
+                gw
+            })
+            .collect();
+        (gx, gw)
+    }
+}
+
+/// A conv bias's gradient from the gradient `g` of its output (`g(i)` at
+/// flat output index `i`): per sample and channel the sum over output
+/// positions, ascending from zero, added into the channel's total in
+/// ascending sample order, natively in `E`.
+fn bias_grad<E: Element>(n: usize, cout: usize, ncols: usize, g: impl Fn(usize) -> E) -> pool::PoolBuf<E> {
+    let mut gb = pool::alloc_zeroed::<E>(cout);
+    for s in 0..n {
+        for (co, total) in gb.iter_mut().enumerate() {
+            let base = (s * cout + co) * ncols;
+            let mut acc = E::ZERO;
+            for i in base..base + ncols {
+                acc += g(i);
+            }
+            *total += acc;
+        }
+    }
+    gb
+}
+
+/// The per-sample geometry of `input` under `weight`'s kernel, with the
+/// batch size and output channels.
+fn geometry(input: &Tensor, weight: &Tensor, stride: usize, pad: usize) -> (usize, usize, Geometry) {
+    let ([n, c, h, w], [cout, _, kh, kw]) = (dims4(input), dims4(weight));
+    let (ho, wo) = (conv_out(h, kh, stride, pad), conv_out(w, kw, stride, pad));
+    (n, cout, Geometry { c, h, w, kh, kw, stride, pad, ho, wo })
+}
+
+fn dims4(t: &Tensor) -> [usize; 4] {
+    let s = t.shape();
+    [s[0], s[1], s[2], s[3]]
+}
+
 #[allow(clippy::too_many_arguments)]
 fn conv2d_act_t<E: Element>(
     input: &Tensor,
@@ -187,77 +414,40 @@ fn conv2d_act_t<E: Element>(
     pad: usize,
     act: Activation,
 ) -> Tensor {
-    let (n, cin, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let (cout, _, kh, kw) = (
-        weight.shape()[0],
-        weight.shape()[1],
-        weight.shape()[2],
-        weight.shape()[3],
-    );
-    let (ho, wo) = (conv_out(h, kh, stride, pad), conv_out(w, kw, stride, pad));
-    let geo = Geometry { c: cin, h, w, kh, kw, stride, pad, ho, wo };
-    let krows = geo.krows();
+    let (n, cout, geo) = geometry(input, weight, stride, pad);
     let ncols = geo.ncols();
-
-    let sample_in = cin * h * w;
     let sample_out = cout * ncols;
-    // Samples per pool thread, and per group: about `NC` output columns,
-    // never more than a thread's run.
-    let run = tyxe_par::chunk_len(n, 1, 1);
-    let g = NC.div_ceil(ncols).clamp(1, run);
     // GEMM overwrites every output element, so the buffer comes from the
     // pool uninitialized.
     let mut out = pool::alloc_uninit::<E>(n * sample_out);
     if sample_out > 0 {
-        let x = input.data_of::<E>();
-        let wd = weight.data_of::<E>();
-        let (x, wd): (&[E], &[E]) = (&x, &wd);
+        let (x, wd) = (input.data_of::<E>(), weight.data_of::<E>());
         let bref = bias.map(|b| b.data_of::<E>());
         let bd: Option<&[E]> = bref.as_ref().map(|r| &r[..]);
-        tyxe_par::parallel_for_chunks(&mut out, run * sample_out, |start, chunk| {
-            let s0 = start / sample_out;
-            // im2col and the GEMM write every element they leave for a
-            // later read, so the run's scratch is uninit-reused.
-            let mut cols = pool::alloc_uninit::<E>(krows * g * ncols);
-            let mut prod = pool::alloc_uninit::<E>(cout * g * ncols);
-            let mut pack = Vec::new();
-            for (gi, o) in chunk.chunks_mut(g * sample_out).enumerate() {
-                let (first, gs) = (s0 + gi * g, o.len() / sample_out);
-                let ld = gs * ncols;
-                if tyxe_obs::enabled() {
-                    im2col_counter().add(gs as u64);
-                }
-                for si in 0..gs {
-                    let s = first + si;
-                    im2col(&x[s * sample_in..(s + 1) * sample_in], &geo, &mut cols, ld, si * ncols);
-                }
-                gemm_ow_here(wd, &cols[..krows * ld], &mut prod[..cout * ld], cout, krows, ld, &mut pack);
-                // The product is `[Cout, g·Ho·Wo]`; the output `[g, Cout,
-                // Ho·Wo]`, each row written once.
-                for (si, os) in o.chunks_mut(sample_out).enumerate() {
-                    for (co, orow) in os.chunks_mut(ncols).enumerate() {
-                        let prow = &prod[co * ld + si * ncols..][..ncols];
-                        match bd {
-                            // Round the biased pre-activation to storage
-                            // before the activation, as the unfused
-                            // add → act chain would.
-                            Some(bd) => {
-                                let b = bd[co].to_f64();
-                                for (v, &p) in orow.iter_mut().zip(prow) {
-                                    *v = E::from_f64(p.to_f64() + b);
-                                }
+        let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]], None);
+        let parts = runs_of(&mut out, sample_out, n, groups.run);
+        groups.forward(parts, |part, _, at, gs, prods, ld| {
+            let o = &mut part[at * sample_out..(at + gs) * sample_out];
+            // The product is `[Cout, g·Ho·Wo]`; the output `[g, Cout,
+            // Ho·Wo]`, each row written once.
+            for (si, os) in o.chunks_mut(sample_out).enumerate() {
+                for (co, orow) in os.chunks_mut(ncols).enumerate() {
+                    let prow = &prods[0][co * ld + si * ncols..][..ncols];
+                    match bd {
+                        // Round the biased pre-activation to storage
+                        // before the activation, as the unfused
+                        // add → act chain would.
+                        Some(bd) => {
+                            let b = bd[co].to_f64();
+                            for (v, &p) in orow.iter_mut().zip(prow) {
+                                *v = E::from_f64(p.to_f64() + b);
                             }
-                            None => orow.copy_from_slice(prow),
                         }
+                        None => orow.copy_from_slice(prow),
                     }
                 }
-                act.apply_slice(o);
             }
+            act.apply_slice(o);
         });
     }
 
@@ -268,7 +458,7 @@ fn conv2d_act_t<E: Element>(
     if let Some(b) = bias {
         parents.push(b.clone());
     }
-    Tensor::make_op_t::<E>(out, vec![n, cout, ho, wo], parents, move |out, grad| {
+    Tensor::make_op_t::<E>(out, vec![n, cout, geo.ho, geo.wo], parents, move |out, grad| {
         let _span = tyxe_obs::span!("tensor.conv2d.backward");
         // Pre-activation gradient from the stored output; with
         // Identity the incoming gradient is used directly.
@@ -285,87 +475,160 @@ fn conv2d_act_t<E: Element>(
         };
         drop(yd);
         let grad: &[E] = gpre_buf.as_deref().unwrap_or(grad);
-        let x = xc.data_of::<E>();
-        let wd = wc.data_of::<E>();
-        let (x, wd): (&[E], &[E]) = (&x, &wd);
-        let wlen = cout * krows;
-        // col2im accumulates overlapping windows into gx, so it
-        // genuinely needs the zeroed pool path.
-        let mut gx = pool::alloc_zeroed::<E>(n * sample_in);
-        let mut gw = pool::alloc_zeroed::<E>(wlen);
-        // One dW partial per sample, each written exactly once (overwrite
-        // GEMM), so the scratch comes from the pool uninit.
-        let mut gw_part = pool::alloc_uninit::<E>(n * wlen);
-        // `count` samples from `s0`, in groups of `g`, with the run's
-        // scratch: per group one unfold, dW_s = G_s · cols_sᵀ into each
-        // sample's partial (one batched product), and dX = col2im(Wᵀ · G).
-        let samples = |s0: usize, count: usize, gxc: &mut [E], gwc: &mut [E]| {
-            let mut cols = pool::alloc_uninit::<E>(krows * g * ncols);
-            let mut gcols = pool::alloc_uninit::<E>(krows * g * ncols);
-            let mut gg = pool::alloc_uninit::<E>(cout * g * ncols);
-            let mut pack = Vec::new();
-            for g0 in (0..count).step_by(g) {
-                let (first, gs) = (s0 + g0, g.min(count - g0));
-                let ld = gs * ncols;
-                if tyxe_obs::enabled() {
-                    im2col_counter().add(gs as u64);
-                }
-                for si in 0..gs {
-                    let s = first + si;
-                    im2col(&x[s * sample_in..(s + 1) * sample_in], &geo, &mut cols, ld, si * ncols);
-                }
-                let gout = &grad[first * sample_out..(first + gs) * sample_out];
-                gemm_bt_ow_batched(gout, sample_out, &cols, ncols, ld, &mut gwc[g0 * wlen..], gs, cout, ncols, krows, &mut pack);
-                // G as `[Cout, g·Ho·Wo]`, the layout the product reads.
-                for si in 0..gs {
-                    for co in 0..cout {
-                        let row = &gout[(si * cout + co) * ncols..][..ncols];
-                        gg[co * ld + si * ncols..][..ncols].copy_from_slice(row);
-                    }
-                }
-                gemm_at_ow_here(wd, &gg[..cout * ld], &mut gcols[..krows * ld], krows, cout, ld, &mut pack);
-                for si in 0..gs {
-                    col2im(&gcols, &geo, ld, si * ncols, &mut gxc[(g0 + si) * sample_in..(g0 + si + 1) * sample_in]);
-                }
-            }
-        };
-        if sample_in > 0 && wlen > 0 {
-            // Runs of samples partitioned across the pool, dX and dW in
-            // lock-step.
-            tyxe_par::parallel_for_chunks2(&mut gx, &mut gw_part, run * sample_in, run * wlen, |ci, gxc, gwc| {
-                samples(ci * run, gwc.len() / wlen, gxc, gwc);
-            });
-        } else {
-            // An empty image or weight leaves one buffer with no chunks
-            // to pair with the other's: run the samples inline.
-            samples(0, n, &mut gx, &mut gw_part);
-        }
-        // Ascending-s reduction: the same per-element addition chain as
-        // accumulating the samples in order.
-        for part in gw_part.chunks(wlen.max(1)) {
-            for (g, p) in gw.iter_mut().zip(part) {
-                *g += *p;
-            }
-        }
-        let mut grads = vec![Some(gx), Some(gw)];
+        let (x, wd) = (xc.data_of::<E>(), wc.data_of::<E>());
+        let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]], None);
+        let (gx, gw) = groups.backward(|first, gs, gy| {
+            gy[0][..gs * sample_out].copy_from_slice(&grad[first * sample_out..(first + gs) * sample_out]);
+        });
+        let mut grads: Vec<_> = gx.into_iter().chain(gw).map(Some).collect();
         if has_bias {
-            // db[co] = Σ_{s, pixels} gpre, accumulated natively in E in
-            // the same nested order as the sequential loop.
-            let mut gb = pool::alloc_zeroed::<E>(cout);
-            for s in 0..n {
-                for (co, g) in gb.iter_mut().enumerate() {
-                    let base = (s * cout + co) * ncols;
-                    let mut acc = E::ZERO;
-                    for &v in &grad[base..base + ncols] {
-                        acc += v;
-                    }
-                    *g += acc;
-                }
-            }
-            grads.push(Some(gb));
+            grads.push(Some(bias_grad(n, cout, ncols, |i| grad[i])));
         }
         grads
     })
+}
+
+/// The variance floor of local reparameterization's noise tail: the
+/// variance is clamped to it before the square root.
+const VAR_FLOOR: f64 = 1e-16;
+
+/// `mean + sqrt(max(var, VAR_FLOOR))·ε` at one output element, rounded
+/// where the op chain `mean.add(var.clamp_min(VAR_FLOOR).sqrt().mul(ε))`
+/// stored its values: the clamp and the square root in `V`, the product
+/// and the sum in `T` (`mean` and the standard deviation widen exactly).
+/// Returns the output and the standard deviation, negated where the
+/// clamp passes no gradient (`var` below the floor, or NaN): `sd > 0`
+/// holds exactly where it does.
+#[inline(always)]
+fn noise_tail<E: Element, V: Element, T: Element>(mean: E, var: V, eps: T) -> (T, V) {
+    let v = var.to_f64();
+    let sd = V::from_f64(V::from_f64(v.clamp(VAR_FLOOR, f64::INFINITY)).to_f64().sqrt());
+    let noise = T::from_f64(sd.to_f64() * eps.to_f64());
+    let out = T::from_f64(mean.to_f64() + noise.to_f64());
+    (out, if v >= VAR_FLOOR { sd } else { -sd })
+}
+
+/// The chain's backward through [`noise_tail`] at one element, from the
+/// output's gradient `g`: the mean's gradient (the sum's, cast to `E`)
+/// and the variance's (through the product, its cast to `T`, the square
+/// root and the clamp, each rounded into its own storage).
+#[inline(always)]
+fn noise_tail_grad<E: Element, V: Element, T: Element>(g: T, eps: T, sd: V) -> (E, V) {
+    let g_sd = V::from_f64(T::from_f64(g.to_f64() * eps.to_f64()).to_f64());
+    let g_var = if sd > V::ZERO { V::from_f64(g_sd.to_f64() * 0.5 / sd.to_f64()) } else { V::ZERO };
+    (E::from_f64(g.to_f64()), g_var)
+}
+
+/// [`Tensor::conv2d_lr`] with the products in `E`, the noise tail's
+/// variance in `V` and the output in `T` (`E ≤ V ≤ T`). `x` and `x2` are
+/// the two products' inputs: `x` twice when the square is taken in the
+/// unfolded block (`squared`), else `x` and `x²`, both cast to `E`.
+#[allow(clippy::too_many_arguments)]
+fn conv2d_lr_t<E: Element, V: Element, T: Element>(
+    x: &Tensor,
+    x2: &Tensor,
+    squared: bool,
+    w_loc: &Tensor,
+    w_var: &Tensor,
+    b_loc: Option<&Tensor>,
+    b_var: Option<&Tensor>,
+    eps: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    let (n, cout, geo) = geometry(x, w_loc, stride, pad);
+    let ncols = geo.ncols();
+    let sample_out = cout * ncols;
+    // Both biases widened once: `b_loc` is `E`, `b_var` no wider than `V`.
+    let bl: Option<Vec<f64>> = b_loc.map(|b| b.data_of::<E>().iter().map(|v| v.to_f64()).collect());
+    let bv: Option<Vec<f64>> = b_var.map(Tensor::to_vec);
+    let mut out = pool::alloc_uninit::<T>(n * sample_out);
+    let mut sd = pool::alloc_uninit::<V>(n * sample_out);
+    if sample_out > 0 {
+        let (xd, x2d, wl, wv, ed) = (x.data_of::<E>(), x2.data_of::<E>(), w_loc.data_of::<E>(), w_var.data_of::<E>(), eps.data_of::<T>());
+        let ed: &[T] = &ed;
+        let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
+        let parts: Vec<_> = runs_of(&mut out, sample_out, n, groups.run).into_iter().zip(runs_of(&mut sd, sample_out, n, groups.run)).collect();
+        groups.forward(parts, |(o, s), first, at, gs, prods, ld| {
+            for si in 0..gs {
+                for co in 0..cout {
+                    let (at_row, row) = (((at + si) * cout + co) * ncols, ((first + si) * cout + co) * ncols);
+                    let (mean, var) = (&prods[0][co * ld + si * ncols..][..ncols], &prods[1][co * ld + si * ncols..][..ncols]);
+                    let (bl, bv) = (bl.as_ref().map(|b| b[co]), bv.as_ref().map(|b| b[co]));
+                    let cells = o[at_row..][..ncols].iter_mut().zip(&mut s[at_row..][..ncols]);
+                    for ((((o, s), &m), &v), &e) in cells.zip(mean).zip(var).zip(&ed[row..][..ncols]) {
+                        // The mean conv's biased output and the variance
+                        // after its bias, each rounded into storage.
+                        let m = bl.map_or(m, |b| E::from_f64(m.to_f64() + b));
+                        let v = V::from_f64(bv.map_or(v.to_f64(), |b| v.to_f64() + b));
+                        (*o, *s) = noise_tail(m, v, e);
+                    }
+                }
+            }
+        });
+    }
+
+    let mut parents = vec![x.clone(), x2.clone(), w_loc.clone(), w_var.clone()];
+    parents.extend(b_loc.cloned());
+    parents.extend(b_var.cloned());
+    let (xc, x2c, wlc, wvc, ec) = (x.clone(), x2.clone(), w_loc.clone(), w_var.clone(), eps.clone());
+    let (has_bl, bv_dtype) = (b_loc.is_some(), b_var.map(Tensor::dtype));
+    Tensor::make_op_buf(Buf::from_pool(out), vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
+        let _span = tyxe_obs::span!("tensor.conv2d.backward");
+        let g = grad.as_slice::<T>();
+        let (xd, x2d, wl, wv, ed) = (xc.data_of::<E>(), x2c.data_of::<E>(), wlc.data_of::<E>(), wvc.data_of::<E>(), ec.data_of::<T>());
+        let ed: &[T] = &ed;
+        let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
+        let (gx, gw) = groups.backward(|first, gs, gy| {
+            let (gm, gv) = gy.split_at_mut(1);
+            let span = first * sample_out..(first + gs) * sample_out;
+            let cells = gm[0].iter_mut().zip(gv[0].iter_mut());
+            for ((m, v), ((&gy, &e), &s)) in cells.zip(g[span.clone()].iter().zip(&ed[span.clone()]).zip(&sd[span])) {
+                let (g_mean, g_var) = noise_tail_grad::<E, V, T>(gy, e, s);
+                (*m, *v) = (g_mean, E::from_f64(g_var.to_f64()));
+            }
+        });
+        let (Ok([gx_mean, gx_var]), Ok([gw_loc, gw_var])) = (<[_; 2]>::try_from(gx), <[_; 2]>::try_from(gw)) else {
+            unreachable!("two products")
+        };
+        // `x` listed twice hands the engine the square path's term first,
+        // then the mean's: the order the chain's reverse topological walk
+        // reached `x.square()` and the mean conv in.
+        let (first, second) = if squared { (gx_var, gx_mean) } else { (gx_mean, gx_var) };
+        let mut grads: Vec<_> = [first, second, gw_loc, gw_var].into_iter().map(|b| Some(Buf::from_pool(b))).collect();
+        if has_bl {
+            grads.push(Some(Buf::from_pool(bias_grad(n, cout, ncols, |i| E::from_f64(g[i].to_f64())))));
+        }
+        if let Some(bdt) = bv_dtype {
+            // The broadcast add's reduction: flat ascending order, in `V`,
+            // cast back to the bias's own dtype.
+            let mut gb = pool::alloc_zeroed::<V>(cout);
+            for (i, (&gy, (&e, &s))) in g.iter().zip(ed.iter().zip(sd.iter())).enumerate() {
+                gb[(i / ncols) % cout] += noise_tail_grad::<E, V, T>(gy, e, s).1;
+            }
+            let gb = Buf::from_pool(gb);
+            grads.push(Some(if bdt == V::DTYPE { gb } else { gb.cast_to(bdt) }));
+        }
+        grads
+    })
+}
+
+fn conv_span(x: &Tensor, weight: &Tensor) -> Option<tyxe_obs::trace::SpanGuard> {
+    tyxe_obs::enabled().then(|| {
+        let ([n, cin, h, w], [cout, _, kh, kw]) = (dims4(x), dims4(weight));
+        tyxe_obs::metrics::counter("tensor.conv2d.calls").inc();
+        tyxe_obs::trace::SpanGuard::enter_with_arg("tensor.conv2d.forward", format!("n{n} {cin}->{cout} {h}x{w} k{kh}x{kw}"))
+    })
+}
+
+/// Shape checks shared by both convolution ops.
+fn check_conv(x: &Tensor, weight: &Tensor, biases: &[Option<&Tensor>]) {
+    assert_eq!(x.ndim(), 4, "conv2d: input must be [N, C, H, W]");
+    assert_eq!(weight.ndim(), 4, "conv2d: weight must be [Cout, Cin, Kh, Kw]");
+    assert_eq!(x.shape()[1], weight.shape()[1], "conv2d: channel mismatch");
+    for b in biases.iter().flatten() {
+        assert_eq!(b.shape(), &[weight.shape()[0]], "conv2d: bias must be [Cout]");
+    }
 }
 
 impl Tensor {
@@ -407,33 +670,9 @@ impl Tensor {
         pad: usize,
         act: Activation,
     ) -> Tensor {
-        assert_eq!(self.ndim(), 4, "conv2d: input must be [N, C, H, W]");
-        assert_eq!(weight.ndim(), 4, "conv2d: weight must be [Cout, Cin, Kh, Kw]");
-        let (n, cin, h, w) = (
-            self.shape()[0],
-            self.shape()[1],
-            self.shape()[2],
-            self.shape()[3],
-        );
-        let (cout, cin2, kh, kw) = (
-            weight.shape()[0],
-            weight.shape()[1],
-            weight.shape()[2],
-            weight.shape()[3],
-        );
-        assert_eq!(cin, cin2, "conv2d: channel mismatch");
-        if let Some(b) = bias {
-            assert_eq!(b.shape(), &[cout], "conv2d: bias must be [Cout]");
-        }
-
-        let _span = tyxe_obs::enabled().then(|| {
-            tyxe_obs::metrics::counter("tensor.conv2d.calls").inc();
-            tyxe_obs::trace::SpanGuard::enter_with_arg(
-                "tensor.conv2d.forward",
-                format!("n{n} {cin}->{cout} {h}x{w} k{kh}x{kw}"),
-            )
-        });
-
+        check_conv(self, weight, &[bias]);
+        let _span = conv_span(self, weight);
+        crate::plan::mark_unsupported("conv2d: a convolution has no replay closure");
         let mut dt = self.dtype().promote(weight.dtype());
         if let Some(b) = bias {
             dt = dt.promote(b.dtype());
@@ -443,6 +682,85 @@ impl Tensor {
         let weight = weight.cast(dt);
         let bias = bias.map(|b| b.cast(dt));
         dispatch_dtype!(dt, E => conv2d_act_t::<E>(&x, &weight, bias.as_ref(), stride, pad, act))
+    }
+
+    /// Local reparameterization's convolution (Kingma et al., 2015) as one
+    /// op: `mean + sqrt(max(var, 1e-16))·ε` with `mean = self ⋆ w_loc +
+    /// b_loc` and `var = self² ⋆ w_var + b_var`, for Gaussian filters with
+    /// means `w_loc` and variances `w_var` (`[Cout, Cin, Kh, Kw]` each)
+    /// and standard-normal noise `eps` of the output's shape `[N, Cout,
+    /// Ho, Wo]`. A deterministic bias is `b_loc` alone.
+    ///
+    /// Per sample group it unfolds `self` once and runs the mean product
+    /// on the block and the variance product on the block squared, then
+    /// writes the output in the same pass; the backward keeps only the
+    /// output and the standard deviation. Value and every gradient are
+    /// the op chain's `self.conv2d(w_loc, b_loc)` plus `eps` times the
+    /// `clamp_min(1e-16).sqrt()` of `self.square()` convolved with `w_var`,
+    /// plus `b_var`, bit for bit, rounding where that chain stored, in its
+    /// dtypes (both products in one compute dtype, following
+    /// [`Tensor::conv2d_act`], autocast included; under a dtype change
+    /// the square is taken before the cast, as the chain did). `eps` is
+    /// noise: it takes no gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or shape mismatch, or if `eps` requires a gradient.
+    #[allow(clippy::too_many_arguments)]
+    pub fn conv2d_lr(
+        &self,
+        w_loc: &Tensor,
+        w_var: &Tensor,
+        b_loc: Option<&Tensor>,
+        b_var: Option<&Tensor>,
+        eps: &Tensor,
+        stride: usize,
+        pad: usize,
+    ) -> Tensor {
+        check_conv(self, w_loc, &[b_loc, b_var]);
+        assert_eq!(w_var.shape(), w_loc.shape(), "conv2d_lr: w_var must be shaped like w_loc");
+        let (n, cout, geo) = geometry(self, w_loc, stride, pad);
+        assert_eq!(eps.shape(), &[n, cout, geo.ho, geo.wo], "conv2d_lr: eps must be shaped like the output");
+        assert!(!eps.requires_grad_enabled(), "conv2d_lr: eps is noise and takes no gradient");
+        let _span = conv_span(self, w_loc);
+        crate::plan::mark_unsupported("conv2d_lr: a local-reparameterized convolution has no replay closure");
+        let mut dt = self.dtype().promote(w_loc.dtype()).promote(w_var.dtype());
+        if let Some(b) = b_loc {
+            dt = dt.promote(b.dtype());
+        }
+        let dt = crate::autocast::compute_dtype(dt);
+        let vdt = b_var.map_or(dt, |b| dt.promote(b.dtype()));
+        let tdt = vdt.promote(eps.dtype());
+        let squared = self.dtype() == dt;
+        let (x, x2) = if squared { (self.clone(), self.clone()) } else { (self.cast(dt), self.square().cast(dt)) };
+        let (w_loc, w_var, b_loc) = (w_loc.cast(dt), w_var.cast(dt), b_loc.map(|b| b.cast(dt)));
+        let eps = eps.cast(tdt);
+        macro_rules! run {
+            ($E:ty, $V:ty, $T:ty) => {
+                conv2d_lr_t::<$E, $V, $T>(&x, &x2, squared, &w_loc, &w_var, b_loc.as_ref(), b_var, &eps, stride, pad)
+            };
+        }
+        use DType::{F32, F64};
+        match (dt, vdt, tdt) {
+            (F64, F64, F64) => run!(f64, f64, f64),
+            (F32, F32, F32) => run!(f32, f32, f32),
+            (F32, F32, F64) => run!(f32, f32, f64),
+            (F32, F64, F64) => run!(f32, f64, f64),
+            _ => unreachable!("dtype promotion never narrows"),
+        }
+    }
+
+    /// The shape `[N, Cout, Ho, Wo]` of this input's convolution with
+    /// `weight` at `stride`/`pad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank or channel mismatch, or if the kernel exceeds the
+    /// padded input.
+    pub fn conv2d_out_shape(&self, weight: &Tensor, stride: usize, pad: usize) -> Vec<usize> {
+        check_conv(self, weight, &[]);
+        let (n, cout, geo) = geometry(self, weight, stride, pad);
+        vec![n, cout, geo.ho, geo.wo]
     }
 
     /// 2-D max pooling with square kernel `k` and stride `s` over
@@ -936,6 +1254,83 @@ mod tests {
             let lhs: f64 = (0..krows).flat_map(|r| (0..ncols).map(move |j| (r, j))).map(|(r, j)| cols[r * ld + off + j] * cb[r * ld + off + j]).sum();
             let rhs: f64 = x.iter().zip(&folded).map(|(a, b)| a * b).sum();
             assert_eq!(lhs, rhs, "{geo:?}: adjoint");
+        }
+    }
+
+    /// `conv2d_lr` called directly against the op chain it fuses, bit for
+    /// bit in the output and all five gradients: every dtype combination
+    /// it dispatches (`f32` noise included), an `f32` input under `f64`
+    /// filters and an autocast scope (both square before the cast), and
+    /// variances the floor clamps — a zero filter, a negative bias — or
+    /// that are NaN, where the clamp passes no gradient. At 1 and 4
+    /// threads.
+    #[test]
+    fn conv2d_lr_is_the_op_chain_bitwise() {
+        use tyxe_rand::{Rng, SeedableRng};
+        use DType::{F32, F64};
+        let (n, stride, pad) = (3, 2, 1);
+        let chain = |x: &Tensor, wl: &Tensor, wv: &Tensor, bl: &Tensor, bv: Option<&Tensor>, eps: &Tensor| {
+            let mean = x.conv2d(wl, Some(bl), stride, pad);
+            let mut var = x.square().conv2d(wv, None, stride, pad);
+            if let Some(bv) = bv {
+                var = var.add(&bv.reshape(&[1, 3, 1, 1]));
+            }
+            mean.add(&var.clamp_min(1e-16).sqrt().mul(eps))
+        };
+        // (input, filters, bias variance, noise, autocast to f32)
+        let dtypes = [
+            (F64, F64, F64, F64, false),
+            (F32, F32, F32, F32, false),
+            (F32, F32, F32, F64, false),
+            (F32, F32, F64, F64, false),
+            (F32, F64, F64, F64, false),
+            (F64, F64, F64, F64, true),
+        ];
+        let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        for threads in [1, 4] {
+            at_threads(threads, || {
+                for (xt, wt, bt, et, mixed) in dtypes {
+                    for with_bv in [true, false] {
+                        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(91);
+                        let mut leaf = |shape: &[usize], dt: DType, f: &dyn Fn(usize, f64) -> f64| {
+                            let v = (0..shape.iter().product()).map(|i| f(i, rng.gen_range(-1.0..1.0f64))).collect();
+                            Tensor::from_vec(v, shape).cast(dt).detach().requires_grad(true)
+                        };
+                        let x = leaf(&[n, 2, 5, 5], xt, &|_, r| r);
+                        let wl = leaf(&[3, 2, 3, 3], wt, &|_, r| r);
+                        // Channel 1's filter variance is zero.
+                        let wv = leaf(&[3, 2, 3, 3], wt, &|i, r| if i / 18 == 1 { 0.0 } else { r.abs() });
+                        let bl = leaf(&[3], wt, &|_, r| r);
+                        // Channel 1 below the floor, channel 2 NaN.
+                        let bv = leaf(&[3], bt, &|i, r| [r.abs(), -1e-3, f64::NAN][i]);
+                        let eps = Tensor::randn(&[n, 3, 3, 3], &mut rng).cast(et);
+                        let gy: Vec<f64> = (0..n * 27).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                        let bv = with_bv.then_some(&bv);
+                        let run = |fused: bool| {
+                            for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
+                                t.zero_grad();
+                            }
+                            let out = {
+                                let _g = mixed.then(|| crate::autocast::autocast(F32));
+                                if fused {
+                                    x.conv2d_lr(&wl, &wv, Some(&bl), bv, &eps, stride, pad)
+                                } else {
+                                    chain(&x, &wl, &wv, &bl, bv, &eps)
+                                }
+                            };
+                            out.backward_with_grad(&gy);
+                            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                            let mut all = vec![(out.dtype(), bits(out.to_vec()))];
+                            for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
+                                all.push((t.dtype(), bits(t.grad().expect("every operand takes a gradient"))));
+                            }
+                            all
+                        };
+                        let what = format!("{xt:?} x, {wt:?} w, {bt:?} b_var, {et:?} eps, autocast {mixed}, b_var {with_bv}, {threads} threads");
+                        assert_eq!(run(true), run(false), "{what}");
+                    }
+                }
+            });
         }
     }
 

@@ -826,8 +826,11 @@ unsafe fn micro_avx2_fma_f32(
 /// and runs store-bound (measured ~2× slower). Holding the tile in 16
 /// `__m512d` values keeps it in registers. The per-element recipe is
 /// unchanged — one `vfmaddpd` (= `mul_add`) per `p`, `p` ascending —
-/// so results stay bit-identical to the generic body and references,
-/// which handle the (rare) partial edge tiles below.
+/// so results stay bit-identical to the generic body and references.
+/// Partial edge tiles run the same register tile over the zero-padded
+/// panels and store through lane masks: on a conv's sample group, whose
+/// width is rarely a multiple of 16, the generic body's spilling edge
+/// tile cost ~9× a full tile per call.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f", enable = "fma")]
 unsafe fn micro_avx512_fma_f64(
@@ -836,11 +839,8 @@ unsafe fn micro_avx512_fma_f64(
     use core::arch::x86_64::*;
     const MR: usize = 8;
     const NR: usize = 16;
-    if rows != MR || cols != NR {
-        return micro_body::<f64, MR, NR, true>(k, ap, bp, c, ldc, rows, cols, mode);
-    }
     debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
+    debug_assert!((1..=MR).contains(&rows) && (1..=NR).contains(&cols) && c.len() >= (rows - 1) * ldc + cols);
     let mut acc = [[_mm512_setzero_pd(); 2]; MR];
     let mut a_ptr = ap.as_ptr();
     let mut b_ptr = bp.as_ptr();
@@ -855,20 +855,19 @@ unsafe fn micro_avx512_fma_f64(
         a_ptr = a_ptr.add(MR);
         b_ptr = b_ptr.add(NR);
     }
-    for (ii, a) in acc.iter().enumerate() {
+    // An edge tile stores its `rows × cols` corner through lane masks: the
+    // panels' zero pads only ever reached lanes the masks leave out.
+    let (m0, m1) = (((1u32 << cols.min(8)) - 1) as __mmask8, ((1u32 << cols.saturating_sub(8)) - 1) as __mmask8);
+    for (ii, a) in acc.iter().enumerate().take(rows) {
         let dst = c.as_mut_ptr().add(ii * ldc);
-        match mode {
-            Acc::Overwrite => {
-                _mm512_storeu_pd(dst, a[0]);
-                _mm512_storeu_pd(dst.add(8), a[1]);
-            }
-            Acc::OverwriteDot => {
-                // `0.0 + acc`, as in the references: a `-0.0` dot
-                // becomes `+0.0`.
-                _mm512_storeu_pd(dst, _mm512_add_pd(_mm512_setzero_pd(), a[0]));
-                _mm512_storeu_pd(dst.add(8), _mm512_add_pd(_mm512_setzero_pd(), a[1]));
-            }
-        }
+        let (v0, v1) = match mode {
+            Acc::Overwrite => (a[0], a[1]),
+            // `0.0 + acc`, as in the references: a `-0.0` dot becomes
+            // `+0.0`.
+            Acc::OverwriteDot => (_mm512_add_pd(_mm512_setzero_pd(), a[0]), _mm512_add_pd(_mm512_setzero_pd(), a[1])),
+        };
+        _mm512_mask_storeu_pd(dst, m0, v0);
+        _mm512_mask_storeu_pd(dst.add(8), m1, v1);
     }
 }
 
@@ -885,11 +884,8 @@ unsafe fn micro_avx512_fma_f32(
     use core::arch::x86_64::*;
     const MR: usize = 8;
     const NR: usize = 32;
-    if rows != MR || cols != NR {
-        return micro_body::<f32, MR, NR, true>(k, ap, bp, c, ldc, rows, cols, mode);
-    }
     debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
-    debug_assert!(c.len() >= (MR - 1) * ldc + NR);
+    debug_assert!((1..=MR).contains(&rows) && (1..=NR).contains(&cols) && c.len() >= (rows - 1) * ldc + cols);
     let mut acc = [[_mm512_setzero_ps(); 2]; MR];
     let mut a_ptr = ap.as_ptr();
     let mut b_ptr = bp.as_ptr();
@@ -904,20 +900,18 @@ unsafe fn micro_avx512_fma_f32(
         a_ptr = a_ptr.add(MR);
         b_ptr = b_ptr.add(NR);
     }
-    for (ii, a) in acc.iter().enumerate() {
+    // Edge tiles as in the f64 kernel, sixteen lanes to a mask.
+    let (m0, m1) = (((1u64 << cols.min(16)) - 1) as __mmask16, ((1u64 << cols.saturating_sub(16)) - 1) as __mmask16);
+    for (ii, a) in acc.iter().enumerate().take(rows) {
         let dst = c.as_mut_ptr().add(ii * ldc);
-        match mode {
-            Acc::Overwrite => {
-                _mm512_storeu_ps(dst, a[0]);
-                _mm512_storeu_ps(dst.add(16), a[1]);
-            }
-            Acc::OverwriteDot => {
-                // `0.0 + acc`, as in the references: a `-0.0` dot
-                // becomes `+0.0`.
-                _mm512_storeu_ps(dst, _mm512_add_ps(_mm512_setzero_ps(), a[0]));
-                _mm512_storeu_ps(dst.add(16), _mm512_add_ps(_mm512_setzero_ps(), a[1]));
-            }
-        }
+        let (v0, v1) = match mode {
+            Acc::Overwrite => (a[0], a[1]),
+            // `0.0 + acc`, as in the references: a `-0.0` dot becomes
+            // `+0.0`.
+            Acc::OverwriteDot => (_mm512_add_ps(_mm512_setzero_ps(), a[0]), _mm512_add_ps(_mm512_setzero_ps(), a[1])),
+        };
+        _mm512_mask_storeu_ps(dst, m0, v0);
+        _mm512_mask_storeu_ps(dst.add(16), m1, v1);
     }
 }
 

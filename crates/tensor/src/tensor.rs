@@ -231,8 +231,9 @@ impl Tensor {
 /// lets it recycle, so every buffer returns to the thread-local pool
 /// (`crate::pool`) once its slot clears. `None` entries signal "no gradient
 /// flows to this parent". Each returned buffer must carry its parent's
-/// dtype (only [`Tensor::cast`] produces a grad dtype different from its
-/// own).
+/// dtype (only [`Tensor::cast`] and [`Tensor::conv2d_lr`], whose noise
+/// tail runs wider than its products, produce a grad dtype different from
+/// their own).
 pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &Buf) -> Vec<Option<Buf>>>;
 
 thread_local! {
@@ -347,18 +348,29 @@ impl Tensor {
         parents: Vec<Tensor>,
         backward: impl Fn(&Tensor, &[E]) -> Vec<Option<PoolBuf<E>>> + 'static,
     ) -> Tensor {
+        Tensor::make_op_buf(Buf::from_pool(data.into()), shape, parents, move |out, grad| {
+            backward(out, grad.as_slice::<E>())
+                .into_iter()
+                .map(|g| g.map(Buf::from_pool))
+                .collect()
+        })
+    }
+
+    /// [`Tensor::make_op_t`] over untyped storage: `backward` receives the
+    /// incoming gradient in the node's dtype and returns each parent's
+    /// gradient in that parent's dtype, which need not be the node's.
+    pub(crate) fn make_op_buf(
+        data: Buf,
+        shape: Vec<usize>,
+        parents: Vec<Tensor>,
+        backward: impl Fn(&Tensor, &Buf) -> Vec<Option<Buf>> + 'static,
+    ) -> Tensor {
         let rg = !crate::inference::active()
             && parents.iter().any(Tensor::requires_grad_enabled);
         if rg {
-            let bw: BackwardFn = Box::new(move |out, grad| {
-                backward(out, grad.as_slice::<E>())
-                    .into_iter()
-                    .map(|g| g.map(Buf::from_pool))
-                    .collect()
-            });
-            Tensor::new_node_buf(Buf::from_pool(data.into()), shape, parents, Some(bw), true)
+            Tensor::new_node_buf(data, shape, parents, Some(Box::new(backward)), true)
         } else {
-            Tensor::new_node_buf(Buf::from_pool(data.into()), shape, Vec::new(), None, false)
+            Tensor::new_node_buf(data, shape, Vec::new(), None, false)
         }
     }
 

@@ -271,6 +271,15 @@ for f in im2col col2im; do
         exit 1
     fi
 done
+# One local-reparameterized conv (§10): `Tensor::conv2d_lr`. The chain it
+# fused (two convs, the second over `x.square()`) lives on only as the
+# tests' oracle, below each file's first `#[cfg(test)]`.
+for f in $(grep -rlF "square().conv2d(" crates/*/src); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nF "square().conv2d("; then
+        echo "verify: $f computes a local-reparameterized conv as an op chain beside Tensor::conv2d_lr" >&2
+        exit 1
+    fi
+done
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then

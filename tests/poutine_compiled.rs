@@ -281,6 +281,34 @@ fn lr_fit_across_the_registry_rotation_matches_dynamic_bitwise() {
     tyxe_par::set_num_threads(prev_threads);
 }
 
+/// A conv net's step stays dynamic, and its reason names the op that keeps
+/// it there rather than a node id: one `Conv2d` under local
+/// reparameterization (`Tensor::conv2d_lr`) and bare (`conv2d`).
+#[test]
+fn a_conv_step_names_the_op_that_keeps_it_dynamic() {
+    use tyxe_nn::layers::{Conv2d, GlobalAvgPool2d, Sequential};
+    let _turn = exclusive();
+    for (lr, op) in [(true, "conv2d_lr"), (false, "conv2d")] {
+        tyxe_prob::rng::set_seed(3);
+        let mut rng = StdRng::seed_from_u64(3);
+        let net = Sequential::new().add(Conv2d::new(1, 2, 3, 1, 1, &mut rng)).add(GlobalAvgPool2d::new());
+        let bnn = VariationalBnn::new(
+            net,
+            &IIDPrior::standard_normal(),
+            HomoskedasticGaussian::new(4, 0.1),
+            AutoNormal::new().init_scale(1e-2),
+        );
+        let mut optim = Adam::new(vec![], 1e-2);
+        let (x, y) = (Tensor::randn(&[4, 1, 5, 5], &mut rng), Tensor::randn(&[4, 2], &mut rng));
+        let _lr = lr.then(local_reparameterization);
+        for _ in 0..3 {
+            assert!(bnn.svi_step(&x, &y, &mut optim).is_finite());
+        }
+        let reason = bnn.plan_unsupported_reason().expect("a conv step has no plan");
+        assert!(reason.starts_with(&format!("{op}:")), "{reason}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The Tab. 2 GCN step: a structured input on the compiled path
 // ---------------------------------------------------------------------------
