@@ -123,11 +123,6 @@ impl<M: Module> BayesianModule<M> {
         &self.sites
     }
 
-    /// The prior of a named site, if Bayesian.
-    pub fn site_prior(&self, name: &str) -> Option<DynDistribution> {
-        self.sites.iter().find(|s| s.name == name).map(BnnSite::prior)
-    }
-
     /// Leaf tensors of the parameters kept deterministic (trained by
     /// maximum likelihood alongside the ELBO, like BatchNorm in the paper).
     pub fn deterministic_parameters(&self) -> Vec<Tensor> {
@@ -1182,7 +1177,7 @@ mod tests {
             AutoNormal::new(),
         );
         bnn.update_prior(&IIDPrior::normal(0.0, 5.0));
-        let prior = bnn.module().site_prior("0.weight").unwrap();
+        let prior = bnn.module().sites().iter().find(|s| s.name == "0.weight").unwrap().prior();
         assert!((prior.variance().to_vec()[0] - 25.0).abs() < 1e-9);
     }
 

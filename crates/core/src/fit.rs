@@ -708,7 +708,7 @@ fn f64_to_bits(buf: &[f64]) -> Result<[u64; 4], LoadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tyxe_prob::optim::{Adam, Sgd};
+    use tyxe_prob::optim::Adam;
 
     fn quadratic_fb(p: &Tensor) -> impl FnMut(&mut dyn Optimizer) -> f64 + '_ {
         move |optim: &mut dyn Optimizer| {
@@ -751,7 +751,7 @@ mod tests {
     #[test]
     fn nan_loss_is_retried_then_recovered() {
         let p = Tensor::zeros(&[2]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
         let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
         let mut calls = 0u32;
         let mut fb = |optim: &mut dyn Optimizer| {
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn persistent_nan_grads_skip_the_step() {
         let p = Tensor::zeros(&[2]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
         let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
         let mut fb = |optim: &mut dyn Optimizer| {
             optim.zero_grad();
@@ -794,7 +794,7 @@ mod tests {
     #[test]
     fn injected_worker_panics_are_recovered() {
         let p = Tensor::zeros(&[1]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
         let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
         let mut calls = 0u32;
         let mut fb = |optim: &mut dyn Optimizer| {
@@ -815,7 +815,7 @@ mod tests {
     fn genuine_panics_propagate() {
         let p = Tensor::zeros(&[1]).requires_grad(true);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut opt = Sgd::new(vec![p.clone()], 0.1);
+            let mut opt = Adam::new(vec![p.clone()], 0.1);
             let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
             let mut fb = |_: &mut dyn Optimizer| -> f64 { panic!("real bug") };
             sup.step(&mut opt, &mut fb)

@@ -68,17 +68,6 @@ impl AutoKTiedNormal {
         self
     }
 
-    /// Number of scale parameters (for the compression-ratio tests).
-    pub fn num_scale_parameters(&self) -> usize {
-        self.sites
-            .iter()
-            .map(|s| match &s.scale {
-                TiedScale::Factored { u, v } => u.numel() + v.numel(),
-                TiedScale::Free { log_scale } => log_scale.numel(),
-            })
-            .sum()
-    }
-
     fn site_distribution(&self, site: &KTiedSite) -> Normal {
         let scale = match &site.scale {
             TiedScale::Factored { u, v } => u.softplus().matmul(&v.softplus()),
@@ -157,6 +146,17 @@ mod tests {
     use tyxe_nn::Param;
     use tyxe_prob::poutine::trace;
 
+    /// Number of scale parameters (the compression the tying buys).
+    fn scale_param_count(g: &AutoKTiedNormal) -> usize {
+        g.sites
+            .iter()
+            .map(|s| match &s.scale {
+                TiedScale::Factored { u, v } => u.numel() + v.numel(),
+                TiedScale::Free { log_scale } => log_scale.numel(),
+            })
+            .sum()
+    }
+
     fn sites() -> Vec<BnnSite> {
         vec![
             BnnSite::new(
@@ -179,7 +179,7 @@ mod tests {
         let mut g = AutoKTiedNormal::new(2, 1e-2);
         g.setup(&sites());
         // w: u 6x2 + v 2x4 = 20 params (vs 24 untied); b: 6 free.
-        assert_eq!(g.num_scale_parameters(), 20 + 6);
+        assert_eq!(scale_param_count(&g), 20 + 6);
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         let mut g = AutoKTiedNormal::new(2, 1e-2);
         g.setup(&big);
         // 2*(100+100) = 400 vs 10_000 untied scale params.
-        assert_eq!(g.num_scale_parameters(), 400);
+        assert_eq!(scale_param_count(&g), 400);
     }
 
     #[test]

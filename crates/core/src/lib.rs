@@ -77,6 +77,6 @@ pub mod prelude {
     };
     pub use crate::priors::{DictPrior, Filter, IIDPrior, LambdaPrior, LayerwiseNormalPrior, Prior};
     pub use tyxe_prob::mcmc::{Hmc, Nuts};
-    pub use tyxe_prob::optim::{Adam, Optimizer, Sgd};
+    pub use tyxe_prob::optim::{Adam, Optimizer};
     pub use tyxe_prob::svi::ElboEstimator;
 }

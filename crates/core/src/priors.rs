@@ -7,7 +7,6 @@ use std::rc::Rc;
 use tyxe_nn::init::VarianceScheme;
 use tyxe_nn::ParamInfo;
 use tyxe_prob::dist::{boxed, DynDistribution, Normal, Uniform};
-use tyxe_tensor::Tensor;
 
 /// Selects which parameters are treated as random variables.
 ///
@@ -163,14 +162,6 @@ impl IIDPrior {
         }
     }
 
-    /// Custom i.i.d. prior from a shape-to-distribution factory.
-    pub fn from_factory(make: impl Fn(&[usize]) -> DynDistribution + 'static) -> IIDPrior {
-        IIDPrior {
-            make: Rc::new(make),
-            filter: Filter::all(),
-        }
-    }
-
     /// Replaces the hide/expose filter.
     #[must_use]
     pub fn with_filter(mut self, filter: Filter) -> IIDPrior {
@@ -205,16 +196,6 @@ impl LayerwiseNormalPrior {
             scheme,
             filter: Filter::all(),
         }
-    }
-
-    /// Parses the paper's `method` strings (`"radford"`, `"xavier"`,
-    /// `"kaiming"`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for unknown method names.
-    pub fn from_method(method: &str) -> Result<LayerwiseNormalPrior, String> {
-        Ok(LayerwiseNormalPrior::new(VarianceScheme::parse(method)?))
     }
 
     /// Replaces the hide/expose filter.
@@ -331,23 +312,11 @@ impl Prior for LambdaPrior {
     }
 }
 
-/// Helper constructing a [`DictPrior`] that freezes each site at a Normal
-/// centered on the given values with the given scale (useful in tests).
-pub fn dict_normal_prior(values: &HashMap<String, Tensor>, scale: f64) -> DictPrior {
-    let map = values
-        .iter()
-        .map(|(k, v)| {
-            let d: DynDistribution = boxed(Normal::new(v.detach(), Tensor::full(v.shape(), scale)));
-            (k.clone(), d)
-        })
-        .collect();
-    DictPrior::new(map)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tyxe_nn::Param;
+    use tyxe_tensor::Tensor;
 
     fn info(name: &str, kind: &'static str, shape: &[usize]) -> ParamInfo {
         ParamInfo {
@@ -409,12 +378,11 @@ mod tests {
 
     #[test]
     fn layerwise_prior_variances() {
-        let p = LayerwiseNormalPrior::from_method("radford").unwrap();
+        let p = LayerwiseNormalPrior::new(VarianceScheme::Radford);
         let d = p.distribution(&info("w", "Linear", &[10, 25]));
         // Variance = 1/25.
         let var = d.variance().to_vec()[0];
         assert!((var - 0.04).abs() < 1e-12);
-        assert!(LayerwiseNormalPrior::from_method("bogus").is_err());
     }
 
     #[test]
@@ -434,14 +402,5 @@ mod tests {
         });
         let d = p.distribution(&info("fc.bias", "Linear", &[2]));
         assert!((d.variance().to_vec()[0] - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dict_normal_prior_centers_on_values() {
-        let mut vals = HashMap::new();
-        vals.insert("w".to_string(), Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        let p = dict_normal_prior(&vals, 0.5);
-        let d = p.distribution(&info("w", "Linear", &[2]));
-        assert_eq!(d.mean().to_vec(), vec![1.0, 2.0]);
     }
 }

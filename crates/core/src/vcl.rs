@@ -88,9 +88,9 @@ mod tests {
 
         // The new prior of each site equals the guide's detached posterior.
         let posterior = bnn.guide().detached_distributions();
-        for name in bayesian_sample_sites(bnn.module()) {
-            let prior = bnn.module().site_prior(&name).unwrap();
-            let q = &posterior[&name];
+        for site in bnn.module().sites() {
+            let (name, prior) = (&site.name, site.prior());
+            let q = &posterior[name];
             assert_eq!(prior.mean().to_vec(), q.mean().to_vec());
             // And is no longer the standard normal.
             let m: f64 = prior.mean().to_vec().iter().map(|v| v.abs()).sum();

@@ -138,7 +138,7 @@ mod tests {
         let params = c.named_parameters();
         assert_eq!(params.len(), 1);
         assert_eq!(params[0].module_kind, "Conv2d");
-        assert_eq!(c.num_parameters(), 8 * 3 * 9);
+        assert_eq!(params[0].param.numel(), 8 * 3 * 9);
     }
 
     #[test]

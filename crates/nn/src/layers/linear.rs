@@ -123,9 +123,10 @@ mod tests {
     fn visit_params_names() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
         let l = Linear::new(3, 2, &mut rng);
-        let names: Vec<String> = l.named_parameters().into_iter().map(|p| p.name).collect();
+        let params = l.named_parameters();
+        let names: Vec<&str> = params.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, vec!["weight", "bias"]);
-        assert_eq!(l.num_parameters(), 8);
+        assert_eq!(params.iter().map(|p| p.param.numel()).sum::<usize>(), 8);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use state::StateDict;
 /// Re-export of the optimizers (shared with the probabilistic layer, like
 /// `pyro.optim` wrapping `torch.optim`).
 pub mod optim {
-    pub use tyxe_prob::optim::{Adam, Optimizer, Sgd, StepLr};
+    pub use tyxe_prob::optim::{Adam, Optimizer, StepLr};
 }
 
 #[cfg(test)]

@@ -86,16 +86,6 @@ pub trait Module {
     {
         self.named_parameters().into_iter().map(|i| i.param.leaf()).collect()
     }
-
-    /// Total number of scalar parameters.
-    fn num_parameters(&self) -> usize
-    where
-        Self: Sized,
-    {
-        let mut n = 0;
-        self.visit_params("", &mut |info| n += info.param.numel());
-        n
-    }
 }
 
 /// Computation over an input type `I`. Every input type is a
@@ -205,7 +195,7 @@ mod tests {
         assert_eq!(params.len(), 1);
         assert_eq!(params[0].name, "w");
         assert_eq!(params[0].attribute(), "w");
-        assert_eq!(m.num_parameters(), 6);
+        assert_eq!(params[0].param.numel(), 6);
     }
 
     #[test]

@@ -192,11 +192,6 @@ pub fn counter_tagged(name: &str, tags: &[(&str, &str)], unit: &'static str) -> 
     )
 }
 
-/// Look up (or register) an untagged gauge with unit `value`.
-pub fn gauge(name: &str) -> Gauge {
-    gauge_tagged(name, &[], "value")
-}
-
 /// Look up (or register) a gauge with tags and an explicit unit.
 pub fn gauge_tagged(name: &str, tags: &[(&str, &str)], unit: &'static str) -> Gauge {
     get_or_insert(
@@ -367,14 +362,9 @@ pub fn snapshot_jsonl() -> String {
 
 /// Write [`snapshot_jsonl`] to `path`, returning the record count.
 pub fn write_snapshot_jsonl(path: &std::path::Path) -> std::io::Result<usize> {
-    let snap = snapshot();
-    let mut s = String::new();
-    for rec in &snap {
-        s.push_str(&rec.to_json());
-        s.push('\n');
-    }
-    std::fs::write(path, s)?;
-    Ok(snap.len())
+    let s = snapshot_jsonl();
+    std::fs::write(path, &s)?;
+    Ok(s.lines().count())
 }
 
 #[cfg(test)]
@@ -393,7 +383,7 @@ mod tests {
 
     #[test]
     fn gauge_stores_f64() {
-        let g = gauge("test.metrics.gauge");
+        let g = gauge_tagged("test.metrics.gauge", &[], "value");
         g.set(-2.5);
         assert_eq!(g.get(), -2.5);
     }

@@ -68,10 +68,6 @@ impl Distribution for Bernoulli {
         self.logits.shape().to_vec()
     }
 
-    fn has_rsample(&self) -> bool {
-        false
-    }
-
     fn mean(&self) -> Tensor {
         self.probs()
     }

@@ -95,10 +95,6 @@ impl Distribution for Categorical {
         vec![self.n]
     }
 
-    fn has_rsample(&self) -> bool {
-        false
-    }
-
     fn mean(&self) -> Tensor {
         // The "mean prediction" for a categorical is its probability vector;
         // exposed for aggregation convenience.

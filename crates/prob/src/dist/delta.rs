@@ -43,10 +43,6 @@ impl Distribution for Delta {
         self.value.shape().to_vec()
     }
 
-    fn has_rsample(&self) -> bool {
-        true
-    }
-
     fn mean(&self) -> Tensor {
         self.value.clone()
     }
@@ -92,10 +88,6 @@ impl Distribution for Flat {
 
     fn shape(&self) -> Vec<usize> {
         self.shape.clone()
-    }
-
-    fn has_rsample(&self) -> bool {
-        false
     }
 
     fn mean(&self) -> Tensor {

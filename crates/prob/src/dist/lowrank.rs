@@ -101,10 +101,6 @@ impl Distribution for LowRankNormal {
         vec![self.d]
     }
 
-    fn has_rsample(&self) -> bool {
-        true
-    }
-
     fn mean(&self) -> Tensor {
         self.loc.clone()
     }

@@ -33,12 +33,11 @@ use tyxe_tensor::Tensor;
 /// A probability distribution over tensors of a fixed shape.
 ///
 /// Implementations sample using the crate's global RNG (see
-/// [`crate::rng::set_seed`]). Where a reparameterized sampler exists
-/// (`has_rsample`), `sample` is differentiable with respect to the
-/// distribution's parameters.
+/// [`crate::rng::set_seed`]). Where a reparameterized sampler exists,
+/// `sample` is differentiable with respect to the distribution's
+/// parameters.
 pub trait Distribution: fmt::Debug {
-    /// Draws one sample. Differentiable w.r.t. parameters iff
-    /// [`Distribution::has_rsample`] is true.
+    /// Draws one sample, reparameterized where the family allows it.
     fn sample(&self) -> Tensor;
 
     /// Log density (or mass) of `value`.
@@ -51,10 +50,6 @@ pub trait Distribution: fmt::Debug {
 
     /// Shape of a single sample.
     fn shape(&self) -> Vec<usize>;
-
-    /// Whether `sample` uses the reparameterization trick (pathwise
-    /// gradients flow to the parameters).
-    fn has_rsample(&self) -> bool;
 
     /// Distribution mean (used for initialization heuristics and
     /// aggregation).

@@ -124,10 +124,6 @@ impl Distribution for Normal {
         self.shape.clone()
     }
 
-    fn has_rsample(&self) -> bool {
-        true
-    }
-
     fn mean(&self) -> Tensor {
         self.loc.broadcast_to(&self.shape)
     }

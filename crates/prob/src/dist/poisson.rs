@@ -83,10 +83,6 @@ impl Distribution for Poisson {
         self.rate.shape().to_vec()
     }
 
-    fn has_rsample(&self) -> bool {
-        false
-    }
-
     fn mean(&self) -> Tensor {
         self.rate.clone()
     }

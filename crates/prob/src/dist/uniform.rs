@@ -63,10 +63,6 @@ impl Distribution for Uniform {
         self.shape.clone()
     }
 
-    fn has_rsample(&self) -> bool {
-        false
-    }
-
     fn mean(&self) -> Tensor {
         Tensor::full(&self.shape, 0.5 * (self.lo + self.hi))
     }

@@ -17,7 +17,7 @@ pub trait Optimizer {
     fn add_params(&mut self, params: Vec<Tensor>);
     /// The managed tensors.
     fn params(&self) -> &[Tensor];
-    /// Internal state (momentum/moment buffers, step counters) as named
+    /// Internal state (moment buffers, step counters) as named
     /// `f64` buffers, for checkpointing. Buffer order follows the managed
     /// parameter order, so it is only meaningful to restore into an
     /// optimizer whose parameters were registered in the same order.
@@ -50,97 +50,6 @@ fn restore_buffer(dst: &mut [f64], name: &str, src: &[f64]) {
         src.len()
     );
     dst.copy_from_slice(src);
-}
-
-/// Plain stochastic gradient descent with optional momentum and weight
-/// decay.
-#[derive(Debug)]
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f64,
-    momentum: f64,
-    weight_decay: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(params: Vec<Tensor>, lr: f64) -> Sgd {
-        Sgd::with_options(params, lr, 0.0, 0.0)
-    }
-
-    /// Creates an SGD optimizer with momentum and weight decay.
-    pub fn with_options(params: Vec<Tensor>, lr: f64, momentum: f64, weight_decay: f64) -> Sgd {
-        let velocity = params.iter().map(|p| vec![0.0; p.numel()]).collect();
-        Sgd {
-            params,
-            lr,
-            momentum,
-            weight_decay,
-            velocity,
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn zero_grad(&mut self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn step(&mut self) {
-        let _span = tyxe_obs::span!("prob.optim.step", "sgd");
-        let (lr, momentum, weight_decay) = (self.lr, self.momentum, self.weight_decay);
-        for (p, v) in self.params.iter().zip(self.velocity.iter_mut()) {
-            // Fused update: one pass over the data/grad/velocity lanes,
-            // in place — no parameter copy, no grad clone.
-            p.with_data_and_grad(|data, g| {
-                for i in 0..data.len() {
-                    let grad = g[i] + weight_decay * data[i];
-                    v[i] = momentum * v[i] + grad;
-                    data[i] -= lr * v[i];
-                }
-            });
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-
-    fn add_params(&mut self, params: Vec<Tensor>) {
-        for p in params {
-            self.velocity.push(vec![0.0; p.numel()]);
-            self.params.push(p);
-        }
-    }
-
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn state_buffers(&self) -> Vec<(String, Vec<f64>)> {
-        self.velocity
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (format!("velocity.{i}"), v.clone()))
-            .collect()
-    }
-
-    fn load_state_buffers(&mut self, buffers: &[(String, Vec<f64>)]) {
-        for (name, buf) in buffers {
-            if let Some(i) = name.strip_prefix("velocity.").and_then(|s| s.parse::<usize>().ok()) {
-                if let Some(v) = self.velocity.get_mut(i) {
-                    restore_buffer(v, name, buf);
-                }
-            }
-        }
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
@@ -306,33 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let p = Tensor::zeros(&[4]).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
-        for _ in 0..100 {
-            opt.zero_grad();
-            quadratic_loss(&p).backward();
-            opt.step();
-        }
-        assert!(p.to_vec().iter().all(|&v| (v - 3.0).abs() < 1e-3));
-    }
-
-    #[test]
-    fn sgd_momentum_accelerates() {
-        let run = |momentum: f64| {
-            let p = Tensor::zeros(&[1]).requires_grad(true);
-            let mut opt = Sgd::with_options(vec![p.clone()], 0.01, momentum, 0.0);
-            for _ in 0..50 {
-                opt.zero_grad();
-                quadratic_loss(&p).backward();
-                opt.step();
-            }
-            (p.to_vec()[0] - 3.0).abs()
-        };
-        assert!(run(0.9) < run(0.0));
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let p = Tensor::zeros(&[4]).requires_grad(true);
         let mut opt = Adam::new(vec![p.clone()], 0.2);
@@ -348,7 +230,7 @@ mod tests {
     fn weight_decay_shrinks_toward_zero() {
         let p = Tensor::full(&[1], 3.0).requires_grad(true);
         // Loss gradient is zero at 3.0; decay pulls below 3.
-        let mut opt = Sgd::with_options(vec![p.clone()], 0.1, 0.0, 0.5);
+        let mut opt = Adam::with_options(vec![p.clone()], 0.1, 0.9, 0.999, 1e-8, 0.5);
         for _ in 0..20 {
             opt.zero_grad();
             quadratic_loss(&p).backward();
@@ -387,7 +269,7 @@ mod tests {
     #[test]
     fn step_without_grad_is_noop() {
         let p = Tensor::full(&[1], 1.0).requires_grad(true);
-        let mut opt = Sgd::new(vec![p.clone()], 0.1);
+        let mut opt = Adam::new(vec![p.clone()], 0.1);
         opt.step();
         assert_eq!(p.to_vec(), vec![1.0]);
     }
@@ -422,38 +304,11 @@ mod tests {
     }
 
     #[test]
-    fn sgd_state_roundtrip_resumes_bitwise() {
-        let run_steps = |opt: &mut dyn Optimizer, p: &Tensor, n: usize| {
-            for _ in 0..n {
-                opt.zero_grad();
-                quadratic_loss(p).backward();
-                opt.step();
-            }
-        };
-
-        let p = Tensor::zeros(&[3]).requires_grad(true);
-        let mut opt = Sgd::with_options(vec![p.clone()], 0.05, 0.9, 0.0);
-        run_steps(&mut opt, &p, 6);
-        let state = opt.state_buffers();
-        let mid = p.to_vec();
-        run_steps(&mut opt, &p, 4);
-        let reference: Vec<u64> = p.to_vec().iter().map(|v| v.to_bits()).collect();
-
-        let q = Tensor::zeros(&[3]).requires_grad(true);
-        q.set_data(mid);
-        let mut opt2 = Sgd::with_options(vec![q.clone()], 0.05, 0.9, 0.0);
-        opt2.load_state_buffers(&state);
-        run_steps(&mut opt2, &q, 4);
-        let resumed: Vec<u64> = q.to_vec().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(resumed, reference);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn load_state_rejects_length_mismatch() {
         let p = Tensor::zeros(&[4]).requires_grad(true);
-        let mut opt = Sgd::with_options(vec![p], 0.1, 0.9, 0.0);
-        opt.load_state_buffers(&[("velocity.0".to_string(), vec![0.0; 2])]);
+        let mut opt = Adam::new(vec![p], 0.1);
+        opt.load_state_buffers(&[("m.0".to_string(), vec![0.0; 2])]);
     }
 
     #[test]

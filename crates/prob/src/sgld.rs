@@ -6,8 +6,8 @@
 //! SGLD is an [`crate::optim::Optimizer`]-shaped sampler: each step is a
 //! half-step of gradient descent on the (mini-batch estimate of the)
 //! negative log joint plus Gaussian noise with variance equal to the step
-//! size. With a polynomially decaying step size the iterates converge to
-//! the posterior.
+//! size, which is constant: the chain samples the posterior up to the
+//! step's discretization error.
 
 use tyxe_tensor::Tensor;
 
@@ -24,44 +24,12 @@ use crate::rng;
 pub struct Sgld {
     params: Vec<Tensor>,
     step_size: f64,
-    /// Step-size decay: `eps_t = a (b + t)^{-gamma}`.
-    a: f64,
-    b: f64,
-    gamma: f64,
-    t: u64,
 }
 
 impl Sgld {
     /// Creates an SGLD sampler with constant step size `step_size`.
     pub fn new(params: Vec<Tensor>, step_size: f64) -> Sgld {
-        Sgld {
-            params,
-            step_size,
-            a: step_size,
-            b: 0.0,
-            gamma: 0.0,
-            t: 0,
-        }
-    }
-
-    /// Uses the Welling–Teh polynomial decay `eps_t = a (b + t)^{-gamma}`
-    /// (they recommend `gamma` in `(0.5, 1]`).
-    #[must_use]
-    pub fn with_decay(mut self, a: f64, b: f64, gamma: f64) -> Sgld {
-        assert!(gamma >= 0.0, "Sgld: gamma must be non-negative");
-        self.a = a;
-        self.b = b;
-        self.gamma = gamma;
-        self
-    }
-
-    /// The step size that will be used for the next step.
-    pub fn current_step_size(&self) -> f64 {
-        if self.gamma == 0.0 {
-            self.step_size
-        } else {
-            self.a * (self.b + self.t as f64 + 1.0).powf(-self.gamma)
-        }
+        Sgld { params, step_size }
     }
 }
 
@@ -73,8 +41,7 @@ impl Optimizer for Sgld {
     }
 
     fn step(&mut self) {
-        let eps = self.current_step_size();
-        self.t += 1;
+        let eps = self.step_size;
         let noise_sd = eps.sqrt();
         for p in &self.params {
             let Some(g) = p.grad() else { continue };
@@ -89,12 +56,11 @@ impl Optimizer for Sgld {
     }
 
     fn learning_rate(&self) -> f64 {
-        self.current_step_size()
+        self.step_size
     }
 
     fn set_learning_rate(&mut self, lr: f64) {
         self.step_size = lr;
-        self.a = lr;
     }
 
     fn add_params(&mut self, params: Vec<Tensor>) {
@@ -137,19 +103,6 @@ mod tests {
         assert!((mean - target_mean).abs() < 0.1, "mean {mean}");
         // Discretization inflates the variance slightly; allow slack.
         assert!((var - target_var).abs() < 0.12, "var {var}");
-    }
-
-    #[test]
-    fn decay_schedule_shrinks_steps() {
-        let p = Tensor::zeros(&[1]).requires_grad(true);
-        let mut sgld = Sgld::new(vec![p.clone()], 0.1).with_decay(0.1, 1.0, 0.55);
-        let first = sgld.current_step_size();
-        for _ in 0..50 {
-            sgld.zero_grad();
-            p.square().sum().backward();
-            sgld.step();
-        }
-        assert!(sgld.current_step_size() < first * 0.2);
     }
 
     #[test]

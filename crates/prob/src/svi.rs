@@ -9,11 +9,10 @@ use crate::dist::kl_divergence;
 use crate::poutine::{replay, trace, Trace};
 
 /// How the ELBO's KL/entropy part is estimated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElboEstimator {
     /// Single-sample pathwise `Trace_ELBO`:
     /// `log p(x, z) - log q(z)` with `z ~ q` reparameterized.
-    #[default]
     Trace,
     /// `TraceMeanField_ELBO`: expected log likelihood (single sample) minus
     /// closed-form `KL(q || p)` per latent site where available (falls back

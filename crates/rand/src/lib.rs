@@ -8,7 +8,6 @@
 //! | old `rand` idiom                          | `tyxe_rand` equivalent                 |
 //! |-------------------------------------------|----------------------------------------|
 //! | `rand::rngs::StdRng::seed_from_u64(s)`    | `tyxe_rand::rngs::StdRng::seed_from_u64(s)` |
-//! | `rand::rngs::mock::StepRng::new(v, step)` | `tyxe_rand::rngs::mock::StepRng::new(v, step)` |
 //! | `use rand::{Rng, SeedableRng}`            | `use tyxe_rand::{Rng, SeedableRng}`    |
 //! | `rng.gen::<f64>()` / `gen_range` / …      | unchanged                              |
 //! | `proptest!` strategies                    | [`prop_check!`](crate::prop_check) + [`prop::Gen`] |
@@ -237,14 +236,6 @@ pub trait Rng: RngCore {
     fn sample<T, D: Distribution<T>>(&mut self, dist: D) -> T {
         dist.sample(self)
     }
-
-    /// Fisher–Yates shuffle of `slice` in place.
-    fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.gen_range(0..=i);
-            slice.swap(i, j);
-        }
-    }
 }
 
 impl<R: RngCore + ?Sized> Rng for R {}
@@ -299,21 +290,6 @@ mod tests {
         for c in counts {
             assert!((9_500..10_500).contains(&c), "{counts:?}");
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation_and_seed_stable() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut v: Vec<usize> = (0..20).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<_>>());
-
-        let mut rng2 = StdRng::seed_from_u64(9);
-        let mut v2: Vec<usize> = (0..20).collect();
-        rng2.shuffle(&mut v2);
-        assert_eq!(v, v2);
     }
 
     #[test]

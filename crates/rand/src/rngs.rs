@@ -1,5 +1,4 @@
-//! Concrete generators: the workspace-default [`StdRng`] (xoshiro256++)
-//! and the deterministic [`mock::StepRng`] used by tests.
+//! The workspace-default generator, [`StdRng`] (xoshiro256++).
 
 use crate::{RngCore, SeedableRng};
 
@@ -78,44 +77,9 @@ impl StdRng {
     }
 }
 
-pub mod mock {
-    use crate::RngCore;
-
-    /// Arithmetic-progression "generator" for tests that need fully
-    /// predictable raw output: yields `v, v+step, v+2·step, …` (wrapping).
-    #[derive(Clone, Debug)]
-    pub struct StepRng {
-        v: u64,
-        step: u64,
-    }
-
-    impl StepRng {
-        pub fn new(initial: u64, step: u64) -> StepRng {
-            StepRng { v: initial, step }
-        }
-    }
-
-    impl RngCore for StepRng {
-        fn next_u64(&mut self) -> u64 {
-            let out = self.v;
-            self.v = self.v.wrapping_add(self.step);
-            out
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn step_rng_is_an_arithmetic_progression() {
-        let mut r = mock::StepRng::new(10, 3);
-        assert_eq!(
-            (0..5).map(|_| r.next_u64()).collect::<Vec<_>>(),
-            vec![10, 13, 16, 19, 22]
-        );
-    }
 
     #[test]
     fn seeding_is_pure() {

@@ -134,8 +134,6 @@ pub trait Element:
     fn maximum(self, other: Self) -> Self;
     /// IEEE minimum.
     fn minimum(self, other: Self) -> Self;
-    /// Raw bits, zero-extended to 64 — for bitwise determinism checks.
-    fn to_bits_u64(self) -> u64;
     /// In-place hyperbolic tangent in storage precision: for `f64` the
     /// SIMD port of glibc 2.36's `tanh` ([`crate::ops::tanh_kernel`]), for
     /// `f32` the vectorizable rational approximant
@@ -174,10 +172,6 @@ impl Element for f64 {
     fn minimum(self, other: f64) -> f64 {
         f64::min(self, other)
     }
-    #[inline(always)]
-    fn to_bits_u64(self) -> u64 {
-        self.to_bits()
-    }
     fn tanh_slice(xs: &mut [f64]) {
         crate::ops::tanh_kernel::tanh_f64(xs);
     }
@@ -211,10 +205,6 @@ impl Element for f32 {
     #[inline(always)]
     fn minimum(self, other: f32) -> f32 {
         f32::min(self, other)
-    }
-    #[inline(always)]
-    fn to_bits_u64(self) -> u64 {
-        u64::from(self.to_bits())
     }
     fn tanh_slice(xs: &mut [f32]) {
         for v in xs.iter_mut() {

@@ -495,36 +495,36 @@ const VAR_FLOOR: f64 = 1e-16;
 /// `mean + sqrt(max(var, VAR_FLOOR))·ε` at one output element, rounded
 /// where the op chain `mean.add(var.clamp_min(VAR_FLOOR).sqrt().mul(ε))`
 /// stored its values: the clamp and the square root in `V`, the product
-/// and the sum in `T` (`mean` and the standard deviation widen exactly).
-/// Returns the output and the standard deviation, negated where the
-/// clamp passes no gradient (`var` below the floor, or NaN): `sd > 0`
-/// holds exactly where it does.
+/// and the sum in `f64`, the noise's dtype (`mean` and the standard
+/// deviation widen exactly). Returns the output and the standard
+/// deviation, negated where the clamp passes no gradient (`var` below the
+/// floor, or NaN): `sd > 0` holds exactly where it does.
 #[inline(always)]
-fn noise_tail<E: Element, V: Element, T: Element>(mean: E, var: V, eps: T) -> (T, V) {
+fn noise_tail<E: Element, V: Element>(mean: E, var: V, eps: f64) -> (f64, V) {
     let v = var.to_f64();
     let sd = V::from_f64(V::from_f64(v.clamp(VAR_FLOOR, f64::INFINITY)).to_f64().sqrt());
-    let noise = T::from_f64(sd.to_f64() * eps.to_f64());
-    let out = T::from_f64(mean.to_f64() + noise.to_f64());
+    let out = mean.to_f64() + sd.to_f64() * eps;
     (out, if v >= VAR_FLOOR { sd } else { -sd })
 }
 
 /// The chain's backward through [`noise_tail`] at one element, from the
 /// output's gradient `g`: the mean's gradient (the sum's, cast to `E`)
-/// and the variance's (through the product, its cast to `T`, the square
-/// root and the clamp, each rounded into its own storage).
+/// and the variance's (through the product, the square root and the
+/// clamp, each rounded into its own storage).
 #[inline(always)]
-fn noise_tail_grad<E: Element, V: Element, T: Element>(g: T, eps: T, sd: V) -> (E, V) {
-    let g_sd = V::from_f64(T::from_f64(g.to_f64() * eps.to_f64()).to_f64());
+fn noise_tail_grad<E: Element, V: Element>(g: f64, eps: f64, sd: V) -> (E, V) {
+    let g_sd = V::from_f64(g * eps);
     let g_var = if sd > V::ZERO { V::from_f64(g_sd.to_f64() * 0.5 / sd.to_f64()) } else { V::ZERO };
-    (E::from_f64(g.to_f64()), g_var)
+    (E::from_f64(g), g_var)
 }
 
-/// [`Tensor::conv2d_lr`] with the products in `E`, the noise tail's
-/// variance in `V` and the output in `T` (`E ≤ V ≤ T`). `x` and `x2` are
-/// the two products' inputs: `x` twice when the square is taken in the
-/// unfolded block (`squared`), else `x` and `x²`, both cast to `E`.
+/// [`Tensor::conv2d_lr`] with the products in `E` and the noise tail's
+/// variance in `V` (`E ≤ V`); the output is `f64`, the noise's dtype. `x`
+/// and `x2` are the two products' inputs: `x` twice when the square is
+/// taken in the unfolded block (`squared`), else `x` and `x²`, both cast
+/// to `E`.
 #[allow(clippy::too_many_arguments)]
-fn conv2d_lr_t<E: Element, V: Element, T: Element>(
+fn conv2d_lr_t<E: Element, V: Element>(
     x: &Tensor,
     x2: &Tensor,
     squared: bool,
@@ -542,11 +542,11 @@ fn conv2d_lr_t<E: Element, V: Element, T: Element>(
     // Both biases widened once: `b_loc` is `E`, `b_var` no wider than `V`.
     let bl: Option<Vec<f64>> = b_loc.map(|b| b.data_of::<E>().iter().map(|v| v.to_f64()).collect());
     let bv: Option<Vec<f64>> = b_var.map(Tensor::to_vec);
-    let mut out = pool::alloc_uninit::<T>(n * sample_out);
+    let mut out = pool::alloc_uninit::<f64>(n * sample_out);
     let mut sd = pool::alloc_uninit::<V>(n * sample_out);
     if sample_out > 0 {
-        let (xd, x2d, wl, wv, ed) = (x.data_of::<E>(), x2.data_of::<E>(), w_loc.data_of::<E>(), w_var.data_of::<E>(), eps.data_of::<T>());
-        let ed: &[T] = &ed;
+        let (xd, x2d, wl, wv, ed) = (x.data_of::<E>(), x2.data_of::<E>(), w_loc.data_of::<E>(), w_var.data_of::<E>(), eps.data_of::<f64>());
+        let ed: &[f64] = &ed;
         let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
         let parts: Vec<_> = runs_of(&mut out, sample_out, n, groups.run).into_iter().zip(runs_of(&mut sd, sample_out, n, groups.run)).collect();
         groups.forward(parts, |(o, s), first, at, gs, prods, ld| {
@@ -575,16 +575,16 @@ fn conv2d_lr_t<E: Element, V: Element, T: Element>(
     let (has_bl, bv_dtype) = (b_loc.is_some(), b_var.map(Tensor::dtype));
     Tensor::make_op_buf(Buf::from_pool(out), vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
         let _span = tyxe_obs::span!("tensor.conv2d.backward");
-        let g = grad.as_slice::<T>();
-        let (xd, x2d, wl, wv, ed) = (xc.data_of::<E>(), x2c.data_of::<E>(), wlc.data_of::<E>(), wvc.data_of::<E>(), ec.data_of::<T>());
-        let ed: &[T] = &ed;
+        let g = grad.as_slice::<f64>();
+        let (xd, x2d, wl, wv, ed) = (xc.data_of::<E>(), x2c.data_of::<E>(), wlc.data_of::<E>(), wvc.data_of::<E>(), ec.data_of::<f64>());
+        let ed: &[f64] = &ed;
         let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
         let (gx, gw) = groups.backward(|first, gs, gy| {
             let (gm, gv) = gy.split_at_mut(1);
             let span = first * sample_out..(first + gs) * sample_out;
             let cells = gm[0].iter_mut().zip(gv[0].iter_mut());
             for ((m, v), ((&gy, &e), &s)) in cells.zip(g[span.clone()].iter().zip(&ed[span.clone()]).zip(&sd[span])) {
-                let (g_mean, g_var) = noise_tail_grad::<E, V, T>(gy, e, s);
+                let (g_mean, g_var) = noise_tail_grad::<E, V>(gy, e, s);
                 (*m, *v) = (g_mean, E::from_f64(g_var.to_f64()));
             }
         });
@@ -597,14 +597,14 @@ fn conv2d_lr_t<E: Element, V: Element, T: Element>(
         let (first, second) = if squared { (gx_var, gx_mean) } else { (gx_mean, gx_var) };
         let mut grads: Vec<_> = [first, second, gw_loc, gw_var].into_iter().map(|b| Some(Buf::from_pool(b))).collect();
         if has_bl {
-            grads.push(Some(Buf::from_pool(bias_grad(n, cout, ncols, |i| E::from_f64(g[i].to_f64())))));
+            grads.push(Some(Buf::from_pool(bias_grad(n, cout, ncols, |i| E::from_f64(g[i])))));
         }
         if let Some(bdt) = bv_dtype {
             // The broadcast add's reduction: flat ascending order, in `V`,
             // cast back to the bias's own dtype.
             let mut gb = pool::alloc_zeroed::<V>(cout);
             for (i, (&gy, (&e, &s))) in g.iter().zip(ed.iter().zip(sd.iter())).enumerate() {
-                gb[(i / ncols) % cout] += noise_tail_grad::<E, V, T>(gy, e, s).1;
+                gb[(i / ncols) % cout] += noise_tail_grad::<E, V>(gy, e, s).1;
             }
             let gb = Buf::from_pool(gb);
             grads.push(Some(if bdt == V::DTYPE { gb } else { gb.cast_to(bdt) }));
@@ -701,11 +701,13 @@ impl Tensor {
     /// dtypes (both products in one compute dtype, following
     /// [`Tensor::conv2d_act`], autocast included; under a dtype change
     /// the square is taken before the cast, as the chain did). `eps` is
-    /// noise: it takes no gradient.
+    /// noise as the stream draws it, `f64`, and takes no gradient; the
+    /// output is `f64` too.
     ///
     /// # Panics
     ///
-    /// Panics on rank or shape mismatch, or if `eps` requires a gradient.
+    /// Panics on rank or shape mismatch, or if `eps` is not `f64` or
+    /// requires a gradient.
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d_lr(
         &self,
@@ -722,6 +724,7 @@ impl Tensor {
         let (n, cout, geo) = geometry(self, w_loc, stride, pad);
         assert_eq!(eps.shape(), &[n, cout, geo.ho, geo.wo], "conv2d_lr: eps must be shaped like the output");
         assert!(!eps.requires_grad_enabled(), "conv2d_lr: eps is noise and takes no gradient");
+        assert_eq!(eps.dtype(), DType::F64, "conv2d_lr: eps must be f64, as the noise stream draws it");
         let _span = conv_span(self, w_loc);
         crate::plan::mark_unsupported("conv2d_lr: a local-reparameterized convolution has no replay closure");
         let mut dt = self.dtype().promote(w_loc.dtype()).promote(w_var.dtype());
@@ -730,22 +733,19 @@ impl Tensor {
         }
         let dt = crate::autocast::compute_dtype(dt);
         let vdt = b_var.map_or(dt, |b| dt.promote(b.dtype()));
-        let tdt = vdt.promote(eps.dtype());
         let squared = self.dtype() == dt;
         let (x, x2) = if squared { (self.clone(), self.clone()) } else { (self.cast(dt), self.square().cast(dt)) };
         let (w_loc, w_var, b_loc) = (w_loc.cast(dt), w_var.cast(dt), b_loc.map(|b| b.cast(dt)));
-        let eps = eps.cast(tdt);
         macro_rules! run {
-            ($E:ty, $V:ty, $T:ty) => {
-                conv2d_lr_t::<$E, $V, $T>(&x, &x2, squared, &w_loc, &w_var, b_loc.as_ref(), b_var, &eps, stride, pad)
+            ($E:ty, $V:ty) => {
+                conv2d_lr_t::<$E, $V>(&x, &x2, squared, &w_loc, &w_var, b_loc.as_ref(), b_var, eps, stride, pad)
             };
         }
         use DType::{F32, F64};
-        match (dt, vdt, tdt) {
-            (F64, F64, F64) => run!(f64, f64, f64),
-            (F32, F32, F32) => run!(f32, f32, f32),
-            (F32, F32, F64) => run!(f32, f32, f64),
-            (F32, F64, F64) => run!(f32, f64, f64),
+        match (dt, vdt) {
+            (F64, F64) => run!(f64, f64),
+            (F32, F32) => run!(f32, f32),
+            (F32, F64) => run!(f32, f64),
             _ => unreachable!("dtype promotion never narrows"),
         }
     }
@@ -1258,8 +1258,8 @@ mod tests {
     }
 
     /// `conv2d_lr` called directly against the op chain it fuses, bit for
-    /// bit in the output and all five gradients: every dtype combination
-    /// it dispatches (`f32` noise included), an `f32` input under `f64`
+    /// bit in the output and all five gradients: every dtype pair it
+    /// dispatches (`f64` noise), an `f32` input under `f64`
     /// filters and an autocast scope (both square before the cast), and
     /// variances the floor clamps — a zero filter, a negative bias — or
     /// that are NaN, where the clamp passes no gradient. At 1 and 4
@@ -1277,19 +1277,18 @@ mod tests {
             }
             mean.add(&var.clamp_min(1e-16).sqrt().mul(eps))
         };
-        // (input, filters, bias variance, noise, autocast to f32)
+        // (input, filters, bias variance, autocast to f32)
         let dtypes = [
-            (F64, F64, F64, F64, false),
-            (F32, F32, F32, F32, false),
-            (F32, F32, F32, F64, false),
-            (F32, F32, F64, F64, false),
-            (F32, F64, F64, F64, false),
-            (F64, F64, F64, F64, true),
+            (F64, F64, F64, false),
+            (F32, F32, F32, false),
+            (F32, F32, F64, false),
+            (F32, F64, F64, false),
+            (F64, F64, F64, true),
         ];
         let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 4] {
             at_threads(threads, || {
-                for (xt, wt, bt, et, mixed) in dtypes {
+                for (xt, wt, bt, mixed) in dtypes {
                     for with_bv in [true, false] {
                         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(91);
                         let mut leaf = |shape: &[usize], dt: DType, f: &dyn Fn(usize, f64) -> f64| {
@@ -1303,7 +1302,7 @@ mod tests {
                         let bl = leaf(&[3], wt, &|_, r| r);
                         // Channel 1 below the floor, channel 2 NaN.
                         let bv = leaf(&[3], bt, &|i, r| [r.abs(), -1e-3, f64::NAN][i]);
-                        let eps = Tensor::randn(&[n, 3, 3, 3], &mut rng).cast(et);
+                        let eps = Tensor::randn(&[n, 3, 3, 3], &mut rng);
                         let gy: Vec<f64> = (0..n * 27).map(|_| rng.gen_range(-1.0..1.0)).collect();
                         let bv = with_bv.then_some(&bv);
                         let run = |fused: bool| {
@@ -1326,7 +1325,7 @@ mod tests {
                             }
                             all
                         };
-                        let what = format!("{xt:?} x, {wt:?} w, {bt:?} b_var, {et:?} eps, autocast {mixed}, b_var {with_bv}, {threads} threads");
+                        let what = format!("{xt:?} x, {wt:?} w, {bt:?} b_var, autocast {mixed}, b_var {with_bv}, {threads} threads");
                         assert_eq!(run(true), run(false), "{what}");
                     }
                 }

@@ -1285,7 +1285,7 @@ pub(crate) mod tests {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!(
-                x.to_bits_u64() == y.to_bits_u64(),
+                x.to_f64().to_bits() == y.to_f64().to_bits(),
                 "{what}: element {i} differs: {x:?} vs {y:?}"
             );
         }

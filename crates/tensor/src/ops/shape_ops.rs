@@ -1,4 +1,4 @@
-//! Shape-manipulating operations: reshape, permute, broadcast, concatenation,
+//! Shape-manipulating operations: reshape, broadcast, concatenation,
 //! slicing and row gathering.
 //!
 //! All of these are pure data movement (plus scatter-`+=` in the
@@ -8,7 +8,7 @@
 
 use crate::element::{DType, dispatch_dtype};
 use crate::pool;
-use crate::shape::{StridedWalk, numel, strides_for};
+use crate::shape::{StridedWalk, numel};
 use crate::tensor::{Buf, Tensor};
 
 impl Tensor {
@@ -54,52 +54,6 @@ impl Tensor {
         assert_eq!(shape[axis], 1, "squeeze: dim {axis} is not 1");
         shape.remove(axis);
         self.reshape(&shape)
-    }
-
-    /// Permutes dimensions. `perm` must be a permutation of `0..ndim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a valid permutation.
-    pub fn permute(&self, perm: &[usize]) -> Tensor {
-        assert_eq!(perm.len(), self.ndim(), "permute: rank mismatch");
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            assert!(p < perm.len() && !seen[p], "permute: invalid permutation {perm:?}");
-            seen[p] = true;
-        }
-        let in_shape = self.shape();
-        let out_shape: Vec<usize> = perm.iter().map(|&p| in_shape[p]).collect();
-        let in_strides = strides_for(in_shape);
-        // Output element -> input element: input strides, permuted.
-        let walk = StridedWalk::<1>::new(&out_shape, |_, d| in_strides[perm[d]]);
-        let n = self.numel();
-        dispatch_dtype!(self.dtype(), E => {
-            let mut data = pool::alloc_uninit::<E>(n);
-            {
-                let d = self.data_of::<E>();
-                walk.for_each_run(0, n, |pos, len, [o], [s]| {
-                    for (j, slot) in data[pos..pos + len].iter_mut().enumerate() {
-                        *slot = d[o + j * s];
-                    }
-                });
-            }
-            Tensor::make_op_t::<E>(
-                data,
-                out_shape,
-                vec![self.clone()],
-                move |_, grad| {
-                    // Scatter-accumulate through the permutation: zeroed.
-                    let mut g = pool::alloc_zeroed::<E>(n);
-                    walk.for_each_run(0, n, |pos, len, [o], [s]| {
-                        for (j, &gj) in grad[pos..pos + len].iter().enumerate() {
-                            g[o + j * s] += gj;
-                        }
-                    });
-                    vec![Some(g)]
-                },
-            )
-        })
     }
 
     /// Materializes `self` broadcast to `shape`.
@@ -405,16 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn permute_values_and_grad() {
-        let x = Tensor::from_vec((0..24).map(|v| v as f64).collect(), &[2, 3, 4]).requires_grad(true);
-        let y = x.permute(&[2, 0, 1]);
-        assert_eq!(y.shape(), &[4, 2, 3]);
-        assert_eq!(y.at(&[1, 0, 2]), x.at(&[0, 2, 1]));
-        y.sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![1.0; 24]);
-    }
-
-    #[test]
     fn broadcast_to_and_back() {
         let x = Tensor::from_vec(vec![1.0, 2.0], &[2, 1]).requires_grad(true);
         let y = x.broadcast_to(&[2, 3]);
@@ -492,11 +436,11 @@ mod tests {
         use crate::element::DType;
         let x = Tensor::from_vec_f32((0..6).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3])
             .requires_grad(true);
-        let y = x.reshape(&[3, 2]).permute(&[1, 0]).slice(1, 0, 2);
+        let y = x.reshape(&[3, 2]).slice(0, 0, 1);
         assert_eq!(y.dtype(), DType::F32);
-        // Column 0 of the permuted/sliced view is x's values {0, 1}
+        // Row 0 of the reshaped/sliced view is x's values {0, 1}
         // (flat indices 0 and 1), each selected twice.
-        y.index_select(1, &[0, 0]).sum().backward();
+        y.index_select(0, &[0, 0]).sum().backward();
         assert_eq!(x.grad().unwrap(), vec![2.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
     }
 

@@ -358,12 +358,6 @@ impl<E: Element> PoolBuf<E> {
         unsafe { std::slice::from_raw_parts_mut(self.words.as_mut_ptr().cast::<E>(), self.len) }
     }
 
-    /// Word capacity of the backing storage (test introspection).
-    #[cfg(test)]
-    pub(crate) fn word_capacity(&self) -> usize {
-        self.words.capacity()
-    }
-
     /// Moves this buffer into a differently-parameterized `PoolBuf`
     /// where the caller holds runtime proof (a match on
     /// [`Element::DTYPE`]) that `B` *is* `E`. Bridges generic code to
@@ -414,6 +408,14 @@ impl<E: Element> std::ops::DerefMut for PoolBuf<E> {
 impl<E: Element> std::fmt::Debug for PoolBuf<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         self.as_slice().fmt(f)
+    }
+}
+
+#[cfg(test)]
+impl<E: Element> PoolBuf<E> {
+    /// Word capacity of the backing storage (test introspection).
+    pub(crate) fn word_capacity(&self) -> usize {
+        self.words.capacity()
     }
 }
 

@@ -83,8 +83,7 @@ struct Axis<const K: usize> {
 /// operands, the flat offset of the element every output element reads.
 ///
 /// An operand is described by its strides in *output* coordinates — 0 on
-/// a dimension it is broadcast along, its own row-major stride otherwise,
-/// or a permuted stride for [`Tensor::permute`](crate::Tensor::permute).
+/// a dimension it is broadcast along, its own row-major stride otherwise.
 /// The geometry is fixed when the walk is built, which is when the op
 /// using it is built; walking it allocates nothing. Size-1 dimensions are
 /// dropped and adjacent dimensions every operand steps through
