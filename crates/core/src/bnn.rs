@@ -10,7 +10,7 @@ use tyxe_prob::mcmc::{ChainStats, Kernel, Mcmc, Samples};
 use tyxe_prob::optim::Optimizer;
 use tyxe_prob::poutine::{replay, sample, trace};
 use tyxe_prob::svi::{add_mean_field_kl, negative_elbo, ElboEstimator};
-use tyxe_tensor::{plan, RawData, Tensor};
+use tyxe_tensor::{plan, Tensor};
 
 use crate::fit::{Supervisor, SupervisorConfig};
 use crate::guides::Guide;
@@ -170,16 +170,6 @@ impl<M: Module> BayesianModule<M> {
     }
 }
 
-/// Rehydrates one cached weight draw into per-site tensors (shape from
-/// each site's parameter, bits straight from the cache).
-fn raw_draw_to_tensors(sites: &[BnnSite], draw: &[RawData]) -> Vec<Tensor> {
-    sites
-        .iter()
-        .zip(draw)
-        .map(|(site, raw)| Tensor::from_raw(raw, &site.param.shape()))
-        .collect()
-}
-
 /// Shared by every front-end's `evaluate`: the paper's per-sample
 /// predictive log likelihood (`log (1/S) Σ_s p(y | θ_s)`, averaged over
 /// data points) plus the likelihood-specific error on the aggregated
@@ -208,13 +198,13 @@ pub(crate) fn add_missing_params(optim: &mut dyn Optimizer, params: Vec<Tensor>)
 }
 
 /// The one predictive loop every weight-sampling front-end shares: one
-/// grad-free forward per cached weight draw, with the draw injected
-/// straight into the parameter slots (no poutine walk, no tape), handed
-/// to `sink` in ascending sample order.
+/// grad-free forward per cached weight draw, with the draw's tensors
+/// injected as they are into the parameter slots (no poutine walk, no
+/// tape, no copy), handed to `sink` in ascending sample order.
 fn forward_each<M, I>(
     module: &BayesianModule<M>,
     input: &I,
-    draws: &[Vec<RawData>],
+    draws: &[Vec<Tensor>],
     sink: &mut dyn FnMut(Tensor),
 ) where
     M: Module + Forward<I, Output = Tensor>,
@@ -222,8 +212,7 @@ fn forward_each<M, I>(
     predictive::note_samples(draws.len() as u64);
     let _guard = tyxe_tensor::inference::inference_mode();
     for draw in draws {
-        let values = raw_draw_to_tensors(module.sites(), draw);
-        sink(module.forward_with_values(input, &values));
+        sink(module.forward_with_values(input, draw));
     }
 }
 
@@ -526,16 +515,17 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         M: Forward<I, Output = Tensor>,
     {
         let draws = self.predictive.get_or_fill(self.guide_epoch.get(), num_predictions, || {
-            self.draw_posterior_raw(num_predictions)
+            self.draw_posterior(num_predictions)
         });
         forward_each(&self.module, input, &draws, sink);
     }
 
-    /// Draws `s` posterior weight samples into flat per-site buffers (in
+    /// Draws `s` posterior weight samples, one tensor per site (in
     /// `module.sites()` order): one `trace(sample_guide)` walk per
-    /// sample, and a prior draw for any site the guide's trace does not
-    /// name (what replaying that trace through the model would do).
-    fn draw_posterior_raw(&self, s: usize) -> Vec<Vec<RawData>> {
+    /// sample, keeping each traced value, and a prior draw for any site
+    /// the guide's trace does not name (what replaying that trace through
+    /// the model would do). Drawn grad-free, so no value keeps a tape.
+    fn draw_posterior(&self, s: usize) -> Vec<Vec<Tensor>> {
         let _guard = tyxe_tensor::inference::inference_mode();
         (0..s)
             .map(|_| {
@@ -543,9 +533,13 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
                 self.module
                     .sites()
                     .iter()
-                    .map(|site| match gtr.site(&site.name) {
-                        Some(drawn) => drawn.value.raw_data(),
-                        None => site.prior().sample().raw_data(),
+                    .map(|site| {
+                        let value = match gtr.site(&site.name) {
+                            Some(drawn) => drawn.value.clone(),
+                            None => site.prior().sample(),
+                        };
+                        assert_eq!(value.shape(), &site.param.shape()[..], "site {}: drawn value's shape", site.name);
+                        value
                     })
                     .collect()
             })
@@ -591,8 +585,8 @@ pub struct McmcBnn<M, L, K> {
     kernel: Option<K>,
     samples: Option<Samples>,
     chain_stats: Option<ChainStats>,
-    /// Flat copies of the chain draws `predict` uses; the chain is
-    /// immutable after `fit`, so the guide epoch is always 0.
+    /// The chain draws `predict` uses, shared with [`McmcBnn::samples`];
+    /// the chain is immutable after `fit`, so the guide epoch is always 0.
     predictive: SampleCache,
 }
 
@@ -684,13 +678,13 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
     {
         let draws = self
             .predictive
-            .get_or_fill(0, num_predictions, || self.chain_raw_samples(num_predictions));
+            .get_or_fill(0, num_predictions, || self.chain_draws(num_predictions));
         forward_each(&self.module, input, &draws, sink);
     }
 
-    /// Flat per-site buffers for `s` draws spread evenly over the chain
-    /// (fewer when the chain retained fewer than `s`).
-    fn chain_raw_samples(&self, s: usize) -> Vec<Vec<RawData>> {
+    /// The chain's own sample tensors for `s` draws spread evenly over the
+    /// chain (fewer when the chain retained fewer than `s`), one per site.
+    fn chain_draws(&self, s: usize) -> Vec<Vec<Tensor>> {
         let samples = self.samples();
         let total = samples.num_samples();
         assert!(total > 0, "no posterior samples retained");
@@ -704,7 +698,7 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
         (0..total)
             .step_by(stride)
             .take(s)
-            .map(|i| chains.iter().map(|chain| chain[i].raw_data()).collect())
+            .map(|i| chains.iter().map(|chain| chain[i].clone()).collect())
             .collect()
     }
 

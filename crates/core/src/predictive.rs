@@ -7,9 +7,9 @@
 //!    [`tyxe_tensor::inference::inference_mode`], so no autodiff tape is
 //!    built for predictions that were going to be detached anyway.
 //! 2. **Posterior-sample cache** ([`SampleCache`]) — S weight samples
-//!    are drawn once into flat per-site buffers and reused across calls
-//!    until the owner's guide epoch, the global plan generation, the
-//!    autocast mode or the requested S changes.
+//!    are drawn once, one detached tensor per site, and injected as they
+//!    are into every later call until the owner's guide epoch, the global
+//!    plan generation, the autocast mode or the requested S changes.
 //! 3. **Streaming aggregation** ([`aggregate_streamed`]) — likelihoods
 //!    with a [`crate::likelihoods::PredictiveFold`] fold predictions one
 //!    at a time instead of materializing all S.
@@ -17,7 +17,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use tyxe_tensor::{RawData, Tensor};
+use tyxe_tensor::Tensor;
 
 use crate::likelihoods::Likelihood;
 
@@ -47,9 +47,9 @@ pub(crate) fn note_samples(n: u64) {
 }
 
 /// Pre-drawn posterior weight samples: `draws[s][site]` holds the s-th
-/// draw of the site-th Bayesian parameter (in `module.sites()` order) as
-/// a flat buffer.
-pub(crate) type WeightDraws = Rc<Vec<Vec<RawData>>>;
+/// draw of the site-th Bayesian parameter (in `module.sites()` order), a
+/// detached tensor of the site's shape that nothing writes into.
+pub(crate) type WeightDraws = Rc<Vec<Vec<Tensor>>>;
 
 /// What a cache fill is valid for: the owner's guide epoch (bumped on
 /// every guide-parameter update it can see), the global plan generation
@@ -75,7 +75,7 @@ impl SampleCache {
         &self,
         epoch: u64,
         s: usize,
-        draw: impl FnOnce() -> Vec<Vec<RawData>>,
+        draw: impl FnOnce() -> Vec<Vec<Tensor>>,
     ) -> WeightDraws {
         let key = (epoch, tyxe_tensor::plan::generation(), tyxe_tensor::autocast::code(), s);
         if let Some((k, draws)) = &*self.slot.borrow() {

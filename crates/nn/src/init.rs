@@ -44,20 +44,6 @@ impl VarianceScheme {
             VarianceScheme::Kaiming => 2.0 / fan_in as f64,
         }
     }
-
-    /// Parses the paper's `method` strings.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message for unknown scheme names.
-    pub fn parse(name: &str) -> Result<VarianceScheme, String> {
-        match name {
-            "radford" => Ok(VarianceScheme::Radford),
-            "xavier" => Ok(VarianceScheme::Xavier),
-            "kaiming" => Ok(VarianceScheme::Kaiming),
-            other => Err(format!("unknown variance scheme {other:?}")),
-        }
-    }
 }
 
 /// Samples a weight tensor from the uniform Kaiming scheme Pytorch uses by
@@ -86,14 +72,6 @@ mod tests {
         assert!((VarianceScheme::Radford.variance(&shape) - 0.05).abs() < 1e-12);
         assert!((VarianceScheme::Xavier.variance(&shape) - 2.0 / 30.0).abs() < 1e-12);
         assert!((VarianceScheme::Kaiming.variance(&shape) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_known_and_unknown() {
-        assert_eq!(VarianceScheme::parse("radford"), Ok(VarianceScheme::Radford));
-        assert_eq!(VarianceScheme::parse("xavier"), Ok(VarianceScheme::Xavier));
-        assert_eq!(VarianceScheme::parse("kaiming"), Ok(VarianceScheme::Kaiming));
-        assert!(VarianceScheme::parse("lecun").is_err());
     }
 
     #[test]

@@ -53,10 +53,10 @@ activation!(
     |x: &Tensor| x.tanh()
 );
 activation!(
-    /// Logistic sigmoid.
+    /// Logistic sigmoid. Not fused: it runs as its own op.
     Sigmoid,
     "Sigmoid",
-    Some(Activation::Sigmoid),
+    None,
     |x: &Tensor| x.sigmoid()
 );
 activation!(

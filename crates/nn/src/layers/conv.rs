@@ -72,18 +72,6 @@ impl Module for Conv2d {
         "Conv2d"
     }
 
-    fn forward_act(&self, input: &Tensor, act: tyxe_tensor::ops::Activation) -> Option<Tensor> {
-        let bias = self.bias.as_ref().map(Param::value);
-        Some(effectful::conv2d_act(
-            input,
-            &self.weight.value(),
-            bias.as_ref(),
-            self.stride,
-            self.padding,
-            act,
-        ))
-    }
-
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(ParamInfo)) {
         f(ParamInfo {
             name: join_path(prefix, "weight"),

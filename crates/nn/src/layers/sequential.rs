@@ -113,11 +113,11 @@ impl Forward<Tensor> for Sequential {
     type Output = Tensor;
 
     fn forward(&self, input: &Tensor) -> Tensor {
-        // Peephole fusion: a layer followed by a fusable elementwise
-        // activation (Relu/Tanh/Sigmoid after Linear/Conv2d) runs as one
-        // fused forward. Bit-identical to the unfused chain — the fused
-        // kernel applies the same scalar recipe in the same order — so this
-        // only saves a graph node and an output buffer.
+        // Peephole fusion: a `Linear` followed by a fusable elementwise
+        // activation (Relu/Tanh) runs as one fused forward. Bit-identical
+        // to the unfused chain — the fused kernel applies the same scalar
+        // recipe in the same order — so this only saves a graph node and
+        // an output buffer.
         let mut x = input.clone();
         let mut i = 0;
         while i < self.layers.len() {

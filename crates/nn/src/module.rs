@@ -62,7 +62,7 @@ pub trait Module {
     }
 
     /// Forward pass with a fused trailing activation, for modules whose
-    /// output feeds straight into `act` (currently `Linear` and `Conv2d`).
+    /// output feeds straight into `act` (only `Linear`).
     /// `None` means the caller must use plain `forward` plus a separate
     /// activation layer.
     fn forward_act(&self, _input: &Tensor, _act: Activation) -> Option<Tensor> {

@@ -99,7 +99,6 @@ impl Normal {
         self.scale.get_or_init(|| match self.map {
             ScaleMap::Identity => self.raw_scale.clone(),
             ScaleMap::Exp => self.raw_scale.exp(),
-            ScaleMap::Softplus => self.raw_scale.softplus(),
         })
     }
 }

@@ -458,17 +458,6 @@ pub mod effectful {
     use super::*;
     use tyxe_tensor::ops::Activation;
 
-    /// Applies a trailing activation as a standalone op (used when a handler
-    /// intercepted the affine part, so the fused kernel is unavailable).
-    fn apply_activation(t: Tensor, act: Activation) -> Tensor {
-        match act {
-            Activation::Identity => t,
-            Activation::Relu => t.relu(),
-            Activation::Tanh => t.tanh(),
-            Activation::Sigmoid => t.sigmoid(),
-        }
-    }
-
     /// Dense affine map `x @ w^T + b` with `x: [n, in]`, `w: [out, in]`.
     ///
     /// Handlers are consulted innermost-first; the first interception wins.
@@ -485,7 +474,13 @@ pub mod effectful {
         let stack = snapshot_stack();
         for h in stack.iter().rev() {
             if let Some(out) = h.intercept_linear(x, w, b) {
-                return apply_activation(out, act);
+                // The handler computed the affine part, so the activation
+                // runs as its own op.
+                return match act {
+                    Activation::Identity => out,
+                    Activation::Relu => out.relu(),
+                    Activation::Tanh => out.tanh(),
+                };
             }
         }
         x.linear(w, b, act)
@@ -493,26 +488,13 @@ pub mod effectful {
 
     /// 2-D convolution with handler interception (see [`linear`]).
     pub fn conv2d(x: &Tensor, w: &Tensor, b: Option<&Tensor>, stride: usize, pad: usize) -> Tensor {
-        conv2d_act(x, w, b, stride, pad, Activation::Identity)
-    }
-
-    /// [`conv2d`] with a fused trailing elementwise activation (same
-    /// interception contract as [`linear_act`]).
-    pub fn conv2d_act(
-        x: &Tensor,
-        w: &Tensor,
-        b: Option<&Tensor>,
-        stride: usize,
-        pad: usize,
-        act: Activation,
-    ) -> Tensor {
         let stack = snapshot_stack();
         for h in stack.iter().rev() {
             if let Some(out) = h.intercept_conv2d(x, w, b, stride, pad) {
-                return apply_activation(out, act);
+                return out;
             }
         }
-        x.conv2d_act(w, b, stride, pad, act)
+        x.conv2d(w, b, stride, pad)
     }
 
     /// Training-mode inverted dropout with handler interception. The

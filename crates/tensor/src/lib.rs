@@ -90,7 +90,7 @@ mod tensor;
 
 pub use element::{DType, Element};
 pub use grad_check::{check_gradient, GradCheckReport};
-pub use tensor::{RawData, Tensor};
+pub use tensor::Tensor;
 
 #[cfg(test)]
 mod integration_tests {

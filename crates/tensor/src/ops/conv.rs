@@ -27,8 +27,8 @@
 //!
 //! Everything is generic over the storage dtype: data movement
 //! (im2col/col2im, pooling argmax scatter) and all accumulations run
-//! natively in the element type, and the fused bias/activation pass and
-//! the noise tail round at the same boundaries as the standalone ops.
+//! natively in the element type, and the bias pass and the noise tail
+//! round at the same boundaries as the standalone ops.
 //!
 //! Neither convolution has a replay closure: under a step-plan recording
 //! each marks it unsupported with its own name (`conv2d: …`,
@@ -37,7 +37,6 @@
 use std::ops::Range;
 
 use crate::element::{DType, Element, dispatch_dtype};
-use crate::ops::fused::Activation;
 use crate::ops::gemm_kernels::{NC, gemm_at_ow_here, gemm_bt_ow_batched, gemm_ow_here};
 use crate::pool;
 use crate::tensor::{Buf, Tensor};
@@ -405,15 +404,7 @@ fn dims4(t: &Tensor) -> [usize; 4] {
     [s[0], s[1], s[2], s[3]]
 }
 
-#[allow(clippy::too_many_arguments)]
-fn conv2d_act_t<E: Element>(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    stride: usize,
-    pad: usize,
-    act: Activation,
-) -> Tensor {
+fn conv2d_t<E: Element>(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, stride: usize, pad: usize) -> Tensor {
     let (n, cout, geo) = geometry(input, weight, stride, pad);
     let ncols = geo.ncols();
     let sample_out = cout * ncols;
@@ -434,9 +425,6 @@ fn conv2d_act_t<E: Element>(
                 for (co, orow) in os.chunks_mut(ncols).enumerate() {
                     let prow = &prods[0][co * ld + si * ncols..][..ncols];
                     match bd {
-                        // Round the biased pre-activation to storage
-                        // before the activation, as the unfused
-                        // add → act chain would.
                         Some(bd) => {
                             let b = bd[co].to_f64();
                             for (v, &p) in orow.iter_mut().zip(prow) {
@@ -447,7 +435,6 @@ fn conv2d_act_t<E: Element>(
                     }
                 }
             }
-            act.apply_slice(o);
         });
     }
 
@@ -458,23 +445,8 @@ fn conv2d_act_t<E: Element>(
     if let Some(b) = bias {
         parents.push(b.clone());
     }
-    Tensor::make_op_t::<E>(out, vec![n, cout, geo.ho, geo.wo], parents, move |out, grad| {
+    Tensor::make_op_t::<E>(out, vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
         let _span = tyxe_obs::span!("tensor.conv2d.backward");
-        // Pre-activation gradient from the stored output; with
-        // Identity the incoming gradient is used directly.
-        let yd = out.data_of::<E>();
-        let gpre_buf: Option<pool::PoolBuf<E>> = match act {
-            Activation::Identity => None,
-            _ => {
-                let mut g = pool::alloc_uninit::<E>(grad.len());
-                for ((slot, &y), &gv) in g.iter_mut().zip(yd.iter()).zip(grad.iter()) {
-                    *slot = E::from_f64(act.grad_from_output(y.to_f64(), gv.to_f64()));
-                }
-                Some(g)
-            }
-        };
-        drop(yd);
-        let grad: &[E] = gpre_buf.as_deref().unwrap_or(grad);
         let (x, wd) = (xc.data_of::<E>(), wc.data_of::<E>());
         let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]], None);
         let (gx, gw) = groups.backward(|first, gs, gy| {
@@ -640,19 +612,6 @@ impl Tensor {
     ///
     /// Returns `[N, Cout, Ho, Wo]` with `Ho = (H + 2*pad - Kh)/stride + 1`.
     ///
-    /// # Panics
-    ///
-    /// Panics on rank mismatch or if `Cin` disagrees between input and
-    /// weight.
-    pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, stride: usize, pad: usize) -> Tensor {
-        self.conv2d_act(weight, bias, stride, pad, Activation::Identity)
-    }
-
-    /// 2-D convolution with bias and activation fused into the forward
-    /// pass: each output tile gets `act(conv + b)` applied while still
-    /// cache-hot, and the backward recovers the activation derivative
-    /// from the stored output. `act = Identity` is exactly [`Tensor::conv2d`].
-    ///
     /// Dtype follows [`Tensor::matmul`]: mixed operands promote to the
     /// wider type, and under an active [`crate::autocast`] guard the
     /// convolution computes in the autocast target with the operand
@@ -662,14 +621,7 @@ impl Tensor {
     ///
     /// Panics on rank mismatch or if `Cin` disagrees between input and
     /// weight.
-    pub fn conv2d_act(
-        &self,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        stride: usize,
-        pad: usize,
-        act: Activation,
-    ) -> Tensor {
+    pub fn conv2d(&self, weight: &Tensor, bias: Option<&Tensor>, stride: usize, pad: usize) -> Tensor {
         check_conv(self, weight, &[bias]);
         let _span = conv_span(self, weight);
         crate::plan::mark_unsupported("conv2d: a convolution has no replay closure");
@@ -681,7 +633,7 @@ impl Tensor {
         let x = self.cast(dt);
         let weight = weight.cast(dt);
         let bias = bias.map(|b| b.cast(dt));
-        dispatch_dtype!(dt, E => conv2d_act_t::<E>(&x, &weight, bias.as_ref(), stride, pad, act))
+        dispatch_dtype!(dt, E => conv2d_t::<E>(&x, &weight, bias.as_ref(), stride, pad))
     }
 
     /// Local reparameterization's convolution (Kingma et al., 2015) as one
@@ -699,7 +651,7 @@ impl Tensor {
     /// `clamp_min(1e-16).sqrt()` of `self.square()` convolved with `w_var`,
     /// plus `b_var`, bit for bit, rounding where that chain stored, in its
     /// dtypes (both products in one compute dtype, following
-    /// [`Tensor::conv2d_act`], autocast included; under a dtype change
+    /// [`Tensor::conv2d`], autocast included; under a dtype change
     /// the square is taken before the cast, as the chain did). `eps` is
     /// noise as the stream draws it, `f64`, and takes no gradient; the
     /// output is `f64` too.
@@ -943,13 +895,13 @@ mod tests {
         let x64 = Tensor::randn(&[2, 2, 4, 4], &mut rng).requires_grad(true);
         let w64 = Tensor::randn(&[3, 2, 3, 3], &mut rng).requires_grad(true);
         let b64 = Tensor::randn(&[3], &mut rng).requires_grad(true);
-        let y64 = x64.conv2d_act(&w64, Some(&b64), 2, 1, Activation::Relu);
+        let y64 = x64.conv2d(&w64, Some(&b64), 2, 1).relu();
         y64.sum().backward();
 
         let x = x64.detach().cast(DType::F32).detach().requires_grad(true);
         let w = w64.detach().cast(DType::F32).detach().requires_grad(true);
         let b = b64.detach().cast(DType::F32).detach().requires_grad(true);
-        let y = x.conv2d_act(&w, Some(&b), 2, 1, Activation::Relu);
+        let y = x.conv2d(&w, Some(&b), 2, 1).relu();
         assert_eq!(y.dtype(), DType::F32);
         y.sum().backward();
         for (a, b) in y.to_vec().iter().zip(y64.to_vec().iter()) {
@@ -1149,12 +1101,13 @@ mod tests {
         }
     }
 
-    /// `n` samples of one `SHAPES` entry through the op (bias, relu, an
-    /// upstream gradient) and through a per-sample oracle — the oracle
-    /// unfold, `gemm_*_ref` per sample, dW partials summed in ascending
-    /// sample order, the oracle fold — compared bit for bit: output, dX,
-    /// dW and db.
+    /// `n` samples of one `SHAPES` entry through the op (bias, then a
+    /// standalone `relu`, an upstream gradient) and through a per-sample
+    /// oracle — the oracle unfold, `gemm_*_ref` per sample, relu by the
+    /// fused activation's recipe, dW partials summed in ascending sample
+    /// order, the oracle fold — compared bit for bit: output, dX, dW and db.
     fn check_against_per_sample_oracle<E: Element>(n: usize, shape: ConvShape, seed: u64) {
+        use crate::ops::fused::Activation;
         use crate::ops::gemm_kernels::{gemm_at_ow_ref, gemm_bt_ow_ref, gemm_ow_ref};
         use tyxe_rand::{Rng, SeedableRng};
         let (cin, h, w, cout, kh, kw, stride, pad) = shape;
@@ -1200,7 +1153,7 @@ mod tests {
             Tensor::from_vec(f, shape).cast(E::DTYPE).detach().requires_grad(true)
         };
         let (xt, wtt, bt) = (leaf(&x, &[n, cin, h, w]), leaf(&wt, &[cout, cin, kh, kw]), leaf(&b, &[cout]));
-        let out = xt.conv2d_act(&wtt, Some(&bt), stride, pad, act);
+        let out = xt.conv2d(&wtt, Some(&bt), stride, pad).relu();
         out.backward_with_grad(&gy.iter().map(|e| e.to_f64()).collect::<Vec<_>>());
         let what = format!("{} n={n} {shape:?} at {} threads", E::DTYPE, tyxe_par::num_threads());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -2,7 +2,7 @@
 //!
 //! SVI training rebuilds the same small graph every step, so per-op
 //! overhead (graph nodes, buffer traffic, separate elementwise passes)
-//! dominates once the GEMMs are fast. This module fuses the three
+//! dominates once the GEMMs are fast. This module fuses the two
 //! patterns that appear in every step:
 //!
 //! * [`Tensor::linear`] — `act(x·Wᵀ + b)` in one graph node: the
@@ -13,8 +13,6 @@
 //!   buffer and a fused backward (the positive-scale transform `map` is
 //!   folded in, and its value is stashed so the backward never
 //!   recomputes `exp`).
-//! * `conv2d_act` (see [`Tensor::conv2d_act`]) — convolution with bias
-//!   and activation applied while the output tile is still hot.
 //!
 //! All fusions preserve the exact scalar recipes of the unfused ops
 //! (`unary.rs` activations, `binary.rs` add/mul), so fusing a call site
@@ -25,9 +23,10 @@
 //! add, after the activation, after each product) so `f32` fusion stays
 //! bitwise too.
 //!
-//! Activations that can recover their derivative from the *output*
-//! (`relu`, `tanh`, `sigmoid`) are fusable; `softplus` is not (its
-//! inverse is unstable), so softplus call sites keep the separate op.
+//! Each variant a caller reaches is fused, and no other: `relu` and
+//! `tanh` (both recover their derivative from the *output*) after a
+//! `Linear`, and `exp` as the guides' scale map. Every other activation,
+//! and every activation after a convolution, runs as its own op.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -38,7 +37,7 @@ use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::tensor::Tensor;
 
-/// Activation fused into [`Tensor::linear`] / [`Tensor::conv2d_act`].
+/// Activation fused into [`Tensor::linear`].
 ///
 /// Each variant's forward map is the exact recipe of the corresponding
 /// standalone op in `unary.rs`, and its gradient is recoverable from the
@@ -52,33 +51,29 @@ pub enum Activation {
     Relu,
     /// `tanh(x)` — matches [`Tensor::tanh`].
     Tanh,
-    /// `1 / (1 + e^-x)` — matches [`Tensor::sigmoid`].
-    Sigmoid,
 }
 
 impl Activation {
     /// The forward map, in place over storage elements. Tanh runs the
     /// per-dtype slice recipe [`Element::tanh_slice`] — the same kernel
     /// the standalone [`Tensor::tanh`] runs, so fusing never changes
-    /// bits — and the other variants keep the widen-compute-round
-    /// contract with the unfused op's scalar recipe.
+    /// bits — and relu keeps the widen-compute-round contract with the
+    /// unfused op's scalar recipe.
     pub(crate) fn apply_slice<E: Element>(self, xs: &mut [E]) {
-        let scalar = |f: fn(f64) -> f64, xs: &mut [E]| {
-            for v in xs.iter_mut() {
-                *v = E::from_f64(f(v.to_f64()));
-            }
-        };
         match self {
             Activation::Identity => {}
-            Activation::Relu => scalar(|x| x.max(0.0), xs),
+            Activation::Relu => {
+                for v in xs.iter_mut() {
+                    *v = E::from_f64(v.to_f64().max(0.0));
+                }
+            }
             Activation::Tanh => E::tanh_slice(xs),
-            Activation::Sigmoid => scalar(|x| 1.0 / (1.0 + (-x).exp()), xs),
         }
     }
 
     /// `d act / d x · g`, expressed in terms of the *output* `y` with the
     /// same expression the unfused backward uses (`y > 0 ⟺ x > 0` for
-    /// relu; `1 - y²` for tanh; `y(1-y)` for sigmoid).
+    /// relu; `1 - y²` for tanh).
     #[inline(always)]
     pub(crate) fn grad_from_output(self, y: f64, g: f64) -> f64 {
         match self {
@@ -91,7 +86,6 @@ impl Activation {
                 }
             }
             Activation::Tanh => g * (1.0 - y * y),
-            Activation::Sigmoid => g * y * (1.0 - y),
         }
     }
 }
@@ -105,49 +99,27 @@ pub enum ScaleMap {
     Identity,
     /// `sd = exp(raw)` — matches [`Tensor::exp`].
     Exp,
-    /// `sd = ln(1 + exp(raw))` (stable) — matches [`Tensor::softplus`].
-    Softplus,
 }
 
 impl ScaleMap {
-    /// The forward scalar map (identical to the unfused op's).
-    #[inline(always)]
-    pub fn apply(self, raw: f64) -> f64 {
-        match self {
-            ScaleMap::Identity => raw,
-            ScaleMap::Exp => raw.exp(),
-            ScaleMap::Softplus => {
-                if raw > 30.0 {
-                    raw
-                } else if raw < -30.0 {
-                    raw.exp()
-                } else {
-                    raw.exp().ln_1p()
-                }
-            }
-        }
-    }
-
     /// The forward map on a storage element: `Exp` routes through the
     /// per-dtype recipe [`Element::exp_e`] (shared with the standalone
     /// [`Tensor::exp`], so the fused draw matches the composite chain
-    /// bitwise); `Identity` and `Softplus` keep widen-compute-round.
+    /// bitwise).
     #[inline(always)]
-    pub(crate) fn apply_e<E: Element>(self, raw: E) -> E {
+    fn apply_e<E: Element>(self, raw: E) -> E {
         match self {
+            ScaleMap::Identity => raw,
             ScaleMap::Exp => raw.exp_e(),
-            _ => E::from_f64(self.apply(raw.to_f64())),
         }
     }
 
-    /// `d map / d raw` in terms of the *output* `sd`: `exp' = exp = sd`;
-    /// `softplus' = sigmoid(raw) = 1 - e^{-sd}` (stable since `sd ≥ 0`).
+    /// `d map / d raw` in terms of the *output* `sd`: `exp' = exp = sd`.
     #[inline(always)]
     fn deriv_from_output(self, sd: f64) -> f64 {
         match self {
             ScaleMap::Identity => 1.0,
             ScaleMap::Exp => sd,
-            ScaleMap::Softplus => 1.0 - (-sd).exp(),
         }
     }
 }
@@ -388,8 +360,8 @@ impl Tensor {
     ///
     /// All three tensors must share one shape — broadcasting callers use
     /// the composite ops instead. The transformed scale is computed once
-    /// and stashed for the backward, so `exp`/`softplus` run exactly
-    /// once per element per step.
+    /// and stashed for the backward, so `exp` runs exactly once per
+    /// element per step.
     ///
     /// The draw computes in `loc`'s dtype (`loc` is the parameter
     /// master); `raw_scale` and `eps` are cast to join it if they
@@ -434,7 +406,7 @@ mod tests {
     #[test]
     fn linear_matches_unfused_chain() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(11);
-        for act in [Activation::Identity, Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+        for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
             let x0 = Tensor::randn(&[5, 3], &mut rng);
             let w0 = Tensor::randn(&[4, 3], &mut rng);
             let b0 = Tensor::randn(&[4], &mut rng);
@@ -451,7 +423,6 @@ mod tests {
                         Activation::Identity => pre,
                         Activation::Relu => pre.relu(),
                         Activation::Tanh => pre.tanh(),
-                        Activation::Sigmoid => pre.sigmoid(),
                     }
                 };
                 y.mul(&y).sum().backward();
@@ -475,7 +446,7 @@ mod tests {
     #[test]
     fn f32_linear_matches_unfused_chain() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(19);
-        for act in [Activation::Identity, Activation::Relu, Activation::Tanh, Activation::Sigmoid] {
+        for act in [Activation::Identity, Activation::Relu, Activation::Tanh] {
             let x0 = Tensor::randn(&[5, 3], &mut rng).cast(DType::F32);
             let w0 = Tensor::randn(&[4, 3], &mut rng).cast(DType::F32);
             let b0 = Tensor::randn(&[4], &mut rng).cast(DType::F32);
@@ -492,7 +463,6 @@ mod tests {
                         Activation::Identity => pre,
                         Activation::Relu => pre.relu(),
                         Activation::Tanh => pre.tanh(),
-                        Activation::Sigmoid => pre.sigmoid(),
                     }
                 };
                 assert_eq!(y.dtype(), DType::F32);
@@ -556,7 +526,7 @@ mod tests {
     #[test]
     fn fused_reparam_sample_matches_composite() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(13);
-        for map in [ScaleMap::Identity, ScaleMap::Exp, ScaleMap::Softplus] {
+        for map in [ScaleMap::Identity, ScaleMap::Exp] {
             let loc0 = Tensor::randn(&[6], &mut rng);
             let raw0 = Tensor::randn(&[6], &mut rng);
             let eps = Tensor::randn(&[6], &mut rng);
@@ -570,7 +540,6 @@ mod tests {
                     let sd = match map {
                         ScaleMap::Identity => raw.clone(),
                         ScaleMap::Exp => raw.exp(),
-                        ScaleMap::Softplus => raw.softplus(),
                     };
                     loc.add(&sd.mul(&eps))
                 };
@@ -592,7 +561,7 @@ mod tests {
     #[test]
     fn f32_fused_reparam_sample_matches_composite() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(23);
-        for map in [ScaleMap::Identity, ScaleMap::Exp, ScaleMap::Softplus] {
+        for map in [ScaleMap::Identity, ScaleMap::Exp] {
             let loc0 = Tensor::randn(&[6], &mut rng).cast(DType::F32);
             let raw0 = Tensor::randn(&[6], &mut rng).cast(DType::F32);
             let eps = Tensor::randn(&[6], &mut rng).cast(DType::F32);
@@ -606,7 +575,6 @@ mod tests {
                     let sd = match map {
                         ScaleMap::Identity => raw.clone(),
                         ScaleMap::Exp => raw.exp(),
-                        ScaleMap::Softplus => raw.softplus(),
                     };
                     loc.add(&sd.mul(&eps))
                 };

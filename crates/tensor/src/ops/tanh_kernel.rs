@@ -1,7 +1,7 @@
 //! The f64 `tanh` kernel: glibc's `tanh`, lane by lane.
 //!
 //! Every f64 tanh in the crate — [`crate::Tensor::tanh`] and the fused
-//! `linear` / `conv2d_act` activation passes — runs [`tanh_f64`] over a
+//! `linear` activation pass — runs [`tanh_f64`] over a
 //! slice (through [`crate::Element::tanh_slice`]). It is a branch-free
 //! port of glibc 2.36's x86-64 `tanh` (fdlibm `s_tanh.c`, plain SSE2) and
 //! the `__expm1_fma` variant of `expm1` it calls (fdlibm `s_expm1.c` as GCC

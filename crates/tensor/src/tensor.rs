@@ -165,65 +165,6 @@ impl From<Vec<f64>> for Buf {
     }
 }
 
-/// Plain tensor data detached from the graph: a dtype-tagged flat buffer
-/// (the storage format of the posterior weight-sample cache in `tyxe`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RawData {
-    /// `f32` storage, bit-exact.
-    F32(Vec<f32>),
-    /// `f64` storage, bit-exact.
-    F64(Vec<f64>),
-}
-
-impl RawData {
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        match self {
-            RawData::F32(v) => v.len(),
-            RawData::F64(v) => v.len(),
-        }
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The storage dtype.
-    pub fn dtype(&self) -> DType {
-        match self {
-            RawData::F32(_) => DType::F32,
-            RawData::F64(_) => DType::F64,
-        }
-    }
-}
-
-impl Tensor {
-    /// Copies this tensor's storage out as dtype-preserving [`RawData`] —
-    /// bit-exact at either dtype.
-    pub fn raw_data(&self) -> RawData {
-        match &*self.inner.data.borrow() {
-            Buf::F64(v) => RawData::F64(v.to_vec()),
-            Buf::F32(v) => RawData::F32(v.to_vec()),
-        }
-    }
-
-    /// Builds a non-tracking leaf over [`RawData`], preserving dtype and
-    /// bits — the inverse of [`Tensor::raw_data`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not match `shape`.
-    pub fn from_raw(data: &RawData, shape: &[usize]) -> Tensor {
-        assert_eq!(data.len(), numel(shape), "from_raw: data length mismatch");
-        let buf = match data {
-            RawData::F64(v) => Buf::F64(pool::alloc_copy(v)),
-            RawData::F32(v) => Buf::F32(pool::alloc_copy(v)),
-        };
-        Tensor::leaf_from_buf(buf, shape)
-    }
-}
-
 /// Backward closure: given the output node and the gradient with respect to
 /// it, produce one pool-managed gradient buffer per parent (aligned with
 /// `parents`). Returned buffers transfer **ownership**: the engine moves

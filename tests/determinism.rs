@@ -10,6 +10,7 @@ use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
 use tyxe::VariationalBnn;
 use tyxe_datasets::foong_regression;
+use tyxe_nn::{Forward, Module, ParamInfo};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -326,7 +327,7 @@ impl tyxe_nn::Module for CountedGnn {
         "CountedGnn"
     }
 
-    fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(tyxe_nn::ParamInfo)) {
+    fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(ParamInfo)) {
         self.gnn.visit_params(prefix, f);
     }
 }
@@ -852,6 +853,98 @@ fn predictive_fold_matches_legacy_aggregate_bitwise() {
     check(Categorical::new(32), 3, |t| t.softmax(1));
     check(Bernoulli::new(32), 1, |t| t.sigmoid());
     check(Poisson::new(32), 1, |t| t.exp());
+}
+
+/// A one-layer net that logs, on every forward, the id of the tensor
+/// each parameter slot holds (in `visit_params` order, the BNN's site
+/// order).
+struct IdLogged {
+    layer: tyxe_nn::layers::Linear,
+    ids: std::cell::RefCell<Vec<Vec<u64>>>,
+}
+
+impl Module for IdLogged {
+    fn kind(&self) -> &'static str {
+        "IdLogged"
+    }
+
+    fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(ParamInfo)) {
+        self.layer.visit_params(prefix, f);
+    }
+}
+
+impl Forward<tyxe_tensor::Tensor> for IdLogged {
+    type Output = tyxe_tensor::Tensor;
+
+    fn forward(&self, x: &tyxe_tensor::Tensor) -> tyxe_tensor::Tensor {
+        let mut ids = Vec::new();
+        self.layer.visit_params("", &mut |info| ids.push(info.param.value().id()));
+        self.ids.borrow_mut().push(ids);
+        self.layer.forward(x)
+    }
+}
+
+impl IdLogged {
+    fn new(rng: &mut StdRng) -> IdLogged {
+        IdLogged { layer: tyxe_nn::layers::Linear::new(1, 1, rng), ids: Default::default() }
+    }
+
+    /// The ids the forwards since the last call saw.
+    fn take(&self) -> Vec<Vec<u64>> {
+        std::mem::take(&mut *self.ids.borrow_mut())
+    }
+}
+
+/// Predictive forwards read the cached draws themselves: two predicts on
+/// a warm `VariationalBnn` cache inject the same tensors, and
+/// `McmcBnn::predict` injects the chain's own sample tensors, each left
+/// with the values it had (nothing writes into a cached draw).
+#[test]
+fn predictive_forwards_read_the_cached_draws_without_a_copy() {
+    use tyxe_prob::mcmc::Hmc;
+
+    tyxe_prob::rng::set_seed(83);
+    let mut rng = StdRng::seed_from_u64(83);
+    let data = foong_regression(16, 0.1, 0);
+
+    let bnn = VariationalBnn::new(
+        IdLogged::new(&mut rng),
+        &IIDPrior::standard_normal(),
+        HomoskedasticGaussian::new(data.len(), 0.1),
+        AutoNormal::new().init_scale(1e-2),
+    );
+    let mut optim = Adam::new(vec![], 1e-2);
+    bnn.svi_step(&data.x, &data.y, &mut optim);
+    bnn.module().net().take();
+    let cold = bnn.predict(&data.x, 4);
+    let cold_ids = bnn.module().net().take();
+    let warm = bnn.predict(&data.x, 4);
+    let warm_ids = bnn.module().net().take();
+    assert_eq!(cold_ids.len(), 4);
+    assert_eq!(cold_ids, warm_ids, "a cache hit injected copies of the cached draws");
+    assert_eq!(sample_bits(&[cold]), sample_bits(&[warm]), "a cached draw changed between predicts");
+
+    let mut bnn = tyxe::McmcBnn::new(
+        IdLogged::new(&mut rng),
+        &IIDPrior::standard_normal(),
+        HomoskedasticGaussian::new(data.len(), 0.1),
+        Hmc::new(1e-3, 5),
+    );
+    bnn.fit(&data.x, &data.y, 12, 8);
+    let chain = |i: usize| -> Vec<tyxe_tensor::Tensor> {
+        bnn.module().sites().iter().map(|site| bnn.samples().get(&site.name).unwrap()[i].clone()).collect()
+    };
+    // 4 of 12 draws: stride 3.
+    let drawn: Vec<Vec<tyxe_tensor::Tensor>> = (0..12).step_by(3).map(chain).collect();
+    let before: Vec<Vec<u64>> = drawn.iter().map(|d| sample_bits(d)).collect();
+    bnn.module().net().take();
+    for pass in 0..2 {
+        bnn.predict(&data.x, 4);
+        let want: Vec<Vec<u64>> = drawn.iter().map(|d| d.iter().map(tyxe_tensor::Tensor::id).collect()).collect();
+        assert_eq!(bnn.module().net().take(), want, "pass {pass}: predict did not inject the chain's sample tensors");
+    }
+    let after: Vec<Vec<u64>> = drawn.iter().map(|d| sample_bits(d)).collect();
+    assert_eq!(before, after, "a predict wrote into the chain's samples");
 }
 
 /// Cache semantics: a second predict at the same sample count replays
