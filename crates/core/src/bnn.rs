@@ -332,11 +332,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
         &self.likelihood
     }
 
-    /// The ELBO estimator this BNN trains with.
-    pub fn estimator(&self) -> ElboEstimator {
-        self.estimator
-    }
-
     /// All tensors an optimizer should train: variational parameters plus
     /// the deterministic (hidden) network parameters.
     pub fn trainable_parameters(&self) -> Vec<Tensor> {

@@ -49,27 +49,18 @@ use crate::bnn::{add_missing_params, FitCallback, VariationalBnn};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
 
-/// Payload key under which the fit loop checkpoints the
-/// [`autocast::code`] its steps ran under.
-pub const PAYLOAD_PRECISION: &str = "precision";
-
 /// Enters the autocast mode a resumed checkpoint ran under — its
 /// continuation must re-enter those numerics to stay bit-exact — and
-/// records the mode the steps run under in the payload. Without a
-/// checkpointed mode the caller's scope stands. Panics, naming the
-/// payload, if it holds anything but one known code: training on under
-/// other numerics than the checkpoint's would be silent drift.
+/// records the mode the steps run under for the next checkpoint. Without
+/// a checkpointed mode the caller's scope stands. Panics, naming the
+/// code, if it names no mode: training on under other numerics than the
+/// checkpoint's would be silent drift.
 fn enter_checkpointed_autocast(supervisor: &mut Supervisor) -> Option<autocast::Guard> {
-    let guard = supervisor.payload(PAYLOAD_PRECISION).map(|buf| {
-        match buf {
-            [c] if *c == f64::from(*c as u32) => autocast::enter_code(*c as u32),
-            _ => None,
-        }
-        .unwrap_or_else(|| {
-            panic!("checkpoint payload `{PAYLOAD_PRECISION}` = {buf:?} names no autocast mode")
-        })
+    let guard = supervisor.precision.map(|code| {
+        autocast::enter_code(code)
+            .unwrap_or_else(|| panic!("checkpoint `{KEY_PRECISION}` = {code} names no autocast mode"))
     });
-    supervisor.set_payload(PAYLOAD_PRECISION, vec![f64::from(autocast::code())]);
+    supervisor.precision = Some(autocast::code());
     guard
 }
 
@@ -282,7 +273,9 @@ pub struct Supervisor {
     steps: u64,
     good: Option<Snapshot>,
     report: FitReport,
-    payload: std::collections::BTreeMap<String, Vec<f64>>,
+    /// The [`autocast::code`] the steps ran under, once a fit or a resume
+    /// has set it.
+    precision: Option<u32>,
 }
 
 /// Checkpoint container magic rides on the `StateDict` format; these
@@ -291,12 +284,8 @@ const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
-/// The library's extra checkpoint payload entries (the autocast mode, set
-/// through the crate-private `Supervisor::set_payload`) ride under this
-/// buffer-name prefix.
-const PAYLOAD_PREFIX: &str = "supervisor.payload.";
-/// The payload keys a resume restores: the ones something still reads.
-const LIVE_PAYLOAD_KEYS: [&str; 1] = [PAYLOAD_PRECISION];
+/// Checkpoint buffer holding the [`autocast::code`] the steps ran under.
+const KEY_PRECISION: &str = "supervisor.payload.precision";
 
 fn prev_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
@@ -319,25 +308,8 @@ impl Supervisor {
             steps: 0,
             good: None,
             report: FitReport::default(),
-            payload: std::collections::BTreeMap::new(),
+            precision: None,
         }
-    }
-
-    /// Attaches an extra named state buffer to every future checkpoint,
-    /// under the `supervisor.payload.<key>` buffer namespace. It carries
-    /// the piece of library state the supervisor itself doesn't know
-    /// about: the autocast mode ([`PAYLOAD_PRECISION`]).
-    /// [`Supervisor::resume`] restores that key and drops any other, so
-    /// the setter is crate-private: a key of the caller's own would not
-    /// survive a resume.
-    pub(crate) fn set_payload(&mut self, key: &str, data: Vec<f64>) {
-        self.payload.insert(key.to_string(), data);
-    }
-
-    /// Reads back a payload entry (present after [`Supervisor::resume`]
-    /// when the checkpoint carried it).
-    pub fn payload(&self, key: &str) -> Option<&[f64]> {
-        self.payload.get(key).map(Vec::as_slice)
     }
 
     /// Steps completed so far (monotone across resume).
@@ -597,8 +569,8 @@ impl Supervisor {
         sd.insert_buffer(KEY_STEP, vec![f64::from_bits(self.steps)]);
         sd.insert_buffer(KEY_RNG, bits_to_f64(&rng::get_state()));
         sd.insert_buffer(KEY_LR, vec![optim.learning_rate()]);
-        for (key, data) in &self.payload {
-            sd.insert_buffer(format!("{PAYLOAD_PREFIX}{key}"), data.clone());
+        if let Some(code) = self.precision {
+            sd.insert_buffer(KEY_PRECISION, vec![f64::from(code)]);
         }
         sd
     }
@@ -675,16 +647,15 @@ impl Supervisor {
             .and_then(|b| b.first().copied())
             .ok_or(LoadError::Malformed("missing learning rate"))?;
         optim.set_learning_rate(lr);
-        // Payload entries are optional (older checkpoints have none);
-        // what the checkpoint carries replaces what was set in memory.
-        // Only the live keys come back, so an entry an older version wrote
-        // is dropped here instead of riding along in every later checkpoint.
-        self.payload.clear();
-        for key in LIVE_PAYLOAD_KEYS {
-            if let Some(data) = sd.buffer(&format!("{PAYLOAD_PREFIX}{key}")) {
-                self.payload.insert(key.to_string(), data.to_vec());
-            }
-        }
+        // The autocast code is optional (older checkpoints have none); what
+        // the checkpoint carries replaces what was set in memory. Other
+        // `supervisor.payload.*` entries an older version wrote are not
+        // read, so no later checkpoint carries them.
+        self.precision = match sd.buffer(KEY_PRECISION) {
+            None => None,
+            Some(&[c]) if c == f64::from(c as u32) => Some(c as u32),
+            Some(_) => return Err(LoadError::Malformed("autocast mode is not one integer code")),
+        };
         // The restored state is, by construction, the last trusted one.
         self.good = Some(self.capture(optim));
         // Restoring params/RNG out-of-band invalidates any compiled step
@@ -971,25 +942,37 @@ mod tests {
     fn checkpointed_autocast_codes_are_entered_or_refused() {
         let _outer = autocast::autocast(tyxe_tensor::DType::F32);
         let mut sup = Supervisor::new(vec![], SupervisorConfig::default());
-        // No payload keeps the caller's scope; a checkpointed one wins.
-        for (payload, mode) in [(None, 2), (Some(0.0), 0), (Some(2.0), 2)] {
-            if let Some(code) = payload {
-                sup.set_payload(PAYLOAD_PRECISION, vec![code]);
+        let mut optim = Adam::new(vec![], 0.1);
+        // No checkpointed code keeps the caller's scope; a checkpointed
+        // one wins.
+        for (buf, mode) in [(None, 2), (Some(0.0), 0), (Some(2.0), 2)] {
+            let mut sd = Supervisor::new(vec![], SupervisorConfig::default()).to_state_dict(&optim);
+            if let Some(code) = buf {
+                sd.insert_buffer(KEY_PRECISION, vec![code]);
             }
+            sup.apply_state_dict(&sd, &mut optim).unwrap();
             let guard = enter_checkpointed_autocast(&mut sup);
             assert_eq!(autocast::code(), mode);
-            assert_eq!(sup.payload(PAYLOAD_PRECISION), Some(&[f64::from(mode)][..]));
+            assert_eq!(sup.to_state_dict(&optim).buffer(KEY_PRECISION), Some(&[f64::from(mode)][..]));
             drop(guard);
             assert_eq!(autocast::code(), 2, "the caller's scope is restored");
         }
-        for bad in [vec![1.0], vec![7.0], vec![2.5], vec![], vec![0.0, 2.0]] {
-            sup.set_payload(PAYLOAD_PRECISION, bad.clone());
+        for code in [1, 7] {
+            sup.precision = Some(code);
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 enter_checkpointed_autocast(&mut sup);
             }))
             .expect_err("an unknown code must be refused");
             let msg = err.downcast_ref::<String>().expect("formatted panic");
-            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+            assert!(msg.contains(&format!("= {code} names no autocast mode")), "{msg}");
+        }
+        for bad in [vec![2.5], vec![], vec![0.0, 2.0]] {
+            let mut sd = sup.to_state_dict(&optim);
+            sd.insert_buffer(KEY_PRECISION, bad.clone());
+            assert!(
+                matches!(sup.apply_state_dict(&sd, &mut optim), Err(LoadError::Malformed(_))),
+                "{bad:?} must be refused"
+            );
         }
     }
 }

@@ -114,7 +114,6 @@ pub struct AutoNormal {
     init_scale: f64,
     max_scale: Option<f64>,
     train_loc: bool,
-    train_scale: bool,
     sites: Vec<NormalSite>,
 }
 
@@ -134,7 +133,6 @@ impl AutoNormal {
             init_scale: 1e-4,
             max_scale: None,
             train_loc: true,
-            train_scale: true,
             sites: Vec::new(),
         }
     }
@@ -171,29 +169,17 @@ impl AutoNormal {
         self
     }
 
-    /// Freezes the standard deviations.
-    #[must_use]
-    pub fn train_scale(mut self, train: bool) -> AutoNormal {
-        self.train_scale = train;
-        self
-    }
-
     /// The current variational distribution for one site (respecting the
-    /// scale cap and freeze flags).
+    /// scale cap and the mean freeze).
     fn site_distribution(&self, site: &NormalSite) -> Normal {
         let loc = if self.train_loc {
             site.loc.clone()
         } else {
             site.loc.detach()
         };
-        let log_scale = if self.train_scale {
-            site.log_scale.clone()
-        } else {
-            site.log_scale.detach()
-        };
         let log_scale = match self.max_scale {
-            Some(m) => log_scale.clamp_max(m.ln()),
-            None => log_scale,
+            Some(m) => site.log_scale.clamp_max(m.ln()),
+            None => site.log_scale.clone(),
         };
         // Keep exp() symbolic: same-shape sampling then runs the fused
         // loc + eps * exp(log_scale) kernel in one pass.
@@ -234,9 +220,7 @@ impl Guide for AutoNormal {
             if self.train_loc {
                 out.push(site.loc.clone());
             }
-            if self.train_scale {
-                out.push(site.log_scale.clone());
-            }
+            out.push(site.log_scale.clone());
         }
         out
     }

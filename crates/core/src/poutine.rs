@@ -334,15 +334,10 @@ impl Messenger for ObsMessenger {
 }
 
 /// Installs the per-site sample-timing handler for the lifetime of the
-/// returned guard. The handler is purely observational.
-pub fn obs_trace() -> HandlerGuard {
-    install(Rc::new(ObsMessenger { started: RefCell::new(HashMap::new()) }))
-}
-
-/// [`obs_trace`], but only when observability is enabled — the form the
-/// SVI entry points use so disabled runs skip the handler entirely.
+/// returned guard, only when observability is enabled, so disabled runs
+/// skip the handler entirely. The handler is purely observational.
 pub(crate) fn obs_trace_if_enabled() -> Option<HandlerGuard> {
-    tyxe_obs::enabled().then(obs_trace)
+    tyxe_obs::enabled().then(|| install(Rc::new(ObsMessenger { started: RefCell::new(HashMap::new()) })))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use tyxe_nn::init::VarianceScheme;
 use tyxe_nn::ParamInfo;
-use tyxe_prob::dist::{boxed, DynDistribution, Normal, Uniform};
+use tyxe_prob::dist::{boxed, DynDistribution, Normal};
 
 /// Selects which parameters are treated as random variables.
 ///
@@ -144,14 +144,6 @@ impl IIDPrior {
     /// The standard normal prior used throughout the paper's experiments.
     pub fn standard_normal() -> IIDPrior {
         IIDPrior::normal(0.0, 1.0)
-    }
-
-    /// I.i.d. uniform prior on `[lo, hi)`.
-    pub fn uniform(lo: f64, hi: f64) -> IIDPrior {
-        IIDPrior {
-            make: Rc::new(move |shape| boxed(Uniform::new(lo, hi, shape))),
-            filter: Filter::all(),
-        }
     }
 
     /// An improper flat prior (the maximum-likelihood "prior").

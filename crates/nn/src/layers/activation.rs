@@ -6,7 +6,7 @@ use tyxe_tensor::Tensor;
 use crate::module::{Forward, Module, ParamInfo};
 
 macro_rules! activation {
-    ($(#[$doc:meta])* $name:ident, $kind:literal, $fuse:expr, $f:expr) => {
+    ($(#[$doc:meta])* $name:ident, $f:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, Default)]
         pub struct $name;
@@ -20,11 +20,11 @@ macro_rules! activation {
 
         impl Module for $name {
             fn kind(&self) -> &'static str {
-                $kind
+                stringify!($name)
             }
             fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(ParamInfo)) {}
             fn fusable_activation(&self) -> Option<Activation> {
-                $fuse
+                Some(Activation::$name)
             }
         }
 
@@ -41,31 +41,12 @@ macro_rules! activation {
 activation!(
     /// Rectified linear unit.
     Relu,
-    "Relu",
-    Some(Activation::Relu),
     |x: &Tensor| x.relu()
 );
 activation!(
     /// Hyperbolic tangent.
     Tanh,
-    "Tanh",
-    Some(Activation::Tanh),
     |x: &Tensor| x.tanh()
-);
-activation!(
-    /// Logistic sigmoid. Not fused: it runs as its own op.
-    Sigmoid,
-    "Sigmoid",
-    None,
-    |x: &Tensor| x.sigmoid()
-);
-activation!(
-    /// Softplus. Not fusable: its derivative is not recoverable from its
-    /// output, so it stays a standalone graph node.
-    Softplus,
-    "Softplus",
-    None,
-    |x: &Tensor| x.softplus()
 );
 
 /// Flattens `[N, ...]` to `[N, prod(...)]`.
@@ -156,8 +137,6 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 0.0, 1.0], &[3]);
         assert_eq!(Relu::new().forward(&x).to_vec(), vec![0.0, 0.0, 1.0]);
         assert!((Tanh::new().forward(&x).to_vec()[2] - 1.0f64.tanh()).abs() < 1e-12);
-        assert!((Sigmoid::new().forward(&x).to_vec()[1] - 0.5).abs() < 1e-12);
-        assert!(Softplus::new().forward(&x).to_vec()[0] > 0.0);
     }
 
     #[test]

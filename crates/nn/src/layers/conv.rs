@@ -60,11 +60,6 @@ impl Conv2d {
     pub fn weight(&self) -> &Param {
         &self.weight
     }
-
-    /// Bias parameter slot, if present.
-    pub fn bias(&self) -> Option<&Param> {
-        self.bias.as_ref()
-    }
 }
 
 impl Module for Conv2d {

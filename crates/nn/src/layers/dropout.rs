@@ -33,11 +33,6 @@ impl Dropout {
             training: Cell::new(true),
         }
     }
-
-    /// Drop probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
 }
 
 impl Module for Dropout {

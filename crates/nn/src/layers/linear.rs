@@ -18,8 +18,6 @@ use crate::param::Param;
 pub struct Linear {
     weight: Param,
     bias: Option<Param>,
-    in_features: usize,
-    out_features: usize,
 }
 
 impl Linear {
@@ -38,32 +36,12 @@ impl Linear {
     ) -> Linear {
         let weight = Param::new(kaiming_uniform(&[out_features, in_features], rng));
         let bias = bias.then(|| Param::new(kaiming_uniform(&[out_features], rng)));
-        Linear {
-            weight,
-            bias,
-            in_features,
-            out_features,
-        }
+        Linear { weight, bias }
     }
 
     /// Weight parameter slot.
     pub fn weight(&self) -> &Param {
         &self.weight
-    }
-
-    /// Bias parameter slot, if present.
-    pub fn bias(&self) -> Option<&Param> {
-        self.bias.as_ref()
-    }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
     }
 }
 
@@ -112,7 +90,7 @@ mod tests {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
         let l = Linear::new(3, 2, &mut rng);
         l.weight().load_data(vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
-        l.bias().unwrap().load_data(vec![0.5, -0.5]);
+        l.bias.as_ref().unwrap().load_data(vec![0.5, -0.5]);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[1, 3]);
         let y = l.forward(&x);
         assert_eq!(y.shape(), &[1, 2]);
@@ -133,7 +111,7 @@ mod tests {
     fn no_bias_variant() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
         let l = Linear::with_bias(4, 4, false, &mut rng);
-        assert!(l.bias().is_none());
+        assert!(l.bias.is_none());
         assert_eq!(l.named_parameters().len(), 1);
     }
 
@@ -144,6 +122,6 @@ mod tests {
         let x = Tensor::ones(&[4, 3]);
         l.forward(&x).sum().backward();
         assert!(l.weight().leaf().grad().is_some());
-        assert_eq!(l.bias().unwrap().leaf().grad().unwrap(), vec![4.0, 4.0]);
+        assert_eq!(l.bias.as_ref().unwrap().leaf().grad().unwrap(), vec![4.0, 4.0]);
     }
 }

@@ -7,7 +7,7 @@ mod linear;
 mod norm;
 mod sequential;
 
-pub use activation::{Flatten, GlobalAvgPool2d, MaxPool2d, Relu, Sigmoid, Softplus, Tanh};
+pub use activation::{Flatten, GlobalAvgPool2d, MaxPool2d, Relu, Tanh};
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use linear::Linear;

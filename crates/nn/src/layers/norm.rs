@@ -45,21 +45,6 @@ impl BatchNorm2d {
     pub fn weight(&self) -> &Param {
         &self.weight
     }
-
-    /// Shift parameter slot.
-    pub fn bias(&self) -> &Param {
-        &self.bias
-    }
-
-    /// Current running mean (for tests/serialization).
-    pub fn running_mean(&self) -> Vec<f64> {
-        self.running_mean.borrow().clone()
-    }
-
-    /// Current running variance.
-    pub fn running_var(&self) -> Vec<f64> {
-        self.running_var.borrow().clone()
-    }
 }
 
 impl Module for BatchNorm2d {
@@ -180,7 +165,7 @@ mod tests {
         let x = Tensor::from_vec((0..16).map(|v| v as f64 * 0.1).collect(), &[2, 2, 2, 2]);
         bn.forward(&x).square().sum().backward();
         assert!(bn.weight().leaf().grad().is_some());
-        assert!(bn.bias().leaf().grad().is_some());
+        assert!(bn.bias.leaf().grad().is_some());
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
-
-    /// Access a child by index.
-    pub fn layer(&self, i: usize) -> &dyn TensorModule {
-        self.layers[i].as_ref()
-    }
 }
 
 impl Module for Sequential {
@@ -195,7 +190,7 @@ mod tests {
         let net = mlp(&[1, 50, 1], false, &mut rng);
         // Linear, Tanh, Linear
         assert_eq!(net.len(), 3);
-        assert_eq!(net.layer(1).as_module().kind(), "Tanh");
+        assert_eq!(net.layers[1].as_module().kind(), "Tanh");
     }
 
     #[test]

@@ -103,7 +103,6 @@ pub struct ResNet {
     stem_bn: BatchNorm2d,
     stages: Vec<Vec<BasicBlock>>,
     fc: Linear,
-    feature_dim: usize,
 }
 
 impl ResNet {
@@ -142,18 +141,12 @@ impl ResNet {
             stem_bn,
             stages,
             fc,
-            feature_dim: in_ch,
         }
     }
 
     /// The classifier head (the "last layer" of the paper's LL guides).
     pub fn fc(&self) -> &Linear {
         &self.fc
-    }
-
-    /// Dimension of the pooled feature vector feeding the classifier.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
     }
 
     /// Runs the convolutional trunk, returning pooled features `[N, D]`.
@@ -227,7 +220,7 @@ mod tests {
         let x = Tensor::zeros(&[2, 3, 16, 16]);
         let y = net.forward(&x);
         assert_eq!(y.shape(), &[2, 10]);
-        assert_eq!(net.feature_dim(), 32);
+        assert_eq!(net.features(&x).shape(), &[2, 32]);
     }
 
     #[test]

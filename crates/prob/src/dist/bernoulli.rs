@@ -21,28 +21,9 @@ impl Bernoulli {
         Bernoulli { logits }
     }
 
-    /// Creates a Bernoulli with the given success probabilities.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any probability is outside `(0, 1)`.
-    pub fn from_probs(probs: Tensor) -> Bernoulli {
-        assert!(
-            probs.data().iter().all(|&p| p > 0.0 && p < 1.0),
-            "Bernoulli::from_probs requires probabilities in (0, 1)"
-        );
-        let logits = probs.ln().sub(&probs.neg().add_scalar(1.0).ln());
-        Bernoulli { logits }
-    }
-
     /// Success probabilities.
     pub fn probs(&self) -> Tensor {
         self.logits.sigmoid()
-    }
-
-    /// Raw logits.
-    pub fn logits(&self) -> &Tensor {
-        &self.logits
     }
 }
 
@@ -87,9 +68,14 @@ mod tests {
     use super::super::test_util::assert_close;
     use super::*;
 
+    fn with_probs(p: Vec<f64>) -> Bernoulli {
+        let n = p.len();
+        Bernoulli::from_logits(Tensor::from_vec(p.into_iter().map(|p| (p / (1.0 - p)).ln()).collect(), &[n]))
+    }
+
     #[test]
     fn log_prob_matches_manual() {
-        let d = Bernoulli::from_probs(Tensor::from_vec(vec![0.8], &[1]));
+        let d = with_probs(vec![0.8]);
         assert_close(d.log_prob(&Tensor::ones(&[1])).item(), 0.8f64.ln(), 1e-9);
         assert_close(d.log_prob(&Tensor::zeros(&[1])).item(), 0.2f64.ln(), 1e-9);
     }
@@ -97,14 +83,14 @@ mod tests {
     #[test]
     fn sample_frequency_tracks_prob() {
         crate::rng::set_seed(0);
-        let d = Bernoulli::from_probs(Tensor::full(&[10000], 0.3));
+        let d = with_probs(vec![0.3; 10000]);
         let freq = d.sample().mean().item();
         assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
     }
 
     #[test]
     fn logits_probs_roundtrip() {
-        let d = Bernoulli::from_probs(Tensor::from_vec(vec![0.25, 0.75], &[2]));
+        let d = with_probs(vec![0.25, 0.75]);
         let p = d.probs().to_vec();
         assert_close(p[0], 0.25, 1e-9);
         assert_close(p[1], 0.75, 1e-9);
@@ -112,7 +98,7 @@ mod tests {
 
     #[test]
     fn mean_variance() {
-        let d = Bernoulli::from_probs(Tensor::from_vec(vec![0.5], &[1]));
+        let d = with_probs(vec![0.5]);
         assert_close(d.mean().item(), 0.5, 1e-9);
         assert_close(d.variance().item(), 0.25, 1e-9);
     }

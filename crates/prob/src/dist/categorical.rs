@@ -42,11 +42,6 @@ impl Categorical {
         self.logits.softmax(1)
     }
 
-    /// Raw logits, shape `[n, c]`.
-    pub fn logits(&self) -> &Tensor {
-        &self.logits
-    }
-
     /// Number of classes.
     pub fn num_classes(&self) -> usize {
         self.c

@@ -151,7 +151,7 @@ mod tests {
 
     #[test]
     fn dispatch_unknown_pair_is_none() {
-        let q = super::super::Uniform::new(0.0, 1.0, &[1]);
+        let q = super::super::Bernoulli::from_logits(Tensor::zeros(&[1]));
         let p = Normal::scalar(0.0, 1.0, &[1]);
         assert!(kl_divergence(&q, &p).is_none());
     }

@@ -55,16 +55,6 @@ impl LowRankNormal {
         &self.loc
     }
 
-    /// Low-rank covariance factor `[d, r]`.
-    pub fn cov_factor(&self) -> &Tensor {
-        &self.cov_factor
-    }
-
-    /// Diagonal covariance part `[d]`.
-    pub fn cov_diag(&self) -> &Tensor {
-        &self.cov_diag
-    }
-
     /// Capacitance matrix `I_r + W^T D^{-1} W`.
     fn capacitance(&self) -> Tensor {
         let dinv_w = self.cov_factor.div(&self.cov_diag.reshape(&[self.d, 1]));

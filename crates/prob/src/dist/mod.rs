@@ -13,7 +13,6 @@ mod kl;
 mod lowrank;
 mod normal;
 mod poisson;
-mod uniform;
 
 pub use bernoulli::Bernoulli;
 pub use categorical::Categorical;
@@ -22,7 +21,6 @@ pub use kl::{kl_divergence, kl_normal_normal};
 pub use lowrank::LowRankNormal;
 pub use normal::Normal;
 pub use poisson::Poisson;
-pub use uniform::Uniform;
 
 use std::any::Any;
 use std::fmt;

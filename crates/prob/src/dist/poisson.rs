@@ -32,11 +32,6 @@ impl Poisson {
         );
         Poisson { rate }
     }
-
-    /// Rate parameter.
-    pub fn rate(&self) -> &Tensor {
-        &self.rate
-    }
 }
 
 impl Distribution for Poisson {

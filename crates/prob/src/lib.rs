@@ -7,8 +7,7 @@
 //!
 //! * [`poutine::trace`] records sample sites,
 //! * [`poutine::replay`]/[`poutine::condition`] fix latent values,
-//! * [`poutine::block`], [`poutine::scale`], [`poutine::mask`] modify site
-//!   visibility and log-probability bookkeeping,
+//! * [`poutine::scale`] scales log probabilities (mini-batch scaling),
 //! * custom [`poutine::Messenger`]s can intercept *effectful linear
 //!   operations* ([`poutine::effectful`]) — the mechanism TyXe uses for
 //!   local reparameterization and flipout without bespoke layer classes.
@@ -16,7 +15,7 @@
 //! On top of these sit [`svi`] (the negative-ELBO loss under the pathwise
 //! and mean-field estimators; the caller runs `backward` and the
 //! optimizer step), [`mcmc`] (HMC and NUTS with dual-averaging
-//! adaptation) and [`optim`] (SGD/Adam). [`dist`] holds the distributions
+//! adaptation) and [`optim`] (Adam). [`dist`] holds the distributions
 //! TyXe's priors, guides and likelihoods construct.
 //!
 //! # Example: conjugate Gaussian

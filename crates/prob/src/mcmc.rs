@@ -142,11 +142,6 @@ impl LatentLayout {
         self.total == 0
     }
 
-    /// Site names in program order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
     /// Site `i`'s slice of a flat vector.
     fn site<'a>(&self, flat: &'a [f64], i: usize) -> &'a [f64] {
         &flat[self.offsets[i]..self.offsets[i] + tyxe_tensor::shape::numel(&self.shapes[i])]
@@ -164,9 +159,9 @@ impl LatentLayout {
         self.names.iter().cloned().zip(leaves.iter().cloned()).collect()
     }
 
-    /// Splits a flat vector into named leaf tensors.
-    pub fn unflatten(&self, flat: &[f64], requires_grad: bool) -> HashMap<String, Tensor> {
-        self.named(&self.leaves(flat, requires_grad))
+    /// Splits a flat vector into named tensors that need no gradient.
+    pub fn unflatten(&self, flat: &[f64]) -> HashMap<String, Tensor> {
+        self.named(&self.leaves(flat, false))
     }
 
     /// Packs an initial value vector by tracing the model once.
@@ -791,7 +786,7 @@ impl<K: Kernel> Mcmc<K> {
             let (qn, accept) = self.kernel.transition(model, &layout, q);
             q = qn;
             sample_accept += accept;
-            for (name, tensor) in layout.unflatten(&q, false) {
+            for (name, tensor) in layout.unflatten(&q) {
                 out.entry(name).or_default().push(tensor);
             }
         }
@@ -879,9 +874,9 @@ mod tests {
         };
         let layout = LatentLayout::discover(&model);
         assert_eq!(layout.len(), 10);
-        assert_eq!(layout.names(), &["a".to_string(), "b".to_string()]);
+        assert_eq!(layout.names, &["a".to_string(), "b".to_string()]);
         let flat: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        let map = layout.unflatten(&flat, false);
+        let map = layout.unflatten(&flat);
         assert_eq!(map["a"].shape(), &[2, 3]);
         assert_eq!(map["b"].to_vec(), vec![6.0, 7.0, 8.0, 9.0]);
     }

@@ -3,10 +3,10 @@
 //! A probabilistic program is ordinary Rust code that calls [`sample`]. A
 //! thread-local stack of [`Messenger`]s intercepts each sample statement —
 //! exactly Pyro's design. Handlers are installed for the duration of a
-//! closure via the `with_*` functions ([`trace`], [`replay`], [`block`],
-//! [`condition`], [`scale`], [`mask`]) or via [`install`] for custom
-//! messengers (this is the extension point the TyXe layer uses for local
-//! reparameterization and flipout).
+//! closure via [`trace`], [`replay`], [`condition`] and [`scale`], or via
+//! [`install`] for custom messengers (this is the extension point the TyXe
+//! layer uses for local reparameterization, flipout and its
+//! `selective_mask`).
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -53,12 +53,6 @@ pub trait Messenger {
     /// Runs after the value is determined (always `Some` here). Tracing and
     /// bookkeeping handlers hook in here.
     fn after_sample(&self, _msg: &mut SampleMsg) {}
-
-    /// If true for a site, stops propagation of that site's message to
-    /// handlers installed *outside* this one (Pyro's `block`).
-    fn blocks(&self, _name: &str) -> bool {
-        false
-    }
 
     /// Intercepts an effectful dense linear operation `x @ w^T + b`
     /// (`w: [out, in]`). Return `Some` to replace the computation — this is
@@ -185,13 +179,9 @@ fn sample_with(name: &str, dist: DynDistribution, obs: Option<Tensor>) -> Tensor
         mask: None,
         generated: false,
     };
-    // Innermost (top of stack) first; a blocking handler truncates the walk
-    // so handlers installed outside it never see the site.
+    // Innermost (top of stack) first.
     for h in stack.iter().rev() {
         h.on_sample(&mut msg);
-        if h.blocks(&msg.name) {
-            break;
-        }
     }
     if msg.value.is_none() {
         msg.value = Some(msg.dist.sample());
@@ -199,9 +189,6 @@ fn sample_with(name: &str, dist: DynDistribution, obs: Option<Tensor>) -> Tensor
     }
     for h in stack.iter().rev() {
         h.after_sample(&mut msg);
-        if h.blocks(&msg.name) {
-            break;
-        }
     }
     msg.value.expect("sample value set above")
 }
@@ -378,25 +365,8 @@ pub fn condition<R>(values: HashMap<String, Tensor>, f: impl FnOnce() -> R) -> R
 }
 
 // ---------------------------------------------------------------------------
-// Block / scale / mask
+// Scale
 // ---------------------------------------------------------------------------
-
-struct BlockMessenger {
-    hide: Box<dyn Fn(&str) -> bool>,
-}
-
-impl Messenger for BlockMessenger {
-    fn blocks(&self, name: &str) -> bool {
-        (self.hide)(name)
-    }
-}
-
-/// Runs `f` hiding sites matching `hide` from handlers installed outside
-/// this call.
-pub fn block<R>(hide: impl Fn(&str) -> bool + 'static, f: impl FnOnce() -> R) -> R {
-    let _guard = install(Rc::new(BlockMessenger { hide: Box::new(hide) }));
-    f()
-}
 
 struct ScaleMessenger {
     factor: f64,
@@ -412,36 +382,6 @@ impl Messenger for ScaleMessenger {
 /// (mini-batch scaling).
 pub fn scale<R>(factor: f64, f: impl FnOnce() -> R) -> R {
     let _guard = install(Rc::new(ScaleMessenger { factor }));
-    f()
-}
-
-struct MaskMessenger {
-    mask: Tensor,
-    applies_to: Box<dyn Fn(&str) -> bool>,
-}
-
-impl Messenger for MaskMessenger {
-    fn on_sample(&self, msg: &mut SampleMsg) {
-        if (self.applies_to)(&msg.name) {
-            msg.mask = Some(match &msg.mask {
-                Some(existing) => existing.mul(&self.mask),
-                None => self.mask.clone(),
-            });
-        }
-    }
-}
-
-/// Runs `f` applying an element-wise 0/1 `mask` to the log probability of
-/// sites selected by `applies_to`.
-pub fn mask<R>(
-    mask: Tensor,
-    applies_to: impl Fn(&str) -> bool + 'static,
-    f: impl FnOnce() -> R,
-) -> R {
-    let _guard = install(Rc::new(MaskMessenger {
-        mask,
-        applies_to: Box::new(applies_to),
-    }));
     f()
 }
 
@@ -578,32 +518,6 @@ mod tests {
         assert!(
             (tr.log_prob_sum().item() - 10.0 * tr2.log_prob_sum().item()).abs() < 1e-9
         );
-    }
-
-    #[test]
-    fn block_hides_sites_from_outer_trace() {
-        crate::rng::set_seed(5);
-        let (tr, _) = trace(|| block(|name| name == "z", model));
-        assert!(tr.site("z").is_none());
-        assert!(tr.site("x").is_some());
-    }
-
-    #[test]
-    fn inner_trace_still_sees_blocked_sites() {
-        crate::rng::set_seed(6);
-        // block is OUTSIDE the trace: the trace (inner) sees everything.
-        let (tr, _) = block(|n| n == "z", || trace(model));
-        assert!(tr.site("z").is_some());
-    }
-
-    #[test]
-    fn mask_zeroes_selected_elements() {
-        crate::rng::set_seed(7);
-        let m = Tensor::from_vec(vec![1.0, 0.0], &[2]);
-        let (tr, _) = trace(|| mask(m, |n| n == "x", model));
-        let site = tr.site("x").unwrap();
-        let full = site.dist.log_prob(&site.value).to_vec();
-        assert!((site.log_prob().item() - full[0]).abs() < 1e-12);
     }
 
     #[test]

@@ -175,12 +175,6 @@ pub trait Distribution<T> {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T;
 }
 
-impl<T, D: Distribution<T>> Distribution<T> for &D {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> T {
-        (**self).sample(rng)
-    }
-}
-
 /// The standard normal distribution N(0, 1), sampled by Box–Muller.
 ///
 /// Stateless: each draw is one [`fill::box_muller`], which consumes two
@@ -191,25 +185,6 @@ pub struct StandardNormal;
 impl Distribution<f64> for StandardNormal {
     fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         fill::box_muller(rng)
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    pub fn new(lo: f64, hi: f64) -> Uniform {
-        assert!(lo < hi, "Uniform::new: empty range");
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution<f64> for Uniform {
-    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        (self.lo..self.hi).sample_single(rng)
     }
 }
 
@@ -299,10 +274,5 @@ mod tests {
         let mean: f64 =
             (0..n).map(|_| rng.sample(StandardNormal)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "normal mean {mean}");
-        let u = Uniform::new(2.0, 4.0);
-        for _ in 0..1000 {
-            let x = rng.sample(&u);
-            assert!((2.0..4.0).contains(&x));
-        }
     }
 }

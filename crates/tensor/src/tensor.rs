@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use crate::element::{DType, Element, dispatch_dtype};
 use crate::pool::{self, PoolBuf};
-use crate::shape::{numel, strides_for};
+use crate::shape::numel;
 
 /// Dtype-tagged, pool-managed storage for one tensor's data or gradient.
 ///
@@ -604,11 +604,6 @@ impl Tensor {
     /// Total number of elements.
     pub fn numel(&self) -> usize {
         numel(&self.inner.shape)
-    }
-
-    /// Row-major strides.
-    pub fn strides(&self) -> Vec<usize> {
-        strides_for(&self.inner.shape)
     }
 
     /// Borrows the flat row-major data buffer of an `f64` tensor.

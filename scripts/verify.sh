@@ -16,63 +16,133 @@ if [[ "${1:-}" == "--fresh" ]]; then
     rm -rf target
 fi
 
-# Every public function has a caller. A `pub fn`, `pub const` or `pub
-# static` under crates/*/src, or a method declared in a `pub trait`
-# there, must be named by non-unit-test code: each crates/*/src file up
-# to its first `#[cfg(test)]`, and examples/, tests/, crates/*/tests/ and
-# benchmark/src/ whole. `//` comments and `use` statements are dropped,
-# and a definition (`fn NAME`, an impl's method included, `const NAME:`,
-# `static NAME:`) is not a use. It is a name rule: a dead item whose name
-# is common slips through, a live one is never flagged. Text only, so it
-# runs before the build.
+# Every public item has a user. Text only, so it runs before the build.
+# The code it reads is everything but unit tests: each crates/*/src file
+# up to its first `#[cfg(test)]`, and examples/, tests/, crates/*/tests/
+# and benchmark/src/ whole, with comments, string and char literals and
+# `use` statements dropped. A definition (`fn NAME`, `const NAME:`,
+# `static NAME:`) is not a use. Under crates/*/src it checks:
+# - a `pub fn`, or a method declared in a `pub trait`: used only in call
+#   form (`NAME(`, `NAME::<`) or path form (`::NAME`). A field read, a
+#   struct-literal field or a binding of the same name is not a use;
+# - a `pub const` or `pub static`: used by its name as a word;
+# - a `pub struct`, `enum`, `type` or `trait`, and the type a macro that
+#   defines a `pub struct` takes as its first argument: used by its name
+#   outside what it owns. It owns its definition, each `impl X` and
+#   `impl T for X` block (header and body) and the macro invocation that
+#   defines it, found by brace (or, for the invocation, parenthesis)
+#   depth.
+# It is a name rule still: an item named like one in use slips through.
 #
 # The allow-list is the public API the paper names that only unit tests
 # reach, `path:name` and the reason, one a line. It stays under 30
 # entries, and an entry the scan no longer flags fails the step too.
-echo "verify: every public function, constant and trait method has a non-test caller"
+echo "verify: every public function, constant, type and trait method has a non-test user"
 reach_allow='
 crates/core/src/bnn.rs:with_estimator  TyXe fit(closed_form_kl=False): the pathwise Trace ELBO in place of the closed-form-KL default
 crates/core/src/vcl.rs:bayesian_sample_sites  tyxe.util.pyro_sample_sites: the site names Sec. 5 (VCL) walks
 crates/core/src/mc_dropout.rs:fixed_dropout  Sec. D: MC dropout with one mask fixed across the batch and passes, as a handler
+crates/core/src/priors.rs:hide_all  TyXe Prior(hide_all=True): the prior filter kwarg that starts from nothing exposed
+crates/core/src/priors.rs:expose_module_types  TyXe Prior(expose_module_types=[...]): the prior filter kwarg by module type
+crates/core/src/priors.rs:expose_attributes  TyXe Prior(expose_attributes=[...]): the prior filter kwarg by parameter attribute
+crates/core/src/priors.rs:LayerwiseNormalPrior  TyXe priors.LayerwiseNormalPrior(method=radford|xavier|kaiming)
+crates/core/src/priors.rs:LambdaPrior  TyXe priors.LambdaPrior: a prior built per parameter by a function
+crates/core/src/guides_ktied.rs:AutoKTiedNormal  Sec. D: the k-tied Normal guide (Swiatkowski et al. 2020)
+crates/prob/src/sgld.rs:Sgld  Sec. D: SGLD, the scalable mini-batch MCMC method
 '
 reach_src() {
     for f in $(find crates/*/src -name '*.rs' | sort); do
         sed '/^[[:space:]]*#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f\t|"
     done
 }
-# Candidates, `path:line:name`: public items, and the methods of a public
-# trait (a `fn` at the trait body's top level, found by brace depth).
-reach_cands=$(reach_src | awk -F'\t' '
-    $1 != file { file = $1; n = 0; intrait = 0; depth = 0 }
-    {
-        n++; line = substr($0, length($1) + 2)
-        if (match(line, /^[[:space:]]*pub[[:space:]]+((const|unsafe|async)[[:space:]]+|extern[[:space:]]+"[^"]*"[[:space:]]+)*fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
-            name = substr(line, RSTART, RLENGTH); sub(/.*fn[[:space:]]+/, "", name); print file ":" n ":" name
-        } else if (match(line, /^[[:space:]]*pub[[:space:]]+(const|static)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:/)) {
-            name = substr(line, RSTART, RLENGTH); sub(/[[:space:]]*:$/, "", name); sub(/.*[[:space:]]/, "", name); print file ":" n ":" name
-        }
-        if (!intrait && line ~ /^[[:space:]]*pub[[:space:]]+(unsafe[[:space:]]+)?trait[[:space:]]/) { intrait = 1; depth = 0; opened = 0 }
-        if (intrait) {
-            if (opened && depth == 1 && match(line, /^[[:space:]]*(unsafe[[:space:]]+)?fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
-                name = substr(line, RSTART, RLENGTH); sub(/.*fn[[:space:]]+/, "", name); print file ":" n ":" name
+# The code, `file<TAB>line`, one output line per input line.
+reach_code() {
+    { reach_src; for f in $(find examples tests crates/*/tests benchmark/src -name '*.rs' | sort); do sed "s|^|$f\t|" "$f"; done; } |
+    awk -F'\t' '
+        $1 != file { file = $1; instr = 0; skip = 0 }
+        {
+            line = substr($0, length($1) + 2)
+            if (instr) {
+                if (match(line, /^([^"\\]|\\.)*"/)) { line = substr(line, RSTART + RLENGTH); instr = 0 } else line = ""
             }
-            code = line; sub(/\/\/.*/, "", code)
-            o = gsub(/\{/, "{", code); c = gsub(/\}/, "}", code)
-            if (o > 0) opened = 1
-            depth += o - c
-            if (opened && depth <= 0) intrait = 0
+            if (line ~ /^[ \t]*\/\//) line = ""
+            gsub(/r#"([^"]|"[^#])*"#/, " ", line)
+            gsub(/\x27([^\x27\\]|\\[^u]|\\u[{][0-9a-fA-F]+[}])\x27/, " ", line)
+            gsub(/"([^"\\]|\\.)*"/, " ", line)
+            sub(/\/\/.*/, "", line)
+            if ((i = index(line, "\"")) > 0) { line = substr(line, 1, i - 1); instr = 1 }
+            if (skip || line ~ /^[ \t]*(pub(\([^)]*\))?[ \t]+)?use[ \t]/) { skip = (line !~ /;/); line = "" }
+            print file "\t" line
+        }'
+}
+# One pass: candidates (F fn, K const/static, T type, as `path:line:name`)
+# and uses (C call or path form, W word, U word outside its owner).
+reach_scan=$(reach_code | awk -F'\t' '
+    function push(name, kind) { sp++; own[sp] = name; okind[sp] = kind; base[sp] = (kind == "(" ? pdepth : depth); opened[sp] = 0 }
+    $1 != file { file = $1; n = 0; depth = 0; pdepth = 0; sp = 0; want = 0; mac = ""; split("", typemac); src = (file ~ /^crates\/[^\/]+\/src\//) }
+    {
+        n++; line = substr($0, length($1) + 2); rest = line; at = file ":" n ":"
+        if (src && match(line, /^[ \t]*pub[ \t]+((const|unsafe|async|extern)[ \t]+)*fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+            s = substr(line, RSTART, RLENGTH); sub(/.*fn[ \t]+/, "", s); print "F\t" at s
+        } else if (src && match(line, /^[ \t]*pub[ \t]+(const|static)[ \t]+(mut[ \t]+)?[A-Za-z_][A-Za-z0-9_]*[ \t]*:/)) {
+            s = substr(line, RSTART, RLENGTH); sub(/[ \t]*:$/, "", s); sub(/.*[ \t]/, "", s); print "K\t" at s
+        } else if (src && sp > 0 && okind[sp] == "pub trait" && depth == base[sp] + 1 && match(line, /^[ \t]*(unsafe[ \t]+)?fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+            s = substr(line, RSTART, RLENGTH); sub(/.*fn[ \t]+/, "", s); print "F\t" at s
         }
-    }')
-# Every word non-unit-test code uses.
-reach_words=$({ reach_src | cut -f2-; find examples tests crates/*/tests benchmark/src -name '*.rs' -exec awk 1 {} +; } |
-    sed -E 's#//.*##' |
-    awk '/^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?use[[:space:]]/ { skip = ($0 !~ /;/); next }
-         skip { skip = ($0 !~ /;/); next }
-         { print }' |
-    sed -E 's/\bfn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*//g; s/\b(const|static)[[:space:]]+(mut[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*[[:space:]]*:/:/g' |
-    grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u)
-reach_flagged=$(awk -F: 'NR == FNR { used[$0] = 1; next } !($3 in used)' \
-    <(printf '%s\n' "$reach_words") <(printf '%s\n' "$reach_cands"))
+        if (match(line, /^[ \t]*(pub(\([^)]*\))?[ \t]+)?(unsafe[ \t]+)?(struct|enum|union|type|trait)[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
+            s = substr(line, RSTART, RLENGTH); p = (s ~ /^[ \t]*pub[ \t]/); k = s; sub(/[ \t]+[A-Za-z_0-9]*$/, "", k); sub(/.*[ \t]/, "", k)
+            sub(/.*[ \t]/, "", s); push(s, p && k == "trait" ? "pub trait" : "{")
+            if (src && p && k != "union") print "T\t" at s
+        } else if (line ~ /^[ \t]*(unsafe[ \t]+)?impl([ \t<]|$)/) {
+            # The self type: past the generics and any `Trait for`, the
+            # last segment of its path.
+            h = line; sub(/[{].*/, "", h); sub(/^[ \t]*(unsafe[ \t]+)?impl/, "", h); gsub(/->/, "", h)
+            if (h ~ /^</) {
+                d = 0
+                for (i = 1; i <= length(h); i++) { c = substr(h, i, 1); if (c == "<") d++; else if (c == ">" && --d == 0) break }
+                h = substr(h, i + 1)
+            }
+            sub(/[ \t]where([ \t].*)?$/, "", h)
+            if (match(h, /[ \t]for[ \t]/)) h = substr(h, RSTART + RLENGTH)
+            gsub(/&|\x27[A-Za-z_]+|(^|[ \t])(mut|dyn)[ \t]/, " ", h); sub(/^[ \t]+/, "", h); sub(/[^A-Za-z0-9_:].*/, "", h); sub(/.*::/, "", h)
+            push(h, "{")
+        } else if (match(line, /^[ \t]*macro_rules![ \t]*[A-Za-z_][A-Za-z0-9_]*/)) {
+            mac = substr(line, RSTART, RLENGTH); sub(/.*![ \t]*/, "", mac); macdepth = depth
+        } else if (match(line, /^[ \t]*[A-Za-z_][A-Za-z0-9_]*![ \t]*\(/)) {
+            s = substr(line, RSTART, RLENGTH); sub(/^[ \t]*/, "", s); sub(/[ \t]*!.*/, "", s)
+            if (s in typemac) { push("", "("); want = 1; rest = substr(line, RSTART + RLENGTH) }
+        }
+        if (mac != "" && line ~ /pub[ \t]+struct[ \t]+\$/) typemac[mac] = 1
+        if (want && match(rest, /^[ \t]*[A-Za-z_][A-Za-z0-9_]*[ \t]*,/)) {
+            s = substr(rest, RSTART, RLENGTH); gsub(/[ \t,]/, "", s); own[sp] = s; want = 0
+            if (src) print "T\t" at s
+        }
+        code = line
+        gsub(/(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/, " ", code)
+        gsub(/(^|[^A-Za-z0-9_])(const|static)[ \t]+(mut[ \t]+)?[A-Za-z_][A-Za-z0-9_]*[ \t]*:/, " :", code)
+        while (match(code, /(::)?[A-Za-z_][A-Za-z0-9_]*(\(|::<)?/)) {
+            w = substr(code, RSTART, RLENGTH); code = substr(code, RSTART + RLENGTH)
+            call = (w ~ /^::|[(<]$/); gsub(/[^A-Za-z0-9_]/, "", w)
+            if (call) print "C\t" w
+            print "W\t" w
+            for (i = sp; i > 0 && own[i] != w; i--);
+            if (i == 0) print "U\t" w
+        }
+        t = line; o = gsub(/[{]/, "", t); c = gsub(/[}]/, "", t); depth += o - c
+        t = line; po = gsub(/\(/, "", t); pc = gsub(/\)/, "", t); pdepth += po - pc
+        if (mac != "" && depth <= macdepth && o + c > 0) mac = ""
+        while (sp > 0) {
+            d = (okind[sp] == "(" ? pdepth : depth)
+            if (d > base[sp] || (okind[sp] == "(" ? po : o) > 0) opened[sp] = 1
+            if ((opened[sp] && d <= base[sp]) || (!opened[sp] && line ~ /;/)) sp--
+            else break
+        }
+    }' | sort -u)
+reach_flagged=$(awk -F'\t' '
+    NR == FNR { used[$1 $2] = 1; next }
+    { split($2, p, ":") }
+    ($1 == "F" && !(("C" p[3]) in used)) || ($1 == "K" && !(("W" p[3]) in used)) || ($1 == "T" && !(("U" p[3]) in used)) { print $2 }
+' <(grep -E '^[CWU]' <<< "$reach_scan") <(grep -E '^[FKT]' <<< "$reach_scan") | sort -t: -k1,1 -k2,2n)
 reach_keys=$(printf '%s\n' "$reach_allow" | awk 'NF { print $1 }')
 reach_fail=0
 if [[ $(printf '%s\n' "$reach_keys" | wc -l) -ge 30 ]]; then
@@ -291,9 +361,15 @@ fi
 # or the string parser of the variance schemes, or the fused variants no
 # caller reached (the conv's activation epilogue, the sigmoid activation,
 # the softplus scale map) and the second storage type beside `Tensor`
-# that the predictive cache copied every draw through, grow back. The
-# filter drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# that the predictive cache copied every draw through, or what only unit
+# tests reached once the reachability step judged use (the layer, dropout,
+# batch-norm, ResNet, distribution, layout and tensor accessors, the
+# estimator getter, the scale freeze, the uniform prior with both Uniform
+# distributions, Pyro's block and mask handlers, the sigmoid and softplus
+# layers, the bare obs-trace installer, Adam's hyperparameter options and
+# the supervisor's payload map), grow back. The filter drops this guard's
+# own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus|fn (in_features|out_features|running_mean|running_var|feature_dim|cov_factor|cov_diag|estimator|train_scale|from_probs|obs_trace|with_options)\b|fn bias\(&self\) -> (Option<)?&Param|fn (rate|logits)\(&self\) -> &Tensor|fn p\(&self\) -> f64|fn layer\(&self, i: usize\)|fn names\(&self\) -> &\[String\]|fn strides\(&self\)|fn uniform\(lo: f64, hi: f64\)|struct Uniform\b|mod uniform\b|Distribution<T> for &D\b|fn (block|mask)<R>|BlockMessenger|\bMaskMessenger|fn blocks\(&self, _?name: &str\)|^[[:space:]]*(Sigmoid|Softplus),$|\b(Sigmoid|Softplus)::new\b|weight_decay|fn unflatten\(&self, flat: &\[f64\], requires_grad|set_payload|LIVE_PAYLOAD_KEYS|PAYLOAD_PRECISION|PAYLOAD_PREFIX|fn payload\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi

