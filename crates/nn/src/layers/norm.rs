@@ -1,4 +1,12 @@
 //! Batch normalization.
+//!
+//! [`BatchNorm2d`] normalizes each channel of an `[N, C, H, W]` input with
+//! the batch's statistics in training mode (a differentiable chain of
+//! axis means, updating the running statistics out of band) and with the
+//! running statistics in evaluation mode. In both modes the affine tail,
+//! `((x − mean)/sd)·weight + bias` with `sd = sqrt(var + eps)`, is one op,
+//! [`Tensor::batch_norm`], with the bits of the four broadcast ops it
+//! replaced (kept in the tests as the oracle).
 
 use std::cell::{Cell, RefCell};
 
@@ -114,13 +122,7 @@ impl Forward<Tensor> for BatchNorm2d {
             let v = Tensor::from_vec(self.running_var.borrow().clone(), &[1, c, 1, 1]);
             (m, v)
         };
-        let w = self.weight.value().reshape(&[1, c, 1, 1]);
-        let b = self.bias.value().reshape(&[1, c, 1, 1]);
-        input
-            .sub(&mean)
-            .div(&var.add_scalar(self.eps).sqrt())
-            .mul(&w)
-            .add(&b)
+        input.batch_norm(&mean, &var.add_scalar(self.eps).sqrt(), &self.weight.value(), &self.bias.value())
     }
 }
 
@@ -166,6 +168,84 @@ mod tests {
         bn.forward(&x).square().sum().backward();
         assert!(bn.weight().leaf().grad().is_some());
         assert!(bn.bias.leaf().grad().is_some());
+    }
+
+    /// `BatchNorm2d::forward` before the fused op: the same statistics,
+    /// then the four broadcast ops. The oracle of the pin below.
+    fn chain_forward(bn: &BatchNorm2d, input: &Tensor) -> Tensor {
+        let c = input.shape()[1];
+        let (mean, var) = if bn.training.get() {
+            let m = input.mean_axis(0, true).mean_axis(2, true).mean_axis(3, true);
+            let v = input.sub(&m).square().mean_axis(0, true).mean_axis(2, true).mean_axis(3, true);
+            let (md, vd) = (m.to_vec(), v.to_vec());
+            let n = (input.numel() / c) as f64;
+            let unbias = if n > 1.0 { n / (n - 1.0) } else { 1.0 };
+            let (mut rm, mut rv) = (bn.running_mean.borrow_mut(), bn.running_var.borrow_mut());
+            for i in 0..c {
+                rm[i] = (1.0 - bn.momentum) * rm[i] + bn.momentum * md[i];
+                rv[i] = (1.0 - bn.momentum) * rv[i] + bn.momentum * vd[i] * unbias;
+            }
+            (m, v)
+        } else {
+            let m = Tensor::from_vec(bn.running_mean.borrow().clone(), &[1, c, 1, 1]);
+            let v = Tensor::from_vec(bn.running_var.borrow().clone(), &[1, c, 1, 1]);
+            (m, v)
+        };
+        let w = bn.weight.value().reshape(&[1, c, 1, 1]);
+        let b = bn.bias.value().reshape(&[1, c, 1, 1]);
+        input.sub(&mean).div(&var.add_scalar(bn.eps).sqrt()).mul(&w).add(&b)
+    }
+
+    /// Output, loss, both parameter gradients, the input's gradient and
+    /// the running statistics equal the four-op chain's bit for bit, in
+    /// training and evaluation mode, in `f64` and with an `f32` input under
+    /// `autocast(F32)` (training mode's statistics then run in `f32`).
+    #[test]
+    fn forward_is_the_four_op_chain_bitwise() {
+        use tyxe_rand::{Rng, SeedableRng};
+        use tyxe_tensor::DType;
+        let shape = [4, 3, 5, 5];
+        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(3);
+        let mut draw = |len: usize| (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect::<Vec<f64>>();
+        let (mut xv, gy) = (draw(300), draw(300));
+        xv[..25].fill(0.0);
+        for mixed in [false, true] {
+            for training in [true, false] {
+                let run = |fused: bool| {
+                    let bn = BatchNorm2d::new(3);
+                    bn.weight.leaf().set_data(vec![1.5, -0.5, 0.0]);
+                    bn.bias.leaf().set_data(vec![0.25, -1.0, 2.0]);
+                    *bn.running_mean.borrow_mut() = vec![0.5, -0.25, 1.0];
+                    *bn.running_var.borrow_mut() = vec![2.0, 0.5, 1e-3];
+                    bn.set_training(training);
+                    let x = Tensor::from_vec(xv.clone(), &shape);
+                    let x = if mixed { x.cast(DType::F32) } else { x }.requires_grad(true);
+                    let (y, loss) = {
+                        let _g = mixed.then(|| tyxe_tensor::autocast::autocast(DType::F32));
+                        let y = if fused { bn.forward(&x) } else { chain_forward(&bn, &x) };
+                        let loss = y.mul(&Tensor::from_vec(gy.clone(), &shape)).sum();
+                        (y, loss)
+                    };
+                    loss.backward();
+                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    let grad = |t: Tensor| bits(t.grad().expect("takes a gradient"));
+                    let (rm, rv) = (bn.running_mean.borrow().clone(), bn.running_var.borrow().clone());
+                    [
+                        bits(y.to_vec()),
+                        bits(loss.to_vec()),
+                        grad(x),
+                        grad(bn.weight.leaf()),
+                        grad(bn.bias.leaf()),
+                        bits(rm),
+                        bits(rv),
+                    ]
+                };
+                let names = ["output", "loss", "x grad", "weight grad", "bias grad", "running_mean", "running_var"];
+                for ((got, want), name) in run(true).iter().zip(run(false)).zip(names) {
+                    assert_eq!(got, &want, "{name}: autocast {mixed}, training {training}");
+                }
+            }
+        }
     }
 
     #[test]

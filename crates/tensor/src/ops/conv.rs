@@ -23,7 +23,7 @@
 //! `A·Bᵀ` per group ([`gemm_bt_ow_batched`]) writes `G_s · cols_sᵀ` for
 //! each sample, and the partials are summed in ascending sample order,
 //! the sequential loop's addition chain (see `tyxe-par`'s determinism
-//! contract).
+//! contract), with the weight's elements split across the pool.
 //!
 //! Everything is generic over the storage dtype: data movement
 //! (im2col/col2im, pooling argmax scatter) and all accumulations run
@@ -38,6 +38,7 @@ use std::ops::Range;
 
 use crate::element::{DType, Element, dispatch_dtype};
 use crate::ops::gemm_kernels::{NC, gemm_at_ow_here, gemm_bt_ow_batched, gemm_ow_here};
+use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::tensor::{Buf, Tensor};
 
@@ -356,15 +357,20 @@ impl<'a, E: Element> Groups<'a, E> {
                 }
             }
         });
+        // The partials' sum, its elements split across the pool; each
+        // element adds its samples' partials in ascending order.
+        let chunk = tyxe_par::chunk_len(wlen, 1, PAR_MIN_ELEMS.div_ceil(n.max(1)));
         let gw = gw_part
             .iter()
             .map(|parts| {
                 let mut gw = pool::alloc_zeroed::<E>(wlen);
-                for part in parts.chunks(wlen.max(1)) {
-                    for (g, p) in gw.iter_mut().zip(part) {
-                        *g += *p;
+                tyxe_par::parallel_for_chunks(&mut gw, chunk, |start, piece| {
+                    for part in parts.chunks(wlen) {
+                        for (g, p) in piece.iter_mut().zip(&part[start..]) {
+                            *g += *p;
+                        }
                     }
-                }
+                });
                 gw
             })
             .collect();

@@ -3,6 +3,7 @@
 //! All ops are methods on [`crate::Tensor`]; these modules only organize the
 //! implementations.
 
+pub(crate) mod batch_norm;
 pub(crate) mod binary;
 pub(crate) mod conv;
 pub mod fused;

@@ -448,6 +448,17 @@ for f in $(grep -rlF "square().conv2d(" crates/*/src); do
         exit 1
     fi
 done
+# One batch-norm tail (§10): `Tensor::batch_norm`. The four broadcast ops
+# it fused, `.sub(…).div(…).mul(…).add(…)` in one statement however it is
+# wrapped, live on only as the tests' oracle, below each file's first
+# `#[cfg(test)]`; comment lines are not code and are skipped.
+bn_tail='\.sub\([^;{}]*\)\.div\([^;{}]*\)\.mul\([^;{}]*\)\.add\('
+for f in $(grep -rlF ".sub(" crates/*/src); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -v '^[[:space:]]*//' | tr -d '[:space:]' | grep -oE "$bn_tail"; then
+        echo "verify: $f computes batch norm's affine tail as an op chain beside Tensor::batch_norm" >&2
+        exit 1
+    fi
+done
 # A step input keys its plan through `StepInput` (§11), not by being
 # downcast to a Tensor.
 if grep -rnE "downcast_ref::<Tensor>|NOT_A_TENSOR" crates/core/src; then
