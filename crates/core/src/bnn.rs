@@ -275,8 +275,7 @@ pub struct VariationalBnn<M, L, G> {
     guide: G,
     estimator: ElboEstimator,
     /// Compiled step plan: recorded on the first SVI step, replayed while
-    /// the [`StepKey`], the autocast mode and the global plan generation
-    /// hold.
+    /// the [`StepKey`] and the global plan generation hold.
     plan: RefCell<plan::Compiled<StepKey>>,
     /// Posterior weight draws reused across predict calls (DESIGN.md
     /// §15).
@@ -450,9 +449,6 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     }
 
     /// Builds the negative-ELBO loss graph for one step (no backward).
-    /// Under a caller's [`tyxe_tensor::autocast`] scope the GEMM-bound
-    /// ops demote their operands to `f32` through differentiable cast
-    /// nodes (DESIGN.md §12).
     fn svi_loss<I>(&self, input: &I, targets: &Tensor) -> Tensor
     where
         M: Forward<I, Output = Tensor>,
@@ -1119,42 +1115,6 @@ mod tests {
         let b = bnn.predict_samples(&x, 1)[0].to_vec();
         assert_eq!(a, b);
         assert!(bnn.evaluate(&x, &y, 1).error < 0.05);
-    }
-
-    /// Mixed precision — an `f32` autocast scope around `fit` and
-    /// `evaluate` — keeps `f64` parameter storage, trains to the same
-    /// quality as the f64 reference on the toy regression, and leaves
-    /// gradients on the f64 masters (cast-boundary backward).
-    #[test]
-    fn mixed_precision_fit_matches_f64_convergence() {
-        let run = |mixed: bool| {
-            let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
-            let (x, y) = toy_data();
-            let bnn = VariationalBnn::new(
-                toy_net(),
-                &IIDPrior::standard_normal(),
-                HomoskedasticGaussian::new(32, 0.1),
-                AutoNormal::new().init_loc(InitLoc::Pretrained).init_scale(1e-3),
-            );
-            let mut optim = Adam::new(vec![], 1e-2);
-            let history = bnn.fit(&[(x.clone(), y.clone())], &mut optim, 150, None);
-            let eval = bnn.evaluate(&x, &y, 8);
-            (history, eval, bnn.trainable_parameters())
-        };
-        let (h64, e64, _) = run(false);
-        let (hmix, emix, params) = run(true);
-        for p in &params {
-            assert_eq!(p.dtype(), tyxe_tensor::DType::F64, "mixed keeps f64 masters");
-        }
-        assert!(emix.error < 0.05, "mixed error {}", emix.error);
-        // Convergence parity: same loss basin as the f64 reference, not
-        // bitwise equality (compute rounds through f32).
-        let (l64, lmix) = (*h64.last().unwrap(), *hmix.last().unwrap());
-        assert!(
-            (lmix - l64).abs() < 0.15 * l64.abs().max(1.0),
-            "mixed final loss {lmix} vs f64 {l64}"
-        );
-        assert!((emix.error - e64.error).abs() < 0.02, "{} vs {}", emix.error, e64.error);
     }
 
     #[test]

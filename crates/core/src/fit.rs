@@ -43,26 +43,11 @@ use tyxe_par::fault::{self, INJECTED_PANIC_PAYLOAD};
 use tyxe_prob::optim::{grads_are_finite, Optimizer};
 use tyxe_prob::rng;
 use tyxe_rand::Rng;
-use tyxe_tensor::{autocast, Tensor};
+use tyxe_tensor::Tensor;
 
 use crate::bnn::{add_missing_params, FitCallback, VariationalBnn};
 use crate::guides::Guide;
 use crate::likelihoods::Likelihood;
-
-/// Enters the autocast mode a resumed checkpoint ran under — its
-/// continuation must re-enter those numerics to stay bit-exact — and
-/// records the mode the steps run under for the next checkpoint. Without
-/// a checkpointed mode the caller's scope stands. Panics, naming the
-/// code, if it names no mode: training on under other numerics than the
-/// checkpoint's would be silent drift.
-fn enter_checkpointed_autocast(supervisor: &mut Supervisor) -> Option<autocast::Guard> {
-    let guard = supervisor.precision.map(|code| {
-        autocast::enter_code(code)
-            .unwrap_or_else(|| panic!("checkpoint `{KEY_PRECISION}` = {code} names no autocast mode"))
-    });
-    supervisor.precision = Some(autocast::code());
-    guard
-}
 
 /// What went wrong with one training-step attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,9 +258,6 @@ pub struct Supervisor {
     steps: u64,
     good: Option<Snapshot>,
     report: FitReport,
-    /// The [`autocast::code`] the steps ran under, once a fit or a resume
-    /// has set it.
-    precision: Option<u32>,
 }
 
 /// Checkpoint container magic rides on the `StateDict` format; these
@@ -284,7 +266,9 @@ const KEY_STEP: &str = "supervisor.step";
 const KEY_RNG: &str = "supervisor.rng";
 const KEY_LR: &str = "supervisor.lr";
 const OPTIM_PREFIX: &str = "optim.";
-/// Checkpoint buffer holding the [`autocast::code`] the steps ran under.
+/// Checkpoint buffer in which fits from before mixed precision was
+/// removed wrote the numerics they ran under: `0` for `f64` throughout,
+/// `2` for mixed precision. Read on resume, never written.
 const KEY_PRECISION: &str = "supervisor.payload.precision";
 
 fn prev_path(path: &Path) -> PathBuf {
@@ -308,7 +292,6 @@ impl Supervisor {
             steps: 0,
             good: None,
             report: FitReport::default(),
-            precision: None,
         }
     }
 
@@ -338,8 +321,7 @@ impl Supervisor {
     /// resumed one is averaged over its remaining steps. The optional
     /// `callback` receives `(epoch, mean)` after each such epoch — the
     /// epoch index counts from the start of training, not of this call —
-    /// and stops training early by returning `true`. Runs in the
-    /// checkpointed autocast mode.
+    /// and stops training early by returning `true`.
     pub fn fit<M, L, G, I>(
         &mut self,
         bnn: &VariationalBnn<M, L, G>,
@@ -354,7 +336,6 @@ impl Supervisor {
         G: Guide,
     {
         assert!(!data.is_empty(), "fit: data must be non-empty");
-        let _amp = enter_checkpointed_autocast(self);
         let mut done = self.steps_completed();
         let mut history = Vec::with_capacity(num_epochs);
         for epoch in 0..num_epochs {
@@ -569,9 +550,6 @@ impl Supervisor {
         sd.insert_buffer(KEY_STEP, vec![f64::from_bits(self.steps)]);
         sd.insert_buffer(KEY_RNG, bits_to_f64(&rng::get_state()));
         sd.insert_buffer(KEY_LR, vec![optim.learning_rate()]);
-        if let Some(code) = self.precision {
-            sd.insert_buffer(KEY_PRECISION, vec![f64::from(code)]);
-        }
         sd
     }
 
@@ -647,15 +625,20 @@ impl Supervisor {
             .and_then(|b| b.first().copied())
             .ok_or(LoadError::Malformed("missing learning rate"))?;
         optim.set_learning_rate(lr);
-        // The autocast code is optional (older checkpoints have none); what
-        // the checkpoint carries replaces what was set in memory. Other
+        // A fit from before mixed precision was removed wrote the numerics
+        // it ran under. Only `0`, `f64` throughout, resumes: continuing a
+        // mixed-precision fit in `f64` would be silent drift. Other
         // `supervisor.payload.*` entries an older version wrote are not
-        // read, so no later checkpoint carries them.
-        self.precision = match sd.buffer(KEY_PRECISION) {
-            None => None,
-            Some(&[c]) if c == f64::from(c as u32) => Some(c as u32),
-            Some(_) => return Err(LoadError::Malformed("autocast mode is not one integer code")),
-        };
+        // read.
+        match sd.buffer(KEY_PRECISION) {
+            None | Some(&[0.0]) => {}
+            Some(&[2.0]) => {
+                return Err(LoadError::Malformed(
+                    "supervisor.payload.precision = 2: the checkpoint ran in mixed precision (32-bit compute), which is gone",
+                ))
+            }
+            Some(_) => return Err(LoadError::Malformed("supervisor.payload.precision is not 0, the one numerics code")),
+        }
         // The restored state is, by construction, the last trusted one.
         self.good = Some(self.capture(optim));
         // Restoring params/RNG out-of-band invalidates any compiled step
@@ -934,43 +917,29 @@ mod tests {
         assert_ne!(schedule(9), schedule(10));
     }
 
-    /// A checkpointed autocast code is re-entered, and one that names no
-    /// mode — `1` (the retired f32 parameter storage), `7`, a fraction
-    /// or a malformed buffer — stops the resume instead of training on
-    /// under other numerics.
+    /// A checkpoint's numerics code, from a fit before mixed precision
+    /// was removed: absent or `0` resumes; `2`, a mixed-precision fit, is
+    /// refused by name, and so is any other value. New checkpoints
+    /// carry no code.
     #[test]
-    fn checkpointed_autocast_codes_are_entered_or_refused() {
-        let _outer = autocast::autocast(tyxe_tensor::DType::F32);
+    fn old_mixed_precision_checkpoints_are_refused() {
         let mut sup = Supervisor::new(vec![], SupervisorConfig::default());
         let mut optim = Adam::new(vec![], 0.1);
-        // No checkpointed code keeps the caller's scope; a checkpointed
-        // one wins.
-        for (buf, mode) in [(None, 2), (Some(0.0), 0), (Some(2.0), 2)] {
-            let mut sd = Supervisor::new(vec![], SupervisorConfig::default()).to_state_dict(&optim);
-            if let Some(code) = buf {
-                sd.insert_buffer(KEY_PRECISION, vec![code]);
-            }
-            sup.apply_state_dict(&sd, &mut optim).unwrap();
-            let guard = enter_checkpointed_autocast(&mut sup);
-            assert_eq!(autocast::code(), mode);
-            assert_eq!(sup.to_state_dict(&optim).buffer(KEY_PRECISION), Some(&[f64::from(mode)][..]));
-            drop(guard);
-            assert_eq!(autocast::code(), 2, "the caller's scope is restored");
-        }
-        for code in [1, 7] {
-            sup.precision = Some(code);
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                enter_checkpointed_autocast(&mut sup);
-            }))
-            .expect_err("an unknown code must be refused");
-            let msg = err.downcast_ref::<String>().expect("formatted panic");
-            assert!(msg.contains(&format!("= {code} names no autocast mode")), "{msg}");
-        }
-        for bad in [vec![2.5], vec![], vec![0.0, 2.0]] {
-            let mut sd = sup.to_state_dict(&optim);
-            sd.insert_buffer(KEY_PRECISION, bad.clone());
+        let fresh = sup.to_state_dict(&optim);
+        assert_eq!(fresh.buffer(KEY_PRECISION), None);
+        let with_code = |code: Vec<f64>| {
+            let mut sd = fresh.clone();
+            sd.insert_buffer(KEY_PRECISION, code);
+            sd
+        };
+        sup.apply_state_dict(&fresh, &mut optim).expect("no code resumes");
+        sup.apply_state_dict(&with_code(vec![0.0]), &mut optim).expect("code 0 resumes");
+        let err = sup.apply_state_dict(&with_code(vec![2.0]), &mut optim).expect_err("code 2 is refused");
+        let msg = err.to_string();
+        assert!(msg.contains(KEY_PRECISION) && msg.contains("mixed precision (32-bit compute), which is gone"), "{msg}");
+        for bad in [vec![2.5], vec![1.0], vec![], vec![0.0, 2.0]] {
             assert!(
-                matches!(sup.apply_state_dict(&sd, &mut optim), Err(LoadError::Malformed(_))),
+                matches!(sup.apply_state_dict(&with_code(bad.clone()), &mut optim), Err(LoadError::Malformed(_))),
                 "{bad:?} must be refused"
             );
         }

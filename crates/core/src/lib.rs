@@ -45,10 +45,8 @@
 //! followed by `bnn.fit(&batches, &mut optim, epochs, None)` (each step
 //! through the fault-tolerant [`Supervisor`]) and
 //! `bnn.predict(&x_test, num_samples)` — optionally inside a
-//! `let _g = tyxe::poutine::local_reparameterization();` scope. Mixed
-//! precision is a scope too, as `torch.autocast` is in TyXe:
-//! `let _amp = tyxe_tensor::autocast::autocast(DType::F32);` computes the
-//! GEMM-bound ops in `f32` while parameters stay `f64`.
+//! `let _g = tyxe::poutine::local_reparameterization();` scope. Every
+//! tensor is `f64`; there is no mixed-precision mode.
 
 pub mod bnn;
 pub mod fit;

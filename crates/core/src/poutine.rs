@@ -127,12 +127,9 @@ impl Messenger for LocalReparameterizationMessenger {
     }
 
     /// Mean and variance of the pre-activations come from the kernel the
-    /// unhandled layer runs, [`Tensor::linear`]: in `f64` and `f32` that
-    /// is bit for bit the `t → matmul → add` chain it fuses, with no
-    /// broadcast op and nothing a step plan cannot record. Under an
-    /// [`tyxe_tensor::autocast`] scope the bias joins the sum in the
-    /// autocast dtype, as it does for the unhandled layer (the unfused chain added
-    /// it after widening back).
+    /// unhandled layer runs, [`Tensor::linear`]: bit for bit the `t →
+    /// matmul → add` chain it fuses, with no broadcast op and nothing a
+    /// step plan cannot record.
     fn intercept_linear(&self, x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Option<Tensor> {
         let (wloc, wscale) = self.registry.lookup(w)?;
         let (bmean, bvar) = match b {
@@ -585,12 +582,11 @@ mod tests {
 
     /// The fused handler is the old handler: output and every gradient —
     /// to the guide's `loc` and raw scale of weight and bias, to a
-    /// deterministic bias, and to the input — bit for bit, at `f64` and at
-    /// `f32` storage, with a Gaussian, a deterministic and no bias.
+    /// deterministic bias, and to the input — bit for bit, with a
+    /// Gaussian, a deterministic and no bias.
     #[test]
     fn fused_lr_linear_is_the_unfused_handler() {
         use tyxe_tensor::ops::ScaleMap;
-        use tyxe_tensor::DType;
 
         #[derive(Clone, Copy, Debug)]
         enum Bias {
@@ -599,11 +595,9 @@ mod tests {
             Absent,
         }
 
-        let run = |fused: bool, dtype: DType, bias: Bias| -> Vec<Vec<u64>> {
+        let run = |fused: bool, bias: Bias| -> Vec<Vec<u64>> {
             rng::set_seed(11);
-            let leaf = |shape: &[usize], scale: f64| {
-                rng::randn(shape).mul_scalar(scale).cast(dtype).detach().requires_grad(true)
-            };
+            let leaf = |shape: &[usize], scale: f64| rng::randn(shape).mul_scalar(scale).detach().requires_grad(true);
             let x = leaf(&[7, 5], 1.0);
             let (wloc, wraw) = (leaf(&[3, 5], 1.0), leaf(&[3, 5], 0.3));
             let (bloc, braw) = (leaf(&[3], 1.0), leaf(&[3], 0.3));
@@ -640,31 +634,22 @@ mod tests {
             }
             all
         };
-        for dtype in [DType::F64, DType::F32] {
-            for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
-                assert_eq!(
-                    run(true, dtype, bias),
-                    run(false, dtype, bias),
-                    "{dtype:?}, {bias:?} bias: fused handler left the unfused chain"
-                );
-            }
+        for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
+            assert_eq!(run(true, bias), run(false, bias), "{bias:?} bias: fused handler left the unfused chain");
         }
     }
 
     /// The fused conv is the old handler: output and every gradient — to
     /// the input, to the guide's `loc` and raw scale of weights and
-    /// biases, and to a deterministic bias — bit for bit. At `f64` and
-    /// `f32` storage and under an `f32` autocast scope over `f64` storage
-    /// (the chain squared `x` before its cast); at 1, 2 and 4 threads; with
+    /// biases, and to a deterministic bias — bit for bit. At 1, 2 and 4
+    /// threads; with
     /// a Gaussian, a deterministic and no bias; 3×3 and 1×1 kernels at
     /// strides 1 and 2 and batches of 1, 3 and 50; and a residual block
     /// whose input feeds two LR convs and an identity shortcut, so five
     /// gradient terms reach `x` and their order shows.
     #[test]
     fn fused_lr_conv_is_the_unfused_handler() {
-        use tyxe_tensor::autocast::autocast;
         use tyxe_tensor::ops::ScaleMap;
-        use tyxe_tensor::DType;
 
         #[derive(Clone, Copy, Debug)]
         enum Bias {
@@ -682,11 +667,9 @@ mod tests {
             Residual,
         }
 
-        let run = |fused: bool, storage: DType, mixed: bool, bias: Bias, net: Net, n: usize| -> Vec<Vec<u64>> {
+        let run = |fused: bool, bias: Bias, net: Net, n: usize| -> Vec<Vec<u64>> {
             rng::set_seed(13);
-            let leaf = |shape: &[usize], scale: f64| {
-                rng::randn(shape).mul_scalar(scale).cast(storage).detach().requires_grad(true)
-            };
+            let leaf = |shape: &[usize], scale: f64| rng::randn(shape).mul_scalar(scale).detach().requires_grad(true);
             // (filter shape, stride, pad) per layer, and the input's shape.
             type Layer = ([usize; 4], usize, usize);
             let (layers, x_shape): (Vec<Layer>, [usize; 4]) = match net {
@@ -703,26 +686,23 @@ mod tests {
             } else {
                 install(Rc::new(UnfusedLocalReparameterization::default()))
             };
-            let out = {
-                let _mixed = mixed.then(|| autocast(DType::F32));
-                let conv = |i: usize, input: &Tensor| {
-                    let [wloc, wraw, bloc, braw] = &params[i];
-                    let w = sample(&format!("w{i}"), boxed(Normal::from_raw_scale(wloc.clone(), wraw.clone(), ScaleMap::Exp)));
-                    let b = match bias {
-                        Bias::Gaussian => Some(sample(
-                            &format!("b{i}"),
-                            boxed(Normal::from_raw_scale(bloc.clone(), braw.clone(), ScaleMap::Exp)),
-                        )),
-                        Bias::Deterministic => Some(bloc.clone()),
-                        Bias::Absent => None,
-                    };
-                    let (_, stride, pad) = layers[i];
-                    effectful::conv2d(input, &w, b.as_ref(), stride, pad)
+            let conv = |i: usize, input: &Tensor| {
+                let [wloc, wraw, bloc, braw] = &params[i];
+                let w = sample(&format!("w{i}"), boxed(Normal::from_raw_scale(wloc.clone(), wraw.clone(), ScaleMap::Exp)));
+                let b = match bias {
+                    Bias::Gaussian => Some(sample(
+                        &format!("b{i}"),
+                        boxed(Normal::from_raw_scale(bloc.clone(), braw.clone(), ScaleMap::Exp)),
+                    )),
+                    Bias::Deterministic => Some(bloc.clone()),
+                    Bias::Absent => None,
                 };
-                match net {
-                    Net::Conv { .. } => conv(0, &x),
-                    Net::Residual => conv(1, &conv(0, &x).relu()).add(&conv(2, &x)).add(&x),
-                }
+                let (_, stride, pad) = layers[i];
+                effectful::conv2d(input, &w, b.as_ref(), stride, pad)
+            };
+            let out = match net {
+                Net::Conv { .. } => conv(0, &x),
+                Net::Residual => conv(1, &conv(0, &x).relu()).add(&conv(2, &x)).add(&x),
             };
             // Distinct weights per output element, so no gradient entry
             // is a plain sum of the upstream ones.
@@ -753,17 +733,14 @@ mod tests {
         ];
         for threads in [1, 2, 4] {
             tyxe_par::set_num_threads(threads);
-            for (storage, mixed) in [(DType::F64, false), (DType::F32, false), (DType::F64, true)] {
-                for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
-                    for net in nets {
-                        for n in [1, 3, 50] {
-                            assert_eq!(
-                                run(true, storage, mixed, bias, net, n),
-                                run(false, storage, mixed, bias, net, n),
-                                "{storage:?} storage, autocast {mixed}, {bias:?} bias, {net:?}, n = {n}, \
-                                 {threads} threads: fused conv left the unfused chain"
-                            );
-                        }
+            for bias in [Bias::Gaussian, Bias::Deterministic, Bias::Absent] {
+                for net in nets {
+                    for n in [1, 3, 50] {
+                        assert_eq!(
+                            run(true, bias, net, n),
+                            run(false, bias, net, n),
+                            "{bias:?} bias, {net:?}, n = {n}, {threads} threads: fused conv left the unfused chain"
+                        );
                     }
                 }
             }

@@ -3,7 +3,7 @@
 use std::rc::Rc;
 
 use tyxe_nn::StepInput;
-use tyxe_tensor::{DType, Tensor};
+use tyxe_tensor::Tensor;
 
 struct GraphInner {
     num_nodes: usize,
@@ -99,9 +99,7 @@ impl Graph {
 
     /// Differentiable message passing: `Â x` for node features
     /// `x: [n, d]`. Since `Â` is symmetric, the backward pass is another
-    /// `Â`-product. Recorded steps replay it in place. Computes in `f64`:
-    /// `f32` features (a linear layer's output under an autocast scope)
-    /// are widened through a cast node first.
+    /// `Â`-product. Recorded steps replay it in place.
     ///
     /// # Panics
     ///
@@ -111,7 +109,6 @@ impl Graph {
         let n = self.inner.num_nodes;
         assert_eq!(x.shape()[0], n, "aggregate: node count mismatch");
         let d = x.shape()[1];
-        let x = &x.cast(DType::F64);
         let inner = Rc::clone(&self.inner);
 
         // `out += Â vec`, row by row in CSR order.

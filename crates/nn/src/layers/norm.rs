@@ -198,52 +198,43 @@ mod tests {
 
     /// Output, loss, both parameter gradients, the input's gradient and
     /// the running statistics equal the four-op chain's bit for bit, in
-    /// training and evaluation mode, in `f64` and with an `f32` input under
-    /// `autocast(F32)` (training mode's statistics then run in `f32`).
+    /// training and evaluation mode.
     #[test]
     fn forward_is_the_four_op_chain_bitwise() {
         use tyxe_rand::{Rng, SeedableRng};
-        use tyxe_tensor::DType;
         let shape = [4, 3, 5, 5];
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(3);
         let mut draw = |len: usize| (0..len).map(|_| rng.gen_range(-3.0..3.0)).collect::<Vec<f64>>();
         let (mut xv, gy) = (draw(300), draw(300));
         xv[..25].fill(0.0);
-        for mixed in [false, true] {
-            for training in [true, false] {
-                let run = |fused: bool| {
-                    let bn = BatchNorm2d::new(3);
-                    bn.weight.leaf().set_data(vec![1.5, -0.5, 0.0]);
-                    bn.bias.leaf().set_data(vec![0.25, -1.0, 2.0]);
-                    *bn.running_mean.borrow_mut() = vec![0.5, -0.25, 1.0];
-                    *bn.running_var.borrow_mut() = vec![2.0, 0.5, 1e-3];
-                    bn.set_training(training);
-                    let x = Tensor::from_vec(xv.clone(), &shape);
-                    let x = if mixed { x.cast(DType::F32) } else { x }.requires_grad(true);
-                    let (y, loss) = {
-                        let _g = mixed.then(|| tyxe_tensor::autocast::autocast(DType::F32));
-                        let y = if fused { bn.forward(&x) } else { chain_forward(&bn, &x) };
-                        let loss = y.mul(&Tensor::from_vec(gy.clone(), &shape)).sum();
-                        (y, loss)
-                    };
-                    loss.backward();
-                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                    let grad = |t: Tensor| bits(t.grad().expect("takes a gradient"));
-                    let (rm, rv) = (bn.running_mean.borrow().clone(), bn.running_var.borrow().clone());
-                    [
-                        bits(y.to_vec()),
-                        bits(loss.to_vec()),
-                        grad(x),
-                        grad(bn.weight.leaf()),
-                        grad(bn.bias.leaf()),
-                        bits(rm),
-                        bits(rv),
-                    ]
-                };
-                let names = ["output", "loss", "x grad", "weight grad", "bias grad", "running_mean", "running_var"];
-                for ((got, want), name) in run(true).iter().zip(run(false)).zip(names) {
-                    assert_eq!(got, &want, "{name}: autocast {mixed}, training {training}");
-                }
+        for training in [true, false] {
+            let run = |fused: bool| {
+                let bn = BatchNorm2d::new(3);
+                bn.weight.leaf().set_data(vec![1.5, -0.5, 0.0]);
+                bn.bias.leaf().set_data(vec![0.25, -1.0, 2.0]);
+                *bn.running_mean.borrow_mut() = vec![0.5, -0.25, 1.0];
+                *bn.running_var.borrow_mut() = vec![2.0, 0.5, 1e-3];
+                bn.set_training(training);
+                let x = Tensor::from_vec(xv.clone(), &shape).requires_grad(true);
+                let y = if fused { bn.forward(&x) } else { chain_forward(&bn, &x) };
+                let loss = y.mul(&Tensor::from_vec(gy.clone(), &shape)).sum();
+                loss.backward();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                let grad = |t: Tensor| bits(t.grad().expect("takes a gradient"));
+                let (rm, rv) = (bn.running_mean.borrow().clone(), bn.running_var.borrow().clone());
+                [
+                    bits(y.to_vec()),
+                    bits(loss.to_vec()),
+                    grad(x),
+                    grad(bn.weight.leaf()),
+                    grad(bn.bias.leaf()),
+                    bits(rm),
+                    bits(rv),
+                ]
+            };
+            let names = ["output", "loss", "x grad", "weight grad", "bias grad", "running_mean", "running_var"];
+            for ((got, want), name) in run(true).iter().zip(run(false)).zip(names) {
+                assert_eq!(got, &want, "{name}: training {training}");
             }
         }
     }

@@ -225,9 +225,8 @@ impl Bound {
     /// from the global RNG sees the stream it would see dynamically),
     /// later ones replay, and a trace the recorder refuses leaves the
     /// chain on the dynamic body. Supervisor rollback and checkpoint
-    /// restore bump the plan generation, and entering or leaving an
-    /// autocast scope changes the mode the plan was recorded under;
-    /// either way the driver records again.
+    /// restore bump the plan generation, after which the driver records
+    /// again.
     fn potential_and_grad(&mut self, model: &dyn Fn(), layout: &LatentLayout, q: &[f64]) -> (f64, Vec<f64>) {
         for (i, leaf) in self.leaves.iter().enumerate() {
             leaf.set_data(layout.site(q, i).to_vec());

@@ -1,36 +1,7 @@
 //! Finite-difference gradient checking, used throughout the test suites of
 //! the higher-level crates.
-//!
-//! Checks run in the dtype of the probe point: an `f32` input is
-//! perturbed, evaluated and differentiated in `f32` storage, so the
-//! numeric gradient sees exactly the arithmetic the backward pass
-//! implements. Use [`recommended_tolerances`] to pick a step size and
-//! tolerance matched to the dtype's precision.
 
-use crate::element::DType;
 use crate::tensor::Tensor;
-
-/// The central-difference step and relative tolerance appropriate for
-/// a storage dtype. The difference `f(x+ε) - f(x-ε)` cancels roughly
-/// half the mantissa, so `f32` (24 bits) needs a far coarser step and
-/// tolerance than `f64` (53 bits).
-pub fn recommended_tolerances(dt: DType) -> (f64, f64) {
-    match dt {
-        DType::F64 => (1e-5, 1e-6),
-        DType::F32 => (1e-2, 2e-2),
-    }
-}
-
-/// Builds a tensor with `x0`'s shape and dtype from f64 coordinates
-/// (rounding into `f32` storage when `x0` is `f32`).
-fn tensor_like(x0: &Tensor, data: Vec<f64>) -> Tensor {
-    match x0.dtype() {
-        DType::F64 => Tensor::from_vec(data, x0.shape()),
-        DType::F32 => {
-            Tensor::from_vec_f32(data.into_iter().map(|v| v as f32).collect(), x0.shape())
-        }
-    }
-}
 
 /// Result of a gradient check: the largest absolute and relative deviation
 /// between analytic and numeric gradients.
@@ -59,7 +30,7 @@ impl GradCheckReport {
 ///
 /// Panics if `f` does not return a scalar.
 pub fn check_gradient(f: impl Fn(&Tensor) -> Tensor, x0: &Tensor, eps: f64) -> GradCheckReport {
-    let x = tensor_like(x0, x0.to_vec()).requires_grad(true);
+    let x = Tensor::from_vec(x0.to_vec(), x0.shape()).requires_grad(true);
     let y = f(&x);
     assert_eq!(y.numel(), 1, "check_gradient: f must return a scalar");
     y.backward();
@@ -73,8 +44,8 @@ pub fn check_gradient(f: impl Fn(&Tensor) -> Tensor, x0: &Tensor, eps: f64) -> G
         plus[i] += eps;
         let mut minus = base.clone();
         minus[i] -= eps;
-        let yp = f(&tensor_like(x0, plus)).item();
-        let ym = f(&tensor_like(x0, minus)).item();
+        let yp = f(&Tensor::from_vec(plus, x0.shape())).item();
+        let ym = f(&Tensor::from_vec(minus, x0.shape())).item();
         let numeric = (yp - ym) / (2.0 * eps);
         let abs = (numeric - analytic[i]).abs();
         let rel = abs / numeric.abs().max(analytic[i].abs()).max(1e-8);
@@ -106,25 +77,6 @@ mod tests {
         let x0 = Tensor::from_vec(vec![0.5, -0.3], &[2]);
         let report = check_gradient(|x| x.detach().mul(x).sum(), &x0, 1e-5);
         assert!(!report.passes(1e-6), "{report:?}");
-    }
-
-    #[test]
-    fn f32_check_runs_in_f32_with_dtype_tolerances() {
-        // Exercises the fast f32 tanh/exp forward recipes against their
-        // analytic backward, in f32 storage end to end.
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(3);
-        let x0 = Tensor::randn(&[6], &mut rng).cast(DType::F32).detach();
-        assert_eq!(x0.dtype(), DType::F32);
-        let (eps, tol) = recommended_tolerances(DType::F32);
-        let report = check_gradient(|x| x.tanh().sum(), &x0, eps);
-        assert!(report.passes(tol), "tanh: {report:?}");
-        let report = check_gradient(|x| x.mul_scalar(0.25).exp().sum(), &x0, eps);
-        assert!(report.passes(tol), "exp: {report:?}");
-        // And the matmul path across the dtype-generic GEMM.
-        let m0 = Tensor::randn(&[3, 3], &mut rng).cast(DType::F32).detach();
-        let w = Tensor::randn(&[3, 2], &mut rng).cast(DType::F32).detach();
-        let report = check_gradient(|x| x.matmul(&w).tanh().sum(), &m0, eps);
-        assert!(report.passes(tol), "matmul: {report:?}");
     }
 
     #[test]

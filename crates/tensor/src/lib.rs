@@ -1,15 +1,11 @@
-//! `tyxe-tensor`: a dense tensor library with reverse-mode automatic
-//! differentiation, generic over its storage dtype (`f64` and `f32`).
+//! `tyxe-tensor`: a dense `f64` tensor library with reverse-mode automatic
+//! differentiation.
 //!
 //! This crate is the Pytorch substitute underlying the `tyxe` Bayesian neural
 //! network stack. It provides:
 //!
-//! * [`Tensor`] — a cheaply clonable handle to a dense, row-major buffer
-//!   participating in a dynamically built autodiff graph; storage is
-//!   `f64` by default, `f32` on request ([`DType`], [`Tensor::cast`],
-//!   the `*_dtype` constructors), with [`autocast`] demoting the
-//!   matmul/conv/linear hot paths wholesale for mixed-precision
-//!   training;
+//! * [`Tensor`] — a cheaply clonable handle to a dense, row-major `f64`
+//!   buffer participating in a dynamically built autodiff graph;
 //! * broadcasting element-wise arithmetic, matrix multiplication, 2-D
 //!   convolution and pooling, reductions, softmax and shape manipulation;
 //! * [`grad_check`] — finite-difference gradient checking used by the test
@@ -46,10 +42,8 @@
 //!   every `TYXE_NUM_THREADS` setting. The seeded-reproducibility
 //!   contract in `tests/determinism.rs` therefore holds at any thread
 //!   count, and `crates/tensor/tests/parallel_identity.rs` pins the
-//!   kernels to their naive references bitwise. The contract is stated
-//!   **per dtype**: at fixed [`DType`], results are bit-identical across
-//!   thread count × pool × fusion × plan; `f32` and `f64` runs of the
-//!   same program of course differ from each other (DESIGN.md §12).
+//!   kernels to their naive references bitwise: results are
+//!   bit-identical across thread count × pool × fusion × plan.
 //! * On x86-64 CPUs with FMA the matrix kernels (and their retained
 //!   references) use fused multiply-adds, so results can differ between
 //!   *machines* with different instruction sets — the usual BLAS caveat —
@@ -78,8 +72,6 @@
 //! replayed (unsupported ops, unregistered RNG draws) fall back to the
 //! dynamic path; see DESIGN.md §11 for the contract.
 
-pub mod autocast;
-pub mod element;
 pub mod grad_check;
 pub mod inference;
 pub mod ops;
@@ -88,7 +80,6 @@ pub mod pool;
 pub mod shape;
 mod tensor;
 
-pub use element::{DType, Element};
 pub use grad_check::{check_gradient, GradCheckReport};
 pub use tensor::Tensor;
 

@@ -15,71 +15,42 @@
 //! ascending sample order.
 //!
 //! **Same bits as the chain.** Each scalar step is the chain op's own
-//! `f64` recipe rounded into storage where that op stored: `x − mean` and
-//! the quotient in `E` = x ⊔ mean ⊔ sd, the product and the sum in `F` =
-//! `E` ⊔ weight ⊔ bias. The backward recomputes those values from the
-//! operands (nothing is stashed) and evaluates each op's own gradient
-//! expression: `g·w` through the product, rounded into `F` and then into
-//! `E` (the chain's cast edge when `E` ≠ `F`), `g/sd` and `−g·a/(sd·sd)`
-//! through the quotient, `−g` through the difference. A per-channel
-//! gradient is summed from zero natively in its operand's dtype, in flat
-//! ascending order, as `sum_to_shape` reduced the chain's broadcast.
-//! Operands of other dtypes join `E` and `F` through cast nodes up front,
-//! as [`Tensor::linear`] does; this matches the chain whenever
-//! x ⊔ mean = `E` and weight and bias share a dtype, which holds for every
-//! caller (parameters are `f64`).
+//! recipe. The backward recomputes the chain's values from the operands
+//! (nothing is stashed) and evaluates each op's own gradient expression:
+//! `g·w` through the product, `g/sd` and `−g·a/(sd·sd)` through the
+//! quotient, `−g` through the difference. A per-channel gradient is summed
+//! from zero in flat ascending order, as `sum_to_shape` reduced the
+//! chain's broadcast.
 
-use crate::element::{DType, Element};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
-use crate::tensor::{Buf, Tensor};
+use crate::tensor::Tensor;
 
-/// `(a, z) = (x − mean, a / sd)`, each rounded into `E`.
+/// `(a, z) = (x − mean, a / sd)`.
 #[inline(always)]
-fn normalize<E: Element>(x: E, mean: E, sd: E) -> (E, E) {
-    let a = E::from_f64(x.to_f64() - mean.to_f64());
-    (a, E::from_f64(a.to_f64() / sd.to_f64()))
-}
-
-/// `z·w + b`, the product and the sum each rounded into `F`.
-#[inline(always)]
-fn affine<E: Element, F: Element>(z: E, w: F, b: F) -> F {
-    let c = F::from_f64(z.to_f64() * w.to_f64());
-    F::from_f64(c.to_f64() + b.to_f64())
-}
-
-/// The gradient reaching the quotient: the product's `g·w` in `F`,
-/// rounded into `E`.
-#[inline(always)]
-fn grad_z<E: Element, F: Element>(g: F, w: F) -> E {
-    E::from_f64(F::from_f64(g.to_f64() * w.to_f64()).to_f64())
-}
-
-/// The quotient's backward into its numerator, `gz / sd`: the input's
-/// gradient, and the negation of the mean's term.
-#[inline(always)]
-fn grad_a<E: Element>(gz: E, sd: E) -> E {
-    E::from_f64(gz.to_f64() / sd.to_f64())
+fn normalize(x: f64, mean: f64, sd: f64) -> (f64, f64) {
+    let a = x - mean;
+    (a, a / sd)
 }
 
 /// The quotient's backward into `sd`, `−gz·a / (sd·sd)`.
 #[inline(always)]
-fn grad_sd<E: Element>(gz: E, a: E, sd: E) -> E {
-    E::from_f64(-gz.to_f64() * a.to_f64() / (sd.to_f64() * sd.to_f64()))
+fn grad_sd(gz: f64, a: f64, sd: f64) -> f64 {
+    -gz * a / (sd * sd)
 }
 
-/// One channel's four gradient sums, each in its operand's dtype.
+/// One channel's four gradient sums.
 #[derive(Clone, Copy)]
-struct Sums<E, F> {
-    mean: E,
-    sd: E,
-    weight: F,
-    bias: F,
+struct Sums {
+    mean: f64,
+    sd: f64,
+    weight: f64,
+    bias: f64,
 }
 
 /// Runs `f(channel, row_offset, row)` over every `hw`-element row of
 /// `out` (`c` channels a sample), split across the pool by whole rows.
-fn for_rows<T: Send>(out: &mut [T], c: usize, hw: usize, f: impl Fn(usize, usize, &mut [T]) + Sync) {
+fn for_rows(out: &mut [f64], c: usize, hw: usize, f: impl Fn(usize, usize, &mut [f64]) + Sync) {
     if out.is_empty() {
         return;
     }
@@ -93,96 +64,6 @@ fn for_rows<T: Send>(out: &mut [T], c: usize, hw: usize, f: impl Fn(usize, usize
     });
 }
 
-/// [`Tensor::batch_norm`] with `x`, `mean` and `sd` in `E` and `weight`,
-/// `bias` and the output in `F`.
-fn batch_norm_t<E: Element, F: Element>(x: &Tensor, mean: &Tensor, sd: &Tensor, weight: &Tensor, bias: &Tensor) -> Tensor {
-    let (n, c) = (x.shape()[0], x.shape()[1]);
-    let hw = x.shape()[2] * x.shape()[3];
-    let compute = {
-        let (x, m, s, w, b) = (x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone());
-        move |out: &mut [F]| {
-            let (xd, md, sdd) = (x.data_of::<E>(), m.data_of::<E>(), s.data_of::<E>());
-            let (wd, bd) = (w.data_of::<F>(), b.data_of::<F>());
-            let (xd, md, sdd): (&[E], &[E], &[E]) = (&xd, &md, &sdd);
-            let (wd, bd): (&[F], &[F]) = (&wd, &bd);
-            for_rows(out, c, hw, |ch, at, row| {
-                let (m, s, w, b) = (md[ch], sdd[ch], wd[ch], bd[ch]);
-                for (o, &x) in row.iter_mut().zip(&xd[at..at + hw]) {
-                    *o = affine(normalize(x, m, s).1, w, b);
-                }
-            });
-        }
-    };
-    let mut data = pool::alloc_uninit::<F>(x.numel());
-    compute(data.as_mut_slice());
-
-    let (xc, mc, sc, wc, bc) = (x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone());
-    let parents = vec![x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone()];
-    let out = Tensor::make_op_buf(Buf::from_pool(data), x.shape().to_vec(), parents, move |_, grad| {
-        let g = grad.as_slice::<F>();
-        let (xd, md, sdd) = (xc.data_of::<E>(), mc.data_of::<E>(), sc.data_of::<E>());
-        let wd = wc.data_of::<F>();
-        let (xd, md, sdd, wd): (&[E], &[E], &[E], &[F]) = (&xd, &md, &sdd, &wd);
-        let gx = xc.requires_grad_enabled().then(|| {
-            let mut gx = pool::alloc_uninit::<E>(g.len());
-            for_rows(&mut gx, c, hw, |ch, at, row| {
-                let (s, w) = (sdd[ch], wd[ch]);
-                for (o, &g) in row.iter_mut().zip(&g[at..at + hw]) {
-                    *o = grad_a(grad_z::<E, F>(g, w), s);
-                }
-            });
-            gx
-        });
-        let need = [mc.requires_grad_enabled(), sc.requires_grad_enabled(), wc.requires_grad_enabled(), bc.requires_grad_enabled()];
-        // The chain reduced from `+0.0`, unless the operands already had
-        // the output's shape (`N·H·W` = 1), when it handed the one term
-        // over as is: `−0.0` is the identity that leaves it unchanged.
-        let zero = if n * hw == 1 { -0.0 } else { 0.0 };
-        let mut sums = vec![Sums { mean: E::from_f64(zero), sd: E::from_f64(zero), weight: F::from_f64(zero), bias: F::from_f64(zero) }; c];
-        if need.contains(&true) && !g.is_empty() {
-            // Per channel, the four sums of its rows in flat ascending
-            // order; channels split across the pool.
-            let chunk = tyxe_par::chunk_len(c, 1, PAR_MIN_ELEMS.div_ceil(n * hw));
-            tyxe_par::parallel_for_chunks(&mut sums, chunk, |c0, piece| {
-                for (ch, sum) in (c0..).zip(piece) {
-                    let (m, s, w) = (md[ch], sdd[ch], wd[ch]);
-                    for sample in 0..n {
-                        let at = (sample * c + ch) * hw;
-                        for (&x, &g) in xd[at..at + hw].iter().zip(&g[at..at + hw]) {
-                            let (a, z) = normalize(x, m, s);
-                            let gz = grad_z::<E, F>(g, w);
-                            if need[0] {
-                                sum.mean += -grad_a(gz, s);
-                            }
-                            if need[1] {
-                                sum.sd += grad_sd(gz, a, s);
-                            }
-                            if need[2] {
-                                sum.weight += F::from_f64(g.to_f64() * z.to_f64());
-                            }
-                            if need[3] {
-                                sum.bias += g;
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        let per_channel = |k: usize, dt: DType, get: fn(&Sums<E, F>) -> f64| {
-            need[k].then(|| Buf::from_f64_slice(&sums.iter().map(get).collect::<Vec<_>>(), dt))
-        };
-        vec![
-            gx.map(Buf::from_pool),
-            per_channel(0, E::DTYPE, |t| t.mean.to_f64()),
-            per_channel(1, E::DTYPE, |t| t.sd.to_f64()),
-            per_channel(2, F::DTYPE, |t| t.weight.to_f64()),
-            per_channel(3, F::DTYPE, |t| t.bias.to_f64()),
-        ]
-    });
-    crate::plan::record_op_t::<F>(&out, &[x, mean, sd, weight, bias], compute);
-    out
-}
-
 impl Tensor {
     /// Batch normalization's affine tail, `((self − mean)/sd)·weight +
     /// bias`, over an input `[N, C, H, W]` with per-channel operands of
@@ -190,10 +71,8 @@ impl Tensor {
     ///
     /// Value and every gradient are the op chain
     /// `self.sub(mean).div(sd).mul(weight).add(bias)`'s (operands shaped
-    /// `[1, C, 1, 1]`), bit for bit: the difference and the quotient round
-    /// in `self` ⊔ `mean` ⊔ `sd`, the product and the sum, and so the
-    /// output, in that dtype ⊔ `weight` ⊔ `bias` (module docs). An operand
-    /// that takes no gradient gets none, and its reduction is skipped.
+    /// `[1, C, 1, 1]`), bit for bit (module docs). An operand that takes
+    /// no gradient gets none, and its reduction is skipped.
     ///
     /// # Panics
     ///
@@ -204,17 +83,94 @@ impl Tensor {
         for (what, t) in [("mean", mean), ("sd", sd), ("weight", weight), ("bias", bias)] {
             assert_eq!(t.numel(), c, "batch_norm: {what} must have one element per channel ({c}), got {:?}", t.shape());
         }
-        let dt = self.dtype().promote(mean.dtype()).promote(sd.dtype());
-        let ft = dt.promote(weight.dtype()).promote(bias.dtype());
-        let (x, mean, sd) = (self.cast(dt), mean.cast(dt), sd.cast(dt));
-        let (weight, bias) = (weight.cast(ft), bias.cast(ft));
-        use DType::{F32, F64};
-        match (dt, ft) {
-            (F64, F64) => batch_norm_t::<f64, f64>(&x, &mean, &sd, &weight, &bias),
-            (F32, F32) => batch_norm_t::<f32, f32>(&x, &mean, &sd, &weight, &bias),
-            (F32, F64) => batch_norm_t::<f32, f64>(&x, &mean, &sd, &weight, &bias),
-            _ => unreachable!("dtype promotion never narrows"),
-        }
+        let x = self;
+        let n = x.shape()[0];
+        let hw = x.shape()[2] * x.shape()[3];
+        let compute = {
+            let (x, m, s, w, b) = (x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone());
+            move |out: &mut [f64]| {
+                let (xd, md, sdd, wd, bd) = (x.data(), m.data(), s.data(), w.data(), b.data());
+                let (xd, md, sdd, wd, bd) = (&xd[..], &md[..], &sdd[..], &wd[..], &bd[..]);
+                for_rows(out, c, hw, |ch, at, row| {
+                    let (m, s, w, b) = (md[ch], sdd[ch], wd[ch], bd[ch]);
+                    for (o, &x) in row.iter_mut().zip(&xd[at..at + hw]) {
+                        *o = normalize(x, m, s).1 * w + b;
+                    }
+                });
+            }
+        };
+        let mut data = pool::alloc_uninit(x.numel());
+        compute(&mut data);
+
+        let (xc, mc, sc, wc, bc) = (x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone());
+        let parents = vec![x.clone(), mean.clone(), sd.clone(), weight.clone(), bias.clone()];
+        let out = Tensor::make_op(data, x.shape().to_vec(), parents, move |_, g| {
+            let (xd, md, sdd, wd) = (xc.data(), mc.data(), sc.data(), wc.data());
+            let (xd, md, sdd, wd): (&[f64], &[f64], &[f64], &[f64]) = (&xd, &md, &sdd, &wd);
+            let gx = xc.requires_grad_enabled().then(|| {
+                let mut gx = pool::alloc_uninit(g.len());
+                for_rows(&mut gx, c, hw, |ch, at, row| {
+                    let (s, w) = (sdd[ch], wd[ch]);
+                    for (o, &g) in row.iter_mut().zip(&g[at..at + hw]) {
+                        *o = g * w / s;
+                    }
+                });
+                gx
+            });
+            let need = [mc.requires_grad_enabled(), sc.requires_grad_enabled(), wc.requires_grad_enabled(), bc.requires_grad_enabled()];
+            // The chain reduced from `+0.0`, unless the operands already had
+            // the output's shape (`N·H·W` = 1), when it handed the one term
+            // over as is: `−0.0` is the identity that leaves it unchanged.
+            let zero = if n * hw == 1 { -0.0 } else { 0.0 };
+            let mut sums = vec![Sums { mean: zero, sd: zero, weight: zero, bias: zero }; c];
+            if need.contains(&true) && !g.is_empty() {
+                // Per channel, the four sums of its rows in flat ascending
+                // order; channels split across the pool.
+                let chunk = tyxe_par::chunk_len(c, 1, PAR_MIN_ELEMS.div_ceil(n * hw));
+                tyxe_par::parallel_for_chunks(&mut sums, chunk, |c0, piece| {
+                    for (ch, sum) in (c0..).zip(piece) {
+                        let (m, s, w) = (md[ch], sdd[ch], wd[ch]);
+                        for sample in 0..n {
+                            let at = (sample * c + ch) * hw;
+                            for (&x, &g) in xd[at..at + hw].iter().zip(&g[at..at + hw]) {
+                                let (a, z) = normalize(x, m, s);
+                                let gz = g * w;
+                                if need[0] {
+                                    sum.mean += -(gz / s);
+                                }
+                                if need[1] {
+                                    sum.sd += grad_sd(gz, a, s);
+                                }
+                                if need[2] {
+                                    sum.weight += g * z;
+                                }
+                                if need[3] {
+                                    sum.bias += g;
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+            let per_channel = |k: usize, get: fn(&Sums) -> f64| {
+                need[k].then(|| {
+                    let mut b = pool::alloc_uninit(c);
+                    for (o, t) in b.iter_mut().zip(&sums) {
+                        *o = get(t);
+                    }
+                    b
+                })
+            };
+            vec![
+                gx,
+                per_channel(0, |t| t.mean),
+                per_channel(1, |t| t.sd),
+                per_channel(2, |t| t.weight),
+                per_channel(3, |t| t.bias),
+            ]
+        });
+        crate::plan::record_op(&out, &[x, mean, sd, weight, bias], compute);
+        out
     }
 }
 
@@ -227,7 +183,6 @@ mod tests {
     use crate::plan::Compiled;
     use tyxe_rand::rngs::StdRng;
     use tyxe_rand::{Rng, SeedableRng};
-    use DType::{F32, F64};
 
     const C: usize = 8;
 
@@ -261,7 +216,7 @@ mod tests {
         [x, mean, sd, weight, bias, gy]
     }
 
-    type Bits = (DType, Vec<u64>);
+    type Bits = Vec<u64>;
 
     /// Asserts `got == want`, naming the first differing part and element.
     fn assert_same(got: &[Option<Bits>], want: &[Option<Bits>], what: &str) {
@@ -271,70 +226,58 @@ mod tests {
                 assert_eq!(g.is_some(), w.is_some(), "{what}: {} present", names[k]);
                 continue;
             };
-            assert_eq!(g.0, w.0, "{what}: {} dtype", names[k]);
-            if let Some(i) = (0..g.1.len().max(w.1.len())).find(|&i| g.1.get(i) != w.1.get(i)) {
+            if let Some(i) = (0..g.len().max(w.len())).find(|&i| g.get(i) != w.get(i)) {
                 let v = |b: &Vec<u64>| b.get(i).map(|&b| f64::from_bits(b));
-                panic!("{what}: {}[{i}]: {:?} vs {:?}", names[k], v(&g.1), v(&w.1));
+                panic!("{what}: {}[{i}]: {:?} vs {:?}", names[k], v(g), v(w));
             }
         }
     }
 
-    fn bits(t: &Tensor, v: Vec<f64>) -> Bits {
-        (t.dtype(), v.into_iter().map(f64::to_bits).collect())
+    fn bits(v: Vec<f64>) -> Bits {
+        v.into_iter().map(f64::to_bits).collect()
     }
 
     /// Output, loss and each operand's gradient (`None` where it takes
-    /// none) of `op` on leaves of dtypes `(E, F)` (`x`, `mean`, `sd` in `E`;
-    /// `weight`, `bias` in `F`), the operands in bit `k` of `mask` taking a
-    /// gradient.
-    #[allow(clippy::type_complexity)]
+    /// none) of `op`, the operands in bit `k` of `mask` taking a gradient.
     fn run(
         op: fn(&Tensor, &Tensor, &Tensor, &Tensor, &Tensor) -> Tensor,
         shape: [usize; 4],
-        (e, f): (DType, DType),
         vals: &[Vec<f64>; 6],
         mask: u32,
     ) -> Vec<Option<Bits>> {
         let stat = [1, C, 1, 1];
         let shapes: [&[usize]; 5] = [&shape, &stat, &stat, &[C], &[C]];
         let leaves: Vec<Tensor> = (0..5)
-            .map(|k| {
-                let dt = if k < 3 { e } else { f };
-                Tensor::from_vec(vals[k].clone(), shapes[k]).cast(dt).detach().requires_grad(mask >> k & 1 == 1)
-            })
+            .map(|k| Tensor::from_vec(vals[k].clone(), shapes[k]).requires_grad(mask >> k & 1 == 1))
             .collect();
         let y = op(&leaves[0], &leaves[1], &leaves[2], &leaves[3], &leaves[4]);
         let loss = (mask != 0).then(|| {
-            let gy = Tensor::from_vec(vals[5].clone(), &shape).cast(y.dtype());
+            let gy = Tensor::from_vec(vals[5].clone(), &shape);
             let loss = y.mul(&gy).sum();
             loss.backward();
-            bits(&loss, loss.to_vec())
+            bits(loss.to_vec())
         });
-        let mut all = vec![Some(bits(&y, y.to_vec())), loss];
-        all.extend(leaves.iter().map(|t| t.grad().map(|g| bits(t, g))));
+        let mut all = vec![Some(bits(y.to_vec())), loss];
+        all.extend(leaves.iter().map(|t| t.grad().map(bits)));
         all
     }
 
     /// Output, loss and all five gradients, each present and absent (all
     /// 32 subsets of the operands taking one), equal the chain's bit for
-    /// bit: in `f64`, `(f32, f64)` (`x`, `mean`, `sd` in `f32`, as
-    /// training-mode statistics under autocast) and `f32`, at 1, 2 and 4
-    /// threads, for `N` ∈ {1, 3, 50} and `H×W` ∈ {1×1, 4×4, 14×14}.
+    /// bit, at 1, 2 and 4 threads, for `N` ∈ {1, 3, 50} and `H×W` ∈ {1×1, 4×4, 14×14}.
     #[test]
     fn batch_norm_is_the_op_chain_bitwise() {
         let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 2, 4] {
             at_threads(threads, || {
-                for dtypes in [(F64, F64), (F32, F64), (F32, F32)] {
-                    for n in [1, 3, 50] {
-                        for hw in [1, 4, 14] {
-                            let shape = [n, C, hw, hw];
-                            let vals = operands(&mut StdRng::seed_from_u64((n * 100 + hw) as u64), shape);
-                            for mask in 0..32 {
-                                let fused = run(|x, m, s, w, b| x.batch_norm(m, s, w, b), shape, dtypes, &vals, mask);
-                                let want = run(chain, shape, dtypes, &vals, mask);
-                                assert_same(&fused, &want, &format!("{dtypes:?} {shape:?} mask {mask:#07b}, {threads} threads"));
-                            }
+                for n in [1, 3, 50] {
+                    for hw in [1, 4, 14] {
+                        let shape = [n, C, hw, hw];
+                        let vals = operands(&mut StdRng::seed_from_u64((n * 100 + hw) as u64), shape);
+                        for mask in 0..32 {
+                            let fused = run(|x, m, s, w, b| x.batch_norm(m, s, w, b), shape, &vals, mask);
+                            let want = run(chain, shape, &vals, mask);
+                            assert_same(&fused, &want, &format!("{shape:?} mask {mask:#07b}, {threads} threads"));
                         }
                     }
                 }
@@ -349,48 +292,45 @@ mod tests {
     fn a_replayed_batch_norm_is_one_closure_and_matches_the_chain() {
         let shape = [3, C, 4, 4];
         let mut rng = StdRng::seed_from_u64(7);
-        for dtypes in [(F64, F64), (F32, F64), (F32, F32)] {
-            let vals = operands(&mut rng, shape);
-            let leaves: Vec<Tensor> = (0..5)
-                .map(|k| {
-                    let dt = if k < 3 { dtypes.0 } else { dtypes.1 };
-                    let s: &[usize] = [&shape[..], &[1, C, 1, 1], &[1, C, 1, 1], &[C], &[C]][k];
-                    Tensor::from_vec(vals[k].clone(), s).cast(dt).detach().requires_grad(true)
-                })
-                .collect();
-            let gy = Tensor::from_vec(vals[5].clone(), &shape).cast(dtypes.1);
-            let y_cell: RefCell<Option<Tensor>> = RefCell::new(None);
-            let mut driver = Compiled::<()>::unobserved();
-            let recorded = driver.run(
-                |_| Ok(()),
-                || (),
-                || {
-                    let y = leaves[0].batch_norm(&leaves[1], &leaves[2], &leaves[3], &leaves[4]);
-                    *y_cell.borrow_mut() = Some(y.clone());
-                    y.mul(&gy).sum()
-                },
-            );
-            assert!(recorded.recorded());
-            assert_eq!(driver.unsupported_reason(), None);
-            let plan = format!("{driver:?}");
-            assert!(plan.contains("ops: 3,"), "one closure for the op: {plan}");
-            for _ in 0..2 {
-                let mut vals = operands(&mut rng, shape);
-                vals[5] = gy.to_vec();
-                for (leaf, v) in leaves.iter().zip(&vals) {
-                    leaf.set_data(v.clone());
-                    leaf.zero_grad();
-                }
-                let pass = driver.run(|_| Ok(()), || (), || unreachable!("a replay builds nothing"));
-                assert!(pass.replayed());
-                pass.backward();
-                let y = y_cell.borrow().clone().expect("recorded output");
-                let mut got = vec![Some(bits(&y, y.to_vec())), None];
-                got.extend(leaves.iter().map(|t| t.grad().map(|g| bits(t, g))));
-                let mut want = run(chain, shape, dtypes, &vals, 31);
-                want[1] = None;
-                assert_same(&got, &want, &format!("replayed {dtypes:?}"));
+        let vals = operands(&mut rng, shape);
+        let leaves: Vec<Tensor> = (0..5)
+            .map(|k| {
+                let s: &[usize] = [&shape[..], &[1, C, 1, 1], &[1, C, 1, 1], &[C], &[C]][k];
+                Tensor::from_vec(vals[k].clone(), s).requires_grad(true)
+            })
+            .collect();
+        let gy = Tensor::from_vec(vals[5].clone(), &shape);
+        let y_cell: RefCell<Option<Tensor>> = RefCell::new(None);
+        let mut driver = Compiled::<()>::unobserved();
+        let recorded = driver.run(
+            |_| Ok(()),
+            || (),
+            || {
+                let y = leaves[0].batch_norm(&leaves[1], &leaves[2], &leaves[3], &leaves[4]);
+                *y_cell.borrow_mut() = Some(y.clone());
+                y.mul(&gy).sum()
+            },
+        );
+        assert!(recorded.recorded());
+        assert_eq!(driver.unsupported_reason(), None);
+        let plan = format!("{driver:?}");
+        assert!(plan.contains("ops: 3,"), "one closure for the op: {plan}");
+        for _ in 0..2 {
+            let mut vals = operands(&mut rng, shape);
+            vals[5] = gy.to_vec();
+            for (leaf, v) in leaves.iter().zip(&vals) {
+                leaf.set_data(v.clone());
+                leaf.zero_grad();
             }
+            let pass = driver.run(|_| Ok(()), || (), || unreachable!("a replay builds nothing"));
+            assert!(pass.replayed());
+            pass.backward();
+            let y = y_cell.borrow().clone().expect("recorded output");
+            let mut got = vec![Some(bits(y.to_vec())), None];
+            got.extend(leaves.iter().map(|t| t.grad().map(bits)));
+            let mut want = run(chain, shape, &vals, 31);
+            want[1] = None;
+            assert_same(&got, &want, "replayed");
         }
     }
 }

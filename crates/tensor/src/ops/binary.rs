@@ -4,26 +4,19 @@
 //! element, read-only inputs), so both are chunked across the thread
 //! pool for large tensors; the broadcast *reduction* in [`sum_to_shape`]
 //! stays sequential to keep its addition order fixed.
-//!
-//! Dtype: mixed operands promote to the wider type
-//! ([`crate::element::DType::promote`]) through [`Tensor::cast`] nodes,
-//! then a monomorphic kernel runs in the promoted type. The per-element
-//! recipes are written once as `f64` closures and applied under the
-//! widen-compute-round contract of [`crate::element`].
 
-use crate::element::{Element, dispatch_dtype};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool::{self, PoolBuf};
 use crate::shape::{StridedWalk, broadcast_shapes, numel};
 use crate::tensor::Tensor;
 
 /// Reduces a gradient computed in the broadcast output shape back down to
-/// an operand of `src_numel` elements by summing (natively, in `E`) over
-/// broadcast dimensions. `walk` reads the operand broadcast to the output
+/// an operand of `src_numel` elements by summing over broadcast
+/// dimensions. `walk` reads the operand broadcast to the output
 /// shape; the sum visits `grad` in flat ascending order.
-pub(crate) fn sum_to_shape<E: Element>(grad: &[E], walk: &StridedWalk<1>, src_numel: usize) -> PoolBuf<E> {
+pub(crate) fn sum_to_shape(grad: &[f64], walk: &StridedWalk<1>, src_numel: usize) -> PoolBuf {
     // Genuine accumulator: stays zero-initialized.
-    let mut out = pool::alloc_zeroed::<E>(src_numel);
+    let mut out = pool::alloc_zeroed(src_numel);
     walk.for_each_run(0, grad.len(), |pos, n, [o], [s]| {
         for (j, &g) in grad[pos..pos + n].iter().enumerate() {
             out[o + j * s] += g;
@@ -45,7 +38,7 @@ pub(crate) fn reduction(out: &[usize], src: &[usize]) -> Reduction {
 
 /// Applies a [`Reduction`]: only a genuinely broadcast operand pays the
 /// sum (and its fresh accumulator).
-pub(crate) fn reduce<E: Element>(grad: PoolBuf<E>, to: &Reduction) -> PoolBuf<E> {
+pub(crate) fn reduce(grad: PoolBuf, to: &Reduction) -> PoolBuf {
     match to {
         Some((walk, numel)) => sum_to_shape(&grad, walk, *numel),
         None => grad,
@@ -53,23 +46,13 @@ pub(crate) fn reduce<E: Element>(grad: PoolBuf<E>, to: &Reduction) -> PoolBuf<E>
 }
 
 /// Applies `f` elementwise with broadcasting; `df` returns (dl/da, dl/db) per
-/// element given (a, b, grad_out). Promotes mixed dtypes first.
+/// element given (a, b, grad_out).
 fn broadcast_binary(
     a: &Tensor,
     b: &Tensor,
     f: impl Fn(f64, f64) -> f64 + Sync + 'static,
     df: impl Fn(f64, f64, f64) -> (f64, f64) + Sync + 'static,
 ) -> Tensor {
-    let dt = a.dtype().promote(b.dtype());
-    let (a, b) = (a.cast(dt), b.cast(dt));
-    dispatch_dtype!(dt, E => broadcast_binary_t::<E, _, _>(&a, &b, f, df))
-}
-
-fn broadcast_binary_t<E: Element, F, DF>(a: &Tensor, b: &Tensor, f: F, df: DF) -> Tensor
-where
-    F: Fn(f64, f64) -> f64 + Sync + 'static,
-    DF: Fn(f64, f64, f64) -> (f64, f64) + Sync + 'static,
-{
     let out_shape = broadcast_shapes(a.shape(), b.shape()).unwrap_or_else(|| {
         panic!(
             "cannot broadcast shapes {:?} and {:?}",
@@ -88,36 +71,36 @@ where
     // plan replay — same chunking, same arithmetic, bit-identical.
     let compute = {
         let (a, b, walk) = (a.clone(), b.clone(), walk.clone());
-        move |out: &mut [E]| {
-            let ad = a.data_of::<E>();
-            let bd = b.data_of::<E>();
-            let (ad, bd): (&[E], &[E]) = (&ad, &bd);
+        move |out: &mut [f64]| {
+            let ad = a.data();
+            let bd = b.data();
+            let (ad, bd): (&[f64], &[f64]) = (&ad, &bd);
             let chunk = tyxe_par::chunk_len(out.len(), 1, PAR_MIN_ELEMS);
             tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
                 walk.for_each_run(start, piece.len(), |pos, n, [oa, ob], [sa, sb]| {
                     for (j, slot) in piece[pos..pos + n].iter_mut().enumerate() {
-                        *slot = E::from_f64(f(ad[oa + j * sa].to_f64(), bd[ob + j * sb].to_f64()));
+                        *slot = f(ad[oa + j * sa], bd[ob + j * sb]);
                     }
                 });
             });
         }
     };
-    let mut data = pool::alloc_uninit::<E>(n);
-    compute(data.as_mut_slice());
+    let mut data = pool::alloc_uninit(n);
+    compute(&mut data);
 
     let (ac, bc) = (a.clone(), b.clone());
-    let t = Tensor::make_op_t::<E>(
+    let t = Tensor::make_op(
         data,
         out_shape,
         vec![a.clone(), b.clone()],
         move |_out, grad| {
-            let ad = ac.data_of::<E>();
-            let bd = bc.data_of::<E>();
+            let ad = ac.data();
+            let bd = bc.data();
             let n = grad.len();
-            let mut ga = pool::alloc_uninit::<E>(n);
-            let mut gb = pool::alloc_uninit::<E>(n);
+            let mut ga = pool::alloc_uninit(n);
+            let mut gb = pool::alloc_uninit(n);
             {
-                let (ad, bd): (&[E], &[E]) = (&ad, &bd);
+                let (ad, bd): (&[f64], &[f64]) = (&ad, &bd);
                 let chunk = tyxe_par::chunk_len(n, 1, PAR_MIN_ELEMS);
                 tyxe_par::parallel_for_chunks2(&mut ga, &mut gb, chunk, chunk, |ci, pa, pb| {
                     let start = ci * chunk;
@@ -125,9 +108,9 @@ where
                         let g = &grad[start + pos..start + pos + n];
                         let slots = pa[pos..pos + n].iter_mut().zip(&mut pb[pos..pos + n]);
                         for (j, ((da_slot, db_slot), gi)) in slots.zip(g).enumerate() {
-                            let (da, db) = df(ad[oa + j * sa].to_f64(), bd[ob + j * sb].to_f64(), gi.to_f64());
-                            *da_slot = E::from_f64(da);
-                            *db_slot = E::from_f64(db);
+                            let (da, db) = df(ad[oa + j * sa], bd[ob + j * sb], *gi);
+                            *da_slot = da;
+                            *db_slot = db;
                         }
                     });
                 });
@@ -137,7 +120,7 @@ where
             vec![Some(reduce(ga, &reduce_a)), Some(reduce(gb, &reduce_b))]
         },
     );
-    crate::plan::record_op_t::<E>(&t, &[a, b], compute);
+    crate::plan::record_op(&t, &[a, b], compute);
     t
 }
 
@@ -229,7 +212,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::DType;
 
     #[test]
     fn add_broadcast_row() {
@@ -293,33 +275,5 @@ mod tests {
         let s = Tensor::scalar(10.0);
         assert_eq!(a.add(&s).to_vec(), vec![11.0, 12.0]);
         assert_eq!(s.sub(&a).to_vec(), vec![9.0, 8.0]);
-    }
-
-    #[test]
-    fn f32_ops_match_native_f32_arithmetic() {
-        let av = [0.1f32, -2.5, 3.75, 1e-4];
-        let bv = [7.3f32, 0.2, -1.25, 4e4];
-        let a = Tensor::from_vec_f32(av.to_vec(), &[4]);
-        let b = Tensor::from_vec_f32(bv.to_vec(), &[4]);
-        let sum = a.add(&b);
-        assert_eq!(sum.dtype(), DType::F32);
-        for i in 0..4 {
-            assert_eq!(sum.to_vec()[i], f64::from(av[i] + bv[i]));
-            assert_eq!(a.mul(&b).to_vec()[i], f64::from(av[i] * bv[i]));
-            assert_eq!(a.div(&b).to_vec()[i], f64::from(av[i] / bv[i]));
-        }
-    }
-
-    #[test]
-    fn mixed_dtype_promotes_to_f64() {
-        let a = Tensor::from_vec_f32(vec![0.1, 2.0], &[2]).requires_grad(true);
-        let b = Tensor::from_vec(vec![3.0, 4.0], &[2]).requires_grad(true);
-        let c = a.mul(&b);
-        assert_eq!(c.dtype(), DType::F64);
-        assert_eq!(c.to_vec()[0], f64::from(0.1f32) * 3.0);
-        c.sum().backward();
-        // a's gradient arrives rounded back to f32 through the cast edge.
-        assert_eq!(a.grad().unwrap(), vec![3.0, 4.0]);
-        assert_eq!(b.grad().unwrap(), vec![f64::from(0.1f32), 2.0]);
     }
 }

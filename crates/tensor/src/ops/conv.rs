@@ -25,10 +25,7 @@
 //! the sequential loop's addition chain (see `tyxe-par`'s determinism
 //! contract), with the weight's elements split across the pool.
 //!
-//! Everything is generic over the storage dtype: data movement
-//! (im2col/col2im, pooling argmax scatter) and all accumulations run
-//! natively in the element type, and the bias pass and the noise tail
-//! round at the same boundaries as the standalone ops.
+//! The bias pass and the noise tail run the standalone ops' recipes.
 //!
 //! Neither convolution has a replay closure: under a step-plan recording
 //! each marks it unsupported with its own name (`conv2d: …`,
@@ -36,11 +33,10 @@
 
 use std::ops::Range;
 
-use crate::element::{DType, Element, dispatch_dtype};
 use crate::ops::gemm_kernels::{NC, gemm_at_ow_here, gemm_bt_ow_batched, gemm_ow_here};
 use crate::ops::PAR_MIN_ELEMS;
-use crate::pool;
-use crate::tensor::{Buf, Tensor};
+use crate::pool::{self, PoolBuf};
+use crate::tensor::Tensor;
 
 /// Cached tyxe-obs counter for images unfolded by im2col (both
 /// directions); callers gate on `tyxe_obs::enabled()`.
@@ -110,7 +106,7 @@ impl Geometry {
 /// convolution with `Wo = W` input and output rows advance together, so
 /// the whole window is one copy; what it reads across row ends lands in
 /// the padding columns, which are zeroed after it.
-fn im2col<E: Element>(img: &[E], geo: &Geometry, cols: &mut [E], ld: usize, off: usize) {
+fn im2col(img: &[f64], geo: &Geometry, cols: &mut [f64], ld: usize, off: usize) {
     let (w, wo, stride) = (geo.w, geo.wo, geo.stride);
     for ch in 0..geo.c {
         for ki in 0..geo.kh {
@@ -120,11 +116,11 @@ fn im2col<E: Element>(img: &[E], geo: &Geometry, cols: &mut [E], ld: usize, off:
                 let row = (ch * geo.kh + ki) * geo.kw + kj;
                 let dst = &mut cols[row * ld + off..][..geo.ncols()];
                 if xs.is_empty() || ys.is_empty() {
-                    dst.fill(E::ZERO);
+                    dst.fill(0.0);
                     continue;
                 }
-                dst[..ys.start * wo].fill(E::ZERO);
-                dst[ys.end * wo..].fill(E::ZERO);
+                dst[..ys.start * wo].fill(0.0);
+                dst[ys.end * wo..].fill(0.0);
                 // The input element of the window's first output position.
                 let first = (ch * geo.h + ys.start * stride + ki - geo.pad) * w + xs.start * stride + kj - geo.pad;
                 if stride == 1 && w == wo {
@@ -145,7 +141,7 @@ fn im2col<E: Element>(img: &[E], geo: &Geometry, cols: &mut [E], ld: usize, off:
                 }
                 for t in (0..xs.start).chain(xs.end..wo) {
                     for oy in ys.clone() {
-                        dst[oy * wo + t] = E::ZERO;
+                        dst[oy * wo + t] = 0.0;
                     }
                 }
             }
@@ -156,9 +152,9 @@ fn im2col<E: Element>(img: &[E], geo: &Geometry, cols: &mut [E], ld: usize, off:
 /// Folds one image's columns of an im2col block (rows `ld` apart, from
 /// column `off`, as [`im2col`] lays them) back into `img` `[C, H, W]`:
 /// each output row's valid window is one row add. Overlapping windows
-/// accumulate natively in the element type, in ascending (channel,
+/// accumulate in ascending (channel,
 /// kernel offset, output position) order. The adjoint of [`im2col`].
-fn col2im<E: Element>(cols: &[E], geo: &Geometry, ld: usize, off: usize, img: &mut [E]) {
+fn col2im(cols: &[f64], geo: &Geometry, ld: usize, off: usize, img: &mut [f64]) {
     let (wo, stride) = (geo.wo, geo.stride);
     for ch in 0..geo.c {
         for ki in 0..geo.kh {
@@ -215,26 +211,22 @@ fn runs_of<T>(mut buf: &mut [T], per: usize, n: usize, run: usize) -> Vec<&mut [
 /// convolution runs one product, `W · unfold(x)`; the local
 /// reparameterized one runs two over one unfold, the mean's `W_loc ·
 /// unfold(x)` and the variance's `W_var · unfold(x)²`.
-struct Groups<'a, E> {
+struct Groups<'a> {
     geo: Geometry,
     n: usize,
     cout: usize,
     run: usize,
     g: usize,
     /// The input `[N, C, H, W]`.
-    x: &'a [E],
+    x: &'a [f64],
     /// One filter bank `[Cout, C·Kh·Kw]` per product.
-    w: Vec<&'a [E]>,
-    /// The second product's input when it is not `x` squared in the
-    /// unfolded block: a dtype change sat between the square and the
-    /// product, so the square is its own tensor and is unfolded like `x`.
-    x2: Option<&'a [E]>,
+    w: Vec<&'a [f64]>,
 }
 
-impl<'a, E: Element> Groups<'a, E> {
-    fn new(geo: Geometry, n: usize, cout: usize, x: &'a [E], w: Vec<&'a [E]>, x2: Option<&'a [E]>) -> Self {
+impl<'a> Groups<'a> {
+    fn new(geo: Geometry, n: usize, cout: usize, x: &'a [f64], w: Vec<&'a [f64]>) -> Self {
         let (run, g) = batching(n, geo.ncols());
-        Groups { geo, n, cout, run, g, x, w, x2 }
+        Groups { geo, n, cout, run, g, x, w }
     }
 
     fn sample_in(&self) -> usize {
@@ -243,37 +235,29 @@ impl<'a, E: Element> Groups<'a, E> {
 
     /// One `rows × g·Ho·Wo` scratch block per product, from the pool
     /// uninitialized: a group writes every element it later reads.
-    fn blocks(&self, rows: usize) -> Vec<pool::PoolBuf<E>> {
-        self.w.iter().map(|_| pool::alloc_uninit::<E>(rows * self.g * self.geo.ncols())).collect()
+    fn blocks(&self, rows: usize) -> Vec<PoolBuf> {
+        self.w.iter().map(|_| pool::alloc_uninit(rows * self.g * self.geo.ncols())).collect()
     }
 
     /// Unfolds samples `first..first + gs` side by side into `cols[0]`,
     /// and the second product's block into `cols[1]`: the first block
     /// squared with `Tensor::square`'s recipe (unfolding commutes with an
-    /// elementwise map that keeps zero), or the unfolded `x2`.
-    fn unfold(&self, first: usize, gs: usize, cols: &mut [pool::PoolBuf<E>]) {
+    /// elementwise map that keeps zero).
+    fn unfold(&self, first: usize, gs: usize, cols: &mut [PoolBuf]) {
         let (sample_in, ncols) = (self.sample_in(), self.geo.ncols());
         let ld = gs * ncols;
-        let unfold_into = |src: &[E], block: &mut [E]| {
-            if tyxe_obs::enabled() {
-                im2col_counter().add(gs as u64);
-            }
-            for si in 0..gs {
-                let s = first + si;
-                im2col(&src[s * sample_in..(s + 1) * sample_in], &self.geo, block, ld, si * ncols);
-            }
-        };
+        if tyxe_obs::enabled() {
+            im2col_counter().add(gs as u64);
+        }
         let (c0, rest) = cols.split_first_mut().expect("a convolution runs at least one product");
-        unfold_into(self.x, c0);
+        for si in 0..gs {
+            let s = first + si;
+            im2col(&self.x[s * sample_in..(s + 1) * sample_in], &self.geo, c0, ld, si * ncols);
+        }
         if let Some(c1) = rest.first_mut() {
-            match self.x2 {
-                Some(x2) => unfold_into(x2, c1),
-                None => {
-                    let len = self.geo.krows() * ld;
-                    for (sq, &v) in c1[..len].iter_mut().zip(&c0[..len]) {
-                        *sq = E::from_f64(v.to_f64() * v.to_f64());
-                    }
-                }
+            let len = self.geo.krows() * ld;
+            for (sq, &v) in c1[..len].iter_mut().zip(&c0[..len]) {
+                *sq = v * v;
             }
         }
     }
@@ -283,7 +267,7 @@ impl<'a, E: Element> Groups<'a, E> {
     /// first, at, gs, products, ld)` to write samples `first..first + gs`
     /// into the outputs `part` holds for their run, from its sample `at`.
     /// `parts` has one entry per run ([`runs_of`]).
-    fn forward<R: Send>(&self, parts: Vec<R>, emit: impl Fn(&mut R, usize, usize, usize, &[pool::PoolBuf<E>], usize) + Sync) {
+    fn forward<R: Send>(&self, parts: Vec<R>, emit: impl Fn(&mut R, usize, usize, usize, &[PoolBuf], usize) + Sync) {
         let (krows, ncols, cout) = (self.geo.krows(), self.geo.ncols(), self.cout);
         tyxe_par::parallel_for_each(parts, |ri, mut part| {
             // The run's scratch, allocated once.
@@ -306,30 +290,29 @@ impl<'a, E: Element> Groups<'a, E> {
     /// into `gy[p]` in the output's layout, `[gs, Cout, Ho·Wo]`. Per
     /// group: one unfold; per product one batched `dW_s = G_s · cols_sᵀ`
     /// into each sample's partial (each `G_s` contiguous) and `dX =
-    /// col2im(W_pᵀ · G_p)`, `G_p` laid out as `[Cout, gs·Ho·Wo]` for it. A
-    /// second block that is `x` squared then takes its dX through the
-    /// square's backward, `g·2·x`. Returns dX and dW per product, dW
+    /// col2im(W_pᵀ · G_p)`, `G_p` laid out as `[Cout, gs·Ho·Wo]` for it. The
+    /// second block, `x` squared, then takes its dX through the square's
+    /// backward, `g·2·x`. Returns dX and dW per product, dW
     /// summed over the per-sample partials in ascending sample order.
-    fn backward(&self, gather: impl Fn(usize, usize, &mut [pool::PoolBuf<E>]) + Sync) -> (Vec<pool::PoolBuf<E>>, Vec<pool::PoolBuf<E>>) {
+    fn backward(&self, gather: impl Fn(usize, usize, &mut [PoolBuf]) + Sync) -> (Vec<PoolBuf>, Vec<PoolBuf>) {
         let (krows, ncols, cout, n) = (self.geo.krows(), self.geo.ncols(), self.cout, self.n);
         let (sample_in, wlen) = (self.sample_in(), cout * krows);
         // col2im accumulates overlapping windows into dX, so it genuinely
         // needs the zeroed pool path; each dW partial is written once.
-        let mut gx: Vec<_> = self.w.iter().map(|_| pool::alloc_zeroed::<E>(n * sample_in)).collect();
-        let mut gw_part: Vec<_> = self.w.iter().map(|_| pool::alloc_uninit::<E>(n * wlen)).collect();
+        let mut gx: Vec<_> = self.w.iter().map(|_| pool::alloc_zeroed(n * sample_in)).collect();
+        let mut gw_part: Vec<_> = self.w.iter().map(|_| pool::alloc_uninit(n * wlen)).collect();
         // Per run, each product's dX pieces, then its dW partials'.
-        let mut parts: Vec<Vec<&mut [E]>> = (0..n.div_ceil(self.run)).map(|_| Vec::new()).collect();
+        let mut parts: Vec<Vec<&mut [f64]>> = (0..n.div_ceil(self.run)).map(|_| Vec::new()).collect();
         let pieces = gx.iter_mut().map(|b| (b, sample_in)).chain(gw_part.iter_mut().map(|b| (b, wlen)));
         for (buf, per) in pieces {
             for (part, piece) in parts.iter_mut().zip(runs_of(buf, per, n, self.run)) {
                 part.push(piece);
             }
         }
-        let squared = self.w.len() == 2 && self.x2.is_none();
         tyxe_par::parallel_for_each(parts, |ri, mut part| {
             let (gxr, gwr) = part.split_at_mut(self.w.len());
             let (mut cols, mut gy, mut pack) = (self.blocks(krows), self.blocks(cout), Vec::new());
-            let (mut gg, mut gcols) = (pool::alloc_uninit::<E>(cout * self.g * ncols), pool::alloc_uninit::<E>(krows * self.g * ncols));
+            let (mut gg, mut gcols) = (pool::alloc_uninit(cout * self.g * ncols), pool::alloc_uninit(krows * self.g * ncols));
             let (r0, end) = (ri * self.run, n.min((ri + 1) * self.run));
             for first in (r0..end).step_by(self.g) {
                 let (gs, at) = (self.g.min(end - first), first - r0);
@@ -349,10 +332,10 @@ impl<'a, E: Element> Groups<'a, E> {
                         col2im(&gcols, &self.geo, ld, si * ncols, &mut gxr[p][(at + si) * sample_in..][..sample_in]);
                     }
                 }
-                if squared {
+                if let Some(gx2) = gxr.get_mut(1) {
                     let xs = &self.x[first * sample_in..(first + gs) * sample_in];
-                    for (g, &x) in gxr[1][at * sample_in..(at + gs) * sample_in].iter_mut().zip(xs) {
-                        *g = E::from_f64(g.to_f64() * 2.0 * x.to_f64());
+                    for (g, &x) in gx2[at * sample_in..(at + gs) * sample_in].iter_mut().zip(xs) {
+                        *g = *g * 2.0 * x;
                     }
                 }
             }
@@ -363,7 +346,7 @@ impl<'a, E: Element> Groups<'a, E> {
         let gw = gw_part
             .iter()
             .map(|parts| {
-                let mut gw = pool::alloc_zeroed::<E>(wlen);
+                let mut gw = pool::alloc_zeroed(wlen);
                 tyxe_par::parallel_for_chunks(&mut gw, chunk, |start, piece| {
                     for part in parts.chunks(wlen) {
                         for (g, p) in piece.iter_mut().zip(&part[start..]) {
@@ -381,13 +364,13 @@ impl<'a, E: Element> Groups<'a, E> {
 /// A conv bias's gradient from the gradient `g` of its output (`g(i)` at
 /// flat output index `i`): per sample and channel the sum over output
 /// positions, ascending from zero, added into the channel's total in
-/// ascending sample order, natively in `E`.
-fn bias_grad<E: Element>(n: usize, cout: usize, ncols: usize, g: impl Fn(usize) -> E) -> pool::PoolBuf<E> {
-    let mut gb = pool::alloc_zeroed::<E>(cout);
+/// ascending sample order.
+fn bias_grad(n: usize, cout: usize, ncols: usize, g: impl Fn(usize) -> f64) -> PoolBuf {
+    let mut gb = pool::alloc_zeroed(cout);
     for s in 0..n {
         for (co, total) in gb.iter_mut().enumerate() {
             let base = (s * cout + co) * ncols;
-            let mut acc = E::ZERO;
+            let mut acc = 0.0;
             for i in base..base + ncols {
                 acc += g(i);
             }
@@ -410,185 +393,28 @@ fn dims4(t: &Tensor) -> [usize; 4] {
     [s[0], s[1], s[2], s[3]]
 }
 
-fn conv2d_t<E: Element>(input: &Tensor, weight: &Tensor, bias: Option<&Tensor>, stride: usize, pad: usize) -> Tensor {
-    let (n, cout, geo) = geometry(input, weight, stride, pad);
-    let ncols = geo.ncols();
-    let sample_out = cout * ncols;
-    // GEMM overwrites every output element, so the buffer comes from the
-    // pool uninitialized.
-    let mut out = pool::alloc_uninit::<E>(n * sample_out);
-    if sample_out > 0 {
-        let (x, wd) = (input.data_of::<E>(), weight.data_of::<E>());
-        let bref = bias.map(|b| b.data_of::<E>());
-        let bd: Option<&[E]> = bref.as_ref().map(|r| &r[..]);
-        let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]], None);
-        let parts = runs_of(&mut out, sample_out, n, groups.run);
-        groups.forward(parts, |part, _, at, gs, prods, ld| {
-            let o = &mut part[at * sample_out..(at + gs) * sample_out];
-            // The product is `[Cout, g·Ho·Wo]`; the output `[g, Cout,
-            // Ho·Wo]`, each row written once.
-            for (si, os) in o.chunks_mut(sample_out).enumerate() {
-                for (co, orow) in os.chunks_mut(ncols).enumerate() {
-                    let prow = &prods[0][co * ld + si * ncols..][..ncols];
-                    match bd {
-                        Some(bd) => {
-                            let b = bd[co].to_f64();
-                            for (v, &p) in orow.iter_mut().zip(prow) {
-                                *v = E::from_f64(p.to_f64() + b);
-                            }
-                        }
-                        None => orow.copy_from_slice(prow),
-                    }
-                }
-            }
-        });
-    }
-
-    let xc = input.clone();
-    let wc = weight.clone();
-    let has_bias = bias.is_some();
-    let mut parents = vec![input.clone(), weight.clone()];
-    if let Some(b) = bias {
-        parents.push(b.clone());
-    }
-    Tensor::make_op_t::<E>(out, vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
-        let _span = tyxe_obs::span!("tensor.conv2d.backward");
-        let (x, wd) = (xc.data_of::<E>(), wc.data_of::<E>());
-        let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]], None);
-        let (gx, gw) = groups.backward(|first, gs, gy| {
-            gy[0][..gs * sample_out].copy_from_slice(&grad[first * sample_out..(first + gs) * sample_out]);
-        });
-        let mut grads: Vec<_> = gx.into_iter().chain(gw).map(Some).collect();
-        if has_bias {
-            grads.push(Some(bias_grad(n, cout, ncols, |i| grad[i])));
-        }
-        grads
-    })
-}
-
 /// The variance floor of local reparameterization's noise tail: the
 /// variance is clamped to it before the square root.
 const VAR_FLOOR: f64 = 1e-16;
 
-/// `mean + sqrt(max(var, VAR_FLOOR))·ε` at one output element, rounded
-/// where the op chain `mean.add(var.clamp_min(VAR_FLOOR).sqrt().mul(ε))`
-/// stored its values: the clamp and the square root in `V`, the product
-/// and the sum in `f64`, the noise's dtype (`mean` and the standard
-/// deviation widen exactly). Returns the output and the standard
-/// deviation, negated where the clamp passes no gradient (`var` below the
-/// floor, or NaN): `sd > 0` holds exactly where it does.
+/// `mean + sqrt(max(var, VAR_FLOOR))·ε` at one output element, as the
+/// op chain `mean.add(var.clamp_min(VAR_FLOOR).sqrt().mul(ε))` computes
+/// it. Returns the output and the standard deviation, negated where the
+/// clamp passes no gradient (`var` below the floor, or NaN): `sd > 0`
+/// holds exactly where it does.
 #[inline(always)]
-fn noise_tail<E: Element, V: Element>(mean: E, var: V, eps: f64) -> (f64, V) {
-    let v = var.to_f64();
-    let sd = V::from_f64(V::from_f64(v.clamp(VAR_FLOOR, f64::INFINITY)).to_f64().sqrt());
-    let out = mean.to_f64() + sd.to_f64() * eps;
-    (out, if v >= VAR_FLOOR { sd } else { -sd })
+fn noise_tail(mean: f64, var: f64, eps: f64) -> (f64, f64) {
+    let sd = var.clamp(VAR_FLOOR, f64::INFINITY).sqrt();
+    (mean + sd * eps, if var >= VAR_FLOOR { sd } else { -sd })
 }
 
-/// The chain's backward through [`noise_tail`] at one element, from the
-/// output's gradient `g`: the mean's gradient (the sum's, cast to `E`)
-/// and the variance's (through the product, the square root and the
-/// clamp, each rounded into its own storage).
+/// The chain's backward through [`noise_tail`] into the variance at one
+/// element, from the output's gradient `g`: through the product, the
+/// square root and the clamp. The mean's gradient is `g` itself.
 #[inline(always)]
-fn noise_tail_grad<E: Element, V: Element>(g: f64, eps: f64, sd: V) -> (E, V) {
-    let g_sd = V::from_f64(g * eps);
-    let g_var = if sd > V::ZERO { V::from_f64(g_sd.to_f64() * 0.5 / sd.to_f64()) } else { V::ZERO };
-    (E::from_f64(g), g_var)
-}
-
-/// [`Tensor::conv2d_lr`] with the products in `E` and the noise tail's
-/// variance in `V` (`E ≤ V`); the output is `f64`, the noise's dtype. `x`
-/// and `x2` are the two products' inputs: `x` twice when the square is
-/// taken in the unfolded block (`squared`), else `x` and `x²`, both cast
-/// to `E`.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_lr_t<E: Element, V: Element>(
-    x: &Tensor,
-    x2: &Tensor,
-    squared: bool,
-    w_loc: &Tensor,
-    w_var: &Tensor,
-    b_loc: Option<&Tensor>,
-    b_var: Option<&Tensor>,
-    eps: &Tensor,
-    stride: usize,
-    pad: usize,
-) -> Tensor {
-    let (n, cout, geo) = geometry(x, w_loc, stride, pad);
-    let ncols = geo.ncols();
-    let sample_out = cout * ncols;
-    // Both biases widened once: `b_loc` is `E`, `b_var` no wider than `V`.
-    let bl: Option<Vec<f64>> = b_loc.map(|b| b.data_of::<E>().iter().map(|v| v.to_f64()).collect());
-    let bv: Option<Vec<f64>> = b_var.map(Tensor::to_vec);
-    let mut out = pool::alloc_uninit::<f64>(n * sample_out);
-    let mut sd = pool::alloc_uninit::<V>(n * sample_out);
-    if sample_out > 0 {
-        let (xd, x2d, wl, wv, ed) = (x.data_of::<E>(), x2.data_of::<E>(), w_loc.data_of::<E>(), w_var.data_of::<E>(), eps.data_of::<f64>());
-        let ed: &[f64] = &ed;
-        let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
-        let parts: Vec<_> = runs_of(&mut out, sample_out, n, groups.run).into_iter().zip(runs_of(&mut sd, sample_out, n, groups.run)).collect();
-        groups.forward(parts, |(o, s), first, at, gs, prods, ld| {
-            for si in 0..gs {
-                for co in 0..cout {
-                    let (at_row, row) = (((at + si) * cout + co) * ncols, ((first + si) * cout + co) * ncols);
-                    let (mean, var) = (&prods[0][co * ld + si * ncols..][..ncols], &prods[1][co * ld + si * ncols..][..ncols]);
-                    let (bl, bv) = (bl.as_ref().map(|b| b[co]), bv.as_ref().map(|b| b[co]));
-                    let cells = o[at_row..][..ncols].iter_mut().zip(&mut s[at_row..][..ncols]);
-                    for ((((o, s), &m), &v), &e) in cells.zip(mean).zip(var).zip(&ed[row..][..ncols]) {
-                        // The mean conv's biased output and the variance
-                        // after its bias, each rounded into storage.
-                        let m = bl.map_or(m, |b| E::from_f64(m.to_f64() + b));
-                        let v = V::from_f64(bv.map_or(v.to_f64(), |b| v.to_f64() + b));
-                        (*o, *s) = noise_tail(m, v, e);
-                    }
-                }
-            }
-        });
-    }
-
-    let mut parents = vec![x.clone(), x2.clone(), w_loc.clone(), w_var.clone()];
-    parents.extend(b_loc.cloned());
-    parents.extend(b_var.cloned());
-    let (xc, x2c, wlc, wvc, ec) = (x.clone(), x2.clone(), w_loc.clone(), w_var.clone(), eps.clone());
-    let (has_bl, bv_dtype) = (b_loc.is_some(), b_var.map(Tensor::dtype));
-    Tensor::make_op_buf(Buf::from_pool(out), vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
-        let _span = tyxe_obs::span!("tensor.conv2d.backward");
-        let g = grad.as_slice::<f64>();
-        let (xd, x2d, wl, wv, ed) = (xc.data_of::<E>(), x2c.data_of::<E>(), wlc.data_of::<E>(), wvc.data_of::<E>(), ec.data_of::<f64>());
-        let ed: &[f64] = &ed;
-        let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]], (!squared).then_some(&x2d[..]));
-        let (gx, gw) = groups.backward(|first, gs, gy| {
-            let (gm, gv) = gy.split_at_mut(1);
-            let span = first * sample_out..(first + gs) * sample_out;
-            let cells = gm[0].iter_mut().zip(gv[0].iter_mut());
-            for ((m, v), ((&gy, &e), &s)) in cells.zip(g[span.clone()].iter().zip(&ed[span.clone()]).zip(&sd[span])) {
-                let (g_mean, g_var) = noise_tail_grad::<E, V>(gy, e, s);
-                (*m, *v) = (g_mean, E::from_f64(g_var.to_f64()));
-            }
-        });
-        let (Ok([gx_mean, gx_var]), Ok([gw_loc, gw_var])) = (<[_; 2]>::try_from(gx), <[_; 2]>::try_from(gw)) else {
-            unreachable!("two products")
-        };
-        // `x` listed twice hands the engine the square path's term first,
-        // then the mean's: the order the chain's reverse topological walk
-        // reached `x.square()` and the mean conv in.
-        let (first, second) = if squared { (gx_var, gx_mean) } else { (gx_mean, gx_var) };
-        let mut grads: Vec<_> = [first, second, gw_loc, gw_var].into_iter().map(|b| Some(Buf::from_pool(b))).collect();
-        if has_bl {
-            grads.push(Some(Buf::from_pool(bias_grad(n, cout, ncols, |i| E::from_f64(g[i])))));
-        }
-        if let Some(bdt) = bv_dtype {
-            // The broadcast add's reduction: flat ascending order, in `V`,
-            // cast back to the bias's own dtype.
-            let mut gb = pool::alloc_zeroed::<V>(cout);
-            for (i, (&gy, (&e, &s))) in g.iter().zip(ed.iter().zip(sd.iter())).enumerate() {
-                gb[(i / ncols) % cout] += noise_tail_grad::<E, V>(gy, e, s).1;
-            }
-            let gb = Buf::from_pool(gb);
-            grads.push(Some(if bdt == V::DTYPE { gb } else { gb.cast_to(bdt) }));
-        }
-        grads
-    })
+fn noise_tail_grad(g: f64, eps: f64, sd: f64) -> f64 {
+    let g_sd = g * eps;
+    if sd > 0.0 { g_sd * 0.5 / sd } else { 0.0 }
 }
 
 fn conv_span(x: &Tensor, weight: &Tensor) -> Option<tyxe_obs::trace::SpanGuard> {
@@ -618,11 +444,6 @@ impl Tensor {
     ///
     /// Returns `[N, Cout, Ho, Wo]` with `Ho = (H + 2*pad - Kh)/stride + 1`.
     ///
-    /// Dtype follows [`Tensor::matmul`]: mixed operands promote to the
-    /// wider type, and under an active [`crate::autocast`] guard the
-    /// convolution computes in the autocast target with the operand
-    /// casts recorded as graph nodes.
-    ///
     /// # Panics
     ///
     /// Panics on rank mismatch or if `Cin` disagrees between input and
@@ -631,15 +452,60 @@ impl Tensor {
         check_conv(self, weight, &[bias]);
         let _span = conv_span(self, weight);
         crate::plan::mark_unsupported("conv2d: a convolution has no replay closure");
-        let mut dt = self.dtype().promote(weight.dtype());
-        if let Some(b) = bias {
-            dt = dt.promote(b.dtype());
+        let input = self;
+        let (n, cout, geo) = geometry(input, weight, stride, pad);
+        let ncols = geo.ncols();
+        let sample_out = cout * ncols;
+        // GEMM overwrites every output element, so the buffer comes from the
+        // pool uninitialized.
+        let mut out = pool::alloc_uninit(n * sample_out);
+        if sample_out > 0 {
+            let (x, wd) = (input.data(), weight.data());
+            let bref = bias.map(|b| b.data());
+            let bd: Option<&[f64]> = bref.as_ref().map(|r| &r[..]);
+            let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]]);
+            let parts = runs_of(&mut out, sample_out, n, groups.run);
+            groups.forward(parts, |part, _, at, gs, prods, ld| {
+                let o = &mut part[at * sample_out..(at + gs) * sample_out];
+                // The product is `[Cout, g·Ho·Wo]`; the output `[g, Cout,
+                // Ho·Wo]`, each row written once.
+                for (si, os) in o.chunks_mut(sample_out).enumerate() {
+                    for (co, orow) in os.chunks_mut(ncols).enumerate() {
+                        let prow = &prods[0][co * ld + si * ncols..][..ncols];
+                        match bd {
+                            Some(bd) => {
+                                let b = bd[co];
+                                for (v, &p) in orow.iter_mut().zip(prow) {
+                                    *v = p + b;
+                                }
+                            }
+                            None => orow.copy_from_slice(prow),
+                        }
+                    }
+                }
+            });
         }
-        let dt = crate::autocast::compute_dtype(dt);
-        let x = self.cast(dt);
-        let weight = weight.cast(dt);
-        let bias = bias.map(|b| b.cast(dt));
-        dispatch_dtype!(dt, E => conv2d_t::<E>(&x, &weight, bias.as_ref(), stride, pad))
+
+        let xc = input.clone();
+        let wc = weight.clone();
+        let has_bias = bias.is_some();
+        let mut parents = vec![input.clone(), weight.clone()];
+        if let Some(b) = bias {
+            parents.push(b.clone());
+        }
+        Tensor::make_op(out, vec![n, cout, geo.ho, geo.wo], parents, move |_, grad| {
+            let _span = tyxe_obs::span!("tensor.conv2d.backward");
+            let (x, wd) = (xc.data(), wc.data());
+            let groups = Groups::new(geo, n, cout, &x[..], vec![&wd[..]]);
+            let (gx, gw) = groups.backward(|first, gs, gy| {
+                gy[0][..gs * sample_out].copy_from_slice(&grad[first * sample_out..(first + gs) * sample_out]);
+            });
+            let mut grads: Vec<_> = gx.into_iter().chain(gw).map(Some).collect();
+            if has_bias {
+                grads.push(Some(bias_grad(n, cout, ncols, |i| grad[i])));
+            }
+            grads
+        })
     }
 
     /// Local reparameterization's convolution (Kingma et al., 2015) as one
@@ -655,17 +521,11 @@ impl Tensor {
     /// output and the standard deviation. Value and every gradient are
     /// the op chain's `self.conv2d(w_loc, b_loc)` plus `eps` times the
     /// `clamp_min(1e-16).sqrt()` of `self.square()` convolved with `w_var`,
-    /// plus `b_var`, bit for bit, rounding where that chain stored, in its
-    /// dtypes (both products in one compute dtype, following
-    /// [`Tensor::conv2d`], autocast included; under a dtype change
-    /// the square is taken before the cast, as the chain did). `eps` is
-    /// noise as the stream draws it, `f64`, and takes no gradient; the
-    /// output is `f64` too.
+    /// plus `b_var`, bit for bit. `eps` is noise and takes no gradient.
     ///
     /// # Panics
     ///
-    /// Panics on rank or shape mismatch, or if `eps` is not `f64` or
-    /// requires a gradient.
+    /// Panics on rank or shape mismatch, or if `eps` requires a gradient.
     #[allow(clippy::too_many_arguments)]
     pub fn conv2d_lr(
         &self,
@@ -682,30 +542,77 @@ impl Tensor {
         let (n, cout, geo) = geometry(self, w_loc, stride, pad);
         assert_eq!(eps.shape(), &[n, cout, geo.ho, geo.wo], "conv2d_lr: eps must be shaped like the output");
         assert!(!eps.requires_grad_enabled(), "conv2d_lr: eps is noise and takes no gradient");
-        assert_eq!(eps.dtype(), DType::F64, "conv2d_lr: eps must be f64, as the noise stream draws it");
         let _span = conv_span(self, w_loc);
         crate::plan::mark_unsupported("conv2d_lr: a local-reparameterized convolution has no replay closure");
-        let mut dt = self.dtype().promote(w_loc.dtype()).promote(w_var.dtype());
-        if let Some(b) = b_loc {
-            dt = dt.promote(b.dtype());
+        let x = self;
+        let ncols = geo.ncols();
+        let sample_out = cout * ncols;
+        let bl: Option<Vec<f64>> = b_loc.map(Tensor::to_vec);
+        let bv: Option<Vec<f64>> = b_var.map(Tensor::to_vec);
+        let mut out = pool::alloc_uninit(n * sample_out);
+        let mut sd = pool::alloc_uninit(n * sample_out);
+        if sample_out > 0 {
+            let (xd, wl, wv, ed) = (x.data(), w_loc.data(), w_var.data(), eps.data());
+            let ed: &[f64] = &ed;
+            let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]]);
+            let parts: Vec<_> = runs_of(&mut out, sample_out, n, groups.run).into_iter().zip(runs_of(&mut sd, sample_out, n, groups.run)).collect();
+            groups.forward(parts, |(o, s), first, at, gs, prods, ld| {
+                for si in 0..gs {
+                    for co in 0..cout {
+                        let (at_row, row) = (((at + si) * cout + co) * ncols, ((first + si) * cout + co) * ncols);
+                        let (mean, var) = (&prods[0][co * ld + si * ncols..][..ncols], &prods[1][co * ld + si * ncols..][..ncols]);
+                        let (bl, bv) = (bl.as_ref().map(|b| b[co]), bv.as_ref().map(|b| b[co]));
+                        let cells = o[at_row..][..ncols].iter_mut().zip(&mut s[at_row..][..ncols]);
+                        for ((((o, s), &m), &v), &e) in cells.zip(mean).zip(var).zip(&ed[row..][..ncols]) {
+                            // The mean conv's biased output and the variance
+                            // after its bias.
+                            let m = bl.map_or(m, |b| m + b);
+                            let v = bv.map_or(v, |b| v + b);
+                            (*o, *s) = noise_tail(m, v, e);
+                        }
+                    }
+                }
+            });
         }
-        let dt = crate::autocast::compute_dtype(dt);
-        let vdt = b_var.map_or(dt, |b| dt.promote(b.dtype()));
-        let squared = self.dtype() == dt;
-        let (x, x2) = if squared { (self.clone(), self.clone()) } else { (self.cast(dt), self.square().cast(dt)) };
-        let (w_loc, w_var, b_loc) = (w_loc.cast(dt), w_var.cast(dt), b_loc.map(|b| b.cast(dt)));
-        macro_rules! run {
-            ($E:ty, $V:ty) => {
-                conv2d_lr_t::<$E, $V>(&x, &x2, squared, &w_loc, &w_var, b_loc.as_ref(), b_var, eps, stride, pad)
+
+        // `x` listed twice hands the engine the square path's term first, then
+        // the mean's: the order the chain's reverse topological walk reached
+        // `x.square()` and the mean conv in.
+        let mut parents = vec![x.clone(), x.clone(), w_loc.clone(), w_var.clone()];
+        parents.extend(b_loc.cloned());
+        parents.extend(b_var.cloned());
+        let (xc, wlc, wvc, ec) = (x.clone(), w_loc.clone(), w_var.clone(), eps.clone());
+        let (has_bl, has_bv) = (b_loc.is_some(), b_var.is_some());
+        Tensor::make_op(out, vec![n, cout, geo.ho, geo.wo], parents, move |_, g| {
+            let _span = tyxe_obs::span!("tensor.conv2d.backward");
+            let (xd, wl, wv, ed) = (xc.data(), wlc.data(), wvc.data(), ec.data());
+            let ed: &[f64] = &ed;
+            let groups = Groups::new(geo, n, cout, &xd[..], vec![&wl[..], &wv[..]]);
+            let (gx, gw) = groups.backward(|first, gs, gy| {
+                let (gm, gv) = gy.split_at_mut(1);
+                let span = first * sample_out..(first + gs) * sample_out;
+                let cells = gm[0].iter_mut().zip(gv[0].iter_mut());
+                for ((m, v), ((&gy, &e), &s)) in cells.zip(g[span.clone()].iter().zip(&ed[span.clone()]).zip(&sd[span])) {
+                    (*m, *v) = (gy, noise_tail_grad(gy, e, s));
+                }
+            });
+            let (Ok([gx_mean, gx_var]), Ok([gw_loc, gw_var])) = (<[_; 2]>::try_from(gx), <[_; 2]>::try_from(gw)) else {
+                unreachable!("two products")
             };
-        }
-        use DType::{F32, F64};
-        match (dt, vdt) {
-            (F64, F64) => run!(f64, f64),
-            (F32, F32) => run!(f32, f32),
-            (F32, F64) => run!(f32, f64),
-            _ => unreachable!("dtype promotion never narrows"),
-        }
+            let mut grads: Vec<_> = [gx_var, gx_mean, gw_loc, gw_var].into_iter().map(Some).collect();
+            if has_bl {
+                grads.push(Some(bias_grad(n, cout, ncols, |i| g[i])));
+            }
+            if has_bv {
+                // The broadcast add's reduction: flat ascending order.
+                let mut gb = pool::alloc_zeroed(cout);
+                for (i, (&gy, (&e, &s))) in g.iter().zip(ed.iter().zip(sd.iter())).enumerate() {
+                    gb[(i / ncols) % cout] += noise_tail_grad(gy, e, s);
+                }
+                grads.push(Some(gb));
+            }
+            grads
+        })
     }
 
     /// The shape `[N, Cout, Ho, Wo]` of this input's convolution with
@@ -738,56 +645,54 @@ impl Tensor {
         let ho = conv_out(h, k, s, 0);
         let wo = conv_out(w, k, s, 0);
         let img_out = ho * wo;
-        dispatch_dtype!(self.dtype(), E => {
-            let mut out = pool::alloc_filled::<E>(n * c * img_out, E::from_f64(f64::NEG_INFINITY));
-            let mut arg = vec![0usize; n * c * img_out];
-            {
-                let x = self.data_of::<E>();
-                let x: &[E] = &x;
-                // Each (image, output position) scans its own window in the
-                // same ki/kj order at any thread count; ties keep the first
-                // maximum, exactly as the sequential scan did.
-                let ipc = tyxe_par::chunk_len(n * c, 1, 1);
-                let chunk = (ipc * img_out).max(1);
-                tyxe_par::parallel_for_chunks2(&mut out, &mut arg, chunk, chunk, |ci, oc, ac| {
-                    for (li, (ov, av)) in oc.chunks_mut(img_out).zip(ac.chunks_mut(img_out)).enumerate() {
-                        let img = ci * ipc + li;
-                        for oy in 0..ho {
-                            for ox in 0..wo {
-                                let o = oy * wo + ox;
-                                for ki in 0..k {
-                                    for kj in 0..k {
-                                        let iy = oy * s + ki;
-                                        let ix = ox * s + kj;
-                                        if iy < h && ix < w {
-                                            let src = (img * h + iy) * w + ix;
-                                            if x[src] > ov[o] {
-                                                ov[o] = x[src];
-                                                av[o] = src;
-                                            }
+        let mut out = pool::alloc_filled(n * c * img_out, f64::NEG_INFINITY);
+        let mut arg = vec![0usize; n * c * img_out];
+        {
+            let x = self.data();
+            let x: &[f64] = &x;
+            // Each (image, output position) scans its own window in the
+            // same ki/kj order at any thread count; ties keep the first
+            // maximum, exactly as the sequential scan did.
+            let ipc = tyxe_par::chunk_len(n * c, 1, 1);
+            let chunk = (ipc * img_out).max(1);
+            tyxe_par::parallel_for_chunks2(&mut out, &mut arg, chunk, chunk, |ci, oc, ac| {
+                for (li, (ov, av)) in oc.chunks_mut(img_out).zip(ac.chunks_mut(img_out)).enumerate() {
+                    let img = ci * ipc + li;
+                    for oy in 0..ho {
+                        for ox in 0..wo {
+                            let o = oy * wo + ox;
+                            for ki in 0..k {
+                                for kj in 0..k {
+                                    let iy = oy * s + ki;
+                                    let ix = ox * s + kj;
+                                    if iy < h && ix < w {
+                                        let src = (img * h + iy) * w + ix;
+                                        if x[src] > ov[o] {
+                                            ov[o] = x[src];
+                                            av[o] = src;
                                         }
                                     }
                                 }
                             }
                         }
                     }
-                });
-            }
-            let total = self.numel();
-            Tensor::make_op_t::<E>(
-                out,
-                vec![n, c, ho, wo],
-                vec![self.clone()],
-                move |_, grad| {
-                    // Scatter-accumulate: zeroed pool path required.
-                    let mut g = pool::alloc_zeroed::<E>(total);
-                    for (o, &src) in arg.iter().enumerate() {
-                        g[src] += grad[o];
-                    }
-                    vec![Some(g)]
-                },
-            )
-        })
+                }
+            });
+        }
+        let total = self.numel();
+        Tensor::make_op(
+            out,
+            vec![n, c, ho, wo],
+            vec![self.clone()],
+            move |_, grad| {
+                // Scatter-accumulate: zeroed pool path required.
+                let mut g = pool::alloc_zeroed(total);
+                for (o, &src) in arg.iter().enumerate() {
+                    g[src] += grad[o];
+                }
+                vec![Some(g)]
+            },
+        )
     }
 
     /// Global average pooling over the spatial dims of `[N, C, H, W]`,
@@ -803,7 +708,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::DType;
     use crate::ops::gemm_kernels::tests::{THREADS, at_threads};
 
     #[test]
@@ -892,53 +796,6 @@ mod tests {
         assert!((fd - x.grad().unwrap()[10]).abs() < 1e-5);
     }
 
-    /// An all-f32 convolution stays f32 end to end, agrees with the f64
-    /// run to f32 working precision, and produces f32 gradients.
-    #[test]
-    fn f32_conv_matches_f64_within_tolerance() {
-        use tyxe_rand::SeedableRng;
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(17);
-        let x64 = Tensor::randn(&[2, 2, 4, 4], &mut rng).requires_grad(true);
-        let w64 = Tensor::randn(&[3, 2, 3, 3], &mut rng).requires_grad(true);
-        let b64 = Tensor::randn(&[3], &mut rng).requires_grad(true);
-        let y64 = x64.conv2d(&w64, Some(&b64), 2, 1).relu();
-        y64.sum().backward();
-
-        let x = x64.detach().cast(DType::F32).detach().requires_grad(true);
-        let w = w64.detach().cast(DType::F32).detach().requires_grad(true);
-        let b = b64.detach().cast(DType::F32).detach().requires_grad(true);
-        let y = x.conv2d(&w, Some(&b), 2, 1).relu();
-        assert_eq!(y.dtype(), DType::F32);
-        y.sum().backward();
-        for (a, b) in y.to_vec().iter().zip(y64.to_vec().iter()) {
-            assert!((a - b).abs() < 1e-4, "f32 conv value: {a} vs {b}");
-        }
-        for (g32, g64) in [(&x, &x64), (&w, &w64), (&b, &b64)] {
-            for (a, b) in g32.grad().unwrap().iter().zip(g64.grad().unwrap().iter()) {
-                assert!((a - b).abs() < 1e-3, "f32 conv grad: {a} vs {b}");
-            }
-        }
-    }
-
-    /// Under an autocast guard an all-f64 convolution computes in f32;
-    /// the f64 masters still receive gradients.
-    #[test]
-    fn autocast_demotes_conv2d() {
-        use tyxe_rand::SeedableRng;
-        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(18);
-        let x = Tensor::randn(&[1, 2, 4, 4], &mut rng).requires_grad(true);
-        let w = Tensor::randn(&[2, 2, 3, 3], &mut rng).requires_grad(true);
-        let g = crate::autocast::autocast(DType::F32);
-        let y = x.conv2d(&w, None, 1, 1);
-        assert_eq!(y.dtype(), DType::F32);
-        drop(g);
-        y.sum().backward();
-        assert_eq!(x.dtype(), DType::F64);
-        assert!(x.grad().is_some());
-        assert!(w.grad().is_some());
-        assert_eq!(x.conv2d(&w, None, 1, 1).dtype(), DType::F64);
-    }
-
     #[test]
     fn max_pool_values_and_grad() {
         let x = Tensor::from_vec(
@@ -952,22 +809,6 @@ mod tests {
         y.sum().backward();
         let g = x.grad().unwrap();
         assert_eq!(g.iter().sum::<f64>(), 4.0);
-        assert_eq!(g[5], 1.0);
-        assert_eq!(g[15], 1.0);
-    }
-
-    #[test]
-    fn f32_max_pool_values_and_grad() {
-        let x = Tensor::from_vec_f32(
-            (1..=16).map(|v| v as f32).collect(),
-            &[1, 1, 4, 4],
-        )
-        .requires_grad(true);
-        let y = x.max_pool2d(2, 2);
-        assert_eq!(y.dtype(), DType::F32);
-        assert_eq!(y.to_vec(), vec![6.0, 8.0, 14.0, 16.0]);
-        y.sum().backward();
-        let g = x.grad().unwrap();
         assert_eq!(g[5], 1.0);
         assert_eq!(g[15], 1.0);
     }
@@ -1062,9 +903,9 @@ mod tests {
     /// The per-element unfold the row copies replaced: every output
     /// position tests its window against the image bounds.
     #[allow(clippy::too_many_arguments)]
-    fn im2col_oracle<E: Element>(img: &[E], c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Vec<E> {
+    fn im2col_oracle(img: &[f64], c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Vec<f64> {
         let (ho, wo) = (conv_out(h, kh, stride, pad), conv_out(w, kw, stride, pad));
-        let mut cols = vec![E::ZERO; c * kh * kw * ho * wo];
+        let mut cols = vec![0.0; c * kh * kw * ho * wo];
         for ch in 0..c {
             for ki in 0..kh {
                 for kj in 0..kw {
@@ -1087,7 +928,7 @@ mod tests {
     /// The per-element fold: the oracle unfold's adjoint, accumulating in
     /// (channel, kernel offset, output position) order.
     #[allow(clippy::too_many_arguments)]
-    fn col2im_oracle<E: Element>(cols: &[E], c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize, img: &mut [E]) {
+    fn col2im_oracle(cols: &[f64], c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize, img: &mut [f64]) {
         let (ho, wo) = (conv_out(h, kh, stride, pad), conv_out(w, kw, stride, pad));
         for ch in 0..c {
             for ki in 0..kh {
@@ -1112,7 +953,7 @@ mod tests {
     /// oracle — the oracle unfold, `gemm_*_ref` per sample, relu by the
     /// fused activation's recipe, dW partials summed in ascending sample
     /// order, the oracle fold — compared bit for bit: output, dX, dW and db.
-    fn check_against_per_sample_oracle<E: Element>(n: usize, shape: ConvShape, seed: u64) {
+    fn check_against_per_sample_oracle(n: usize, shape: ConvShape, seed: u64) {
         use crate::ops::fused::Activation;
         use crate::ops::gemm_kernels::{gemm_at_ow_ref, gemm_bt_ow_ref, gemm_ow_ref};
         use tyxe_rand::{Rng, SeedableRng};
@@ -1121,57 +962,53 @@ mod tests {
         let (krows, ncols) = (cin * kh * kw, ho * wo);
         let (sample_in, sample_out) = (cin * h * w, cout * ncols);
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(seed);
-        let mut draw = |len: usize| -> Vec<E> { (0..len).map(|_| E::from_f64(rng.gen_range(-1.0..1.0f64))).collect() };
+        let mut draw = |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_range(-1.0..1.0f64)).collect() };
         let (x, wt, b, gy) = (draw(n * sample_in), draw(cout * krows), draw(cout), draw(n * sample_out));
         let act = Activation::Relu;
 
-        let mut y = vec![E::ZERO; n * sample_out];
+        let mut y = vec![0.0; n * sample_out];
         let mut unfolded = Vec::new();
         for s in 0..n {
             let cols = im2col_oracle(&x[s * sample_in..(s + 1) * sample_in], cin, h, w, kh, kw, stride, pad);
             let ys = &mut y[s * sample_out..(s + 1) * sample_out];
             gemm_ow_ref(&wt, &cols, ys, cout, krows, ncols);
             for (i, v) in ys.iter_mut().enumerate() {
-                *v = E::from_f64(v.to_f64() + b[i / ncols].to_f64());
+                *v += b[i / ncols];
             }
             act.apply_slice(ys);
             unfolded.push(cols);
         }
-        let gpre: Vec<E> = y.iter().zip(&gy).map(|(&yv, &g)| E::from_f64(act.grad_from_output(yv.to_f64(), g.to_f64()))).collect();
-        let (mut gx, mut gw, mut gb) = (vec![E::ZERO; n * sample_in], vec![E::ZERO; cout * krows], vec![E::ZERO; cout]);
+        let gpre: Vec<f64> = y.iter().zip(&gy).map(|(&yv, &g)| act.grad_from_output(yv, g)).collect();
+        let (mut gx, mut gw, mut gb) = (vec![0.0; n * sample_in], vec![0.0; cout * krows], vec![0.0; cout]);
         for (s, cols) in unfolded.iter().enumerate() {
             let g = &gpre[s * sample_out..(s + 1) * sample_out];
-            let mut part = vec![E::ZERO; cout * krows];
+            let mut part = vec![0.0; cout * krows];
             gemm_bt_ow_ref(g, cols, &mut part, cout, ncols, krows);
             for (acc, p) in gw.iter_mut().zip(&part) {
                 *acc += *p;
             }
-            let mut gcols = vec![E::ZERO; krows * ncols];
+            let mut gcols = vec![0.0; krows * ncols];
             gemm_at_ow_ref(&wt, g, &mut gcols, krows, cout, ncols);
             col2im_oracle(&gcols, cin, h, w, kh, kw, stride, pad, &mut gx[s * sample_in..(s + 1) * sample_in]);
             for (co, acc) in gb.iter_mut().enumerate() {
-                *acc += g[co * ncols..(co + 1) * ncols].iter().fold(E::ZERO, |a, &v| a + v);
+                *acc += g[co * ncols..(co + 1) * ncols].iter().fold(0.0, |a, &v| a + v);
             }
         }
 
-        let leaf = |v: &[E], shape: &[usize]| {
-            let f: Vec<f64> = v.iter().map(|e| e.to_f64()).collect();
-            Tensor::from_vec(f, shape).cast(E::DTYPE).detach().requires_grad(true)
-        };
+        let leaf = |v: &[f64], shape: &[usize]| Tensor::from_vec(v.to_vec(), shape).requires_grad(true);
         let (xt, wtt, bt) = (leaf(&x, &[n, cin, h, w]), leaf(&wt, &[cout, cin, kh, kw]), leaf(&b, &[cout]));
         let out = xt.conv2d(&wtt, Some(&bt), stride, pad).relu();
-        out.backward_with_grad(&gy.iter().map(|e| e.to_f64()).collect::<Vec<_>>());
-        let what = format!("{} n={n} {shape:?} at {} threads", E::DTYPE, tyxe_par::num_threads());
+        out.backward_with_grad(&gy);
+        let what = format!("n={n} {shape:?} at {} threads", tyxe_par::num_threads());
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let want = |v: &[E]| bits(&v.iter().map(|e| e.to_f64()).collect::<Vec<_>>());
-        assert_eq!(bits(&out.to_vec()), want(&y), "{what}: output");
-        assert_eq!(bits(&xt.grad().unwrap()), want(&gx), "{what}: dX");
-        assert_eq!(bits(&wtt.grad().unwrap()), want(&gw), "{what}: dW");
-        assert_eq!(bits(&bt.grad().unwrap()), want(&gb), "{what}: db");
+        assert_eq!(bits(&out.to_vec()), bits(&y), "{what}: output");
+        assert_eq!(bits(&xt.grad().unwrap()), bits(&gx), "{what}: dX");
+        assert_eq!(bits(&wtt.grad().unwrap()), bits(&gw), "{what}: dW");
+        assert_eq!(bits(&bt.grad().unwrap()), bits(&gb), "{what}: db");
     }
 
     /// The sample-group convolution against the per-sample oracle, bit for
-    /// bit, at f64 and f32 and at 1, 2 and 4 threads; 53 samples leave a
+    /// bit, at 1, 2 and 4 threads; 53 samples leave a
     /// ragged last group.
     #[test]
     fn conv2d_matches_per_sample_oracle_bitwise() {
@@ -1180,8 +1017,7 @@ mod tests {
             at_threads(threads, || {
                 for n in [1, 3, 50, 53] {
                     for (i, &shape) in SHAPES.iter().enumerate() {
-                        check_against_per_sample_oracle::<f64>(n, shape, 1000 + i as u64);
-                        check_against_per_sample_oracle::<f32>(n, shape, 2000 + i as u64);
+                        check_against_per_sample_oracle(n, shape, 1000 + i as u64);
                     }
                 }
             });
@@ -1217,16 +1053,13 @@ mod tests {
     }
 
     /// `conv2d_lr` called directly against the op chain it fuses, bit for
-    /// bit in the output and all five gradients: every dtype pair it
-    /// dispatches (`f64` noise), an `f32` input under `f64`
-    /// filters and an autocast scope (both square before the cast), and
-    /// variances the floor clamps — a zero filter, a negative bias — or
-    /// that are NaN, where the clamp passes no gradient. At 1 and 4
-    /// threads.
+    /// bit in the output and all five gradients, with and without a bias
+    /// variance, and variances the floor clamps — a zero filter, a
+    /// negative bias — or that are NaN, where the clamp passes no
+    /// gradient. At 1 and 4 threads.
     #[test]
     fn conv2d_lr_is_the_op_chain_bitwise() {
         use tyxe_rand::{Rng, SeedableRng};
-        use DType::{F32, F64};
         let (n, stride, pad) = (3, 2, 1);
         let chain = |x: &Tensor, wl: &Tensor, wv: &Tensor, bl: &Tensor, bv: Option<&Tensor>, eps: &Tensor| {
             let mean = x.conv2d(wl, Some(bl), stride, pad);
@@ -1236,57 +1069,43 @@ mod tests {
             }
             mean.add(&var.clamp_min(1e-16).sqrt().mul(eps))
         };
-        // (input, filters, bias variance, autocast to f32)
-        let dtypes = [
-            (F64, F64, F64, false),
-            (F32, F32, F32, false),
-            (F32, F32, F64, false),
-            (F32, F64, F64, false),
-            (F64, F64, F64, true),
-        ];
         let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 4] {
             at_threads(threads, || {
-                for (xt, wt, bt, mixed) in dtypes {
-                    for with_bv in [true, false] {
-                        let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(91);
-                        let mut leaf = |shape: &[usize], dt: DType, f: &dyn Fn(usize, f64) -> f64| {
-                            let v = (0..shape.iter().product()).map(|i| f(i, rng.gen_range(-1.0..1.0f64))).collect();
-                            Tensor::from_vec(v, shape).cast(dt).detach().requires_grad(true)
+                for with_bv in [true, false] {
+                    let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(91);
+                    let mut leaf = |shape: &[usize], f: &dyn Fn(usize, f64) -> f64| {
+                        let v = (0..shape.iter().product()).map(|i| f(i, rng.gen_range(-1.0..1.0f64))).collect();
+                        Tensor::from_vec(v, shape).requires_grad(true)
+                    };
+                    let x = leaf(&[n, 2, 5, 5], &|_, r| r);
+                    let wl = leaf(&[3, 2, 3, 3], &|_, r| r);
+                    // Channel 1's filter variance is zero.
+                    let wv = leaf(&[3, 2, 3, 3], &|i, r| if i / 18 == 1 { 0.0 } else { r.abs() });
+                    let bl = leaf(&[3], &|_, r| r);
+                    // Channel 1 below the floor, channel 2 NaN.
+                    let bv = leaf(&[3], &|i, r| [r.abs(), -1e-3, f64::NAN][i]);
+                    let eps = Tensor::randn(&[n, 3, 3, 3], &mut rng);
+                    let gy: Vec<f64> = (0..n * 27).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    let bv = with_bv.then_some(&bv);
+                    let run = |fused: bool| {
+                        for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
+                            t.zero_grad();
+                        }
+                        let out = if fused {
+                            x.conv2d_lr(&wl, &wv, Some(&bl), bv, &eps, stride, pad)
+                        } else {
+                            chain(&x, &wl, &wv, &bl, bv, &eps)
                         };
-                        let x = leaf(&[n, 2, 5, 5], xt, &|_, r| r);
-                        let wl = leaf(&[3, 2, 3, 3], wt, &|_, r| r);
-                        // Channel 1's filter variance is zero.
-                        let wv = leaf(&[3, 2, 3, 3], wt, &|i, r| if i / 18 == 1 { 0.0 } else { r.abs() });
-                        let bl = leaf(&[3], wt, &|_, r| r);
-                        // Channel 1 below the floor, channel 2 NaN.
-                        let bv = leaf(&[3], bt, &|i, r| [r.abs(), -1e-3, f64::NAN][i]);
-                        let eps = Tensor::randn(&[n, 3, 3, 3], &mut rng);
-                        let gy: Vec<f64> = (0..n * 27).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                        let bv = with_bv.then_some(&bv);
-                        let run = |fused: bool| {
-                            for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
-                                t.zero_grad();
-                            }
-                            let out = {
-                                let _g = mixed.then(|| crate::autocast::autocast(F32));
-                                if fused {
-                                    x.conv2d_lr(&wl, &wv, Some(&bl), bv, &eps, stride, pad)
-                                } else {
-                                    chain(&x, &wl, &wv, &bl, bv, &eps)
-                                }
-                            };
-                            out.backward_with_grad(&gy);
-                            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                            let mut all = vec![(out.dtype(), bits(out.to_vec()))];
-                            for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
-                                all.push((t.dtype(), bits(t.grad().expect("every operand takes a gradient"))));
-                            }
-                            all
-                        };
-                        let what = format!("{xt:?} x, {wt:?} w, {bt:?} b_var, autocast {mixed}, b_var {with_bv}, {threads} threads");
-                        assert_eq!(run(true), run(false), "{what}");
-                    }
+                        out.backward_with_grad(&gy);
+                        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                        let mut all = vec![bits(out.to_vec())];
+                        for t in [&x, &wl, &wv, &bl].into_iter().chain(bv) {
+                            all.push(bits(t.grad().expect("every operand takes a gradient")));
+                        }
+                        all
+                    };
+                    assert_eq!(run(true), run(false), "b_var {with_bv}, {threads} threads");
                 }
             });
         }

@@ -1,5 +1,5 @@
-//! Cache-blocked, SIMD-dispatched, multi-threaded GEMM kernels with a
-//! bit-exact determinism contract, generic over the element type.
+//! Cache-blocked, SIMD-dispatched, multi-threaded `f64` GEMM kernels with
+//! a bit-exact determinism contract.
 //!
 //! Three product shapes back every matrix product in the crate (see
 //! [`crate::Tensor::matmul`], the fused linear layer and `conv2d`'s
@@ -15,17 +15,6 @@
 //! products writes each into its own buffer and adds them in a fixed
 //! order (`conv2d`'s weight gradient reduces per-sample partials in
 //! ascending sample order).
-//!
-//! # Dtype
-//!
-//! Every entry point is generic over [`Element`] (`f32` or `f64`) and
-//! computes *natively* in that type: an `f32` GEMM runs f32 madd chains
-//! in f32 registers — it is not an f64 product rounded down. The
-//! per-element recipe below therefore holds independently per dtype,
-//! and the determinism contract is **per dtype**: f32 results are
-//! bit-identical across thread counts / blocking / the reference
-//! kernels, and f64 results are (separately) bit-identical — but f32
-//! and f64 products of the same operands differ, as they must.
 //!
 //! # Determinism contract
 //!
@@ -53,9 +42,8 @@
 //!
 //! # SIMD dispatch and the `madd` recipe
 //!
-//! Kernels are compiled per ISA via `#[target_feature]` on monomorphic
-//! per-dtype wrappers (a `#[target_feature]` generic fn would not
-//! monomorphize with the feature applied) and selected once at runtime.
+//! Kernels are compiled per ISA via `#[target_feature]` wrappers and
+//! selected once at runtime.
 //! On CPUs with FMA the multiply-add is a true fused `mul_add` (single
 //! rounding) in *both* the blocked and the reference kernels; without
 //! FMA both use plain `mul` + `add`. Results are therefore bit-identical
@@ -70,7 +58,6 @@
 // the field list without removing it.
 #![allow(clippy::too_many_arguments)]
 
-use crate::element::{DType, Element, same_slice, same_slice_mut};
 use crate::pool;
 use tyxe_rand::isa::{isa, Isa};
 
@@ -82,9 +69,8 @@ const BLOCK_MIN_MADDS: usize = 32 * 32 * 32;
 
 /// Column-block width in *elements*: `bp` holds `NC` packed columns
 /// (`k × NC` elements), sized to stay comfortably inside L2 for the `k`
-/// ranges seen here (f32 panels are half the bytes of f64 ones — also
-/// fine). `conv2d` sizes its sample groups to about one block of output
-/// columns.
+/// ranges seen here. `conv2d` sizes its sample groups to about one block
+/// of output columns.
 pub(crate) const NC: usize = 256;
 
 // ---------------------------------------------------------------------------
@@ -110,14 +96,12 @@ pub fn simd_label() -> &'static str {
 // ---------------------------------------------------------------------------
 
 /// tyxe-obs instrumentation for the public GEMM entry points: per-call
-/// span (shape + kernel variant + ISA + dtype as the span arg), call
-/// counters tagged by `variant`/`path`, a FLOP counter, and per-dtype
-/// panel-size gauges. Everything downstream of the single
+/// span (shape + kernel variant + ISA as the span arg), call counters
+/// tagged by `variant`/`path`, a FLOP counter, and panel-size gauges. Everything downstream of the single
 /// `tyxe_obs::enabled()` load is skipped when observability is off.
 mod probe {
     use std::sync::OnceLock;
 
-    use crate::element::DType;
     use tyxe_obs::metrics::{Counter, Gauge};
     use tyxe_obs::trace::SpanGuard;
 
@@ -159,28 +143,15 @@ mod probe {
         })
     }
 
-    /// Record panel geometry of the selected blocked microkernel. Tile
-    /// shapes differ per dtype (f32 tiles are twice as wide), so the
-    /// gauges are dtype-tagged.
-    pub fn panels(dt: DType, mr: usize, nr: usize) {
-        static G: OnceLock<[(Gauge, Gauge); 2]> = OnceLock::new();
-        let gs = G.get_or_init(|| {
-            [DType::F32, DType::F64].map(|d| {
-                (
-                    tyxe_obs::metrics::gauge_tagged(
-                        "tensor.gemm.panel_mr",
-                        &[("dtype", d.name())],
-                        "count",
-                    ),
-                    tyxe_obs::metrics::gauge_tagged(
-                        "tensor.gemm.panel_nr",
-                        &[("dtype", d.name())],
-                        "count",
-                    ),
-                )
-            })
+    /// Record panel geometry of the selected blocked microkernel.
+    pub fn panels(mr: usize, nr: usize) {
+        static G: OnceLock<(Gauge, Gauge)> = OnceLock::new();
+        let (mr_g, nr_g) = G.get_or_init(|| {
+            (
+                tyxe_obs::metrics::gauge_tagged("tensor.gemm.panel_mr", &[], "count"),
+                tyxe_obs::metrics::gauge_tagged("tensor.gemm.panel_nr", &[], "count"),
+            )
         });
-        let (mr_g, nr_g) = &gs[usize::from(dt == DType::F64)];
         mr_g.set(mr as f64);
         nr_g.set(nr as f64);
     }
@@ -190,7 +161,6 @@ mod probe {
     /// guard (`None` when observability is disabled: one atomic load).
     #[inline]
     pub fn gemm(
-        dt: DType,
         variant: usize,
         blocked: bool,
         batch: usize,
@@ -208,7 +178,7 @@ mod probe {
         let shape = if batch == 1 { format!("{m}x{k}x{n}") } else { format!("{batch}*{m}x{k}x{n}") };
         Some(SpanGuard::enter_with_arg(
             "tensor.gemm",
-            format!("{}/{path} {shape} {} {}", VARIANTS[variant], super::simd_label(), dt),
+            format!("{}/{path} {shape} {}", VARIANTS[variant], super::simd_label()),
         ))
     }
 }
@@ -228,16 +198,16 @@ enum Acc {
 
 /// `acc` as `mode` stores it into `C`.
 #[inline(always)]
-fn store<E: Element>(acc: E, mode: Acc) -> E {
+fn store(acc: f64, mode: Acc) -> f64 {
     match mode {
         Acc::Overwrite => acc,
-        Acc::OverwriteDot => E::ZERO + acc,
+        Acc::OverwriteDot => 0.0 + acc,
     }
 }
 
-/// The single multiply-add recipe all kernels share, native in `E`.
+/// The single multiply-add recipe all kernels share.
 #[inline(always)]
-fn madd<E: Element, const FMA: bool>(acc: E, a: E, b: E) -> E {
+fn madd<const FMA: bool>(acc: f64, a: f64, b: f64) -> f64 {
     if FMA {
         a.mul_add(b, acc)
     } else {
@@ -274,9 +244,9 @@ pub fn madd_runtime(acc: f64, a: f64, b: f64) -> f64 {
 // to the zero-fill itself.
 
 #[inline(always)]
-fn gemm_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn gemm_ow_ref_body<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if k == 0 {
-        c[..m * n].fill(E::ZERO);
+        c[..m * n].fill(0.0);
         return;
     }
     for i in 0..m {
@@ -284,22 +254,22 @@ fn gemm_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], 
         let av = a[i * k];
         let brow = &b[..n];
         for j in 0..n {
-            crow[j] = madd::<E, FMA>(E::ZERO, av, brow[j]);
+            crow[j] = madd::<FMA>(0.0, av, brow[j]);
         }
         for p in 1..k {
             let av = a[i * k + p];
             let brow = &b[p * n..(p + 1) * n];
             for j in 0..n {
-                crow[j] = madd::<E, FMA>(crow[j], av, brow[j]);
+                crow[j] = madd::<FMA>(crow[j], av, brow[j]);
             }
         }
     }
 }
 
 #[inline(always)]
-fn gemm_at_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn gemm_at_ow_ref_body<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if k == 0 {
-        c[..m * n].fill(E::ZERO);
+        c[..m * n].fill(0.0);
         return;
     }
     let brow0 = &b[..n];
@@ -307,7 +277,7 @@ fn gemm_at_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E
         let av = a[i];
         let crow = &mut c[i * n..(i + 1) * n];
         for j in 0..n {
-            crow[j] = madd::<E, FMA>(E::ZERO, av, brow0[j]);
+            crow[j] = madd::<FMA>(0.0, av, brow0[j]);
         }
     }
     for p in 1..k {
@@ -316,72 +286,59 @@ fn gemm_at_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E
             let brow = &b[p * n..(p + 1) * n];
             let crow = &mut c[i * n..(i + 1) * n];
             for j in 0..n {
-                crow[j] = madd::<E, FMA>(crow[j], av, brow[j]);
+                crow[j] = madd::<FMA>(crow[j], av, brow[j]);
             }
         }
     }
 }
 
 #[inline(always)]
-fn gemm_bt_ow_ref_body<E: Element, const FMA: bool>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn gemm_bt_ow_ref_body<const FMA: bool>(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     for i in 0..m {
         for j in 0..n {
             let arow = &a[i * k..(i + 1) * k];
             let brow = &b[j * k..(j + 1) * k];
-            let mut acc = E::ZERO;
+            let mut acc = 0.0;
             for p in 0..k {
-                acc = madd::<E, FMA>(acc, arow[p], brow[p]);
+                acc = madd::<FMA>(acc, arow[p], brow[p]);
             }
             // `0.0 + acc`: the add into a zeroed C (a `-0.0` dot
             // becomes `+0.0`).
-            c[i * n + j] = E::ZERO + acc;
+            c[i * n + j] = 0.0 + acc;
         }
     }
 }
 
-// `#[target_feature]` must sit on a monomorphic fn to take effect, so
-// each reference gets one FMA instantiation per dtype; the generic pub
-// entry routes to them by `E::DTYPE` (the `same_slice` casts are
-// same-type reinterprets, checked by TypeId).
+// `#[target_feature]` must sit on the fn it compiles, so each reference
+// gets one FMA instantiation the pub entry routes to.
 macro_rules! def_ref {
-    ($pub_name:ident, $body:ident, $fma64:ident, $fma32:ident, $doc:literal) => {
+    ($pub_name:ident, $body:ident, $fma:ident, $doc:literal) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "fma")]
-        unsafe fn $fma64(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
-            $body::<f64, true>(a, b, c, m, k, n);
-        }
-
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "fma")]
-        unsafe fn $fma32(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-            $body::<f32, true>(a, b, c, m, k, n);
+        unsafe fn $fma(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
+            $body::<true>(a, b, c, m, k, n);
         }
 
         #[doc = $doc]
         ///
         /// This is the retained naive reference: a plain triple loop
-        /// following the shared per-element recipe, native in `E`. The
-        /// blocked kernels are bit-identical to it (see the module docs).
-        pub fn $pub_name<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+        /// following the shared per-element recipe. The blocked kernels
+        /// are bit-identical to it (see the module docs).
+        pub fn $pub_name(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
             #[cfg(target_arch = "x86_64")]
             if uses_fma() {
                 // SAFETY: `uses_fma()` implies the `fma` target feature.
-                unsafe {
-                    match E::DTYPE {
-                        DType::F64 => $fma64(same_slice(a), same_slice(b), same_slice_mut(c), m, k, n),
-                        DType::F32 => $fma32(same_slice(a), same_slice(b), same_slice_mut(c), m, k, n),
-                    }
-                }
+                unsafe { $fma(a, b, c, m, k, n) };
                 return;
             }
-            $body::<E, false>(a, b, c, m, k, n);
+            $body::<false>(a, b, c, m, k, n);
         }
     };
 }
 
-def_ref!(gemm_ow_ref, gemm_ow_ref_body, gemm_ow_ref_fma_f64, gemm_ow_ref_fma_f32, "Reference overwrite `C = A·B` (`A: [m×k]`, `B: [k×n]`); `C` may be uninitialized.");
-def_ref!(gemm_at_ow_ref, gemm_at_ow_ref_body, gemm_at_ow_ref_fma_f64, gemm_at_ow_ref_fma_f32, "Reference overwrite `C = Aᵀ·B` (`A: [k×m]`, `B: [k×n]`); `C` may be uninitialized.");
-def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma_f64, gemm_bt_ow_ref_fma_f32, "Reference overwrite `C = A·Bᵀ` (`A: [m×k]`, `B: [n×k]`); `C` may be uninitialized.");
+def_ref!(gemm_ow_ref, gemm_ow_ref_body, gemm_ow_ref_fma, "Reference overwrite `C = A·B` (`A: [m×k]`, `B: [k×n]`); `C` may be uninitialized.");
+def_ref!(gemm_at_ow_ref, gemm_at_ow_ref_body, gemm_at_ow_ref_fma, "Reference overwrite `C = Aᵀ·B` (`A: [k×m]`, `B: [k×n]`); `C` may be uninitialized.");
+def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma, "Reference overwrite `C = A·Bᵀ` (`A: [m×k]`, `B: [n×k]`); `C` may be uninitialized.");
 
 // ---------------------------------------------------------------------------
 // Narrow-shape kernels (m == 1, n == 1, or k == 1)
@@ -409,10 +366,10 @@ def_ref!(gemm_bt_ow_ref, gemm_bt_ow_ref_body, gemm_bt_ow_ref_fma_f64, gemm_bt_ow
 /// the dot-shaped narrow case (`nn`/`bt` with `n == 1`, `bt` with
 /// `m == 1` after swapping roles). Four independent chains per pass.
 #[inline(always)]
-fn narrow_dots_body<E: Element, const FMA: bool>(
-    rows: &[E],
-    coeff: &[E],
-    c: &mut [E],
+fn narrow_dots_body<const FMA: bool>(
+    rows: &[f64],
+    coeff: &[f64],
+    c: &mut [f64],
     m: usize,
     k: usize,
     mode: Acc,
@@ -423,13 +380,13 @@ fn narrow_dots_body<E: Element, const FMA: bool>(
         let r1 = &rows[(i + 1) * k..(i + 1) * k + k];
         let r2 = &rows[(i + 2) * k..(i + 2) * k + k];
         let r3 = &rows[(i + 3) * k..(i + 3) * k + k];
-        let (mut s0, mut s1, mut s2, mut s3) = (E::ZERO, E::ZERO, E::ZERO, E::ZERO);
+        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
         for p in 0..k {
             let bv = coeff[p];
-            s0 = madd::<E, FMA>(s0, r0[p], bv);
-            s1 = madd::<E, FMA>(s1, r1[p], bv);
-            s2 = madd::<E, FMA>(s2, r2[p], bv);
-            s3 = madd::<E, FMA>(s3, r3[p], bv);
+            s0 = madd::<FMA>(s0, r0[p], bv);
+            s1 = madd::<FMA>(s1, r1[p], bv);
+            s2 = madd::<FMA>(s2, r2[p], bv);
+            s3 = madd::<FMA>(s3, r3[p], bv);
         }
         c[i] = store(s0, mode);
         c[i + 1] = store(s1, mode);
@@ -439,9 +396,9 @@ fn narrow_dots_body<E: Element, const FMA: bool>(
     }
     while i < m {
         let row = &rows[i * k..i * k + k];
-        let mut s = E::ZERO;
+        let mut s = 0.0;
         for p in 0..k {
-            s = madd::<E, FMA>(s, row[p], coeff[p]);
+            s = madd::<FMA>(s, row[p], coeff[p]);
         }
         c[i] = store(s, mode);
         i += 1;
@@ -457,10 +414,10 @@ fn narrow_dots_body<E: Element, const FMA: bool>(
 /// writes `madd(0.0, …)` instead of reading `C` (`k ≥ 1`: narrow shapes
 /// have no empty dimension).
 #[inline(always)]
-fn narrow_axpy_body<E: Element, const FMA: bool>(
-    coeff: &[E],
-    rows: &[E],
-    c: &mut [E],
+fn narrow_axpy_body<const FMA: bool>(
+    coeff: &[f64],
+    rows: &[f64],
+    c: &mut [f64],
     l: usize,
     stride: usize,
     k: usize,
@@ -468,14 +425,14 @@ fn narrow_axpy_body<E: Element, const FMA: bool>(
     let av = coeff[0];
     let row = &rows[..l];
     for j in 0..l {
-        c[j] = madd::<E, FMA>(E::ZERO, av, row[j]);
+        c[j] = madd::<FMA>(0.0, av, row[j]);
     }
     for p in 1..k {
         let av = coeff[p];
         let row = &rows[p * stride..p * stride + l];
         let crow = &mut c[..l];
         for j in 0..l {
-            crow[j] = madd::<E, FMA>(crow[j], av, row[j]);
+            crow[j] = madd::<FMA>(crow[j], av, row[j]);
         }
     }
 }
@@ -483,10 +440,10 @@ fn narrow_axpy_body<E: Element, const FMA: bool>(
 /// `c[i,j] = a[i] · b[j]`: the `k == 1` outer-product case for all
 /// three variants (the length-1 "chain" is a single madd).
 #[inline(always)]
-fn narrow_outer_body<E: Element, const FMA: bool>(
-    a: &[E],
-    b: &[E],
-    c: &mut [E],
+fn narrow_outer_body<const FMA: bool>(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
     m: usize,
     n: usize,
     mode: Acc,
@@ -497,30 +454,28 @@ fn narrow_outer_body<E: Element, const FMA: bool>(
         match mode {
             Acc::Overwrite => {
                 for j in 0..n {
-                    crow[j] = madd::<E, FMA>(E::ZERO, av, b[j]);
+                    crow[j] = madd::<FMA>(0.0, av, b[j]);
                 }
             }
             Acc::OverwriteDot => {
                 for j in 0..n {
-                    crow[j] = E::ZERO + madd::<E, FMA>(E::ZERO, av, b[j]);
+                    crow[j] = 0.0 + madd::<FMA>(0.0, av, b[j]);
                 }
             }
         }
     }
 }
 
-/// ISA-dispatched monomorphic wrappers for one narrow body at one dtype:
-/// plain scalar on Base and AVX2+FMA otherwise (the AVX-512 machines run
-/// the 256-bit build of the same recipe — these kernels are load-bound,
-/// not ALU-bound). The generic dispatchers below route to them by
-/// `E::DTYPE`.
+/// ISA-dispatched wrappers for one narrow body: plain scalar on Base and
+/// AVX2+FMA otherwise (the AVX-512 machines run the 256-bit build of the
+/// same recipe — these kernels are load-bound, not ALU-bound).
 macro_rules! def_narrow {
-    ($name:ident, $e:ty, $body:ident, $fma:ident,
+    ($name:ident, $body:ident, $fma:ident,
      ($($arg:ident : $ty:ty),*)) => {
         #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2", enable = "fma")]
         unsafe fn $fma($($arg: $ty),*) {
-            $body::<$e, true>($($arg),*);
+            $body::<true>($($arg),*);
         }
 
         fn $name($($arg: $ty),*) {
@@ -530,44 +485,17 @@ macro_rules! def_narrow {
                 Isa::Avx2Fma | Isa::Avx512Fma => return unsafe { $fma($($arg),*) },
                 Isa::Base => {}
             }
-            $body::<$e, false>($($arg),*);
+            $body::<false>($($arg),*);
         }
     };
 }
 
-def_narrow!(narrow_dots_f64, f64, narrow_dots_body, narrow_dots_fma_f64,
+def_narrow!(narrow_dots, narrow_dots_body, narrow_dots_fma,
     (rows: &[f64], coeff: &[f64], c: &mut [f64], m: usize, k: usize, mode: Acc));
-def_narrow!(narrow_dots_f32, f32, narrow_dots_body, narrow_dots_fma_f32,
-    (rows: &[f32], coeff: &[f32], c: &mut [f32], m: usize, k: usize, mode: Acc));
-def_narrow!(narrow_axpy_f64, f64, narrow_axpy_body, narrow_axpy_fma_f64,
+def_narrow!(narrow_axpy, narrow_axpy_body, narrow_axpy_fma,
     (coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, stride: usize, k: usize));
-def_narrow!(narrow_axpy_f32, f32, narrow_axpy_body, narrow_axpy_fma_f32,
-    (coeff: &[f32], rows: &[f32], c: &mut [f32], l: usize, stride: usize, k: usize));
-def_narrow!(narrow_outer_f64, f64, narrow_outer_body, narrow_outer_fma_f64,
+def_narrow!(narrow_outer, narrow_outer_body, narrow_outer_fma,
     (a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, mode: Acc));
-def_narrow!(narrow_outer_f32, f32, narrow_outer_body, narrow_outer_fma_f32,
-    (a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: usize, mode: Acc));
-
-fn narrow_dots<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k: usize, mode: Acc) {
-    match E::DTYPE {
-        DType::F64 => narrow_dots_f64(same_slice(rows), same_slice(coeff), same_slice_mut(c), m, k, mode),
-        DType::F32 => narrow_dots_f32(same_slice(rows), same_slice(coeff), same_slice_mut(c), m, k, mode),
-    }
-}
-
-fn narrow_axpy<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, stride: usize, k: usize) {
-    match E::DTYPE {
-        DType::F64 => narrow_axpy_f64(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k),
-        DType::F32 => narrow_axpy_f32(same_slice(coeff), same_slice(rows), same_slice_mut(c), l, stride, k),
-    }
-}
-
-fn narrow_outer<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, n: usize, mode: Acc) {
-    match E::DTYPE {
-        DType::F64 => narrow_outer_f64(same_slice(a), same_slice(b), same_slice_mut(c), m, n, mode),
-        DType::F32 => narrow_outer_f32(same_slice(a), same_slice(b), same_slice_mut(c), m, n, mode),
-    }
-}
 
 // Parallel drivers over the single-threaded cores. Each partitions `C`
 // along an axis that keeps every output element's whole madd chain on
@@ -578,7 +506,7 @@ fn narrow_outer<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, n: usize, m
 // same `tensor.gemm.block` per-chunk span, so traces keep showing where
 // GEMM work actually ran).
 
-fn narrow_dots_par<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k: usize, mode: Acc) {
+fn narrow_dots_par(rows: &[f64], coeff: &[f64], c: &mut [f64], m: usize, k: usize, mode: Acc) {
     if m * k < BLOCK_MIN_MADDS {
         return narrow_dots(rows, coeff, c, m, k, mode);
     }
@@ -590,7 +518,7 @@ fn narrow_dots_par<E: Element>(rows: &[E], coeff: &[E], c: &mut [E], m: usize, k
     });
 }
 
-fn narrow_axpy_par<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, k: usize) {
+fn narrow_axpy_par(coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, k: usize) {
     if l * k < BLOCK_MIN_MADDS {
         return narrow_axpy(coeff, rows, c, l, l, k);
     }
@@ -603,7 +531,7 @@ fn narrow_axpy_par<E: Element>(coeff: &[E], rows: &[E], c: &mut [E], l: usize, k
     });
 }
 
-fn narrow_outer_par<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, n: usize, mode: Acc) {
+fn narrow_outer_par(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, mode: Acc) {
     if m * n < BLOCK_MIN_MADDS {
         return narrow_outer(a, b, c, m, n, mode);
     }
@@ -624,7 +552,7 @@ fn narrow_dims(m: usize, k: usize, n: usize) -> bool {
 }
 
 /// Narrow `nn` dispatch.
-fn narrow_nn<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn narrow_nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if k == 1 {
         narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::Overwrite);
     } else if m == 1 {
@@ -636,7 +564,7 @@ fn narrow_nn<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: u
 }
 
 /// Narrow `at` dispatch (`A: [k×m]`).
-fn narrow_at<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn narrow_at(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if k == 1 {
         // A is [1×m]: an outer product, same as nn.
         narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::Overwrite);
@@ -651,7 +579,7 @@ fn narrow_at<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: u
 }
 
 /// Narrow `bt` dispatch (`B: [n×k]`): every store is a dot-mode store.
-fn narrow_bt<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+fn narrow_bt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if k == 1 {
         // B is [n×1], contiguous: an outer product.
         narrow_outer_par(&a[..m], &b[..n], c, m, n, Acc::OverwriteDot);
@@ -671,19 +599,19 @@ fn narrow_bt<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: u
 /// Packs `rows ≤ MR` rows of the logical `A[i,p]` (element stride
 /// `a[i·ris + p·pis]`) into a `k × MR` p-major micropanel, zero-padding
 /// missing rows.
-fn pack_a<E: Element, const MR: usize>(
-    a: &[E],
+fn pack_a<const MR: usize>(
+    a: &[f64],
     ris: usize,
     pis: usize,
     i0: usize,
     rows: usize,
     k: usize,
-    ap: &mut [E],
+    ap: &mut [f64],
 ) {
     for p in 0..k {
         let dst = &mut ap[p * MR..(p + 1) * MR];
         for (ii, slot) in dst.iter_mut().enumerate() {
-            *slot = if ii < rows { a[(i0 + ii) * ris + p * pis] } else { E::ZERO };
+            *slot = if ii < rows { a[(i0 + ii) * ris + p * pis] } else { 0.0 };
         }
     }
 }
@@ -693,14 +621,14 @@ fn pack_a<E: Element, const MR: usize>(
 /// missing columns. The pad multiplies into accumulator lanes that are
 /// never stored. A full panel whose rows (`nn`, `at`) or columns (`bt`)
 /// are contiguous moves without a per-element test.
-fn pack_b<E: Element, const NR: usize>(
-    b: &[E],
+fn pack_b<const NR: usize>(
+    b: &[f64],
     pis: usize,
     cis: usize,
     j0: usize,
     cols: usize,
     k: usize,
-    bp: &mut [E],
+    bp: &mut [f64],
 ) {
     if cols == NR && cis == 1 {
         for p in 0..k {
@@ -719,7 +647,7 @@ fn pack_b<E: Element, const NR: usize>(
     for p in 0..k {
         let dst = &mut bp[p * NR..(p + 1) * NR];
         for (jj, slot) in dst.iter_mut().enumerate() {
-            *slot = if jj < cols { b[p * pis + (j0 + jj) * cis] } else { E::ZERO };
+            *slot = if jj < cols { b[p * pis + (j0 + jj) * cis] } else { 0.0 };
         }
     }
 }
@@ -733,25 +661,25 @@ fn pack_b<E: Element, const NR: usize>(
 /// output may be uninitialized. The full-tile fast path has
 /// compile-time bounds so LLVM keeps `acc` entirely in vector registers.
 #[inline(always)]
-fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
+fn micro_body<const MR: usize, const NR: usize, const FMA: bool>(
     k: usize,
-    ap: &[E],
-    bp: &[E],
-    c: &mut [E],
+    ap: &[f64],
+    bp: &[f64],
+    c: &mut [f64],
     ldc: usize,
     rows: usize,
     cols: usize,
     mode: Acc,
 ) {
-    let mut acc = [[E::ZERO; NR]; MR];
+    let mut acc = [[0.0; NR]; MR];
     if rows == MR && cols == NR {
         for p in 0..k {
-            let av: &[E; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
-            let bv: &[E; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
+            let av: &[f64; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
+            let bv: &[f64; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
             for ii in 0..MR {
                 let a = av[ii];
                 for jj in 0..NR {
-                    acc[ii][jj] = madd::<E, FMA>(acc[ii][jj], a, bv[jj]);
+                    acc[ii][jj] = madd::<FMA>(acc[ii][jj], a, bv[jj]);
                 }
             }
         }
@@ -765,12 +693,12 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
     // Edge tile: dynamic bounds on the C side, padded panels on the
     // packed side; the extra lanes are discarded below.
     for p in 0..k {
-        let av: &[E; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
-        let bv: &[E; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
+        let av: &[f64; MR] = ap[p * MR..p * MR + MR].try_into().unwrap();
+        let bv: &[f64; NR] = bp[p * NR..p * NR + NR].try_into().unwrap();
         for ii in 0..MR {
             let a = av[ii];
             for jj in 0..NR {
-                acc[ii][jj] = madd::<E, FMA>(acc[ii][jj], a, bv[jj]);
+                acc[ii][jj] = madd::<FMA>(acc[ii][jj], a, bv[jj]);
             }
         }
     }
@@ -781,26 +709,19 @@ fn micro_body<E: Element, const MR: usize, const NR: usize, const FMA: bool>(
     }
 }
 
-type MicroFn<E> = unsafe fn(usize, &[E], &[E], &mut [E], usize, usize, usize, Acc);
+type MicroFn = unsafe fn(usize, &[f64], &[f64], &mut [f64], usize, usize, usize, Acc);
 
 /// Microkernel instantiations. Tile shapes were tuned on a dense 256³
 /// product: wider tiles starve the narrow ISAs of registers, narrower
-/// ones starve the wide ISAs of independent accumulator chains. f32 tiles double NR relative to f64
-/// on the AVX ISAs — same register count, twice the lanes per register.
+/// ones starve the wide ISAs of independent accumulator chains.
 /// The autovectorized bodies cap out around 32 accumulator *registers*
 /// (LLVM's SROA promotion limit; bigger tiles spill to the stack), so
-/// both AVX-512 kernels are hand-written with intrinsics to hold a full
+/// the AVX-512 kernel is hand-written with intrinsics to hold a full
 /// 8×2-zmm register tile.
 unsafe fn micro_base_f64(
     k: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, rows: usize, cols: usize, mode: Acc,
 ) {
-    micro_body::<f64, 2, 8, false>(k, ap, bp, c, ldc, rows, cols, mode);
-}
-
-unsafe fn micro_base_f32(
-    k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize, mode: Acc,
-) {
-    micro_body::<f32, 2, 8, false>(k, ap, bp, c, ldc, rows, cols, mode);
+    micro_body::<2, 8, false>(k, ap, bp, c, ldc, rows, cols, mode);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -808,15 +729,7 @@ unsafe fn micro_base_f32(
 unsafe fn micro_avx2_fma_f64(
     k: usize, ap: &[f64], bp: &[f64], c: &mut [f64], ldc: usize, rows: usize, cols: usize, mode: Acc,
 ) {
-    micro_body::<f64, 4, 8, true>(k, ap, bp, c, ldc, rows, cols, mode);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn micro_avx2_fma_f32(
-    k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize, mode: Acc,
-) {
-    micro_body::<f32, 4, 16, true>(k, ap, bp, c, ldc, rows, cols, mode);
+    micro_body::<4, 8, true>(k, ap, bp, c, ldc, rows, cols, mode);
 }
 
 /// AVX-512 f64 microkernel, written with explicit intrinsics: an 8×16
@@ -871,72 +784,21 @@ unsafe fn micro_avx512_fma_f64(
     }
 }
 
-/// AVX-512 f32 microkernel: the same 8-row × 2-zmm register tile as the
-/// f64 kernel, but each zmm holds 16 f32 lanes, so the tile is 8×32.
-/// Same rationale (a `[[f32; 32]; 8]` array spills) and the same
-/// p-ascending single-`vfmaddps` recipe, so results stay bit-identical
-/// to the generic f32 body and references.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "fma")]
-unsafe fn micro_avx512_fma_f32(
-    k: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, rows: usize, cols: usize, mode: Acc,
-) {
-    use core::arch::x86_64::*;
-    const MR: usize = 8;
-    const NR: usize = 32;
-    debug_assert!(ap.len() >= k * MR && bp.len() >= k * NR);
-    debug_assert!((1..=MR).contains(&rows) && (1..=NR).contains(&cols) && c.len() >= (rows - 1) * ldc + cols);
-    let mut acc = [[_mm512_setzero_ps(); 2]; MR];
-    let mut a_ptr = ap.as_ptr();
-    let mut b_ptr = bp.as_ptr();
-    for _ in 0..k {
-        let b0 = _mm512_loadu_ps(b_ptr);
-        let b1 = _mm512_loadu_ps(b_ptr.add(16));
-        for (ii, a) in acc.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*a_ptr.add(ii));
-            a[0] = _mm512_fmadd_ps(av, b0, a[0]);
-            a[1] = _mm512_fmadd_ps(av, b1, a[1]);
-        }
-        a_ptr = a_ptr.add(MR);
-        b_ptr = b_ptr.add(NR);
-    }
-    // Edge tiles as in the f64 kernel, sixteen lanes to a mask.
-    let (m0, m1) = (((1u64 << cols.min(16)) - 1) as __mmask16, ((1u64 << cols.saturating_sub(16)) - 1) as __mmask16);
-    for (ii, a) in acc.iter().enumerate().take(rows) {
-        let dst = c.as_mut_ptr().add(ii * ldc);
-        let (v0, v1) = match mode {
-            Acc::Overwrite => (a[0], a[1]),
-            // `0.0 + acc`, as in the references: a `-0.0` dot becomes
-            // `+0.0`.
-            Acc::OverwriteDot => (_mm512_add_ps(_mm512_setzero_ps(), a[0]), _mm512_add_ps(_mm512_setzero_ps(), a[1])),
-        };
-        _mm512_mask_storeu_ps(dst, m0, v0);
-        _mm512_mask_storeu_ps(dst.add(16), m1, v1);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Blocked driver
 // ---------------------------------------------------------------------------
 
 /// Strided view of a logical operand: `elem(r, c) = data[r·rs + c·cs]`.
 #[derive(Clone, Copy)]
-struct StridedMat<'a, E: Element> {
-    data: &'a [E],
+struct StridedMat<'a> {
+    data: &'a [f64],
     rs: usize,
     cs: usize,
 }
 
-/// Same-type reinterpret of a strided view (TypeId-checked), bridging
-/// the generic dispatchers to the monomorphic per-dtype paths.
-#[inline(always)]
-fn recast_mat<A: Element, B: Element>(m: StridedMat<'_, A>) -> StridedMat<'_, B> {
-    StridedMat { data: same_slice(m.data), rs: m.rs, cs: m.cs }
-}
-
 /// Where the blocked driver runs a product's row blocks, and where it
 /// packs `B`.
-pub(crate) enum Rows<'s, E> {
+pub(crate) enum Rows<'s> {
     /// Across the thread pool, one scope per column block; `B` packs into
     /// pool scratch.
     Pool,
@@ -944,19 +806,7 @@ pub(crate) enum Rows<'s, E> {
     /// itself one task of a scope (`conv2d`'s sample groups). `B` packs
     /// into the caller's scratch, grown on first use and reused by every
     /// later product.
-    Here(&'s mut Vec<E>),
-}
-
-/// Same-type reinterpret of a [`Rows`] (TypeId-checked), as [`recast_mat`].
-fn recast_rows<A: Element, B: Element>(rows: Rows<'_, A>) -> Rows<'_, B> {
-    match rows {
-        Rows::Pool => Rows::Pool,
-        Rows::Here(v) => {
-            assert_eq!(std::any::TypeId::of::<A>(), std::any::TypeId::of::<B>(), "recast_rows: dtype mismatch");
-            // SAFETY: A and B are the identical type (checked above).
-            Rows::Here(unsafe { &mut *(v as *mut Vec<A>).cast::<Vec<B>>() })
-        }
-    }
+    Here(&'s mut Vec<f64>),
 }
 
 /// Packed-panel blocked GEMM: columns are processed in `NC`-wide blocks
@@ -965,16 +815,16 @@ fn recast_rows<A: Element, B: Element>(rows: Rows<'_, A>) -> Rows<'_, B> {
 /// caller's thread as `rows` says (each row chunk packs its own A
 /// micropanels). `k` is deliberately never tiled — see the module-level
 /// determinism contract.
-fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
-    a: StridedMat<'_, E>,
-    b: StridedMat<'_, E>,
-    c: &mut [E],
+fn gemm_blocked_driver<const MR: usize, const NR: usize>(
+    a: StridedMat<'_>,
+    b: StridedMat<'_>,
+    c: &mut [f64],
     m: usize,
     k: usize,
     n: usize,
     mode: Acc,
-    micro: MicroFn<E>,
-    rows: Rows<'_, E>,
+    micro: MicroFn,
+    rows: Rows<'_>,
 ) {
     if m == 0 || n == 0 {
         return;
@@ -990,14 +840,14 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     let sized = k.max(1) * NC.min(n).next_multiple_of(NR);
     let pooled = matches!(rows, Rows::Pool);
     let mut pool_bp;
-    let bp: &mut [E] = match rows {
+    let bp: &mut [f64] = match rows {
         Rows::Pool => {
-            pool_bp = pool::alloc_uninit::<E>(if pool::recycles::<E>(sized) { sized } else { k.max(1) * NC });
+            pool_bp = pool::alloc_uninit(if pool::recycles(sized) { sized } else { k.max(1) * NC });
             &mut pool_bp
         }
         Rows::Here(v) => {
             if v.len() < sized {
-                v.resize(sized, E::ZERO);
+                v.resize(sized, 0.0);
             }
             &mut v[..sized]
         }
@@ -1009,7 +859,7 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
         let panel = k * NR;
         for jp in 0..npanels {
             let j = j0 + jp * NR;
-            pack_b::<E, NR>(
+            pack_b::<NR>(
                 b.data,
                 b.rs,
                 b.cs,
@@ -1020,18 +870,18 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
             );
         }
         let bp = &bp[..npanels * panel.max(1)];
-        let row_chunk = |start: usize, c_chunk: &mut [E]| {
+        let row_chunk = |start: usize, c_chunk: &mut [f64]| {
             // Recorded on whichever thread (worker or drain-assisting
             // caller) executes the chunk, so traces show the blocked
             // GEMM's actual parallel placement.
             let _span = tyxe_obs::span!("tensor.gemm.block");
             let i_base = start / n;
             let rows_here = c_chunk.len() / n;
-            let mut ap = pool::alloc_uninit::<E>(k.max(1) * MR);
+            let mut ap = pool::alloc_uninit(k.max(1) * MR);
             let mut i = 0;
             while i < rows_here {
                 let rows = MR.min(rows_here - i);
-                pack_a::<E, MR>(a.data, a.rs, a.cs, i_base + i, rows, k, &mut ap);
+                pack_a::<MR>(a.data, a.rs, a.cs, i_base + i, rows, k, &mut ap);
                 for jp in 0..npanels {
                     let j = j0 + jp * NR;
                     let cols = NR.min(n - j);
@@ -1053,48 +903,22 @@ fn gemm_blocked_driver<E: Element, const MR: usize, const NR: usize>(
     }
 }
 
-fn blocked_dispatch_f64(a: StridedMat<'_, f64>, b: StridedMat<'_, f64>, c: &mut [f64], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, f64>) {
+fn blocked_dispatch(a: StridedMat<'_>, b: StridedMat<'_>, c: &mut [f64], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_>) {
     if tyxe_obs::enabled() {
         match isa() {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512Fma => probe::panels(DType::F64, 8, 16),
+            Isa::Avx512Fma => probe::panels(8, 16),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => probe::panels(DType::F64, 4, 8),
-            _ => probe::panels(DType::F64, 2, 8),
+            Isa::Avx2Fma => probe::panels(4, 8),
+            _ => probe::panels(2, 8),
         }
     }
     match isa() {
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Fma => gemm_blocked_driver::<f64, 8, 16>(a, b, c, m, k, n, mode, micro_avx512_fma_f64, rows),
+        Isa::Avx512Fma => gemm_blocked_driver::<8, 16>(a, b, c, m, k, n, mode, micro_avx512_fma_f64, rows),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => gemm_blocked_driver::<f64, 4, 8>(a, b, c, m, k, n, mode, micro_avx2_fma_f64, rows),
-        _ => gemm_blocked_driver::<f64, 2, 8>(a, b, c, m, k, n, mode, micro_base_f64, rows),
-    }
-}
-
-fn blocked_dispatch_f32(a: StridedMat<'_, f32>, b: StridedMat<'_, f32>, c: &mut [f32], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, f32>) {
-    if tyxe_obs::enabled() {
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512Fma => probe::panels(DType::F32, 8, 32),
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2Fma => probe::panels(DType::F32, 4, 16),
-            _ => probe::panels(DType::F32, 2, 8),
-        }
-    }
-    match isa() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx512Fma => gemm_blocked_driver::<f32, 8, 32>(a, b, c, m, k, n, mode, micro_avx512_fma_f32, rows),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2Fma => gemm_blocked_driver::<f32, 4, 16>(a, b, c, m, k, n, mode, micro_avx2_fma_f32, rows),
-        _ => gemm_blocked_driver::<f32, 2, 8>(a, b, c, m, k, n, mode, micro_base_f32, rows),
-    }
-}
-
-fn blocked_dispatch<E: Element>(a: StridedMat<'_, E>, b: StridedMat<'_, E>, c: &mut [E], m: usize, k: usize, n: usize, mode: Acc, rows: Rows<'_, E>) {
-    match E::DTYPE {
-        DType::F64 => blocked_dispatch_f64(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode, recast_rows(rows)),
-        DType::F32 => blocked_dispatch_f32(recast_mat(a), recast_mat(b), same_slice_mut(c), m, k, n, mode, recast_rows(rows)),
+        Isa::Avx2Fma => gemm_blocked_driver::<4, 8>(a, b, c, m, k, n, mode, micro_avx2_fma_f64, rows),
+        _ => gemm_blocked_driver::<2, 8>(a, b, c, m, k, n, mode, micro_base_f64, rows),
     }
 }
 
@@ -1103,7 +927,7 @@ fn blocked_dispatch<E: Element>(a: StridedMat<'_, E>, b: StridedMat<'_, E>, c: &
 // ---------------------------------------------------------------------------
 
 /// Blocked overwrite `C = A·B`, bypassing the small-size cutoff.
-pub fn gemm_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_ow_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     blocked_dispatch(
         StridedMat { data: a, rs: k, cs: 1 },
         StridedMat { data: b, rs: n, cs: 1 },
@@ -1112,7 +936,7 @@ pub fn gemm_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: u
 }
 
 /// Blocked overwrite `C = Aᵀ·B` (`A: [k×m]`), bypassing the small-size cutoff.
-pub fn gemm_at_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_at_ow_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     blocked_dispatch(
         StridedMat { data: a, rs: 1, cs: m },
         StridedMat { data: b, rs: n, cs: 1 },
@@ -1121,7 +945,7 @@ pub fn gemm_at_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
 }
 
 /// Blocked overwrite `C = A·Bᵀ` (`B: [n×k]`), bypassing the small-size cutoff.
-pub fn gemm_bt_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_bt_ow_blocked(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     blocked_dispatch(
         StridedMat { data: a, rs: k, cs: 1 },
         StridedMat { data: b, rs: 1, cs: k },
@@ -1137,13 +961,13 @@ pub fn gemm_bt_ow_blocked<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k
 /// parallel above the size cutoff, reference below; bit-identical every
 /// way. Every element of `C` is written without being read, so `C` may
 /// hold arbitrary (pool-recycled) garbage on entry.
-pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_ow(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 0, false, 1, m, k, n);
+        let _span = probe::gemm(0, false, 1, m, k, n);
         return narrow_nn(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 0, blocked, 1, m, k, n);
+    let _span = probe::gemm(0, blocked, 1, m, k, n);
     if blocked {
         gemm_ow_blocked(a, b, c, m, k, n);
     } else {
@@ -1152,13 +976,13 @@ pub fn gemm_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n:
 }
 
 /// Overwrite `C = Aᵀ·B` (`A: [k×m]`); `C` may be uninitialized.
-pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_at_ow(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 1, false, 1, m, k, n);
+        let _span = probe::gemm(1, false, 1, m, k, n);
         return narrow_at(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 1, blocked, 1, m, k, n);
+    let _span = probe::gemm(1, blocked, 1, m, k, n);
     if blocked {
         gemm_at_ow_blocked(a, b, c, m, k, n);
     } else {
@@ -1168,13 +992,13 @@ pub fn gemm_at_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
 
 /// Overwrite `C = A·Bᵀ` (`B: [n×k]`); `C` may be uninitialized. Stores
 /// `0.0 + dot`, so a `-0.0` dot comes out `+0.0` (see the module docs).
-pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize) {
+pub fn gemm_bt_ow(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
     if narrow_dims(m, k, n) {
-        let _span = probe::gemm(E::DTYPE, 2, false, 1, m, k, n);
+        let _span = probe::gemm(2, false, 1, m, k, n);
         return narrow_bt(a, b, c, m, k, n);
     }
     let blocked = m * k * n >= BLOCK_MIN_MADDS;
-    let _span = probe::gemm(E::DTYPE, 2, blocked, 1, m, k, n);
+    let _span = probe::gemm(2, blocked, 1, m, k, n);
     if blocked {
         gemm_bt_ow_blocked(a, b, c, m, k, n);
     } else {
@@ -1194,8 +1018,8 @@ pub fn gemm_bt_ow<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize,
 
 /// Overwrite `C = A·B` (`A: [m×k]`, `B: [k×n]`) on the calling thread,
 /// `B` packed into `pack`; bit-identical to [`gemm_ow`].
-pub(crate) fn gemm_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, pack: &mut Vec<E>) {
-    let _span = probe::gemm(E::DTYPE, 0, true, 1, m, k, n);
+pub(crate) fn gemm_ow_here(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize, pack: &mut Vec<f64>) {
+    let _span = probe::gemm(0, true, 1, m, k, n);
     blocked_dispatch(
         StridedMat { data: a, rs: k, cs: 1 },
         StridedMat { data: b, rs: n, cs: 1 },
@@ -1205,8 +1029,8 @@ pub(crate) fn gemm_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, 
 
 /// Overwrite `C = Aᵀ·B` (`A: [k×m]`, `B: [k×n]`) on the calling thread,
 /// `B` packed into `pack`; bit-identical to [`gemm_at_ow`].
-pub(crate) fn gemm_at_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usize, k: usize, n: usize, pack: &mut Vec<E>) {
-    let _span = probe::gemm(E::DTYPE, 1, true, 1, m, k, n);
+pub(crate) fn gemm_at_ow_here(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize, pack: &mut Vec<f64>) {
+    let _span = probe::gemm(1, true, 1, m, k, n);
     blocked_dispatch(
         StridedMat { data: a, rs: 1, cs: m },
         StridedMat { data: b, rs: n, cs: 1 },
@@ -1222,23 +1046,23 @@ pub(crate) fn gemm_at_ow_here<E: Element>(a: &[E], b: &[E], c: &mut [E], m: usiz
 /// `sa = m·k`, `sb = n·k`, `ldb = k` is the contiguous `[S, m, k] ×
 /// [S, n, k]` case.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_bt_ow_batched<E: Element>(
-    a: &[E],
+pub(crate) fn gemm_bt_ow_batched(
+    a: &[f64],
     sa: usize,
-    b: &[E],
+    b: &[f64],
     sb: usize,
     ldb: usize,
-    c: &mut [E],
+    c: &mut [f64],
     batch: usize,
     m: usize,
     k: usize,
     n: usize,
-    pack: &mut Vec<E>,
+    pack: &mut Vec<f64>,
 ) {
     if m == 0 || n == 0 {
         return;
     }
-    let _span = probe::gemm(E::DTYPE, 2, true, batch, m, k, n);
+    let _span = probe::gemm(2, true, batch, m, k, n);
     for (s, cs) in c[..batch * m * n].chunks_mut(m * n).enumerate() {
         blocked_dispatch(
             StridedMat { data: &a[s * sa..], rs: k, cs: 1 },
@@ -1271,21 +1095,21 @@ pub(crate) mod tests {
     /// Serialises the crate's tests that flip the global thread count.
     pub(crate) static THREADS: Mutex<()> = Mutex::new(());
 
-    fn rand_vec_e<E: Element>(rng: &mut tyxe_rand::rngs::StdRng, len: usize) -> Vec<E> {
-        (0..len).map(|_| E::from_f64(rng.gen_range(-1.0..1.0f64))).collect()
+    fn rand_vec(rng: &mut tyxe_rand::rngs::StdRng, len: usize) -> Vec<f64> {
+        (0..len).map(|_| rng.gen_range(-1.0..1.0f64)).collect()
     }
 
     /// NaNs with distinct payloads: an output element a kernel reads
     /// before writing, or never writes, shows up as a NaN.
-    fn nan_filled<E: Element>(len: usize) -> Vec<E> {
-        (0..len).map(|i| E::from_f64(f64::NAN * (i as f64 + 1.0))).collect()
+    fn nan_filled(len: usize) -> Vec<f64> {
+        (0..len).map(|i| f64::NAN * (i as f64 + 1.0)).collect()
     }
 
-    fn assert_bits_eq<E: Element>(a: &[E], b: &[E], what: &str) {
+    fn assert_bits_eq(a: &[f64], b: &[f64], what: &str) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert!(
-                x.to_f64().to_bits() == y.to_f64().to_bits(),
+                x.to_bits() == y.to_bits(),
                 "{what}: element {i} differs: {x:?} vs {y:?}"
             );
         }
@@ -1313,10 +1137,10 @@ pub(crate) mod tests {
     /// `C`, then accumulate into it with this machine's multiply-add,
     /// `p` ascending — `nn`/`at` update `c[i,j]` in place, `bt` adds a
     /// fresh dot once. Written from the contract, not from the kernels.
-    fn zero_fill_then_accumulate<E: Element>(layout: Layout, a: &[E], b: &[E], m: usize, k: usize, n: usize) -> Vec<E> {
+    fn zero_fill_then_accumulate(layout: Layout, a: &[f64], b: &[f64], m: usize, k: usize, n: usize) -> Vec<f64> {
         let fma = uses_fma();
-        let madd = |acc: E, x: E, y: E| if fma { x.mul_add(y, acc) } else { acc + x * y };
-        let mut c = vec![E::ZERO; m * n];
+        let madd = |acc: f64, x: f64, y: f64| if fma { x.mul_add(y, acc) } else { acc + x * y };
+        let mut c = vec![0.0; m * n];
         for i in 0..m {
             for j in 0..n {
                 let cij = &mut c[i * n + j];
@@ -1324,7 +1148,7 @@ pub(crate) mod tests {
                     Layout::Nn => (0..k).for_each(|p| *cij = madd(*cij, a[i * k + p], b[p * n + j])),
                     Layout::At => (0..k).for_each(|p| *cij = madd(*cij, a[p * m + i], b[p * n + j])),
                     Layout::Bt => {
-                        let dot = (0..k).fold(E::ZERO, |acc, p| madd(acc, a[i * k + p], b[j * k + p]));
+                        let dot = (0..k).fold(0.0, |acc, p| madd(acc, a[i * k + p], b[j * k + p]));
                         *cij += dot;
                     }
                 }
@@ -1333,31 +1157,31 @@ pub(crate) mod tests {
         c
     }
 
-    type GemmFn<E> = fn(&[E], &[E], &mut [E], usize, usize, usize);
+    type GemmFn = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
 
     /// The three references, the three forced-blocked entry points and
     /// the three dispatchers, with the layout each computes.
-    fn references<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+    fn references() -> [(&'static str, Layout, GemmFn); 3] {
         [("gemm_ow_ref", Layout::Nn, gemm_ow_ref), ("gemm_at_ow_ref", Layout::At, gemm_at_ow_ref), ("gemm_bt_ow_ref", Layout::Bt, gemm_bt_ow_ref)]
     }
 
-    fn forced_blocked<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+    fn forced_blocked() -> [(&'static str, Layout, GemmFn); 3] {
         [("gemm_ow_blocked", Layout::Nn, gemm_ow_blocked), ("gemm_at_ow_blocked", Layout::At, gemm_at_ow_blocked), ("gemm_bt_ow_blocked", Layout::Bt, gemm_bt_ow_blocked)]
     }
 
-    fn dispatchers<E: Element>() -> [(&'static str, Layout, GemmFn<E>); 3] {
+    fn dispatchers() -> [(&'static str, Layout, GemmFn); 3] {
         [("gemm_ow", Layout::Nn, gemm_ow), ("gemm_at_ow", Layout::At, gemm_at_ow), ("gemm_bt_ow", Layout::Bt, gemm_bt_ow)]
     }
 
     /// Each entry point, on a NaN-filled `C`, against the oracle. One
     /// pair of operands serves all three layouts: `A` has `m·k` elements
     /// and `B` `k·n` whichever way they are read.
-    fn check_against_oracle<E: Element>(fns: &[(&'static str, Layout, GemmFn<E>)], a: &[E], b: &[E], m: usize, k: usize, n: usize) {
+    fn check_against_oracle(fns: &[(&'static str, Layout, GemmFn)], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
         for &(name, layout, f) in fns {
             let want = zero_fill_then_accumulate(layout, a, b, m, k, n);
-            let mut got = nan_filled::<E>(m * n);
+            let mut got = nan_filled(m * n);
             f(a, b, &mut got, m, k, n);
-            assert_bits_eq(&want, &got, &format!("{name} {m}x{k}x{n} {} at {} threads", E::DTYPE, tyxe_par::num_threads()));
+            assert_bits_eq(&want, &got, &format!("{name} {m}x{k}x{n} at {} threads", tyxe_par::num_threads()));
         }
     }
 
@@ -1384,34 +1208,26 @@ pub(crate) mod tests {
     /// Empty products: `k = 0` writes zeros, an empty `C` writes nothing.
     const EMPTY: &[(usize, usize, usize)] = &[(2, 0, 2), (40, 0, 40), (0, 5, 3), (3, 5, 0)];
 
-    fn sweep<E: Element>(fns: &[(&'static str, Layout, GemmFn<E>)], shapes: &[(usize, usize, usize)], seed: u64) {
+    fn sweep(fns: &[(&'static str, Layout, GemmFn)], shapes: &[(usize, usize, usize)], seed: u64) {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(seed);
         for &(m, k, n) in shapes {
-            let a = rand_vec_e::<E>(&mut rng, m * k);
-            let b = rand_vec_e::<E>(&mut rng, k * n);
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
             check_against_oracle(fns, &a, &b, m, k, n);
         }
     }
 
-    fn blocked_matches_reference_bitwise_for<E: Element>() {
-        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).collect();
+    #[test]
+    fn blocked_matches_reference_bitwise_all_variants() {
+        let fns: Vec<_> = references().into_iter().chain(forced_blocked()).collect();
         sweep(&fns, DENSE, 42);
         sweep(&fns, NARROW, 43);
     }
 
-    #[test]
-    fn blocked_matches_reference_bitwise_all_variants() {
-        blocked_matches_reference_bitwise_for::<f64>();
-    }
-
-    #[test]
-    fn blocked_matches_reference_bitwise_all_variants_f32() {
-        blocked_matches_reference_bitwise_for::<f32>();
-    }
-
     /// All nine entry points, every shape class, at 1 and 4 threads.
-    fn overwrite_matches_zerofill_accumulate_for<E: Element>() {
-        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).chain(dispatchers::<E>()).collect();
+    #[test]
+    fn overwrite_matches_zerofill_accumulate_bitwise() {
+        let fns: Vec<_> = references().into_iter().chain(forced_blocked()).chain(dispatchers()).collect();
         let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 4] {
             at_threads(threads, || {
@@ -1422,60 +1238,37 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn overwrite_matches_zerofill_accumulate_bitwise() {
-        overwrite_matches_zerofill_accumulate_for::<f64>();
-    }
-
-    #[test]
-    fn overwrite_matches_zerofill_accumulate_bitwise_f32() {
-        overwrite_matches_zerofill_accumulate_for::<f32>();
-    }
-
     /// The dispatchers route degenerate shapes to the narrow kernels.
-    fn narrow_matches_reference_for<E: Element>() {
+    #[test]
+    fn narrow_matches_reference_bitwise() {
         for &(m, k, n) in NARROW {
             assert!(narrow_dims(m, k, n), "test shape {m}x{k}x{n} must be narrow");
         }
-        sweep(&dispatchers::<E>(), NARROW, 1234);
-    }
-
-    #[test]
-    fn narrow_matches_reference_bitwise() {
-        narrow_matches_reference_for::<f64>();
-    }
-
-    #[test]
-    fn narrow_matches_reference_bitwise_f32() {
-        narrow_matches_reference_for::<f32>();
+        sweep(&dispatchers(), NARROW, 1234);
     }
 
     /// Every product underflows: under FMA each dot is `-0.0`. `gemm_ow`
     /// and `gemm_at_ow` keep it, as accumulating into a zeroed `C` does;
     /// `gemm_bt_ow` stores `0.0 + dot = +0.0`, as adding the dot into a
     /// zeroed `C` does. This is why `Acc` keeps two modes.
-    fn bt_underflow_for<E: Element>(tiny: f64) {
-        let fns: Vec<_> = references::<E>().into_iter().chain(forced_blocked::<E>()).chain(dispatchers::<E>()).collect();
+    #[test]
+    fn bt_dot_underflowing_to_negative_zero_stores_positive_zero() {
+        let tiny = 1e-200;
+        let fns: Vec<_> = references().into_iter().chain(forced_blocked()).chain(dispatchers()).collect();
         for &(m, k, n) in &[(1usize, 1usize, 1usize), (1, 3, 1), (5, 2, 3), (40, 40, 40)] {
-            let a = vec![E::from_f64(-tiny); m * k];
-            let b = vec![E::from_f64(tiny); k * n];
+            let a = vec![-tiny; m * k];
+            let b = vec![tiny; k * n];
             check_against_oracle(&fns, &a, &b, m, k, n);
             for (name, layout, f) in &fns {
-                let mut c = nan_filled::<E>(m * n);
+                let mut c = nan_filled(m * n);
                 f(&a, &b, &mut c, m, k, n);
                 let negative = uses_fma() && *layout != Layout::Bt;
-                assert!(c.iter().all(|v| v.to_f64() == 0.0 && v.to_f64().is_sign_negative() == negative), "{name} {m}x{k}x{n}: {c:?}");
+                assert!(c.iter().all(|v| *v == 0.0 && v.is_sign_negative() == negative), "{name} {m}x{k}x{n}: {c:?}");
             }
         }
     }
 
-    #[test]
-    fn bt_dot_underflowing_to_negative_zero_stores_positive_zero() {
-        bt_underflow_for::<f64>(1e-200);
-        bt_underflow_for::<f32>(1e-30);
-    }
-
-    type HereFn<E> = fn(&[E], &[E], &mut [E], usize, usize, usize, &mut Vec<E>);
+    type HereFn = fn(&[f64], &[f64], &mut [f64], usize, usize, usize, &mut Vec<f64>);
 
     /// The caller-thread entry points and the batched `bt` against the
     /// oracle on NaN-filled `C`, every shape class, with one pack scratch
@@ -1483,26 +1276,28 @@ pub(crate) mod tests {
     /// are the column windows `s·k..` of one `[n × 3k]` matrix, as
     /// `conv2d` passes its group block. The underflow case pins each
     /// entry's store mode.
-    fn here_and_batched_match_oracle_for<E: Element>(tiny: f64) {
+    #[test]
+    fn here_and_batched_match_oracle_bitwise() {
+        let tiny = 1e-200;
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(55);
         let mut pack = Vec::new();
         let batch = 3;
         for &(m, k, n) in DENSE.iter().chain(NARROW).chain(EMPTY) {
-            let random = (rand_vec_e::<E>(&mut rng, batch * m * k), rand_vec_e::<E>(&mut rng, n * batch * k));
-            let underflow = (vec![E::from_f64(-tiny); batch * m * k], vec![E::from_f64(tiny); n * batch * k]);
+            let random = (rand_vec(&mut rng, batch * m * k), rand_vec(&mut rng, n * batch * k));
+            let underflow = (vec![-tiny; batch * m * k], vec![tiny; n * batch * k]);
             for (a, b) in [random, underflow] {
-                let what = |name: &str| format!("{name} {m}x{k}x{n} {}", E::DTYPE);
-                let here: [(&str, Layout, HereFn<E>); 2] = [("gemm_ow_here", Layout::Nn, gemm_ow_here), ("gemm_at_ow_here", Layout::At, gemm_at_ow_here)];
+                let what = |name: &str| format!("{name} {m}x{k}x{n}");
+                let here: [(&str, Layout, HereFn); 2] = [("gemm_ow_here", Layout::Nn, gemm_ow_here), ("gemm_at_ow_here", Layout::At, gemm_at_ow_here)];
                 for (name, layout, f) in here {
                     let want = zero_fill_then_accumulate(layout, &a, &b, m, k, n);
-                    let mut got = nan_filled::<E>(m * n);
+                    let mut got = nan_filled(m * n);
                     f(&a, &b, &mut got, m, k, n, &mut pack);
                     assert_bits_eq(&want, &got, &what(name));
                 }
-                let mut got = nan_filled::<E>(batch * m * n);
+                let mut got = nan_filled(batch * m * n);
                 gemm_bt_ow_batched(&a, m * k, &b, k, batch * k, &mut got, batch, m, k, n, &mut pack);
                 for s in 0..batch {
-                    let bs: Vec<E> = (0..n).flat_map(|j| b[j * batch * k + s * k..][..k].to_vec()).collect();
+                    let bs: Vec<f64> = (0..n).flat_map(|j| b[j * batch * k + s * k..][..k].to_vec()).collect();
                     let want = zero_fill_then_accumulate(Layout::Bt, &a[s * m * k..(s + 1) * m * k], &bs, m, k, n);
                     assert_bits_eq(&want, &got[s * m * n..(s + 1) * m * n], &what(&format!("gemm_bt_ow_batched[{s}]")));
                 }
@@ -1511,17 +1306,11 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn here_and_batched_match_oracle_bitwise() {
-        here_and_batched_match_oracle_for::<f64>(1e-200);
-        here_and_batched_match_oracle_for::<f32>(1e-30);
-    }
-
-    #[test]
     fn thread_counts_agree_bitwise() {
         let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(7);
         let (m, k, n) = (65, 47, 70);
-        let a = rand_vec_e::<f64>(&mut rng, m * k);
-        let b = rand_vec_e::<f64>(&mut rng, k * n);
+        let a = rand_vec(&mut rng, m * k);
+        let b = rand_vec(&mut rng, k * n);
         let run = |threads: usize| {
             at_threads(threads, || {
                 let mut c = nan_filled(m * n);
@@ -1533,28 +1322,6 @@ pub(crate) mod tests {
         let c1 = run(1);
         let c4 = run(4);
         assert_bits_eq(&c1, &c4, "threads 1 vs 4");
-    }
-
-    /// f32 must be computed natively — a genuinely different reduction
-    /// from "f64 then round", which this input distinguishes: with
-    /// a = [1e8, 1, -1e8] (all exact f32) and b = 1s, native f32
-    /// accumulation loses the 1 (1e8 + 1 rounds to 1e8 in f32), while
-    /// f64 accumulation keeps it.
-    #[test]
-    fn f32_accumulates_natively_not_via_f64() {
-        let a = [1.0e8f32, 1.0, -1.0e8];
-        let b = [1.0f32, 1.0, 1.0];
-        let mut c = [f32::NAN];
-        gemm_ow_ref(&a, &b, &mut c, 1, 3, 1);
-        // Every product is exact, so FMA's single rounding changes
-        // nothing: each partial sum still rounds to f32, and 1e8 + 1
-        // rounds back to 1e8 before the -1e8 cancels it.
-        assert_eq!(c[0], 0.0f32);
-        // The f64 chain keeps the 1 — proof the f32 arithmetic above
-        // ran in f32 registers rather than "f64 then round once".
-        let mut c64 = [f64::NAN];
-        gemm_ow_ref(&[1.0e8f64, 1.0, -1.0e8], &[1.0, 1.0, 1.0], &mut c64, 1, 3, 1);
-        assert_eq!(c64[0], 1.0);
     }
 
     #[test]

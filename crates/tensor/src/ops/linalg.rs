@@ -5,7 +5,6 @@
 //! log density needs `logdet` and `inverse` of a small `r x r` capacitance
 //! matrix.
 
-use crate::element::DType;
 use crate::ops::gemm_kernels::gemm_ow;
 use crate::tensor::Tensor;
 
@@ -108,15 +107,8 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "inverse: tensor must be 2-D");
         let n = self.shape()[0];
         assert_eq!(n, self.shape()[1], "inverse: tensor must be square");
-        // Pivoted elimination is precision-critical, so the factorization
-        // always runs in f64; narrower inputs round-trip through cast
-        // nodes (which stay differentiable) and keep their dtype.
-        if self.dtype() != DType::F64 {
-            let dt = self.dtype();
-            return self.cast(DType::F64).inverse().cast(dt);
-        }
         let inv = invert_raw(&self.data(), n).expect("inverse: singular matrix");
-        Tensor::make_op_t::<f64>(inv, vec![n, n], vec![self.clone()], move |out, grad| {
+        Tensor::make_op(inv, vec![n, n], vec![self.clone()], move |out, grad| {
             // dA = -B^T * G * B^T
             let b = out.data();
             let mut bt = vec![0.0; n * n];
@@ -145,17 +137,10 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "logdet: tensor must be 2-D");
         let n = self.shape()[0];
         assert_eq!(n, self.shape()[1], "logdet: tensor must be square");
-        // LU with partial pivoting runs in f64 only; narrower inputs
-        // upcast through a differentiable cast and the scalar result is
-        // cast back to the input dtype.
-        if self.dtype() != DType::F64 {
-            let dt = self.dtype();
-            return self.cast(DType::F64).logdet().cast(dt);
-        }
         let (ld, sign) = logdet_raw(&self.data(), n);
         assert!(sign > 0.0, "logdet: determinant must be positive");
         let src = self.clone();
-        Tensor::make_op_t::<f64>(vec![ld], vec![], vec![self.clone()], move |_, grad| {
+        Tensor::make_op(vec![ld], vec![], vec![self.clone()], move |_, grad| {
             let inv = invert_raw(&src.data(), n).expect("logdet backward: singular");
             let mut ga = vec![0.0; n * n];
             for i in 0..n {
@@ -234,24 +219,5 @@ mod tests {
     fn singular_inverse_panics() {
         let a = Tensor::zeros(&[2, 2]);
         let _ = a.inverse();
-    }
-
-    /// f32 inputs upcast through the f64 factorizations and come back
-    /// as f32, with gradients flowing through the cast nodes.
-    #[test]
-    fn f32_linalg_upcasts_and_returns_f32() {
-        use crate::element::DType;
-        let a64 = random_spd(3, 6);
-        let a = a64.cast(DType::F32).detach().requires_grad(true);
-        let inv = a.inverse();
-        assert_eq!(inv.dtype(), DType::F32);
-        let prod = inv.matmul(&a);
-        for (p, e) in prod.to_vec().iter().zip(Tensor::eye(3).to_vec()) {
-            assert!((p - e).abs() < 1e-4, "{p} vs {e}");
-        }
-        let ld = a.logdet();
-        assert_eq!(ld.dtype(), DType::F32);
-        ld.backward();
-        assert!(a.grad().is_some());
     }
 }

@@ -1,13 +1,6 @@
 //! Matrix multiplication and 2-D transpose, over the GEMM kernels of
 //! [`crate::ops::gemm_kernels`].
-//!
-//! Dtype: mixed operands promote to the wider type; under an active
-//! [`crate::autocast`] guard the product instead computes in the
-//! autocast target (`f32` in mixed-precision SVI), with the operand
-//! casts recorded as ordinary graph nodes so gradients flow back to
-//! full-precision masters.
 
-use crate::element::{Element, dispatch_dtype};
 use crate::ops::gemm_kernels::{gemm_at_ow, gemm_bt_ow, gemm_ow, join_products};
 use crate::pool;
 use crate::tensor::Tensor;
@@ -17,7 +10,7 @@ use crate::ops::PAR_MIN_ELEMS;
 /// Out-of-place 2-D transpose: `dst[j * m + i] = src[i * n + j]` for a
 /// row-major `[m × n]` source. Parallel over output rows; pure data
 /// movement, so thread count can't affect results.
-fn transpose_into<E: Element>(src: &[E], dst: &mut [E], m: usize, n: usize) {
+fn transpose_into(src: &[f64], dst: &mut [f64], m: usize, n: usize) {
     if m * n < PAR_MIN_ELEMS || n == 0 {
         for i in 0..m {
             for j in 0..n {
@@ -38,32 +31,6 @@ fn transpose_into<E: Element>(src: &[E], dst: &mut [E], m: usize, n: usize) {
     });
 }
 
-fn matmul_t<E: Element>(a_t: &Tensor, b_t: &Tensor, m: usize, k: usize, n: usize) -> Tensor {
-    let mut data = pool::alloc_uninit::<E>(m * n);
-    gemm_ow(&a_t.data_of::<E>(), &b_t.data_of::<E>(), &mut data, m, k, n);
-    let (ac, bc) = (a_t.clone(), b_t.clone());
-    Tensor::make_op_t::<E>(
-        data,
-        vec![m, n],
-        vec![a_t.clone(), b_t.clone()],
-        move |_, grad| {
-            // dA = G * B^T ; dB = A^T * G — independent products, so
-            // large ones run on separate threads; each is internally
-            // deterministic regardless of thread count.
-            let mut ga = pool::alloc_uninit::<E>(m * k);
-            let mut gb = pool::alloc_uninit::<E>(k * n);
-            let (bd, ad) = (bc.data_of::<E>(), ac.data_of::<E>());
-            let (bd, ad): (&[E], &[E]) = (&bd, &ad);
-            join_products(
-                m * n * k,
-                || gemm_bt_ow(grad, bd, &mut ga, m, n, k),
-                || gemm_at_ow(ad, grad, &mut gb, k, m, n),
-            );
-            vec![Some(ga), Some(gb)]
-        },
-    )
-}
-
 impl Tensor {
     /// Matrix product of two 2-D tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
@@ -76,10 +43,29 @@ impl Tensor {
         let (m, k) = (self.shape()[0], self.shape()[1]);
         let (k2, n) = (other.shape()[0], other.shape()[1]);
         assert_eq!(k, k2, "matmul: inner dims {k} vs {k2} disagree");
-        let dt = crate::autocast::compute_dtype(self.dtype().promote(other.dtype()));
-        let a = self.cast(dt);
-        let b = other.cast(dt);
-        dispatch_dtype!(dt, E => matmul_t::<E>(&a, &b, m, k, n))
+        let mut data = pool::alloc_uninit(m * n);
+        gemm_ow(&self.data(), &other.data(), &mut data, m, k, n);
+        let (ac, bc) = (self.clone(), other.clone());
+        Tensor::make_op(
+            data,
+            vec![m, n],
+            vec![self.clone(), other.clone()],
+            move |_, grad| {
+                // dA = G * B^T ; dB = A^T * G — independent products, so
+                // large ones run on separate threads; each is internally
+                // deterministic regardless of thread count.
+                let mut ga = pool::alloc_uninit(m * k);
+                let mut gb = pool::alloc_uninit(k * n);
+                let (bd, ad) = (bc.data(), ac.data());
+                let (bd, ad): (&[f64], &[f64]) = (&bd, &ad);
+                join_products(
+                    m * n * k,
+                    || gemm_bt_ow(grad, bd, &mut ga, m, n, k),
+                    || gemm_at_ow(ad, grad, &mut gb, k, m, n),
+                );
+                vec![Some(ga), Some(gb)]
+            },
+        )
     }
 
     /// Matrix-vector product: `[m, k] x [k] -> [m]`.
@@ -104,24 +90,22 @@ impl Tensor {
     pub fn t(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "t(): tensor must be 2-D, got {:?}", self.shape());
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        dispatch_dtype!(self.dtype(), E => {
-            let d = self.data_of::<E>();
-            // Pure permutation: every output element is written exactly once,
-            // so the uninit pool path is safe in both directions.
-            let mut data = pool::alloc_uninit::<E>(m * n);
-            transpose_into(&d, &mut data, m, n);
-            drop(d);
-            Tensor::make_op_t::<E>(
-                data,
-                vec![n, m],
-                vec![self.clone()],
-                move |_, grad| {
-                    let mut g = pool::alloc_uninit::<E>(m * n);
-                    transpose_into(grad, &mut g, n, m);
-                    vec![Some(g)]
-                },
-            )
-        })
+        let d = self.data();
+        // Pure permutation: every output element is written exactly once,
+        // so the uninit pool path is safe in both directions.
+        let mut data = pool::alloc_uninit(m * n);
+        transpose_into(&d, &mut data, m, n);
+        drop(d);
+        Tensor::make_op(
+            data,
+            vec![n, m],
+            vec![self.clone()],
+            move |_, grad| {
+                let mut g = pool::alloc_uninit(m * n);
+                transpose_into(grad, &mut g, n, m);
+                vec![Some(g)]
+            },
+        )
     }
 
     /// Inner product of two 1-D tensors.
@@ -140,7 +124,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::DType;
 
     #[test]
     fn matmul_values() {
@@ -202,34 +185,5 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn f32_matmul_and_transpose() {
-        let a = Tensor::from_vec_f32(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).requires_grad(true);
-        let b = Tensor::from_vec_f32(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]).requires_grad(true);
-        let c = a.matmul(&b);
-        assert_eq!(c.dtype(), DType::F32);
-        assert_eq!(c.to_vec(), vec![19.0, 22.0, 43.0, 50.0]);
-        c.sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![11.0, 15.0, 11.0, 15.0]);
-        assert_eq!(a.t().dtype(), DType::F32);
-        assert_eq!(a.t().to_vec(), vec![1.0, 3.0, 2.0, 4.0]);
-    }
-
-    #[test]
-    fn autocast_demotes_f64_matmul() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).requires_grad(true);
-        let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]);
-        let g = crate::autocast::autocast(DType::F32);
-        let c = a.matmul(&b);
-        assert_eq!(c.dtype(), DType::F32);
-        drop(g);
-        // Gradients reach the f64 master through the cast boundary, as f64.
-        c.sum().backward();
-        assert_eq!(a.dtype(), DType::F64);
-        assert_eq!(a.grad().unwrap(), vec![11.0, 15.0, 11.0, 15.0]);
-        // Outside the guard the same product stays f64.
-        assert_eq!(a.matmul(&b).dtype(), DType::F64);
     }
 }

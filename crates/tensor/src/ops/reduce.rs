@@ -6,13 +6,7 @@
 //! lets disjoint output chunks run on the thread pool. The full
 //! reduction [`Tensor::sum`] is a single chain by definition and stays
 //! sequential.
-//!
-//! Dtype: accumulation chains run **natively** in the storage element
-//! type (not widened), so a fused op that folds a reduction reproduces
-//! the unfused result bitwise in either dtype — the per-dtype
-//! determinism contract of [`crate::element`].
 
-use crate::element::{Element, dispatch_dtype};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::shape::{normalize_axis, numel};
@@ -27,122 +21,33 @@ pub(crate) fn axis_split(shape: &[usize], ax: usize) -> (usize, usize, usize) {
     (outer, shape[ax], inner)
 }
 
-fn sum_t<E: Element>(src_t: &Tensor) -> Tensor {
-    // Shared forward kernel (initial build + plan replay): a single
-    // sequential chain, so the result is order-fixed by definition.
-    let compute = {
-        let src = src_t.clone();
-        move |out: &mut [E]| {
-            let d = src.data_of::<E>();
-            let mut acc = E::ZERO;
-            for &x in d.iter() {
-                acc += x;
-            }
-            out[0] = acc;
-        }
-    };
-    let mut data = pool::alloc_uninit::<E>(1);
-    compute(data.as_mut_slice());
-    let n = src_t.numel();
-    let t = Tensor::make_op_t::<E>(
-        data,
-        vec![],
-        vec![src_t.clone()],
-        move |_, grad| vec![Some(pool::alloc_filled::<E>(n, grad[0]))],
-    );
-    crate::plan::record_op_t::<E>(&t, &[src_t], compute);
-    t
-}
-
-fn sum_axis_t<E: Element>(src_t: &Tensor, axis: isize, keepdim: bool) -> Tensor {
-    let ax = normalize_axis(axis, src_t.ndim());
-    let in_shape = src_t.shape().to_vec();
-    let mut out_shape: Vec<usize> = in_shape.clone();
-    out_shape[ax] = 1;
-    let out_n = numel(&out_shape);
-    let (_, axn, inner) = axis_split(&in_shape, ax);
-    let mut data = pool::alloc_uninit::<E>(out_n);
-    {
-        let d = src_t.data_of::<E>();
-        let d: &[E] = &d;
-        let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
-        tyxe_par::parallel_for_chunks(&mut data, chunk, |start, piece| {
-            for (off, slot) in piece.iter_mut().enumerate() {
-                let o = start + off;
-                let (oi, ii) = (o / inner.max(1), o % inner.max(1));
-                let base = oi * axn * inner + ii;
-                let mut acc = E::ZERO;
-                for q in 0..axn {
-                    acc += d[base + q * inner];
-                }
-                *slot = acc;
-            }
-        });
-    }
-    let final_shape = if keepdim {
-        out_shape.clone()
-    } else {
-        let mut s = out_shape.clone();
-        s.remove(ax);
-        s
-    };
-    let in_n = numel(&in_shape);
-    Tensor::make_op_t::<E>(
-        data,
-        final_shape,
-        vec![src_t.clone()],
-        move |_, grad| {
-            // Broadcast the output grad back along the reduced axis;
-            // pure gather writing every element, parallel-safe.
-            let mut g = pool::alloc_uninit::<E>(in_n);
-            let chunk = tyxe_par::chunk_len(in_n, 1, PAR_MIN_ELEMS);
-            tyxe_par::parallel_for_chunks(&mut g, chunk, |start, piece| {
-                for (off, gv) in piece.iter_mut().enumerate() {
-                    let flat = start + off;
-                    let block = (axn * inner).max(1);
-                    *gv = grad[(flat / block) * inner + flat % inner.max(1)];
-                }
-            });
-            vec![Some(g)]
-        },
-    )
-}
-
-fn argmax_axis_t<E: Element>(src_t: &Tensor, axis: isize) -> Vec<usize> {
-    let ax = normalize_axis(axis, src_t.ndim());
-    let in_shape = src_t.shape().to_vec();
-    let mut out_shape = in_shape.clone();
-    out_shape[ax] = 1;
-    let out_n = numel(&out_shape);
-    let (_, axn, inner) = axis_split(&in_shape, ax);
-    let mut arg = vec![0usize; out_n];
-    let d = src_t.data_of::<E>();
-    let d: &[E] = &d;
-    let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
-    tyxe_par::parallel_for_chunks(&mut arg, chunk, |start, piece| {
-        for (off, slot) in piece.iter_mut().enumerate() {
-            let o = start + off;
-            let (oi, ii) = (o / inner.max(1), o % inner.max(1));
-            let mut bv = E::from_f64(f64::NEG_INFINITY);
-            let mut ba = 0usize;
-            for q in 0..axn {
-                let v = d[(oi * axn + q) * inner + ii];
-                if v > bv {
-                    bv = v;
-                    ba = q;
-                }
-            }
-            *slot = ba;
-        }
-    });
-    arg
-}
-
 impl Tensor {
-    /// Sums all elements into a scalar (accumulating natively in the
-    /// storage dtype).
+    /// Sums all elements into a scalar.
     pub fn sum(&self) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => sum_t::<E>(self))
+        // Shared forward kernel (initial build + plan replay): a single
+        // sequential chain, so the result is order-fixed by definition.
+        let compute = {
+            let src = self.clone();
+            move |out: &mut [f64]| {
+                let d = src.data();
+                let mut acc = 0.0;
+                for &x in d.iter() {
+                    acc += x;
+                }
+                out[0] = acc;
+            }
+        };
+        let mut data = pool::alloc_uninit(1);
+        compute(&mut data);
+        let n = self.numel();
+        let t = Tensor::make_op(
+            data,
+            vec![],
+            vec![self.clone()],
+            move |_, grad| vec![Some(pool::alloc_filled(n, grad[0]))],
+        );
+        crate::plan::record_op(&t, &[self], compute);
+        t
     }
 
     /// Averages all elements into a scalar.
@@ -156,7 +61,57 @@ impl Tensor {
     ///
     /// Panics if `axis` is out of range.
     pub fn sum_axis(&self, axis: isize, keepdim: bool) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => sum_axis_t::<E>(self, axis, keepdim))
+        let ax = normalize_axis(axis, self.ndim());
+        let in_shape = self.shape().to_vec();
+        let mut out_shape: Vec<usize> = in_shape.clone();
+        out_shape[ax] = 1;
+        let out_n = numel(&out_shape);
+        let (_, axn, inner) = axis_split(&in_shape, ax);
+        let mut data = pool::alloc_uninit(out_n);
+        {
+            let d = self.data();
+            let d: &[f64] = &d;
+            let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
+            tyxe_par::parallel_for_chunks(&mut data, chunk, |start, piece| {
+                for (off, slot) in piece.iter_mut().enumerate() {
+                    let o = start + off;
+                    let (oi, ii) = (o / inner.max(1), o % inner.max(1));
+                    let base = oi * axn * inner + ii;
+                    let mut acc = 0.0;
+                    for q in 0..axn {
+                        acc += d[base + q * inner];
+                    }
+                    *slot = acc;
+                }
+            });
+        }
+        let final_shape = if keepdim {
+            out_shape.clone()
+        } else {
+            let mut s = out_shape.clone();
+            s.remove(ax);
+            s
+        };
+        let in_n = numel(&in_shape);
+        Tensor::make_op(
+            data,
+            final_shape,
+            vec![self.clone()],
+            move |_, grad| {
+                // Broadcast the output grad back along the reduced axis;
+                // pure gather writing every element, parallel-safe.
+                let mut g = pool::alloc_uninit(in_n);
+                let chunk = tyxe_par::chunk_len(in_n, 1, PAR_MIN_ELEMS);
+                tyxe_par::parallel_for_chunks(&mut g, chunk, |start, piece| {
+                    for (off, gv) in piece.iter_mut().enumerate() {
+                        let flat = start + off;
+                        let block = (axn * inner).max(1);
+                        *gv = grad[(flat / block) * inner + flat % inner.max(1)];
+                    }
+                });
+                vec![Some(g)]
+            },
+        )
     }
 
     /// Mean along `axis`, optionally keeping the reduced dimension.
@@ -168,7 +123,33 @@ impl Tensor {
 
     /// Index of the maximum element along `axis` (not differentiable).
     pub fn argmax_axis(&self, axis: isize) -> Vec<usize> {
-        dispatch_dtype!(self.dtype(), E => argmax_axis_t::<E>(self, axis))
+        let ax = normalize_axis(axis, self.ndim());
+        let in_shape = self.shape().to_vec();
+        let mut out_shape = in_shape.clone();
+        out_shape[ax] = 1;
+        let out_n = numel(&out_shape);
+        let (_, axn, inner) = axis_split(&in_shape, ax);
+        let mut arg = vec![0usize; out_n];
+        let d = self.data();
+        let d: &[f64] = &d;
+        let chunk = tyxe_par::chunk_len(out_n, 1, (PAR_MIN_ELEMS / axn.max(1)).max(1));
+        tyxe_par::parallel_for_chunks(&mut arg, chunk, |start, piece| {
+            for (off, slot) in piece.iter_mut().enumerate() {
+                let o = start + off;
+                let (oi, ii) = (o / inner.max(1), o % inner.max(1));
+                let mut bv = f64::NEG_INFINITY;
+                let mut ba = 0usize;
+                for q in 0..axn {
+                    let v = d[(oi * axn + q) * inner + ii];
+                    if v > bv {
+                        bv = v;
+                        ba = q;
+                    }
+                }
+                *slot = ba;
+            }
+        });
+        arg
     }
 
 }
@@ -226,23 +207,5 @@ mod tests {
         assert_eq!(x.mean_axis(1, false).shape(), &[2, 4]);
         assert_eq!(x.mean_axis(1, true).shape(), &[2, 1, 4]);
         assert_eq!(x.mean_axis(1, false).to_vec(), vec![1.0; 8]);
-    }
-
-    #[test]
-    fn f32_sum_accumulates_natively() {
-        // Pick values whose f32 partial sums round: native f32 chain
-        // differs from an f64 chain rounded once at the end, and the
-        // contract demands the native chain.
-        let xs = vec![1.0e7f32, 1.5, 2.5, -3.25, 0.125, 7.75];
-        let want = xs.iter().copied().fold(0.0f32, |a, b| a + b);
-        let t = Tensor::from_vec_f32(xs, &[6]);
-        assert_eq!(t.sum().item(), f64::from(want));
-        assert_eq!(t.sum_axis(0, false).item(), f64::from(want));
-    }
-
-    #[test]
-    fn f32_extrema_match() {
-        let t = Tensor::from_vec_f32(vec![3.0, -1.0, 2.0, 5.5], &[4]);
-        assert_eq!(t.argmax_axis(0), vec![3]);
     }
 }

@@ -2,14 +2,11 @@
 //! slicing and row gathering.
 //!
 //! All of these are pure data movement (plus scatter-`+=` in the
-//! backward passes), so they run natively on either storage dtype and
-//! preserve the input's dtype bit-for-bit. `cat`/`stack` promote mixed
-//! operands to the widest dtype first, like the binary ops.
+//! backward passes).
 
-use crate::element::{DType, dispatch_dtype};
-use crate::pool;
+use crate::pool::{self, PoolBuf};
 use crate::shape::{StridedWalk, numel};
-use crate::tensor::{Buf, Tensor};
+use crate::tensor::Tensor;
 
 impl Tensor {
     /// Returns a tensor with the same data viewed under a new shape.
@@ -28,12 +25,12 @@ impl Tensor {
             self.shape(),
             shape
         );
-        dispatch_dtype!(self.dtype(), E => Tensor::make_op_t::<E>(
-            pool::alloc_copy::<E>(&self.data_of::<E>()),
+        Tensor::make_op(
+            pool::alloc_copy(&self.data()),
             shape.to_vec(),
             vec![self.clone()],
             move |_, grad| vec![Some(pool::alloc_copy(grad))],
-        ))
+        )
     }
 
     /// Inserts a size-1 dimension at `axis`.
@@ -74,35 +71,33 @@ impl Tensor {
         let n = numel(shape);
         let walk = StridedWalk::broadcast(shape, [&src]);
         let (src_numel, same) = (self.numel(), src == shape);
-        dispatch_dtype!(self.dtype(), E => {
-            let mut data = pool::alloc_uninit::<E>(n);
-            {
-                let d = self.data_of::<E>();
-                walk.for_each_run(0, n, |pos, len, [o], [s]| {
-                    for (j, slot) in data[pos..pos + len].iter_mut().enumerate() {
-                        *slot = d[o + j * s];
-                    }
-                });
-            }
-            Tensor::make_op_t::<E>(
-                data,
-                shape.to_vec(),
-                vec![self.clone()],
-                move |_, grad| {
-                    // Copied, not reduced: adding into zeros would turn a
-                    // -0.0 gradient into +0.0.
-                    vec![Some(if same {
-                        pool::alloc_copy(grad)
-                    } else {
-                        super::binary::sum_to_shape::<E>(grad, &walk, src_numel)
-                    })]
-                },
-            )
-        })
+        let mut data = pool::alloc_uninit(n);
+        {
+            let d = self.data();
+            walk.for_each_run(0, n, |pos, len, [o], [s]| {
+                for (j, slot) in data[pos..pos + len].iter_mut().enumerate() {
+                    *slot = d[o + j * s];
+                }
+            });
+        }
+        Tensor::make_op(
+            data,
+            shape.to_vec(),
+            vec![self.clone()],
+            move |_, grad| {
+                // Copied, not reduced: adding into zeros would turn a
+                // -0.0 gradient into +0.0.
+                vec![Some(if same {
+                    pool::alloc_copy(grad)
+                } else {
+                    super::binary::sum_to_shape(grad, &walk, src_numel)
+                })]
+            },
+        )
     }
 
     /// Concatenates tensors along `axis`. All inputs must agree on every
-    /// other dimension. Mixed dtypes promote to the widest.
+    /// other dimension.
     ///
     /// # Panics
     ///
@@ -116,8 +111,6 @@ impl Tensor {
                 assert!(i == axis || a == b, "cat: off-axis dim mismatch at {i}");
             }
         }
-        let dt = tensors.iter().fold(DType::F32, |d, t| d.promote(t.dtype()));
-        let tensors: Vec<Tensor> = tensors.iter().map(|t| t.cast(dt)).collect();
         let mut out_shape = base.clone();
         out_shape[axis] = tensors.iter().map(|t| t.shape()[axis]).sum();
 
@@ -127,44 +120,42 @@ impl Tensor {
         let inner: usize = base[axis + 1..].iter().product();
         let sizes: Vec<usize> = tensors.iter().map(|t| t.shape()[axis]).collect();
         let total_axis: usize = sizes.iter().sum();
-        dispatch_dtype!(dt, E => {
-            // Every element is copied from exactly one input: uninit-safe.
-            let mut data = pool::alloc_uninit::<E>(outer * total_axis * inner);
-            for o in 0..outer {
-                let mut off = 0;
-                for (t, &sz) in tensors.iter().zip(&sizes) {
-                    let d = t.data_of::<E>();
-                    let src = &d[o * sz * inner..(o + 1) * sz * inner];
-                    let dst_start = (o * total_axis + off) * inner;
-                    data[dst_start..dst_start + sz * inner].copy_from_slice(src);
-                    off += sz;
-                }
+        // Every element is copied from exactly one input: uninit-safe.
+        let mut data = pool::alloc_uninit(outer * total_axis * inner);
+        for o in 0..outer {
+            let mut off = 0;
+            for (t, &sz) in tensors.iter().zip(&sizes) {
+                let d = t.data();
+                let src = &d[o * sz * inner..(o + 1) * sz * inner];
+                let dst_start = (o * total_axis + off) * inner;
+                data[dst_start..dst_start + sz * inner].copy_from_slice(src);
+                off += sz;
             }
-            let sizes_c = sizes.clone();
-            Tensor::make_op_t::<E>(
-                data,
-                out_shape,
-                tensors.clone(),
-                move |_, grad| {
-                    // Each input grad is fully covered by copied runs.
-                    let mut grads: Vec<Option<pool::PoolBuf<E>>> = sizes_c
-                        .iter()
-                        .map(|&sz| Some(pool::alloc_uninit::<E>(outer * sz * inner)))
-                        .collect();
-                    for o in 0..outer {
-                        let mut off = 0;
-                        for (gi, &sz) in sizes_c.iter().enumerate() {
-                            let src_start = (o * total_axis + off) * inner;
-                            let dst = grads[gi].as_mut().expect("grad slot");
-                            dst[o * sz * inner..(o + 1) * sz * inner]
-                                .copy_from_slice(&grad[src_start..src_start + sz * inner]);
-                            off += sz;
-                        }
+        }
+        let sizes_c = sizes.clone();
+        Tensor::make_op(
+            data,
+            out_shape,
+            tensors.to_vec(),
+            move |_, grad| {
+                // Each input grad is fully covered by copied runs.
+                let mut grads: Vec<Option<PoolBuf>> = sizes_c
+                    .iter()
+                    .map(|&sz| Some(pool::alloc_uninit(outer * sz * inner)))
+                    .collect();
+                for o in 0..outer {
+                    let mut off = 0;
+                    for (gi, &sz) in sizes_c.iter().enumerate() {
+                        let src_start = (o * total_axis + off) * inner;
+                        let dst = grads[gi].as_mut().expect("grad slot");
+                        dst[o * sz * inner..(o + 1) * sz * inner]
+                            .copy_from_slice(&grad[src_start..src_start + sz * inner]);
+                        off += sz;
                     }
-                    grads
-                },
-            )
-        })
+                }
+                grads
+            },
+        )
     }
 
     /// Stacks tensors of identical shape along a new leading `axis`.
@@ -194,32 +185,30 @@ impl Tensor {
         let mut out_shape = shape.clone();
         out_shape[axis] = len;
         let total = self.numel();
-        dispatch_dtype!(self.dtype(), E => {
-            let mut data = pool::alloc_uninit::<E>(outer * len * inner);
-            {
-                let d = self.data_of::<E>();
-                for o in 0..outer {
-                    let src_start = (o * ax + start) * inner;
-                    data[o * len * inner..(o + 1) * len * inner]
-                        .copy_from_slice(&d[src_start..src_start + len * inner]);
-                }
+        let mut data = pool::alloc_uninit(outer * len * inner);
+        {
+            let d = self.data();
+            for o in 0..outer {
+                let src_start = (o * ax + start) * inner;
+                data[o * len * inner..(o + 1) * len * inner]
+                    .copy_from_slice(&d[src_start..src_start + len * inner]);
             }
-            Tensor::make_op_t::<E>(
-                data,
-                out_shape,
-                vec![self.clone()],
-                move |_, grad| {
-                    // Un-sliced positions must read zero: zeroed pool path.
-                    let mut g = pool::alloc_zeroed::<E>(total);
-                    for o in 0..outer {
-                        let dst_start = (o * ax + start) * inner;
-                        g[dst_start..dst_start + len * inner]
-                            .copy_from_slice(&grad[o * len * inner..(o + 1) * len * inner]);
-                    }
-                    vec![Some(g)]
-                },
-            )
-        })
+        }
+        Tensor::make_op(
+            data,
+            out_shape,
+            vec![self.clone()],
+            move |_, grad| {
+                // Un-sliced positions must read zero: zeroed pool path.
+                let mut g = pool::alloc_zeroed(total);
+                for o in 0..outer {
+                    let dst_start = (o * ax + start) * inner;
+                    g[dst_start..dst_start + len * inner]
+                        .copy_from_slice(&grad[o * len * inner..(o + 1) * len * inner]);
+                }
+                vec![Some(g)]
+            },
+        )
     }
 
     /// Gathers sub-tensors by index along `axis` (like
@@ -241,39 +230,37 @@ impl Tensor {
         let mut out_shape = shape.clone();
         out_shape[axis] = k;
         let total = self.numel();
-        dispatch_dtype!(self.dtype(), E => {
-            let mut data = pool::alloc_uninit::<E>(outer * k * inner);
-            {
-                let d = self.data_of::<E>();
-                for o in 0..outer {
-                    for (j, &i) in indices.iter().enumerate() {
-                        let src = (o * ax + i) * inner;
-                        let dst = (o * k + j) * inner;
-                        data[dst..dst + inner].copy_from_slice(&d[src..src + inner]);
-                    }
+        let mut data = pool::alloc_uninit(outer * k * inner);
+        {
+            let d = self.data();
+            for o in 0..outer {
+                for (j, &i) in indices.iter().enumerate() {
+                    let src = (o * ax + i) * inner;
+                    let dst = (o * k + j) * inner;
+                    data[dst..dst + inner].copy_from_slice(&d[src..src + inner]);
                 }
             }
-            let idx = indices.to_vec();
-            Tensor::make_op_t::<E>(
-                data,
-                out_shape,
-                vec![self.clone()],
-                move |_, grad| {
-                    // Repeated indices accumulate: zeroed pool path.
-                    let mut g = pool::alloc_zeroed::<E>(total);
-                    for o in 0..outer {
-                        for (j, &i) in idx.iter().enumerate() {
-                            let dst = (o * ax + i) * inner;
-                            let src = (o * k + j) * inner;
-                            for q in 0..inner {
-                                g[dst + q] += grad[src + q];
-                            }
+        }
+        let idx = indices.to_vec();
+        Tensor::make_op(
+            data,
+            out_shape,
+            vec![self.clone()],
+            move |_, grad| {
+                // Repeated indices accumulate: zeroed pool path.
+                let mut g = pool::alloc_zeroed(total);
+                for o in 0..outer {
+                    for (j, &i) in idx.iter().enumerate() {
+                        let dst = (o * ax + i) * inner;
+                        let src = (o * k + j) * inner;
+                        for q in 0..inner {
+                            g[dst + q] += grad[src + q];
                         }
                     }
-                    vec![Some(g)]
-                },
-            )
-        })
+                }
+                vec![Some(g)]
+            },
+        )
     }
 
     /// For a 2-D tensor `[n, c]`, picks element `cols[i]` from row `i`,
@@ -292,7 +279,7 @@ impl Tensor {
     }
 
     /// [`Tensor::gather_rows`] with the column of row `i` read from
-    /// `index[i]` (class indices stored as floats, any dtype). A plan
+    /// `index[i]` (class indices stored as floats). A plan
     /// replay reads `index` afresh, so labels written into it with
     /// [`Tensor::set_data`] between steps are the ones gathered.
     ///
@@ -303,46 +290,44 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "gather_rows: tensor must be 2-D");
         let (n, c) = (self.shape()[0], self.shape()[1]);
         assert_eq!(index.numel(), n, "gather_rows: one column index per row");
-        let column = move |idx: &Buf, i: usize| {
-            let col = idx.get_f64(i) as usize;
+        let column = move |idx: &[f64], i: usize| {
+            let col = idx[i] as usize;
             assert!(col < c, "gather_rows: column {col} out of bounds");
             col
         };
-        dispatch_dtype!(self.dtype(), E => {
-            // Every element of the gather output is written: uninit-safe.
-            let compute = {
-                let (src, index) = (self.clone(), index.clone());
-                move |out: &mut [E]| {
-                    let d = src.data_of::<E>();
-                    let idx = index.inner.data.borrow();
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = d[i * c + column(&idx, i)];
-                    }
+        // Every element of the gather output is written: uninit-safe.
+        let compute = {
+            let (src, index) = (self.clone(), index.clone());
+            move |out: &mut [f64]| {
+                let d = src.data();
+                let idx = index.data();
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = d[i * c + column(&idx, i)];
                 }
-            };
-            let mut data = pool::alloc_uninit::<E>(n);
-            compute(data.as_mut_slice());
-            let index_bw = index.clone();
-            let t = Tensor::make_op_t::<E>(
-                data,
-                vec![n],
-                vec![self.clone()],
-                move |_, grad| {
-                    // Sparse scatter (one entry per row): zeroed pool path.
-                    let idx = index_bw.inner.data.borrow();
-                    let mut g = pool::alloc_zeroed::<E>(n * c);
-                    for (i, &gi) in grad.iter().enumerate() {
-                        g[i * c + column(&idx, i)] = gi;
-                    }
-                    vec![Some(g)]
-                },
-            );
-            // `index` is read but is not a graph parent: declared to the
-            // coverage check, so a per-step index the plan cannot
-            // refresh refuses the trace.
-            crate::plan::record_op_t::<E>(&t, &[self, index], compute);
-            t
-        })
+            }
+        };
+        let mut data = pool::alloc_uninit(n);
+        compute(&mut data);
+        let index_bw = index.clone();
+        let t = Tensor::make_op(
+            data,
+            vec![n],
+            vec![self.clone()],
+            move |_, grad| {
+                // Sparse scatter (one entry per row): zeroed pool path.
+                let idx = index_bw.data();
+                let mut g = pool::alloc_zeroed(n * c);
+                for (i, &gi) in grad.iter().enumerate() {
+                    g[i * c + column(&idx, i)] = gi;
+                }
+                vec![Some(g)]
+            },
+        );
+        // `index` is read but is not a graph parent: declared to the
+        // coverage check, so a per-step index the plan cannot
+        // refresh refuses the trace.
+        crate::plan::record_op(&t, &[self, index], compute);
+        t
     }
 }
 
@@ -429,30 +414,5 @@ mod tests {
         let y = x.unsqueeze(1);
         assert_eq!(y.shape(), &[2, 1, 3]);
         assert_eq!(y.squeeze(1).shape(), &[2, 3]);
-    }
-
-    #[test]
-    fn f32_shape_ops_keep_dtype_and_grads() {
-        use crate::element::DType;
-        let x = Tensor::from_vec_f32((0..6).map(|v| v as f32).collect::<Vec<_>>(), &[2, 3])
-            .requires_grad(true);
-        let y = x.reshape(&[3, 2]).slice(0, 0, 1);
-        assert_eq!(y.dtype(), DType::F32);
-        // Row 0 of the reshaped/sliced view is x's values {0, 1}
-        // (flat indices 0 and 1), each selected twice.
-        y.index_select(0, &[0, 0]).sum().backward();
-        assert_eq!(x.grad().unwrap(), vec![2.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn cat_promotes_mixed_dtypes() {
-        use crate::element::DType;
-        let a = Tensor::from_vec_f32(vec![1.0, 2.0], &[2]).requires_grad(true);
-        let b = Tensor::from_vec(vec![3.0], &[1]).requires_grad(true);
-        let c = Tensor::cat(&[a.clone(), b.clone()], 0);
-        assert_eq!(c.dtype(), DType::F64);
-        c.sum().backward();
-        assert_eq!(a.grad().unwrap(), vec![1.0, 1.0]);
-        assert_eq!(b.grad().unwrap(), vec![1.0]);
     }
 }

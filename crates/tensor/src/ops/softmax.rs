@@ -2,10 +2,9 @@
 //!
 //! [`Tensor::log_softmax`] is one fused op: a row kernel over the
 //! reduced axis that runs the scalar recipe of the op chain
-//! `x − (ln Σ exp(x − max) + max)` — native max, [`Element::exp_e`],
-//! native ascending sum, `ln`, `+ max`, `x − lse`, each rounded to
-//! storage precision where the chain would round — so it replaces the
-//! chain bit for bit in values and input gradients, per dtype, without
+//! `x − (ln Σ exp(x − max) + max)` — max, `exp`, ascending sum, `ln`,
+//! `+ max`, `x − lse` — so it replaces the chain bit for bit in values
+//! and input gradients, without
 //! its five intermediate tensors and three broadcasts. Every classifier
 //! loss, `softmax` and the predictive fold run through it, and it records
 //! a replay closure ([`crate::plan`]).
@@ -13,84 +12,79 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::element::{Element, dispatch_dtype};
 use crate::ops::reduce::axis_split;
 use crate::pool;
 use crate::shape::normalize_axis;
 use crate::tensor::Tensor;
 
-fn log_softmax_t<E: Element>(src_t: &Tensor, ax: usize) -> Tensor {
-    let (outer, axn, inner) = axis_split(src_t.shape(), ax);
-    let n = src_t.numel();
-    // What the backward reads, rewritten by every forward pass (the
-    // build and each plan replay): `exp(x − max)` per element, then one
-    // sum per row.
-    let stash = Rc::new(RefCell::new(pool::alloc_uninit::<E>(n + outer * inner)));
-    let compute = {
-        let src = src_t.clone();
-        let stash = Rc::clone(&stash);
-        move |out: &mut [E]| {
-            let x = src.data_of::<E>();
-            let mut stash = stash.borrow_mut();
-            let (e, sums) = stash.split_at_mut(n);
-            for (row, sum) in sums.iter_mut().enumerate() {
-                let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
-                let mut m = E::from_f64(f64::NEG_INFINITY);
-                for q in 0..axn {
-                    if x[at(q)] > m {
-                        m = x[at(q)];
-                    }
-                }
-                let mut s = E::ZERO;
-                for q in 0..axn {
-                    let ev = E::from_f64(x[at(q)].to_f64() - m.to_f64()).exp_e();
-                    e[at(q)] = ev;
-                    s += ev;
-                }
-                *sum = s;
-                let lse = E::from_f64(E::from_f64(s.to_f64().ln()).to_f64() + m.to_f64());
-                for q in 0..axn {
-                    out[at(q)] = E::from_f64(x[at(q)].to_f64() - lse.to_f64());
-                }
-            }
-        }
-    };
-    let mut data = pool::alloc_uninit::<E>(n);
-    compute(data.as_mut_slice());
-    let t = Tensor::make_op_t::<E>(
-        data,
-        src_t.shape().to_vec(),
-        vec![src_t.clone()],
-        move |_, grad| {
-            // The chain's backward: `g` through `x − lse`, plus
-            // `(Σ −g / s) · e` through `exp(x − max)`, with the row sum of
-            // `−g` in ascending order from zero.
-            let stash = stash.borrow();
-            let (e, sums) = stash.split_at(n);
-            let mut g = pool::alloc_uninit::<E>(n);
-            for (row, &s) in sums.iter().enumerate() {
-                let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
-                let mut neg = E::ZERO;
-                for q in 0..axn {
-                    neg += -grad[at(q)];
-                }
-                let d = E::from_f64(neg.to_f64() / s.to_f64());
-                for q in 0..axn {
-                    g[at(q)] = grad[at(q)] + E::from_f64(d.to_f64() * e[at(q)].to_f64());
-                }
-            }
-            vec![Some(g)]
-        },
-    );
-    crate::plan::record_op_t::<E>(&t, &[src_t], compute);
-    t
-}
-
 impl Tensor {
     /// Log-softmax along `axis`: `x - logsumexp(x)`, as one fused op.
     pub fn log_softmax(&self, axis: isize) -> Tensor {
         let ax = normalize_axis(axis, self.ndim());
-        dispatch_dtype!(self.dtype(), E => log_softmax_t::<E>(self, ax))
+        let (outer, axn, inner) = axis_split(self.shape(), ax);
+        let n = self.numel();
+        // What the backward reads, rewritten by every forward pass (the
+        // build and each plan replay): `exp(x − max)` per element, then one
+        // sum per row.
+        let stash = Rc::new(RefCell::new(pool::alloc_uninit(n + outer * inner)));
+        let compute = {
+            let src = self.clone();
+            let stash = Rc::clone(&stash);
+            move |out: &mut [f64]| {
+                let x = src.data();
+                let mut stash = stash.borrow_mut();
+                let (e, sums) = stash.split_at_mut(n);
+                for (row, sum) in sums.iter_mut().enumerate() {
+                    let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
+                    let mut m = f64::NEG_INFINITY;
+                    for q in 0..axn {
+                        if x[at(q)] > m {
+                            m = x[at(q)];
+                        }
+                    }
+                    let mut s = 0.0;
+                    for q in 0..axn {
+                        let ev = (x[at(q)] - m).exp();
+                        e[at(q)] = ev;
+                        s += ev;
+                    }
+                    *sum = s;
+                    let lse = s.ln() + m;
+                    for q in 0..axn {
+                        out[at(q)] = x[at(q)] - lse;
+                    }
+                }
+            }
+        };
+        let mut data = pool::alloc_uninit(n);
+        compute(&mut data);
+        let t = Tensor::make_op(
+            data,
+            self.shape().to_vec(),
+            vec![self.clone()],
+            move |_, grad| {
+                // The chain's backward: `g` through `x − lse`, plus
+                // `(Σ −g / s) · e` through `exp(x − max)`, with the row sum of
+                // `−g` in ascending order from zero.
+                let stash = stash.borrow();
+                let (e, sums) = stash.split_at(n);
+                let mut g = pool::alloc_uninit(n);
+                for (row, &s) in sums.iter().enumerate() {
+                    let at = |q: usize| ((row / inner) * axn + q) * inner + row % inner;
+                    let mut neg = 0.0;
+                    for q in 0..axn {
+                        neg += -grad[at(q)];
+                    }
+                    let d = neg / s;
+                    for q in 0..axn {
+                        g[at(q)] = grad[at(q)] + d * e[at(q)];
+                    }
+                }
+                vec![Some(g)]
+            },
+        );
+        crate::plan::record_op(&t, &[self], compute);
+        t
     }
 
     /// Softmax along `axis`.
@@ -102,7 +96,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::DType;
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -145,8 +138,8 @@ mod tests {
         assert!((g[2] - p[2]).abs() < 1e-9);
     }
 
-    /// The maximum along `axis`, kept as a size-1 dimension, as a constant
-    /// in `x`'s dtype. A max is exact, so its bits are the detached
+    /// The maximum along `axis`, kept as a size-1 dimension, as a
+    /// constant. A max is exact, so its bits are the detached
     /// `max_axis` the fused kernel replaced.
     fn row_max(x: &Tensor, axis: isize) -> Tensor {
         let shape = x.shape().to_vec();
@@ -162,7 +155,7 @@ mod tests {
         }
         let mut kept = shape;
         kept[ax] = 1;
-        Tensor::from_vec(m, &kept).cast(x.dtype())
+        Tensor::from_vec(m, &kept)
     }
 
     /// The op chain `log_softmax` was before it was fused, op for op.
@@ -173,7 +166,7 @@ mod tests {
     }
 
     /// The fused kernel against the chain it replaced: values and input
-    /// gradients bit for bit, at both dtypes, along the last, the first
+    /// gradients bit for bit, along the last, the first
     /// and an interior axis, on rows with ties, ±1e3 logits and `-inf`
     /// entries (never a whole row of them).
     #[test]
@@ -189,36 +182,30 @@ mod tests {
         let upstream: Vec<f64> = (0..20)
             .map(|i| ((i * 7) % 11) as f64 * 0.37 - 1.6)
             .collect();
-        for dt in [DType::F64, DType::F32] {
-            for (shape, axis) in [
-                (&[4, 5][..], 1),
-                (&[4, 5][..], 0),
-                (&[2, 2, 5][..], 1),
-                (&[4, 5][..], -1),
-            ] {
-                let run = |fused: bool| {
-                    let x = Tensor::from_vec(logits.clone(), shape)
-                        .cast(dt)
-                        .detach()
-                        .requires_grad(true);
-                    let w = Tensor::from_vec(upstream.clone(), shape).cast(dt);
-                    let y = if fused {
-                        x.log_softmax(axis)
-                    } else {
-                        composite_log_softmax(&x, axis)
-                    };
-                    assert_eq!(y.dtype(), dt);
-                    y.mul(&w).sum().backward();
-                    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                    (bits(y.to_vec()), bits(x.grad().unwrap()))
+        for (shape, axis) in [
+            (&[4, 5][..], 1),
+            (&[4, 5][..], 0),
+            (&[2, 2, 5][..], 1),
+            (&[4, 5][..], -1),
+        ] {
+            let run = |fused: bool| {
+                let x = Tensor::from_vec(logits.clone(), shape).requires_grad(true);
+                let w = Tensor::from_vec(upstream.clone(), shape);
+                let y = if fused {
+                    x.log_softmax(axis)
+                } else {
+                    composite_log_softmax(&x, axis)
                 };
-                let (fused, composite) = (run(true), run(false));
-                assert_eq!(fused.0, composite.0, "{dt:?} {shape:?} axis {axis}: values");
-                assert_eq!(
-                    fused.1, composite.1,
-                    "{dt:?} {shape:?} axis {axis}: input gradients"
-                );
-            }
+                y.mul(&w).sum().backward();
+                let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                (bits(y.to_vec()), bits(x.grad().unwrap()))
+            };
+            let (fused, composite) = (run(true), run(false));
+            assert_eq!(fused.0, composite.0, "{shape:?} axis {axis}: values");
+            assert_eq!(
+                fused.1, composite.1,
+                "{shape:?} axis {axis}: input gradients"
+            );
         }
     }
 

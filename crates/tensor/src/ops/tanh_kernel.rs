@@ -2,7 +2,7 @@
 //!
 //! Every f64 tanh in the crate — [`crate::Tensor::tanh`] and the fused
 //! `linear` activation pass — runs [`tanh_f64`] over a
-//! slice (through [`crate::Element::tanh_slice`]). It is a branch-free
+//! slice. It is a branch-free
 //! port of glibc 2.36's x86-64 `tanh` (fdlibm `s_tanh.c`, plain SSE2) and
 //! the `__expm1_fma` variant of `expm1` it calls (fdlibm `s_expm1.c` as GCC
 //! contracts it under `-mfma`), so its bits are that `tanh`'s on every host,

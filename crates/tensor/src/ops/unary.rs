@@ -3,25 +3,17 @@
 //! Both directions of [`Tensor::map_unary`] are chunked across the
 //! thread pool for large tensors; each element is computed independently,
 //! so thread count cannot affect results.
-//!
-//! Dtype: the output follows the input's storage dtype. Recipes are
-//! `f64` closures applied under the widen-compute-round contract of
-//! [`crate::element`] — on `f64` storage that is the historical bitwise
-//! behavior; on `f32` each recipe rounds once into storage.
 
-use crate::element::{Element, dispatch_dtype};
 use crate::ops::PAR_MIN_ELEMS;
 use crate::pool;
 use crate::tensor::Tensor;
 
-/// Monomorphic body of [`Tensor::map_unary`]. The forward map `f`
-/// writes one output piece from the matching input piece, on storage
-/// elements, so per-dtype recipes (the slice `tanh` kernel, the fast
-/// `f32` transcendentals of [`crate::element`]) plug in without a
-/// widening round-trip; the backward keeps the shared `f64` recipe.
-fn map_unary_t<E: Element, F, DF>(src_t: &Tensor, f: F, df: DF) -> Tensor
+/// Body of [`Tensor::map_unary`]. The forward map `f` writes one output
+/// piece from the matching input piece, so a slice kernel (the `tanh`
+/// port) plugs in as well as a scalar recipe.
+fn map_slices<F, DF>(src_t: &Tensor, f: F, df: DF) -> Tensor
 where
-    F: Fn(&[E], &mut [E]) + Sync + 'static,
+    F: Fn(&[f64], &mut [f64]) + Sync + 'static,
     DF: Fn(f64, f64, f64) -> f64 + Sync + 'static,
 {
     // Shared forward kernel: fully overwrites `out` from the source
@@ -30,9 +22,9 @@ where
     // bit-identical either way.
     let compute = {
         let src = src_t.clone();
-        move |out: &mut [E]| {
-            let xd = src.data_of::<E>();
-            let xs: &[E] = &xd;
+        move |out: &mut [f64]| {
+            let xd = src.data();
+            let xs: &[f64] = &xd;
             let chunk = tyxe_par::chunk_len(xs.len(), 1, PAR_MIN_ELEMS);
             tyxe_par::parallel_for_chunks(out, chunk, |start, piece| {
                 f(&xs[start..start + piece.len()], piece);
@@ -41,23 +33,23 @@ where
     };
     // Every element is written by `compute`, so recycled buffers
     // skip zero-init.
-    let mut data = pool::alloc_uninit::<E>(src_t.numel());
-    compute(data.as_mut_slice());
+    let mut data = pool::alloc_uninit(src_t.numel());
+    compute(&mut data);
     let src = src_t.clone();
-    let t = Tensor::make_op_t::<E>(
+    let t = Tensor::make_op(
         data,
         src_t.shape().to_vec(),
         vec![src_t.clone()],
         move |out, grad| {
-            let xd = src.data_of::<E>();
-            let yd = out.data_of::<E>();
-            let (xs, ys): (&[E], &[E]) = (&xd, &yd);
-            let mut g = pool::alloc_uninit::<E>(grad.len());
+            let xd = src.data();
+            let yd = out.data();
+            let (xs, ys): (&[f64], &[f64]) = (&xd, &yd);
+            let mut g = pool::alloc_uninit(grad.len());
             let chunk = tyxe_par::chunk_len(g.len(), 1, PAR_MIN_ELEMS);
             tyxe_par::parallel_for_chunks(&mut g, chunk, |start, piece| {
                 for (off, slot) in piece.iter_mut().enumerate() {
                     let i = start + off;
-                    *slot = E::from_f64(df(xs[i].to_f64(), ys[i].to_f64(), grad[i].to_f64()));
+                    *slot = df(xs[i], ys[i], grad[i]);
                 }
             });
             drop(yd);
@@ -65,32 +57,24 @@ where
             vec![Some(g)]
         },
     );
-    crate::plan::record_op_t::<E>(&t, &[src_t], compute);
+    crate::plan::record_op(&t, &[src_t], compute);
     t
 }
 
-/// A scalar forward map as the piece map [`map_unary_t`] takes.
-fn per_element<E: Element>(f: impl Fn(E) -> E + Sync + 'static) -> impl Fn(&[E], &mut [E]) + Sync + 'static {
-    move |xs, out| {
-        for (slot, &x) in out.iter_mut().zip(xs) {
-            *slot = f(x);
-        }
-    }
-}
-
 impl Tensor {
-    /// Generic differentiable elementwise map. `f` computes the value
-    /// under the widen-compute-round contract; `df` maps
-    /// (input, output, grad_out) to grad_in.
+    /// Generic differentiable elementwise map. `f` computes the value;
+    /// `df` maps (input, output, grad_out) to grad_in.
     pub(crate) fn map_unary(
         &self,
-        f: impl Fn(f64) -> f64 + Sync + Clone + 'static,
+        f: impl Fn(f64) -> f64 + Sync + 'static,
         df: impl Fn(f64, f64, f64) -> f64 + Sync + 'static,
     ) -> Tensor {
-        dispatch_dtype!(self.dtype(), E => {
-            let f = f.clone();
-            map_unary_t::<E, _, _>(self, per_element(move |x: E| E::from_f64(f(x.to_f64()))), df)
-        })
+        let per_element = move |xs: &[f64], out: &mut [f64]| {
+            for (slot, &x) in out.iter_mut().zip(xs) {
+                *slot = f(x);
+            }
+        };
+        map_slices(self, per_element, df)
     }
 
     /// Element-wise negation.
@@ -98,12 +82,10 @@ impl Tensor {
         self.map_unary(|x| -x, |_, _, g| -g)
     }
 
-    /// Element-wise exponential. Forward runs the per-dtype recipe
-    /// [`Element::exp_e`] (libm for `f64`, the fast approximant for
-    /// `f32`), shared with the fused reparam draw's exp scale map.
+    /// Element-wise exponential (libm's `exp`, as the fused reparam
+    /// draw's exp scale map).
     pub fn exp(&self) -> Tensor {
-        dispatch_dtype!(self.dtype(), E =>
-            map_unary_t::<E, _, _>(self, per_element(E::exp_e), |_, y, g| g * y))
+        self.map_unary(f64::exp, |_, y, g| g * y)
     }
 
     /// Element-wise natural logarithm.
@@ -131,17 +113,16 @@ impl Tensor {
         self.map_unary(f64::abs, |x, _, g| g * x.signum() * f64::from(u8::from(x != 0.0)))
     }
 
-    /// Element-wise hyperbolic tangent. Forward runs the per-dtype slice
-    /// recipe [`Element::tanh_slice`], shared with the fused linear/conv
-    /// activation pass: for `f64` the SIMD port of glibc's `tanh`,
-    /// bitwise equal to `f64::tanh` on every input (libm itself on CPUs
-    /// without FMA); for `f32` the fast rational approximant.
+    /// Element-wise hyperbolic tangent. Forward runs the slice kernel
+    /// [`crate::ops::tanh_kernel`], the SIMD port of glibc's `tanh`,
+    /// bitwise equal to `f64::tanh` on every input and shared with the
+    /// fused linear activation pass.
     pub fn tanh(&self) -> Tensor {
-        dispatch_dtype!(self.dtype(), E =>
-            map_unary_t::<E, _, _>(self, |xs: &[E], out: &mut [E]| {
-                out.copy_from_slice(xs);
-                E::tanh_slice(out);
-            }, |_, y, g| g * (1.0 - y * y)))
+        let forward = |xs: &[f64], out: &mut [f64]| {
+            out.copy_from_slice(xs);
+            crate::ops::tanh_kernel::tanh_f64(out);
+        };
+        map_slices(self, forward, |_, y, g| g * (1.0 - y * y))
     }
 
     /// Element-wise sine.
@@ -265,18 +246,6 @@ mod tests {
         assert!((s * s + c * c - 1.0).abs() < 1e-12);
         assert!((ds - c).abs() < 1e-12);
         assert!((dc + s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f32_unary_rounds_once_into_storage() {
-        let xs = [0.3f32, -1.7, 2.9];
-        let t = Tensor::from_vec_f32(xs.to_vec(), &[3]);
-        let y = t.square();
-        assert_eq!(y.dtype(), crate::element::DType::F32);
-        for (i, &x) in xs.iter().enumerate() {
-            // Single IEEE multiply: widen-compute-round == native f32.
-            assert_eq!(y.to_vec()[i], f64::from(x * x));
-        }
     }
 
     #[test]

@@ -50,8 +50,8 @@
 //! # Invalidation
 //!
 //! Replay is only valid for what the plan was recorded against: the
-//! driver re-records when the caller's key or the thread's
-//! [`crate::autocast`] mode no longer matches, and pins itself after
+//! driver re-records when the caller's key no longer matches, and pins
+//! itself after
 //! [`REPLAN_STREAK_LIMIT`] mismatches in a row. Out-of-band
 //! state surgery (checkpoint restore, fault rollback) calls
 //! [`invalidate_all`], which bumps a global generation every live plan
@@ -159,10 +159,9 @@ impl<K> Compiled<K> {
     /// Runs one step. An empty slot records: `forward`, which builds the
     /// step's scalar loss, runs once under the recorder, and that run
     /// *is* the step; `key` builds the key only if the recording
-    /// succeeds. A plan of the current [`generation`] replays while the
-    /// autocast mode is the one it was recorded under and `check` —
-    /// comparing its key with the caller's by borrowing — returns
-    /// `Ok(())`. A mismatch of either discards it, counts
+    /// succeeds. A plan of the current [`generation`] replays while
+    /// `check` — comparing its key with the caller's by borrowing —
+    /// returns `Ok(())`. A mismatch discards it, counts
     /// `plan.invalidated` and records again; the
     /// [`REPLAN_STREAK_LIMIT`]-th in a row pins the driver with `why`.
     pub fn run(
@@ -175,7 +174,7 @@ impl<K> Compiled<K> {
             // Out-of-band state surgery, counted by `invalidate_all`
             // itself: record again, and neither grow nor reset the streak.
             Slot::Ready { plan, .. } if plan.generation != generation() => self.slot = Slot::Empty,
-            Slot::Ready { plan, key: recorded } => match plan.check_autocast().and_then(|()| check(recorded)) {
+            Slot::Ready { key: recorded, .. } => match check(recorded) {
                 Ok(()) => {
                     self.streak = 0;
                     return self.replay();
@@ -323,17 +322,9 @@ pub fn mark_unsupported(reason: &str) {
 
 /// Registers an op output with its replay closure. `compute` must
 /// recompute the op's forward values into the (fully overwritten)
-/// output buffer — viewed in the output's element type `E` — from the
-/// same retained inputs; `reads` lists those inputs for the
-/// end-of-record coverage check. Replay panics (via the typed-buffer
-/// accessor) if the output's dtype changed after recording; the driver
-/// re-records first when the autocast mode, which picks those dtypes,
-/// changed.
-pub(crate) fn record_op_t<E: crate::element::Element>(
-    out: &Tensor,
-    reads: &[&Tensor],
-    compute: impl Fn(&mut [E]) + 'static,
-) {
+/// output buffer from the same retained inputs; `reads` lists those
+/// inputs for the end-of-record coverage check.
+pub(crate) fn record_op(out: &Tensor, reads: &[&Tensor], compute: impl Fn(&mut [f64]) + 'static) {
     if !is_recording() {
         return;
     }
@@ -342,9 +333,7 @@ pub(crate) fn record_op_t<E: crate::element::Element>(
             rec.covered.insert(out.id());
             rec.reads.extend(reads.iter().map(|t| t.id()));
             let dst = out.clone();
-            rec.ops.push(Box::new(move || {
-                compute(dst.inner.data.borrow_mut().as_mut_slice::<E>())
-            }));
+            rec.ops.push(Box::new(move || compute(&mut dst.inner.data.borrow_mut())));
         }
     });
 }
@@ -428,7 +417,6 @@ fn end_record(loss: &Tensor) -> Result<StepPlan, String> {
         topo,
         loss: loss.clone(),
         generation: generation(),
-        autocast: crate::autocast::current(),
     })
 }
 
@@ -447,22 +435,9 @@ struct StepPlan {
     loss: Tensor,
     /// The generation this plan was recorded under.
     generation: u64,
-    /// The autocast mode it was recorded under: the cast nodes that mode
-    /// inserted (or did not) are baked into the trace.
-    autocast: Option<crate::element::DType>,
 }
 
 impl StepPlan {
-    /// Whether this thread's autocast mode is the recorded one.
-    fn check_autocast(&self) -> Result<(), &'static str> {
-        if self.autocast == crate::autocast::current() {
-            Ok(())
-        } else {
-            Err("autocast mode keeps changing: an autocast scope is \
-                 (re-)entered around every step")
-        }
-    }
-
     /// Re-executes the recorded forward pass in place: every closure
     /// overwrites its output buffer inside the retained graph. No graph
     /// nodes and no buffers are allocated.
@@ -497,7 +472,6 @@ impl fmt::Debug for StepPlan {
             .field("ops", &self.ops.len())
             .field("nodes", &self.topo.len())
             .field("generation", &self.generation)
-            .field("autocast", &self.autocast)
             .finish()
     }
 }
@@ -607,34 +581,6 @@ pub(crate) mod tests {
             assert_eq!(counts(), (before.0, before.1 + u64::from(REPLAN_STREAK_LIMIT)));
             // Pinned: even the last key runs the dynamic body.
             assert_eq!(step(&mut driver, steps - 1, square).0, "dynamic");
-        });
-    }
-
-    /// A plan keeps the cast nodes of the autocast mode it was recorded
-    /// under, so it replays only under that mode: entering or leaving a
-    /// scope re-records, and a scope toggled every step thrashes like a
-    /// key. (`tests/determinism.rs` pins the bits across such switches.)
-    #[test]
-    fn a_plan_replays_only_under_its_recorded_autocast_mode() {
-        use crate::element::DType;
-        use crate::ops::fused::Activation;
-        with_plan_lock(|| {
-            let x = Tensor::from_vec(vec![0.3, -1.1, 2.5, 0.7], &[2, 2]);
-            let w = Tensor::from_vec(vec![0.1, 0.2, -0.3, 0.4], &[2, 2]).requires_grad(true);
-            let mut driver = Compiled::observed();
-            let mut run = |modes: &[bool]| -> Vec<&'static str> {
-                let mut step_in = |amp: bool| {
-                    let _amp = amp.then(|| crate::autocast::autocast(DType::F32));
-                    step(&mut driver, 0, || x.linear(&w, None, Activation::Tanh).sum()).0
-                };
-                modes.iter().map(|&amp| step_in(amp)).collect()
-            };
-            let hows = run(&[false, false, true, true, false, false]);
-            assert_eq!(hows, ["record", "replay", "record", "replay", "record", "replay"]);
-            let toggles: Vec<bool> = (0..REPLAN_STREAK_LIMIT).map(|i| i % 2 == 0).collect();
-            assert_eq!(run(&toggles).last(), Some(&"dynamic"));
-            let reason = driver.unsupported_reason().expect("pinned");
-            assert!(reason.starts_with("autocast mode keeps changing"), "{reason}");
         });
     }
 

@@ -4,11 +4,10 @@
 //! The six binary ops, `broadcast_to` and the gradient reduction behind
 //! both (`sum_to_shape`) index their operands through precomputed strides.
 //! The oracle below is the recipe they replaced: turn every flat output
-//! index into a multi-index, map it to each operand's flat index, apply the
-//! op's scalar recipe in `f64` and round into the storage type; reduce a
-//! broadcast gradient by adding, in flat ascending order, into a zeroed
-//! accumulator of the operand's type. Values and both input gradients must
-//! match it bit for bit, in `f64` and `f32`, at 1 and at 4 threads — at 4,
+//! index into a multi-index, map it to each operand's flat index and apply
+//! the op's scalar recipe; reduce a broadcast gradient by adding, in flat
+//! ascending order, into a zeroed accumulator. Values and both input
+//! gradients must match it bit for bit, at 1 and at 4 threads — at 4,
 //! the shapes above the parallel cutoff split into chunks whose starts
 //! fall mid-row.
 
@@ -43,37 +42,6 @@ const OPS: [Op; 6] = [
     ("minimum", Tensor::minimum, |a, b| a.min(b), |a, b, g| if a <= b { (g, 0.0) } else { (0.0, g) }),
 ];
 
-/// The storage types, as the oracle sees them.
-trait Native: Copy + std::ops::AddAssign + Default {
-    fn round(x: f64) -> Self;
-    fn wide(self) -> f64;
-    fn tensor(v: &[f64], shape: &[usize]) -> Tensor;
-}
-
-impl Native for f64 {
-    fn round(x: f64) -> f64 {
-        x
-    }
-    fn wide(self) -> f64 {
-        self
-    }
-    fn tensor(v: &[f64], shape: &[usize]) -> Tensor {
-        Tensor::from_vec(v.to_vec(), shape)
-    }
-}
-
-impl Native for f32 {
-    fn round(x: f64) -> f32 {
-        x as f32
-    }
-    fn wide(self) -> f64 {
-        f64::from(self)
-    }
-    fn tensor(v: &[f64], shape: &[usize]) -> Tensor {
-        Tensor::from_vec_f32(v.iter().map(|&x| x as f32).collect(), shape)
-    }
-}
-
 /// Oracle: the row-major multi-index of a flat index.
 fn multi_index_of(mut flat: usize, shape: &[usize]) -> Vec<usize> {
     let mut idx = vec![0; shape.len()];
@@ -104,11 +72,11 @@ fn numel(shape: &[usize]) -> usize {
 }
 
 /// Oracle `sum_to_shape`: flat ascending accumulation into zeros.
-fn reduce_oracle<E: Native>(grad: &[E], out: &[usize], src: &[usize]) -> Vec<E> {
+fn reduce_oracle(grad: &[f64], out: &[usize], src: &[usize]) -> Vec<f64> {
     if out == src {
         return grad.to_vec();
     }
-    let mut acc = vec![E::default(); numel(src)];
+    let mut acc = vec![0.0; numel(src)];
     for (i, &g) in grad.iter().enumerate() {
         acc[source_offset(&multi_index_of(i, out), src)] += g;
     }
@@ -116,37 +84,29 @@ fn reduce_oracle<E: Native>(grad: &[E], out: &[usize], src: &[usize]) -> Vec<E> 
 }
 
 /// What the per-element recipe gives for `op` on operands `av` (shape
-/// `ashape`) and `bv` (shape `bshape`) under output gradient `gv`, in
-/// storage type `E`: the values, and both input gradients reduced to
-/// their operands' shapes.
-fn oracle<E: Native>(
+/// `ashape`) and `bv` (shape `bshape`) under output gradient `gv`: the
+/// values, and both input gradients reduced to their operands' shapes.
+fn oracle(
     op: &Op,
     (av, ashape): (&[f64], &[usize]),
     (bv, bshape): (&[f64], &[usize]),
     gv: &[f64],
-) -> (Vec<E>, Vec<E>, Vec<E>) {
+) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let (_, _, f, df) = op;
     let out = out_shape(ashape, bshape);
-    let round = |v: &[f64]| -> Vec<E> { v.iter().map(|&x| E::round(x)).collect() };
-    let (an, bn, gn) = (round(av), round(bv), round(gv));
     let (mut want, mut full_a, mut full_b) = (Vec::new(), Vec::new(), Vec::new());
-    for (i, gi) in gn.iter().enumerate() {
+    for (i, &gi) in gv.iter().enumerate() {
         let idx = multi_index_of(i, &out);
-        let (x, z) = (an[source_offset(&idx, ashape)].wide(), bn[source_offset(&idx, bshape)].wide());
-        want.push(E::round(f(x, z)));
-        let (da, db) = df(x, z, gi.wide());
-        full_a.push(E::round(da));
-        full_b.push(E::round(db));
+        let (x, z) = (av[source_offset(&idx, ashape)], bv[source_offset(&idx, bshape)]);
+        want.push(f(x, z));
+        let (da, db) = df(x, z, gi);
+        full_a.push(da);
+        full_b.push(db);
     }
     (want, reduce_oracle(&full_a, &out, ashape), reduce_oracle(&full_b, &out, bshape))
 }
 
-/// The storage values of `v` rounded into `E`, as `f64` bit patterns.
-fn bits_of<E: Native>(v: &[E]) -> Vec<u64> {
-    v.iter().map(|x| x.wide().to_bits()).collect()
-}
-
-fn tensor_bits(v: &[f64]) -> Vec<u64> {
+fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
@@ -206,42 +166,41 @@ fn out_shape(a: &[usize], b: &[usize]) -> Vec<usize> {
     tyxe_tensor::shape::broadcast_shapes(a, b).expect("compatible pair")
 }
 
-/// Checks every op on `(ashape, bshape)` in storage type `E` against the
+/// Checks every op on `(ashape, bshape)` against the
 /// oracle, at 1 and 4 threads.
-fn check_pair<E: Native>(g: &mut Gen, ashape: &[usize], bshape: &[usize]) {
+fn check_pair(g: &mut Gen, ashape: &[usize], bshape: &[usize]) {
     let out = out_shape(ashape, bshape);
     let n = numel(&out);
     let (av, bv, gv) = (values(g, numel(ashape)), values(g, numel(bshape)), values(g, n));
     for entry in &OPS {
         let (name, op, _, _) = *entry;
-        let (want, want_ga, want_gb) = oracle::<E>(entry, (&av, ashape), (&bv, bshape), &gv);
+        let (want, want_ga, want_gb) = oracle(entry, (&av, ashape), (&bv, bshape), &gv);
         for threads in [1, 4] {
             with_threads(threads, || {
-                let a = E::tensor(&av, ashape).requires_grad(true);
-                let b = E::tensor(&bv, bshape).requires_grad(true);
+                let a = Tensor::from_vec(av.to_vec(), ashape).requires_grad(true);
+                let b = Tensor::from_vec(bv.to_vec(), bshape).requires_grad(true);
                 let y = op(&a, &b);
                 let what = format!("{name} {ashape:?}∘{bshape:?} at {threads} threads");
                 assert_eq!(y.shape(), out.as_slice(), "{what}");
-                assert_eq!(tensor_bits(&y.to_vec()), bits_of(&want), "{what}: values");
+                assert_eq!(bits(&y.to_vec()), bits(&want), "{what}: values");
                 y.backward_with_grad(&gv);
-                assert_eq!(tensor_bits(&a.grad().expect("a grad")), bits_of(&want_ga), "{what}: da");
-                assert_eq!(tensor_bits(&b.grad().expect("b grad")), bits_of(&want_gb), "{what}: db");
+                assert_eq!(bits(&a.grad().expect("a grad")), bits(&want_ga), "{what}: da");
+                assert_eq!(bits(&b.grad().expect("b grad")), bits(&want_gb), "{what}: db");
             });
         }
     }
     // `broadcast_to` of each operand to the output shape, and back.
-    let gn: Vec<E> = gv.iter().map(|&x| E::round(x)).collect();
     for (shape, v) in [(ashape, &av), (bshape, &bv)] {
-        let want: Vec<E> = (0..n).map(|i| E::round(v[source_offset(&multi_index_of(i, &out), shape)])).collect();
-        let want_g = reduce_oracle(&gn, &out, shape);
+        let want: Vec<f64> = (0..n).map(|i| v[source_offset(&multi_index_of(i, &out), shape)]).collect();
+        let want_g = reduce_oracle(&gv, &out, shape);
         for threads in [1, 4] {
             with_threads(threads, || {
-                let x = E::tensor(v, shape).requires_grad(true);
+                let x = Tensor::from_vec(v.to_vec(), shape).requires_grad(true);
                 let y = x.broadcast_to(&out);
                 let what = format!("broadcast_to {shape:?} -> {out:?} at {threads} threads");
-                assert_eq!(tensor_bits(&y.to_vec()), bits_of(&want), "{what}: values");
+                assert_eq!(bits(&y.to_vec()), bits(&want), "{what}: values");
                 y.backward_with_grad(&gv);
-                assert_eq!(tensor_bits(&x.grad().expect("grad")), bits_of(&want_g), "{what}: grad");
+                assert_eq!(bits(&x.grad().expect("grad")), bits(&want_g), "{what}: grad");
             });
         }
     }
@@ -253,8 +212,7 @@ fn listed_broadcasts_match_the_per_element_oracle_bitwise() {
     let pairs = listed_pairs();
     prop_check!(1, |g| {
         for (a, b) in &pairs {
-            check_pair::<f64>(g, a, b);
-            check_pair::<f32>(g, a, b);
+            check_pair(g, a, b);
         }
     });
 }
@@ -264,14 +222,13 @@ fn random_broadcasts_match_the_per_element_oracle_bitwise() {
     let _guard = THREAD_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     prop_check!(48, |g| {
         let (a, b) = random_pair(g);
-        check_pair::<f64>(g, &a, &b);
-        check_pair::<f32>(g, &a, &b);
+        check_pair(g, &a, &b);
     });
 }
 
 /// A recorded broadcast re-fed new operand values replays the oracle's
 /// values and gradients, at 1 and 4 threads.
-fn check_replay<E: Native>(g: &mut Gen) {
+fn check_replay(g: &mut Gen) {
     let (ashape, bshape) = ([4usize, 16, 23, 29], [1usize, 16, 1, 1]);
     let out = out_shape(&ashape, &bshape);
     let gv = values(g, numel(&out));
@@ -279,11 +236,11 @@ fn check_replay<E: Native>(g: &mut Gen) {
         let (name, op, _, _) = *entry;
         for threads in [1, 4] {
             with_threads(threads, || {
-                let a = E::tensor(&values(g, numel(&ashape)), &ashape).requires_grad(true);
-                let b = E::tensor(&values(g, numel(&bshape)), &bshape).requires_grad(true);
+                let a = Tensor::from_vec(values(g, numel(&ashape)), &ashape).requires_grad(true);
+                let b = Tensor::from_vec(values(g, numel(&bshape)), &bshape).requires_grad(true);
                 // The output gradient enters as a constant factor of the
                 // loss: d(Σ y·G)/dy is G exactly.
-                let weight = E::tensor(&gv, &out);
+                let weight = Tensor::from_vec(gv.clone(), &out);
                 let y_cell: RefCell<Option<Tensor>> = RefCell::new(None);
                 let forward = || {
                     let y = op(&a, &b);
@@ -303,12 +260,12 @@ fn check_replay<E: Native>(g: &mut Gen) {
                 assert!(pass.replayed(), "{name}: replays");
                 pass.backward();
 
-                let (want, want_ga, want_gb) = oracle::<E>(entry, (&av, &ashape), (&bv, &bshape), &gv);
+                let (want, want_ga, want_gb) = oracle(entry, (&av, &ashape), (&bv, &bshape), &gv);
                 let what = format!("replayed {name} at {threads} threads");
                 let y = y_cell.borrow().clone().expect("recorded output");
-                assert_eq!(tensor_bits(&y.to_vec()), bits_of(&want), "{what}: values");
-                assert_eq!(tensor_bits(&a.grad().expect("a grad")), bits_of(&want_ga), "{what}: da");
-                assert_eq!(tensor_bits(&b.grad().expect("b grad")), bits_of(&want_gb), "{what}: db");
+                assert_eq!(bits(&y.to_vec()), bits(&want), "{what}: values");
+                assert_eq!(bits(&a.grad().expect("a grad")), bits(&want_ga), "{what}: da");
+                assert_eq!(bits(&b.grad().expect("b grad")), bits(&want_gb), "{what}: db");
             });
         }
     }
@@ -318,7 +275,6 @@ fn check_replay<E: Native>(g: &mut Gen) {
 fn a_replayed_broadcast_matches_the_oracle_on_new_values() {
     let _guard = THREAD_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     prop_check!(1, |g| {
-        check_replay::<f64>(g);
-        check_replay::<f32>(g);
+        check_replay(g);
     });
 }

@@ -3,7 +3,7 @@
 //! `Tensor::normal_log_prob` and `Tensor::normal_kl` replaced the bodies of
 //! `Normal::log_prob` (seven ops) and `kl_normal_normal` (ten ops). Those
 //! chains survive here, verbatim, as the oracle: the value and every parent
-//! gradient must match them bit for bit, in `f64` and `f32`, on equal,
+//! gradient must match them bit for bit, on equal,
 //! scalar, leading, interior, two-sided and size-0 broadcasts and above the
 //! parallel cutoff at 1 and 4 threads, for every subset of parents that
 //! require a gradient — and after a plan record → replay on new values.
@@ -15,9 +15,8 @@ use std::sync::Mutex;
 
 use tyxe_rand::prop::Gen;
 use tyxe_rand::prop_check;
-use tyxe_tensor::grad_check::recommended_tolerances;
 use tyxe_tensor::plan::Compiled;
-use tyxe_tensor::{check_gradient, DType, Tensor};
+use tyxe_tensor::{check_gradient, Tensor};
 
 /// Serialises the tests that set the global thread count.
 static THREAD_LOCK: Mutex<()> = Mutex::new(());
@@ -145,13 +144,6 @@ fn values(g: &mut Gen, n: usize, scale: bool) -> Vec<f64> {
         .collect()
 }
 
-fn tensor_of(dt: DType, v: &[f64], shape: &[usize]) -> Tensor {
-    match dt {
-        DType::F64 => Tensor::from_vec(v.to_vec(), shape),
-        DType::F32 => Tensor::from_vec_f32(v.iter().map(|&x| x as f32).collect(), shape),
-    }
-}
-
 /// Bit patterns, with every NaN folded into one: the kernels must put NaN
 /// where the chain does, not reproduce its payload.
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -165,18 +157,17 @@ type Operands = Vec<(Vec<f64>, Vec<usize>)>;
 #[derive(Debug, PartialEq)]
 struct Outcome {
     shape: Vec<usize>,
-    dtype: DType,
     value: Vec<u64>,
     grads: Vec<Option<Vec<u64>>>,
 }
 
 /// One evaluation of `f` on fresh leaves: operand `k` requires a gradient
 /// iff bit `k` of `mask` is set; the output gradient is `gout`.
-fn run(f: fn(&[Tensor]) -> Tensor, dt: DType, operands: &Operands, mask: u32, gout: &[f64]) -> Outcome {
+fn run(f: fn(&[Tensor]) -> Tensor, operands: &Operands, mask: u32, gout: &[f64]) -> Outcome {
     let leaves: Vec<Tensor> = operands
         .iter()
         .enumerate()
-        .map(|(k, (v, s))| tensor_of(dt, v, s).requires_grad(mask >> k & 1 == 1))
+        .map(|(k, (v, s))| Tensor::from_vec(v.to_vec(), s).requires_grad(mask >> k & 1 == 1))
         .collect();
     let y = f(&leaves);
     if y.requires_grad_enabled() {
@@ -184,7 +175,6 @@ fn run(f: fn(&[Tensor]) -> Tensor, dt: DType, operands: &Operands, mask: u32, go
     }
     Outcome {
         shape: y.shape().to_vec(),
-        dtype: y.dtype(),
         value: bits(&y.to_vec()),
         grads: leaves.iter().map(|t| t.grad().map(|g| bits(&g))).collect(),
     }
@@ -198,18 +188,16 @@ fn draw(g: &mut Gen, op: &Op, shapes: &[Vec<usize>]) -> Operands {
         .collect()
 }
 
-/// Kernel ≡ chain on `shapes`, in both dtypes, for every subset of
+/// Kernel ≡ chain on `shapes`, for every subset of
 /// parents that require a gradient, at each thread count.
 fn check(g: &mut Gen, op: &Op, shapes: &[Vec<usize>], threads: &[usize]) {
     let operands = draw(g, op, shapes);
     let gout = values(g, numel(&out_shape(shapes)), false);
-    for dt in [DType::F64, DType::F32] {
-        for mask in 0..1u32 << shapes.len() {
-            let want = run(op.chain, dt, &operands, mask, &gout);
-            for &t in threads {
-                let got = with_threads(t, || run(op.kernel, dt, &operands, mask, &gout));
-                assert_eq!(got, want, "{} {shapes:?} {dt:?} mask {mask:#b} at {t} threads", op.name);
-            }
+    for mask in 0..1u32 << shapes.len() {
+        let want = run(op.chain, &operands, mask, &gout);
+        for &t in threads {
+            let got = with_threads(t, || run(op.kernel, &operands, mask, &gout));
+            assert_eq!(got, want, "{} {shapes:?} mask {mask:#b} at {t} threads", op.name);
         }
     }
 }
@@ -266,11 +254,11 @@ fn the_kernels_match_their_chains_bitwise_on_random_broadcasts() {
 /// a constant output weight, the kernel's loss replays three closures
 /// (kernel, weight, sum) where the chain's replayed nine and twelve; re-fed
 /// new operand values, the replay matches the chain evaluated afresh.
-fn check_replay(g: &mut Gen, op: &Op, shapes: &[Vec<usize>], dt: DType) {
+fn check_replay(g: &mut Gen, op: &Op, shapes: &[Vec<usize>]) {
     let out = out_shape(shapes);
     let gout = values(g, numel(&out), false);
-    let weight = tensor_of(dt, &gout, &out);
-    let leaves: Vec<Tensor> = draw(g, op, shapes).iter().map(|(v, s)| tensor_of(dt, v, s).requires_grad(true)).collect();
+    let weight = Tensor::from_vec(gout.clone(), &out);
+    let leaves: Vec<Tensor> = draw(g, op, shapes).iter().map(|(v, s)| Tensor::from_vec(v.to_vec(), s).requires_grad(true)).collect();
     let y_cell: RefCell<Option<Tensor>> = RefCell::new(None);
     let forward = || {
         let y = (op.kernel)(&leaves);
@@ -295,25 +283,22 @@ fn check_replay(g: &mut Gen, op: &Op, shapes: &[Vec<usize>], dt: DType) {
         let y = y_cell.borrow().clone().expect("recorded output");
         let got = Outcome {
             shape: y.shape().to_vec(),
-            dtype: y.dtype(),
-            value: bits(&y.to_vec()),
+                value: bits(&y.to_vec()),
             grads: leaves.iter().map(|t| t.grad().map(|g| bits(&g))).collect(),
         };
-        let want = run(op.chain, dt, &operands, u32::MAX >> (32 - shapes.len()), &gout);
-        assert_eq!(got, want, "replayed {} {shapes:?} {dt:?}", op.name);
+        let want = run(op.chain, &operands, u32::MAX >> (32 - shapes.len()), &gout);
+        assert_eq!(got, want, "replayed {} {shapes:?}", op.name);
     }
 }
 
 #[test]
 fn a_replayed_kernel_is_one_closure_and_matches_the_chain_on_new_values() {
     prop_check!(1, |g| {
-        for dt in [DType::F64, DType::F32] {
-            for shapes in [vec![vec![6, 4]; 3], vec![vec![6, 4], vec![1, 4], vec![]]] {
-                check_replay(g, &LOG_PROB, &shapes, dt);
-            }
-            for shapes in [vec![vec![6, 4]; 4], vec![vec![6, 4], vec![6, 1], vec![], vec![1, 4]]] {
-                check_replay(g, &KL, &shapes, dt);
-            }
+        for shapes in [vec![vec![6, 4]; 3], vec![vec![6, 4], vec![1, 4], vec![]]] {
+            check_replay(g, &LOG_PROB, &shapes);
+        }
+        for shapes in [vec![vec![6, 4]; 4], vec![vec![6, 4], vec![6, 1], vec![], vec![1, 4]]] {
+            check_replay(g, &KL, &shapes);
         }
     });
 }
@@ -346,18 +331,16 @@ fn hostile_scales_give_the_chains_nan_and_inf() {
     for (op, operands) in &cases {
         let shapes: Vec<Vec<usize>> = operands.iter().map(|(_, s)| s.clone()).collect();
         let gout = vec![1.0; numel(&out_shape(&shapes))];
-        for dt in [DType::F64, DType::F32] {
-            for mask in [0, u32::MAX >> (32 - shapes.len())] {
-                let want = run(op.chain, dt, operands, mask, &gout);
-                assert!(want.value.contains(&u64::MAX), "{}: the case reaches NaN", op.name);
-                assert_eq!(run(op.kernel, dt, operands, mask, &gout), want, "{} {shapes:?} {dt:?}", op.name);
-            }
+        for mask in [0, u32::MAX >> (32 - shapes.len())] {
+            let want = run(op.chain, operands, mask, &gout);
+            assert!(want.value.contains(&u64::MAX), "{}: the case reaches NaN", op.name);
+            assert_eq!(run(op.kernel, operands, mask, &gout), want, "{} {shapes:?}", op.name);
         }
     }
 }
 
 /// Both kernels against central differences in each operand, broadcast
-/// operands included, at `f64` and `f32` tolerances.
+/// operands included.
 #[test]
 fn the_kernels_pass_finite_difference_checks() {
     prop_check!(2, |g| {
@@ -369,54 +352,19 @@ fn the_kernels_pass_finite_difference_checks() {
         ];
         for (op, shapes) in &cases {
             let operands = draw(g, op, shapes);
-            for dt in [DType::F64, DType::F32] {
-                let (eps, tol) = recommended_tolerances(dt);
-                let fixed: Vec<Tensor> = operands.iter().map(|(v, s)| tensor_of(dt, v, s)).collect();
-                for k in 0..shapes.len() {
-                    let f = |x: &Tensor| {
-                        let mut args = fixed.clone();
-                        args[k] = x.clone();
-                        (op.kernel)(&args).sum()
-                    };
-                    let report = check_gradient(f, &fixed[k], eps);
-                    assert!(report.passes(tol), "{} {shapes:?} {dt:?} operand {k}: {report:?}", op.name);
-                }
+            let (eps, tol) = (1e-5, 1e-6);
+            let fixed: Vec<Tensor> = operands.iter().map(|(v, s)| Tensor::from_vec(v.to_vec(), s)).collect();
+            for k in 0..shapes.len() {
+                let f = |x: &Tensor| {
+                    let mut args = fixed.clone();
+                    args[k] = x.clone();
+                    (op.kernel)(&args).sum()
+                };
+                let report = check_gradient(f, &fixed[k], eps);
+                assert!(report.passes(tol), "{} {shapes:?} operand {k}: {report:?}", op.name);
             }
         }
     });
-}
-
-/// Mixed dtypes promote to the widest up front. With `f32` on one side of
-/// `v − μ` that is what the chain's first op did too, so the bits match;
-/// with both of them `f32` against an `f64` σ the chain rounded `v − μ` to
-/// `f32` first, and the kernel agrees with it to `f32` precision.
-#[test]
-fn mixed_dtypes_promote_to_the_widest() {
-    let v = [0.3, -1.7, 2.9, 0.05];
-    let m = [0.1, 0.4, -0.6, 1.25];
-    let s = [0.8, 1.3, 0.45, 2.2];
-    let leaf = |x: &[f64], dt: DType| tensor_of(dt, x, &[4]).requires_grad(true);
-    let grads = |t: &[Tensor]| t.iter().map(|x| x.grad().expect("grad")).collect::<Vec<_>>();
-    let eval = |f: fn(&[Tensor]) -> Tensor, dts: [DType; 3]| {
-        let t = vec![leaf(&v, dts[0]), leaf(&m, dts[1]), leaf(&s, dts[2])];
-        let y = f(&t);
-        assert_eq!(y.dtype(), DType::F64);
-        y.sum().backward();
-        (y.to_vec(), grads(&t))
-    };
-    let mixed = [DType::F32, DType::F64, DType::F64];
-    let (kv, kg) = eval(LOG_PROB.kernel, mixed);
-    let (cv, cg) = eval(LOG_PROB.chain, mixed);
-    assert_eq!(bits(&kv), bits(&cv));
-    for (a, b) in kg.iter().zip(&cg) {
-        assert_eq!(bits(a), bits(b));
-    }
-    let narrow_diff = [DType::F32, DType::F32, DType::F64];
-    let (kv, _) = eval(LOG_PROB.kernel, narrow_diff);
-    let (cv, _) = eval(LOG_PROB.chain, narrow_diff);
-    for (a, b) in kv.iter().zip(&cv) {
-        assert!((a - b).abs() <= 1e-6 * a.abs().max(1.0), "{a} vs {b}");
-    }
 }
 
 /// The one case the kernels are not bit-identical in: a scale that already

@@ -215,89 +215,6 @@ fn conv_and_matmul_training_pass_is_bit_identical_across_thread_counts() {
     assert_eq!(seq, par, "thread count changed some result bitwise");
 }
 
-// ---- f32 instances of the same contract (DESIGN.md §12: the
-// determinism promise is stated per dtype) ----
-
-fn rand_vec_f32(rng: &mut StdRng, len: usize) -> Vec<f32> {
-    (0..len).map(|_| rng.gen_range(-2.0..2.0f32)).collect()
-}
-
-fn bits32(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
-#[test]
-fn f32_blocked_gemm_variants_match_reference_bitwise() {
-    prop_check!(32, |g| {
-        let (m, n) = (dim(g), dim(g));
-        let k = match g.usize_in(0, 8) {
-            0 => 0,
-            1 => 1,
-            _ => g.usize_in(1, 48),
-        };
-        let mut rng = StdRng::seed_from_u64(g.u64());
-        let a_mk = rand_vec_f32(&mut rng, m * k);
-        let a_km = rand_vec_f32(&mut rng, k * m);
-        let b_kn = rand_vec_f32(&mut rng, k * n);
-        let b_nk = rand_vec_f32(&mut rng, n * k);
-        let c0 = rand_vec_f32(&mut rng, m * n);
-
-        type Kernel32 = (&'static str, fn(&[f32], &[f32], &mut [f32], usize, usize, usize));
-        let pairs: [(Kernel32, Kernel32, &[f32], &[f32]); 3] = [
-            (("gemm_ow_ref", gk::gemm_ow_ref::<f32>), ("gemm_ow_blocked", gk::gemm_ow_blocked::<f32>), &a_mk, &b_kn),
-            (("gemm_at_ow_ref", gk::gemm_at_ow_ref::<f32>), ("gemm_at_ow_blocked", gk::gemm_at_ow_blocked::<f32>), &a_km, &b_kn),
-            (("gemm_bt_ow_ref", gk::gemm_bt_ow_ref::<f32>), ("gemm_bt_ow_blocked", gk::gemm_bt_ow_blocked::<f32>), &a_mk, &b_nk),
-        ];
-        for ((rname, rker), (bname, bker), a, b) in pairs {
-            let mut c_ref = c0.clone();
-            let mut c_blk = vec![f32::NAN; m * n];
-            rker(a, b, &mut c_ref, m, k, n);
-            bker(a, b, &mut c_blk, m, k, n);
-            assert_eq!(
-                bits32(&c_ref),
-                bits32(&c_blk),
-                "f32 {bname} != {rname} for m={m} k={k} n={n} (seed {:#x})",
-                g.seed()
-            );
-        }
-    });
-}
-
-/// The f32 conv + matmul + tanh training pass across thread counts.
-/// `to_vec`/`grad` widen f32 exactly (injective), so comparing the
-/// widened f64 bits is equivalent to comparing the storage bits.
-fn conv_matmul_pass_f32(seed: u64) -> Vec<Vec<u64>> {
-    use tyxe_tensor::DType;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let x = Tensor::randn(&[4, 8, 16, 16], &mut rng).cast(DType::F32).detach().requires_grad(true);
-    let w = Tensor::randn(&[16, 8, 3, 3], &mut rng).cast(DType::F32).detach().requires_grad(true);
-    let b = Tensor::randn(&[16], &mut rng).cast(DType::F32).detach().requires_grad(true);
-    let y = x.conv2d(&w, Some(&b), 1, 1);
-    let a = Tensor::randn(&[64, 256], &mut rng).cast(DType::F32).detach().requires_grad(true);
-    let loss = y.reshape(&[64, 256]).matmul(&a.t()).tanh().sum();
-    loss.backward();
-    vec![
-        bits(&y.to_vec()),
-        bits(&[loss.item()]),
-        bits(&x.grad().unwrap()),
-        bits(&w.grad().unwrap()),
-        bits(&b.grad().unwrap()),
-        bits(&a.grad().unwrap()),
-    ]
-}
-
-#[test]
-fn f32_conv_and_matmul_training_pass_is_bit_identical_across_thread_counts() {
-    let _g = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = tyxe_par::num_threads();
-    tyxe_par::set_num_threads(1);
-    let seq = conv_matmul_pass_f32(7);
-    tyxe_par::set_num_threads(4);
-    let par = conv_matmul_pass_f32(7);
-    tyxe_par::set_num_threads(prev);
-    assert_eq!(seq, par, "thread count changed some f32 result bitwise");
-}
-
 // ---- the tanh MLP pass: fused `linear`(tanh) → `matmul` → `tanh`, plus a
 // `tanh` long enough to run on pool chunks ----
 

@@ -21,9 +21,6 @@
 //!   JSON file of every span recorded during the fit.
 //! * `--metrics <path>` — enable `tyxe-obs` and write the final metrics
 //!   snapshot as JSON lines.
-//! * `--precision <f64|mixed>` — `mixed` fits inside an `f32` autocast
-//!   scope (default `f64`), so recovery and observability can be smoked
-//!   under mixed precision too (DESIGN.md §12).
 //!
 //! The supervisor detects each fault, rolls back to the last good state,
 //! retries with a backed-off learning rate, checkpoints periodically, and
@@ -40,16 +37,14 @@ use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
 
-/// `--trace` / `--metrics` / `--precision` options parsed from argv.
+/// `--trace` / `--metrics` options parsed from argv.
 struct Args {
     trace: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
-    /// Fit under the `f32` autocast scope.
-    mixed: bool,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { trace: None, metrics: None, mixed: false };
+    let mut args = Args { trace: None, metrics: None };
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -61,22 +56,9 @@ fn parse_args() -> Args {
                 let path = argv.next().expect("--metrics requires a path");
                 args.metrics = Some(path.into());
             }
-            "--precision" => {
-                args.mixed = match argv.next().as_deref() {
-                    Some("f64") => false,
-                    Some("mixed") => true,
-                    other => {
-                        eprintln!("unknown precision: {other:?} (expected f64 or mixed)");
-                        std::process::exit(2);
-                    }
-                };
-            }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: fault_injection [--trace out.json] [--metrics out.jsonl] \
-                     [--precision f64|mixed]"
-                );
+                eprintln!("usage: fault_injection [--trace out.json] [--metrics out.jsonl]");
                 std::process::exit(2);
             }
         }
@@ -113,7 +95,6 @@ fn main() {
         HomoskedasticGaussian::new(n, 0.1),
         AutoNormal::new().init_scale(1e-3),
     );
-    let _amp = args.mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
 
     let ckpt = std::env::temp_dir().join("tyxe-fault-injection-example.ckpt");
     let mut optim = Adam::new(vec![], 1e-2);
@@ -124,9 +105,8 @@ fn main() {
 
     let plan = tyxe_par::fault::faults();
     println!(
-        "training {} epochs ({} precision) with nan_prob={} panic_prob={} seed={}",
+        "training {} epochs with nan_prob={} panic_prob={} seed={}",
         epochs,
-        if args.mixed { "mixed" } else { "f64" },
         plan.nan_prob,
         plan.panic_prob,
         plan.seed,

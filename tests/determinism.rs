@@ -121,19 +121,11 @@ impl Estimator {
 /// every matmul over the blocked-GEMM threshold, so the parallel kernel
 /// paths (not just the sequential references) are exercised end to end.
 fn run_svi_wide(seed: u64, steps: usize) -> SviTrace {
-    run_svi_wide_at(seed, steps, false, Estimator::SharedSample, Feed::Same)
+    run_svi_wide_at(seed, steps, Estimator::SharedSample, Feed::Same)
 }
 
-/// The `f32` autocast scope — mixed precision: `f64` parameters, `f32`
-/// GEMM-bound compute (DESIGN.md §12) — when `mixed`.
-fn autocast_if(mixed: bool) -> Option<tyxe_tensor::autocast::Guard> {
-    mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32))
-}
-
-/// [`run_svi_wide`] in or out of mixed precision, under an [`Estimator`]
-/// and a [`Feed`].
-fn run_svi_wide_at(seed: u64, steps: usize, mixed: bool, estimator: Estimator, feed: Feed) -> SviTrace {
-    let _amp = autocast_if(mixed);
+/// [`run_svi_wide`] under an [`Estimator`] and a [`Feed`].
+fn run_svi_wide_at(seed: u64, steps: usize, estimator: Estimator, feed: Feed) -> SviTrace {
     let _handler = estimator.install();
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -154,7 +146,7 @@ fn run_svi_wide_at(seed: u64, steps: usize, mixed: bool, estimator: Estimator, f
         assert_eq!(
             bnn.plan_unsupported_reason(),
             None,
-            "mixed {mixed}, {estimator:?}: the step did not compile"
+            "{estimator:?}: the step did not compile"
         );
     }
     let mut sites: Vec<(String, Vec<f64>, Vec<f64>)> = bnn
@@ -179,11 +171,11 @@ fn on_fresh_thread<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) ->
 
 /// [`run_svi_wide_at`] as users get it: plan replay, on free-lists
 /// warmed by a different seed (stale values in every recycled buffer).
-fn run_svi_wide_warm(seed: u64, steps: usize, mixed: bool, estimator: Estimator) -> SviTrace {
+fn run_svi_wide_warm(seed: u64, steps: usize, estimator: Estimator) -> SviTrace {
     on_fresh_thread(move || {
-        run_svi_wide_at(seed + 1000, 1, mixed, estimator, Feed::Same);
+        run_svi_wide_at(seed + 1000, 1, estimator, Feed::Same);
         assert!(tyxe_tensor::pool::thread_stats().0 > 0, "warm-up retained nothing");
-        run_svi_wide_at(seed, steps, mixed, estimator, Feed::Same)
+        run_svi_wide_at(seed, steps, estimator, Feed::Same)
     })
 }
 
@@ -199,25 +191,20 @@ fn assert_same_bits(reference: &SviTrace, subject: &SviTrace, what: &str) {
     }
 }
 
-/// The execution-strategy contract in or out of mixed precision, at one
-/// gradient estimator (DESIGN.md §10–§12): the library at its one
+/// The execution-strategy contract at one gradient estimator (DESIGN.md
+/// §10–§11): the library at its one
 /// configuration — plan replay on warm free-lists, at 1 and 4 kernel
 /// threads — must match, bit for bit, a reference that uses none of it:
 /// one kernel thread, free-lists that start empty, and a fresh input
 /// handle every step so nothing replays.
-fn assert_matches_cold_dynamic_reference(seed: u64, steps: usize, mixed: bool, estimator: Estimator) {
+fn assert_matches_cold_dynamic_reference(seed: u64, steps: usize, estimator: Estimator) {
     let prev_threads = tyxe_par::num_threads();
     tyxe_par::set_num_threads(1);
-    let reference =
-        on_fresh_thread(move || run_svi_wide_at(seed, steps, mixed, estimator, Feed::Fresh));
+    let reference = on_fresh_thread(move || run_svi_wide_at(seed, steps, estimator, Feed::Fresh));
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
-        let subject = run_svi_wide_warm(seed, steps, mixed, estimator);
-        assert_same_bits(
-            &reference,
-            &subject,
-            &format!("mixed {mixed}, {estimator:?}, {threads} threads"),
-        );
+        let subject = run_svi_wide_warm(seed, steps, estimator);
+        assert_same_bits(&reference, &subject, &format!("{estimator:?}, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev_threads);
 }
@@ -274,7 +261,7 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
     for threads in [1usize, 4] {
         tyxe_par::set_num_threads(threads);
         let cold = on_fresh_thread(|| run_svi_wide(31, 2));
-        let warm = run_svi_wide_warm(31, 2, false, Estimator::SharedSample);
+        let warm = run_svi_wide_warm(31, 2, Estimator::SharedSample);
         assert_same_bits(&cold, &warm, &format!("warm free-lists, {threads} threads"));
     }
     tyxe_par::set_num_threads(prev_threads);
@@ -288,30 +275,18 @@ fn svi_step_is_bit_identical_with_pool_on_and_off() {
 /// the recording step, which *is* a dynamic step) dominates the run.
 #[test]
 fn svi_step_is_bit_identical_with_plan_on_and_off() {
-    assert_matches_cold_dynamic_reference(37, 4, false, Estimator::SharedSample);
-}
-
-/// The per-dtype determinism contract (DESIGN.md §12): determinism is
-/// pinned *at fixed numerics*. A full SVI step under the `f32` autocast
-/// scope — guide sampling, demoted fused forward, ELBO, backward
-/// through the cast nodes, Adam update — must be bit-identical to the
-/// sequential/cold/never-replaying reference at 1 and 4 kernel threads.
-#[test]
-fn mixed_precision_svi_step_is_bit_reproducible() {
-    assert_matches_cold_dynamic_reference(59, 2, true, Estimator::SharedSample);
+    assert_matches_cold_dynamic_reference(37, 4, Estimator::SharedSample);
 }
 
 /// Local reparameterization and flipout are program transformations, so
 /// the step they rewrite compiles like any other: on this dense net both
-/// record, and the same pin holds in and out of mixed precision —
-/// replay on warm free-lists at 1 and 4 kernel threads against the cold,
-/// never-replaying reference. Four steps at f64 so replay dominates, two
-/// under the autocast scope.
+/// record, and the same pin holds — replay on warm free-lists at 1 and 4
+/// kernel threads against the cold, never-replaying reference. Four
+/// steps so replay dominates.
 #[test]
 fn lr_and_flipout_steps_are_bit_identical_across_threads_pool_and_plan() {
     for estimator in [Estimator::LocalReparam, Estimator::Flipout] {
-        assert_matches_cold_dynamic_reference(61, 4, false, estimator);
-        assert_matches_cold_dynamic_reference(71, 2, true, estimator);
+        assert_matches_cold_dynamic_reference(61, 4, estimator);
     }
 }
 
@@ -414,8 +389,7 @@ fn gcn_step_is_bit_identical_across_threads_pool_and_plan() {
 
 /// Plan invalidation must never change answers: switching to a batch of
 /// a different shape mid-run forces a signature mismatch and a
-/// re-record, and so does entering or leaving the autocast scope (a plan
-/// replays only under the mode it was recorded in). The whole trajectory
+/// re-record. The whole trajectory
 /// must still match the dynamic path (fresh input handles, so nothing
 /// ever replays) bit for bit.
 #[test]
@@ -435,10 +409,9 @@ fn plan_invalidation_on_shape_change_matches_dynamic_bitwise() {
         let mut optim = Adam::new(vec![], 1e-2);
         let mut losses = Vec::new();
         // Three steps on the big batch (record + replays), then the
-        // batch shape changes, then the scope is entered and left: each
-        // time the plan must invalidate, re-record, then replay.
-        for (data, mixed) in [(&big, false), (&small, false), (&small, true), (&small, false)] {
-            let _amp = autocast_if(mixed);
+        // batch shape changes: the plan must invalidate, re-record, then
+        // replay.
+        for data in [&big, &small, &small] {
             for _ in 0..3 {
                 losses.push(bnn.svi_step(&feed.input(&data.x), &data.y, &mut optim));
             }
@@ -634,8 +607,7 @@ fn global_rng_draws_are_bit_reproducible() {
 // Prediction (DESIGN.md §15)
 // ---------------------------------------------------------------------------
 
-/// Every output element's f64 bit pattern, in sample order. `to_vec`
-/// widens exactly, so the comparison is faithful for f32 outputs too.
+/// Every output element's bit pattern, in sample order.
 fn sample_bits(samples: &[tyxe_tensor::Tensor]) -> Vec<u64> {
     samples
         .iter()
@@ -650,11 +622,10 @@ fn sample_bits(samples: &[tyxe_tensor::Tensor]) -> Vec<u64> {
 /// guide, replay the trace through the tape-building probabilistic
 /// forward, detach. One predict call per fresh model, so the library
 /// starts from a cold cache and both sides consume the same RNG stream.
-fn run_predict_at(seed: u64, s: usize, mixed: bool, library: bool) -> Vec<u64> {
+fn run_predict_at(seed: u64, s: usize, library: bool) -> Vec<u64> {
     use tyxe::guides::Guide;
     use tyxe_prob::poutine::{replay, trace};
 
-    let _amp = autocast_if(mixed);
     tyxe_prob::rng::set_seed(seed);
     let mut rng = StdRng::seed_from_u64(seed);
     let data = foong_regression(64, 0.1, 0);
@@ -684,33 +655,27 @@ fn run_predict_at(seed: u64, s: usize, mixed: bool, library: bool) -> Vec<u64> {
 
 /// `VariationalBnn::predict_samples` (cached flat draws injected into
 /// grad-free forwards) must equal the per-sample trace/replay reference
-/// bit for bit, in and out of mixed precision, at 1 and 4 kernel threads.
+/// bit for bit, at 1 and 4 kernel threads.
 #[test]
 fn predictive_engine_is_bit_identical_to_legacy_path() {
     let prev_threads = tyxe_par::num_threads();
-    for (seed, mixed, label) in [(61u64, false, "f64"), (67u64, true, "mixed")] {
-        tyxe_par::set_num_threads(1);
-        let reference = run_predict_at(seed, 8, mixed, false);
-        for threads in [1usize, 4] {
-            tyxe_par::set_num_threads(threads);
-            assert_eq!(
-                reference,
-                run_predict_at(seed, 8, mixed, false),
-                "{label}: reference drifted at {threads} threads"
-            );
-            assert_eq!(
-                reference,
-                run_predict_at(seed, 8, mixed, true),
-                "{label}: predict_samples drifted from the reference ({threads} threads)"
-            );
-        }
+    let seed = 61;
+    tyxe_par::set_num_threads(1);
+    let reference = run_predict_at(seed, 8, false);
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        assert_eq!(reference, run_predict_at(seed, 8, false), "reference drifted at {threads} threads");
+        assert_eq!(
+            reference,
+            run_predict_at(seed, 8, true),
+            "predict_samples drifted from the reference ({threads} threads)"
+        );
     }
     tyxe_par::set_num_threads(prev_threads);
 }
 
 /// The same contract for `McmcBnn`: predictions over the chain equal a
-/// `condition`-per-draw reference, at f64 and under an f32 autocast
-/// scope, at 1 and 4 threads.
+/// `condition`-per-draw reference, at 1 and 4 threads.
 #[test]
 fn mcmc_predictions_match_per_draw_condition_reference() {
     use tyxe_prob::mcmc::Hmc;
@@ -732,26 +697,23 @@ fn mcmc_predictions_match_per_draw_condition_reference() {
 
     // 5 of 12 draws: stride 2, the first five strided draws.
     let s = 5;
-    for mixed in [false, true] {
-        for threads in [1usize, 4] {
-            tyxe_par::set_num_threads(threads);
-            let _amp = autocast_if(mixed);
-            let reference: Vec<_> = (0..12)
-                .step_by(2)
-                .take(s)
-                .map(|i| {
-                    condition(bnn.samples().draw(i), || bnn.module().sampled_forward(&test.x))
-                        .detach()
-                })
-                .collect();
-            // The second pass is always served from the chain-draw cache.
-            for pass in 0..2 {
-                assert_eq!(
-                    sample_bits(&reference),
-                    sample_bits(&bnn.predict_samples(&test.x, s)),
-                    "mixed {mixed}, {threads} threads, pass {pass}"
-                );
-            }
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        let reference: Vec<_> = (0..12)
+            .step_by(2)
+            .take(s)
+            .map(|i| {
+                condition(bnn.samples().draw(i), || bnn.module().sampled_forward(&test.x))
+                    .detach()
+            })
+            .collect();
+        // The second pass is always served from the chain-draw cache.
+        for pass in 0..2 {
+            assert_eq!(
+                sample_bits(&reference),
+                sample_bits(&bnn.predict_samples(&test.x, s)),
+                "{threads} threads, pass {pass}"
+            );
         }
     }
     tyxe_par::set_num_threads(prev_threads);
@@ -775,23 +737,16 @@ fn mc_dropout_predictions_match_training_mode_forwards() {
         .add(Linear::new(16, 3, &mut rng));
     let mc = McDropout::new(net, Categorical::new(10));
     let x = tyxe_tensor::Tensor::ones(&[5, 4]);
-    for mixed in [false, true] {
-        for threads in [1usize, 4] {
-            tyxe_par::set_num_threads(threads);
-            let _amp = autocast_if(mixed);
-            tyxe_prob::rng::set_seed(83);
-            mc.net().set_training(true);
-            let reference: Vec<_> = (0..6).map(|_| mc.net().forward(&x).detach()).collect();
-            mc.net().set_training(false);
-            tyxe_prob::rng::set_seed(83);
-            let library = mc.predict_samples(&x, 6);
-            assert_ne!(sample_bits(&library[..1]), sample_bits(&library[1..2]), "masks must differ");
-            assert_eq!(
-                sample_bits(&reference),
-                sample_bits(&library),
-                "mixed {mixed}, {threads} threads"
-            );
-        }
+    for threads in [1usize, 4] {
+        tyxe_par::set_num_threads(threads);
+        tyxe_prob::rng::set_seed(83);
+        mc.net().set_training(true);
+        let reference: Vec<_> = (0..6).map(|_| mc.net().forward(&x).detach()).collect();
+        mc.net().set_training(false);
+        tyxe_prob::rng::set_seed(83);
+        let library = mc.predict_samples(&x, 6);
+        assert_ne!(sample_bits(&library[..1]), sample_bits(&library[1..2]), "masks must differ");
+        assert_eq!(sample_bits(&reference), sample_bits(&library), "{threads} threads");
     }
     tyxe_par::set_num_threads(prev_threads);
 }
@@ -950,8 +905,7 @@ fn predictive_forwards_read_the_cached_draws_without_a_copy() {
 /// Cache semantics: a second predict at the same sample count replays
 /// the cached posterior draws (bit-identical outputs, `predict.cache_hit`
 /// advances), one SVI step invalidates the cache (subsequent predictions
-/// change), and so do `invalidate_predictive_cache()` and a change of
-/// autocast mode.
+/// change), and so does `invalidate_predictive_cache()`.
 #[test]
 fn predictive_cache_hits_and_invalidates_on_svi_step() {
     tyxe_prob::rng::set_seed(73);
@@ -991,14 +945,4 @@ fn predictive_cache_hits_and_invalidates_on_svi_step() {
     bnn.invalidate_predictive_cache();
     let refilled = sample_bits(&bnn.predict_samples(&data.x, 6));
     assert_ne!(after_step, refilled, "invalidate_predictive_cache kept stale draws");
-
-    // Draws are the mode's (a guide may draw through a GEMM): inside the
-    // scope they refill and then hit, and leaving it refills again.
-    {
-        let _amp = autocast_if(true);
-        let mixed = sample_bits(&bnn.predict_samples(&data.x, 6));
-        assert_eq!(mixed, sample_bits(&bnn.predict_samples(&data.x, 6)));
-    }
-    let back = sample_bits(&bnn.predict_samples(&data.x, 6));
-    assert_ne!(refilled, back, "leaving the autocast scope kept its draws");
 }

@@ -45,10 +45,8 @@ fn test_metrics(
 }
 
 /// The Tab. 2 mean-field GCN, fit for 200 steps on the labelled nodes:
-/// its test accuracy and NLL. `mixed` runs fit and predict inside the
-/// `f32` autocast scope (DESIGN.md §12).
-fn fit_mean_field(s: &GnnSetup, mixed: bool) -> (f64, f64) {
-    let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
+/// its test accuracy and NLL.
+fn fit_mean_field(s: &GnnSetup) -> (f64, f64) {
     let mut rng = tyxe_rand::rngs::StdRng::seed_from_u64(0);
     let gnn = Gnn::new(49, 16, 7, &mut rng);
     let bnn = VariationalBnn::new(
@@ -66,27 +64,15 @@ fn fit_mean_field(s: &GnnSetup, mixed: bool) -> (f64, f64) {
         let _m = tyxe::poutine::selective_mask(s.ds.train_mask.clone(), &["likelihood.data"]);
         bnn.fit(&data, &mut optim, 200, None);
     }
-    assert_eq!(bnn.plan_unsupported_reason(), None, "mixed {mixed}: the step did not compile");
+    assert_eq!(bnn.plan_unsupported_reason(), None, "the step did not compile");
     test_metrics(&bnn, s, 8)
 }
 
 #[test]
 fn mean_field_gnn_learns_node_classification() {
-    let (acc, nll) = fit_mean_field(&setup(), false);
+    let (acc, nll) = fit_mean_field(&setup());
     assert!(acc > 0.6, "test accuracy {acc}");
     assert!(nll < 1.5, "test NLL {nll}");
-}
-
-/// Mixed precision reproduces the Tab. 2 mean-field row next to the
-/// f64 run, on the compiled step: test accuracy within 0.02 and test
-/// NLL within 10⁻³ nats (measured: equal accuracy, NLL 1.4·10⁻⁷ apart).
-#[test]
-fn mixed_precision_reproduces_tab2_mean_field_metrics() {
-    // `setup` re-seeds, so both fits start from the same RNG state.
-    let (acc64, nll64) = fit_mean_field(&setup(), false);
-    let (accm, nllm) = fit_mean_field(&setup(), true);
-    assert!((accm - acc64).abs() <= 0.02, "accuracy: mixed {accm} vs f64 {acc64}");
-    assert!((nllm - nll64).abs() <= 1e-3, "NLL: mixed {nllm} vs f64 {nll64}");
 }
 
 #[test]

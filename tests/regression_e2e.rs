@@ -11,8 +11,7 @@ use tyxe_datasets::{foong_regression, regression_grid};
 use tyxe_prob::mcmc::Hmc;
 use tyxe_prob::optim::Adam;
 
-fn fit_variational_at(
-    mixed: bool,
+fn fit_variational(
     local_reparam: bool,
     epochs: usize,
 ) -> (
@@ -31,7 +30,6 @@ fn fit_variational_at(
     );
     let mut optim = Adam::new(vec![], 1e-2);
     let batches = [(data.x.clone(), data.y.clone())];
-    let _amp = mixed.then(|| tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32));
     if local_reparam {
         let _g = tyxe::poutine::local_reparameterization();
         bnn.fit(&batches, &mut optim, epochs, None);
@@ -39,16 +37,6 @@ fn fit_variational_at(
         bnn.fit(&batches, &mut optim, epochs, None);
     }
     (bnn, data)
-}
-
-fn fit_variational(
-    local_reparam: bool,
-    epochs: usize,
-) -> (
-    VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, AutoNormal>,
-    tyxe_datasets::Regression1d,
-) {
-    fit_variational_at(false, local_reparam, epochs)
 }
 
 #[test]
@@ -74,38 +62,6 @@ fn uncertainty_grows_away_from_the_data() {
     assert!(
         edge > 1.5 * data_region,
         "no extrapolation uncertainty: edge {edge} vs data {data_region}"
-    );
-}
-
-/// Mixed precision (f64 masters, f32 compute under the autocast scope —
-/// DESIGN.md §12) must reproduce the Figure 1 regression next to the
-/// f64 run: same train MSE within 0.02 absolute, and the qualitative
-/// Fig. 1 content — predictive sd growing outside the data range —
-/// intact.
-#[test]
-fn mixed_precision_reproduces_fig1_regression() {
-    let (f64_bnn, data) = fit_variational(true, 800);
-    let (mix_bnn, _) = fit_variational_at(true, true, 800);
-    let e64 = f64_bnn.evaluate(&data.x, &data.y, 16).error;
-    let _amp = tyxe_tensor::autocast::autocast(tyxe_tensor::DType::F32);
-    let emix = mix_bnn.evaluate(&data.x, &data.y, 16).error;
-    assert!(emix < 0.05, "mixed train MSE {emix}");
-    assert!(
-        (emix - e64).abs() < 0.02,
-        "mixed/f64 MSE diverged: {emix} vs {e64}"
-    );
-
-    let grid = regression_grid(-2.0, 2.0, 21);
-    let agg = mix_bnn.predict(&grid, 32);
-    let sd_at = |x: f64| {
-        let i = ((x + 2.0) / 0.2).round() as usize;
-        agg.at(&[i, 0, 1])
-    };
-    let edge = sd_at(-2.0).max(sd_at(2.0));
-    let data_region = sd_at(-0.8);
-    assert!(
-        edge > 1.5 * data_region,
-        "mixed run lost extrapolation uncertainty: edge {edge} vs data {data_region}"
     );
 }
 

@@ -19,7 +19,7 @@ use tyxe_par::fault::{self, Faults};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
-use tyxe_tensor::{autocast, DType, Tensor};
+use tyxe_tensor::Tensor;
 
 type Bnn = VariationalBnn<tyxe_nn::layers::Sequential, HomoskedasticGaussian, AutoNormal>;
 
@@ -245,71 +245,11 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let _ = std::fs::remove_file(prev_of(&path));
 }
 
-/// The autocast mode rides in the checkpoint payload. A resumed run
-/// outside any autocast scope must re-enter the checkpointed mixed
-/// precision and replay the remaining steps bit-identically.
-#[test]
-fn mixed_precision_resume_reenters_checkpointed_policy() {
-    let _scope = FaultScope::acquire();
-    fault::set_faults(Faults::default());
-    let (n, hidden) = (32, 8);
-    let (x, y) = toy_data(n);
-    let data = vec![(x.clone(), y.clone())];
-    let path = tmp_ckpt("mixed-resume");
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(prev_of(&path));
-    let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
-
-    // Uninterrupted mixed-precision reference: 60 steps.
-    tyxe_prob::rng::set_seed(13);
-    let a = build_bnn(13, hidden, n);
-    let mut optim_a = Adam::new(vec![], 1e-2);
-    let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
-    {
-        let _amp = autocast::autocast(DType::F32);
-        sup_a.fit(&a, &data, &mut optim_a, 60, None);
-    }
-    let reference = site_params(&a);
-
-    // Interrupted mixed-precision run: dies after 40 steps.
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(prev_of(&path));
-    tyxe_prob::rng::set_seed(13);
-    let b1 = build_bnn(13, hidden, n);
-    let mut optim_b1 = Adam::new(vec![], 1e-2);
-    let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
-    {
-        let _amp = autocast::autocast(DType::F32);
-        sup_b1.fit(&b1, &data, &mut optim_b1, 40, None);
-    }
-    drop((b1, optim_b1, sup_b1));
-
-    // Fresh state outside any scope; the checkpoint must win.
-    tyxe_prob::rng::set_seed(13);
-    let b2 = build_bnn(13, hidden, n);
-    assert_eq!(autocast::current(), None);
-    let mut optim_b2 = Adam::new(vec![], 1e-2);
-    let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
-    sup_b2.resume(&path, &mut optim_b2).unwrap();
-    assert_eq!(sup_b2.steps_completed(), 40);
-    sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
-    assert_eq!(
-        sup_b2.to_state_dict(&optim_b2).buffer("supervisor.payload.precision"),
-        Some(&[2.0][..]),
-        "resume must re-enter the checkpointed autocast mode"
-    );
-    assert_eq!(autocast::current(), None, "the mode ends with the fit");
-    assert_eq!(reference, site_params(&b2), "mixed-precision resume drifted");
-
-    let _ = std::fs::remove_file(&path);
-    let _ = std::fs::remove_file(prev_of(&path));
-}
-
 /// Checkpoints written by the retired data-parallel fit carried
 /// `dist.*` payload entries: the shard count, the shard cursor and the
 /// live ranks. Nothing reads them now, so such a checkpoint resumes a
 /// plain fit on the uninterrupted run's bits, and the next checkpoint
-/// carries only the live `precision` entry.
+/// carries no payload entry.
 #[test]
 fn retired_dist_payloads_resume_on_the_uninterrupted_bits() {
     let _scope = FaultScope::acquire();
@@ -354,10 +294,10 @@ fn retired_dist_payloads_resume_on_the_uninterrupted_bits() {
     assert_eq!(sup_b2.steps_completed(), 20);
     sup_b2.fit(&b2, &data, &mut optim_b2, 30, None);
     assert_eq!(reference, site_params(&b2), "a retired payload entry moved the trajectory");
-    // The step-30 checkpoint written after the resume carries the live
-    // entry only.
+    // The step-30 checkpoint written after the resume carries no payload
+    // entry.
     let sd = tyxe_nn::StateDict::load(&path).unwrap();
-    assert_eq!(sd.buffer("supervisor.payload.precision"), Some(&[0.0][..]));
+    assert_eq!(sd.buffer("supervisor.payload.precision"), None);
     for (name, _) in &retired {
         let key = format!("supervisor.payload.dist.{name}");
         assert!(sd.buffer(&key).is_none(), "the next checkpoint re-wrote `{key}`");
