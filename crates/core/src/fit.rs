@@ -581,6 +581,22 @@ impl Supervisor {
         sd: &StateDict,
         optim: &mut dyn Optimizer,
     ) -> Result<(), LoadError> {
+        // A fit from before mixed precision was removed wrote the numerics
+        // it ran under. Only `0`, `f64` throughout, resumes: continuing a
+        // mixed-precision fit in `f64` would be silent drift. Other
+        // `supervisor.payload.*` entries an older version wrote are not
+        // read. Checked before anything is restored, so a refused
+        // checkpoint leaves the fit as it was.
+        match sd.buffer(KEY_PRECISION) {
+            None | Some(&[0.0]) => {}
+            Some(&[2.0]) => {
+                return Err(LoadError::Malformed(
+                    "supervisor.payload.precision = 2: the checkpoint ran in mixed precision (32-bit compute), which is gone",
+                ))
+            }
+            Some(_) => return Err(LoadError::Malformed("supervisor.payload.precision is not 0, the one numerics code")),
+        }
+
         // Parameters, by canonical index.
         for (i, p) in self.params.iter().enumerate() {
             let data = sd
@@ -625,20 +641,6 @@ impl Supervisor {
             .and_then(|b| b.first().copied())
             .ok_or(LoadError::Malformed("missing learning rate"))?;
         optim.set_learning_rate(lr);
-        // A fit from before mixed precision was removed wrote the numerics
-        // it ran under. Only `0`, `f64` throughout, resumes: continuing a
-        // mixed-precision fit in `f64` would be silent drift. Other
-        // `supervisor.payload.*` entries an older version wrote are not
-        // read.
-        match sd.buffer(KEY_PRECISION) {
-            None | Some(&[0.0]) => {}
-            Some(&[2.0]) => {
-                return Err(LoadError::Malformed(
-                    "supervisor.payload.precision = 2: the checkpoint ran in mixed precision (32-bit compute), which is gone",
-                ))
-            }
-            Some(_) => return Err(LoadError::Malformed("supervisor.payload.precision is not 0, the one numerics code")),
-        }
         // The restored state is, by construction, the last trusted one.
         self.good = Some(self.capture(optim));
         // Restoring params/RNG out-of-band invalidates any compiled step
@@ -918,11 +920,11 @@ mod tests {
     }
 
     /// A checkpoint's numerics code, from a fit before mixed precision
-    /// was removed: absent or `0` resumes; `2`, a mixed-precision fit, is
-    /// refused by name, and so is any other value. New checkpoints
-    /// carry no code.
+    /// was removed: absent or `0` (`f64` throughout) is entered; `2`, a
+    /// mixed-precision fit, is refused by name, and so is any other
+    /// value. New checkpoints carry no code.
     #[test]
-    fn old_mixed_precision_checkpoints_are_refused() {
+    fn checkpointed_autocast_codes_are_entered_or_refused() {
         let mut sup = Supervisor::new(vec![], SupervisorConfig::default());
         let mut optim = Adam::new(vec![], 0.1);
         let fresh = sup.to_state_dict(&optim);

@@ -245,6 +245,76 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let _ = std::fs::remove_file(prev_of(&path));
 }
 
+/// Fits from before mixed precision was removed wrote the numerics mode
+/// they ran under into the checkpoint payload. A checkpoint of an `f64`
+/// fit (code 0) re-enters that policy and replays the remaining steps
+/// bit-identically; one of a mixed-precision fit (code 2) is refused by
+/// name and leaves the fresh fit untouched instead of training on in
+/// other numerics.
+#[test]
+fn mixed_precision_resume_reenters_checkpointed_policy() {
+    let _scope = FaultScope::acquire();
+    fault::set_faults(Faults::default());
+    let (n, hidden) = (32, 8);
+    let (x, y) = toy_data(n);
+    let data = vec![(x.clone(), y.clone())];
+    let path = tmp_ckpt("mixed-resume");
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_of(&path));
+    let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
+
+    // Uninterrupted reference: 60 steps.
+    tyxe_prob::rng::set_seed(13);
+    let a = build_bnn(13, hidden, n);
+    let mut optim_a = Adam::new(vec![], 1e-2);
+    let mut sup_a = Supervisor::new(a.trainable_parameters(), config());
+    sup_a.fit(&a, &data, &mut optim_a, 60, None);
+    let reference = site_params(&a);
+
+    // Interrupted run: dies after 40 steps.
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_of(&path));
+    tyxe_prob::rng::set_seed(13);
+    let b1 = build_bnn(13, hidden, n);
+    let mut optim_b1 = Adam::new(vec![], 1e-2);
+    let mut sup_b1 = Supervisor::new(b1.trainable_parameters(), config());
+    sup_b1.fit(&b1, &data, &mut optim_b1, 40, None);
+    drop((b1, optim_b1, sup_b1));
+    let step40 = tyxe_nn::StateDict::load(&path).unwrap();
+    let with_code = |code: f64| {
+        let mut sd = step40.clone();
+        sd.insert_buffer("supervisor.payload.precision", vec![code]);
+        sd.save(&path).unwrap();
+    };
+
+    // A mixed-precision checkpoint is refused before anything is restored.
+    with_code(2.0);
+    tyxe_prob::rng::set_seed(13);
+    let c = build_bnn(13, hidden, n);
+    let before = site_params(&c);
+    let mut optim_c = Adam::new(vec![], 1e-2);
+    let mut sup_c = Supervisor::new(c.trainable_parameters(), config());
+    let err = sup_c.resume(&path, &mut optim_c).expect_err("a mixed-precision checkpoint must be refused");
+    assert!(err.to_string().contains("supervisor.payload.precision = 2"), "{err}");
+    assert_eq!(sup_c.steps_completed(), 0, "the refused checkpoint moved the step count");
+    assert_eq!(before, site_params(&c), "the refused checkpoint moved the parameters");
+    drop((c, optim_c, sup_c));
+
+    // An `f64` checkpoint re-enters its policy on the uninterrupted bits.
+    with_code(0.0);
+    tyxe_prob::rng::set_seed(13);
+    let b2 = build_bnn(13, hidden, n);
+    let mut optim_b2 = Adam::new(vec![], 1e-2);
+    let mut sup_b2 = Supervisor::new(b2.trainable_parameters(), config());
+    sup_b2.resume(&path, &mut optim_b2).unwrap();
+    assert_eq!(sup_b2.steps_completed(), 40);
+    sup_b2.fit(&b2, &data, &mut optim_b2, 60, None);
+    assert_eq!(reference, site_params(&b2), "an f64 checkpoint's resume drifted");
+
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(prev_of(&path));
+}
+
 /// Checkpoints written by the retired data-parallel fit carried
 /// `dist.*` payload entries: the shard count, the shard cursor and the
 /// live ranks. Nothing reads them now, so such a checkpoint resumes a
