@@ -198,7 +198,7 @@ pub(crate) fn add_missing_params(optim: &mut dyn Optimizer, params: Vec<Tensor>)
 }
 
 /// The one predictive loop every weight-sampling front-end shares: one
-/// grad-free forward per cached weight draw, with the draw's tensors
+/// grad-free forward per weight draw, with the draw's tensors
 /// injected as they are into the parameter slots (no poutine walk, no
 /// tape, no copy), handed to `sink` in ascending sample order.
 fn forward_each<M, I>(
@@ -576,9 +576,6 @@ pub struct McmcBnn<M, L, K> {
     kernel: Option<K>,
     samples: Option<Samples>,
     chain_stats: Option<ChainStats>,
-    /// The chain draws `predict` uses, shared with [`McmcBnn::samples`];
-    /// the chain is immutable after `fit`, so the guide epoch is always 0.
-    predictive: SampleCache,
 }
 
 impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
@@ -590,7 +587,6 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
             kernel: Some(kernel),
             samples: None,
             chain_stats: None,
-            predictive: SampleCache::default(),
         }
     }
 
@@ -667,14 +663,13 @@ impl<M: Module, L: Likelihood, K: Kernel> McmcBnn<M, L, K> {
     where
         M: Forward<I, Output = Tensor>,
     {
-        let draws = self
-            .predictive
-            .get_or_fill(0, num_predictions, || self.chain_draws(num_predictions));
-        forward_each(&self.module, input, &draws, sink);
+        forward_each(&self.module, input, &self.chain_draws(num_predictions), sink);
     }
 
     /// The chain's own sample tensors for `s` draws spread evenly over the
-    /// chain (fewer when the chain retained fewer than `s`), one per site.
+    /// chain (fewer when the chain retained fewer than `s`), one per site:
+    /// shared handles to what [`McmcBnn::samples`] holds, drawn from no
+    /// RNG, so every call picks the same tensors and nothing is cached.
     fn chain_draws(&self, s: usize) -> Vec<Vec<Tensor>> {
         let samples = self.samples();
         let total = samples.num_samples();

@@ -8,9 +8,10 @@
 //! its steps is a [`Supervisor::step`], which runs the caller's
 //! forward/backward closure, then:
 //!
-//! 1. **Sentinels** — a non-finite loss, a non-finite gradient or an
-//!    injected worker panic marks the attempt as faulty. There is no
-//!    loss-value rule: a single-sample ELBO draw far above its recent
+//! 1. **Sentinels** — a non-finite loss or a non-finite gradient marks
+//!    the attempt as faulty. A panic is not a fault: it unwinds out of the
+//!    step untouched, since a retry would hit the same bug again. There is
+//!    no loss-value rule: a single-sample ELBO draw far above its recent
 //!    trajectory is still a draw of the objective, and rejecting it would
 //!    bias the stochastic gradient SVI relies on.
 //! 2. **Retry with backoff** — faulty attempts restore the last *good*
@@ -28,21 +29,20 @@
 //!    bit-identically — and falls back to the rotated file when the
 //!    primary is corrupt.
 //!
-//! Fault injection for testing is driven by the [`tyxe_par::fault`] plan:
-//! its `nan_prob` corrupts one gradient slot of an attempt the plan
-//! decides from `(seed, step, attempt)` alone — so a resumed run replays
-//! the fault schedule from its checkpointed step counter — and its
-//! `panic_prob` makes pool tasks panic with a recognizable payload that
-//! the supervisor treats as a recoverable worker crash.
+//! Fault injection for testing is one process-wide [`Faults`] plan: its
+//! `nan_prob` corrupts one gradient slot of an attempt the plan decides
+//! from `(seed, step, attempt)` alone, so a resumed run replays the fault
+//! schedule from its checkpointed step counter.
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use tyxe_nn::serialize::LoadError;
 use tyxe_nn::{Forward, Module, StateDict};
-use tyxe_par::fault::{self, INJECTED_PANIC_PAYLOAD};
 use tyxe_prob::optim::{grads_are_finite, Optimizer};
 use tyxe_prob::rng;
-use tyxe_rand::Rng;
+use tyxe_rand::rngs::StdRng;
+use tyxe_rand::{Rng, SeedableRng};
 use tyxe_tensor::Tensor;
 
 use crate::bnn::{add_missing_params, FitCallback, VariationalBnn};
@@ -56,8 +56,6 @@ pub enum FaultCause {
     NonFiniteLoss,
     /// Some gradient entry is NaN or ±inf (includes injected NaNs).
     NonFiniteGrad,
-    /// A worker panicked with the injected-fault payload and was recovered.
-    WorkerPanic,
 }
 
 impl std::fmt::Display for FaultCause {
@@ -65,7 +63,6 @@ impl std::fmt::Display for FaultCause {
         match self {
             FaultCause::NonFiniteLoss => write!(f, "non-finite loss"),
             FaultCause::NonFiniteGrad => write!(f, "non-finite gradient"),
-            FaultCause::WorkerPanic => write!(f, "worker panic"),
         }
     }
 }
@@ -76,10 +73,9 @@ pub enum FitEvent {
     /// A step that stayed faulty through all retries was dropped without
     /// a parameter update.
     NanSkipped { step: u64 },
-    /// A faulty attempt was rolled back and re-run.
-    Retried { step: u64, attempt: u32, cause: FaultCause },
-    /// The learning rate was reduced for a retry.
-    BackedOff { step: u64, lr: f64 },
+    /// A faulty attempt was rolled back and re-run at the backed-off
+    /// learning rate `lr`.
+    Retried { step: u64, attempt: u32, cause: FaultCause, lr: f64 },
     /// A checkpoint was written.
     Checkpointed { step: u64 },
     /// Training state was restored from a checkpoint; `from_previous` is
@@ -136,18 +132,18 @@ pub struct FitReport {
     /// Steps dropped entirely because they stayed faulty through all
     /// retries.
     pub nan_skipped: u64,
-    /// Faulty attempts that were rolled back and re-run.
+    /// Faulty attempts that were rolled back and re-run, each at a
+    /// backed-off learning rate.
     pub retried: u64,
-    /// Learning-rate reductions issued for retries.
-    pub backed_off: u64,
+    /// Gradient slots the fault plan set to NaN in this supervisor's
+    /// attempts.
+    pub nan_injected: u64,
     /// Checkpoints written.
     pub checkpointed: u64,
     /// Checkpoint writes that failed (training continues regardless).
     pub checkpoint_failed: u64,
     /// Successful resumes from a checkpoint.
     pub resumed: u64,
-    /// Worker panics recovered (injected-fault payloads only).
-    pub worker_panics_recovered: u64,
     /// Wall-clock statistics over the supervised steps.
     pub timing: StepTiming,
     /// Event log in occurrence order (capped; counters above stay exact).
@@ -185,8 +181,6 @@ impl FitReport {
         ));
         s.push_str(&format!("faults recovered:        {}\n", self.total_faults()));
         s.push_str(&format!("  retried:               {}\n", self.retried));
-        s.push_str(&format!("  backed off:            {}\n", self.backed_off));
-        s.push_str(&format!("  worker panics:         {}\n", self.worker_panics_recovered));
         s.push_str(&format!("  nan-skipped steps:     {}\n", self.nan_skipped));
         s.push_str(&format!("checkpoints written:     {}\n", self.checkpointed));
         if self.checkpoint_failed > 0 {
@@ -195,14 +189,7 @@ impl FitReport {
         if self.resumed > 0 {
             s.push_str(&format!("resumed from checkpoint: {}\n", self.resumed));
         }
-        s.push_str(&format!(
-            "injected pool panics:    {}\n",
-            fault::injected_panics_counter().get()
-        ));
-        s.push_str(&format!(
-            "injected fault draws:    {}\n",
-            fault::fault_fired_counter().get()
-        ));
+        s.push_str(&format!("injected nan gradients:  {}\n", self.nan_injected));
         s
     }
 }
@@ -214,6 +201,81 @@ fn obs_count(name: &str) {
     if tyxe_obs::enabled() {
         tyxe_obs::metrics::counter(name).inc();
     }
+}
+
+const ENV_SEED: &str = "TYXE_FAULT_SEED";
+const ENV_NAN_PROB: &str = "TYXE_FAULT_NAN_PROB";
+
+/// Added to the NaN decision's key. Changing it would move every seed's
+/// fault schedule, which `nan_schedule_is_pinned` holds fixed.
+const NAN_DOMAIN: u64 = 0xA076_1D64_78BD_642F;
+
+/// A process's fault plan: deterministic NaN-gradient injection for
+/// testing the supervisor's recovery. The default plan injects nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Faults {
+    /// Base seed of the NaN decisions.
+    pub seed: u64,
+    /// Probability that a training-step attempt gets a NaN gradient, in
+    /// `[0, 1]`.
+    pub nan_prob: f64,
+}
+
+impl Faults {
+    /// Parses a plan from `TYXE_FAULT_SEED` and `TYXE_FAULT_NAN_PROB`,
+    /// read through `var` (`|name| std::env::var(name).ok()` for the
+    /// process environment). Never fails: a missing, garbled or
+    /// out-of-range probability means 0, and a missing or garbled seed
+    /// means 0.
+    pub fn from_env(var: impl Fn(&str) -> Option<String>) -> Faults {
+        Faults {
+            seed: var(ENV_SEED).and_then(|v| v.trim().parse().ok()).unwrap_or(0),
+            nan_prob: var(ENV_NAN_PROB)
+                .and_then(|v| v.trim().parse::<f64>().ok())
+                .filter(|p| (0.0..=1.0).contains(p))
+                .unwrap_or(0.0),
+        }
+    }
+
+    /// Does attempt `attempt` (0 first, then each retry) of training step
+    /// `step` get a NaN gradient? When it does, the returned stream picks
+    /// the slot to corrupt; which slot does not depend on `nan_prob`.
+    /// Draws nothing when `nan_prob` is 0. The stream is keyed by
+    /// `(seed, step, attempt)` alone, through `StdRng::seed_from_u64` (a
+    /// splitmix64 expansion), so no thread or resumed run changes it.
+    pub fn nan_fault(&self, step: u64, attempt: u32) -> Option<StdRng> {
+        if self.nan_prob <= 0.0 {
+            return None;
+        }
+        let key = self
+            .seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(step.wrapping_mul(0xD1B5_4A32_D192_ED03))
+            .wrapping_add(u64::from(attempt).wrapping_mul(0x8CB9_2BA7_2F3D_8DD7))
+            .wrapping_add(NAN_DOMAIN);
+        let mut rng = StdRng::seed_from_u64(key);
+        (rng.gen::<f64>() < self.nan_prob).then_some(rng)
+    }
+}
+
+/// The plan in force, resolved from the environment on first use. Every
+/// write is one whole-value assignment, so a poisoned lock still holds a
+/// valid plan.
+fn plan() -> &'static Mutex<Faults> {
+    static PLAN: OnceLock<Mutex<Faults>> = OnceLock::new();
+    PLAN.get_or_init(|| Mutex::new(Faults::from_env(|name| std::env::var(name).ok())))
+}
+
+/// The fault plan in force.
+pub fn faults() -> Faults {
+    *plan().lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Replaces the fault plan in force.
+pub fn set_faults(faults: Faults) {
+    let p = faults.nan_prob;
+    assert!((0.0..=1.0).contains(&p), "set_faults: probability {p} outside [0, 1]");
+    *plan().lock().unwrap_or_else(PoisonError::into_inner) = faults;
 }
 
 /// Maximum rollback-and-retry attempts per step before it is skipped.
@@ -409,19 +471,12 @@ impl Supervisor {
                 }
                 Err((cause, _)) => {
                     attempt += 1;
-                    self.report.retried += 1;
-                    obs_count("core.supervisor.retries");
-                    if cause == FaultCause::WorkerPanic {
-                        self.report.worker_panics_recovered += 1;
-                        obs_count("core.supervisor.worker_panics");
-                    }
-                    self.report.record(FitEvent::Retried { step: self.steps, attempt, cause });
                     self.rollback(optim);
                     let lr = base_lr * LR_BACKOFF.powi(attempt as i32);
                     optim.set_learning_rate(lr);
-                    self.report.backed_off += 1;
-                    obs_count("core.supervisor.backoffs");
-                    self.report.record(FitEvent::BackedOff { step: self.steps, lr });
+                    self.report.retried += 1;
+                    obs_count("core.supervisor.retries");
+                    self.report.record(FitEvent::Retried { step: self.steps, attempt, cause, lr });
                 }
             }
         };
@@ -429,27 +484,15 @@ impl Supervisor {
         loss
     }
 
-    /// One attempt: forward/backward (catching recoverable worker panics),
-    /// deterministic NaN injection, then the fault sentinels. Does NOT
-    /// apply the optimizer update.
+    /// One attempt: forward/backward, deterministic NaN injection, then
+    /// the fault sentinels. Does NOT apply the optimizer update.
     fn attempt(
         &mut self,
         optim: &mut dyn Optimizer,
         forward_backward: &mut dyn FnMut(&mut dyn Optimizer) -> f64,
         attempt: u32,
     ) -> Result<f64, (FaultCause, f64)> {
-        let loss = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            forward_backward(optim)
-        })) {
-            Ok(loss) => loss,
-            Err(payload) => {
-                if payload.downcast_ref::<&str>() == Some(&INJECTED_PANIC_PAYLOAD) {
-                    return Err((FaultCause::WorkerPanic, f64::NAN));
-                }
-                // A genuine bug is not ours to swallow.
-                std::panic::resume_unwind(payload);
-            }
-        };
+        let loss = forward_backward(optim);
         self.maybe_inject_nan(attempt);
         if !loss.is_finite() {
             return Err((FaultCause::NonFiniteLoss, loss));
@@ -462,11 +505,10 @@ impl Supervisor {
 
     /// Corrupts one gradient slot with NaN when the fault plan fires for
     /// this `(step, attempt)`.
-    fn maybe_inject_nan(&self, attempt: u32) {
-        let Some(mut pick) = fault::faults().nan_fault(self.steps, attempt) else {
+    fn maybe_inject_nan(&mut self, attempt: u32) {
+        let Some(mut pick) = faults().nan_fault(self.steps, attempt) else {
             return;
         };
-        fault::fault_fired_counter().inc();
         let with_grads: Vec<&Tensor> = self.params.iter().filter(|t| t.grad().is_some()).collect();
         if with_grads.is_empty() {
             return;
@@ -476,6 +518,7 @@ impl Supervisor {
         let gi = pick.gen_range(0..g.len());
         g[gi] = f64::NAN;
         with_grads[pi].set_grad(Some(g));
+        self.report.nan_injected += 1;
     }
 
     /// Advances the step counter and checkpoints when due.
@@ -590,25 +633,40 @@ impl Supervisor {
         match sd.buffer(KEY_PRECISION) {
             None | Some(&[0.0]) => {}
             Some(&[2.0]) => {
-                return Err(LoadError::Malformed(
-                    "supervisor.payload.precision = 2: the checkpoint ran in mixed precision (32-bit compute), which is gone",
-                ))
+                return Err(LoadError::Malformed(format!(
+                    "{KEY_PRECISION} = 2: the checkpoint ran in mixed precision (32-bit compute), which is gone"
+                )))
             }
-            Some(_) => return Err(LoadError::Malformed("supervisor.payload.precision is not 0, the one numerics code")),
+            Some(code) => {
+                let read = match code {
+                    [v] => v.to_string(),
+                    _ => format!("{code:?}"),
+                };
+                return Err(LoadError::Malformed(format!(
+                    "{KEY_PRECISION} = {read} is not 0, the one numerics code"
+                )));
+            }
         }
 
         // Parameters, by canonical index.
         for (i, p) in self.params.iter().enumerate() {
-            let data = sd
-                .param(&format!("param.{i}"))
-                .ok_or(LoadError::Malformed("missing parameter entry"))?;
+            let key = format!("param.{i}");
+            let data = sd.param(&key).ok_or_else(|| LoadError::Malformed(format!("missing {key}")))?;
             if data.len() != p.numel() {
-                return Err(LoadError::Malformed("parameter length mismatch"));
+                return Err(LoadError::Malformed(format!(
+                    "{key} holds {} values, expected {}",
+                    data.len(),
+                    p.numel()
+                )));
             }
             p.set_data(data.to_vec());
         }
         if sd.num_params() != self.params.len() {
-            return Err(LoadError::Malformed("checkpoint parameter count mismatch"));
+            return Err(LoadError::Malformed(format!(
+                "checkpoint holds {} parameters, expected {}",
+                sd.num_params(),
+                self.params.len()
+            )));
         }
 
         // Optimizer: register our params first (a fresh optimizer may be
@@ -618,9 +676,8 @@ impl Supervisor {
             .state_buffers()
             .into_iter()
             .map(|(name, _)| {
-                let data = sd
-                    .buffer(&format!("{OPTIM_PREFIX}{name}"))
-                    .ok_or(LoadError::Malformed("missing optimizer buffer"))?;
+                let key = format!("{OPTIM_PREFIX}{name}");
+                let data = sd.buffer(&key).ok_or_else(|| LoadError::Malformed(format!("missing {key}")))?;
                 Ok((name, data.to_vec()))
             })
             .collect::<Result<_, LoadError>>()?;
@@ -629,17 +686,17 @@ impl Supervisor {
         let step_bits = sd
             .buffer(KEY_STEP)
             .and_then(|b| b.first().copied())
-            .ok_or(LoadError::Malformed("missing step counter"))?;
+            .ok_or_else(|| LoadError::Malformed(format!("missing {KEY_STEP}")))?;
         self.steps = step_bits.to_bits();
         self.report.steps_completed = self.steps;
 
         let rng_state =
-            f64_to_bits(sd.buffer(KEY_RNG).ok_or(LoadError::Malformed("missing rng state"))?)?;
+            f64_to_bits(sd.buffer(KEY_RNG).ok_or_else(|| LoadError::Malformed(format!("missing {KEY_RNG}")))?)?;
         rng::set_state(rng_state);
         let lr = sd
             .buffer(KEY_LR)
             .and_then(|b| b.first().copied())
-            .ok_or(LoadError::Malformed("missing learning rate"))?;
+            .ok_or_else(|| LoadError::Malformed(format!("missing {KEY_LR}")))?;
         optim.set_learning_rate(lr);
         // The restored state is, by construction, the last trusted one.
         self.good = Some(self.capture(optim));
@@ -656,7 +713,7 @@ fn bits_to_f64(words: &[u64; 4]) -> Vec<f64> {
 
 fn f64_to_bits(buf: &[f64]) -> Result<[u64; 4], LoadError> {
     if buf.len() != 4 {
-        return Err(LoadError::Malformed("rng state must have 4 words"));
+        return Err(LoadError::Malformed(format!("{KEY_RNG} holds {} words, expected 4", buf.len())));
     }
     Ok([buf[0].to_bits(), buf[1].to_bits(), buf[2].to_bits(), buf[3].to_bits()])
 }
@@ -723,7 +780,11 @@ mod tests {
         let loss = sup.step(&mut opt, &mut fb);
         assert!(loss.is_finite());
         assert_eq!(sup.report().retried, 1);
-        assert_eq!(sup.report().backed_off, 1);
+        assert_eq!(
+            sup.report().events,
+            [FitEvent::Retried { step: 0, attempt: 1, cause: FaultCause::NonFiniteLoss, lr: 0.05 }],
+            "the retry runs once, at the backed-off rate"
+        );
         assert_eq!(sup.report().steps_completed, 1);
         assert_eq!(opt.learning_rate(), 0.1, "lr must be restored after recovery");
         assert!(p.to_vec().iter().all(|v| *v != 0.0), "recovered step must still update");
@@ -745,26 +806,6 @@ mod tests {
         assert_eq!(sup.report().retried, u64::from(MAX_RETRIES));
         assert_eq!(sup.report().steps_completed, 1, "skipped steps still advance the schedule");
         assert_eq!(opt.learning_rate(), 0.1);
-    }
-
-    #[test]
-    fn injected_worker_panics_are_recovered() {
-        let p = Tensor::zeros(&[1]).requires_grad(true);
-        let mut opt = Adam::new(vec![p.clone()], 0.1);
-        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
-        let mut calls = 0u32;
-        let mut fb = |optim: &mut dyn Optimizer| {
-            optim.zero_grad();
-            calls += 1;
-            if calls == 1 {
-                std::panic::panic_any(INJECTED_PANIC_PAYLOAD);
-            }
-            p.set_grad(Some(vec![0.5]));
-            1.0
-        };
-        let loss = sup.step(&mut opt, &mut fb);
-        assert_eq!(loss, 1.0);
-        assert_eq!(sup.report().worker_panics_recovered, 1);
     }
 
     #[test]
@@ -912,7 +953,7 @@ mod tests {
     #[test]
     fn deterministic_nan_injection_is_reproducible() {
         let schedule = |seed: u64| -> Vec<bool> {
-            let plan = fault::Faults { seed, nan_prob: 0.2, ..fault::Faults::default() };
+            let plan = Faults { seed, nan_prob: 0.2 };
             (0..50).map(|step| plan.nan_fault(step, 0).is_some()).collect()
         };
         assert_eq!(schedule(9), schedule(9));
@@ -945,5 +986,161 @@ mod tests {
                 "{bad:?} must be refused"
             );
         }
+    }
+
+    /// A refused checkpoint names what it read: the numerics code, or the
+    /// expected and the found size.
+    #[test]
+    fn refusals_name_the_value_they_read() {
+        let p = Tensor::zeros(&[3]).requires_grad(true);
+        let mut optim = Adam::new(vec![p.clone()], 0.1);
+        let mut sup = Supervisor::new(vec![p.clone()], SupervisorConfig::default());
+        let fresh = sup.to_state_dict(&optim);
+        let mut refusal = |edit: &dyn Fn(&mut StateDict)| {
+            let mut sd = fresh.clone();
+            edit(&mut sd);
+            match sup.apply_state_dict(&sd, &mut optim) {
+                Err(LoadError::Malformed(what)) => what,
+                other => panic!("expected a Malformed refusal, got {other:?}"),
+            }
+        };
+        for (code, read) in [(7.0, "7"), (2.5, "2.5")] {
+            let what = refusal(&|sd| sd.insert_buffer(KEY_PRECISION, vec![code]));
+            assert_eq!(what, format!("{KEY_PRECISION} = {read} is not 0, the one numerics code"));
+        }
+        let what = refusal(&|sd| sd.insert_param("param.0", vec![0.0; 5]));
+        assert_eq!(what, "param.0 holds 5 values, expected 3");
+        let what = refusal(&|sd| sd.insert_param("param.1", vec![0.0]));
+        assert_eq!(what, "checkpoint holds 2 parameters, expected 1");
+        let what = refusal(&|sd| sd.insert_buffer(KEY_RNG, vec![0.0; 3]));
+        assert_eq!(what, format!("{KEY_RNG} holds 3 words, expected 4"));
+    }
+
+    /// The NaN schedule and its first slot draw (`gen_range(0..1000)`) at
+    /// `nan_prob` 0.2, as `(step, slot)` for every step of `0..50` that
+    /// fires, per seed and attempt, so that a checkpointed run or a logged
+    /// fault schedule replays on the same steps and slots in any build.
+    #[test]
+    fn nan_schedule_is_pinned() {
+        type Fired = &'static [(u64, usize)];
+        #[rustfmt::skip]
+        let pinned: [(u64, [Fired; 4]); 2] = [
+            (9, [
+                &[(5, 996), (19, 263), (21, 630), (23, 377), (27, 101), (33, 297), (35, 443), (44, 516), (49, 881)],
+                &[(3, 995), (7, 109), (9, 626), (16, 95), (19, 690), (24, 163), (36, 91), (39, 971), (42, 436), (46, 304), (49, 451)],
+                &[(2, 238), (5, 957), (7, 637), (17, 986), (24, 345), (27, 179), (33, 782), (41, 237), (48, 277), (49, 524)],
+                &[(4, 611), (7, 645), (8, 247), (25, 101), (30, 30), (31, 90), (32, 74), (33, 253), (34, 748), (35, 187), (37, 481), (42, 265), (46, 348)],
+            ]),
+            (17, [
+                &[(1, 487), (4, 744), (8, 21), (12, 848), (21, 679), (28, 828), (36, 464), (38, 524), (41, 474), (44, 278), (46, 799), (47, 378), (48, 245)],
+                &[(2, 773), (4, 362), (6, 967), (13, 310), (15, 8), (17, 859), (20, 291), (23, 914), (31, 230), (32, 173), (34, 204), (35, 669), (36, 783), (38, 918), (41, 817), (43, 17)],
+                &[(11, 142), (16, 514), (19, 797), (20, 744), (21, 105), (34, 19), (35, 230), (37, 447), (41, 368), (42, 404), (43, 418), (44, 397), (45, 394)],
+                &[(3, 523), (9, 891), (15, 234), (16, 942), (18, 381), (19, 846), (26, 347), (32, 772), (34, 386), (36, 172), (40, 972), (43, 138)],
+            ]),
+        ];
+        for (seed, attempts) in pinned {
+            let plan = Faults { seed, nan_prob: 0.2 };
+            for (attempt, want) in (0u32..).zip(attempts) {
+                let drawn: Vec<(u64, usize)> = (0..50)
+                    .filter_map(|step| plan.nan_fault(step, attempt).map(|mut pick| (step, pick.gen_range(0..1000))))
+                    .collect();
+                assert_eq!(drawn, want, "seed {seed}, attempt {attempt}");
+            }
+        }
+    }
+
+    fn plan(seed: u64, nan_prob: f64) -> Faults {
+        Faults { seed, nan_prob }
+    }
+
+    /// NaN decisions of attempt `attempt` over steps `0..n`.
+    fn nan_schedule(f: &Faults, attempt: u32, n: u64) -> Vec<bool> {
+        (0..n).map(|step| f.nan_fault(step, attempt).is_some()).collect()
+    }
+
+    fn parse(vars: &[(&str, &str)]) -> Faults {
+        let env: std::collections::HashMap<&str, &str> = vars.iter().copied().collect();
+        Faults::from_env(|name| env.get(name).map(|v| v.to_string()))
+    }
+
+    /// The NaN decision is a pure function of `(seed, step, attempt)`:
+    /// evaluating it again, in any order, from a fresh plan, gives the
+    /// same schedule, so a resumed run replays it from its step index.
+    #[test]
+    fn fault_stream_is_seed_deterministic_and_resumable() {
+        let f = plan(11, 0.3);
+        let forward = nan_schedule(&f, 0, 100);
+        assert!(forward.iter().any(|&x| x) && forward.iter().any(|&x| !x));
+        let backward: Vec<bool> = (0..100).rev().map(|step| plan(11, 0.3).nan_fault(step, 0).is_some()).collect();
+        assert_eq!(forward, backward.into_iter().rev().collect::<Vec<_>>());
+        // The slot stream of a fired step resumes identically too.
+        let step = forward.iter().position(|&x| x).unwrap() as u64;
+        let mut a = f.nan_fault(step, 0).unwrap();
+        let mut b = f.nan_fault(step, 0).unwrap();
+        let (ta, tb): (Vec<usize>, Vec<usize>) =
+            (0..20).map(|_| (a.gen_range(0..17usize), b.gen_range(0..17usize))).unzip();
+        assert_eq!(ta, tb);
+        assert_ne!(forward, nan_schedule(&plan(12, 0.3), 0, 100));
+    }
+
+    /// Which slot a fired step corrupts does not depend on the
+    /// probability that made it fire, and probability 0 never fires.
+    #[test]
+    fn zero_probability_stream_still_advances() {
+        let (low, high) = (plan(5, 0.2), plan(5, 1.0));
+        let mut fired = 0;
+        for step in 0..200 {
+            if let Some(mut a) = low.nan_fault(step, 0) {
+                let mut b = high.nan_fault(step, 0).expect("p=1 always fires");
+                assert_eq!(a.gen_range(0..1000), b.gen_range(0..1000));
+                fired += 1;
+            }
+        }
+        assert!(fired > 0, "p=0.2 over 200 steps should fire");
+        assert!(nan_schedule(&plan(5, 0.0), 0, 200).iter().all(|&x| !x));
+    }
+
+    /// A retry draws afresh: attempt 1's schedule is independent of
+    /// attempt 0's (at p = 1/2 the two agree on about half the steps).
+    #[test]
+    fn a_retry_draws_independently_of_the_first_attempt() {
+        let f = plan(7, 0.5);
+        let first = nan_schedule(&f, 0, 512);
+        let retry = nan_schedule(&f, 1, 512);
+        let agree = first.iter().zip(&retry).filter(|(a, b)| a == b).count();
+        assert!((192..=320).contains(&agree), "attempts agree on {agree} of 512 steps");
+    }
+
+    #[test]
+    fn codec_round_trips_every_plan() {
+        tyxe_rand::prop_check!(256, |g| {
+            let nan_prob = match g.usize_in(0, 4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => g.f64_in(0.0, 1.0),
+            };
+            let f = Faults { seed: g.u64(), nan_prob };
+            let back = parse(&[
+                ("TYXE_FAULT_SEED", &f.seed.to_string()),
+                ("TYXE_FAULT_NAN_PROB", &f.nan_prob.to_string()),
+            ]);
+            assert_eq!(back, f);
+        });
+    }
+
+    /// Hostile values resolve to the defaults, never to an error.
+    #[test]
+    fn codec_maps_hostile_values_to_defaults() {
+        for bad in ["NaN", "inf", "-inf", "-0.1", "1.5", "abc", "", " ", "0x1", "1e400"] {
+            let f = parse(&[("TYXE_FAULT_NAN_PROB", bad)]);
+            assert_eq!(f, Faults::default(), "probability {bad:?}");
+            let f = parse(&[("TYXE_FAULT_SEED", bad)]);
+            assert_eq!(f, Faults::default(), "seed {bad:?}");
+        }
+        let over = "18446744073709551616";
+        assert_eq!(parse(&[("TYXE_FAULT_SEED", over)]), Faults::default(), "out-of-range seed");
+        let max = u64::MAX.to_string();
+        assert_eq!(parse(&[("TYXE_FAULT_SEED", &max)]).seed, u64::MAX);
+        assert_eq!(parse(&[("TYXE_FAULT_NAN_PROB", " 0.25 ")]).nan_prob, 0.25);
     }
 }

@@ -6,10 +6,10 @@
 //! 1. **Grad-free forwards** — every predictive forward runs inside
 //!    [`tyxe_tensor::inference::inference_mode`], so no autodiff tape is
 //!    built for predictions that were going to be detached anyway.
-//! 2. **Posterior-sample cache** ([`SampleCache`]) — S weight samples
-//!    are drawn once, one detached tensor per site, and injected as they
-//!    are into every later call until the owner's guide epoch, the global
-//!    plan generation or the requested S changes.
+//! 2. **Posterior-sample cache** ([`SampleCache`], `VariationalBnn`'s) —
+//!    S weight samples are drawn once, one detached tensor per site, and
+//!    injected as they are into every later call until the owner's guide
+//!    epoch, the global plan generation or the requested S changes.
 //! 3. **Streaming aggregation** ([`aggregate_streamed`]) — likelihoods
 //!    with a [`crate::likelihoods::PredictiveFold`] fold predictions one
 //!    at a time instead of materializing all S.

@@ -52,7 +52,7 @@ pub enum LoadError {
         computed: u32,
     },
     /// The payload decodes to something structurally invalid.
-    Malformed(&'static str),
+    Malformed(String),
 }
 
 impl fmt::Display for LoadError {
@@ -207,7 +207,7 @@ impl<'a> ByteReader<'a> {
     pub fn get_str(&mut self) -> Result<String, LoadError> {
         let len = self.get_u64()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| LoadError::Malformed("non-UTF-8 string"))
+        String::from_utf8(bytes.to_vec()).map_err(|_| LoadError::Malformed("non-UTF-8 string".into()))
     }
 
     /// Reads a length-prefixed `f64` vector.
@@ -278,7 +278,7 @@ pub fn decode_container<'a>(
         return Err(LoadError::ChecksumMismatch { stored, computed });
     }
     if bytes.len() > expected_total {
-        return Err(LoadError::Malformed("trailing bytes after container"));
+        return Err(LoadError::Malformed("trailing bytes after container".into()));
     }
     if version == 0 || version > max_version {
         return Err(LoadError::UnsupportedVersion(version));

@@ -143,12 +143,12 @@ impl StateDict {
                 let name = r.get_str()?;
                 let data = r.get_f64_slice()?;
                 if map.insert(name, data).is_some() {
-                    return Err(LoadError::Malformed("duplicate entry name"));
+                    return Err(LoadError::Malformed("duplicate entry name".into()));
                 }
             }
         }
         if !r.is_exhausted() {
-            return Err(LoadError::Malformed("trailing bytes in state dict payload"));
+            return Err(LoadError::Malformed("trailing bytes in state dict payload".into()));
         }
         let [params, buffers] = maps;
         Ok(StateDict { params, buffers })

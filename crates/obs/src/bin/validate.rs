@@ -5,7 +5,7 @@
 //! tyxe-obs-validate --trace out.json --metrics metrics.jsonl \
 //!     --require-span-names core.supervisor.step,prob.svi.model \
 //!     --require-threads 2 \
-//!     --require-metrics par.pool.tasks,par.fault.injected_panics
+//!     --require-metrics par.pool.tasks,core.supervisor.retries
 //! ```
 //!
 //! A trace carrying `dropped_spans` events prints a warning (the data is

@@ -52,8 +52,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
-pub mod fault;
-
 /// Cached tyxe-obs handles for the pool's own instrumentation.
 /// Hot-path updates are gated on [`tyxe_obs::enabled`] at the call
 /// sites, so disabled runs pay one relaxed atomic load per probe.
@@ -341,25 +339,9 @@ pub fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
     if count == 0 {
         return;
     }
-    // Fault-injection harness: when the plan arms pool panics, each scope
-    // claims a sequence number and every task's panic decision is a pure
-    // function of (plan, scope, index) — bit-reproducible and independent
-    // of the execution path below. Disabled runs take no lock.
-    let scope = fault::claim_scope();
-    let arm = |idx: usize, task: Box<dyn FnOnce() + Send + 'scope>| -> Box<dyn FnOnce() + Send + 'scope> {
-        match scope {
-            Some((faults, seq)) => Box::new(move || {
-                if faults.task_panics(seq, idx) {
-                    fault::inject_panic();
-                }
-                task();
-            }),
-            None => task,
-        }
-    };
     if num_threads() == 1 || count == 1 {
-        for (idx, task) in tasks.into_iter().enumerate() {
-            arm(idx, task)();
+        for task in tasks {
+            task();
         }
         return;
     }
@@ -371,8 +353,7 @@ pub fn run_scoped<'scope>(tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         probe::tasks_queued().add(count as u64);
     }
     let latch = Arc::new(Latch::new(count));
-    pool.push_jobs(tasks.into_iter().enumerate().map(|(idx, task)| {
-        let task = arm(idx, task);
+    pool.push_jobs(tasks.into_iter().map(|task| {
         // SAFETY: see the function-level argument — we block on `latch`
         // below until every task has run, so the erased borrows are live
         // for the tasks' entire execution.
@@ -568,9 +549,8 @@ mod tests {
     use super::*;
     use tyxe_rand::{Rng, SeedableRng};
 
-    /// Serialises tests that mutate process-global state: the thread
-    /// count here, the fault plan here and in `fault::tests`.
-    pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// Serialises tests that mutate the process-global thread count.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     thread_local! {
         /// Nesting depth of `with_threads` on this thread; only the
@@ -770,40 +750,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
             .expect("payload should be a string");
         assert_eq!(msg, "very specific failure message");
-    }
-
-    #[test]
-    fn injected_panics_are_deterministic_and_recoverable() {
-        with_threads(4, || {
-            let plan = fault::Faults { seed: 17, panic_prob: 0.35, ..fault::Faults::default() };
-            let run_once = || -> Vec<bool> {
-                fault::set_faults(plan);
-                (0..8)
-                    .map(|_| {
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut out = vec![0.0f64; 256];
-                            parallel_for_chunks(&mut out, 32, |start, piece| {
-                                for (off, slot) in piece.iter_mut().enumerate() {
-                                    *slot = (start + off) as f64;
-                                }
-                            });
-                        }))
-                        .is_err()
-                    })
-                    .collect()
-            };
-            let before = fault::injected_panics_counter().get();
-            let a = run_once();
-            let b = run_once();
-            fault::set_faults(fault::Faults::default());
-            assert_eq!(a, b, "injection schedule must not depend on scheduling");
-            assert!(a.iter().any(|&x| x), "p=0.35 over 8 scopes should fire");
-            assert!(fault::injected_panics_counter().get() > before);
-            // Pool still healthy with injection disarmed.
-            let seq = fill_squares(1, 1024, 1024);
-            let par = fill_squares(4, 1024, 64);
-            assert!(seq.iter().zip(&par).all(|(x, y)| x.to_bits() == y.to_bits()));
-        });
     }
 
     #[test]

@@ -450,7 +450,7 @@ impl StepPlan {
     /// Runs the backward pass over the cached topological order —
     /// identical arithmetic, in identical order, to the dynamic
     /// `Tensor::backward`. Any gradient left on an op node by a
-    /// previously interrupted walk (e.g. an injected panic) is cleared
+    /// previously interrupted walk (e.g. a caught panic) is cleared
     /// first; a completed walk leaves none, so this is normally a no-op
     /// sweep.
     fn backward(&self) {

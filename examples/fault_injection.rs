@@ -6,17 +6,15 @@
 //! variables, corrupts it on purpose:
 //!
 //! ```text
-//! TYXE_FAULT_NAN_PROB=0.05 TYXE_FAULT_PANIC_PROB=0.01 TYXE_FAULT_SEED=17 \
+//! TYXE_FAULT_NAN_PROB=0.05 TYXE_FAULT_SEED=17 \
 //!     cargo run --release --example fault_injection -- \
 //!     --trace /tmp/trace.json --metrics /tmp/metrics.jsonl
 //! ```
 //!
 //! * `TYXE_FAULT_NAN_PROB` — probability per step attempt that one
 //!   gradient slot is overwritten with NaN after the backward pass.
-//! * `TYXE_FAULT_PANIC_PROB` — probability per pool task of an injected
-//!   worker panic inside the parallel kernels.
-//! * `TYXE_FAULT_SEED` — base seed of both fault decisions (default 0),
-//!   so a given configuration replays the exact same fault schedule.
+//! * `TYXE_FAULT_SEED` — base seed of the NaN decisions (default 0), so
+//!   a given configuration replays the exact same fault schedule.
 //! * `--trace <path>` — enable `tyxe-obs` and write a chrome://tracing
 //!   JSON file of every span recorded during the fit.
 //! * `--metrics <path>` — enable `tyxe-obs` and write the final metrics
@@ -28,7 +26,7 @@
 //! variables unset this is just a plain supervised fit that reports zero
 //! faults.
 
-use tyxe::fit::{Supervisor, SupervisorConfig};
+use tyxe::fit::{faults, set_faults, Faults, Supervisor, SupervisorConfig};
 use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
@@ -71,11 +69,9 @@ fn main() {
     if args.trace.is_some() || args.metrics.is_some() {
         tyxe_obs::set_enabled(true);
     }
-    // Pre-register the rare-event counters so they appear in the metrics
-    // snapshot even when this run never trips them.
+    // Pre-register the rare-event counter so it appears in the metrics
+    // snapshot even when this run never trips it.
     tyxe_prob::mcmc::divergence_counter();
-    tyxe_par::fault::injected_panics_counter();
-    tyxe_par::fault::fault_fired_counter();
 
     let n = 256;
     let hidden = 128;
@@ -103,14 +99,8 @@ fn main() {
         SupervisorConfig::default().with_checkpoint(&ckpt, 20),
     );
 
-    let plan = tyxe_par::fault::faults();
-    println!(
-        "training {} epochs with nan_prob={} panic_prob={} seed={}",
-        epochs,
-        plan.nan_prob,
-        plan.panic_prob,
-        plan.seed,
-    );
+    let plan = faults();
+    println!("training {} epochs with nan_prob={} seed={}", epochs, plan.nan_prob, plan.seed);
     let losses = sup.fit(&bnn, &data, &mut optim, epochs, None);
 
     let report = sup.report();
@@ -119,7 +109,7 @@ fn main() {
 
     // Recovery only wraps supervised training; disarm injection before the
     // (unsupervised) evaluation pass.
-    tyxe_par::fault::set_faults(tyxe_par::fault::Faults::default());
+    set_faults(Faults::default());
     let eval = bnn.evaluate(&x, &y, 8);
     println!("final fit error:         {:.4}", eval.error);
 

@@ -228,16 +228,16 @@ for w in fig1_svi_shared fig1_svi_lr tab2_gcn_mf; do
 done
 
 # Fault-injection + observability smoke run: a short supervised fit with
-# 5% NaN-gradient injection (and pool panics, on a forced 4-thread pool)
-# must complete all its steps and report the recoveries it performed —
-# while tracing everything through tyxe-obs. This exercises the
+# 5% NaN-gradient injection, on a forced 4-thread pool, must complete all
+# its steps and report the recoveries it performed — while tracing
+# everything through tyxe-obs. This exercises the
 # supervisor's detect/rollback/retry pipeline AND the whole span/metrics
 # pipeline end to end on every verification run, not just in the test
 # suite.
 echo "verify: fault-injection + observability smoke run"
 obs_dir=$(mktemp -d)
 trap 'rm -rf "$obs_dir"' EXIT
-smoke=$(TYXE_FAULT_NAN_PROB=0.05 TYXE_FAULT_PANIC_PROB=0.01 \
+smoke=$(TYXE_FAULT_NAN_PROB=0.05 \
         TYXE_FAULT_SEED=17 TYXE_NUM_THREADS=4 TYXE_OBS=1 CARGO_NET_OFFLINE=true \
         cargo run --release --frozen --example fault_injection -- \
         --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.jsonl")
@@ -251,7 +251,7 @@ fi
 # Structurally validate the emitted chrome trace and metrics snapshot
 # with the in-tree validator (no jq): the supervised fit must decompose
 # into nested step → svi-phase → kernel spans across at least two pool
-# threads, and the snapshot must carry the pool/fault/divergence
+# threads, and the snapshot must carry the pool/recovery/divergence
 # counters the observability contract (DESIGN.md §9) promises.
 echo "verify: observability artifact validation"
 CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
@@ -259,7 +259,7 @@ CARGO_NET_OFFLINE=true cargo run --release --frozen -q -p tyxe-obs \
     --trace "$obs_dir/trace.json" --metrics "$obs_dir/metrics.jsonl" \
     --require-span-names core.supervisor.step,prob.svi.guide,prob.svi.model,core.svi.backward,prob.optim.step,tensor.gemm.block,par.task \
     --require-threads 2 --require-depth 3 \
-    --require-metrics par.pool.tasks_queued,par.worker.tasks,par.fault.injected_panics,prob.mcmc.divergences,core.supervisor.steps,core.site.sample_ns,tensor.gemm.flops,tensor.alloc.pool_hit,tensor.alloc.pool_miss,tensor.alloc.bytes_recycled,tensor.alloc.pool_size,plan.hit,plan.invalidated,predict.samples,predict.cache_hit
+    --require-metrics par.pool.tasks_queued,par.worker.tasks,core.supervisor.retries,prob.mcmc.divergences,core.supervisor.steps,core.site.sample_ns,tensor.gemm.flops,tensor.alloc.pool_hit,tensor.alloc.pool_miss,tensor.alloc.bytes_recycled,tensor.alloc.pool_size,plan.hit,plan.invalidated,predict.samples,predict.cache_hit
 
 # Lint every crate at deny-warnings strictness: the unsafe-heavy pool
 # (scope lifetime erasure), the buffer-recycling tensor substrate, the
@@ -337,9 +337,12 @@ fi
 # estimator getter, the scale freeze, the uniform prior with both Uniform
 # distributions, Pyro's block and mask handlers, the sigmoid and softplus
 # layers, the bare obs-trace installer, Adam's hyperparameter options and
-# the supervisor's payload map), grow back. The filter drops this guard's
-# own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus|fn (in_features|out_features|running_mean|running_var|feature_dim|cov_factor|cov_diag|estimator|train_scale|from_probs|obs_trace|with_options)\b|fn bias\(&self\) -> (Option<)?&Param|fn (rate|logits)\(&self\) -> &Tensor|fn p\(&self\) -> f64|fn layer\(&self, i: usize\)|fn names\(&self\) -> &\[String\]|fn strides\(&self\)|fn uniform\(lo: f64, hi: f64\)|struct Uniform\b|mod uniform\b|Distribution<T> for &D\b|fn (block|mask)<R>|BlockMessenger|\bMaskMessenger|fn blocks\(&self, _?name: &str\)|^[[:space:]]*(Sigmoid|Softplus),$|\b(Sigmoid|Softplus)::new\b|weight_decay|fn unflatten\(&self, flat: &\[f64\], requires_grad|set_payload|LIVE_PAYLOAD_KEYS|PAYLOAD_PRECISION|PAYLOAD_PREFIX|fn payload\(" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# the supervisor's payload map), or the injected pool panic and its
+# recovery (the panic knob and payload, the pool's scope claim, the
+# worker-panic cause and count, the process-wide fault counters, the fault
+# module of the pool crate and the separate backoff event), grow back. The
+# filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus|fn (in_features|out_features|running_mean|running_var|feature_dim|cov_factor|cov_diag|estimator|train_scale|from_probs|obs_trace|with_options)\b|fn bias\(&self\) -> (Option<)?&Param|fn (rate|logits)\(&self\) -> &Tensor|fn p\(&self\) -> f64|fn layer\(&self, i: usize\)|fn names\(&self\) -> &\[String\]|fn strides\(&self\)|fn uniform\(lo: f64, hi: f64\)|struct Uniform\b|mod uniform\b|Distribution<T> for &D\b|fn (block|mask)<R>|BlockMessenger|\bMaskMessenger|fn blocks\(&self, _?name: &str\)|^[[:space:]]*(Sigmoid|Softplus),$|\b(Sigmoid|Softplus)::new\b|weight_decay|fn unflatten\(&self, flat: &\[f64\], requires_grad|set_payload|LIVE_PAYLOAD_KEYS|PAYLOAD_PRECISION|PAYLOAD_PREFIX|fn payload\(|TYXE_FAULT_PANIC_PROB|INJECTED_PANIC_PAYLOAD|WorkerPanic|claim_scope|inject_panic|worker_panics_recovered|injected_panics_counter|fault_fired_counter|tyxe_par::fault|BackedOff" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi
@@ -383,7 +386,7 @@ if grep -rnE "Precision::|set_precision|with_precision|convert_dtype_inplace" cr
     echo "verify: a precision policy, a second element type or the autocast scope reappeared" >&2
     exit 1
 fi
-# One fault plan (§8): `tyxe_par::fault::Faults`, replaced whole by
+# One fault plan (§8): `tyxe::fit::Faults`, replaced whole by
 # `set_faults`. The per-knob setters and their sentinel statics, the
 # scope-sequence reset, the checkpointed NaN stream and the probabilistic
 # worker kill stay gone.

@@ -1,8 +1,8 @@
 //! End-to-end fault tolerance: SVI training under deterministic fault
-//! injection (the fault plan's NaN gradients and worker panics) must
-//! recover through the supervisor's
-//! retry/backoff/checkpoint pipeline, and kill-and-resume from a
-//! checkpoint must be bit-identical to an uninterrupted run.
+//! injection (the fault plan's NaN gradients) must recover through the
+//! supervisor's retry/backoff/checkpoint pipeline, a genuine panic must
+//! unwind out of it untouched, and kill-and-resume from a checkpoint must
+//! be bit-identical to an uninterrupted run.
 //!
 //! The fault plan is process-wide, so every test here serializes on one
 //! mutex and disarms the plan on exit.
@@ -10,12 +10,11 @@
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
-use tyxe::fit::{FitEvent, Supervisor, SupervisorConfig};
+use tyxe::fit::{set_faults, Faults, FitEvent, Supervisor, SupervisorConfig};
 use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
 use tyxe::VariationalBnn;
-use tyxe_par::fault::{self, Faults};
 use tyxe_prob::optim::Adam;
 use tyxe_rand::rngs::StdRng;
 use tyxe_rand::SeedableRng;
@@ -45,7 +44,7 @@ impl FaultScope {
 
 impl Drop for FaultScope {
     fn drop(&mut self) {
-        fault::set_faults(Faults::default());
+        set_faults(Faults::default());
         tyxe_par::set_num_threads(self.prev_threads);
     }
 }
@@ -57,9 +56,7 @@ fn toy_data(n: usize) -> (Tensor, Tensor) {
     (x, y)
 }
 
-/// Builds a BNN deterministically from `seed`. `hidden` is sized by the
-/// caller: wide enough to cross the parallel-kernel threshold when worker
-/// panics should be exercised, small otherwise.
+/// Builds a BNN deterministically from `seed`, `hidden` units wide.
 fn build_bnn(seed: u64, hidden: usize, n: usize) -> Bnn {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = tyxe_nn::layers::mlp(&[1, hidden, 1], false, &mut rng);
@@ -104,23 +101,17 @@ fn site_params(bnn: &Bnn) -> SiteBits {
     out
 }
 
-/// A run with NaN gradients and worker panics injected must complete,
-/// report its recoveries, and land near the clean run's fit quality.
+/// A run with NaN gradients injected must complete, report its
+/// recoveries, and land near the clean run's fit quality.
 #[test]
 fn fault_injected_training_recovers_and_converges() {
     let _scope = FaultScope::acquire();
-    // 256 x 128 activations cross the 32k-element parallel threshold, so
-    // the forward pass genuinely schedules pool tasks that can panic —
-    // but only if the pool has more than one thread, which single-CPU CI
-    // machines don't give us by default. Kernel results are bit-identical
-    // at every thread count, so pinning to 4 changes nothing else.
-    tyxe_par::set_num_threads(4);
     let (n, hidden, epochs) = (256, 128, 120);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
 
     // Clean reference run (fault plan disarmed).
-    fault::set_faults(Faults::default());
+    set_faults(Faults::default());
     tyxe_prob::rng::set_seed(5);
     let clean = build_bnn(5, hidden, n);
     let mut clean_optim = Adam::new(vec![], 1e-2);
@@ -131,9 +122,8 @@ fn fault_injected_training_recovers_and_converges() {
     assert!(clean_eval.error < 0.05, "clean run failed to fit: {}", clean_eval.error);
     let clean_pred = clean.predict_samples(&x, 1)[0].to_vec();
 
-    // Fault-injected run: ~10% of steps get a NaN gradient, and each pool
-    // task panics with probability 1%.
-    fault::set_faults(Faults { seed: 17, nan_prob: 0.10, panic_prob: 0.01 });
+    // Fault-injected run: ~10% of steps get a NaN gradient.
+    set_faults(Faults { seed: 17, nan_prob: 0.10 });
     tyxe_prob::rng::set_seed(5);
     let faulty = build_bnn(5, hidden, n);
     let mut optim = Adam::new(vec![], 1e-2);
@@ -142,13 +132,9 @@ fn fault_injected_training_recovers_and_converges() {
     let report = sup.report();
     assert!(report.total_faults() > 0, "injection produced no faults: {report:?}");
     assert!(report.retried > 0, "faults must be retried: {report:?}");
-    assert!(
-        report.worker_panics_recovered > 0,
-        "panic injection never fired through the pool: {report:?}"
-    );
     assert_eq!(report.steps_completed, epochs as u64);
 
-    fault::set_faults(Faults::default());
+    set_faults(Faults::default());
     let eval = faulty.evaluate(&x, &y, 8);
     assert!(
         eval.error < 0.1,
@@ -166,32 +152,86 @@ fn fault_injected_training_recovers_and_converges() {
     assert!(mae < 0.25, "fault-injected fit drifted from clean fit: MAE {mae}");
 }
 
-/// The paper's `fit` runs every step through the supervisor, so a pool
-/// task that panics with the injected payload mid-step is recovered there
-/// too: the fit completes on finite parameters instead of unwinding out.
-#[test]
-fn paper_fit_survives_injected_pool_panics() {
-    let _scope = FaultScope::acquire();
-    // Wide enough to schedule pool tasks, on a pool that has the threads
-    // to run them (see `fault_injected_training_recovers_and_converges`).
-    tyxe_par::set_num_threads(4);
-    let (n, hidden, epochs) = (256, 128, 60);
-    let (x, y) = toy_data(n);
-    fault::set_faults(Faults { seed: 17, panic_prob: 0.01, ..Faults::default() });
-    let panics_before = fault::injected_panics_counter().get();
-    tyxe_prob::rng::set_seed(5);
-    let bnn = build_bnn(5, hidden, n);
-    let mut optim = Adam::new(vec![], 1e-2);
-    let history = bnn.fit(&[(x, y)], &mut optim, epochs, None);
-    fault::set_faults(Faults::default());
-    assert!(
-        fault::injected_panics_counter().get() > panics_before,
-        "panic injection never fired through the pool"
-    );
-    assert_eq!(history.len(), epochs);
-    for p in bnn.trainable_parameters() {
-        assert!(p.to_vec().iter().all(|v| v.is_finite()), "fit left a non-finite parameter");
+/// The panic payload of [`PanicsInPool`]'s pool task.
+#[derive(Debug, PartialEq)]
+struct Marker(usize);
+
+/// A one-layer net whose forward also runs a scope on the thread pool,
+/// and one of whose tasks panics with [`Marker`] on forward number
+/// `panic_at` (counted from 0).
+struct PanicsInPool {
+    layer: tyxe_nn::layers::Linear,
+    forwards: std::cell::Cell<usize>,
+    panic_at: usize,
+}
+
+impl tyxe_nn::Module for PanicsInPool {
+    fn kind(&self) -> &'static str {
+        "PanicsInPool"
     }
+
+    fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(tyxe_nn::ParamInfo)) {
+        self.layer.visit_params(prefix, f);
+    }
+}
+
+impl tyxe_nn::Forward<Tensor> for PanicsInPool {
+    type Output = Tensor;
+
+    fn forward(&self, x: &Tensor) -> Tensor {
+        // The pool scope is not a tensor op, so a replayed step plan would
+        // skip it: keep every step on the dynamic path.
+        tyxe_tensor::plan::mark_unsupported("PanicsInPool runs a pool scope");
+        let call = self.forwards.replace(self.forwards.get() + 1);
+        let panics = call == self.panic_at;
+        let mut scratch = vec![0.0f64; 1024];
+        tyxe_par::parallel_for_chunks(&mut scratch, 64, |start, _| {
+            if panics && start == 512 {
+                std::panic::panic_any(Marker(call));
+            }
+        });
+        self.layer.forward(x)
+    }
+}
+
+/// A genuine panic in a pool task is a bug, which a retry would hit
+/// again: it unwinds out of a supervised fit with its own payload, after
+/// the steps before it and without a retry, and leaves the pool usable.
+#[test]
+fn a_pool_panic_unwinds_a_supervised_fit_with_its_payload() {
+    let _scope = FaultScope::acquire();
+    tyxe_par::set_num_threads(4);
+    let n = 32;
+    let (x, y) = toy_data(n);
+    let mut rng = StdRng::seed_from_u64(7);
+    let net = PanicsInPool {
+        layer: tyxe_nn::layers::Linear::new(1, 1, &mut rng),
+        forwards: Default::default(),
+        panic_at: 5,
+    };
+    let bnn = VariationalBnn::new(
+        net,
+        &IIDPrior::standard_normal(),
+        HomoskedasticGaussian::new(n, 0.1),
+        AutoNormal::new().init_scale(1e-3),
+    );
+    let mut optim = Adam::new(vec![], 1e-2);
+    let mut sup = Supervisor::new(bnn.trainable_parameters(), SupervisorConfig::default());
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        sup.fit(&bnn, &[(x, y)], &mut optim, 10, None)
+    }));
+    let payload = unwound.expect_err("the pool panic must unwind out of the fit");
+    assert_eq!(payload.downcast_ref::<Marker>(), Some(&Marker(5)), "the payload changed on the way out");
+    assert_eq!(sup.report().retried, 0, "a genuine panic was retried: {:?}", sup.report());
+    assert_eq!(sup.report().steps_completed, 5);
+
+    let mut out = vec![0.0f64; 1024];
+    tyxe_par::parallel_for_chunks(&mut out, 64, |start, chunk| {
+        for (off, slot) in chunk.iter_mut().enumerate() {
+            *slot = (start + off) as f64;
+        }
+    });
+    assert!(out.iter().enumerate().all(|(i, &v)| v == i as f64), "the pool did not run the next scope");
 }
 
 /// Killing training between checkpoints and resuming must replay the
@@ -207,7 +247,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
 
-    fault::set_faults(Faults { seed: 23, nan_prob: 0.10, ..Faults::default() });
+    set_faults(Faults { seed: 23, nan_prob: 0.10 });
     let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
 
     // Uninterrupted reference: 60 steps.
@@ -254,7 +294,7 @@ fn kill_and_resume_is_bit_identical_under_faults() {
 #[test]
 fn mixed_precision_resume_reenters_checkpointed_policy() {
     let _scope = FaultScope::acquire();
-    fault::set_faults(Faults::default());
+    set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
@@ -323,7 +363,7 @@ fn mixed_precision_resume_reenters_checkpointed_policy() {
 #[test]
 fn retired_dist_payloads_resume_on_the_uninterrupted_bits() {
     let _scope = FaultScope::acquire();
-    fault::set_faults(Faults::default());
+    set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
@@ -391,7 +431,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
     let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(prev_of(&path));
 
-    fault::set_faults(Faults { seed: 29, nan_prob: 0.05, ..Faults::default() });
+    set_faults(Faults { seed: 29, nan_prob: 0.05 });
     let config = || SupervisorConfig::default().with_checkpoint(&path, 20);
 
     tyxe_prob::rng::set_seed(11);
@@ -443,7 +483,7 @@ fn corrupt_checkpoint_falls_back_and_still_replays_exactly() {
 #[test]
 fn predict_after_resume_redraws_from_the_restored_posterior() {
     let _scope = FaultScope::acquire();
-    fault::set_faults(Faults::default());
+    set_faults(Faults::default());
     let (n, hidden) = (32, 8);
     let (x, y) = toy_data(n);
     let data = vec![(x.clone(), y.clone())];
