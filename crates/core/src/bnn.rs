@@ -468,8 +468,8 @@ impl<M: Module, L: Likelihood, G: Guide> VariationalBnn<M, L, G> {
     /// every epoch and stops training early by returning `true`. Returns
     /// the per-epoch mean negative ELBO history. This is
     /// [`Supervisor::fit`] under a default, checkpoint-free supervisor: a
-    /// step with a non-finite loss or gradient, or an injected worker
-    /// panic, is rolled back and retried, then skipped.
+    /// step with a non-finite loss or gradient is rolled back and retried,
+    /// then skipped. A panic is not a fault: it unwinds out of the fit.
     pub fn fit<I>(
         &self,
         data: &[(I, Tensor)],

@@ -26,6 +26,16 @@
 //!   task of an outer scope) cannot deadlock — the blocked caller keeps
 //!   executing queued tasks while it waits.
 //!
+//! # Grain
+//!
+//! A scope pays a fork-join (queue, wake a worker, wait on the latch)
+//! whoever runs its tasks, so a kernel fans out only when each task's
+//! work exceeds that cost. [`chunk_len`] is the rule: its `min_chunk` is
+//! the per-task grain, and below two grains the buffer stays one chunk
+//! and runs inline. The grains are the callers' measured constants, one
+//! role each: `tyxe-tensor`'s `PAR_MIN_ELEMS` for its non-GEMM kernels and
+//! `PAR_MIN_MADDS` for every GEMM fan-out (DESIGN.md §7).
+//!
 //! # Determinism contract
 //!
 //! These primitives never decide *what* is computed, only *where*: work
@@ -528,20 +538,27 @@ where
     parallel_for_each(pairs.collect(), |idx, (pa, pb)| f(idx, pa, pb));
 }
 
-/// Picks a chunk length for a buffer of `len` elements: roughly
-/// `len / num_threads()`, rounded up to a multiple of `align` (so chunk
-/// boundaries respect row/sample boundaries) and at least `min_chunk`
-/// (so tiny workloads stay sequential rather than paying dispatch
-/// overhead).
+/// The grain rule: picks a chunk length for a buffer of `len` elements
+/// that opens `t = clamp(len / min_chunk, 1, num_threads())` balanced
+/// chunks, each a multiple of `align` (so chunk boundaries respect
+/// row/sample boundaries). `min_chunk` is the least work a task must get
+/// to pay for its fork-join; below two of them, `t` is 1 and the one
+/// chunk covers the buffer, so the scope runs inline on the caller.
+///
+/// A single length cannot split every buffer into exactly `t` chunks: the
+/// last chunk takes the remainder, and the count falls below `t` only
+/// when `len / align` is under `t·(t − 1)`.
 ///
 /// # Panics
 ///
 /// Panics if `align == 0`.
 pub fn chunk_len(len: usize, align: usize, min_chunk: usize) -> usize {
     assert!(align > 0, "chunk_len: align must be positive");
-    let per_thread = len.div_ceil(num_threads().max(1));
-    let aligned = per_thread.div_ceil(align) * align;
-    aligned.max(min_chunk.div_ceil(align) * align).max(align)
+    let tasks = (len / min_chunk.max(1)).clamp(1, num_threads().max(1));
+    if tasks == 1 {
+        return len.max(min_chunk).div_ceil(align).max(1) * align;
+    }
+    len.div_ceil(align).div_ceil(tasks) * align
 }
 
 #[cfg(test)]
@@ -771,6 +788,40 @@ mod tests {
             // A chunk is never zero even for empty buffers.
             assert!(chunk_len(0, 7, 0) >= 7);
         });
+    }
+
+    #[test]
+    fn chunk_len_opens_clamped_balanced_chunks() {
+        let lens = [0, 1, 5, 10, 63, 64, 65, 127, 128, 350, 1000, 4099, 1 << 16];
+        for threads in [1, 2, 4, 7] {
+            with_threads(threads, || {
+                for len in lens {
+                    for align in [1, 4, 8] {
+                        for min_chunk in [0, 1, 3, 16, 64, 176, 5000] {
+                            let what = format!("len {len} align {align} min {min_chunk} at {threads} threads");
+                            let t = (len / min_chunk.max(1)).clamp(1, threads);
+                            let chunk = chunk_len(len, align, min_chunk);
+                            let count = len.div_ceil(chunk).max(1);
+                            assert!(chunk > 0 && chunk.is_multiple_of(align), "{what}: chunk {chunk}");
+                            if t == 1 {
+                                assert_eq!(count, 1, "{what}: one inline chunk");
+                                continue;
+                            }
+                            // At most `t` chunks, exactly `t` once the buffer
+                            // holds `t·(t − 1)` aligned units.
+                            assert!(count <= t, "{what}: {count} chunks");
+                            if len.div_ceil(align) >= t * (t - 1) {
+                                assert_eq!(count, t, "{what}");
+                            }
+                            // Balanced: every chunk but the remainder is the
+                            // even share rounded up to `align`.
+                            assert!(chunk < len.div_ceil(t) + align, "{what}: chunk {chunk}");
+                            assert!(chunk >= min_chunk, "{what}: chunk {chunk} under the grain");
+                        }
+                    }
+                }
+            });
+        }
     }
 
     #[test]

@@ -62,10 +62,19 @@ use crate::pool;
 use tyxe_rand::isa::{isa, Isa};
 
 /// Work (in multiply-adds, `m·k·n`) below which the blocked path is not
-/// worth its packing and dispatch overhead; small products use the
-/// reference kernels directly. Both paths obey the same per-element
-/// recipe, so the cutoff never affects results.
+/// worth its packing overhead: its one role is choosing blocked vs
+/// reference kernels. Both paths obey the same per-element recipe, so the
+/// cutoff never affects results; whether a product fans out is
+/// [`PAR_MIN_MADDS`]'s business.
 const BLOCK_MIN_MADDS: usize = 32 * 32 * 32;
+
+/// The per-task grain of every GEMM fan-out, in multiply-adds: a product
+/// opens a pool scope (row or column split) or a [`join_products`] pair
+/// only when each task gets at least this much work. On a 2-vCPU host,
+/// `tab2_gcn_mf`'s 274k-madd products ran at 0.50–0.76× inline speed when
+/// split across 2 threads, 128³ at 0.81–1.25× (DESIGN.md §7). Scheduling
+/// only: results are identical either way.
+const PAR_MIN_MADDS: usize = 1 << 19;
 
 /// Column-block width in *elements*: `bp` holds `NC` packed columns
 /// (`k × NC` elements), sized to stay comfortably inside L2 for the `k`
@@ -501,16 +510,16 @@ def_narrow!(narrow_outer, narrow_outer_body, narrow_outer_fma,
 // along an axis that keeps every output element's whole madd chain on
 // one thread — rows for the dot/outer shapes, columns for axpy — so
 // thread count can never reorder a reduction, exactly like the blocked
-// driver's row partitioning. Products below the blocked path's work
-// cutoff stay inline; larger ones go through the pool (and emit the
-// same `tensor.gemm.block` per-chunk span, so traces keep showing where
-// GEMM work actually ran).
+// driver's row partitioning. Each task gets at least `PAR_MIN_MADDS`
+// of work, so smaller products stay inline; larger ones go through the
+// pool (and emit the same `tensor.gemm.block` per-chunk span, so traces
+// keep showing where GEMM work actually ran).
 
 fn narrow_dots_par(rows: &[f64], coeff: &[f64], c: &mut [f64], m: usize, k: usize, mode: Acc) {
-    if m * k < BLOCK_MIN_MADDS {
+    let chunk = tyxe_par::chunk_len(m, 4, PAR_MIN_MADDS.div_ceil(k));
+    if chunk >= m {
         return narrow_dots(rows, coeff, c, m, k, mode);
     }
-    let chunk = tyxe_par::chunk_len(m, 4, 4);
     tyxe_par::parallel_for_chunks(c, chunk, |start, c_chunk| {
         let _span = tyxe_obs::span!("tensor.gemm.block");
         let rows_here = c_chunk.len();
@@ -519,10 +528,10 @@ fn narrow_dots_par(rows: &[f64], coeff: &[f64], c: &mut [f64], m: usize, k: usiz
 }
 
 fn narrow_axpy_par(coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, k: usize) {
-    if l * k < BLOCK_MIN_MADDS {
+    let chunk = tyxe_par::chunk_len(l, 8, PAR_MIN_MADDS.div_ceil(k));
+    if chunk >= l {
         return narrow_axpy(coeff, rows, c, l, l, k);
     }
-    let chunk = tyxe_par::chunk_len(l, 8, 8);
     tyxe_par::parallel_for_chunks(c, chunk, |start, c_chunk| {
         let _span = tyxe_obs::span!("tensor.gemm.block");
         // Column window [start, start+len): offset the rows base, keep
@@ -532,10 +541,11 @@ fn narrow_axpy_par(coeff: &[f64], rows: &[f64], c: &mut [f64], l: usize, k: usiz
 }
 
 fn narrow_outer_par(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, mode: Acc) {
-    if m * n < BLOCK_MIN_MADDS {
+    let rows = tyxe_par::chunk_len(m, 1, PAR_MIN_MADDS.div_ceil(n));
+    if rows >= m {
         return narrow_outer(a, b, c, m, n, mode);
     }
-    let chunk = tyxe_par::chunk_len(m, 1, 1) * n;
+    let chunk = rows * n;
     tyxe_par::parallel_for_chunks(c, chunk, |start, c_chunk| {
         let _span = tyxe_obs::span!("tensor.gemm.block");
         let (i0, rows_here) = (start / n, c_chunk.len() / n);
@@ -895,7 +905,8 @@ fn gemm_blocked_driver<const MR: usize, const NR: usize>(
             }
         };
         if pooled {
-            tyxe_par::parallel_for_chunks(c, tyxe_par::chunk_len(m, MR, MR) * n, row_chunk);
+            let grain = PAR_MIN_MADDS.div_ceil(k.max(1) * ncb);
+            tyxe_par::parallel_for_chunks(c, tyxe_par::chunk_len(m, MR, grain) * n, row_chunk);
         } else {
             row_chunk(0, c);
         }
@@ -1075,10 +1086,10 @@ pub(crate) fn gemm_bt_ow_batched(
 /// Runs the two independent products of a matrix-product backward (`dX`
 /// and `dW`, each `madds = m·k·n` multiply-adds) on two pool threads via
 /// [`tyxe_par::join2`] — or inline, one after the other, below
-/// `BLOCK_MIN_MADDS`, where the pool's wake-up costs more than either
-/// product. Each product computes the same bits wherever it runs.
+/// [`PAR_MIN_MADDS`], where the fork-join costs more than it saves. Each
+/// product computes the same bits wherever it runs.
 pub(crate) fn join_products(madds: usize, a: impl FnOnce() + Send, b: impl FnOnce() + Send) {
-    if madds < BLOCK_MIN_MADDS {
+    if madds < PAR_MIN_MADDS {
         a();
         b();
     } else {
@@ -1188,8 +1199,8 @@ pub(crate) mod tests {
     /// Dense shapes on both sides of `BLOCK_MIN_MADDS` (32³ is the first
     /// blocked one), edge tiles and more than one `NC` column block.
     const DENSE: &[(usize, usize, usize)] = &[(2, 3, 5), (17, 33, 9), (31, 32, 33), (32, 32, 32), (40, 40, 40), (65, 47, 70), (9, 40, 300)];
-    /// `m`, `k` or `n` = 1, each inline and above the narrow kernels'
-    /// parallel cutoff.
+    /// `m`, `k` or `n` = 1, each under the GEMM grain, so inline at any
+    /// thread count.
     const NARROW: &[(usize, usize, usize)] = &[
         (1, 1, 1),
         (1, 7, 9),
@@ -1205,6 +1216,10 @@ pub(crate) mod tests {
         (5, 1, 1),
         (1, 1, 5),
     ];
+    /// Products that fan out at 4 threads, each task getting at least
+    /// `PAR_MIN_MADDS`: the blocked row split (the second, 44-column block
+    /// of the last shape inline), then the dot, axpy and outer narrow splits.
+    const POOLED: &[(usize, usize, usize)] = &[(128, 64, 128), (256, 32, 300), (2049, 512, 1), (1, 512, 2049), (2049, 1, 512)];
     /// Empty products: `k = 0` writes zeros, an empty `C` writes nothing.
     const EMPTY: &[(usize, usize, usize)] = &[(2, 0, 2), (40, 0, 40), (0, 5, 3), (3, 5, 0)];
 
@@ -1231,7 +1246,7 @@ pub(crate) mod tests {
         let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
         for threads in [1, 4] {
             at_threads(threads, || {
-                for (shapes, seed) in [(DENSE, 99), (NARROW, 100), (EMPTY, 101)] {
+                for (shapes, seed) in [(DENSE, 99), (NARROW, 100), (EMPTY, 101), (POOLED, 102)] {
                     sweep(&fns, shapes, seed);
                 }
             });
@@ -1245,6 +1260,25 @@ pub(crate) mod tests {
             assert!(narrow_dims(m, k, n), "test shape {m}x{k}x{n} must be narrow");
         }
         sweep(&dispatchers(), NARROW, 1234);
+    }
+
+    /// Below the GEMM grain a backward pair runs both products on the
+    /// caller, in order, at any thread count; at the grain it joins, and
+    /// both still run.
+    #[test]
+    fn join_products_stays_on_the_caller_below_the_grain() {
+        let _lock = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+        let caller = std::thread::current().id();
+        for (madds, joined) in [(PAR_MIN_MADDS - 1, false), (PAR_MIN_MADDS, true)] {
+            let ran = Mutex::new(Vec::new());
+            let record = |which| ran.lock().unwrap().push((which, std::thread::current().id()));
+            at_threads(4, || join_products(madds, || record('a'), || record('b')));
+            let ran = ran.into_inner().unwrap();
+            assert_eq!(ran.len(), 2, "{madds} madds: both products run");
+            if !joined {
+                assert_eq!(ran, [('a', caller), ('b', caller)], "{madds} madds: inline, in order");
+            }
+        }
     }
 
     /// Every product underflows: under FMA each dot is `-0.0`. `gemm_ow`

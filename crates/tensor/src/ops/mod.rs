@@ -19,8 +19,10 @@ pub(crate) mod unary;
 
 pub use fused::{Activation, ScaleMap};
 
-/// Element count below which data-parallel kernels skip pool dispatch:
-/// passed to [`tyxe_par::chunk_len`] as the minimum chunk, it keeps small
-/// tensors on the calling thread (the chunk then covers the whole
-/// buffer). Purely a scheduling knob — results are identical either way.
+/// The per-task grain, in elements, of the data-parallel kernels other
+/// than GEMM (maps, reductions, transposes, batch norm): passed to
+/// [`tyxe_par::chunk_len`] as the minimum chunk, so a kernel fans out
+/// only when each task gets at least this many elements and a smaller
+/// tensor stays on the calling thread. Its one role is that schedule (GEMMs use
+/// `gemm_kernels`' `PAR_MIN_MADDS`); results are identical either way.
 pub(crate) const PAR_MIN_ELEMS: usize = 32 * 1024;

@@ -218,9 +218,12 @@ fn conv_and_matmul_training_pass_is_bit_identical_across_thread_counts() {
 // ---- the tanh MLP pass: fused `linear`(tanh) → `matmul` → `tanh`, plus a
 // `tanh` long enough to run on pool chunks ----
 
-/// `BLOCK_MIN_MADDS` (`ops::gemm_kernels`): the blocked-GEMM cutoff, and
-/// the size below which a backward runs its two products inline.
+/// `BLOCK_MIN_MADDS` (`ops::gemm_kernels`): the blocked-GEMM cutoff.
 const BLOCK_MIN_MADDS: usize = 32 * 32 * 32;
+/// `PAR_MIN_MADDS` (`ops::gemm_kernels`): the per-task grain of every GEMM
+/// fan-out. A backward runs its two products inline below it, and a
+/// product splits its rows only into tasks of at least this much work.
+const PAR_MIN_MADDS: usize = 1 << 19;
 /// Above `PAR_MIN_ELEMS` (32 Ki elements) an elementwise op splits
 /// across the pool; an odd length leaves a short last chunk.
 const LONG_TANH: usize = 3 * 32 * 1024 + 5;
@@ -295,29 +298,42 @@ fn tanh_mlp_oracle(seed: u64, (m, k, n, p): (usize, usize, usize, usize)) -> Vec
     [h, y, z, t, dx, dw, db, da, du].iter().map(|v| bits(v)).collect()
 }
 
+/// [`tanh_mlp_pass`] at 1 and 4 threads, bitwise against each other and
+/// against [`tanh_mlp_oracle`].
+fn check_tanh_mlp(dims: (usize, usize, usize, usize)) {
+    const NAMES: [&str; 10] = ["h", "y", "z", "t", "loss", "dx", "dw", "db", "da", "du"];
+    let prev = tyxe_par::num_threads();
+    tyxe_par::set_num_threads(1);
+    let seq = tanh_mlp_pass(11, dims);
+    tyxe_par::set_num_threads(4);
+    let par = tanh_mlp_pass(11, dims);
+    tyxe_par::set_num_threads(prev);
+    for (i, name) in NAMES.iter().enumerate() {
+        assert!(seq[i] == par[i], "{name} at {dims:?}: 1 and 4 threads differ bitwise");
+    }
+    let oracle = tanh_mlp_oracle(11, dims);
+    let without_loss = NAMES.iter().zip(&seq).filter(|(name, _)| **name != "loss");
+    for ((name, got), want) in without_loss.zip(&oracle) {
+        let bad = got.iter().zip(want).filter(|(g, w)| g != w).count();
+        assert_eq!(bad, 0, "{name} at {dims:?}: {bad} of {} differ from the per-element oracle", got.len());
+    }
+}
+
 #[test]
 fn tanh_mlp_pass_is_bit_identical_across_threads_the_cutoff_and_the_oracle() {
-    const NAMES: [&str; 10] = ["h", "y", "z", "t", "loss", "dx", "dw", "db", "da", "du"];
     let _g = THREAD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = tyxe_par::num_threads();
     // Every product (x·wᵀ, h·a and their backward pairs) is m·n·k or
     // m·n·p madds: 32 736 just below the cutoff, 32 768 at it.
     for dims in [(31, 32, 33, 32), (32, 32, 32, 32)] {
         let (m, k, n, _) = dims;
         assert!(m * k * n + 32 >= BLOCK_MIN_MADDS && m * k * n <= BLOCK_MIN_MADDS);
-        tyxe_par::set_num_threads(1);
-        let seq = tanh_mlp_pass(11, dims);
-        tyxe_par::set_num_threads(4);
-        let par = tanh_mlp_pass(11, dims);
-        tyxe_par::set_num_threads(prev);
-        for (i, name) in NAMES.iter().enumerate() {
-            assert!(seq[i] == par[i], "{name} at {dims:?}: 1 and 4 threads differ bitwise");
-        }
-        let oracle = tanh_mlp_oracle(11, dims);
-        let without_loss = NAMES.iter().zip(&seq).filter(|(name, _)| **name != "loss");
-        for ((name, got), want) in without_loss.zip(&oracle) {
-            let bad = got.iter().zip(want).filter(|(g, w)| g != w).count();
-            assert_eq!(bad, 0, "{name} at {dims:?}: {bad} of {} differ from the per-element oracle", got.len());
-        }
+        check_tanh_mlp(dims);
     }
+    // Across the grain: h·a and its backward pair (507 904 madds) stay on
+    // the caller, while x·wᵀ and its pair (2·PAR_MIN_MADDS) split their
+    // rows in two and join.
+    let dims = (128, 64, 128, 31);
+    let (m, k, n, p) = dims;
+    assert!(m * n * p < PAR_MIN_MADDS && m * k * n == 2 * PAR_MIN_MADDS);
+    check_tanh_mlp(dims);
 }

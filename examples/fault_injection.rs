@@ -84,7 +84,10 @@ fn main() {
 
     tyxe_prob::rng::set_seed(5);
     let mut rng = StdRng::seed_from_u64(5);
-    let net = tyxe_nn::layers::mlp(&[1, hidden, 1], false, &mut rng);
+    // The hidden-to-hidden product (n·hidden·hidden = 4 Mi madds, and so
+    // each of its backward pair) is above two GEMM grains, so a traced
+    // run shows kernel spans on more than one pool thread.
+    let net = tyxe_nn::layers::mlp(&[1, hidden, hidden, 1], false, &mut rng);
     let bnn = VariationalBnn::new(
         net,
         &IIDPrior::standard_normal(),
