@@ -170,7 +170,7 @@ impl<M: Module> BayesianModule<M> {
     }
 }
 
-/// Shared by every front-end's `evaluate`: the paper's per-sample
+/// Shared by both front-ends' `evaluate`: the paper's per-sample
 /// predictive log likelihood (`log (1/S) Σ_s p(y | θ_s)`, averaged over
 /// data points) plus the likelihood-specific error on the aggregated
 /// predictive. Grad-free — nothing here is ever differentiated.
@@ -197,7 +197,7 @@ pub(crate) fn add_missing_params(optim: &mut dyn Optimizer, params: Vec<Tensor>)
     }
 }
 
-/// The one predictive loop every weight-sampling front-end shares: one
+/// The one predictive loop both front-ends share: one
 /// grad-free forward per weight draw, with the draw's tensors
 /// injected as they are into the parameter slots (no poutine walk, no
 /// tape, no copy), handed to `sink` in ascending sample order.

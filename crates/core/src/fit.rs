@@ -84,46 +84,6 @@ pub enum FitEvent {
     Resumed { step: u64, from_previous: bool },
 }
 
-/// Wall-clock statistics over supervised steps (full step latency:
-/// every attempt, rollback and checkpoint write included). Always
-/// measured — two `Instant` reads per step cost nothing next to a
-/// forward/backward pass and never touch numerics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StepTiming {
-    /// Steps timed.
-    pub count: u64,
-    /// Total wall time, ns.
-    pub total_ns: u64,
-    /// Fastest step, ns.
-    pub min_ns: u64,
-    /// Slowest step, ns.
-    pub max_ns: u64,
-}
-
-impl StepTiming {
-    fn record(&mut self, ns: u64) {
-        self.min_ns = if self.count == 0 { ns } else { self.min_ns.min(ns) };
-        self.max_ns = self.max_ns.max(ns);
-        self.total_ns += ns;
-        self.count += 1;
-    }
-
-    /// Mean step wall time in ns (0 before any step).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// Renders a nanosecond quantity with a human-readable unit.
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=999 => format!("{ns}ns"),
-        1_000..=999_999 => format!("{:.1}us", ns as f64 / 1e3),
-        1_000_000..=999_999_999 => format!("{:.1}ms", ns as f64 / 1e6),
-        _ => format!("{:.2}s", ns as f64 / 1e9),
-    }
-}
-
 /// Structured account of a supervised training run.
 #[derive(Debug, Clone, Default)]
 pub struct FitReport {
@@ -144,8 +104,6 @@ pub struct FitReport {
     pub checkpoint_failed: u64,
     /// Successful resumes from a checkpoint.
     pub resumed: u64,
-    /// Wall-clock statistics over the supervised steps.
-    pub timing: StepTiming,
     /// Event log in occurrence order (capped; counters above stay exact).
     pub events: Vec<FitEvent>,
 }
@@ -165,20 +123,12 @@ impl FitReport {
         self.retried + self.nan_skipped
     }
 
-    /// Multi-line timing + recovery summary for log output. The
-    /// per-line `label: value` layout (notably `faults recovered:`) is
-    /// parsed by `scripts/verify.sh`; keep it stable.
+    /// Multi-line recovery summary for log output. The per-line
+    /// `label: value` layout (notably `faults recovered:`) is parsed by
+    /// `scripts/verify.sh`; keep it stable.
     pub fn summary(&self) -> String {
-        let t = &self.timing;
         let mut s = String::new();
         s.push_str(&format!("steps completed:         {}\n", self.steps_completed));
-        s.push_str(&format!(
-            "step time:               total {}  mean {}  min {}  max {}\n",
-            fmt_ns(t.total_ns),
-            fmt_ns(t.mean_ns()),
-            fmt_ns(t.min_ns),
-            fmt_ns(t.max_ns),
-        ));
         s.push_str(&format!("faults recovered:        {}\n", self.total_faults()));
         s.push_str(&format!("  retried:               {}\n", self.retried));
         s.push_str(&format!("  nan-skipped steps:     {}\n", self.nan_skipped));
@@ -435,10 +385,8 @@ impl Supervisor {
         optim: &mut dyn Optimizer,
         forward_backward: &mut dyn FnMut(&mut dyn Optimizer) -> f64,
     ) -> f64 {
-        let t0 = std::time::Instant::now();
         let _span = tyxe_obs::span!("core.supervisor.step");
         let loss = self.step_inner(optim, forward_backward);
-        self.report.timing.record(t0.elapsed().as_nanos() as u64);
         obs_count("core.supervisor.steps");
         loss
     }

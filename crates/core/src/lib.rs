@@ -53,7 +53,6 @@ pub mod fit;
 pub mod guides;
 pub mod guides_ktied;
 pub mod likelihoods;
-pub mod mc_dropout;
 pub mod poutine;
 mod predictive;
 pub mod priors;
@@ -68,7 +67,6 @@ pub mod prelude {
     pub use crate::bnn::{Evaluation, McmcBnn, PytorchBnn, VariationalBnn};
     pub use crate::guides::{AutoDelta, AutoLowRankNormal, AutoNormal, Guide, InitLoc};
     pub use crate::guides_ktied::AutoKTiedNormal;
-    pub use crate::mc_dropout::McDropout;
     pub use crate::likelihoods::{
         Bernoulli, Categorical, HeteroskedasticGaussian, HomoskedasticGaussian, Likelihood,
         Poisson,

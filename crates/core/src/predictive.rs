@@ -1,7 +1,6 @@
 //! Shared machinery behind `predict`/`predict_samples`/`evaluate`
-//! (DESIGN.md §15) for every predictive front-end
-//! ([`crate::VariationalBnn`], [`crate::McmcBnn`],
-//! [`crate::mc_dropout::McDropout`]):
+//! (DESIGN.md §15) for both predictive front-ends
+//! ([`crate::VariationalBnn`], [`crate::McmcBnn`]):
 //!
 //! 1. **Grad-free forwards** — every predictive forward runs inside
 //!    [`tyxe_tensor::inference::inference_mode`], so no autodiff tape is

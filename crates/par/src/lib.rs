@@ -70,7 +70,7 @@ mod probe {
 
     use tyxe_obs::metrics::Counter;
 
-    /// Parallel scopes dispatched to the pool.
+    /// Forks dispatched to the pool: `run_scoped` scopes and `join2` pairs.
     pub fn scopes() -> &'static Counter {
         static C: OnceLock<Counter> = OnceLock::new();
         C.get_or_init(|| tyxe_obs::metrics::counter("par.pool.scopes"))
@@ -409,6 +409,11 @@ where
     }
     let pool = pool();
     pool.ensure_workers(num_threads() - 1);
+    let probed = tyxe_obs::enabled();
+    if probed {
+        probe::scopes().inc();
+        probe::tasks_queued().inc();
+    }
     let mut rb: Option<RB> = None;
     let latch = Arc::new(Latch::new(1));
     {
@@ -425,11 +430,18 @@ where
         }));
     }
     let ra = catch_unwind(AssertUnwindSafe(fa));
+    let mut assisted = 0u64;
     while !latch.done() {
         match pool.try_pop() {
-            Some(job) => job.run(),
+            Some(job) => {
+                job.run();
+                assisted += 1;
+            }
             None => break,
         }
+    }
+    if assisted > 0 && probed {
+        probe::drain_assists().add(assisted);
     }
     latch.wait();
     let ra = match ra {

@@ -3,12 +3,39 @@
 //! and the pool's own counters must account for every task.
 //!
 //! Own integration binary (own process) so forcing the thread count
-//! and toggling `tyxe_obs::set_enabled` cannot race other suites.
+//! and toggling `tyxe_obs::set_enabled` cannot race other suites; the
+//! tests here take [`SERIAL`] so they cannot race each other either.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn counter(name: &str) -> u64 {
+    tyxe_obs::metrics::counter(name).get()
+}
+
+/// Tasks run by the three workers of a 4-thread pool.
+fn worker_tasks() -> u64 {
+    (0..3)
+        .map(|w| {
+            tyxe_obs::metrics::counter_tagged(
+                "par.worker.tasks",
+                &[("worker", &w.to_string())],
+                "count",
+            )
+            .get()
+        })
+        .sum()
+}
 
 #[test]
 fn pool_spans_merge_without_loss_and_counters_balance() {
+    let _serial = serial();
     tyxe_par::set_num_threads(4);
     tyxe_obs::set_enabled(true);
     tyxe_obs::trace::clear();
@@ -16,8 +43,10 @@ fn pool_spans_merge_without_loss_and_counters_balance() {
     const SCOPES: usize = 50;
     const TASKS_PER_SCOPE: usize = 16;
 
-    let scopes0 = tyxe_obs::metrics::counter("par.pool.scopes").get();
-    let queued0 = tyxe_obs::metrics::counter("par.pool.tasks_queued").get();
+    let scopes0 = counter("par.pool.scopes");
+    let queued0 = counter("par.pool.tasks_queued");
+    let drained0 = counter("par.pool.drain_assists");
+    let worker_ran0 = worker_tasks();
 
     let ran = AtomicUsize::new(0);
     for s in 0..SCOPES {
@@ -57,28 +86,44 @@ fn pool_spans_merge_without_loss_and_counters_balance() {
     assert_eq!(spans.iter().filter(|s| s.name == "par.scope").count(), SCOPES);
 
     // Pool accounting: every scope and every queued task counted.
-    let scopes = tyxe_obs::metrics::counter("par.pool.scopes").get() - scopes0;
-    let queued = tyxe_obs::metrics::counter("par.pool.tasks_queued").get() - queued0;
+    let scopes = counter("par.pool.scopes") - scopes0;
+    let queued = counter("par.pool.tasks_queued") - queued0;
     assert_eq!(scopes, SCOPES as u64);
     assert_eq!(queued, (SCOPES * TASKS_PER_SCOPE) as u64);
 
     // Every queued task ran either on a worker (tagged `par.worker.tasks`
     // counters / `par.task` spans) or via the caller's drain assist.
-    let drained = tyxe_obs::metrics::counter("par.pool.drain_assists").get();
-    let worker_ran: u64 = (0..3)
-        .map(|w| {
-            tyxe_obs::metrics::counter_tagged(
-                "par.worker.tasks",
-                &[("worker", &w.to_string())],
-                "count",
-            )
-            .get()
-        })
-        .sum();
+    let drained = counter("par.pool.drain_assists") - drained0;
+    let worker_ran = worker_tasks() - worker_ran0;
     assert_eq!(drained + worker_ran, queued, "drain-assist + worker tasks must cover the queue");
     assert_eq!(
         spans.iter().filter(|s| s.name == "par.task").count() as u64,
         worker_ran,
         "one par.task span per worker-executed job"
     );
+}
+
+/// A `join2` fork is one scope of one queued task, run either by a
+/// worker or by the caller's drain assist; at one thread it runs inline
+/// and touches no pool counter.
+#[test]
+fn join2_counts_one_scope_and_one_queued_task() {
+    let _serial = serial();
+    tyxe_obs::set_enabled(true);
+    for (threads, forks) in [(4, 1), (1, 0)] {
+        tyxe_par::set_num_threads(threads);
+        let scopes0 = counter("par.pool.scopes");
+        let queued0 = counter("par.pool.tasks_queued");
+        let drained0 = counter("par.pool.drain_assists");
+        let worker_ran0 = worker_tasks();
+
+        let (a, b) = tyxe_par::join2(|| 2 + 2, || 3 * 3);
+        assert_eq!((a, b), (4, 9));
+
+        assert_eq!(counter("par.pool.scopes") - scopes0, forks, "{threads} threads");
+        assert_eq!(counter("par.pool.tasks_queued") - queued0, forks, "{threads} threads");
+        let ran = counter("par.pool.drain_assists") - drained0 + worker_tasks() - worker_ran0;
+        assert_eq!(ran, forks, "{threads} threads: the forked task ran once");
+    }
+    tyxe_obs::set_enabled(false);
 }

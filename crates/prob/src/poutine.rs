@@ -72,15 +72,6 @@ pub trait Messenger {
     ) -> Option<Tensor> {
         None
     }
-
-    /// Intercepts a training-mode dropout application with drop
-    /// probability `p`. Return `Some` to replace the default
-    /// per-element-mask behaviour (e.g. to share one mask across a batch
-    /// for Monte Carlo dropout visualization, as the paper's Appendix D
-    /// suggests).
-    fn intercept_dropout(&self, _x: &Tensor, _p: f64) -> Option<Tensor> {
-        None
-    }
 }
 
 /// The installed handlers, outermost first, each with the serial its
@@ -436,25 +427,6 @@ pub mod effectful {
         }
         x.conv2d(w, b, stride, pad)
     }
-
-    /// Training-mode inverted dropout with handler interception. The
-    /// default samples an independent keep/scale mask per element.
-    pub fn dropout(x: &Tensor, p: f64) -> Tensor {
-        let stack = snapshot_stack();
-        for h in stack.iter().rev() {
-            if let Some(out) = h.intercept_dropout(x, p) {
-                return out;
-            }
-        }
-        let keep = 1.0 - p;
-        let u = crate::rng::rand_uniform(x.shape(), 0.0, 1.0);
-        let mask: Vec<f64> = u
-            .data()
-            .iter()
-            .map(|&ui| if ui < keep { 1.0 / keep } else { 0.0 })
-            .collect();
-        x.mul(&Tensor::from_vec(mask, x.shape()))
-    }
 }
 
 #[cfg(test)]
@@ -580,30 +552,6 @@ mod tests {
         // new install: its serial has never been handed out before.
         let _again = install(Rc::new(ScaleMessenger { factor: 2.0 }));
         assert_ne!(stack_signature(), under_outer);
-    }
-
-    #[test]
-    fn effectful_dropout_default_preserves_expectation() {
-        crate::rng::set_seed(10);
-        let x = Tensor::ones(&[20000]);
-        let y = effectful::dropout(&x, 0.25);
-        let m = y.mean().item();
-        assert!((m - 1.0).abs() < 0.03, "mean {m}");
-        // Survivors are scaled by 1/keep.
-        assert!(y.to_vec().iter().all(|&v| v == 0.0 || (v - 4.0 / 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn effectful_dropout_intercepted() {
-        struct Keep;
-        impl Messenger for Keep {
-            fn intercept_dropout(&self, x: &Tensor, _p: f64) -> Option<Tensor> {
-                Some(x.clone())
-            }
-        }
-        let _g = install(Rc::new(Keep));
-        let x = Tensor::ones(&[8]);
-        assert_eq!(effectful::dropout(&x, 0.9).to_vec(), vec![1.0; 8]);
     }
 
     #[test]

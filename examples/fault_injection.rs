@@ -26,7 +26,7 @@
 //! variables unset this is just a plain supervised fit that reports zero
 //! faults.
 
-use tyxe::fit::{faults, set_faults, Faults, Supervisor, SupervisorConfig};
+use tyxe::fit::{faults, Supervisor, SupervisorConfig};
 use tyxe::guides::AutoNormal;
 use tyxe::likelihoods::HomoskedasticGaussian;
 use tyxe::priors::IIDPrior;
@@ -110,9 +110,6 @@ fn main() {
     println!("first loss: {:.4}  last loss: {:.4}", losses[0], losses[losses.len() - 1]);
     println!("{}", report.summary());
 
-    // Recovery only wraps supervised training; disarm injection before the
-    // (unsupervised) evaluation pass.
-    set_faults(Faults::default());
     let eval = bnn.evaluate(&x, &y, 8);
     println!("final fit error:         {:.4}", eval.error);
 

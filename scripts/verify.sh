@@ -41,7 +41,6 @@ echo "verify: every public function, constant, type and trait method has a non-t
 reach_allow='
 crates/core/src/bnn.rs:with_estimator  TyXe fit(closed_form_kl=False): the pathwise Trace ELBO in place of the closed-form-KL default
 crates/core/src/vcl.rs:bayesian_sample_sites  tyxe.util.pyro_sample_sites: the site names Sec. 5 (VCL) walks
-crates/core/src/mc_dropout.rs:fixed_dropout  Sec. D: MC dropout with one mask fixed across the batch and passes, as a handler
 crates/core/src/priors.rs:hide_all  TyXe Prior(hide_all=True): the prior filter kwarg that starts from nothing exposed
 crates/core/src/priors.rs:expose_module_types  TyXe Prior(expose_module_types=[...]): the prior filter kwarg by module type
 crates/core/src/priors.rs:expose_attributes  TyXe Prior(expose_attributes=[...]): the prior filter kwarg by parameter attribute
@@ -274,12 +273,13 @@ fi
 
 # Formatting, scoped: the tree as a whole is not rustfmt-clean, so the
 # check covers the files that are — the CPU check, the SIMD kernels (the
-# normal fill, f64 tanh) with the normal fill's oracle test, and the RNG
-# golden test. A file joins the list once it is clean.
+# normal fill, f64 tanh) with the normal fill's oracle test, the RNG
+# golden test and the dropout layer. A file joins the list once it is clean.
 echo "verify: rustfmt on the fmt-clean files"
 rustfmt --check --edition 2021 \
     crates/rand/src/isa.rs crates/rand/src/fill.rs crates/tensor/src/ops/tanh_kernel.rs \
-    crates/tensor/tests/f64_box_muller.rs crates/rand/tests/golden.rs
+    crates/tensor/tests/f64_box_muller.rs crates/rand/tests/golden.rs \
+    crates/nn/src/layers/dropout.rs
 
 # Belt and braces: fail if any crate manifest regrew an external
 # registry dependency (path-only deps are the policy).
@@ -306,7 +306,8 @@ fi
 # Gamma/Beta/Student-t family, the second SVI driver (`svi::Svi`), the
 # uncalled `Tensor` methods, the unreached `AvgPool2d`/`LayerNorm` layers
 # (`extra.rs`), `Tensor::cholesky`, `LogNormal` or `Dropout`'s own mask
-# freeze (the `fixed_dropout` handler is the one) or the per-element
+# freeze, the MC-dropout front-end with its fixed-mask handler and the
+# messengers' dropout hook (`Dropout` draws its own mask), or the per-element
 # `Element::tanh_e` (the slice recipe `tanh_slice` is the one tanh
 # definition), the second fit loop beside `Supervisor::fit` with the
 # loss-spike rule and its gradient-clip fallback, or the write-only dist
@@ -340,9 +341,9 @@ fi
 # the supervisor's payload map), or the injected pool panic and its
 # recovery (the panic knob and payload, the pool's scope claim, the
 # worker-panic cause and count, the process-wide fault counters, the fault
-# module of the pool crate and the separate backoff event), grow back. The
-# filter drops this guard's own line.
-if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus|fn (in_features|out_features|running_mean|running_var|feature_dim|cov_factor|cov_diag|estimator|train_scale|from_probs|obs_trace|with_options)\b|fn bias\(&self\) -> (Option<)?&Param|fn (rate|logits)\(&self\) -> &Tensor|fn p\(&self\) -> f64|fn layer\(&self, i: usize\)|fn names\(&self\) -> &\[String\]|fn strides\(&self\)|fn uniform\(lo: f64, hi: f64\)|struct Uniform\b|mod uniform\b|Distribution<T> for &D\b|fn (block|mask)<R>|BlockMessenger|\bMaskMessenger|fn blocks\(&self, _?name: &str\)|^[[:space:]]*(Sigmoid|Softplus),$|\b(Sigmoid|Softplus)::new\b|weight_decay|fn unflatten\(&self, flat: &\[f64\], requires_grad|set_payload|LIVE_PAYLOAD_KEYS|PAYLOAD_PRECISION|PAYLOAD_PREFIX|fn payload\(|TYXE_FAULT_PANIC_PROB|INJECTED_PANIC_PAYLOAD|WorkerPanic|claim_scope|inject_panic|worker_panics_recovered|injected_panics_counter|fault_fired_counter|tyxe_par::fault|BackedOff" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
+# module of the pool crate and the separate backoff event), or the fit
+# report's step timer, grow back. The filter drops this guard's own line.
+if grep -rnE "TYXE_PREDICT|fwd_record|ForwardPlan|predict_samples_legacy|set_predict_refresh|sequential_scope|TYXE_POOL|TYXE_PLAN|pool::set_enabled|plan::set_enabled|bench_with_pool_stats|tyxe_bench::harness|criterion_group|TYXE_BENCH_|claim_session|spike_factor|lr_backoff|RnnCell|GruCell|FLIGHT_RING_CAP|FLIGHT_MIN_SPAN_NS|flush_if_stale|TYXE_DIST_FLIGHT_DIR|ENV_FLIGHT_DIR|extend_dedup_by_span_id|flight::configure|write_spans_jsonl|struct (Gamma|Beta|StudentT)\b|mod gamma|struct Svi\b|fn (arange|ones_like|zeros_dtype|grad_tensor|erf)\(|struct (AvgPool2d|LayerNorm|LogNormal)\b|mod extra\b|fn (cholesky|freeze_mask|unfreeze_mask)\(|fn tanh_e\(|fit_supervised|fn is_spike|SPIKE_FACTOR|SPIKE_WINDOW|MIN_WINDOW|GRAD_CLIP|LossSpike|GradClipped|fn clip_grad_norm|PAYLOAD_SHARD_CURSOR|PAYLOAD_LIVE_RANKS|dist\.shard_cursor|dist\.live_ranks|heartbeat_interval_ms|heartbeat_timeout_ms|fn (tanh_base|ln_base|sin_cos_base)\b|ln_factorial|std_normal_cdf|erf_scalar|fn (var|std|var_axis|cumsum|outer|tril|triu|topk_indices|min_axis|max_value|min_value|logsumexp_axis|max_axis)\(|fn max_axis_t\b|brier_score|auprc|mod stats|madd_runtime_f32|fn (image_shape|obs_scale)\(|pub fn reset\(|tyxe_dist|tyxe-dist|fit_distributed|SviShardCompute|DistConfig|SpawnMode|TYXE_DIST_|TYXE_FAULT_KILL|enter_remote_child|FlightDump|merged_chrome_trace|run_epochs|fn (normal_init|same_slot|is_training|neighbors|jump|dropped_events_jsonl|spans_from_jsonl|epoch_unix_ns|with_jitter|predict_fixed_mask|latent_log_prob_sum|put_bytes|get_bytes|records_from_jsonl)\b|fn (site_prior|num_scale_parameters|from_factory|from_method|dict_normal_prior|with_decay|current_step_size|has_rsample|num_parameters|shuffle|to_bits_u64|gauge|permute)\b|struct (Sgd|StepRng)\b|mod mock\b|fn parse\(name: &str\) -> Result<VarianceScheme|RawData|fn raw_data\b|fn from_raw\(|conv2d_act|Activation::Sigmoid|ScaleMap::Softplus|fn (in_features|out_features|running_mean|running_var|feature_dim|cov_factor|cov_diag|estimator|train_scale|from_probs|obs_trace|with_options)\b|fn bias\(&self\) -> (Option<)?&Param|fn (rate|logits)\(&self\) -> &Tensor|fn p\(&self\) -> f64|fn layer\(&self, i: usize\)|fn names\(&self\) -> &\[String\]|fn strides\(&self\)|fn uniform\(lo: f64, hi: f64\)|struct Uniform\b|mod uniform\b|Distribution<T> for &D\b|fn (block|mask)<R>|BlockMessenger|\bMaskMessenger|fn blocks\(&self, _?name: &str\)|^[[:space:]]*(Sigmoid|Softplus),$|\b(Sigmoid|Softplus)::new\b|weight_decay|fn unflatten\(&self, flat: &\[f64\], requires_grad|set_payload|LIVE_PAYLOAD_KEYS|PAYLOAD_PRECISION|PAYLOAD_PREFIX|fn payload\(|TYXE_FAULT_PANIC_PROB|INJECTED_PANIC_PAYLOAD|WorkerPanic|claim_scope|inject_panic|worker_panics_recovered|injected_panics_counter|fault_fired_counter|tyxe_par::fault|BackedOff|McDropout|FixedDropoutMessenger|fn fixed_dropout|intercept_dropout|StepTiming" crates tests examples scripts | grep -v "^scripts/verify.sh:.*grep -rnE"; then
     echo "verify: a deleted layer, option, harness or hook reappeared" >&2
     exit 1
 fi

@@ -719,38 +719,6 @@ fn mcmc_predictions_match_per_draw_condition_reference() {
     tyxe_par::set_num_threads(prev_threads);
 }
 
-/// And for `McDropout`: `predict_samples` equals plain training-mode
-/// forwards, detached, in sequence from the same RNG state.
-#[test]
-fn mc_dropout_predictions_match_training_mode_forwards() {
-    use tyxe::likelihoods::Categorical;
-    use tyxe::mc_dropout::McDropout;
-    use tyxe_nn::layers::{Dropout, Linear, Relu, Sequential};
-    use tyxe_nn::{Forward, Module};
-
-    let prev_threads = tyxe_par::num_threads();
-    let mut rng = StdRng::seed_from_u64(83);
-    let net = Sequential::new()
-        .add(Linear::new(4, 16, &mut rng))
-        .add(Relu::new())
-        .add(Dropout::new(0.5))
-        .add(Linear::new(16, 3, &mut rng));
-    let mc = McDropout::new(net, Categorical::new(10));
-    let x = tyxe_tensor::Tensor::ones(&[5, 4]);
-    for threads in [1usize, 4] {
-        tyxe_par::set_num_threads(threads);
-        tyxe_prob::rng::set_seed(83);
-        mc.net().set_training(true);
-        let reference: Vec<_> = (0..6).map(|_| mc.net().forward(&x).detach()).collect();
-        mc.net().set_training(false);
-        tyxe_prob::rng::set_seed(83);
-        let library = mc.predict_samples(&x, 6);
-        assert_ne!(sample_bits(&library[..1]), sample_bits(&library[1..2]), "masks must differ");
-        assert_eq!(sample_bits(&reference), sample_bits(&library), "{threads} threads");
-    }
-    tyxe_par::set_num_threads(prev_threads);
-}
-
 /// The streaming aggregation half of the contract: for likelihoods with
 /// a [`tyxe::likelihoods::PredictiveFold`] (Categorical, Bernoulli and
 /// Poisson), `predict` folds samples one at a time instead of
