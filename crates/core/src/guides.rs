@@ -560,8 +560,6 @@ mod tests {
     /// from the RNG once per site in site order.
     #[test]
     fn init_strategies_match_oracle_bitwise() {
-        use crate::guides_ktied::AutoKTiedNormal;
-
         let shapes: [&[usize]; 2] = [&[3, 2], &[2]];
         let values = [vec![1.0, -2.0, 3.0, -4.0, 5.0, -6.0], vec![7.0, -8.0]];
         let sites: Vec<BnnSite> = ["net.w", "net.b"]
@@ -593,10 +591,9 @@ mod tests {
         ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for (strategy, expected) in cases {
-            let guides: [(&str, Box<dyn Guide>); 3] = [
+            let guides: [(&str, Box<dyn Guide>); 2] = [
                 ("AutoNormal", Box::new(AutoNormal::new().init_loc(strategy))),
                 ("AutoDelta", Box::new(AutoDelta::new().init_loc(strategy))),
-                ("AutoKTiedNormal", Box::new(AutoKTiedNormal::new(2, 0.1).init_loc(strategy))),
             ];
             for (label, mut guide) in guides {
                 rng::set_seed(11);

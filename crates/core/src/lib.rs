@@ -16,7 +16,7 @@
 //!   [`guides::AutoDelta`] (MAP/ML);
 //! * **likelihood** — [`likelihoods::Categorical`],
 //!   [`likelihoods::Bernoulli`], [`likelihoods::HomoskedasticGaussian`],
-//!   [`likelihoods::HeteroskedasticGaussian`], [`likelihoods::Poisson`].
+//!   [`likelihoods::HeteroskedasticGaussian`].
 //!
 //! Inference is variational ([`VariationalBnn`]) or MCMC ([`McmcBnn`] with
 //! HMC/NUTS); [`PytorchBnn`] is the likelihood-free drop-in wrapper for
@@ -51,7 +51,6 @@
 pub mod bnn;
 pub mod fit;
 pub mod guides;
-pub mod guides_ktied;
 pub mod likelihoods;
 pub mod poutine;
 mod predictive;
@@ -66,10 +65,8 @@ pub use fit::{FitEvent, FitReport, Supervisor, SupervisorConfig};
 pub mod prelude {
     pub use crate::bnn::{Evaluation, McmcBnn, PytorchBnn, VariationalBnn};
     pub use crate::guides::{AutoDelta, AutoLowRankNormal, AutoNormal, Guide, InitLoc};
-    pub use crate::guides_ktied::AutoKTiedNormal;
     pub use crate::likelihoods::{
         Bernoulli, Categorical, HeteroskedasticGaussian, HomoskedasticGaussian, Likelihood,
-        Poisson,
     };
     pub use crate::priors::{DictPrior, Filter, IIDPrior, LambdaPrior, LayerwiseNormalPrior, Prior};
     pub use tyxe_prob::mcmc::{Hmc, Nuts};

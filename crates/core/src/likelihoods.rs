@@ -122,7 +122,7 @@ fn fold_all(fold: Option<Box<dyn PredictiveFold>>, sampled: &[Tensor]) -> Tensor
 }
 
 /// The "map each sample, sum left to right, divide by S" aggregation of
-/// Categorical / Bernoulli / Poisson.
+/// Categorical and Bernoulli.
 struct ProbSumFold {
     acc: Option<Tensor>,
     map: fn(&Tensor) -> Tensor,
@@ -415,54 +415,6 @@ impl Likelihood for Bernoulli {
     }
 }
 
-/// Poisson likelihood over predicted log-rates `[n]` — the "easy to add"
-/// extension the paper mentions in §2.1.4.
-#[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    dataset_size: usize,
-}
-
-impl Poisson {
-    /// Creates the likelihood; the network predicts **log** rates.
-    pub fn new(dataset_size: usize) -> Poisson {
-        Poisson { dataset_size }
-    }
-}
-
-impl Likelihood for Poisson {
-    fn dataset_size(&self) -> usize {
-        self.dataset_size
-    }
-
-    fn predictive_distribution(&self, predictions: &Tensor) -> DynDistribution {
-        boxed(tyxe_prob::dist::Poisson::new(predictions.exp()))
-    }
-
-    fn batch_size(&self, targets: &Tensor) -> usize {
-        targets.numel()
-    }
-
-    /// Averages rates: aggregated shape `[n]`.
-    fn aggregate_predictions(&self, sampled: &[Tensor]) -> Tensor {
-        fold_all(self.fold_begin(), sampled)
-    }
-
-    fn error(&self, aggregated: &Tensor, targets: &Tensor) -> f64 {
-        aggregated.sub(targets).square().mean().item()
-    }
-
-    fn log_likelihood(&self, aggregated: &Tensor, targets: &Tensor) -> f64 {
-        tyxe_prob::dist::Poisson::new(aggregated.clamp_min(1e-12))
-            .log_prob(targets)
-            .mean()
-            .item()
-    }
-
-    fn fold_begin(&self) -> Option<Box<dyn PredictiveFold>> {
-        ProbSumFold::boxed(|t| t.exp())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,17 +486,6 @@ mod tests {
         let agg = lik.aggregate_predictions(&[s1, s2]);
         // Equal precisions: mean = 2.
         assert!((agg.at(&[0, 0, 0]) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn poisson_predictive_rate() {
-        let lik = Poisson::new(2);
-        let s = Tensor::from_vec(vec![0.0, (2.0f64).ln()], &[2]);
-        let agg = lik.aggregate_predictions(&[s.clone(), s]);
-        assert!((agg.to_vec()[0] - 1.0).abs() < 1e-9);
-        assert!((agg.to_vec()[1] - 2.0).abs() < 1e-9);
-        let y = Tensor::from_vec(vec![1.0, 2.0], &[2]);
-        assert!(lik.log_likelihood(&agg, &y).is_finite());
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads an `f64` bit pattern (LE).
-    pub fn get_f64(&mut self) -> Result<f64, LoadError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads a length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String, LoadError> {
         let len = self.get_u64()? as usize;
@@ -213,15 +208,13 @@ impl<'a> ByteReader<'a> {
     /// Reads a length-prefixed `f64` vector.
     pub fn get_f64_slice(&mut self) -> Result<Vec<f64>, LoadError> {
         let len = self.get_u64()? as usize;
-        // Bound the allocation by the bytes actually present.
-        if len.checked_mul(8).is_none_or(|b| self.pos + b > self.buf.len()) {
-            return Err(LoadError::Truncated);
-        }
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.get_f64()?);
-        }
-        Ok(out)
+        // Take the bytes before allocating: `take` bounds the length by
+        // the bytes actually present, with checked arithmetic.
+        let bytes = self.take(len.checked_mul(8).ok_or(LoadError::Truncated)?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+            .collect())
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 
-use tyxe_nn::serialize::LoadError;
+use tyxe_nn::serialize::{encode_container, ByteWriter, LoadError};
 use tyxe_nn::StateDict;
 use tyxe_rand::prop_check;
 
@@ -108,6 +108,27 @@ fn trailing_garbage_is_rejected() {
             "bytes with a trailing suffix must not decode"
         );
     });
+}
+
+/// A container whose checksum is valid but whose one entry declares
+/// 2^61 - 1 values: the declared byte count, 2^64 - 8, fits a `usize`,
+/// so only checked arithmetic against the payload's real length keeps
+/// the decoder from overflowing or allocating for it.
+#[test]
+fn an_entry_declaring_more_values_than_bytes_is_a_clean_error() {
+    let empty = StateDict::default().to_bytes();
+    let magic: &[u8; 8] = empty[..8].try_into().unwrap();
+    let version = u32::from_le_bytes(empty[8..12].try_into().unwrap());
+    let mut w = ByteWriter::new();
+    w.put_u64(1);
+    w.put_str("w");
+    w.put_u64((1 << 61) - 1);
+    w.put_f64(1.0);
+    let bytes = encode_container(magic, version, &w.into_bytes());
+    match StateDict::from_bytes(&bytes) {
+        Err(LoadError::Truncated) => {}
+        other => panic!("expected LoadError::Truncated, got {other:?}"),
+    }
 }
 
 #[test]

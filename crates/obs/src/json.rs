@@ -83,12 +83,19 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document of
+/// nothing but `[` overflows the stack and aborts the process; the
+/// trace, metrics and benchmark documents it reads nest a few levels.
+const MAX_DEPTH: usize = 256;
+
 /// Parse a complete JSON document; trailing whitespace is allowed,
-/// trailing garbage is an error.
+/// trailing garbage is an error, and so is nesting deeper than
+/// [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -111,12 +118,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` counts the arrays and objects it sits in.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -232,7 +243,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -241,7 +252,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -254,7 +265,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -267,7 +278,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let k = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let v = parse_value(b, pos)?;
+        let v = parse_value(b, pos, depth)?;
         items.push((k, v));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -333,5 +344,65 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let deep = open.repeat(100_000);
+            let err = parse(&deep).unwrap_err();
+            let at = MAX_DEPTH * open.len();
+            assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {at}"));
+            // The bound itself still parses.
+            let ok = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&ok).is_ok(), "{MAX_DEPTH} levels of {open}");
+            let over = format!(
+                "{}1{}",
+                open.repeat(MAX_DEPTH + 1),
+                close.repeat(MAX_DEPTH + 1)
+            );
+            assert!(parse(&over).is_err(), "{} levels of {open}", MAX_DEPTH + 1);
+        }
+    }
+
+    /// Byte flips, truncations and insertions of valid documents, from a
+    /// fixed seed: `parse` returns `Ok` or `Err` on every one and never
+    /// panics.
+    #[test]
+    fn mutated_documents_never_panic() {
+        let docs = [
+            r#"{"traceEvents":[{"name":"svi.step","ph":"X","ts":12.5,"dur":3,"pid":1,"tid":2,"args":{"step":7}}],"displayTimeUnit":"ms"}"#,
+            r#"{"name":"core.bnn.svi_fwd_bwd_ms_p50","kind":"gauge","value":-1.25e-3,"tags":{"workload":"fig1_hmc"},"ok":true,"none":null}"#,
+            r#"{"workloads":[{"name":"fig1_svi_lr","why":"a \"quoted\" \u00e9 \uD83D\uDE00 line\n"}],"bound":[0.25,0.1,[[],{}]]}"#,
+        ];
+        // splitmix64: the test's own seeded stream.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let specials = b"[]{}\":,\\u0e-+. \n";
+        for case in 0..3000 {
+            let mut bytes = docs[case % docs.len()].as_bytes().to_vec();
+            for _ in 0..1 + next() % 4 {
+                let at = (next() % (bytes.len() as u64 + 1)) as usize;
+                let byte = if next() % 2 == 0 {
+                    specials[(next() % specials.len() as u64) as usize]
+                } else {
+                    next() as u8
+                };
+                match next() % 3 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.truncate(at),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let outcome = std::panic::catch_unwind(|| parse(&text));
+            assert!(outcome.is_ok(), "case {case}: parse panicked on {text:?}");
+        }
     }
 }

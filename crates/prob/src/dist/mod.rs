@@ -12,7 +12,6 @@ mod delta;
 mod kl;
 mod lowrank;
 mod normal;
-mod poisson;
 
 pub use bernoulli::Bernoulli;
 pub use categorical::Categorical;
@@ -20,7 +19,6 @@ pub use delta::{Delta, Flat};
 pub use kl::{kl_divergence, kl_normal_normal};
 pub use lowrank::LowRankNormal;
 pub use normal::Normal;
-pub use poisson::Poisson;
 
 use std::any::Any;
 use std::fmt;

@@ -39,8 +39,6 @@ pub mod mcmc;
 pub mod optim;
 pub mod poutine;
 pub mod rng;
-pub mod sgld;
-pub mod special;
 pub mod svi;
 
 pub use poutine::{observe, sample};

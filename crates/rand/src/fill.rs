@@ -3,12 +3,12 @@
 //!
 //! Every standard-normal draw of the workspace runs [`fill_standard_normal`]
 //! or [`box_muller`]: `Tensor::randn` and the plan replay's `refill_randn`,
-//! [`crate::StandardNormal`], Poisson's normal branch and the datasets'
-//! pixel noise. A fill is paired Box–Muller: each pair of uniforms
-//! `u1 ∈ [f64::MIN_POSITIVE, 1)`, `u2 ∈ [0, 1)` yields `r·cos θ` and
-//! `r·sin θ` with `r = sqrt(−2·ln u1)` and `θ = (2π)·u2`, so a fill of `n`
-//! elements consumes `2·⌈n/2⌉` uniforms. [`box_muller`] is one draw, the
-//! cosine of one pair, and an odd last element of a fill is one such draw.
+//! [`crate::StandardNormal`] and the datasets' pixel noise. A fill is
+//! paired Box–Muller: each pair of uniforms `u1 ∈ [f64::MIN_POSITIVE, 1)`,
+//! `u2 ∈ [0, 1)` yields `r·cos θ` and `r·sin θ` with `r = sqrt(−2·ln u1)`
+//! and `θ = (2π)·u2`, so a fill of `n` elements consumes `2·⌈n/2⌉`
+//! uniforms. [`box_muller`] is one draw, the cosine of one pair, and an
+//! odd last element of a fill is one such draw.
 //!
 //! `ln`, `sin` and `cos` are branch-free ports of glibc 2.36's
 //! `__log_fma`, `__sin_fma` and `__cos_fma` (the variants its resolvers

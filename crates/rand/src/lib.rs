@@ -62,13 +62,6 @@ impl Standard for f64 {
     }
 }
 
-impl Standard for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> f32 {
-        // 24 mantissa bits for f32.
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
 impl Standard for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> bool {
         // Use the top bit; xoshiro's low bits are the weakest.
@@ -105,18 +98,6 @@ impl SampleRange<f64> for core::ops::Range<f64> {
         assert!(self.start < self.end, "gen_range: empty f64 range");
         let v = self.start + (self.end - self.start) * rng.next_f64();
         // Guard against rounding up to `end` when the span is tiny.
-        if v >= self.end {
-            self.start
-        } else {
-            v
-        }
-    }
-}
-
-impl SampleRange<f32> for core::ops::Range<f32> {
-    fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> f32 {
-        assert!(self.start < self.end, "gen_range: empty f32 range");
-        let v = self.start + (self.end - self.start) * f32::sample_standard(rng);
         if v >= self.end {
             self.start
         } else {
@@ -168,7 +149,7 @@ macro_rules! impl_int_ranges {
     )*};
 }
 
-impl_int_ranges!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
+impl_int_ranges!(usize, u64, i64, i32);
 
 /// A distribution that can be sampled through [`Rng::sample`].
 pub trait Distribution<T> {

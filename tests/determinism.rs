@@ -720,15 +720,14 @@ fn mcmc_predictions_match_per_draw_condition_reference() {
 }
 
 /// The streaming aggregation half of the contract: for likelihoods with
-/// a [`tyxe::likelihoods::PredictiveFold`] (Categorical, Bernoulli and
-/// Poisson), `predict` folds samples one at a time instead of
-/// materializing them all, and the fold must associate exactly like
-/// `aggregate_predictions` over the materialized `predict_samples`, and
-/// both like the map-sum-divide loop kept here as the oracle — same bits
-/// out.
+/// a [`tyxe::likelihoods::PredictiveFold`] (Categorical and Bernoulli),
+/// `predict` folds samples one at a time instead of materializing them
+/// all, and the fold must associate exactly like `aggregate_predictions`
+/// over the materialized `predict_samples`, and both like the
+/// map-sum-divide loop kept here as the oracle — same bits out.
 #[test]
 fn predictive_fold_matches_legacy_aggregate_bitwise() {
-    use tyxe::likelihoods::{Bernoulli, Categorical, Likelihood, Poisson};
+    use tyxe::likelihoods::{Bernoulli, Categorical, Likelihood};
     use tyxe_tensor::Tensor;
 
     /// The batch loop the discrete likelihoods ran before their
@@ -775,7 +774,6 @@ fn predictive_fold_matches_legacy_aggregate_bitwise() {
 
     check(Categorical::new(32), 3, |t| t.softmax(1));
     check(Bernoulli::new(32), 1, |t| t.sigmoid());
-    check(Poisson::new(32), 1, |t| t.exp());
 }
 
 /// A one-layer net that logs, on every forward, the id of the tensor
